@@ -1,0 +1,217 @@
+//! The execution backend instantiated for one run, per
+//! [`EngineConfig::backend`] — shared by the solo driver
+//! ([`crate::driver`]) and the multi-tenant engine ([`crate::tenancy`]).
+//!
+//! [`BackendRuntime::execute`] is the one place a planned batch is dispatched
+//! by backend kind, and its distributed arm is the one place a worker loss
+//! is survived: a single submit→wait path at every pipeline depth (depth 1
+//! is a window of one) that, on a loss, charges the recovery and resubmits
+//! the plans still in hand. Nothing is re-partitioned — the failed attempt
+//! made no assigner calls and the plan did not change.
+
+use prompt_core::batch::PartitionPlan;
+use prompt_core::columnar::ColumnarPlan;
+use prompt_core::reduce::ReduceAssigner;
+
+use crate::config::{Backend, EngineConfig};
+use crate::job::Job;
+use crate::net::{DistributedOptions, DistributedRuntime, NetStats, WorkerLoss};
+use crate::recovery::ReplicatedBatchStore;
+use crate::stage::{
+    execute_batch_traced, execute_columnar_traced, times_from_stats, BatchOutput, StageTimes,
+};
+use crate::threaded::ThreadedExecutor;
+use crate::trace::{Counter, TraceEvent, TraceRecorder};
+
+/// A partitioned batch as a backend sees it: what to run, under which job,
+/// into how many Reduce buckets.
+#[derive(Clone, Copy)]
+pub(crate) struct Planned<'a> {
+    /// Sequence number on the wire (tenancy namespaces it per tenant).
+    pub(crate) seq: u64,
+    /// Sequence number traces, and the replicated store, know the batch by.
+    pub(crate) tseq: u64,
+    pub(crate) plan: &'a PartitionPlan,
+    /// The columnar plan `plan` is the exact row rendering of, when the
+    /// batch was sealed columnar; execution then runs on the column arrays.
+    pub(crate) columnar: Option<&'a ColumnarPlan>,
+    pub(crate) job: &'a Job,
+    pub(crate) r: usize,
+}
+
+impl Planned<'_> {
+    /// Put the batch's Map tasks on the wire; a no-op while the seq is still
+    /// in flight. Column slices and row blocks encode to identical frames.
+    fn submit(&self, rt: &mut DistributedRuntime) {
+        let spec = self
+            .job
+            .wire_spec()
+            .expect("wire-serialisable: checked at launch");
+        match self.columnar {
+            Some(cp) => rt.submit_batch_columnar(self.seq, self.tseq, cp, &spec, self.r),
+            None => rt.submit_batch(self.seq, self.tseq, self.plan, &spec, self.r),
+        }
+    }
+}
+
+/// See the module docs.
+pub(crate) enum BackendRuntime {
+    /// Simulated cluster (the default): [`execute_batch_traced`].
+    InProcess,
+    /// Real threads; virtual times recovered via [`times_from_stats`].
+    Threaded(ThreadedExecutor),
+    /// Real worker processes/threads over TCP (boxed: the runtime holds
+    /// per-worker channels and is much larger than the other variants).
+    Distributed(Box<DistributedRuntime>),
+}
+
+impl BackendRuntime {
+    /// Instantiate `backend` for a run over `jobs`.
+    pub(crate) fn launch<'j>(
+        backend: Backend,
+        jobs: impl IntoIterator<Item = &'j Job>,
+    ) -> BackendRuntime {
+        match backend {
+            Backend::InProcess => BackendRuntime::InProcess,
+            Backend::Threaded { threads } => {
+                BackendRuntime::Threaded(ThreadedExecutor::new(threads))
+            }
+            Backend::Distributed { workers, base_port } => {
+                assert!(
+                    jobs.into_iter().all(|j| j.wire_spec().is_some()),
+                    "Backend::Distributed needs wire-serialisable jobs (build them with \
+                     Job::identity)"
+                );
+                let rt = DistributedRuntime::launch(DistributedOptions::new(workers, base_port))
+                    .expect("failed to launch distributed workers");
+                BackendRuntime::Distributed(Box::new(rt))
+            }
+        }
+    }
+
+    /// The worker fleet, when the run is distributed.
+    pub(crate) fn distributed(&mut self) -> Option<&mut DistributedRuntime> {
+        match self {
+            BackendRuntime::Distributed(rt) => Some(rt),
+            _ => None,
+        }
+    }
+
+    /// Eager dispatch: on the distributed backend `batch`'s Map tasks go on
+    /// the wire now, overlapping older in-flight batches' reduce and wire
+    /// transfer. Reduce dispatch waits behind the runtime's assigner-order
+    /// gate, so allocator state still advances strictly in batch order.
+    pub(crate) fn submit(&mut self, batch: &Planned<'_>) {
+        if let Some(rt) = self.distributed() {
+            batch.submit(rt);
+        }
+    }
+
+    /// Execute `batch`, returning its output, virtual stage times, and how
+    /// many worker losses were survived on the way.
+    ///
+    /// All three arms produce bit-identical outputs and virtual
+    /// [`StageTimes`] given the same plan and assigner state: the real
+    /// backends report raw [`BucketStats`](crate::stage::BucketStats) which
+    /// [`times_from_stats`] converts with the same cost model the simulated
+    /// path uses directly (`batch.plan` is the exact row rendering of a
+    /// columnar plan, so the conversion is shared).
+    ///
+    /// On the distributed backend the batch may already be in flight (maps
+    /// dispatched by [`BackendRuntime::submit`]); waiting drives the shared
+    /// event pump, which also advances the `younger` in-flight batches. A
+    /// worker lost mid-batch aborts every unfinished batch of the window:
+    /// the loss is charged by [`on_worker_loss`] and the window is
+    /// re-dispatched in batch order from the plans in hand. Failed attempts
+    /// contribute no virtual time — virtual time models the healthy cluster.
+    pub(crate) fn execute<'a>(
+        &mut self,
+        batch: &Planned<'a>,
+        younger: impl Iterator<Item = Planned<'a>> + Clone,
+        assigner: &mut dyn ReduceAssigner,
+        cfg: &EngineConfig,
+        rec: &TraceRecorder,
+        mut store: Option<&mut ReplicatedBatchStore>,
+    ) -> (BatchOutput, StageTimes, u64) {
+        let trace = rec.enabled().then_some(rec);
+        let (job, r) = (batch.job, batch.r);
+        let costed = |stats| times_from_stats(batch.plan, stats, &cfg.cost, &cfg.cluster);
+        let mut losses = 0;
+        let (output, times) = match self {
+            BackendRuntime::InProcess => match batch.columnar {
+                Some(cp) => {
+                    execute_columnar_traced(cp, job, assigner, r, &cfg.cost, &cfg.cluster, trace)
+                }
+                None => execute_batch_traced(
+                    batch.plan,
+                    job,
+                    assigner,
+                    r,
+                    &cfg.cost,
+                    &cfg.cluster,
+                    trace,
+                ),
+            },
+            BackendRuntime::Threaded(exec) => {
+                let trace = trace.map(|rec| (rec, batch.tseq));
+                let (output, stats, _wall) = match batch.columnar {
+                    Some(cp) => exec.execute_columnar_with_stats(cp, job, assigner, r, trace),
+                    None => exec.execute_with_stats(batch.plan, job, assigner, r, trace),
+                };
+                (output, costed(&stats))
+            }
+            BackendRuntime::Distributed(rt) => loop {
+                // No-ops while the seqs are in flight (or already done);
+                // after a loss these re-dispatch the aborted window.
+                batch.submit(rt);
+                for q in younger.clone() {
+                    q.submit(rt);
+                }
+                match rt.wait_batch(batch.seq, assigner, trace) {
+                    Ok((output, stats)) => break (output, costed(&stats)),
+                    Err(loss) => {
+                        losses += 1;
+                        on_worker_loss(&loss, batch.tseq, store.as_deref_mut(), rec);
+                    }
+                }
+            },
+        };
+        (output, times, losses)
+    }
+
+    /// Stop the worker fleet, reporting its wire totals.
+    pub(crate) fn shutdown(&mut self) -> Option<NetStats> {
+        self.distributed().map(|rt| {
+            let stats = rt.stats();
+            rt.shutdown();
+            stats
+        })
+    }
+}
+
+/// Charge one worker loss (§8): the failed attempt made no assigner calls
+/// (fresh assignments replay from the runtime's cache), so allocator state —
+/// and with it the output — is untouched, and the caller resubmits the plan
+/// it still holds. Spending a replica of the retained input (when the run
+/// retains inputs) keeps the recovery budget honest: a batch can be lost at
+/// most `replicas` times before the run aborts.
+fn on_worker_loss(
+    loss: &WorkerLoss,
+    seq: u64,
+    store: Option<&mut ReplicatedBatchStore>,
+    rec: &TraceRecorder,
+) {
+    let replicas_left = store.map_or(0, |store| {
+        if let Err(e) = store.recover(seq) {
+            panic!("worker loss on batch {seq} beyond recovery budget: {e}");
+        }
+        store.replicas_left(seq).unwrap_or(0)
+    });
+    rec.incr(Counter::WorkersLost, 1);
+    rec.incr(Counter::Recoveries, 1);
+    rec.event(TraceEvent::WorkerLost {
+        seq,
+        worker: loss.worker,
+    });
+    rec.event(TraceEvent::Recovery { seq, replicas_left });
+}

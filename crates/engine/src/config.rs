@@ -149,8 +149,10 @@ pub struct EngineConfig {
     /// backend encodes Map-task frames straight from the arena. Plans,
     /// outputs, stage times and wire frames are bit-identical to the row
     /// path (gated by the `columnar_differential` suite); techniques
-    /// without a columnar seal fall back to rows per batch. Recovery
-    /// replays always re-partition from the replicated row input.
+    /// without a columnar seal fall back to rows per batch. A worker-loss
+    /// retry resubmits the columnar plan in hand; only replays of a batch
+    /// whose plan is gone (scheduled fault-plan losses, the suffix after a
+    /// state-store loss) re-partition the replicated row input.
     pub columnar: bool,
 }
 

@@ -1,0 +1,931 @@
+//! One run of the batch loop: the cross-batch state
+//! [`StreamingEngine::run_traced`] threads through its three steps —
+//! [`Run::fill`] (buffer + partition), [`Run::execute`] (Map/Reduce on the
+//! backend) and [`Run::commit`] (window state, checkpoints, scheduling) — and
+//! the named sub-steps each of them is made of.
+
+use std::collections::{HashMap, VecDeque};
+
+use prompt_core::batch::{MicroBatch, PartitionPlan};
+use prompt_core::columnar::ColumnarPlan;
+use prompt_core::metrics::PlanMetrics;
+use prompt_core::partitioner::{PartitionPhases, Technique};
+use prompt_core::types::{Duration, Interval, Time, Tuple};
+
+use super::{effective_depth, resolve_pair, BatchRecord, RunResult, StreamingEngine};
+use crate::backend::{BackendRuntime, Planned};
+use crate::config::{Backend, OverheadMode};
+use crate::elasticity::{AutoScaler, Observation};
+use crate::job::Job;
+use crate::policy::{BatchObservation, PolicyDecision};
+use crate::rebalance::{
+    group_weights, imbalance_ratio, RebalanceObservation, RebalancePolicy, RoutingTable,
+};
+use crate::recovery::{FaultPlan, RecoveryError, ReplicatedBatchStore};
+use crate::source::TupleSource;
+use crate::stage::{BatchOutput, StageTimes};
+use crate::state::{restore, Checkpointer, CommitInfo, KeyedStateStore, StateStats};
+use crate::straggler::Stage;
+use crate::trace::{Counter, StageKind, TraceEvent, TraceRecorder};
+use crate::window::{WindowResult, WindowState};
+
+/// A batch past the *buffering* state of the driver's state machine:
+/// ingested, counted, replicated into the recovery store, and partitioned —
+/// everything up to (but excluding) execution and commit. When
+/// `pipeline_depth` exceeds 1, up to `depth` of these sit in the prepare
+/// queue while older batches execute; on the distributed backend their Map
+/// tasks are already on the wire.
+pub(super) struct PreparedBatch {
+    seq: u64,
+    interval: Interval,
+    n_tuples: usize,
+    n_keys: usize,
+    plan: PartitionPlan,
+    raw_overhead: Duration,
+    visible_overhead: Duration,
+    /// The technique that partitioned this batch (policy-selected or the
+    /// constructor's); `None` only under `with_parts`.
+    technique: Option<Technique>,
+    /// The policy's decision for this batch, when a policy drove it.
+    decision: Option<PolicyDecision>,
+    /// Plan-quality metrics, computed once at prepare (the policy consumes
+    /// them too).
+    metrics: PlanMetrics,
+    /// Processing time of suffix recomputes after a store loss (depth-1
+    /// only — scheduled faults clamp the window); billed to this batch.
+    restore_times: Vec<Duration>,
+    /// The columnar plan when `EngineConfig::columnar` is on and the batch's
+    /// technique sealed one; `plan` is then its exact row rendering (same
+    /// blocks, same order) and serves metrics and the cost model.
+    columnar: Option<ColumnarPlan>,
+}
+
+impl PreparedBatch {
+    fn planned<'a>(&'a self, job: &'a Job, r: usize) -> Planned<'a> {
+        Planned {
+            seq: self.seq,
+            tseq: self.seq,
+            plan: &self.plan,
+            columnar: self.columnar.as_ref(),
+            job,
+            r,
+        }
+    }
+}
+
+/// Everything one run carries from batch to batch. Built once per run by
+/// [`Run::new`], consumed by [`Run::finish`].
+pub(super) struct Run<'e> {
+    eng: &'e mut StreamingEngine,
+    source: &'e mut dyn TupleSource,
+    rec: TraceRecorder,
+    result: RunResult,
+    backend: BackendRuntime,
+    /// Bound on batches past *buffering* at once ([`effective_depth`]).
+    pub(super) depth: usize,
+    /// The in-flight window: partitioned batches awaiting execution, oldest
+    /// first.
+    pub(super) prepared: VecDeque<PreparedBatch>,
+    /// Map / Reduce task counts the next batch is prepared with (moved by
+    /// the scaler at commit).
+    p: usize,
+    r: usize,
+    /// Virtual time at which the pipeline finishes the last committed batch.
+    pipeline_free_at: Time,
+    /// Arrival buffer, reused across intervals.
+    arrivals: Vec<Tuple>,
+    /// Serial window state; `None` when the state layer replaces it.
+    window: Option<WindowState>,
+    /// The state layer (sharded keyed store, optionally checkpointed):
+    /// `Some` for the whole run exactly when checkpointing or a stateful
+    /// operator is configured. Bit-identical to the serial window path (see
+    /// `crate::state::store`).
+    state_store: Option<KeyedStateStore>,
+    sstats: StateStats,
+    checkpointer: Option<Checkpointer>,
+    /// First batch a resumed run processes: the restored checkpoint covers
+    /// everything before it (the source still advances through those).
+    resume_from: u64,
+    scaler: Option<AutoScaler>,
+    prev_zone: Option<u8>,
+    was_in_grace: bool,
+    rebalancer: Option<Box<dyn RebalancePolicy>>,
+    n_groups: usize,
+    /// Imbalance of the most recently committed batch's worker load —
+    /// informational context for the `Rebalance` trace event. Derived from
+    /// virtual task times, so identical across backends.
+    last_imbalance: f64,
+    /// Replicated batch inputs (§8 point 2); `Some` only when something
+    /// could ever read them back: a scheduled fault, a distributed worker
+    /// loss, or checkpoint-suffix recompute.
+    store: Option<ReplicatedBatchStore>,
+    fault_plan: FaultPlan,
+    window_len_batches: u64,
+    /// Which technique partitioned each committed-or-prepared batch —
+    /// replays of old batches must re-partition them with the strategy the
+    /// original run used. Only populated when a policy drives the run.
+    tech_log: HashMap<u64, Technique>,
+}
+
+impl<'e> Run<'e> {
+    pub(super) fn new(eng: &'e mut StreamingEngine, source: &'e mut dyn TupleSource) -> Run<'e> {
+        let cfg = &eng.cfg;
+        let bi = cfg.batch_interval;
+        let state_on = cfg.checkpoint.is_some() || eng.stateful.is_some();
+        assert!(
+            !state_on || eng.window.is_some(),
+            "checkpointing and stateful operators require a window (with_window)"
+        );
+        let window = match eng.window {
+            Some(spec) if !state_on => Some(WindowState::new(spec, bi, eng.job.reduce)),
+            _ => None,
+        };
+        // The rebalancer is rebuilt (and the routing table reset to the
+        // round-robin layout at version 0) every run, so repeated runs of
+        // one engine are bit-identical.
+        let n_groups = cfg.rebalance.n_groups().unwrap_or(0);
+        if let Some(table) = eng.routing.as_ref() {
+            *table.lock().expect("routing table poisoned") =
+                RoutingTable::new(n_groups, cfg.reduce_tasks);
+        }
+        let checkpointer = cfg
+            .checkpoint
+            .as_ref()
+            .map(|c| Checkpointer::create(c).expect("failed to open checkpoint directory"));
+        let mut backend = BackendRuntime::launch(cfg.backend, [&eng.job]);
+        if let Some(rt) = backend.distributed() {
+            rt.set_fault_plan(eng.net_faults.clone());
+        }
+        // Worker-loss and checkpoint-suffix recomputes need the batch inputs
+        // even when the user did not configure fault tolerance; a budget of
+        // one recompute per worker always suffices (the run aborts anyway
+        // once every worker is gone).
+        let (replicas, fault_plan) = match (&eng.fault_tolerance, cfg.backend) {
+            (Some((replicas, plan)), _) => (*replicas, plan.clone()),
+            (None, Backend::Distributed { workers, .. }) => (workers.max(2), FaultPlan::none()),
+            (None, _) => (2, FaultPlan::none()),
+        };
+        let retain_inputs =
+            backend.distributed().is_some() || checkpointer.is_some() || !fault_plan.is_empty();
+        let scaler = cfg
+            .elasticity
+            .map(|sc| AutoScaler::new(sc, cfg.map_tasks, cfg.reduce_tasks));
+        let rebalancer = cfg.rebalance.build();
+        let mut run = Run {
+            rec: TraceRecorder::new(cfg.trace),
+            result: RunResult::default(),
+            backend,
+            depth: effective_depth(
+                cfg.pipeline_depth,
+                scaler.is_some(),
+                state_on,
+                eng.policy.is_some(),
+                !fault_plan.is_empty(),
+                rebalancer.is_some(),
+            ),
+            prepared: VecDeque::new(),
+            p: cfg.map_tasks,
+            r: cfg.reduce_tasks,
+            pipeline_free_at: Time::ZERO,
+            arrivals: Vec::new(),
+            window,
+            state_store: state_on.then(|| eng.new_state_store()),
+            sstats: StateStats::default(),
+            checkpointer,
+            resume_from: 0,
+            scaler,
+            prev_zone: None,
+            was_in_grace: false,
+            rebalancer,
+            n_groups,
+            last_imbalance: 1.0,
+            store: retain_inputs.then(|| ReplicatedBatchStore::new(replicas)),
+            fault_plan,
+            window_len_batches: eng.window.map_or(1, |spec| spec.in_batches(bi).0 as u64),
+            tech_log: HashMap::new(),
+            eng,
+            source,
+        };
+        run.resume();
+        run
+    }
+
+    /// Resume a restarted run from its checkpoint directory: [`Run::fill`]
+    /// then skips the batches the restored watermark covers.
+    fn resume(&mut self) {
+        if !self.eng.cfg.checkpoint.as_ref().is_some_and(|c| c.resume) {
+            return;
+        }
+        let (store, covered, bytes) = self.durable_state();
+        if covered > 0 {
+            self.state_store = Some(store);
+            self.resume_from = covered;
+            self.record_restore(0, covered, bytes, 0);
+        }
+    }
+
+    /// The state a lost or restarted store is rebuilt from, as `(store,
+    /// batches covered, bytes read)`: the latest checkpoint, or a fresh store
+    /// covering nothing when the run does not checkpoint or has not
+    /// committed yet — re-sharded to the current reduce count either way.
+    fn durable_state(&self) -> (KeyedStateStore, u64, u64) {
+        let restored = self
+            .eng
+            .cfg
+            .checkpoint
+            .as_ref()
+            .and_then(|cfg| restore(&cfg.dir).expect("checkpoint restore failed"));
+        let (mut store, covered, bytes) = match restored {
+            Some(rs) => (rs.store, rs.watermark + 1, rs.bytes_read),
+            None => (self.eng.new_state_store(), 0, 0),
+        };
+        if store.shard_count() != self.r {
+            store.migrate(self.r);
+        }
+        (store, covered, bytes)
+    }
+
+    fn record_restore(&mut self, seq: u64, covered: u64, bytes: u64, recomputed: u64) {
+        self.sstats.restores += 1;
+        self.sstats.recomputed_batches += recomputed;
+        self.rec.incr(Counter::StateRestores, 1);
+        self.rec.incr(Counter::RecomputedBatches, recomputed);
+        self.rec.event(TraceEvent::StateRestore {
+            seq,
+            covered,
+            bytes,
+            recomputed,
+        });
+    }
+
+    fn interval_of(&self, seq: u64) -> Interval {
+        let bi = self.eng.cfg.batch_interval;
+        Interval::new(Time(bi.0 * seq), Time(bi.0 * (seq + 1)))
+    }
+
+    /// Advance batch `seq` from *buffering* to *partitioned*: ingest its
+    /// interval, replicate the input, let every controller that acts at the
+    /// batch boundary act (store-loss restore, rebalancer, policy), partition
+    /// it, and put its Map tasks on the wire. `None` when a restored
+    /// checkpoint already covers the batch.
+    pub(super) fn fill(&mut self, seq: u64) -> Option<PreparedBatch> {
+        let interval = self.interval_of(seq);
+        self.arrivals.clear();
+        self.source.fill(interval, &mut self.arrivals);
+        debug_assert!(
+            self.arrivals.windows(2).all(|w| w[0].ts <= w[1].ts),
+            "source must emit in timestamp order"
+        );
+        if seq < self.resume_from {
+            return None;
+        }
+        let batch = MicroBatch::new(std::mem::take(&mut self.arrivals), interval);
+        let n_tuples = batch.len();
+        let n_keys = batch.distinct_keys();
+        self.rec.incr(Counter::Batches, 1);
+        self.rec.incr(Counter::Tuples, n_tuples as u64);
+        if let Some(store) = self.store.as_mut() {
+            // The buffer is shared (`Arc`), so recovery reads and replica
+            // accounting never deep-copy the tuples again.
+            store.retain(seq, batch.tuples.as_slice().into());
+            let stats = &mut self.sstats;
+            stats.max_retained_tuples = stats
+                .max_retained_tuples
+                .max(store.retained_tuples() as u64);
+            stats.max_retained_batches = stats.max_retained_batches.max(store.len() as u64);
+        }
+        let restore_times = self.restore_lost_store(seq);
+        self.apply_rebalance(seq);
+        let (decision, decide_us) = self.decide(seq);
+        let technique = decision
+            .as_ref()
+            .map(|d| d.technique)
+            .or(self.eng.base_technique);
+
+        // Partition (optionally measuring real cost; when tracing, the
+        // phased path additionally times select / seal / symbolic /
+        // materialize — the plan is bit-identical either way).
+        let t0 = std::time::Instant::now();
+        let eng = &mut *self.eng;
+        let (partitioner, _) = resolve_pair(
+            &mut eng.partitioner,
+            &mut eng.assigner,
+            &mut eng.strategies,
+            technique,
+        );
+        let mut columnar: Option<ColumnarPlan> = None;
+        let (plan, phases) = match eng
+            .cfg
+            .columnar
+            .then(|| partitioner.partition_columnar(&batch, self.p))
+            .flatten()
+        {
+            Some((cplan, ph)) => {
+                // The row rendering of the same assignment (same blocks,
+                // same order): metrics and cost-model times stay on the row
+                // API.
+                let row = cplan.to_row_plan();
+                columnar = Some(cplan);
+                (row, ph)
+            }
+            None if self.rec.enabled() => partitioner.partition_phased(&batch, self.p),
+            None => (
+                partitioner.partition(&batch, self.p),
+                PartitionPhases::default(),
+            ),
+        };
+        let raw_overhead = match eng.cfg.overhead {
+            OverheadMode::None => Duration::ZERO,
+            OverheadMode::Fixed(d) => d,
+            OverheadMode::Measured => Duration::from_micros(t0.elapsed().as_micros() as u64),
+        };
+        self.trace_partition_phases(seq, decision.is_some(), decide_us, &phases);
+        let metrics = PlanMetrics::of(&plan);
+        if let Some(pol) = self.eng.policy.as_mut() {
+            pol.observe(&BatchObservation {
+                seq,
+                technique: technique.expect("policy runs always resolve a technique"),
+                n_tuples,
+                n_keys,
+                map_tasks: self.p,
+                metrics,
+                plan: &plan,
+            });
+        }
+        self.arrivals = batch.tuples; // reuse the allocation next interval
+        let pb = PreparedBatch {
+            seq,
+            interval,
+            n_tuples,
+            n_keys,
+            plan,
+            raw_overhead,
+            visible_overhead: raw_overhead - self.eng.cfg.early_release_slack(),
+            technique,
+            decision,
+            metrics,
+            restore_times,
+            columnar,
+        };
+        self.backend.submit(&pb.planned(&self.eng.job, self.r));
+        Some(pb)
+    }
+
+    /// A scheduled loss of the whole keyed state store at batch `seq`:
+    /// rebuild from the latest checkpoint (or from scratch when none exists)
+    /// and recompute only the post-watermark suffix from retained inputs.
+    /// Returns the suffix recomputes' processing times, billed to `seq`.
+    fn restore_lost_store(&mut self, seq: u64) -> Vec<Duration> {
+        let mut replay_times = Vec::new();
+        if self.state_store.is_none() || !self.fault_plan.loses_store_at(seq) {
+            return replay_times;
+        }
+        let (mut rebuilt, covered, bytes) = self.durable_state();
+        for b in covered..seq {
+            let (output, times) = self.replay(b).unwrap_or_else(|e| {
+                panic!("state loss at batch {seq}: batch {b} unrecoverable: {e}")
+            });
+            // Replay into the rebuilt store, discarding emissions — the
+            // original run already emitted these windows.
+            rebuilt.push(&output);
+            replay_times.push(times.processing());
+        }
+        self.record_restore(seq, covered, bytes, replay_times.len() as u64);
+        self.state_store = Some(rebuilt);
+        replay_times
+    }
+
+    /// Rebalancing: the policy decides a migration plan at the batch
+    /// boundary, before batch `seq` is partitioned or assigned, from the
+    /// commits it has observed (depth is clamped to 1, so the immediately
+    /// preceding commit is always visible here). Applying the plan moves
+    /// only the offending key-groups: the table bumps one version and the
+    /// assigner routes this batch under the new ownership.
+    fn apply_rebalance(&mut self, seq: u64) {
+        let Some(reb) = self.rebalancer.as_mut() else {
+            return;
+        };
+        let mplan = reb.decide(seq);
+        if mplan.is_empty() {
+            return;
+        }
+        let table = self
+            .eng
+            .routing
+            .as_ref()
+            .expect("a rebalancer always runs over a routing table");
+        let version = {
+            let mut t = table.lock().expect("routing table poisoned");
+            t.apply(&mplan).expect("rebalance plan must apply cleanly");
+            t.version()
+        };
+        self.rec.incr(Counter::Rebalances, 1);
+        self.rec
+            .incr(Counter::GroupsMoved, mplan.moves.len() as u64);
+        self.rec.event(TraceEvent::Rebalance {
+            seq,
+            version,
+            moves: mplan.moves.len() as u64,
+            imbalance: self.last_imbalance,
+        });
+        // Hand each moved group's state slice to its new owner.
+        // In-process/threaded backends share the driver's store, so only the
+        // distributed backend ships payloads; stateless runs push empty
+        // slices (the ack still fences the next batch behind the ownership
+        // change).
+        let mut pushes: Vec<(u32, u32, Vec<u8>)> = Vec::new();
+        for mv in &mplan.moves {
+            let payload = self
+                .state_store
+                .as_ref()
+                .map(|s| s.encode_group(mv.group, self.n_groups))
+                .unwrap_or_default();
+            self.rec.event(TraceEvent::GroupMigrate {
+                seq,
+                group: mv.group,
+                from: mv.from,
+                to: mv.to,
+                bytes: payload.len() as u64,
+            });
+            pushes.push((mv.group, mv.to, payload));
+        }
+        if let Some(rt) = self.backend.distributed() {
+            rt.migrate_groups(seq, version, pushes)
+                .expect("group migration push failed");
+        }
+        self.result.migrations.push((seq, mplan));
+    }
+
+    /// Per-batch technique resolution: the policy (when present) scores the
+    /// previous batch's statistics and may hot-swap the strategy here, at
+    /// the batch boundary. The decision is a pure function of prior
+    /// observations — never of trace level or wall clock — so traced and
+    /// untraced runs select identical sequences. Returns the decision and
+    /// the wall-clock µs it took.
+    fn decide(&mut self, seq: u64) -> (Option<PolicyDecision>, u64) {
+        let t0 = std::time::Instant::now();
+        let decision = self.eng.policy.as_mut().map(|pol| pol.decide(seq));
+        let decide_us = t0.elapsed().as_micros() as u64;
+        if let Some(d) = decision.as_ref() {
+            self.tech_log.insert(seq, d.technique);
+            self.rec.incr(Counter::PolicyDecisions, 1);
+            if d.switched {
+                self.rec.incr(Counter::PolicySwitches, 1);
+                self.rec.event(TraceEvent::PolicySwitch {
+                    seq,
+                    from: d.prev.label(),
+                    to: d.technique.label(),
+                });
+            }
+        }
+        (decision, decide_us)
+    }
+
+    fn trace_partition_phases(
+        &self,
+        seq: u64,
+        decided: bool,
+        decide_us: u64,
+        phases: &PartitionPhases,
+    ) {
+        // The select/score phase: the policy's decision plus the technique's
+        // own per-tuple selection work, split out so policy overhead is
+        // visible in stage-breakdown tables.
+        if decided || phases.select_us > 0 {
+            self.rec.phase(
+                seq,
+                StageKind::Select,
+                Duration::from_micros(decide_us + phases.select_us),
+            );
+        }
+        if *phases != PartitionPhases::default() {
+            for (kind, us) in [
+                (StageKind::Seal, phases.seal_us),
+                (StageKind::PartitionSymbolic, phases.symbolic_us),
+                (StageKind::PartitionMaterialize, phases.materialize_us),
+            ] {
+                self.rec.phase(seq, kind, Duration::from_micros(us));
+            }
+        }
+    }
+
+    /// Run a partitioned batch on the backend with the assigner of the
+    /// strategy that partitioned it, charging any worker losses survived on
+    /// the way to the run.
+    fn run_plan(
+        &mut self,
+        seq: u64,
+        plan: &PartitionPlan,
+        columnar: Option<&ColumnarPlan>,
+        technique: Option<Technique>,
+    ) -> (BatchOutput, StageTimes) {
+        let eng = &mut *self.eng;
+        let (_, assigner) = resolve_pair(
+            &mut eng.partitioner,
+            &mut eng.assigner,
+            &mut eng.strategies,
+            technique,
+        );
+        let (job, r) = (&eng.job, self.r);
+        let batch = Planned {
+            seq,
+            tseq: seq,
+            plan,
+            columnar,
+            job,
+            r,
+        };
+        let (output, times, losses) = self.backend.execute(
+            &batch,
+            self.prepared.iter().map(|q| q.planned(job, r)),
+            assigner,
+            &eng.cfg,
+            &self.rec,
+            self.store.as_mut(),
+        );
+        self.result.worker_losses += losses;
+        self.result.recoveries += losses;
+        (output, times)
+    }
+
+    /// Recompute batch `b` from its replicated input (§8), spending one
+    /// replica: the shared retained buffer is re-partitioned in place — no
+    /// deep copy — with the strategy the original run used, and executed on
+    /// the backend.
+    fn replay(&mut self, b: u64) -> Result<(BatchOutput, StageTimes), RecoveryError> {
+        let store = self.store.as_mut().expect("fault plans retain inputs");
+        let input = store.recover(b)?;
+        let technique = self.tech_log.get(&b).copied().or(self.eng.base_technique);
+        let interval = self.interval_of(b);
+        let eng = &mut *self.eng;
+        let (partitioner, _) = resolve_pair(
+            &mut eng.partitioner,
+            &mut eng.assigner,
+            &mut eng.strategies,
+            technique,
+        );
+        let replan = partitioner.partition_shared(&input, interval, self.p);
+        Ok(self.run_plan(b, &replan, None, technique))
+    }
+
+    /// Execute the oldest in-flight batch on the configured backend. At
+    /// depth > 1 a distributed batch is already in flight (maps dispatched
+    /// at [`Run::fill`]); waiting on it also advances the younger batches
+    /// of the window.
+    pub(super) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
+        let (output, mut times) =
+            self.run_plan(pb.seq, &pb.plan, pb.columnar.as_ref(), pb.technique);
+        self.inject_stragglers(pb.seq, &mut times);
+        (output, times)
+    }
+
+    /// Inflate the task times scripted stragglers hit and recompute the
+    /// stage makespans.
+    fn inject_stragglers(&self, seq: u64, times: &mut StageTimes) {
+        let (plan, cluster) = (&self.eng.stragglers, &self.eng.cfg.cluster);
+        if plan.is_empty() {
+            return;
+        }
+        plan.apply(seq, &mut times.map_tasks, &mut times.reduce_tasks);
+        times.map_stage = cluster.makespan(&times.map_tasks);
+        times.reduce_stage = cluster.makespan(&times.reduce_tasks);
+        if !self.rec.enabled() {
+            return;
+        }
+        for e in plan.events_for(seq) {
+            // Mirror `apply`: out-of-range task indices did nothing, so
+            // they are not recorded either.
+            let (stage, n) = match e.stage {
+                Stage::Map => (StageKind::MapStage, times.map_tasks.len()),
+                Stage::Reduce => (StageKind::ReduceStage, times.reduce_tasks.len()),
+            };
+            if e.task < n {
+                self.rec.incr(Counter::Stragglers, 1);
+                self.rec.event(TraceEvent::Straggler {
+                    seq,
+                    stage,
+                    task: e.task,
+                    slowdown: e.slowdown,
+                });
+            }
+        }
+    }
+
+    /// Commit an executed batch. Everything with cross-batch feedback —
+    /// pipeline clock, windows, checkpoints, retention expiry, scaling —
+    /// runs here, in strict batch order.
+    pub(super) fn commit(
+        &mut self,
+        mut pb: PreparedBatch,
+        mut output: BatchOutput,
+        times: StageTimes,
+    ) {
+        let seq = pb.seq;
+        let bi = self.eng.cfg.batch_interval;
+        self.observe_load(&pb, &times);
+
+        // Suffix recomputes after a store loss bill this batch, exactly like
+        // the injected-loss recomputations below.
+        let mut recovery_times = std::mem::take(&mut pb.restore_times);
+        let mut processing = pb.visible_overhead + times.processing();
+        for &d in &recovery_times {
+            processing += d;
+        }
+        // Fault injection: each scheduled loss of this batch's state forces
+        // one recomputation from the replicated input.
+        for _ in 0..self.fault_plan.losses_for(seq) {
+            let (recovered, retimes) = self
+                .replay(seq)
+                .expect("injected failure beyond recovery budget");
+            output = recovered;
+            processing += retimes.processing();
+            recovery_times.push(retimes.processing());
+            self.result.recoveries += 1;
+            self.rec.incr(Counter::Recoveries, 1);
+            let replicas_left = self.store.as_ref().and_then(|s| s.replicas_left(seq));
+            self.rec.event(TraceEvent::Recovery {
+                seq,
+                replicas_left: replicas_left.unwrap_or(0),
+            });
+        }
+        if let Some(store) = self.store.as_mut() {
+            // Without checkpointing, batches that have produced output and
+            // left every window can drop their replicated input (§8). With
+            // checkpointing, retention is truncated at the checkpoint
+            // watermark on commit instead — durable state covers everything
+            // before it.
+            if self.checkpointer.is_none() && seq + 1 >= self.window_len_batches {
+                store.expire_through(seq + 1 - self.window_len_batches);
+            }
+        }
+
+        // Pipelined scheduling: processing starts at the heartbeat or when
+        // the pipeline frees up, whichever is later.
+        let heartbeat = pb.interval.end;
+        let start = self.pipeline_free_at.max(heartbeat);
+        let queue_delay = start.since(heartbeat);
+        self.pipeline_free_at = start + processing;
+        let w = processing.as_secs_f64() / bi.as_secs_f64();
+        self.trace_spans(&pb, &times, start, processing, &recovery_times);
+        let limit = self.eng.cfg.backpressure_queue;
+        if queue_delay.as_secs_f64() > limit * bi.as_secs_f64() {
+            self.result.backpressure = true;
+            self.rec.incr(Counter::BackpressureBatches, 1);
+            self.rec.event(TraceEvent::Backpressure {
+                seq,
+                queue_us: queue_delay.0,
+                limit_us: bi.mul_f64(limit).0,
+            });
+        }
+        self.step_scaler(seq, w, pb.n_tuples, pb.n_keys);
+        self.commit_window(output);
+        self.migrate_state(seq);
+
+        if let Some(d) = pb.decision {
+            self.result.policy_decisions.push(d);
+        }
+        self.result.batches.push(BatchRecord {
+            seq,
+            n_tuples: pb.n_tuples,
+            n_keys: pb.n_keys,
+            map_tasks: pb.plan.n_blocks(),
+            reduce_tasks: self.r,
+            partition_overhead: pb.raw_overhead,
+            visible_overhead: pb.visible_overhead,
+            map_stage: times.map_stage,
+            reduce_stage: times.reduce_stage,
+            processing,
+            queue_delay,
+            latency: bi + queue_delay + processing,
+            w,
+            map_task_times: times.map_tasks,
+            reduce_task_times: times.reduce_tasks,
+            plan_metrics: pb.metrics,
+            technique: pb.technique,
+        });
+    }
+
+    /// Per-worker load accounting: the trace summary's imbalance signal, and
+    /// the rebalancer's observation of this commit.
+    fn observe_load(&mut self, pb: &PreparedBatch, times: &StageTimes) {
+        self.rec.worker_busy(&times.reduce_tasks);
+        let Some(reb) = self.rebalancer.as_mut() else {
+            return;
+        };
+        let busy: Vec<u64> = times.reduce_tasks.iter().map(|d| d.0).collect();
+        let group_tuples = group_weights(&pb.plan, self.n_groups);
+        let (version, owners) = {
+            let t = self
+                .eng
+                .routing
+                .as_ref()
+                .expect("a rebalancer always runs over a routing table")
+                .lock()
+                .expect("routing table poisoned");
+            (t.version(), t.owners().to_vec())
+        };
+        reb.observe(&RebalanceObservation {
+            seq: pb.seq,
+            version,
+            worker_busy_us: &busy,
+            group_tuples: &group_tuples,
+            owners: &owners,
+        });
+        self.last_imbalance = imbalance_ratio(&busy);
+    }
+
+    /// The batch's lifecycle as virtual-time spans. The `PROCESSING_KINDS`
+    /// spans tile `[start, start + processing]` with no gaps, so per batch
+    /// they sum to `processing` exactly — the reconciliation invariant the
+    /// integration tests assert.
+    fn trace_spans(
+        &self,
+        pb: &PreparedBatch,
+        times: &StageTimes,
+        start: Time,
+        processing: Duration,
+        recovery_times: &[Duration],
+    ) {
+        if !self.rec.enabled() {
+            return;
+        }
+        let (seq, rec) = (pb.seq, &self.rec);
+        rec.span(
+            seq,
+            StageKind::Accumulate,
+            pb.interval.start,
+            pb.interval.end,
+        );
+        rec.span(seq, StageKind::QueueWait, pb.interval.end, start);
+        let mut cursor = start;
+        let tiles = [
+            (StageKind::PartitionVisible, pb.visible_overhead),
+            (StageKind::MapStage, times.map_stage),
+            (StageKind::ReduceStage, times.reduce_stage),
+        ];
+        let recoveries = recovery_times.iter().map(|&d| (StageKind::Recovery, d));
+        for (kind, d) in tiles.into_iter().chain(recoveries) {
+            rec.span(seq, kind, cursor, cursor + d);
+            cursor = cursor + d;
+        }
+        debug_assert_eq!(cursor, start + processing, "spans must tile processing");
+    }
+
+    /// Elasticity (Algorithm 4): feed the scaler this commit's load; a scale
+    /// action changes the task counts the next batch is prepared with.
+    fn step_scaler(&mut self, seq: u64, w: f64, n_tuples: usize, n_keys: usize) {
+        let Some(sc) = self.scaler.as_mut() else {
+            return;
+        };
+        let rec = &self.rec;
+        let zone = sc.zone(w);
+        if self.prev_zone != Some(zone) {
+            if self.prev_zone.is_some() {
+                rec.incr(Counter::ZoneTransitions, 1);
+            }
+            rec.event(TraceEvent::Zone { seq, zone, w });
+        }
+        self.prev_zone = Some(zone);
+        let noops_before = sc.noop_decisions();
+        if let Some(action) = sc.observe(Observation {
+            w,
+            n_tuples: n_tuples as u64,
+            n_keys: n_keys as u64,
+        }) {
+            self.p = action.map_tasks;
+            self.r = action.reduce_tasks;
+            self.result.scale_events.push((seq, action));
+            let (rate_trend, key_trend) = sc.last_trends();
+            let direction = if action.out {
+                Counter::ScaleOut
+            } else {
+                Counter::ScaleIn
+            };
+            rec.incr(direction, 1);
+            rec.incr(Counter::GraceEntries, 1);
+            rec.event(TraceEvent::Scale {
+                seq,
+                map_tasks: action.map_tasks,
+                reduce_tasks: action.reduce_tasks,
+                out: action.out,
+                rate_trend,
+                key_trend,
+            });
+            rec.event(TraceEvent::Grace { seq, entered: true });
+        }
+        rec.incr(Counter::NoopDecisions, sc.noop_decisions() - noops_before);
+        let in_grace = sc.in_grace();
+        if self.was_in_grace && !in_grace {
+            rec.event(TraceEvent::Grace {
+                seq,
+                entered: false,
+            });
+        }
+        self.was_in_grace = in_grace;
+    }
+
+    /// Window maintenance: through the sharded state store (with checkpoint
+    /// commits and watermark truncation) when the state layer is active,
+    /// else the serial `WindowState`. The two paths are bit-identical.
+    fn commit_window(&mut self, output: BatchOutput) {
+        let Some(store) = self.state_store.as_mut() else {
+            if let Some(res) = self.window.as_mut().and_then(|ws| ws.push(output)) {
+                self.result.windows.push(res);
+            }
+            return;
+        };
+        let (res, delta) = store.push_with_delta(&output);
+        let commit = self
+            .checkpointer
+            .as_mut()
+            .and_then(|ckpt| ckpt.record(&delta, store).expect("checkpoint write failed"));
+        if let Some(res) = res {
+            if let Some(op) = self.eng.stateful {
+                self.result.stateful.push(WindowResult {
+                    last_batch_seq: res.last_batch_seq,
+                    aggregates: op.eval(store),
+                });
+            }
+            self.result.windows.push(res);
+        }
+        if let Some(commit) = commit {
+            self.record_commit(commit);
+        }
+    }
+
+    /// Account one checkpoint commit. Everything it covers is durable, so
+    /// input retention is truncated at its watermark.
+    fn record_commit(&mut self, commit: CommitInfo) {
+        self.sstats.checkpoints += 1;
+        self.sstats.checkpoint_bytes += commit.bytes;
+        self.rec.incr(Counter::Checkpoints, 1);
+        self.rec.incr(Counter::CheckpointBytes, commit.bytes);
+        if commit.snapshot {
+            self.sstats.snapshots += 1;
+            self.rec.incr(Counter::Snapshots, 1);
+        }
+        self.rec.event(TraceEvent::Checkpoint {
+            seq: commit.seq,
+            snapshot: commit.snapshot,
+            bytes: commit.bytes,
+            wall_us: commit.wall_us,
+        });
+        if let Some(store) = self.store.as_mut() {
+            store.expire_through(commit.seq);
+        }
+    }
+
+    /// Elasticity changed the reduce count: migrate state shards to the new
+    /// allocation. With checkpointing on, a migration is a commit point
+    /// (deltas are bucket-keyed, so the changelog must never mix shard
+    /// counts — `snapshot_now` rolls it over).
+    fn migrate_state(&mut self, seq: u64) {
+        let Some(store) = self.state_store.as_mut() else {
+            return;
+        };
+        if store.shard_count() == self.r {
+            return;
+        }
+        let report = store.migrate(self.r);
+        self.sstats.migrations += 1;
+        self.sstats.migrated_keys += report.keys_moved as u64;
+        self.rec.incr(Counter::StateMigrations, 1);
+        self.rec
+            .incr(Counter::MigratedKeys, report.keys_moved as u64);
+        self.rec.event(TraceEvent::StateMigrate {
+            seq,
+            from_r: report.from_r,
+            to_r: report.to_r,
+            keys: report.keys_moved as u64,
+            bytes: report.bytes,
+        });
+        if let Some(rt) = self.backend.distributed() {
+            // Hand the re-sharded state to the workers owning the new
+            // buckets over the wire.
+            let payloads: Vec<(u32, Vec<u8>)> = (0..store.shard_count())
+                .map(|b| (b as u32, store.encode_shard(b)))
+                .collect();
+            rt.migrate_state(seq, payloads)
+                .expect("state migration push failed");
+        }
+        if let Some(ckpt) = self.checkpointer.as_mut() {
+            let commit = ckpt.snapshot_now(store).expect("checkpoint write failed");
+            self.record_commit(commit);
+        }
+    }
+
+    /// Stop the backend and hand back the run's results and trace.
+    pub(super) fn finish(mut self) -> (RunResult, TraceRecorder) {
+        self.result.net = self.backend.shutdown();
+        if self.state_store.is_some() {
+            if let Some(ckpt) = &self.checkpointer {
+                self.sstats.snapshot_bytes = ckpt.stats().snapshot_bytes;
+                self.sstats.watermark = ckpt.watermark();
+                self.rec
+                    .incr(Counter::SnapshotBytes, self.sstats.snapshot_bytes);
+            }
+            self.result.state = Some(self.sstats);
+        }
+        (self.result, self.rec)
+    }
+}

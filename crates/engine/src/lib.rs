@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod backend;
 pub mod backpressure;
 pub mod batch_resize;
 pub mod cluster;

@@ -35,8 +35,8 @@
 //!
 //! Failure is detected organically — a broken control connection, a
 //! heartbeat that stops, a worker blaming an unreachable shuffle source —
-//! and reported as [`WorkerLoss`], leaving the caller to recompute the
-//! aborted batches from their replicated inputs. A failed attempt makes
+//! and reported as [`WorkerLoss`], leaving the caller to resubmit the
+//! aborted batches (their plans are unchanged). A failed attempt makes
 //! *no* assigner calls: the first successful assignment of each batch is
 //! cached, retries replay it verbatim, and a batch doomed by a scripted
 //! mid-batch kill holds off assigning until the loss surfaces — the
@@ -136,7 +136,7 @@ fn env_millis(var: &str) -> Option<WallDuration> {
 }
 
 /// A worker was declared lost while a batch was in flight. The batch made
-/// no observable progress (no assigner calls, no output); recompute it.
+/// no observable progress (no assigner calls, no output); resubmit it.
 #[derive(Debug)]
 pub struct WorkerLoss {
     /// The lost worker's id.
@@ -1236,7 +1236,7 @@ impl DistributedRuntime {
     /// [`DistributedRuntime::submit_batch`] /
     /// [`DistributedRuntime::wait_batch`] — identical semantics at pipeline
     /// depth 1. On `Err(WorkerLoss)` the attempt had no observable effect
-    /// on the assigner — recompute the batch and call again.
+    /// on the assigner — call again with the same plan.
     ///
     /// # Panics
     ///
@@ -1258,8 +1258,8 @@ impl DistributedRuntime {
 
     /// Columnar twin of [`DistributedRuntime::execute_batch`]: submit via
     /// [`DistributedRuntime::submit_batch_columnar`], then wait. Identical
-    /// failure semantics; on `Err(WorkerLoss)` recompute and retry (the
-    /// recovery path may retry with a row plan — the frames are the same).
+    /// failure semantics; on `Err(WorkerLoss)` call again with the same
+    /// plan (or its row rendering — the frames are the same).
     pub fn execute_batch_columnar(
         &mut self,
         seq: u64,

@@ -237,7 +237,8 @@ pub struct NetFault {
 /// analogue whose failure source is a real dead process rather than
 /// simulated state loss. Each kill terminates the worker (process kill or
 /// socket shutdown for thread-mode workers); the driver then observes the
-/// loss and recomputes the in-flight batch from the replicated store.
+/// loss, spends one replica of the awaited batch, and re-dispatches the
+/// in-flight batches on the survivors from the plans it still holds.
 #[derive(Clone, Debug, Default)]
 pub struct NetFaultPlan {
     /// The scripted kills, in no particular order.

@@ -21,8 +21,8 @@
 //! schedule needs every tenant's stage times for the same seq — so the
 //! multi-tenant loop always runs one lifecycle per heartbeat:
 //! [`EngineConfig::pipeline_depth`](crate::config::EngineConfig) is accepted
-//! but inert here (the distributed path goes through the runtime's
-//! submit-then-wait compatibility wrapper, i.e. effective depth 1), and a
+//! but inert here (every tenant batch runs through the backend's
+//! submit→wait path as a window of one, i.e. effective depth 1), and a
 //! `pipeline_depth > 1` config is bit-identical to depth 1 for every
 //! tenant.
 
@@ -32,18 +32,17 @@ use prompt_core::partitioner::{Partitioner, Technique};
 use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::{Duration, Interval, Time, Tuple};
 
-use crate::config::{Backend, EngineConfig, OverheadMode};
+use crate::backend::{BackendRuntime, Planned};
+use crate::config::{EngineConfig, OverheadMode};
 use crate::driver::{BatchRecord, ReduceStrategy, StrategySet};
-use crate::job::{Job, JobSpec};
-use crate::net::{DistributedOptions, DistributedRuntime};
+use crate::job::Job;
 use crate::policy::{build_policy, BatchObservation, PartitionerPolicy, PolicySpec};
 use crate::rebalance::{
     group_weights, imbalance_ratio, ForcedMigrations, GroupRoutedAssigner, RebalanceObservation,
     RebalancePolicy, RoutingTable, SharedRoutingTable,
 };
 use crate::source::TupleSource;
-use crate::stage::{execute_batch_traced, times_from_stats, BatchOutput, StageTimes};
-use crate::threaded::ThreadedExecutor;
+use crate::stage::{BatchOutput, StageTimes};
 use crate::trace::{Counter, StageKind, TraceEvent, TraceRecorder};
 use crate::window::{WindowResult, WindowSpec, WindowState};
 
@@ -265,16 +264,6 @@ pub fn fair_makespans(tenants: &[(u32, Vec<Duration>)], slots: usize) -> Vec<Dur
     finish
 }
 
-/// The execution backend shared by all tenants of one run.
-enum SharedBackend {
-    InProcess,
-    Threaded(ThreadedExecutor),
-    Distributed {
-        rt: Box<DistributedRuntime>,
-        specs: Vec<JobSpec>,
-    },
-}
-
 /// Per-tenant mutable state across the run.
 struct TenantState {
     partitioner: Box<dyn Partitioner>,
@@ -355,30 +344,8 @@ impl MultiTenantEngine {
         );
         let bi = self.cfg.batch_interval;
         let n_tenants = self.tenants.len();
-        let mut backend = match self.cfg.backend {
-            Backend::InProcess => SharedBackend::InProcess,
-            Backend::Threaded { threads } => {
-                SharedBackend::Threaded(ThreadedExecutor::new(threads))
-            }
-            Backend::Distributed { workers, base_port } => {
-                let specs: Vec<JobSpec> = self
-                    .tenants
-                    .iter()
-                    .map(|t| {
-                        t.job.wire_spec().expect(
-                            "Backend::Distributed needs wire-serialisable tenant jobs \
-                             (build them with Job::identity)",
-                        )
-                    })
-                    .collect();
-                let rt = DistributedRuntime::launch(DistributedOptions::new(workers, base_port))
-                    .expect("failed to launch distributed workers");
-                SharedBackend::Distributed {
-                    rt: Box::new(rt),
-                    specs,
-                }
-            }
-        };
+        let mut backend =
+            BackendRuntime::launch(self.cfg.backend, self.tenants.iter().map(|t| &t.job));
         let mut states: Vec<TenantState> = self
             .tenants
             .iter()
@@ -543,71 +510,27 @@ impl MultiTenantEngine {
                         plan: &plan,
                     });
                 }
-                let (output, mut times) = match &mut backend {
-                    SharedBackend::InProcess => execute_batch_traced(
-                        &plan,
-                        &self.tenants[i].job,
-                        asg,
-                        r,
-                        &self.cfg.cost,
-                        &self.cfg.cluster,
-                        tracing.then_some(&st.run.trace),
-                    ),
-                    SharedBackend::Threaded(exec) => {
-                        let (output, stats, _wall) = exec.execute_with_stats(
-                            &plan,
-                            &self.tenants[i].job,
-                            asg,
-                            r,
-                            tracing.then_some((&st.run.trace, seq)),
-                        );
-                        let times =
-                            times_from_stats(&plan, &stats, &self.cfg.cost, &self.cfg.cluster);
-                        (output, times)
-                    }
-                    SharedBackend::Distributed { rt, specs } => {
-                        // Namespace batch seqs so tenants never collide in
-                        // the workers' per-batch shuffle state.
-                        let wire_seq = seq * n_tenants as u64 + i as u64;
-                        let mut attempt_plan = None;
-                        loop {
-                            let use_plan = attempt_plan.as_ref().unwrap_or(&plan);
-                            match rt.execute_batch(
-                                wire_seq,
-                                use_plan,
-                                &specs[i],
-                                &mut *asg,
-                                r,
-                                tracing.then_some((&st.run.trace, seq)),
-                            ) {
-                                Ok((output, stats)) => {
-                                    let times = times_from_stats(
-                                        use_plan,
-                                        &stats,
-                                        &self.cfg.cost,
-                                        &self.cfg.cluster,
-                                    );
-                                    break (output, times);
-                                }
-                                Err(loss) => {
-                                    // The batch input is still in hand:
-                                    // re-partition for the survivors and
-                                    // retry. Failed attempts make no
-                                    // assigner calls and add no time.
-                                    st.run.worker_losses += 1;
-                                    if tracing {
-                                        st.run.trace.incr(Counter::WorkersLost, 1);
-                                        st.run.trace.event(TraceEvent::WorkerLost {
-                                            seq,
-                                            worker: loss.worker,
-                                        });
-                                    }
-                                    attempt_plan = Some(part.partition(&batch, p));
-                                }
-                            }
-                        }
-                    }
+                let planned = Planned {
+                    // Namespace wire seqs so tenants never collide in the
+                    // workers' per-batch shuffle state.
+                    seq: seq * n_tenants as u64 + i as u64,
+                    tseq: seq,
+                    plan: &plan,
+                    columnar: None,
+                    job: &self.tenants[i].job,
+                    r,
                 };
+                // Tenancy retains no batch inputs: a worker loss resubmits
+                // the plan in hand without spending a replica.
+                let (output, mut times, losses) = backend.execute(
+                    &planned,
+                    std::iter::empty(),
+                    asg,
+                    &self.cfg,
+                    &st.run.trace,
+                    None,
+                );
+                st.run.worker_losses += losses;
                 for noise in self.noisy.iter().filter(|n| n.applies(i, seq)) {
                     for t in times.map_tasks.iter_mut().chain(&mut times.reduce_tasks) {
                         *t = t.mul_f64(noise.slowdown);
@@ -738,9 +661,7 @@ impl MultiTenantEngine {
                 }
             }
         }
-        if let SharedBackend::Distributed { rt, .. } = &mut backend {
-            rt.shutdown();
-        }
+        backend.shutdown();
         MultiTenantResult {
             tenants: states.into_iter().map(|s| s.run).collect(),
         }

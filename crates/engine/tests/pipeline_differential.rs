@@ -4,8 +4,9 @@
 //! to the serial depth-1 in-process oracle — per-batch plans, stage times,
 //! aggregates, window outputs — and the recorded virtual-time spans must
 //! still tile each batch's processing exactly. A worker killed mid-window
-//! at depth 2 must be detected, the aborted in-flight window re-dispatched,
-//! and the outputs left unchanged.
+//! must be detected, the aborted in-flight window re-dispatched from the
+//! plans in hand, and the outputs left unchanged — handled identically at
+//! every depth.
 //!
 //! These spawn OS processes for the distributed runs, so they live next to
 //! the distributed smoke suite (CI runs both in the `distributed-smoke`
@@ -194,36 +195,62 @@ fn depth_sweep_is_bit_identical_across_backends() {
     }
 }
 
-/// A worker killed mid-window while two batches are in flight: the runtime
-/// aborts the unfinished window, the driver re-dispatches it on the
-/// survivors (fresh assignments replay from the assignment cache, so the
-/// stateful allocator is never consulted twice), and outputs stay
-/// bit-identical.
+/// The loss-handling trace of a run with the batch seq erased: at depth
+/// `d` a kill scripted for batch 2 surfaces on whichever older batch the
+/// driver is waiting for, so the seq legitimately differs by depth — the
+/// handling (one loss, one recovery, one replica spent) must not.
+fn loss_events(rec: &TraceRecorder) -> Vec<String> {
+    rec.events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::WorkerLost { worker, .. } => Some(format!("lost worker {worker}")),
+            TraceEvent::Recovery { replicas_left, .. } => {
+                Some(format!("recovery, {replicas_left} replicas left"))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// A worker killed mid-window at depths 1, 2 and 4 (one, two, four batches
+/// in flight): the runtime aborts the unfinished window, the driver
+/// re-dispatches it on the survivors from the plans in hand (fresh
+/// assignments replay from the assignment cache, so the stateful allocator
+/// is never consulted twice), outputs stay bit-identical, and the loss is
+/// handled the same way at every depth.
 #[test]
-fn worker_kill_mid_window_recovers_at_depth_2() {
+fn worker_kill_mid_window_recovers_at_every_depth() {
     let (oracle, _) = run(Backend::InProcess, 1, NetFaultPlan::none());
     let dist = Backend::Distributed {
         workers: 3,
         base_port: 0,
     };
-    for (label, faults) in [
+    for (kill, faults) in [
         // Killed before its Map tasks dispatch: the submit path aborts.
         ("kill-before", NetFaultPlan::none().kill_before(2, 1)),
         // Killed after Map completes, mid-shuffle: the drain path aborts.
         ("kill-after-map", NetFaultPlan::none().kill_after_map(2, 1)),
     ] {
-        let (res, rec) = run(dist, 2, faults);
-        assert_runs_identical(label, &oracle, &res);
-        assert_spans_tile(label, &res, &rec);
-        assert_eq!(res.worker_losses, 1, "{label}: exactly one loss");
-        assert_eq!(res.recoveries, 1, "{label}: exactly one recovery");
-        let net = res.net.expect("distributed runs report wire stats");
-        assert_eq!(net.workers_lost, 1, "{label}");
+        let mut handled: Vec<Vec<String>> = Vec::new();
+        for depth in [1, 2, 4] {
+            let label = format!("{kill} depth {depth}");
+            let (res, rec) = run(dist, depth, faults.clone());
+            assert_runs_identical(&label, &oracle, &res);
+            assert_spans_tile(&label, &res, &rec);
+            assert_eq!(res.worker_losses, 1, "{label}: exactly one loss");
+            assert_eq!(res.recoveries, 1, "{label}: exactly one recovery");
+            let net = res.net.expect("distributed runs report wire stats");
+            assert_eq!(net.workers_lost, 1, "{label}");
+            handled.push(loss_events(&rec));
+        }
+        assert_eq!(
+            handled[0],
+            ["lost worker 1", "recovery, 2 replicas left"],
+            "{kill}: the loss must be traced and spend one of three replicas"
+        );
         assert!(
-            rec.events()
-                .iter()
-                .any(|e| matches!(e, TraceEvent::WorkerLost { worker: 1, .. })),
-            "{label}: loss must be traced"
+            handled.iter().all(|h| *h == handled[0]),
+            "{kill}: loss handling differs across depths: {handled:?}"
         );
     }
 }
