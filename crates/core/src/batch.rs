@@ -3,7 +3,7 @@
 //! (data blocks with split-key reference tables) that the Map stage consumes.
 
 use crate::hash::{KeyMap, KeySet};
-use crate::types::{Interval, Key, Tuple};
+use crate::types::{Interval, Key, Time, Tuple};
 
 /// A micro-batch as accumulated by the receiver: the tuples of one batch
 /// interval in arrival order.
@@ -49,24 +49,29 @@ impl MicroBatch {
 }
 
 /// All tuples of one key within a sealed batch (`<k_i, count_i, tupleList_i>`
-/// in Algorithm 1's output).
-#[derive(Clone, Debug, PartialEq)]
+/// in Algorithm 1's output): `count` consecutive tuples of the batch's arena,
+/// starting at `offset`, read through [`SealedBatch::tuples`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyGroup {
     /// The shared key.
     pub key: Key,
-    /// Exact tuple count (equals `tuples.len()`).
+    /// Exact tuple count.
     pub count: usize,
-    /// The tuples, in arrival order.
-    pub tuples: Vec<Tuple>,
+    /// Arena index of the group's first tuple.
+    pub offset: usize,
 }
 
 /// The output of the batching phase for Prompt: key-grouped tuples in
-/// quasi-descending frequency order, plus batch statistics.
+/// quasi-descending frequency order, plus batch statistics. All groups share
+/// one arena, so sealing allocates nothing per key.
 ///
 /// "Quasi" because the online `CountTree` trades exact ordering for bounded
 /// update cost (§4.1); [`SealedBatch::sort_exact`] restores exact order, which
 /// the post-sort ablation (Fig. 14a) uses.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Two sealed batches are equal when they hold the same groups with the same
+/// tuples in the same order, wherever each arena happens to store them.
+#[derive(Clone, Debug)]
 pub struct SealedBatch {
     /// Key groups, largest (approximately) first.
     pub groups: Vec<KeyGroup>,
@@ -74,17 +79,41 @@ pub struct SealedBatch {
     pub n_tuples: usize,
     /// The batch interval.
     pub interval: Interval,
+    /// The groups' tuples; each group's are contiguous and in arrival order.
+    arena: Vec<Tuple>,
 }
 
 impl SealedBatch {
-    /// Build a sealed batch from key groups, computing totals.
-    pub fn new(groups: Vec<KeyGroup>, interval: Interval) -> SealedBatch {
+    /// Build a sealed batch from groups laid out over `arena`, computing
+    /// totals. Panics if a group reaches past the arena.
+    pub fn new(groups: Vec<KeyGroup>, arena: Vec<Tuple>, interval: Interval) -> SealedBatch {
+        assert!(
+            groups.iter().all(|g| g.offset + g.count <= arena.len()),
+            "key group outside the arena"
+        );
         let n_tuples = groups.iter().map(|g| g.count).sum();
         SealedBatch {
             groups,
             n_tuples,
             interval,
+            arena,
         }
+    }
+
+    /// A batch with the given `(key, count)` groups in the given order, each
+    /// filled with unit-value tuples at time zero — for callers that exercise
+    /// Algorithm 2 on sizes alone (the bin-packing comparisons, tests).
+    pub fn synthetic(counts: &[(Key, usize)], interval: Interval) -> SealedBatch {
+        let mut arena = Vec::with_capacity(counts.iter().map(|&(_, c)| c).sum());
+        let groups = counts
+            .iter()
+            .map(|&(key, count)| {
+                let offset = arena.len();
+                arena.resize(offset + count, Tuple::keyed(Time::ZERO, key));
+                KeyGroup { key, count, offset }
+            })
+            .collect();
+        SealedBatch::new(groups, arena, interval)
     }
 
     /// Number of distinct keys in the batch.
@@ -93,8 +122,15 @@ impl SealedBatch {
         self.groups.len()
     }
 
+    /// The tuples of group `gi`, in arrival order.
+    #[inline]
+    pub fn tuples(&self, gi: usize) -> &[Tuple] {
+        let g = &self.groups[gi];
+        &self.arena[g.offset..g.offset + g.count]
+    }
+
     /// Re-sort groups into exact descending count order (stable on key for
-    /// determinism).
+    /// determinism). Only the group list moves; the arena stays as sealed.
     pub fn sort_exact(&mut self) {
         self.groups
             .sort_by(|a, b| b.count.cmp(&a.count).then(a.key.0.cmp(&b.key.0)));
@@ -107,6 +143,16 @@ impl SealedBatch {
             .windows(2)
             .filter(|w| w[0].count < w[1].count)
             .count()
+    }
+}
+
+impl PartialEq for SealedBatch {
+    fn eq(&self, other: &SealedBatch) -> bool {
+        self.interval == other.interval
+            && self.groups.len() == other.groups.len()
+            && (0..self.groups.len()).all(|gi| {
+                self.groups[gi].key == other.groups[gi].key && self.tuples(gi) == other.tuples(gi)
+            })
     }
 }
 
@@ -206,15 +252,17 @@ pub struct PartitionPlan {
 impl PartitionPlan {
     /// Assemble a plan from blocks, deriving the split-key reference table.
     pub fn from_blocks(blocks: Vec<DataBlock>) -> PartitionPlan {
-        let mut seen = KeyMap::default();
-        for (i, b) in blocks.iter().enumerate() {
+        // Each key has at most one fragment per block, so a key's fragment
+        // count is the number of blocks holding it.
+        let mut holders: KeyMap<usize> = KeyMap::default();
+        for b in &blocks {
             for f in &b.fragments {
-                seen.entry(f.key).or_insert_with(Vec::new).push(i);
+                *holders.entry(f.key).or_insert(0) += 1;
             }
         }
-        let split_keys: KeySet = seen
+        let split_keys: KeySet = holders
             .into_iter()
-            .filter(|(_, blocks)| blocks.len() > 1)
+            .filter(|&(_, n)| n > 1)
             .map(|(k, _)| k)
             .collect();
         PartitionPlan { blocks, split_keys }
@@ -249,7 +297,6 @@ impl PartitionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Time;
 
     fn t(k: u64) -> Tuple {
         Tuple::keyed(Time::ZERO, Key(k))
@@ -312,17 +359,49 @@ mod tests {
     #[test]
     fn sealed_batch_sorting_and_inversions() {
         let iv = Interval::new(Time::ZERO, Time::from_secs(1));
-        let g = |k: u64, n: usize| KeyGroup {
-            key: Key(k),
-            count: n,
-            tuples: vec![t(k); n],
-        };
-        let mut sb = SealedBatch::new(vec![g(1, 3), g(2, 5), g(3, 4)], iv);
+        let mut sb = SealedBatch::synthetic(&[(Key(1), 3), (Key(2), 5), (Key(3), 4)], iv);
         assert_eq!(sb.n_tuples, 12);
         assert_eq!(sb.n_keys(), 3);
         assert_eq!(sb.adjacent_inversions(), 1);
+        let unsorted = sb.clone();
         sb.sort_exact();
         assert_eq!(sb.adjacent_inversions(), 0);
         assert_eq!(sb.groups[0].key, Key(2));
+        // The groups moved, their tuples did not.
+        assert_eq!(sb.tuples(0), vec![t(2); 5]);
+        assert_ne!(sb, unsorted);
+    }
+
+    #[test]
+    fn sealed_batch_equality_ignores_arena_layout() {
+        let iv = Interval::new(Time::ZERO, Time::from_secs(1));
+        let a = SealedBatch::synthetic(&[(Key(1), 2), (Key(2), 1)], iv);
+        // Same groups, stored in the opposite arena order.
+        let groups = vec![
+            KeyGroup {
+                key: Key(1),
+                count: 2,
+                offset: 1,
+            },
+            KeyGroup {
+                key: Key(2),
+                count: 1,
+                offset: 0,
+            },
+        ];
+        let b = SealedBatch::new(groups, vec![t(2), t(1), t(1)], iv);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "key group outside the arena")]
+    fn sealed_batch_rejects_groups_past_the_arena() {
+        let iv = Interval::new(Time::ZERO, Time::from_secs(1));
+        let g = KeyGroup {
+            key: Key(1),
+            count: 2,
+            offset: 0,
+        };
+        let _ = SealedBatch::new(vec![g], vec![t(1)], iv);
     }
 }

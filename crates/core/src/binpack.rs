@@ -14,9 +14,9 @@
 //!   used by tests and benches to bound how far Algorithm 2's heuristic is
 //!   from the optimum fragment count.
 
-use crate::batch::{KeyGroup, SealedBatch};
+use crate::batch::SealedBatch;
 use crate::partitioner::PromptPartitioner;
-use crate::types::{Interval, Key, Time, Tuple};
+use crate::types::{Interval, Key, Time};
 
 /// A B-BPFI instance: `items[i]` is item `i`'s size; `bins` equal-capacity
 /// bins of capacity `capacity`.
@@ -219,18 +219,11 @@ pub fn next_fit(inst: &Instance) -> Assignment {
 /// can be compared against the reference algorithms on equal terms.
 pub fn prompt_heuristic(inst: &Instance) -> Assignment {
     let iv = Interval::new(Time::ZERO, Time::from_secs(1));
-    let mut groups: Vec<KeyGroup> = inst
-        .items
-        .iter()
-        .enumerate()
-        .map(|(i, &size)| KeyGroup {
-            key: Key(i as u64),
-            count: size,
-            tuples: vec![Tuple::keyed(Time::ZERO, Key(i as u64)); size],
-        })
+    let mut counts: Vec<(Key, usize)> = (inst.items.iter().enumerate())
+        .map(|(i, &size)| (Key(i as u64), size))
         .collect();
-    groups.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.0.cmp(&b.key.0)));
-    let sealed = SealedBatch::new(groups, iv);
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let sealed = SealedBatch::synthetic(&counts, iv);
     let plan = PromptPartitioner::partition_sealed(&sealed, inst.bins);
     let mut out = Assignment::empty(inst.bins);
     for (b, block) in plan.blocks.iter().enumerate() {

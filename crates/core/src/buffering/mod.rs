@@ -2,10 +2,11 @@
 //!
 //! While tuples of a batch interval arrive, the accumulator maintains:
 //!
-//! * an `HTable` mapping each key to its tuple list plus per-key update
-//!   statistics (current frequency, frequency last reflected in the tree,
-//!   remaining update budget, frequency step, time step), and
-//! * a [`CountTree`] — a balanced BST of approximate key frequencies.
+//! * an `HTable` mapping each key to its per-key update statistics (current
+//!   frequency, frequency last reflected in the tree, remaining update
+//!   budget, frequency step, time step) and, through the arrival log, to its
+//!   tuple list, and
+//! * a [`CountTree`] — a balanced search tree of approximate key frequencies.
 //!
 //! Updating the tree for *every* tuple would thrash it with rebalancing, so
 //! each key is granted a per-batch `budget` of tree updates, triggered either
@@ -13,6 +14,14 @@
 //! (`t.step` elapsed since the key's last update, so rare keys still get
 //! refreshed). At the heartbeat, an in-order traversal yields the keys in
 //! quasi-descending frequency order with no explicit sorting step.
+//!
+//! ## Layout
+//!
+//! The `HTable` is a key→slot index plus a dense vector of per-key counters,
+//! and the tuple lists are one arrival-ordered log with each entry's slot
+//! beside it (`ArrivalLog`). Nothing is allocated per key. Sealing turns the
+//! tree traversal into one arena offset per slot and scatters the log once
+//! into that arena, which the [`SealedBatch`] groups then index as ranges.
 
 mod count_tree;
 mod sharded;
@@ -21,7 +30,7 @@ pub use count_tree::CountTree;
 pub use sharded::ShardedAccumulator;
 
 use crate::batch::{KeyGroup, SealedBatch};
-use crate::columnar::{ColRange, ColumnarBatch, ColumnarSealed};
+use crate::columnar::ColumnarSealed;
 use crate::hash::KeyMap;
 use crate::types::{Duration, Interval, Key, Time, Tuple};
 
@@ -55,10 +64,88 @@ impl AccumulatorConfig {
     }
 }
 
-/// Per-key bookkeeping stored in the `HTable`.
-#[derive(Clone, Debug)]
-struct KeyEntry {
+/// Where a batch's tuples wait for the heartbeat: a key→slot index (slots
+/// are dense, in first-sighting order) and one arrival-ordered log with each
+/// entry's slot beside it.
+#[derive(Clone, Debug, Default)]
+struct ArrivalLog {
+    slots: KeyMap<u32>,
     tuples: Vec<Tuple>,
+    slot_of: Vec<u32>,
+    /// Seal scratch: the arena index each slot's next tuple scatters to.
+    cursors: Vec<usize>,
+}
+
+impl ArrivalLog {
+    /// Append one arrival. Returns its key's slot and whether this is the
+    /// key's first sighting.
+    #[inline]
+    fn push(&mut self, t: Tuple) -> (usize, bool) {
+        let next = u32::try_from(self.slots.len()).expect("distinct keys per batch fit in u32");
+        let slot = *self.slots.entry(t.key).or_insert(next);
+        self.tuples.push(t);
+        self.slot_of.push(slot);
+        (slot as usize, slot == next)
+    }
+
+    #[inline]
+    fn n_tuples(&self) -> usize {
+        self.tuples.len()
+    }
+
+    #[inline]
+    fn n_keys(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The heartbeat: lay the key groups out back to back in `order` (every
+    /// key of the batch, once), sized by `count_of(slot)`; scatter the log
+    /// once into that arena, each tuple to its group's next free index, so
+    /// groups keep arrival order; and forget the batch, keeping every
+    /// allocation for the next one.
+    fn seal(
+        &mut self,
+        order: impl Iterator<Item = Key>,
+        count_of: impl Fn(usize) -> usize,
+        interval: Interval,
+    ) -> SealedBatch {
+        self.cursors.clear();
+        self.cursors.resize(self.slots.len(), 0);
+        let mut offset = 0;
+        let groups: Vec<KeyGroup> = order
+            .map(|key| {
+                let slot = self.slots[&key] as usize;
+                let group = KeyGroup {
+                    key,
+                    count: count_of(slot),
+                    offset,
+                };
+                self.cursors[slot] = offset;
+                offset += group.count;
+                group
+            })
+            .collect();
+        debug_assert_eq!(groups.len(), self.slots.len(), "order misses keys");
+        debug_assert_eq!(offset, self.tuples.len(), "counts miss tuples");
+
+        // Start from a copy of the log; the scatter overwrites every entry.
+        let mut arena = self.tuples.clone();
+        for (t, &slot) in self.tuples.iter().zip(&self.slot_of) {
+            let at = &mut self.cursors[slot as usize];
+            arena[*at] = *t;
+            *at += 1;
+        }
+
+        self.slots.clear();
+        self.tuples.clear();
+        self.slot_of.clear();
+        SealedBatch::new(groups, arena, interval)
+    }
+}
+
+/// Per-key bookkeeping stored in the `HTable`, indexed by slot.
+#[derive(Clone, Copy, Debug)]
+struct KeyEntry {
     /// `k.Freq_Current`: exact frequency so far.
     freq_current: u64,
     /// `k.Freq_Updated`: frequency currently recorded in the `CountTree`.
@@ -96,11 +183,11 @@ pub trait BatchAccumulator {
     /// state for the next interval.
     fn seal(&mut self, next_interval: Interval) -> SealedBatch;
 
-    /// Seal straight into the columnar (struct-of-arrays) layout: the same
-    /// group order and per-group tuple order as [`BatchAccumulator::seal`],
-    /// written into one flat arena instead of per-group row vectors. The
-    /// default shim converts the row seal; hot-path accumulators override it
-    /// to fill the columns directly.
+    /// Seal into the columnar (struct-of-arrays) layout: the same group order
+    /// and per-group tuple order as [`BatchAccumulator::seal`], with the
+    /// arena split into columns. The default converts the row seal; the
+    /// sharded accumulator overrides it to merge its shards straight into
+    /// the columns.
     fn seal_columnar(&mut self, next_interval: Interval) -> ColumnarSealed {
         ColumnarSealed::from_sealed(&self.seal(next_interval))
     }
@@ -110,13 +197,17 @@ pub trait BatchAccumulator {
 }
 
 /// Algorithm 1: the frequency-aware micro-batch accumulator.
-#[derive(Debug)]
+///
+/// One instance serves batch after batch: `seal` hands the batch out and
+/// keeps the index, log and counter allocations for the next interval.
+#[derive(Clone, Debug)]
 pub struct FrequencyAwareAccumulator {
     cfg: AccumulatorConfig,
     interval: Interval,
-    htable: KeyMap<KeyEntry>,
+    log: ArrivalLog,
+    /// The `HTable`'s per-key counters, by slot.
+    entries: Vec<KeyEntry>,
     tree: CountTree,
-    n_tuples: u64,
     tree_updates: u64,
 }
 
@@ -126,18 +217,26 @@ impl FrequencyAwareAccumulator {
         FrequencyAwareAccumulator {
             cfg,
             interval,
-            htable: KeyMap::default(),
+            log: ArrivalLog::default(),
+            entries: Vec::new(),
             tree: CountTree::new(),
-            n_tuples: 0,
             tree_updates: 0,
         }
     }
 
-    /// Update the estimates used for the initial frequency step (the engine
-    /// feeds these from the previous batches' observed rate/cardinality).
+    /// Update the estimates used for the initial frequency step, from the
+    /// observed rate/cardinality (`PromptPartitioner` re-seeds them before
+    /// every batch it replays through its accumulator).
     pub fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
         self.cfg.est_tuples = est_tuples;
         self.cfg.avg_keys = avg_keys;
+    }
+
+    /// Move the (empty) accumulator to another batch interval, when the one
+    /// given to the previous `seal` turned out not to be the next batch's.
+    pub fn set_interval(&mut self, interval: Interval) {
+        debug_assert_eq!(self.log.n_tuples(), 0, "interval changed mid-batch");
+        self.interval = interval;
     }
 
     /// The batch interval currently being accumulated.
@@ -149,126 +248,73 @@ impl FrequencyAwareAccumulator {
     pub fn tree(&self) -> &CountTree {
         &self.tree
     }
-
-    fn update_tree(&mut self, key: Key, old: u64, new: u64) {
-        if old != new {
-            if old > 0 {
-                let removed = self.tree.remove(old, key);
-                debug_assert!(removed, "stale tree count for {key:?}");
-            }
-            self.tree.insert(new, key);
-            self.tree_updates += 1;
-        }
-    }
 }
 
 impl BatchAccumulator for FrequencyAwareAccumulator {
+    #[inline]
     fn ingest(&mut self, t: Tuple) {
         let now = t.ts;
-        self.n_tuples += 1;
-        let n_c = self.n_tuples;
         let cfg = self.cfg;
         let t_end = self.interval.end;
+        let (slot, first_sighting) = self.log.push(t);
+        let n_c = self.log.n_tuples() as u64;
 
-        if let Some(entry) = self.htable.get_mut(&t.key) {
-            entry.tuples.push(t);
-            entry.freq_current += 1;
-            let delta_freq = entry.freq_current - entry.freq_in_tree;
-            let delta_time = now.since(entry.last_update);
-
-            if entry.budget_left > 0 && delta_freq >= entry.f_step {
-                // Frequency-triggered update.
-                let (old, new) = (entry.freq_in_tree, entry.freq_current);
-                entry.budget_left -= 1;
-                entry.freq_in_tree = new;
-                entry.last_update = now;
-                // f.step = (N_EST / budget) · Freq_Current / N_C  (Alg. 1 l.13)
-                let step = (cfg.est_tuples / cfg.budget.max(1) as f64) * (new as f64 / n_c as f64);
-                entry.f_step = (step.round() as u64).max(1);
-                let key = t.key;
-                self.update_tree(key, old, new);
-            } else if entry.budget_left > 0 && delta_time >= entry.t_step {
-                // Time-triggered update keeps low-frequency keys fresh.
-                let (old, new) = (entry.freq_in_tree, entry.freq_current);
-                entry.budget_left -= 1;
-                entry.freq_in_tree = new;
-                entry.last_update = now;
-                // t.step = (t_end − now) / k.budget  (Alg. 1 l.19)
-                let remaining = t_end.since(now);
-                entry.t_step = Duration(remaining.0 / entry.budget_left.max(1) as u64);
-                let key = t.key;
-                self.update_tree(key, old, new);
-            }
-            // Otherwise the key is not yet eligible for an update (Alg. 1 l.21).
-        } else {
-            // First sighting: insert into HTable and CountTree (Alg. 1 l.25-30).
-            let remaining = t_end.since(now);
-            let entry = KeyEntry {
-                tuples: vec![t],
+        if first_sighting {
+            // Insert into HTable and CountTree (Alg. 1 l.25-30).
+            self.entries.push(KeyEntry {
                 freq_current: 1,
                 freq_in_tree: 1,
                 budget_left: cfg.budget,
                 f_step: cfg.initial_f_step(),
-                t_step: Duration(remaining.0 / cfg.budget.max(1) as u64),
+                t_step: Duration(t_end.since(now).0 / cfg.budget.max(1) as u64),
                 last_update: now,
-            };
-            self.htable.insert(t.key, entry);
+            });
             self.tree.insert(1, t.key);
+            return;
         }
+
+        let entry = &mut self.entries[slot];
+        entry.freq_current += 1;
+        if entry.budget_left == 0 {
+            return;
+        }
+        let by_frequency = entry.freq_current - entry.freq_in_tree >= entry.f_step;
+        if !by_frequency && now.since(entry.last_update) < entry.t_step {
+            // Not yet eligible for an update (Alg. 1 l.21).
+            return;
+        }
+        let (old, new) = (entry.freq_in_tree, entry.freq_current);
+        entry.budget_left -= 1;
+        entry.freq_in_tree = new;
+        entry.last_update = now;
+        if by_frequency {
+            // f.step = (N_EST / budget) · Freq_Current / N_C  (Alg. 1 l.13)
+            let step = (cfg.est_tuples / cfg.budget.max(1) as f64) * (new as f64 / n_c as f64);
+            entry.f_step = (step.round() as u64).max(1);
+        } else {
+            // The time step keeps low-frequency keys fresh:
+            // t.step = (t_end − now) / k.budget  (Alg. 1 l.19)
+            entry.t_step = Duration(t_end.since(now).0 / entry.budget_left.max(1) as u64);
+        }
+        let removed = self.tree.remove(old, t.key);
+        debug_assert!(removed, "stale tree count for {:?}", t.key);
+        self.tree.insert(new, t.key);
+        self.tree_updates += 1;
     }
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
         // The traversal yields keys in quasi-descending frequency order; the
-        // emitted groups carry the *exact* counts from the HTable.
-        let order = self.tree.traverse_desc();
-        let mut groups = Vec::with_capacity(order.len());
-        for (key, _approx_count) in order {
-            let entry = self
-                .htable
-                .remove(&key)
-                .expect("tree key missing from HTable");
-            groups.push(KeyGroup {
-                key,
-                count: entry.tuples.len(),
-                tuples: entry.tuples,
-            });
-        }
-        debug_assert!(self.htable.is_empty(), "HTable keys missing from tree");
-        let sealed = SealedBatch::new(groups, self.interval);
-        debug_assert_eq!(sealed.n_tuples as u64, self.n_tuples);
-
-        // Reset for the next interval (HTable and CountTree are cleared at
-        // every heartbeat, §4.1).
-        self.htable.clear();
+        // groups carry the *exact* counts from the `HTable`.
+        debug_assert_eq!(self.tree.len(), self.log.n_keys(), "tree and HTable differ");
+        let entries = &self.entries;
+        let sealed = self.log.seal(
+            self.tree.iter_desc().map(|(key, _)| key),
+            |slot| entries[slot].freq_current as usize,
+            self.interval,
+        );
+        // HTable and CountTree are cleared at every heartbeat (§4.1).
+        self.entries.clear();
         self.tree.clear();
-        self.n_tuples = 0;
-        self.tree_updates = 0;
-        self.interval = next_interval;
-        sealed
-    }
-
-    fn seal_columnar(&mut self, next_interval: Interval) -> ColumnarSealed {
-        // Same traversal and group order as `seal`, but the group tuples go
-        // straight into one flat arena instead of per-group row vectors.
-        let order = self.tree.traverse_desc();
-        let mut arena = ColumnarBatch::with_capacity(self.n_tuples as usize);
-        let mut groups = Vec::with_capacity(order.len());
-        for (key, _approx_count) in order {
-            let entry = self
-                .htable
-                .remove(&key)
-                .expect("tree key missing from HTable");
-            let offset = arena.len();
-            arena.extend_from_tuples(&entry.tuples);
-            groups.push((key, ColRange::new(offset, entry.tuples.len())));
-        }
-        debug_assert!(self.htable.is_empty(), "HTable keys missing from tree");
-        debug_assert_eq!(arena.len() as u64, self.n_tuples);
-        let sealed = ColumnarSealed::new(std::sync::Arc::new(arena), groups, self.interval);
-
-        self.htable.clear();
-        self.tree.clear();
-        self.n_tuples = 0;
         self.tree_updates = 0;
         self.interval = next_interval;
         sealed
@@ -276,21 +322,23 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
 
     fn stats(&self) -> BatchStats {
         BatchStats {
-            n_tuples: self.n_tuples,
-            n_keys: self.htable.len() as u64,
+            n_tuples: self.log.n_tuples() as u64,
+            n_keys: self.log.n_keys() as u64,
             tree_updates: self.tree_updates,
         }
     }
 }
 
-/// The post-sort ablation (Fig. 14a): buffer tuples in a plain hash table and
-/// sort the key groups *after* the heartbeat. Produces exactly sorted output
-/// but pays the full sorting cost inside the processing window.
-#[derive(Debug, Default)]
+/// The post-sort ablation (Fig. 14a): buffer tuples with exact per-key
+/// counts only and sort the key groups *after* the heartbeat. Produces
+/// exactly sorted output but pays the full sorting cost inside the
+/// processing window.
+#[derive(Clone, Debug, Default)]
 pub struct PostSortAccumulator {
     interval: Interval,
-    htable: KeyMap<Vec<Tuple>>,
-    n_tuples: u64,
+    log: ArrivalLog,
+    /// Exact per-key counts, by slot.
+    counts: Vec<usize>,
 }
 
 impl PostSortAccumulator {
@@ -298,57 +346,48 @@ impl PostSortAccumulator {
     pub fn new(interval: Interval) -> PostSortAccumulator {
         PostSortAccumulator {
             interval,
-            htable: KeyMap::default(),
-            n_tuples: 0,
+            ..PostSortAccumulator::default()
         }
+    }
+
+    /// Move the (empty) accumulator to another batch interval.
+    pub fn set_interval(&mut self, interval: Interval) {
+        self.interval = interval;
     }
 }
 
 impl BatchAccumulator for PostSortAccumulator {
+    #[inline]
     fn ingest(&mut self, t: Tuple) {
-        self.n_tuples += 1;
-        self.htable.entry(t.key).or_default().push(t);
+        let (slot, first_sighting) = self.log.push(t);
+        if first_sighting {
+            self.counts.push(0);
+        }
+        self.counts[slot] += 1;
     }
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        let mut groups: Vec<KeyGroup> = self
-            .htable
-            .drain()
-            .map(|(key, tuples)| KeyGroup {
-                key,
-                count: tuples.len(),
-                tuples,
-            })
+        // The sort the frequency-aware accumulator avoids: every key, by
+        // exact `(count desc, key asc)`.
+        let counts = &self.counts;
+        let mut order: Vec<(usize, Key)> = (self.log.slots.iter())
+            .map(|(&key, &slot)| (counts[slot as usize], key))
             .collect();
-        groups.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.0.cmp(&b.key.0)));
-        let sealed = SealedBatch::new(groups, self.interval);
-        self.n_tuples = 0;
-        self.interval = next_interval;
-        sealed
-    }
-
-    fn seal_columnar(&mut self, next_interval: Interval) -> ColumnarSealed {
-        // Same exact (count desc, key asc) order as `seal`, filled into one
-        // flat arena.
-        let mut drained: Vec<(Key, Vec<Tuple>)> = self.htable.drain().collect();
-        drained.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0 .0.cmp(&b.0 .0)));
-        let mut arena = ColumnarBatch::with_capacity(self.n_tuples as usize);
-        let mut groups = Vec::with_capacity(drained.len());
-        for (key, tuples) in drained {
-            let offset = arena.len();
-            arena.extend_from_tuples(&tuples);
-            groups.push((key, ColRange::new(offset, tuples.len())));
-        }
-        let sealed = ColumnarSealed::new(std::sync::Arc::new(arena), groups, self.interval);
-        self.n_tuples = 0;
+        order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let sealed = self.log.seal(
+            order.into_iter().map(|(_, key)| key),
+            |slot| counts[slot],
+            self.interval,
+        );
+        self.counts.clear();
         self.interval = next_interval;
         sealed
     }
 
     fn stats(&self) -> BatchStats {
         BatchStats {
-            n_tuples: self.n_tuples,
-            n_keys: self.htable.len() as u64,
+            n_tuples: self.log.n_tuples() as u64,
+            n_keys: self.log.n_keys() as u64,
             tree_updates: 0,
         }
     }
@@ -402,9 +441,10 @@ mod tests {
         assert_eq!(sealed.n_keys(), 4);
         // Exact counts regardless of tree staleness.
         for &(k, c) in &spec {
-            let g = sealed.groups.iter().find(|g| g.key == Key(k)).unwrap();
-            assert_eq!(g.count, c, "exact count for key {k}");
-            assert_eq!(g.tuples.len(), c);
+            let gi = sealed.groups.iter().position(|g| g.key == Key(k)).unwrap();
+            assert_eq!(sealed.groups[gi].count, c, "exact count for key {k}");
+            assert_eq!(sealed.tuples(gi).len(), c);
+            assert!(sealed.tuples(gi).iter().all(|t| t.key == Key(k)));
         }
     }
 

@@ -31,9 +31,9 @@
 //! [`PartitionPlan`]: crate::batch::PartitionPlan
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-use crate::batch::SealedBatch;
+use crate::batch::{KeyGroup, SealedBatch};
 use crate::buffering::{
     AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator,
 };
@@ -45,31 +45,52 @@ use crate::types::{Interval, Key, Tuple};
 /// deterministic behaviour, not a per-run random choice.
 const SHARD_SEED: u64 = 0x5ca1_ab1e_0d15_ea5e;
 
+/// A shard's share of the whole accumulator's estimates: it sees roughly
+/// `1/n` of the tuples and keys, which keeps the initial `f.step` unchanged
+/// and the in-flight step updates comparable to the serial accumulator's.
+fn shard_estimates(est_tuples: f64, avg_keys: f64, n_shards: usize) -> (f64, f64) {
+    (
+        (est_tuples / n_shards as f64).max(1.0),
+        (avg_keys / n_shards as f64).max(1.0),
+    )
+}
+
 /// Algorithm 1 sharded `n` ways for parallel ingest.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ShardedAccumulator {
     shards: Vec<FrequencyAwareAccumulator>,
-    interval: Interval,
 }
 
 impl ShardedAccumulator {
     /// Create an accumulator with `n_shards` independent Algorithm 1
-    /// instances. Each shard's estimates are scaled down by the shard count
-    /// (it sees roughly `1/n` of the tuples and keys), which keeps the
-    /// initial `f.step` unchanged and the in-flight step updates comparable
-    /// to the serial accumulator's.
+    /// instances, each seeded with its share of the estimates.
     pub fn new(cfg: AccumulatorConfig, n_shards: usize, interval: Interval) -> ShardedAccumulator {
         assert!(n_shards >= 1, "need at least one shard");
+        let (est_tuples, avg_keys) = shard_estimates(cfg.est_tuples, cfg.avg_keys, n_shards);
         let shard_cfg = AccumulatorConfig {
             budget: cfg.budget,
-            est_tuples: (cfg.est_tuples / n_shards as f64).max(1.0),
-            avg_keys: (cfg.avg_keys / n_shards as f64).max(1.0),
+            est_tuples,
+            avg_keys,
         };
         ShardedAccumulator {
             shards: (0..n_shards)
                 .map(|_| FrequencyAwareAccumulator::new(shard_cfg, interval))
                 .collect(),
-            interval,
+        }
+    }
+
+    /// Update the whole-batch estimates; every shard takes its share.
+    pub fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
+        let (est_tuples, avg_keys) = shard_estimates(est_tuples, avg_keys, self.shards.len());
+        for shard in &mut self.shards {
+            shard.set_estimates(est_tuples, avg_keys);
+        }
+    }
+
+    /// Move the (empty) accumulator to another batch interval.
+    pub fn set_interval(&mut self, interval: Interval) {
+        for shard in &mut self.shards {
+            shard.set_interval(interval);
         }
     }
 
@@ -144,6 +165,24 @@ impl ShardedAccumulator {
     }
 }
 
+/// The k-way merge of the shards' quasi-sorted group lists on exact
+/// `(count desc, key asc)`, as `(shard, group)` indices. Keys are unique
+/// across shards, so the heap order is total and the merge deterministic; it
+/// keeps each shard's own order.
+fn merge_order(shards: &[SealedBatch]) -> Vec<(usize, usize)> {
+    let head = |si: usize, gi: usize| {
+        let g = shards[si].groups.get(gi)?;
+        Some((g.count, Reverse(g.key.0), si, gi))
+    };
+    let mut heap: BinaryHeap<_> = (0..shards.len()).filter_map(|si| head(si, 0)).collect();
+    let mut order = Vec::with_capacity(shards.iter().map(SealedBatch::n_keys).sum());
+    while let Some((_, _, si, gi)) = heap.pop() {
+        order.push((si, gi));
+        heap.extend(head(si, gi + 1));
+    }
+    order
+}
+
 impl BatchAccumulator for ShardedAccumulator {
     fn ingest(&mut self, t: Tuple) {
         let s = self.shard_of(t.key);
@@ -151,62 +190,41 @@ impl BatchAccumulator for ShardedAccumulator {
     }
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        // Seal every shard, then k-way merge the quasi-sorted lists on exact
-        // (count desc, key asc). Keys are unique across shards, so the heap
-        // order is total and the merge deterministic.
-        let mut queues: Vec<VecDeque<_>> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.seal(next_interval).groups.into())
+        let shards: Vec<SealedBatch> = (self.shards.iter_mut())
+            .map(|s| s.seal(next_interval))
             .collect();
-        let total: usize = queues.iter().map(VecDeque::len).sum();
-        let mut heap: BinaryHeap<(usize, Reverse<u64>, usize)> = queues
-            .iter()
-            .enumerate()
-            .filter_map(|(si, q)| q.front().map(|g| (g.count, Reverse(g.key.0), si)))
+        let mut arena = Vec::with_capacity(shards.iter().map(|s| s.n_tuples).sum());
+        let groups = merge_order(&shards)
+            .into_iter()
+            .map(|(si, gi)| {
+                let offset = arena.len();
+                arena.extend_from_slice(shards[si].tuples(gi));
+                KeyGroup {
+                    offset,
+                    ..shards[si].groups[gi]
+                }
+            })
             .collect();
-        let mut groups = Vec::with_capacity(total);
-        while let Some((_, _, si)) = heap.pop() {
-            let g = queues[si].pop_front().expect("heap entry has a head");
-            groups.push(g);
-            if let Some(nxt) = queues[si].front() {
-                heap.push((nxt.count, Reverse(nxt.key.0), si));
-            }
-        }
-        let sealed = SealedBatch::new(groups, self.interval);
-        self.interval = next_interval;
-        sealed
+        SealedBatch::new(groups, arena, shards[0].interval)
     }
 
     fn seal_columnar(&mut self, next_interval: Interval) -> ColumnarSealed {
-        // Identical k-way merge order to `seal`, with the merged groups'
-        // tuples written straight into one flat arena.
-        let mut queues: Vec<VecDeque<_>> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.seal(next_interval).groups.into())
+        // Identical merge order to `seal`, with the merged groups' ranges
+        // split into the three columns of one arena.
+        let shards: Vec<SealedBatch> = (self.shards.iter_mut())
+            .map(|s| s.seal(next_interval))
             .collect();
-        let total_groups: usize = queues.iter().map(VecDeque::len).sum();
-        let total_tuples: usize = queues.iter().flatten().map(|g| g.count).sum();
-        let mut heap: BinaryHeap<(usize, Reverse<u64>, usize)> = queues
-            .iter()
-            .enumerate()
-            .filter_map(|(si, q)| q.front().map(|g| (g.count, Reverse(g.key.0), si)))
+        let mut arena = ColumnarBatch::with_capacity(shards.iter().map(|s| s.n_tuples).sum());
+        let groups = merge_order(&shards)
+            .into_iter()
+            .map(|(si, gi)| {
+                let offset = arena.len();
+                arena.extend_from_tuples(shards[si].tuples(gi));
+                let g = &shards[si].groups[gi];
+                (g.key, ColRange::new(offset, g.count))
+            })
             .collect();
-        let mut arena = ColumnarBatch::with_capacity(total_tuples);
-        let mut groups = Vec::with_capacity(total_groups);
-        while let Some((_, _, si)) = heap.pop() {
-            let g = queues[si].pop_front().expect("heap entry has a head");
-            let offset = arena.len();
-            arena.extend_from_tuples(&g.tuples);
-            groups.push((g.key, ColRange::new(offset, g.count)));
-            if let Some(nxt) = queues[si].front() {
-                heap.push((nxt.count, Reverse(nxt.key.0), si));
-            }
-        }
-        let sealed = ColumnarSealed::new(std::sync::Arc::new(arena), groups, self.interval);
-        self.interval = next_interval;
-        sealed
+        ColumnarSealed::new(std::sync::Arc::new(arena), groups, shards[0].interval)
     }
 
     fn stats(&self) -> BatchStats {
@@ -291,12 +309,7 @@ mod tests {
             assert_eq!(serial.stats(), parallel.stats());
             let a = serial.seal(interval_secs(1, 2));
             let b = parallel.seal(interval_secs(1, 2));
-            assert_eq!(a.groups.len(), b.groups.len());
-            for (ga, gb) in a.groups.iter().zip(&b.groups) {
-                assert_eq!(ga.key, gb.key, "{n_shards} shards / {threads} threads");
-                assert_eq!(ga.count, gb.count);
-                assert_eq!(ga.tuples, gb.tuples);
-            }
+            assert_eq!(a, b, "{n_shards} shards / {threads} threads");
         }
     }
 

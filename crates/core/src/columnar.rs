@@ -192,12 +192,13 @@ impl ColumnarSealed {
     /// Convert a row sealed batch (AoS → SoA), preserving group order.
     pub fn from_sealed(sealed: &SealedBatch) -> ColumnarSealed {
         let mut arena = ColumnarBatch::with_capacity(sealed.n_tuples);
-        let mut groups = Vec::with_capacity(sealed.groups.len());
-        for g in &sealed.groups {
-            let offset = arena.len();
-            arena.extend_from_tuples(&g.tuples);
-            groups.push((g.key, ColRange::new(offset, g.count)));
-        }
+        let groups = (sealed.groups.iter().enumerate())
+            .map(|(gi, g)| {
+                let offset = arena.len();
+                arena.extend_from_tuples(sealed.tuples(gi));
+                (g.key, ColRange::new(offset, g.count))
+            })
+            .collect();
         ColumnarSealed {
             arena: Arc::new(arena),
             groups,
@@ -209,20 +210,21 @@ impl ColumnarSealed {
     /// Convert back to the row representation (SoA → AoS), preserving group
     /// order and per-group tuple order.
     pub fn to_sealed(&self) -> SealedBatch {
+        let mut arena = Vec::with_capacity(self.n_tuples);
         let groups = self
             .groups
             .iter()
             .map(|&(key, r)| {
-                let mut tuples = Vec::new();
-                self.arena.extend_rows_into(r, &mut tuples);
+                let offset = arena.len();
+                self.arena.extend_rows_into(r, &mut arena);
                 KeyGroup {
                     key,
                     count: r.len,
-                    tuples,
+                    offset,
                 }
             })
             .collect();
-        SealedBatch::new(groups, self.interval)
+        SealedBatch::new(groups, arena, self.interval)
     }
 }
 

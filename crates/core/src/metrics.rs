@@ -42,7 +42,12 @@ pub fn bci(plan: &PartitionPlan) -> f64 {
 /// where every key is split across every block. Returns 1.0 for an empty
 /// plan.
 pub fn ksr(plan: &PartitionPlan) -> f64 {
-    let keys = plan.total_keys();
+    ksr_over(plan, plan.total_keys())
+}
+
+/// [`ksr`] given the plan's distinct-key count (O(keys) to derive, so
+/// callers that need it more than once compute it once).
+fn ksr_over(plan: &PartitionPlan, keys: usize) -> f64 {
     if keys == 0 {
         return 1.0;
     }
@@ -92,9 +97,14 @@ impl MpiWeights {
 /// the paper's relative-to-baseline reporting (Fig. 10) makes this
 /// normalisation choice immaterial for comparisons.
 pub fn mpi(plan: &PartitionPlan, w: MpiWeights) -> f64 {
+    mpi_over(plan, plan.total_keys(), w)
+}
+
+/// [`mpi`] given the plan's distinct-key count.
+fn mpi_over(plan: &PartitionPlan, keys: usize, w: MpiWeights) -> f64 {
     let p = plan.n_blocks().max(1) as f64;
     let avg_size = plan.total_tuples() as f64 / p;
-    let avg_card = plan.total_keys() as f64 / p;
+    let avg_card = keys as f64 / p;
     let bsi_n = if avg_size > 0.0 {
         bsi(plan) / avg_size
     } else {
@@ -105,7 +115,7 @@ pub fn mpi(plan: &PartitionPlan, w: MpiWeights) -> f64 {
     } else {
         0.0
     };
-    w.p1 * bsi_n + w.p2 * bci_n + w.p3 * ksr(plan)
+    w.p1 * bsi_n + w.p2 * bci_n + w.p3 * ksr_over(plan, keys)
 }
 
 /// All four metrics of one plan, for experiment reporting.
@@ -122,13 +132,15 @@ pub struct PlanMetrics {
 }
 
 impl PlanMetrics {
-    /// Measure a plan.
+    /// Measure a plan. The distinct-key set behind KSR and MPI is built
+    /// once.
     pub fn of(plan: &PartitionPlan) -> PlanMetrics {
+        let keys = plan.total_keys();
         PlanMetrics {
             bsi: bsi(plan),
             bci: bci(plan),
-            ksr: ksr(plan),
-            mpi: mpi(plan, MpiWeights::default()),
+            ksr: ksr_over(plan, keys),
+            mpi: mpi_over(plan, keys, MpiWeights::default()),
         }
     }
 }

@@ -179,8 +179,9 @@ impl Technique {
 ///
 /// A policy layer that hot-swaps strategies at batch boundaries needs every
 /// candidate constructible behind one object-safe handle *and* needs each
-/// instance to persist across batches (Prompt's rolling statistics, for
-/// example, carry cross-batch state). The registry builds each technique
+/// instance to persist across batches (Prompt's accumulator, for example,
+/// keeps its index, log and counter allocations from one batch to the
+/// next). The registry builds each technique
 /// lazily on first use — with the run's seed and, for Prompt, its ingest
 /// parallelism — and hands back the same instance for the rest of the run.
 pub struct PartitionerRegistry {

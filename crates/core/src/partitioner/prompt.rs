@@ -41,13 +41,24 @@ pub enum BufferingMode {
     PostSort,
 }
 
+/// The batching-phase buffer a partitioner owns and refills every batch, so
+/// the index, log, counter and shard allocations are made once per run.
+#[derive(Clone, Debug)]
+enum Buffer {
+    /// Algorithm 1, serial.
+    FrequencyAware(FrequencyAwareAccumulator),
+    /// Algorithm 1, sharded for parallel ingest.
+    Sharded(ShardedAccumulator),
+    /// Ablation (Fig. 14a): exact sort after the heartbeat.
+    PostSort(PostSortAccumulator),
+}
+
 /// The Prompt batch partitioner.
 #[derive(Debug, Clone)]
 pub struct PromptPartitioner {
-    mode: BufferingMode,
-    acc_cfg: AccumulatorConfig,
-    /// Accumulator shards for the batching phase (1 = legacy serial path).
-    shards: usize,
+    /// `K_Avg` the accumulator is re-seeded with every batch.
+    avg_keys: f64,
+    buffer: Buffer,
     /// Worker threads for parallel ingest and plan materialization.
     threads: usize,
 }
@@ -55,12 +66,7 @@ pub struct PromptPartitioner {
 impl PromptPartitioner {
     /// Construct with the default accumulator configuration.
     pub fn new(mode: BufferingMode) -> PromptPartitioner {
-        PromptPartitioner {
-            mode,
-            acc_cfg: AccumulatorConfig::default(),
-            shards: 1,
-            threads: 1,
-        }
+        Self::build(mode, AccumulatorConfig::default(), 1, 1)
     }
 
     /// Construct with an explicit Algorithm 1 configuration.
@@ -68,12 +74,7 @@ impl PromptPartitioner {
         mode: BufferingMode,
         acc_cfg: AccumulatorConfig,
     ) -> PromptPartitioner {
-        PromptPartitioner {
-            mode,
-            acc_cfg,
-            shards: 1,
-            threads: 1,
-        }
+        Self::build(mode, acc_cfg, 1, 1)
     }
 
     /// Construct the parallel pipeline: `shards`-way sharded ingest and
@@ -89,17 +90,39 @@ impl PromptPartitioner {
     ) -> PromptPartitioner {
         assert!(shards >= 1, "need at least one shard");
         assert!(threads >= 1, "need at least one thread");
+        Self::build(mode, AccumulatorConfig::default(), shards, threads)
+    }
+
+    fn build(
+        mode: BufferingMode,
+        acc_cfg: AccumulatorConfig,
+        shards: usize,
+        threads: usize,
+    ) -> PromptPartitioner {
+        // Every batch sets its own interval before it is replayed.
+        let iv = Interval::default();
+        let buffer = match mode {
+            BufferingMode::PostSort => Buffer::PostSort(PostSortAccumulator::new(iv)),
+            BufferingMode::FrequencyAware if shards > 1 => {
+                Buffer::Sharded(ShardedAccumulator::new(acc_cfg, shards, iv))
+            }
+            BufferingMode::FrequencyAware => {
+                Buffer::FrequencyAware(FrequencyAwareAccumulator::new(acc_cfg, iv))
+            }
+        };
         PromptPartitioner {
-            mode,
-            acc_cfg: AccumulatorConfig::default(),
-            shards,
+            avg_keys: acc_cfg.avg_keys.max(1.0),
+            buffer,
             threads,
         }
     }
 
     /// The buffering mode in use.
     pub fn mode(&self) -> BufferingMode {
-        self.mode
+        match self.buffer {
+            Buffer::PostSort(_) => BufferingMode::PostSort,
+            Buffer::FrequencyAware(_) | Buffer::Sharded(_) => BufferingMode::FrequencyAware,
+        }
     }
 
     /// Default residual-phase capacity tolerance (fraction of `P_size`),
@@ -195,13 +218,12 @@ impl PromptPartitioner {
         threads: usize,
     ) -> PartitionPlan {
         let p = pieces.len();
-        let cap = batch.n_tuples / p.max(1) + 1;
         let threads = threads.clamp(1, p.max(1));
         if threads == 1 {
             return PartitionPlan::from_blocks(
                 pieces
                     .iter()
-                    .map(|block_pieces| materialize_block(batch, block_pieces, cap))
+                    .map(|block_pieces| materialize_block(batch, block_pieces))
                     .collect(),
             );
         }
@@ -219,7 +241,7 @@ impl PromptPartitioner {
                             if b >= p {
                                 break;
                             }
-                            local.push((b, materialize_block(batch, &pieces[b], cap)));
+                            local.push((b, materialize_block(batch, &pieces[b])));
                         }
                         local
                     })
@@ -457,18 +479,21 @@ impl SymbolicBlocks {
 /// Copy one block's assigned ranges out of the sealed batch. Pieces are
 /// appended in assignment order — the same order the old interleaved
 /// implementation pushed tuples — so the block content is bit-identical.
-fn materialize_block(batch: &SealedBatch, pieces: &[Piece], cap: usize) -> DataBlock {
-    let mut builder = BlockBuilder::with_capacity(cap);
+fn materialize_block(batch: &SealedBatch, pieces: &[Piece]) -> DataBlock {
+    // Sized exactly: the residual tolerance lets a block run a few tuples
+    // past `N/p`, and a guess that low would double the block's allocation.
+    let size = pieces.iter().map(|pc| pc.end - pc.start).sum();
+    let mut builder = BlockBuilder::with_capacity(size);
     for pc in pieces {
-        let g = &batch.groups[pc.group];
-        builder.extend_from_slice(g.key, &g.tuples[pc.start..pc.end]);
+        let key = batch.groups[pc.group].key;
+        builder.extend_from_slice(key, &batch.tuples(pc.group)[pc.start..pc.end]);
     }
     builder.finish()
 }
 
 impl Partitioner for PromptPartitioner {
     fn name(&self) -> &'static str {
-        match self.mode {
+        match self.mode() {
             BufferingMode::FrequencyAware => "Prompt",
             BufferingMode::PostSort => "Prompt(post-sort)",
         }
@@ -477,7 +502,7 @@ impl Partitioner for PromptPartitioner {
     fn partition_slice(&mut self, tuples: &[Tuple], interval: Interval, p: usize) -> PartitionPlan {
         // Replay the arrivals through the configured accumulator, then run
         // Algorithm 2 on the sealed batch.
-        let sealed = self.seal_arrivals(tuples, interval);
+        let sealed = self.buffer_arrivals(tuples, interval).seal(interval);
         if self.threads > 1 {
             Self::partition_sealed_par(&sealed, p, self.threads)
         } else {
@@ -496,7 +521,9 @@ impl Partitioner for PromptPartitioner {
         // (Fig. 14's overhead story); the plan itself is bit-identical to
         // the untimed path.
         let t0 = std::time::Instant::now();
-        let sealed = self.seal_arrivals(&batch.tuples, batch.interval);
+        let sealed = self
+            .buffer_arrivals(&batch.tuples, batch.interval)
+            .seal(batch.interval);
         let seal_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
         let pieces = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
@@ -527,7 +554,9 @@ impl Partitioner for PromptPartitioner {
         // so `to_row_plan()` of this result is bit-identical to the row
         // path — gated by `columnar_differential`.
         let t0 = std::time::Instant::now();
-        let sealed = self.seal_arrivals_columnar(&batch.tuples, batch.interval);
+        let sealed = self
+            .buffer_arrivals(&batch.tuples, batch.interval)
+            .seal_columnar(batch.interval);
         let seal_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
         let pieces = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
@@ -548,95 +577,54 @@ impl Partitioner for PromptPartitioner {
 }
 
 impl PromptPartitioner {
-    /// Replay arrivals through the configured accumulator and seal at the
-    /// heartbeat (the batching phase of §4.1).
-    fn seal_arrivals(&self, tuples: &[Tuple], interval: Interval) -> SealedBatch {
-        match self.mode {
-            BufferingMode::FrequencyAware => {
-                let cfg = self.seeded_config(tuples.len());
-                if self.shards > 1 {
-                    let mut acc = ShardedAccumulator::new(cfg, self.shards, interval);
-                    acc.par_ingest(tuples, self.threads);
-                    acc.seal(interval)
-                } else {
-                    let mut acc = FrequencyAwareAccumulator::new(cfg, interval);
-                    for &t in tuples {
-                        acc.ingest(t);
-                    }
-                    acc.seal(interval)
-                }
-            }
-            BufferingMode::PostSort => {
-                let mut acc = PostSortAccumulator::new(interval);
+    /// Replay one batch's arrivals through the owned accumulator (the
+    /// batching phase of §4.1), ready to seal at the heartbeat. With no
+    /// history from the caller, `N_Est` is re-seeded from the batch itself.
+    fn buffer_arrivals(
+        &mut self,
+        tuples: &[Tuple],
+        interval: Interval,
+    ) -> &mut dyn BatchAccumulator {
+        let est_tuples = tuples.len().max(1) as f64;
+        let avg_keys = self.avg_keys;
+        match &mut self.buffer {
+            Buffer::FrequencyAware(acc) => {
+                acc.set_estimates(est_tuples, avg_keys);
+                acc.set_interval(interval);
                 for &t in tuples {
                     acc.ingest(t);
                 }
-                acc.seal(interval)
+                acc
             }
-        }
-    }
-
-    /// [`Self::seal_arrivals`] sealing into a columnar arena. The ingest
-    /// replay is identical; only the seal step differs, and every
-    /// accumulator's `seal_columnar` emits groups in its exact row seal
-    /// order.
-    fn seal_arrivals_columnar(&self, tuples: &[Tuple], interval: Interval) -> ColumnarSealed {
-        match self.mode {
-            BufferingMode::FrequencyAware => {
-                let cfg = self.seeded_config(tuples.len());
-                if self.shards > 1 {
-                    let mut acc = ShardedAccumulator::new(cfg, self.shards, interval);
-                    acc.par_ingest(tuples, self.threads);
-                    acc.seal_columnar(interval)
-                } else {
-                    let mut acc = FrequencyAwareAccumulator::new(cfg, interval);
-                    for &t in tuples {
-                        acc.ingest(t);
-                    }
-                    acc.seal_columnar(interval)
-                }
+            Buffer::Sharded(acc) => {
+                acc.set_estimates(est_tuples, avg_keys);
+                acc.set_interval(interval);
+                acc.par_ingest(tuples, self.threads);
+                acc
             }
-            BufferingMode::PostSort => {
-                let mut acc = PostSortAccumulator::new(interval);
+            Buffer::PostSort(acc) => {
+                acc.set_interval(interval);
                 for &t in tuples {
                     acc.ingest(t);
                 }
-                acc.seal_columnar(interval)
+                acc
             }
         }
-    }
-
-    /// The accumulator configuration with estimates seeded from the actual
-    /// batch when the caller didn't provide history — the engine overrides
-    /// these with rolling statistics.
-    fn seeded_config(&self, n_tuples: usize) -> AccumulatorConfig {
-        let mut cfg = self.acc_cfg;
-        cfg.est_tuples = n_tuples.max(1) as f64;
-        cfg.avg_keys = cfg.avg_keys.max(1.0);
-        cfg
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::KeyGroup;
     use crate::metrics;
     use crate::partitioner::test_support::*;
-    use crate::types::{Interval, Time, Tuple};
+    use crate::types::Time;
 
     fn sealed(spec: &[(u64, usize)]) -> SealedBatch {
         let iv = Interval::new(Time::ZERO, Time::from_secs(1));
-        let mut groups: Vec<KeyGroup> = spec
-            .iter()
-            .map(|&(k, c)| KeyGroup {
-                key: Key(k),
-                count: c,
-                tuples: vec![Tuple::keyed(Time::ZERO, Key(k)); c],
-            })
-            .collect();
-        groups.sort_by_key(|g| std::cmp::Reverse(g.count));
-        SealedBatch::new(groups, iv)
+        let mut counts: Vec<(Key, usize)> = spec.iter().map(|&(k, c)| (Key(k), c)).collect();
+        counts.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        SealedBatch::synthetic(&counts, iv)
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Property-based tests of the frequency-aware accumulator (Algorithm 1)
-//! against the exact post-sort reference.
+//! against the exact post-sort reference and against a tree-free model of
+//! the algorithm, plus degenerate batches through every accumulator.
 
+use std::collections::BTreeMap;
+
+use prompt_core::batch::SealedBatch;
 use prompt_core::buffering::{
     AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
+    ShardedAccumulator,
 };
 use prompt_core::hash::KeyMap;
 use prompt_core::types::{Interval, Key, Time, Tuple};
@@ -13,13 +18,96 @@ fn stream_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
     proptest::collection::vec((0u64..50, 1u64..5_000), 1..800)
 }
 
-fn ingest_all<A: BatchAccumulator>(acc: &mut A, stream: &[(u64, u64)]) -> Interval {
-    let mut ts = 0u64;
-    for &(key, gap) in stream {
-        ts += gap;
-        acc.ingest(Tuple::keyed(Time::from_micros(ts), Key(key)));
+fn tuples_of(stream: &[(u64, u64)], start: u64) -> Vec<Tuple> {
+    let mut ts = start;
+    stream
+        .iter()
+        .map(|&(key, gap)| {
+            ts += gap;
+            Tuple::new(Time::from_micros(ts), Key(key), (ts % 13) as f64)
+        })
+        .collect()
+}
+
+fn ingest_all<A: BatchAccumulator>(acc: &mut A, tuples: &[Tuple]) {
+    for &t in tuples {
+        acc.ingest(t);
     }
-    Interval::new(Time::ZERO, Time::from_micros(ts + 1))
+}
+
+/// Algorithm 1 with no tree: replay the per-key `f.step` / `t.step` / budget
+/// rules of §4.1 to learn which frequency each key last published, then sort
+/// by that `(published frequency, key)` descending — the order an in-order
+/// walk of any correct `CountTree` must produce. Returns the sealed
+/// `(key, exact count)` sequence and the number of tree updates.
+fn model_seal(
+    tuples: &[Tuple],
+    cfg: AccumulatorConfig,
+    interval: Interval,
+) -> (Vec<(Key, usize)>, u64) {
+    struct PerKey {
+        current: u64,
+        published: u64,
+        budget_left: u32,
+        f_step: u64,
+        t_step: u64,
+        last_update: Time,
+    }
+    let budget = cfg.budget.max(1) as f64;
+    let mut keys: BTreeMap<Key, PerKey> = BTreeMap::new();
+    let mut updates = 0;
+    for (i, t) in tuples.iter().enumerate() {
+        let remaining = interval.end.since(t.ts).0;
+        let Some(k) = keys.get_mut(&t.key) else {
+            let first = PerKey {
+                current: 1,
+                published: 1,
+                budget_left: cfg.budget,
+                f_step: ((cfg.est_tuples / (cfg.avg_keys.max(1.0) * budget)).round() as u64).max(1),
+                t_step: remaining / cfg.budget.max(1) as u64,
+                last_update: t.ts,
+            };
+            keys.insert(t.key, first);
+            continue;
+        };
+        k.current += 1;
+        let frequency_due = k.current - k.published >= k.f_step;
+        let time_due = t.ts.since(k.last_update).0 >= k.t_step;
+        if k.budget_left == 0 || !(frequency_due || time_due) {
+            continue;
+        }
+        k.budget_left -= 1;
+        k.published = k.current;
+        k.last_update = t.ts;
+        updates += 1;
+        if frequency_due {
+            let share = k.current as f64 / (i + 1) as f64;
+            k.f_step = ((cfg.est_tuples / budget * share).round() as u64).max(1);
+        } else {
+            k.t_step = remaining / k.budget_left.max(1) as u64;
+        }
+    }
+    let mut order: Vec<(u64, Key, usize)> = keys
+        .iter()
+        .map(|(&key, k)| (k.published, key, k.current as usize))
+        .collect();
+    order.sort_unstable_by_key(|&(published, key, _)| std::cmp::Reverse((published, key)));
+    let order = order.into_iter().map(|(_, key, n)| (key, n)).collect();
+    (order, updates)
+}
+
+/// Every group holds exactly its key's tuples, in arrival order.
+fn assert_groups_hold_arrivals(sealed: &SealedBatch, tuples: &[Tuple]) {
+    let mut by_key: BTreeMap<Key, Vec<Tuple>> = BTreeMap::new();
+    for &t in tuples {
+        by_key.entry(t.key).or_default().push(t);
+    }
+    assert_eq!(sealed.n_tuples, tuples.len());
+    assert_eq!(sealed.n_keys(), by_key.len());
+    for (gi, g) in sealed.groups.iter().enumerate() {
+        assert_eq!(sealed.tuples(gi), by_key[&g.key], "group of {:?}", g.key);
+        assert_eq!(g.count, by_key[&g.key].len());
+    }
 }
 
 proptest! {
@@ -38,10 +126,11 @@ proptest! {
             est_tuples: stream.len() as f64,
             avg_keys: 25.0,
         };
+        let tuples = tuples_of(&stream, 0);
         let mut fa = FrequencyAwareAccumulator::new(cfg, interval);
         let mut ps = PostSortAccumulator::new(interval);
-        ingest_all(&mut fa, &stream);
-        ingest_all(&mut ps, &stream);
+        ingest_all(&mut fa, &tuples);
+        ingest_all(&mut ps, &tuples);
 
         // Stats agree before sealing.
         prop_assert_eq!(fa.stats().n_tuples, ps.stats().n_tuples);
@@ -57,13 +146,13 @@ proptest! {
 
         // Same multiset of (key, exact count); each key appears once.
         let mut ma: KeyMap<usize> = KeyMap::default();
-        for g in &a.groups {
-            prop_assert_eq!(g.count, g.tuples.len());
+        for (gi, g) in a.groups.iter().enumerate() {
+            prop_assert_eq!(g.count, a.tuples(gi).len());
             prop_assert!(ma.insert(g.key, g.count).is_none(), "duplicate key group");
         }
         let mut mb: KeyMap<usize> = KeyMap::default();
-        for g in &b.groups {
-            prop_assert_eq!(g.count, g.tuples.len());
+        for (gi, g) in b.groups.iter().enumerate() {
+            prop_assert_eq!(g.count, b.tuples(gi).len());
             prop_assert!(mb.insert(g.key, g.count).is_none(), "duplicate key group");
         }
         prop_assert_eq!(ma, mb);
@@ -72,11 +161,41 @@ proptest! {
         prop_assert_eq!(b.adjacent_inversions(), 0);
     }
 
+    /// The seal order is what Algorithm 1 *means*, not what one tree
+    /// implementation happens to do: it equals the tree-free model's, with
+    /// the same number of tree updates, for any budget (zero included) and
+    /// any estimates; and every group carries its key's arrivals in order.
+    #[test]
+    fn seal_order_matches_the_tree_free_model(
+        stream in stream_strategy(),
+        budget in 0u32..16,
+        est_scale in 1u64..40,
+        avg_keys in 1u64..60,
+    ) {
+        let interval = Interval::new(Time::ZERO, Time::from_secs(2));
+        let cfg = AccumulatorConfig {
+            budget,
+            est_tuples: (stream.len() as u64 * est_scale) as f64 / 10.0,
+            avg_keys: avg_keys as f64,
+        };
+        let tuples = tuples_of(&stream, 0);
+        let (want_order, want_updates) = model_seal(&tuples, cfg, interval);
+
+        let mut fa = FrequencyAwareAccumulator::new(cfg, interval);
+        ingest_all(&mut fa, &tuples);
+        prop_assert_eq!(fa.stats().tree_updates, want_updates);
+        let sealed = fa.seal(interval);
+        let got_order: Vec<(Key, usize)> = sealed.groups.iter().map(|g| (g.key, g.count)).collect();
+        prop_assert_eq!(got_order, want_order);
+        assert_groups_hold_arrivals(&sealed, &tuples);
+    }
+
     #[test]
     fn seal_resets_cleanly(stream in stream_strategy()) {
         let interval = Interval::new(Time::ZERO, Time::from_secs(10));
         let mut fa = FrequencyAwareAccumulator::new(AccumulatorConfig::default(), interval);
-        ingest_all(&mut fa, &stream);
+        let tuples = tuples_of(&stream, 0);
+        ingest_all(&mut fa, &tuples);
         let next = Interval::new(Time::from_secs(10), Time::from_secs(20));
         let first = fa.seal(next);
         prop_assert_eq!(first.n_tuples, stream.len());
@@ -84,13 +203,150 @@ proptest! {
         prop_assert!(fa.tree().is_empty());
 
         // A second batch over the same accumulator behaves like a fresh one.
-        let mut ts = 10_000_001u64;
-        for &(key, gap) in &stream {
-            ts += gap;
-            fa.ingest(Tuple::keyed(Time::from_micros(ts), Key(key)));
-        }
-        let second = fa.seal(Interval::new(Time::from_secs(20), Time::from_secs(30)));
-        prop_assert_eq!(second.n_tuples, stream.len());
-        prop_assert_eq!(second.n_keys(), first.n_keys());
+        let again = tuples_of(&stream, 10_000_001);
+        ingest_all(&mut fa, &again);
+        let after = Interval::new(Time::from_secs(20), Time::from_secs(30));
+        let second = fa.seal(after);
+        let mut fresh = FrequencyAwareAccumulator::new(AccumulatorConfig::default(), next);
+        ingest_all(&mut fresh, &again);
+        prop_assert_eq!(second, fresh.seal(after));
     }
+}
+
+// ---------------------------------------------------------------------------
+// Degenerate batches
+// ---------------------------------------------------------------------------
+
+const IV: Interval = Interval {
+    start: Time(0),
+    end: Time(1_000_000),
+};
+
+/// Run `batches` back to back through one instance of each accumulator and
+/// through both seals. Every seal must hold exactly the batch's arrivals,
+/// the columnar seal must equal the row seal, and a reused accumulator must
+/// seal what a fresh one does — nothing leaks across `seal`.
+fn check_all_accumulators(cfg: AccumulatorConfig, batches: &[Vec<Tuple>]) {
+    fn check<A: BatchAccumulator>(fresh: impl Fn() -> A, batches: &[Vec<Tuple>]) {
+        let (mut rows, mut cols) = (fresh(), fresh());
+        for tuples in batches {
+            ingest_all(&mut rows, tuples);
+            ingest_all(&mut cols, tuples);
+            let stats = rows.stats();
+            assert_eq!(stats.n_tuples, tuples.len() as u64);
+            let sealed = rows.seal(IV);
+            assert_eq!(stats.n_keys, sealed.n_keys() as u64);
+            assert_groups_hold_arrivals(&sealed, tuples);
+            assert_eq!(cols.seal_columnar(IV).to_sealed(), sealed);
+            assert_eq!(rows.stats().n_tuples + rows.stats().n_keys, 0);
+            assert_eq!(rows.stats().tree_updates, 0);
+
+            let mut once = fresh();
+            ingest_all(&mut once, tuples);
+            assert_eq!(once.stats(), stats, "reused accumulator counts differently");
+            assert_eq!(
+                once.seal(IV),
+                sealed,
+                "reused accumulator seals differently"
+            );
+        }
+    }
+    check(|| FrequencyAwareAccumulator::new(cfg, IV), batches);
+    check(|| ShardedAccumulator::new(cfg, 1, IV), batches);
+    check(|| ShardedAccumulator::new(cfg, 4, IV), batches);
+    check(|| PostSortAccumulator::new(IV), batches);
+}
+
+fn spread(keys: impl Iterator<Item = u64>, n: usize) -> Vec<Tuple> {
+    let step = IV.end.0 / n.max(1) as u64;
+    keys.take(n)
+        .enumerate()
+        .map(|(i, k)| Tuple::new(Time(i as u64 * step), Key(k), i as f64))
+        .collect()
+}
+
+#[test]
+fn empty_batch() {
+    check_all_accumulators(AccumulatorConfig::default(), &[vec![], vec![]]);
+}
+
+#[test]
+fn one_key_half_a_million_tuples() {
+    let cfg = AccumulatorConfig {
+        est_tuples: 500_000.0,
+        ..AccumulatorConfig::default()
+    };
+    let tuples = spread(std::iter::repeat(7), 500_000);
+    let mut fa = FrequencyAwareAccumulator::new(cfg, IV);
+    ingest_all(&mut fa, &tuples);
+    assert!(fa.stats().tree_updates <= cfg.budget as u64);
+    assert_eq!(fa.tree().len(), 1);
+    check_all_accumulators(cfg, &[tuples]);
+}
+
+#[test]
+fn all_distinct_keys() {
+    let n = 20_000;
+    let cfg = AccumulatorConfig {
+        est_tuples: n as f64,
+        ..AccumulatorConfig::default()
+    };
+    let tuples = spread((0..).map(|k| k * 0x9e37_79b9 % 1_000_003), n);
+    let mut fa = FrequencyAwareAccumulator::new(cfg, IV);
+    ingest_all(&mut fa, &tuples);
+    assert_eq!(fa.stats().n_keys, n as u64);
+    assert_eq!(fa.stats().tree_updates, 0, "no key is ever seen twice");
+    // Every count ties at 1, so the walk is by key, descending.
+    let sealed = fa.seal(IV);
+    assert!(sealed.groups.windows(2).all(|w| w[0].key > w[1].key));
+    check_all_accumulators(cfg, &[tuples]);
+}
+
+#[test]
+fn zero_budget_never_touches_the_tree_after_first_sighting() {
+    let cfg = AccumulatorConfig {
+        budget: 0,
+        est_tuples: 3_000.0,
+        avg_keys: 10.0,
+    };
+    let tuples = spread((0..).map(|i| i % 10), 3_000);
+    let mut fa = FrequencyAwareAccumulator::new(cfg, IV);
+    ingest_all(&mut fa, &tuples);
+    assert_eq!(fa.stats().tree_updates, 0);
+    assert_eq!(fa.tree().max_count(), Some(1));
+    check_all_accumulators(cfg, &[tuples]);
+}
+
+#[test]
+fn every_tuple_at_the_heartbeat_instant() {
+    // `t.step` is 0 for every key, so each arrival is "due" by time until
+    // the key's budget runs out.
+    let cfg = AccumulatorConfig {
+        budget: 3,
+        est_tuples: 1_000_000.0,
+        avg_keys: 1.0,
+    };
+    let tuples: Vec<Tuple> = (0..600u64)
+        .map(|i| Tuple::new(IV.end, Key(i % 6), i as f64))
+        .collect();
+    let mut fa = FrequencyAwareAccumulator::new(cfg, IV);
+    ingest_all(&mut fa, &tuples);
+    assert_eq!(fa.stats().tree_updates, 6 * 3);
+    assert_eq!(
+        model_seal(&tuples, cfg, IV).1,
+        18,
+        "the model agrees on the degenerate time step"
+    );
+    check_all_accumulators(cfg, &[tuples]);
+}
+
+#[test]
+fn second_batch_with_fewer_keys_on_a_reused_accumulator() {
+    let cfg = AccumulatorConfig {
+        est_tuples: 5_000.0,
+        ..AccumulatorConfig::default()
+    };
+    let wide = spread((0..).map(|i| i * i % 997), 5_000);
+    let narrow = spread((0..).map(|i| 1_000 + i % 3), 400);
+    check_all_accumulators(cfg, &[wide.clone(), narrow, vec![], wide]);
 }
