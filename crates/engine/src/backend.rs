@@ -1,6 +1,7 @@
-//! The execution backend instantiated for one run, per
-//! [`EngineConfig::backend`] — shared by the solo driver
-//! ([`crate::driver`]) and the multi-tenant engine ([`crate::tenancy`]).
+//! The execution backend, per [`EngineConfig::backend`]: launched by whoever
+//! drives the batch loop — the solo driver ([`crate::driver`]) for its one
+//! `Run`, the multi-tenant engine ([`crate::tenancy`]) for all its tenants'
+//! — and lent to each step that dispatches.
 //!
 //! [`BackendRuntime::execute`] is the one place a planned batch is dispatched
 //! by backend kind, and its distributed arm is the one place a worker loss
@@ -27,7 +28,7 @@ use crate::trace::{Counter, TraceEvent, TraceRecorder};
 /// into how many Reduce buckets.
 #[derive(Clone, Copy)]
 pub(crate) struct Planned<'a> {
-    /// Sequence number on the wire (tenancy namespaces it per tenant).
+    /// Sequence number on the wire (the run's `WireSeqs` mapping of `tseq`).
     pub(crate) seq: u64,
     /// Sequence number traces, and the replicated store, know the batch by.
     pub(crate) tseq: u64,
@@ -46,7 +47,7 @@ impl Planned<'_> {
         let spec = self
             .job
             .wire_spec()
-            .expect("wire-serialisable: checked at launch");
+            .expect("wire-serialisable: checked by Run::new");
         match self.columnar {
             Some(cp) => rt.submit_batch_columnar(self.seq, self.tseq, cp, &spec, self.r),
             None => rt.submit_batch(self.seq, self.tseq, self.plan, &spec, self.r),
@@ -66,22 +67,14 @@ pub(crate) enum BackendRuntime {
 }
 
 impl BackendRuntime {
-    /// Instantiate `backend` for a run over `jobs`.
-    pub(crate) fn launch<'j>(
-        backend: Backend,
-        jobs: impl IntoIterator<Item = &'j Job>,
-    ) -> BackendRuntime {
+    /// Instantiate `backend`, for one run or for several sharing it.
+    pub(crate) fn launch(backend: Backend) -> BackendRuntime {
         match backend {
             Backend::InProcess => BackendRuntime::InProcess,
             Backend::Threaded { threads } => {
                 BackendRuntime::Threaded(ThreadedExecutor::new(threads))
             }
             Backend::Distributed { workers, base_port } => {
-                assert!(
-                    jobs.into_iter().all(|j| j.wire_spec().is_some()),
-                    "Backend::Distributed needs wire-serialisable jobs (build them with \
-                     Job::identity)"
-                );
                 let rt = DistributedRuntime::launch(DistributedOptions::new(workers, base_port))
                     .expect("failed to launch distributed workers");
                 BackendRuntime::Distributed(Box::new(rt))

@@ -31,6 +31,7 @@ use prompt_core::partitioner::{Partitioner, PartitionerRegistry, Technique};
 use prompt_core::reduce::{HashReduceAssigner, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::Duration;
 
+use crate::backend::BackendRuntime;
 use crate::config::EngineConfig;
 use crate::elasticity::ScaleAction;
 use crate::job::Job;
@@ -45,7 +46,7 @@ use crate::trace::TraceRecorder;
 use crate::window::{WindowResult, WindowSpec};
 
 mod run;
-use run::Run;
+pub(crate) use run::{Run, WireSeqs};
 
 /// Per-batch execution record — the raw material of every figure in §7.2.
 #[derive(Clone, Debug)]
@@ -278,14 +279,14 @@ impl ReduceStrategy {
 /// Prompt allocator's task counter advances monotonically over every batch
 /// it assigns, so handing a switched-back technique a fresh assigner would
 /// break bit-identity with a forced-sequence run.
-pub(crate) struct StrategySet {
-    pub(crate) registry: PartitionerRegistry,
+struct StrategySet {
+    registry: PartitionerRegistry,
     hash_assigner: Box<dyn ReduceAssigner>,
     prompt_assigner: Box<dyn ReduceAssigner>,
 }
 
 impl StrategySet {
-    pub(crate) fn new(seed: u64, shards: usize, threads: usize) -> StrategySet {
+    fn new(seed: u64, shards: usize, threads: usize) -> StrategySet {
         StrategySet {
             registry: PartitionerRegistry::with_parallelism(seed, shards, threads),
             hash_assigner: ReduceStrategy::Hash.build_boxed(seed),
@@ -294,10 +295,7 @@ impl StrategySet {
     }
 
     /// Both halves of the strategy for `t`, resolved together.
-    pub(crate) fn pair_mut(
-        &mut self,
-        t: Technique,
-    ) -> (&mut dyn Partitioner, &mut dyn ReduceAssigner) {
+    fn pair_mut(&mut self, t: Technique) -> (&mut dyn Partitioner, &mut dyn ReduceAssigner) {
         let assigner = match ReduceStrategy::for_technique(t) {
             ReduceStrategy::Hash => self.hash_assigner.as_mut(),
             ReduceStrategy::Prompt => self.prompt_assigner.as_mut(),
@@ -522,13 +520,17 @@ impl StreamingEngine {
         source: &mut dyn TupleSource,
         n_batches: usize,
     ) -> (RunResult, TraceRecorder) {
-        let mut run = Run::new(self, source);
+        let mut backend = BackendRuntime::launch(self.cfg.backend);
+        if let Some(rt) = backend.distributed() {
+            rt.set_fault_plan(self.net_faults.clone());
+        }
+        let mut run = Run::new(self, source, WireSeqs(1, 0));
         let mut next_seq = 0u64;
         loop {
             // Fill: advance batches from *buffering* to *partitioned* until
             // the in-flight window is full or the source is drained.
             while run.prepared.len() < run.depth && next_seq < n_batches as u64 {
-                if let Some(pb) = run.fill(next_seq) {
+                if let Some(pb) = run.fill(next_seq, &mut backend) {
                     run.prepared.push_back(pb);
                 }
                 next_seq += 1;
@@ -538,10 +540,12 @@ impl StreamingEngine {
             let Some(pb) = run.prepared.pop_front() else {
                 break;
             };
-            let (output, times) = run.execute(&pb);
-            run.commit(pb, output, times);
+            let (output, times) = run.execute(&pb, &mut backend);
+            run.commit(pb, output, times, &mut backend);
         }
-        run.finish()
+        let (mut result, rec) = run.finish();
+        result.net = backend.shutdown();
+        (result, rec)
     }
 
     /// A fresh keyed state store for this engine's window and job.
@@ -1577,6 +1581,7 @@ mod tests {
             ("driver.rs", include_str!("driver.rs")),
             ("driver/run.rs", include_str!("driver/run.rs")),
             ("backend.rs", include_str!("backend.rs")),
+            ("tenancy.rs", include_str!("tenancy.rs")),
         ] {
             let lines: Vec<&str> = src.lines().collect();
             let mut checked = 0;

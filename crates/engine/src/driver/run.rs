@@ -1,8 +1,11 @@
-//! One run of the batch loop: the cross-batch state
-//! [`StreamingEngine::run_traced`] threads through its three steps —
-//! [`Run::fill`] (buffer + partition), [`Run::execute`] (Map/Reduce on the
-//! backend) and [`Run::commit`] (window state, checkpoints, scheduling) — and
-//! the named sub-steps each of them is made of.
+//! One run of the batch loop: the cross-batch state a driver threads
+//! through its three steps — [`Run::fill`] (buffer + partition),
+//! [`Run::execute`] (Map/Reduce on the backend) and [`Run::commit`] (window
+//! state, checkpoints, scheduling) — and the named sub-steps each of them is
+//! made of. [`StreamingEngine::run_traced`] drives one `Run`; the
+//! multi-tenant engine ([`crate::tenancy`]) drives one per tenant over a
+//! shared backend, which is why a `Run` borrows the [`BackendRuntime`] per
+//! step instead of owning it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -35,7 +38,7 @@ use crate::window::{WindowResult, WindowState};
 /// `pipeline_depth` exceeds 1, up to `depth` of these sit in the prepare
 /// queue while older batches execute; on the distributed backend their Map
 /// tasks are already on the wire.
-pub(super) struct PreparedBatch {
+pub(crate) struct PreparedBatch {
     seq: u64,
     interval: Interval,
     n_tuples: usize,
@@ -61,9 +64,9 @@ pub(super) struct PreparedBatch {
 }
 
 impl PreparedBatch {
-    fn planned<'a>(&'a self, job: &'a Job, r: usize) -> Planned<'a> {
+    fn planned<'a>(&'a self, job: &'a Job, r: usize, wire: WireSeqs) -> Planned<'a> {
         Planned {
-            seq: self.seq,
+            seq: wire.of(self.seq),
             tseq: self.seq,
             plan: &self.plan,
             columnar: self.columnar.as_ref(),
@@ -73,14 +76,31 @@ impl PreparedBatch {
     }
 }
 
+/// A run's slice of the worker fleet's batch-seq space, as `(stride,
+/// offset)`. Every seq handed to
+/// [`DistributedRuntime`](crate::net::DistributedRuntime) goes through
+/// [`WireSeqs::of`]: a solo run owns the space (`WireSeqs(1, 0)`, the
+/// identity), while tenant `i` of `n` takes `WireSeqs(n, i)` and interleaves
+/// with its neighbours, so tenants never collide in the workers' per-batch
+/// shuffle state. Traces, the replicated store and every result keep the
+/// run's own seqs.
+#[derive(Clone, Copy)]
+pub(crate) struct WireSeqs(pub(crate) u64, pub(crate) u64);
+
+impl WireSeqs {
+    fn of(self, seq: u64) -> u64 {
+        seq * self.0 + self.1
+    }
+}
+
 /// Everything one run carries from batch to batch. Built once per run by
 /// [`Run::new`], consumed by [`Run::finish`].
-pub(super) struct Run<'e> {
+pub(crate) struct Run<'e> {
     eng: &'e mut StreamingEngine,
     source: &'e mut dyn TupleSource,
     rec: TraceRecorder,
     result: RunResult,
-    backend: BackendRuntime,
+    wire: WireSeqs,
     /// Bound on batches past *buffering* at once ([`effective_depth`]).
     pub(super) depth: usize,
     /// The in-flight window: partitioned batches awaiting execution, oldest
@@ -128,7 +148,11 @@ pub(super) struct Run<'e> {
 }
 
 impl<'e> Run<'e> {
-    pub(super) fn new(eng: &'e mut StreamingEngine, source: &'e mut dyn TupleSource) -> Run<'e> {
+    pub(crate) fn new(
+        eng: &'e mut StreamingEngine,
+        source: &'e mut dyn TupleSource,
+        wire: WireSeqs,
+    ) -> Run<'e> {
         let cfg = &eng.cfg;
         let bi = cfg.batch_interval;
         let state_on = cfg.checkpoint.is_some() || eng.stateful.is_some();
@@ -152,10 +176,6 @@ impl<'e> Run<'e> {
             .checkpoint
             .as_ref()
             .map(|c| Checkpointer::create(c).expect("failed to open checkpoint directory"));
-        let mut backend = BackendRuntime::launch(cfg.backend, [&eng.job]);
-        if let Some(rt) = backend.distributed() {
-            rt.set_fault_plan(eng.net_faults.clone());
-        }
         // Worker-loss and checkpoint-suffix recomputes need the batch inputs
         // even when the user did not configure fault tolerance; a budget of
         // one recompute per worker always suffices (the run aborts anyway
@@ -165,8 +185,12 @@ impl<'e> Run<'e> {
             (None, Backend::Distributed { workers, .. }) => (workers.max(2), FaultPlan::none()),
             (None, _) => (2, FaultPlan::none()),
         };
-        let retain_inputs =
-            backend.distributed().is_some() || checkpointer.is_some() || !fault_plan.is_empty();
+        let distributed = matches!(cfg.backend, Backend::Distributed { .. });
+        assert!(
+            !distributed || eng.job.wire_spec().is_some(),
+            "Backend::Distributed needs wire-serialisable jobs (build them with Job::identity)"
+        );
+        let retain_inputs = distributed || checkpointer.is_some() || !fault_plan.is_empty();
         let scaler = cfg
             .elasticity
             .map(|sc| AutoScaler::new(sc, cfg.map_tasks, cfg.reduce_tasks));
@@ -174,7 +198,7 @@ impl<'e> Run<'e> {
         let mut run = Run {
             rec: TraceRecorder::new(cfg.trace),
             result: RunResult::default(),
-            backend,
+            wire,
             depth: effective_depth(
                 cfg.pipeline_depth,
                 scaler.is_some(),
@@ -268,7 +292,7 @@ impl<'e> Run<'e> {
     /// batch boundary act (store-loss restore, rebalancer, policy), partition
     /// it, and put its Map tasks on the wire. `None` when a restored
     /// checkpoint already covers the batch.
-    pub(super) fn fill(&mut self, seq: u64) -> Option<PreparedBatch> {
+    pub(crate) fn fill(&mut self, seq: u64, backend: &mut BackendRuntime) -> Option<PreparedBatch> {
         let interval = self.interval_of(seq);
         self.arrivals.clear();
         self.source.fill(interval, &mut self.arrivals);
@@ -294,8 +318,8 @@ impl<'e> Run<'e> {
                 .max(store.retained_tuples() as u64);
             stats.max_retained_batches = stats.max_retained_batches.max(store.len() as u64);
         }
-        let restore_times = self.restore_lost_store(seq);
-        self.apply_rebalance(seq);
+        let restore_times = self.restore_lost_store(seq, backend);
+        self.apply_rebalance(seq, backend);
         let (decision, decide_us) = self.decide(seq);
         let technique = decision
             .as_ref()
@@ -367,7 +391,7 @@ impl<'e> Run<'e> {
             restore_times,
             columnar,
         };
-        self.backend.submit(&pb.planned(&self.eng.job, self.r));
+        backend.submit(&pb.planned(&self.eng.job, self.r, self.wire));
         Some(pb)
     }
 
@@ -375,14 +399,14 @@ impl<'e> Run<'e> {
     /// rebuild from the latest checkpoint (or from scratch when none exists)
     /// and recompute only the post-watermark suffix from retained inputs.
     /// Returns the suffix recomputes' processing times, billed to `seq`.
-    fn restore_lost_store(&mut self, seq: u64) -> Vec<Duration> {
+    fn restore_lost_store(&mut self, seq: u64, backend: &mut BackendRuntime) -> Vec<Duration> {
         let mut replay_times = Vec::new();
         if self.state_store.is_none() || !self.fault_plan.loses_store_at(seq) {
             return replay_times;
         }
         let (mut rebuilt, covered, bytes) = self.durable_state();
         for b in covered..seq {
-            let (output, times) = self.replay(b).unwrap_or_else(|e| {
+            let (output, times) = self.replay(b, backend).unwrap_or_else(|e| {
                 panic!("state loss at batch {seq}: batch {b} unrecoverable: {e}")
             });
             // Replay into the rebuilt store, discarding emissions — the
@@ -401,7 +425,7 @@ impl<'e> Run<'e> {
     /// preceding commit is always visible here). Applying the plan moves
     /// only the offending key-groups: the table bumps one version and the
     /// assigner routes this batch under the new ownership.
-    fn apply_rebalance(&mut self, seq: u64) {
+    fn apply_rebalance(&mut self, seq: u64, backend: &mut BackendRuntime) {
         let Some(reb) = self.rebalancer.as_mut() else {
             return;
         };
@@ -449,8 +473,8 @@ impl<'e> Run<'e> {
             });
             pushes.push((mv.group, mv.to, payload));
         }
-        if let Some(rt) = self.backend.distributed() {
-            rt.migrate_groups(seq, version, pushes)
+        if let Some(rt) = backend.distributed() {
+            rt.migrate_groups(self.wire.of(seq), version, pushes)
                 .expect("group migration push failed");
         }
         self.result.migrations.push((seq, mplan));
@@ -518,6 +542,7 @@ impl<'e> Run<'e> {
         plan: &PartitionPlan,
         columnar: Option<&ColumnarPlan>,
         technique: Option<Technique>,
+        backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
         let eng = &mut *self.eng;
         let (_, assigner) = resolve_pair(
@@ -526,18 +551,18 @@ impl<'e> Run<'e> {
             &mut eng.strategies,
             technique,
         );
-        let (job, r) = (&eng.job, self.r);
+        let (job, r, wire) = (&eng.job, self.r, self.wire);
         let batch = Planned {
-            seq,
+            seq: wire.of(seq),
             tseq: seq,
             plan,
             columnar,
             job,
             r,
         };
-        let (output, times, losses) = self.backend.execute(
+        let (output, times, losses) = backend.execute(
             &batch,
-            self.prepared.iter().map(|q| q.planned(job, r)),
+            self.prepared.iter().map(|q| q.planned(job, r, wire)),
             assigner,
             &eng.cfg,
             &self.rec,
@@ -552,7 +577,11 @@ impl<'e> Run<'e> {
     /// replica: the shared retained buffer is re-partitioned in place — no
     /// deep copy — with the strategy the original run used, and executed on
     /// the backend.
-    fn replay(&mut self, b: u64) -> Result<(BatchOutput, StageTimes), RecoveryError> {
+    fn replay(
+        &mut self,
+        b: u64,
+        backend: &mut BackendRuntime,
+    ) -> Result<(BatchOutput, StageTimes), RecoveryError> {
         let store = self.store.as_mut().expect("fault plans retain inputs");
         let input = store.recover(b)?;
         let technique = self.tech_log.get(&b).copied().or(self.eng.base_technique);
@@ -565,16 +594,25 @@ impl<'e> Run<'e> {
             technique,
         );
         let replan = partitioner.partition_shared(&input, interval, self.p);
-        Ok(self.run_plan(b, &replan, None, technique))
+        Ok(self.run_plan(b, &replan, None, technique, backend))
     }
 
     /// Execute the oldest in-flight batch on the configured backend. At
     /// depth > 1 a distributed batch is already in flight (maps dispatched
     /// at [`Run::fill`]); waiting on it also advances the younger batches
     /// of the window.
-    pub(super) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
-        let (output, mut times) =
-            self.run_plan(pb.seq, &pb.plan, pb.columnar.as_ref(), pb.technique);
+    pub(crate) fn execute(
+        &mut self,
+        pb: &PreparedBatch,
+        backend: &mut BackendRuntime,
+    ) -> (BatchOutput, StageTimes) {
+        let (output, mut times) = self.run_plan(
+            pb.seq,
+            &pb.plan,
+            pb.columnar.as_ref(),
+            pb.technique,
+            backend,
+        );
         self.inject_stragglers(pb.seq, &mut times);
         (output, times)
     }
@@ -614,11 +652,12 @@ impl<'e> Run<'e> {
     /// Commit an executed batch. Everything with cross-batch feedback —
     /// pipeline clock, windows, checkpoints, retention expiry, scaling —
     /// runs here, in strict batch order.
-    pub(super) fn commit(
+    pub(crate) fn commit(
         &mut self,
         mut pb: PreparedBatch,
         mut output: BatchOutput,
         times: StageTimes,
+        backend: &mut BackendRuntime,
     ) {
         let seq = pb.seq;
         let bi = self.eng.cfg.batch_interval;
@@ -635,7 +674,7 @@ impl<'e> Run<'e> {
         // one recomputation from the replicated input.
         for _ in 0..self.fault_plan.losses_for(seq) {
             let (recovered, retimes) = self
-                .replay(seq)
+                .replay(seq, backend)
                 .expect("injected failure beyond recovery budget");
             output = recovered;
             processing += retimes.processing();
@@ -679,7 +718,7 @@ impl<'e> Run<'e> {
         }
         self.step_scaler(seq, w, pb.n_tuples, pb.n_keys);
         self.commit_window(output);
-        self.migrate_state(seq);
+        self.migrate_state(seq, backend);
 
         if let Some(d) = pb.decision {
             self.result.policy_decisions.push(d);
@@ -879,7 +918,7 @@ impl<'e> Run<'e> {
     /// allocation. With checkpointing on, a migration is a commit point
     /// (deltas are bucket-keyed, so the changelog must never mix shard
     /// counts — `snapshot_now` rolls it over).
-    fn migrate_state(&mut self, seq: u64) {
+    fn migrate_state(&mut self, seq: u64, backend: &mut BackendRuntime) {
         let Some(store) = self.state_store.as_mut() else {
             return;
         };
@@ -899,13 +938,13 @@ impl<'e> Run<'e> {
             keys: report.keys_moved as u64,
             bytes: report.bytes,
         });
-        if let Some(rt) = self.backend.distributed() {
+        if let Some(rt) = backend.distributed() {
             // Hand the re-sharded state to the workers owning the new
             // buckets over the wire.
             let payloads: Vec<(u32, Vec<u8>)> = (0..store.shard_count())
                 .map(|b| (b as u32, store.encode_shard(b)))
                 .collect();
-            rt.migrate_state(seq, payloads)
+            rt.migrate_state(self.wire.of(seq), payloads)
                 .expect("state migration push failed");
         }
         if let Some(ckpt) = self.checkpointer.as_mut() {
@@ -914,9 +953,8 @@ impl<'e> Run<'e> {
         }
     }
 
-    /// Stop the backend and hand back the run's results and trace.
-    pub(super) fn finish(mut self) -> (RunResult, TraceRecorder) {
-        self.result.net = self.backend.shutdown();
+    /// Hand back the run's results and trace.
+    pub(crate) fn finish(mut self) -> (RunResult, TraceRecorder) {
         if self.state_store.is_some() {
             if let Some(ckpt) = &self.checkpointer {
                 self.sstats.snapshot_bytes = ckpt.stats().snapshot_bytes;

@@ -2,53 +2,51 @@
 //!
 //! The ROADMAP north-star is a production-scale deployment serving many
 //! concurrent queries, but every figure-reproduction drives exactly one job.
-//! [`MultiTenantEngine`] closes that gap: each tenant keeps its own
-//! partitioner, reduce assigner and window state (so query answers are — by
-//! construction — bit-identical to the tenant running alone), while the
-//! tenants *compete for task slots* through a weighted-fair scheduler that
-//! replaces the per-job LPT makespan of
-//! [`Cluster::makespan`](crate::cluster::Cluster::makespan). Contention
-//! is therefore purely a timing effect: latency, queueing and back-pressure
-//! are per-tenant (isolated), and a [`NoisyNeighbor`] injector can inflate
-//! one tenant's task times to measure how well the fair scheduler protects
-//! the others.
+//! [`MultiTenantEngine`] closes that gap, and it does so without a batch
+//! loop of its own: **a tenant is a [`Run`]**. Each [`TenantSpec`] becomes a
+//! solo [`StreamingEngine`] under the shared config, and every heartbeat
+//! calls the same `fill` → `execute` → `commit` steps the solo driver calls,
+//! once per tenant, over one shared backend. Query answers, plans, policy
+//! decisions, migrations and trace events are therefore — by construction —
+//! those of the tenant running alone.
 //!
-//! With a single tenant the fair scheduler degenerates bit-exactly to the
-//! LPT rule, so a solo [`MultiTenantEngine`] run reproduces
-//! [`StreamingEngine`](crate::driver::StreamingEngine) timings too.
+//! What sharing adds sits between `execute` and `commit`: the tenants
+//! *compete for task slots* through a weighted-fair scheduler
+//! ([`fair_makespans`]) whose result replaces the per-job LPT makespans of
+//! [`Cluster::makespan`](crate::cluster::Cluster::makespan) in each tenant's
+//! stage times. Contention is purely a timing effect: latency, queueing and
+//! back-pressure are per-tenant (isolated), and a [`NoisyNeighbor`] injector
+//! can inflate one tenant's task times to measure how well the fair
+//! scheduler protects the others. With a single tenant the fair scheduler
+//! degenerates bit-exactly to the LPT rule, so a solo [`MultiTenantEngine`]
+//! run reproduces [`StreamingEngine`] timings too.
 //!
-//! Tenant batches commit *jointly* at each heartbeat — phase 2's shared-slot
-//! schedule needs every tenant's stage times for the same seq — so the
-//! multi-tenant loop always runs one lifecycle per heartbeat:
-//! [`EngineConfig::pipeline_depth`](crate::config::EngineConfig) is accepted
-//! but inert here (every tenant batch runs through the backend's
-//! submit→wait path as a window of one, i.e. effective depth 1), and a
-//! `pipeline_depth > 1` config is bit-identical to depth 1 for every
-//! tenant.
+//! On [`Backend::Distributed`](crate::config::Backend::Distributed) the
+//! tenants share one worker fleet; each run's batch seqs are interleaved
+//! into the fleet's seq space so tenants never collide in the workers'
+//! per-batch shuffle state. A tenant retains its batch inputs and spends a
+//! replica per worker loss exactly like a solo distributed run.
 
-use prompt_core::batch::MicroBatch;
-use prompt_core::metrics::PlanMetrics;
-use prompt_core::partitioner::{Partitioner, Technique};
-use prompt_core::reduce::ReduceAssigner;
-use prompt_core::types::{Duration, Interval, Time, Tuple};
+use std::collections::HashSet;
 
-use crate::backend::{BackendRuntime, Planned};
-use crate::config::{EngineConfig, OverheadMode};
-use crate::driver::{BatchRecord, ReduceStrategy, StrategySet};
+use prompt_core::partitioner::Technique;
+use prompt_core::types::Duration;
+
+use crate::backend::BackendRuntime;
+use crate::config::EngineConfig;
+use crate::driver::{BatchRecord, Run, StreamingEngine, WireSeqs};
 use crate::job::Job;
-use crate::policy::{build_policy, BatchObservation, PartitionerPolicy, PolicySpec};
-use crate::rebalance::{
-    group_weights, imbalance_ratio, ForcedMigrations, GroupRoutedAssigner, RebalanceObservation,
-    RebalancePolicy, RoutingTable, SharedRoutingTable,
-};
+use crate::policy::PolicySpec;
+use crate::rebalance::ForcedMigrations;
 use crate::source::TupleSource;
-use crate::stage::{BatchOutput, StageTimes};
-use crate::trace::{Counter, StageKind, TraceEvent, TraceRecorder};
-use crate::window::{WindowResult, WindowSpec, WindowState};
+use crate::stage::StageTimes;
+use crate::trace::{TraceEvent, TraceRecorder};
+use crate::window::{WindowResult, WindowSpec};
 
 /// One tenant job in a shared-cluster run.
 pub struct TenantSpec {
-    /// Tenant name (used to tag trace lines; must not contain `"`).
+    /// Tenant name, unique within an engine (used to tag trace lines; must
+    /// not contain `"`, `\\` or control characters).
     pub name: String,
     /// Batching technique (paired with its natural reduce strategy).
     pub technique: Technique,
@@ -71,10 +69,8 @@ pub struct TenantSpec {
 impl TenantSpec {
     /// A weight-1, windowless tenant.
     pub fn new(name: impl Into<String>, technique: Technique, seed: u64, job: Job) -> TenantSpec {
-        let name = name.into();
-        assert!(!name.contains('"'), "tenant names must not contain quotes");
         TenantSpec {
-            name,
+            name: name.into(),
             technique,
             seed,
             job,
@@ -264,57 +260,77 @@ pub fn fair_makespans(tenants: &[(u32, Vec<Duration>)], slots: usize) -> Vec<Dur
     finish
 }
 
-/// Per-tenant mutable state across the run.
-struct TenantState {
-    partitioner: Box<dyn Partitioner>,
-    assigner: Box<dyn ReduceAssigner>,
-    /// Per-technique strategy pool; `Some` exactly when `policy` is.
-    strategies: Option<StrategySet>,
-    /// Per-batch technique selection for non-`Fixed` tenant policies.
-    policy: Option<Box<dyn PartitionerPolicy>>,
-    /// Key-group routing table; `Some` exactly when the config rebalances.
-    /// Each tenant owns an independent table — streams, loads and
-    /// migrations are tenant-local.
-    routing: Option<SharedRoutingTable>,
-    /// The rebalancing policy; `Some` exactly when `routing` is.
-    rebalancer: Option<Box<dyn RebalancePolicy>>,
-    /// Last committed batch's reduce imbalance (context for trace events).
-    last_imbalance: f64,
-    window: Option<WindowState>,
-    pipeline_free_at: Time,
-    run: TenantRun,
-}
-
 /// N concurrent jobs on one shared cluster (see the module docs).
 pub struct MultiTenantEngine {
     cfg: EngineConfig,
-    tenants: Vec<TenantSpec>,
+    /// One solo engine per tenant, in spec order.
+    engines: Vec<StreamingEngine>,
+    names: Vec<String>,
+    weights: Vec<u32>,
     noisy: Vec<NoisyNeighbor>,
 }
 
 impl MultiTenantEngine {
     /// Build a shared-cluster engine for `tenants` under `cfg`. The config's
     /// task counts, cost model, cluster shape, overhead mode, back-pressure
-    /// threshold, trace level and backend apply to every tenant.
+    /// threshold, ingest parallelism, data plane, rebalancing, trace level
+    /// and backend apply to every tenant; each tenant is validated as the
+    /// solo engine it is.
     pub fn new(cfg: EngineConfig, tenants: Vec<TenantSpec>) -> MultiTenantEngine {
         cfg.validate().expect("invalid engine config");
         assert!(!tenants.is_empty(), "need at least one tenant");
-        for t in &tenants {
-            t.policy
-                .validate()
-                .unwrap_or_else(|e| panic!("tenant '{}' policy invalid: {e}", t.name));
-        }
-        MultiTenantEngine {
+        let mut engine = MultiTenantEngine {
             cfg,
-            tenants,
+            engines: Vec::with_capacity(tenants.len()),
+            names: Vec::with_capacity(tenants.len()),
+            weights: Vec::with_capacity(tenants.len()),
             noisy: Vec::new(),
+        };
+        let mut seen = HashSet::new();
+        for spec in tenants {
+            // The trace JSONL format has no string escapes, so a name that
+            // needs one would produce a tagged stream `parse_tagged_jsonl`
+            // cannot read back; two tenants under one name would merge.
+            assert!(
+                !spec
+                    .name
+                    .contains(|c: char| c == '"' || c == '\\' || c.is_control()),
+                "tenant name {:?} cannot tag a trace line: quotes, backslashes and control \
+                 characters have no escape in the trace JSONL format",
+                spec.name
+            );
+            assert!(
+                seen.insert(spec.name.clone()),
+                "duplicate tenant name {:?}: merged traces could not tell the tenants apart",
+                spec.name
+            );
+            // Tenant batches commit jointly at each heartbeat — the shared
+            // slot schedule needs every tenant's task times for the same
+            // seq — and the cluster shape is the shared one, so the solo
+            // features that pipeline, scale or persist a single run stay
+            // inert for tenants.
+            let tenant_cfg = EngineConfig {
+                policy: spec.policy,
+                pipeline_depth: 1,
+                elasticity: None,
+                checkpoint: None,
+                ..engine.cfg.clone()
+            };
+            let mut solo = StreamingEngine::new(tenant_cfg, spec.technique, spec.seed, spec.job);
+            if let Some(window) = spec.window {
+                solo = solo.with_window(window);
+            }
+            engine.engines.push(solo);
+            engine.names.push(spec.name);
+            engine.weights.push(spec.weight);
         }
+        engine
     }
 
     /// Attach noisy-neighbor injections.
     pub fn with_noisy_neighbors(mut self, noisy: Vec<NoisyNeighbor>) -> MultiTenantEngine {
         for n in &noisy {
-            assert!(n.tenant < self.tenants.len(), "noisy tenant out of range");
+            assert!(n.tenant < self.engines.len(), "noisy tenant out of range");
             assert!(n.slowdown > 0.0, "slowdown must be positive");
         }
         self.noisy = noisy;
@@ -327,344 +343,86 @@ impl MultiTenantEngine {
     }
 
     /// Run all tenants for `n_batches` heartbeats, tenant `i` reading from
-    /// `sources[i]`. Within each heartbeat every tenant's batch is
-    /// partitioned and executed with its own partitioner/assigner/window
-    /// (outputs identical to a solo run), then both stages are scheduled
-    /// jointly on the shared slots by [`fair_makespans`] — the timing each
-    /// tenant's [`BatchRecord`]s report.
+    /// `sources[i]`. Within each heartbeat every tenant's batch is filled and
+    /// executed by its own [`Run`] (outputs identical to a solo run), then
+    /// both stages are scheduled jointly on the shared slots by
+    /// [`fair_makespans`] — the stage times each tenant's `commit` sees and
+    /// its [`BatchRecord`]s report.
     pub fn run(
         &mut self,
         sources: &mut [Box<dyn TupleSource>],
         n_batches: usize,
     ) -> MultiTenantResult {
-        assert_eq!(
-            sources.len(),
-            self.tenants.len(),
-            "one source per tenant required"
-        );
-        let bi = self.cfg.batch_interval;
-        let n_tenants = self.tenants.len();
-        let mut backend =
-            BackendRuntime::launch(self.cfg.backend, self.tenants.iter().map(|t| &t.job));
-        let mut states: Vec<TenantState> = self
-            .tenants
-            .iter()
-            .map(|spec| {
-                // Rebalancing tenants route through their own key-group
-                // table; the recorded plans replay on a solo engine (the
-                // cell oracle), mirroring the solo driver's wiring.
-                let routing: Option<SharedRoutingTable> =
-                    self.cfg.rebalance.n_groups().map(|n_groups| {
-                        std::sync::Arc::new(std::sync::Mutex::new(RoutingTable::new(
-                            n_groups,
-                            self.cfg.reduce_tasks,
-                        )))
-                    });
-                let assigner: Box<dyn ReduceAssigner> = match &routing {
-                    Some(table) => Box::new(GroupRoutedAssigner::new(std::sync::Arc::clone(table))),
-                    None => ReduceStrategy::for_technique(spec.technique).build_boxed(spec.seed),
-                };
-                TenantState {
-                    partitioner: spec.technique.build(spec.seed),
-                    assigner,
-                    strategies: (!spec.policy.is_fixed())
-                        .then(|| StrategySet::new(spec.seed, 1, 1)),
-                    policy: (!spec.policy.is_fixed())
-                        .then(|| build_policy(&spec.policy, spec.technique, spec.seed)),
-                    routing,
-                    rebalancer: self.cfg.rebalance.build(),
-                    last_imbalance: 1.0,
-                    window: spec
-                        .window
-                        .map(|w| WindowState::new(w, bi, spec.job.reduce)),
-                    pipeline_free_at: Time::ZERO,
-                    run: TenantRun {
-                        name: spec.name.clone(),
-                        batches: Vec::with_capacity(n_batches),
-                        windows: Vec::new(),
-                        backpressure: false,
-                        worker_losses: 0,
-                        migrations: Vec::new(),
-                        slot_waits: Vec::with_capacity(n_batches),
-                        trace: TraceRecorder::new(self.cfg.trace),
-                    },
-                }
-            })
+        let n = self.engines.len();
+        assert_eq!(sources.len(), n, "one source per tenant required");
+        let (cluster, slots) = (self.cfg.cluster, self.cfg.cluster.slots());
+        let mut backend = BackendRuntime::launch(self.cfg.backend);
+        let mut runs: Vec<Run<'_>> = self
+            .engines
+            .iter_mut()
+            .zip(sources.iter_mut())
+            .enumerate()
+            .map(|(i, (eng, source))| Run::new(eng, &mut **source, WireSeqs(n as u64, i as u64)))
             .collect();
-        let p = self.cfg.map_tasks;
-        let r = self.cfg.reduce_tasks;
-        let n_groups = self.cfg.rebalance.n_groups().unwrap_or(0);
-        let mut arrivals: Vec<Tuple> = Vec::new();
-
+        let mut slot_waits = vec![Vec::new(); n];
         for seq in 0..n_batches as u64 {
-            let interval = Interval::new(Time(bi.0 * seq), Time(bi.0 * (seq + 1)));
-            // Phase 1: per-tenant ingest, partition and execute. Outputs and
-            // per-task times are tenant-local; only slot time is shared.
-            let mut outputs: Vec<BatchOutput> = Vec::with_capacity(n_tenants);
-            let mut all_times: Vec<StageTimes> = Vec::with_capacity(n_tenants);
-            let mut overheads: Vec<(Duration, Duration)> = Vec::with_capacity(n_tenants);
-            let mut plan_stats: Vec<(usize, usize, usize, PlanMetrics, Technique)> =
-                Vec::with_capacity(n_tenants);
-            // Per-tenant key-group tuple weights of this heartbeat's plans
-            // (`Some` only for rebalancing tenants) — the phase-3 ledger
-            // observations decompose worker load with them.
-            let mut group_tuples_all: Vec<Option<Vec<u64>>> = Vec::with_capacity(n_tenants);
-            for (i, st) in states.iter_mut().enumerate() {
-                let tracing = st.run.trace.enabled();
-                arrivals.clear();
-                sources[i].fill(interval, &mut arrivals);
-                debug_assert!(
-                    arrivals.windows(2).all(|w| w[0].ts <= w[1].ts),
-                    "source must emit in timestamp order"
-                );
-                let batch = MicroBatch::new(std::mem::take(&mut arrivals), interval);
-                let n_tuples = batch.len();
-                let n_keys = batch.distinct_keys();
-                st.run.trace.incr(Counter::Batches, 1);
-                st.run.trace.incr(Counter::Tuples, n_tuples as u64);
-                // Per-batch technique resolution, mirroring the solo driver:
-                // a non-Fixed tenant policy may hot-swap the strategy here.
-                let dec0 = std::time::Instant::now();
-                let decision = st.policy.as_mut().map(|pol| pol.decide(seq));
-                let decide_us = dec0.elapsed().as_micros() as u64;
-                let technique = decision
-                    .as_ref()
-                    .map(|d| d.technique)
-                    .unwrap_or(self.tenants[i].technique);
-                if let Some(d) = decision.as_ref() {
-                    st.run.trace.incr(Counter::PolicyDecisions, 1);
-                    if d.switched {
-                        st.run.trace.incr(Counter::PolicySwitches, 1);
-                        st.run.trace.event(TraceEvent::PolicySwitch {
-                            seq,
-                            from: d.prev.label(),
-                            to: d.technique.label(),
-                        });
-                    }
-                    if tracing {
-                        st.run.trace.phase(
-                            seq,
-                            StageKind::Select,
-                            Duration::from_micros(decide_us),
-                        );
-                    }
-                }
-                // Rebalance boundary, mirroring the solo driver's fill
-                // phase: apply the policy's plan before this batch is
-                // partitioned and assigned. Tenancy has no keyed-state
-                // layer, so group moves carry no payload bytes.
-                if let (Some(reb), Some(table)) = (st.rebalancer.as_mut(), st.routing.as_ref()) {
-                    let mplan = reb.decide(seq);
-                    if !mplan.is_empty() {
-                        let version = {
-                            let mut t = table.lock().expect("routing table poisoned");
-                            t.apply(&mplan).expect("rebalance plan must apply cleanly");
-                            t.version()
-                        };
-                        st.run.trace.incr(Counter::Rebalances, 1);
-                        st.run
-                            .trace
-                            .incr(Counter::GroupsMoved, mplan.moves.len() as u64);
-                        st.run.trace.event(TraceEvent::Rebalance {
-                            seq,
-                            version,
-                            moves: mplan.moves.len() as u64,
-                            imbalance: st.last_imbalance,
-                        });
-                        for mv in &mplan.moves {
-                            st.run.trace.event(TraceEvent::GroupMigrate {
-                                seq,
-                                group: mv.group,
-                                from: mv.from,
-                                to: mv.to,
-                                bytes: 0,
-                            });
-                        }
-                        st.run.migrations.push((seq, mplan));
-                    }
-                }
-                let (part, asg): (&mut dyn Partitioner, &mut dyn ReduceAssigner) =
-                    match (st.strategies.as_mut(), decision.as_ref()) {
-                        (Some(set), Some(d)) => set.pair_mut(d.technique),
-                        _ => (st.partitioner.as_mut(), st.assigner.as_mut()),
-                    };
-                let t0 = std::time::Instant::now();
-                let plan = part.partition(&batch, p);
-                let raw_overhead = match self.cfg.overhead {
-                    OverheadMode::None => Duration::ZERO,
-                    OverheadMode::Fixed(d) => d,
-                    OverheadMode::Measured => {
-                        Duration::from_micros(t0.elapsed().as_micros() as u64)
-                    }
-                };
-                let visible_overhead = raw_overhead - self.cfg.early_release_slack();
-                let metrics = PlanMetrics::of(&plan);
-                if let Some(pol) = st.policy.as_mut() {
-                    pol.observe(&BatchObservation {
-                        seq,
-                        technique,
-                        n_tuples,
-                        n_keys,
-                        map_tasks: p,
-                        metrics,
-                        plan: &plan,
-                    });
-                }
-                let planned = Planned {
-                    // Namespace wire seqs so tenants never collide in the
-                    // workers' per-batch shuffle state.
-                    seq: seq * n_tenants as u64 + i as u64,
-                    tseq: seq,
-                    plan: &plan,
-                    columnar: None,
-                    job: &self.tenants[i].job,
-                    r,
-                };
-                // Tenancy retains no batch inputs: a worker loss resubmits
-                // the plan in hand without spending a replica.
-                let (output, mut times, losses) = backend.execute(
-                    &planned,
-                    std::iter::empty(),
-                    asg,
-                    &self.cfg,
-                    &st.run.trace,
-                    None,
-                );
-                st.run.worker_losses += losses;
+            // Per-tenant fill + execute: outputs and per-task times are
+            // tenant-local; only slot time is shared.
+            let mut executed = Vec::with_capacity(n);
+            for (i, run) in runs.iter_mut().enumerate() {
+                let pb = run
+                    .fill(seq, &mut backend)
+                    .expect("tenants never resume from a checkpoint");
+                let (output, mut times) = run.execute(&pb, &mut backend);
                 for noise in self.noisy.iter().filter(|n| n.applies(i, seq)) {
                     for t in times.map_tasks.iter_mut().chain(&mut times.reduce_tasks) {
                         *t = t.mul_f64(noise.slowdown);
                     }
                 }
-                group_tuples_all.push(st.routing.is_some().then(|| group_weights(&plan, n_groups)));
-                arrivals = batch.tuples; // reuse the allocation next tenant
-                outputs.push(output);
-                plan_stats.push((n_tuples, n_keys, plan.n_blocks(), metrics, technique));
-                overheads.push((raw_overhead, visible_overhead));
-                all_times.push(times);
+                executed.push((pb, output, times));
             }
-
-            // Phase 2: joint stage scheduling on the shared slots.
-            let slots = self.cfg.cluster.slots();
-            let weights: Vec<u32> = self.tenants.iter().map(|t| t.weight).collect();
-            let map_input: Vec<(u32, Vec<Duration>)> = all_times
-                .iter()
-                .zip(&weights)
-                .map(|(t, &w)| (w, t.map_tasks.clone()))
-                .collect();
-            let reduce_input: Vec<(u32, Vec<Duration>)> = all_times
-                .iter()
-                .zip(&weights)
-                .map(|(t, &w)| (w, t.reduce_tasks.clone()))
-                .collect();
-            let map_spans = fair_makespans(&map_input, slots);
-            let reduce_spans = fair_makespans(&reduce_input, slots);
-
-            // Phase 3: per-tenant accounting (pipelining, back-pressure,
-            // windows) — fully isolated.
-            for (i, st) in states.iter_mut().enumerate() {
-                let times = &all_times[i];
-                let (raw_overhead, visible_overhead) = overheads[i];
-                let (n_tuples, n_keys, n_blocks, metrics, technique) = plan_stats[i];
-                let map_stage = map_spans[i];
-                let reduce_stage = reduce_spans[i];
-                let solo_map = self.cfg.cluster.makespan(&times.map_tasks);
-                let solo_reduce = self.cfg.cluster.makespan(&times.reduce_tasks);
-                let slot_wait = (map_stage - solo_map) + (reduce_stage - solo_reduce);
-                let processing = visible_overhead + map_stage + reduce_stage;
-                let heartbeat = interval.end;
-                let start = if st.pipeline_free_at > heartbeat {
-                    st.pipeline_free_at
-                } else {
-                    heartbeat
-                };
-                let queue_delay = start.since(heartbeat);
-                st.pipeline_free_at = start + processing;
-                let latency = bi + queue_delay + processing;
-                let w = processing.as_secs_f64() / bi.as_secs_f64();
-
-                let rec = &st.run.trace;
-                if rec.enabled() {
-                    rec.span(seq, StageKind::Accumulate, interval.start, interval.end);
-                    rec.span(seq, StageKind::QueueWait, heartbeat, start);
-                    let mut cursor = start;
-                    rec.span(
-                        seq,
-                        StageKind::PartitionVisible,
-                        cursor,
-                        cursor + visible_overhead,
-                    );
-                    cursor = cursor + visible_overhead;
-                    rec.span(seq, StageKind::MapStage, cursor, cursor + map_stage);
-                    cursor = cursor + map_stage;
-                    rec.span(seq, StageKind::ReduceStage, cursor, cursor + reduce_stage);
-                    cursor = cursor + reduce_stage;
-                    debug_assert_eq!(cursor, start + processing, "spans must tile processing");
-                }
-                if queue_delay.as_secs_f64() > self.cfg.backpressure_queue * bi.as_secs_f64() {
-                    st.run.backpressure = true;
-                    rec.incr(Counter::BackpressureBatches, 1);
-                    rec.event(TraceEvent::Backpressure {
-                        seq,
-                        queue_us: queue_delay.0,
-                        limit_us: bi.mul_f64(self.cfg.backpressure_queue).0,
-                    });
-                }
-                // Ledger feed, mirroring the solo driver's commit phase:
-                // per-worker busy time into the trace summary, and (for
-                // rebalancing tenants) the observation the policy plans
-                // from. Tenant-local cost-model times — a neighbor's slot
-                // contention is not this tenant's skew.
-                rec.worker_busy(&times.reduce_tasks);
-                if let (Some(reb), Some(table)) = (st.rebalancer.as_mut(), st.routing.as_ref()) {
-                    let busy: Vec<u64> = times.reduce_tasks.iter().map(|d| d.0).collect();
-                    let group_tuples = group_tuples_all[i].take().unwrap_or_default();
-                    let (version, owners) = {
-                        let t = table.lock().expect("routing table poisoned");
-                        (t.version(), t.owners().to_vec())
-                    };
-                    reb.observe(&RebalanceObservation {
-                        seq,
-                        version,
-                        worker_busy_us: &busy,
-                        group_tuples: &group_tuples,
-                        owners: &owners,
-                    });
-                    st.last_imbalance = imbalance_ratio(&busy);
-                }
-                st.run.slot_waits.push(slot_wait);
-                st.run.batches.push(BatchRecord {
-                    seq,
-                    n_tuples,
-                    n_keys,
-                    map_tasks: n_blocks,
-                    reduce_tasks: r,
-                    partition_overhead: raw_overhead,
-                    visible_overhead,
-                    map_stage,
-                    reduce_stage,
-                    processing,
-                    queue_delay,
-                    latency,
-                    w,
-                    map_task_times: times.map_tasks.clone(),
-                    reduce_task_times: times.reduce_tasks.clone(),
-                    plan_metrics: metrics,
-                    technique: Some(technique),
-                });
-            }
-            for (st, output) in states.iter_mut().zip(outputs) {
-                if let Some(ws) = st.window.as_mut() {
-                    if let Some(res) = ws.push(output) {
-                        st.run.windows.push(res);
-                    }
-                }
+            // Joint stage scheduling on the shared slots.
+            let stage = |tasks: fn(&StageTimes) -> &Vec<Duration>| {
+                let shares: Vec<(u32, Vec<Duration>)> = executed
+                    .iter()
+                    .zip(&self.weights)
+                    .map(|((_, _, times), &w)| (w, tasks(times).clone()))
+                    .collect();
+                fair_makespans(&shares, slots)
+            };
+            let (map_spans, reduce_spans) = (stage(|t| &t.map_tasks), stage(|t| &t.reduce_tasks));
+            // Per-tenant commit under the shared schedule — pipelining,
+            // back-pressure, ledger and windows stay fully isolated.
+            for (i, (pb, output, mut times)) in executed.into_iter().enumerate() {
+                let solo_map = cluster.makespan(&times.map_tasks);
+                let solo_reduce = cluster.makespan(&times.reduce_tasks);
+                times.map_stage = map_spans[i];
+                times.reduce_stage = reduce_spans[i];
+                slot_waits[i]
+                    .push((times.map_stage - solo_map) + (times.reduce_stage - solo_reduce));
+                runs[i].commit(pb, output, times, &mut backend);
             }
         }
         backend.shutdown();
-        MultiTenantResult {
-            tenants: states.into_iter().map(|s| s.run).collect(),
-        }
+        let tenants = runs
+            .into_iter()
+            .zip(&self.names)
+            .zip(slot_waits)
+            .map(|((run, name), slot_waits)| {
+                let (result, trace) = run.finish();
+                TenantRun {
+                    name: name.clone(),
+                    batches: result.batches,
+                    windows: result.windows,
+                    backpressure: result.backpressure,
+                    worker_losses: result.worker_losses,
+                    migrations: result.migrations,
+                    slot_waits,
+                    trace,
+                }
+            })
+            .collect();
+        MultiTenantResult { tenants }
     }
 }
 
@@ -676,7 +434,7 @@ mod tests {
     use crate::driver::StreamingEngine;
     use crate::job::ReduceOp;
     use crate::trace::TraceLevel;
-    use prompt_core::types::Key;
+    use prompt_core::types::{Interval, Key, Time, Tuple};
 
     fn const_source(rate: usize, keys: u64, phase: u64) -> Box<dyn TupleSource> {
         Box::new(move |iv: Interval, out: &mut Vec<Tuple>| {
@@ -707,38 +465,142 @@ mod tests {
         )
     }
 
-    #[test]
-    fn solo_tenant_matches_streaming_engine_bit_for_bit() {
-        let mut multi = MultiTenantEngine::new(cfg(), vec![tenant("a", Technique::Prompt, 7)]);
-        let res = multi.run(&mut [const_source(900, 30, 0)], 8);
-        let mut eng = StreamingEngine::new(
-            cfg(),
-            Technique::Prompt,
-            7,
-            Job::identity("a", ReduceOp::Count),
+    /// A solo engine built like [`tenant`] builds a tenant.
+    fn solo_oracle(cfg: EngineConfig, tech: Technique, seed: u64) -> StreamingEngine {
+        StreamingEngine::new(cfg, tech, seed, Job::identity("solo", ReduceOp::Count)).with_window(
+            WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1)),
         )
-        .with_window(WindowSpec::sliding(
-            Duration::from_secs(3),
-            Duration::from_secs(1),
-        ));
-        let solo = eng.run(&mut *const_source(900, 30, 0), 8);
-        let t = &res.tenants[0];
-        assert_eq!(t.batches.len(), solo.batches.len());
-        for (a, b) in t.batches.iter().zip(&solo.batches) {
-            assert_eq!(a.map_stage, b.map_stage, "batch {}", a.seq);
-            assert_eq!(a.reduce_stage, b.reduce_stage);
-            assert_eq!(a.processing, b.processing);
-            assert_eq!(a.queue_delay, b.queue_delay);
-            assert_eq!(a.plan_metrics, b.plan_metrics);
-        }
-        assert_eq!(t.windows.len(), solo.windows.len());
-        for (a, b) in t.windows.iter().zip(&solo.windows) {
+    }
+
+    /// The event stream with its wall-clock measurements masked.
+    fn masked(rec: &TraceRecorder) -> Vec<TraceEvent> {
+        rec.events()
+            .into_iter()
+            .map(|ev| match ev {
+                TraceEvent::Phase { seq, kind, .. } => TraceEvent::Phase {
+                    seq,
+                    kind,
+                    wall_us: 0,
+                },
+                ev => ev,
+            })
+            .collect()
+    }
+
+    fn assert_windows_bit_identical(got: &[WindowResult], want: &[WindowResult]) {
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.last_batch_seq, b.last_batch_seq);
             assert_eq!(a.aggregates.len(), b.aggregates.len());
             for (k, v) in &a.aggregates {
                 assert_eq!(v.to_bits(), b.aggregates[k].to_bits());
             }
         }
-        assert!(t.slot_waits.iter().all(|&w| w == Duration::ZERO));
+    }
+
+    #[test]
+    fn solo_tenant_matches_streaming_engine_bit_for_bit() {
+        use crate::config::Backend;
+        for (backend, columnar) in [
+            (Backend::InProcess, false),
+            (Backend::InProcess, true),
+            (Backend::Threaded { threads: 3 }, false),
+        ] {
+            let c = EngineConfig {
+                backend,
+                columnar,
+                trace: TraceLevel::Full,
+                ..cfg()
+            };
+            let mut multi =
+                MultiTenantEngine::new(c.clone(), vec![tenant("a", Technique::Prompt, 7)]);
+            let res = multi.run(&mut [const_source(3000, 30, 0)], 8);
+            let (solo, solo_trace) =
+                solo_oracle(c, Technique::Prompt, 7).run_traced(&mut *const_source(3000, 30, 0), 8);
+            let t = &res.tenants[0];
+            let what = format!("{backend:?}, columnar {columnar}");
+            // Every `BatchRecord` field, through its `Debug` rendering.
+            assert_eq!(
+                format!("{:#?}", t.batches),
+                format!("{:#?}", solo.batches),
+                "{what}"
+            );
+            assert_windows_bit_identical(&t.windows, &solo.windows);
+            assert_eq!(t.backpressure, solo.backpressure, "{what}");
+            assert_eq!(t.migrations, solo.migrations, "{what}");
+            assert!(t.slot_waits.iter().all(|&w| w == Duration::ZERO), "{what}");
+            assert_eq!(masked(&t.trace), masked(&solo_trace), "{what}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rebalance requires a Fixed partitioner policy")]
+    fn rebalance_with_a_non_fixed_tenant_policy_is_refused_like_solo() {
+        use crate::rebalance::{RebalanceConfig, RebalanceSpec};
+        let c = EngineConfig {
+            rebalance: RebalanceSpec::Auto(RebalanceConfig {
+                n_groups: 16,
+                ..RebalanceConfig::default()
+            }),
+            ..cfg()
+        };
+        let spec = tenant("a", Technique::Hash, 1)
+            .with_policy(PolicySpec::Forced(vec![Technique::Hash, Technique::Prompt]));
+        let _ = MultiTenantEngine::new(c, vec![spec]);
+    }
+
+    #[test]
+    fn tenant_under_sharded_ingest_matches_its_solo_oracle() {
+        // Tenants build their partitioner through `StreamingEngine::new`, so
+        // the ingest-parallelism knobs reach them.
+        let c = EngineConfig {
+            ingest_shards: 4,
+            ingest_threads: 2,
+            ..cfg()
+        };
+        let specs = vec![
+            tenant("a", Technique::Prompt, 1),
+            tenant("b", Technique::Prompt, 2),
+        ];
+        let mut multi = MultiTenantEngine::new(c.clone(), specs);
+        let res = multi.run(&mut [const_source(900, 30, 0), const_source(700, 25, 4)], 6);
+        for (i, (seed, rate, keys, phase)) in
+            [(1, 900, 30, 0), (2, 700, 25, 4)].into_iter().enumerate()
+        {
+            let solo = solo_oracle(c.clone(), Technique::Prompt, seed)
+                .run(&mut *const_source(rate, keys, phase), 6);
+            let t = &res.tenants[i];
+            assert_eq!(t.batches.len(), solo.batches.len());
+            for (a, b) in t.batches.iter().zip(&solo.batches) {
+                assert_eq!(a.plan_metrics, b.plan_metrics, "tenant {i} batch {}", a.seq);
+            }
+            assert_windows_bit_identical(&t.windows, &solo.windows);
+        }
+    }
+
+    #[test]
+    fn names_the_trace_format_cannot_carry_are_refused() {
+        for bad in ["a\"b", "a\\", "a\",\"x", "a\nb"] {
+            let err = std::panic::catch_unwind(|| {
+                MultiTenantEngine::new(cfg(), vec![tenant(bad, Technique::Hash, 1)])
+            })
+            .err()
+            .unwrap_or_else(|| panic!("tenant name {bad:?} must be refused"));
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate tenant name \"a\"")]
+    fn duplicate_tenant_names_are_refused() {
+        let _ = MultiTenantEngine::new(
+            cfg(),
+            vec![
+                tenant("a", Technique::Hash, 1),
+                tenant("a", Technique::Prompt, 2),
+            ],
+        );
     }
 
     #[test]
