@@ -135,7 +135,12 @@ impl PlanMetrics {
     /// Measure a plan. The distinct-key set behind KSR and MPI is built
     /// once.
     pub fn of(plan: &PartitionPlan) -> PlanMetrics {
-        let keys = plan.total_keys();
+        PlanMetrics::with_keys(plan, plan.total_keys())
+    }
+
+    /// [`PlanMetrics::of`] for a caller that already counted the plan's
+    /// distinct keys (`plan.total_keys()`).
+    pub fn with_keys(plan: &PartitionPlan, keys: usize) -> PlanMetrics {
         PlanMetrics {
             bsi: bsi(plan),
             bci: bci(plan),

@@ -58,25 +58,28 @@ impl DChoicesPartitioner {
     }
 }
 
-impl Partitioner for DChoicesPartitioner {
-    fn name(&self) -> &'static str {
-        "D-Choices"
+impl DChoicesPartitioner {
+    /// The select phase: run the arrivals through the heavy-hitter sketch
+    /// and flag every tuple whose key is heavy as of its own arrival.
+    fn flag_heavy(&self, tuples: &[Tuple]) -> Vec<bool> {
+        let mut sketch = SpaceSaving::new(self.sketch_counters);
+        tuples
+            .iter()
+            .map(|t| {
+                sketch.observe(t.key);
+                sketch.is_heavy(t.key, self.phi)
+            })
+            .collect()
     }
 
-    fn partition_slice(
-        &mut self,
-        tuples: &[Tuple],
-        _interval: Interval,
-        p: usize,
-    ) -> PartitionPlan {
+    /// The placement phase, given each tuple's [`Self::flag_heavy`] flag.
+    fn place(&self, tuples: &[Tuple], heavy: &[bool], p: usize) -> PartitionPlan {
         assert!(p > 0, "need at least one block");
         let mut builders: Vec<BlockBuilder> = (0..p)
             .map(|_| BlockBuilder::with_capacity(tuples.len() / p + 1))
             .collect();
-        let mut sketch = SpaceSaving::new(self.sketch_counters);
-        for &t in tuples {
-            sketch.observe(t.key);
-            let block = if sketch.is_heavy(t.key, self.phi) {
+        for (&t, &heavy) in tuples.iter().zip(heavy) {
+            let block = if heavy {
                 // Heavy: least-loaded of the d candidates.
                 self.family
                     .candidates(t.key, p)
@@ -90,40 +93,42 @@ impl Partitioner for DChoicesPartitioner {
         }
         PartitionPlan::from_blocks(builders.into_iter().map(BlockBuilder::finish).collect())
     }
+}
+
+impl Partitioner for DChoicesPartitioner {
+    fn name(&self) -> &'static str {
+        "D-Choices"
+    }
+
+    fn partition_slice(
+        &mut self,
+        tuples: &[Tuple],
+        _interval: Interval,
+        p: usize,
+    ) -> PartitionPlan {
+        self.place(tuples, &self.flag_heavy(tuples), p)
+    }
 
     fn partition_phased(
         &mut self,
         batch: &MicroBatch,
         p: usize,
     ) -> (PartitionPlan, PartitionPhases) {
-        // The sketch probe is the technique-specific select/score work;
-        // replay it standalone under a wall clock so stage-breakdown tables
-        // can attribute it, then produce the plan on the untimed path (the
-        // plan is bit-identical — timing is informational only). The
-        // replayed probe work is subtracted from the plan-building time so
-        // the two phases don't double-count it.
+        // The sketch probe is the technique-specific select/score work,
+        // timed apart from placement so stage-breakdown tables can
+        // attribute it.
         let t0 = std::time::Instant::now();
-        let mut sketch = SpaceSaving::new(self.sketch_counters);
-        let mut heavy = 0usize;
-        for &t in &batch.tuples {
-            sketch.observe(t.key);
-            if sketch.is_heavy(t.key, self.phi) {
-                heavy += 1;
-            }
-        }
-        std::hint::black_box(heavy);
+        let heavy = self.flag_heavy(&batch.tuples);
         let select_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
-        let plan = self.partition(batch, p);
-        let materialize_us = (t1.elapsed().as_micros() as u64).saturating_sub(select_us);
-        (
-            plan,
-            PartitionPhases {
-                select_us,
-                materialize_us,
-                ..PartitionPhases::default()
-            },
-        )
+        let plan = self.place(&batch.tuples, &heavy, p);
+        let materialize_us = t1.elapsed().as_micros() as u64;
+        let phases = PartitionPhases {
+            select_us,
+            materialize_us,
+            ..PartitionPhases::default()
+        };
+        (plan, phases)
     }
 }
 

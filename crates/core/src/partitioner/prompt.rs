@@ -500,14 +500,7 @@ impl Partitioner for PromptPartitioner {
     }
 
     fn partition_slice(&mut self, tuples: &[Tuple], interval: Interval, p: usize) -> PartitionPlan {
-        // Replay the arrivals through the configured accumulator, then run
-        // Algorithm 2 on the sealed batch.
-        let sealed = self.buffer_arrivals(tuples, interval).seal(interval);
-        if self.threads > 1 {
-            Self::partition_sealed_par(&sealed, p, self.threads)
-        } else {
-            Self::partition_sealed(&sealed, p)
-        }
+        self.partition_rows(tuples, interval, p).0
     }
 
     fn partition_phased(
@@ -515,31 +508,7 @@ impl Partitioner for PromptPartitioner {
         batch: &MicroBatch,
         p: usize,
     ) -> (PartitionPlan, PartitionPhases) {
-        // Same pipeline as `partition` — seal, symbolic assignment,
-        // materialization — with a wall clock around each phase. The phase
-        // split drives the observability layer's per-stage breakdowns
-        // (Fig. 14's overhead story); the plan itself is bit-identical to
-        // the untimed path.
-        let t0 = std::time::Instant::now();
-        let sealed = self
-            .buffer_arrivals(&batch.tuples, batch.interval)
-            .seal(batch.interval);
-        let seal_us = t0.elapsed().as_micros() as u64;
-        let t1 = std::time::Instant::now();
-        let pieces = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
-        let symbolic_us = t1.elapsed().as_micros() as u64;
-        let t2 = std::time::Instant::now();
-        let plan = Self::materialize_pieces(&sealed, &pieces, self.threads);
-        let materialize_us = t2.elapsed().as_micros() as u64;
-        (
-            plan,
-            PartitionPhases {
-                select_us: 0,
-                seal_us,
-                symbolic_us,
-                materialize_us,
-            },
-        )
+        self.partition_rows(&batch.tuples, batch.interval, p)
     }
 
     fn partition_columnar(
@@ -547,36 +516,71 @@ impl Partitioner for PromptPartitioner {
         batch: &MicroBatch,
         p: usize,
     ) -> Option<(ColumnarPlan, PartitionPhases)> {
-        // The columnar fast path: accumulators seal straight into column
-        // arenas (`seal_columnar` replays the exact row seal order) and
-        // materialization emits arena ranges instead of tuple copies. The
-        // symbolic assignment is byte-for-byte the code `partition` runs,
-        // so `to_row_plan()` of this result is bit-identical to the row
-        // path — gated by `columnar_differential`.
-        let t0 = std::time::Instant::now();
-        let sealed = self
-            .buffer_arrivals(&batch.tuples, batch.interval)
-            .seal_columnar(batch.interval);
-        let seal_us = t0.elapsed().as_micros() as u64;
-        let t1 = std::time::Instant::now();
-        let pieces = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
-        let symbolic_us = t1.elapsed().as_micros() as u64;
-        let t2 = std::time::Instant::now();
-        let plan = Self::materialize_pieces_columnar(&sealed, &pieces);
-        let materialize_us = t2.elapsed().as_micros() as u64;
-        Some((
-            plan,
-            PartitionPhases {
-                select_us: 0,
-                seal_us,
-                symbolic_us,
-                materialize_us,
-            },
+        // Accumulators seal straight into column arenas (`seal_columnar`
+        // replays the exact row seal order) and materialization emits arena
+        // ranges instead of tuple copies, so `to_row_plan()` of this result
+        // is bit-identical to the row layout's plan — gated by
+        // `columnar_differential`.
+        Some(self.pipeline(
+            &batch.tuples,
+            batch.interval,
+            p,
+            |acc, interval| acc.seal_columnar(interval),
+            Self::materialize_pieces_columnar,
         ))
     }
 }
 
 impl PromptPartitioner {
+    /// [`Self::pipeline`] in the row layout.
+    fn partition_rows(
+        &mut self,
+        tuples: &[Tuple],
+        interval: Interval,
+        p: usize,
+    ) -> (PartitionPlan, PartitionPhases) {
+        let threads = self.threads;
+        self.pipeline(
+            tuples,
+            interval,
+            p,
+            |acc, interval| acc.seal(interval),
+            |sealed, pieces| Self::materialize_pieces(sealed, pieces, threads),
+        )
+    }
+
+    /// The one partition pipeline: replay the arrivals through the owned
+    /// accumulator and `seal` it (Algorithm 1), assign pieces symbolically
+    /// (Algorithm 2 — the same code for either layout), `materialize` the
+    /// plan; with a wall clock around each phase. The timings drive the
+    /// observability layer's per-stage breakdowns (Fig. 14's overhead story)
+    /// and never influence the plan.
+    fn pipeline<S: GroupView, P>(
+        &mut self,
+        tuples: &[Tuple],
+        interval: Interval,
+        p: usize,
+        seal: impl FnOnce(&mut dyn BatchAccumulator, Interval) -> S,
+        materialize: impl FnOnce(&S, &[Vec<Piece>]) -> P,
+    ) -> (P, PartitionPhases) {
+        let t0 = std::time::Instant::now();
+        let sealed = seal(self.buffer_arrivals(tuples, interval), interval);
+        let seal_us = t0.elapsed().as_micros() as u64;
+        let t1 = std::time::Instant::now();
+        let pieces = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
+        let symbolic_us = t1.elapsed().as_micros() as u64;
+        let t2 = std::time::Instant::now();
+        let plan = materialize(&sealed, &pieces);
+        let materialize_us = t2.elapsed().as_micros() as u64;
+        let phases = PartitionPhases {
+            select_us: 0,
+            seal_us,
+            symbolic_us,
+            materialize_us,
+        };
+        (plan, phases)
+    }
+
     /// Replay one batch's arrivals through the owned accumulator (the
     /// batching phase of §4.1), ready to seal at the heartbeat. With no
     /// history from the caller, `N_Est` is re-seeded from the batch itself.

@@ -10,17 +10,14 @@
 //! the plans still in hand. Nothing is re-partitioned — the failed attempt
 //! made no assigner calls and the plan did not change.
 
-use prompt_core::batch::PartitionPlan;
-use prompt_core::columnar::ColumnarPlan;
 use prompt_core::reduce::ReduceAssigner;
 
 use crate::config::{Backend, EngineConfig};
 use crate::job::Job;
+use crate::kernel::PlanView;
 use crate::net::{DistributedOptions, DistributedRuntime, NetStats, WorkerLoss};
 use crate::recovery::ReplicatedBatchStore;
-use crate::stage::{
-    execute_batch_traced, execute_columnar_traced, times_from_stats, BatchOutput, StageTimes,
-};
+use crate::stage::{execute_view, times_from_view, BatchOutput, StageTimes};
 use crate::threaded::ThreadedExecutor;
 use crate::trace::{Counter, TraceEvent, TraceRecorder};
 
@@ -32,34 +29,30 @@ pub(crate) struct Planned<'a> {
     pub(crate) seq: u64,
     /// Sequence number traces, and the replicated store, know the batch by.
     pub(crate) tseq: u64,
-    pub(crate) plan: &'a PartitionPlan,
-    /// The columnar plan `plan` is the exact row rendering of, when the
-    /// batch was sealed columnar; execution then runs on the column arrays.
-    pub(crate) columnar: Option<&'a ColumnarPlan>,
+    /// The plan, in the layout the batch was sealed in.
+    pub(crate) view: PlanView<'a>,
     pub(crate) job: &'a Job,
     pub(crate) r: usize,
 }
 
 impl Planned<'_> {
     /// Put the batch's Map tasks on the wire; a no-op while the seq is still
-    /// in flight. Column slices and row blocks encode to identical frames.
+    /// in flight.
     fn submit(&self, rt: &mut DistributedRuntime) {
         let spec = self
             .job
             .wire_spec()
             .expect("wire-serialisable: checked by Run::new");
-        match self.columnar {
-            Some(cp) => rt.submit_batch_columnar(self.seq, self.tseq, cp, &spec, self.r),
-            None => rt.submit_batch(self.seq, self.tseq, self.plan, &spec, self.r),
-        }
+        rt.submit(self.seq, self.tseq, self.view, &spec, self.r);
     }
 }
 
 /// See the module docs.
 pub(crate) enum BackendRuntime {
-    /// Simulated cluster (the default): [`execute_batch_traced`].
+    /// Simulated cluster (the default): [`execute_view`], inline on the
+    /// calling thread.
     InProcess,
-    /// Real threads; virtual times recovered via [`times_from_stats`].
+    /// Real threads.
     Threaded(ThreadedExecutor),
     /// Real worker processes/threads over TCP (boxed: the runtime holds
     /// per-worker channels and is much larger than the other variants).
@@ -104,11 +97,9 @@ impl BackendRuntime {
     /// many worker losses were survived on the way.
     ///
     /// All three arms produce bit-identical outputs and virtual
-    /// [`StageTimes`] given the same plan and assigner state: the real
-    /// backends report raw [`BucketStats`](crate::stage::BucketStats) which
-    /// [`times_from_stats`] converts with the same cost model the simulated
-    /// path uses directly (`batch.plan` is the exact row rendering of a
-    /// columnar plan, so the conversion is shared).
+    /// [`StageTimes`] given the same plan and assigner state: each reports
+    /// raw [`BucketStats`](crate::stage::BucketStats), which
+    /// [`times_from_view`] costs once, after the dispatch.
     ///
     /// On the distributed backend the batch may already be in flight (maps
     /// dispatched by [`BackendRuntime::submit`]); waiting drives the shared
@@ -127,31 +118,14 @@ impl BackendRuntime {
         mut store: Option<&mut ReplicatedBatchStore>,
     ) -> (BatchOutput, StageTimes, u64) {
         let trace = rec.enabled().then_some(rec);
-        let (job, r) = (batch.job, batch.r);
-        let costed = |stats| times_from_stats(batch.plan, stats, &cfg.cost, &cfg.cluster);
+        let (view, job, r) = (batch.view, batch.job, batch.r);
         let mut losses = 0;
-        let (output, times) = match self {
-            BackendRuntime::InProcess => match batch.columnar {
-                Some(cp) => {
-                    execute_columnar_traced(cp, job, assigner, r, &cfg.cost, &cfg.cluster, trace)
-                }
-                None => execute_batch_traced(
-                    batch.plan,
-                    job,
-                    assigner,
-                    r,
-                    &cfg.cost,
-                    &cfg.cluster,
-                    trace,
-                ),
-            },
+        let (output, stats) = match self {
+            BackendRuntime::InProcess => execute_view(view, job, assigner, r, trace),
             BackendRuntime::Threaded(exec) => {
                 let trace = trace.map(|rec| (rec, batch.tseq));
-                let (output, stats, _wall) = match batch.columnar {
-                    Some(cp) => exec.execute_columnar_with_stats(cp, job, assigner, r, trace),
-                    None => exec.execute_with_stats(batch.plan, job, assigner, r, trace),
-                };
-                (output, costed(&stats))
+                let (output, stats, _wall) = exec.execute_core(view, job, assigner, r, trace);
+                (output, stats)
             }
             BackendRuntime::Distributed(rt) => loop {
                 // No-ops while the seqs are in flight (or already done);
@@ -161,7 +135,7 @@ impl BackendRuntime {
                     q.submit(rt);
                 }
                 match rt.wait_batch(batch.seq, assigner, trace) {
-                    Ok((output, stats)) => break (output, costed(&stats)),
+                    Ok(done) => break done,
                     Err(loss) => {
                         losses += 1;
                         on_worker_loss(&loss, batch.tseq, store.as_deref_mut(), rec);
@@ -169,6 +143,7 @@ impl BackendRuntime {
                 }
             },
         };
+        let times = times_from_view(view, &stats, &cfg.cost, &cfg.cluster);
         (output, times, losses)
     }
 

@@ -1582,6 +1582,9 @@ mod tests {
             ("driver/run.rs", include_str!("driver/run.rs")),
             ("backend.rs", include_str!("backend.rs")),
             ("tenancy.rs", include_str!("tenancy.rs")),
+            ("kernel.rs", include_str!("kernel.rs")),
+            ("stage.rs", include_str!("stage.rs")),
+            ("threaded.rs", include_str!("threaded.rs")),
         ] {
             let lines: Vec<&str> = src.lines().collect();
             let mut checked = 0;
@@ -1610,6 +1613,102 @@ mod tests {
                 );
             }
             assert!(checked > 0, "{file}: no functions found — scanner broken?");
+        }
+    }
+
+    /// Every `.rs` under `dir`, as `(path, source)`.
+    fn sources_under(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                sources_under(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).expect("readable source");
+                out.push((path.display().to_string(), src));
+            }
+        }
+    }
+
+    /// Shape guard for the execution layer: layout is a property of the plan
+    /// (`kernel::PlanView`), not of the function called. Outside its test
+    /// module no engine source may grow a `*_columnar` function again beyond
+    /// the two adapters `benchmark/` pins and the columnar Map kernel, and
+    /// the stateful Reduce assigner has exactly one call site
+    /// (`kernel::assign_block`) outside `rebalance/`, whose routed assigner
+    /// wraps another.
+    #[test]
+    fn engine_shape_one_assign_site_and_no_columnar_twins() {
+        const COLUMNAR_FNS: [&str; 3] = [
+            "execute_columnar_traced",
+            "encode_map_task_columnar",
+            "map_block_columnar",
+        ];
+        let mut files = Vec::new();
+        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        sources_under(&src_dir, &mut files);
+        assert!(files.len() > 20, "scanner broken? {} files", files.len());
+        // Spelt in two halves so a grep for the call finds only real calls.
+        let assign_call = [".assign", "(&"].concat();
+        let (mut twins, mut assign_sites) = (Vec::new(), Vec::new());
+        for (file, src) in &files {
+            let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (n, line) in lines.enumerate() {
+                let at = format!("{file}:{}", n + 1);
+                if let Some(sig) = line.split("fn ").nth(1) {
+                    let name = sig.split(['(', '<']).next().unwrap_or(sig);
+                    let snake = name.chars().all(|c| c.is_ascii_lowercase() || c == '_');
+                    if snake && name.ends_with("_columnar") && !COLUMNAR_FNS.contains(&name) {
+                        twins.push(at.clone());
+                    }
+                }
+                if line.contains(&assign_call) && !file.contains("rebalance") {
+                    assign_sites.push(at);
+                }
+            }
+        }
+        assert!(twins.is_empty(), "layout twins regrew: {twins:?}");
+        assert_eq!(assign_sites.len(), 1, "assign sites: {assign_sites:?}");
+        assert!(assign_sites[0].contains("kernel.rs"), "{assign_sites:?}");
+    }
+
+    /// `BatchRecord::n_keys` comes from the plan (`PartitionPlan::total_keys`)
+    /// instead of a hashing pass over the input; the two must agree on an
+    /// empty, a one-key and a skewed batch, for every technique and layout.
+    #[test]
+    fn n_keys_is_the_input_batch_distinct_key_count() {
+        use prompt_core::batch::MicroBatch;
+        let mut source = |iv: Interval, out: &mut Vec<Tuple>| {
+            let seq = iv.start.0 / iv.len().0;
+            let n = [0u64, 50, 4000][seq as usize % 3];
+            for i in 0..n {
+                // Batch 1: one key. Batch 2: skewed towards the small keys.
+                let key = if seq % 3 == 1 { 9 } else { i % (1 + i % 97) };
+                out.push(Tuple::keyed(Time(iv.start.0 + 1 + i), Key(key)));
+            }
+        };
+        let expected: Vec<usize> = (0..3u64)
+            .map(|seq| {
+                let iv = Interval::new(Time(seq * 1_000_000), Time((seq + 1) * 1_000_000));
+                let mut tuples = Vec::new();
+                source.fill(iv, &mut tuples);
+                MicroBatch::new(tuples, iv).distinct_keys()
+            })
+            .collect();
+        assert_eq!(expected[..2], [0, 1]);
+        assert!(expected[2] > 50, "skewed batch too narrow: {expected:?}");
+        let mut techniques = Technique::EVALUATION_SET.to_vec();
+        techniques.extend([Technique::DChoices(5), Technique::PromptPostSort]);
+        for technique in techniques {
+            for columnar in [false, true] {
+                let cfg = EngineConfig {
+                    columnar,
+                    ..small_cfg()
+                };
+                let job = Job::identity("count", ReduceOp::Count);
+                let res = StreamingEngine::new(cfg, technique, 1, job).run(&mut source, 3);
+                let n_keys: Vec<usize> = res.batches.iter().map(|b| b.n_keys).collect();
+                assert_eq!(n_keys, expected, "{technique:?}, columnar {columnar}");
+            }
         }
     }
 

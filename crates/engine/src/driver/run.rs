@@ -20,6 +20,7 @@ use crate::backend::{BackendRuntime, Planned};
 use crate::config::{Backend, OverheadMode};
 use crate::elasticity::{AutoScaler, Observation};
 use crate::job::Job;
+use crate::kernel::PlanView;
 use crate::policy::{BatchObservation, PolicyDecision};
 use crate::rebalance::{
     group_weights, imbalance_ratio, RebalanceObservation, RebalancePolicy, RoutingTable,
@@ -58,18 +59,26 @@ pub(crate) struct PreparedBatch {
     /// only — scheduled faults clamp the window); billed to this batch.
     restore_times: Vec<Duration>,
     /// The columnar plan when `EngineConfig::columnar` is on and the batch's
-    /// technique sealed one; `plan` is then its exact row rendering (same
-    /// blocks, same order) and serves metrics and the cost model.
+    /// technique sealed one — what executes; `plan` is then its exact row
+    /// rendering (same blocks, same order) and serves metrics and the
+    /// rebalancer.
     columnar: Option<ColumnarPlan>,
 }
 
 impl PreparedBatch {
+    /// The plan in the layout the batch was sealed in.
+    fn view(&self) -> PlanView<'_> {
+        match &self.columnar {
+            Some(cols) => PlanView::Columns(cols),
+            None => PlanView::Rows(&self.plan),
+        }
+    }
+
     fn planned<'a>(&'a self, job: &'a Job, r: usize, wire: WireSeqs) -> Planned<'a> {
         Planned {
             seq: wire.of(self.seq),
             tseq: self.seq,
-            plan: &self.plan,
-            columnar: self.columnar.as_ref(),
+            view: self.view(),
             job,
             r,
         }
@@ -305,7 +314,6 @@ impl<'e> Run<'e> {
         }
         let batch = MicroBatch::new(std::mem::take(&mut self.arrivals), interval);
         let n_tuples = batch.len();
-        let n_keys = batch.distinct_keys();
         self.rec.incr(Counter::Batches, 1);
         self.rec.incr(Counter::Tuples, n_tuples as u64);
         if let Some(store) = self.store.as_mut() {
@@ -326,9 +334,8 @@ impl<'e> Run<'e> {
             .map(|d| d.technique)
             .or(self.eng.base_technique);
 
-        // Partition (optionally measuring real cost; when tracing, the
-        // phased path additionally times select / seal / symbolic /
-        // materialize — the plan is bit-identical either way).
+        // Partition (optionally measuring real cost). The phase timings —
+        // select / seal / symbolic / materialize — only reach the trace.
         let t0 = std::time::Instant::now();
         let eng = &mut *self.eng;
         let (partitioner, _) = resolve_pair(
@@ -352,11 +359,7 @@ impl<'e> Run<'e> {
                 columnar = Some(cplan);
                 (row, ph)
             }
-            None if self.rec.enabled() => partitioner.partition_phased(&batch, self.p),
-            None => (
-                partitioner.partition(&batch, self.p),
-                PartitionPhases::default(),
-            ),
+            None => partitioner.partition_phased(&batch, self.p),
         };
         let raw_overhead = match eng.cfg.overhead {
             OverheadMode::None => Duration::ZERO,
@@ -364,7 +367,10 @@ impl<'e> Run<'e> {
             OverheadMode::Measured => Duration::from_micros(t0.elapsed().as_micros() as u64),
         };
         self.trace_partition_phases(seq, decision.is_some(), decide_us, &phases);
-        let metrics = PlanMetrics::of(&plan);
+        // Partitioners conserve tuples, so the plan's distinct keys are the
+        // batch's: counted once, for the record and the plan metrics both.
+        let n_keys = plan.total_keys();
+        let metrics = PlanMetrics::with_keys(&plan, n_keys);
         if let Some(pol) = self.eng.policy.as_mut() {
             pol.observe(&BatchObservation {
                 seq,
@@ -539,8 +545,7 @@ impl<'e> Run<'e> {
     fn run_plan(
         &mut self,
         seq: u64,
-        plan: &PartitionPlan,
-        columnar: Option<&ColumnarPlan>,
+        view: PlanView<'_>,
         technique: Option<Technique>,
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
@@ -555,8 +560,7 @@ impl<'e> Run<'e> {
         let batch = Planned {
             seq: wire.of(seq),
             tseq: seq,
-            plan,
-            columnar,
+            view,
             job,
             r,
         };
@@ -594,7 +598,7 @@ impl<'e> Run<'e> {
             technique,
         );
         let replan = partitioner.partition_shared(&input, interval, self.p);
-        Ok(self.run_plan(b, &replan, None, technique, backend))
+        Ok(self.run_plan(b, PlanView::Rows(&replan), technique, backend))
     }
 
     /// Execute the oldest in-flight batch on the configured backend. At
@@ -606,13 +610,7 @@ impl<'e> Run<'e> {
         pb: &PreparedBatch,
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
-        let (output, mut times) = self.run_plan(
-            pb.seq,
-            &pb.plan,
-            pb.columnar.as_ref(),
-            pb.technique,
-            backend,
-        );
+        let (output, mut times) = self.run_plan(pb.seq, pb.view(), pb.technique, backend);
         self.inject_stragglers(pb.seq, &mut times);
         (output, times)
     }

@@ -1,0 +1,439 @@
+//! The one place layout matters to execution, and the three kernels every
+//! backend is built from.
+//!
+//! A partitioned batch is either row blocks ([`PartitionPlan`]) or ranges
+//! into a column arena ([`ColumnarPlan`]). An executor asks a plan exactly
+//! five things — how many blocks, which keys are split, what a block costs,
+//! what a block maps to, and what a block looks like on the wire — and
+//! [`PlanView`] answers them for either layout. Everything downstream of the
+//! Map fold sees only [`ClusterList`]s, so the serial simulator
+//! ([`crate::stage`]), the thread pool ([`crate::threaded`]) and the worker
+//! fleet ([`crate::net`]) share [`assign_block`] and [`merge_bucket`]
+//! verbatim and cannot diverge by layout or by backend.
+
+use prompt_core::batch::{DataBlock, PartitionPlan};
+use prompt_core::columnar::{ColumnarBatch, ColumnarBlock, ColumnarPlan};
+use prompt_core::hash::{KeyMap, KeySet};
+use prompt_core::reduce::{KeyCluster, ReduceAssigner};
+use prompt_core::types::Key;
+
+use crate::job::{Job, JobSpec, ReduceOp};
+use crate::net::wire::{encode_map_task, encode_map_task_columnar};
+use crate::stage::{BatchOutput, BucketStats};
+use crate::trace::{Counter, TraceRecorder};
+
+/// One Map task's output: `(key, (partial aggregate, tuples folded))` per
+/// key cluster, in key order.
+pub(crate) type ClusterList = Vec<(Key, (f64, usize))>;
+
+/// A partitioned batch as an executor sees it, in whichever layout the
+/// batch was sealed.
+#[derive(Clone, Copy)]
+pub(crate) enum PlanView<'a> {
+    Rows(&'a PartitionPlan),
+    Columns(&'a ColumnarPlan),
+}
+
+impl<'a> PlanView<'a> {
+    pub(crate) fn n_blocks(self) -> usize {
+        match self {
+            PlanView::Rows(p) => p.blocks.len(),
+            PlanView::Columns(p) => p.blocks.len(),
+        }
+    }
+
+    pub(crate) fn split_keys(self) -> &'a KeySet {
+        match self {
+            PlanView::Rows(p) => &p.split_keys,
+            PlanView::Columns(p) => &p.split_keys,
+        }
+    }
+
+    /// Block `i`'s `(size, cardinality)` — what the cost model charges a Map
+    /// task for (filtering happens inside the user function, so the whole
+    /// block is charged).
+    pub(crate) fn cost_inputs(self, i: usize) -> (usize, usize) {
+        match self {
+            PlanView::Rows(p) => (p.blocks[i].size(), p.blocks[i].cardinality()),
+            PlanView::Columns(p) => (p.blocks[i].size(), p.blocks[i].cardinality()),
+        }
+    }
+
+    /// Map + local combine over block `i`.
+    pub(crate) fn map_block(self, i: usize, job: &Job) -> ClusterList {
+        match self {
+            PlanView::Rows(p) => map_block(&p.blocks[i], job),
+            PlanView::Columns(p) => map_block_columnar(&p.arena, &p.blocks[i], job),
+        }
+    }
+
+    /// Block `i` as one complete `MapTask` frame plus its v1 payload size.
+    /// The two layouts encode to identical bytes.
+    pub(crate) fn encode_map_task(
+        self,
+        i: usize,
+        seq: u64,
+        epoch: u32,
+        spec: &JobSpec,
+    ) -> (Vec<u8>, usize) {
+        match self {
+            PlanView::Rows(p) => encode_map_task(seq, epoch, i as u32, spec, &p.blocks[i]),
+            PlanView::Columns(p) => {
+                encode_map_task_columnar(seq, epoch, i as u32, spec, &p.arena, &p.blocks[i])
+            }
+        }
+    }
+}
+
+/// Map + local combine over one row block: fold every mapped tuple into its
+/// key cluster. The distributed worker runs this same fold on the block it
+/// decodes, so map outputs are bit-identical across backends.
+pub(crate) fn map_block(block: &DataBlock, job: &Job) -> ClusterList {
+    let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
+    clusters.reserve(block.cardinality());
+    for t in &block.tuples {
+        if let Some(v) = (job.map)(t) {
+            match clusters.entry(t.key) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let (acc, n) = e.get_mut();
+                    *acc = job.reduce.apply(Some(*acc), v);
+                    *n += 1;
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert((job.reduce.apply(None, v), 1));
+                }
+            }
+        }
+    }
+    in_key_order(clusters)
+}
+
+/// Map + local combine over one columnar block's ranges — bit-identical to
+/// [`map_block`] on the row rendering of the same block by construction:
+/// ranges are key-uniform and visited in assignment order, so for every key
+/// the `apply` call sequence matches the row fold exactly. Per range the map
+/// does ONE hash-table entry operation (at the first mapped tuple), then
+/// folds the rest of the range into the held slot — a fully filtered range
+/// touches the table not at all, exactly like the row fold. A key spanning
+/// several ranges of one block (a heavy key's `S_cut` fragment plus its
+/// residual) continues its existing fold through the occupied entry, again
+/// matching the row sequence.
+pub(crate) fn map_block_columnar(
+    arena: &ColumnarBatch,
+    block: &ColumnarBlock,
+    job: &Job,
+) -> ClusterList {
+    let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
+    clusters.reserve(block.cardinality());
+    for &(key, r) in &block.ranges {
+        let end = r.end();
+        let mut i = r.offset;
+        // Scan to the first tuple the job's filter-map keeps.
+        let first = loop {
+            if i >= end {
+                break None;
+            }
+            let t = arena.tuple_at(i);
+            i += 1;
+            if let Some(v) = (job.map)(&t) {
+                break Some(v);
+            }
+        };
+        let Some(v0) = first else { continue };
+        let slot: &mut (f64, usize) = match clusters.entry(key) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                let s = e.into_mut();
+                s.0 = job.reduce.apply(Some(s.0), v0);
+                s.1 += 1;
+                s
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert((job.reduce.apply(None, v0), 1))
+            }
+        };
+        for j in i..end {
+            if let Some(v) = (job.map)(&arena.tuple_at(j)) {
+                slot.0 = job.reduce.apply(Some(slot.0), v);
+                slot.1 += 1;
+            }
+        }
+    }
+    in_key_order(clusters)
+}
+
+/// Deterministic cluster order regardless of hash-map iteration.
+fn in_key_order(clusters: KeyMap<(f64, usize)>) -> ClusterList {
+    let mut ordered: ClusterList = clusters.into_iter().collect();
+    ordered.sort_unstable_by_key(|(k, _)| k.0);
+    ordered
+}
+
+/// Shuffle-assign one Map output: route each `(key, size)` cluster to its
+/// Reduce bucket. The only call into the stateful assigner — Algorithm 3's
+/// allocator carries running bucket loads across calls, so every backend
+/// presents map outputs here serially, in batch order then block order.
+/// Counts the scatter routings performed, and how many carried a split key,
+/// into the recorder.
+pub(crate) fn assign_block(
+    clusters: impl Iterator<Item = (Key, usize)>,
+    split_keys: &KeySet,
+    assigner: &mut dyn ReduceAssigner,
+    r: usize,
+    trace: Option<&TraceRecorder>,
+) -> Vec<usize> {
+    let descs: Vec<KeyCluster> = clusters
+        .map(|(key, size)| KeyCluster { key, size })
+        .collect();
+    let assignment = assigner.assign(&descs, split_keys, r);
+    debug_assert_eq!(assignment.len(), descs.len());
+    if let Some(rec) = trace {
+        rec.incr(Counter::ScatterFragments, assignment.len() as u64);
+        let split = descs.iter().filter(|c| split_keys.contains(&c.key)).count();
+        rec.incr(Counter::SplitKeyFragments, split as u64);
+    }
+    assignment
+}
+
+/// Reduce one bucket: merge its `(key, partial, tuples)` items per key, in
+/// the order given. Callers present items in block order, then key order
+/// within a block — the one merge sequence that keeps `f64` aggregates
+/// bit-identical across backends.
+pub(crate) fn merge_bucket(
+    items: impl IntoIterator<Item = (Key, f64, usize)>,
+    op: ReduceOp,
+) -> (KeyMap<f64>, BucketStats) {
+    let mut acc: KeyMap<f64> = KeyMap::default();
+    let (mut tuples, mut fragments) = (0, 0);
+    for (key, value, n) in items {
+        tuples += n;
+        fragments += 1;
+        acc.entry(key)
+            .and_modify(|a| *a = op.merge(*a, value))
+            .or_insert(value);
+    }
+    let stats = BucketStats {
+        tuples,
+        keys: acc.len(),
+        fragments,
+    };
+    (acc, stats)
+}
+
+/// Gather the reduced buckets, in bucket order, into the batch's output and
+/// per-bucket shuffle statistics.
+pub(crate) fn gather_buckets<M: IntoIterator<Item = (Key, f64)>>(
+    reduced: impl IntoIterator<Item = (M, BucketStats)>,
+) -> (BatchOutput, Vec<BucketStats>) {
+    let mut aggregates: KeyMap<f64> = KeyMap::default();
+    let mut stats = Vec::new();
+    for (bucket, s) in reduced {
+        stats.push(s);
+        for (k, v) in bucket {
+            let prev = aggregates.insert(k, v);
+            debug_assert!(prev.is_none(), "key {k:?} reduced in two buckets");
+        }
+    }
+    (BatchOutput { aggregates }, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::Cluster;
+    use crate::cost::CostModel;
+    use crate::net::{DistributedOptions, DistributedRuntime, LaunchMode};
+    use crate::stage::{execute_view, times_from_view, StageTimes};
+    use crate::threaded::ThreadedExecutor;
+    use crate::trace::TraceLevel;
+    use prompt_core::batch::MicroBatch;
+    use prompt_core::partitioner::Technique;
+    use prompt_core::reduce::PromptReduceAllocator;
+    use prompt_core::types::{Interval, Time, Tuple};
+
+    /// `spec` = `(key, count)`s, arrivals interleaved round-robin over the
+    /// keys, values varied so a Sum's fold order shows in its bits.
+    fn batch(spec: &[(u64, usize)]) -> MicroBatch {
+        let mut remaining = spec.to_vec();
+        let mut tuples = Vec::new();
+        while remaining.iter().any(|&(_, left)| left > 0) {
+            for (key, left) in remaining.iter_mut().filter(|(_, left)| *left > 0) {
+                *left -= 1;
+                let i = tuples.len() as u64;
+                let value = (i % 17) as f64 * 0.25 - 1.5;
+                tuples.push(Tuple::new(Time(1 + i), Key(*key), value));
+            }
+        }
+        let end = Time(tuples.len() as u64 + 2);
+        MicroBatch::new(tuples, Interval::new(Time::ZERO, end))
+    }
+
+    /// Everything one execution of a plan is compared on.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        /// Key-sorted `(key, aggregate bits)`.
+        aggregates: Vec<(Key, u64)>,
+        stats: Vec<BucketStats>,
+        times: StageTimes,
+        scatter_fragments: u64,
+        split_key_fragments: u64,
+    }
+
+    /// Run `exec` with a fresh allocator and recorder and digest its result.
+    fn outcome(
+        view: PlanView<'_>,
+        exec: impl FnOnce(
+            &mut dyn ReduceAssigner,
+            Option<&TraceRecorder>,
+        ) -> (BatchOutput, Vec<BucketStats>),
+    ) -> Outcome {
+        let rec = TraceRecorder::new(TraceLevel::Summary);
+        let (output, stats) = exec(&mut PromptReduceAllocator::new(5), Some(&rec));
+        let mut aggregates: Vec<(Key, u64)> = output
+            .aggregates
+            .iter()
+            .map(|(&k, &v)| (k, v.to_bits()))
+            .collect();
+        aggregates.sort_unstable_by_key(|&(k, _)| k.0);
+        Outcome {
+            aggregates,
+            times: times_from_view(view, &stats, &CostModel::default(), &Cluster::new(1, 8)),
+            stats,
+            scatter_fragments: rec.counter(Counter::ScatterFragments),
+            split_key_fragments: rec.counter(Counter::SplitKeyFragments),
+        }
+    }
+
+    /// One plan, as `Rows` and as `Columns`, through every backend: the
+    /// serial executor, the thread pool at 1/2/3 threads and a thread-mode
+    /// worker fleet must agree on every aggregate bit, every bucket's
+    /// statistics, the stage times and the shuffle counters.
+    #[test]
+    fn every_backend_agrees_on_every_layout() {
+        struct Case {
+            name: &'static str,
+            technique: Technique,
+            spec: Vec<(u64, usize)>,
+            p: usize,
+            r: usize,
+            job: Job,
+            check: fn(&PartitionPlan, &Outcome),
+        }
+        let sum = || Job::identity("sum", ReduceOp::Sum);
+        let zipf: Vec<(u64, usize)> = (0..150).map(|k| (k, 2400 / (k as usize + 1))).collect();
+        let cases = [
+            Case {
+                name: "zipf with split keys",
+                technique: Technique::Prompt,
+                spec: zipf,
+                p: 4,
+                r: 3,
+                job: sum(),
+                check: |plan, o| {
+                    assert!(!plan.split_keys.is_empty(), "case needs a split key");
+                    assert!(o.split_key_fragments >= 2);
+                    assert_eq!(o.aggregates.len(), 150);
+                },
+            },
+            Case {
+                name: "empty batch",
+                technique: Technique::Prompt,
+                spec: vec![],
+                p: 3,
+                r: 2,
+                job: sum(),
+                check: |_, o| assert!(o.aggregates.is_empty() && o.scatter_fragments == 0),
+            },
+            Case {
+                name: "single key",
+                technique: Technique::Prompt,
+                spec: vec![(7, 500)],
+                p: 4,
+                r: 2,
+                job: sum(),
+                check: |_, o| assert_eq!(o.aggregates.len(), 1),
+            },
+            Case {
+                name: "r > distinct keys",
+                technique: Technique::Hash,
+                spec: vec![(1, 40), (2, 30), (3, 20), (4, 10), (5, 5)],
+                p: 2,
+                r: 8,
+                job: sum(),
+                check: |_, o| assert_eq!((o.aggregates.len(), o.stats.len()), (5, 8)),
+            },
+            Case {
+                name: "map filters every tuple",
+                technique: Technique::Prompt,
+                spec: vec![(1, 300), (2, 20), (3, 5)],
+                p: 3,
+                r: 2,
+                job: Job::new("drop-all", |_: &Tuple| None, ReduceOp::Sum),
+                check: |_, o| assert!(o.aggregates.is_empty() && o.scatter_fragments == 0),
+            },
+            Case {
+                name: "map filters one key out",
+                technique: Technique::Shuffle,
+                spec: vec![(1, 10), (2, 10)],
+                p: 2,
+                r: 2,
+                job: Job::new(
+                    "only-key-1",
+                    |t: &Tuple| (t.key == Key(1)).then_some(1.0),
+                    ReduceOp::Sum,
+                ),
+                check: |_, o| {
+                    let ten = 10.0f64.to_bits();
+                    assert_eq!(o.aggregates, [(Key(1), ten)], "filtered key entered");
+                },
+            },
+        ];
+
+        let mut opts = DistributedOptions::new(2, 0);
+        opts.launch = LaunchMode::Thread;
+        let mut fleet = DistributedRuntime::launch(opts).expect("launch");
+        let mut seq = 0u64;
+        for case in &cases {
+            let Case { name, job, r, .. } = case;
+            let rows = case
+                .technique
+                .build(5)
+                .partition(&batch(&case.spec), case.p);
+            let cols = ColumnarPlan::from_row_plan(&rows);
+            let reference = outcome(PlanView::Rows(&rows), |assigner, trace| {
+                execute_view(PlanView::Rows(&rows), job, assigner, *r, trace)
+            });
+            (case.check)(&rows, &reference);
+            for (layout, view) in [
+                ("rows", PlanView::Rows(&rows)),
+                ("columns", PlanView::Columns(&cols)),
+            ] {
+                let serial = outcome(view, |assigner, trace| {
+                    execute_view(view, job, assigner, *r, trace)
+                });
+                assert_eq!(serial, reference, "{name}: serial over {layout}");
+                for threads in [1, 2, 3] {
+                    let threaded = outcome(view, |assigner, trace| {
+                        let trace = trace.map(|rec| (rec, 0));
+                        let (output, stats, _wall) = ThreadedExecutor::new(threads)
+                            .execute_core(view, job, assigner, *r, trace);
+                        (output, stats)
+                    });
+                    assert_eq!(
+                        threaded, reference,
+                        "{name}: {threads} threads over {layout}"
+                    );
+                }
+                // Closures cannot cross a process boundary.
+                let Some(spec) = job.wire_spec() else {
+                    continue;
+                };
+                seq += 1;
+                let distributed = outcome(view, |assigner, trace| {
+                    fleet.submit(seq, seq, view, &spec, *r);
+                    fleet.wait_batch(seq, assigner, trace).expect("no faults")
+                });
+                assert_eq!(distributed, reference, "{name}: fleet over {layout}");
+            }
+        }
+    }
+}

@@ -42,6 +42,7 @@ pub mod cost;
 pub mod driver;
 pub mod elasticity;
 pub mod job;
+mod kernel;
 pub mod net;
 pub mod policy;
 pub mod rebalance;

@@ -52,15 +52,15 @@ use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::columnar::ColumnarPlan;
 use prompt_core::hash::KeySet;
-use prompt_core::reduce::{KeyCluster, ReduceAssigner};
+use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::Key;
 
 use super::transport::{FrameConn, NetCounters, NetError, RetryPolicy};
-use super::wire::{encode_map_task_columnar, FetchStats, Message, ShuffleSource};
+use super::wire::{FetchStats, Message, ShuffleSource};
 use super::worker::{run_worker, WorkerOptions};
 use crate::job::JobSpec;
+use crate::kernel::{assign_block, gather_buckets, PlanView};
 use crate::recovery::{FaultPoint, NetFaultPlan};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{Counter, StageKind, TraceRecorder};
@@ -730,117 +730,41 @@ impl DistributedRuntime {
         spec: &JobSpec,
         r: usize,
     ) {
-        if self.pending_loss.is_some() || self.inflight.iter().any(|e| e.seq == seq) {
-            return;
-        }
-        if let Err(loss) = self.dispatch_maps(seq, tseq, plan, spec, r) {
-            self.abort_unfinished();
-            self.pending_loss = Some(loss);
-        }
+        self.submit(seq, tseq, PlanView::Rows(plan), spec, r);
     }
 
-    /// Columnar twin of [`DistributedRuntime::submit_batch`]: Map-task
-    /// frames are encoded straight from the columnar plan's arena slices,
-    /// with no row blocks materialized on the driver. The frames (and thus
-    /// the workers' view, the protocol state machine, and the results) are
-    /// byte-identical to submitting `plan.to_row_plan()`.
-    pub fn submit_batch_columnar(
+    /// [`DistributedRuntime::submit_batch`] for either layout: a columnar
+    /// plan's frames are encoded straight from its arena slices, and are
+    /// byte-identical to its row rendering's — so are the workers' view, the
+    /// protocol state machine and the results.
+    pub(crate) fn submit(
         &mut self,
         seq: u64,
         tseq: u64,
-        plan: &ColumnarPlan,
+        view: PlanView<'_>,
         spec: &JobSpec,
         r: usize,
     ) {
         if self.pending_loss.is_some() || self.inflight.iter().any(|e| e.seq == seq) {
             return;
         }
-        if let Err(loss) = self.dispatch_maps_columnar(seq, tseq, plan, spec, r) {
+        if let Err(loss) = self.dispatch_maps(seq, tseq, view, spec, r) {
             self.abort_unfinished();
             self.pending_loss = Some(loss);
         }
     }
 
+    /// The map fan-out: epoch bump, scripted pre-map kills, round-robin
+    /// ownership, one frame per block, the in-flight record.
     fn dispatch_maps(
         &mut self,
         seq: u64,
         tseq: u64,
-        plan: &PartitionPlan,
+        view: PlanView<'_>,
         spec: &JobSpec,
         r: usize,
     ) -> Result<(), WorkerLoss> {
-        let job = *spec;
-        self.dispatch_map_frames(
-            seq,
-            tseq,
-            plan.blocks.len(),
-            plan.split_keys.clone(),
-            spec,
-            r,
-            |block_id, epoch| {
-                let msg = Message::MapTask {
-                    seq,
-                    epoch,
-                    block_id,
-                    job,
-                    block: plan.blocks[block_id as usize].clone(),
-                };
-                (msg.encode(), msg.v1_payload_len())
-            },
-        )
-    }
-
-    /// Columnar twin of [`DistributedRuntime::dispatch_maps`]: each block's
-    /// frame is encoded straight from the plan's arena slices
-    /// ([`encode_map_task_columnar`]) — byte-identical to the row frame,
-    /// with no intermediate row block materialized on the driver.
-    fn dispatch_maps_columnar(
-        &mut self,
-        seq: u64,
-        tseq: u64,
-        plan: &ColumnarPlan,
-        spec: &JobSpec,
-        r: usize,
-    ) -> Result<(), WorkerLoss> {
-        self.dispatch_map_frames(
-            seq,
-            tseq,
-            plan.blocks.len(),
-            plan.split_keys.clone(),
-            spec,
-            r,
-            |block_id, epoch| {
-                encode_map_task_columnar(
-                    seq,
-                    epoch,
-                    block_id,
-                    spec,
-                    &plan.arena,
-                    &plan.blocks[block_id as usize],
-                )
-            },
-        )
-    }
-
-    /// Shared map fan-out: `encode(block_id, epoch)` produces each block's
-    /// complete frame plus its v1 payload size. Everything else — epoch
-    /// bump, scripted pre-map kills, round-robin ownership, the in-flight
-    /// record — is layout-independent, so the row and columnar paths cannot
-    /// diverge in protocol behavior.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_map_frames<F>(
-        &mut self,
-        seq: u64,
-        tseq: u64,
-        n_blocks: usize,
-        split_keys: KeySet,
-        spec: &JobSpec,
-        r: usize,
-        encode: F,
-    ) -> Result<(), WorkerLoss>
-    where
-        F: Fn(u32, u32) -> (Vec<u8>, usize),
-    {
+        let n_blocks = view.n_blocks();
         self.epoch += 1;
         let epoch = self.epoch;
 
@@ -866,7 +790,7 @@ impl DistributedRuntime {
         for i in 0..n_blocks {
             let w = owners[i % owners.len()];
             block_owner.push(w);
-            let (frame, v1_len) = encode(i as u32, epoch);
+            let (frame, v1_len) = view.encode_map_task(i, seq, epoch, spec);
             if let Err(e) = self.slots[w as usize].conn.send_frame(&frame, v1_len) {
                 return Err(self.declare_lost(w, format!("send of map_task failed: {e}")));
             }
@@ -877,7 +801,7 @@ impl DistributedRuntime {
             epoch,
             r,
             spec: *spec,
-            split_keys,
+            split_keys: view.split_keys().clone(),
             owners,
             block_owner,
             clusters: vec![None; n_blocks],
@@ -995,28 +919,16 @@ impl DistributedRuntime {
         trace: Option<&TraceRecorder>,
     ) {
         let e = &self.inflight[i];
-        let r = e.r;
-        let mut assignments: Vec<Vec<u32>> = Vec::with_capacity(e.clusters.len());
-        for c in &e.clusters {
-            let c = c.as_ref().expect("all map completes collected");
-            let descs: Vec<KeyCluster> = c
-                .iter()
-                .map(|&(key, n)| KeyCluster {
-                    key,
-                    size: n as usize,
-                })
-                .collect();
-            let assignment = assigner.assign(&descs, &e.split_keys, r);
-            if let Some(rec) = trace {
-                rec.incr(Counter::ScatterFragments, assignment.len() as u64);
-                let split = descs
-                    .iter()
-                    .filter(|cl| e.split_keys.contains(&cl.key))
-                    .count();
-                rec.incr(Counter::SplitKeyFragments, split as u64);
-            }
-            assignments.push(assignment.into_iter().map(|b| b as u32).collect());
-        }
+        let assignments: Vec<Vec<u32>> = e
+            .clusters
+            .iter()
+            .map(|c| {
+                let c = c.as_ref().expect("all map completes collected");
+                let clusters = c.iter().map(|&(key, n)| (key, n as usize));
+                let assignment = assign_block(clusters, &e.split_keys, assigner, e.r, trace);
+                assignment.into_iter().map(|b| b as u32).collect()
+            })
+            .collect();
         let seq = e.seq;
         self.assign_cache.insert(seq, assignments);
     }
@@ -1183,18 +1095,10 @@ impl DistributedRuntime {
                 }
                 {
                     let e = &mut self.inflight[i];
-                    let mut output = BatchOutput::default();
-                    let mut stats = Vec::with_capacity(e.r);
-                    for entry in e.buckets.drain(..) {
+                    (e.output, e.stats) = gather_buckets(e.buckets.drain(..).map(|entry| {
                         let (s, aggs) = entry.expect("all reduce completes collected");
-                        stats.push(s);
-                        for (k, v) in aggs {
-                            let prev = output.aggregates.insert(k, v);
-                            debug_assert!(prev.is_none(), "key reduced in two buckets");
-                        }
-                    }
-                    e.output = output;
-                    e.stats = stats;
+                        (aggs, s)
+                    }));
                     e.stage = Stage::Done;
                     if let Some(rec) = trace {
                         rec.phase(e.tseq, StageKind::ReduceStage, wall(e.t_reduce.elapsed()));
@@ -1253,24 +1157,6 @@ impl DistributedRuntime {
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
         let tseq = trace.map_or(seq, |(_, t)| t);
         self.submit_batch(seq, tseq, plan, spec, r);
-        self.wait_batch(seq, assigner, trace.map(|(rec, _)| rec))
-    }
-
-    /// Columnar twin of [`DistributedRuntime::execute_batch`]: submit via
-    /// [`DistributedRuntime::submit_batch_columnar`], then wait. Identical
-    /// failure semantics; on `Err(WorkerLoss)` call again with the same
-    /// plan (or its row rendering — the frames are the same).
-    pub fn execute_batch_columnar(
-        &mut self,
-        seq: u64,
-        plan: &ColumnarPlan,
-        spec: &JobSpec,
-        assigner: &mut dyn ReduceAssigner,
-        r: usize,
-        trace: Option<(&TraceRecorder, u64)>,
-    ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
-        let tseq = trace.map_or(seq, |(_, t)| t);
-        self.submit_batch_columnar(seq, tseq, plan, spec, r);
         self.wait_batch(seq, assigner, trace.map(|(rec, _)| rec))
     }
 
@@ -1515,40 +1401,6 @@ mod tests {
             .execute_batch(0, &plan, &spec, &mut assigner, 2, None)
             .expect("kill fires only once");
         assert_eq!(out.len(), 11);
-    }
-
-    #[test]
-    fn columnar_submit_matches_row_submit_bit_for_bit() {
-        let spec = JobSpec {
-            map: MapSpec::Identity,
-            reduce: ReduceOp::Sum,
-        };
-        let plan = small_plan(400, 19, 4);
-        let cols = ColumnarPlan::from_row_plan(&plan);
-
-        let run = |columnar: bool| {
-            let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-            let mut assigner = PromptReduceAllocator::new(7);
-            let (out, stats) = if columnar {
-                rt.execute_batch_columnar(0, &cols, &spec, &mut assigner, 3, None)
-            } else {
-                rt.execute_batch(0, &plan, &spec, &mut assigner, 3, None)
-            }
-            .expect("no faults scheduled");
-            let mut aggs: Vec<(Key, u64)> = out
-                .aggregates
-                .iter()
-                .map(|(&k, &v)| (k, v.to_bits()))
-                .collect();
-            aggs.sort_unstable_by_key(|&(k, _)| k.0);
-            let bytes = rt.stats().bytes_sent;
-            (aggs, stats, bytes)
-        };
-        let (row_aggs, row_stats, row_bytes) = run(false);
-        let (col_aggs, col_stats, col_bytes) = run(true);
-        assert_eq!(col_aggs, row_aggs);
-        assert_eq!(col_stats, row_stats);
-        assert_eq!(col_bytes, row_bytes, "identical frames ⇒ identical traffic");
     }
 
     #[test]

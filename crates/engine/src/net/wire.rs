@@ -38,6 +38,9 @@ pub const PROTOCOL_VERSION: u8 = 2;
 /// Frame header length: magic + version + msg type + payload length.
 pub const HEADER_LEN: usize = 10;
 
+/// The frame header's msg-type byte of [`Message::MapTask`].
+const MAP_TASK: u8 = 4;
+
 /// Upper bound on a payload (256 MiB) — rejects garbage length fields
 /// before any allocation.
 pub const MAX_PAYLOAD_LEN: u32 = 256 << 20;
@@ -308,7 +311,7 @@ impl Message {
             Message::Register { .. } => 1,
             Message::RegisterAck { .. } => 2,
             Message::Heartbeat { .. } => 3,
-            Message::MapTask { .. } => 4,
+            Message::MapTask { .. } => MAP_TASK,
             Message::MapComplete { .. } => 5,
             Message::ShuffleAssign { .. } => 6,
             Message::ReduceTask { .. } => 7,
@@ -350,19 +353,7 @@ impl Message {
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = ByteWriter::new();
         self.encode_payload(&mut payload);
-        let payload = payload.into_bytes();
-        assert!(
-            payload.len() <= MAX_PAYLOAD_LEN as usize,
-            "oversized frame: {} bytes",
-            payload.len()
-        );
-        let mut frame = ByteWriter::with_capacity(HEADER_LEN + payload.len());
-        frame.put_u32(MAGIC);
-        frame.put_u8(PROTOCOL_VERSION);
-        frame.put_u8(self.type_id());
-        frame.put_u32(payload.len() as u32);
-        frame.put_bytes(&payload);
-        frame.into_bytes()
+        frame(self.type_id(), &payload.into_bytes())
     }
 
     fn encode_payload(&self, w: &mut ByteWriter) {
@@ -388,14 +379,9 @@ impl Message {
                 block_id,
                 job,
                 block,
-            } => {
-                w.put_u64(*seq);
-                w.put_u32(*epoch);
-                w.put_u32(*block_id);
-                w.put_u8(job.map.wire_code());
-                w.put_u8(job.reduce.wire_code());
-                bytes::put_block(w, block);
-            }
+            } => put_map_task(w, *seq, *epoch, *block_id, job, |w| {
+                bytes::put_block(w, block)
+            }),
             Message::MapComplete {
                 seq,
                 epoch,
@@ -551,12 +537,7 @@ impl Message {
             Message::RegisterAck { .. } => 8,
             Message::Heartbeat { .. } => 4,
             Message::MapTask { block, .. } => {
-                8 + 4
-                    + 4
-                    + 1
-                    + 1
-                    + (4 + TUPLE_WIRE_SIZE * block.tuples.len())
-                    + (4 + FRAGMENT_WIRE_SIZE * block.fragments.len())
+                map_task_v1_len(block.tuples.len(), block.fragments.len())
             }
             Message::MapComplete { clusters, .. } => 8 + 4 + 4 + 4 + 16 * clusters.len(),
             Message::ShuffleAssign { assignment, .. } => 8 + 4 + 4 + 4 + 4 * assignment.len(),
@@ -637,7 +618,7 @@ impl Message {
             3 => Message::Heartbeat {
                 worker: r.get_u32()?,
             },
-            4 => {
+            MAP_TASK => {
                 let seq = r.get_u64()?;
                 let epoch = r.get_u32()?;
                 let block_id = r.get_u32()?;
@@ -797,15 +778,74 @@ impl Message {
     }
 }
 
+/// Wrap a payload in the frame header.
+fn frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
+    assert!(
+        payload.len() <= MAX_PAYLOAD_LEN as usize,
+        "oversized frame: {} bytes",
+        payload.len()
+    );
+    let mut frame = ByteWriter::with_capacity(HEADER_LEN + payload.len());
+    frame.put_u32(MAGIC);
+    frame.put_u8(PROTOCOL_VERSION);
+    frame.put_u8(msg_type);
+    frame.put_u32(payload.len() as u32);
+    frame.put_bytes(payload);
+    frame.into_bytes()
+}
+
+/// The [`Message::MapTask`] payload: the task header, then the block body
+/// `put_block` writes. [`Message::encode`] and both borrowing encoders below
+/// go through here, so the three cannot drift.
+fn put_map_task(
+    w: &mut ByteWriter,
+    seq: u64,
+    epoch: u32,
+    block_id: u32,
+    job: &JobSpec,
+    put_block: impl FnOnce(&mut ByteWriter),
+) {
+    w.put_u64(seq);
+    w.put_u32(epoch);
+    w.put_u32(block_id);
+    w.put_u8(job.map.wire_code());
+    w.put_u8(job.reduce.wire_code());
+    put_block(w);
+}
+
+/// Fixed-width v1 size of a [`Message::MapTask`] payload.
+fn map_task_v1_len(tuples: usize, fragments: usize) -> usize {
+    8 + 4 + 4 + 1 + 1 + (4 + TUPLE_WIRE_SIZE * tuples) + (4 + FRAGMENT_WIRE_SIZE * fragments)
+}
+
+/// Encode one [`Message::MapTask`] frame from a borrowed row block — what
+/// `Message::MapTask { block, .. }.encode()` produces, without owning (and
+/// so without cloning) the block.
+///
+/// Returns the frame and its fixed-width v1 payload size for raw-byte
+/// accounting (pass both to `FrameConn::send_frame`).
+pub fn encode_map_task(
+    seq: u64,
+    epoch: u32,
+    block_id: u32,
+    job: &JobSpec,
+    block: &DataBlock,
+) -> (Vec<u8>, usize) {
+    let mut payload = ByteWriter::new();
+    put_map_task(&mut payload, seq, epoch, block_id, job, |w| {
+        bytes::put_block(w, block)
+    });
+    let v1 = map_task_v1_len(block.tuples.len(), block.fragments.len());
+    (frame(MAP_TASK, &payload.into_bytes()), v1)
+}
+
 /// Encode one [`Message::MapTask`] frame straight from columnar block
 /// slices — no intermediate row [`DataBlock`] is built. The payload bytes
 /// are identical to encoding the equivalent row block
 /// ([`bytes::put_block_columnar`] walks the arena ranges in assignment
 /// order, the order `ColumnarPlan::to_row_plan` concatenates), so workers
-/// decode it with the ordinary [`Message::decode`] path.
-///
-/// Returns the frame and its fixed-width v1 payload size for raw-byte
-/// accounting (pass both to `FrameConn::send_frame`).
+/// decode it with the ordinary [`Message::decode`] path. Same return
+/// contract as [`encode_map_task`].
 pub fn encode_map_task_columnar(
     seq: u64,
     epoch: u32,
@@ -815,32 +855,11 @@ pub fn encode_map_task_columnar(
     block: &ColumnarBlock,
 ) -> (Vec<u8>, usize) {
     let mut payload = ByteWriter::new();
-    payload.put_u64(seq);
-    payload.put_u32(epoch);
-    payload.put_u32(block_id);
-    payload.put_u8(job.map.wire_code());
-    payload.put_u8(job.reduce.wire_code());
-    bytes::put_block_columnar(&mut payload, arena, block);
-    let payload = payload.into_bytes();
-    assert!(
-        payload.len() <= MAX_PAYLOAD_LEN as usize,
-        "oversized frame: {} bytes",
-        payload.len()
-    );
-    let mut frame = ByteWriter::with_capacity(HEADER_LEN + payload.len());
-    frame.put_u32(MAGIC);
-    frame.put_u8(PROTOCOL_VERSION);
-    frame.put_u8(4); // Message::MapTask
-    frame.put_u32(payload.len() as u32);
-    frame.put_bytes(&payload);
-    let v1 = 8
-        + 4
-        + 4
-        + 1
-        + 1
-        + (4 + TUPLE_WIRE_SIZE * block.size())
-        + (4 + FRAGMENT_WIRE_SIZE * block.fragments.len());
-    (frame.into_bytes(), v1)
+    put_map_task(&mut payload, seq, epoch, block_id, job, |w| {
+        bytes::put_block_columnar(w, arena, block)
+    });
+    let v1 = map_task_v1_len(block.size(), block.fragments.len());
+    (frame(MAP_TASK, &payload.into_bytes()), v1)
 }
 
 /// Key-ordered `(key, count)` runs, delta-encoded: varint count prefix,
@@ -1001,7 +1020,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_map_task_frame_is_byte_identical_to_row() {
+    fn borrowed_map_task_frames_are_byte_identical_to_the_owned_message() {
         use prompt_core::batch::MicroBatch;
         use prompt_core::columnar::ColumnarPlan;
         use prompt_core::partitioner::Technique;
@@ -1026,10 +1045,17 @@ mod tests {
                 job,
                 block: row.clone(),
             };
-            let (frame, v1) = encode_map_task_columnar(42, 3, i as u32, &job, &cols.arena, col);
-            assert_eq!(frame, msg.encode(), "block {i} frame diverged");
-            assert_eq!(v1, msg.v1_payload_len(), "block {i} v1 size diverged");
-            assert_eq!(Message::decode(&frame).unwrap(), msg);
+            for (layout, (frame, v1)) in [
+                ("rows", encode_map_task(42, 3, i as u32, &job, row)),
+                (
+                    "columns",
+                    encode_map_task_columnar(42, 3, i as u32, &job, &cols.arena, col),
+                ),
+            ] {
+                assert_eq!(frame, msg.encode(), "block {i} {layout} frame diverged");
+                assert_eq!(v1, msg.v1_payload_len(), "block {i} {layout} v1 size");
+                assert_eq!(Message::decode(&frame).unwrap(), msg);
+            }
         }
     }
 

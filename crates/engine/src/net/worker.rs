@@ -11,13 +11,13 @@
 //! 3. heartbeat from a side thread at the acked period;
 //! 4. serve control messages until `Shutdown` or connection loss.
 //!
-//! Determinism: the map fold is literally `threaded::map_block` (key-sorted
-//! clusters), and reduce merges fetched segments in global block order then
-//! key order — the exact merge sequence of the serial engine, so `f64`
-//! aggregates are bit-identical. Fetches are pipelined (every remote source
-//! fetched concurrently over pooled connections, segments parked in
-//! per-block accumulators as they land), which reorders only the *arrival*
-//! of segments, never the fold.
+//! Determinism: the map fold and the bucket merge are literally the serial
+//! engine's (`kernel::map_block`, `kernel::merge_bucket`), and the merge is
+//! fed fetched segments in global block order then key order — the serial
+//! engine's exact sequence, so `f64` aggregates are bit-identical. Fetches
+//! are pipelined (every remote source fetched concurrently over pooled
+//! connections, segments parked in per-block accumulators as they land),
+//! which reorders only the *arrival* of segments, never the fold.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener};
@@ -25,13 +25,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration as WallDuration, Instant};
 
-use prompt_core::hash::KeyMap;
 use prompt_core::types::Key;
 
 use super::transport::{ConnPool, FrameConn, NetCounters, NetError, RetryPolicy};
 use super::wire::{FetchStats, Message, ShuffleSegment, ShuffleSource};
 use crate::job::ReduceOp;
-use crate::threaded::{map_block, ClusterList};
+use crate::kernel::{map_block, merge_bucket, ClusterList};
 
 /// Fetch round-trips before blaming the source. The serving side parks
 /// each request up to [`FETCH_PARK`], so the budget is ≈ attempts × park.
@@ -421,7 +420,7 @@ fn serve_tasks(
                 block,
             } => {
                 let job = job.instantiate("net-task");
-                let ordered = map_block(&block.tuples, &job);
+                let ordered = map_block(&block, &job);
                 let clusters: Vec<(Key, u64)> =
                     ordered.iter().map(|&(k, (_, n))| (k, n as u64)).collect();
                 store.begin_block(seq, epoch);
@@ -610,28 +609,22 @@ fn reduce_bucket(
 
     // Global block order, then within-block key order: the serial engine's
     // exact merge sequence (bit-identical f64 results).
-    let mut acc: KeyMap<f64> = KeyMap::default();
-    let mut tuples = 0u64;
-    let mut fragments = 0u64;
-    for items in partials.into_inner().expect("partials lock").into_values() {
-        for (key, value, n) in items {
-            tuples += n;
-            fragments += 1;
-            acc.entry(key)
-                .and_modify(|a| *a = reduce.merge(*a, value))
-                .or_insert(value);
-        }
-    }
-    let keys = acc.len() as u64;
+    let items = partials
+        .into_inner()
+        .expect("partials lock")
+        .into_values()
+        .flatten()
+        .map(|(key, value, n)| (key, value, n as usize));
+    let (acc, stats) = merge_bucket(items, reduce);
     let mut aggregates: Vec<(Key, f64)> = acc.into_iter().collect();
     aggregates.sort_unstable_by_key(|&(k, _)| k.0);
     Ok(Message::ReduceComplete {
         seq,
         epoch,
         bucket,
-        tuples,
-        keys,
-        fragments,
+        tuples: stats.tuples as u64,
+        keys: stats.keys as u64,
+        fragments: stats.fragments as u64,
         aggregates,
         net: net.into_inner().expect("net lock"),
     })

@@ -4,15 +4,16 @@
 //! makespans (Eqn. 1 generalised to wave scheduling).
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::columnar::{ColRange, ColumnarBatch, ColumnarPlan};
+use prompt_core::columnar::ColumnarPlan;
 use prompt_core::hash::KeyMap;
-use prompt_core::reduce::{KeyCluster, ReduceAssigner};
+use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::{Duration, Key};
 
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
 use crate::job::Job;
-use crate::trace::{Counter, TraceRecorder};
+use crate::kernel::{assign_block, gather_buckets, merge_bucket, PlanView};
+use crate::trace::TraceRecorder;
 
 /// Per-key aggregates produced by one batch (the batch's partial query
 /// state, §2.1).
@@ -70,18 +71,29 @@ pub struct BucketStats {
 
 /// Derive [`StageTimes`] from a plan plus per-bucket shuffle statistics:
 /// Map-task costs come from the blocks, Reduce-task costs from the reported
-/// stats, stage times as cluster makespans. Given equal stats this is
-/// bit-identical to what [`execute_batch`] computes inline.
+/// stats, stage times as cluster makespans. Every backend's times — the
+/// serial simulator's included — are derived here, from the same quantities.
 pub fn times_from_stats(
     plan: &PartitionPlan,
     stats: &[BucketStats],
     cost: &CostModel,
     cluster: &Cluster,
 ) -> StageTimes {
-    let map_tasks: Vec<Duration> = plan
-        .blocks
-        .iter()
-        .map(|b| cost.map_task(b.size(), b.cardinality()))
+    times_from_view(PlanView::Rows(plan), stats, cost, cluster)
+}
+
+/// [`times_from_stats`] for either layout.
+pub(crate) fn times_from_view(
+    view: PlanView<'_>,
+    stats: &[BucketStats],
+    cost: &CostModel,
+    cluster: &Cluster,
+) -> StageTimes {
+    let map_tasks: Vec<Duration> = (0..view.n_blocks())
+        .map(|i| {
+            let (size, cardinality) = view.cost_inputs(i);
+            cost.map_task(size, cardinality)
+        })
         .collect();
     let reduce_tasks: Vec<Duration> = stats
         .iter()
@@ -95,14 +107,6 @@ pub fn times_from_stats(
         map_stage,
         reduce_stage,
     }
-}
-
-/// One (key, partial) produced by a Map task for a Reduce bucket.
-#[derive(Clone, Debug)]
-struct Partial {
-    key: Key,
-    value: f64,
-    tuples: usize,
 }
 
 /// Execute a partitioned batch: run `job` over every block (Map), assign the
@@ -131,159 +135,15 @@ pub fn execute_batch_traced(
     cluster: &Cluster,
     trace: Option<&TraceRecorder>,
 ) -> (BatchOutput, StageTimes) {
-    assert!(r > 0, "need at least one reduce task");
-    let mut map_tasks = Vec::with_capacity(plan.blocks.len());
-    let mut bucket_partials: Vec<Vec<Partial>> = vec![Vec::new(); r];
-
-    for block in &plan.blocks {
-        // Map + local combine: fold every mapped tuple into its key cluster.
-        let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
-        clusters.reserve(block.cardinality());
-        for t in &block.tuples {
-            if let Some(v) = (job.map)(t) {
-                match clusters.entry(t.key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let (acc, n) = e.get_mut();
-                        *acc = job.reduce.apply(Some(*acc), v);
-                        *n += 1;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((job.reduce.apply(None, v), 1));
-                    }
-                }
-            }
-        }
-        // Deterministic cluster order regardless of hash-map iteration.
-        let mut ordered: Vec<(Key, (f64, usize))> = clusters.into_iter().collect();
-        ordered.sort_unstable_by_key(|(k, _)| k.0);
-        let cluster_descs: Vec<KeyCluster> = ordered
-            .iter()
-            .map(|&(key, (_, n))| KeyCluster { key, size: n })
-            .collect();
-
-        // Shuffle: route each cluster to its Reduce bucket.
-        let assignment = assigner.assign(&cluster_descs, &plan.split_keys, r);
-        debug_assert_eq!(assignment.len(), cluster_descs.len());
-        if let Some(rec) = trace {
-            rec.incr(Counter::ScatterFragments, assignment.len() as u64);
-            let split = cluster_descs
-                .iter()
-                .filter(|c| plan.split_keys.contains(&c.key))
-                .count();
-            rec.incr(Counter::SplitKeyFragments, split as u64);
-        }
-        for ((key, (value, tuples)), &bucket) in ordered.into_iter().zip(&assignment) {
-            bucket_partials[bucket].push(Partial { key, value, tuples });
-        }
-
-        // Map-task cost covers the whole block (filtering happens inside the
-        // user function).
-        map_tasks.push(cost.map_task(block.size(), block.cardinality()));
-    }
-
-    // Reduce: merge partials per key within each bucket.
-    let (aggregates, reduce_tasks) = reduce_buckets(&bucket_partials, job, cost);
-
-    let map_stage = cluster.makespan(&map_tasks);
-    let reduce_stage = cluster.makespan(&reduce_tasks);
-    (
-        BatchOutput { aggregates },
-        StageTimes {
-            map_tasks,
-            reduce_tasks,
-            map_stage,
-            reduce_stage,
-        },
-    )
+    let view = PlanView::Rows(plan);
+    let (output, stats) = execute_view(view, job, assigner, r, trace);
+    (output, times_from_view(view, &stats, cost, cluster))
 }
 
-/// The Reduce stage shared by the row and columnar paths: merge partials per
-/// key within each bucket, in partial arrival order, and cost every task.
-fn reduce_buckets(
-    bucket_partials: &[Vec<Partial>],
-    job: &Job,
-    cost: &CostModel,
-) -> (KeyMap<f64>, Vec<Duration>) {
-    let mut aggregates: KeyMap<f64> = KeyMap::default();
-    let mut reduce_tasks = Vec::with_capacity(bucket_partials.len());
-    for partials in bucket_partials {
-        let mut bucket_keys: KeyMap<f64> = KeyMap::default();
-        let mut tuples = 0usize;
-        let fragments = partials.len();
-        for p in partials {
-            tuples += p.tuples;
-            bucket_keys
-                .entry(p.key)
-                .and_modify(|acc| *acc = job.reduce.merge(*acc, p.value))
-                .or_insert(p.value);
-        }
-        let keys = bucket_keys.len();
-        reduce_tasks.push(cost.reduce_task(tuples, keys, fragments));
-        for (k, v) in bucket_keys {
-            let prev = aggregates.insert(k, v);
-            debug_assert!(prev.is_none(), "key {k:?} reduced in two buckets");
-        }
-    }
-    (aggregates, reduce_tasks)
-}
-
-/// Fold one columnar block's ranges into per-key clusters — the columnar
-/// twin of the row path's per-tuple entry fold, bit-identical by
-/// construction: ranges are key-uniform and visited in assignment order, so
-/// for every key the `apply` call sequence matches the row fold exactly.
-/// Per range the map does ONE hash-table entry operation (at the first
-/// mapped tuple), then folds the rest of the range into the held slot — a
-/// fully filtered range touches the table not at all, exactly like the row
-/// fold. A key spanning several ranges of one block (a heavy key's `S_cut`
-/// fragment plus its residual) continues its existing fold through the
-/// occupied entry, again matching the row sequence.
-pub(crate) fn fold_ranges_columnar(
-    arena: &ColumnarBatch,
-    ranges: &[(Key, ColRange)],
-    job: &Job,
-    clusters: &mut KeyMap<(f64, usize)>,
-) {
-    for &(key, r) in ranges {
-        let end = r.end();
-        let mut i = r.offset;
-        // Scan to the first tuple the job's filter-map keeps.
-        let first = loop {
-            if i >= end {
-                break None;
-            }
-            let t = arena.tuple_at(i);
-            i += 1;
-            if let Some(v) = (job.map)(&t) {
-                break Some(v);
-            }
-        };
-        let Some(v0) = first else { continue };
-        let slot: &mut (f64, usize) = match clusters.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let s = e.into_mut();
-                s.0 = job.reduce.apply(Some(s.0), v0);
-                s.1 += 1;
-                s
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((job.reduce.apply(None, v0), 1))
-            }
-        };
-        for j in i..end {
-            if let Some(v) = (job.map)(&arena.tuple_at(j)) {
-                slot.0 = job.reduce.apply(Some(slot.0), v);
-                slot.1 += 1;
-            }
-        }
-    }
-}
-
-/// The columnar twin of [`execute_batch_traced`]: execute a columnar plan
-/// without materializing row blocks. Output and stage times are
-/// bit-identical to the row path on `plan.to_row_plan()` — same fold order,
-/// same assigner call sequence, same cost inputs — gated by the
-/// `columnar_differential` suite.
-#[allow(clippy::too_many_arguments)]
+/// [`execute_batch_traced`] over a columnar plan, without materializing row
+/// blocks. Output and stage times are bit-identical to the row layout on
+/// `plan.to_row_plan()` — same fold order, same assigner call sequence, same
+/// cost inputs — gated by the `columnar_differential` suite.
 pub fn execute_columnar_traced(
     plan: &ColumnarPlan,
     job: &Job,
@@ -293,53 +153,36 @@ pub fn execute_columnar_traced(
     cluster: &Cluster,
     trace: Option<&TraceRecorder>,
 ) -> (BatchOutput, StageTimes) {
+    let view = PlanView::Columns(plan);
+    let (output, stats) = execute_view(view, job, assigner, r, trace);
+    (output, times_from_view(view, &stats, cost, cluster))
+}
+
+/// The serial executor: per block, Map ([`PlanView::map_block`]) then
+/// shuffle-assign ([`assign_block`]) its clusters into the Reduce buckets;
+/// then Reduce every bucket ([`merge_bucket`]). Runs inline on the calling
+/// thread.
+pub(crate) fn execute_view(
+    view: PlanView<'_>,
+    job: &Job,
+    assigner: &mut dyn ReduceAssigner,
+    r: usize,
+    trace: Option<&TraceRecorder>,
+) -> (BatchOutput, Vec<BucketStats>) {
     assert!(r > 0, "need at least one reduce task");
-    let mut map_tasks = Vec::with_capacity(plan.blocks.len());
-    let mut bucket_partials: Vec<Vec<Partial>> = vec![Vec::new(); r];
-
-    for block in &plan.blocks {
-        // Map + local combine over the block's arena ranges.
-        let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
-        clusters.reserve(block.cardinality());
-        fold_ranges_columnar(&plan.arena, &block.ranges, job, &mut clusters);
-        // Deterministic cluster order regardless of hash-map iteration.
-        let mut ordered: Vec<(Key, (f64, usize))> = clusters.into_iter().collect();
-        ordered.sort_unstable_by_key(|(k, _)| k.0);
-        let cluster_descs: Vec<KeyCluster> = ordered
-            .iter()
-            .map(|&(key, (_, n))| KeyCluster { key, size: n })
-            .collect();
-
-        // Shuffle: route each cluster to its Reduce bucket.
-        let assignment = assigner.assign(&cluster_descs, &plan.split_keys, r);
-        debug_assert_eq!(assignment.len(), cluster_descs.len());
-        if let Some(rec) = trace {
-            rec.incr(Counter::ScatterFragments, assignment.len() as u64);
-            let split = cluster_descs
-                .iter()
-                .filter(|c| plan.split_keys.contains(&c.key))
-                .count();
-            rec.incr(Counter::SplitKeyFragments, split as u64);
+    let mut buckets: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
+    for i in 0..view.n_blocks() {
+        let ordered = view.map_block(i, job);
+        let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
+        let assignment = assign_block(clusters, view.split_keys(), assigner, r, trace);
+        for (&(key, (value, n)), &bucket) in ordered.iter().zip(&assignment) {
+            buckets[bucket].push((key, value, n));
         }
-        for ((key, (value, tuples)), &bucket) in ordered.into_iter().zip(&assignment) {
-            bucket_partials[bucket].push(Partial { key, value, tuples });
-        }
-
-        map_tasks.push(cost.map_task(block.size(), block.cardinality()));
     }
-
-    let (aggregates, reduce_tasks) = reduce_buckets(&bucket_partials, job, cost);
-
-    let map_stage = cluster.makespan(&map_tasks);
-    let reduce_stage = cluster.makespan(&reduce_tasks);
-    (
-        BatchOutput { aggregates },
-        StageTimes {
-            map_tasks,
-            reduce_tasks,
-            map_stage,
-            reduce_stage,
-        },
+    gather_buckets(
+        buckets
+            .into_iter()
+            .map(|items| merge_bucket(items, job.reduce)),
     )
 }
 
@@ -527,69 +370,6 @@ mod tests {
             "split key scattered from multiple blocks: {split}"
         );
         assert!(split <= frags);
-    }
-
-    #[test]
-    fn columnar_execution_is_bit_identical_to_row() {
-        use prompt_core::columnar::ColumnarPlan;
-        let mb = batch(&[(1, 500), (2, 100), (3, 40), (4, 7)]);
-        for tech in [Technique::Prompt, Technique::Shuffle, Technique::Hash] {
-            let plan = tech.build(5).partition(&mb, 4);
-            let cols = ColumnarPlan::from_row_plan(&plan);
-            let job = Job::identity("sum", ReduceOp::Sum);
-            let cost = CostModel::default();
-            let cluster = Cluster::new(1, 8);
-            let (row_out, row_times) = execute_batch(
-                &plan,
-                &job,
-                &mut PromptReduceAllocator::new(5),
-                3,
-                &cost,
-                &cluster,
-            );
-            let (col_out, col_times) = execute_columnar_traced(
-                &cols,
-                &job,
-                &mut PromptReduceAllocator::new(5),
-                3,
-                &cost,
-                &cluster,
-                None,
-            );
-            assert_eq!(col_times, row_times, "{tech:?}");
-            assert_eq!(col_out.len(), row_out.len(), "{tech:?}");
-            for (k, v) in &row_out.aggregates {
-                assert_eq!(
-                    col_out.aggregates[k].to_bits(),
-                    v.to_bits(),
-                    "{tech:?} key {k:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_execution_respects_filtering() {
-        use prompt_core::columnar::ColumnarPlan;
-        let mb = batch(&[(1, 10), (2, 10)]);
-        let plan = Technique::Shuffle.build(0).partition(&mb, 2);
-        let cols = ColumnarPlan::from_row_plan(&plan);
-        let job = Job::new(
-            "only-key-1",
-            |t: &Tuple| (t.key == Key(1)).then_some(1.0),
-            ReduceOp::Sum,
-        );
-        let (out, _) = execute_columnar_traced(
-            &cols,
-            &job,
-            &mut HashReduceAssigner::new(0),
-            2,
-            &CostModel::default(),
-            &Cluster::new(1, 4),
-            None,
-        );
-        assert_eq!(out.len(), 1, "filtered key must not enter the table");
-        assert_eq!(out.aggregates[&Key(1)], 10.0);
     }
 
     #[test]

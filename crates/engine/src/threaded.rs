@@ -29,14 +29,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::columnar::{ColRange, ColumnarBatch, ColumnarPlan};
-use prompt_core::hash::{KeyMap, KeySet};
-use prompt_core::reduce::{KeyCluster, ReduceAssigner};
+use prompt_core::hash::KeyMap;
+use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::Key;
 
 use crate::job::Job;
+use crate::kernel::{assign_block, gather_buckets, merge_bucket, ClusterList, PlanView};
 use crate::stage::{BatchOutput, BucketStats};
-use crate::trace::{Counter, StageKind, TraceRecorder};
+use crate::trace::{StageKind, TraceRecorder};
 
 /// Wall-clock timings of a threaded batch execution.
 #[derive(Clone, Copy, Debug, Default)]
@@ -62,8 +62,6 @@ pub struct ThreadedExecutor {
     /// Worker threads for the Map, shuffle-scatter and Reduce phases.
     pub threads: usize,
 }
-
-pub(crate) type ClusterList = Vec<(Key, (f64, usize))>;
 
 impl ThreadedExecutor {
     /// Create an executor with the given parallelism (≥ 1).
@@ -113,60 +111,22 @@ impl ThreadedExecutor {
         r: usize,
         trace: Option<(&TraceRecorder, u64)>,
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
-        self.execute_core(
-            plan.blocks.len(),
-            |i| map_block(&plan.blocks[i].tuples, job),
-            &plan.split_keys,
-            job,
-            assigner,
-            r,
-            trace,
-        )
+        self.execute_core(PlanView::Rows(plan), job, assigner, r, trace)
     }
 
-    /// The columnar twin of [`ThreadedExecutor::execute_with_stats`]: Map
-    /// workers fold flat column ranges ([`map_block_columnar`]) instead of
-    /// row slices; the shuffle-scatter and Reduce phases are literally the
-    /// same code. Output is bit-identical to the row path on
-    /// `plan.to_row_plan()` for any thread count.
-    pub fn execute_columnar_with_stats(
+    /// The three-phase executor behind every entry point. Only the Map phase
+    /// reads the plan; everything after it sees cluster lists, so the two
+    /// layouts cannot diverge downstream of the fold.
+    pub(crate) fn execute_core(
         &self,
-        plan: &ColumnarPlan,
+        view: PlanView<'_>,
         job: &Job,
         assigner: &mut dyn ReduceAssigner,
         r: usize,
         trace: Option<(&TraceRecorder, u64)>,
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
-        self.execute_core(
-            plan.blocks.len(),
-            |i| map_block_columnar(&plan.arena, &plan.blocks[i].ranges, job),
-            &plan.split_keys,
-            job,
-            assigner,
-            r,
-            trace,
-        )
-    }
-
-    /// The three-phase executor shared by the row and columnar entry points.
-    /// `map_one` maps block `i` to its ordered cluster list; everything
-    /// after the Map phase only sees cluster lists, so the two layouts
-    /// cannot diverge downstream of the fold.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_core<F>(
-        &self,
-        n_blocks: usize,
-        map_one: F,
-        split_keys: &KeySet,
-        job: &Job,
-        assigner: &mut dyn ReduceAssigner,
-        r: usize,
-        trace: Option<(&TraceRecorder, u64)>,
-    ) -> (BatchOutput, Vec<BucketStats>, WallTimes)
-    where
-        F: Fn(usize) -> ClusterList + Sync,
-    {
         assert!(r > 0, "need at least one reduce bucket");
+        let n_blocks = view.n_blocks();
         let mut times = WallTimes::default();
 
         // --- Parallel Map: one cluster list per block. ---
@@ -179,7 +139,6 @@ impl ThreadedExecutor {
                 let workers = self.threads.min(n_blocks.max(1));
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
-                        let map_one = &map_one;
                         let next = &next;
                         scope.spawn(move || {
                             let mut local: Vec<(usize, ClusterList)> = Vec::new();
@@ -188,7 +147,7 @@ impl ThreadedExecutor {
                                 if i >= n_blocks {
                                     break;
                                 }
-                                local.push((i, map_one(i)));
+                                local.push((i, view.map_block(i, job)));
                             }
                             local
                         })
@@ -215,20 +174,12 @@ impl ThreadedExecutor {
         // Assignment must stay serial: Algorithm 3's allocator carries
         // running bucket loads across calls, so map outputs are presented in
         // block order exactly as the simulated path does.
+        let rec = trace.map(|(rec, _)| rec);
         let assignments: Vec<Vec<usize>> = map_outputs
             .iter()
             .map(|ordered| {
-                let descs: Vec<KeyCluster> = ordered
-                    .iter()
-                    .map(|&(key, (_, n))| KeyCluster { key, size: n })
-                    .collect();
-                let assignment = assigner.assign(&descs, split_keys, r);
-                if let Some((rec, _)) = trace {
-                    rec.incr(Counter::ScatterFragments, assignment.len() as u64);
-                    let split = descs.iter().filter(|c| split_keys.contains(&c.key)).count();
-                    rec.incr(Counter::SplitKeyFragments, split as u64);
-                }
-                assignment
+                let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
+                assign_block(clusters, view.split_keys(), assigner, r, rec)
             })
             .collect();
         // Scatter: worker `w` owns buckets `b` with `b % workers == w`, so
@@ -292,20 +243,8 @@ impl ThreadedExecutor {
                             if b >= r {
                                 break;
                             }
-                            let mut acc: KeyMap<f64> = KeyMap::default();
-                            let mut tuples = 0usize;
-                            for &(key, value, n) in &buckets[b] {
-                                tuples += n;
-                                acc.entry(key)
-                                    .and_modify(|a| *a = job.reduce.merge(*a, value))
-                                    .or_insert(value);
-                            }
-                            let stats = BucketStats {
-                                tuples,
-                                keys: acc.len(),
-                                fragments: buckets[b].len(),
-                            };
-                            local.push((b, (acc, stats)));
+                            let items = buckets[b].iter().copied();
+                            local.push((b, merge_bucket(items, job.reduce)));
                         }
                         local
                     })
@@ -317,69 +256,23 @@ impl ThreadedExecutor {
                 }
             }
         });
-        let mut aggregates: KeyMap<f64> = KeyMap::default();
-        let mut stats = Vec::with_capacity(r);
-        for (m, s) in reduced
-            .into_iter()
-            .map(|o| o.expect("every bucket reduced"))
-        {
-            stats.push(s);
-            for (k, v) in m {
-                let prev = aggregates.insert(k, v);
-                debug_assert!(prev.is_none(), "key reduced twice");
-            }
-        }
+        let (output, stats) = gather_buckets(
+            reduced
+                .into_iter()
+                .map(|o| o.expect("every bucket reduced")),
+        );
         times.reduce = t2.elapsed();
         if let Some((rec, seq)) = trace {
             rec.phase(seq, StageKind::ReduceStage, wall(times.reduce));
         }
 
-        (BatchOutput { aggregates }, stats, times)
+        (output, stats, times)
     }
 }
 
 /// Convert a wall-clock duration into the trace's µs representation.
 fn wall(d: std::time::Duration) -> prompt_core::types::Duration {
     prompt_core::types::Duration::from_micros(d.as_micros() as u64)
-}
-
-/// Map + local combine over one columnar block's ranges, clusters in key
-/// order — bit-identical to [`map_block`] on the row materialization of the
-/// same ranges (see `stage::fold_ranges_columnar` for the order argument).
-pub(crate) fn map_block_columnar(
-    arena: &ColumnarBatch,
-    ranges: &[(Key, ColRange)],
-    job: &Job,
-) -> ClusterList {
-    let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
-    crate::stage::fold_ranges_columnar(arena, ranges, job, &mut clusters);
-    let mut ordered: ClusterList = clusters.into_iter().collect();
-    ordered.sort_unstable_by_key(|(k, _)| k.0);
-    ordered
-}
-
-/// Map + local combine over one block, clusters in key order. Shared with
-/// the distributed worker (`net::worker`), which runs the identical fold so
-/// map outputs are bit-identical across backends.
-pub(crate) fn map_block(tuples: &[prompt_core::types::Tuple], job: &Job) -> ClusterList {
-    let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
-    for t in tuples {
-        if let Some(v) = (job.map)(t) {
-            match clusters.entry(t.key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (acc, n) = e.get_mut();
-                    *acc = job.reduce.apply(Some(*acc), v);
-                    *n += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((job.reduce.apply(None, v), 1));
-                }
-            }
-        }
-    }
-    let mut ordered: ClusterList = clusters.into_iter().collect();
-    ordered.sort_unstable_by_key(|(k, _)| k.0);
-    ordered
 }
 
 #[cfg(test)]
@@ -479,38 +372,6 @@ mod tests {
         let summary = rec.summary();
         let map = summary.stage(StageKind::MapStage).unwrap();
         assert_eq!(map.total_us, times.map.as_micros() as u64);
-    }
-
-    #[test]
-    fn columnar_threaded_matches_row_threaded_bitwise() {
-        use prompt_core::columnar::ColumnarPlan;
-        let mb = batch(12_000, 131);
-        let plan = Technique::Prompt.build(3).partition(&mb, 8);
-        let cols = ColumnarPlan::from_row_plan(&plan);
-        let job = Job::identity("sum", ReduceOp::Sum);
-        let reference = {
-            let mut assigner = PromptReduceAllocator::new(3);
-            ThreadedExecutor::new(1).execute_with_stats(&plan, &job, &mut assigner, 5, None)
-        };
-        for threads in [1, 3, 8] {
-            let mut assigner = PromptReduceAllocator::new(3);
-            let (out, stats, _) = ThreadedExecutor::new(threads).execute_columnar_with_stats(
-                &cols,
-                &job,
-                &mut assigner,
-                5,
-                None,
-            );
-            assert_eq!(stats, reference.1, "{threads} threads");
-            assert_eq!(out.len(), reference.0.len(), "{threads} threads");
-            for (k, v) in &reference.0.aggregates {
-                assert_eq!(
-                    out.aggregates[k].to_bits(),
-                    v.to_bits(),
-                    "{threads} threads, key {k:?}"
-                );
-            }
-        }
     }
 
     #[test]
