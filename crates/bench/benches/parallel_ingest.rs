@@ -1,12 +1,16 @@
 //! Criterion micro-benchmarks of the sharded parallel ingest pipeline:
 //! Algorithm 1 throughput of the serial accumulator versus the
 //! [`ShardedAccumulator`] at 8 shards across worker-thread counts, on a
-//! Zipf(1.5) stream, plus serial versus parallel Algorithm 2 block
+//! Zipf(1.5) stream — for the paper's count-tree buffer (`serial`,
+//! `shards8`) and for the exact buffer the engine runs (`exact_serial`,
+//! `exact_shards8`) — plus serial versus parallel Algorithm 2 block
 //! materialization.
 //!
-//! The sharded rows are bit-identical in output to the serial row (see the
-//! differential suite in `tests/sharded_differential.rs`), so the comparison
-//! is purely about throughput. The thread scaling only materialises on
+//! The sharded rows are deterministic and thread-invariant (the exact ones
+//! bit-identical to their serial row for any shard count — see
+//! `crates/core/tests/accumulator_props.rs` and
+//! `tests/sharded_differential.rs`), so the comparison is purely about
+//! throughput. The thread scaling only materialises on
 //! multi-core hosts: worker `w` scans the whole arrival slice but ingests
 //! only its own shards, so per-worker time is `scan(n) + ingest(n/threads)`
 //! — at 8 shards on ≥ 4 cores the ingest term dominates and throughput
@@ -15,7 +19,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use prompt_core::buffering::{
-    AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, ShardedAccumulator,
+    AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
+    ShardedAccumulator,
 };
 use prompt_core::partitioner::PromptPartitioner;
 use prompt_core::source::TupleSource;
@@ -73,6 +78,30 @@ fn bench_sharded_ingest(c: &mut Criterion) {
                 acc.seal(next).n_tuples
             })
         });
+    }
+    // The engine's buffer: with ingest this cheap, does sharding still pay
+    // for its scatter and its second arena copy at the merge?
+    group.bench_with_input(BenchmarkId::new("exact_serial", 1), &tuples, |b, ts| {
+        b.iter(|| {
+            let mut acc = PostSortAccumulator::new(iv);
+            for &t in ts {
+                acc.ingest(t);
+            }
+            acc.seal(next).n_tuples
+        })
+    });
+    for &threads in &[1usize, 2, 4, 8] {
+        group.bench_with_input(
+            BenchmarkId::new("exact_shards8", threads),
+            &tuples,
+            |b, ts| {
+                b.iter(|| {
+                    let mut acc = ShardedAccumulator::exact(8, iv);
+                    acc.par_ingest(ts, threads);
+                    acc.seal(next).n_tuples
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -24,7 +24,10 @@ fn bench_partitioners(c: &mut Criterion) {
     for &n in &[50_000usize, 200_000] {
         let batch = zipf_batch(n, n as u64 / 10, 1.0);
         group.throughput(Throughput::Elements(batch.len() as u64));
-        for tech in Technique::EVALUATION_SET {
+        // `policy::technique_overhead` derives its Prompt entries from these
+        // rows, so both Prompt buffers and D-Choices are timed too.
+        let extra = [Technique::DChoices(5), Technique::PromptCountTree];
+        for tech in Technique::EVALUATION_SET.into_iter().chain(extra) {
             group.bench_with_input(BenchmarkId::new(tech.label(), n), &batch, |b, batch| {
                 let mut part = tech.build(9);
                 b.iter(|| part.partition(batch, 32).total_tuples())
@@ -41,7 +44,7 @@ fn bench_prompt_vs_skew(c: &mut Criterion) {
     for &z in &[0.5f64, 1.0, 1.5] {
         let batch = zipf_batch(100_000, 10_000, z);
         group.bench_with_input(BenchmarkId::from_parameter(z), &batch, |b, batch| {
-            let mut part = Technique::PromptPostSort.build(9);
+            let mut part = Technique::Prompt.build(9);
             b.iter(|| part.partition(batch, 32).total_tuples())
         });
     }

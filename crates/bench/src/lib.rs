@@ -13,7 +13,7 @@
 //! | `fig11_throughput` | Fig. 11 — max throughput under variable rate & skew |
 //! | `fig12_elasticity` | Fig. 12 — auto-scaling time series |
 //! | `fig13_latency` | Fig. 13 — reduce-task latency distribution |
-//! | `fig14_overhead` | Fig. 14 — Prompt's own overhead & post-sort ablation |
+//! | `fig14_overhead` | Fig. 14 — Prompt's own overhead: count-tree vs post-sort buffering |
 //! | `net_overhead` | backend comparison — in-process vs threaded vs distributed TCP |
 //! | `checkpoint_overhead` | checkpoint cost (off vs per-batch vs every 4th) & recovery payoff |
 //! | `run_all` | everything above, sequentially |

@@ -1,5 +1,5 @@
 //! Micro-batch containers: the raw arrival buffer, the sealed (key-grouped,
-//! quasi-sorted) batch that Algorithm 2 consumes, and the partitioned output
+//! frequency-sorted) batch that Algorithm 2 consumes, and the partitioned output
 //! (data blocks with split-key reference tables) that the Map stage consumes.
 
 use crate::hash::{KeyMap, KeySet};
@@ -61,13 +61,15 @@ pub struct KeyGroup {
     pub offset: usize,
 }
 
-/// The output of the batching phase for Prompt: key-grouped tuples in
-/// quasi-descending frequency order, plus batch statistics. All groups share
-/// one arena, so sealing allocates nothing per key.
+/// The output of the batching phase for Prompt: key-grouped tuples, most
+/// frequent key first, plus batch statistics. All groups share one arena, so
+/// sealing allocates nothing per key.
 ///
-/// "Quasi" because the online `CountTree` trades exact ordering for bounded
-/// update cost (§4.1); [`SealedBatch::sort_exact`] restores exact order, which
-/// the post-sort ablation (Fig. 14a) uses.
+/// The engine's buffer seals in exact `(count desc, key asc)` order. The
+/// paper's online `CountTree` seals in *quasi*-descending order — it trades
+/// exact ordering for bounded update cost (§4.1) — and
+/// [`SealedBatch::adjacent_inversions`] measures how far off it is;
+/// [`SealedBatch::sort_exact`] restores the exact order.
 ///
 /// Two sealed batches are equal when they hold the same groups with the same
 /// tuples in the same order, wherever each arena happens to store them.

@@ -1,27 +1,38 @@
-//! Frequency-aware micro-batch buffering (§4.1, Algorithm 1).
+//! Micro-batch buffering: what Algorithm 1 (§4.1) hands Algorithm 2 at the
+//! heartbeat — the batch's tuples grouped by key, most frequent key first.
 //!
-//! While tuples of a batch interval arrive, the accumulator maintains:
+//! Two accumulators produce that list from the same arrival log:
 //!
-//! * an `HTable` mapping each key to its per-key update statistics (current
-//!   frequency, frequency last reflected in the tree, remaining update
-//!   budget, frequency step, time step) and, through the arrival log, to its
-//!   tuple list, and
-//! * a [`CountTree`] — a balanced search tree of approximate key frequencies.
+//! * [`PostSortAccumulator`] — **what the engine runs** (`Technique::Prompt`).
+//!   During the interval it keeps one exact counter per key and nothing else;
+//!   at the heartbeat it sorts the keys once by `(count desc, key asc)`. The
+//!   order is exact and canonical — a function of the batch's key counts
+//!   alone — which is what lets [`ShardedAccumulator`] seal the same batch
+//!   for any shard and thread count.
+//! * [`FrequencyAwareAccumulator`] — **the paper's Algorithm 1**, kept for
+//!   fidelity (`Technique::PromptCountTree`, Fig. 14, the ablations). Beside
+//!   the counters it maintains a [`CountTree`] of approximate key
+//!   frequencies. Updating the tree for *every* tuple would thrash it, so
+//!   each key is granted a per-batch `budget` of tree updates, triggered
+//!   either by a frequency step (`f.step` new tuples of the key) or a time
+//!   step (`t.step` elapsed since the key's last update, so rare keys still
+//!   get refreshed). At the heartbeat an in-order traversal yields the keys
+//!   in quasi-descending frequency order with no sorting step.
 //!
-//! Updating the tree for *every* tuple would thrash it with rebalancing, so
-//! each key is granted a per-batch `budget` of tree updates, triggered either
-//! by a frequency step (`f.step` new tuples of the key) or a time step
-//! (`t.step` elapsed since the key's last update, so rare keys still get
-//! refreshed). At the heartbeat, an in-order traversal yields the keys in
-//! quasi-descending frequency order with no explicit sorting step.
+//! The paper's argument for the tree is that the sort would sit inside the
+//! processing window (Fig. 14a). Measured on this implementation the sort is
+//! ≈ 3 ms for the ≈ 62k distinct keys of a 500k-tuple Zipf batch, while the
+//! tree's upkeep is ≈ 40 ms of ingest; EXPERIMENTS.md, "Algorithm 1 without
+//! the tree", has the table and says where the trade turns.
 //!
 //! ## Layout
 //!
-//! The `HTable` is a key→slot index plus a dense vector of per-key counters,
-//! and the tuple lists are one arrival-ordered log with each entry's slot
-//! beside it (`ArrivalLog`). Nothing is allocated per key. Sealing turns the
-//! tree traversal into one arena offset per slot and scatters the log once
-//! into that arena, which the [`SealedBatch`] groups then index as ranges.
+//! Both accumulators share a key→slot index plus a dense vector of per-key
+//! counters (the paper's `HTable`), and hold the tuple lists as one
+//! arrival-ordered log with each entry's slot beside it (`ArrivalLog`).
+//! Nothing is allocated per key. Sealing turns the key order into one arena
+//! offset per slot and scatters the log once into that arena, which the
+//! [`SealedBatch`] groups then index as ranges.
 
 mod count_tree;
 mod sharded;
@@ -173,15 +184,39 @@ pub struct BatchStats {
     pub tree_updates: u64,
 }
 
-/// The common interface of batching-phase accumulators, so the engine can
-/// swap the frequency-aware implementation for the post-sort ablation.
-pub trait BatchAccumulator {
+/// The common interface of batching-phase accumulators: the exact one the
+/// engine runs, the paper's budgeted one, and either of them sharded.
+pub trait BatchAccumulator: std::fmt::Debug + Send {
     /// Ingest one tuple; `t.ts` is used as the receiver-local clock.
     fn ingest(&mut self, t: Tuple);
 
-    /// Seal the batch: emit the (quasi-)sorted key groups and reset internal
-    /// state for the next interval.
+    /// Ingest an arrival-ordered slice, on up to `threads` threads where the
+    /// accumulator can use them (the sharded one does); same result as
+    /// ingesting the tuples one by one.
+    fn ingest_all(&mut self, tuples: &[Tuple], _threads: usize) {
+        for &t in tuples {
+            self.ingest(t);
+        }
+    }
+
+    /// Re-seed the expected tuple and key counts of the batch about to be
+    /// ingested. Only the budgeted accumulator reads them (for its initial
+    /// frequency step); exact counts have nothing to estimate.
+    fn set_estimates(&mut self, _est_tuples: f64, _avg_keys: f64) {}
+
+    /// How many key-hash shards ingest is spread over (1 = serial).
+    fn n_shards(&self) -> usize {
+        1
+    }
+
+    /// Seal the batch: emit the key groups, most frequent first (exactly or
+    /// approximately, by implementation), and reset internal state for the
+    /// next interval.
     fn seal(&mut self, next_interval: Interval) -> SealedBatch;
+
+    /// Move the (empty) accumulator to another batch interval, when the one
+    /// given to the previous `seal` turned out not to be the next batch's.
+    fn set_interval(&mut self, interval: Interval);
 
     /// Seal into the columnar (struct-of-arrays) layout: the same group order
     /// and per-group tuple order as [`BatchAccumulator::seal`], with the
@@ -222,21 +257,6 @@ impl FrequencyAwareAccumulator {
             tree: CountTree::new(),
             tree_updates: 0,
         }
-    }
-
-    /// Update the estimates used for the initial frequency step, from the
-    /// observed rate/cardinality (`PromptPartitioner` re-seeds them before
-    /// every batch it replays through its accumulator).
-    pub fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
-        self.cfg.est_tuples = est_tuples;
-        self.cfg.avg_keys = avg_keys;
-    }
-
-    /// Move the (empty) accumulator to another batch interval, when the one
-    /// given to the previous `seal` turned out not to be the next batch's.
-    pub fn set_interval(&mut self, interval: Interval) {
-        debug_assert_eq!(self.log.n_tuples(), 0, "interval changed mid-batch");
-        self.interval = interval;
     }
 
     /// The batch interval currently being accumulated.
@@ -302,6 +322,11 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
         self.tree_updates += 1;
     }
 
+    fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
+        self.cfg.est_tuples = est_tuples;
+        self.cfg.avg_keys = avg_keys;
+    }
+
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
         // The traversal yields keys in quasi-descending frequency order; the
         // groups carry the *exact* counts from the `HTable`.
@@ -320,6 +345,11 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
         sealed
     }
 
+    fn set_interval(&mut self, interval: Interval) {
+        debug_assert_eq!(self.log.n_tuples(), 0, "interval changed mid-batch");
+        self.interval = interval;
+    }
+
     fn stats(&self) -> BatchStats {
         BatchStats {
             n_tuples: self.log.n_tuples() as u64,
@@ -329,10 +359,11 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
     }
 }
 
-/// The post-sort ablation (Fig. 14a): buffer tuples with exact per-key
-/// counts only and sort the key groups *after* the heartbeat. Produces
-/// exactly sorted output but pays the full sorting cost inside the
-/// processing window.
+/// The engine's buffer: exact per-key counts while tuples arrive, one sort of
+/// the keys by `(count desc, key asc)` *after* the heartbeat — the "post-sort"
+/// side of the paper's Fig. 14a. The order is exact and depends only on the
+/// batch's key counts, so any sharding of it merges back to the same batch;
+/// the sort is the one cost it puts inside the processing window.
 #[derive(Clone, Debug, Default)]
 pub struct PostSortAccumulator {
     interval: Interval,
@@ -348,11 +379,6 @@ impl PostSortAccumulator {
             interval,
             ..PostSortAccumulator::default()
         }
-    }
-
-    /// Move the (empty) accumulator to another batch interval.
-    pub fn set_interval(&mut self, interval: Interval) {
-        self.interval = interval;
     }
 }
 
@@ -382,6 +408,11 @@ impl BatchAccumulator for PostSortAccumulator {
         self.counts.clear();
         self.interval = next_interval;
         sealed
+    }
+
+    fn set_interval(&mut self, interval: Interval) {
+        debug_assert_eq!(self.log.n_tuples(), 0, "interval changed mid-batch");
+        self.interval = interval;
     }
 
     fn stats(&self) -> BatchStats {

@@ -1,11 +1,12 @@
-//! Sharded parallel ingest for Algorithm 1.
+//! Sharded parallel ingest for the batching phase.
 //!
-//! One [`FrequencyAwareAccumulator`] is inherently serial: every `ingest`
-//! touches the shared `HTable` and `CountTree`. To scale the batching phase
-//! across receiver cores, the accumulator is split into `n` independent
-//! shards, each a full Algorithm 1 instance over the keys that hash to it.
-//! Tuples route by a fixed key hash, so a key's entire group lives in exactly
-//! one shard and per-key state never crosses shard boundaries.
+//! One accumulator is inherently serial: every `ingest` touches its key
+//! index and counters (and, for the paper's Algorithm 1, the `CountTree`). To
+//! scale the batching phase across receiver cores, the accumulator is split
+//! into `n` independent shards, each a full accumulator over the keys that
+//! hash to it. Tuples route by a fixed key hash, so a key's entire group
+//! lives in exactly one shard and per-key state never crosses shard
+//! boundaries.
 //!
 //! ## Determinism contract
 //!
@@ -19,14 +20,18 @@
 //!   shard, so each shard sees exactly the sub-stream it would see under
 //!   serial ingest, in the same order. The sealed output is bit-identical
 //!   to serially ingesting the same tuples, regardless of thread count.
-//! * **One shard ≡ the legacy accumulator.** With `n = 1` the merge is the
-//!   identity, so output order (and any downstream [`PartitionPlan`]) equals
-//!   the serial `FrequencyAwareAccumulator`'s exactly.
-//!
-//! At seal, the per-shard quasi-sorted group lists are combined by a k-way
-//! merge on exact `(count desc, key asc)`: deterministic, order-preserving
-//! within each shard, and quasi-descending overall — exactly what
-//! Algorithm 2 needs.
+//! * **Exact shards: any shard count ≡ the serial seal.** At seal the
+//!   per-shard group lists are combined by a k-way merge on exact
+//!   `(count desc, key asc)`. [`ShardedAccumulator::exact`]'s shards are
+//!   [`PostSortAccumulator`]s, each already sorted on that same total order,
+//!   so the merge *is* the global sort: the sealed batch — and any
+//!   downstream [`PartitionPlan`] — equals the serial `PostSortAccumulator`'s
+//!   for every shard and thread count. This is what the engine runs.
+//! * **Budgeted shards: one shard ≡ the serial seal.**
+//!   [`ShardedAccumulator::new`]'s shards are the paper's
+//!   [`FrequencyAwareAccumulator`]s, whose lists are only quasi-sorted (and
+//!   tie-break the other way), so the merge is deterministic and
+//!   quasi-descending but differs from the serial tree walk unless `n = 1`.
 //!
 //! [`PartitionPlan`]: crate::batch::PartitionPlan
 
@@ -35,7 +40,7 @@ use std::collections::BinaryHeap;
 
 use crate::batch::{KeyGroup, SealedBatch};
 use crate::buffering::{
-    AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator,
+    AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator, PostSortAccumulator,
 };
 use crate::columnar::{ColRange, ColumnarBatch, ColumnarSealed};
 use crate::hash::bucket_of;
@@ -55,16 +60,29 @@ fn shard_estimates(est_tuples: f64, avg_keys: f64, n_shards: usize) -> (f64, f64
     )
 }
 
-/// Algorithm 1 sharded `n` ways for parallel ingest.
+/// An accumulator sharded `n` ways by key hash for parallel ingest.
 #[derive(Clone, Debug)]
-pub struct ShardedAccumulator {
-    shards: Vec<FrequencyAwareAccumulator>,
+pub struct ShardedAccumulator<A = FrequencyAwareAccumulator> {
+    shards: Vec<A>,
 }
 
-impl ShardedAccumulator {
+impl ShardedAccumulator<PostSortAccumulator> {
+    /// `n_shards` exact shards: seals the batch the serial
+    /// [`PostSortAccumulator`] seals, whatever `n_shards` is.
+    pub fn exact(n_shards: usize, interval: Interval) -> Self {
+        assert!(n_shards >= 1, "need at least one shard");
+        ShardedAccumulator {
+            shards: (0..n_shards)
+                .map(|_| PostSortAccumulator::new(interval))
+                .collect(),
+        }
+    }
+}
+
+impl ShardedAccumulator<FrequencyAwareAccumulator> {
     /// Create an accumulator with `n_shards` independent Algorithm 1
     /// instances, each seeded with its share of the estimates.
-    pub fn new(cfg: AccumulatorConfig, n_shards: usize, interval: Interval) -> ShardedAccumulator {
+    pub fn new(cfg: AccumulatorConfig, n_shards: usize, interval: Interval) -> Self {
         assert!(n_shards >= 1, "need at least one shard");
         let (est_tuples, avg_keys) = shard_estimates(cfg.est_tuples, cfg.avg_keys, n_shards);
         let shard_cfg = AccumulatorConfig {
@@ -78,27 +96,9 @@ impl ShardedAccumulator {
                 .collect(),
         }
     }
+}
 
-    /// Update the whole-batch estimates; every shard takes its share.
-    pub fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
-        let (est_tuples, avg_keys) = shard_estimates(est_tuples, avg_keys, self.shards.len());
-        for shard in &mut self.shards {
-            shard.set_estimates(est_tuples, avg_keys);
-        }
-    }
-
-    /// Move the (empty) accumulator to another batch interval.
-    pub fn set_interval(&mut self, interval: Interval) {
-        for shard in &mut self.shards {
-            shard.set_interval(interval);
-        }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
+impl<A: BatchAccumulator> ShardedAccumulator<A> {
     /// The shard a key routes to.
     #[inline]
     pub fn shard_of(&self, key: Key) -> usize {
@@ -165,10 +165,11 @@ impl ShardedAccumulator {
     }
 }
 
-/// The k-way merge of the shards' quasi-sorted group lists on exact
+/// The k-way merge of the shards' group lists on exact
 /// `(count desc, key asc)`, as `(shard, group)` indices. Keys are unique
 /// across shards, so the heap order is total and the merge deterministic; it
-/// keeps each shard's own order.
+/// keeps each shard's own order, so lists already sorted on that order merge
+/// into the global sort.
 fn merge_order(shards: &[SealedBatch]) -> Vec<(usize, usize)> {
     let head = |si: usize, gi: usize| {
         let g = shards[si].groups.get(gi)?;
@@ -183,10 +184,26 @@ fn merge_order(shards: &[SealedBatch]) -> Vec<(usize, usize)> {
     order
 }
 
-impl BatchAccumulator for ShardedAccumulator {
+impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
     fn ingest(&mut self, t: Tuple) {
         let s = self.shard_of(t.key);
         self.shards[s].ingest(t);
+    }
+
+    fn ingest_all(&mut self, tuples: &[Tuple], threads: usize) {
+        self.par_ingest(tuples, threads);
+    }
+
+    /// Every shard takes its share of the whole-batch estimates.
+    fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
+        let (est_tuples, avg_keys) = shard_estimates(est_tuples, avg_keys, self.shards.len());
+        for shard in &mut self.shards {
+            shard.set_estimates(est_tuples, avg_keys);
+        }
+    }
+
+    fn n_shards(&self) -> usize {
+        self.shards.len()
     }
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
@@ -225,6 +242,12 @@ impl BatchAccumulator for ShardedAccumulator {
             })
             .collect();
         ColumnarSealed::new(std::sync::Arc::new(arena), groups, shards[0].interval)
+    }
+
+    fn set_interval(&mut self, interval: Interval) {
+        for shard in &mut self.shards {
+            shard.set_interval(interval);
+        }
     }
 
     fn stats(&self) -> BatchStats {

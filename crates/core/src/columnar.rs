@@ -152,7 +152,7 @@ impl ColRange {
 
 /// The columnar twin of [`SealedBatch`]: key groups as ranges into a shared
 /// arena whose columns hold the groups' tuples back to back, in the same
-/// (quasi-descending frequency) group order Algorithm 1 seals.
+/// (descending frequency) group order Algorithm 1 seals.
 #[derive(Clone, Debug)]
 pub struct ColumnarSealed {
     /// The group tuples, concatenated in group order.

@@ -11,9 +11,10 @@
 //!
 //! ## The pieces
 //!
-//! * [`buffering`] — Algorithm 1: frequency-aware micro-batch buffering with
-//!   the budgeted [`buffering::CountTree`] that yields quasi-sorted key
-//!   frequencies at the heartbeat for free.
+//! * [`buffering`] — Algorithm 1: frequency-aware micro-batch buffering. The
+//!   engine's buffer counts keys exactly and sorts them once at the
+//!   heartbeat; the paper's budgeted [`buffering::CountTree`], which yields
+//!   quasi-sorted key frequencies with no sort, is kept for fidelity.
 //! * [`partitioner`] — Algorithm 2 (the B-BPFI heuristic) plus the
 //!   time-based, shuffle, hash, PK-d and cAM baselines behind one
 //!   [`partitioner::Partitioner`] trait.

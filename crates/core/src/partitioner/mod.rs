@@ -5,8 +5,8 @@
 //! interval (tuples in arrival order), produce `p` data blocks. Per-tuple
 //! techniques (time-based, shuffle, hash, PK-d, cAM) replay the arrival
 //! sequence and decide block placement online, exactly as they would in a
-//! tuple-at-a-time engine; Prompt runs its frequency-aware accumulator over
-//! the arrivals and partitions the sealed batch at the heartbeat.
+//! tuple-at-a-time engine; Prompt buffers the arrivals with exact per-key
+//! counts, sorts the keys at the heartbeat and partitions the sealed batch.
 
 mod cam;
 mod dchoices;
@@ -128,10 +128,13 @@ pub enum Technique {
     /// Heavy-hitter-aware d-choices (Nasir et al. ICDE'16): only detected
     /// heavy hitters get `d` candidate blocks; the tail is hashed.
     DChoices(usize),
-    /// Prompt with the frequency-aware online accumulator (Algorithms 1+2).
+    /// Prompt as the engine runs it: exact per-key counts during the
+    /// interval, one sort at the heartbeat, then Algorithm 2.
     Prompt,
-    /// Prompt ablation: exact post-heartbeat sort instead of Algorithm 1.
-    PromptPostSort,
+    /// Prompt as the paper draws it: Algorithm 1's budgeted `CountTree`
+    /// keeps a quasi-sorted key list during the interval (paper fidelity;
+    /// Fig. 14a compares the two).
+    PromptCountTree,
 }
 
 impl Technique {
@@ -156,12 +159,32 @@ impl Technique {
             Technique::Cam(d) => format!("cAM({d})"),
             Technique::DChoices(d) => format!("D-Choices({d})"),
             Technique::Prompt => "Prompt".into(),
-            Technique::PromptPostSort => "Prompt(post-sort)".into(),
+            Technique::PromptCountTree => "Prompt(count-tree)".into(),
         }
     }
 
     /// Instantiate the partitioner with a deterministic seed.
     pub fn build(&self, seed: u64) -> Box<dyn Partitioner> {
+        self.build_with_parallelism(seed, 1, 1)
+    }
+
+    /// [`Technique::build`] with the Prompt variants' batching phase sharded
+    /// `shards` ways over `threads` workers (every other technique
+    /// partitions per tuple and ignores both). `Technique::Prompt` builds the
+    /// same plans for every geometry.
+    pub fn build_with_parallelism(
+        &self,
+        seed: u64,
+        shards: usize,
+        threads: usize,
+    ) -> Box<dyn Partitioner> {
+        let prompt = |mode| {
+            Box::new(PromptPartitioner::with_parallelism(
+                mode,
+                shards.max(1),
+                threads.max(1),
+            ))
+        };
         match *self {
             Technique::TimeBased => Box::new(TimeBasedPartitioner::new()),
             Technique::Shuffle => Box::new(ShufflePartitioner::new()),
@@ -169,8 +192,8 @@ impl Technique {
             Technique::Pkg(d) => Box::new(PkgPartitioner::new(seed, d)),
             Technique::Cam(d) => Box::new(CamPartitioner::new(seed, d)),
             Technique::DChoices(d) => Box::new(DChoicesPartitioner::new(seed, d)),
-            Technique::Prompt => Box::new(PromptPartitioner::new(BufferingMode::FrequencyAware)),
-            Technique::PromptPostSort => Box::new(PromptPartitioner::new(BufferingMode::PostSort)),
+            Technique::Prompt => prompt(BufferingMode::PostSort),
+            Technique::PromptCountTree => prompt(BufferingMode::FrequencyAware),
         }
     }
 }
@@ -181,9 +204,10 @@ impl Technique {
 /// candidate constructible behind one object-safe handle *and* needs each
 /// instance to persist across batches (Prompt's accumulator, for example,
 /// keeps its index, log and counter allocations from one batch to the
-/// next). The registry builds each technique
-/// lazily on first use — with the run's seed and, for Prompt, its ingest
-/// parallelism — and hands back the same instance for the rest of the run.
+/// next). The registry builds each technique lazily on first use — with the
+/// run's seed and ingest parallelism
+/// ([`Technique::build_with_parallelism`]) — and hands back the same
+/// instance for the rest of the run.
 pub struct PartitionerRegistry {
     seed: u64,
     prompt_shards: usize,
@@ -197,7 +221,7 @@ impl PartitionerRegistry {
         PartitionerRegistry::with_parallelism(seed, 1, 1)
     }
 
-    /// Registry that builds `Technique::Prompt` with the given accumulator
+    /// Registry that builds the Prompt variants with the given accumulator
     /// sharding / materialization threading (mirrors the engine's ingest
     /// configuration so a swapped-in Prompt behaves exactly like a
     /// run-constant one).
@@ -231,16 +255,8 @@ impl PartitionerRegistry {
         if let Some(idx) = self.entries.iter().position(|(t, _)| t == &technique) {
             return self.entries[idx].1.as_mut();
         }
-        let built: Box<dyn Partitioner> = match technique {
-            Technique::Prompt if self.prompt_shards > 1 || self.prompt_threads > 1 => {
-                Box::new(PromptPartitioner::with_parallelism(
-                    BufferingMode::FrequencyAware,
-                    self.prompt_shards,
-                    self.prompt_threads,
-                ))
-            }
-            other => other.build(self.seed),
-        };
+        let built =
+            technique.build_with_parallelism(self.seed, self.prompt_shards, self.prompt_threads);
         self.entries.push((technique, built));
         self.entries.last_mut().expect("just pushed").1.as_mut()
     }
@@ -350,7 +366,7 @@ mod tests {
             .iter()
             .map(|t| t.label())
             .collect();
-        labels.push(Technique::PromptPostSort.label());
+        labels.push(Technique::PromptCountTree.label());
         let n = labels.len();
         labels.sort();
         labels.dedup();
@@ -391,6 +407,25 @@ mod tests {
     }
 
     #[test]
+    fn prompt_builds_the_same_plan_for_every_ingest_geometry() {
+        // What `Technique::build` hands a solo caller and what the engine
+        // and the registry build from `ingest_shards` / `ingest_threads`.
+        let batch = zipfish_batch(300, 4000);
+        let want = Technique::Prompt.build(3).partition(&batch, 8);
+        assert_plan_valid(&batch, &want, 8);
+        for (shards, threads) in [(1, 2), (4, 1), (4, 2), (7, 3)] {
+            let built = Technique::Prompt
+                .build_with_parallelism(3, shards, threads)
+                .partition(&batch, 8);
+            assert_eq!(built, want, "{shards} shards / {threads} threads");
+            let via_registry = PartitionerRegistry::with_parallelism(3, shards, threads)
+                .get_or_build(Technique::Prompt)
+                .partition(&batch, 8);
+            assert_eq!(via_registry, want, "registry, {shards} / {threads}");
+        }
+    }
+
+    #[test]
     fn registry_insert_adopts_prebuilt_instance() {
         let mut reg = PartitionerRegistry::new(0);
         reg.insert(Technique::Shuffle, Technique::Shuffle.build(0));
@@ -404,6 +439,10 @@ mod tests {
     #[test]
     fn names_match_labels_for_fixed_variants() {
         assert_eq!(Technique::Prompt.build(0).name(), "Prompt");
+        assert_eq!(
+            Technique::PromptCountTree.build(0).name(),
+            Technique::PromptCountTree.label()
+        );
         assert_eq!(Technique::Shuffle.build(0).name(), "Shuffle");
         assert_eq!(Technique::Pkg(2).label(), "PK2");
         assert_eq!(Technique::Pkg(5).label(), "PK5");

@@ -5,7 +5,8 @@
 //! tuple counts, blocks are equal-capacity bins, and the plan must balance
 //! sizes, balance cardinalities, and minimise key fragmentation. B-BPFI is
 //! NP-complete (Theorem 1); Algorithm 2 is the paper's millisecond-scale
-//! heuristic over the quasi-sorted key list produced by Algorithm 1:
+//! heuristic over the sorted (in the paper, quasi-sorted) key list produced
+//! by Algorithm 1:
 //!
 //! 1. **Heavy-key splitting** — any key with more tuples than
 //!    `S_cut = P_size / P_card` contributes one `S_cut`-sized fragment to the
@@ -35,30 +36,25 @@ use crate::types::{Interval, Key, Tuple};
 /// arrival-ordered [`Partitioner`] interface.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BufferingMode {
-    /// Algorithm 1: online quasi-sorting during the batching phase.
+    /// The paper's Algorithm 1: online quasi-sorting in a budgeted
+    /// `CountTree` during the batching phase. Kept for fidelity.
     FrequencyAware,
-    /// Ablation (Fig. 14a): exact sort after the heartbeat.
+    /// What the engine runs: exact counts during the batching phase, one
+    /// exact sort after the heartbeat (the other side of Fig. 14a).
     PostSort,
 }
 
-/// The batching-phase buffer a partitioner owns and refills every batch, so
-/// the index, log, counter and shard allocations are made once per run.
-#[derive(Clone, Debug)]
-enum Buffer {
-    /// Algorithm 1, serial.
-    FrequencyAware(FrequencyAwareAccumulator),
-    /// Algorithm 1, sharded for parallel ingest.
-    Sharded(ShardedAccumulator),
-    /// Ablation (Fig. 14a): exact sort after the heartbeat.
-    PostSort(PostSortAccumulator),
-}
-
 /// The Prompt batch partitioner.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PromptPartitioner {
-    /// `K_Avg` the accumulator is re-seeded with every batch.
+    mode: BufferingMode,
+    /// `K_Avg` the frequency-aware accumulator is re-seeded with every batch.
     avg_keys: f64,
-    buffer: Buffer,
+    /// The batching-phase buffer, refilled every batch so the index, log,
+    /// counter and shard allocations are made once per run. Either mode
+    /// runs serial or sharded for parallel ingest; an exact buffer seals
+    /// the same batch either way.
+    buffer: Box<dyn BatchAccumulator>,
     /// Worker threads for parallel ingest and plan materialization.
     threads: usize,
 }
@@ -69,7 +65,8 @@ impl PromptPartitioner {
         Self::build(mode, AccumulatorConfig::default(), 1, 1)
     }
 
-    /// Construct with an explicit Algorithm 1 configuration.
+    /// Construct with an explicit Algorithm 1 configuration (read by
+    /// [`BufferingMode::FrequencyAware`] only; exact counts have no knobs).
     pub fn with_accumulator_config(
         mode: BufferingMode,
         acc_cfg: AccumulatorConfig,
@@ -81,8 +78,9 @@ impl PromptPartitioner {
     /// `threads` workers for ingest and block materialization. The sharded
     /// accumulator's determinism contract (see
     /// [`ShardedAccumulator`](crate::buffering::ShardedAccumulator)) makes
-    /// the output independent of `threads`; `shards = 1, threads = 1` is
-    /// exactly the serial path.
+    /// the output independent of `threads` — and, for
+    /// [`BufferingMode::PostSort`], of `shards` too; `shards = 1,
+    /// threads = 1` is exactly the serial path.
     pub fn with_parallelism(
         mode: BufferingMode,
         shards: usize,
@@ -101,28 +99,32 @@ impl PromptPartitioner {
     ) -> PromptPartitioner {
         // Every batch sets its own interval before it is replayed.
         let iv = Interval::default();
-        let buffer = match mode {
-            BufferingMode::PostSort => Buffer::PostSort(PostSortAccumulator::new(iv)),
-            BufferingMode::FrequencyAware if shards > 1 => {
-                Buffer::Sharded(ShardedAccumulator::new(acc_cfg, shards, iv))
+        let buffer: Box<dyn BatchAccumulator> = match (mode, shards > 1) {
+            (BufferingMode::PostSort, false) => Box::new(PostSortAccumulator::new(iv)),
+            (BufferingMode::PostSort, true) => Box::new(ShardedAccumulator::exact(shards, iv)),
+            (BufferingMode::FrequencyAware, false) => {
+                Box::new(FrequencyAwareAccumulator::new(acc_cfg, iv))
             }
-            BufferingMode::FrequencyAware => {
-                Buffer::FrequencyAware(FrequencyAwareAccumulator::new(acc_cfg, iv))
+            (BufferingMode::FrequencyAware, true) => {
+                Box::new(ShardedAccumulator::new(acc_cfg, shards, iv))
             }
         };
         PromptPartitioner {
+            mode,
             avg_keys: acc_cfg.avg_keys.max(1.0),
             buffer,
-            threads,
+            threads: threads.max(1),
         }
     }
 
     /// The buffering mode in use.
     pub fn mode(&self) -> BufferingMode {
-        match self.buffer {
-            Buffer::PostSort(_) => BufferingMode::PostSort,
-            Buffer::FrequencyAware(_) | Buffer::Sharded(_) => BufferingMode::FrequencyAware,
-        }
+        self.mode
+    }
+
+    /// How many ways the batching-phase buffer is sharded (1 = serial).
+    pub fn ingest_shards(&self) -> usize {
+        self.buffer.n_shards()
     }
 
     /// Default residual-phase capacity tolerance (fraction of `P_size`),
@@ -494,8 +496,8 @@ fn materialize_block(batch: &SealedBatch, pieces: &[Piece]) -> DataBlock {
 impl Partitioner for PromptPartitioner {
     fn name(&self) -> &'static str {
         match self.mode() {
-            BufferingMode::FrequencyAware => "Prompt",
-            BufferingMode::PostSort => "Prompt(post-sort)",
+            BufferingMode::PostSort => "Prompt",
+            BufferingMode::FrequencyAware => "Prompt(count-tree)",
         }
     }
 
@@ -583,37 +585,18 @@ impl PromptPartitioner {
 
     /// Replay one batch's arrivals through the owned accumulator (the
     /// batching phase of §4.1), ready to seal at the heartbeat. With no
-    /// history from the caller, `N_Est` is re-seeded from the batch itself.
+    /// history from the caller, the frequency-aware `N_Est` is re-seeded
+    /// from the batch itself.
     fn buffer_arrivals(
         &mut self,
         tuples: &[Tuple],
         interval: Interval,
     ) -> &mut dyn BatchAccumulator {
         let est_tuples = tuples.len().max(1) as f64;
-        let avg_keys = self.avg_keys;
-        match &mut self.buffer {
-            Buffer::FrequencyAware(acc) => {
-                acc.set_estimates(est_tuples, avg_keys);
-                acc.set_interval(interval);
-                for &t in tuples {
-                    acc.ingest(t);
-                }
-                acc
-            }
-            Buffer::Sharded(acc) => {
-                acc.set_estimates(est_tuples, avg_keys);
-                acc.set_interval(interval);
-                acc.par_ingest(tuples, self.threads);
-                acc
-            }
-            Buffer::PostSort(acc) => {
-                acc.set_interval(interval);
-                for &t in tuples {
-                    acc.ingest(t);
-                }
-                acc
-            }
-        }
+        self.buffer.set_estimates(est_tuples, self.avg_keys);
+        self.buffer.set_interval(interval);
+        self.buffer.ingest_all(tuples, self.threads);
+        &mut *self.buffer
     }
 }
 
@@ -899,6 +882,7 @@ mod tests {
             (BufferingMode::FrequencyAware, 1, 1),
             (BufferingMode::FrequencyAware, 4, 3),
             (BufferingMode::PostSort, 1, 1),
+            (BufferingMode::PostSort, 4, 3),
         ] {
             let want = PromptPartitioner::with_parallelism(mode, shards, threads).partition(&mb, 8);
             let (cols, _) = PromptPartitioner::with_parallelism(mode, shards, threads)
@@ -921,10 +905,23 @@ mod tests {
     }
 
     #[test]
-    fn mode_accessor() {
-        assert_eq!(
-            PromptPartitioner::new(BufferingMode::PostSort).mode(),
-            BufferingMode::PostSort
-        );
+    fn every_mode_honours_its_ingest_geometry() {
+        for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
+            assert_eq!(PromptPartitioner::new(mode).ingest_shards(), 1);
+            let part = PromptPartitioner::with_parallelism(mode, 4, 2);
+            assert_eq!(part.mode(), mode);
+            assert_eq!(part.ingest_shards(), 4, "{mode:?} dropped its shards");
+        }
+    }
+
+    #[test]
+    fn post_sort_plans_are_independent_of_the_ingest_geometry() {
+        let mb = zipfish_batch(200, 4000);
+        let want = PromptPartitioner::new(BufferingMode::PostSort).partition(&mb, 8);
+        for (shards, threads) in [(1, 4), (2, 1), (8, 4), (3, 16)] {
+            let got = PromptPartitioner::with_parallelism(BufferingMode::PostSort, shards, threads)
+                .partition(&mb, 8);
+            assert_eq!(want, got, "{shards} shards / {threads} threads");
+        }
     }
 }

@@ -1,6 +1,8 @@
-//! Property-based tests of the frequency-aware accumulator (Algorithm 1)
-//! against the exact post-sort reference and against a tree-free model of
-//! the algorithm, plus degenerate batches through every accumulator.
+//! Property-based tests of the batching-phase accumulators: the budgeted
+//! frequency-aware one (Algorithm 1) against the exact post-sort one and
+//! against a tree-free model of the algorithm; exact shards against the
+//! serial exact seal for every shard and thread count; plus degenerate
+//! batches through every accumulator.
 
 use std::collections::BTreeMap;
 
@@ -190,6 +192,41 @@ proptest! {
         assert_groups_hold_arrivals(&sealed, &tuples);
     }
 
+    /// Exact shards seal the serial exact batch — same groups, counts and
+    /// per-group arrival order — for every shard and thread count, and keep
+    /// doing so when the same accumulators are refilled with a batch over a
+    /// smaller key set (then an empty one).
+    #[test]
+    fn exact_shards_seal_the_serial_batch_for_any_geometry(
+        stream in stream_strategy(),
+        keep in 0u64..50,
+    ) {
+        let wide = tuples_of(&stream, 0);
+        let narrow: Vec<Tuple> = wide.iter().copied().filter(|t| t.key.0 < keep).collect();
+        let mut serial = PostSortAccumulator::new(IV);
+        let mut sharded: Vec<(usize, usize, ShardedAccumulator<PostSortAccumulator>)> =
+            [1usize, 2, 4, 7]
+                .into_iter()
+                .flat_map(|shards| [1usize, 2, 3].map(|threads| (shards, threads)))
+                .map(|(shards, threads)| (shards, threads, ShardedAccumulator::exact(shards, IV)))
+                .collect();
+        for batch in [&wide, &narrow, &Vec::new()] {
+            ingest_all(&mut serial, batch);
+            let stats = serial.stats();
+            let want = serial.seal(IV);
+            assert_groups_hold_arrivals(&want, batch);
+            prop_assert_eq!(want.adjacent_inversions(), 0);
+            for (shards, threads, acc) in &mut sharded {
+                acc.par_ingest(batch, *threads);
+                prop_assert_eq!(acc.stats(), stats);
+                prop_assert_eq!(
+                    &acc.seal(IV), &want,
+                    "{} shards / {} threads", shards, threads
+                );
+            }
+        }
+    }
+
     #[test]
     fn seal_resets_cleanly(stream in stream_strategy()) {
         let interval = Interval::new(Time::ZERO, Time::from_secs(10));
@@ -255,6 +292,17 @@ fn check_all_accumulators(cfg: AccumulatorConfig, batches: &[Vec<Tuple>]) {
     check(|| ShardedAccumulator::new(cfg, 1, IV), batches);
     check(|| ShardedAccumulator::new(cfg, 4, IV), batches);
     check(|| PostSortAccumulator::new(IV), batches);
+    check(|| ShardedAccumulator::exact(1, IV), batches);
+    check(|| ShardedAccumulator::exact(7, IV), batches);
+
+    // Exact shards are the serial exact accumulator, batch after batch.
+    let mut serial = PostSortAccumulator::new(IV);
+    let mut sharded = ShardedAccumulator::exact(7, IV);
+    for tuples in batches {
+        ingest_all(&mut serial, tuples);
+        sharded.par_ingest(tuples, 3);
+        assert_eq!(sharded.seal(IV), serial.seal(IV));
+    }
 }
 
 fn spread(keys: impl Iterator<Item = u64>, n: usize) -> Vec<Tuple> {
@@ -349,4 +397,10 @@ fn second_batch_with_fewer_keys_on_a_reused_accumulator() {
     let wide = spread((0..).map(|i| i * i % 997), 5_000);
     let narrow = spread((0..).map(|i| 1_000 + i % 3), 400);
     check_all_accumulators(cfg, &[wide.clone(), narrow, vec![], wide]);
+}
+
+#[test]
+fn more_shards_than_keys() {
+    let tuples = spread((0..).map(|i| 40 + i % 3), 900);
+    check_all_accumulators(AccumulatorConfig::default(), &[tuples]);
 }

@@ -1,13 +1,24 @@
-//! Seal-order pin for Algorithm 1 across representation changes.
+//! Seal-order pin for the batching phase across representation changes.
 //!
-//! The fingerprints below were generated at the commit *before* the
-//! `CountTree` became a B-tree and the `HTable` a slot index over one flat
-//! arrival log. They fix, for seeded 500k-tuple batches, the sealed
+//! For seeded 500k-tuple batches the fingerprints below fix the sealed
 //! `(key, count)` sequence, every group's tuple sequence, the number of tree
-//! updates, and the plan Algorithm 2 builds from the seal — so a new tree or
-//! buffer layout has to reproduce the old one bit for bit. `accumulator_props`
-//! pins the same order by meaning (a reference model); this file pins it by
-//! history.
+//! updates, and the plan Algorithm 2 builds from the seal — so a new buffer
+//! layout has to reproduce the old one bit for bit. Two tables:
+//!
+//! * [`EXACT_GOLDEN`] — the engine's buffer (`Technique::Prompt`: exact
+//!   counts, one sort at the heartbeat), generated at the commit that made it
+//!   the default. One row per distribution: the sealed batch is a function of
+//!   the key counts alone, so every shard count and thread count must
+//!   reproduce the same row.
+//! * [`COUNT_TREE_GOLDEN`] — the paper's budgeted Algorithm 1
+//!   (`Technique::PromptCountTree`), generated at the commit *before* the
+//!   `CountTree` became a B-tree and the `HTable` a slot index over one flat
+//!   arrival log, and unchanged since. One row per distribution and shard
+//!   count: its k-way merge of quasi-sorted shards is deterministic but not
+//!   shard-invariant.
+//!
+//! `accumulator_props` pins the same orders by meaning (a reference model);
+//! this file pins them by history.
 //!
 //! 500k-tuple inputs are too slow for a debug tier-1 run; CI runs this file
 //! with `cargo test -p prompt-core --release --test seal_order_golden`.
@@ -17,9 +28,11 @@
 
 use prompt_core::batch::{MicroBatch, PartitionPlan, SealedBatch};
 use prompt_core::buffering::{
-    AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, ShardedAccumulator,
+    AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
+    ShardedAccumulator,
 };
 use prompt_core::hash::mix64;
+use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{BufferingMode, Partitioner, PromptPartitioner};
 use prompt_core::types::{Interval, Key, Time, Tuple};
 
@@ -118,7 +131,7 @@ fn plan_fingerprint(plan: &PartitionPlan) -> u64 {
     h
 }
 
-/// What one `(distribution, shards)` cell pins.
+/// What one cell pins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Golden {
     order: u64,
@@ -130,20 +143,52 @@ struct Golden {
     plan_reused: u64,
 }
 
-const CELLS: [(&str, Dist, usize); 8] = [
-    ("zipf0.5/1", Dist::Zipf { twice_alpha: 1 }, 1),
-    ("zipf0.5/4", Dist::Zipf { twice_alpha: 1 }, 4),
-    ("zipf1.0/1", Dist::Zipf { twice_alpha: 2 }, 1),
-    ("zipf1.0/4", Dist::Zipf { twice_alpha: 2 }, 4),
-    ("zipf1.5/1", Dist::Zipf { twice_alpha: 3 }, 1),
-    ("zipf1.5/4", Dist::Zipf { twice_alpha: 3 }, 4),
-    ("uniform/1", Dist::Uniform, 1),
-    ("uniform/4", Dist::Uniform, 4),
+const DISTS: [(&str, Dist); 4] = [
+    ("zipf0.5", Dist::Zipf { twice_alpha: 1 }),
+    ("zipf1.0", Dist::Zipf { twice_alpha: 2 }),
+    ("zipf1.5", Dist::Zipf { twice_alpha: 3 }),
+    ("uniform", Dist::Uniform),
 ];
 
-/// Generated at the parent commit (hand-written AVL `CountTree`, per-key
-/// tuple vectors); see the module doc.
-const GOLDEN: [Golden; 8] = [
+/// Generated at the commit that made the exact buffer the engine default.
+const EXACT_GOLDEN: [Golden; 4] = [
+    // zipf0.5
+    Golden {
+        order: 0x0c43a3ed245f590e,
+        tuples: 0x9d3122bb68033b01,
+        tree_updates: 0,
+        plan: 0x1a5ce8f1cbbd7540,
+        plan_reused: 0x17e3688a4043c584,
+    },
+    // zipf1.0
+    Golden {
+        order: 0x025969760387fec9,
+        tuples: 0xed990054030d6409,
+        tree_updates: 0,
+        plan: 0x7a6f7fc3f5d19890,
+        plan_reused: 0xffafc00366ff5e06,
+    },
+    // zipf1.5
+    Golden {
+        order: 0x4ed11367d5f9ea8f,
+        tuples: 0xbb6553b06910e0b9,
+        tree_updates: 0,
+        plan: 0x6cb305045473e2fe,
+        plan_reused: 0x3690f59a2b890c10,
+    },
+    // uniform
+    Golden {
+        order: 0x17fb76a869f5e4cb,
+        tuples: 0x942f5175e4a36f9c,
+        tree_updates: 0,
+        plan: 0xb98f60897edae55b,
+        plan_reused: 0x37d6dc3746c9f89d,
+    },
+];
+
+/// Generated before PR 13 (hand-written AVL `CountTree`, per-key tuple
+/// vectors); see the module doc. Rows: each distribution at 1 and 4 shards.
+const COUNT_TREE_GOLDEN: [Golden; 8] = [
     // zipf0.5/1
     Golden {
         order: 0x820246eddfe91eef,
@@ -210,37 +255,58 @@ const GOLDEN: [Golden; 8] = [
     },
 ];
 
-fn measure(dist: Dist, shards: usize, threads: usize) -> Golden {
-    let first = stream(dist, 0x5ea1, TUPLES);
-    let second = stream(dist, 0x5ea2, TUPLES / 5);
-    // The accumulator configuration `PromptPartitioner` seeds per batch.
-    let cfg = AccumulatorConfig {
-        est_tuples: first.len() as f64,
-        ..AccumulatorConfig::default()
-    };
-
-    let mut acc = ShardedAccumulator::new(cfg, shards, IV);
-    acc.par_ingest(&first, threads);
+/// Ingest `first` on `threads` threads and seal it, checking on the way that
+/// the columnar seal emits the same groups in the same order. Returns the
+/// sealed batch and the tree updates it took.
+fn seal_both_layouts<A: BatchAccumulator + Send>(
+    mut acc: ShardedAccumulator<A>,
+    first: &[Tuple],
+    threads: usize,
+) -> (SealedBatch, u64) {
+    acc.par_ingest(first, threads);
     let tree_updates = acc.stats().tree_updates;
     let sealed = acc.seal(IV);
     assert_eq!(sealed.n_tuples, first.len());
-
-    // The columnar seal emits the same groups in the same order.
-    acc.par_ingest(&first, threads);
+    acc.par_ingest(first, threads);
     assert_eq!(acc.seal_columnar(IV).to_sealed(), sealed);
+    (sealed, tree_updates)
+}
 
-    if shards == 1 {
-        // One shard is the serial accumulator.
-        let mut serial = FrequencyAwareAccumulator::new(cfg, IV);
+fn measure(mode: BufferingMode, dist: Dist, shards: usize, threads: usize) -> Golden {
+    let first = stream(dist, 0x5ea1, TUPLES);
+    let second = stream(dist, 0x5ea2, TUPLES / 5);
+    let serial_seal = |mut acc: Box<dyn BatchAccumulator>| {
         for &t in &first {
-            serial.ingest(t);
+            acc.ingest(t);
         }
-        assert_eq!(serial.stats().tree_updates, tree_updates);
-        assert_eq!(serial.seal(IV), sealed);
-    }
+        let tree_updates = acc.stats().tree_updates;
+        (acc.seal(IV), tree_updates)
+    };
+    let (sealed, tree_updates) = match mode {
+        BufferingMode::PostSort => {
+            let got = seal_both_layouts(ShardedAccumulator::exact(shards, IV), &first, threads);
+            // Any shard count is the serial accumulator.
+            let serial = serial_seal(Box::new(PostSortAccumulator::new(IV)));
+            assert_eq!(serial, got);
+            got
+        }
+        BufferingMode::FrequencyAware => {
+            // The accumulator configuration `PromptPartitioner` seeds per batch.
+            let cfg = AccumulatorConfig {
+                est_tuples: first.len() as f64,
+                ..AccumulatorConfig::default()
+            };
+            let got = seal_both_layouts(ShardedAccumulator::new(cfg, shards, IV), &first, threads);
+            if shards == 1 {
+                // One shard is the serial accumulator.
+                let serial = serial_seal(Box::new(FrequencyAwareAccumulator::new(cfg, IV)));
+                assert_eq!(serial, got);
+            }
+            got
+        }
+    };
 
-    let mut part =
-        PromptPartitioner::with_parallelism(BufferingMode::FrequencyAware, shards, threads);
+    let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
     let plan = part.partition(&MicroBatch::new(first, IV), BLOCKS);
     assert_eq!(
         plan,
@@ -258,27 +324,112 @@ fn measure(dist: Dist, shards: usize, threads: usize) -> Golden {
     }
 }
 
-#[test]
-#[cfg_attr(debug_assertions, ignore = "500k-tuple inputs: run with --release")]
-fn sealed_order_tuples_tree_updates_and_plan_match_the_parent_commit() {
-    let got: Vec<Golden> = CELLS
-        .iter()
-        .map(|&(name, dist, shards)| {
-            let one = measure(dist, shards, 1);
-            assert_eq!(measure(dist, shards, 2), one, "{name}: 2 threads");
-            one
-        })
-        .collect();
-    let table: String = got
-        .iter()
-        .zip(CELLS)
-        .map(|(g, (name, ..))| {
+fn table(got: &[Golden], names: impl Iterator<Item = String>) -> String {
+    got.iter()
+        .zip(names)
+        .map(|(g, name)| {
             format!(
                 "    // {name}\n    Golden {{\n        order: {:#018x},\n        tuples: {:#018x},\n        \
                  tree_updates: {},\n        plan: {:#018x},\n        plan_reused: {:#018x},\n    }},\n",
                 g.order, g.tuples, g.tree_updates, g.plan, g.plan_reused
             )
         })
+        .collect()
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple inputs: run with --release")]
+fn exact_seal_is_one_fingerprint_per_distribution_for_every_geometry() {
+    let got: Vec<Golden> = DISTS
+        .iter()
+        .map(|&(name, dist)| {
+            let one = measure(BufferingMode::PostSort, dist, 1, 1);
+            for (shards, threads) in [(1, 2), (4, 1), (4, 2), (7, 3)] {
+                assert_eq!(
+                    measure(BufferingMode::PostSort, dist, shards, threads),
+                    one,
+                    "{name}: {shards} shards / {threads} threads"
+                );
+            }
+            one
+        })
         .collect();
-    assert!(got == GOLDEN, "seal order changed; measured:\n{table}");
+    let table = table(&got, DISTS.iter().map(|(name, _)| name.to_string()));
+    assert!(
+        got == EXACT_GOLDEN,
+        "seal order changed; measured:\n{table}"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple inputs: run with --release")]
+fn count_tree_seal_matches_the_commit_before_the_btree() {
+    let cells = || {
+        DISTS
+            .iter()
+            .flat_map(|&(name, dist)| [1, 4].map(|shards| (name, dist, shards)))
+    };
+    let got: Vec<Golden> = cells()
+        .map(|(name, dist, shards)| {
+            let one = measure(BufferingMode::FrequencyAware, dist, shards, 1);
+            let two = measure(BufferingMode::FrequencyAware, dist, shards, 2);
+            assert_eq!(two, one, "{name}/{shards}: 2 threads");
+            one
+        })
+        .collect();
+    let table = table(
+        &got,
+        cells().map(|(name, _, shards)| format!("{name}/{shards}")),
+    );
+    assert!(
+        got == COUNT_TREE_GOLDEN,
+        "seal order changed; measured:\n{table}"
+    );
+}
+
+/// What the exact order costs in plan quality, pinned per distribution.
+/// Algorithm 2's residual phase breaks ties by where earlier keys landed, so
+/// on one batch either order can come out ahead; the bounds are on means
+/// over 24 seeded batches. BSI is never worse. BCI, KSR and MPI are equal or
+/// within 2% / 0.1% / 0.1% on Zipf 0.5, Zipf 1.0 and uniform. Zipf 1.5 is
+/// the exception, and it is a regression: BCI lands near 50 or near 110
+/// keys for both orders, and the exact order's mean is 11% higher (85.8 vs
+/// 77.3), with MPI 0.8% higher. The bounds sit just above the measured
+/// ratios, so a further loss fails.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple inputs: run with --release")]
+fn exact_order_plan_quality_stays_within_the_measured_bounds() {
+    const SEEDS: u64 = 24;
+    for (name, dist) in DISTS {
+        let mean = |mode| {
+            let sum = (0..SEEDS).fold([0.0; 4], |sum, seed| {
+                let batch = MicroBatch::new(stream(dist, 0x5ea1 + seed, TUPLES), IV);
+                let m = PlanMetrics::of(&PromptPartitioner::new(mode).partition(&batch, BLOCKS));
+                [
+                    sum[0] + m.bsi,
+                    sum[1] + m.bci,
+                    sum[2] + m.ksr,
+                    sum[3] + m.mpi,
+                ]
+            });
+            sum.map(|s| s / SEEDS as f64)
+        };
+        let exact = mean(BufferingMode::PostSort);
+        let tree = mean(BufferingMode::FrequencyAware);
+        println!("{name}: mean [BSI, BCI, KSR, MPI] exact {exact:?} vs count-tree {tree:?}");
+        let (bci, mpi) = if name == "zipf1.5" {
+            (1.12, 1.01)
+        } else {
+            (1.02, 1.001)
+        };
+        let bounds = [("BSI", 1.0), ("BCI", bci), ("KSR", 1.001), ("MPI", mpi)];
+        for (i, (metric, bound)) in bounds.into_iter().enumerate() {
+            assert!(
+                exact[i] <= tree[i] * bound,
+                "{name}: mean {metric} {} vs the count tree's {}",
+                exact[i],
+                tree[i]
+            );
+        }
+    }
 }

@@ -76,13 +76,14 @@ pub struct EngineConfig {
     pub backpressure_queue: f64,
     /// Enable the Algorithm 4 auto-scaler.
     pub elasticity: Option<ScalerConfig>,
-    /// Accumulator shards for the Prompt batching phase. `1` keeps the
-    /// legacy serial Algorithm 1 path; `> 1` ingests through the sharded
-    /// accumulator, whose sealed output is shard-deterministic and
-    /// thread-invariant (see `prompt_core::buffering::ShardedAccumulator`).
+    /// Accumulator shards for the Prompt batching phase. `1` is the serial
+    /// buffer; `> 1` ingests through the sharded accumulator. A wall-clock
+    /// knob only: `Technique::Prompt` seals the same batch — and builds the
+    /// same plan — for every shard and thread count (see
+    /// `prompt_core::buffering::ShardedAccumulator`).
     pub ingest_shards: usize,
-    /// Worker threads for parallel ingest and plan materialization when
-    /// `ingest_shards > 1` (capped by the shard/block counts).
+    /// Worker threads for parallel ingest (when `ingest_shards > 1`) and
+    /// plan materialization (capped by the shard/block counts).
     pub ingest_threads: usize,
     /// Observability verbosity: what [`StreamingEngine::run_traced`]
     /// records (see `crate::trace`). `Off` keeps the hot path free of any

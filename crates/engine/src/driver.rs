@@ -258,7 +258,7 @@ impl ReduceStrategy {
     /// The strategy the paper pairs with each batching technique.
     pub fn for_technique(t: Technique) -> ReduceStrategy {
         match t {
-            Technique::Prompt | Technique::PromptPostSort => ReduceStrategy::Prompt,
+            Technique::Prompt | Technique::PromptCountTree => ReduceStrategy::Prompt,
             _ => ReduceStrategy::Hash,
         }
     }
@@ -375,21 +375,10 @@ impl StreamingEngine {
                 cfg.reduce_tasks,
             )))
         });
-        // The ingest-parallelism knob only applies to Prompt's batching
+        // The ingest-parallelism knobs only apply to Prompt's batching
         // phase; every other technique partitions per tuple.
-        let partitioner: Box<dyn Partitioner> = if technique == Technique::Prompt
-            && (cfg.ingest_shards > 1 || cfg.ingest_threads > 1)
-        {
-            Box::new(
-                prompt_core::partitioner::PromptPartitioner::with_parallelism(
-                    prompt_core::partitioner::BufferingMode::FrequencyAware,
-                    cfg.ingest_shards,
-                    cfg.ingest_threads,
-                ),
-            )
-        } else {
-            technique.build(seed)
-        };
+        let partitioner =
+            technique.build_with_parallelism(seed, cfg.ingest_shards, cfg.ingest_threads);
         let assigner: Box<dyn ReduceAssigner> = match &routing {
             Some(table) => Box::new(GroupRoutedAssigner::new(std::sync::Arc::clone(table))),
             None => reduce.build_boxed(seed),
@@ -855,7 +844,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ingest_preserves_query_answers() {
+    fn ingest_geometry_changes_no_plan_and_no_answer() {
+        // `Technique::Prompt` seals the same batch for every shard and
+        // thread count, so everything downstream of the seal is identical:
+        // plan metrics, per-task times, windows.
         let run = |shards: usize, threads: usize| {
             let mut cfg = small_cfg();
             cfg.ingest_shards = shards;
@@ -870,15 +862,18 @@ mod tests {
             eng.run(&mut const_source(500, 21), 6)
         };
         let reference = run(1, 1);
-        for (shards, threads) in [(4, 2), (8, 4)] {
+        for (shards, threads) in [(1, 2), (4, 2), (8, 4)] {
             let res = run(shards, threads);
+            let label = format!("{shards} shards / {threads} threads");
             assert_eq!(res.batches.len(), reference.batches.len());
+            for (a, b) in reference.batches.iter().zip(&res.batches) {
+                assert_eq!(a.plan_metrics, b.plan_metrics, "{label}, batch {}", a.seq);
+                assert_eq!(a.map_task_times, b.map_task_times, "{label}");
+                assert_eq!(a.reduce_task_times, b.reduce_task_times, "{label}");
+            }
             let a = reference.windows.last().unwrap();
             let b = res.windows.last().unwrap();
-            assert_eq!(a.aggregates.len(), b.aggregates.len());
-            for (k, v) in &a.aggregates {
-                assert_eq!(b.aggregates[k], *v, "{shards} shards / {threads} threads");
-            }
+            assert_eq!(a.aggregates, b.aggregates, "{label}");
         }
     }
 
@@ -1697,7 +1692,7 @@ mod tests {
         assert_eq!(expected[..2], [0, 1]);
         assert!(expected[2] > 50, "skewed batch too narrow: {expected:?}");
         let mut techniques = Technique::EVALUATION_SET.to_vec();
-        techniques.extend([Technique::DChoices(5), Technique::PromptPostSort]);
+        techniques.extend([Technique::DChoices(5), Technique::PromptCountTree]);
         for technique in techniques {
             for columnar in [false, true] {
                 let cfg = EngineConfig {

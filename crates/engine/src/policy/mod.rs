@@ -230,6 +230,19 @@ pub fn build_policy(
 /// accumulator costs more than a heavy-hitter sketch probe, which costs
 /// more than candidate hashing, which costs more than a bare hash or
 /// round-robin.
+///
+/// The scale is modelled, not wall-clocked; only the ratio between the two
+/// Prompt entries is measured. Over seven traced `benchmark/run.sh
+/// --workload zipf_inproc --trace 1` runs (500k-tuple batches) the median
+/// `partitioner.partition_ms` is 37 ms for `Prompt` (exact counts, one
+/// heartbeat sort) and 86 ms for the paper's budgeted count tree
+/// (EXPERIMENTS.md, "Algorithm 1 without the tree"): the default keeps the
+/// table's Prompt level, 0.06, and the paper-fidelity variant is charged
+/// 86 / 37 ≈ 2.3× that. Read against the cost model's 2 µs per-tuple Map
+/// cost the 37 ms would put `Prompt` at 0.037, next to cAM; at that level
+/// fixed Prompt outscores the adaptive run on `BENCH_adaptive`'s drift, so
+/// re-levelling the whole table against measured baselines is ROADMAP's
+/// item, together with what the drift gate should then assert.
 pub fn technique_overhead(t: Technique) -> f64 {
     match t {
         Technique::TimeBased => 0.0,
@@ -239,7 +252,7 @@ pub fn technique_overhead(t: Technique) -> f64 {
         Technique::Cam(_) => 0.03,
         Technique::DChoices(_) => 0.04,
         Technique::Prompt => 0.06,
-        Technique::PromptPostSort => 0.09,
+        Technique::PromptCountTree => 0.14,
     }
 }
 
@@ -425,7 +438,9 @@ impl AdaptivePolicy {
             }
             // Exact statistics split exactly the keys balance requires:
             // near-zero imbalance, KSR grows only with the heavy mass.
-            Technique::Prompt | Technique::PromptPostSort => w.p3 * (1.0 + s.heavy_mass) + overhead,
+            Technique::Prompt | Technique::PromptCountTree => {
+                w.p3 * (1.0 + s.heavy_mass) + overhead
+            }
         }
     }
 }
@@ -745,11 +760,13 @@ mod tests {
     }
 
     #[test]
-    fn overhead_table_orders_prompt_above_hash() {
-        assert!(technique_overhead(Technique::Prompt) > technique_overhead(Technique::Hash));
-        assert!(
-            technique_overhead(Technique::PromptPostSort) > technique_overhead(Technique::Prompt)
-        );
+    fn overhead_table_orders_hash_prompt_count_tree() {
+        // Measured partition time: Hash < Prompt (exact counts, one sort) <
+        // the paper's budgeted count tree, at about 2.3× the exact buffer.
+        let prompt = technique_overhead(Technique::Prompt);
+        let tree = technique_overhead(Technique::PromptCountTree);
+        assert!(prompt > technique_overhead(Technique::Hash));
+        assert!(tree > 2.0 * prompt && tree < 3.0 * prompt);
         assert!(technique_overhead(Technique::Hash) > technique_overhead(Technique::Shuffle));
         assert_eq!(technique_overhead(Technique::TimeBased), 0.0);
     }

@@ -112,7 +112,7 @@ pub fn parse_technique(s: &str) -> Result<Technique, String> {
     let lower = s.to_ascii_lowercase();
     match lower.as_str() {
         "prompt" => Ok(Technique::Prompt),
-        "prompt-postsort" | "postsort" => Ok(Technique::PromptPostSort),
+        "prompt-tree" => Ok(Technique::PromptCountTree),
         "time" | "time-based" | "timebased" => Ok(Technique::TimeBased),
         "shuffle" | "round-robin" => Ok(Technique::Shuffle),
         "hash" => Ok(Technique::Hash),
@@ -138,7 +138,7 @@ pub fn parse_technique(s: &str) -> Result<Technique, String> {
                     .map_err(|_| format!("bad D-Choices degree in '{s}'"));
             }
             Err(format!(
-                "unknown technique '{s}' (try: prompt, time-based, shuffle, hash, pk2, pk5, cam4, dchoices5)"
+                "unknown technique '{s}' (try: prompt, prompt-tree, time-based, shuffle, hash, pk2, pk5, cam4, dchoices5)"
             ))
         }
     }
@@ -241,7 +241,9 @@ COMMANDS:
     partition    partition one batch with every technique, print metrics
 
 OPTIONS (all optional):
-    --technique <t>     prompt | time-based | shuffle | hash | pk2 | pk5 | cam4 | dchoices5
+    --technique <t>     prompt | prompt-tree | time-based | shuffle | hash | pk2 | pk5 |
+                        cam4 | dchoices5 (prompt-tree = the paper's budgeted CountTree
+                        buffer; prompt sorts exact counts at the heartbeat)
     --policy <p>        fixed | adaptive (run command)        [fixed]
     --dataset <d>       tweets | synd | debs | gcm | tpch     [tweets]
     --rate <r>          input rate, tuples/s                  [50000]
@@ -336,8 +338,8 @@ mod tests {
             Technique::DChoices(5)
         );
         assert_eq!(
-            parse_technique("postsort").unwrap(),
-            Technique::PromptPostSort
+            parse_technique("prompt-tree").unwrap(),
+            Technique::PromptCountTree
         );
         assert!(parse_technique("banana").is_err());
     }

@@ -47,7 +47,7 @@ fn every_query_gives_identical_answers_under_every_technique() {
         assert!(!reference.is_empty(), "{}: no windows", query.name);
         let mut techniques: Vec<Technique> = Technique::EVALUATION_SET.to_vec();
         techniques.push(Technique::DChoices(5));
-        techniques.push(Technique::PromptPostSort);
+        techniques.push(Technique::PromptCountTree);
         for tech in techniques {
             let got = run_query(&query, tech, 4_000.0, 800, 8);
             assert_eq!(got.len(), reference.len(), "{}: window count", query.name);

@@ -102,7 +102,7 @@ proptest! {
         let hash_plan = Technique::Hash.build(1).partition(&batch, p);
         prop_assert!(hash_plan.split_keys.is_empty());
 
-        let prompt_plan = Technique::PromptPostSort.build(1).partition(&batch, p);
+        let prompt_plan = Technique::Prompt.build(1).partition(&batch, p);
         let p_size = batch.len().div_ceil(p);
         let keys = key_counts(&batch).len();
         // Block sizes are bounded by P_size plus one zigzag round of slack

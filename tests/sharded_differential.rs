@@ -1,8 +1,10 @@
 //! Differential safety net for the sharded parallel ingest & partitioning
 //! pipeline, plus property-based validation of the B-BPFI heuristic.
 //!
-//! The parallel pipeline's contract (see
-//! `prompt_core::buffering::ShardedAccumulator`) is checked differentially
+//! The parallel pipeline's contract for the paper's budgeted shards (see
+//! `prompt_core::buffering::ShardedAccumulator::new`; the engine's exact
+//! shards, which seal the serial batch for *any* shard count, are covered by
+//! `crates/core/tests/accumulator_props.rs`) is checked differentially
 //! against the serial reference over generated skewed streams:
 //!
 //! * sharded ingest produces the *exact* per-key frequencies of the serial
