@@ -4,25 +4,26 @@
 //! — and lent to each step that dispatches.
 //!
 //! [`BackendRuntime::execute`] is the one place a planned batch is dispatched
-//! by backend kind, and its distributed arm is the one place a worker loss
-//! is survived: a single submit→wait path at every pipeline depth (depth 1
+//! by backend kind, and its distributed arm is where a worker loss is
+//! survived: a single submit→wait path at every pipeline depth (depth 1
 //! is a window of one) that, on a loss, charges the recovery and resubmits
 //! the plans still in hand. Nothing is re-partitioned — the failed attempt
-//! made no assigner calls and the plan did not change.
-
-use prompt_core::reduce::ReduceAssigner;
+//! made no assigner calls and the plan did not change. A loss while migrated
+//! state is being pushed ([`BackendRuntime::push_state`]) is charged the
+//! same way and the push repeated on the survivors.
 
 use crate::config::{Backend, EngineConfig};
 use crate::job::Job;
 use crate::kernel::PlanView;
-use crate::net::{DistributedOptions, DistributedRuntime, NetStats, WorkerLoss};
+use crate::net::driver::BatchAssigners;
+use crate::net::{DistributedOptions, DistributedRuntime, Message, NetStats, WorkerLoss};
 use crate::recovery::ReplicatedBatchStore;
 use crate::stage::{execute_view, times_from_view, BatchOutput, StageTimes};
 use crate::threaded::ThreadedExecutor;
 use crate::trace::{Counter, TraceEvent, TraceRecorder};
 
 /// A partitioned batch as a backend sees it: what to run, under which job,
-/// into how many Reduce buckets.
+/// into how many Reduce buckets (the count the batch was prepared under).
 #[derive(Clone, Copy)]
 pub(crate) struct Planned<'a> {
     /// Sequence number on the wire (the run's `WireSeqs` mapping of `tseq`).
@@ -103,7 +104,8 @@ impl BackendRuntime {
     ///
     /// On the distributed backend the batch may already be in flight (maps
     /// dispatched by [`BackendRuntime::submit`]); waiting drives the shared
-    /// event pump, which also advances the `younger` in-flight batches. A
+    /// event pump, which also advances the `younger` in-flight batches —
+    /// each assigned with its own entry of `assigners`. A
     /// worker lost mid-batch aborts every unfinished batch of the window:
     /// the loss is charged by [`on_worker_loss`] and the window is
     /// re-dispatched in batch order from the plans in hand. Failed attempts
@@ -112,7 +114,7 @@ impl BackendRuntime {
         &mut self,
         batch: &Planned<'a>,
         younger: impl Iterator<Item = Planned<'a>> + Clone,
-        assigner: &mut dyn ReduceAssigner,
+        assigners: &mut dyn BatchAssigners,
         cfg: &EngineConfig,
         rec: &TraceRecorder,
         mut store: Option<&mut ReplicatedBatchStore>,
@@ -121,9 +123,12 @@ impl BackendRuntime {
         let (view, job, r) = (batch.view, batch.job, batch.r);
         let mut losses = 0;
         let (output, stats) = match self {
-            BackendRuntime::InProcess => execute_view(view, job, assigner, r, trace),
+            BackendRuntime::InProcess => {
+                execute_view(view, job, assigners.assigner_for(batch.seq), r, trace)
+            }
             BackendRuntime::Threaded(exec) => {
                 let trace = trace.map(|rec| (rec, batch.tseq));
+                let assigner = assigners.assigner_for(batch.seq);
                 let (output, stats, _wall) = exec.execute_core(view, job, assigner, r, trace);
                 (output, stats)
             }
@@ -134,7 +139,7 @@ impl BackendRuntime {
                 for q in younger.clone() {
                     q.submit(rt);
                 }
-                match rt.wait_batch(batch.seq, assigner, trace) {
+                match rt.wait_batch(batch.seq, assigners, trace) {
                     Ok(done) => break done,
                     Err(loss) => {
                         losses += 1;
@@ -145,6 +150,35 @@ impl BackendRuntime {
         };
         let times = times_from_view(view, &stats, &cfg.cost, &cfg.cluster);
         (output, times, losses)
+    }
+
+    /// Push migrated state ([`DistributedRuntime::push_state`]) until the
+    /// fleet acknowledges it, returning how many worker losses were survived
+    /// on the way: each is charged by [`on_worker_loss`] and the push
+    /// repeated on the survivors — every loss removes a worker, so this ends
+    /// in success or in the fleet's "all workers lost" panic. The loss spends
+    /// a replica of batch `seq` while its input is retained (a commit-time
+    /// push may follow its expiry; nothing of `seq` is lost then), and the
+    /// in-flight batches it aborted are resubmitted by the next
+    /// [`BackendRuntime::execute`]. A no-op off the distributed backend (the
+    /// driver's store is the only copy of the state there).
+    pub(crate) fn push_state(
+        &mut self,
+        (seq, wire_seq): (u64, u64),
+        pushes: &[Message],
+        rec: &TraceRecorder,
+        store: Option<&mut ReplicatedBatchStore>,
+    ) -> u64 {
+        let Some(rt) = self.distributed() else {
+            return 0;
+        };
+        let mut store = store.filter(|store| store.replicas_left(seq).is_some());
+        let mut losses = 0;
+        while let Err(loss) = rt.push_state(wire_seq, pushes, rec.enabled().then_some(rec)) {
+            losses += 1;
+            on_worker_loss(&loss, seq, store.as_deref_mut(), rec);
+        }
+        losses
     }
 
     /// Stop the worker fleet, reporting its wire totals.
@@ -182,4 +216,49 @@ fn on_worker_loss(
         worker: loss.worker,
     });
     rec.event(TraceEvent::Recovery { seq, replicas_left });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::LaunchMode;
+    use crate::trace::TraceLevel;
+
+    #[test]
+    fn a_worker_lost_during_a_state_push_is_charged_once_and_the_push_repeated() {
+        let mut opts = DistributedOptions::new(3, 0);
+        opts.launch = LaunchMode::Thread;
+        let mut rt = DistributedRuntime::launch(opts).expect("launch");
+        rt.inject_kill(1);
+        let mut backend = BackendRuntime::Distributed(Box::new(rt));
+        let rec = TraceRecorder::new(TraceLevel::Full);
+        let mut store = ReplicatedBatchStore::new(2);
+        store.retain(4, Vec::new().into(), None);
+        // One shard per bucket, so bucket 1's lands on the dead worker.
+        let shards: Vec<Message> = (0..3u32)
+            .map(|bucket| Message::StatePush {
+                seq: 4,
+                bucket,
+                shards: 3,
+                payload: vec![bucket as u8; 8],
+            })
+            .collect();
+        let losses = backend.push_state((4, 4), &shards, &rec, Some(&mut store));
+        assert_eq!(losses, 1, "the same loss `execute` survives");
+        assert_eq!(store.replicas_left(4), Some(1), "one replica spent");
+        assert_eq!(
+            rec.events(),
+            [
+                TraceEvent::WorkerLost { seq: 4, worker: 1 },
+                TraceEvent::Recovery {
+                    seq: 4,
+                    replicas_left: 1
+                },
+            ]
+        );
+        assert_eq!(backend.shutdown().expect("fleet stats").workers_lost, 1);
+        // Off the distributed backend the driver's store is the only copy.
+        let local = BackendRuntime::InProcess.push_state((0, 0), &shards, &rec, None);
+        assert_eq!(local, 0);
+    }
 }

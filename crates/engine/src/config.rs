@@ -100,25 +100,33 @@ pub struct EngineConfig {
     /// at window expiry. Requires a window on the engine.
     pub checkpoint: Option<CheckpointConfig>,
     /// Bounded in-flight window of the driver's batch-state machine: how
-    /// many batches may be past *buffering* (prepared/partitioned or
-    /// executing) before the oldest commits. `1` (the default) is the
-    /// classic one-lifecycle-at-a-time loop; `> 1` lets batch `N+1`'s
-    /// ingest/accumulate/partition overlap batch `N`'s map/reduce — on the
-    /// distributed backend the prepared batches' Map tasks are dispatched
-    /// eagerly so the worker fleet pipelines wire transfer and execution
-    /// across batches. Commits stay strictly sequential (window state,
-    /// checkpoints and trace spans apply at commit), so outputs are
-    /// bit-identical to depth 1 at every depth. Runs with elasticity, a
-    /// scheduled [`FaultPlan`](crate::recovery::FaultPlan), or durable
-    /// keyed state (`checkpoint`/stateful jobs) are clamped to an
-    /// effective depth of 1 (their decision loops — and the state layer's
-    /// retention statistics — are commit-to-prepare feedback paths);
-    /// scripted *worker* kills
-    /// ([`NetFaultPlan`](crate::recovery::NetFaultPlan)) are fully
-    /// supported at any depth. Non-[`Fixed`](crate::policy::PolicySpec)
-    /// partitioner policies also clamp to 1: per-batch strategy selection
-    /// pairs each batch with its own reduce assigner, which the depth-`d`
-    /// distributed wait path cannot thread yet.
+    /// many batches may be past *buffering* (partitioned or executing)
+    /// before the oldest commits. `1` (the default) is the classic
+    /// one-lifecycle-at-a-time loop; at `d > 1` the driver fills up to `d`
+    /// batches ahead, and it means that in every configuration — elasticity,
+    /// durable state, a non-`Fixed` policy, fault plans and the rebalancer
+    /// all run at the configured depth.
+    ///
+    /// The contract (DESIGN §4h): the loop's schedule is fixed — `fill(s)`
+    /// runs after `commit(s − d)` — so what a controller has seen when it
+    /// decides for batch `s` is a function of `(s, d)` alone; a batch
+    /// carries the task counts, technique and routing it was prepared under
+    /// through execution and commit; answers (windows, stateful emissions)
+    /// never depend on depth; and a depth-`d` run equals the serial run
+    /// forced through the same decision sequence. A batch with a scheduled
+    /// [`FaultPlan`](crate::recovery::FaultPlan) event is filled into an
+    /// empty window (a barrier, not a run-wide clamp); scripted *worker*
+    /// kills ([`NetFaultPlan`](crate::recovery::NetFaultPlan)) are survived
+    /// at any depth. Input retention grows with depth
+    /// (`StateStats::max_retained_batches` by `d − 1`).
+    ///
+    /// Work overlaps only on [`Backend::Distributed`], where a filled
+    /// batch's Map tasks go on the wire at once and the worker fleet
+    /// pipelines wire transfer and execution across batches; the in-process
+    /// and threaded loops run `fill` and `execute` on one thread, so there
+    /// depth only changes when controllers see their feedback. Tenants of a
+    /// [`MultiTenantEngine`](crate::tenancy::MultiTenantEngine) always run
+    /// at depth 1 (joint commit per heartbeat).
     pub pipeline_depth: usize,
     /// Which partitioner runs each batch (see [`crate::policy`]).
     /// `Fixed` (the default) is the classic run-constant behaviour —
@@ -131,15 +139,20 @@ pub struct EngineConfig {
     pub policy: PolicySpec,
     /// Executor-level key-group rebalancing (see [`crate::rebalance`]).
     /// When on, the reduce side routes every key through the versioned
-    /// group routing table instead of the technique's own assigner, and
-    /// the configured [`RebalancePolicy`](crate::rebalance::RebalancePolicy)
-    /// may migrate hot groups between workers at batch boundaries.
-    /// Mutually exclusive with `elasticity` (the rebalancer keeps the
-    /// cluster fixed and moves load instead of tasks) and with non-`Fixed`
-    /// partitioner policies (per-batch technique selection swaps reduce
-    /// assigners, which would bypass the routing table). Rebalanced runs
-    /// clamp `pipeline_depth` to 1: migration decisions are a
-    /// commit-to-prepare feedback path.
+    /// group routing table instead of the technique's own assigner — under
+    /// any partitioner policy: the policy picks how a batch is partitioned,
+    /// the table where its keys reduce — and the configured
+    /// [`RebalancePolicy`](crate::rebalance::RebalancePolicy) may migrate
+    /// hot groups between workers at batch boundaries. Each batch is routed
+    /// by a snapshot of the table taken at its fill, so a plan applied for
+    /// a younger batch never re-routes one still in flight and the feature
+    /// runs at any [`pipeline_depth`](EngineConfig::pipeline_depth) `d`: a
+    /// plan for batch `s` is computed from the commits through `s − d`, and
+    /// the run equals the depth-1 `Forced` replay of its migration log.
+    /// Refused together with `elasticity` — the one feature pair
+    /// [`EngineConfig::validate`] excludes: the table is sized to
+    /// `reduce_tasks`, and re-laying it out on a scale action is the
+    /// controller-composition follow-up (ROADMAP).
     pub rebalance: RebalanceSpec,
     /// Columnar (struct-of-arrays) data plane for the batch hot path. When
     /// on, a partitioner that supports it (currently Prompt) seals the
@@ -246,17 +259,14 @@ impl EngineConfig {
         self.policy.validate()?;
         self.rebalance.validate()?;
         if !self.rebalance.is_off() {
+            // The one feature pair refused: the routing table is sized to
+            // `reduce_tasks`, and re-laying it out when the scaler moves the
+            // count is not built (every other combination composes — each
+            // batch carries what it was prepared under).
             if self.elasticity.is_some() {
                 return Err(
                     "rebalance and elasticity are mutually exclusive: the rebalancer keeps \
                      the cluster fixed and migrates key-groups instead of scaling tasks"
-                        .into(),
-                );
-            }
-            if !self.policy.is_fixed() {
-                return Err(
-                    "rebalance requires a Fixed partitioner policy: per-batch technique \
-                     selection swaps reduce assigners, bypassing the routing table"
                         .into(),
                 );
             }
@@ -405,16 +415,6 @@ mod tests {
             // Rebalance + elasticity.
             EngineConfig {
                 elasticity: Some(ScalerConfig::default()),
-                rebalance: crate::rebalance::RebalanceSpec::Auto(
-                    crate::rebalance::RebalanceConfig::default(),
-                ),
-                ..EngineConfig::default()
-            },
-            // Rebalance + non-Fixed policy.
-            EngineConfig {
-                policy: crate::policy::PolicySpec::Adaptive(
-                    crate::policy::AdaptiveConfig::default(),
-                ),
                 rebalance: crate::rebalance::RebalanceSpec::Auto(
                     crate::rebalance::RebalanceConfig::default(),
                 ),

@@ -21,10 +21,15 @@
 //! on the distributed backend — dispatches their Map tasks eagerly, so
 //! batch `N+1`'s ingest/partition/wire-transfer overlaps batch `N`'s
 //! execution. **Commits are strictly sequential in batch order** regardless
-//! of depth; every state mutation with cross-batch feedback (windows,
-//! checkpoints, retention expiry, the virtual pipeline clock) happens only
-//! at commit, which is what keeps outputs bit-identical to serial at every
-//! depth.
+//! of depth, and the schedule is fixed — `fill(s)` runs after
+//! `commit(s − d)` — so what a controller (partitioner policy, rebalancer,
+//! scaler) has seen when it decides for batch `s` is a function of `(s, d)`
+//! alone. A batch carries the actuator state it was prepared under (reduce
+//! count, technique, routing-table snapshot) and everything downstream of
+//! `fill` reads *that*, never the run's current value, which is what keeps
+//! answers independent of depth and a depth-`d` run equal to the serial run
+//! forced through the same decision sequence — for every feature
+//! (DESIGN §4h).
 
 use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{Partitioner, PartitionerRegistry, Technique};
@@ -35,9 +40,10 @@ use crate::backend::BackendRuntime;
 use crate::config::EngineConfig;
 use crate::elasticity::ScaleAction;
 use crate::job::Job;
+use crate::net::driver::BatchAssigners;
 use crate::net::NetStats;
 use crate::policy::{build_policy, PartitionerPolicy, PolicyDecision, PolicySpec};
-use crate::rebalance::{GroupRoutedAssigner, MigrationPlan, RoutingTable, SharedRoutingTable};
+use crate::rebalance::{GroupRoutedAssigner, MigrationPlan, RoutingTable};
 use crate::recovery::{FaultPlan, NetFaultPlan};
 use crate::source::TupleSource;
 use crate::state::{KeyedStateStore, StateStats, StatefulOp};
@@ -294,28 +300,55 @@ impl StrategySet {
         }
     }
 
-    /// Both halves of the strategy for `t`, resolved together.
-    fn pair_mut(&mut self, t: Technique) -> (&mut dyn Partitioner, &mut dyn ReduceAssigner) {
-        let assigner = match ReduceStrategy::for_technique(t) {
+    /// The reduce assigner the paper pairs with `t`.
+    fn assigner_mut(&mut self, t: Technique) -> &mut dyn ReduceAssigner {
+        match ReduceStrategy::for_technique(t) {
             ReduceStrategy::Hash => self.hash_assigner.as_mut(),
             ReduceStrategy::Prompt => self.prompt_assigner.as_mut(),
-        };
-        (self.registry.get_or_build(t), assigner)
+        }
     }
 }
 
-/// The (partitioner, assigner) pair a batch runs with: the policy's
-/// strategy set when a per-batch technique was selected, else the engine's
-/// run-constant parts.
-fn resolve_pair<'a>(
-    base_partitioner: &'a mut Box<dyn Partitioner>,
-    base_assigner: &'a mut Box<dyn ReduceAssigner>,
+/// The partitioner a batch is (re-)partitioned with: the policy's strategy
+/// set when a per-batch technique was selected, else the engine's
+/// run-constant instance.
+fn resolve_partitioner<'a>(
+    base: &'a mut Box<dyn Partitioner>,
     strategies: &'a mut Option<StrategySet>,
     technique: Option<Technique>,
-) -> (&'a mut dyn Partitioner, &'a mut dyn ReduceAssigner) {
+) -> &'a mut dyn Partitioner {
     match (strategies.as_mut(), technique) {
-        (Some(set), Some(t)) => set.pair_mut(t),
-        _ => (base_partitioner.as_mut(), base_assigner.as_mut()),
+        (Some(set), Some(t)) => set.registry.get_or_build(t),
+        _ => base.as_mut(),
+    }
+}
+
+/// The one place a batch's reduce assigner is resolved, from what the batch
+/// was prepared under: its routing snapshot if the run rebalances, else its
+/// technique's strategy, else the engine's base assigner. `window` lists
+/// `(wire seq, technique, routing snapshot)` for the awaited batch and every
+/// younger one in flight, so each assigns with *its* assigner whichever
+/// batch the driver is waiting on.
+struct WindowAssigners<'a> {
+    base: &'a mut dyn ReduceAssigner,
+    strategies: Option<&'a mut StrategySet>,
+    window: Vec<(u64, Option<Technique>, Option<&'a RoutingTable>)>,
+    /// Where the assigner over a batch's snapshot lives while it is lent out.
+    routed: Option<GroupRoutedAssigner<'a>>,
+}
+
+impl BatchAssigners for WindowAssigners<'_> {
+    fn assigner_for(&mut self, seq: u64) -> &mut dyn ReduceAssigner {
+        let &(_, technique, routing) = self
+            .window
+            .iter()
+            .find(|b| b.0 == seq)
+            .expect("a batch assigns only while it is in the in-flight window");
+        match (routing, self.strategies.as_deref_mut(), technique) {
+            (Some(table), ..) => self.routed.insert(GroupRoutedAssigner(table)),
+            (None, Some(set), Some(t)) => set.assigner_mut(t),
+            _ => &mut *self.base,
+        }
     }
 }
 
@@ -331,10 +364,6 @@ pub struct StreamingEngine {
     policy: Option<Box<dyn PartitionerPolicy>>,
     /// The constructor's technique (`None` for [`StreamingEngine::with_parts`]).
     base_technique: Option<Technique>,
-    /// The key-group routing table the assigner consults; `Some` exactly
-    /// when [`EngineConfig::rebalance`] is on (the assigner is then a
-    /// [`GroupRoutedAssigner`] over this table). Reset at every run start.
-    routing: Option<SharedRoutingTable>,
     job: Job,
     window: Option<WindowSpec>,
     stateful: Option<StatefulOp>,
@@ -364,25 +393,13 @@ impl StreamingEngine {
                 Some(build_policy(&cfg.policy, technique, seed)),
             )
         };
-        let reduce = ReduceStrategy::for_technique(technique);
-        // Rebalancing replaces the technique's natural reduce assigner
-        // with the group-routed one over a shared routing table (the
-        // validated config guarantees a Fixed policy, so the strategy
-        // pool never swaps assigners underneath it).
-        let routing: Option<SharedRoutingTable> = cfg.rebalance.n_groups().map(|n_groups| {
-            std::sync::Arc::new(std::sync::Mutex::new(RoutingTable::new(
-                n_groups,
-                cfg.reduce_tasks,
-            )))
-        });
         // The ingest-parallelism knobs only apply to Prompt's batching
         // phase; every other technique partitions per tuple.
         let partitioner =
             technique.build_with_parallelism(seed, cfg.ingest_shards, cfg.ingest_threads);
-        let assigner: Box<dyn ReduceAssigner> = match &routing {
-            Some(table) => Box::new(GroupRoutedAssigner::new(std::sync::Arc::clone(table))),
-            None => reduce.build_boxed(seed),
-        };
+        // A rebalanced run never consults this: each batch is assigned
+        // through its routing snapshot (`WindowAssigners`).
+        let assigner = ReduceStrategy::for_technique(technique).build_boxed(seed);
         StreamingEngine {
             cfg,
             partitioner,
@@ -390,7 +407,6 @@ impl StreamingEngine {
             strategies,
             policy,
             base_technique: Some(technique),
-            routing,
             job,
             window: None,
             stateful: None,
@@ -415,9 +431,9 @@ impl StreamingEngine {
         );
         assert!(
             cfg.rebalance.is_off(),
-            "with_parts requires rebalancing off: the rebalancer owns the \
-             reduce assigner (a routing-table-backed one), which conflicts \
-             with an explicitly supplied instance"
+            "with_parts requires rebalancing off: a rebalanced batch is \
+             assigned through its routing snapshot, which conflicts with an \
+             explicitly supplied assigner instance"
         );
         StreamingEngine {
             cfg,
@@ -426,7 +442,6 @@ impl StreamingEngine {
             strategies: None,
             policy: None,
             base_technique: None,
-            routing: None,
             job,
             window: None,
             stateful: None,
@@ -513,12 +528,17 @@ impl StreamingEngine {
         if let Some(rt) = backend.distributed() {
             rt.set_fault_plan(self.net_faults.clone());
         }
+        let depth = self.cfg.pipeline_depth;
         let mut run = Run::new(self, source, WireSeqs(1, 0));
         let mut next_seq = 0u64;
         loop {
             // Fill: advance batches from *buffering* to *partitioned* until
-            // the in-flight window is full or the source is drained.
-            while run.prepared.len() < run.depth && next_seq < n_batches as u64 {
+            // the in-flight window is full, the source is drained, or a
+            // scheduled fault needs the window to itself.
+            while run.prepared.len() < depth
+                && next_seq < n_batches as u64
+                && !run.fault_barrier(next_seq)
+            {
                 if let Some(pb) = run.fill(next_seq, &mut backend) {
                     run.prepared.push_back(pb);
                 }
@@ -545,45 +565,6 @@ impl StreamingEngine {
             self.job.reduce,
             self.cfg.reduce_tasks,
         )
-    }
-}
-
-/// The effective in-flight window of the batch-state machine for one run:
-/// the configured [`EngineConfig::pipeline_depth`], clamped to 1 when any
-/// active feature is a commit-to-prepare feedback path — a decision made
-/// while committing batch N steers how batch N+1 is prepared, so those
-/// runs need the classic strictly alternating depth-1 loop:
-///
-/// * `elasticity` — scale actions picked at commit change the next batch's
-///   task counts;
-/// * `state_on` — the durable state layer: checkpoint truncation of input
-///   retention and store-loss suffix recomputes read commit-time
-///   watermarks at prepare;
-/// * `policy` — a non-`Fixed` partitioner policy: each batch runs with its
-///   own (partitioner, assigner) pair, which the depth-d distributed wait
-///   path cannot thread yet;
-/// * `fault_plan` — a non-empty scheduled [`FaultPlan`]: store-loss
-///   recomputes at prepare read inputs that commit-time retention expiry
-///   frees;
-/// * `rebalance` — the key-group rebalancer: a migration decided at the
-///   next batch boundary must observe the immediately preceding commit's
-///   load, and the routing table must not change under an in-flight batch.
-///
-/// Scripted worker kills ([`NetFaultPlan`]) need no clamp: losses surface
-/// through the wait path, which re-dispatches the plans in hand at any
-/// depth.
-fn effective_depth(
-    configured: usize,
-    elasticity: bool,
-    state_on: bool,
-    policy: bool,
-    fault_plan: bool,
-    rebalance: bool,
-) -> usize {
-    if elasticity || state_on || policy || fault_plan || rebalance {
-        1
-    } else {
-        configured
     }
 }
 
@@ -620,37 +601,6 @@ mod tests {
             cost: CostModel::default(),
             ..EngineConfig::default()
         }
-    }
-
-    #[test]
-    fn effective_depth_passes_through_when_nothing_clamps() {
-        assert_eq!(effective_depth(4, false, false, false, false, false), 4);
-        assert_eq!(effective_depth(1, false, false, false, false, false), 1);
-    }
-
-    #[test]
-    fn effective_depth_clamps_for_elasticity() {
-        assert_eq!(effective_depth(4, true, false, false, false, false), 1);
-    }
-
-    #[test]
-    fn effective_depth_clamps_for_the_state_layer() {
-        assert_eq!(effective_depth(4, false, true, false, false, false), 1);
-    }
-
-    #[test]
-    fn effective_depth_clamps_for_a_non_fixed_policy() {
-        assert_eq!(effective_depth(4, false, false, true, false, false), 1);
-    }
-
-    #[test]
-    fn effective_depth_clamps_for_a_scheduled_fault_plan() {
-        assert_eq!(effective_depth(4, false, false, false, true, false), 1);
-    }
-
-    #[test]
-    fn effective_depth_clamps_for_the_rebalancer() {
-        assert_eq!(effective_depth(4, false, false, false, false, true), 1);
     }
 
     /// Skewed source: `hot_share` of each interval's tuples hit one hot
@@ -1002,6 +952,74 @@ mod tests {
         )
         .with_fault_tolerance(1, crate::recovery::FaultPlan::none().lose_times(1, 2));
         let _ = eng.run(&mut const_source(100, 5), 4);
+    }
+
+    #[test]
+    fn replays_repartition_with_the_technique_retained_next_to_the_input() {
+        use crate::recovery::FaultPlan;
+        // Every batch runs Hash under the forced policy while the
+        // constructor's technique is Prompt. Hash is stateless on both
+        // sides of the shuffle, so a replay with the *original* technique
+        // reproduces the batch's stage times exactly — and one with the
+        // constructor's would not.
+        let run = |plan: FaultPlan| {
+            let cfg = EngineConfig {
+                policy: PolicySpec::Forced(vec![Technique::Hash; 8]),
+                ..small_cfg()
+            };
+            let job = Job::identity("count", ReduceOp::Count);
+            StreamingEngine::new(cfg, Technique::Prompt, 1, job)
+                .with_window(WindowSpec::sliding(
+                    Duration::from_secs(8),
+                    Duration::from_secs(1),
+                ))
+                .with_stateful(StatefulOp::SessionCount)
+                .with_fault_tolerance(3, plan)
+                .run(&mut skewed_source(2000, 0.6, 30), 8)
+        };
+        let stages = |b: &BatchRecord| b.map_stage + b.reduce_stage;
+        let clean = run(FaultPlan::none());
+        // An injected loss of batch 3 replays batch 3 once…
+        let lost = run(FaultPlan::none().lose_once(3));
+        assert_eq!(
+            lost.batches[3].processing,
+            clean.batches[3].processing + stages(&clean.batches[3])
+        );
+        // …and a store loss at batch 5 replays the whole suffix 0..5.
+        let restored = run(FaultPlan::none().lose_store_at(5));
+        let mut suffix = clean.batches[5].processing;
+        for b in &clean.batches[..5] {
+            suffix += stages(b);
+        }
+        assert_eq!(restored.batches[5].processing, suffix);
+        assert_windows_identical(&clean, &restored, "store loss under a policy");
+    }
+
+    #[test]
+    fn remembered_techniques_are_bounded_by_input_retention() {
+        // The technique of a batch lives next to its retained input and
+        // expires with it: a long adaptive run remembers as many techniques
+        // as it retains inputs — the window, not the run length.
+        let cfg = EngineConfig {
+            policy: PolicySpec::Adaptive(crate::policy::AdaptiveConfig::default()),
+            ..small_cfg()
+        };
+        let job = Job::identity("count", ReduceOp::Count);
+        let res = StreamingEngine::new(cfg, Technique::Hash, 1, job)
+            .with_window(WindowSpec::sliding(
+                Duration::from_secs(3),
+                Duration::from_secs(1),
+            ))
+            .with_stateful(StatefulOp::SessionCount)
+            .with_fault_tolerance(2, FaultPlan::none().lose_once(150))
+            .run(&mut skewed_source(300, 0.5, 30), 200);
+        assert_eq!(res.policy_decisions.len(), 200);
+        assert_eq!(
+            res.recoveries, 1,
+            "batch 150 replays from its retained input"
+        );
+        let retained = res.state.expect("state on").max_retained_batches;
+        assert!(retained <= 3, "a 3-batch window retains {retained} inputs");
     }
 
     #[test]
@@ -1564,11 +1582,41 @@ mod tests {
         }
     }
 
+    /// Every function of `src` as `(name, first line, lines)`. Relies on
+    /// rustfmt layout (CI runs `cargo fmt --check`): an item's closing brace
+    /// sits alone on a line at the indentation of its `fn`.
+    fn functions_of<'s>(file: &str, src: &'s str) -> Vec<(&'s str, usize, Vec<&'s str>)> {
+        let lines: Vec<&str> = src.lines().collect();
+        let mut fns = Vec::new();
+        for (start, line) in lines.iter().enumerate() {
+            let item = line.trim_start();
+            let indent = line.len() - item.len();
+            let sig = item
+                .trim_start_matches("pub(crate) ")
+                .trim_start_matches("pub(super) ")
+                .trim_start_matches("pub ");
+            if !sig.starts_with("fn ") {
+                continue;
+            }
+            let close = format!("{}}}", " ".repeat(indent));
+            let len = lines[start..]
+                .iter()
+                .position(|l| *l == close)
+                .unwrap_or_else(|| panic!("{file}:{}: unterminated fn", start + 1))
+                + 1;
+            let name = sig.split('(').next().unwrap_or(sig);
+            fns.push((name, start + 1, lines[start..start + len].to_vec()));
+        }
+        assert!(
+            !fns.is_empty(),
+            "{file}: no functions found — scanner broken?"
+        );
+        fns
+    }
+
     /// ROADMAP aim 2 ("one driver loop a reader can hold in their head"):
     /// the batch loop was a ~940-line function once; no function in the
-    /// driver's modules may quietly regrow past 200 lines. Relies on rustfmt
-    /// layout (CI runs `cargo fmt --check`): an item's closing brace sits
-    /// alone on a line at the indentation of its `fn`.
+    /// driver's modules may quietly regrow past 200 lines.
     #[test]
     fn driver_shape_no_function_exceeds_200_lines() {
         const LIMIT: usize = 200;
@@ -1581,33 +1629,13 @@ mod tests {
             ("stage.rs", include_str!("stage.rs")),
             ("threaded.rs", include_str!("threaded.rs")),
         ] {
-            let lines: Vec<&str> = src.lines().collect();
-            let mut checked = 0;
-            for (start, line) in lines.iter().enumerate() {
-                let item = line.trim_start();
-                let indent = line.len() - item.len();
-                let sig = item
-                    .trim_start_matches("pub(crate) ")
-                    .trim_start_matches("pub(super) ")
-                    .trim_start_matches("pub ");
-                if !sig.starts_with("fn ") {
-                    continue;
-                }
-                let close = format!("{}}}", " ".repeat(indent));
-                let len = lines[start..]
-                    .iter()
-                    .position(|l| *l == close)
-                    .unwrap_or_else(|| panic!("{file}:{}: unterminated fn", start + 1))
-                    + 1;
-                checked += 1;
+            for (name, at, body) in functions_of(file, src) {
+                let len = body.len();
                 assert!(
                     len <= LIMIT,
-                    "{file}:{}: `{}` is {len} lines (limit {LIMIT}); split it into named steps",
-                    start + 1,
-                    sig.split('(').next().unwrap_or(sig)
+                    "{file}:{at}: `{name}` is {len} lines (limit {LIMIT}); split it into named steps"
                 );
             }
-            assert!(checked > 0, "{file}: no functions found — scanner broken?");
         }
     }
 
@@ -1664,6 +1692,42 @@ mod tests {
         assert!(twins.is_empty(), "layout twins regrew: {twins:?}");
         assert_eq!(assign_sites.len(), 1, "assign sites: {assign_sites:?}");
         assert!(assign_sites[0].contains("kernel.rs"), "{assign_sites:?}");
+    }
+
+    /// Shape guard for the staleness contract (DESIGN §4h): a batch carries
+    /// what it was prepared under, so there is no depth clamp to regrow, no
+    /// routing table shared behind a lock between the step that decides and
+    /// the steps that read, and one place in the distributed runtime that
+    /// waits for a state push's acks — the event pump, which also applies
+    /// every other batch's completions.
+    #[test]
+    fn engine_shape_no_depth_clamp_no_shared_routing_one_ack_wait() {
+        let mut files = Vec::new();
+        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        sources_under(&src_dir, &mut files);
+        assert!(files.len() > 20, "scanner broken? {} files", files.len());
+        // Spelt in halves so this test's own source does not match.
+        let clamp = ["effective", "_depth"].concat();
+        let locked_table = ["Mutex<", "RoutingTable>"].concat();
+        for (file, src) in &files {
+            for (n, line) in src.lines().enumerate() {
+                assert!(!line.contains(&clamp), "{file}:{}: depth clamp", n + 1);
+                assert!(
+                    !line.contains(&locked_table),
+                    "{file}:{}: routing table behind a lock",
+                    n + 1
+                );
+            }
+        }
+        let runtime = include_str!("net/driver.rs");
+        let runtime = &runtime[..runtime.find("#[cfg(test)]").expect("test module")];
+        let ack = ["Message::", "StateAck"].concat();
+        let waits: Vec<&str> = functions_of("net/driver.rs", runtime)
+            .into_iter()
+            .filter(|(_, _, body)| body.iter().any(|l| l.contains(&ack)))
+            .map(|(name, ..)| name)
+            .collect();
+        assert_eq!(waits, ["fn pump_event"], "fns awaiting a state ack");
     }
 
     /// `BatchRecord::n_keys` comes from the plan (`PartitionPlan::total_keys`)

@@ -7,7 +7,7 @@
 //! shared backend, which is why a `Run` borrows the [`BackendRuntime`] per
 //! step instead of owning it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use prompt_core::batch::{MicroBatch, PartitionPlan};
 use prompt_core::columnar::ColumnarPlan;
@@ -15,12 +15,13 @@ use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PartitionPhases, Technique};
 use prompt_core::types::{Duration, Interval, Time, Tuple};
 
-use super::{effective_depth, resolve_pair, BatchRecord, RunResult, StreamingEngine};
+use super::{resolve_partitioner, BatchRecord, RunResult, StreamingEngine, WindowAssigners};
 use crate::backend::{BackendRuntime, Planned};
 use crate::config::{Backend, OverheadMode};
 use crate::elasticity::{AutoScaler, Observation};
 use crate::job::Job;
 use crate::kernel::PlanView;
+use crate::net::Message;
 use crate::policy::{BatchObservation, PolicyDecision};
 use crate::rebalance::{
     group_weights, imbalance_ratio, RebalanceObservation, RebalancePolicy, RoutingTable,
@@ -39,6 +40,11 @@ use crate::window::{WindowResult, WindowState};
 /// `pipeline_depth` exceeds 1, up to `depth` of these sit in the prepare
 /// queue while older batches execute; on the distributed backend their Map
 /// tasks are already on the wire.
+///
+/// It is also the only carrier of the actuator state the batch was prepared
+/// under — `r`, `technique`, `routing`: everything downstream of
+/// [`Run::fill`] reads these, never the run's current values, which a
+/// controller may have moved for a younger batch in the meantime.
 pub(crate) struct PreparedBatch {
     seq: u64,
     interval: Interval,
@@ -47,16 +53,22 @@ pub(crate) struct PreparedBatch {
     plan: PartitionPlan,
     raw_overhead: Duration,
     visible_overhead: Duration,
+    /// The Reduce task count in force when the batch was filled.
+    r: usize,
     /// The technique that partitioned this batch (policy-selected or the
     /// constructor's); `None` only under `with_parts`.
     technique: Option<Technique>,
+    /// The routing table as of this batch's fill, when the run rebalances:
+    /// what the batch is assigned through and what the rebalancer is told
+    /// it ran under.
+    routing: Option<RoutingTable>,
     /// The policy's decision for this batch, when a policy drove it.
     decision: Option<PolicyDecision>,
     /// Plan-quality metrics, computed once at prepare (the policy consumes
     /// them too).
     metrics: PlanMetrics,
-    /// Processing time of suffix recomputes after a store loss (depth-1
-    /// only — scheduled faults clamp the window); billed to this batch.
+    /// Processing time of suffix recomputes after a store loss; billed to
+    /// this batch.
     restore_times: Vec<Duration>,
     /// The columnar plan when `EngineConfig::columnar` is on and the batch's
     /// technique sealed one — what executes; `plan` is then its exact row
@@ -74,13 +86,13 @@ impl PreparedBatch {
         }
     }
 
-    fn planned<'a>(&'a self, job: &'a Job, r: usize, wire: WireSeqs) -> Planned<'a> {
+    fn planned<'a>(&'a self, job: &'a Job, wire: WireSeqs) -> Planned<'a> {
         Planned {
             seq: wire.of(self.seq),
             tseq: self.seq,
             view: self.view(),
             job,
-            r,
+            r: self.r,
         }
     }
 }
@@ -110,13 +122,12 @@ pub(crate) struct Run<'e> {
     rec: TraceRecorder,
     result: RunResult,
     wire: WireSeqs,
-    /// Bound on batches past *buffering* at once ([`effective_depth`]).
-    pub(super) depth: usize,
     /// The in-flight window: partitioned batches awaiting execution, oldest
-    /// first.
+    /// first (at most [`EngineConfig::pipeline_depth`](crate::config::EngineConfig)).
     pub(super) prepared: VecDeque<PreparedBatch>,
     /// Map / Reduce task counts the next batch is prepared with (moved by
-    /// the scaler at commit).
+    /// the scaler at commit). A batch in flight keeps the `r` it was filled
+    /// under ([`PreparedBatch`]).
     p: usize,
     r: usize,
     /// Virtual time at which the pipeline finishes the last committed batch.
@@ -138,22 +149,20 @@ pub(crate) struct Run<'e> {
     scaler: Option<AutoScaler>,
     prev_zone: Option<u8>,
     was_in_grace: bool,
-    rebalancer: Option<Box<dyn RebalancePolicy>>,
-    n_groups: usize,
-    /// Imbalance of the most recently committed batch's worker load —
-    /// informational context for the `Rebalance` trace event. Derived from
-    /// virtual task times, so identical across backends.
-    last_imbalance: f64,
+    /// The rebalance policy and the key-group routing table it steers —
+    /// what the next batch snapshots. Built fresh (round-robin, version 0)
+    /// per run.
+    rebalancer: Option<(Box<dyn RebalancePolicy>, RoutingTable)>,
+    /// `(seq, worker-load imbalance)` of the most recently committed batch —
+    /// the evidence a `Rebalance` trace event cites. Derived from virtual
+    /// task times, so identical across backends.
+    last_load: Option<(u64, f64)>,
     /// Replicated batch inputs (§8 point 2); `Some` only when something
     /// could ever read them back: a scheduled fault, a distributed worker
     /// loss, or checkpoint-suffix recompute.
     store: Option<ReplicatedBatchStore>,
     fault_plan: FaultPlan,
     window_len_batches: u64,
-    /// Which technique partitioned each committed-or-prepared batch —
-    /// replays of old batches must re-partition them with the strategy the
-    /// original run used. Only populated when a policy drives the run.
-    tech_log: HashMap<u64, Technique>,
 }
 
 impl<'e> Run<'e> {
@@ -173,14 +182,6 @@ impl<'e> Run<'e> {
             Some(spec) if !state_on => Some(WindowState::new(spec, bi, eng.job.reduce)),
             _ => None,
         };
-        // The rebalancer is rebuilt (and the routing table reset to the
-        // round-robin layout at version 0) every run, so repeated runs of
-        // one engine are bit-identical.
-        let n_groups = cfg.rebalance.n_groups().unwrap_or(0);
-        if let Some(table) = eng.routing.as_ref() {
-            *table.lock().expect("routing table poisoned") =
-                RoutingTable::new(n_groups, cfg.reduce_tasks);
-        }
         let checkpointer = cfg
             .checkpoint
             .as_ref()
@@ -203,19 +204,14 @@ impl<'e> Run<'e> {
         let scaler = cfg
             .elasticity
             .map(|sc| AutoScaler::new(sc, cfg.map_tasks, cfg.reduce_tasks));
-        let rebalancer = cfg.rebalance.build();
+        // The rebalancer and its routing table are rebuilt every run, so
+        // repeated runs of one engine are bit-identical.
+        let groups = cfg.rebalance.build().zip(cfg.rebalance.n_groups());
+        let rebalancer = groups.map(|(policy, n)| (policy, RoutingTable::new(n, cfg.reduce_tasks)));
         let mut run = Run {
             rec: TraceRecorder::new(cfg.trace),
             result: RunResult::default(),
             wire,
-            depth: effective_depth(
-                cfg.pipeline_depth,
-                scaler.is_some(),
-                state_on,
-                eng.policy.is_some(),
-                !fault_plan.is_empty(),
-                rebalancer.is_some(),
-            ),
             prepared: VecDeque::new(),
             p: cfg.map_tasks,
             r: cfg.reduce_tasks,
@@ -230,12 +226,10 @@ impl<'e> Run<'e> {
             prev_zone: None,
             was_in_grace: false,
             rebalancer,
-            n_groups,
-            last_imbalance: 1.0,
+            last_load: None,
             store: retain_inputs.then(|| ReplicatedBatchStore::new(replicas)),
             fault_plan,
             window_len_batches: eng.window.map_or(1, |spec| spec.in_batches(bi).0 as u64),
-            tech_log: HashMap::new(),
             eng,
             source,
         };
@@ -296,11 +290,24 @@ impl<'e> Run<'e> {
         Interval::new(Time(bi.0 * seq), Time(bi.0 * (seq + 1)))
     }
 
+    /// A scheduled [`FaultPlan`] event is a barrier: a batch that loses its
+    /// state or the store is filled only into an empty window and nothing is
+    /// filled behind it until it commits, so its replays (and the assigner
+    /// calls they make) see exactly the depth-1 world. True when `seq` must
+    /// wait for the window to drain.
+    pub(super) fn fault_barrier(&self, seq: u64) -> bool {
+        let faulted = |s| self.fault_plan.losses_for(s) > 0 || self.fault_plan.loses_store_at(s);
+        self.prepared
+            .back()
+            .is_some_and(|last| faulted(seq) || faulted(last.seq))
+    }
+
     /// Advance batch `seq` from *buffering* to *partitioned*: ingest its
-    /// interval, replicate the input, let every controller that acts at the
-    /// batch boundary act (store-loss restore, rebalancer, policy), partition
-    /// it, and put its Map tasks on the wire. `None` when a restored
-    /// checkpoint already covers the batch.
+    /// interval, let every controller that acts at the batch boundary act
+    /// (store-loss restore, policy, rebalancer), replicate the input,
+    /// partition it under the run's current actuator state — which the batch
+    /// carries from here on — and put its Map tasks on the wire. `None` when
+    /// a restored checkpoint already covers the batch.
     pub(crate) fn fill(&mut self, seq: u64, backend: &mut BackendRuntime) -> Option<PreparedBatch> {
         let interval = self.interval_of(seq);
         self.arrivals.clear();
@@ -316,34 +323,31 @@ impl<'e> Run<'e> {
         let n_tuples = batch.len();
         self.rec.incr(Counter::Batches, 1);
         self.rec.incr(Counter::Tuples, n_tuples as u64);
+        let restore_times = self.restore_lost_store(seq, backend);
+        let (decision, decide_us) = self.decide(seq);
+        let technique = decision
+            .as_ref()
+            .map(|d| d.technique)
+            .or(self.eng.base_technique);
         if let Some(store) = self.store.as_mut() {
             // The buffer is shared (`Arc`), so recovery reads and replica
-            // accounting never deep-copy the tuples again.
-            store.retain(seq, batch.tuples.as_slice().into());
+            // accounting never deep-copy the tuples again. The technique
+            // rides along (and expires with the input): a replay must
+            // re-partition with the strategy the original run used.
+            store.retain(seq, batch.tuples.as_slice().into(), technique);
             let stats = &mut self.sstats;
             stats.max_retained_tuples = stats
                 .max_retained_tuples
                 .max(store.retained_tuples() as u64);
             stats.max_retained_batches = stats.max_retained_batches.max(store.len() as u64);
         }
-        let restore_times = self.restore_lost_store(seq, backend);
         self.apply_rebalance(seq, backend);
-        let (decision, decide_us) = self.decide(seq);
-        let technique = decision
-            .as_ref()
-            .map(|d| d.technique)
-            .or(self.eng.base_technique);
 
         // Partition (optionally measuring real cost). The phase timings —
         // select / seal / symbolic / materialize — only reach the trace.
         let t0 = std::time::Instant::now();
         let eng = &mut *self.eng;
-        let (partitioner, _) = resolve_pair(
-            &mut eng.partitioner,
-            &mut eng.assigner,
-            &mut eng.strategies,
-            technique,
-        );
+        let partitioner = resolve_partitioner(&mut eng.partitioner, &mut eng.strategies, technique);
         let mut columnar: Option<ColumnarPlan> = None;
         let (plan, phases) = match eng
             .cfg
@@ -391,13 +395,15 @@ impl<'e> Run<'e> {
             plan,
             raw_overhead,
             visible_overhead: raw_overhead - self.eng.cfg.early_release_slack(),
+            r: self.r,
             technique,
+            routing: self.routing(),
             decision,
             metrics,
             restore_times,
             columnar,
         };
-        backend.submit(&pb.planned(&self.eng.job, self.r, self.wire));
+        backend.submit(&pb.planned(&self.eng.job, self.wire));
         Some(pb)
     }
 
@@ -427,28 +433,22 @@ impl<'e> Run<'e> {
 
     /// Rebalancing: the policy decides a migration plan at the batch
     /// boundary, before batch `seq` is partitioned or assigned, from the
-    /// commits it has observed (depth is clamped to 1, so the immediately
-    /// preceding commit is always visible here). Applying the plan moves
-    /// only the offending key-groups: the table bumps one version and the
-    /// assigner routes this batch under the new ownership.
+    /// commits it has observed (through `seq − depth` in steady state).
+    /// Applying the plan moves only the offending key-groups: the run's
+    /// table bumps one version, batch `seq` and its successors snapshot the
+    /// new ownership, and older batches still in flight keep theirs.
     fn apply_rebalance(&mut self, seq: u64, backend: &mut BackendRuntime) {
-        let Some(reb) = self.rebalancer.as_mut() else {
+        let Some((reb, table)) = self.rebalancer.as_mut() else {
             return;
         };
         let mplan = reb.decide(seq);
         if mplan.is_empty() {
             return;
         }
-        let table = self
-            .eng
-            .routing
-            .as_ref()
-            .expect("a rebalancer always runs over a routing table");
-        let version = {
-            let mut t = table.lock().expect("routing table poisoned");
-            t.apply(&mplan).expect("rebalance plan must apply cleanly");
-            t.version()
-        };
+        table
+            .apply(&mplan)
+            .expect("rebalance plan must apply cleanly");
+        let (version, n_groups) = (table.version(), table.n_groups());
         self.rec.incr(Counter::Rebalances, 1);
         self.rec
             .incr(Counter::GroupsMoved, mplan.moves.len() as u64);
@@ -456,19 +456,21 @@ impl<'e> Run<'e> {
             seq,
             version,
             moves: mplan.moves.len() as u64,
-            imbalance: self.last_imbalance,
+            imbalance: self.last_load.map_or(1.0, |(_, imbalance)| imbalance),
+            observed_seq: self.last_load.map(|(observed, _)| observed),
         });
         // Hand each moved group's state slice to its new owner.
         // In-process/threaded backends share the driver's store, so only the
         // distributed backend ships payloads; stateless runs push empty
         // slices (the ack still fences the next batch behind the ownership
         // change).
-        let mut pushes: Vec<(u32, u32, Vec<u8>)> = Vec::new();
+        let wire_seq = self.wire.of(seq);
+        let mut pushes = Vec::with_capacity(mplan.moves.len());
         for mv in &mplan.moves {
             let payload = self
                 .state_store
                 .as_ref()
-                .map(|s| s.encode_group(mv.group, self.n_groups))
+                .map(|s| s.encode_group(mv.group, n_groups))
                 .unwrap_or_default();
             self.rec.event(TraceEvent::GroupMigrate {
                 seq,
@@ -477,13 +479,35 @@ impl<'e> Run<'e> {
                 to: mv.to,
                 bytes: payload.len() as u64,
             });
-            pushes.push((mv.group, mv.to, payload));
+            pushes.push(Message::GroupPush {
+                seq: wire_seq,
+                group: mv.group,
+                version,
+                to: mv.to,
+                payload,
+            });
         }
-        if let Some(rt) = backend.distributed() {
-            rt.migrate_groups(self.wire.of(seq), version, pushes)
-                .expect("group migration push failed");
-        }
+        self.push_state(seq, &pushes, backend);
         self.result.migrations.push((seq, mplan));
+    }
+
+    /// A snapshot of the routing table as it stands, when the run rebalances.
+    fn routing(&self) -> Option<RoutingTable> {
+        self.rebalancer.as_ref().map(|(_, table)| table.clone())
+    }
+
+    /// Ship migrated state to the worker fleet, surviving (and charging) a
+    /// worker lost on the way like [`Run::run_plan`] does.
+    fn push_state(&mut self, seq: u64, pushes: &[Message], backend: &mut BackendRuntime) {
+        let seqs = (seq, self.wire.of(seq));
+        let losses = backend.push_state(seqs, pushes, &self.rec, self.store.as_mut());
+        self.charge(losses);
+    }
+
+    /// Worker losses survived on the way to a result: each cost one recovery.
+    fn charge(&mut self, losses: u64) {
+        self.result.worker_losses += losses;
+        self.result.recoveries += losses;
     }
 
     /// Per-batch technique resolution: the policy (when present) scores the
@@ -497,7 +521,6 @@ impl<'e> Run<'e> {
         let decision = self.eng.policy.as_mut().map(|pol| pol.decide(seq));
         let decide_us = t0.elapsed().as_micros() as u64;
         if let Some(d) = decision.as_ref() {
-            self.tech_log.insert(seq, d.technique);
             self.rec.incr(Counter::PolicyDecisions, 1);
             if d.switched {
                 self.rec.incr(Counter::PolicySwitches, 1);
@@ -539,24 +562,19 @@ impl<'e> Run<'e> {
         }
     }
 
-    /// Run a partitioned batch on the backend with the assigner of the
-    /// strategy that partitioned it, charging any worker losses survived on
-    /// the way to the run.
+    /// Run a partitioned batch on the backend under what it was prepared
+    /// with — `r` buckets, the assigner [`WindowAssigners`] resolves from
+    /// its `technique` and `routing` snapshot — charging any worker losses
+    /// survived on the way to the run.
     fn run_plan(
         &mut self,
         seq: u64,
         view: PlanView<'_>,
-        technique: Option<Technique>,
+        (r, technique, routing): (usize, Option<Technique>, Option<&RoutingTable>),
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
         let eng = &mut *self.eng;
-        let (_, assigner) = resolve_pair(
-            &mut eng.partitioner,
-            &mut eng.assigner,
-            &mut eng.strategies,
-            technique,
-        );
-        let (job, r, wire) = (&eng.job, self.r, self.wire);
+        let (job, wire) = (&eng.job, self.wire);
         let batch = Planned {
             seq: wire.of(seq),
             tseq: seq,
@@ -564,41 +582,50 @@ impl<'e> Run<'e> {
             job,
             r,
         };
+        let younger = self
+            .prepared
+            .iter()
+            .map(|q| (wire.of(q.seq), q.technique, q.routing.as_ref()));
+        let mut assigners = WindowAssigners {
+            base: eng.assigner.as_mut(),
+            strategies: eng.strategies.as_mut(),
+            window: std::iter::once((batch.seq, technique, routing))
+                .chain(younger)
+                .collect(),
+            routed: None,
+        };
         let (output, times, losses) = backend.execute(
             &batch,
-            self.prepared.iter().map(|q| q.planned(job, r, wire)),
-            assigner,
+            self.prepared.iter().map(|q| q.planned(job, wire)),
+            &mut assigners,
             &eng.cfg,
             &self.rec,
             self.store.as_mut(),
         );
-        self.result.worker_losses += losses;
-        self.result.recoveries += losses;
+        self.charge(losses);
         (output, times)
     }
 
     /// Recompute batch `b` from its replicated input (§8), spending one
     /// replica: the shared retained buffer is re-partitioned in place — no
-    /// deep copy — with the strategy the original run used, and executed on
-    /// the backend.
+    /// deep copy — with the strategy the original run used (retained next to
+    /// the input), and executed on the backend under the run's *current*
+    /// counts and routing. Replays only happen behind
+    /// [`Run::fault_barrier`], where current is what depth 1 would see.
     fn replay(
         &mut self,
         b: u64,
         backend: &mut BackendRuntime,
     ) -> Result<(BatchOutput, StageTimes), RecoveryError> {
         let store = self.store.as_mut().expect("fault plans retain inputs");
-        let input = store.recover(b)?;
-        let technique = self.tech_log.get(&b).copied().or(self.eng.base_technique);
+        let (input, technique) = store.recover(b)?;
         let interval = self.interval_of(b);
         let eng = &mut *self.eng;
-        let (partitioner, _) = resolve_pair(
-            &mut eng.partitioner,
-            &mut eng.assigner,
-            &mut eng.strategies,
-            technique,
-        );
+        let partitioner = resolve_partitioner(&mut eng.partitioner, &mut eng.strategies, technique);
         let replan = partitioner.partition_shared(&input, interval, self.p);
-        Ok(self.run_plan(b, PlanView::Rows(&replan), technique, backend))
+        let routing = self.routing();
+        let under = (self.r, technique, routing.as_ref());
+        Ok(self.run_plan(b, PlanView::Rows(&replan), under, backend))
     }
 
     /// Execute the oldest in-flight batch on the configured backend. At
@@ -610,7 +637,8 @@ impl<'e> Run<'e> {
         pb: &PreparedBatch,
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
-        let (output, mut times) = self.run_plan(pb.seq, pb.view(), pb.technique, backend);
+        let under = (pb.r, pb.technique, pb.routing.as_ref());
+        let (output, mut times) = self.run_plan(pb.seq, pb.view(), under, backend);
         self.inject_stragglers(pb.seq, &mut times);
         (output, times)
     }
@@ -714,7 +742,7 @@ impl<'e> Run<'e> {
                 limit_us: bi.mul_f64(limit).0,
             });
         }
-        self.step_scaler(seq, w, pb.n_tuples, pb.n_keys);
+        self.step_scaler(&pb, w);
         self.commit_window(output);
         self.migrate_state(seq, backend);
 
@@ -726,7 +754,7 @@ impl<'e> Run<'e> {
             n_tuples: pb.n_tuples,
             n_keys: pb.n_keys,
             map_tasks: pb.plan.n_blocks(),
-            reduce_tasks: self.r,
+            reduce_tasks: pb.r,
             partition_overhead: pb.raw_overhead,
             visible_overhead: pb.visible_overhead,
             map_stage: times.map_stage,
@@ -743,32 +771,23 @@ impl<'e> Run<'e> {
     }
 
     /// Per-worker load accounting: the trace summary's imbalance signal, and
-    /// the rebalancer's observation of this commit.
+    /// the rebalancer's observation of this commit — under the routing the
+    /// batch ran with, not the run's current table.
     fn observe_load(&mut self, pb: &PreparedBatch, times: &StageTimes) {
         self.rec.worker_busy(&times.reduce_tasks);
-        let Some(reb) = self.rebalancer.as_mut() else {
+        let (Some((reb, _)), Some(table)) = (self.rebalancer.as_mut(), pb.routing.as_ref()) else {
             return;
         };
         let busy: Vec<u64> = times.reduce_tasks.iter().map(|d| d.0).collect();
-        let group_tuples = group_weights(&pb.plan, self.n_groups);
-        let (version, owners) = {
-            let t = self
-                .eng
-                .routing
-                .as_ref()
-                .expect("a rebalancer always runs over a routing table")
-                .lock()
-                .expect("routing table poisoned");
-            (t.version(), t.owners().to_vec())
-        };
+        let group_tuples = group_weights(&pb.plan, table.n_groups());
         reb.observe(&RebalanceObservation {
             seq: pb.seq,
-            version,
+            version: table.version(),
             worker_busy_us: &busy,
             group_tuples: &group_tuples,
-            owners: &owners,
+            owners: table.owners(),
         });
-        self.last_imbalance = imbalance_ratio(&busy);
+        self.last_load = Some((pb.seq, imbalance_ratio(&busy)));
     }
 
     /// The batch's lifecycle as virtual-time spans. The `PROCESSING_KINDS`
@@ -809,12 +828,19 @@ impl<'e> Run<'e> {
     }
 
     /// Elasticity (Algorithm 4): feed the scaler this commit's load; a scale
-    /// action changes the task counts the next batch is prepared with.
-    fn step_scaler(&mut self, seq: u64, w: f64, n_tuples: usize, n_keys: usize) {
+    /// action changes the task counts the next batch is prepared with. A
+    /// batch prepared before the scaler's last action ran under counts that
+    /// are no longer the scaler's — its `W` says nothing about the current
+    /// configuration, so the scaler never sees it (at depth 1 there is no
+    /// such batch).
+    fn step_scaler(&mut self, pb: &PreparedBatch, w: f64) {
         let Some(sc) = self.scaler.as_mut() else {
             return;
         };
-        let rec = &self.rec;
+        if (pb.plan.n_blocks(), pb.r) != (sc.map_tasks(), sc.reduce_tasks()) {
+            return;
+        }
+        let (seq, rec) = (pb.seq, &self.rec);
         let zone = sc.zone(w);
         if self.prev_zone != Some(zone) {
             if self.prev_zone.is_some() {
@@ -826,8 +852,8 @@ impl<'e> Run<'e> {
         let noops_before = sc.noop_decisions();
         if let Some(action) = sc.observe(Observation {
             w,
-            n_tuples: n_tuples as u64,
-            n_keys: n_keys as u64,
+            n_tuples: pb.n_tuples as u64,
+            n_keys: pb.n_keys as u64,
         }) {
             self.p = action.map_tasks;
             self.r = action.reduce_tasks;
@@ -847,6 +873,7 @@ impl<'e> Run<'e> {
                 out: action.out,
                 rate_trend,
                 key_trend,
+                effective_seq: self.prepared.back().map_or(seq, |q| q.seq) + 1,
             });
             rec.event(TraceEvent::Grace { seq, entered: true });
         }
@@ -936,16 +963,21 @@ impl<'e> Run<'e> {
             keys: report.keys_moved as u64,
             bytes: report.bytes,
         });
-        if let Some(rt) = backend.distributed() {
+        if backend.distributed().is_some() {
             // Hand the re-sharded state to the workers owning the new
             // buckets over the wire.
-            let payloads: Vec<(u32, Vec<u8>)> = (0..store.shard_count())
-                .map(|b| (b as u32, store.encode_shard(b)))
+            let (wire_seq, shards) = (self.wire.of(seq), store.shard_count() as u32);
+            let pushes: Vec<Message> = (0..shards)
+                .map(|bucket| Message::StatePush {
+                    seq: wire_seq,
+                    bucket,
+                    shards,
+                    payload: store.encode_shard(bucket as usize),
+                })
                 .collect();
-            rt.migrate_state(self.wire.of(seq), payloads)
-                .expect("state migration push failed");
+            self.push_state(seq, &pushes, backend);
         }
-        if let Some(ckpt) = self.checkpointer.as_mut() {
+        if let (Some(ckpt), Some(store)) = (self.checkpointer.as_mut(), self.state_store.as_ref()) {
             let commit = ckpt.snapshot_now(store).expect("checkpoint write failed");
             self.record_commit(commit);
         }

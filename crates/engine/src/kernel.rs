@@ -428,9 +428,11 @@ mod tests {
                     continue;
                 };
                 seq += 1;
-                let distributed = outcome(view, |assigner, trace| {
+                let distributed = outcome(view, |mut assigner, trace| {
                     fleet.submit(seq, seq, view, &spec, *r);
-                    fleet.wait_batch(seq, assigner, trace).expect("no faults")
+                    fleet
+                        .wait_batch(seq, &mut assigner, trace)
+                        .expect("no faults")
                 });
                 assert_eq!(distributed, reference, "{name}: fleet over {layout}");
             }

@@ -8,7 +8,7 @@
 //! into a single channel.
 //!
 //! Batches move through an explicit in-flight state machine
-//! ([`DistributedRuntime::submit_batch`] / [`DistributedRuntime::wait_batch`];
+//! ([`DistributedRuntime::submit_batch`] / `wait_batch`;
 //! [`DistributedRuntime::execute_batch`] is the submit-then-wait
 //! convenience for one batch at a time):
 //!
@@ -16,10 +16,10 @@
 //!    (each carries its data block on the wire) — several batches may be
 //!    mapping at once;
 //! 2. when a batch's key/frequency tables are all back, the driver runs
-//!    the Reduce assigner serially in block order — and only when every
-//!    *older* in-flight batch has made its assigner calls, so Algorithm
-//!    3's stateful allocator sees exactly the serial engine's call
-//!    sequence no matter how deep the pipeline is;
+//!    *that batch's* Reduce assigner (`BatchAssigners`) serially in block
+//!    order — and only when every *older* in-flight batch has made its
+//!    assigner calls, so Algorithm 3's stateful allocator sees exactly the
+//!    serial engine's call sequence no matter how deep the pipeline is;
 //! 3. per-block bucket assignments are pushed back (`ShuffleAssign`) and
 //!    Reduce tasks fan out, each fetching its bucket from the map workers'
 //!    shuffle listeners;
@@ -31,7 +31,9 @@
 //! connection stands in for poll(2) readiness on a std-only build), and
 //! the pump blocks with an *exact* timeout — the earliest of the
 //! heartbeat-liveness deadlines and the in-flight stage deadlines — never
-//! a fixed polling period.
+//! a fixed polling period. State-migration pushes wait for their acks on
+//! the same pump, so in-flight batches' completions are applied while a
+//! push is fenced.
 //!
 //! Failure is detected organically — a broken control connection, a
 //! heartbeat that stops, a worker blaming an unreachable shuffle source —
@@ -227,6 +229,30 @@ enum Stage {
     Reducing,
     /// Output merged and ready for [`DistributedRuntime::wait_batch`].
     Done,
+}
+
+/// The Reduce assigner each in-flight batch assigns with, by wire seq: a
+/// batch is assigned under what *it* was prepared with (its technique's
+/// strategy, its routing snapshot), never under the awaited batch's.
+pub(crate) trait BatchAssigners {
+    /// The assigner of in-flight batch `seq`.
+    fn assigner_for(&mut self, seq: u64) -> &mut dyn ReduceAssigner;
+}
+
+/// One assigner for every batch (run-constant strategy).
+impl BatchAssigners for &mut dyn ReduceAssigner {
+    fn assigner_for(&mut self, _seq: u64) -> &mut dyn ReduceAssigner {
+        &mut **self
+    }
+}
+
+/// The pushes of one [`DistributedRuntime::push_state`] call that still
+/// await their `StateAck`.
+struct PendingAcks {
+    seq: u64,
+    deadline: Instant,
+    /// `(worker, bucket)` of every push not yet acknowledged.
+    outstanding: Vec<(u32, u32)>,
 }
 
 /// One batch in flight between `submit_batch` and `wait_batch`.
@@ -557,6 +583,13 @@ impl DistributedRuntime {
         self.slots.iter().filter(|s| s.alive).count()
     }
 
+    /// Ids of the workers still considered alive: the round-robin fan-out
+    /// targets of Map tasks, Reduce tasks and state pushes alike.
+    fn live_workers(&self) -> Vec<u32> {
+        let alive = self.slots.iter().filter(|s| s.alive);
+        alive.map(|s| s.id).collect()
+    }
+
     /// Install the scripted kill plan (replaces any previous plan).
     pub fn set_fault_plan(&mut self, plan: NetFaultPlan) {
         self.fault = plan;
@@ -711,7 +744,7 @@ impl DistributedRuntime {
     /// Dispatch one batch's Map tasks without waiting for anything — the
     /// entry point of the in-flight state machine. Several batches may be
     /// submitted back to back; their results are taken in submission order
-    /// via [`DistributedRuntime::wait_batch`].
+    /// via `wait_batch`.
     ///
     /// Resubmitting a seq that is still in flight (a completed-but-untaken
     /// batch surviving a loss abort) is a no-op, as is submitting after a
@@ -774,12 +807,7 @@ impl DistributedRuntime {
             self.inject_kill(w);
         }
 
-        let owners: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.id)
-            .collect();
+        let owners = self.live_workers();
         assert!(
             !owners.is_empty(),
             "all distributed workers lost; batch {seq} cannot execute"
@@ -795,7 +823,10 @@ impl DistributedRuntime {
                 return Err(self.declare_lost(w, format!("send of map_task failed: {e}")));
             }
         }
-        self.inflight.push(Inflight {
+        // Seq order whatever order the caller resubmits in after a loss: the
+        // assigner-order gate walks this list.
+        let at = self.inflight.partition_point(|e| e.seq < seq);
+        let entry = Inflight {
             seq,
             tseq,
             epoch,
@@ -814,7 +845,8 @@ impl DistributedRuntime {
             t_reduce: t_map,
             output: BatchOutput::default(),
             stats: Vec::new(),
-        });
+        };
+        self.inflight.insert(at, entry);
         Ok(())
     }
 
@@ -830,16 +862,17 @@ impl DistributedRuntime {
     /// Runs the serial engine's exact logical pipeline over the wire; given
     /// the same plans, assigner state and `r`, the outputs and per-bucket
     /// stats are bit-identical to [`crate::stage::execute_batch`]'s at any
-    /// pipeline depth — the stateful assigner is invoked exactly once per
-    /// batch, in batch order, block order.
+    /// pipeline depth — each batch's assigner is invoked exactly once per
+    /// batch, in batch order, block order, and younger in-flight batches
+    /// keep assigning (with their own assigners) during the wait.
     ///
     /// On `Err(WorkerLoss)` every unfinished in-flight batch was aborted
-    /// with no observable effect on the assigner (completed-but-untaken
+    /// with no observable effect on the assigners (completed-but-untaken
     /// results survive); resubmit the aborted batches and wait again.
-    pub fn wait_batch(
+    pub(crate) fn wait_batch(
         &mut self,
         seq: u64,
-        assigner: &mut dyn ReduceAssigner,
+        assigners: &mut dyn BatchAssigners,
         trace: Option<&TraceRecorder>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
         loop {
@@ -850,14 +883,14 @@ impl DistributedRuntime {
                 self.inflight.iter().any(|e| e.seq == seq),
                 "wait_batch({seq}) without a submitted batch"
             );
-            let step = self.advance_assignments(assigner, trace).and_then(|()| {
+            let step = self.advance_assignments(assigners, trace).and_then(|()| {
                 match self
                     .inflight
                     .iter()
                     .position(|e| e.seq == seq && e.stage == Stage::Done)
                 {
                     Some(i) => Ok(Some(i)),
-                    None => self.pump_event(trace).map(|()| None),
+                    None => self.pump_event(trace, None).map(|()| None),
                 }
             });
             match step {
@@ -886,7 +919,7 @@ impl DistributedRuntime {
     /// younger fresh assignments until its loss aborts the window.
     fn advance_assignments(
         &mut self,
-        assigner: &mut dyn ReduceAssigner,
+        assigners: &mut dyn BatchAssigners,
         trace: Option<&TraceRecorder>,
     ) -> Result<(), WorkerLoss> {
         let mut earlier_all_assigned = true;
@@ -896,6 +929,7 @@ impl DistributedRuntime {
                 Stage::WaitAssign if cached => self.begin_reduce(i, Instant::now(), trace)?,
                 Stage::WaitAssign if earlier_all_assigned => {
                     let t_scatter = Instant::now();
+                    let assigner = assigners.assigner_for(self.inflight[i].seq);
                     self.compute_assignments(i, assigner, trace);
                     self.begin_reduce(i, t_scatter, trace)?;
                 }
@@ -994,15 +1028,22 @@ impl DistributedRuntime {
         Ok(())
     }
 
-    /// Wait for one event and apply it to the in-flight window.
-    fn pump_event(&mut self, trace: Option<&TraceRecorder>) -> Result<(), WorkerLoss> {
+    /// Wait for one event and apply it to the in-flight window, or to the
+    /// state push being fenced (`acks`) — the only thing to wait for when no
+    /// batch is in flight.
+    fn pump_event(
+        &mut self,
+        trace: Option<&TraceRecorder>,
+        acks: Option<&mut PendingAcks>,
+    ) -> Result<(), WorkerLoss> {
         let (overall, label_seq) = self
             .inflight
             .iter()
             .filter(|e| e.stage != Stage::Done)
             .map(|e| (e.deadline, e.seq))
+            .chain(acks.as_ref().map(|a| (a.deadline, a.seq)))
             .min_by_key(|&(d, _)| d)
-            .expect("pump with no batch in flight");
+            .expect("pump with nothing to wait for");
         match self.recv_deadline(overall, label_seq)? {
             Message::MapComplete {
                 seq,
@@ -1129,6 +1170,18 @@ impl DistributedRuntime {
                 }
                 // A stale attempt's failure; already handled.
             }
+            Message::StateAck {
+                worker,
+                seq,
+                bucket,
+            } => {
+                if let Some(acks) = acks.filter(|a| a.seq == seq) {
+                    let pushed = acks.outstanding.iter().position(|&p| p == (worker, bucket));
+                    if let Some(i) = pushed {
+                        acks.outstanding.swap_remove(i);
+                    }
+                }
+            }
             _ => {}
         }
         Ok(())
@@ -1137,10 +1190,9 @@ impl DistributedRuntime {
     /// Execute one batch across the live workers: submit, then wait.
     ///
     /// The one-batch-at-a-time convenience over
-    /// [`DistributedRuntime::submit_batch`] /
-    /// [`DistributedRuntime::wait_batch`] — identical semantics at pipeline
-    /// depth 1. On `Err(WorkerLoss)` the attempt had no observable effect
-    /// on the assigner — call again with the same plan.
+    /// [`DistributedRuntime::submit_batch`] / `wait_batch` — identical
+    /// semantics at pipeline depth 1. On `Err(WorkerLoss)` the attempt had
+    /// no observable effect on the assigner — call again with the same plan.
     ///
     /// # Panics
     ///
@@ -1151,110 +1203,62 @@ impl DistributedRuntime {
         seq: u64,
         plan: &PartitionPlan,
         spec: &JobSpec,
-        assigner: &mut dyn ReduceAssigner,
+        mut assigner: &mut dyn ReduceAssigner,
         r: usize,
         trace: Option<(&TraceRecorder, u64)>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
         let tseq = trace.map_or(seq, |(_, t)| t);
         self.submit_batch(seq, tseq, plan, spec, r);
-        self.wait_batch(seq, assigner, trace.map(|(rec, _)| rec))
+        self.wait_batch(seq, &mut assigner, trace.map(|(rec, _)| rec))
     }
 
-    /// Ship re-sharded state to the fleet after an elasticity migration.
+    /// Ship migrated state to the fleet — [`Message::StatePush`] shards
+    /// after an elasticity re-shard, [`Message::GroupPush`] slices after a
+    /// rebalance (payloads may be empty: stateless runs still announce
+    /// ownership), all carrying `seq` — and fence the caller behind the
+    /// acks. Each push goes to the live worker serving the reduce bucket
+    /// that owns it — the same round-robin over live workers the reduce
+    /// fan-out uses — and the one push-and-ack loop drives the event pump
+    /// until every push is acknowledged, so other batches' completions are
+    /// applied, not dropped, while the next batch cannot start before the
+    /// fleet holds the migrated state.
     ///
-    /// Each `(bucket, encoded shard)` pair is pushed to the worker that
-    /// will own the bucket under the new shard count — the same
-    /// round-robin over live workers the reduce fan-out uses — and the
-    /// call blocks until every push is acknowledged, so the next batch
-    /// cannot start before the fleet holds the migrated state.
-    pub fn migrate_state(
+    /// On `Err(WorkerLoss)` every unfinished in-flight batch was aborted, as
+    /// by `wait_batch`: push again (the survivors take over) and resubmit.
+    pub fn push_state(
         &mut self,
         seq: u64,
-        payloads: Vec<(u32, Vec<u8>)>,
+        pushes: &[Message],
+        trace: Option<&TraceRecorder>,
     ) -> Result<(), WorkerLoss> {
-        let owners: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.id)
-            .collect();
+        let owners = self.live_workers();
         assert!(
             !owners.is_empty(),
-            "all distributed workers lost; state migration at batch {seq} cannot proceed"
+            "all distributed workers lost; state push at batch {seq} cannot proceed"
         );
-        let shards = payloads.len() as u32;
-        let mut outstanding = 0usize;
-        for (bucket, payload) in payloads {
-            self.send_to(
-                owners[bucket as usize % owners.len()],
-                &Message::StatePush {
-                    seq,
-                    bucket,
-                    shards,
-                    payload,
-                },
-            )?;
-            outstanding += 1;
-        }
-        let deadline = Instant::now() + self.opts.io_timeout;
-        while outstanding > 0 {
-            if let Message::StateAck { seq: s, .. } = self.recv_deadline(deadline, seq)? {
-                if s == seq {
-                    outstanding -= 1;
-                }
+        let mut acks = PendingAcks {
+            seq,
+            deadline: Instant::now() + self.opts.io_timeout,
+            outstanding: Vec::with_capacity(pushes.len()),
+        };
+        let mut fence = || {
+            for push in pushes {
+                // The owning reduce bucket, and the id the ack echoes.
+                let (bucket, ack) = match *push {
+                    Message::StatePush { bucket, .. } => (bucket, bucket),
+                    Message::GroupPush { group, to, .. } => (to, group),
+                    _ => panic!("{} is not a state push", push.kind()),
+                };
+                let worker = owners[bucket as usize % owners.len()];
+                self.send_to(worker, push)?;
+                acks.outstanding.push((worker, ack));
             }
-        }
-        Ok(())
-    }
-
-    /// Ship migrated key-group state slices to the fleet after a
-    /// rebalance.
-    ///
-    /// Each `(group, new owner, encoded slice)` triple is pushed to the
-    /// worker that serves the owning reduce bucket — the same round-robin
-    /// over live workers the reduce fan-out uses — and the call blocks
-    /// until every push is acknowledged, so the next batch cannot start
-    /// routing to a worker that does not yet hold the group's state.
-    /// Payloads may be empty (stateless runs still announce ownership).
-    pub fn migrate_groups(
-        &mut self,
-        seq: u64,
-        version: u64,
-        pushes: Vec<(u32, u32, Vec<u8>)>,
-    ) -> Result<(), WorkerLoss> {
-        let owners: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .map(|s| s.id)
-            .collect();
-        assert!(
-            !owners.is_empty(),
-            "all distributed workers lost; group migration at batch {seq} cannot proceed"
-        );
-        let mut outstanding = 0usize;
-        for (group, to, payload) in pushes {
-            self.send_to(
-                owners[to as usize % owners.len()],
-                &Message::GroupPush {
-                    seq,
-                    group,
-                    version,
-                    to,
-                    payload,
-                },
-            )?;
-            outstanding += 1;
-        }
-        let deadline = Instant::now() + self.opts.io_timeout;
-        while outstanding > 0 {
-            if let Message::StateAck { seq: s, .. } = self.recv_deadline(deadline, seq)? {
-                if s == seq {
-                    outstanding -= 1;
-                }
+            while !acks.outstanding.is_empty() {
+                self.pump_event(trace, Some(&mut acks))?;
             }
-        }
-        Ok(())
+            Ok(())
+        };
+        fence().inspect_err(|_| self.abort_unfinished())
     }
 
     /// Shut the fleet down: `Shutdown` to every live worker, then reap
@@ -1406,9 +1410,81 @@ mod tests {
     #[test]
     fn state_push_round_trips_acks() {
         let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-        let payloads: Vec<(u32, Vec<u8>)> = (0..5u32).map(|b| (b, vec![b as u8; 64])).collect();
-        rt.migrate_state(3, payloads).expect("all pushes acked");
+        let shards: Vec<Message> = (0..5u32)
+            .map(|bucket| Message::StatePush {
+                seq: 3,
+                bucket,
+                shards: 5,
+                payload: vec![bucket as u8; 64],
+            })
+            .collect();
+        rt.push_state(3, &shards, None).expect("all pushes acked");
         assert_eq!(rt.workers_alive(), 2);
+    }
+
+    /// `n` group moves at `seq`, group `g` to reduce bucket `g % r`.
+    fn group_pushes(seq: u64, n: u32, r: u32) -> Vec<Message> {
+        (0..n)
+            .map(|group| Message::GroupPush {
+                seq,
+                group,
+                version: 1,
+                to: group % r,
+                payload: vec![7; 32],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_push_applies_inflight_completions_instead_of_dropping_them() {
+        let mut opts = thread_opts(2);
+        // A swallowed completion would otherwise only show as a timeout loss
+        // after the default 30 s.
+        opts.io_timeout = WallDuration::from_secs(5);
+        let mut rt = DistributedRuntime::launch(opts).expect("launch");
+        let plan = small_plan(300, 17, 4);
+        let spec = JobSpec {
+            map: MapSpec::Identity,
+            reduce: ReduceOp::Count,
+        };
+        // Batch 0's MapCompletes arrive while the push waits for its acks.
+        rt.submit_batch(0, 0, &plan, &spec, 3);
+        rt.push_state(1, &group_pushes(1, 6, 3), None)
+            .expect("acked");
+        let mut assigner = PromptReduceAllocator::new(7);
+        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
+        let (out, stats) = rt.wait_batch(0, &mut assigner, None).expect("no loss");
+        assert_eq!(out.len(), 17);
+        assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300);
+        assert_eq!(rt.stats().workers_lost, 0);
+    }
+
+    #[test]
+    fn worker_lost_during_a_push_is_reported_and_the_retry_succeeds() {
+        let mut rt = DistributedRuntime::launch(thread_opts(3)).expect("launch");
+        let plan = small_plan(200, 11, 4);
+        let spec = JobSpec {
+            map: MapSpec::Identity,
+            reduce: ReduceOp::Count,
+        };
+        rt.submit_batch(0, 0, &plan, &spec, 2);
+        rt.inject_kill(1);
+        // One move per reduce bucket, so bucket 1's lands on the dead worker.
+        let moves = group_pushes(1, 3, 3);
+        let loss = rt
+            .push_state(1, &moves, None)
+            .expect_err("worker 1 is dead");
+        assert_eq!(loss.worker, 1);
+        assert_eq!(rt.workers_alive(), 2);
+        // The survivors take the push over; the batch the loss aborted is
+        // resubmitted and completes on them too.
+        rt.push_state(1, &moves, None).expect("survivors ack");
+        rt.submit_batch(0, 0, &plan, &spec, 2);
+        let mut assigner = PromptReduceAllocator::new(5);
+        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
+        let (out, _) = rt.wait_batch(0, &mut assigner, None).expect("retry");
+        assert_eq!(out.len(), 11);
+        assert_eq!(rt.stats().workers_lost, 1);
     }
 
     #[test]
@@ -1443,6 +1519,7 @@ mod tests {
         // stateful allocator must still see the serial call sequence.
         let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
         let mut assigner = PromptReduceAllocator::new(7);
+        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
         for (seq, plan) in plans.iter().enumerate() {
             rt.submit_batch(seq as u64, seq as u64, plan, &spec, 3);
         }
@@ -1472,6 +1549,7 @@ mod tests {
         };
         let plans: Vec<PartitionPlan> = (0..2).map(|_| small_plan(200, 11, 4)).collect();
         let mut assigner = PromptReduceAllocator::new(5);
+        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
         rt.submit_batch(0, 0, &plans[0], &spec, 2);
         rt.submit_batch(1, 1, &plans[1], &spec, 2);
         let loss = rt

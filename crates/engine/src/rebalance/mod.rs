@@ -11,16 +11,19 @@
 //!   [`GROUP_HASH_SEED`] — the unit of migration, far coarser than a key
 //!   and far finer than a worker.
 //! * A versioned [`RoutingTable`] maps each group to the reduce worker
-//!   (bucket) that owns it. The [`GroupRoutedAssigner`] consults it for
-//!   every key cluster, so routing is a pure per-key function and split
-//!   keys land consistently across Map tasks on every backend.
+//!   (bucket) that owns it. Every batch carries an immutable snapshot of
+//!   the table as of its own fill, and the [`GroupRoutedAssigner`] consults
+//!   that snapshot for every key cluster, so routing is a pure per-key
+//!   function, split keys land consistently across Map tasks on every
+//!   backend, and a plan applied for a younger batch never re-routes an
+//!   older one still in flight.
 //! * A [`LoadLedger`] is fed at commit time from the trace layer's
 //!   existing per-batch worker timings plus the per-group tuple weights of
 //!   the committed plan.
 //! * A [`RebalancePolicy`] inspects the ledger at the batch boundary and
 //!   emits a [`MigrationPlan`] — a handful of [`GroupMove`]s — which the
-//!   driver applies to the routing table before the next batch is
-//!   assigned, shipping group-scoped state payloads over the
+//!   driver applies to the run's routing table before the batch being
+//!   filled snapshots it, shipping group-scoped state payloads over the
 //!   StatePush/StateAck wire path on the distributed backend.
 //!
 //! # Determinism contract
@@ -31,14 +34,16 @@
 //! sequence through [`RebalanceSpec::Forced`] reproduces the run bit for
 //! bit (plans, per-task times, windows, span tiling) on all three
 //! backends — the `rebalance_differential` integration test gates this,
-//! including a worker killed on a migration batch.
+//! including a worker killed on a migration batch. At
+//! [`pipeline_depth`](crate::config::EngineConfig::pipeline_depth) `d` the
+//! observations lag the decisions by `d` batches; the policy then waits
+//! for a batch prepared under its own last plan before planning again, so
+//! a depth-`d` run still equals the depth-1 `Forced` replay of its log.
 //!
 //! Hysteresis mirrors the partitioner-selection policy
 //! ([`crate::policy`]): a minimum dwell between applied plans and an
 //! improvement margin the projected load must clear, so routing does not
 //! thrash when the load dithers around the trigger.
-
-use std::sync::{Arc, Mutex};
 
 use prompt_core::batch::PartitionPlan;
 use prompt_core::hash::bucket_of;
@@ -191,27 +196,13 @@ impl RoutingTable {
     }
 }
 
-/// Shared handle to the routing table: the driver applies plans through
-/// it while the [`GroupRoutedAssigner`] reads it per batch.
-pub type SharedRoutingTable = Arc<Mutex<RoutingTable>>;
+/// The reduce assigner over a routing-table snapshot. Routing is a pure
+/// per-key function of the table, so split keys (whose fragments appear in
+/// many Map blocks) land on one bucket without coordination, and
+/// re-assigning the same batch after a worker-loss retry is idempotent.
+pub struct GroupRoutedAssigner<'a>(pub &'a RoutingTable);
 
-/// The reduce assigner that consults the routing table. Routing is a pure
-/// per-key function of the table state, so split keys (whose fragments
-/// appear in many Map blocks) land on one bucket without coordination,
-/// and re-assigning the same batch after a worker-loss retry is
-/// idempotent.
-pub struct GroupRoutedAssigner {
-    table: SharedRoutingTable,
-}
-
-impl GroupRoutedAssigner {
-    /// Build the assigner over a shared table.
-    pub fn new(table: SharedRoutingTable) -> GroupRoutedAssigner {
-        GroupRoutedAssigner { table }
-    }
-}
-
-impl ReduceAssigner for GroupRoutedAssigner {
+impl ReduceAssigner for GroupRoutedAssigner<'_> {
     fn name(&self) -> &'static str {
         "group-routed"
     }
@@ -222,13 +213,12 @@ impl ReduceAssigner for GroupRoutedAssigner {
         _split_keys: &prompt_core::hash::KeySet,
         r: usize,
     ) -> Vec<usize> {
-        let table = self.table.lock().expect("routing table poisoned");
         debug_assert_eq!(
-            table.n_workers(),
+            self.0.n_workers(),
             r,
             "routing table sized for a different reduce count"
         );
-        clusters.iter().map(|c| table.route(c.key)).collect()
+        clusters.iter().map(|c| self.0.route(c.key)).collect()
     }
 }
 
@@ -258,6 +248,8 @@ pub struct RebalanceObservation<'a> {
 pub struct LoadLedger {
     /// Batches observed so far.
     pub batches: u64,
+    /// Seq of the last committed batch.
+    pub seq: u64,
     /// Last committed batch's per-worker busy time (µs).
     pub worker_busy_us: Vec<u64>,
     /// Last committed batch's per-group tuple weights.
@@ -270,6 +262,7 @@ impl LoadLedger {
     /// Record one commit.
     pub fn record(&mut self, obs: &RebalanceObservation<'_>) {
         self.batches += 1;
+        self.seq = obs.seq;
         self.worker_busy_us = obs.worker_busy_us.to_vec();
         self.group_tuples = obs.group_tuples.to_vec();
         self.owners = obs.owners.to_vec();
@@ -463,7 +456,7 @@ impl RebalancePolicy for AutoRebalance {
         }
         if self
             .last_move
-            .is_some_and(|s0| seq.saturating_sub(s0) < self.cfg.min_dwell)
+            .is_some_and(|s0| seq.saturating_sub(s0) < self.cfg.min_dwell || self.ledger.seq < s0)
         {
             return MigrationPlan::empty();
         }
@@ -674,8 +667,8 @@ mod tests {
 
     #[test]
     fn assigner_routes_clusters_through_the_table() {
-        let table = Arc::new(Mutex::new(RoutingTable::new(8, 3)));
-        let mut asg = GroupRoutedAssigner::new(table.clone());
+        let table = RoutingTable::new(8, 3);
+        let mut asg = GroupRoutedAssigner(&table);
         let clusters: Vec<KeyCluster> = (0..20)
             .map(|k| KeyCluster {
                 key: Key(k),
@@ -683,10 +676,7 @@ mod tests {
             })
             .collect();
         let got = asg.assign(&clusters, &prompt_core::hash::KeySet::default(), 3);
-        let expect: Vec<usize> = clusters
-            .iter()
-            .map(|c| table.lock().unwrap().route(c.key))
-            .collect();
+        let expect: Vec<usize> = clusters.iter().map(|c| table.route(c.key)).collect();
         assert_eq!(got, expect);
         assert!(got.iter().all(|&b| b < 3));
     }

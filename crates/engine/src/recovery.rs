@@ -16,16 +16,19 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use prompt_core::partitioner::Technique;
 use prompt_core::types::Tuple;
 
-/// A retained batch input with its remaining replica count. The input is
-/// shared (`Arc<[Tuple]>`), so recovery reads hand out the buffer without
-/// copying it.
+/// A retained batch input with its remaining replica count and the
+/// technique that partitioned it (a recompute must re-partition with the
+/// strategy the original run used). The input is shared (`Arc<[Tuple]>`), so
+/// recovery reads hand out the buffer without copying it.
 #[derive(Clone, Debug)]
 struct RetainedBatch {
     seq: u64,
     replicas_left: usize,
     input: Arc<[Tuple]>,
+    technique: Option<Technique>,
 }
 
 /// Replicated storage of recent batch inputs.
@@ -84,10 +87,11 @@ impl ReplicatedBatchStore {
         }
     }
 
-    /// Retain the input of batch `seq` (called on ingestion). The buffer is
-    /// shared, not copied — callers pass an `Arc<[Tuple]>` (a `Vec` converts
-    /// with one allocation) and recovery reads clone the handle only.
-    pub fn retain(&mut self, seq: u64, input: Arc<[Tuple]>) {
+    /// Retain the input of batch `seq` (called on ingestion) next to the
+    /// `technique` that partitions it. The buffer is shared, not copied —
+    /// callers pass an `Arc<[Tuple]>` (a `Vec` converts with one allocation)
+    /// and recovery reads clone the handle only.
+    pub fn retain(&mut self, seq: u64, input: Arc<[Tuple]>, technique: Option<Technique>) {
         if let Some(last) = self.retained.back() {
             assert!(last.seq < seq, "batches must be retained in order");
         }
@@ -96,6 +100,7 @@ impl ReplicatedBatchStore {
             seq,
             replicas_left: self.replicas,
             input,
+            technique,
         });
     }
 
@@ -111,11 +116,14 @@ impl ReplicatedBatchStore {
         }
     }
 
-    /// Fetch the replicated input of `seq` for recomputation, consuming one
-    /// replica (the failed copy is gone; a recovery read re-replicates in a
-    /// real system, here we only track the budget). Returns a shared handle:
-    /// no tuple is copied.
-    pub fn recover(&mut self, seq: u64) -> Result<Arc<[Tuple]>, RecoveryError> {
+    /// Fetch the replicated input of `seq` for recomputation — with the
+    /// technique it was retained under — consuming one replica (the failed
+    /// copy is gone; a recovery read re-replicates in a real system, here we
+    /// only track the budget). Returns a shared handle: no tuple is copied.
+    pub fn recover(
+        &mut self,
+        seq: u64,
+    ) -> Result<(Arc<[Tuple]>, Option<Technique>), RecoveryError> {
         let batch = self
             .retained
             .iter_mut()
@@ -125,7 +133,7 @@ impl ReplicatedBatchStore {
             return Err(RecoveryError::ReplicasExhausted { seq });
         }
         batch.replicas_left -= 1;
-        Ok(Arc::clone(&batch.input))
+        Ok((Arc::clone(&batch.input), batch.technique))
     }
 
     /// Replicas remaining for batch `seq`, or `None` if it is not retained
@@ -301,12 +309,13 @@ mod tests {
     #[test]
     fn retain_recover_roundtrip() {
         let mut store = ReplicatedBatchStore::new(2);
-        store.retain(0, tuples(10).into());
-        store.retain(1, tuples(20).into());
+        store.retain(0, tuples(10).into(), None);
+        store.retain(1, tuples(20).into(), Some(Technique::Hash));
         assert_eq!(store.len(), 2);
         assert_eq!(store.retained_tuples(), 30);
-        let got = store.recover(1).expect("recoverable");
+        let (got, technique) = store.recover(1).expect("recoverable");
         assert_eq!(got.len(), 20);
+        assert_eq!(technique, Some(Technique::Hash));
         // Second recovery consumes the last replica…
         assert!(store.recover(1).is_ok());
         // …and the third fails.
@@ -315,14 +324,16 @@ mod tests {
             Err(RecoveryError::ReplicasExhausted { seq: 1 })
         );
         // Batch 0 is untouched.
-        assert!(store.recover(0).is_ok());
+        assert!(store
+            .recover(0)
+            .is_ok_and(|(_, technique)| technique.is_none()));
     }
 
     #[test]
     fn expiry_discards_and_frees_memory() {
         let mut store = ReplicatedBatchStore::new(1);
         for seq in 0..5 {
-            store.retain(seq, tuples(10).into());
+            store.retain(seq, tuples(10).into(), Some(Technique::Prompt));
         }
         store.expire_through(2);
         assert_eq!(store.len(), 2);
@@ -337,8 +348,8 @@ mod tests {
     #[should_panic(expected = "retained in order")]
     fn out_of_order_retention_rejected() {
         let mut store = ReplicatedBatchStore::new(1);
-        store.retain(3, tuples(1).into());
-        store.retain(2, tuples(1).into());
+        store.retain(3, tuples(1).into(), None);
+        store.retain(2, tuples(1).into(), None);
     }
 
     #[test]

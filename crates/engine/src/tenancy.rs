@@ -534,8 +534,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rebalance requires a Fixed partitioner policy")]
-    fn rebalance_with_a_non_fixed_tenant_policy_is_refused_like_solo() {
+    fn rebalance_with_a_non_fixed_tenant_policy_runs_like_solo() {
         use crate::rebalance::{RebalanceConfig, RebalanceSpec};
         let c = EngineConfig {
             rebalance: RebalanceSpec::Auto(RebalanceConfig {
@@ -544,9 +543,30 @@ mod tests {
             }),
             ..cfg()
         };
-        let spec = tenant("a", Technique::Hash, 1)
-            .with_policy(PolicySpec::Forced(vec![Technique::Hash, Technique::Prompt]));
-        let _ = MultiTenantEngine::new(c, vec![spec]);
+        // The policy picks each batch's partitioner, the routing table where
+        // its keys reduce: the tenant matches the solo engine of the same
+        // config, migrations included.
+        let policy = PolicySpec::Forced(vec![Technique::Hash, Technique::Prompt]);
+        let spec = tenant("a", Technique::Hash, 1).with_policy(policy.clone());
+        // 60% of every interval on one hot key, the rest over 30 cold ones.
+        let skewed = || -> Box<dyn TupleSource> {
+            Box::new(|iv: Interval, out: &mut Vec<Tuple>| {
+                let step = iv.len().0 / 2001;
+                for i in 0..2000u64 {
+                    let key = if i < 1200 { Key(0) } else { Key(1 + i % 30) };
+                    out.push(Tuple::keyed(Time(iv.start.0 + step * (i + 1)), key));
+                }
+            })
+        };
+        let mut multi = MultiTenantEngine::new(c.clone(), vec![spec]);
+        let res = multi.run(&mut [skewed()], 8);
+        let solo_cfg = EngineConfig { policy, ..c };
+        let solo = solo_oracle(solo_cfg, Technique::Hash, 1).run(&mut *skewed(), 8);
+        let t = &res.tenants[0];
+        assert!(!t.migrations.is_empty(), "a 60% hot key must migrate");
+        assert_eq!(t.migrations, solo.migrations);
+        assert_eq!(format!("{:#?}", t.batches), format!("{:#?}", solo.batches));
+        assert_windows_bit_identical(&t.windows, &solo.windows);
     }
 
     #[test]

@@ -339,6 +339,10 @@ pub enum TraceEvent {
         rate_trend: f64,
         /// Key-cardinality trend at the decision.
         key_trend: f64,
+        /// First batch prepared with the new counts: `seq + 1` at pipeline
+        /// depth 1, `seq + d` with `d` batches in flight — the batches in
+        /// between keep the counts they were filled under.
+        effective_seq: u64,
     },
     /// Grace-period entry (after an applied action) or exit.
     Grace {
@@ -433,6 +437,11 @@ pub enum TraceEvent {
         moves: u64,
         /// The worker busy-time max/mean ratio that triggered the plan.
         imbalance: f64,
+        /// The last committed batch when the plan was decided — what
+        /// `imbalance` was measured on (`seq − 1` at pipeline depth 1,
+        /// `seq − d` with `d` batches in flight). `None` when a forced plan
+        /// precedes the first commit.
+        observed_seq: Option<u64>,
     },
     /// One key-group changed owner as part of an applied migration plan.
     GroupMigrate {
@@ -522,8 +531,9 @@ impl TraceEvent {
                 out,
                 rate_trend,
                 key_trend,
+                effective_seq,
             } => format!(
-                "{{\"type\":\"scale\",\"seq\":{seq},\"map_tasks\":{map_tasks},\"reduce_tasks\":{reduce_tasks},\"out\":{out},\"rate_trend\":{rate_trend},\"key_trend\":{key_trend}}}"
+                "{{\"type\":\"scale\",\"seq\":{seq},\"map_tasks\":{map_tasks},\"reduce_tasks\":{reduce_tasks},\"out\":{out},\"rate_trend\":{rate_trend},\"key_trend\":{key_trend},\"effective_seq\":{effective_seq}}}"
             ),
             TraceEvent::Grace { seq, entered } => {
                 format!("{{\"type\":\"grace\",\"seq\":{seq},\"entered\":{entered}}}")
@@ -574,8 +584,10 @@ impl TraceEvent {
                 version,
                 moves,
                 imbalance,
+                observed_seq,
             } => format!(
-                "{{\"type\":\"rebalance\",\"seq\":{seq},\"version\":{version},\"moves\":{moves},\"imbalance\":{imbalance}}}"
+                "{{\"type\":\"rebalance\",\"seq\":{seq},\"version\":{version},\"moves\":{moves},\"imbalance\":{imbalance},\"observed_seq\":{}}}",
+                observed_seq.map_or("null".to_string(), |s| s.to_string())
             ),
             TraceEvent::GroupMigrate {
                 seq,
@@ -724,6 +736,7 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             out: boolean("out")?,
             rate_trend: float("rate_trend")?,
             key_trend: float("key_trend")?,
+            effective_seq: num("effective_seq")?,
         }),
         "grace" => Ok(TraceEvent::Grace {
             seq: num("seq")?,
@@ -769,6 +782,10 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             version: num("version")?,
             moves: num("moves")?,
             imbalance: float("imbalance")?,
+            observed_seq: match get("observed_seq")? {
+                "null" => None,
+                _ => Some(num("observed_seq")?),
+            },
         }),
         "group_migrate" => Ok(TraceEvent::GroupMigrate {
             seq: num("seq")?,
@@ -1265,6 +1282,7 @@ mod tests {
                 out: true,
                 rate_trend: 812.5,
                 key_trend: -3.0,
+                effective_seq: 7,
             },
             TraceEvent::Grace {
                 seq: 5,
@@ -1311,6 +1329,14 @@ mod tests {
                 version: 2,
                 moves: 3,
                 imbalance: 1.75,
+                observed_seq: Some(13),
+            },
+            TraceEvent::Rebalance {
+                seq: 0,
+                version: 1,
+                moves: 1,
+                imbalance: 1.0,
+                observed_seq: None,
             },
             TraceEvent::GroupMigrate {
                 seq: 15,

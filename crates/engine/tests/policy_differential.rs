@@ -6,7 +6,7 @@
 //! three backends, including across a worker kill that lands on the batch
 //! where the policy switches strategies mid-run. Decisions must also be
 //! invariant to the trace level: `Off`, `Summary` and `Full` runs pick the
-//! same techniques.
+//! same techniques. (Depth invariance is `pipeline_differential`'s sweep.)
 //!
 //! These spawn OS processes for the distributed runs, so they live next to
 //! the distributed smoke suite (CI runs both in the `distributed-smoke`
@@ -307,31 +307,76 @@ fn decisions_are_trace_level_invariant() {
     }
 }
 
-/// A non-Fixed policy clamps the pipeline to depth 1, so a depth-4 config
-/// must be bit-identical to the depth-1 run.
+/// The policy and the rebalancer compose: the policy picks how each batch
+/// is partitioned, the batch's routing snapshot where its keys reduce. An
+/// `Adaptive` + `Auto` run switches techniques *and* migrates groups, and is
+/// bit-identical to the same workload forced through both recorded decision
+/// sequences — on every backend, at depths 1 and 2 (each depth against its
+/// own log: the rebalancer's feedback lags by `depth`).
 #[test]
-fn adaptive_clamps_pipeline_depth() {
-    let (oracle, _) = run(
-        Backend::InProcess,
-        adaptive(),
-        TraceLevel::Full,
-        NetFaultPlan::none(),
-    );
-    let mut deep = cfg(Backend::InProcess, adaptive(), TraceLevel::Full);
-    deep.pipeline_depth = 4;
-    let mut engine = StreamingEngine::new(
-        deep,
-        Technique::Hash,
-        11,
-        Job::identity("sum", ReduceOp::Sum),
-    )
-    .with_window(WindowSpec::sliding(
-        Duration::from_secs(3),
-        Duration::from_secs(1),
-    ));
-    let mut src = drift_source(600);
-    let (res, _) = engine.run_traced(&mut src, 8);
-    assert_runs_identical("depth 4 clamped", &oracle, &res);
+fn adaptive_policy_composes_with_the_rebalancer() {
+    use prompt_engine::rebalance::RebalanceSpec;
+    let combined = |backend, depth, policy, rebalance| {
+        ensure_worker_bin();
+        let mut c = cfg(backend, policy, TraceLevel::Full);
+        c.pipeline_depth = depth;
+        c.rebalance = rebalance;
+        let mut engine =
+            StreamingEngine::new(c, Technique::Hash, 11, Job::identity("sum", ReduceOp::Sum))
+                .with_window(WindowSpec::sliding(
+                    Duration::from_secs(3),
+                    Duration::from_secs(1),
+                ));
+        engine.run_traced(&mut drift_source(600), 10)
+    };
+    let auto = || {
+        RebalanceSpec::Auto(RebalanceConfig {
+            n_groups: 24,
+            ..RebalanceConfig::default()
+        })
+    };
+    for depth in [1, 2] {
+        let (oracle, orec) = combined(Backend::InProcess, depth, adaptive(), auto());
+        assert_decision_log_coherent("oracle", &oracle, &orec);
+        assert!(
+            oracle.policy_decisions.iter().any(|d| d.switched),
+            "depth {depth}: the drift must switch techniques"
+        );
+        assert!(
+            !oracle.migrations.is_empty(),
+            "depth {depth}: the hot key must trip the rebalancer"
+        );
+        for backend in [
+            Backend::InProcess,
+            Backend::Threaded { threads: 4 },
+            Backend::Distributed {
+                workers: 3,
+                base_port: 0,
+            },
+        ] {
+            let label = format!("{backend:?} depth {depth} adaptive+auto");
+            let (res, rec) = combined(backend, depth, adaptive(), auto());
+            assert_runs_identical(&label, &oracle, &res);
+            assert_eq!(oracle.migrations, res.migrations, "{label}");
+            assert_eq!(oracle.policy_decisions, res.policy_decisions, "{label}");
+            assert_spans_tile(&label, &res, &rec);
+            assert_eq!(res.worker_losses, 0, "{label}");
+
+            let label = format!("{backend:?} depth {depth} forced replay of both logs");
+            let (res, rec) = combined(
+                backend,
+                depth,
+                PolicySpec::Forced(techniques_of(&oracle)),
+                RebalanceSpec::Forced {
+                    n_groups: 24,
+                    plans: oracle.migrations.clone(),
+                },
+            );
+            assert_runs_identical(&label, &oracle, &res);
+            assert_eq!(oracle.migrations, res.migrations, "{label}");
+            assert_spans_tile(&label, &res, &rec);
+        }
+    }
 }
 
 /// A worker killed exactly on the batch where the policy switches

@@ -70,9 +70,23 @@ fn run(
     faults: NetFaultPlan,
     stateful: bool,
 ) -> (RunResult, TraceRecorder) {
+    run_at(1, backend, rebalance, trace, faults, stateful)
+}
+
+fn run_at(
+    depth: usize,
+    backend: Backend,
+    rebalance: RebalanceSpec,
+    trace: TraceLevel,
+    faults: NetFaultPlan,
+    stateful: bool,
+) -> (RunResult, TraceRecorder) {
     ensure_worker_bin();
     let mut engine = StreamingEngine::new(
-        cfg(backend, rebalance, trace),
+        EngineConfig {
+            pipeline_depth: depth,
+            ..cfg(backend, rebalance, trace)
+        },
         Technique::Hash,
         11,
         Job::identity("sum", ReduceOp::Sum),
@@ -348,6 +362,46 @@ fn worker_kill_on_migration_batch_recovers() {
                 .any(|e| matches!(e, TraceEvent::WorkerLost { worker: 1, .. })),
             "{label}: loss must be traced"
         );
+    }
+}
+
+/// A worker lost while batches are in flight around a migration, at depth
+/// 2: killed as the batch *before* migration batch `m` dispatches, the loss
+/// surfaces while `m − 2` is awaited, inside `m`'s `GroupPush` fence, or
+/// right after it — wherever it lands it is charged once, the push (if it
+/// was hit) is repeated on the survivors, and the run stays bit-identical to
+/// the undisturbed depth-2 run.
+#[test]
+fn worker_kill_around_a_pipelined_migration_recovers() {
+    let dist = Backend::Distributed {
+        workers: 3,
+        base_port: 0,
+    };
+    let none = NetFaultPlan::none;
+    let (oracle, _) = run_at(
+        2,
+        Backend::InProcess,
+        auto(),
+        TraceLevel::Full,
+        none(),
+        false,
+    );
+    let m = oracle
+        .migrations
+        .first()
+        .expect("hot-set churn must trip the rebalancer")
+        .0;
+    assert!(m >= 2, "at depth 2 the first commit precedes batch 2");
+    for (label, faults) in [
+        ("kill-before-previous", none().kill_before(m - 1, 1)),
+        ("kill-after-previous-map", none().kill_after_map(m - 1, 1)),
+    ] {
+        let (res, rec) = run_at(2, dist, auto(), TraceLevel::Full, faults, false);
+        assert_runs_identical(label, &oracle, &res);
+        assert_spans_tile(label, &res, &rec);
+        assert_migrations_traced(label, &res, &rec);
+        assert_eq!(res.worker_losses, 1, "{label}: exactly one loss");
+        assert_eq!(res.recoveries, 1, "{label}: exactly one recovery");
     }
 }
 

@@ -10,7 +10,8 @@
 //! [`AutoRebalance`] never emits plans closer together than `min_dwell`,
 //! every plan it emits applies cleanly to the table it was decided
 //! against, and the whole decision sequence is a deterministic function of
-//! the observations.
+//! the observations — also when the observations lag the decisions by
+//! several batches, as they do at `pipeline_depth > 1`.
 
 use prompt_engine::prelude::*;
 use prompt_engine::rebalance::RebalanceSpec;
@@ -120,16 +121,21 @@ fn check_table_invariants(
 
 /// Drive an [`AutoRebalance`] policy over a synthetic load stream (one
 /// hot group per batch, drawn from the stream) and return the non-empty
-/// decisions it made, applying each to `table` as the driver would.
+/// decisions it made, applying each to `table` as the driver would. Batch
+/// `seq` is observed — under the table snapshot it was routed with — just
+/// before the decision for batch `seq + lag`, the driver's schedule at
+/// pipeline depth `lag`.
 fn drive_auto(
     policy: &mut AutoRebalance,
     table: &mut RoutingTable,
     seed: u64,
     n_batches: u64,
+    lag: usize,
 ) -> Vec<(u64, MigrationPlan)> {
     let mut s = seed | 1;
     let n_groups = table.n_groups();
     let mut log = Vec::new();
+    let mut in_flight = std::collections::VecDeque::new();
     for seq in 0..n_batches {
         let plan = policy.decide(seq);
         if !plan.is_empty() {
@@ -160,21 +166,34 @@ fn drive_auto(
         for (g, &t) in group_tuples.iter().enumerate() {
             busy[table.owner_of(g) as usize] += t * 10;
         }
+        in_flight.push_back((seq, table.clone(), busy, group_tuples));
+        if in_flight.len() < lag {
+            continue;
+        }
+        let (seq, routed, busy, group_tuples) = in_flight.pop_front().expect("lag >= 1");
         policy.observe(&RebalanceObservation {
             seq,
-            version: table.version(),
+            version: routed.version(),
             worker_busy_us: &busy,
             group_tuples: &group_tuples,
-            owners: table.owners(),
+            owners: routed.owners(),
         });
     }
     log
 }
 
 /// The policy property: hysteresis (non-empty decisions ≥ `min_dwell`
-/// apart), clean application of every emitted plan, and determinism of
-/// the full decision sequence under replay.
-fn check_auto_policy(seed: u64, min_dwell: u64, n_batches: u64) -> Result<(), TestCaseError> {
+/// apart — and ≥ `lag` apart, the policy never acting on feedback older
+/// than its own last plan), clean application of every emitted plan to the
+/// table the earlier plans were applied to in order (`drive_auto` panics on
+/// a stale `from`), and determinism of the full decision sequence under
+/// replay.
+fn check_auto_policy(
+    seed: u64,
+    min_dwell: u64,
+    n_batches: u64,
+    lag: usize,
+) -> Result<(), TestCaseError> {
     let cfg = RebalanceConfig {
         n_groups: 16,
         min_dwell,
@@ -182,21 +201,22 @@ fn check_auto_policy(seed: u64, min_dwell: u64, n_batches: u64) -> Result<(), Te
     };
     let mut policy = AutoRebalance::new(cfg);
     let mut table = RoutingTable::new(16, 4);
-    let log = drive_auto(&mut policy, &mut table, seed, n_batches);
+    let log = drive_auto(&mut policy, &mut table, seed, n_batches, lag);
     for w in log.windows(2) {
         prop_assert!(
-            w[1].0 - w[0].0 >= min_dwell,
-            "plans at {} and {} violate min_dwell {}",
+            w[1].0 - w[0].0 >= min_dwell.max(lag as u64),
+            "plans at {} and {} violate min_dwell {} / lag {}",
             w[0].0,
             w[1].0,
-            min_dwell
+            min_dwell,
+            lag
         );
     }
     prop_assert_eq!(table.version(), log.len() as u64);
 
     let mut replay_policy = AutoRebalance::new(cfg);
     let mut replay_table = RoutingTable::new(16, 4);
-    let replay_log = drive_auto(&mut replay_policy, &mut replay_table, seed, n_batches);
+    let replay_log = drive_auto(&mut replay_policy, &mut replay_table, seed, n_batches, lag);
     prop_assert_eq!(&log, &replay_log, "decision sequence must be deterministic");
     prop_assert_eq!(&table, &replay_table);
     Ok(())
@@ -225,7 +245,17 @@ proptest! {
         min_dwell in 1u64..6,
         n_batches in 4u64..32,
     ) {
-        check_auto_policy(seed, min_dwell, n_batches)?;
+        check_auto_policy(seed, min_dwell, n_batches, 1)?;
+    }
+
+    #[test]
+    fn auto_policy_never_plans_from_owners_older_than_its_last_plan(
+        seed in any::<u64>(),
+        min_dwell in 1u64..6,
+        n_batches in 8u64..40,
+        lag in 1usize..5,
+    ) {
+        check_auto_policy(seed, min_dwell, n_batches, lag)?;
     }
 }
 
@@ -238,7 +268,7 @@ fn forced_spec_from_a_recorded_log_validates() {
         ..RebalanceConfig::default()
     });
     let mut table = RoutingTable::new(16, 4);
-    let log = drive_auto(&mut policy, &mut table, 0x5EED, 24);
+    let log = drive_auto(&mut policy, &mut table, 0x5EED, 24, 1);
     assert!(!log.is_empty(), "the synthetic churn must trip the policy");
     let spec = RebalanceSpec::Forced {
         n_groups: 16,
@@ -255,5 +285,5 @@ fn forced_spec_from_a_recorded_log_validates() {
 #[test]
 fn pinned_regression_single_worker_and_min_dwell_1() {
     check_table_invariants(0xDEAD_BEEF_0BAD_F00D, 1, 1, 8).unwrap();
-    check_auto_policy(0xDEAD_BEEF_0BAD_F00D, 1, 31).unwrap();
+    check_auto_policy(0xDEAD_BEEF_0BAD_F00D, 1, 31, 1).unwrap();
 }

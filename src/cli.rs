@@ -213,14 +213,11 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     opts.rebalance = flags.iter().any(|f| f == "rebalance");
     opts.verbose = flags.iter().any(|f| f == "verbose");
     // One load actuator per run (EngineConfig::validate enforces the same
-    // exclusions; failing here gives a usage error instead of a panic).
+    // exclusion; failing here gives a usage error instead of a panic).
     if opts.rebalance && opts.elastic {
         return Err(
             "--rebalance and --elastic are mutually exclusive (one actuator per run)".into(),
         );
-    }
-    if opts.rebalance && opts.policy != PolicySpec::default() {
-        return Err("--rebalance requires the fixed policy (adaptive re-picks assigners)".into());
     }
     if let Some((key, _)) = kv.into_iter().next() {
         return Err(format!("unknown option '--{key}'\n\n{}", usage()));
@@ -366,9 +363,10 @@ mod tests {
         assert!(parse(&argv("run --rebalance --elastic"))
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(parse(&argv("run --rebalance --policy adaptive"))
-            .unwrap_err()
-            .contains("fixed policy"));
+        // The policy picks the partitioner, the routing table the reducer:
+        // the two compose.
+        let cli = parse(&argv("run --rebalance --policy adaptive")).unwrap();
+        assert!(cli.opts.rebalance && matches!(cli.opts.policy, PolicySpec::Adaptive(_)));
     }
 
     #[test]
