@@ -9,7 +9,8 @@
 //! … may lead to delays in result delivery", §1).
 //!
 //! This module implements the fixed-point controller and a driver loop with
-//! a per-batch variable interval, so the harness can reproduce that
+//! a per-batch variable interval, so ablation A4
+//! ([`crate::experiments::ablation`], its one caller) can reproduce that
 //! latency-vs-stability trade against Prompt's fixed-interval operation.
 
 use std::collections::VecDeque;
@@ -18,10 +19,11 @@ use prompt_core::batch::MicroBatch;
 use prompt_core::partitioner::Technique;
 use prompt_core::types::{Duration, Interval, Time};
 
-use crate::config::EngineConfig;
-use crate::job::Job;
-use crate::source::TupleSource;
-use crate::stage::execute_batch;
+use prompt_core::source::TupleSource;
+use prompt_engine::config::EngineConfig;
+use prompt_engine::driver::ReduceStrategy;
+use prompt_engine::job::Job;
+use prompt_engine::stage::execute_batch;
 
 /// Fixed-point batch-interval controller.
 ///
@@ -33,7 +35,7 @@ use crate::stage::execute_batch;
 /// # Examples
 ///
 /// ```
-/// use prompt_engine::batch_resize::BatchSizeController;
+/// use prompt_bench::batch_resize::BatchSizeController;
 /// use prompt_core::types::Duration;
 ///
 /// let mut ctl = BatchSizeController::new(
@@ -184,7 +186,7 @@ pub fn run_with_resizing(
 ) -> ResizeRunResult {
     cfg.validate().expect("invalid engine config");
     let mut partitioner = technique.build(seed);
-    let mut assigner = crate::driver::ReduceStrategy::for_technique(technique).build_boxed(seed);
+    let mut assigner = ReduceStrategy::for_technique(technique).build_boxed(seed);
     let mut result = ResizeRunResult::default();
     let mut interval_len = cfg.batch_interval;
     let mut cursor = Time::ZERO;
@@ -233,10 +235,10 @@ pub fn run_with_resizing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Cluster;
-    use crate::cost::CostModel;
-    use crate::job::ReduceOp;
     use prompt_core::types::{Key, Tuple};
+    use prompt_engine::cluster::Cluster;
+    use prompt_engine::cost::CostModel;
+    use prompt_engine::job::ReduceOp;
 
     fn cfg(cost_scale: f64) -> EngineConfig {
         EngineConfig {

@@ -2,7 +2,7 @@
 //!
 //! Any non-flag argument selects experiments by name, so a single table
 //! (e.g. a checked-in baseline) can be regenerated without the full sweep:
-//! `run_all --quick columnar`.
+//! `run_all --quick adaptive_policy`.
 
 type Experiment = fn(bool) -> Vec<prompt_bench::report::Table>;
 
@@ -29,7 +29,6 @@ fn main() {
         ("scenarios", prompt_bench::experiments::scenarios::run),
         ("adaptive_policy", prompt_bench::experiments::adaptive::run),
         ("rebalance", prompt_bench::experiments::rebalance::run),
-        ("columnar", prompt_bench::experiments::columnar::run),
     ];
     for (name, run) in all {
         if !only.is_empty() && !only.iter().any(|o| o == name) {

@@ -18,12 +18,12 @@ use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PromptPartitioner, Technique};
 use prompt_core::source::TupleSource;
 use prompt_core::types::{Duration, Interval, Time};
-use prompt_engine::batch_resize::{run_with_resizing, BatchSizeController};
 use prompt_engine::driver::StreamingEngine;
 use prompt_engine::job::{Job, ReduceOp};
 use prompt_workloads::datasets;
 use prompt_workloads::rate::RateProfile;
 
+use crate::batch_resize::{run_with_resizing, BatchSizeController};
 use crate::experiments::standard_config;
 use crate::report::{f1, f3, Table};
 

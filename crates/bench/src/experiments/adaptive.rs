@@ -105,7 +105,7 @@ fn run_strategy(policy: PolicySpec, technique: Technique, name: &str) -> Strateg
     let mut mpi = 0.0;
     let mut used: Vec<Technique> = Vec::new();
     for b in &result.batches {
-        let t = b.technique.unwrap_or(technique);
+        let t = b.technique;
         proc_ms += b.processing.0 as f64 / 1e3;
         select_ms += technique_overhead(t) * b.n_tuples as f64 * per_tuple_ms;
         mpi += b.plan_metrics.mpi;

@@ -140,16 +140,27 @@ pub fn run(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn parse_krate(s: &str) -> f64 {
         s.trim_end_matches('k').parse::<f64>().unwrap() * 1000.0
     }
 
+    /// The quick rate sweep, computed once per test process.
+    fn quick_rate_sweep() -> &'static [Table] {
+        static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
+        TABLES.get_or_init(|| run_rate_sweep(true))
+    }
+
     #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "back-pressure searches: run with --release"
+    )]
     fn prompt_beats_time_based_and_hash_under_variable_rate() {
-        let tables = run_rate_sweep(true);
+        let tables = quick_rate_sweep();
         assert_eq!(tables.len(), 3);
-        for t in &tables {
+        for t in tables {
             let rate_of =
                 |label: &str| parse_krate(&t.rows.iter().find(|r| r[0] == label).unwrap()[1]);
             let prompt = rate_of("Prompt");
@@ -164,8 +175,12 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "back-pressure searches: run with --release"
+    )]
     fn larger_batch_interval_helps_every_technique() {
-        let tables = run_rate_sweep(true);
+        let tables = quick_rate_sweep();
         // Fixed task-launch overheads amortise over longer intervals, so
         // throughput should not degrade from 1 s to 3 s (paper: "all the
         // techniques perform better when increasing the batch interval").
@@ -183,6 +198,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "back-pressure searches: run with --release"
+    )]
     fn skew_hurts_hash_more_than_prompt() {
         let tables = run_skew_sweep(true);
         let t = &tables[0];

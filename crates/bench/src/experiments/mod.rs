@@ -8,7 +8,6 @@
 pub mod ablation;
 pub mod adaptive;
 pub mod checkpoint_overhead;
-pub mod columnar;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

@@ -14,6 +14,7 @@
 //! | `fig12_elasticity` | Fig. 12 — auto-scaling time series |
 //! | `fig13_latency` | Fig. 13 — reduce-task latency distribution |
 //! | `fig14_overhead` | Fig. 14 — Prompt's own overhead: count-tree vs post-sort buffering |
+//! | `ablations` | A1–A4 — update budget, residual tolerance, candidates per key, batch resizing ([`batch_resize`]) vs partitioning |
 //! | `net_overhead` | backend comparison — in-process vs threaded vs distributed TCP |
 //! | `checkpoint_overhead` | checkpoint cost (off vs per-batch vs every 4th) & recovery payoff |
 //! | `run_all` | everything above, sequentially |
@@ -24,6 +25,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod batch_resize;
 pub mod experiments;
 pub mod report;
 

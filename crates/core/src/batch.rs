@@ -288,12 +288,24 @@ impl PartitionPlan {
 
     /// Number of distinct keys across the whole plan.
     pub fn total_keys(&self) -> usize {
-        let mut keys = KeySet::default();
-        for b in &self.blocks {
-            keys.extend(b.fragments.iter().map(|f| f.key));
-        }
-        keys.len()
+        total_keys(&self.block_fragments())
     }
+
+    /// Every block's fragment list, in block order — all the cost model
+    /// (§3.3), the partitioner policy and the rebalancer read of a plan, and
+    /// what its columnar rendering holds identically.
+    pub fn block_fragments(&self) -> Vec<&[KeyFragment]> {
+        self.blocks.iter().map(|b| &b.fragments[..]).collect()
+    }
+}
+
+/// Number of distinct keys across per-block fragment lists.
+pub fn total_keys(blocks: &[&[KeyFragment]]) -> usize {
+    let mut keys = KeySet::default();
+    for fragments in blocks {
+        keys.extend(fragments.iter().map(|f| f.key));
+    }
+    keys.len()
 }
 
 #[cfg(test)]

@@ -88,7 +88,7 @@ pub mod prelude {
         allocate_reduce, HashReduceAssigner, KeyCluster, PromptReduceAllocator, ReduceAllocation,
         ReduceAssigner,
     };
-    pub use crate::sketch::{LossyCounting, SpaceSaving};
+    pub use crate::sketch::SpaceSaving;
     pub use crate::source::TupleSource;
     pub use crate::types::{Duration, Interval, Key, Time, Tuple};
 }

@@ -7,10 +7,15 @@
 //! * **MPI** — Micro-batch Partitioning-Imbalance: `p1·BSI + p2·BCI + p3·KSR`
 //!   with `p1+p2+p3 = 1` (the paper uses 1/3 each).
 //!
+//! All four are functions of the per-block fragment lists alone — a block's
+//! size is the sum of its fragment counts, its cardinality their number —
+//! so a row plan and a columnar plan of one assignment measure identically
+//! ([`PlanMetrics::of_blocks`]).
+//!
 //! BSI applies equally to Reduce buckets (Eqn. 3); the helpers here take any
 //! slice of sizes.
 
-use crate::batch::PartitionPlan;
+use crate::batch::{total_keys, KeyFragment, PartitionPlan};
 
 /// Size imbalance over raw sizes: `max − avg` (Eqns. 2 and 3).
 ///
@@ -24,15 +29,28 @@ pub fn size_imbalance(sizes: &[usize]) -> f64 {
     max - avg
 }
 
+/// `|Block_i|` per block.
+fn sizes(blocks: &[&[KeyFragment]]) -> Vec<usize> {
+    let size = |b: &&[KeyFragment]| b.iter().map(|f| f.count).sum::<usize>();
+    blocks.iter().map(size).collect()
+}
+
 /// Block Size-Imbalance of a partition plan (Eqn. 2).
 pub fn bsi(plan: &PartitionPlan) -> f64 {
-    let sizes: Vec<usize> = plan.blocks.iter().map(|b| b.size()).collect();
-    size_imbalance(&sizes)
+    bsi_of(&plan.block_fragments())
+}
+
+fn bsi_of(blocks: &[&[KeyFragment]]) -> f64 {
+    size_imbalance(&sizes(blocks))
 }
 
 /// Block Cardinality-Imbalance of a partition plan (Eqn. 4).
 pub fn bci(plan: &PartitionPlan) -> f64 {
-    let cards: Vec<usize> = plan.blocks.iter().map(|b| b.cardinality()).collect();
+    bci_of(&plan.block_fragments())
+}
+
+fn bci_of(blocks: &[&[KeyFragment]]) -> f64 {
+    let cards: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
     size_imbalance(&cards)
 }
 
@@ -42,16 +60,16 @@ pub fn bci(plan: &PartitionPlan) -> f64 {
 /// where every key is split across every block. Returns 1.0 for an empty
 /// plan.
 pub fn ksr(plan: &PartitionPlan) -> f64 {
-    ksr_over(plan, plan.total_keys())
+    ksr_over(&plan.block_fragments(), plan.total_keys())
 }
 
 /// [`ksr`] given the plan's distinct-key count (O(keys) to derive, so
 /// callers that need it more than once compute it once).
-fn ksr_over(plan: &PartitionPlan, keys: usize) -> f64 {
+fn ksr_over(blocks: &[&[KeyFragment]], keys: usize) -> f64 {
     if keys == 0 {
         return 1.0;
     }
-    plan.total_fragments() as f64 / keys as f64
+    blocks.iter().map(|b| b.len()).sum::<usize>() as f64 / keys as f64
 }
 
 /// Weights of the combined MPI metric (Eqn. 6). Must sum to 1.
@@ -97,25 +115,26 @@ impl MpiWeights {
 /// the paper's relative-to-baseline reporting (Fig. 10) makes this
 /// normalisation choice immaterial for comparisons.
 pub fn mpi(plan: &PartitionPlan, w: MpiWeights) -> f64 {
-    mpi_over(plan, plan.total_keys(), w)
+    mpi_over(&plan.block_fragments(), plan.total_keys(), w)
 }
 
 /// [`mpi`] given the plan's distinct-key count.
-fn mpi_over(plan: &PartitionPlan, keys: usize, w: MpiWeights) -> f64 {
-    let p = plan.n_blocks().max(1) as f64;
-    let avg_size = plan.total_tuples() as f64 / p;
+fn mpi_over(blocks: &[&[KeyFragment]], keys: usize, w: MpiWeights) -> f64 {
+    let p = blocks.len().max(1) as f64;
+    let sizes = sizes(blocks);
+    let avg_size = sizes.iter().sum::<usize>() as f64 / p;
     let avg_card = keys as f64 / p;
     let bsi_n = if avg_size > 0.0 {
-        bsi(plan) / avg_size
+        size_imbalance(&sizes) / avg_size
     } else {
         0.0
     };
     let bci_n = if avg_card > 0.0 {
-        bci(plan) / avg_card
+        bci_of(blocks) / avg_card
     } else {
         0.0
     };
-    w.p1 * bsi_n + w.p2 * bci_n + w.p3 * ksr_over(plan, keys)
+    w.p1 * bsi_n + w.p2 * bci_n + w.p3 * ksr_over(blocks, keys)
 }
 
 /// All four metrics of one plan, for experiment reporting.
@@ -135,17 +154,19 @@ impl PlanMetrics {
     /// Measure a plan. The distinct-key set behind KSR and MPI is built
     /// once.
     pub fn of(plan: &PartitionPlan) -> PlanMetrics {
-        PlanMetrics::with_keys(plan, plan.total_keys())
+        let blocks = plan.block_fragments();
+        PlanMetrics::of_blocks(&blocks, total_keys(&blocks))
     }
 
-    /// [`PlanMetrics::of`] for a caller that already counted the plan's
-    /// distinct keys (`plan.total_keys()`).
-    pub fn with_keys(plan: &PartitionPlan, keys: usize) -> PlanMetrics {
+    /// Measure a plan of either layout from its per-block fragment lists,
+    /// for a caller that already counted their distinct keys
+    /// ([`total_keys`]).
+    pub fn of_blocks(blocks: &[&[KeyFragment]], keys: usize) -> PlanMetrics {
         PlanMetrics {
-            bsi: bsi(plan),
-            bci: bci(plan),
-            ksr: ksr_over(plan, keys),
-            mpi: mpi_over(plan, keys, MpiWeights::default()),
+            bsi: bsi_of(blocks),
+            bci: bci_of(blocks),
+            ksr: ksr_over(blocks, keys),
+            mpi: mpi_over(blocks, keys, MpiWeights::default()),
         }
     }
 }

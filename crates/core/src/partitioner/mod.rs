@@ -24,8 +24,6 @@ pub use prompt::{BufferingMode, PromptPartitioner};
 pub use shuffle::ShufflePartitioner;
 pub use time_based::TimeBasedPartitioner;
 
-use std::sync::Arc;
-
 use crate::batch::{MicroBatch, PartitionPlan};
 use crate::columnar::ColumnarPlan;
 use crate::types::{Interval, Tuple};
@@ -66,19 +64,6 @@ pub trait Partitioner: Send {
     /// tuples outside a [`MicroBatch`] — e.g. the replay path's shared
     /// retained input — can partition without materializing a batch.
     fn partition_slice(&mut self, tuples: &[Tuple], interval: Interval, p: usize) -> PartitionPlan;
-
-    /// Partition tuples held behind a shared `Arc` allocation. The default
-    /// borrows the slice — zero-copy for every built-in technique. Exists as
-    /// a distinct hook so tests can observe that replay hands partitioners
-    /// the *same* retained allocation rather than a fresh deep clone.
-    fn partition_shared(
-        &mut self,
-        tuples: &Arc<[Tuple]>,
-        interval: Interval,
-        p: usize,
-    ) -> PartitionPlan {
-        self.partition_slice(tuples, interval, p)
-    }
 
     /// Like [`Partitioner::partition`], additionally reporting wall-clock
     /// phase timings for observability. The default implementation has no
@@ -234,9 +219,9 @@ impl PartitionerRegistry {
         }
     }
 
-    /// Pre-seed the registry with an already-built instance (used by the
-    /// engine to adopt the constructor-built base partitioner so its state
-    /// is never duplicated).
+    /// Register an already-built instance under `technique`, replacing any
+    /// live one: how a custom [`Partitioner`] (a probe, a wrapper) enters a
+    /// run.
     pub fn insert(&mut self, technique: Technique, partitioner: Box<dyn Partitioner>) {
         if let Some(slot) = self.entries.iter_mut().find(|(t, _)| *t == technique) {
             slot.1 = partitioner;

@@ -3,19 +3,14 @@
 //! Tuple-at-a-time partitioners cannot afford exact per-batch statistics;
 //! they detect skewed keys with approximate heavy-hitter sketches
 //! (§2.2.4: the key-split partitioner keeps "statistics on the data
-//! distribution to detect the skewed keys in order to split them"; Gedik's
-//! partitioning functions use lossy counting, §9). This module provides the
-//! two standard algorithms:
+//! distribution to detect the skewed keys in order to split them"). This
+//! module provides [`SpaceSaving`] (Metwally et al.): `k` counters, O(1)
+//! amortised update, overestimates by at most `N/k`.
 //!
-//! * [`SpaceSaving`] (Metwally et al.) — `k` counters, O(1) amortised
-//!   update, overestimates by at most `N/k`.
-//! * [`LossyCounting`] (Manku & Motwani) — ε-deficient counts with
-//!   `O(1/ε · log(εN))` space.
-//!
-//! Prompt itself does **not** need these — the micro-batch model affords
+//! Prompt itself does **not** need it — the micro-batch model affords
 //! exact statistics via Algorithm 1 (that is the paper's point) — but the
-//! heavy-hitter-aware baseline (`DChoicesPartitioner`) does, and the
-//! benches use them to quantify the exact-vs-approximate gap.
+//! heavy-hitter-aware baseline (`DChoicesPartitioner`) and the adaptive
+//! partitioner policy's skew snapshot do.
 
 use crate::hash::KeyMap;
 use crate::types::Key;
@@ -162,85 +157,6 @@ impl SpaceSaving {
     }
 }
 
-/// Lossy Counting with error bound ε.
-#[derive(Clone, Debug)]
-pub struct LossyCounting {
-    epsilon: f64,
-    bucket_width: u64,
-    current_bucket: u64,
-    /// key → (count, bucket at insertion − 1)
-    entries: KeyMap<(u64, u64)>,
-    total: u64,
-}
-
-impl LossyCounting {
-    /// A sketch with error bound `0 < epsilon < 1`.
-    pub fn new(epsilon: f64) -> LossyCounting {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0, 1)");
-        LossyCounting {
-            epsilon,
-            bucket_width: (1.0 / epsilon).ceil() as u64,
-            current_bucket: 1,
-            entries: KeyMap::default(),
-            total: 0,
-        }
-    }
-
-    /// Observe one occurrence of `key`.
-    pub fn observe(&mut self, key: Key) {
-        self.total += 1;
-        self.entries
-            .entry(key)
-            .and_modify(|e| e.0 += 1)
-            .or_insert((1, self.current_bucket - 1));
-        if self.total.is_multiple_of(self.bucket_width) {
-            // Prune entries that cannot be frequent.
-            let b = self.current_bucket;
-            self.entries
-                .retain(|_, &mut (count, delta)| count + delta > b);
-            self.current_bucket += 1;
-        }
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Estimated count of `key` (within `ε·N` below the true count).
-    pub fn estimate(&self, key: Key) -> u64 {
-        self.entries.get(&key).map_or(0, |&(c, _)| c)
-    }
-
-    /// Keys with estimated frequency at least `(phi − ε) · total`, sorted
-    /// descending — the standard lossy-counting query guaranteeing no
-    /// false negatives above `phi · total`.
-    pub fn frequent(&self, phi: f64) -> Vec<(Key, u64)> {
-        assert!(phi > self.epsilon, "phi must exceed epsilon");
-        let threshold = ((phi - self.epsilon) * self.total as f64) as u64;
-        let mut out: Vec<(Key, u64)> = self
-            .entries
-            .iter()
-            .filter(|&(_, &(c, _))| c >= threshold.max(1))
-            .map(|(&k, &(c, _))| (k, c))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
-        out
-    }
-
-    /// Current number of tracked entries (space usage).
-    pub fn tracked(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Reset for the next batch.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.total = 0;
-        self.current_bucket = 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,76 +255,5 @@ mod tests {
         assert_eq!(ss.total(), 0);
         assert_eq!(ss.estimate(Key(1)), 0);
         assert!(ss.heavy_hitters(0.1).is_empty());
-    }
-
-    #[test]
-    fn lossy_counting_tracks_frequent_keys() {
-        let counts: Vec<u64> = std::iter::once(400u64)
-            .chain(std::iter::once(300))
-            .chain(std::iter::repeat_n(2, 200))
-            .collect();
-        let mut lc = LossyCounting::new(0.01);
-        for key in skewed_stream(&counts) {
-            lc.observe(key);
-        }
-        // ε-deficient guarantee: estimate within ε·N of truth.
-        let slack = (0.01 * lc.total() as f64) as u64 + 1;
-        assert!(lc.estimate(Key(0)) + slack >= 400);
-        assert!(lc.estimate(Key(1)) + slack >= 300);
-        // Frequent query at phi = 0.2 returns exactly the two heavy keys.
-        let f = lc.frequent(0.2);
-        let keys: Vec<Key> = f.iter().map(|&(k, _)| k).collect();
-        assert!(keys.contains(&Key(0)) && keys.contains(&Key(1)), "{keys:?}");
-        assert!(keys.len() <= 4, "too many false positives: {keys:?}");
-    }
-
-    #[test]
-    fn lossy_counting_prunes_rare_keys() {
-        let mut lc = LossyCounting::new(0.05);
-        // 10k distinct singletons: tracked entries must stay far below 10k.
-        for i in 0..10_000u64 {
-            lc.observe(Key(i));
-        }
-        assert!(
-            lc.tracked() < 1_000,
-            "pruning failed: {} entries",
-            lc.tracked()
-        );
-        lc.clear();
-        assert_eq!(lc.total(), 0);
-        assert_eq!(lc.tracked(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "phi must exceed epsilon")]
-    fn lossy_query_below_epsilon_rejected() {
-        let lc = LossyCounting::new(0.1);
-        let _ = lc.frequent(0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon in (0, 1)")]
-    fn bad_epsilon_rejected() {
-        let _ = LossyCounting::new(1.5);
-    }
-
-    #[test]
-    fn sketches_agree_on_the_head_of_a_zipf_stream() {
-        // Cross-validate the two sketches on the same stream.
-        let counts: Vec<u64> = (1..=200u64).map(|i| 2000 / i).collect();
-        let stream = skewed_stream(&counts);
-        let mut ss = SpaceSaving::new(32);
-        let mut lc = LossyCounting::new(0.005);
-        for &key in &stream {
-            ss.observe(key);
-            lc.observe(key);
-        }
-        let ss_top: Vec<Key> = ss.heavy_hitters(0.02).iter().map(|&(k, _)| k).collect();
-        let lc_top: Vec<Key> = lc.frequent(0.02).iter().map(|&(k, _)| k).collect();
-        // The top-5 keys must appear in both.
-        for k in 0..5u64 {
-            assert!(ss_top.contains(&Key(k)), "space-saving missed {k}");
-            assert!(lc_top.contains(&Key(k)), "lossy counting missed {k}");
-        }
     }
 }

@@ -233,7 +233,11 @@ mod tests {
         let mut backend = BackendRuntime::Distributed(Box::new(rt));
         let rec = TraceRecorder::new(TraceLevel::Full);
         let mut store = ReplicatedBatchStore::new(2);
-        store.retain(4, Vec::new().into(), None);
+        store.retain(
+            4,
+            Vec::new().into(),
+            prompt_core::partitioner::Technique::Hash,
+        );
         // One shard per bucket, so bucket 1's lands on the dead worker.
         let shards: Vec<Message> = (0..3u32)
             .map(|bucket| Message::StatePush {

@@ -160,13 +160,16 @@ pub struct EngineConfig {
     /// [`ColumnarPlan`](prompt_core::columnar::ColumnarPlan) whose blocks
     /// are `(offset, len)` ranges over a shared arena; the backends then
     /// map/scatter/reduce over flat column slices and the distributed
-    /// backend encodes Map-task frames straight from the arena. Plans,
-    /// outputs, stage times and wire frames are bit-identical to the row
-    /// path (gated by the `columnar_differential` suite); techniques
-    /// without a columnar seal fall back to rows per batch. A worker-loss
-    /// retry resubmits the columnar plan in hand; only replays of a batch
-    /// whose plan is gone (scheduled fault-plan losses, the suffix after a
-    /// state-store loss) re-partition the replicated row input.
+    /// backend encodes Map-task frames straight from the arena. That plan
+    /// is the batch's only one: plan metrics, the partitioner policy and the
+    /// rebalancer read its per-block fragment lists, and no row rendering
+    /// is made of it. Plans, outputs, stage times, controller decisions and
+    /// wire frames are bit-identical to the row path (gated by the
+    /// `columnar_differential` suite); techniques without a columnar seal
+    /// seal rows, batch by batch. A worker-loss retry resubmits the
+    /// columnar plan in hand; only replays of a batch whose plan is gone
+    /// (scheduled fault-plan losses, the suffix after a state-store loss)
+    /// re-partition the replicated row input.
     pub columnar: bool,
 }
 

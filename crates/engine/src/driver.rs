@@ -32,7 +32,7 @@
 //! (DESIGN §4h).
 
 use prompt_core::metrics::PlanMetrics;
-use prompt_core::partitioner::{Partitioner, PartitionerRegistry, Technique};
+use prompt_core::partitioner::{PartitionerRegistry, Technique};
 use prompt_core::reduce::{HashReduceAssigner, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::Duration;
 
@@ -89,11 +89,10 @@ pub struct BatchRecord {
     pub reduce_task_times: Vec<Duration>,
     /// Partition-quality metrics of the plan (BSI/BCI/KSR/MPI).
     pub plan_metrics: PlanMetrics,
-    /// The technique that partitioned this batch. Run-constant under a
-    /// `Fixed` policy; per-batch under `Adaptive`/`Forced`. `None` only for
-    /// engines built with [`StreamingEngine::with_parts`] (an explicit
-    /// partitioner instance has no [`Technique`] name).
-    pub technique: Option<Technique>,
+    /// The technique that partitioned this batch: the constructor's under a
+    /// `Fixed` policy, the policy's per-batch choice under
+    /// `Adaptive`/`Forced`.
+    pub technique: Technique,
 }
 
 /// The outcome of a streaming run.
@@ -278,13 +277,15 @@ impl ReduceStrategy {
     }
 }
 
-/// The per-technique strategy pool a non-`Fixed` policy hot-swaps between:
+/// The one strategy pool every batch is partitioned and assigned from:
 /// lazily built partitioners (one instance per technique, reused across
 /// batches so stateful partitioners keep their cross-batch state) plus the
-/// two reduce assigners. Each assigner persists across the whole run — the
-/// Prompt allocator's task counter advances monotonically over every batch
-/// it assigns, so handing a switched-back technique a fresh assigner would
-/// break bit-identity with a forced-sequence run.
+/// two reduce assigners. A `Fixed` run only ever touches its constructor
+/// technique's pair; a policy hot-swaps between entries. Each assigner
+/// persists across the whole run — the Prompt allocator's task counter
+/// advances monotonically over every batch it assigns, so handing a
+/// switched-back technique a fresh assigner would break bit-identity with a
+/// forced-sequence run.
 struct StrategySet {
     registry: PartitionerRegistry,
     hash_assigner: Box<dyn ReduceAssigner>,
@@ -309,30 +310,14 @@ impl StrategySet {
     }
 }
 
-/// The partitioner a batch is (re-)partitioned with: the policy's strategy
-/// set when a per-batch technique was selected, else the engine's
-/// run-constant instance.
-fn resolve_partitioner<'a>(
-    base: &'a mut Box<dyn Partitioner>,
-    strategies: &'a mut Option<StrategySet>,
-    technique: Option<Technique>,
-) -> &'a mut dyn Partitioner {
-    match (strategies.as_mut(), technique) {
-        (Some(set), Some(t)) => set.registry.get_or_build(t),
-        _ => base.as_mut(),
-    }
-}
-
 /// The one place a batch's reduce assigner is resolved, from what the batch
 /// was prepared under: its routing snapshot if the run rebalances, else its
-/// technique's strategy, else the engine's base assigner. `window` lists
-/// `(wire seq, technique, routing snapshot)` for the awaited batch and every
-/// younger one in flight, so each assigns with *its* assigner whichever
-/// batch the driver is waiting on.
+/// technique's strategy. `window` lists `(wire seq, technique, routing
+/// snapshot)` for the awaited batch and every younger one in flight, so each
+/// assigns with *its* assigner whichever batch the driver is waiting on.
 struct WindowAssigners<'a> {
-    base: &'a mut dyn ReduceAssigner,
-    strategies: Option<&'a mut StrategySet>,
-    window: Vec<(u64, Option<Technique>, Option<&'a RoutingTable>)>,
+    strategies: &'a mut StrategySet,
+    window: Vec<(u64, Technique, Option<&'a RoutingTable>)>,
     /// Where the assigner over a batch's snapshot lives while it is lent out.
     routed: Option<GroupRoutedAssigner<'a>>,
 }
@@ -344,10 +329,9 @@ impl BatchAssigners for WindowAssigners<'_> {
             .iter()
             .find(|b| b.0 == seq)
             .expect("a batch assigns only while it is in the in-flight window");
-        match (routing, self.strategies.as_deref_mut(), technique) {
-            (Some(table), ..) => self.routed.insert(GroupRoutedAssigner(table)),
-            (None, Some(set), Some(t)) => set.assigner_mut(t),
-            _ => &mut *self.base,
+        match routing {
+            Some(table) => self.routed.insert(GroupRoutedAssigner(table)),
+            None => self.strategies.assigner_mut(technique),
         }
     }
 }
@@ -355,15 +339,14 @@ impl BatchAssigners for WindowAssigners<'_> {
 /// The micro-batch streaming engine.
 pub struct StreamingEngine {
     cfg: EngineConfig,
-    partitioner: Box<dyn Partitioner>,
-    assigner: Box<dyn ReduceAssigner>,
-    /// Per-technique strategy pool; `Some` exactly when `policy` is.
-    strategies: Option<StrategySet>,
-    /// Per-batch technique selection for non-`Fixed`
-    /// [`EngineConfig::policy`] specs.
+    /// The constructor's technique: every batch's under a `Fixed` policy,
+    /// batch 0's otherwise.
+    technique: Technique,
+    strategies: StrategySet,
+    /// Per-batch technique selection; `None` under a `Fixed`
+    /// [`EngineConfig::policy`] (the technique is the constructor's and no
+    /// decision is logged).
     policy: Option<Box<dyn PartitionerPolicy>>,
-    /// The constructor's technique (`None` for [`StreamingEngine::with_parts`]).
-    base_technique: Option<Technique>,
     job: Job,
     window: Option<WindowSpec>,
     stateful: Option<StatefulOp>,
@@ -378,70 +361,18 @@ impl StreamingEngine {
     pub fn new(cfg: EngineConfig, technique: Technique, seed: u64, job: Job) -> StreamingEngine {
         cfg.validate().expect("invalid engine config");
         let mut cfg = cfg;
-        let (strategies, policy) = if cfg.policy.is_fixed() {
+        if cfg.policy.is_fixed() {
             // The constructor's technique is authoritative: normalise the
             // spec so `config()` reports what actually runs.
             cfg.policy = PolicySpec::Fixed(technique);
-            (None, None)
-        } else {
-            (
-                Some(StrategySet::new(
-                    seed,
-                    cfg.ingest_shards,
-                    cfg.ingest_threads,
-                )),
-                Some(build_policy(&cfg.policy, technique, seed)),
-            )
-        };
-        // The ingest-parallelism knobs only apply to Prompt's batching
-        // phase; every other technique partitions per tuple.
-        let partitioner =
-            technique.build_with_parallelism(seed, cfg.ingest_shards, cfg.ingest_threads);
-        // A rebalanced run never consults this: each batch is assigned
-        // through its routing snapshot (`WindowAssigners`).
-        let assigner = ReduceStrategy::for_technique(technique).build_boxed(seed);
-        StreamingEngine {
-            cfg,
-            partitioner,
-            assigner,
-            strategies,
-            policy,
-            base_technique: Some(technique),
-            job,
-            window: None,
-            stateful: None,
-            fault_tolerance: None,
-            stragglers: StragglerPlan::none(),
-            net_faults: NetFaultPlan::none(),
         }
-    }
-
-    /// Build with explicit partitioner / assigner instances.
-    pub fn with_parts(
-        cfg: EngineConfig,
-        partitioner: Box<dyn Partitioner>,
-        assigner: Box<dyn ReduceAssigner>,
-        job: Job,
-    ) -> StreamingEngine {
-        cfg.validate().expect("invalid engine config");
-        assert!(
-            cfg.policy.is_fixed(),
-            "with_parts requires a Fixed partitioner policy: an explicit \
-             partitioner instance has no Technique name to hot-swap from"
-        );
-        assert!(
-            cfg.rebalance.is_off(),
-            "with_parts requires rebalancing off: a rebalanced batch is \
-             assigned through its routing snapshot, which conflicts with an \
-             explicitly supplied assigner instance"
-        );
         StreamingEngine {
+            technique,
+            // The ingest-parallelism knobs only apply to Prompt's batching
+            // phase; every other technique partitions per tuple.
+            strategies: StrategySet::new(seed, cfg.ingest_shards, cfg.ingest_threads),
+            policy: build_policy(&cfg.policy, technique, seed),
             cfg,
-            partitioner,
-            assigner,
-            strategies: None,
-            policy: None,
-            base_technique: None,
             job,
             window: None,
             stateful: None,
@@ -575,8 +506,11 @@ mod tests {
     use crate::config::{Backend, OverheadMode};
     use crate::cost::CostModel;
     use crate::job::ReduceOp;
-    use prompt_core::batch::PartitionPlan;
+    use prompt_core::batch::{MicroBatch, PartitionPlan};
+    use prompt_core::partitioner::Partitioner;
     use prompt_core::types::{Interval, Key, Time, Tuple};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Constant-rate source: `rate` tuples per interval, keys round-robin
     /// over `keys`.
@@ -1448,17 +1382,22 @@ mod tests {
 
     #[test]
     fn replay_partitions_the_retained_buffer_without_copying() {
-        use std::sync::{Arc, Mutex};
-        // Delegating probe: records the allocation every shared-replay
-        // partition call sees, so the test can prove recovery hands out the
-        // retained buffer itself rather than a per-replay deep clone.
+        use std::sync::Mutex;
+        // Delegating probe: records the allocation every replay's partition
+        // call sees, so the test can prove recovery hands out the retained
+        // buffer itself rather than a per-replay deep clone. `fill` enters
+        // through `partition` (not recorded); `Run::replay` partitions the
+        // store's shared slice directly.
         struct ProbePartitioner {
             inner: Box<dyn Partitioner>,
-            shared: Arc<Mutex<Vec<usize>>>,
+            replayed: Arc<Mutex<Vec<usize>>>,
         }
         impl Partitioner for ProbePartitioner {
             fn name(&self) -> &'static str {
                 "probe"
+            }
+            fn partition(&mut self, batch: &MicroBatch, p: usize) -> PartitionPlan {
+                self.inner.partition(batch, p)
             }
             fn partition_slice(
                 &mut self,
@@ -1466,37 +1405,32 @@ mod tests {
                 interval: Interval,
                 p: usize,
             ) -> PartitionPlan {
-                self.inner.partition_slice(tuples, interval, p)
-            }
-            fn partition_shared(
-                &mut self,
-                tuples: &Arc<[Tuple]>,
-                interval: Interval,
-                p: usize,
-            ) -> PartitionPlan {
-                self.shared.lock().unwrap().push(tuples.as_ptr() as usize);
+                self.replayed.lock().unwrap().push(tuples.as_ptr() as usize);
                 self.inner.partition_slice(tuples, interval, p)
             }
         }
-        let shared = Arc::new(Mutex::new(Vec::new()));
+        let replayed = Arc::new(Mutex::new(Vec::new()));
         let probe = ProbePartitioner {
             inner: Technique::Prompt.build(1),
-            shared: Arc::clone(&shared),
+            replayed: Arc::clone(&replayed),
         };
-        let mut eng = StreamingEngine::with_parts(
+        let mut eng = StreamingEngine::new(
             small_cfg(),
-            Box::new(probe),
-            Box::new(PromptReduceAllocator::new(1)),
+            Technique::Prompt,
+            1,
             Job::identity("count", ReduceOp::Count),
         )
         .with_fault_tolerance(2, FaultPlan::none().lose_times(2, 2));
+        eng.strategies
+            .registry
+            .insert(Technique::Prompt, Box::new(probe));
         let res = eng.run(&mut const_source(400, 8), 5);
         assert_eq!(res.recoveries, 2);
-        let ptrs = shared.lock().unwrap();
+        let ptrs = replayed.lock().unwrap();
         assert_eq!(
             ptrs.len(),
             2,
-            "each injected loss replays via partition_shared"
+            "each injected loss replays via partition_slice"
         );
         assert_eq!(
             ptrs[0], ptrs[1],
@@ -1504,59 +1438,55 @@ mod tests {
         );
     }
 
+    /// Delegating probe: counts every partition call (the trait's other
+    /// entry points default to `partition_slice`).
+    struct CountingPartitioner {
+        inner: Box<dyn Partitioner>,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl Partitioner for CountingPartitioner {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn partition_slice(
+            &mut self,
+            tuples: &[Tuple],
+            interval: Interval,
+            p: usize,
+        ) -> PartitionPlan {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.partition_slice(tuples, interval, p)
+        }
+    }
+
+    /// An engine whose `technique` entry in the registry is a counting probe
+    /// around the real partitioner, plus the probe's call counter.
+    fn counting_engine(
+        cfg: EngineConfig,
+        technique: Technique,
+    ) -> (StreamingEngine, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let probe = CountingPartitioner {
+            inner: technique.build(1),
+            calls: Arc::clone(&calls),
+        };
+        let job = Job::identity("count", ReduceOp::Count);
+        let mut eng = StreamingEngine::new(cfg, Technique::Prompt, 1, job);
+        eng.strategies.registry.insert(technique, Box::new(probe));
+        (eng, calls)
+    }
+
     #[test]
     fn worker_loss_resubmits_the_plan_in_hand_without_repartitioning() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        // Delegating probe: counts every partition call, whichever entry
-        // point it arrives through (the trait's other methods default to
-        // these two).
-        struct CountingPartitioner {
-            inner: Box<dyn Partitioner>,
-            calls: Arc<AtomicUsize>,
-        }
-        impl Partitioner for CountingPartitioner {
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-            fn partition_slice(
-                &mut self,
-                tuples: &[Tuple],
-                interval: Interval,
-                p: usize,
-            ) -> PartitionPlan {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.partition_slice(tuples, interval, p)
-            }
-            fn partition_shared(
-                &mut self,
-                tuples: &Arc<[Tuple]>,
-                interval: Interval,
-                p: usize,
-            ) -> PartitionPlan {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.partition_slice(tuples, interval, p)
-            }
-        }
         let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
         let run = |backend: Backend, faults: NetFaultPlan| {
-            let calls = Arc::new(AtomicUsize::new(0));
-            let probe = CountingPartitioner {
-                inner: Technique::Prompt.build(1),
-                calls: Arc::clone(&calls),
-            };
             let cfg = EngineConfig {
                 backend,
                 ..small_cfg()
             };
-            let mut eng = StreamingEngine::with_parts(
-                cfg,
-                Box::new(probe),
-                Box::new(PromptReduceAllocator::new(1)),
-                Job::identity("count", ReduceOp::Count),
-            )
-            .with_window(window)
-            .with_net_faults(faults);
+            let (eng, calls) = counting_engine(cfg, Technique::Prompt);
+            let mut eng = eng.with_window(window).with_net_faults(faults);
             let res = eng.run(&mut const_source(400, 8), 6);
             (res, calls.load(Ordering::Relaxed))
         };
@@ -1580,6 +1510,30 @@ mod tests {
             );
             assert_windows_identical(&serial, &res, "depth-1 worker loss vs serial");
         }
+    }
+
+    #[test]
+    fn a_registered_partitioner_composes_with_a_policy_and_the_rebalancer() {
+        use crate::rebalance::{RebalanceConfig, RebalanceSpec};
+        // A custom instance is one more registry entry, so it runs under
+        // everything a built-in technique does: here a forced policy picks
+        // it (the constructor's technique never partitions) while the
+        // rebalancer re-routes its batches.
+        let cfg = EngineConfig {
+            policy: PolicySpec::Forced(vec![Technique::Hash]),
+            rebalance: RebalanceSpec::Auto(RebalanceConfig {
+                n_groups: 16,
+                ..RebalanceConfig::default()
+            }),
+            ..small_cfg()
+        };
+        let (eng, calls) = counting_engine(cfg, Technique::Hash);
+        let mut eng = eng.with_window(WindowSpec::tumbling(Duration::from_secs(2)));
+        let res = eng.run(&mut skewed_source(2000, 0.6, 30), 10);
+        assert_eq!(calls.load(Ordering::Relaxed), 10, "one call per batch");
+        assert!(res.batches.iter().all(|b| b.technique == Technique::Hash));
+        assert_eq!(res.policy_decisions.len(), 10);
+        assert!(!res.migrations.is_empty(), "a 60% hot key must migrate");
     }
 
     /// Every function of `src` as `(name, first line, lines)`. Relies on
@@ -1694,6 +1648,35 @@ mod tests {
         assert!(assign_sites[0].contains("kernel.rs"), "{assign_sites:?}");
     }
 
+    /// Shape guard for what a batch carries (DESIGN §4h): one technique,
+    /// resolved through the one strategy set, and one plan in the layout it
+    /// was sealed in. Outside its test modules no engine source names an
+    /// optional technique, a constructor that takes strategy instances, a
+    /// per-batch row re-rendering of a columnar plan, or a second
+    /// slice-partitioning entry point.
+    #[test]
+    fn engine_shape_one_technique_and_one_plan_per_batch() {
+        let mut files = Vec::new();
+        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        sources_under(&src_dir, &mut files);
+        assert!(files.len() > 20, "scanner broken? {} files", files.len());
+        // Spelt in halves so a grep for a needle finds only real uses.
+        let needles = [
+            ["Option<", "Technique>"].concat(),
+            ["with", "_parts"].concat(),
+            [".to_row", "_plan("].concat(),
+            ["partition", "_shared"].concat(),
+        ];
+        for (file, src) in &files {
+            let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (n, line) in lines.enumerate() {
+                for needle in &needles {
+                    assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
+                }
+            }
+        }
+    }
+
     /// Shape guard for the staleness contract (DESIGN §4h): a batch carries
     /// what it was prepared under, so there is no depth clamp to regrow, no
     /// routing table shared behind a lock between the step that decides and
@@ -1730,12 +1713,11 @@ mod tests {
         assert_eq!(waits, ["fn pump_event"], "fns awaiting a state ack");
     }
 
-    /// `BatchRecord::n_keys` comes from the plan (`PartitionPlan::total_keys`)
+    /// `BatchRecord::n_keys` comes from the plan's fragment lists (`total_keys`)
     /// instead of a hashing pass over the input; the two must agree on an
     /// empty, a one-key and a skewed batch, for every technique and layout.
     #[test]
     fn n_keys_is_the_input_batch_distinct_key_count() {
-        use prompt_core::batch::MicroBatch;
         let mut source = |iv: Interval, out: &mut Vec<Tuple>| {
             let seq = iv.start.0 / iv.len().0;
             let n = [0u64, 50, 4000][seq as usize % 3];

@@ -9,18 +9,17 @@
 
 use std::collections::VecDeque;
 
-use prompt_core::batch::{MicroBatch, PartitionPlan};
-use prompt_core::columnar::ColumnarPlan;
+use prompt_core::batch::{total_keys, MicroBatch};
 use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PartitionPhases, Technique};
 use prompt_core::types::{Duration, Interval, Time, Tuple};
 
-use super::{resolve_partitioner, BatchRecord, RunResult, StreamingEngine, WindowAssigners};
+use super::{BatchRecord, RunResult, StreamingEngine, WindowAssigners};
 use crate::backend::{BackendRuntime, Planned};
 use crate::config::{Backend, OverheadMode};
 use crate::elasticity::{AutoScaler, Observation};
 use crate::job::Job;
-use crate::kernel::PlanView;
+use crate::kernel::{Plan, PlanView};
 use crate::net::Message;
 use crate::policy::{BatchObservation, PolicyDecision};
 use crate::rebalance::{
@@ -50,14 +49,16 @@ pub(crate) struct PreparedBatch {
     interval: Interval,
     n_tuples: usize,
     n_keys: usize,
-    plan: PartitionPlan,
+    /// The plan, in the layout it was sealed in: what executes, and what
+    /// metrics, the policy and the rebalancer read the fragment lists of.
+    plan: Plan,
     raw_overhead: Duration,
     visible_overhead: Duration,
     /// The Reduce task count in force when the batch was filled.
     r: usize,
     /// The technique that partitioned this batch (policy-selected or the
-    /// constructor's); `None` only under `with_parts`.
-    technique: Option<Technique>,
+    /// constructor's).
+    technique: Technique,
     /// The routing table as of this batch's fill, when the run rebalances:
     /// what the batch is assigned through and what the rebalancer is told
     /// it ran under.
@@ -70,27 +71,14 @@ pub(crate) struct PreparedBatch {
     /// Processing time of suffix recomputes after a store loss; billed to
     /// this batch.
     restore_times: Vec<Duration>,
-    /// The columnar plan when `EngineConfig::columnar` is on and the batch's
-    /// technique sealed one — what executes; `plan` is then its exact row
-    /// rendering (same blocks, same order) and serves metrics and the
-    /// rebalancer.
-    columnar: Option<ColumnarPlan>,
 }
 
 impl PreparedBatch {
-    /// The plan in the layout the batch was sealed in.
-    fn view(&self) -> PlanView<'_> {
-        match &self.columnar {
-            Some(cols) => PlanView::Columns(cols),
-            None => PlanView::Rows(&self.plan),
-        }
-    }
-
     fn planned<'a>(&'a self, job: &'a Job, wire: WireSeqs) -> Planned<'a> {
         Planned {
             seq: wire.of(self.seq),
             tseq: self.seq,
-            view: self.view(),
+            view: self.plan.view(),
             job,
             r: self.r,
         }
@@ -327,8 +315,7 @@ impl<'e> Run<'e> {
         let (decision, decide_us) = self.decide(seq);
         let technique = decision
             .as_ref()
-            .map(|d| d.technique)
-            .or(self.eng.base_technique);
+            .map_or(self.eng.technique, |d| d.technique);
         if let Some(store) = self.store.as_mut() {
             // The buffer is shared (`Arc`), so recovery reads and replica
             // accounting never deep-copy the tuples again. The technique
@@ -347,23 +334,20 @@ impl<'e> Run<'e> {
         // select / seal / symbolic / materialize — only reach the trace.
         let t0 = std::time::Instant::now();
         let eng = &mut *self.eng;
-        let partitioner = resolve_partitioner(&mut eng.partitioner, &mut eng.strategies, technique);
-        let mut columnar: Option<ColumnarPlan> = None;
-        let (plan, phases) = match eng
-            .cfg
-            .columnar
-            .then(|| partitioner.partition_columnar(&batch, self.p))
-            .flatten()
-        {
-            Some((cplan, ph)) => {
-                // The row rendering of the same assignment (same blocks,
-                // same order): metrics and cost-model times stay on the row
-                // API.
-                let row = cplan.to_row_plan();
-                columnar = Some(cplan);
-                (row, ph)
+        let partitioner = eng.strategies.registry.get_or_build(technique);
+        // Columnar when the flag is on and the technique seals one, else rows
+        // — per batch; nothing downstream renders the other layout.
+        let columnar = if eng.cfg.columnar {
+            partitioner.partition_columnar(&batch, self.p)
+        } else {
+            None
+        };
+        let (plan, phases) = match columnar {
+            Some((cols, phases)) => (Plan::Columns(cols), phases),
+            None => {
+                let (rows, phases) = partitioner.partition_phased(&batch, self.p);
+                (Plan::Rows(rows), phases)
             }
-            None => partitioner.partition_phased(&batch, self.p),
         };
         let raw_overhead = match eng.cfg.overhead {
             OverheadMode::None => Duration::ZERO,
@@ -373,17 +357,18 @@ impl<'e> Run<'e> {
         self.trace_partition_phases(seq, decision.is_some(), decide_us, &phases);
         // Partitioners conserve tuples, so the plan's distinct keys are the
         // batch's: counted once, for the record and the plan metrics both.
-        let n_keys = plan.total_keys();
-        let metrics = PlanMetrics::with_keys(&plan, n_keys);
+        let blocks = plan.fragments();
+        let n_keys = total_keys(&blocks);
+        let metrics = PlanMetrics::of_blocks(&blocks, n_keys);
         if let Some(pol) = self.eng.policy.as_mut() {
             pol.observe(&BatchObservation {
                 seq,
-                technique: technique.expect("policy runs always resolve a technique"),
+                technique,
                 n_tuples,
                 n_keys,
                 map_tasks: self.p,
                 metrics,
-                plan: &plan,
+                blocks: &blocks,
             });
         }
         self.arrivals = batch.tuples; // reuse the allocation next interval
@@ -401,7 +386,6 @@ impl<'e> Run<'e> {
             decision,
             metrics,
             restore_times,
-            columnar,
         };
         backend.submit(&pb.planned(&self.eng.job, self.wire));
         Some(pb)
@@ -570,7 +554,7 @@ impl<'e> Run<'e> {
         &mut self,
         seq: u64,
         view: PlanView<'_>,
-        (r, technique, routing): (usize, Option<Technique>, Option<&RoutingTable>),
+        (r, technique, routing): (usize, Technique, Option<&RoutingTable>),
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
         let eng = &mut *self.eng;
@@ -587,8 +571,7 @@ impl<'e> Run<'e> {
             .iter()
             .map(|q| (wire.of(q.seq), q.technique, q.routing.as_ref()));
         let mut assigners = WindowAssigners {
-            base: eng.assigner.as_mut(),
-            strategies: eng.strategies.as_mut(),
+            strategies: &mut eng.strategies,
             window: std::iter::once((batch.seq, technique, routing))
                 .chain(younger)
                 .collect(),
@@ -620,9 +603,8 @@ impl<'e> Run<'e> {
         let store = self.store.as_mut().expect("fault plans retain inputs");
         let (input, technique) = store.recover(b)?;
         let interval = self.interval_of(b);
-        let eng = &mut *self.eng;
-        let partitioner = resolve_partitioner(&mut eng.partitioner, &mut eng.strategies, technique);
-        let replan = partitioner.partition_shared(&input, interval, self.p);
+        let partitioner = self.eng.strategies.registry.get_or_build(technique);
+        let replan = partitioner.partition_slice(&input, interval, self.p);
         let routing = self.routing();
         let under = (self.r, technique, routing.as_ref());
         Ok(self.run_plan(b, PlanView::Rows(&replan), under, backend))
@@ -638,7 +620,7 @@ impl<'e> Run<'e> {
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
-        let (output, mut times) = self.run_plan(pb.seq, pb.view(), under, backend);
+        let (output, mut times) = self.run_plan(pb.seq, pb.plan.view(), under, backend);
         self.inject_stragglers(pb.seq, &mut times);
         (output, times)
     }
@@ -753,7 +735,7 @@ impl<'e> Run<'e> {
             seq,
             n_tuples: pb.n_tuples,
             n_keys: pb.n_keys,
-            map_tasks: pb.plan.n_blocks(),
+            map_tasks: pb.plan.view().n_blocks(),
             reduce_tasks: pb.r,
             partition_overhead: pb.raw_overhead,
             visible_overhead: pb.visible_overhead,
@@ -779,7 +761,7 @@ impl<'e> Run<'e> {
             return;
         };
         let busy: Vec<u64> = times.reduce_tasks.iter().map(|d| d.0).collect();
-        let group_tuples = group_weights(&pb.plan, table.n_groups());
+        let group_tuples = group_weights(&pb.plan.fragments(), table.n_groups());
         reb.observe(&RebalanceObservation {
             seq: pb.seq,
             version: table.version(),
@@ -837,7 +819,7 @@ impl<'e> Run<'e> {
         let Some(sc) = self.scaler.as_mut() else {
             return;
         };
-        if (pb.plan.n_blocks(), pb.r) != (sc.map_tasks(), sc.reduce_tasks()) {
+        if (pb.plan.view().n_blocks(), pb.r) != (sc.map_tasks(), sc.reduce_tasks()) {
             return;
         }
         let (seq, rec) = (pb.seq, &self.rec);

@@ -5,13 +5,15 @@
 //! into a column arena ([`ColumnarPlan`]). An executor asks a plan exactly
 //! five things — how many blocks, which keys are split, what a block costs,
 //! what a block maps to, and what a block looks like on the wire — and
-//! [`PlanView`] answers them for either layout. Everything downstream of the
-//! Map fold sees only [`ClusterList`]s, so the serial simulator
-//! ([`crate::stage`]), the thread pool ([`crate::threaded`]) and the worker
-//! fleet ([`crate::net`]) share [`assign_block`] and [`merge_bucket`]
-//! verbatim and cannot diverge by layout or by backend.
+//! [`PlanView`] answers them for either layout (a sixth, each block's
+//! fragment list, is all that metrics, the policy and the rebalancer read).
+//! Everything downstream of the Map fold sees only [`ClusterList`]s, so the
+//! serial simulator ([`crate::stage`]), the thread pool
+//! ([`crate::threaded`]) and the worker fleet ([`crate::net`]) share
+//! [`assign_block`] and [`merge_bucket`] verbatim and cannot diverge by
+//! layout or by backend.
 
-use prompt_core::batch::{DataBlock, PartitionPlan};
+use prompt_core::batch::{DataBlock, KeyFragment, PartitionPlan};
 use prompt_core::columnar::{ColumnarBatch, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{KeyMap, KeySet};
 use prompt_core::reduce::{KeyCluster, ReduceAssigner};
@@ -34,6 +36,30 @@ pub(crate) enum PlanView<'a> {
     Columns(&'a ColumnarPlan),
 }
 
+/// A partitioned batch in the layout it was sealed in, as its
+/// `PreparedBatch` owns it.
+pub(crate) enum Plan {
+    Rows(PartitionPlan),
+    Columns(ColumnarPlan),
+}
+
+impl Plan {
+    pub(crate) fn view(&self) -> PlanView<'_> {
+        match self {
+            Plan::Rows(p) => PlanView::Rows(p),
+            Plan::Columns(p) => PlanView::Columns(p),
+        }
+    }
+
+    /// Every block's fragment list, in block order: all that the plan
+    /// metrics (Eqns. 2–6), the partitioner policy and the rebalancer read
+    /// of a plan.
+    pub(crate) fn fragments(&self) -> Vec<&[KeyFragment]> {
+        let view = self.view();
+        (0..view.n_blocks()).map(|i| view.fragments(i)).collect()
+    }
+}
+
 impl<'a> PlanView<'a> {
     pub(crate) fn n_blocks(self) -> usize {
         match self {
@@ -46,6 +72,15 @@ impl<'a> PlanView<'a> {
         match self {
             PlanView::Rows(p) => &p.split_keys,
             PlanView::Columns(p) => &p.split_keys,
+        }
+    }
+
+    /// Block `i`'s per-key fragment list, sorted by key — the same list in
+    /// either layout.
+    pub(crate) fn fragments(self, i: usize) -> &'a [KeyFragment] {
+        match self {
+            PlanView::Rows(p) => &p.blocks[i].fragments,
+            PlanView::Columns(p) => &p.blocks[i].fragments,
         }
     }
 

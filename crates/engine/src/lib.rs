@@ -35,7 +35,6 @@
 
 mod backend;
 pub mod backpressure;
-pub mod batch_resize;
 pub mod cluster;
 pub mod config;
 pub mod cost;
@@ -64,7 +63,6 @@ pub mod window;
 /// Convenient import surface.
 pub mod prelude {
     pub use crate::backpressure::max_sustainable_rate;
-    pub use crate::batch_resize::{run_with_resizing, BatchSizeController, ResizeRunResult};
     pub use crate::cluster::Cluster;
     pub use crate::config::{Backend, EngineConfig, OverheadMode};
     pub use crate::cost::CostModel;
@@ -75,8 +73,8 @@ pub mod prelude {
         DistributedOptions, DistributedRuntime, LaunchMode, NetStats, WorkerLoss,
     };
     pub use crate::policy::{
-        build_policy, AdaptiveConfig, AdaptivePolicy, BatchObservation, FixedPolicy,
-        ForcedSequencePolicy, PartitionerPolicy, PolicyDecision, PolicySpec,
+        build_policy, AdaptiveConfig, AdaptivePolicy, BatchObservation, ForcedSequencePolicy,
+        PartitionerPolicy, PolicyDecision, PolicySpec,
     };
     pub use crate::rebalance::{
         group_of, group_weights, imbalance_ratio, AutoRebalance, ForcedMigrations, ForcedRebalance,

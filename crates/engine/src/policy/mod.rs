@@ -42,7 +42,7 @@
 
 use std::collections::VecDeque;
 
-use prompt_core::batch::PartitionPlan;
+use prompt_core::batch::KeyFragment;
 use prompt_core::hash::bucket_of;
 use prompt_core::metrics::{MpiWeights, PlanMetrics};
 use prompt_core::partitioner::Technique;
@@ -171,8 +171,9 @@ pub struct BatchObservation<'a> {
     pub map_tasks: usize,
     /// Partition-quality metrics of the plan.
     pub metrics: PlanMetrics,
-    /// The plan itself (its key fragments carry exact per-key counts).
-    pub plan: &'a PartitionPlan,
+    /// The plan's per-block fragment lists (exact per-key counts) — the
+    /// same for a row and a columnar plan.
+    pub blocks: &'a [&'a [KeyFragment]],
 }
 
 /// One per-batch policy decision — the explicit decision log entry.
@@ -211,16 +212,19 @@ pub trait PartitionerPolicy: Send {
 }
 
 /// Build the policy an engine run drives, seeded with the technique of
-/// batch 0.
+/// batch 0. `None` for [`PolicySpec::Fixed`]: a run-constant technique needs
+/// no policy object (and logs no decisions).
 pub fn build_policy(
     spec: &PolicySpec,
     initial: Technique,
     seed: u64,
-) -> Box<dyn PartitionerPolicy> {
+) -> Option<Box<dyn PartitionerPolicy>> {
     match spec {
-        PolicySpec::Fixed(t) => Box::new(FixedPolicy::new(*t)),
-        PolicySpec::Forced(seq) => Box::new(ForcedSequencePolicy::new(seq.clone())),
-        PolicySpec::Adaptive(cfg) => Box::new(AdaptivePolicy::new(cfg.clone(), initial, seed)),
+        PolicySpec::Fixed(_) => None,
+        PolicySpec::Forced(seq) => Some(Box::new(ForcedSequencePolicy::new(seq.clone()))),
+        PolicySpec::Adaptive(cfg) => {
+            Some(Box::new(AdaptivePolicy::new(cfg.clone(), initial, seed)))
+        }
     }
 }
 
@@ -254,37 +258,6 @@ pub fn technique_overhead(t: Technique) -> f64 {
         Technique::Prompt => 0.06,
         Technique::PromptCountTree => 0.14,
     }
-}
-
-/// The classic run-constant policy: always the same technique, no state.
-#[derive(Clone, Debug)]
-pub struct FixedPolicy {
-    technique: Technique,
-}
-
-impl FixedPolicy {
-    /// A policy pinned to `technique`.
-    pub fn new(technique: Technique) -> FixedPolicy {
-        FixedPolicy { technique }
-    }
-}
-
-impl PartitionerPolicy for FixedPolicy {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn decide(&mut self, seq: u64) -> PolicyDecision {
-        PolicyDecision {
-            seq,
-            technique: self.technique,
-            prev: self.technique,
-            switched: false,
-            scores: Vec::new(),
-        }
-    }
-
-    fn observe(&mut self, _obs: &BatchObservation<'_>) {}
 }
 
 /// Replay an explicit per-batch technique sequence: batch `seq` uses
@@ -499,10 +472,8 @@ impl PartitionerPolicy for AdaptivePolicy {
         // keeps the statistics fresh under drift; dwell hysteresis supplies
         // the stability.
         self.sketch.clear();
-        for block in &obs.plan.blocks {
-            for f in &block.fragments {
-                self.sketch.observe_n(f.key, f.count as u64);
-            }
+        for f in obs.blocks.iter().flat_map(|b| b.iter()) {
+            self.sketch.observe_n(f.key, f.count as u64);
         }
         let total = self.sketch.total().max(1) as f64;
         let tracked = self.sketch.heavy_hitters(0.0);
@@ -584,7 +555,7 @@ mod tests {
             n_keys: b.distinct_keys(),
             map_tasks: p,
             metrics: PlanMetrics::of(&plan),
-            plan: &plan,
+            blocks: &plan.block_fragments(),
         });
     }
 
@@ -769,16 +740,5 @@ mod tests {
         assert!(tree > 2.0 * prompt && tree < 3.0 * prompt);
         assert!(technique_overhead(Technique::Hash) > technique_overhead(Technique::Shuffle));
         assert_eq!(technique_overhead(Technique::TimeBased), 0.0);
-    }
-
-    #[test]
-    fn fixed_policy_never_switches() {
-        let mut p = FixedPolicy::new(Technique::Cam(4));
-        for seq in 0..5 {
-            let d = p.decide(seq);
-            assert_eq!(d.technique, Technique::Cam(4));
-            assert!(!d.switched);
-            assert!(d.scores.is_empty());
-        }
     }
 }

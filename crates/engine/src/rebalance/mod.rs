@@ -45,7 +45,7 @@
 //! improvement margin the projected load must clear, so routing does not
 //! thrash when the load dithers around the trigger.
 
-use prompt_core::batch::PartitionPlan;
+use prompt_core::batch::KeyFragment;
 use prompt_core::hash::bucket_of;
 use prompt_core::reduce::{KeyCluster, ReduceAssigner};
 use prompt_core::types::Key;
@@ -61,15 +61,13 @@ pub fn group_of(key: Key, n_groups: usize) -> usize {
     bucket_of(GROUP_HASH_SEED, key, n_groups)
 }
 
-/// Per-group tuple weights of a partition plan: how many tuples each
-/// key-group contributed to the batch. The ledger uses these to decompose
-/// worker load into movable units.
-pub fn group_weights(plan: &PartitionPlan, n_groups: usize) -> Vec<u64> {
+/// Per-group tuple weights of a partition plan, given as its per-block
+/// fragment lists: how many tuples each key-group contributed to the batch.
+/// The ledger uses these to decompose worker load into movable units.
+pub fn group_weights(blocks: &[&[KeyFragment]], n_groups: usize) -> Vec<u64> {
     let mut weights = vec![0u64; n_groups];
-    for block in &plan.blocks {
-        for frag in &block.fragments {
-            weights[group_of(frag.key, n_groups)] += frag.count as u64;
-        }
+    for frag in blocks.iter().flat_map(|b| b.iter()) {
+        weights[group_of(frag.key, n_groups)] += frag.count as u64;
     }
     weights
 }
@@ -872,7 +870,7 @@ mod tests {
             .collect();
         let batch = MicroBatch::new(tuples, Interval::new(Time::ZERO, Time::from_secs(1)));
         let plan = Technique::Hash.build(7).partition(&batch, 4);
-        let w = group_weights(&plan, 16);
+        let w = group_weights(&plan.block_fragments(), 16);
         assert_eq!(w.iter().sum::<u64>(), 120, "every tuple lands in a group");
         let mut expect = vec![0u64; 16];
         for k in 0..12u64 {

@@ -28,7 +28,7 @@ struct RetainedBatch {
     seq: u64,
     replicas_left: usize,
     input: Arc<[Tuple]>,
-    technique: Option<Technique>,
+    technique: Technique,
 }
 
 /// Replicated storage of recent batch inputs.
@@ -91,7 +91,7 @@ impl ReplicatedBatchStore {
     /// `technique` that partitions it. The buffer is shared, not copied —
     /// callers pass an `Arc<[Tuple]>` (a `Vec` converts with one allocation)
     /// and recovery reads clone the handle only.
-    pub fn retain(&mut self, seq: u64, input: Arc<[Tuple]>, technique: Option<Technique>) {
+    pub fn retain(&mut self, seq: u64, input: Arc<[Tuple]>, technique: Technique) {
         if let Some(last) = self.retained.back() {
             assert!(last.seq < seq, "batches must be retained in order");
         }
@@ -120,10 +120,7 @@ impl ReplicatedBatchStore {
     /// technique it was retained under — consuming one replica (the failed
     /// copy is gone; a recovery read re-replicates in a real system, here we
     /// only track the budget). Returns a shared handle: no tuple is copied.
-    pub fn recover(
-        &mut self,
-        seq: u64,
-    ) -> Result<(Arc<[Tuple]>, Option<Technique>), RecoveryError> {
+    pub fn recover(&mut self, seq: u64) -> Result<(Arc<[Tuple]>, Technique), RecoveryError> {
         let batch = self
             .retained
             .iter_mut()
@@ -309,13 +306,13 @@ mod tests {
     #[test]
     fn retain_recover_roundtrip() {
         let mut store = ReplicatedBatchStore::new(2);
-        store.retain(0, tuples(10).into(), None);
-        store.retain(1, tuples(20).into(), Some(Technique::Hash));
+        store.retain(0, tuples(10).into(), Technique::Prompt);
+        store.retain(1, tuples(20).into(), Technique::Hash);
         assert_eq!(store.len(), 2);
         assert_eq!(store.retained_tuples(), 30);
         let (got, technique) = store.recover(1).expect("recoverable");
         assert_eq!(got.len(), 20);
-        assert_eq!(technique, Some(Technique::Hash));
+        assert_eq!(technique, Technique::Hash);
         // Second recovery consumes the last replica…
         assert!(store.recover(1).is_ok());
         // …and the third fails.
@@ -326,14 +323,14 @@ mod tests {
         // Batch 0 is untouched.
         assert!(store
             .recover(0)
-            .is_ok_and(|(_, technique)| technique.is_none()));
+            .is_ok_and(|(_, technique)| technique == Technique::Prompt));
     }
 
     #[test]
     fn expiry_discards_and_frees_memory() {
         let mut store = ReplicatedBatchStore::new(1);
         for seq in 0..5 {
-            store.retain(seq, tuples(10).into(), Some(Technique::Prompt));
+            store.retain(seq, tuples(10).into(), Technique::Prompt);
         }
         store.expire_through(2);
         assert_eq!(store.len(), 2);
@@ -348,8 +345,8 @@ mod tests {
     #[should_panic(expected = "retained in order")]
     fn out_of_order_retention_rejected() {
         let mut store = ReplicatedBatchStore::new(1);
-        store.retain(3, tuples(1).into(), None);
-        store.retain(2, tuples(1).into(), None);
+        store.retain(3, tuples(1).into(), Technique::Hash);
+        store.retain(2, tuples(1).into(), Technique::Hash);
     }
 
     #[test]

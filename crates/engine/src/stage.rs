@@ -142,8 +142,9 @@ pub fn execute_batch_traced(
 
 /// [`execute_batch_traced`] over a columnar plan, without materializing row
 /// blocks. Output and stage times are bit-identical to the row layout on
-/// `plan.to_row_plan()` — same fold order, same assigner call sequence, same
-/// cost inputs — gated by the `columnar_differential` suite.
+/// the plan's row rendering ([`ColumnarPlan::to_row_plan`]) — same fold
+/// order, same assigner call sequence, same cost inputs — gated by the
+/// `columnar_differential` suite.
 pub fn execute_columnar_traced(
     plan: &ColumnarPlan,
     job: &Job,

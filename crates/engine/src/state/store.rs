@@ -379,14 +379,20 @@ pub fn get_store(r: &mut ByteReader<'_>) -> Result<KeyedStateStore, CodecError> 
     if n_shards == 0 {
         return Err(CodecError::Malformed("store needs at least one shard"));
     }
+    // Every push appends one pane to every shard and evicts past the window,
+    // so pane indices align across shards — what `migrate` and
+    // `encode_group` index by.
+    let n_panes = seq.min(len_batches as u64) as usize;
     let mut shards = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
         let shard = get_shard(r)?;
         if shard.bucket != i as u32 {
             return Err(CodecError::Malformed("shard buckets out of order"));
         }
-        if shard.panes.len() > len_batches {
-            return Err(CodecError::Malformed("more panes than window length"));
+        if shard.panes.len() != n_panes {
+            return Err(CodecError::Malformed(
+                "shard pane count is not min(seq, window length)",
+            ));
         }
         shards.push(shard);
     }

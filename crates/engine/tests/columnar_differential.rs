@@ -214,6 +214,80 @@ fn columnar_is_bit_identical_to_rows_across_backends() {
     }
 }
 
+/// What reads a plan besides the executors — the plan metrics, the policy's
+/// `BatchObservation` and the rebalancer's group weights — reads per-block
+/// fragment lists, which a sealed columnar plan holds itself (the driver
+/// renders no row plan for them). Under `Adaptive` + `Auto` on a drift from
+/// uniform keys (Hash, which seals rows even with the flag on) to one hot
+/// key (Prompt, which seals columns), every decision either controller
+/// takes and everything a `BatchRecord` reports must equal the row run's.
+#[test]
+fn columnar_feeds_the_policy_and_the_rebalancer_what_rows_feed_them() {
+    let drift = |iv: Interval, out: &mut Vec<Tuple>| {
+        // Batches 0–3 uniform, 4–7 half the mass on key 0, 8+ on key 7.
+        let hot = [None, Some(0), Some(7)][(iv.start.0 / 4_000_000).min(2) as usize];
+        for i in 0..600u64 {
+            let key = match (hot, i % 2) {
+                (None, _) => i % 200,
+                (Some(hot), 0) => hot,
+                (Some(_), _) => 1 + i % 30,
+            };
+            out.push(Tuple {
+                ts: Time(iv.start.0 + 1_000 * (i + 1)),
+                key: Key(key),
+                value: (i % 13) as f64 - 3.0,
+            });
+        }
+    };
+    let run = |columnar: bool| {
+        let cfg = EngineConfig {
+            policy: PolicySpec::Adaptive(AdaptiveConfig::default()),
+            rebalance: RebalanceSpec::Auto(RebalanceConfig {
+                n_groups: 24,
+                ..RebalanceConfig::default()
+            }),
+            ..cfg(Backend::InProcess, 1, columnar)
+        };
+        let job = Job::identity("sum", ReduceOp::Sum);
+        StreamingEngine::new(cfg, Technique::Hash, 11, job)
+            .with_window(WindowSpec::sliding(
+                Duration::from_secs(3),
+                Duration::from_secs(1),
+            ))
+            .run(&mut { drift }, 12)
+    };
+    let (row, col) = (run(false), run(true));
+    // The drift exercises both readers on columnar plans: the policy moves
+    // to Prompt, and the rebalancer then plans from a Prompt batch's weights.
+    let switch = row
+        .policy_decisions
+        .iter()
+        .find(|d| d.switched && d.technique == Technique::Prompt)
+        .expect("the hot key must move the policy to Prompt");
+    assert!(
+        row.migrations.iter().any(|(seq, _)| *seq > switch.seq + 1),
+        "no migration planned from a Prompt batch: switch at {}, plans at {:?}",
+        switch.seq,
+        row.migrations.iter().map(|(s, _)| *s).collect::<Vec<_>>()
+    );
+    assert_eq!(row.policy_decisions.len(), col.policy_decisions.len());
+    for (a, b) in row.policy_decisions.iter().zip(&col.policy_decisions) {
+        let bits = |d: &PolicyDecision| -> Vec<(Technique, u64)> {
+            d.scores.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+        };
+        assert_eq!(
+            (a.seq, a.technique, a.prev, a.switched, bits(a)),
+            (b.seq, b.technique, b.prev, b.switched, bits(b)),
+        );
+    }
+    assert_eq!(row.migrations, col.migrations);
+    // plan_metrics, n_keys, map_tasks, task times and windows.
+    assert_runs_identical("adaptive + auto, columnar vs rows", &row, &col);
+    for (a, b) in row.batches.iter().zip(&col.batches) {
+        assert_eq!(a.technique, b.technique, "batch {}", a.seq);
+    }
+}
+
 /// Column-sliced frames are byte-identical to row frames, so a columnar
 /// distributed run must put exactly the same bytes on the wire as a row
 /// run of the same workload.

@@ -92,10 +92,7 @@ fn adaptive() -> PolicySpec {
 
 /// The per-batch technique sequence a run recorded.
 fn techniques_of(res: &RunResult) -> Vec<Technique> {
-    res.batches
-        .iter()
-        .map(|b| b.technique.expect("policy runs record the technique"))
-        .collect()
+    res.batches.iter().map(|b| b.technique).collect()
 }
 
 /// Full bit-identity: everything the paper's figures are built from, plus
@@ -197,7 +194,7 @@ fn assert_decision_log_coherent(label: &str, res: &RunResult, rec: &TraceRecorde
     );
     for (d, b) in res.policy_decisions.iter().zip(&res.batches) {
         assert_eq!(d.seq, b.seq, "{label}");
-        assert_eq!(Some(d.technique), b.technique, "{label} batch {}", b.seq);
+        assert_eq!(d.technique, b.technique, "{label} batch {}", b.seq);
         assert_eq!(d.switched, d.technique != d.prev, "{label} batch {}", b.seq);
     }
     let switches: Vec<&PolicyDecision> =

@@ -58,7 +58,7 @@ fn drive(policy: &mut AdaptivePolicy, n: u64, pattern: u64, p: usize) -> Vec<Pol
             n_keys: b.distinct_keys(),
             map_tasks: p,
             metrics: PlanMetrics::of(&plan),
-            plan: &plan,
+            blocks: &plan.block_fragments(),
         });
         log.push(d);
     }
@@ -170,7 +170,7 @@ proptest! {
         let full = engine_run(TraceLevel::Full, pattern, seed);
         for trace in [TraceLevel::Off, TraceLevel::Summary] {
             let other = engine_run(trace, pattern, seed);
-            let seq_of = |r: &RunResult| -> Vec<Option<Technique>> {
+            let seq_of = |r: &RunResult| -> Vec<Technique> {
                 r.batches.iter().map(|b| b.technique).collect()
             };
             prop_assert_eq!(seq_of(&full), seq_of(&other), "trace {:?}", trace);

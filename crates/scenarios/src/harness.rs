@@ -189,11 +189,7 @@ fn matches_oracle(cell: &CellConfig, tenant_idx: usize, shared: &TenantRun) -> b
         };
     }
     if !cell.policy.is_fixed() {
-        let sequence: Vec<Technique> = shared
-            .batches
-            .iter()
-            .map(|b| b.technique.unwrap_or(cell.technique))
-            .collect();
+        let sequence: Vec<Technique> = shared.batches.iter().map(|b| b.technique).collect();
         if sequence.is_empty() {
             return false;
         }

@@ -83,7 +83,7 @@ fn run(cli: &Cli) {
             b.reduce_tasks,
             b.w,
             b.latency.as_secs_f64() * 1e3,
-            b.technique.map(|t| t.label()).unwrap_or_default()
+            b.technique.label()
         );
     }
     let switches = result

@@ -12,7 +12,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use prompt_core::bytes::{ByteReader, ByteWriter};
+use prompt_core::bytes::{ByteReader, ByteWriter, CodecError};
 use prompt_core::hash::KeyMap;
 use prompt_core::types::{Duration, Key};
 use prompt_engine::job::ReduceOp;
@@ -127,6 +127,55 @@ proptest! {
                 prop_assert_eq!(v.to_bits(), b.aggregates[k].to_bits());
             }
         }
+    }
+
+    /// The writer keeps every shard at exactly `min(seq, len)` panes —
+    /// `migrate` and `encode_group` index panes positionally on that — so a
+    /// CRC-valid store whose shards disagree with each other, or all fall
+    /// short of the batch count, is malformed, not a panic at the next
+    /// re-shard.
+    #[test]
+    fn misaligned_or_missing_panes_are_rejected(
+        r in 2usize..6,
+        len in 2u64..6,
+        inputs in batches(),
+        short_pick in any::<usize>(),
+        victim_pick in any::<usize>(),
+    ) {
+        let full = build_store(ReduceOp::Sum, r, len, 1, &inputs);
+        let panes = |pushes: usize| pushes.min(len as usize);
+        // A store over a strictly shorter prefix with a different pane count.
+        let shorter: Vec<usize> = (0..inputs.len())
+            .filter(|&n| panes(n) != panes(inputs.len()))
+            .collect();
+        let short = shorter[short_pick % shorter.len()];
+        let short = build_store(ReduceOp::Sum, r, len, 1, &inputs[..short]);
+        let bytes = encode_store(&full);
+        let shards_len: usize = (0..r).map(|b| full.encode_shard(b).len()).sum();
+        let header = &bytes[..bytes.len() - shards_len];
+        let victim = victim_pick % r;
+        // `header` + shard `b` from `short` where `from_short[b]`, else `full`.
+        let splice = |from_short: Vec<bool>| {
+            let mut out = header.to_vec();
+            for (b, &pick) in from_short.iter().enumerate() {
+                out.extend(if pick { &short } else { &full }.encode_shard(b));
+            }
+            out
+        };
+        let cases = [
+            ("one shard misaligned", splice((0..r).map(|b| b == victim).collect())),
+            ("too few panes everywhere", splice(vec![true; r])),
+        ];
+        for (what, bytes) in cases {
+            let decoded = get_store(&mut ByteReader::new(&bytes));
+            prop_assert!(
+                matches!(decoded, Err(CodecError::Malformed(_))),
+                "{}: {:?}", what, decoded.map(|s| s.seq())
+            );
+        }
+        // Control: the unspliced shard set decodes and re-shards.
+        let mut ok = get_store(&mut ByteReader::new(&splice(vec![false; r]))).unwrap();
+        ok.migrate(r + 1);
     }
 
     #[test]
