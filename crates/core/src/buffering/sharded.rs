@@ -44,6 +44,7 @@ use crate::buffering::{
 };
 use crate::columnar::{ColRange, ColumnarBatch, ColumnarSealed};
 use crate::hash::bucket_of;
+use crate::par::map_indexed;
 use crate::types::{Interval, Key, Tuple};
 
 /// Fixed routing seed: shard placement is part of the accumulator's
@@ -124,25 +125,16 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         // per-(chunk, shard) runs. Chunks are taken in arrival order, so the
         // concatenation of a shard's runs is the stable sub-stream serial
         // ingest would deliver, whatever the chunk boundaries.
-        let chunk_len = tuples.len().div_ceil(threads).max(1);
-        let runs: Vec<Vec<Vec<Tuple>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = tuples
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut runs: Vec<Vec<Tuple>> =
-                            vec![Vec::with_capacity(chunk.len() / n_shards + 1); n_shards];
-                        for &t in chunk {
-                            runs[bucket_of(SHARD_SEED, t.key, n_shards)].push(t);
-                        }
-                        runs
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter worker panicked"))
-                .collect()
+        let chunks: Vec<&[Tuple]> = tuples
+            .chunks(tuples.len().div_ceil(threads).max(1))
+            .collect();
+        let runs: Vec<Vec<Vec<Tuple>>> = map_indexed(chunks.len(), threads, |c| {
+            let chunk = chunks[c];
+            let mut runs = vec![Vec::with_capacity(chunk.len() / n_shards + 1); n_shards];
+            for &t in chunk {
+                runs[bucket_of(SHARD_SEED, t.key, n_shards)].push(t);
+            }
+            runs
         });
         // Phase 2 (parallel): each worker owns a contiguous shard range and
         // ingests its shards' runs in chunk (= arrival) order.

@@ -4,7 +4,7 @@
 //! The repo policy is **no serde**: like the trace layer's hand-rolled JSON,
 //! the data plane gets an explicit little-endian binary format. Everything
 //! here is deterministic — the same value always encodes to the same bytes —
-//! so encodings double as digest inputs for bit-identity checks.
+//! so encodings can be compared byte for byte and checksummed.
 //!
 //! Layout conventions:
 //!
@@ -14,9 +14,8 @@
 //! * no self-describing tags inside payloads — framing and versioning live
 //!   one layer up, in the engine's wire module.
 
-use crate::batch::{DataBlock, KeyFragment, PartitionPlan};
+use crate::batch::{DataBlock, KeyFragment};
 use crate::columnar::{ColRange, ColumnarBatch, ColumnarBlock};
-use crate::hash::KeySet;
 use crate::types::{Key, Time, Tuple};
 
 /// Decoding error: the bytes do not describe a valid value.
@@ -62,8 +61,8 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Byte sink the encoders write into. Implemented by [`ByteWriter`] (buffer
-/// building) and [`FnvSink`] (streaming digest), so one encoder definition
-/// serves both serialization and fingerprinting.
+/// building) and [`Crc32Sink`] (streaming checksum), so one encoder
+/// definition serves both serialization and integrity checks.
 pub trait BytesSink {
     /// Append raw bytes.
     fn put_bytes(&mut self, bytes: &[u8]);
@@ -105,7 +104,7 @@ pub trait BytesSink {
     /// as continuation. Small values (the common case for ids, counts and
     /// sorted-key deltas) take 1–2 bytes instead of 8; the encoding is
     /// canonical — exactly one byte sequence per value — so varint payloads
-    /// stay valid digest inputs.
+    /// stay comparable byte for byte.
     fn put_varint(&mut self, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -176,42 +175,6 @@ impl ByteWriter {
 impl BytesSink for ByteWriter {
     fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-}
-
-/// Streaming FNV-1a (64-bit) digest implementing [`BytesSink`]: feed an
-/// encoder the sink and read the fingerprint without materializing bytes.
-#[derive(Clone, Copy, Debug)]
-pub struct FnvSink {
-    state: u64,
-}
-
-impl FnvSink {
-    /// Fresh digest at the FNV-1a offset basis.
-    pub fn new() -> FnvSink {
-        FnvSink {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    /// The digest of everything fed so far.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for FnvSink {
-    fn default() -> FnvSink {
-        FnvSink::new()
-    }
-}
-
-impl BytesSink for FnvSink {
-    fn put_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
     }
 }
 
@@ -452,26 +415,6 @@ pub fn put_block_columnar<S: BytesSink>(s: &mut S, arena: &ColumnarBatch, block:
     }
 }
 
-/// Encode a key/frequency table — the sealed-batch summary shape used by
-/// fragment lists and map-output cluster reports alike.
-pub fn put_key_counts<S: BytesSink>(s: &mut S, counts: &[(Key, u64)]) {
-    s.put_len(counts.len());
-    for &(k, n) in counts {
-        s.put_u64(k.0);
-        s.put_u64(n);
-    }
-}
-
-/// Decode a key/frequency table.
-pub fn get_key_counts(r: &mut ByteReader<'_>) -> Result<Vec<(Key, u64)>, CodecError> {
-    let n = r.get_len(FRAGMENT_WIRE_SIZE)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((Key(r.get_u64()?), r.get_u64()?));
-    }
-    Ok(out)
-}
-
 /// Encode one data block: its tuples plus the per-key fragment summary.
 pub fn put_block<S: BytesSink>(s: &mut S, block: &DataBlock) {
     put_tuples(s, &block.tuples);
@@ -494,45 +437,6 @@ pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
         });
     }
     Ok(DataBlock { tuples, fragments })
-}
-
-/// Encode a partition plan: every block, then the split-key set in sorted
-/// key order (canonical — `KeySet` iteration order is not).
-pub fn put_plan<S: BytesSink>(s: &mut S, plan: &PartitionPlan) {
-    s.put_len(plan.blocks.len());
-    for b in &plan.blocks {
-        put_block(s, b);
-    }
-    let mut split: Vec<u64> = plan.split_keys.iter().map(|k| k.0).collect();
-    split.sort_unstable();
-    s.put_len(split.len());
-    for k in split {
-        s.put_u64(k);
-    }
-}
-
-/// Decode a partition plan.
-pub fn get_plan(r: &mut ByteReader<'_>) -> Result<PartitionPlan, CodecError> {
-    let n = r.get_len(8)?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(get_block(r)?);
-    }
-    let ns = r.get_len(8)?;
-    let mut split_keys = KeySet::default();
-    for _ in 0..ns {
-        split_keys.insert(Key(r.get_u64()?));
-    }
-    Ok(PartitionPlan { blocks, split_keys })
-}
-
-/// Canonical 64-bit fingerprint of a plan (streamed FNV-1a over its
-/// canonical encoding) — lets differential tests assert plan bit-identity
-/// without shipping the plan around.
-pub fn plan_digest(plan: &PartitionPlan) -> u64 {
-    let mut sink = FnvSink::new();
-    put_plan(&mut sink, plan);
-    sink.finish()
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) lookup table,
@@ -603,7 +507,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::MicroBatch;
+    use crate::batch::{MicroBatch, PartitionPlan};
     use crate::partitioner::{HashPartitioner, Partitioner};
     use crate::types::Interval;
 
@@ -640,32 +544,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_round_trips_and_digest_is_stable() {
-        let plan = sample_plan();
-        let mut w = ByteWriter::new();
-        put_plan(&mut w, &plan);
-        let mut r = ByteReader::new(w.as_bytes());
-        let back = get_plan(&mut r).unwrap();
-        r.expect_empty().unwrap();
-        assert_eq!(back.blocks.len(), plan.blocks.len());
-        for (a, b) in plan.blocks.iter().zip(&back.blocks) {
-            assert_eq!(a.tuples, b.tuples);
-            assert_eq!(a.fragments, b.fragments);
-        }
-        assert_eq!(back.split_keys, plan.split_keys);
-        assert_eq!(plan_digest(&plan), plan_digest(&back));
-    }
-
-    #[test]
     fn truncation_is_detected_at_every_length() {
         let plan = sample_plan();
         let mut w = ByteWriter::new();
-        put_plan(&mut w, &plan);
+        put_block(&mut w, &plan.blocks[0]);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert!(
-                get_plan(&mut r).is_err(),
+                get_block(&mut r).is_err(),
                 "cut at {cut}/{} decoded anyway",
                 bytes.len()
             );
@@ -817,13 +704,5 @@ mod tests {
             assert_eq!(&get_block(&mut r).unwrap(), row_block);
             r.expect_empty().unwrap();
         }
-    }
-
-    #[test]
-    fn digest_differs_when_a_value_bit_flips() {
-        let plan = sample_plan();
-        let mut tweaked = plan.clone();
-        tweaked.blocks[0].tuples[0].value += 1.0;
-        assert_ne!(plan_digest(&plan), plan_digest(&tweaked));
     }
 }

@@ -59,6 +59,7 @@ pub mod bytes;
 pub mod columnar;
 pub mod hash;
 pub mod metrics;
+pub mod par;
 pub mod partitioner;
 pub mod reduce;
 pub mod sketch;
@@ -75,7 +76,7 @@ pub mod prelude {
         AccumulatorConfig, BatchAccumulator, BatchStats, CountTree, FrequencyAwareAccumulator,
         PostSortAccumulator, ShardedAccumulator,
     };
-    pub use crate::bytes::{ByteReader, ByteWriter, BytesSink, CodecError, FnvSink};
+    pub use crate::bytes::{ByteReader, ByteWriter, BytesSink, CodecError};
     pub use crate::columnar::{
         ColRange, ColumnarBatch, ColumnarBlock, ColumnarPlan, ColumnarSealed,
     };

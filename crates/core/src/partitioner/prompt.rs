@@ -29,6 +29,7 @@ use crate::buffering::{
 };
 use crate::columnar::{ColRange, ColumnarBlock, ColumnarPlan, ColumnarSealed};
 use crate::hash::{KeyMap, KeySet};
+use crate::par::map_indexed;
 use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Key, Tuple};
 
@@ -60,18 +61,9 @@ pub struct PromptPartitioner {
 }
 
 impl PromptPartitioner {
-    /// Construct with the default accumulator configuration.
+    /// Construct the serial pipeline: one shard, one thread.
     pub fn new(mode: BufferingMode) -> PromptPartitioner {
-        Self::build(mode, AccumulatorConfig::default(), 1, 1)
-    }
-
-    /// Construct with an explicit Algorithm 1 configuration (read by
-    /// [`BufferingMode::FrequencyAware`] only; exact counts have no knobs).
-    pub fn with_accumulator_config(
-        mode: BufferingMode,
-        acc_cfg: AccumulatorConfig,
-    ) -> PromptPartitioner {
-        Self::build(mode, acc_cfg, 1, 1)
+        Self::with_parallelism(mode, 1, 1)
     }
 
     /// Construct the parallel pipeline: `shards`-way sharded ingest and
@@ -88,15 +80,7 @@ impl PromptPartitioner {
     ) -> PromptPartitioner {
         assert!(shards >= 1, "need at least one shard");
         assert!(threads >= 1, "need at least one thread");
-        Self::build(mode, AccumulatorConfig::default(), shards, threads)
-    }
-
-    fn build(
-        mode: BufferingMode,
-        acc_cfg: AccumulatorConfig,
-        shards: usize,
-        threads: usize,
-    ) -> PromptPartitioner {
+        let acc_cfg = AccumulatorConfig::default();
         // Every batch sets its own interval before it is replayed.
         let iv = Interval::default();
         let buffer: Box<dyn BatchAccumulator> = match (mode, shards > 1) {
@@ -113,7 +97,7 @@ impl PromptPartitioner {
             mode,
             avg_keys: acc_cfg.avg_keys.max(1.0),
             buffer,
-            threads: threads.max(1),
+            threads,
         }
     }
 
@@ -152,40 +136,8 @@ impl PromptPartitioner {
     /// path and blocks materialize independently, so the plan is
     /// bit-identical to [`Self::partition_sealed`] for any thread count.
     pub fn partition_sealed_par(batch: &SealedBatch, p: usize, threads: usize) -> PartitionPlan {
-        Self::partition_sealed_par_with(batch, p, Self::DEFAULT_TOLERANCE, threads)
-    }
-
-    /// [`Self::partition_sealed_par`] with an explicit residual tolerance.
-    pub fn partition_sealed_par_with(
-        batch: &SealedBatch,
-        p: usize,
-        tolerance: f64,
-        threads: usize,
-    ) -> PartitionPlan {
-        let pieces = Self::assign_pieces(batch, p, tolerance);
+        let pieces = Self::assign_pieces(batch, p, Self::DEFAULT_TOLERANCE);
         Self::materialize_pieces(batch, &pieces, threads)
-    }
-
-    /// Algorithm 2 over a columnar sealed batch: identical symbolic
-    /// assignment (the decision phase reads only `(key, count)` per group,
-    /// which both representations expose through [`GroupView`]), but
-    /// materialization emits `(key, arena range)` pieces instead of copying
-    /// tuples — zero data movement. `to_row_plan()` of the result is
-    /// bit-identical to [`Self::partition_sealed`] on the row twin of
-    /// `batch`.
-    pub fn partition_sealed_columnar(batch: &ColumnarSealed, p: usize) -> ColumnarPlan {
-        Self::partition_sealed_columnar_with(batch, p, Self::DEFAULT_TOLERANCE)
-    }
-
-    /// [`Self::partition_sealed_columnar`] with an explicit residual
-    /// tolerance.
-    pub fn partition_sealed_columnar_with(
-        batch: &ColumnarSealed,
-        p: usize,
-        tolerance: f64,
-    ) -> ColumnarPlan {
-        let pieces = Self::assign_pieces(batch, p, tolerance);
-        Self::materialize_pieces_columnar(batch, &pieces)
     }
 
     /// Turn the symbolic assignment into a [`ColumnarPlan`]: each piece
@@ -210,57 +162,17 @@ impl PromptPartitioner {
         ColumnarPlan::from_blocks(Arc::clone(&batch.arena), blocks)
     }
 
-    /// Materialize every block from its assigned pieces, fanning out over
-    /// `threads` OS threads when asked (1 = serial loop). Blocks
-    /// materialize independently, so the plan is bit-identical for any
-    /// thread count.
+    /// Materialize every block from its assigned pieces, on up to `threads`
+    /// OS threads. Blocks materialize independently, so the plan is
+    /// bit-identical for any thread count.
     fn materialize_pieces(
         batch: &SealedBatch,
         pieces: &[Vec<Piece>],
         threads: usize,
     ) -> PartitionPlan {
-        let p = pieces.len();
-        let threads = threads.clamp(1, p.max(1));
-        if threads == 1 {
-            return PartitionPlan::from_blocks(
-                pieces
-                    .iter()
-                    .map(|block_pieces| materialize_block(batch, block_pieces))
-                    .collect(),
-            );
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<DataBlock>> = Vec::new();
-        slots.resize_with(p, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, DataBlock)> = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if b >= p {
-                                break;
-                            }
-                            local.push((b, materialize_block(batch, &pieces[b])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (b, block) in h.join().expect("materialize worker panicked") {
-                    slots[b] = Some(block);
-                }
-            }
-        });
-        PartitionPlan::from_blocks(
-            slots
-                .into_iter()
-                .map(|s| s.expect("every block materialized"))
-                .collect(),
-        )
+        PartitionPlan::from_blocks(map_indexed(pieces.len(), threads, |b| {
+            materialize_block(batch, &pieces[b])
+        }))
     }
 
     /// The decision core of Algorithm 2: compute which range of which key
@@ -861,21 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_sealed_partition_is_bit_identical_to_row() {
-        let spec: Vec<(u64, usize)> = (1..=50u64)
-            .map(|k| (k, 2 + (k as usize * 17) % 90))
-            .collect();
-        let batch = sealed(&spec);
-        let cols = crate::columnar::ColumnarSealed::from_sealed(&batch);
-        for p in [1usize, 2, 4, 8] {
-            let want = PromptPartitioner::partition_sealed(&batch, p);
-            let got = PromptPartitioner::partition_sealed_columnar(&cols, p);
-            assert_eq!(got.to_row_plan(), want, "p = {p}");
-            assert_eq!(got.split_keys, want.split_keys, "p = {p}");
-        }
-    }
-
-    #[test]
     fn partition_columnar_matches_partition_for_all_modes() {
         let mb = zipfish_batch(120, 900);
         for (mode, shards, threads) in [
@@ -884,15 +781,16 @@ mod tests {
             (BufferingMode::PostSort, 1, 1),
             (BufferingMode::PostSort, 4, 3),
         ] {
-            let want = PromptPartitioner::with_parallelism(mode, shards, threads).partition(&mb, 8);
-            let (cols, _) = PromptPartitioner::with_parallelism(mode, shards, threads)
-                .partition_columnar(&mb, 8)
-                .expect("Prompt has a columnar path");
-            assert_eq!(
-                cols.to_row_plan(),
-                want,
-                "{mode:?} shards={shards} threads={threads}"
-            );
+            for p in [1usize, 2, 4, 8] {
+                let want =
+                    PromptPartitioner::with_parallelism(mode, shards, threads).partition(&mb, p);
+                let (cols, _) = PromptPartitioner::with_parallelism(mode, shards, threads)
+                    .partition_columnar(&mb, p)
+                    .expect("Prompt has a columnar path");
+                let what = format!("{mode:?} shards={shards} threads={threads} p={p}");
+                assert_eq!(cols.to_row_plan(), want, "{what}");
+                assert_eq!(cols.split_keys, want.split_keys, "{what}");
+            }
         }
     }
 

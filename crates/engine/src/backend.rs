@@ -4,7 +4,8 @@
 //! — and lent to each step that dispatches.
 //!
 //! [`BackendRuntime::execute`] is the one place a planned batch is dispatched
-//! by backend kind, and its distributed arm is where a worker loss is
+//! by backend kind — this process (one executor, one thread or many) or the
+//! worker fleet — and its distributed arm is where a worker loss is
 //! survived: a single submit→wait path at every pipeline depth (depth 1
 //! is a window of one) that, on a loss, charges the recovery and resubmits
 //! the plans still in hand. Nothing is re-partitioned — the failed attempt
@@ -18,7 +19,7 @@ use crate::kernel::PlanView;
 use crate::net::driver::BatchAssigners;
 use crate::net::{DistributedOptions, DistributedRuntime, Message, NetStats, WorkerLoss};
 use crate::recovery::ReplicatedBatchStore;
-use crate::stage::{execute_view, times_from_view, BatchOutput, StageTimes};
+use crate::stage::{times_from_view, BatchOutput, StageTimes};
 use crate::threaded::ThreadedExecutor;
 use crate::trace::{Counter, TraceEvent, TraceRecorder};
 
@@ -50,24 +51,29 @@ impl Planned<'_> {
 
 /// See the module docs.
 pub(crate) enum BackendRuntime {
-    /// Simulated cluster (the default): [`execute_view`], inline on the
-    /// calling thread.
-    InProcess,
-    /// Real threads.
-    Threaded(ThreadedExecutor),
+    /// This process: the one local executor, on the calling thread for
+    /// [`Backend::InProcess`] (the default) and on `n` threads for
+    /// [`Backend::Threaded`] — which also asks for the measured phase times
+    /// in the trace (`wall_phases`), the only other thing the two differ in.
+    Local {
+        exec: ThreadedExecutor,
+        wall_phases: bool,
+    },
     /// Real worker processes/threads over TCP (boxed: the runtime holds
-    /// per-worker channels and is much larger than the other variants).
+    /// per-worker channels and is much larger than the other variant).
     Distributed(Box<DistributedRuntime>),
 }
 
 impl BackendRuntime {
     /// Instantiate `backend`, for one run or for several sharing it.
     pub(crate) fn launch(backend: Backend) -> BackendRuntime {
+        let local = |threads, wall_phases| BackendRuntime::Local {
+            exec: ThreadedExecutor::new(threads),
+            wall_phases,
+        };
         match backend {
-            Backend::InProcess => BackendRuntime::InProcess,
-            Backend::Threaded { threads } => {
-                BackendRuntime::Threaded(ThreadedExecutor::new(threads))
-            }
+            Backend::InProcess => local(1, false),
+            Backend::Threaded { threads } => local(threads, true),
             Backend::Distributed { workers, base_port } => {
                 let rt = DistributedRuntime::launch(DistributedOptions::new(workers, base_port))
                     .expect("failed to launch distributed workers");
@@ -97,7 +103,7 @@ impl BackendRuntime {
     /// Execute `batch`, returning its output, virtual stage times, and how
     /// many worker losses were survived on the way.
     ///
-    /// All three arms produce bit-identical outputs and virtual
+    /// Both arms produce bit-identical outputs and virtual
     /// [`StageTimes`] given the same plan and assigner state: each reports
     /// raw [`BucketStats`](crate::stage::BucketStats), which
     /// [`times_from_view`] costs once, after the dispatch.
@@ -123,13 +129,12 @@ impl BackendRuntime {
         let (view, job, r) = (batch.view, batch.job, batch.r);
         let mut losses = 0;
         let (output, stats) = match self {
-            BackendRuntime::InProcess => {
-                execute_view(view, job, assigners.assigner_for(batch.seq), r, trace)
-            }
-            BackendRuntime::Threaded(exec) => {
-                let trace = trace.map(|rec| (rec, batch.tseq));
+            BackendRuntime::Local { exec, wall_phases } => {
                 let assigner = assigners.assigner_for(batch.seq);
-                let (output, stats, _wall) = exec.execute_core(view, job, assigner, r, trace);
+                let (output, stats, wall) = exec.execute_view(view, job, assigner, r, trace);
+                if let Some(rec) = trace.filter(|_| *wall_phases) {
+                    wall.record(rec, batch.tseq);
+                }
                 (output, stats)
             }
             BackendRuntime::Distributed(rt) => loop {
@@ -262,7 +267,8 @@ mod tests {
         );
         assert_eq!(backend.shutdown().expect("fleet stats").workers_lost, 1);
         // Off the distributed backend the driver's store is the only copy.
-        let local = BackendRuntime::InProcess.push_state((0, 0), &shards, &rec, None);
+        let local =
+            BackendRuntime::launch(Backend::InProcess).push_state((0, 0), &shards, &rec, None);
         assert_eq!(local, 0);
     }
 }

@@ -33,12 +33,15 @@ pub enum OverheadMode {
 /// without changing their numbers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Serial in-process execution (`stage::execute_batch`). The default.
+    /// In-process execution on the calling thread: the local executor
+    /// (`threaded`) at one thread, spawning nothing. The default.
     #[default]
     InProcess,
-    /// OS-thread parallel execution in this process (`threaded`).
+    /// The same executor with its Map and Reduce phases on OS threads; also
+    /// records the measured Map / scatter / Reduce wall times as trace
+    /// phases.
     Threaded {
-        /// Worker threads for the Map, scatter and Reduce phases.
+        /// Threads for the Map and Reduce phases (the shuffle is serial).
         threads: usize,
     },
     /// Multi-process execution over the TCP runtime (`net`): tasks run on

@@ -134,6 +134,96 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Where this run and `other` first differ, or `None` when they are the
+    /// same run: every answer (`windows` and `stateful` emissions, by bits)
+    /// and every decision (all [`BatchRecord`] fields — plans, virtual times,
+    /// `w` by bits, techniques —, `scale_events`, `backpressure`,
+    /// `policy_decisions` with scores by bits, `migrations`, `state`).
+    ///
+    /// Not compared, because they are the cost of getting there rather than
+    /// where the run got: [`RunResult::net`], [`RunResult::recoveries`],
+    /// [`RunResult::worker_losses`] and `state.max_retained_{tuples,batches}`
+    /// (a lost worker or a deeper pipeline changes those and nothing else).
+    pub fn first_difference(&self, other: &RunResult) -> Option<String> {
+        // Returns the difference out of `first_difference`.
+        macro_rules! same {
+            ($a:expr, $b:expr, $($what:tt)+) => {
+                if $a != $b {
+                    let what = format!($($what)+);
+                    return Some(format!("{what}: {:?} != {:?}", $a, $b));
+                }
+            };
+        }
+        same!(self.batches.len(), other.batches.len(), "batches");
+        for (a, b) in self.batches.iter().zip(&other.batches) {
+            macro_rules! same_fields {
+                ($($field:ident),+) => {
+                    $(same!(a.$field, b.$field, "batch {} {}", a.seq, stringify!($field));)+
+                };
+            }
+            same_fields!(
+                seq,
+                n_tuples,
+                n_keys,
+                map_tasks,
+                reduce_tasks,
+                partition_overhead,
+                visible_overhead,
+                map_stage,
+                reduce_stage,
+                processing,
+                queue_delay,
+                latency,
+                map_task_times,
+                reduce_task_times,
+                plan_metrics,
+                technique
+            );
+            same!(a.w.to_bits(), b.w.to_bits(), "batch {} W (bits)", a.seq);
+        }
+        for (what, a, b) in [
+            ("windows", &self.windows, &other.windows),
+            ("stateful emissions", &self.stateful, &other.stateful),
+        ] {
+            same!(a.len(), b.len(), "{what}");
+            for (i, (a, b)) in a.iter().zip(b).enumerate() {
+                same!(a.last_batch_seq, b.last_batch_seq, "{what}[{i}] last batch");
+                let at = format!("{what}[{i}] (at batch {})", a.last_batch_seq);
+                same!(a.aggregates.len(), b.aggregates.len(), "{at} keys");
+                for (key, v) in &a.aggregates {
+                    let theirs = b.aggregates.get(key).map(|v| v.to_bits());
+                    same!(Some(v.to_bits()), theirs, "{at} {key:?} (bits)");
+                }
+            }
+        }
+        same!(self.scale_events, other.scale_events, "scale events");
+        same!(self.backpressure, other.backpressure, "backpressure");
+        same!(self.migrations, other.migrations, "migrations");
+        let decisions = |run: &RunResult| -> Vec<_> {
+            let log = run.policy_decisions.iter();
+            log.map(|d| {
+                let scores: Vec<_> = d.scores.iter().map(|&(t, s)| (t, s.to_bits())).collect();
+                (d.seq, d.technique, d.prev, d.switched, scores)
+            })
+            .collect()
+        };
+        same!(
+            decisions(self),
+            decisions(other),
+            "policy decisions (seq, technique, prev, switched, score bits)"
+        );
+        // The high-water marks follow the pipeline depth, not the answers.
+        let durable = |state: Option<StateStats>| {
+            state.map(|s| StateStats {
+                max_retained_tuples: 0,
+                max_retained_batches: 0,
+                ..s
+            })
+        };
+        same!(durable(self.state), durable(other.state), "state");
+        None
+    }
+
     /// Mean of a per-batch scalar over the second half of the run (warm-up
     /// excluded, matching the paper's methodology §7).
     pub fn steady_state_mean(&self, f: impl Fn(&BatchRecord) -> f64) -> f64 {
@@ -1711,6 +1801,75 @@ mod tests {
             .map(|(name, ..)| name)
             .collect();
         assert_eq!(waits, ["fn pump_event"], "fns awaiting a state ack");
+    }
+
+    /// Shape guard for the local execution path (DESIGN §4): `InProcess` is
+    /// `Threaded` at one thread, so there is one local executor — the only
+    /// function outside `net/` that strings Map, assign and Reduce together —
+    /// behind one `BackendRuntime` variant, and index-parallel loops go
+    /// through the one fan-out primitive (`prompt_core::par`) instead of
+    /// spawning their own scoped threads.
+    #[test]
+    fn engine_shape_one_local_executor_one_fan_out() {
+        fn production(src: &str) -> String {
+            let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            lines.collect::<Vec<_>>().join("\n")
+        }
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let (mut engine, mut core) = (Vec::new(), Vec::new());
+        sources_under(&manifest.join("src"), &mut engine);
+        sources_under(&manifest.join("../core/src"), &mut core);
+        assert!(engine.len() > 20 && core.len() > 20, "scanner broken?");
+
+        for (file, src) in [
+            ("stage.rs", include_str!("stage.rs")),
+            ("threaded.rs", include_str!("threaded.rs")),
+            ("backend.rs", include_str!("backend.rs")),
+        ] {
+            let hand_rolled = production(src).contains("thread::scope");
+            assert!(!hand_rolled, "{file}: a fan-out of its own");
+        }
+        let in_core: Vec<&str> = (core.iter())
+            .flat_map(|(f, src)| vec![f.as_str(); production(src).matches("thread::scope").count()])
+            .collect();
+        assert_eq!(in_core.len(), 2, "scoped-thread sites in core: {in_core:?}");
+        assert!(in_core[0].ends_with("par.rs") || in_core[1].ends_with("par.rs"));
+        assert!(in_core[0].ends_with("sharded.rs") || in_core[1].ends_with("sharded.rs"));
+
+        let mut executors = Vec::new();
+        for (file, src) in engine.iter().filter(|(f, _)| !f.contains("/net/")) {
+            let src = production(src);
+            if !src.contains("assign_block(") {
+                continue;
+            }
+            for (name, _, body) in functions_of(file, &src) {
+                let calls = |callee: &str| body.iter().any(|l| l.contains(callee));
+                if calls("map_block(") && calls("assign_block(") && calls("merge_bucket(") {
+                    executors.push(format!("{file}: {name}"));
+                }
+            }
+        }
+        assert_eq!(executors.len(), 1, "Map → assign → Reduce in {executors:?}");
+        assert!(
+            executors[0].ends_with("threaded.rs: fn execute_view"),
+            "{executors:?}"
+        );
+
+        let backend = production(include_str!("backend.rs"));
+        let variants = (backend.lines())
+            .skip_while(|l| !l.contains("enum BackendRuntime {"))
+            .take_while(|l| *l != "}")
+            .filter(|l| l.starts_with("    ") && l[4..].starts_with(char::is_uppercase))
+            .count();
+        assert_eq!(variants, 2, "BackendRuntime variants");
+        let fns = functions_of("backend.rs", &backend);
+        let (_, _, execute) = (fns.iter())
+            .find(|(name, ..)| name.starts_with("fn execute"))
+            .expect("BackendRuntime::execute");
+        let arms = execute
+            .iter()
+            .filter(|l| l.trim_start().starts_with("BackendRuntime::") && l.contains("=>"));
+        assert_eq!(arms.count(), 2, "one `execute` arm per variant");
     }
 
     /// `BatchRecord::n_keys` comes from the plan's fragment lists (`total_keys`)

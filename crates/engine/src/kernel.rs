@@ -8,9 +8,9 @@
 //! [`PlanView`] answers them for either layout (a sixth, each block's
 //! fragment list, is all that metrics, the policy and the rebalancer read).
 //! Everything downstream of the Map fold sees only [`ClusterList`]s, so the
-//! serial simulator ([`crate::stage`]), the thread pool
-//! ([`crate::threaded`]) and the worker fleet ([`crate::net`]) share
-//! [`assign_block`] and [`merge_bucket`] verbatim and cannot diverge by
+//! two executors — the local one ([`crate::threaded`], one thread for
+//! `InProcess`, `n` for `Threaded`) and the worker fleet ([`crate::net`]) —
+//! share [`assign_block`] and [`merge_bucket`] verbatim and cannot diverge by
 //! layout or by backend.
 
 use prompt_core::batch::{DataBlock, KeyFragment, PartitionPlan};
@@ -277,7 +277,7 @@ mod tests {
     use crate::cluster::Cluster;
     use crate::cost::CostModel;
     use crate::net::{DistributedOptions, DistributedRuntime, LaunchMode};
-    use crate::stage::{execute_view, times_from_view, StageTimes};
+    use crate::stage::{times_from_view, StageTimes};
     use crate::threaded::ThreadedExecutor;
     use crate::trace::TraceLevel;
     use prompt_core::batch::MicroBatch;
@@ -338,10 +338,10 @@ mod tests {
         }
     }
 
-    /// One plan, as `Rows` and as `Columns`, through every backend: the
-    /// serial executor, the thread pool at 1/2/3 threads and a thread-mode
-    /// worker fleet must agree on every aggregate bit, every bucket's
-    /// statistics, the stage times and the shuffle counters.
+    /// One plan, as `Rows` and as `Columns`, through every backend: the local
+    /// executor at 1 (`InProcess`), 2 and 3 threads and a thread-mode worker
+    /// fleet must agree on every aggregate bit, every bucket's statistics,
+    /// the stage times and the shuffle counters.
     #[test]
     fn every_backend_agrees_on_every_layout() {
         struct Case {
@@ -434,27 +434,23 @@ mod tests {
                 .build(5)
                 .partition(&batch(&case.spec), case.p);
             let cols = ColumnarPlan::from_row_plan(&rows);
-            let reference = outcome(PlanView::Rows(&rows), |assigner, trace| {
-                execute_view(PlanView::Rows(&rows), job, assigner, *r, trace)
-            });
+            let local = |view: PlanView<'_>, threads: usize| {
+                outcome(view, |assigner, trace| {
+                    let (output, stats, _wall) =
+                        ThreadedExecutor::new(threads).execute_view(view, job, assigner, *r, trace);
+                    (output, stats)
+                })
+            };
+            let reference = local(PlanView::Rows(&rows), 1);
             (case.check)(&rows, &reference);
             for (layout, view) in [
                 ("rows", PlanView::Rows(&rows)),
                 ("columns", PlanView::Columns(&cols)),
             ] {
-                let serial = outcome(view, |assigner, trace| {
-                    execute_view(view, job, assigner, *r, trace)
-                });
-                assert_eq!(serial, reference, "{name}: serial over {layout}");
                 for threads in [1, 2, 3] {
-                    let threaded = outcome(view, |assigner, trace| {
-                        let trace = trace.map(|rec| (rec, 0));
-                        let (output, stats, _wall) = ThreadedExecutor::new(threads)
-                            .execute_core(view, job, assigner, *r, trace);
-                        (output, stats)
-                    });
                     assert_eq!(
-                        threaded, reference,
+                        local(view, threads),
+                        reference,
                         "{name}: {threads} threads over {layout}"
                     );
                 }

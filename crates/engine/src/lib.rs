@@ -13,16 +13,18 @@
 //! the interval delays its successors, and sustained queueing triggers
 //! back-pressure.
 //!
-//! Three execution backends share the same semantics (selected by
-//! [`config::EngineConfig::backend`]) and are **bit-identical** given the
-//! same plan and assigner state:
+//! Three execution backends (selected by
+//! [`config::EngineConfig::backend`]) are built from two executors that
+//! share one Map / assign / Reduce kernel set, and are **bit-identical**
+//! given the same plan and assigner state. Virtual time is the same on all
+//! of them: task times from an explicit [`cost::CostModel`], stage times as
+//! LPT makespans (Eqn. 1 generalised to waves).
 //!
-//! * [`stage::execute_batch`] — the **simulated cluster**: deterministic,
-//!   virtual-time, with task times from an explicit [`cost::CostModel`] and
-//!   stage times as LPT makespans (Eqn. 1 generalised to waves). All
-//!   experiments run here by default.
-//! * [`threaded::ThreadedExecutor`] — a real multi-threaded backend for the
-//!   runnable examples.
+//! * [`threaded::ThreadedExecutor`] — the **local executor**. At one thread
+//!   it is the default `InProcess` backend every experiment runs on
+//!   ([`stage::execute_batch`] is its one-call form): deterministic, inline
+//!   on the calling thread. At `n` threads it is the `Threaded` backend: the
+//!   same code with its Map and Reduce loops fanned out.
 //! * [`net::DistributedRuntime`] — a real multi-*process* backend: tasks run
 //!   on spawned `prompt-worker` processes over a binary TCP protocol, with
 //!   heartbeat failure detection and recompute-from-replica recovery.
@@ -94,8 +96,7 @@ pub mod prelude {
     pub use crate::stats::{percentile_sorted, summarize, Summary};
     pub use crate::straggler::{Stage, StragglerEvent, StragglerPlan};
     pub use crate::tenancy::{
-        fair_makespans, parse_tagged_jsonl, tagged_jsonl, MultiTenantEngine, MultiTenantResult,
-        NoisyNeighbor, TenantRun, TenantSpec,
+        fair_makespans, MultiTenantEngine, MultiTenantResult, NoisyNeighbor, TenantRun, TenantSpec,
     };
     pub use crate::threaded::{ThreadedExecutor, WallTimes};
     pub use crate::trace::{

@@ -647,6 +647,13 @@ impl DistributedRuntime {
         WorkerLoss { worker, detail }
     }
 
+    /// `sender` completed a task of batch `seq` it was never given (or that
+    /// does not exist): nothing it says can be trusted, so it is lost.
+    fn protocol_violation(&mut self, sender: u32, stage: &str, task: u32, seq: u64) -> WorkerLoss {
+        let detail = format!("protocol violation: completed {stage} task {task} of batch {seq}");
+        self.declare_lost(sender, detail)
+    }
+
     /// Remove and return the scripted kills for (`seq`, `point`) so each
     /// fires exactly once even when the batch is re-executed.
     fn take_kills(&mut self, seq: u64, point: FaultPoint) -> Vec<u32> {
@@ -689,8 +696,13 @@ impl DistributedRuntime {
     /// Heartbeats refresh liveness and are consumed here; every failure
     /// signal (reader error of a live worker, heartbeat silence, `overall`
     /// expiring with `label_seq` blamed on the quietest worker) becomes
-    /// `Err(WorkerLoss)`. Anything else is returned to the caller.
-    fn recv_deadline(&mut self, overall: Instant, label_seq: u64) -> Result<Message, WorkerLoss> {
+    /// `Err(WorkerLoss)`. Anything else is returned to the caller, with the
+    /// worker it came from.
+    fn recv_deadline(
+        &mut self,
+        overall: Instant,
+        label_seq: u64,
+    ) -> Result<(u32, Message), WorkerLoss> {
         loop {
             self.check_heartbeats()?;
             let now = Instant::now();
@@ -709,7 +721,7 @@ impl DistributedRuntime {
                     if matches!(msg, Message::Heartbeat { .. }) {
                         continue;
                     }
-                    return Ok(msg);
+                    return Ok((w, msg));
                 }
                 Ok((w, Err(e))) => {
                     let alive = self.slots.get(w as usize).map(|s| s.alive).unwrap_or(false);
@@ -1044,7 +1056,8 @@ impl DistributedRuntime {
             .chain(acks.as_ref().map(|a| (a.deadline, a.seq)))
             .min_by_key(|&(d, _)| d)
             .expect("pump with nothing to wait for");
-        match self.recv_deadline(overall, label_seq)? {
+        let (sender, msg) = self.recv_deadline(overall, label_seq)?;
+        match msg {
             Message::MapComplete {
                 seq,
                 epoch,
@@ -1058,6 +1071,11 @@ impl DistributedRuntime {
                 else {
                     return Ok(()); // stale attempt's reply
                 };
+                // `block_id` is off the wire: only the worker the block was
+                // sent to may report it.
+                if self.inflight[i].block_owner.get(block_id as usize) != Some(&sender) {
+                    return Err(self.protocol_violation(sender, "map", block_id, seq));
+                }
                 {
                     let e = &mut self.inflight[i];
                     let slot = &mut e.clusters[block_id as usize];
@@ -1107,6 +1125,12 @@ impl DistributedRuntime {
                 else {
                     return Ok(()); // stale attempt's reply
                 };
+                // Likewise `bucket`: only the worker the task was sent to.
+                let e = &self.inflight[i];
+                let reducer = e.owners[bucket as usize % e.owners.len()];
+                if bucket as usize >= e.r || reducer != sender {
+                    return Err(self.protocol_violation(sender, "reduce", bucket, seq));
+                }
                 {
                     let e = &mut self.inflight[i];
                     let slot = &mut e.buckets[bucket as usize];
@@ -1565,6 +1589,94 @@ mod tests {
         let (out1, _) = rt.wait_batch(1, &mut assigner, None).expect("retry");
         assert_eq!(out0.len(), 11);
         assert_eq!(out1.len(), 11);
+    }
+
+    /// Counts assigner resolutions (one per batch that makes fresh assigner
+    /// calls) and runs `on_assign` at each — the moment a batch enters its
+    /// Reduce phase.
+    struct CountingAssigners<'a, F: FnMut()> {
+        assigner: &'a mut dyn ReduceAssigner,
+        calls: usize,
+        on_assign: F,
+    }
+
+    impl<F: FnMut()> BatchAssigners for CountingAssigners<'_, F> {
+        fn assigner_for(&mut self, _seq: u64) -> &mut dyn ReduceAssigner {
+            self.calls += 1;
+            (self.on_assign)();
+            &mut *self.assigner
+        }
+    }
+
+    /// Indices and ownership claims read off the wire must not take the
+    /// driver down: a completion for a task that does not exist, or that was
+    /// given to another worker, loses its sender like any other failure.
+    #[test]
+    fn a_completion_for_a_task_the_sender_was_not_given_loses_the_sender() {
+        let spec = JobSpec {
+            map: MapSpec::Identity,
+            reduce: ReduceOp::Count,
+        };
+        // 4 blocks and 3 buckets over 2 workers: worker 0 maps blocks 0 and
+        // 2 and reduces buckets 0 and 2.
+        let plan = small_plan(300, 17, 4);
+        let map = |block_id| Message::MapComplete {
+            seq: 0,
+            epoch: 1,
+            block_id,
+            clusters: vec![(Key(1), 1)],
+        };
+        let reduce = |bucket| Message::ReduceComplete {
+            seq: 0,
+            epoch: 1,
+            bucket,
+            tuples: 1,
+            keys: 1,
+            fragments: 1,
+            aggregates: vec![(Key(1), 1.0)],
+            net: FetchStats::default(),
+        };
+        for (what, forged) in [
+            ("map block out of range", map(99)),
+            ("map block of another worker", map(0)),
+            ("reduce bucket out of range", reduce(99)),
+            ("reduce bucket of another worker", reduce(2)),
+        ] {
+            let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
+            let events = rt._tx.clone();
+            let is_map = matches!(forged, Message::MapComplete { .. });
+            let mut forged = Some((1, Ok(forged)));
+            if is_map {
+                // Ahead of every real completion of the batch.
+                events.send(forged.take().unwrap()).unwrap();
+            }
+            let mut assigner = PromptReduceAllocator::new(7);
+            let mut assigners = CountingAssigners {
+                assigner: &mut assigner,
+                calls: 0,
+                // Ahead of every real ReduceComplete: no task is out yet.
+                on_assign: || {
+                    if let Some(forged) = forged.take() {
+                        events.send(forged).unwrap();
+                    }
+                },
+            };
+            rt.submit_batch(0, 0, &plan, &spec, 3);
+            let loss = rt
+                .wait_batch(0, &mut assigners, None)
+                .expect_err("the forged completion is a protocol violation");
+            assert_eq!(loss.worker, 1, "{what}: {loss}");
+            assert!(loss.detail.contains("protocol violation"), "{what}: {loss}");
+            assert_eq!(rt.workers_alive(), 1, "{what}");
+            // The retry completes on the survivor; a batch assigns once,
+            // whichever attempt got that far.
+            rt.submit_batch(0, 0, &plan, &spec, 3);
+            let (out, stats) = rt.wait_batch(0, &mut assigners, None).expect("retry");
+            assert_eq!(out.len(), 17, "{what}");
+            assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300, "{what}");
+            assert_eq!(assigners.calls, 1, "{what}");
+            assert_eq!(rt.stats().workers_lost, 1, "{what}");
+        }
     }
 
     #[test]

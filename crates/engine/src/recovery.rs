@@ -277,15 +277,6 @@ impl NetFaultPlan {
         self
     }
 
-    /// Worker ids scheduled to die at (`seq`, `point`).
-    pub fn kills_at(&self, seq: u64, point: FaultPoint) -> Vec<u32> {
-        self.kills
-            .iter()
-            .filter(|f| f.seq == seq && f.point == point)
-            .map(|f| f.worker)
-            .collect()
-    }
-
     /// Whether any kill is scheduled.
     pub fn is_empty(&self) -> bool {
         self.kills.is_empty()

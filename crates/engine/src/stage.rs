@@ -1,18 +1,20 @@
-//! Pipeline execution of one micro-batch: the Map stage over data blocks,
-//! the shuffle into Reduce buckets (Algorithm 3 or hashing), and the Reduce
-//! stage — with task times from the [`CostModel`] and stage times as cluster
-//! makespans (Eqn. 1 generalised to wave scheduling).
+//! What executing one micro-batch yields — its per-key output and the
+//! shuffle statistics of its Reduce buckets — and what it costs: task times
+//! from the [`CostModel`], stage times as cluster makespans (Eqn. 1
+//! generalised to wave scheduling). The Map → shuffle → Reduce pipeline itself
+//! is [`crate::threaded`]'s; [`execute_batch`] runs it on the calling thread.
 
 use prompt_core::batch::PartitionPlan;
 use prompt_core::columnar::ColumnarPlan;
 use prompt_core::hash::KeyMap;
 use prompt_core::reduce::ReduceAssigner;
-use prompt_core::types::{Duration, Key};
+use prompt_core::types::Duration;
 
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
 use crate::job::Job;
-use crate::kernel::{assign_block, gather_buckets, merge_bucket, PlanView};
+use crate::kernel::PlanView;
+use crate::threaded::ThreadedExecutor;
 use crate::trace::TraceRecorder;
 
 /// Per-key aggregates produced by one batch (the batch's partial query
@@ -109,9 +111,9 @@ pub(crate) fn times_from_view(
     }
 }
 
-/// Execute a partitioned batch: run `job` over every block (Map), assign the
-/// key clusters to `r` Reduce buckets with `assigner`, aggregate (Reduce),
-/// and cost every task.
+/// Execute a partitioned batch on the calling thread: run `job` over every
+/// block (Map), assign the key clusters to `r` Reduce buckets with `assigner`,
+/// aggregate (Reduce), and cost every task.
 pub fn execute_batch(
     plan: &PartitionPlan,
     job: &Job,
@@ -120,31 +122,16 @@ pub fn execute_batch(
     cost: &CostModel,
     cluster: &Cluster,
 ) -> (BatchOutput, StageTimes) {
-    execute_batch_traced(plan, job, assigner, r, cost, cluster, None)
+    execute_serial(PlanView::Rows(plan), job, assigner, r, cost, cluster, None)
 }
 
-/// [`execute_batch`] that additionally records shuffle statistics — scatter
-/// routings performed and how many of them carried a split key — into the
-/// recorder.
-pub fn execute_batch_traced(
-    plan: &PartitionPlan,
-    job: &Job,
-    assigner: &mut dyn ReduceAssigner,
-    r: usize,
-    cost: &CostModel,
-    cluster: &Cluster,
-    trace: Option<&TraceRecorder>,
-) -> (BatchOutput, StageTimes) {
-    let view = PlanView::Rows(plan);
-    let (output, stats) = execute_view(view, job, assigner, r, trace);
-    (output, times_from_view(view, &stats, cost, cluster))
-}
-
-/// [`execute_batch_traced`] over a columnar plan, without materializing row
-/// blocks. Output and stage times are bit-identical to the row layout on
-/// the plan's row rendering ([`ColumnarPlan::to_row_plan`]) — same fold
-/// order, same assigner call sequence, same cost inputs — gated by the
-/// `columnar_differential` suite.
+/// [`execute_batch`] over a columnar plan, without materializing row blocks,
+/// that additionally records shuffle statistics — scatter routings performed
+/// and how many of them carried a split key — into the recorder. Output and
+/// stage times are bit-identical to the row layout on the plan's row
+/// rendering ([`ColumnarPlan::to_row_plan`]) — same fold order, same assigner
+/// call sequence, same cost inputs — gated by the `columnar_differential`
+/// suite.
 pub fn execute_columnar_traced(
     plan: &ColumnarPlan,
     job: &Job,
@@ -154,37 +141,30 @@ pub fn execute_columnar_traced(
     cluster: &Cluster,
     trace: Option<&TraceRecorder>,
 ) -> (BatchOutput, StageTimes) {
-    let view = PlanView::Columns(plan);
-    let (output, stats) = execute_view(view, job, assigner, r, trace);
-    (output, times_from_view(view, &stats, cost, cluster))
+    execute_serial(
+        PlanView::Columns(plan),
+        job,
+        assigner,
+        r,
+        cost,
+        cluster,
+        trace,
+    )
 }
 
-/// The serial executor: per block, Map ([`PlanView::map_block`]) then
-/// shuffle-assign ([`assign_block`]) its clusters into the Reduce buckets;
-/// then Reduce every bucket ([`merge_bucket`]). Runs inline on the calling
-/// thread.
-pub(crate) fn execute_view(
+/// The local executor ([`ThreadedExecutor`]) at one thread, costed.
+fn execute_serial(
     view: PlanView<'_>,
     job: &Job,
     assigner: &mut dyn ReduceAssigner,
     r: usize,
+    cost: &CostModel,
+    cluster: &Cluster,
     trace: Option<&TraceRecorder>,
-) -> (BatchOutput, Vec<BucketStats>) {
-    assert!(r > 0, "need at least one reduce task");
-    let mut buckets: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
-    for i in 0..view.n_blocks() {
-        let ordered = view.map_block(i, job);
-        let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
-        let assignment = assign_block(clusters, view.split_keys(), assigner, r, trace);
-        for (&(key, (value, n)), &bucket) in ordered.iter().zip(&assignment) {
-            buckets[bucket].push((key, value, n));
-        }
-    }
-    gather_buckets(
-        buckets
-            .into_iter()
-            .map(|items| merge_bucket(items, job.reduce)),
-    )
+) -> (BatchOutput, StageTimes) {
+    let (output, stats, _wall) =
+        ThreadedExecutor::new(1).execute_view(view, job, assigner, r, trace);
+    (output, times_from_view(view, &stats, cost, cluster))
 }
 
 #[cfg(test)]
@@ -194,7 +174,7 @@ mod tests {
     use prompt_core::batch::MicroBatch;
     use prompt_core::partitioner::Technique;
     use prompt_core::reduce::{HashReduceAssigner, PromptReduceAllocator};
-    use prompt_core::types::{Interval, Time, Tuple};
+    use prompt_core::types::{Interval, Key, Time, Tuple};
 
     fn batch(spec: &[(u64, usize)]) -> MicroBatch {
         let iv = Interval::new(Time::ZERO, Time::from_secs(1));
@@ -352,8 +332,8 @@ mod tests {
         assert!(!plan.split_keys.is_empty(), "test needs a split key");
         let job = Job::identity("sum", ReduceOp::Sum);
         let rec = TraceRecorder::new(TraceLevel::Summary);
-        let (out, _) = execute_batch_traced(
-            &plan,
+        let (out, _) = execute_columnar_traced(
+            &ColumnarPlan::from_row_plan(&plan),
             &job,
             &mut PromptReduceAllocator::new(0),
             2,

@@ -30,7 +30,7 @@ use crate::window::{WindowResult, WindowSpec};
 pub const STATE_SHARD_SEED: u64 = 0x5354_4154_4553_4844; // "STATESHD"
 
 /// One batch's contribution to one shard: the per-key mapped aggregates,
-/// sorted by key (canonical order, like `put_plan`'s split keys).
+/// sorted by key (the canonical order: map iteration order is not).
 pub type Pane = Vec<(Key, f64)>;
 
 /// One state shard: the running aggregates and in-window panes for the keys

@@ -40,13 +40,13 @@ use crate::policy::PolicySpec;
 use crate::rebalance::ForcedMigrations;
 use crate::source::TupleSource;
 use crate::stage::StageTimes;
-use crate::trace::{TraceEvent, TraceRecorder};
+use crate::trace::TraceRecorder;
 use crate::window::{WindowResult, WindowSpec};
 
 /// One tenant job in a shared-cluster run.
 pub struct TenantSpec {
-    /// Tenant name, unique within an engine (used to tag trace lines; must
-    /// not contain `"`, `\\` or control characters).
+    /// Tenant name, unique within an engine: what its [`TenantRun`] is
+    /// reported under.
     pub name: String,
     /// Batching technique (paired with its natural reduce strategy).
     pub technique: Technique,
@@ -143,7 +143,7 @@ pub struct TenantRun {
     /// Per-batch slot-contention penalty: how much longer the tenant's
     /// stages took under sharing than they would have alone (LPT).
     pub slot_waits: Vec<Duration>,
-    /// The tenant's trace (tag with [`tagged_jsonl`] before merging).
+    /// The tenant's trace.
     pub trace: TraceRecorder,
 }
 
@@ -151,53 +151,6 @@ pub struct TenantRun {
 pub struct MultiTenantResult {
     /// One entry per tenant, in spec order.
     pub tenants: Vec<TenantRun>,
-}
-
-impl MultiTenantResult {
-    /// All tenants' traces merged into one tenant-tagged JSONL stream.
-    pub fn tagged_trace_jsonl(&self) -> String {
-        let mut out = String::new();
-        for t in &self.tenants {
-            out.push_str(&tagged_jsonl(&t.name, &t.trace));
-        }
-        out
-    }
-}
-
-/// Render a tenant's trace as JSONL with `"tenant":"name"` injected as the
-/// first field of every line, so merged multi-tenant streams stay
-/// attributable. Round-trips through [`parse_tagged_jsonl`].
-pub fn tagged_jsonl(name: &str, rec: &TraceRecorder) -> String {
-    let mut out = String::new();
-    for line in rec.to_jsonl().lines() {
-        let rest = line.strip_prefix('{').expect("trace lines are objects");
-        out.push_str(&format!("{{\"tenant\":\"{name}\",{rest}\n"));
-    }
-    out
-}
-
-/// Parse a tenant-tagged JSONL stream back into `(tenant, event)` pairs.
-pub fn parse_tagged_jsonl(text: &str) -> Result<Vec<(String, TraceEvent)>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let rest = line
-            .strip_prefix("{\"tenant\":\"")
-            .ok_or_else(|| format!("line {}: missing tenant tag", i + 1))?;
-        let (name, event_rest) = rest
-            .split_once("\",")
-            .ok_or_else(|| format!("line {}: malformed tenant tag", i + 1))?;
-        let events = crate::trace::parse_jsonl(&format!("{{{event_rest}"))?;
-        let event = events
-            .into_iter()
-            .next()
-            .ok_or_else(|| format!("line {}: empty event", i + 1))?;
-        out.push((name.to_string(), event));
-    }
-    Ok(out)
 }
 
 /// Weighted-fair slot scheduling for one stage: every tenant's tasks are
@@ -288,20 +241,9 @@ impl MultiTenantEngine {
         };
         let mut seen = HashSet::new();
         for spec in tenants {
-            // The trace JSONL format has no string escapes, so a name that
-            // needs one would produce a tagged stream `parse_tagged_jsonl`
-            // cannot read back; two tenants under one name would merge.
-            assert!(
-                !spec
-                    .name
-                    .contains(|c: char| c == '"' || c == '\\' || c.is_control()),
-                "tenant name {:?} cannot tag a trace line: quotes, backslashes and control \
-                 characters have no escape in the trace JSONL format",
-                spec.name
-            );
             assert!(
                 seen.insert(spec.name.clone()),
-                "duplicate tenant name {:?}: merged traces could not tell the tenants apart",
+                "duplicate tenant name {:?}: results could not tell the tenants apart",
                 spec.name
             );
             // Tenant batches commit jointly at each heartbeat — the shared
@@ -433,7 +375,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::driver::StreamingEngine;
     use crate::job::ReduceOp;
-    use crate::trace::TraceLevel;
+    use crate::trace::{TraceEvent, TraceLevel};
     use prompt_core::types::{Interval, Key, Time, Tuple};
 
     fn const_source(rate: usize, keys: u64, phase: u64) -> Box<dyn TupleSource> {
@@ -595,19 +537,6 @@ mod tests {
                 assert_eq!(a.plan_metrics, b.plan_metrics, "tenant {i} batch {}", a.seq);
             }
             assert_windows_bit_identical(&t.windows, &solo.windows);
-        }
-    }
-
-    #[test]
-    fn names_the_trace_format_cannot_carry_are_refused() {
-        for bad in ["a\"b", "a\\", "a\",\"x", "a\nb"] {
-            let err = std::panic::catch_unwind(|| {
-                MultiTenantEngine::new(cfg(), vec![tenant(bad, Technique::Hash, 1)])
-            })
-            .err()
-            .unwrap_or_else(|| panic!("tenant name {bad:?} must be refused"));
-            let msg = err.downcast_ref::<String>().expect("formatted panic");
-            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
         }
     }
 
@@ -790,28 +719,5 @@ mod tests {
             let fair = fair_makespans(&[(1, tasks.clone())], 2)[0];
             assert_eq!(fair, crate::cluster::makespan_on_slots(&tasks, 2));
         }
-    }
-
-    #[test]
-    fn tagged_trace_roundtrip() {
-        let mut c = cfg();
-        c.trace = TraceLevel::Full;
-        let mut multi = MultiTenantEngine::new(
-            c,
-            vec![
-                tenant("alpha", Technique::Prompt, 1),
-                tenant("beta", Technique::Hash, 2),
-            ],
-        );
-        let res = multi.run(&mut [const_source(200, 8, 0), const_source(200, 8, 2)], 3);
-        let jsonl = res.tagged_trace_jsonl();
-        let parsed = parse_tagged_jsonl(&jsonl).expect("round-trip");
-        assert!(!parsed.is_empty());
-        let names: std::collections::HashSet<&str> =
-            parsed.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains("alpha") && names.contains("beta"));
-        // Tagged totals match per-tenant event counts.
-        let total: usize = res.tenants.iter().map(|t| t.trace.events().len()).sum();
-        assert_eq!(parsed.len(), total);
     }
 }

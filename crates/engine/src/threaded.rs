@@ -1,49 +1,45 @@
-//! A real multi-threaded execution backend.
+//! The local executor: one micro-batch through Map → shuffle → Reduce inside
+//! this process, on one thread or on many.
 //!
-//! The simulated cluster (`stage::execute_batch`) is what the experiments
-//! use — it is deterministic and models task times explicitly. This module
-//! is the complementary "it actually runs in parallel" backend: Map tasks
-//! execute concurrently on OS threads (`std::thread::scope`), the shuffle
-//! applies the same [`ReduceAssigner`] logic, and Reduce tasks execute
-//! concurrently too. Wall-clock stage times are reported, so the examples
-//! can demonstrate real speedups from balanced partitioning.
+//! The paper's processing phase has one shape (§2.1, Eqn. 1): Map tasks over
+//! the `p` blocks in parallel, Algorithm 3 routing every Map output to a
+//! Reduce bucket, Reduce tasks over the `r` buckets in parallel.
+//! [`ThreadedExecutor`] is that shape, once, for both local backends:
+//! `Backend::InProcess` runs it with one thread — nothing is spawned, every
+//! phase is a loop on the calling thread — and `Backend::Threaded` with `n`
+//! ([`map_indexed`] fans the two parallel phases out). Virtual task times come
+//! from the [`crate::cost::CostModel`] either way; the wall-clock time of
+//! each phase is reported beside the output, so the examples can show real
+//! speedups from balanced partitioning.
 //!
-//! No locks anywhere on the hot path: every phase hands each worker an
-//! owned, disjoint slice of the work and collects the results through the
-//! join handles.
-//!
-//! * **Map** — workers claim block indices from an atomic counter and return
-//!   their `(index, clusters)` pairs.
-//! * **Shuffle** — cluster→bucket *assignment* stays serial because
-//!   Algorithm 3's allocator is stateful (its running bucket loads must see
-//!   map outputs in a deterministic order), but it only touches compact
-//!   `KeyCluster` descriptors. The *scatter* of the actual data is
-//!   parallelised by striping bucket ownership across workers
-//!   (`bucket % workers == w`), so no two threads ever write the same
-//!   bucket and the per-bucket content order (map-output order, then
-//!   within-output key order) is identical to the old serial loop.
-//! * **Reduce** — workers claim buckets from an atomic counter and return
-//!   per-bucket aggregate maps.
+//! * **Map** — one [`PlanView::map_block`] per block, in parallel.
+//! * **Shuffle** — serial, on the calling thread: Algorithm 3's allocator is
+//!   stateful (its running bucket loads must see map outputs in block
+//!   order), and pushing a block's clusters into their buckets right behind
+//!   its assignment is a fraction of a millisecond — less than spawning a
+//!   thread round for it (a bucket-striped parallel scatter stood here and
+//!   was slower on every benchmark workload, ROADMAP § measurement).
+//! * **Reduce** — one [`merge_bucket`] per bucket, in parallel; every bucket
+//!   was filled in block order then key order, whatever the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::hash::KeyMap;
+use prompt_core::par::map_indexed;
 use prompt_core::reduce::ReduceAssigner;
-use prompt_core::types::Key;
+use prompt_core::types::{Duration, Key};
 
 use crate::job::Job;
-use crate::kernel::{assign_block, gather_buckets, merge_bucket, ClusterList, PlanView};
+use crate::kernel::{assign_block, gather_buckets, merge_bucket, PlanView};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{StageKind, TraceRecorder};
 
-/// Wall-clock timings of a threaded batch execution.
+/// Wall-clock timings of one locally executed batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WallTimes {
     /// Wall time of the parallel Map phase.
     pub map: std::time::Duration,
-    /// Wall time of the shuffle (serial assignment + parallel scatter).
+    /// Wall time of the serial shuffle (Algorithm 3 assignment + scatter).
     pub shuffle: std::time::Duration,
     /// Wall time of the parallel Reduce phase.
     pub reduce: std::time::Duration,
@@ -54,12 +50,24 @@ impl WallTimes {
     pub fn total(&self) -> std::time::Duration {
         self.map + self.shuffle + self.reduce
     }
+
+    /// Record the three measurements as wall-clock phases of batch `seq`,
+    /// in execution order.
+    pub(crate) fn record(&self, rec: &TraceRecorder, seq: u64) {
+        for (kind, wall) in [
+            (StageKind::MapStage, self.map),
+            (StageKind::Scatter, self.shuffle),
+            (StageKind::ReduceStage, self.reduce),
+        ] {
+            rec.phase(seq, kind, Duration::from_micros(wall.as_micros() as u64));
+        }
+    }
 }
 
-/// A thread-pool-of-`threads` executor.
+/// The local executor at a fixed thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadedExecutor {
-    /// Worker threads for the Map, shuffle-scatter and Reduce phases.
+    /// Threads the Map and Reduce phases run on (1 = the calling thread).
     pub threads: usize,
 }
 
@@ -79,30 +87,16 @@ impl ThreadedExecutor {
         assigner: &mut dyn ReduceAssigner,
         r: usize,
     ) -> (BatchOutput, WallTimes) {
-        self.execute_traced(plan, job, assigner, r, None)
-    }
-
-    /// [`ThreadedExecutor::execute`] that additionally records the measured
-    /// Map / scatter / Reduce wall times as phase events of batch `seq`.
-    /// The recorder is shared by reference and all its recording methods
-    /// take `&self`, so worker threads could record into it concurrently;
-    /// here the phases are stamped after each parallel section completes.
-    pub fn execute_traced(
-        &self,
-        plan: &PartitionPlan,
-        job: &Job,
-        assigner: &mut dyn ReduceAssigner,
-        r: usize,
-        trace: Option<(&TraceRecorder, u64)>,
-    ) -> (BatchOutput, WallTimes) {
-        let (out, _, times) = self.execute_with_stats(plan, job, assigner, r, trace);
+        let (out, _, times) = self.execute_with_stats(plan, job, assigner, r, None);
         (out, times)
     }
 
-    /// [`ThreadedExecutor::execute_traced`] that additionally reports the
+    /// [`ThreadedExecutor::execute`] that additionally reports the
     /// per-bucket shuffle statistics, so a driver can cost the batch with
-    /// the same [`crate::cost::CostModel`] quantities the serial simulator
-    /// uses (see [`crate::stage::times_from_stats`]).
+    /// the same [`crate::cost::CostModel`] quantities every backend uses
+    /// (see [`crate::stage::times_from_stats`]), and records the shuffle
+    /// counters and the three wall times (as phases of batch `seq`) into
+    /// `trace = (recorder, seq)`.
     pub fn execute_with_stats(
         &self,
         plan: &PartitionPlan,
@@ -111,168 +105,54 @@ impl ThreadedExecutor {
         r: usize,
         trace: Option<(&TraceRecorder, u64)>,
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
-        self.execute_core(PlanView::Rows(plan), job, assigner, r, trace)
+        let rec = trace.map(|(rec, _)| rec);
+        let (output, stats, times) = self.execute_view(PlanView::Rows(plan), job, assigner, r, rec);
+        if let Some((rec, seq)) = trace {
+            times.record(rec, seq);
+        }
+        (output, stats, times)
     }
 
-    /// The three-phase executor behind every entry point. Only the Map phase
-    /// reads the plan; everything after it sees cluster lists, so the two
-    /// layouts cannot diverge downstream of the fold.
-    pub(crate) fn execute_core(
+    /// The executor behind every local entry point. Only the Map phase reads
+    /// the plan; everything after it sees cluster lists, so the two layouts
+    /// cannot diverge downstream of the fold. `trace` receives the shuffle
+    /// counters; stamping the returned wall times is the caller's choice.
+    pub(crate) fn execute_view(
         &self,
         view: PlanView<'_>,
         job: &Job,
         assigner: &mut dyn ReduceAssigner,
         r: usize,
-        trace: Option<(&TraceRecorder, u64)>,
+        trace: Option<&TraceRecorder>,
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
         assert!(r > 0, "need at least one reduce bucket");
-        let n_blocks = view.n_blocks();
-        let mut times = WallTimes::default();
-
-        // --- Parallel Map: one cluster list per block. ---
         let t0 = Instant::now();
-        let map_outputs = {
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<ClusterList>> = Vec::new();
-            slots.resize_with(n_blocks, || None);
-            std::thread::scope(|scope| {
-                let workers = self.threads.min(n_blocks.max(1));
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut local: Vec<(usize, ClusterList)> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n_blocks {
-                                    break;
-                                }
-                                local.push((i, view.map_block(i, job)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, out) in h.join().expect("map worker panicked") {
-                        slots[i] = Some(out);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|o| o.expect("every block mapped"))
-                .collect::<Vec<ClusterList>>()
-        };
-        times.map = t0.elapsed();
-        if let Some((rec, seq)) = trace {
-            rec.phase(seq, StageKind::MapStage, wall(times.map));
-        }
+        let map_outputs = map_indexed(view.n_blocks(), self.threads, |i| view.map_block(i, job));
+        let map = t0.elapsed();
 
-        // --- Shuffle: serial assignment, parallel scatter. ---
         let t1 = Instant::now();
-        // Assignment must stay serial: Algorithm 3's allocator carries
-        // running bucket loads across calls, so map outputs are presented in
-        // block order exactly as the simulated path does.
-        let rec = trace.map(|(rec, _)| rec);
-        let assignments: Vec<Vec<usize>> = map_outputs
-            .iter()
-            .map(|ordered| {
-                let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
-                assign_block(clusters, view.split_keys(), assigner, r, rec)
-            })
-            .collect();
-        // Scatter: worker `w` owns buckets `b` with `b % workers == w`, so
-        // writes are disjoint and each bucket is filled in the same order a
-        // serial loop would fill it.
-        let buckets: Vec<Vec<(Key, f64, usize)>> = {
-            let workers = self.threads.min(r);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let map_outputs = &map_outputs;
-                        let assignments = &assignments;
-                        scope.spawn(move || {
-                            let owned = (r - w).div_ceil(workers);
-                            let mut mine: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); owned];
-                            for (ordered, assignment) in map_outputs.iter().zip(assignments) {
-                                for (&(key, (value, n)), &b) in ordered.iter().zip(assignment) {
-                                    if b % workers == w {
-                                        mine[b / workers].push((key, value, n));
-                                    }
-                                }
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                let mut buckets: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
-                for (w, h) in handles.into_iter().enumerate() {
-                    for (j, filled) in h
-                        .join()
-                        .expect("scatter worker panicked")
-                        .into_iter()
-                        .enumerate()
-                    {
-                        buckets[w + j * workers] = filled;
-                    }
-                }
-                buckets
-            })
-        };
-        times.shuffle = t1.elapsed();
-        if let Some((rec, seq)) = trace {
-            rec.phase(seq, StageKind::Scatter, wall(times.shuffle));
-        }
-
-        // --- Parallel Reduce: merge partials per bucket. ---
-        let t2 = Instant::now();
-        let next_bucket = AtomicUsize::new(0);
-        let mut reduced: Vec<Option<(KeyMap<f64>, BucketStats)>> = Vec::new();
-        reduced.resize_with(r, || None);
-        std::thread::scope(|scope| {
-            let workers = self.threads.min(r);
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let buckets = &buckets;
-                    let next_bucket = &next_bucket;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, (KeyMap<f64>, BucketStats))> = Vec::new();
-                        loop {
-                            let b = next_bucket.fetch_add(1, Ordering::Relaxed);
-                            if b >= r {
-                                break;
-                            }
-                            let items = buckets[b].iter().copied();
-                            local.push((b, merge_bucket(items, job.reduce)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (b, acc) in h.join().expect("reduce worker panicked") {
-                    reduced[b] = Some(acc);
-                }
+        let mut buckets: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
+        for ordered in map_outputs {
+            let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
+            let assignment = assign_block(clusters, view.split_keys(), assigner, r, trace);
+            for (&(key, (value, n)), &bucket) in ordered.iter().zip(&assignment) {
+                buckets[bucket].push((key, value, n));
             }
-        });
-        let (output, stats) = gather_buckets(
-            reduced
-                .into_iter()
-                .map(|o| o.expect("every bucket reduced")),
-        );
-        times.reduce = t2.elapsed();
-        if let Some((rec, seq)) = trace {
-            rec.phase(seq, StageKind::ReduceStage, wall(times.reduce));
         }
+        let shuffle = t1.elapsed();
 
+        let t2 = Instant::now();
+        let (output, stats) = gather_buckets(map_indexed(r, self.threads, |b| {
+            merge_bucket(buckets[b].iter().copied(), job.reduce)
+        }));
+        let reduce = t2.elapsed();
+        let times = WallTimes {
+            map,
+            shuffle,
+            reduce,
+        };
         (output, stats, times)
     }
-}
-
-/// Convert a wall-clock duration into the trace's µs representation.
-fn wall(d: std::time::Duration) -> prompt_core::types::Duration {
-    prompt_core::types::Duration::from_micros(d.as_micros() as u64)
 }
 
 #[cfg(test)]
@@ -349,8 +229,13 @@ mod tests {
         let job = Job::identity("count", ReduceOp::Count);
         let rec = TraceRecorder::new(TraceLevel::Full);
         let mut assigner = PromptReduceAllocator::new(1);
-        let (out, times) =
-            ThreadedExecutor::new(3).execute_traced(&plan, &job, &mut assigner, 4, Some((&rec, 7)));
+        let (out, _, times) = ThreadedExecutor::new(3).execute_with_stats(
+            &plan,
+            &job,
+            &mut assigner,
+            4,
+            Some((&rec, 7)),
+        );
         assert_eq!(out.len(), 31);
         let phases: Vec<(u64, StageKind)> = rec
             .events()
@@ -370,13 +255,14 @@ mod tests {
         );
         // The recorded wall times match the returned ones at µs granularity.
         let summary = rec.summary();
-        let map = summary.stage(StageKind::MapStage).unwrap();
+        let map = summary.wall(StageKind::MapStage).unwrap();
         assert_eq!(map.total_us, times.map.as_micros() as u64);
+        assert!(summary.stages.is_empty(), "no virtual span was recorded");
     }
 
     #[test]
     fn thread_count_does_not_change_the_answer() {
-        // The scatter stripes bucket ownership across workers; any worker
+        // Buckets are filled serially and reduced in parallel; any thread
         // count must produce identical per-key aggregates.
         let mb = batch(20_000, 211);
         let plan = Technique::Prompt.build(7).partition(&mb, 8);

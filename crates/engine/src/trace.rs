@@ -22,12 +22,12 @@
 //!
 //! # Recorder concurrency
 //!
-//! [`TraceRecorder`] is shared by `&` reference across the threaded
-//! backend's workers. Counters and per-stage histograms are plain atomics
-//! (lock-free). The event log is sharded eight ways with one mutex per
-//! shard and a per-thread shard assignment, so concurrent recorders almost
-//! never contend; a global ordinal (an atomic counter) timestamps every
-//! event so [`TraceRecorder::events`] can restore a single total order.
+//! [`TraceRecorder`]'s recording methods take `&self`, so it can be shared
+//! by reference across threads. Counters and per-stage histograms are plain
+//! atomics (lock-free). The event log is one mutexed vector: every recording
+//! call in the engine runs on the driver thread (the threaded backend stamps
+//! its phases after its joins; the fleet's reader threads hold no recorder),
+//! so the lock is uncontended and lock order is recording order.
 //!
 //! # Sinks
 //!
@@ -36,13 +36,14 @@
 //!
 //! * `Off` — every recording call is a cheap early return.
 //! * `Summary` — counters + histograms only; [`TraceRecorder::summary`]
-//!   yields per-stage counts, means and log₂-bucket percentiles.
+//!   yields per-stage counts, means and log₂-bucket percentiles, virtual
+//!   spans and wall-clock phases apart.
 //! * `Full` — additionally keeps the typed event log, exportable as
 //!   JSON-lines ([`TraceRecorder::to_jsonl`], hand-rolled — the workspace
 //!   has no serde) and re-importable with [`parse_jsonl`] (the bench
 //!   harness consumes this to render per-stage breakdowns).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use prompt_core::types::{Duration, Time};
@@ -127,8 +128,9 @@ impl StageKind {
         StageKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
+    /// Position in [`StageKind::ALL`] (declaration order).
     fn index(self) -> usize {
-        StageKind::ALL.iter().position(|&k| k == self).unwrap()
+        self as usize
     }
 }
 
@@ -287,8 +289,9 @@ impl Counter {
         }
     }
 
+    /// Position in [`Counter::ALL`] (declaration order).
     fn index(self) -> usize {
-        Counter::ALL.iter().position(|&c| c == self).unwrap()
+        self as usize
     }
 }
 
@@ -858,6 +861,21 @@ impl Histogram {
         self.max.fetch_max(us, Ordering::Relaxed);
     }
 
+    /// The digest of everything recorded, `None` when nothing was.
+    fn summarize(&self, kind: StageKind) -> Option<StageSummary> {
+        let count = self.count.load(Ordering::Relaxed);
+        let total_us = self.sum.load(Ordering::Relaxed);
+        (count > 0).then(|| StageSummary {
+            kind,
+            count,
+            total_us,
+            mean_us: total_us as f64 / count as f64,
+            p50_us: self.percentile(0.50),
+            p95_us: self.percentile(0.95),
+            max_us: self.max.load(Ordering::Relaxed),
+        })
+    }
+
     /// Nearest-rank percentile, reported as the containing bucket's upper
     /// bound (clamped by the observed maximum) — a ≤ 2× overestimate by
     /// construction of the log₂ buckets.
@@ -899,11 +917,18 @@ pub struct StageSummary {
 
 /// End-of-run digest: per-stage duration summaries plus all counters.
 /// Available at [`TraceLevel::Summary`] and above.
+///
+/// Virtual-time spans and wall-clock phases are summarised apart: a backend
+/// that measures its Map and Reduce phases stamps them under the same
+/// [`StageKind`]s the driver's cost-model spans use, and a simulated
+/// microsecond does not add to a measured one.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummary {
-    /// One entry per stage that recorded at least one observation, in
-    /// lifecycle order.
+    /// Virtual-time spans: one entry per stage that recorded at least one,
+    /// in lifecycle order. The same on every backend.
     pub stages: Vec<StageSummary>,
+    /// Wall-clock phases, likewise.
+    pub wall_stages: Vec<StageSummary>,
     /// Non-zero counters, in declaration order.
     pub counters: Vec<(Counter, u64)>,
     /// Per-reduce-worker busy time accumulated over the run (µs), indexed
@@ -916,9 +941,14 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Look up a stage's summary.
+    /// Look up a stage's virtual-time summary.
     pub fn stage(&self, kind: StageKind) -> Option<&StageSummary> {
         self.stages.iter().find(|s| s.kind == kind)
+    }
+
+    /// Look up a stage's wall-clock summary.
+    pub fn wall(&self, kind: StageKind) -> Option<&StageSummary> {
+        self.wall_stages.iter().find(|s| s.kind == kind)
     }
 
     /// Look up a counter (0 when it never fired).
@@ -934,14 +964,15 @@ impl std::fmt::Display for TraceSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "{:<22} {:>8} {:>12} {:>10} {:>10} {:>10}",
+            "{:<28} {:>8} {:>12} {:>10} {:>10} {:>10}",
             "stage", "count", "mean ms", "p50 ms", "p95 ms", "max ms"
         )?;
-        for s in &self.stages {
+        let virtual_rows = self.stages.iter().map(|s| (s, s.kind.name().to_string()));
+        let wall_rows = (self.wall_stages.iter()).map(|s| (s, format!("{} (wall)", s.kind.name())));
+        for (s, name) in virtual_rows.chain(wall_rows) {
             writeln!(
                 f,
-                "{:<22} {:>8} {:>12.3} {:>10.3} {:>10.3} {:>10.3}",
-                s.kind.name(),
+                "{name:<28} {:>8} {:>12.3} {:>10.3} {:>10.3} {:>10.3}",
                 s.count,
                 s.mean_us / 1e3,
                 s.p50_us as f64 / 1e3,
@@ -950,12 +981,12 @@ impl std::fmt::Display for TraceSummary {
             )?;
         }
         for (c, v) in &self.counters {
-            writeln!(f, "{:<22} {v}", c.name())?;
+            writeln!(f, "{:<28} {v}", c.name())?;
         }
         if let Some(ratio) = self.load_imbalance {
             writeln!(
                 f,
-                "{:<22} {ratio:.3} (max/mean over {} workers)",
+                "{:<28} {ratio:.3} (max/mean over {} workers)",
                 "load_imbalance",
                 self.worker_busy_us.len()
             )?;
@@ -964,29 +995,18 @@ impl std::fmt::Display for TraceSummary {
     }
 }
 
-/// Number of event-log shards (kept small; contention is per-thread).
-const SHARDS: usize = 8;
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-std::thread_local! {
-    static MY_SHARD: std::cell::OnceCell<usize> = const { std::cell::OnceCell::new() };
-}
-
-fn my_shard() -> usize {
-    MY_SHARD.with(|c| *c.get_or_init(|| NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS))
-}
-
 /// The thread-safe event sink (see the module docs for the concurrency
-/// story). Recording methods take `&self`, so one recorder can be shared by
-/// every worker of the threaded backend.
+/// story). Recording methods take `&self`.
 #[derive(Debug)]
 pub struct TraceRecorder {
     level: TraceLevel,
-    ordinal: AtomicU64,
     counters: [AtomicU64; Counter::ALL.len()],
-    hists: [Histogram; StageKind::ALL.len()],
-    shards: [Mutex<Vec<(u64, TraceEvent)>>; SHARDS],
+    /// Virtual-time span durations, by stage.
+    spans: [Histogram; StageKind::ALL.len()],
+    /// Wall-clock phase durations, by stage.
+    phases: [Histogram; StageKind::ALL.len()],
+    /// The event log, in recording order.
+    events: Mutex<Vec<TraceEvent>>,
     /// Per-reduce-worker busy-time totals (µs), fed by the driver at each
     /// commit; the summary derives the load-imbalance ratio from them.
     worker_busy: Mutex<Vec<u64>>,
@@ -997,10 +1017,10 @@ impl TraceRecorder {
     pub fn new(level: TraceLevel) -> TraceRecorder {
         TraceRecorder {
             level,
-            ordinal: AtomicU64::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| Histogram::default()),
-            shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
+            spans: std::array::from_fn(|_| Histogram::default()),
+            phases: std::array::from_fn(|_| Histogram::default()),
+            events: Mutex::new(Vec::new()),
             worker_busy: Mutex::new(Vec::new()),
         }
     }
@@ -1034,7 +1054,7 @@ impl TraceRecorder {
             return;
         }
         let (start_us, end_us) = (start.0, end.0);
-        self.hists[kind.index()].record(end_us - start_us);
+        self.spans[kind.index()].record(end_us - start_us);
         self.push(TraceEvent::Span {
             seq,
             kind,
@@ -1048,7 +1068,7 @@ impl TraceRecorder {
         if !self.enabled() {
             return;
         }
-        self.hists[kind.index()].record(wall.0);
+        self.phases[kind.index()].record(wall.0);
         self.push(TraceEvent::Phase {
             seq,
             kind,
@@ -1080,25 +1100,15 @@ impl TraceRecorder {
     }
 
     fn push(&self, e: TraceEvent) {
-        if self.level != TraceLevel::Full {
-            return;
+        if self.level == TraceLevel::Full {
+            self.events.lock().expect("trace log poisoned").push(e);
         }
-        let ord = self.ordinal.fetch_add(1, Ordering::Relaxed);
-        self.shards[my_shard()]
-            .lock()
-            .expect("trace shard poisoned")
-            .push((ord, e));
     }
 
     /// Snapshot of the event log in recording order (empty below
     /// [`TraceLevel::Full`]).
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<(u64, TraceEvent)> = Vec::new();
-        for shard in &self.shards {
-            all.extend(shard.lock().expect("trace shard poisoned").iter().cloned());
-        }
-        all.sort_by_key(|&(ord, _)| ord);
-        all.into_iter().map(|(_, e)| e).collect()
+        self.events.lock().expect("trace log poisoned").clone()
     }
 
     /// The event log as JSON-lines (see [`to_jsonl`]).
@@ -1108,24 +1118,10 @@ impl TraceRecorder {
 
     /// Build the end-of-run digest from the histograms and counters.
     pub fn summary(&self) -> TraceSummary {
-        let mut stages = Vec::new();
-        for kind in StageKind::ALL {
-            let h = &self.hists[kind.index()];
-            let count = h.count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let total_us = h.sum.load(Ordering::Relaxed);
-            stages.push(StageSummary {
-                kind,
-                count,
-                total_us,
-                mean_us: total_us as f64 / count as f64,
-                p50_us: h.percentile(0.50),
-                p95_us: h.percentile(0.95),
-                max_us: h.max.load(Ordering::Relaxed),
-            });
-        }
+        let digest = |hists: &[Histogram]| -> Vec<StageSummary> {
+            let recorded = StageKind::ALL.into_iter().zip(hists);
+            recorded.filter_map(|(kind, h)| h.summarize(kind)).collect()
+        };
         let counters = Counter::ALL
             .into_iter()
             .filter_map(|c| {
@@ -1141,7 +1137,8 @@ impl TraceRecorder {
         let load_imbalance = (!worker_busy_us.is_empty())
             .then(|| crate::rebalance::imbalance_ratio(&worker_busy_us));
         TraceSummary {
-            stages,
+            stages: digest(&self.spans),
+            wall_stages: digest(&self.phases),
             counters,
             worker_busy_us,
             load_imbalance,
@@ -1414,5 +1411,38 @@ mod tests {
             assert_eq!(StageKind::from_name(k.name()), Some(k));
         }
         assert_eq!(StageKind::from_name("bogus"), None);
+    }
+
+    /// `index` is the discriminant, so `ALL` must list the variants in
+    /// declaration order.
+    #[test]
+    fn all_lists_every_variant_in_declaration_order() {
+        for (i, k) in StageKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i, "{k:?}");
+        }
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+    }
+
+    /// A backend that measures its Map phase stamps it under the kind the
+    /// driver's cost-model span uses: the two must not share a histogram.
+    #[test]
+    fn summary_keeps_virtual_spans_and_wall_phases_apart() {
+        let rec = TraceRecorder::new(TraceLevel::Summary);
+        rec.span(0, StageKind::MapStage, Time(0), Time(1000));
+        rec.phase(0, StageKind::MapStage, Duration::from_micros(70));
+        rec.phase(0, StageKind::Seal, Duration::from_micros(5));
+        let s = rec.summary();
+        let map = s.stage(StageKind::MapStage).expect("virtual map stage");
+        assert_eq!((map.count, map.total_us, map.max_us), (1, 1000, 1000));
+        let wall = s.wall(StageKind::MapStage).expect("measured map stage");
+        assert_eq!((wall.count, wall.total_us), (1, 70));
+        assert!(s.stage(StageKind::Seal).is_none(), "seal is wall-only");
+        assert_eq!(s.wall(StageKind::Seal).unwrap().total_us, 5);
+        let text = s.to_string();
+        assert!(text.contains("\nmap_stage  "), "{text}");
+        assert!(text.contains("\nmap_stage (wall)  "), "{text}");
+        assert!(text.contains("\nseal (wall)  "), "{text}");
     }
 }

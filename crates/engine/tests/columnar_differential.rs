@@ -17,6 +17,9 @@ use prompt_core::partitioner::Technique;
 use prompt_core::types::{Duration, Interval, Key, Time, Tuple};
 use prompt_engine::prelude::*;
 
+mod common;
+use common::{assert_runs_identical, assert_spans_tile};
+
 /// Point the engine's worker-binary resolution at the freshly built
 /// `prompt-worker` before any runtime launches.
 fn ensure_worker_bin() {
@@ -78,102 +81,6 @@ fn run(
     .with_net_faults(faults);
     let mut src = source(700, 19);
     engine.run_traced(&mut src, 8)
-}
-
-/// Full bit-identity: everything the paper's figures are built from.
-fn assert_runs_identical(label: &str, serial: &RunResult, other: &RunResult) {
-    assert_eq!(serial.batches.len(), other.batches.len(), "{label}");
-    for (a, b) in serial.batches.iter().zip(&other.batches) {
-        assert_eq!(a.seq, b.seq, "{label}");
-        assert_eq!(a.n_tuples, b.n_tuples, "{label} batch {}", a.seq);
-        assert_eq!(a.n_keys, b.n_keys, "{label} batch {}", a.seq);
-        assert_eq!(a.map_tasks, b.map_tasks, "{label} batch {}", a.seq);
-        assert_eq!(a.reduce_tasks, b.reduce_tasks, "{label} batch {}", a.seq);
-        assert_eq!(a.map_stage, b.map_stage, "{label} batch {} map", a.seq);
-        assert_eq!(
-            a.reduce_stage, b.reduce_stage,
-            "{label} batch {} reduce",
-            a.seq
-        );
-        assert_eq!(
-            a.processing, b.processing,
-            "{label} batch {} processing",
-            a.seq
-        );
-        assert_eq!(
-            a.queue_delay, b.queue_delay,
-            "{label} batch {} queue delay",
-            a.seq
-        );
-        assert_eq!(a.latency, b.latency, "{label} batch {} latency", a.seq);
-        assert_eq!(
-            a.map_task_times, b.map_task_times,
-            "{label} batch {}",
-            a.seq
-        );
-        assert_eq!(
-            a.reduce_task_times, b.reduce_task_times,
-            "{label} batch {}",
-            a.seq
-        );
-        assert_eq!(
-            a.plan_metrics, b.plan_metrics,
-            "{label} batch {} plan metrics",
-            a.seq
-        );
-        assert!(a.w.to_bits() == b.w.to_bits(), "{label} batch {} W", a.seq);
-    }
-    assert_eq!(serial.windows.len(), other.windows.len(), "{label}");
-    for (a, b) in serial.windows.iter().zip(&other.windows) {
-        assert_eq!(a.last_batch_seq, b.last_batch_seq, "{label}");
-        assert_eq!(a.aggregates.len(), b.aggregates.len(), "{label}");
-        for (k, v) in &a.aggregates {
-            assert_eq!(
-                b.aggregates[k].to_bits(),
-                v.to_bits(),
-                "{label} window at batch {} key {k:?} must be bit-identical",
-                a.last_batch_seq
-            );
-        }
-    }
-    assert_eq!(serial.backpressure, other.backpressure, "{label}");
-}
-
-/// Per batch, the PROCESSING_KINDS spans must tile `[start, start +
-/// processing]` with no gaps regardless of which data plane executed —
-/// spans are applied at commit.
-fn assert_spans_tile(label: &str, res: &RunResult, rec: &TraceRecorder) {
-    let events = rec.events();
-    for b in &res.batches {
-        let spans_of = |kind: StageKind| -> u64 {
-            events
-                .iter()
-                .filter(|e| {
-                    matches!(e, TraceEvent::Span { seq, kind: k, .. }
-                        if *seq == b.seq && *k == kind)
-                })
-                .map(|e| e.span_us())
-                .sum()
-        };
-        let processing: u64 = PROCESSING_KINDS.iter().map(|&k| spans_of(k)).sum();
-        assert_eq!(
-            processing, b.processing.0,
-            "{label} batch {}: processing spans must tile processing",
-            b.seq
-        );
-        assert_eq!(
-            spans_of(StageKind::QueueWait),
-            b.queue_delay.0,
-            "{label} batch {}: queue span",
-            b.seq
-        );
-        assert_eq!(
-            spans_of(StageKind::Accumulate),
-            Duration::from_secs(1).0,
-            "{label} batch {}: accumulate span is the batch interval",
-            b.seq
-        );
-    }
 }
 
 /// The core differential sweep: the columnar plane on all three backends

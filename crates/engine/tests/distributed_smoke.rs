@@ -11,6 +11,9 @@ use prompt_core::partitioner::Technique;
 use prompt_core::types::{Duration, Interval, Key, Time, Tuple};
 use prompt_engine::prelude::*;
 
+mod common;
+use common::assert_runs_identical;
+
 /// Point the engine's worker-binary resolution at the freshly built
 /// `prompt-worker` before any runtime launches. Cargo guarantees the binary
 /// exists when this test binary runs.
@@ -68,45 +71,6 @@ fn cfg_with(backend: Backend) -> EngineConfig {
     }
 }
 
-/// Assert two runs are bit-identical in everything the paper's figures are
-/// built from: per-batch sizes, plans, stage times, latencies and windows.
-fn assert_runs_identical(serial: &RunResult, dist: &RunResult) {
-    assert_eq!(serial.batches.len(), dist.batches.len());
-    for (a, b) in serial.batches.iter().zip(&dist.batches) {
-        assert_eq!(a.seq, b.seq);
-        assert_eq!(a.n_tuples, b.n_tuples, "batch {}", a.seq);
-        assert_eq!(a.n_keys, b.n_keys, "batch {}", a.seq);
-        assert_eq!(a.map_tasks, b.map_tasks, "batch {}", a.seq);
-        assert_eq!(a.reduce_tasks, b.reduce_tasks, "batch {}", a.seq);
-        assert_eq!(a.map_stage, b.map_stage, "batch {} map stage", a.seq);
-        assert_eq!(
-            a.reduce_stage, b.reduce_stage,
-            "batch {} reduce stage",
-            a.seq
-        );
-        assert_eq!(a.processing, b.processing, "batch {} processing", a.seq);
-        assert_eq!(a.queue_delay, b.queue_delay, "batch {} queue delay", a.seq);
-        assert_eq!(a.latency, b.latency, "batch {} latency", a.seq);
-        assert_eq!(a.map_task_times, b.map_task_times, "batch {}", a.seq);
-        assert_eq!(a.reduce_task_times, b.reduce_task_times, "batch {}", a.seq);
-        assert_eq!(
-            a.plan_metrics, b.plan_metrics,
-            "batch {} plan metrics",
-            a.seq
-        );
-        assert!(a.w.to_bits() == b.w.to_bits(), "batch {} W", a.seq);
-    }
-    assert_eq!(serial.windows.len(), dist.windows.len());
-    for (a, b) in serial.windows.iter().zip(&dist.windows) {
-        assert_eq!(a.last_batch_seq, b.last_batch_seq);
-        assert_eq!(
-            a.aggregates, b.aggregates,
-            "window at batch {} must be bit-identical",
-            a.last_batch_seq
-        );
-    }
-}
-
 fn run_pair(
     technique: Technique,
     job: Job,
@@ -143,7 +107,7 @@ fn skewed_sum_two_processes_bit_identical() {
         2,
         6,
     );
-    assert_runs_identical(&serial, &dist);
+    assert_runs_identical("distributed vs serial", &serial, &dist);
     assert_eq!(dist.worker_losses, 0);
     assert_eq!(dist.recoveries, 0);
     let net = dist.net.expect("distributed runs report wire stats");
@@ -190,7 +154,7 @@ fn drifting_count_three_processes_bit_identical() {
         3,
         6,
     );
-    assert_runs_identical(&serial, &dist);
+    assert_runs_identical("distributed vs serial", &serial, &dist);
     assert_eq!(dist.worker_losses, 0);
 }
 

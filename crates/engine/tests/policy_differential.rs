@@ -16,6 +16,9 @@ use prompt_core::partitioner::Technique;
 use prompt_core::types::{Duration, Interval, Key, Time, Tuple};
 use prompt_engine::prelude::*;
 
+mod common;
+use common::{assert_runs_identical, assert_spans_tile};
+
 /// Point the engine's worker-binary resolution at the freshly built
 /// `prompt-worker` before any runtime launches.
 fn ensure_worker_bin() {
@@ -95,94 +98,6 @@ fn techniques_of(res: &RunResult) -> Vec<Technique> {
     res.batches.iter().map(|b| b.technique).collect()
 }
 
-/// Full bit-identity: everything the paper's figures are built from, plus
-/// the per-batch technique log.
-fn assert_runs_identical(label: &str, serial: &RunResult, other: &RunResult) {
-    assert_eq!(serial.batches.len(), other.batches.len(), "{label}");
-    for (a, b) in serial.batches.iter().zip(&other.batches) {
-        assert_eq!(a.seq, b.seq, "{label}");
-        assert_eq!(a.technique, b.technique, "{label} batch {}", a.seq);
-        assert_eq!(a.n_tuples, b.n_tuples, "{label} batch {}", a.seq);
-        assert_eq!(a.n_keys, b.n_keys, "{label} batch {}", a.seq);
-        assert_eq!(a.map_tasks, b.map_tasks, "{label} batch {}", a.seq);
-        assert_eq!(a.reduce_tasks, b.reduce_tasks, "{label} batch {}", a.seq);
-        assert_eq!(a.map_stage, b.map_stage, "{label} batch {} map", a.seq);
-        assert_eq!(
-            a.reduce_stage, b.reduce_stage,
-            "{label} batch {} reduce",
-            a.seq
-        );
-        assert_eq!(
-            a.processing, b.processing,
-            "{label} batch {} processing",
-            a.seq
-        );
-        assert_eq!(
-            a.queue_delay, b.queue_delay,
-            "{label} batch {} queue delay",
-            a.seq
-        );
-        assert_eq!(a.latency, b.latency, "{label} batch {} latency", a.seq);
-        assert_eq!(
-            a.map_task_times, b.map_task_times,
-            "{label} batch {}",
-            a.seq
-        );
-        assert_eq!(
-            a.reduce_task_times, b.reduce_task_times,
-            "{label} batch {}",
-            a.seq
-        );
-        assert_eq!(
-            a.plan_metrics, b.plan_metrics,
-            "{label} batch {} plan metrics",
-            a.seq
-        );
-        assert!(a.w.to_bits() == b.w.to_bits(), "{label} batch {} W", a.seq);
-    }
-    assert_eq!(serial.windows.len(), other.windows.len(), "{label}");
-    for (a, b) in serial.windows.iter().zip(&other.windows) {
-        assert_eq!(a.last_batch_seq, b.last_batch_seq, "{label}");
-        assert_eq!(
-            a.aggregates, b.aggregates,
-            "{label} window at batch {} must be bit-identical",
-            a.last_batch_seq
-        );
-    }
-    assert_eq!(serial.backpressure, other.backpressure, "{label}");
-}
-
-/// Per batch, the PROCESSING_KINDS spans must tile `[start, start +
-/// processing]` with no gaps. The policy's `Select` phase is wall-clock
-/// observability, not virtual time, so it never perturbs the tiling.
-fn assert_spans_tile(label: &str, res: &RunResult, rec: &TraceRecorder) {
-    let events = rec.events();
-    for b in &res.batches {
-        let spans_of = |kind: StageKind| -> u64 {
-            events
-                .iter()
-                .filter(|e| {
-                    matches!(e, TraceEvent::Span { seq, kind: k, .. }
-                        if *seq == b.seq && *k == kind)
-                })
-                .map(|e| e.span_us())
-                .sum()
-        };
-        let processing: u64 = PROCESSING_KINDS.iter().map(|&k| spans_of(k)).sum();
-        assert_eq!(
-            processing, b.processing.0,
-            "{label} batch {}: processing spans must tile processing",
-            b.seq
-        );
-        assert_eq!(
-            spans_of(StageKind::QueueWait),
-            b.queue_delay.0,
-            "{label} batch {}: queue span",
-            b.seq
-        );
-    }
-}
-
 /// The decision log must be coherent: one decision per batch in sequence
 /// order, each naming the technique the batch actually ran, with switch
 /// flags mirrored in the counters and the `PolicySwitch` event stream.
@@ -219,6 +134,24 @@ fn assert_decision_log_coherent(label: &str, res: &RunResult, rec: &TraceRecorde
             "{label}: switch at batch {} must be traced",
             d.seq
         );
+    }
+}
+
+/// A forced replay is *given* its decisions, so its log carries no scores —
+/// the one thing it may not share with the run it replays. Check that it
+/// made the oracle's decisions and scored nothing, then lend it the oracle's
+/// evidence so the full comparison applies to everything else.
+fn with_evidence_of(oracle: &RunResult, replay: RunResult) -> RunResult {
+    let decided = |run: &RunResult| -> Vec<_> {
+        let log = run.policy_decisions.iter();
+        log.map(|d| (d.seq, d.technique, d.prev, d.switched))
+            .collect()
+    };
+    assert_eq!(decided(oracle), decided(&replay), "replayed decisions");
+    assert!(replay.policy_decisions.iter().all(|d| d.scores.is_empty()));
+    RunResult {
+        policy_decisions: oracle.policy_decisions.clone(),
+        ..replay
     }
 }
 
@@ -272,6 +205,7 @@ fn adaptive_matches_forced_replay_on_all_backends() {
             TraceLevel::Full,
             NetFaultPlan::none(),
         );
+        let res = with_evidence_of(&oracle, res);
         assert_runs_identical(&label, &oracle, &res);
         assert_spans_tile(&label, &res, &rec);
     }
@@ -369,6 +303,7 @@ fn adaptive_policy_composes_with_the_rebalancer() {
                     plans: oracle.migrations.clone(),
                 },
             );
+            let res = with_evidence_of(&oracle, res);
             assert_runs_identical(&label, &oracle, &res);
             assert_eq!(oracle.migrations, res.migrations, "{label}");
             assert_spans_tile(&label, &res, &rec);

@@ -18,9 +18,7 @@ pub mod generator;
 pub mod interner;
 pub mod jitter;
 pub mod keydist;
-pub mod merge;
 pub mod rate;
-pub mod records;
 
 /// Convenient import surface.
 pub mod prelude {
@@ -33,10 +31,5 @@ pub mod prelude {
     pub use crate::interner::{word, InternedSource, KeyInterner};
     pub use crate::jitter::JitterSource;
     pub use crate::keydist::{zipf_or_uniform, KeyDistribution, UniformKeys, ZipfKeys};
-    pub use crate::merge::MergedSource;
     pub use crate::rate::RateProfile;
-    pub use crate::records::{
-        GcmEvent, GcmEventGenerator, LineItem, LineItemGenerator, TaxiTrip, TaxiTripGenerator,
-        TweetGenerator, TweetRecord,
-    };
 }

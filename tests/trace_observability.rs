@@ -8,7 +8,7 @@
 
 use prompt_core::partitioner::Technique;
 use prompt_core::types::Duration;
-use prompt_engine::config::{EngineConfig, OverheadMode};
+use prompt_engine::config::{Backend, EngineConfig, OverheadMode};
 use prompt_engine::driver::StreamingEngine;
 use prompt_engine::elasticity::ScalerConfig;
 use prompt_engine::job::{Job, ReduceOp};
@@ -136,27 +136,47 @@ fn spans_reconcile_with_batch_records() {
     )));
 }
 
+/// The summary of the virtual Map stage is the same on every backend: the
+/// threaded backend and the worker fleet also stamp *measured* Map / Reduce
+/// phases under the same stage kinds, and those are summarised apart.
 #[test]
 fn jsonl_export_round_trips_and_summarizes() {
-    let (res, rec) = run_traced(traced_config(), 8);
-    let events = rec.events();
-    let parsed = parse_jsonl(&rec.to_jsonl()).expect("export must parse back");
-    assert_eq!(parsed, events, "JSONL round-trip must be lossless");
+    for backend in [
+        Backend::InProcess,
+        Backend::Threaded { threads: 2 },
+        Backend::Distributed {
+            workers: 2,
+            base_port: 0,
+        },
+    ] {
+        let cfg = EngineConfig {
+            backend,
+            ..traced_config()
+        };
+        let (res, rec) = run_traced(cfg, 8);
+        let events = rec.events();
+        let parsed = parse_jsonl(&rec.to_jsonl()).expect("export must parse back");
+        assert_eq!(parsed, events, "JSONL round-trip must be lossless");
 
-    let summary = rec.summary();
-    let map = summary
-        .stage(StageKind::MapStage)
-        .expect("map stage summary");
-    // One map-stage span per batch; the recovery recompute is folded into
-    // its own Recovery span, so count and total match the records exactly.
-    assert_eq!(map.count, 8);
-    let total: u64 = res.batches.iter().map(|b| b.map_stage.0).sum();
-    assert_eq!(map.total_us, total);
-    assert!(map.p50_us > 0 && map.p95_us >= map.p50_us);
-    assert_eq!(
-        map.max_us,
-        res.batches.iter().map(|b| b.map_stage.0).max().unwrap()
-    );
+        let summary = rec.summary();
+        let map = summary
+            .stage(StageKind::MapStage)
+            .expect("map stage summary");
+        // One map-stage span per batch; the recovery recompute is folded into
+        // its own Recovery span, so count and total match the records exactly.
+        assert_eq!(map.count, 8, "{backend:?}");
+        let total: u64 = res.batches.iter().map(|b| b.map_stage.0).sum();
+        assert_eq!(map.total_us, total, "{backend:?}");
+        assert!(map.p50_us > 0 && map.p95_us >= map.p50_us);
+        assert_eq!(
+            map.max_us,
+            res.batches.iter().map(|b| b.map_stage.0).max().unwrap(),
+            "{backend:?}"
+        );
+        // Only a backend that really runs the stage measures it.
+        let measured = summary.wall(StageKind::MapStage).map_or(0, |s| s.count);
+        assert_eq!(measured > 0, backend != Backend::InProcess, "{backend:?}");
+    }
 }
 
 #[test]
