@@ -301,13 +301,6 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Malformed("utf-8 string"))
     }
 
-    /// Read a length-prefixed raw byte blob (the counterpart of
-    /// `put_len` + `put_bytes`).
-    pub fn get_blob(&mut self) -> Result<Vec<u8>, CodecError> {
-        let len = self.get_len(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
     /// Fail unless every byte was consumed — frames must not carry slack.
     pub fn expect_empty(&self) -> Result<(), CodecError> {
         if self.is_empty() {
@@ -439,10 +432,12 @@ pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
     Ok(DataBlock { tuples, fragments })
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) lookup tables,
+/// built at compile time. `[0]` is the byte-at-a-time table; `[k]` is the
+/// same byte followed by `k` zero bytes, so eight input bytes fold into the
+/// state in one step (slicing-by-8) — a snapshot frame is tens of megabytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -455,10 +450,20 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 (IEEE) implementing [`BytesSink`] — the integrity check
@@ -490,10 +495,25 @@ impl Default for Crc32Sink {
 
 impl BytesSink for Crc32Sink {
     fn put_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = (self.state ^ u32::from(b)) & 0xFF;
-            self.state = (self.state >> 8) ^ CRC32_TABLE[idx as usize];
+        let t = &CRC32_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][(hi >> 8 & 0xFF) as usize]
+                ^ t[1][(hi >> 16 & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 }
 
@@ -595,6 +615,18 @@ mod tests {
         sink.put_bytes(b"1234");
         sink.put_bytes(b"56789");
         assert_eq!(sink.finish(), 0xCBF4_3926);
+        // Eight bytes at a time equals one at a time, at every split of the
+        // input into a head, whole words and a tail.
+        let bytes: Vec<u8> = (0u32..61).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..9 {
+            for end in start..bytes.len() {
+                let mut bytewise = Crc32Sink::new();
+                for b in &bytes[start..end] {
+                    bytewise.put_bytes(std::slice::from_ref(b));
+                }
+                assert_eq!(crc32(&bytes[start..end]), bytewise.finish());
+            }
+        }
     }
 
     #[test]

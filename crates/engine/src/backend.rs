@@ -9,15 +9,15 @@
 //! survived: a single submit→wait path at every pipeline depth (depth 1
 //! is a window of one) that, on a loss, charges the recovery and resubmits
 //! the plans still in hand. Nothing is re-partitioned — the failed attempt
-//! made no assigner calls and the plan did not change. A loss while migrated
-//! state is being pushed ([`BackendRuntime::push_state`]) is charged the
-//! same way and the push repeated on the survivors.
+//! made no assigner calls and the plan did not change. Dispatch is all a
+//! backend does: keyed state never leaves the driver ([`crate::state`]), so
+//! a re-shard or a key-group migration is not a backend operation.
 
 use crate::config::{Backend, EngineConfig};
 use crate::job::Job;
 use crate::kernel::PlanView;
 use crate::net::driver::BatchAssigners;
-use crate::net::{DistributedOptions, DistributedRuntime, Message, NetStats, WorkerLoss};
+use crate::net::{DistributedOptions, DistributedRuntime, NetStats, WorkerLoss};
 use crate::recovery::ReplicatedBatchStore;
 use crate::stage::{times_from_view, BatchOutput, StageTimes};
 use crate::threaded::ThreadedExecutor;
@@ -157,35 +157,6 @@ impl BackendRuntime {
         (output, times, losses)
     }
 
-    /// Push migrated state ([`DistributedRuntime::push_state`]) until the
-    /// fleet acknowledges it, returning how many worker losses were survived
-    /// on the way: each is charged by [`on_worker_loss`] and the push
-    /// repeated on the survivors — every loss removes a worker, so this ends
-    /// in success or in the fleet's "all workers lost" panic. The loss spends
-    /// a replica of batch `seq` while its input is retained (a commit-time
-    /// push may follow its expiry; nothing of `seq` is lost then), and the
-    /// in-flight batches it aborted are resubmitted by the next
-    /// [`BackendRuntime::execute`]. A no-op off the distributed backend (the
-    /// driver's store is the only copy of the state there).
-    pub(crate) fn push_state(
-        &mut self,
-        (seq, wire_seq): (u64, u64),
-        pushes: &[Message],
-        rec: &TraceRecorder,
-        store: Option<&mut ReplicatedBatchStore>,
-    ) -> u64 {
-        let Some(rt) = self.distributed() else {
-            return 0;
-        };
-        let mut store = store.filter(|store| store.replicas_left(seq).is_some());
-        let mut losses = 0;
-        while let Err(loss) = rt.push_state(wire_seq, pushes, rec.enabled().then_some(rec)) {
-            losses += 1;
-            on_worker_loss(&loss, seq, store.as_deref_mut(), rec);
-        }
-        losses
-    }
-
     /// Stop the worker fleet, reporting its wire totals.
     pub(crate) fn shutdown(&mut self) -> Option<NetStats> {
         self.distributed().map(|rt| {
@@ -221,54 +192,4 @@ fn on_worker_loss(
         worker: loss.worker,
     });
     rec.event(TraceEvent::Recovery { seq, replicas_left });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::net::LaunchMode;
-    use crate::trace::TraceLevel;
-
-    #[test]
-    fn a_worker_lost_during_a_state_push_is_charged_once_and_the_push_repeated() {
-        let mut opts = DistributedOptions::new(3, 0);
-        opts.launch = LaunchMode::Thread;
-        let mut rt = DistributedRuntime::launch(opts).expect("launch");
-        rt.inject_kill(1);
-        let mut backend = BackendRuntime::Distributed(Box::new(rt));
-        let rec = TraceRecorder::new(TraceLevel::Full);
-        let mut store = ReplicatedBatchStore::new(2);
-        store.retain(
-            4,
-            Vec::new().into(),
-            prompt_core::partitioner::Technique::Hash,
-        );
-        // One shard per bucket, so bucket 1's lands on the dead worker.
-        let shards: Vec<Message> = (0..3u32)
-            .map(|bucket| Message::StatePush {
-                seq: 4,
-                bucket,
-                shards: 3,
-                payload: vec![bucket as u8; 8],
-            })
-            .collect();
-        let losses = backend.push_state((4, 4), &shards, &rec, Some(&mut store));
-        assert_eq!(losses, 1, "the same loss `execute` survives");
-        assert_eq!(store.replicas_left(4), Some(1), "one replica spent");
-        assert_eq!(
-            rec.events(),
-            [
-                TraceEvent::WorkerLost { seq: 4, worker: 1 },
-                TraceEvent::Recovery {
-                    seq: 4,
-                    replicas_left: 1
-                },
-            ]
-        );
-        assert_eq!(backend.shutdown().expect("fleet stats").workers_lost, 1);
-        // Off the distributed backend the driver's store is the only copy.
-        let local =
-            BackendRuntime::launch(Backend::InProcess).push_state((0, 0), &shards, &rec, None);
-        assert_eq!(local, 0);
-    }
 }

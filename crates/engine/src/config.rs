@@ -6,7 +6,7 @@ use crate::cluster::Cluster;
 use crate::cost::CostModel;
 use crate::elasticity::ScalerConfig;
 use crate::policy::PolicySpec;
-use crate::rebalance::RebalanceSpec;
+use crate::rebalance::{RebalanceSpec, RoutingTable};
 use crate::state::CheckpointConfig;
 use crate::trace::TraceLevel;
 
@@ -285,6 +285,17 @@ impl EngineConfig {
                     ));
                 }
             }
+            // A run's table is always the fresh one at `reduce_tasks` (no
+            // scaler moves it, above), so a recorded log that cannot apply
+            // is known here rather than at its batch, mid-run.
+            if let RebalanceSpec::Forced { n_groups, plans } = &self.rebalance {
+                let mut table = RoutingTable::new(*n_groups, self.reduce_tasks);
+                for (seq, plan) in plans {
+                    table.apply(plan).map_err(|why| {
+                        format!("forced rebalance plan at batch {seq} cannot apply: {why}")
+                    })?;
+                }
+            }
         }
         Ok(())
     }
@@ -293,6 +304,7 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rebalance::{GroupMove, MigrationPlan};
 
     #[test]
     fn default_is_valid() {
@@ -430,6 +442,34 @@ mod tests {
         for cfg in bad {
             assert!(cfg.validate().is_err(), "{:?}", cfg.backend);
         }
+        // A forced log that cannot apply to the run's fresh table (8 groups
+        // round-robin over 8 workers) is refused with `RoutingTable::apply`'s
+        // reason, not accepted and left to panic at its batch.
+        let forced = |log: &[(u64, (u32, u32, u32))]| {
+            let plan = |&(seq, (group, from, to))| {
+                let moves = vec![GroupMove { group, from, to }];
+                (seq, MigrationPlan { moves })
+            };
+            EngineConfig {
+                rebalance: RebalanceSpec::Forced {
+                    n_groups: 8,
+                    plans: log.iter().map(plan).collect(),
+                },
+                ..EngineConfig::default()
+            }
+        };
+        for (log, why) in [
+            (&[(2, (99, 0, 1))][..], "group 99 out of range"),
+            (&[(2, (0, 0, 8))], "destination 8 out of range"),
+            (
+                &[(2, (0, 0, 1)), (5, (0, 0, 2))],
+                "batch 5 cannot apply: move 0: group 0 owned by 1, plan says 0",
+            ),
+        ] {
+            let err = forced(log).validate().expect_err(why);
+            assert!(err.contains(why), "{err}");
+        }
+        assert_eq!(forced(&[(2, (0, 0, 1)), (5, (0, 1, 2))]).validate(), Ok(()));
     }
 
     #[test]

@@ -1768,13 +1768,14 @@ mod tests {
     }
 
     /// Shape guard for the staleness contract (DESIGN §4h): a batch carries
-    /// what it was prepared under, so there is no depth clamp to regrow, no
+    /// what it was prepared under, so there is no depth clamp to regrow and no
     /// routing table shared behind a lock between the step that decides and
-    /// the steps that read, and one place in the distributed runtime that
-    /// waits for a state push's acks — the event pump, which also applies
-    /// every other batch's completions.
+    /// the steps that read; and the driver's store is the only copy of keyed
+    /// state (DESIGN §4f), so no production line ships state to the fleet or
+    /// waits for an ack of it — the in-flight window is the event pump's one
+    /// wait mode.
     #[test]
-    fn engine_shape_no_depth_clamp_no_shared_routing_one_ack_wait() {
+    fn engine_shape_no_depth_clamp_no_shared_routing_no_state_push() {
         let mut files = Vec::new();
         let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
         sources_under(&src_dir, &mut files);
@@ -1782,6 +1783,15 @@ mod tests {
         // Spelt in halves so this test's own source does not match.
         let clamp = ["effective", "_depth"].concat();
         let locked_table = ["Mutex<", "RoutingTable>"].concat();
+        let shipment = [
+            ["State", "Push"].concat(),
+            ["Group", "Push"].concat(),
+            ["State", "Ack"].concat(),
+            ["push", "_state"].concat(),
+            ["Pending", "Acks"].concat(),
+            ["encode", "_group"].concat(),
+            ["encode", "_shard"].concat(),
+        ];
         for (file, src) in &files {
             for (n, line) in src.lines().enumerate() {
                 assert!(!line.contains(&clamp), "{file}:{}: depth clamp", n + 1);
@@ -1791,16 +1801,13 @@ mod tests {
                     n + 1
                 );
             }
+            let production = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (n, line) in production.enumerate() {
+                for needle in &shipment {
+                    assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
+                }
+            }
         }
-        let runtime = include_str!("net/driver.rs");
-        let runtime = &runtime[..runtime.find("#[cfg(test)]").expect("test module")];
-        let ack = ["Message::", "StateAck"].concat();
-        let waits: Vec<&str> = functions_of("net/driver.rs", runtime)
-            .into_iter()
-            .filter(|(_, _, body)| body.iter().any(|l| l.contains(&ack)))
-            .map(|(name, ..)| name)
-            .collect();
-        assert_eq!(waits, ["fn pump_event"], "fns awaiting a state ack");
     }
 
     /// Shape guard for the local execution path (DESIGN §4): `InProcess` is

@@ -20,7 +20,6 @@ use crate::config::{Backend, OverheadMode};
 use crate::elasticity::{AutoScaler, Observation};
 use crate::job::Job;
 use crate::kernel::{Plan, PlanView};
-use crate::net::Message;
 use crate::policy::{BatchObservation, PolicyDecision};
 use crate::rebalance::{
     group_weights, imbalance_ratio, RebalanceObservation, RebalancePolicy, RoutingTable,
@@ -30,7 +29,7 @@ use crate::source::TupleSource;
 use crate::stage::{BatchOutput, StageTimes};
 use crate::state::{restore, Checkpointer, CommitInfo, KeyedStateStore, StateStats};
 use crate::straggler::Stage;
-use crate::trace::{Counter, StageKind, TraceEvent, TraceRecorder};
+use crate::trace::{Counter, StageKind, TraceEvent, TraceLevel, TraceRecorder};
 use crate::window::{WindowResult, WindowState};
 
 /// A batch past the *buffering* state of the driver's state machine:
@@ -174,10 +173,11 @@ impl<'e> Run<'e> {
             .checkpoint
             .as_ref()
             .map(|c| Checkpointer::create(c).expect("failed to open checkpoint directory"));
-        // Worker-loss and checkpoint-suffix recomputes need the batch inputs
-        // even when the user did not configure fault tolerance; a budget of
-        // one recompute per worker always suffices (the run aborts anyway
-        // once every worker is gone).
+        // Checkpoint-suffix recomputes read the retained inputs, and a worker
+        // loss spends one of a batch's replicas (it resubmits the plan in
+        // hand and reads only the count), even when the user configured no
+        // fault tolerance; a budget of one per worker always suffices (the
+        // run aborts anyway once every worker is gone).
         let (replicas, fault_plan) = match (&eng.fault_tolerance, cfg.backend) {
             (Some((replicas, plan)), _) => (*replicas, plan.clone()),
             (None, Backend::Distributed { workers, .. }) => (workers.max(2), FaultPlan::none()),
@@ -328,7 +328,7 @@ impl<'e> Run<'e> {
                 .max(store.retained_tuples() as u64);
             stats.max_retained_batches = stats.max_retained_batches.max(store.len() as u64);
         }
-        self.apply_rebalance(seq, backend);
+        self.apply_rebalance(seq);
 
         // Partition (optionally measuring real cost). The phase timings —
         // select / seal / symbolic / materialize — only reach the trace.
@@ -421,7 +421,7 @@ impl<'e> Run<'e> {
     /// Applying the plan moves only the offending key-groups: the run's
     /// table bumps one version, batch `seq` and its successors snapshot the
     /// new ownership, and older batches still in flight keep theirs.
-    fn apply_rebalance(&mut self, seq: u64, backend: &mut BackendRuntime) {
+    fn apply_rebalance(&mut self, seq: u64) {
         let Some((reb, table)) = self.rebalancer.as_mut() else {
             return;
         };
@@ -443,49 +443,30 @@ impl<'e> Run<'e> {
             imbalance: self.last_load.map_or(1.0, |(_, imbalance)| imbalance),
             observed_seq: self.last_load.map(|(observed, _)| observed),
         });
-        // Hand each moved group's state slice to its new owner.
-        // In-process/threaded backends share the driver's store, so only the
-        // distributed backend ships payloads; stateless runs push empty
-        // slices (the ack still fences the next batch behind the ownership
-        // change).
-        let wire_seq = self.wire.of(seq);
-        let mut pushes = Vec::with_capacity(mplan.moves.len());
-        for mv in &mplan.moves {
-            let payload = self
-                .state_store
-                .as_ref()
-                .map(|s| s.encode_group(mv.group, n_groups))
-                .unwrap_or_default();
-            self.rec.event(TraceEvent::GroupMigrate {
-                seq,
-                group: mv.group,
-                from: mv.from,
-                to: mv.to,
-                bytes: payload.len() as u64,
-            });
-            pushes.push(Message::GroupPush {
-                seq: wire_seq,
-                group: mv.group,
-                version,
-                to: mv.to,
-                payload,
-            });
+        // Ownership is all that moves: the driver's store is the only copy
+        // of keyed state on every backend. The event log reports the size of
+        // each slice that changed owner (0 when the run keeps no keyed state)
+        // — one scan of the store per plan, and only for a recorder that
+        // keeps events.
+        if self.rec.level() == TraceLevel::Full {
+            let state = self.state_store.as_ref();
+            let group_bytes = state.map(|s| s.group_bytes(n_groups));
+            for mv in &mplan.moves {
+                self.rec.event(TraceEvent::GroupMigrate {
+                    seq,
+                    group: mv.group,
+                    from: mv.from,
+                    to: mv.to,
+                    bytes: group_bytes.as_ref().map_or(0, |b| b[mv.group as usize]),
+                });
+            }
         }
-        self.push_state(seq, &pushes, backend);
         self.result.migrations.push((seq, mplan));
     }
 
     /// A snapshot of the routing table as it stands, when the run rebalances.
     fn routing(&self) -> Option<RoutingTable> {
         self.rebalancer.as_ref().map(|(_, table)| table.clone())
-    }
-
-    /// Ship migrated state to the worker fleet, surviving (and charging) a
-    /// worker lost on the way like [`Run::run_plan`] does.
-    fn push_state(&mut self, seq: u64, pushes: &[Message], backend: &mut BackendRuntime) {
-        let seqs = (seq, self.wire.of(seq));
-        let losses = backend.push_state(seqs, pushes, &self.rec, self.store.as_mut());
-        self.charge(losses);
     }
 
     /// Worker losses survived on the way to a result: each cost one recovery.
@@ -726,7 +707,7 @@ impl<'e> Run<'e> {
         }
         self.step_scaler(&pb, w);
         self.commit_window(output);
-        self.migrate_state(seq, backend);
+        self.migrate_state(seq);
 
         if let Some(d) = pb.decision {
             self.result.policy_decisions.push(d);
@@ -925,7 +906,7 @@ impl<'e> Run<'e> {
     /// allocation. With checkpointing on, a migration is a commit point
     /// (deltas are bucket-keyed, so the changelog must never mix shard
     /// counts — `snapshot_now` rolls it over).
-    fn migrate_state(&mut self, seq: u64, backend: &mut BackendRuntime) {
+    fn migrate_state(&mut self, seq: u64) {
         let Some(store) = self.state_store.as_mut() else {
             return;
         };
@@ -945,21 +926,7 @@ impl<'e> Run<'e> {
             keys: report.keys_moved as u64,
             bytes: report.bytes,
         });
-        if backend.distributed().is_some() {
-            // Hand the re-sharded state to the workers owning the new
-            // buckets over the wire.
-            let (wire_seq, shards) = (self.wire.of(seq), store.shard_count() as u32);
-            let pushes: Vec<Message> = (0..shards)
-                .map(|bucket| Message::StatePush {
-                    seq: wire_seq,
-                    bucket,
-                    shards,
-                    payload: store.encode_shard(bucket as usize),
-                })
-                .collect();
-            self.push_state(seq, &pushes, backend);
-        }
-        if let (Some(ckpt), Some(store)) = (self.checkpointer.as_mut(), self.state_store.as_ref()) {
+        if let Some(ckpt) = self.checkpointer.as_mut() {
             let commit = ckpt.snapshot_now(store).expect("checkpoint write failed");
             self.record_commit(commit);
         }

@@ -31,9 +31,9 @@
 //! connection stands in for poll(2) readiness on a std-only build), and
 //! the pump blocks with an *exact* timeout — the earliest of the
 //! heartbeat-liveness deadlines and the in-flight stage deadlines — never
-//! a fixed polling period. State-migration pushes wait for their acks on
-//! the same pump, so in-flight batches' completions are applied while a
-//! push is fenced.
+//! a fixed polling period. The in-flight window is the only thing the pump
+//! ever waits for: keyed state lives in the driver's store (`crate::state`),
+//! so a re-shard or a key-group migration sends the fleet nothing.
 //!
 //! Failure is detected organically — a broken control connection, a
 //! heartbeat that stops, a worker blaming an unreachable shuffle source —
@@ -244,15 +244,6 @@ impl BatchAssigners for &mut dyn ReduceAssigner {
     fn assigner_for(&mut self, _seq: u64) -> &mut dyn ReduceAssigner {
         &mut **self
     }
-}
-
-/// The pushes of one [`DistributedRuntime::push_state`] call that still
-/// await their `StateAck`.
-struct PendingAcks {
-    seq: u64,
-    deadline: Instant,
-    /// `(worker, bucket)` of every push not yet acknowledged.
-    outstanding: Vec<(u32, u32)>,
 }
 
 /// One batch in flight between `submit_batch` and `wait_batch`.
@@ -583,13 +574,6 @@ impl DistributedRuntime {
         self.slots.iter().filter(|s| s.alive).count()
     }
 
-    /// Ids of the workers still considered alive: the round-robin fan-out
-    /// targets of Map tasks, Reduce tasks and state pushes alike.
-    fn live_workers(&self) -> Vec<u32> {
-        let alive = self.slots.iter().filter(|s| s.alive);
-        alive.map(|s| s.id).collect()
-    }
-
     /// Install the scripted kill plan (replaces any previous plan).
     pub fn set_fault_plan(&mut self, plan: NetFaultPlan) {
         self.fault = plan;
@@ -819,7 +803,8 @@ impl DistributedRuntime {
             self.inject_kill(w);
         }
 
-        let owners = self.live_workers();
+        let alive = self.slots.iter().filter(|s| s.alive);
+        let owners: Vec<u32> = alive.map(|s| s.id).collect();
         assert!(
             !owners.is_empty(),
             "all distributed workers lost; batch {seq} cannot execute"
@@ -902,7 +887,7 @@ impl DistributedRuntime {
                     .position(|e| e.seq == seq && e.stage == Stage::Done)
                 {
                     Some(i) => Ok(Some(i)),
-                    None => self.pump_event(trace, None).map(|()| None),
+                    None => self.pump_event(trace).map(|()| None),
                 }
             });
             match step {
@@ -1040,20 +1025,13 @@ impl DistributedRuntime {
         Ok(())
     }
 
-    /// Wait for one event and apply it to the in-flight window, or to the
-    /// state push being fenced (`acks`) — the only thing to wait for when no
-    /// batch is in flight.
-    fn pump_event(
-        &mut self,
-        trace: Option<&TraceRecorder>,
-        acks: Option<&mut PendingAcks>,
-    ) -> Result<(), WorkerLoss> {
+    /// Wait for one event and apply it to the in-flight window.
+    fn pump_event(&mut self, trace: Option<&TraceRecorder>) -> Result<(), WorkerLoss> {
         let (overall, label_seq) = self
             .inflight
             .iter()
             .filter(|e| e.stage != Stage::Done)
             .map(|e| (e.deadline, e.seq))
-            .chain(acks.as_ref().map(|a| (a.deadline, a.seq)))
             .min_by_key(|&(d, _)| d)
             .expect("pump with nothing to wait for");
         let (sender, msg) = self.recv_deadline(overall, label_seq)?;
@@ -1194,18 +1172,6 @@ impl DistributedRuntime {
                 }
                 // A stale attempt's failure; already handled.
             }
-            Message::StateAck {
-                worker,
-                seq,
-                bucket,
-            } => {
-                if let Some(acks) = acks.filter(|a| a.seq == seq) {
-                    let pushed = acks.outstanding.iter().position(|&p| p == (worker, bucket));
-                    if let Some(i) = pushed {
-                        acks.outstanding.swap_remove(i);
-                    }
-                }
-            }
             _ => {}
         }
         Ok(())
@@ -1234,55 +1200,6 @@ impl DistributedRuntime {
         let tseq = trace.map_or(seq, |(_, t)| t);
         self.submit_batch(seq, tseq, plan, spec, r);
         self.wait_batch(seq, &mut assigner, trace.map(|(rec, _)| rec))
-    }
-
-    /// Ship migrated state to the fleet — [`Message::StatePush`] shards
-    /// after an elasticity re-shard, [`Message::GroupPush`] slices after a
-    /// rebalance (payloads may be empty: stateless runs still announce
-    /// ownership), all carrying `seq` — and fence the caller behind the
-    /// acks. Each push goes to the live worker serving the reduce bucket
-    /// that owns it — the same round-robin over live workers the reduce
-    /// fan-out uses — and the one push-and-ack loop drives the event pump
-    /// until every push is acknowledged, so other batches' completions are
-    /// applied, not dropped, while the next batch cannot start before the
-    /// fleet holds the migrated state.
-    ///
-    /// On `Err(WorkerLoss)` every unfinished in-flight batch was aborted, as
-    /// by `wait_batch`: push again (the survivors take over) and resubmit.
-    pub fn push_state(
-        &mut self,
-        seq: u64,
-        pushes: &[Message],
-        trace: Option<&TraceRecorder>,
-    ) -> Result<(), WorkerLoss> {
-        let owners = self.live_workers();
-        assert!(
-            !owners.is_empty(),
-            "all distributed workers lost; state push at batch {seq} cannot proceed"
-        );
-        let mut acks = PendingAcks {
-            seq,
-            deadline: Instant::now() + self.opts.io_timeout,
-            outstanding: Vec::with_capacity(pushes.len()),
-        };
-        let mut fence = || {
-            for push in pushes {
-                // The owning reduce bucket, and the id the ack echoes.
-                let (bucket, ack) = match *push {
-                    Message::StatePush { bucket, .. } => (bucket, bucket),
-                    Message::GroupPush { group, to, .. } => (to, group),
-                    _ => panic!("{} is not a state push", push.kind()),
-                };
-                let worker = owners[bucket as usize % owners.len()];
-                self.send_to(worker, push)?;
-                acks.outstanding.push((worker, ack));
-            }
-            while !acks.outstanding.is_empty() {
-                self.pump_event(trace, Some(&mut acks))?;
-            }
-            Ok(())
-        };
-        fence().inspect_err(|_| self.abort_unfinished())
     }
 
     /// Shut the fleet down: `Shutdown` to every live worker, then reap
@@ -1429,86 +1346,6 @@ mod tests {
             .execute_batch(0, &plan, &spec, &mut assigner, 2, None)
             .expect("kill fires only once");
         assert_eq!(out.len(), 11);
-    }
-
-    #[test]
-    fn state_push_round_trips_acks() {
-        let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-        let shards: Vec<Message> = (0..5u32)
-            .map(|bucket| Message::StatePush {
-                seq: 3,
-                bucket,
-                shards: 5,
-                payload: vec![bucket as u8; 64],
-            })
-            .collect();
-        rt.push_state(3, &shards, None).expect("all pushes acked");
-        assert_eq!(rt.workers_alive(), 2);
-    }
-
-    /// `n` group moves at `seq`, group `g` to reduce bucket `g % r`.
-    fn group_pushes(seq: u64, n: u32, r: u32) -> Vec<Message> {
-        (0..n)
-            .map(|group| Message::GroupPush {
-                seq,
-                group,
-                version: 1,
-                to: group % r,
-                payload: vec![7; 32],
-            })
-            .collect()
-    }
-
-    #[test]
-    fn a_push_applies_inflight_completions_instead_of_dropping_them() {
-        let mut opts = thread_opts(2);
-        // A swallowed completion would otherwise only show as a timeout loss
-        // after the default 30 s.
-        opts.io_timeout = WallDuration::from_secs(5);
-        let mut rt = DistributedRuntime::launch(opts).expect("launch");
-        let plan = small_plan(300, 17, 4);
-        let spec = JobSpec {
-            map: MapSpec::Identity,
-            reduce: ReduceOp::Count,
-        };
-        // Batch 0's MapCompletes arrive while the push waits for its acks.
-        rt.submit_batch(0, 0, &plan, &spec, 3);
-        rt.push_state(1, &group_pushes(1, 6, 3), None)
-            .expect("acked");
-        let mut assigner = PromptReduceAllocator::new(7);
-        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
-        let (out, stats) = rt.wait_batch(0, &mut assigner, None).expect("no loss");
-        assert_eq!(out.len(), 17);
-        assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300);
-        assert_eq!(rt.stats().workers_lost, 0);
-    }
-
-    #[test]
-    fn worker_lost_during_a_push_is_reported_and_the_retry_succeeds() {
-        let mut rt = DistributedRuntime::launch(thread_opts(3)).expect("launch");
-        let plan = small_plan(200, 11, 4);
-        let spec = JobSpec {
-            map: MapSpec::Identity,
-            reduce: ReduceOp::Count,
-        };
-        rt.submit_batch(0, 0, &plan, &spec, 2);
-        rt.inject_kill(1);
-        // One move per reduce bucket, so bucket 1's lands on the dead worker.
-        let moves = group_pushes(1, 3, 3);
-        let loss = rt
-            .push_state(1, &moves, None)
-            .expect_err("worker 1 is dead");
-        assert_eq!(loss.worker, 1);
-        assert_eq!(rt.workers_alive(), 2);
-        // The survivors take the push over; the batch the loss aborted is
-        // resubmitted and completes on them too.
-        rt.push_state(1, &moves, None).expect("survivors ack");
-        rt.submit_batch(0, 0, &plan, &spec, 2);
-        let mut assigner = PromptReduceAllocator::new(5);
-        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
-        let (out, _) = rt.wait_batch(0, &mut assigner, None).expect("retry");
-        assert_eq!(out.len(), 11);
-        assert_eq!(rt.stats().workers_lost, 1);
     }
 
     #[test]

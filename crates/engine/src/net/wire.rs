@@ -262,46 +262,6 @@ pub enum Message {
         /// Human-readable detail for traces/logs.
         detail: String,
     },
-    /// Driver → worker: install one migrated keyed-state shard (an
-    /// elasticity action re-sharded the state; this worker now owns the
-    /// bucket).
-    StatePush {
-        /// Batch sequence number of the scale action.
-        seq: u64,
-        /// The shard's Reduce bucket index at the new shard count.
-        bucket: u32,
-        /// Total shard count after the migration.
-        shards: u32,
-        /// The shard's encoded bytes (see `crate::state::put_shard`).
-        payload: Vec<u8>,
-    },
-    /// Worker → driver: the pushed shard is installed.
-    StateAck {
-        /// The acknowledging worker.
-        worker: u32,
-        /// Batch sequence number echoed from the push.
-        seq: u64,
-        /// Bucket index echoed from the push.
-        bucket: u32,
-    },
-    /// Driver → worker: install one migrated key-group's state slice (the
-    /// rebalancer moved a hot key-group to a new owner; this worker now
-    /// holds its keys). Acknowledged with [`Message::StateAck`], whose
-    /// `bucket` field echoes the group id.
-    GroupPush {
-        /// Batch sequence number of the migration.
-        seq: u64,
-        /// The key-group being moved.
-        group: u32,
-        /// Routing-table version the move belongs to.
-        version: u64,
-        /// The group's new owner (reduce bucket index).
-        to: u32,
-        /// The group's encoded state slice (see
-        /// `crate::state::KeyedStateStore::encode_group`); empty when the
-        /// run keeps no keyed state.
-        payload: Vec<u8>,
-    },
 }
 
 impl Message {
@@ -321,9 +281,6 @@ impl Message {
             Message::Fetch { .. } => 11,
             Message::FetchReply { .. } => 12,
             Message::WorkerError { .. } => 13,
-            Message::StatePush { .. } => 14,
-            Message::StateAck { .. } => 15,
-            Message::GroupPush { .. } => 16,
         }
     }
 
@@ -343,9 +300,6 @@ impl Message {
             Message::Fetch { .. } => "fetch",
             Message::FetchReply { .. } => "fetch_reply",
             Message::WorkerError { .. } => "worker_error",
-            Message::StatePush { .. } => "state_push",
-            Message::StateAck { .. } => "state_ack",
-            Message::GroupPush { .. } => "group_push",
         }
     }
 
@@ -489,41 +443,6 @@ impl Message {
                 w.put_u32(*blame);
                 w.put_str(detail);
             }
-            Message::StatePush {
-                seq,
-                bucket,
-                shards,
-                payload,
-            } => {
-                w.put_u64(*seq);
-                w.put_u32(*bucket);
-                w.put_u32(*shards);
-                w.put_len(payload.len());
-                w.put_bytes(payload);
-            }
-            Message::StateAck {
-                worker,
-                seq,
-                bucket,
-            } => {
-                w.put_u32(*worker);
-                w.put_u64(*seq);
-                w.put_u32(*bucket);
-            }
-            Message::GroupPush {
-                seq,
-                group,
-                version,
-                to,
-                payload,
-            } => {
-                w.put_u64(*seq);
-                w.put_u32(*group);
-                w.put_u64(*version);
-                w.put_u32(*to);
-                w.put_len(payload.len());
-                w.put_bytes(payload);
-            }
         }
     }
 
@@ -557,9 +476,6 @@ impl Message {
                         .sum::<usize>()
             }
             Message::WorkerError { detail, .. } => 4 + 8 + 4 + 4 + 4 + detail.len(),
-            Message::StatePush { payload, .. } => 8 + 4 + 4 + 4 + payload.len(),
-            Message::StateAck { .. } => 16,
-            Message::GroupPush { payload, .. } => 8 + 4 + 8 + 4 + 4 + payload.len(),
         }
     }
 
@@ -752,24 +668,6 @@ impl Message {
                 epoch: r.get_u32()?,
                 blame: r.get_u32()?,
                 detail: r.get_str()?,
-            },
-            14 => Message::StatePush {
-                seq: r.get_u64()?,
-                bucket: r.get_u32()?,
-                shards: r.get_u32()?,
-                payload: r.get_blob()?,
-            },
-            15 => Message::StateAck {
-                worker: r.get_u32()?,
-                seq: r.get_u64()?,
-                bucket: r.get_u32()?,
-            },
-            16 => Message::GroupPush {
-                seq: r.get_u64()?,
-                group: r.get_u32()?,
-                version: r.get_u64()?,
-                to: r.get_u32()?,
-                payload: r.get_blob()?,
             },
             other => return Err(WireError::UnknownType(other)),
         };
@@ -998,24 +896,6 @@ mod tests {
                 blame: 1,
                 detail: "fetch from worker 1 timed out".into(),
             },
-            Message::StatePush {
-                seq: 9,
-                bucket: 3,
-                shards: 8,
-                payload: vec![0xde, 0xad, 0xbe, 0xef],
-            },
-            Message::StateAck {
-                worker: 2,
-                seq: 9,
-                bucket: 3,
-            },
-            Message::GroupPush {
-                seq: 9,
-                group: 5,
-                version: 4,
-                to: 1,
-                payload: vec![0xca, 0xfe],
-            },
         ]
     }
 
@@ -1133,9 +1013,12 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let mut frame = Message::Shutdown.encode();
-        frame[5] = 200;
-        assert_eq!(Message::decode(&frame), Err(WireError::UnknownType(200)));
+        // 13 is the last live type: 0 and everything past it is unassigned.
+        for ty in [0, 14, 15, 16, 200] {
+            let mut frame = Message::Shutdown.encode();
+            frame[5] = ty;
+            assert_eq!(Message::decode(&frame), Err(WireError::UnknownType(ty)));
+        }
     }
 
     #[test]

@@ -401,15 +401,6 @@ fn serve_tasks(
     }
     // Map outputs awaiting their ShuffleAssign, in full precision.
     let mut pending: HashMap<(u64, u32, u32), ClusterList> = HashMap::new();
-    // Encoded state shards pushed by the driver on elasticity migrations,
-    // keyed by bucket at the new shard count. Shards from the previous
-    // count are dropped on arrival of a push with a different total.
-    let mut state: HashMap<u32, Vec<u8>> = HashMap::new();
-    let mut state_shards = 0u32;
-    // Key-group state slices pushed by the rebalancer, keyed by group id.
-    // A newer push for the same group (later routing-table version)
-    // replaces the older slice.
-    let mut groups: HashMap<u32, (u64, Vec<u8>)> = HashMap::new();
     loop {
         match conn.recv()? {
             Message::MapTask {
@@ -470,49 +461,6 @@ fn serve_tasks(
                     reduce,
                     sources,
                 });
-            }
-            Message::StatePush {
-                seq,
-                bucket,
-                shards,
-                payload,
-            } => {
-                if shards != state_shards {
-                    state.clear();
-                    state_shards = shards;
-                }
-                state.insert(bucket, payload);
-                writer
-                    .lock()
-                    .expect("writer lock")
-                    .send(&Message::StateAck {
-                        worker: opts.worker,
-                        seq,
-                        bucket,
-                    })?;
-            }
-            Message::GroupPush {
-                seq,
-                group,
-                version,
-                to: _,
-                payload,
-            } => {
-                // Keep only the newest slice per group: pushes arrive in
-                // version order on the FIFO control stream, but a replayed
-                // (recovery) push must not clobber a newer one.
-                let stale = groups.get(&group).is_some_and(|&(v, _)| v > version);
-                if !stale {
-                    groups.insert(group, (version, payload));
-                }
-                writer
-                    .lock()
-                    .expect("writer lock")
-                    .send(&Message::StateAck {
-                        worker: opts.worker,
-                        seq,
-                        bucket: group,
-                    })?;
             }
             Message::BatchDone { seq } => {
                 pending.retain(|&(s, _, _), _| s != seq);

@@ -23,8 +23,9 @@
 //! * A [`RebalancePolicy`] inspects the ledger at the batch boundary and
 //!   emits a [`MigrationPlan`] — a handful of [`GroupMove`]s — which the
 //!   driver applies to the run's routing table before the batch being
-//!   filled snapshots it, shipping group-scoped state payloads over the
-//!   StatePush/StateAck wire path on the distributed backend.
+//!   filled snapshots it. Only ownership moves: keyed state lives in the
+//!   driver's store on every backend, so nothing ships — the trace reports
+//!   the size of each state slice that changed owner.
 //!
 //! # Determinism contract
 //!

@@ -22,9 +22,12 @@
 //! The CRC covers header *and* payload, so a torn header, a torn payload,
 //! or a frame from a different version all fail closed. The manifest is the
 //! commit point: it records the snapshot file and exactly how many changelog
-//! bytes/frames are durable, and is replaced via write-to-temp + rename.
-//! Changelog bytes past the manifest's committed length are an aborted
-//! commit and are ignored on restore.
+//! bytes/frames are durable, and is replaced via write-to-temp + rename (as
+//! is a snapshot). Changelog bytes past the manifest's committed length are
+//! an aborted commit and are ignored on restore. A commit never modifies a
+//! file the durable manifest references: a snapshot commit empties the
+//! changelog and drops the previous snapshot only after its own manifest is
+//! durable, so a crash at any point restores the previous commit or the new.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -137,16 +140,23 @@ impl From<CodecError> for CheckpointError {
 
 /// Encode one frame: header, payload, CRC trailer.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    frame_of(kind, payload.len(), |w| w.put_bytes(payload))
+}
+
+/// A frame whose `len`-byte payload `put` writes in place, for a payload too
+/// large to build first and copy in.
+fn frame_of(kind: u8, len: usize, put: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
     assert!(
-        payload.len() <= MAX_FRAME_PAYLOAD as usize,
+        len <= MAX_FRAME_PAYLOAD as usize,
         "checkpoint frame payload over cap"
     );
-    let mut w = ByteWriter::with_capacity(FRAME_HEADER_LEN + payload.len() + FRAME_TRAILER_LEN);
+    let mut w = ByteWriter::with_capacity(FRAME_HEADER_LEN + len + FRAME_TRAILER_LEN);
     w.put_u32(CHECKPOINT_MAGIC);
     w.put_u8(CHECKPOINT_VERSION);
     w.put_u8(kind);
-    w.put_u32(payload.len() as u32);
-    w.put_bytes(payload);
+    w.put_u32(len as u32);
+    put(&mut w);
+    assert_eq!(w.len(), FRAME_HEADER_LEN + len, "frame payload length");
     let crc = crc32(w.as_bytes());
     w.put_u32(crc);
     w.into_bytes()
@@ -362,64 +372,21 @@ impl Checkpointer {
         delta: &StateDelta,
         store: &KeyedStateStore,
     ) -> Result<Option<CommitInfo>, CheckpointError> {
-        let mut w = ByteWriter::new();
-        put_delta(&mut w, delta);
-        self.pending
-            .extend_from_slice(&encode_frame(frame_kind::DELTA, w.as_bytes()));
-        self.pending_frames += 1;
+        // A snapshot subsumes the deltas of its interval: none is written,
+        // so none is encoded.
+        let snapshot = self.commits.is_multiple_of(self.snapshot_every as u64);
+        if !snapshot {
+            let mut w = ByteWriter::new();
+            put_delta(&mut w, delta);
+            self.pending
+                .extend_from_slice(&encode_frame(frame_kind::DELTA, w.as_bytes()));
+            self.pending_frames += 1;
+        }
         self.since_commit += 1;
         if self.since_commit < self.interval {
             return Ok(None);
         }
-        let started = std::time::Instant::now();
-        let snapshot = self.commits.is_multiple_of(self.snapshot_every as u64);
-        let mut bytes = 0u64;
-        let mut old_snapshot = String::new();
-        if snapshot {
-            // A snapshot subsumes the buffered deltas: write the live store,
-            // start a fresh (empty) changelog.
-            let mut w = ByteWriter::with_capacity(store.encoded_len() + 64);
-            put_store(&mut w, store);
-            let frame = encode_frame(frame_kind::SNAPSHOT, w.as_bytes());
-            let name = format!("snapshot-{}.ckpt", delta.seq);
-            write_durable(&self.dir.join(&name), &frame)?;
-            write_durable(&self.dir.join(CHANGELOG_NAME), &[])?;
-            bytes += frame.len() as u64;
-            self.stats.snapshots += 1;
-            self.stats.snapshot_bytes += frame.len() as u64;
-            old_snapshot = std::mem::replace(&mut self.snapshot_file, name);
-            self.changelog_len = 0;
-            self.changelog_frames = 0;
-        } else {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.dir.join(CHANGELOG_NAME))?;
-            f.write_all(&self.pending)?;
-            f.sync_all()?;
-            bytes += self.pending.len() as u64;
-            self.stats.delta_bytes += self.pending.len() as u64;
-            self.changelog_len += self.pending.len() as u64;
-            self.changelog_frames += self.pending_frames;
-        }
-        self.pending.clear();
-        self.pending_frames = 0;
-        self.since_commit = 0;
-        self.commits += 1;
-        self.watermark = Some(delta.seq);
-        bytes += self.write_manifest()? as u64;
-        if !old_snapshot.is_empty() {
-            // Only after the new manifest is durable does the previous
-            // snapshot become unreferenced; cleanup is best-effort.
-            let _ = fs::remove_file(self.dir.join(old_snapshot));
-        }
-        self.stats.commits += 1;
-        Ok(Some(CommitInfo {
-            seq: delta.seq,
-            snapshot,
-            bytes,
-            wall_us: started.elapsed().as_micros() as u64,
-        }))
+        self.commit(delta.seq, snapshot.then_some(store)).map(Some)
     }
 
     /// Force a full snapshot commit of the live store immediately, outside
@@ -432,40 +399,77 @@ impl Checkpointer {
             store.seq() > 0,
             "cannot snapshot before any batch is pushed"
         );
+        self.commit(store.seq() - 1, Some(store))
+    }
+
+    /// One commit through `watermark`: the buffered deltas appended to the
+    /// changelog, or a full `snapshot` of the store in their place. The order
+    /// is the crash-safety contract: no file the durable manifest references
+    /// is modified before the manifest that stops referencing it is durable.
+    fn commit(
+        &mut self,
+        watermark: u64,
+        snapshot: Option<&KeyedStateStore>,
+    ) -> Result<CommitInfo, CheckpointError> {
         let started = std::time::Instant::now();
-        let watermark = store.seq() - 1;
-        let mut w = ByteWriter::with_capacity(store.encoded_len() + 64);
-        put_store(&mut w, store);
-        let frame = encode_frame(frame_kind::SNAPSHOT, w.as_bytes());
-        let name = format!("snapshot-{watermark}.ckpt");
-        write_durable(&self.dir.join(&name), &frame)?;
-        write_durable(&self.dir.join(CHANGELOG_NAME), &[])?;
-        let mut bytes = frame.len() as u64;
-        self.stats.snapshots += 1;
-        self.stats.snapshot_bytes += frame.len() as u64;
-        let old_snapshot = std::mem::replace(&mut self.snapshot_file, name);
-        self.changelog_len = 0;
-        self.changelog_frames = 0;
+        let mut bytes;
+        let mut old_snapshot = None;
+        if let Some(store) = snapshot {
+            let frame = frame_of(frame_kind::SNAPSHOT, store.encoded_len(), |w| {
+                put_store(w, store)
+            });
+            // Renamed into place: after a re-shard at the watermark the
+            // cadence has just snapshotted, the name is the one the durable
+            // manifest holds (with an empty changelog, so either content
+            // restores).
+            let name = format!("snapshot-{watermark}.ckpt");
+            self.replace_file(&name, &frame)?;
+            bytes = frame.len() as u64;
+            self.stats.snapshots += 1;
+            self.stats.snapshot_bytes += bytes;
+            old_snapshot = Some(std::mem::replace(&mut self.snapshot_file, name));
+            self.changelog_len = 0;
+            self.changelog_frames = 0;
+        } else {
+            // Appended bytes are past the durable manifest's committed length.
+            let mut f = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(CHANGELOG_NAME))?;
+            f.write_all(&self.pending)?;
+            f.sync_all()?;
+            bytes = self.pending.len() as u64;
+            self.stats.delta_bytes += bytes;
+            self.changelog_len += bytes;
+            self.changelog_frames += self.pending_frames;
+        }
         self.pending.clear();
         self.pending_frames = 0;
         self.since_commit = 0;
         self.commits += 1;
         self.watermark = Some(watermark);
         bytes += self.write_manifest()? as u64;
-        if !old_snapshot.is_empty() && old_snapshot != self.snapshot_file {
-            let _ = fs::remove_file(self.dir.join(old_snapshot));
+        if let Some(old) = old_snapshot {
+            // Only now are the previous changelog and snapshot unreferenced
+            // (`restore` skips a changelog the manifest gives length 0);
+            // removing the snapshot is best-effort.
+            write_durable(&self.dir.join(CHANGELOG_NAME), &[])?;
+            if !old.is_empty() && old != self.snapshot_file {
+                #[cfg(test)]
+                tests::crash_point(None)?;
+                let _ = fs::remove_file(self.dir.join(old));
+            }
         }
         self.stats.commits += 1;
         Ok(CommitInfo {
             seq: watermark,
-            snapshot: true,
+            snapshot: snapshot.is_some(),
             bytes,
             wall_us: started.elapsed().as_micros() as u64,
         })
     }
 
-    /// Replace the manifest atomically (write temp + rename). Returns the
-    /// bytes written.
+    /// Replace the manifest atomically. Returns the bytes written.
     fn write_manifest(&self) -> Result<usize, CheckpointError> {
         let mut w = ByteWriter::new();
         w.put_u64(self.watermark.expect("manifest written after first commit"));
@@ -473,14 +477,25 @@ impl Checkpointer {
         w.put_u64(self.changelog_len);
         w.put_u32(self.changelog_frames);
         let frame = encode_frame(frame_kind::MANIFEST, w.as_bytes());
-        let tmp = self.dir.join("MANIFEST.tmp");
-        write_durable(&tmp, &frame)?;
-        fs::rename(&tmp, self.dir.join(MANIFEST_NAME))?;
+        self.replace_file(MANIFEST_NAME, &frame)?;
         Ok(frame.len())
+    }
+
+    /// Put `bytes` under `name` atomically: durable temp file, then rename —
+    /// a reader sees the old content or the new, never a torn write.
+    fn replace_file(&self, name: &str, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let tmp = self.dir.join(format!("{name}.tmp"));
+        write_durable(&tmp, bytes)?;
+        #[cfg(test)]
+        tests::crash_point(None)?;
+        fs::rename(&tmp, self.dir.join(name))?;
+        Ok(())
     }
 }
 
 fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    #[cfg(test)]
+    tests::crash_point(Some((path, bytes)))?;
     let mut f = File::create(path)?;
     f.write_all(bytes)?;
     f.sync_all()?;
@@ -586,6 +601,30 @@ mod tests {
     use crate::window::WindowSpec;
     use prompt_core::hash::KeyMap;
     use prompt_core::types::{Duration, Key};
+
+    thread_local! {
+        /// The crash a test has armed on this thread: how many file
+        /// operations of the commit still complete, and whether a write the
+        /// crash lands on is torn (half-written) rather than never started.
+        static CRASH: std::cell::Cell<Option<(usize, bool)>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// The test-only seam: the commit path calls this ahead of each file
+    /// operation, naming the target and content of a write.
+    pub(super) fn crash_point(write: Option<(&Path, &[u8])>) -> Result<(), CheckpointError> {
+        let Some((left, torn)) = CRASH.get() else {
+            return Ok(());
+        };
+        if left > 0 {
+            CRASH.set(Some((left - 1, torn)));
+            return Ok(());
+        }
+        if let (true, Some((path, bytes))) = (torn, write) {
+            fs::write(path, &bytes[..bytes.len() / 2]).unwrap();
+        }
+        Err(std::io::Error::other("injected crash").into())
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let nanos = std::time::SystemTime::now()
@@ -752,6 +791,69 @@ mod tests {
         assert_eq!(restored.watermark, 2);
         assert_same_state(&snapshot, &restored.store);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash at any point of a snapshot commit — between any two of its
+    /// file operations, or tearing the write in progress — leaves a directory
+    /// that restores to the previous commit or to the new one, never to an
+    /// error: the manifest is the commit point, and nothing it references is
+    /// touched before its successor is durable.
+    #[test]
+    fn snapshot_commit_survives_a_crash_after_every_step() {
+        fn encoded(store: &KeyedStateStore) -> Vec<u8> {
+            let mut w = ByteWriter::new();
+            put_store(&mut w, store);
+            w.into_bytes()
+        }
+        // `(case, commits before it, re-shard + snapshot_now?)` at `interval 1,
+        // snapshot_every 4`: commits 0 and 4 are the cadence's snapshots.
+        let cases = [
+            ("cadence snapshot", 4, false),
+            ("snapshot_now", 3, true),
+            ("snapshot_now at the cadence snapshot's watermark", 5, true),
+        ];
+        for (case, history, reshard) in cases {
+            for torn in [false, true] {
+                // Crashes seen restoring the previous commit / the new one.
+                let (mut kept, mut advanced) = (false, false);
+                for ops in 0.. {
+                    let at = format!("{case}: crash at file operation {ops} (torn: {torn})");
+                    let dir = temp_dir("crash");
+                    let cfg = CheckpointConfig::new(&dir).interval(1).snapshot_every(4);
+                    let mut store = fresh_store(3);
+                    let mut ckpt = Checkpointer::create(&cfg).unwrap();
+                    feed(&mut store, &mut ckpt, history);
+                    let before = (store.seq() - 1, encoded(&store));
+                    CRASH.set(Some((ops, torn)));
+                    let commit = if reshard {
+                        store.migrate(5);
+                        ckpt.snapshot_now(&store)
+                    } else {
+                        let (_, delta) = store.push_with_delta(&out(&[(1, 2.5), (9, -1.0)]));
+                        ckpt.record(&delta, &store).map(|c| c.expect("interval 1"))
+                    };
+                    CRASH.set(None);
+                    let after = (store.seq() - 1, encoded(&store));
+                    let restored = restore(&dir)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"))
+                        .expect("earlier commits are durable");
+                    let got = (restored.watermark, encoded(&restored.store));
+                    let _ = fs::remove_dir_all(&dir);
+                    if let Ok(info) = commit {
+                        // Past the commit's last file operation.
+                        assert!(info.snapshot && got == after, "{at}");
+                        break;
+                    }
+                    assert!(got == before || got == after, "{at}");
+                    kept |= got == before;
+                    advanced |= got == after;
+                }
+                assert!(
+                    kept && advanced,
+                    "{case}: no crash on each side of the commit point"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   periodic full snapshots in CRC-validated binary frames, committed via
 //!   an atomically replaced manifest.
 //! * [`KeyedStateStore::migrate`] — deterministic re-sharding when the
-//!   Algorithm 4 auto-scaler changes the reduce task count, in-process or
-//!   shipped over the wire by the distributed runtime.
+//!   Algorithm 4 auto-scaler changes the reduce task count. The driver's
+//!   store is the only copy on every backend (Reduce tasks are stateless
+//!   per batch), so a re-shard is local and its commit point is a snapshot.
 //!
 //! With checkpointing on, the driver truncates retained inputs at the
 //! checkpoint watermark and recovery recomputes only the post-checkpoint

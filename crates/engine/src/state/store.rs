@@ -2,7 +2,7 @@
 //!
 //! [`KeyedStateStore`] holds the same windowed query state as
 //! [`crate::window::WindowState`], but split into per-bucket shards so the
-//! state can be snapshotted, shipped, and re-sharded independently of the
+//! state can be snapshotted and re-sharded independently of the
 //! processing path. Bit-identity with the serial window is load-bearing:
 //! every per-key floating-point operation happens in exactly the order
 //! `WindowState::push` would perform it, so a run that checkpoints (or
@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use prompt_core::bytes::{ByteReader, ByteWriter, BytesSink, CodecError};
+use prompt_core::bytes::{ByteReader, BytesSink, CodecError};
 use prompt_core::hash::{bucket_of, KeyMap};
 use prompt_core::types::{Duration, Key};
 
@@ -380,8 +380,7 @@ pub fn get_store(r: &mut ByteReader<'_>) -> Result<KeyedStateStore, CodecError> 
         return Err(CodecError::Malformed("store needs at least one shard"));
     }
     // Every push appends one pane to every shard and evicts past the window,
-    // so pane indices align across shards — what `migrate` and
-    // `encode_group` index by.
+    // so pane indices align across shards — what `migrate` indexes by.
     let n_panes = seq.min(len_batches as u64) as usize;
     let mut shards = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
@@ -464,63 +463,33 @@ impl KeyedStateStore {
     /// Encoded size of the whole store in bytes (what a snapshot would
     /// write).
     pub fn encoded_len(&self) -> usize {
-        let mut c = CountingSink(0);
-        put_store(&mut c, self);
-        c.0
+        // `put_store`'s 25 B header; per shard the bucket id and two length
+        // prefixes, then `put_shard`'s entry widths under a prefix per pane.
+        let shard = |s: &StateShard| {
+            let panes: usize = s.panes.iter().map(|p| 4 + 16 * p.len()).sum();
+            12 + 20 * s.running.len() + panes
+        };
+        25 + self.shards.iter().map(shard).sum::<usize>()
     }
 
-    /// Encode one shard to bytes (the migration wire payload).
-    pub fn encode_shard(&self, bucket: usize) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        put_shard(&mut w, &self.shards[bucket]);
-        w.into_bytes()
-    }
-
-    /// Encode one key-group's state slice to bytes (the rebalancer's
-    /// `GroupPush` wire payload).
-    ///
-    /// State sharding (fixed [`STATE_SHARD_SEED`]) is independent of the
-    /// rebalancer's key-grouping, so a group's keys are scattered across
-    /// shards: the slice is collected by scanning every shard and keeping
-    /// the entries whose key hashes into `group`. Layout mirrors
-    /// [`put_shard`] — group id, sorted running entries, then one
-    /// key-sorted pane per in-window batch (pane indices align across
-    /// shards, so pane `i` of the slice is the group's contribution to
-    /// batch `i` of the window).
-    pub fn encode_group(&self, group: u32, n_groups: usize) -> Vec<u8> {
-        let in_group = |k: Key| crate::rebalance::group_of(k, n_groups) == group as usize;
-        let mut running: Vec<(Key, (f64, u32))> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.running.iter().map(|(&k, &e)| (k, e)))
-            .filter(|&(k, _)| in_group(k))
-            .collect();
-        running.sort_unstable_by_key(|&(k, _)| k.0);
-        let n_panes = self.shards.first().map_or(0, |s| s.panes.len());
-        let mut w = ByteWriter::new();
-        w.put_u32(group);
-        w.put_len(running.len());
-        for (k, (v, c)) in running {
-            w.put_u64(k.0);
-            w.put_f64(v);
-            w.put_u32(c);
-        }
-        w.put_len(n_panes);
-        for i in 0..n_panes {
-            let mut pane: Pane = self
-                .shards
-                .iter()
-                .flat_map(|s| s.panes[i].iter().copied())
-                .filter(|&(k, _)| in_group(k))
-                .collect();
-            pane.sort_unstable_by_key(|&(k, _)| k.0);
-            w.put_len(pane.len());
-            for (k, v) in pane {
-                w.put_u64(k.0);
-                w.put_f64(v);
+    /// Bytes of keyed state each of `n_groups` key-groups holds — what a
+    /// rebalance reports for a group that changes owner. State sharding
+    /// (fixed [`STATE_SHARD_SEED`]) is independent of the rebalancer's
+    /// key-grouping, so a group's keys are scattered across shards: one pass
+    /// over every entry, costed at [`put_shard`]'s widths (20 B per running
+    /// entry, 16 B per pane entry).
+    pub fn group_bytes(&self, n_groups: usize) -> Vec<u64> {
+        let mut bytes = vec![0u64; n_groups];
+        let group = |k: Key| crate::rebalance::group_of(k, n_groups);
+        for shard in &self.shards {
+            for &k in shard.running.keys() {
+                bytes[group(k)] += 20;
+            }
+            for &(k, _) in shard.panes.iter().flatten() {
+                bytes[group(k)] += 16;
             }
         }
-        w.into_bytes()
+        bytes
     }
 }
 
@@ -528,6 +497,7 @@ impl KeyedStateStore {
 mod tests {
     use super::*;
     use crate::window::WindowState;
+    use prompt_core::bytes::ByteWriter;
 
     fn out(entries: &[(u64, f64)]) -> BatchOutput {
         let mut aggregates = KeyMap::default();
@@ -648,36 +618,34 @@ mod tests {
 
     #[test]
     fn group_slices_partition_the_store() {
-        let n_groups = 8;
         let mut store = KeyedStateStore::new(spec(), Duration::from_secs(1), ReduceOp::Sum, 3);
         for b in batches(6, 20) {
             store.push(&b);
         }
-        // Decode every group's slice; together they must cover each running
-        // key exactly once, with keys sorted within a slice.
-        let mut seen = prompt_core::hash::KeySet::default();
-        let mut total_running = 0usize;
-        for g in 0..n_groups {
-            let bytes = store.encode_group(g as u32, n_groups);
-            let mut r = ByteReader::new(&bytes);
-            assert_eq!(r.get_u32().unwrap(), g as u32);
-            let n_running = r.get_len(16).unwrap();
-            let mut prev: Option<u64> = None;
-            for _ in 0..n_running {
-                let k = r.get_u64().unwrap();
-                let _v = r.get_f64().unwrap();
-                let _c = r.get_u32().unwrap();
-                assert!(prev.is_none_or(|p| p < k), "slice keys sorted");
-                prev = Some(k);
-                assert_eq!(crate::rebalance::group_of(Key(k), n_groups), g);
-                assert!(seen.insert(Key(k)), "key in two slices");
-                total_running += 1;
-            }
-            // Pane count matches the store's window depth for every group.
-            let n_panes = r.get_len(4).unwrap();
-            assert_eq!(n_panes, store.shards()[0].panes.len());
-        }
-        assert_eq!(total_running, store.key_count());
+        // Every entry belongs to exactly one group: the slices' sizes sum to
+        // what the snapshot codec writes for the store's entries — its
+        // encoding less the store header (25 B) and, per shard, the bucket id
+        // and the running / pane-count / per-pane length prefixes.
+        let bytes = store.group_bytes(8);
+        assert_eq!(bytes.len(), 8);
+        let shards = store.shards();
+        let framing: usize = shards.iter().map(|s| 12 + 4 * s.panes.len()).sum();
+        let entries = store.encoded_len() - 25 - framing;
+        assert!(entries > 0);
+        assert_eq!(bytes.iter().sum::<u64>(), entries as u64);
+        // A group's slice is its keys' entries, not an even share.
+        let of_group_0 = |k: &Key| crate::rebalance::group_of(*k, 8) == 0;
+        let running_0 = shards
+            .iter()
+            .flat_map(|s| s.running.keys())
+            .filter(|k| of_group_0(k))
+            .count();
+        let paned_0 = shards
+            .iter()
+            .flat_map(|s| s.panes.iter().flatten())
+            .filter(|(k, _)| of_group_0(k))
+            .count();
+        assert_eq!(bytes[0], (20 * running_0 + 16 * paned_0) as u64);
     }
 
     #[test]

@@ -456,8 +456,8 @@ pub enum TraceEvent {
         from: u32,
         /// New owner (reduce bucket).
         to: u32,
-        /// Encoded bytes of the group-scoped state payload shipped with
-        /// the move (0 when the run keeps no keyed state).
+        /// Size in bytes of the group's slice of keyed state — what changes
+        /// owner with the move (0 when the run keeps no keyed state).
         bytes: u64,
     },
     /// A scale action changed the reduce count and state shards migrated.

@@ -279,12 +279,13 @@ fn checkpointed_state_survives_worker_kill_and_store_loss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Elasticity-driven migration over the wire: when the auto-scaler changes
-/// the reduce task count mid-run, the re-sharded state is pushed to the
-/// worker fleet (`StatePush`/`StateAck`) and the answers stay bit-identical
-/// to the serial engine without checkpointing.
+/// An elasticity-driven re-shard on the fleet: when the auto-scaler changes
+/// the reduce task count mid-run, the driver's store — the only copy of
+/// keyed state; the workers hold none — is re-sharded and snapshotted, the
+/// migration is counted and traced, and the answers stay bit-identical to
+/// the serial engine without checkpointing.
 #[test]
-fn scale_migration_ships_state_over_the_wire() {
+fn scale_reshard_keeps_answers_bit_identical_on_the_fleet() {
     ensure_worker_bin();
     let job = Job::identity("count", ReduceOp::Count);
     let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));

@@ -5,7 +5,7 @@
 //! workload forced through its recorded routing-table version sequence
 //! ([`RebalanceSpec::Forced`]), on all three backends, including across a
 //! worker kill that lands exactly on a migration batch. A stateful variant
-//! exercises the group-scoped `GroupPush` state payloads over the wire.
+//! checks the state slices reported as changing owner (`GroupMigrate::bytes`).
 //!
 //! These spawn OS processes for the distributed runs, so they live next to
 //! the distributed smoke suite (CI runs both in the `distributed-smoke`
@@ -233,8 +233,7 @@ fn migrations_are_trace_level_invariant() {
 
 /// A worker killed exactly on a migration batch: the batch is recomputed
 /// on the survivors under the *same* routing-table version and everything
-/// stays bit-identical, on top of the `GroupPush` acks already fencing the
-/// batch behind the ownership change.
+/// stays bit-identical.
 #[test]
 fn worker_kill_on_migration_batch_recovers() {
     let (oracle, _) = run(
@@ -279,10 +278,9 @@ fn worker_kill_on_migration_batch_recovers() {
 
 /// A worker lost while batches are in flight around a migration, at depth
 /// 2: killed as the batch *before* migration batch `m` dispatches, the loss
-/// surfaces while `m − 2` is awaited, inside `m`'s `GroupPush` fence, or
-/// right after it — wherever it lands it is charged once, the push (if it
-/// was hit) is repeated on the survivors, and the run stays bit-identical to
-/// the undisturbed depth-2 run.
+/// surfaces while `m − 2` or `m − 1` is awaited, with `m` filled under the
+/// new routing version or not yet — wherever it lands it is charged once and
+/// the run stays bit-identical to the undisturbed depth-2 run.
 #[test]
 fn worker_kill_around_a_pipelined_migration_recovers() {
     let dist = Backend::Distributed {
@@ -317,12 +315,14 @@ fn worker_kill_around_a_pipelined_migration_recovers() {
     }
 }
 
-/// The stateful variant: with the keyed state store active, migration
-/// batches ship non-empty group-scoped state payloads over the wire
-/// (`GroupPush`), and the run stays bit-identical to the in-process
-/// oracle — including the stateful emissions computed from the store.
+/// The stateful variant: with the keyed state store active, a migration
+/// reports the size of the state slice that changes owner
+/// (`GroupMigrate::bytes`, non-zero once groups carry state) — identically
+/// on every backend, the driver's store being the only copy — and the run
+/// stays bit-identical to the in-process oracle, including the stateful
+/// emissions computed from the store.
 #[test]
-fn stateful_migrations_ship_group_payloads() {
+fn stateful_migrations_stay_bit_identical_and_report_moved_state() {
     let (oracle, orec) = run(
         Backend::InProcess,
         auto(),
@@ -336,9 +336,20 @@ fn stateful_migrations_ship_group_payloads() {
     );
     assert!(!oracle.stateful.is_empty(), "stateful emissions expected");
     // Migrations past warm-up carry real state: the moved group's keys
-    // have in-window panes, so the encoded slice is non-trivial.
-    let bytes: Vec<u64> = orec
-        .events()
+    // have in-window panes, so the slice is non-trivial.
+    let migration_events = |rec: &TraceRecorder| -> Vec<TraceEvent> {
+        let events = rec.events().into_iter();
+        events
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::Rebalance { .. } | TraceEvent::GroupMigrate { .. }
+                )
+            })
+            .collect()
+    };
+    let moved = migration_events(&orec);
+    let bytes: Vec<u64> = moved
         .iter()
         .filter_map(|e| match e {
             TraceEvent::GroupMigrate { bytes, .. } => Some(*bytes),
@@ -367,5 +378,6 @@ fn stateful_migrations_ship_group_payloads() {
         );
         assert_runs_identical(&label, &oracle, &res);
         assert_migrations_traced(&label, &res, &rec);
+        assert_eq!(migration_events(&rec), moved, "{label}: moved state");
     }
 }

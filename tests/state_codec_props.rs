@@ -67,6 +67,12 @@ fn encode_store(store: &KeyedStateStore) -> Vec<u8> {
     w.into_bytes()
 }
 
+fn shard_bytes(store: &KeyedStateStore, bucket: usize) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_shard(&mut w, &store.shards()[bucket]);
+    w.into_bytes()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -130,7 +136,7 @@ proptest! {
     }
 
     /// The writer keeps every shard at exactly `min(seq, len)` panes —
-    /// `migrate` and `encode_group` index panes positionally on that — so a
+    /// `migrate` indexes panes positionally on that — so a
     /// CRC-valid store whose shards disagree with each other, or all fall
     /// short of the batch count, is malformed, not a panic at the next
     /// re-shard.
@@ -151,14 +157,14 @@ proptest! {
         let short = shorter[short_pick % shorter.len()];
         let short = build_store(ReduceOp::Sum, r, len, 1, &inputs[..short]);
         let bytes = encode_store(&full);
-        let shards_len: usize = (0..r).map(|b| full.encode_shard(b).len()).sum();
+        let shards_len: usize = (0..r).map(|b| shard_bytes(&full, b).len()).sum();
         let header = &bytes[..bytes.len() - shards_len];
         let victim = victim_pick % r;
         // `header` + shard `b` from `short` where `from_short[b]`, else `full`.
         let splice = |from_short: Vec<bool>| {
             let mut out = header.to_vec();
             for (b, &pick) in from_short.iter().enumerate() {
-                out.extend(if pick { &short } else { &full }.encode_shard(b));
+                out.extend(shard_bytes(if pick { &short } else { &full }, b));
             }
             out
         };
@@ -185,7 +191,7 @@ proptest! {
     ) {
         let store = build_store(ReduceOp::Max, r, 4, 2, &inputs);
         for bucket in 0..store.shard_count() {
-            let bytes = store.encode_shard(bucket);
+            let bytes = shard_bytes(&store, bucket);
             let mut rd = ByteReader::new(&bytes);
             let shard = get_shard(&mut rd).unwrap();
             rd.expect_empty().unwrap();

@@ -266,9 +266,8 @@ proptest! {
         worker in any::<u32>(),
         magic in any::<u32>(),
         version in any::<u8>(),
-        // 1..=16 are live message types (16 = GroupPush, the group-scoped
-        // state migration payload); anything above must be rejected.
-        msg_type in 17u8..=255,
+        // 1..=13 are live message types; anything above must be rejected.
+        msg_type in 14u8..=255,
     ) {
         let good = Message::Heartbeat { worker }.encode();
 
