@@ -161,6 +161,17 @@ impl ByteWriter {
         self.buf.is_empty()
     }
 
+    /// Forget the bytes written so far and keep the allocation, for a
+    /// buffer that is filled again and again.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Make room for `additional` more bytes in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consume the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

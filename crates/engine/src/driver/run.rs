@@ -169,10 +169,6 @@ impl<'e> Run<'e> {
             Some(spec) if !state_on => Some(WindowState::new(spec, bi, eng.job.reduce)),
             _ => None,
         };
-        let checkpointer = cfg
-            .checkpoint
-            .as_ref()
-            .map(|c| Checkpointer::create(c).expect("failed to open checkpoint directory"));
         // Checkpoint-suffix recomputes read the retained inputs, and a worker
         // loss spends one of a batch's replicas (it resubmits the plan in
         // hand and reads only the count), even when the user configured no
@@ -188,7 +184,7 @@ impl<'e> Run<'e> {
             !distributed || eng.job.wire_spec().is_some(),
             "Backend::Distributed needs wire-serialisable jobs (build them with Job::identity)"
         );
-        let retain_inputs = distributed || checkpointer.is_some() || !fault_plan.is_empty();
+        let retain_inputs = distributed || cfg.checkpoint.is_some() || !fault_plan.is_empty();
         let scaler = cfg
             .elasticity
             .map(|sc| AutoScaler::new(sc, cfg.map_tasks, cfg.reduce_tasks));
@@ -208,7 +204,7 @@ impl<'e> Run<'e> {
             window,
             state_store: state_on.then(|| eng.new_state_store()),
             sstats: StateStats::default(),
-            checkpointer,
+            checkpointer: None,
             resume_from: 0,
             scaler,
             prev_zone: None,
@@ -222,6 +218,10 @@ impl<'e> Run<'e> {
             source,
         };
         run.resume();
+        // Opened after the resume has read the directory: opening sweeps
+        // what the durable manifest does not name.
+        run.checkpointer = (run.eng.cfg.checkpoint.as_ref())
+            .map(|c| Checkpointer::create(c).expect("failed to open checkpoint directory"));
         run
     }
 
@@ -242,8 +242,14 @@ impl<'e> Run<'e> {
     /// The state a lost or restarted store is rebuilt from, as `(store,
     /// batches covered, bytes read)`: the latest checkpoint, or a fresh store
     /// covering nothing when the run does not checkpoint or has not
-    /// committed yet — re-sharded to the current reduce count either way.
-    fn durable_state(&self) -> (KeyedStateStore, u64, u64) {
+    /// committed yet — re-sharded to the current reduce count either way. A
+    /// snapshot still with the compactor is settled first, so what is read
+    /// back (and how many bytes of it) does not depend on the compactor's
+    /// speed.
+    fn durable_state(&mut self) -> (KeyedStateStore, u64, u64) {
+        if let Some(ckpt) = self.checkpointer.as_mut() {
+            ckpt.settle().expect("checkpoint write failed");
+        }
         let restored = self
             .eng
             .cfg
@@ -935,11 +941,13 @@ impl<'e> Run<'e> {
     /// Hand back the run's results and trace.
     pub(crate) fn finish(mut self) -> (RunResult, TraceRecorder) {
         if self.state_store.is_some() {
-            if let Some(ckpt) = &self.checkpointer {
+            if let Some(ckpt) = self.checkpointer.as_mut() {
+                ckpt.settle().expect("checkpoint write failed");
                 self.sstats.snapshot_bytes = ckpt.stats().snapshot_bytes;
                 self.sstats.watermark = ckpt.watermark();
                 self.rec
                     .incr(Counter::SnapshotBytes, self.sstats.snapshot_bytes);
+                self.rec.compactor(ckpt.compactor_times());
             }
             self.result.state = Some(self.sstats);
         }

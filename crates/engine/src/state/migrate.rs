@@ -9,6 +9,8 @@
 //! exactly the same order the old sharding would have, so window results
 //! after a migration are bit-identical to a run that never migrated.
 
+use std::sync::Arc;
+
 use prompt_core::hash::{bucket_of, KeySet};
 
 use super::store::{put_shard, CountingSink, KeyedStateStore, Pane, StateShard, STATE_SHARD_SEED};
@@ -45,9 +47,13 @@ impl KeyedStateStore {
             .map(|b| StateShard {
                 bucket: b as u32,
                 running: Default::default(),
-                panes: (0..n_panes).map(|_| Pane::new()).collect(),
+                panes: (0..n_panes).map(|_| Arc::default()).collect(),
             })
             .collect();
+        // The new panes are this function's alone until they are installed.
+        fn unshared(pane: &mut Arc<Pane>) -> &mut Pane {
+            Arc::get_mut(pane).expect("a pane under construction is not shared")
+        }
         let mut moved = KeySet::default();
         let mut bytes = 0u64;
         for shard in self.take_shards() {
@@ -63,14 +69,16 @@ impl KeyedStateStore {
                 }
                 new_shards[b].running.insert(k, e);
             }
-            for (i, pane) in shard.panes.into_iter().enumerate() {
-                for (k, v) in pane {
+            // An old pane may be shared with a delta or a frozen copy of the
+            // store: its entries are copied out, never moved.
+            for (i, pane) in shard.panes.iter().enumerate() {
+                for &(k, v) in pane.iter() {
                     let b = bucket_of(STATE_SHARD_SEED, k, new_r);
                     if b != old_bucket {
                         moved.insert(k);
                         shard_moved = true;
                     }
-                    new_shards[b].panes[i].push((k, v));
+                    unshared(&mut new_shards[b].panes[i]).push((k, v));
                 }
             }
             if shard_moved {
@@ -79,7 +87,7 @@ impl KeyedStateStore {
         }
         for shard in &mut new_shards {
             for pane in &mut shard.panes {
-                pane.sort_unstable_by_key(|&(k, _)| k.0);
+                unshared(pane).sort_unstable_by_key(|&(k, _)| k.0);
             }
         }
         self.install_shards(new_shards);

@@ -27,8 +27,8 @@ mod store;
 
 pub use checkpoint::{
     decode_frame, encode_frame, frame_kind, restore, CheckpointConfig, CheckpointError,
-    CheckpointStats, Checkpointer, CommitInfo, RestoredState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-    FRAME_HEADER_LEN, FRAME_TRAILER_LEN, MAX_FRAME_PAYLOAD,
+    CheckpointStats, Checkpointer, CommitInfo, CompactorTimes, RestoredState, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION, FRAME_HEADER_LEN, FRAME_TRAILER_LEN, MAX_FRAME_PAYLOAD,
 };
 pub use migrate::MigrationReport;
 pub use store::{

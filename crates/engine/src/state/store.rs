@@ -16,6 +16,7 @@
 //! key alone.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use prompt_core::bytes::{ByteReader, BytesSink, CodecError};
 use prompt_core::hash::{bucket_of, KeyMap};
@@ -30,12 +31,14 @@ use crate::window::{WindowResult, WindowSpec};
 pub const STATE_SHARD_SEED: u64 = 0x5354_4154_4553_4844; // "STATESHD"
 
 /// One batch's contribution to one shard: the per-key mapped aggregates,
-/// sorted by key (the canonical order: map iteration order is not).
+/// sorted by key (the canonical order: map iteration order is not). A pane
+/// is immutable once built, so the shard, the batch's [`StateDelta`] and a
+/// frozen copy of the store share it by `Arc` instead of copying entries.
 pub type Pane = Vec<(Key, f64)>;
 
 /// One state shard: the running aggregates and in-window panes for the keys
 /// that hash to its bucket.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct StateShard {
     /// The shard's bucket index (its position in the store).
     pub(crate) bucket: u32,
@@ -44,15 +47,34 @@ pub struct StateShard {
     pub(crate) running: KeyMap<(f64, u32)>,
     /// In-window panes, oldest first. Every push appends one pane to every
     /// shard (possibly empty), so pane indices align across shards.
-    pub(crate) panes: VecDeque<Pane>,
+    pub(crate) panes: VecDeque<Arc<Pane>>,
+}
+
+impl Clone for StateShard {
+    fn clone(&self) -> StateShard {
+        StateShard {
+            bucket: self.bucket,
+            running: self.running.clone(),
+            panes: self.panes.clone(),
+        }
+    }
+
+    /// Into the allocations `self` already holds: what makes a frozen copy
+    /// refreshed every snapshot cheap (the panes are shared, the running map
+    /// is copied into its existing table).
+    fn clone_from(&mut self, source: &StateShard) {
+        self.bucket = source.bucket;
+        self.running.clone_from(&source.running);
+        self.panes.clone_from(&source.panes);
+    }
 }
 
 impl StateShard {
-    fn empty(bucket: u32, n_panes: usize) -> StateShard {
+    fn empty(bucket: u32) -> StateShard {
         StateShard {
             bucket,
             running: KeyMap::default(),
-            panes: (0..n_panes).map(|_| Pane::new()).collect(),
+            panes: VecDeque::new(),
         }
     }
 
@@ -64,7 +86,7 @@ impl StateShard {
         }
         let mut keys = prompt_core::hash::KeySet::default();
         for pane in &self.panes {
-            for &(k, _) in pane {
+            for &(k, _) in pane.iter() {
                 keys.insert(k);
             }
         }
@@ -80,13 +102,14 @@ pub struct StateDelta {
     /// Sequence number of the batch this delta applies to (the store's `seq`
     /// at capture time).
     pub seq: u64,
-    /// `(bucket, sorted entries)` for every shard the batch touched.
-    pub shards: Vec<(u32, Pane)>,
+    /// `(bucket, sorted entries)` for every shard the batch touched — the
+    /// panes the shards themselves hold.
+    pub shards: Vec<(u32, Arc<Pane>)>,
 }
 
 /// Keyed window state sharded by bucket. See the module docs for the
 /// bit-identity contract.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct KeyedStateStore {
     op: ReduceOp,
     len_batches: usize,
@@ -94,6 +117,25 @@ pub struct KeyedStateStore {
     shards: Vec<StateShard>,
     seq: u64,
     since_emit: usize,
+}
+
+impl Clone for KeyedStateStore {
+    fn clone(&self) -> KeyedStateStore {
+        KeyedStateStore {
+            shards: self.shards.clone(),
+            ..*self
+        }
+    }
+
+    /// Shard by shard into the copy's existing allocations (see
+    /// [`StateShard::clone_from`]).
+    fn clone_from(&mut self, source: &KeyedStateStore) {
+        self.shards.clone_from(&source.shards);
+        *self = KeyedStateStore {
+            shards: std::mem::take(&mut self.shards),
+            ..*source
+        };
+    }
 }
 
 impl KeyedStateStore {
@@ -111,7 +153,7 @@ impl KeyedStateStore {
             op,
             len_batches,
             slide_batches,
-            shards: (0..r).map(|b| StateShard::empty(b as u32, 0)).collect(),
+            shards: (0..r).map(|b| StateShard::empty(b as u32)).collect(),
             seq: 0,
             since_emit: 0,
         }
@@ -159,6 +201,15 @@ impl KeyedStateStore {
         std::mem::take(&mut self.shards)
     }
 
+    /// Let go of the panes (a frozen copy that has been written out): the
+    /// live store evicts them on its own schedule, and a copy kept for reuse
+    /// must not keep them alive past that.
+    pub(crate) fn release_panes(&mut self) {
+        for shard in &mut self.shards {
+            shard.panes.clear();
+        }
+    }
+
     /// Install a re-sharded set (migration).
     pub(crate) fn install_shards(&mut self, shards: Vec<StateShard>) {
         debug_assert!(!shards.is_empty(), "store needs at least one shard");
@@ -178,16 +229,20 @@ impl KeyedStateStore {
         for (&k, &v) in &out.aggregates {
             split[bucket_of(STATE_SHARD_SEED, k, r)].push((k, v));
         }
-        for entries in &mut split {
-            entries.sort_unstable_by_key(|&(k, _)| k.0);
-        }
+        let split: Vec<Arc<Pane>> = split
+            .into_iter()
+            .map(|mut entries| {
+                entries.sort_unstable_by_key(|&(k, _)| k.0);
+                Arc::new(entries)
+            })
+            .collect();
         let delta = StateDelta {
             seq: self.seq,
             shards: split
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| !e.is_empty())
-                .map(|(b, e)| (b as u32, e.clone()))
+                .map(|(b, e)| (b as u32, Arc::clone(e)))
                 .collect(),
         };
         (self.apply_panes(split), delta)
@@ -197,9 +252,9 @@ impl KeyedStateStore {
     /// must be the next batch in sequence.
     pub fn apply_delta(&mut self, delta: &StateDelta) -> Option<WindowResult> {
         assert_eq!(delta.seq, self.seq, "delta replayed out of order");
-        let mut split: Vec<Pane> = vec![Pane::new(); self.shards.len()];
+        let mut split: Vec<Arc<Pane>> = vec![Arc::default(); self.shards.len()];
         for (b, entries) in &delta.shards {
-            split[*b as usize] = entries.clone();
+            split[*b as usize] = Arc::clone(entries);
         }
         self.apply_panes(split)
     }
@@ -207,13 +262,13 @@ impl KeyedStateStore {
     /// The shard-wise mirror of `WindowState::push`: merge each shard's
     /// entries into its running state in sorted-key order, append the pane,
     /// evict the batch leaving the window.
-    fn apply_panes(&mut self, split: Vec<Pane>) -> Option<WindowResult> {
+    fn apply_panes(&mut self, split: Vec<Arc<Pane>>) -> Option<WindowResult> {
         let op = self.op;
         let invertible = op.invertible();
         let len_batches = self.len_batches;
         for (shard, entries) in self.shards.iter_mut().zip(split) {
             if invertible {
-                for &(k, v) in &entries {
+                for &(k, v) in entries.iter() {
                     let e = shard.running.entry(k).or_insert((0.0, 0));
                     e.0 = if e.1 == 0 { v } else { op.merge(e.0, v) };
                     e.1 += 1;
@@ -223,7 +278,7 @@ impl KeyedStateStore {
             if shard.panes.len() > len_batches {
                 let old = shard.panes.pop_front().expect("pane non-empty");
                 if invertible {
-                    for (k, v) in old {
+                    for &(k, v) in old.iter() {
                         let e = shard.running.get_mut(&k).expect("evicted key tracked");
                         e.1 -= 1;
                         if e.1 == 0 {
@@ -263,7 +318,7 @@ impl KeyedStateStore {
         } else {
             for shard in &self.shards {
                 for pane in &shard.panes {
-                    for &(k, v) in pane {
+                    for &(k, v) in pane.iter() {
                         acc.entry(k)
                             .and_modify(|a| *a = op.merge(*a, v))
                             .or_insert(v);
@@ -281,12 +336,29 @@ impl KeyedStateStore {
         let mut acc: KeyMap<f64> = KeyMap::default();
         for shard in &self.shards {
             for pane in &shard.panes {
-                for &(k, _) in pane {
+                for &(k, _) in pane.iter() {
                     *acc.entry(k).or_insert(0.0) += 1.0;
                 }
             }
         }
         acc
+    }
+}
+
+/// Entries a block buffer holds: the encoders below hand the sink one block
+/// at a time, not two or three fields an entry (a snapshot has over a million
+/// entries, and the sink call is most of what encoding one costs).
+const BLOCK_ENTRIES: usize = 256;
+
+/// Encode `(key, value)` entries at 16 B each.
+fn put_entries<S: BytesSink>(s: &mut S, entries: &[(Key, f64)]) {
+    let mut block = [0u8; 16 * BLOCK_ENTRIES];
+    for chunk in entries.chunks(BLOCK_ENTRIES) {
+        for (slot, &(k, v)) in block.chunks_exact_mut(16).zip(chunk) {
+            slot[..8].copy_from_slice(&k.0.to_le_bytes());
+            slot[8..].copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+        s.put_bytes(&block[..16 * chunk.len()]);
     }
 }
 
@@ -297,18 +369,19 @@ pub fn put_shard<S: BytesSink>(s: &mut S, shard: &StateShard) {
     let mut running: Vec<(Key, (f64, u32))> = shard.running.iter().map(|(&k, &e)| (k, e)).collect();
     running.sort_unstable_by_key(|&(k, _)| k.0);
     s.put_len(running.len());
-    for (k, (v, c)) in running {
-        s.put_u64(k.0);
-        s.put_f64(v);
-        s.put_u32(c);
+    let mut block = [0u8; 20 * BLOCK_ENTRIES];
+    for chunk in running.chunks(BLOCK_ENTRIES) {
+        for (slot, &(k, (v, c))) in block.chunks_exact_mut(20).zip(chunk) {
+            slot[..8].copy_from_slice(&k.0.to_le_bytes());
+            slot[8..16].copy_from_slice(&v.to_bits().to_le_bytes());
+            slot[16..].copy_from_slice(&c.to_le_bytes());
+        }
+        s.put_bytes(&block[..20 * chunk.len()]);
     }
     s.put_len(shard.panes.len());
     for pane in &shard.panes {
         s.put_len(pane.len());
-        for &(k, v) in pane {
-            s.put_u64(k.0);
-            s.put_f64(v);
-        }
+        put_entries(s, pane);
     }
 }
 
@@ -340,7 +413,7 @@ pub fn get_shard(r: &mut ByteReader<'_>) -> Result<StateShard, CodecError> {
             last = Some(k);
             pane.push((Key(k), r.get_f64()?));
         }
-        panes.push_back(pane);
+        panes.push_back(Arc::new(pane));
     }
     Ok(StateShard {
         bucket,
@@ -412,10 +485,7 @@ pub fn put_delta<S: BytesSink>(s: &mut S, d: &StateDelta) {
     for (b, entries) in &d.shards {
         s.put_u32(*b);
         s.put_len(entries.len());
-        for &(k, v) in entries {
-            s.put_u64(k.0);
-            s.put_f64(v);
-        }
+        put_entries(s, entries);
     }
 }
 
@@ -445,7 +515,7 @@ pub fn get_delta(r: &mut ByteReader<'_>) -> Result<StateDelta, CodecError> {
             last = Some(k);
             pane.push((Key(k), r.get_f64()?));
         }
-        shards.push((b, pane));
+        shards.push((b, Arc::new(pane)));
     }
     Ok(StateDelta { seq, shards })
 }
@@ -456,6 +526,16 @@ pub(crate) struct CountingSink(pub usize);
 impl BytesSink for CountingSink {
     fn put_bytes(&mut self, bytes: &[u8]) {
         self.0 += bytes.len();
+    }
+}
+
+impl StateDelta {
+    /// Encoded size in bytes (what [`put_delta`] writes): the sequence
+    /// number and shard count, then per shard the bucket id, the entry count
+    /// and 16 B an entry.
+    pub fn encoded_len(&self) -> usize {
+        let shard = |(_, entries): &(u32, Arc<Pane>)| 8 + 16 * entries.len();
+        12 + self.shards.iter().map(shard).sum::<usize>()
     }
 }
 
@@ -485,7 +565,7 @@ impl KeyedStateStore {
             for &k in shard.running.keys() {
                 bytes[group(k)] += 20;
             }
-            for &(k, _) in shard.panes.iter().flatten() {
+            for &(k, _) in shard.panes.iter().flat_map(|p| p.iter()) {
                 bytes[group(k)] += 16;
             }
         }
@@ -642,7 +722,7 @@ mod tests {
             .count();
         let paned_0 = shards
             .iter()
-            .flat_map(|s| s.panes.iter().flatten())
+            .flat_map(|s| s.panes.iter().flat_map(|p| p.iter()))
             .filter(|(k, _)| of_group_0(k))
             .count();
         assert_eq!(bytes[0], (20 * running_0 + 16 * paned_0) as u64);

@@ -48,6 +48,8 @@ use std::sync::Mutex;
 
 use prompt_core::types::{Duration, Time};
 
+use crate::state::CompactorTimes;
+
 /// How much the recorder keeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceLevel {
@@ -407,6 +409,15 @@ pub enum TraceEvent {
         /// Wall-clock time of the commit in µs.
         wall_us: u64,
     },
+    /// End of a checkpointed run: where the snapshot compactor's time went.
+    /// Wall-clock, like `wall_us`: never the same twice, never in a result.
+    Compactor {
+        /// Time the compactor thread spent encoding and writing snapshots.
+        busy_us: u64,
+        /// Time the driver spent blocked on it — the stall to look for when
+        /// the batch-latency tail comes back.
+        wait_us: u64,
+    },
     /// The keyed state store was rebuilt (lost store or resumed run).
     StateRestore {
         /// Batch sequence number at which the restore happened.
@@ -504,7 +515,7 @@ impl TraceEvent {
             | TraceEvent::GroupMigrate { seq, .. }
             | TraceEvent::StateMigrate { seq, .. } => Some(seq),
             TraceEvent::PolicySwitch { seq, .. } => Some(seq),
-            TraceEvent::Probe { .. } => None,
+            TraceEvent::Probe { .. } | TraceEvent::Compactor { .. } => None,
         }
     }
 
@@ -574,6 +585,9 @@ impl TraceEvent {
             } => format!(
                 "{{\"type\":\"checkpoint\",\"seq\":{seq},\"snapshot\":{snapshot},\"bytes\":{bytes},\"wall_us\":{wall_us}}}"
             ),
+            TraceEvent::Compactor { busy_us, wait_us } => {
+                format!("{{\"type\":\"compactor\",\"busy_us\":{busy_us},\"wait_us\":{wait_us}}}")
+            }
             TraceEvent::StateRestore {
                 seq,
                 covered,
@@ -774,6 +788,10 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             bytes: num("bytes")?,
             wall_us: num("wall_us")?,
         }),
+        "compactor" => Ok(TraceEvent::Compactor {
+            busy_us: num("busy_us")?,
+            wait_us: num("wait_us")?,
+        }),
         "state_restore" => Ok(TraceEvent::StateRestore {
             seq: num("seq")?,
             covered: num("covered")?,
@@ -938,6 +956,9 @@ pub struct TraceSummary {
     /// signal the rebalancer acts on (1.0 = perfectly balanced). `None`
     /// when no per-worker times were recorded.
     pub load_imbalance: Option<f64>,
+    /// Where the snapshot compactor's time went over the run (wall clock;
+    /// zero when nothing was compacted).
+    pub compactor: CompactorTimes,
 }
 
 impl TraceSummary {
@@ -983,6 +1004,12 @@ impl std::fmt::Display for TraceSummary {
         for (c, v) in &self.counters {
             writeln!(f, "{:<28} {v}", c.name())?;
         }
+        if self.counter(Counter::Snapshots) > 0 {
+            let CompactorTimes { busy_us, wait_us } = self.compactor;
+            let ms = |us: u64| us as f64 / 1e3;
+            writeln!(f, "{:<28} {:.3}", "compactor busy ms (wall)", ms(busy_us))?;
+            writeln!(f, "{:<28} {:.3}", "compactor wait ms (wall)", ms(wait_us))?;
+        }
         if let Some(ratio) = self.load_imbalance {
             writeln!(
                 f,
@@ -1010,6 +1037,9 @@ pub struct TraceRecorder {
     /// Per-reduce-worker busy-time totals (µs), fed by the driver at each
     /// commit; the summary derives the load-imbalance ratio from them.
     worker_busy: Mutex<Vec<u64>>,
+    /// The snapshot compactor's busy and waited-on time (µs), fed once at
+    /// the end of a checkpointed run.
+    compactor: [AtomicU64; 2],
 }
 
 impl TraceRecorder {
@@ -1022,6 +1052,7 @@ impl TraceRecorder {
             phases: std::array::from_fn(|_| Histogram::default()),
             events: Mutex::new(Vec::new()),
             worker_busy: Mutex::new(Vec::new()),
+            compactor: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -1092,6 +1123,18 @@ impl TraceRecorder {
         }
     }
 
+    /// Record where the snapshot compactor's time went (wall clock; kept at
+    /// [`TraceLevel::Summary`] and above, logged as one event at `Full`).
+    pub fn compactor(&self, times: CompactorTimes) {
+        if !self.enabled() {
+            return;
+        }
+        let CompactorTimes { busy_us, wait_us } = times;
+        self.compactor[0].fetch_add(busy_us, Ordering::Relaxed);
+        self.compactor[1].fetch_add(wait_us, Ordering::Relaxed);
+        self.push(TraceEvent::Compactor { busy_us, wait_us });
+    }
+
     /// Record a decision event (kept only at [`TraceLevel::Full`]).
     pub fn event(&self, e: TraceEvent) {
         if self.enabled() {
@@ -1142,6 +1185,10 @@ impl TraceRecorder {
             counters,
             worker_busy_us,
             load_imbalance,
+            compactor: CompactorTimes {
+                busy_us: self.compactor[0].load(Ordering::Relaxed),
+                wait_us: self.compactor[1].load(Ordering::Relaxed),
+            },
         }
     }
 }
