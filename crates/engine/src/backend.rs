@@ -11,7 +11,7 @@
 //! the plans still in hand. Nothing is re-partitioned — the failed attempt
 //! made no assigner calls and the plan did not change. Dispatch is all a
 //! backend does: keyed state never leaves the driver ([`crate::state`]), so
-//! a re-shard or a key-group migration is not a backend operation.
+//! a key-group migration is not a backend operation.
 
 use crate::config::{Backend, EngineConfig};
 use crate::job::Job;

@@ -97,7 +97,9 @@ pub struct EngineConfig {
     /// Execution substrate for batch processing.
     pub backend: Backend,
     /// Durable keyed-state checkpointing (see `crate::state`). When set,
-    /// window state is kept in a sharded [`crate::state::KeyedStateStore`],
+    /// window state is kept in a [`crate::state::KeyedStateStore`] of
+    /// [`crate::state::STATE_SHARDS`] shards — whatever `reduce_tasks` is,
+    /// or elasticity makes of it: a scale action forces no commit —
     /// committed as changelog deltas + periodic snapshots, and retained
     /// batch inputs are truncated at the checkpoint watermark instead of
     /// at window expiry. Requires a window on the engine.

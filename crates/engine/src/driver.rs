@@ -46,7 +46,7 @@ use crate::policy::{build_policy, PartitionerPolicy, PolicyDecision, PolicySpec}
 use crate::rebalance::{GroupRoutedAssigner, MigrationPlan, RoutingTable};
 use crate::recovery::{FaultPlan, NetFaultPlan};
 use crate::source::TupleSource;
-use crate::state::{KeyedStateStore, StateStats, StatefulOp};
+use crate::state::{KeyedStateStore, StateStats, StatefulOp, STATE_SHARDS};
 use crate::straggler::StragglerPlan;
 use crate::trace::TraceRecorder;
 use crate::window::{WindowResult, WindowSpec};
@@ -584,7 +584,7 @@ impl StreamingEngine {
             self.window.expect("the state layer requires a window"),
             self.cfg.batch_interval,
             self.job.reduce,
-            self.cfg.reduce_tasks,
+            STATE_SHARDS,
         )
     }
 }
@@ -1298,8 +1298,30 @@ mod tests {
         assert!(loose.max_retained_tuples > tight.max_retained_tuples);
     }
 
+    /// The elastic configuration the scaling tests ramp their load against.
+    fn ramp_cfg(ckpt: Option<crate::state::CheckpointConfig>) -> EngineConfig {
+        let mut cfg = small_cfg();
+        cfg.map_tasks = 2;
+        cfg.reduce_tasks = 2;
+        cfg.cluster = Cluster::new(4, 4);
+        cfg.cost = CostModel {
+            map_per_tuple: Duration::from_micros(150),
+            reduce_per_tuple: Duration::from_micros(150),
+            ..CostModel::default()
+        };
+        cfg.elasticity = Some(crate::elasticity::ScalerConfig {
+            d: 2,
+            ..Default::default()
+        });
+        cfg.checkpoint = ckpt;
+        cfg
+    }
+
+    /// Elasticity and durable state do not touch: a scale action changes the
+    /// task counts and nothing about the store — no commit, no snapshot, the
+    /// same [`STATE_SHARDS`] shards before and after.
     #[test]
-    fn scale_migration_keeps_answers_bit_identical() {
+    fn scaling_moves_no_state_and_keeps_answers_bit_identical() {
         let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
         let source = || {
             let mut rate = 2000usize;
@@ -1314,41 +1336,90 @@ mod tests {
                 }
             }
         };
-        let run = |ckpt: Option<crate::state::CheckpointConfig>| {
-            let mut cfg = small_cfg();
-            cfg.map_tasks = 2;
-            cfg.reduce_tasks = 2;
-            cfg.cluster = Cluster::new(4, 4);
-            cfg.cost = CostModel {
-                map_per_tuple: Duration::from_micros(150),
-                reduce_per_tuple: Duration::from_micros(150),
-                ..CostModel::default()
-            };
-            cfg.elasticity = Some(crate::elasticity::ScalerConfig {
-                d: 2,
-                ..Default::default()
-            });
-            cfg.checkpoint = ckpt;
+        let run_for = |ckpt: Option<crate::state::CheckpointConfig>, n_batches: usize| {
             let mut eng = StreamingEngine::new(
-                cfg,
+                ramp_cfg(ckpt),
                 Technique::Prompt,
                 1,
                 Job::identity("count", ReduceOp::Count),
             )
             .with_window(window);
-            eng.run(&mut source(), 30)
+            eng.run(&mut source(), n_batches)
         };
+        let run = |ckpt| run_for(ckpt, 30);
         let plain = run(None);
         assert!(
             plain.scale_events.iter().any(|(_, a)| a.out),
             "load ramp must trigger scale-out"
         );
-        let dir = ckpt_dir("migrate");
-        let ckpt = run(Some(crate::state::CheckpointConfig::new(&dir).interval(2)));
-        assert_windows_identical(&plain, &ckpt, "migration vs serial window");
+        let dir = ckpt_dir("scaling");
+        let ckpt_cfg = crate::state::CheckpointConfig::new(&dir).interval(2);
+        let ckpt = run(Some(ckpt_cfg.clone()));
+        assert_windows_identical(&plain, &ckpt, "checkpointed under scaling vs serial window");
+        // 15 commits, every one the interval's: the first snapshots and the
+        // `snapshot_every` cadence does, a scale action does neither.
         let stats = ckpt.state.expect("state on");
-        assert!(stats.migrations >= 1, "scale-out must migrate shards");
-        assert!(stats.migrated_keys > 0);
+        assert_eq!(stats.checkpoints, 30 / 2);
+        let cadence = (stats.checkpoints - 1) / ckpt_cfg.snapshot_every as u64;
+        assert_eq!(stats.snapshots, 1 + cadence);
+        let shards_in = |dir: &std::path::Path| {
+            let restored = crate::state::restore(dir).unwrap();
+            let _ = std::fs::remove_dir_all(dir);
+            restored.expect("the run committed").store.shard_count()
+        };
+        assert_eq!(shards_in(&dir), STATE_SHARDS, "after the scale actions");
+        // The same run cut short of its first scale-out.
+        let (first_out, _) = ckpt.scale_events.iter().find(|(_, a)| a.out).unwrap();
+        let before = run_for(Some(ckpt_cfg), *first_out as usize);
+        assert!(before.scale_events.iter().all(|(_, a)| !a.out));
+        assert_eq!(shards_in(&dir), STATE_SHARDS, "before the first");
+    }
+
+    /// A store lost after a scale-out is rebuilt from a checkpoint taken
+    /// under the task counts of before it — as it is, nothing re-sharded —
+    /// and the suffix recomputed under the new ones: the windows are the
+    /// serial window's of a run that lost and checkpointed nothing.
+    #[test]
+    fn store_lost_after_a_scale_out_restores_from_the_checkpoint_before_it() {
+        // Rate and key count both ramp, so a scale-out grows `r` too.
+        let mut source = |iv: Interval, out: &mut Vec<Tuple>| {
+            let seq = iv.start.0 / iv.len().0;
+            let (rate, keys) = (2400 + 400 * seq, 64 + 16 * seq);
+            let step = iv.len().0 / (rate + 1);
+            out.extend(
+                (0..rate).map(|i| Tuple::keyed(Time(iv.start.0 + step * (i + 1)), Key(i % keys))),
+            );
+        };
+        let mut run = |ckpt: Option<crate::state::CheckpointConfig>, plan: FaultPlan| {
+            let job = Job::identity("count", ReduceOp::Count);
+            let mut eng = StreamingEngine::new(ramp_cfg(ckpt), Technique::Prompt, 1, job)
+                .with_window(WindowSpec::sliding(
+                    Duration::from_secs(3),
+                    Duration::from_secs(1),
+                ))
+                .with_fault_tolerance(2, plan);
+            eng.run(&mut source, 16)
+        };
+        let plain = run(None, FaultPlan::none());
+        let mut pairs = plain.scale_events.windows(2);
+        let grown = pairs.find(|w| w[1].1.out && w[1].1.reduce_tasks > w[0].1.reduce_tasks);
+        let grown_at = grown.expect("the ramp must scale `r` out")[1].0;
+        // Commits at batches 3, 7, 11, …: the last one ahead of the loss
+        // precedes the scale-out, and a batch filled under the new counts is
+        // in the suffix.
+        let lost_at = grown_at + 2;
+        let dir = ckpt_dir("lost-after-scale-out");
+        let ckpt_cfg = crate::state::CheckpointConfig::new(&dir).interval(4);
+        let lossy = run(Some(ckpt_cfg), FaultPlan::none().lose_store_at(lost_at));
+        assert_eq!(plain.scale_events, lossy.scale_events);
+        let stats = lossy.state.expect("state on");
+        let covered = lost_at - stats.recomputed_batches;
+        assert_eq!(stats.restores, 1);
+        assert!(
+            (1..=grown_at).contains(&covered),
+            "the checkpoint must predate the scale-out at {grown_at}: covers {covered}"
+        );
+        assert_windows_identical(&plain, &lossy, "store lost after a scale-out");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1773,7 +1844,9 @@ mod tests {
     /// the steps that read; and the driver's store is the only copy of keyed
     /// state (DESIGN §4f), so no production line ships state to the fleet or
     /// waits for an ack of it — the in-flight window is the event pump's one
-    /// wait mode.
+    /// wait mode — and its shard count is its own, so none re-shards it or
+    /// forces a snapshot commit, and nothing under `state/` knows the Reduce
+    /// task count.
     #[test]
     fn engine_shape_no_depth_clamp_no_shared_routing_no_state_push() {
         let mut files = Vec::new();
@@ -1791,7 +1864,12 @@ mod tests {
             ["Pending", "Acks"].concat(),
             ["encode", "_group"].concat(),
             ["encode", "_shard"].concat(),
+            ["fn mig", "rate"].concat(),
+            ["snapshot", "_now"].concat(),
+            ["install", "_shards"].concat(),
+            ["State", "Migrate"].concat(),
         ];
+        let task_count = ["reduce", "_tasks"].concat();
         for (file, src) in &files {
             for (n, line) in src.lines().enumerate() {
                 assert!(!line.contains(&clamp), "{file}:{}: depth clamp", n + 1);
@@ -1805,6 +1883,15 @@ mod tests {
             for (n, line) in production.enumerate() {
                 for needle in &shipment {
                     assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
+                }
+            }
+            if file.contains("/state/") {
+                for (n, line) in src.lines().enumerate() {
+                    assert!(
+                        !line.contains(&task_count),
+                        "{file}:{}: `{task_count}`",
+                        n + 1
+                    );
                 }
             }
         }

@@ -242,10 +242,9 @@ impl<'e> Run<'e> {
     /// The state a lost or restarted store is rebuilt from, as `(store,
     /// batches covered, bytes read)`: the latest checkpoint, or a fresh store
     /// covering nothing when the run does not checkpoint or has not
-    /// committed yet — re-sharded to the current reduce count either way. A
-    /// snapshot still with the compactor is settled first, so what is read
-    /// back (and how many bytes of it) does not depend on the compactor's
-    /// speed.
+    /// committed yet. A snapshot still with the compactor is settled first,
+    /// so what is read back (and how many bytes of it) does not depend on the
+    /// compactor's speed.
     fn durable_state(&mut self) -> (KeyedStateStore, u64, u64) {
         if let Some(ckpt) = self.checkpointer.as_mut() {
             ckpt.settle().expect("checkpoint write failed");
@@ -256,14 +255,10 @@ impl<'e> Run<'e> {
             .checkpoint
             .as_ref()
             .and_then(|cfg| restore(&cfg.dir).expect("checkpoint restore failed"));
-        let (mut store, covered, bytes) = match restored {
+        match restored {
             Some(rs) => (rs.store, rs.watermark + 1, rs.bytes_read),
             None => (self.eng.new_state_store(), 0, 0),
-        };
-        if store.shard_count() != self.r {
-            store.migrate(self.r);
         }
-        (store, covered, bytes)
     }
 
     fn record_restore(&mut self, seq: u64, covered: u64, bytes: u64, recomputed: u64) {
@@ -713,7 +708,6 @@ impl<'e> Run<'e> {
         }
         self.step_scaler(&pb, w);
         self.commit_window(output);
-        self.migrate_state(seq);
 
         if let Some(d) = pb.decision {
             self.result.policy_decisions.push(d);
@@ -905,36 +899,6 @@ impl<'e> Run<'e> {
         });
         if let Some(store) = self.store.as_mut() {
             store.expire_through(commit.seq);
-        }
-    }
-
-    /// Elasticity changed the reduce count: migrate state shards to the new
-    /// allocation. With checkpointing on, a migration is a commit point
-    /// (deltas are bucket-keyed, so the changelog must never mix shard
-    /// counts — `snapshot_now` rolls it over).
-    fn migrate_state(&mut self, seq: u64) {
-        let Some(store) = self.state_store.as_mut() else {
-            return;
-        };
-        if store.shard_count() == self.r {
-            return;
-        }
-        let report = store.migrate(self.r);
-        self.sstats.migrations += 1;
-        self.sstats.migrated_keys += report.keys_moved as u64;
-        self.rec.incr(Counter::StateMigrations, 1);
-        self.rec
-            .incr(Counter::MigratedKeys, report.keys_moved as u64);
-        self.rec.event(TraceEvent::StateMigrate {
-            seq,
-            from_r: report.from_r,
-            to_r: report.to_r,
-            keys: report.keys_moved as u64,
-            bytes: report.bytes,
-        });
-        if let Some(ckpt) = self.checkpointer.as_mut() {
-            let commit = ckpt.snapshot_now(store).expect("checkpoint write failed");
-            self.record_commit(commit);
         }
     }
 

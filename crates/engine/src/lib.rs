@@ -90,8 +90,8 @@ pub mod prelude {
     pub use crate::source::TupleSource;
     pub use crate::stage::{execute_batch, times_from_stats, BatchOutput, BucketStats, StageTimes};
     pub use crate::state::{
-        CheckpointConfig, CheckpointError, Checkpointer, KeyedStateStore, MigrationReport,
-        StateDelta, StateStats, StatefulOp,
+        CheckpointConfig, CheckpointError, Checkpointer, KeyedStateStore, StateDelta, StateStats,
+        StatefulOp, STATE_SHARDS,
     };
     pub use crate::stats::{percentile_sorted, summarize, Summary};
     pub use crate::straggler::{Stage, StragglerEvent, StragglerPlan};

@@ -33,7 +33,7 @@
 //! heartbeat-liveness deadlines and the in-flight stage deadlines — never
 //! a fixed polling period. The in-flight window is the only thing the pump
 //! ever waits for: keyed state lives in the driver's store (`crate::state`),
-//! so a re-shard or a key-group migration sends the fleet nothing.
+//! so a scale action or a key-group migration sends the fleet nothing.
 //!
 //! Failure is detected organically — a broken control connection, a
 //! heartbeat that stops, a worker blaming an unreachable shuffle source —

@@ -55,11 +55,12 @@
 //! first commit that finds the snapshot finished *publishes* it with the
 //! manifest it writes anyway (`base = head`), and then has the old epoch
 //! removed. At most one snapshot is in flight: the next cadence point waits
-//! for the last. The first commit of a writer (which has no epoch to append
-//! to) and [`Checkpointer::snapshot_now`] are the same steps with the wait
-//! in the middle: schedule, wait, publish. [`Checkpointer::settle`] —
-//! before the directory is read back mid-run, at the end of a run, on drop
-//! — waits and publishes with a manifest of its own.
+//! for the last. The first commit of a writer, which has no epoch to append
+//! to, is the same steps with the wait in the middle — schedule, wait,
+//! publish — and the only commit that waits for its own snapshot.
+//! [`Checkpointer::settle`] — before the directory is read back mid-run, at
+//! the end of a run, on drop — waits and publishes with a manifest of its
+//! own.
 //!
 //! The compactor's speed reaches no result: a snapshot and its bytes are
 //! counted when it is taken (`encoded_len` is arithmetic), the manifest has
@@ -374,7 +375,7 @@ pub struct CommitInfo {
     pub seq: u64,
     /// Whether this commit took a full snapshot of the store: handed to the
     /// compactor and left with it (the `snapshot_every` cadence) or waited
-    /// for (the first commit, [`Checkpointer::snapshot_now`]).
+    /// for (a writer's first commit).
     pub snapshot: bool,
     /// Bytes the commit puts on disk: deltas, manifest, and the snapshot it
     /// took — independent of when a compacted snapshot lands.
@@ -391,7 +392,7 @@ pub struct CompactorTimes {
     pub busy_us: u64,
     /// Time the committing thread spent blocked on it (µs): at a cadence
     /// point whose predecessor was still being written, in `settle`, and in
-    /// the two commits that wait by design (the first, `snapshot_now`).
+    /// the one commit that waits by design (a writer's first).
     pub wait_us: u64,
 }
 
@@ -631,7 +632,7 @@ impl Dir {
     }
 
     /// The one snapshot-writing routine, run by the compactor for the cadence
-    /// and for the two synchronous cases alike: the whole store as one frame
+    /// and for the first commit alike: the whole store as one frame
     /// in `frame` (whose allocation the caller keeps), put under the
     /// generation's name atomically, name flushed. When this returns a
     /// manifest may name the snapshot.
@@ -874,8 +875,16 @@ impl Checkpointer {
         }
         let started = Instant::now();
         if self.stats.commits == 0 {
-            // No snapshot of this run's to apply a delta to yet.
-            return self.snapshot_commit(delta.seq, store, started).map(Some);
+            // No snapshot of this run's to apply a delta to yet: one is
+            // scheduled like the cadence's, waited for, and published as the
+            // one epoch of the directory (the buffered deltas are subsumed by
+            // it). A retry after a first commit whose snapshot failed meets
+            // that failure in `settle`.
+            self.settle()?;
+            let bytes = self.schedule(store)?;
+            self.settle_compaction(true)?;
+            let bytes = bytes + self.publish(delta.seq)?;
+            return Ok(Some(self.committed(delta.seq, true, bytes, started)));
         }
         // At most one compaction in flight: a cadence point waits for the
         // last one, every other commit only looks whether it has finished.
@@ -898,19 +907,6 @@ impl Checkpointer {
         Ok(Some(self.committed(delta.seq, cadence, bytes, started)))
     }
 
-    /// Force a full snapshot commit of the live store immediately, outside
-    /// the interval cadence, waiting for the snapshot. Used after a shard
-    /// migration: deltas are keyed by shard bucket, so the changelog must
-    /// never mix shard counts — a snapshot at the new count is the commit
-    /// point. The buffered deltas are subsumed by the snapshot and dropped.
-    pub fn snapshot_now(&mut self, store: &KeyedStateStore) -> Result<CommitInfo, CheckpointError> {
-        assert!(
-            store.seq() > 0,
-            "cannot snapshot before any batch is pushed"
-        );
-        self.snapshot_commit(store.seq() - 1, store, Instant::now())
-    }
-
     /// Wait for the snapshot in flight, if any, and publish it: afterwards
     /// the directory holds one epoch and is what it would be had the
     /// compactor been infinitely fast. Called before anything reads the
@@ -922,23 +918,6 @@ impl Checkpointer {
             Some(watermark) if !self.garbage.is_empty() => self.publish(watermark).map(drop),
             _ => Ok(()),
         }
-    }
-
-    /// A synchronous snapshot commit through `watermark`: a snapshot of
-    /// `store` scheduled like the cadence's, waited for, and published as the
-    /// one epoch of the directory. What was in flight before is settled
-    /// first, so the compactor sees every removal ahead of the next write.
-    fn snapshot_commit(
-        &mut self,
-        watermark: u64,
-        store: &KeyedStateStore,
-        started: Instant,
-    ) -> Result<CommitInfo, CheckpointError> {
-        self.settle()?;
-        let bytes = self.schedule(store)?;
-        self.settle_compaction(true)?;
-        let bytes = bytes + self.publish(watermark)?;
-        Ok(self.committed(watermark, true, bytes, started))
     }
 
     /// Look for the snapshot in flight — with `wait`, block until it is
@@ -1127,6 +1106,13 @@ fn replay(dir: &Path, epoch: Epoch, store: &mut KeyedStateStore) -> Result<(), C
             if delta.seq != store.seq() {
                 return Err(CheckpointError::Corrupt("changelog delta out of order"));
             }
+            // `get_delta` admits strictly ascending buckets only.
+            let last = delta.shards.last();
+            if last.is_some_and(|(b, _)| *b as usize >= store.shard_count()) {
+                return Err(CheckpointError::Corrupt(
+                    "delta bucket past the store's shard count",
+                ));
+            }
             store.apply_delta(&delta);
             rest = &rest[consumed..];
             frames += 1;
@@ -1146,6 +1132,7 @@ mod tests {
     use crate::job::{Job, ReduceOp};
     use crate::recovery::FaultPlan;
     use crate::stage::BatchOutput;
+    use crate::state::STATE_SHARDS;
     use crate::trace::{TraceEvent, TraceLevel};
     use crate::window::WindowSpec;
     use prompt_core::hash::KeyMap;
@@ -1444,6 +1431,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A delta that passes every frame check but names a bucket the
+    /// snapshot's store does not have is a typed error, not an index panic.
+    #[test]
+    fn delta_bucket_past_the_shard_count_is_rejected() {
+        let dir = temp_dir("bucket");
+        let cfg = CheckpointConfig::new(&dir).interval(1).snapshot_every(100);
+        let mut store = fresh_store(2);
+        feed(&mut store, &mut Checkpointer::create(&cfg).unwrap(), 2);
+        // The changelog is batch 1's delta. Re-address its last shard: same
+        // length, valid CRC, buckets still ascending.
+        let path = files(&dir, "changelog-").pop().expect("a delta");
+        let bytes = fs::read(&path).unwrap();
+        let (_, payload, _) = decode_frame(&bytes).unwrap();
+        let mut delta = get_delta(&mut ByteReader::new(payload)).unwrap();
+        delta.shards.last_mut().expect("a shard was touched").0 = 2;
+        let mut w = ByteWriter::new();
+        put_delta(&mut w, &delta);
+        fs::write(&path, encode_frame(frame_kind::DELTA, w.as_bytes())).unwrap();
+        let err = restore(&dir).expect_err("bucket 2 of a 2-shard store");
+        let past = matches!(err, CheckpointError::Corrupt(what) if what.contains("shard count"));
+        assert!(past, "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn truncated_snapshot_is_rejected() {
         let dir = temp_dir("truncated");
@@ -1505,7 +1516,9 @@ mod tests {
     // same state batch for batch: a directory a hand-driven `Checkpointer`
     // crashed in is one a run can resume from.
 
-    const SHARDS: usize = 3;
+    /// Not [`STATE_SHARDS`]: a run that resumes over a hand-driven directory
+    /// carries on at the count it finds there.
+    const SHARDS: usize = 8;
 
     fn copies(seq: u64, key: u64) -> u64 {
         if key < 5 + seq % 3 {
@@ -1546,7 +1559,6 @@ mod tests {
         let cfg = EngineConfig {
             batch_interval: Duration::from_secs(1),
             map_tasks: 2,
-            reduce_tasks: SHARDS,
             trace: TraceLevel::Full,
             checkpoint,
             ..EngineConfig::default()
@@ -1565,13 +1577,11 @@ mod tests {
     enum Step {
         /// Push the next batch and `record` it.
         Push,
-        /// Re-shard the store and `snapshot_now`.
-        Reshard(usize),
         /// Wait for the compactor without publishing (what a fast compactor
         /// is to the commit after).
         Idle,
     }
-    use Step::{Idle, Push, Reshard};
+    use Step::{Idle, Push};
 
     /// A script run once per file operation it performs on `side`, crashing
     /// there: `history` first, with nothing armed, then `steps`, then the
@@ -1664,42 +1674,6 @@ mod tests {
             steps: &[Push, Push],
         },
         Scenario {
-            name: "snapshot_now",
-            interval: 1,
-            snapshot_every: 4,
-            held: true,
-            side: Side::Driver,
-            history: 3,
-            steps: &[Reshard(5)],
-        },
-        Scenario {
-            name: "snapshot_now at the watermark of the compaction in flight",
-            interval: 1,
-            snapshot_every: 4,
-            held: true,
-            side: Side::Driver,
-            history: 5,
-            steps: &[Reshard(5), Push],
-        },
-        Scenario {
-            name: "snapshot_now past the watermark of the compaction in flight",
-            interval: 1,
-            snapshot_every: 4,
-            held: true,
-            side: Side::Driver,
-            history: 6,
-            steps: &[Reshard(2), Push],
-        },
-        Scenario {
-            name: "the compactor under snapshot_now",
-            interval: 1,
-            snapshot_every: 4,
-            held: true,
-            side: Side::Compactor,
-            history: 5,
-            steps: &[Reshard(5)],
-        },
-        Scenario {
             name: "snapshot_every 1: each commit settles the last one's snapshot",
             interval: 1,
             snapshot_every: 1,
@@ -1732,8 +1706,7 @@ mod tests {
     struct Left {
         at: String,
         dir: PathBuf,
-        /// The encoded live store at each watermark, in order — under both
-        /// shardings where the script re-sharded.
+        /// The encoded live store at each watermark, in order.
         states: Vec<(u64, Vec<u8>)>,
         /// How many of `states` there were when the last commit returned:
         /// the state it made durable is the last of them.
@@ -1773,11 +1746,6 @@ mod tests {
                     let (_, delta) = store.push_with_delta(&counted(store.seq()));
                     states.push((delta.seq, encoded(&store)));
                     ckpt.record(&delta, &store)?
-                }
-                Reshard(r) => {
-                    store.migrate(r);
-                    states.push((store.seq() - 1, encoded(&store)));
-                    Some(ckpt.snapshot_now(&store)?)
                 }
                 Idle => {
                     ckpt.settle_compaction(true)?;
@@ -1850,7 +1818,7 @@ mod tests {
             }
         });
         assert!(
-            stops > 200,
+            stops > 150,
             "only {stops} crashes: the seam is not consulted"
         );
     }
@@ -1892,6 +1860,9 @@ mod tests {
                 .unwrap()
                 .expect("the resumed run committed");
             assert_eq!(end.watermark, BATCHES as u64 - 1, "{}", left.at);
+            // A restored store keeps the count its snapshot records.
+            let shards = if covered > 0 { SHARDS } else { STATE_SHARDS };
+            assert_eq!(end.store.shard_count(), shards, "{}", left.at);
         });
     }
 
@@ -1967,7 +1938,6 @@ mod tests {
                 .expect_err("the compaction failed");
             assert!(matches!(err, CheckpointError::Io(_)), "{err}");
         }
-        assert!(ckpt.snapshot_now(&store).is_err());
         assert!(ckpt.settle().is_err());
         drop(ckpt);
         let restored = restore(&dir).unwrap().unwrap();

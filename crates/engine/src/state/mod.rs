@@ -1,5 +1,4 @@
-//! Durable keyed state: sharded window state, incremental checkpointing,
-//! and elasticity-driven state migration.
+//! Durable keyed state: sharded window state and incremental checkpointing.
 //!
 //! The engine's recovery story before this module was recompute-from-input:
 //! `ReplicatedBatchStore` retains every batch's tuples and a lost batch is
@@ -12,17 +11,18 @@
 //! * [`Checkpointer`] / [`restore`] — per-batch changelog deltas plus
 //!   periodic full snapshots in CRC-validated binary frames, committed via
 //!   an atomically replaced manifest.
-//! * [`KeyedStateStore::migrate`] — deterministic re-sharding when the
-//!   Algorithm 4 auto-scaler changes the reduce task count. The driver's
-//!   store is the only copy on every backend (Reduce tasks are stateless
-//!   per batch), so a re-shard is local and its commit point is a snapshot.
+//!
+//! The driver's store is the only copy on every backend (Reduce tasks are
+//! stateless per batch) and its shard count is its own ([`STATE_SHARDS`]), so
+//! elasticity and durable state do not touch: a scale action by the
+//! Algorithm 4 auto-scaler changes the task counts of the next batch filled
+//! and moves no state.
 //!
 //! With checkpointing on, the driver truncates retained inputs at the
 //! checkpoint watermark and recovery recomputes only the post-checkpoint
 //! suffix — both visible as trace events.
 
 mod checkpoint;
-mod migrate;
 mod store;
 
 pub use checkpoint::{
@@ -30,10 +30,9 @@ pub use checkpoint::{
     CheckpointStats, Checkpointer, CommitInfo, CompactorTimes, RestoredState, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION, FRAME_HEADER_LEN, FRAME_TRAILER_LEN, MAX_FRAME_PAYLOAD,
 };
-pub use migrate::MigrationReport;
 pub use store::{
     get_delta, get_shard, get_store, put_delta, put_shard, put_store, KeyedStateStore, Pane,
-    StateDelta, StateShard, STATE_SHARD_SEED,
+    StateDelta, StateShard, STATE_SHARDS, STATE_SHARD_SEED,
 };
 
 /// A stateful per-key operator evaluated against the live state store —
@@ -72,10 +71,6 @@ pub struct StateStats {
     pub restores: u64,
     /// Batches recomputed from retained input after restores.
     pub recomputed_batches: u64,
-    /// Shard migrations triggered by scale actions.
-    pub migrations: u64,
-    /// Distinct keys moved across shards by migrations.
-    pub migrated_keys: u64,
     /// High-water mark of tuples retained by the replicated batch store
     /// over the run (the memory bound the watermark truncation enforces).
     pub max_retained_tuples: u64,

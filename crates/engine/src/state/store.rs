@@ -1,19 +1,21 @@
 //! The sharded keyed state store.
 //!
 //! [`KeyedStateStore`] holds the same windowed query state as
-//! [`crate::window::WindowState`], but split into per-bucket shards so the
-//! state can be snapshotted and re-sharded independently of the
-//! processing path. Bit-identity with the serial window is load-bearing:
-//! every per-key floating-point operation happens in exactly the order
-//! `WindowState::push` would perform it, so a run that checkpoints (or
-//! migrates) produces the same window results, bit for bit, as one that
-//! does not.
+//! [`crate::window::WindowState`], but split into per-bucket shards.
+//! Bit-identity with the serial window is load-bearing: every per-key
+//! floating-point operation happens in exactly the order `WindowState::push`
+//! would perform it, so a run that checkpoints produces the same window
+//! results, bit for bit, as one that does not — at any shard count.
 //!
-//! Sharding uses the store's own fixed seed, not the reduce allocator's
-//! bucket assignment: the allocator's mapping is mutable run state (split
-//! keys move between buckets as skew evolves), while a durable store needs a
-//! placement that any restarted or newly joined node can recompute from the
-//! key alone.
+//! The sharding is a memory layout, not a unit of ownership: the driver's
+//! store is the only copy of keyed state, and the split buys cache-sized
+//! running maps and short per-pane sorts (EXPERIMENTS "State shard count").
+//! So the count is the store's own — [`STATE_SHARDS`] when the engine builds
+//! it, what the snapshot records when it is restored — never the Reduce task
+//! count a scale action moves. Placement uses the store's own fixed seed, not
+//! the reduce allocator's bucket assignment (mutable run state: split keys
+//! move between buckets as skew evolves): a restarted run must recompute it
+//! from the key alone.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -27,8 +29,13 @@ use crate::stage::BatchOutput;
 use crate::window::{WindowResult, WindowSpec};
 
 /// Fixed hash seed for state-shard placement. Stable across runs and
-/// processes — restore and migration must agree on where a key lives.
+/// processes — a restored store must agree on where a key lives.
 pub const STATE_SHARD_SEED: u64 = 0x5354_4154_4553_4844; // "STATESHD"
+
+/// Shards of a store the engine builds. Flat within noise from 8 to 64 on
+/// both measured output shapes and ahead of 1 on each (EXPERIMENTS "State
+/// shard count"); 16 is what the `uniform_state` benchmark has always run.
+pub const STATE_SHARDS: usize = 16;
 
 /// One batch's contribution to one shard: the per-key mapped aggregates,
 /// sorted by key (the canonical order: map iteration order is not). A pane
@@ -139,21 +146,22 @@ impl Clone for KeyedStateStore {
 }
 
 impl KeyedStateStore {
-    /// Create a store for `spec` over batches of `batch_interval`, sharded
-    /// `r` ways.
+    /// Create a store for `spec` over batches of `batch_interval`, split
+    /// into `shards` shards for the store's whole life ([`STATE_SHARDS`] is
+    /// what the engine passes).
     pub fn new(
         spec: WindowSpec,
         batch_interval: Duration,
         op: ReduceOp,
-        r: usize,
+        shards: usize,
     ) -> KeyedStateStore {
-        assert!(r >= 1, "state store needs at least one shard");
+        assert!(shards >= 1, "state store needs at least one shard");
         let (len_batches, slide_batches) = spec.in_batches(batch_interval);
         KeyedStateStore {
             op,
             len_batches,
             slide_batches,
-            shards: (0..r).map(|b| StateShard::empty(b as u32)).collect(),
+            shards: (0..shards).map(|b| StateShard::empty(b as u32)).collect(),
             seq: 0,
             since_emit: 0,
         }
@@ -169,7 +177,7 @@ impl KeyedStateStore {
         self.op
     }
 
-    /// Number of shards (tracks the reduce task count).
+    /// Number of shards: fixed when the store was built or restored.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -185,7 +193,7 @@ impl KeyedStateStore {
         bucket_of(STATE_SHARD_SEED, key, self.shards.len())
     }
 
-    /// Borrow the shards (for snapshots and migration reports).
+    /// Borrow the shards (for snapshots).
     pub fn shards(&self) -> &[StateShard] {
         &self.shards
     }
@@ -195,12 +203,6 @@ impl KeyedStateStore {
         self.shards.iter().map(StateShard::key_count).sum()
     }
 
-    /// Hand the shard set off for re-sharding (migration). The caller must
-    /// `install_shards` a replacement before the store is used again.
-    pub(crate) fn take_shards(&mut self) -> Vec<StateShard> {
-        std::mem::take(&mut self.shards)
-    }
-
     /// Let go of the panes (a frozen copy that has been written out): the
     /// live store evicts them on its own schedule, and a copy kept for reuse
     /// must not keep them alive past that.
@@ -208,12 +210,6 @@ impl KeyedStateStore {
         for shard in &mut self.shards {
             shard.panes.clear();
         }
-    }
-
-    /// Install a re-sharded set (migration).
-    pub(crate) fn install_shards(&mut self, shards: Vec<StateShard>) {
-        debug_assert!(!shards.is_empty(), "store needs at least one shard");
-        self.shards = shards;
     }
 
     /// Push one batch output; returns the window result at slide boundaries.
@@ -249,7 +245,8 @@ impl KeyedStateStore {
     }
 
     /// Replay a previously captured delta (checkpoint restore). The delta
-    /// must be the next batch in sequence.
+    /// must be the next batch in sequence and name only buckets this store
+    /// has; `restore` checks both of a changelog's deltas before it calls.
     pub fn apply_delta(&mut self, delta: &StateDelta) -> Option<WindowResult> {
         assert_eq!(delta.seq, self.seq, "delta replayed out of order");
         let mut split: Vec<Arc<Pane>> = vec![Arc::default(); self.shards.len()];
@@ -453,7 +450,7 @@ pub fn get_store(r: &mut ByteReader<'_>) -> Result<KeyedStateStore, CodecError> 
         return Err(CodecError::Malformed("store needs at least one shard"));
     }
     // Every push appends one pane to every shard and evicts past the window,
-    // so pane indices align across shards — what `migrate` indexes by.
+    // so pane indices align across shards.
     let n_panes = seq.min(len_batches as u64) as usize;
     let mut shards = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
@@ -518,15 +515,6 @@ pub fn get_delta(r: &mut ByteReader<'_>) -> Result<StateDelta, CodecError> {
         shards.push((b, Arc::new(pane)));
     }
     Ok(StateDelta { seq, shards })
-}
-
-/// Encoded length of a value in bytes, without materializing the buffer.
-pub(crate) struct CountingSink(pub usize);
-
-impl BytesSink for CountingSink {
-    fn put_bytes(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len();
-    }
 }
 
 impl StateDelta {

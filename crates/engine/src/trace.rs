@@ -192,10 +192,6 @@ pub enum Counter {
     StateRestores,
     /// Batches recomputed from retained input after state restores.
     RecomputedBatches,
-    /// Shard migrations triggered by scale actions.
-    StateMigrations,
-    /// Distinct keys moved across shards by migrations.
-    MigratedKeys,
     /// Shuffle connections dialed by reducing workers (pool misses).
     ShuffleConnsDialed,
     /// Pooled shuffle connections reused by reducing workers (pool hits).
@@ -218,7 +214,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 30] = [
         Counter::Batches,
         Counter::Tuples,
         Counter::ScatterFragments,
@@ -240,8 +236,6 @@ impl Counter {
         Counter::SnapshotBytes,
         Counter::StateRestores,
         Counter::RecomputedBatches,
-        Counter::StateMigrations,
-        Counter::MigratedKeys,
         Counter::ShuffleConnsDialed,
         Counter::ShuffleConnsReused,
         Counter::ShuffleWaitUs,
@@ -277,8 +271,6 @@ impl Counter {
             Counter::SnapshotBytes => "snapshot_bytes",
             Counter::StateRestores => "state_restores",
             Counter::RecomputedBatches => "recomputed_batches",
-            Counter::StateMigrations => "state_migrations",
-            Counter::MigratedKeys => "migrated_keys",
             Counter::ShuffleConnsDialed => "shuffle_conns_dialed",
             Counter::ShuffleConnsReused => "shuffle_conns_reused",
             Counter::ShuffleWaitUs => "shuffle_wait_us",
@@ -471,19 +463,6 @@ pub enum TraceEvent {
         /// owner with the move (0 when the run keeps no keyed state).
         bytes: u64,
     },
-    /// A scale action changed the reduce count and state shards migrated.
-    StateMigrate {
-        /// Batch sequence number of the scale action.
-        seq: u64,
-        /// Shard count before.
-        from_r: usize,
-        /// Shard count after.
-        to_r: usize,
-        /// Distinct keys that changed shard.
-        keys: u64,
-        /// Encoded bytes of the shards that handed keys off.
-        bytes: u64,
-    },
 }
 
 impl TraceEvent {
@@ -512,8 +491,7 @@ impl TraceEvent {
             | TraceEvent::Checkpoint { seq, .. }
             | TraceEvent::StateRestore { seq, .. }
             | TraceEvent::Rebalance { seq, .. }
-            | TraceEvent::GroupMigrate { seq, .. }
-            | TraceEvent::StateMigrate { seq, .. } => Some(seq),
+            | TraceEvent::GroupMigrate { seq, .. } => Some(seq),
             TraceEvent::PolicySwitch { seq, .. } => Some(seq),
             TraceEvent::Probe { .. } | TraceEvent::Compactor { .. } => None,
         }
@@ -614,15 +592,6 @@ impl TraceEvent {
                 bytes,
             } => format!(
                 "{{\"type\":\"group_migrate\",\"seq\":{seq},\"group\":{group},\"from\":{from},\"to\":{to},\"bytes\":{bytes}}}"
-            ),
-            TraceEvent::StateMigrate {
-                seq,
-                from_r,
-                to_r,
-                keys,
-                bytes,
-            } => format!(
-                "{{\"type\":\"state_migrate\",\"seq\":{seq},\"from_r\":{from_r},\"to_r\":{to_r},\"keys\":{keys},\"bytes\":{bytes}}}"
             ),
             TraceEvent::PolicySwitch { seq, from, to } => format!(
                 "{{\"type\":\"policy_switch\",\"seq\":{seq},\"from\":\"{from}\",\"to\":\"{to}\"}}"
@@ -813,13 +782,6 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             group: num("group")? as u32,
             from: num("from")? as u32,
             to: num("to")? as u32,
-            bytes: num("bytes")?,
-        }),
-        "state_migrate" => Ok(TraceEvent::StateMigrate {
-            seq: num("seq")?,
-            from_r: num("from_r")? as usize,
-            to_r: num("to_r")? as usize,
-            keys: num("keys")?,
             bytes: num("bytes")?,
         }),
         "policy_switch" => Ok(TraceEvent::PolicySwitch {
@@ -1388,13 +1350,6 @@ mod tests {
                 from: 0,
                 to: 2,
                 bytes: 512,
-            },
-            TraceEvent::StateMigrate {
-                seq: 13,
-                from_r: 4,
-                to_r: 8,
-                keys: 17,
-                bytes: 1024,
             },
             TraceEvent::PolicySwitch {
                 seq: 14,

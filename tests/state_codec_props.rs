@@ -136,10 +136,10 @@ proptest! {
     }
 
     /// The writer keeps every shard at exactly `min(seq, len)` panes —
-    /// `migrate` indexes panes positionally on that — so a
-    /// CRC-valid store whose shards disagree with each other, or all fall
-    /// short of the batch count, is malformed, not a panic at the next
-    /// re-shard.
+    /// each shard evicts on its own pane count — so a CRC-valid store whose
+    /// shards disagree with each other, or all fall short of the batch
+    /// count, is malformed, not a window that silently keeps a batch too
+    /// long.
     #[test]
     fn misaligned_or_missing_panes_are_rejected(
         r in 2usize..6,
@@ -179,9 +179,9 @@ proptest! {
                 "{}: {:?}", what, decoded.map(|s| s.seq())
             );
         }
-        // Control: the unspliced shard set decodes and re-shards.
-        let mut ok = get_store(&mut ByteReader::new(&splice(vec![false; r]))).unwrap();
-        ok.migrate(r + 1);
+        // Control: the unspliced shard set decodes.
+        let ok = get_store(&mut ByteReader::new(&splice(vec![false; r]))).unwrap();
+        prop_assert_eq!(ok.shard_count(), r);
     }
 
     #[test]
