@@ -68,8 +68,8 @@ fn bench_threaded_backend(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &plan, |b, plan| {
             let exec = ThreadedExecutor::new(threads);
             b.iter(|| {
-                let mut assigner = prompt_core::reduce::PromptReduceAllocator::new(5);
-                exec.execute(plan, &job, &mut assigner, 8).0.len()
+                let assigner = prompt_core::reduce::PromptReduceAllocator::new(5);
+                exec.execute(plan, &job, &assigner, 8).0.len()
             })
         });
     }

@@ -31,12 +31,12 @@ fn bench_single_task(c: &mut Criterion) {
         let split = KeySet::default();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("prompt_worst_fit", n), &cs, |b, cs| {
-            let mut a = PromptReduceAllocator::new(3);
-            b.iter(|| a.assign(cs, &split, 32).len())
+            let a = PromptReduceAllocator::new(3);
+            b.iter(|| a.assign(0, cs, &split, 32).len())
         });
         group.bench_with_input(BenchmarkId::new("hash", n), &cs, |b, cs| {
-            let mut a = HashReduceAssigner::new(3);
-            b.iter(|| a.assign(cs, &split, 32).len())
+            let a = HashReduceAssigner::new(3);
+            b.iter(|| a.assign(0, cs, &split, 32).len())
         });
     }
     group.finish();
@@ -53,10 +53,10 @@ fn bench_whole_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduce_allocate_plan");
     group.sample_size(20);
     group.bench_function("prompt", |b| {
-        b.iter(|| allocate_reduce(&plan, &mut PromptReduceAllocator::new(3), 32).sizes())
+        b.iter(|| allocate_reduce(&plan, &PromptReduceAllocator::new(3), 32).sizes())
     });
     group.bench_function("hash", |b| {
-        b.iter(|| allocate_reduce(&plan, &mut HashReduceAssigner::new(3), 32).sizes())
+        b.iter(|| allocate_reduce(&plan, &HashReduceAssigner::new(3), 32).sizes())
     });
     group.finish();
 }

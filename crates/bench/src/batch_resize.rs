@@ -186,7 +186,7 @@ pub fn run_with_resizing(
 ) -> ResizeRunResult {
     cfg.validate().expect("invalid engine config");
     let mut partitioner = technique.build(seed);
-    let mut assigner = ReduceStrategy::for_technique(technique).build_boxed(seed);
+    let assigner = ReduceStrategy::for_technique(technique).build_boxed(seed);
     let mut result = ResizeRunResult::default();
     let mut interval_len = cfg.batch_interval;
     let mut cursor = Time::ZERO;
@@ -205,7 +205,7 @@ pub fn run_with_resizing(
         let (_, times) = execute_batch(
             &plan,
             job,
-            assigner.as_mut(),
+            assigner.as_ref(),
             cfg.reduce_tasks,
             &cfg.cost,
             &cfg.cluster,

@@ -178,7 +178,7 @@ pub fn run_throughput(quick: bool) -> Table {
         let (_, times) = execute_batch(
             &plan,
             &job,
-            &mut PromptReduceAllocator::new(1),
+            &PromptReduceAllocator::new(1),
             cfg.reduce_tasks,
             &cfg.cost,
             &cluster,

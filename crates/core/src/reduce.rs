@@ -12,6 +12,11 @@
 //! with the most remaining capacity, removing each chosen bucket from the
 //! candidate list until every bucket has received a cluster. No coordination
 //! between Map tasks is needed; the imbalance reductions add up.
+//!
+//! The trait says so in its types: [`ReduceAssigner::assign`] takes `&self`
+//! and the Map task's block index, so an assignment is a function of one Map
+//! task's output and nothing else — it can be computed in any order, on any
+//! thread, twice, or wherever the Map output happens to be.
 
 use crate::batch::PartitionPlan;
 use crate::hash::{bucket_of, KeyMap, KeySet};
@@ -26,16 +31,24 @@ pub struct KeyCluster {
     pub size: usize,
 }
 
-/// Strategy for assigning one Map task's key clusters to Reduce buckets.
-pub trait ReduceAssigner: Send {
+/// Strategy for assigning one Map task's key clusters to Reduce buckets: a
+/// pure function of its arguments.
+pub trait ReduceAssigner: Send + Sync {
     /// Technique name for reporting.
     fn name(&self) -> &'static str;
 
     /// Return the bucket index (`< r`) for each cluster, in order.
     ///
-    /// `split_keys` is the data block's reference table: keys split across
-    /// blocks **must** be routed consistently by every Map task.
-    fn assign(&mut self, clusters: &[KeyCluster], split_keys: &KeySet, r: usize) -> Vec<usize>;
+    /// `task` is the Map task's block index within its batch. `split_keys`
+    /// is the data block's reference table: keys split across blocks
+    /// **must** be routed consistently by every Map task.
+    fn assign(
+        &self,
+        task: usize,
+        clusters: &[KeyCluster],
+        split_keys: &KeySet,
+        r: usize,
+    ) -> Vec<usize>;
 }
 
 /// Conventional hashing assignment (Fig. 8a): every key, split or not, is
@@ -57,7 +70,7 @@ impl ReduceAssigner for HashReduceAssigner {
         "Hash"
     }
 
-    fn assign(&mut self, clusters: &[KeyCluster], _split: &KeySet, r: usize) -> Vec<usize> {
+    fn assign(&self, _: usize, clusters: &[KeyCluster], _: &KeySet, r: usize) -> Vec<usize> {
         assert!(r > 0, "need at least one bucket");
         clusters
             .iter()
@@ -67,25 +80,23 @@ impl ReduceAssigner for HashReduceAssigner {
 }
 
 /// Algorithm 3: Prompt's Reduce bucket allocator (Fig. 8b).
+///
+/// Worst-Fit ties are broken by a rotation of `task % r`. All buckets start
+/// with equal capacity, so without rotation every Map task would
+/// deterministically place its largest cluster in the same bucket,
+/// systematically overloading it; rotating the preference by the task's own
+/// block index restores the additive-balance property the paper relies on
+/// (§5) without the tasks knowing anything of each other.
 #[derive(Debug, Clone)]
 pub struct PromptReduceAllocator {
     seed: u64,
-    /// Map-task counter used to rotate Worst-Fit tie-breaks. All buckets
-    /// start with equal capacity, so without rotation every Map task would
-    /// deterministically place its largest cluster in the same bucket,
-    /// systematically overloading it; rotating the preference restores the
-    /// additive-balance property the paper relies on (§5).
-    task_counter: usize,
 }
 
 impl PromptReduceAllocator {
     /// Construct with the shared routing seed for split keys. All Map tasks
     /// of a batch must use the same seed.
     pub fn new(seed: u64) -> PromptReduceAllocator {
-        PromptReduceAllocator {
-            seed,
-            task_counter: 0,
-        }
+        PromptReduceAllocator { seed }
     }
 }
 
@@ -94,7 +105,7 @@ impl ReduceAssigner for PromptReduceAllocator {
         "Prompt"
     }
 
-    fn assign(&mut self, clusters: &[KeyCluster], split: &KeySet, r: usize) -> Vec<usize> {
+    fn assign(&self, task: usize, clusters: &[KeyCluster], split: &KeySet, r: usize) -> Vec<usize> {
         assert!(r > 0, "need at least one bucket");
         let total: usize = clusters.iter().map(|c| c.size).sum();
         // Expected bucket size |I| / r (line 1), as a ceiling so capacities
@@ -126,14 +137,14 @@ impl ReduceAssigner for PromptReduceAllocator {
         // Lines 5–12: Worst-Fit with bucket retirement — the chosen bucket
         // leaves the candidate list until every bucket has received one
         // cluster, promoting balanced cluster counts per bucket. Ties are
-        // broken by a rotation derived from the Map-task counter so that
+        // broken by a rotation derived from the task's block index so that
         // concurrent tasks do not all favour the same bucket.
-        let offset = self.task_counter % r;
-        self.task_counter = self.task_counter.wrapping_add(1);
+        let offset = task % r;
         let preference = |b: usize| r - ((b + r - offset) % r); // higher = preferred
-                                                                // Refill the candidate list with the buckets that still have spare
-                                                                // capacity; buckets already overflown by hashed split keys are only
-                                                                // used when nothing else remains ("limits bucket overflow", §5).
+
+        // Refill the candidate list with the buckets that still have spare
+        // capacity; buckets already overflown by hashed split keys are only
+        // used when nothing else remains ("limits bucket overflow", §5).
         let refill = |capacity: &[i64], available: &mut [bool]| -> usize {
             let mut n = 0;
             for b in 0..available.len() {
@@ -197,14 +208,14 @@ impl ReduceAllocation {
 }
 
 /// Run `assigner` for every Map task of `plan` (treating each block's key
-/// fragments as that task's key clusters, i.e. an identity Map) and combine
-/// the per-bucket statistics.
+/// fragments as that task's key clusters, i.e. an identity Map, and its
+/// block index as the task index) and combine the per-bucket statistics.
 ///
 /// Panics if the assigner routes a split key inconsistently across Map
 /// tasks — that would break Reduce correctness.
 pub fn allocate_reduce(
     plan: &PartitionPlan,
-    assigner: &mut dyn ReduceAssigner,
+    assigner: &dyn ReduceAssigner,
     r: usize,
 ) -> ReduceAllocation {
     let mut buckets = vec![BucketStats::default(); r];
@@ -212,7 +223,7 @@ pub fn allocate_reduce(
     let mut key_seen_in_bucket: KeyMap<()> = KeyMap::default();
     let mut per_map = Vec::with_capacity(plan.blocks.len());
 
-    for block in &plan.blocks {
+    for (task, block) in plan.blocks.iter().enumerate() {
         let clusters: Vec<KeyCluster> = block
             .fragments
             .iter()
@@ -221,7 +232,7 @@ pub fn allocate_reduce(
                 size: f.count,
             })
             .collect();
-        let assignment = assigner.assign(&clusters, &plan.split_keys, r);
+        let assignment = assigner.assign(task, &clusters, &plan.split_keys, r);
         assert_eq!(assignment.len(), clusters.len(), "assigner output length");
         for (c, &b) in clusters.iter().zip(&assignment) {
             assert!(b < r, "bucket index out of range");
@@ -267,11 +278,11 @@ mod tests {
 
     #[test]
     fn hash_assigner_is_consistent_and_in_range() {
-        let mut a = HashReduceAssigner::new(5);
+        let a = HashReduceAssigner::new(5);
         let cs = clusters(&[(1, 10), (2, 20), (3, 30)]);
         let split = KeySet::default();
-        let out1 = a.assign(&cs, &split, 4);
-        let out2 = a.assign(&cs, &split, 4);
+        let out1 = a.assign(0, &cs, &split, 4);
+        let out2 = a.assign(1, &cs, &split, 4);
         assert_eq!(out1, out2);
         assert!(out1.iter().all(|&b| b < 4));
     }
@@ -291,8 +302,8 @@ mod tests {
             (8, 5),
         ]);
         let split = KeySet::default();
-        let mut prompt = PromptReduceAllocator::new(7);
-        let out = prompt.assign(&cs, &split, 2);
+        let prompt = PromptReduceAllocator::new(7);
+        let out = prompt.assign(0, &cs, &split, 2);
         let mut sizes = [0usize; 2];
         for (c, &b) in cs.iter().zip(&out) {
             sizes[b] += c.size;
@@ -309,8 +320,8 @@ mod tests {
         let cs = clusters(&[(1, 100), (2, 10)]);
         let mut split = KeySet::default();
         split.insert(Key(1));
-        let mut prompt = PromptReduceAllocator::new(42);
-        let out = prompt.assign(&cs, &split, 8);
+        let prompt = PromptReduceAllocator::new(42);
+        let out = prompt.assign(3, &cs, &split, 8);
         assert_eq!(out[0], bucket_of(42, Key(1), 8), "split key must hash");
     }
 
@@ -328,8 +339,8 @@ mod tests {
             (8, 10),
         ]);
         let split = KeySet::default();
-        let mut prompt = PromptReduceAllocator::new(0);
-        let out = prompt.assign(&cs, &split, 4);
+        let prompt = PromptReduceAllocator::new(0);
+        let out = prompt.assign(1, &cs, &split, 4);
         let mut counts = [0usize; 4];
         for &b in &out {
             counts[b] += 1;
@@ -348,8 +359,8 @@ mod tests {
         let batch = crate::partitioner::test_support::skewed_batch(&spec);
         let mut part = PromptPartitioner::new(BufferingMode::PostSort);
         let plan = part.partition(&batch, 8);
-        let prompt_alloc = allocate_reduce(&plan, &mut PromptReduceAllocator::new(3), 8);
-        let hash_alloc = allocate_reduce(&plan, &mut HashReduceAssigner::new(3), 8);
+        let prompt_alloc = allocate_reduce(&plan, &PromptReduceAllocator::new(3), 8);
+        let hash_alloc = allocate_reduce(&plan, &HashReduceAssigner::new(3), 8);
         let prompt_bsi = size_imbalance(&prompt_alloc.sizes());
         let hash_bsi = size_imbalance(&hash_alloc.sizes());
         assert!(
@@ -373,8 +384,8 @@ mod tests {
         let batch = zipfish_batch(80, 800);
         let mut part = PromptPartitioner::new(BufferingMode::PostSort);
         let plan = part.partition(&batch, 8);
-        let prompt_alloc = allocate_reduce(&plan, &mut PromptReduceAllocator::new(3), 8);
-        let hash_alloc = allocate_reduce(&plan, &mut HashReduceAssigner::new(3), 8);
+        let prompt_alloc = allocate_reduce(&plan, &PromptReduceAllocator::new(3), 8);
+        let hash_alloc = allocate_reduce(&plan, &HashReduceAssigner::new(3), 8);
         let prompt_bsi = size_imbalance(&prompt_alloc.sizes());
         let hash_bsi = size_imbalance(&hash_alloc.sizes());
         assert!(
@@ -389,7 +400,7 @@ mod tests {
         // one fragment at the Reduce side.
         let batch = zipfish_batch(10, 40);
         let plan = ShufflePartitioner::new().partition(&batch, 4);
-        let alloc = allocate_reduce(&plan, &mut HashReduceAssigner::new(1), 2);
+        let alloc = allocate_reduce(&plan, &HashReduceAssigner::new(1), 2);
         let fragments: usize = alloc.buckets.iter().map(|b| b.fragments).sum();
         let plan_fragments: usize = plan.blocks.iter().map(|b| b.fragments.len()).sum();
         assert_eq!(fragments, plan_fragments);
@@ -400,27 +411,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "routed to different buckets")]
     fn inconsistent_split_routing_is_detected() {
-        struct Bad(usize);
+        struct Bad;
         impl ReduceAssigner for Bad {
             fn name(&self) -> &'static str {
                 "Bad"
             }
-            fn assign(&mut self, cs: &[KeyCluster], _s: &KeySet, _r: usize) -> Vec<usize> {
-                let b = self.0;
-                self.0 += 1; // different bucket each map task
-                vec![b % 2; cs.len()]
+            fn assign(&self, task: usize, cs: &[KeyCluster], _: &KeySet, _: usize) -> Vec<usize> {
+                vec![task % 2; cs.len()] // different bucket each map task
             }
         }
         let batch = zipfish_batch(4, 40);
         let plan = ShufflePartitioner::new().partition(&batch, 2);
-        let mut bad = Bad(0);
-        let _ = allocate_reduce(&plan, &mut bad, 2);
+        let _ = allocate_reduce(&plan, &Bad, 2);
     }
 
     #[test]
     fn empty_cluster_list() {
-        let mut prompt = PromptReduceAllocator::new(0);
-        let out = prompt.assign(&[], &KeySet::default(), 4);
+        let prompt = PromptReduceAllocator::new(0);
+        let out = prompt.assign(0, &[], &KeySet::default(), 4);
         assert!(out.is_empty());
     }
 

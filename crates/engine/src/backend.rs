@@ -8,15 +8,17 @@
 //! worker fleet — and its distributed arm is where a worker loss is
 //! survived: a single submit→wait path at every pipeline depth (depth 1
 //! is a window of one) that, on a loss, charges the recovery and resubmits
-//! the plans still in hand. Nothing is re-partitioned — the failed attempt
-//! made no assigner calls and the plan did not change. Dispatch is all a
-//! backend does: keyed state never leaves the driver ([`crate::state`]), so
-//! a key-group migration is not a backend operation.
+//! the plans still in hand. Nothing is re-partitioned, and the retry lands
+//! every cluster where the lost attempt would have: a batch's assigner is a
+//! pure function it carries with its plan. Dispatch is all a backend does:
+//! keyed state never leaves the driver ([`crate::state`]), so a key-group
+//! migration is not a backend operation.
+
+use prompt_core::reduce::ReduceAssigner;
 
 use crate::config::{Backend, EngineConfig};
 use crate::job::Job;
 use crate::kernel::PlanView;
-use crate::net::driver::BatchAssigners;
 use crate::net::{DistributedOptions, DistributedRuntime, NetStats, WorkerLoss};
 use crate::recovery::ReplicatedBatchStore;
 use crate::stage::{times_from_view, BatchOutput, StageTimes};
@@ -24,7 +26,8 @@ use crate::threaded::ThreadedExecutor;
 use crate::trace::{Counter, TraceEvent, TraceRecorder};
 
 /// A partitioned batch as a backend sees it: what to run, under which job,
-/// into how many Reduce buckets (the count the batch was prepared under).
+/// into how many Reduce buckets and through which assigner (the count and the
+/// technique / routing snapshot the batch was prepared under).
 #[derive(Clone, Copy)]
 pub(crate) struct Planned<'a> {
     /// Sequence number on the wire (the run's `WireSeqs` mapping of `tseq`).
@@ -35,6 +38,7 @@ pub(crate) struct Planned<'a> {
     pub(crate) view: PlanView<'a>,
     pub(crate) job: &'a Job,
     pub(crate) r: usize,
+    pub(crate) assigner: &'a dyn ReduceAssigner,
 }
 
 impl Planned<'_> {
@@ -92,8 +96,7 @@ impl BackendRuntime {
 
     /// Eager dispatch: on the distributed backend `batch`'s Map tasks go on
     /// the wire now, overlapping older in-flight batches' reduce and wire
-    /// transfer. Reduce dispatch waits behind the runtime's assigner-order
-    /// gate, so allocator state still advances strictly in batch order.
+    /// transfer; its Reduce tasks follow as soon as its own maps are back.
     pub(crate) fn submit(&mut self, batch: &Planned<'_>) {
         if let Some(rt) = self.distributed() {
             batch.submit(rt);
@@ -104,15 +107,14 @@ impl BackendRuntime {
     /// many worker losses were survived on the way.
     ///
     /// Both arms produce bit-identical outputs and virtual
-    /// [`StageTimes`] given the same plan and assigner state: each reports
+    /// [`StageTimes`] given the same plan and assigner: each reports
     /// raw [`BucketStats`](crate::stage::BucketStats), which
     /// [`times_from_view`] costs once, after the dispatch.
     ///
     /// On the distributed backend the batch may already be in flight (maps
     /// dispatched by [`BackendRuntime::submit`]); waiting drives the shared
     /// event pump, which also advances the `younger` in-flight batches —
-    /// each assigned with its own entry of `assigners`. A
-    /// worker lost mid-batch aborts every unfinished batch of the window:
+    /// each assigned with its own assigner. A worker lost mid-batch aborts every unfinished batch of the window:
     /// the loss is charged by [`on_worker_loss`] and the window is
     /// re-dispatched in batch order from the plans in hand. Failed attempts
     /// contribute no virtual time — virtual time models the healthy cluster.
@@ -120,7 +122,6 @@ impl BackendRuntime {
         &mut self,
         batch: &Planned<'a>,
         younger: impl Iterator<Item = Planned<'a>> + Clone,
-        assigners: &mut dyn BatchAssigners,
         cfg: &EngineConfig,
         rec: &TraceRecorder,
         mut store: Option<&mut ReplicatedBatchStore>,
@@ -130,8 +131,7 @@ impl BackendRuntime {
         let mut losses = 0;
         let (output, stats) = match self {
             BackendRuntime::Local { exec, wall_phases } => {
-                let assigner = assigners.assigner_for(batch.seq);
-                let (output, stats, wall) = exec.execute_view(view, job, assigner, r, trace);
+                let (output, stats, wall) = exec.execute_view(view, job, batch.assigner, r, trace);
                 if let Some(rec) = trace.filter(|_| *wall_phases) {
                     wall.record(rec, batch.tseq);
                 }
@@ -144,7 +144,12 @@ impl BackendRuntime {
                 for q in younger.clone() {
                     q.submit(rt);
                 }
-                match rt.wait_batch(batch.seq, assigners, trace) {
+                let assigner_of = |seq| {
+                    let mut window = std::iter::once(*batch).chain(younger.clone());
+                    let of = window.find(|q| q.seq == seq);
+                    of.expect("only the window is in flight").assigner
+                };
+                match rt.wait_batch(batch.seq, &assigner_of, trace) {
                     Ok(done) => break done,
                     Err(loss) => {
                         losses += 1;
@@ -167,10 +172,8 @@ impl BackendRuntime {
     }
 }
 
-/// Charge one worker loss (§8): the failed attempt made no assigner calls
-/// (fresh assignments replay from the runtime's cache), so allocator state —
-/// and with it the output — is untouched, and the caller resubmits the plan
-/// it still holds. Spending a replica of the retained input (when the run
+/// Charge one worker loss (§8): the failed attempt left nothing behind, and
+/// the caller resubmits the plan it still holds. Spending a replica of the retained input (when the run
 /// retains inputs) keeps the recovery budget honest: a batch can be lost at
 /// most `replicas` times before the run aborts.
 fn on_worker_loss(

@@ -72,9 +72,6 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// Partitioning-overhead accounting.
     pub overhead: OverheadMode,
-    /// Early-batch-release slack as a fraction of the batch interval
-    /// (§4.2, Fig. 7 — the paper observes ≤ 5% suffices).
-    pub early_release_frac: f64,
     /// Queue depth (in batches of delay) at which back-pressure triggers.
     pub backpressure_queue: f64,
     /// Enable the Algorithm 4 auto-scaler.
@@ -187,7 +184,6 @@ impl Default for EngineConfig {
             cluster: Cluster::new(2, 8),
             cost: CostModel::default(),
             overhead: OverheadMode::None,
-            early_release_frac: 0.05,
             backpressure_queue: 2.0,
             elasticity: None,
             ingest_shards: 1,
@@ -203,10 +199,14 @@ impl Default for EngineConfig {
     }
 }
 
+/// Early-batch-release slack as a fraction of the batch interval (§4.2,
+/// Fig. 7 — the paper observes ≤ 5% suffices).
+pub const EARLY_RELEASE_FRAC: f64 = 0.05;
+
 impl EngineConfig {
     /// The early-release slack in absolute time.
     pub fn early_release_slack(&self) -> Duration {
-        self.batch_interval.mul_f64(self.early_release_frac)
+        self.batch_interval.mul_f64(EARLY_RELEASE_FRAC)
     }
 
     /// Validate internal consistency.
@@ -216,9 +216,6 @@ impl EngineConfig {
         }
         if self.map_tasks == 0 || self.reduce_tasks == 0 {
             return Err("task counts must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.early_release_frac) {
-            return Err("early-release fraction must be in [0, 1]".into());
         }
         if self.backpressure_queue <= 0.0 {
             return Err("backpressure queue threshold must be positive".into());
@@ -317,7 +314,6 @@ mod tests {
     fn slack_is_fraction_of_interval() {
         let cfg = EngineConfig {
             batch_interval: Duration::from_secs(2),
-            early_release_frac: 0.05,
             ..EngineConfig::default()
         };
         assert_eq!(cfg.early_release_slack(), Duration::from_millis(100));
@@ -328,10 +324,6 @@ mod tests {
         let bad = [
             EngineConfig {
                 map_tasks: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                early_release_frac: 1.5,
                 ..EngineConfig::default()
             },
             EngineConfig {

@@ -40,10 +40,9 @@ use crate::backend::BackendRuntime;
 use crate::config::EngineConfig;
 use crate::elasticity::ScaleAction;
 use crate::job::Job;
-use crate::net::driver::BatchAssigners;
 use crate::net::NetStats;
 use crate::policy::{build_policy, PartitionerPolicy, PolicyDecision, PolicySpec};
-use crate::rebalance::{GroupRoutedAssigner, MigrationPlan, RoutingTable};
+use crate::rebalance::{MigrationPlan, RoutingTable};
 use crate::recovery::{FaultPlan, NetFaultPlan};
 use crate::source::TupleSource;
 use crate::state::{KeyedStateStore, StateStats, StatefulOp, STATE_SHARDS};
@@ -370,58 +369,36 @@ impl ReduceStrategy {
 /// The one strategy pool every batch is partitioned and assigned from:
 /// lazily built partitioners (one instance per technique, reused across
 /// batches so stateful partitioners keep their cross-batch state) plus the
-/// two reduce assigners. A `Fixed` run only ever touches its constructor
-/// technique's pair; a policy hot-swaps between entries. Each assigner
-/// persists across the whole run — the Prompt allocator's task counter
-/// advances monotonically over every batch it assigns, so handing a
-/// switched-back technique a fresh assigner would break bit-identity with a
-/// forced-sequence run.
+/// two reduce assigners, which are pure functions and hold only the routing
+/// seed. A `Fixed` run only ever touches its constructor technique's pair; a
+/// policy hot-swaps between entries.
 struct StrategySet {
     registry: PartitionerRegistry,
-    hash_assigner: Box<dyn ReduceAssigner>,
-    prompt_assigner: Box<dyn ReduceAssigner>,
+    hash_assigner: HashReduceAssigner,
+    prompt_assigner: PromptReduceAllocator,
 }
 
 impl StrategySet {
     fn new(seed: u64, shards: usize, threads: usize) -> StrategySet {
         StrategySet {
             registry: PartitionerRegistry::with_parallelism(seed, shards, threads),
-            hash_assigner: ReduceStrategy::Hash.build_boxed(seed),
-            prompt_assigner: ReduceStrategy::Prompt.build_boxed(seed),
+            hash_assigner: HashReduceAssigner::new(seed),
+            prompt_assigner: PromptReduceAllocator::new(seed),
         }
     }
 
-    /// The reduce assigner the paper pairs with `t`.
-    fn assigner_mut(&mut self, t: Technique) -> &mut dyn ReduceAssigner {
-        match ReduceStrategy::for_technique(t) {
-            ReduceStrategy::Hash => self.hash_assigner.as_mut(),
-            ReduceStrategy::Prompt => self.prompt_assigner.as_mut(),
-        }
-    }
-}
-
-/// The one place a batch's reduce assigner is resolved, from what the batch
-/// was prepared under: its routing snapshot if the run rebalances, else its
-/// technique's strategy. `window` lists `(wire seq, technique, routing
-/// snapshot)` for the awaited batch and every younger one in flight, so each
-/// assigns with *its* assigner whichever batch the driver is waiting on.
-struct WindowAssigners<'a> {
-    strategies: &'a mut StrategySet,
-    window: Vec<(u64, Technique, Option<&'a RoutingTable>)>,
-    /// Where the assigner over a batch's snapshot lives while it is lent out.
-    routed: Option<GroupRoutedAssigner<'a>>,
-}
-
-impl BatchAssigners for WindowAssigners<'_> {
-    fn assigner_for(&mut self, seq: u64) -> &mut dyn ReduceAssigner {
-        let &(_, technique, routing) = self
-            .window
-            .iter()
-            .find(|b| b.0 == seq)
-            .expect("a batch assigns only while it is in the in-flight window");
-        match routing {
-            Some(table) => self.routed.insert(GroupRoutedAssigner(table)),
-            None => self.strategies.assigner_mut(technique),
+    /// The one place a batch's reduce assigner is resolved, from what the
+    /// batch was prepared under: its routing snapshot if the run rebalances,
+    /// else the strategy the paper pairs with its technique.
+    fn assigner<'a>(
+        &'a self,
+        t: Technique,
+        routing: Option<&'a RoutingTable>,
+    ) -> &'a dyn ReduceAssigner {
+        match (routing, ReduceStrategy::for_technique(t)) {
+            (Some(table), _) => table,
+            (None, ReduceStrategy::Hash) => &self.hash_assigner,
+            (None, ReduceStrategy::Prompt) => &self.prompt_assigner,
         }
     }
 }
@@ -1017,6 +994,57 @@ mod tests {
         }
         assert_eq!(restored.batches[5].processing, suffix);
         assert_windows_identical(&clean, &restored, "store loss under a policy");
+    }
+
+    /// A replay is placed by the same pure function as a first execution, so
+    /// it shifts nothing after it: with `p` = 4 Map tasks over `r` = 3
+    /// buckets (a run-global task counter would drift by one bucket per
+    /// replayed batch) every batch but the one billed for the recovery runs
+    /// exactly the tasks the fault-free run's did.
+    #[test]
+    fn a_faulted_run_places_every_other_batch_where_the_clean_run_did() {
+        use crate::recovery::FaultPlan;
+        let run = |plan: FaultPlan| {
+            let cfg = EngineConfig {
+                reduce_tasks: 3,
+                ..small_cfg()
+            };
+            let job = Job::identity("count", ReduceOp::Count);
+            StreamingEngine::new(cfg, Technique::Prompt, 1, job)
+                .with_window(WindowSpec::sliding(
+                    Duration::from_secs(8),
+                    Duration::from_secs(1),
+                ))
+                .with_stateful(StatefulOp::SessionCount)
+                .with_fault_tolerance(3, plan)
+                .run(&mut skewed_source(2000, 0.6, 30), 8)
+        };
+        let clean = run(FaultPlan::none());
+        for (what, plan, billed) in [
+            ("a lost batch", FaultPlan::none().lose_once(3), 3),
+            ("a lost store", FaultPlan::none().lose_store_at(5), 5),
+        ] {
+            let faulted = run(plan);
+            assert!(
+                faulted.batches[billed].processing > clean.batches[billed].processing,
+                "{what}: the recovery must cost batch {billed} time"
+            );
+            let others = clean.batches.iter().zip(&faulted.batches);
+            for (a, b) in others.filter(|(a, _)| a.seq != billed as u64) {
+                assert_eq!(
+                    a.map_task_times, b.map_task_times,
+                    "{what}: batch {}",
+                    a.seq
+                );
+                assert_eq!(
+                    a.reduce_task_times, b.reduce_task_times,
+                    "{what}: batch {}",
+                    a.seq
+                );
+                assert_eq!(a.processing, b.processing, "{what}: batch {}", a.seq);
+            }
+            assert_windows_identical(&clean, &faulted, what);
+        }
     }
 
     #[test]
@@ -1770,10 +1798,12 @@ mod tests {
     /// Shape guard for the execution layer: layout is a property of the plan
     /// (`kernel::PlanView`), not of the function called. Outside its test
     /// module no engine source may grow a `*_columnar` function again beyond
-    /// the two adapters `benchmark/` pins and the columnar Map kernel, and
-    /// the stateful Reduce assigner has exactly one call site
-    /// (`kernel::assign_block`) outside `rebalance/`, whose routed assigner
-    /// wraps another.
+    /// the two adapters `benchmark/` pins and the columnar Map kernel; and
+    /// assigners are shared references — Algorithm 3 is a pure function of one
+    /// Map task's output, so outside test modules no core or engine source
+    /// names a mutable assigner, a run-global task counter, an assignment
+    /// cache, a per-window assigner lookup or a stage that waits for a turn
+    /// at the assigner.
     #[test]
     fn engine_shape_one_assign_site_and_no_columnar_twins() {
         const COLUMNAR_FNS: [&str; 3] = [
@@ -1781,32 +1811,44 @@ mod tests {
             "encode_map_task_columnar",
             "map_block_columnar",
         ];
-        let mut files = Vec::new();
-        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        sources_under(&src_dir, &mut files);
-        assert!(files.len() > 20, "scanner broken? {} files", files.len());
-        // Spelt in two halves so a grep for the call finds only real calls.
-        let assign_call = [".assign", "(&"].concat();
-        let (mut twins, mut assign_sites) = (Vec::new(), Vec::new());
-        for (file, src) in &files {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let (mut engine, mut files) = (Vec::new(), Vec::new());
+        sources_under(&manifest.join("src"), &mut engine);
+        sources_under(&manifest.join("../core/src"), &mut files);
+        assert!(engine.len() > 20 && files.len() > 20, "scanner broken?");
+        // Spelt in halves so a grep for a needle finds only real uses.
+        let stateful = [
+            ["&mut dyn Reduce", "Assigner"].concat(),
+            ["task_", "counter"].concat(),
+            ["assign_", "cache"].concat(),
+            ["Batch", "Assigners"].concat(),
+            ["Window", "Assigners"].concat(),
+            ["Wait", "Assign"].concat(),
+            ["Drain", "ing"].concat(),
+        ];
+        let mut twins = Vec::new();
+        for (file, src) in &engine {
             let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
             for (n, line) in lines.enumerate() {
-                let at = format!("{file}:{}", n + 1);
                 if let Some(sig) = line.split("fn ").nth(1) {
                     let name = sig.split(['(', '<']).next().unwrap_or(sig);
                     let snake = name.chars().all(|c| c.is_ascii_lowercase() || c == '_');
                     if snake && name.ends_with("_columnar") && !COLUMNAR_FNS.contains(&name) {
-                        twins.push(at.clone());
+                        twins.push(format!("{file}:{}", n + 1));
                     }
-                }
-                if line.contains(&assign_call) && !file.contains("rebalance") {
-                    assign_sites.push(at);
                 }
             }
         }
         assert!(twins.is_empty(), "layout twins regrew: {twins:?}");
-        assert_eq!(assign_sites.len(), 1, "assign sites: {assign_sites:?}");
-        assert!(assign_sites[0].contains("kernel.rs"), "{assign_sites:?}");
+        files.append(&mut engine);
+        for (file, src) in &files {
+            let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (n, line) in lines.enumerate() {
+                for needle in &stateful {
+                    assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
+                }
+            }
+        }
     }
 
     /// Shape guard for what a batch carries (DESIGN §4h): one technique,

@@ -14,11 +14,10 @@ use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PartitionPhases, Technique};
 use prompt_core::types::{Duration, Interval, Time, Tuple};
 
-use super::{BatchRecord, RunResult, StreamingEngine, WindowAssigners};
+use super::{BatchRecord, RunResult, StreamingEngine};
 use crate::backend::{BackendRuntime, Planned};
 use crate::config::{Backend, OverheadMode};
 use crate::elasticity::{AutoScaler, Observation};
-use crate::job::Job;
 use crate::kernel::{Plan, PlanView};
 use crate::policy::{BatchObservation, PolicyDecision};
 use crate::rebalance::{
@@ -73,13 +72,17 @@ pub(crate) struct PreparedBatch {
 }
 
 impl PreparedBatch {
-    fn planned<'a>(&'a self, job: &'a Job, wire: WireSeqs) -> Planned<'a> {
+    fn planned<'a>(&'a self, eng: &'a StreamingEngine, wire: WireSeqs) -> Planned<'a> {
+        let assigner = eng
+            .strategies
+            .assigner(self.technique, self.routing.as_ref());
         Planned {
             seq: wire.of(self.seq),
             tseq: self.seq,
             view: self.plan.view(),
-            job,
+            job: &eng.job,
             r: self.r,
+            assigner,
         }
     }
 }
@@ -281,9 +284,9 @@ impl<'e> Run<'e> {
 
     /// A scheduled [`FaultPlan`] event is a barrier: a batch that loses its
     /// state or the store is filled only into an empty window and nothing is
-    /// filled behind it until it commits, so its replays (and the assigner
-    /// calls they make) see exactly the depth-1 world. True when `seq` must
-    /// wait for the window to drain.
+    /// filled behind it until it commits, so its replays (which run under
+    /// the run's *current* counts and routing) see exactly the depth-1
+    /// world. True when `seq` must wait for the window to drain.
     pub(super) fn fault_barrier(&self, seq: u64) -> bool {
         let faulted = |s| self.fault_plan.losses_for(s) > 0 || self.fault_plan.loses_store_at(s);
         self.prepared
@@ -388,7 +391,7 @@ impl<'e> Run<'e> {
             metrics,
             restore_times,
         };
-        backend.submit(&pb.planned(&self.eng.job, self.wire));
+        backend.submit(&pb.planned(self.eng, self.wire));
         Some(pb)
     }
 
@@ -529,9 +532,9 @@ impl<'e> Run<'e> {
     }
 
     /// Run a partitioned batch on the backend under what it was prepared
-    /// with — `r` buckets, the assigner [`WindowAssigners`] resolves from
-    /// its `technique` and `routing` snapshot — charging any worker losses
-    /// survived on the way to the run.
+    /// with — `r` buckets, the assigner its `technique` and `routing`
+    /// snapshot resolve to — charging any worker losses survived on the way
+    /// to the run.
     fn run_plan(
         &mut self,
         seq: u64,
@@ -539,30 +542,18 @@ impl<'e> Run<'e> {
         (r, technique, routing): (usize, Technique, Option<&RoutingTable>),
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
-        let eng = &mut *self.eng;
-        let (job, wire) = (&eng.job, self.wire);
+        let (eng, wire) = (&*self.eng, self.wire);
         let batch = Planned {
             seq: wire.of(seq),
             tseq: seq,
             view,
-            job,
+            job: &eng.job,
             r,
-        };
-        let younger = self
-            .prepared
-            .iter()
-            .map(|q| (wire.of(q.seq), q.technique, q.routing.as_ref()));
-        let mut assigners = WindowAssigners {
-            strategies: &mut eng.strategies,
-            window: std::iter::once((batch.seq, technique, routing))
-                .chain(younger)
-                .collect(),
-            routed: None,
+            assigner: eng.strategies.assigner(technique, routing),
         };
         let (output, times, losses) = backend.execute(
             &batch,
-            self.prepared.iter().map(|q| q.planned(job, wire)),
-            &mut assigners,
+            self.prepared.iter().map(|q| q.planned(eng, wire)),
             &eng.cfg,
             &self.rec,
             self.store.as_mut(),

@@ -203,28 +203,47 @@ fn in_key_order(clusters: KeyMap<(f64, usize)>) -> ClusterList {
     ordered
 }
 
-/// Shuffle-assign one Map output: route each `(key, size)` cluster to its
-/// Reduce bucket. The only call into the stateful assigner — Algorithm 3's
-/// allocator carries running bucket loads across calls, so every backend
-/// presents map outputs here serially, in batch order then block order.
-/// Counts the scatter routings performed, and how many carried a split key,
-/// into the recorder.
+/// What one batch's shuffle routed: the `ScatterFragments` /
+/// `SplitKeyFragments` counters, tallied beside the batch and recorded once
+/// it has an answer — a batch is counted once however often it was attempted.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ShuffleTally {
+    fragments: u64,
+    split_key_fragments: u64,
+}
+
+impl ShuffleTally {
+    pub(crate) fn record(self, rec: &TraceRecorder) {
+        rec.incr(Counter::ScatterFragments, self.fragments);
+        rec.incr(Counter::SplitKeyFragments, self.split_key_fragments);
+    }
+}
+
+/// Shuffle-assign Map task `task`'s output: route each `(key, size)` cluster
+/// to its Reduce bucket. A pure function of the block's own output (§5: "no
+/// coordination between Map tasks"), so callers may run it for any block, in
+/// any order, as often as they like. Adds the routings performed, and how
+/// many carried a split key, to `tally`.
 pub(crate) fn assign_block(
+    task: usize,
     clusters: impl Iterator<Item = (Key, usize)>,
     split_keys: &KeySet,
-    assigner: &mut dyn ReduceAssigner,
+    assigner: &dyn ReduceAssigner,
     r: usize,
-    trace: Option<&TraceRecorder>,
+    tally: Option<&mut ShuffleTally>,
 ) -> Vec<usize> {
     let descs: Vec<KeyCluster> = clusters
         .map(|(key, size)| KeyCluster { key, size })
         .collect();
-    let assignment = assigner.assign(&descs, split_keys, r);
-    debug_assert_eq!(assignment.len(), descs.len());
-    if let Some(rec) = trace {
-        rec.incr(Counter::ScatterFragments, assignment.len() as u64);
+    let assignment = assigner.assign(task, &descs, split_keys, r);
+    // Every executor zips clusters with buckets: a short list or a bucket
+    // nobody reduces would drop keys from the answer without a sound.
+    assert_eq!(assignment.len(), descs.len(), "assigner output length");
+    assert!(assignment.iter().all(|&b| b < r), "bucket out of range");
+    if let Some(tally) = tally {
+        tally.fragments += assignment.len() as u64;
         let split = descs.iter().filter(|c| split_keys.contains(&c.key)).count();
-        rec.incr(Counter::SplitKeyFragments, split as u64);
+        tally.split_key_fragments += split as u64;
     }
     assignment
 }
@@ -317,12 +336,12 @@ mod tests {
     fn outcome(
         view: PlanView<'_>,
         exec: impl FnOnce(
-            &mut dyn ReduceAssigner,
+            &dyn ReduceAssigner,
             Option<&TraceRecorder>,
         ) -> (BatchOutput, Vec<BucketStats>),
     ) -> Outcome {
         let rec = TraceRecorder::new(TraceLevel::Summary);
-        let (output, stats) = exec(&mut PromptReduceAllocator::new(5), Some(&rec));
+        let (output, stats) = exec(&PromptReduceAllocator::new(5), Some(&rec));
         let mut aggregates: Vec<(Key, u64)> = output
             .aggregates
             .iter()
@@ -459,10 +478,10 @@ mod tests {
                     continue;
                 };
                 seq += 1;
-                let distributed = outcome(view, |mut assigner, trace| {
+                let distributed = outcome(view, |assigner, trace| {
                     fleet.submit(seq, seq, view, &spec, *r);
                     fleet
-                        .wait_batch(seq, &mut assigner, trace)
+                        .wait_batch(seq, &|_| assigner, trace)
                         .expect("no faults")
                 });
                 assert_eq!(distributed, reference, "{name}: fleet over {layout}");

@@ -80,8 +80,8 @@ pub mod prelude {
     };
     pub use crate::rebalance::{
         group_of, group_weights, imbalance_ratio, AutoRebalance, ForcedMigrations, ForcedRebalance,
-        GroupMove, GroupRoutedAssigner, LoadLedger, MigrationPlan, RebalanceConfig,
-        RebalanceObservation, RebalancePolicy, RebalanceSpec, RoutingTable, GROUP_HASH_SEED,
+        GroupMove, LoadLedger, MigrationPlan, RebalanceConfig, RebalanceObservation,
+        RebalancePolicy, RebalanceSpec, RoutingTable, GROUP_HASH_SEED,
     };
     pub use crate::recovery::{
         FaultPlan, FaultPoint, NetFault, NetFaultPlan, RecoveryError, ReplicatedBatchStore,

@@ -7,19 +7,19 @@
 //! starts one reader thread per worker that funnels every inbound message
 //! into a single channel.
 //!
-//! Batches move through an explicit in-flight state machine
-//! ([`DistributedRuntime::submit_batch`] / `wait_batch`;
+//! Batches move through an explicit in-flight state machine, `Mapping →
+//! Reducing → Done` ([`DistributedRuntime::submit_batch`] / `wait_batch`;
 //! [`DistributedRuntime::execute_batch`] is the submit-then-wait
 //! convenience for one batch at a time):
 //!
 //! 1. `submit_batch` fans Map tasks out round-robin over live workers
 //!    (each carries its data block on the wire) — several batches may be
 //!    mapping at once;
-//! 2. when a batch's key/frequency tables are all back, the driver runs
-//!    *that batch's* Reduce assigner (`BatchAssigners`) serially in block
-//!    order — and only when every *older* in-flight batch has made its
-//!    assigner calls, so Algorithm 3's stateful allocator sees exactly the
-//!    serial engine's call sequence no matter how deep the pipeline is;
+//! 2. the moment a batch's last key/frequency table is back, the driver runs
+//!    Algorithm 3 over each of them with *that batch's* Reduce assigner —
+//!    whatever older batches are doing: an assignment is a pure function of
+//!    one block's table and its block index, so batches need no ordering
+//!    among themselves;
 //! 3. per-block bucket assignments are pushed back (`ShuffleAssign`) and
 //!    Reduce tasks fan out, each fetching its bucket from the map workers'
 //!    shuffle listeners;
@@ -38,13 +38,10 @@
 //! Failure is detected organically — a broken control connection, a
 //! heartbeat that stops, a worker blaming an unreachable shuffle source —
 //! and reported as [`WorkerLoss`], leaving the caller to resubmit the
-//! aborted batches (their plans are unchanged). A failed attempt makes
-//! *no* assigner calls: the first successful assignment of each batch is
-//! cached, retries replay it verbatim, and a batch doomed by a scripted
-//! mid-batch kill holds off assigning until the loss surfaces — the
-//! allocator state stays bit-identical to the serial engine's.
+//! aborted batches (their plans are unchanged). A retry simply assigns
+//! again and gets the same buckets; what an aborted attempt had tallied for
+//! the shuffle counters is dropped with it, so a batch is counted once.
 
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddrV4, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
@@ -62,7 +59,7 @@ use super::transport::{FrameConn, NetCounters, NetError, RetryPolicy};
 use super::wire::{FetchStats, Message, ShuffleSource};
 use super::worker::{run_worker, WorkerOptions};
 use crate::job::JobSpec;
-use crate::kernel::{assign_block, gather_buckets, PlanView};
+use crate::kernel::{assign_block, gather_buckets, PlanView, ShuffleTally};
 use crate::recovery::{FaultPoint, NetFaultPlan};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{Counter, StageKind, TraceRecorder};
@@ -137,8 +134,8 @@ fn env_millis(var: &str) -> Option<WallDuration> {
         .map(WallDuration::from_millis)
 }
 
-/// A worker was declared lost while a batch was in flight. The batch made
-/// no observable progress (no assigner calls, no output); resubmit it.
+/// A worker was declared lost while a batch was in flight. The batch left
+/// nothing behind (no output, no counters); resubmit it.
 #[derive(Debug)]
 pub struct WorkerLoss {
     /// The lost worker's id.
@@ -217,33 +214,11 @@ struct WorkerSlot {
 enum Stage {
     /// Map tasks dispatched; collecting `MapComplete`s.
     Mapping,
-    /// A scripted mid-batch kill fired after the maps completed; the
-    /// attempt must make no assigner calls and just waits for the loss to
-    /// surface (reader error or heartbeat silence).
-    Draining,
-    /// All maps collected; waiting for this batch's turn at the stateful
-    /// Reduce assigner (strict batch order).
-    WaitAssign,
     /// Assignments pushed, Reduce tasks dispatched; collecting
     /// `ReduceComplete`s.
     Reducing,
     /// Output merged and ready for [`DistributedRuntime::wait_batch`].
     Done,
-}
-
-/// The Reduce assigner each in-flight batch assigns with, by wire seq: a
-/// batch is assigned under what *it* was prepared with (its technique's
-/// strategy, its routing snapshot), never under the awaited batch's.
-pub(crate) trait BatchAssigners {
-    /// The assigner of in-flight batch `seq`.
-    fn assigner_for(&mut self, seq: u64) -> &mut dyn ReduceAssigner;
-}
-
-/// One assigner for every batch (run-constant strategy).
-impl BatchAssigners for &mut dyn ReduceAssigner {
-    fn assigner_for(&mut self, _seq: u64) -> &mut dyn ReduceAssigner {
-        &mut **self
-    }
 }
 
 /// One batch in flight between `submit_batch` and `wait_batch`.
@@ -271,6 +246,8 @@ struct Inflight {
     t_reduce: Instant,
     output: BatchOutput,
     stats: Vec<BucketStats>,
+    /// What this attempt's shuffle routed; recorded when it reaches `Done`.
+    tally: ShuffleTally,
 }
 
 /// A running fleet of local workers executing batches over TCP.
@@ -287,14 +264,9 @@ pub struct DistributedRuntime {
     /// Shuffle-plane totals reported by workers on `ReduceComplete`.
     shuffle: FetchStats,
     shut_down: bool,
-    /// Batches between `submit_batch` and `wait_batch`, in submission
-    /// (= seq) order.
+    /// Batches between `submit_batch` and `wait_batch`; looked up by seq,
+    /// in no particular order.
     inflight: Vec<Inflight>,
-    /// Each batch's first successful assignment, replayed verbatim on
-    /// recovery retries (zero assigner calls) and dropped when the batch's
-    /// result is taken — a later recompute of the same seq (checkpoint
-    /// store loss) re-runs the assigner exactly as the serial engine does.
-    assign_cache: HashMap<u64, Vec<Vec<u32>>>,
     /// A loss detected while dispatching inside `submit_batch`, surfaced
     /// by the next `wait_batch`.
     pending_loss: Option<WorkerLoss>,
@@ -423,7 +395,6 @@ impl DistributedRuntime {
                     shuffle: FetchStats::default(),
                     shut_down: false,
                     inflight: Vec::new(),
-                    assign_cache: HashMap::new(),
                     pending_loss: None,
                 })
             }
@@ -820,10 +791,7 @@ impl DistributedRuntime {
                 return Err(self.declare_lost(w, format!("send of map_task failed: {e}")));
             }
         }
-        // Seq order whatever order the caller resubmits in after a loss: the
-        // assigner-order gate walks this list.
-        let at = self.inflight.partition_point(|e| e.seq < seq);
-        let entry = Inflight {
+        self.inflight.push(Inflight {
             seq,
             tseq,
             epoch,
@@ -842,14 +810,13 @@ impl DistributedRuntime {
             t_reduce: t_map,
             output: BatchOutput::default(),
             stats: Vec::new(),
-        };
-        self.inflight.insert(at, entry);
+            tally: ShuffleTally::default(),
+        });
         Ok(())
     }
 
-    /// Drop every in-flight batch that has not completed. Completed
-    /// results stay available for `wait_batch`; the assignment cache is
-    /// kept so retries replay assignments without touching the assigner.
+    /// Drop every in-flight batch that has not completed. Completed results
+    /// stay available for `wait_batch`.
     fn abort_unfinished(&mut self) {
         self.inflight.retain(|e| e.stage == Stage::Done);
     }
@@ -857,129 +824,61 @@ impl DistributedRuntime {
     /// Block until batch `seq` completes and take its result.
     ///
     /// Runs the serial engine's exact logical pipeline over the wire; given
-    /// the same plans, assigner state and `r`, the outputs and per-bucket
-    /// stats are bit-identical to [`crate::stage::execute_batch`]'s at any
-    /// pipeline depth — each batch's assigner is invoked exactly once per
-    /// batch, in batch order, block order, and younger in-flight batches
-    /// keep assigning (with their own assigners) during the wait.
+    /// the same plans, assigners and `r`, the outputs and per-bucket stats
+    /// are bit-identical to [`crate::stage::execute_batch`]'s at any
+    /// pipeline depth. Younger in-flight batches keep advancing during the
+    /// wait, each assigned with `assigner_of(its seq)`.
     ///
     /// On `Err(WorkerLoss)` every unfinished in-flight batch was aborted
-    /// with no observable effect on the assigners (completed-but-untaken
-    /// results survive); resubmit the aborted batches and wait again.
-    pub(crate) fn wait_batch(
+    /// (completed-but-untaken results survive); resubmit the aborted batches
+    /// and wait again.
+    pub(crate) fn wait_batch<'a>(
         &mut self,
         seq: u64,
-        assigners: &mut dyn BatchAssigners,
+        assigner_of: &dyn Fn(u64) -> &'a dyn ReduceAssigner,
         trace: Option<&TraceRecorder>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
         loop {
             if let Some(loss) = self.pending_loss.take() {
                 return Err(loss);
             }
-            assert!(
-                self.inflight.iter().any(|e| e.seq == seq),
-                "wait_batch({seq}) without a submitted batch"
-            );
-            let step = self.advance_assignments(assigners, trace).and_then(|()| {
-                match self
-                    .inflight
-                    .iter()
-                    .position(|e| e.seq == seq && e.stage == Stage::Done)
-                {
-                    Some(i) => Ok(Some(i)),
-                    None => self.pump_event(trace).map(|()| None),
-                }
-            });
-            match step {
-                Ok(Some(i)) => {
-                    let done = self.inflight.remove(i);
-                    self.assign_cache.remove(&seq);
-                    return Ok((done.output, done.stats));
-                }
-                Ok(None) => {}
-                Err(loss) => {
-                    self.abort_unfinished();
-                    return Err(loss);
-                }
+            let Some(i) = self.inflight.iter().position(|e| e.seq == seq) else {
+                panic!("wait_batch({seq}) without a submitted batch");
+            };
+            if self.inflight[i].stage == Stage::Done {
+                let done = self.inflight.remove(i);
+                return Ok((done.output, done.stats));
+            }
+            if let Err(loss) = self.pump_event(assigner_of, trace) {
+                self.abort_unfinished();
+                return Err(loss);
             }
         }
     }
 
-    /// Move every batch that is allowed to assign into its Reduce phase.
-    ///
-    /// The assigner-order gate: a batch may make *fresh* assigner calls
-    /// only when every older in-flight batch has its assignments computed
-    /// (Algorithm 3's allocator carries state across calls — batch order,
-    /// block order is the serial engine's exact sequence). Cached batches
-    /// (loss retries) replay without assigner calls and skip the gate; a
-    /// draining batch (scripted mid-batch kill) never assigns and blocks
-    /// younger fresh assignments until its loss aborts the window.
-    fn advance_assignments(
-        &mut self,
-        assigners: &mut dyn BatchAssigners,
-        trace: Option<&TraceRecorder>,
-    ) -> Result<(), WorkerLoss> {
-        let mut earlier_all_assigned = true;
-        for i in 0..self.inflight.len() {
-            let cached = self.assign_cache.contains_key(&self.inflight[i].seq);
-            match self.inflight[i].stage {
-                Stage::WaitAssign if cached => self.begin_reduce(i, Instant::now(), trace)?,
-                Stage::WaitAssign if earlier_all_assigned => {
-                    let t_scatter = Instant::now();
-                    let assigner = assigners.assigner_for(self.inflight[i].seq);
-                    self.compute_assignments(i, assigner, trace);
-                    self.begin_reduce(i, t_scatter, trace)?;
-                }
-                Stage::WaitAssign | Stage::Mapping | Stage::Draining => {
-                    if !cached {
-                        earlier_all_assigned = false;
-                    }
-                }
-                Stage::Reducing | Stage::Done => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Run the stateful assigner for batch `i`'s blocks (serially, in block
-    /// order) and cache the result.
-    fn compute_assignments(
-        &mut self,
-        i: usize,
-        assigner: &mut dyn ReduceAssigner,
-        trace: Option<&TraceRecorder>,
-    ) {
-        let e = &self.inflight[i];
-        let assignments: Vec<Vec<u32>> = e
-            .clusters
-            .iter()
-            .map(|c| {
-                let c = c.as_ref().expect("all map completes collected");
-                let clusters = c.iter().map(|&(key, n)| (key, n as usize));
-                let assignment = assign_block(clusters, &e.split_keys, assigner, e.r, trace);
-                assignment.into_iter().map(|b| b as u32).collect()
-            })
-            .collect();
-        let seq = e.seq;
-        self.assign_cache.insert(seq, assignments);
-    }
-
-    /// Push batch `i`'s (cached) assignments and fan its Reduce tasks out.
+    /// Batch `i`'s maps are all back: run Algorithm 3 over each block's
+    /// table, push the assignments and fan the Reduce tasks out.
     fn begin_reduce(
         &mut self,
         i: usize,
-        t_scatter: Instant,
+        assigner: &dyn ReduceAssigner,
         trace: Option<&TraceRecorder>,
     ) -> Result<(), WorkerLoss> {
-        let e = &self.inflight[i];
+        let t_scatter = Instant::now();
+        let e = &mut self.inflight[i];
         let (seq, tseq, epoch, r, reduce) = (e.seq, e.tseq, e.epoch, e.r, e.spec.reduce);
         let owners = e.owners.clone();
         let block_owner = e.block_owner.clone();
-        let assignments = self
-            .assign_cache
-            .get(&seq)
-            .expect("assignments cached")
-            .clone();
+        // The tables are spent once assigned: taken, not kept until `Done`.
+        let assignments: Vec<Vec<u32>> = (std::mem::take(&mut e.clusters).into_iter().enumerate())
+            .map(|(task, c)| {
+                let c = c.expect("all map completes collected");
+                let clusters = c.iter().map(|&(key, n)| (key, n as usize));
+                let tally = trace.and(Some(&mut e.tally));
+                let assignment = assign_block(task, clusters, &e.split_keys, assigner, r, tally);
+                assignment.into_iter().map(|b| b as u32).collect()
+            })
+            .collect();
         for (b, assignment) in assignments.into_iter().enumerate() {
             self.send_to(
                 block_owner[b],
@@ -1026,7 +925,11 @@ impl DistributedRuntime {
     }
 
     /// Wait for one event and apply it to the in-flight window.
-    fn pump_event(&mut self, trace: Option<&TraceRecorder>) -> Result<(), WorkerLoss> {
+    fn pump_event<'a>(
+        &mut self,
+        assigner_of: &dyn Fn(u64) -> &'a dyn ReduceAssigner,
+        trace: Option<&TraceRecorder>,
+    ) -> Result<(), WorkerLoss> {
         let (overall, label_seq) = self
             .inflight
             .iter()
@@ -1054,37 +957,25 @@ impl DistributedRuntime {
                 if self.inflight[i].block_owner.get(block_id as usize) != Some(&sender) {
                     return Err(self.protocol_violation(sender, "map", block_id, seq));
                 }
-                {
-                    let e = &mut self.inflight[i];
-                    let slot = &mut e.clusters[block_id as usize];
-                    if slot.is_none() {
-                        *slot = Some(clusters);
-                        e.outstanding_maps -= 1;
-                    }
-                    if e.outstanding_maps > 0 {
-                        return Ok(());
-                    }
+                let e = &mut self.inflight[i];
+                let slot = &mut e.clusters[block_id as usize];
+                if slot.is_none() {
+                    *slot = Some(clusters);
+                    e.outstanding_maps -= 1;
                 }
-                let (tseq, t_map) = {
-                    let e = &self.inflight[i];
-                    (e.tseq, e.t_map)
-                };
+                if e.outstanding_maps > 0 {
+                    return Ok(());
+                }
                 if let Some(rec) = trace {
-                    rec.phase(tseq, StageKind::MapStage, wall(t_map.elapsed()));
+                    rec.phase(e.tseq, StageKind::MapStage, wall(e.t_map.elapsed()));
                 }
-                // Scripted mid-batch kills: fire *before* any assigner call
-                // so the doomed attempt leaves the allocator untouched; the
-                // worker's un-fetched map outputs die with it. Detection is
-                // organic — the kill queues a reader error.
-                let kills = self.take_kills(seq, FaultPoint::AfterMap);
-                if kills.is_empty() {
-                    self.inflight[i].stage = Stage::WaitAssign;
-                } else {
-                    for w in kills {
-                        self.inject_kill(w);
-                    }
-                    self.inflight[i].stage = Stage::Draining;
+                // Scripted mid-batch kills: the worker's un-fetched map
+                // outputs die with it. Detection is organic — the next send
+                // to it fails, or its reader error is pumped.
+                for w in self.take_kills(seq, FaultPoint::AfterMap) {
+                    self.inject_kill(w);
                 }
+                self.begin_reduce(i, assigner_of(seq), trace)?;
             }
             Message::ReduceComplete {
                 seq,
@@ -1109,22 +1000,20 @@ impl DistributedRuntime {
                 if bucket as usize >= e.r || reducer != sender {
                     return Err(self.protocol_violation(sender, "reduce", bucket, seq));
                 }
-                {
-                    let e = &mut self.inflight[i];
-                    let slot = &mut e.buckets[bucket as usize];
-                    if slot.is_some() {
-                        return Ok(());
-                    }
-                    *slot = Some((
-                        BucketStats {
-                            tuples: tuples as usize,
-                            keys: keys as usize,
-                            fragments: fragments as usize,
-                        },
-                        aggregates,
-                    ));
-                    e.outstanding_reduces -= 1;
+                let e = &mut self.inflight[i];
+                let slot = &mut e.buckets[bucket as usize];
+                if slot.is_some() {
+                    return Ok(());
                 }
+                *slot = Some((
+                    BucketStats {
+                        tuples: tuples as usize,
+                        keys: keys as usize,
+                        fragments: fragments as usize,
+                    },
+                    aggregates,
+                ));
+                e.outstanding_reduces -= 1;
                 self.shuffle.absorb(net);
                 if let Some(rec) = trace {
                     rec.incr(Counter::ShuffleConnsDialed, net.dialed);
@@ -1133,19 +1022,18 @@ impl DistributedRuntime {
                     rec.incr(Counter::ShuffleBytesWire, net.bytes_wire);
                     rec.incr(Counter::ShuffleBytesRaw, net.bytes_raw);
                 }
-                if self.inflight[i].outstanding_reduces > 0 {
+                let e = &mut self.inflight[i];
+                if e.outstanding_reduces > 0 {
                     return Ok(());
                 }
-                {
-                    let e = &mut self.inflight[i];
-                    (e.output, e.stats) = gather_buckets(e.buckets.drain(..).map(|entry| {
-                        let (s, aggs) = entry.expect("all reduce completes collected");
-                        (aggs, s)
-                    }));
-                    e.stage = Stage::Done;
-                    if let Some(rec) = trace {
-                        rec.phase(e.tseq, StageKind::ReduceStage, wall(e.t_reduce.elapsed()));
-                    }
+                (e.output, e.stats) = gather_buckets(e.buckets.drain(..).map(|entry| {
+                    let (s, aggs) = entry.expect("all reduce completes collected");
+                    (aggs, s)
+                }));
+                e.stage = Stage::Done;
+                if let Some(rec) = trace {
+                    rec.phase(e.tseq, StageKind::ReduceStage, wall(e.t_reduce.elapsed()));
+                    e.tally.record(rec);
                 }
                 // Commit: let the workers drop the batch's shuffle state. A
                 // send failure here is a loss for a later pump to discover —
@@ -1181,8 +1069,8 @@ impl DistributedRuntime {
     ///
     /// The one-batch-at-a-time convenience over
     /// [`DistributedRuntime::submit_batch`] / `wait_batch` — identical
-    /// semantics at pipeline depth 1. On `Err(WorkerLoss)` the attempt had
-    /// no observable effect on the assigner — call again with the same plan.
+    /// semantics at pipeline depth 1. On `Err(WorkerLoss)` the attempt left
+    /// nothing behind — call again with the same plan.
     ///
     /// # Panics
     ///
@@ -1193,13 +1081,13 @@ impl DistributedRuntime {
         seq: u64,
         plan: &PartitionPlan,
         spec: &JobSpec,
-        mut assigner: &mut dyn ReduceAssigner,
+        assigner: &dyn ReduceAssigner,
         r: usize,
         trace: Option<(&TraceRecorder, u64)>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
         let tseq = trace.map_or(seq, |(_, t)| t);
         self.submit_batch(seq, tseq, plan, spec, r);
-        self.wait_batch(seq, &mut assigner, trace.map(|(rec, _)| rec))
+        self.wait_batch(seq, &|_| assigner, trace.map(|(rec, _)| rec))
     }
 
     /// Shut the fleet down: `Shutdown` to every live worker, then reap
@@ -1283,7 +1171,7 @@ mod tests {
     use crate::job::{MapSpec, ReduceOp};
     use prompt_core::batch::MicroBatch;
     use prompt_core::partitioner::{BufferingMode, Partitioner, PromptPartitioner};
-    use prompt_core::reduce::PromptReduceAllocator;
+    use prompt_core::reduce::{KeyCluster, PromptReduceAllocator};
     use prompt_core::types::{Interval, Time, Tuple};
 
     fn thread_opts(workers: usize) -> DistributedOptions {
@@ -1310,9 +1198,9 @@ mod tests {
             map: MapSpec::Identity,
             reduce: ReduceOp::Count,
         };
-        let mut assigner = PromptReduceAllocator::new(7);
+        let assigner = PromptReduceAllocator::new(7);
         let (out, stats) = rt
-            .execute_batch(0, &plan, &spec, &mut assigner, 3, None)
+            .execute_batch(0, &plan, &spec, &assigner, 3, None)
             .expect("no faults scheduled");
         assert_eq!(out.len(), 17, "one aggregate per distinct key");
         assert_eq!(stats.len(), 3);
@@ -1334,16 +1222,16 @@ mod tests {
             map: MapSpec::Identity,
             reduce: ReduceOp::Sum,
         };
-        let mut assigner = PromptReduceAllocator::new(3);
+        let assigner = PromptReduceAllocator::new(3);
         let loss = rt
-            .execute_batch(0, &plan, &spec, &mut assigner, 2, None)
+            .execute_batch(0, &plan, &spec, &assigner, 2, None)
             .expect_err("worker 1 is scripted to die");
         assert_eq!(loss.worker, 1);
         assert_eq!(rt.workers_alive(), 1);
         assert_eq!(rt.stats().workers_lost, 1);
         // The retry (same seq, fresh epoch) completes on the survivor.
         let (out, _) = rt
-            .execute_batch(0, &plan, &spec, &mut assigner, 2, None)
+            .execute_batch(0, &plan, &spec, &assigner, 2, None)
             .expect("kill fires only once");
         assert_eq!(out.len(), 11);
     }
@@ -1361,10 +1249,10 @@ mod tests {
         let mut serial: Vec<BatchResult> = Vec::new();
         {
             let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-            let mut assigner = PromptReduceAllocator::new(7);
+            let assigner = PromptReduceAllocator::new(7);
             for (seq, plan) in plans.iter().enumerate() {
                 let (out, stats) = rt
-                    .execute_batch(seq as u64, plan, &spec, &mut assigner, 3, None)
+                    .execute_batch(seq as u64, plan, &spec, &assigner, 3, None)
                     .expect("no faults");
                 let mut aggs: Vec<(Key, u64)> = out
                     .aggregates
@@ -1376,17 +1264,17 @@ mod tests {
             }
         }
 
-        // Pipelined: all four batches in flight before the first wait. The
-        // stateful allocator must still see the serial call sequence.
+        // Pipelined: all four batches in flight before the first wait, each
+        // assigning the moment its own maps are back.
         let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-        let mut assigner = PromptReduceAllocator::new(7);
-        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
+        let assigner = PromptReduceAllocator::new(7);
+        let assigner: &dyn ReduceAssigner = &assigner;
         for (seq, plan) in plans.iter().enumerate() {
             rt.submit_batch(seq as u64, seq as u64, plan, &spec, 3);
         }
         for (seq, expect) in serial.iter().enumerate() {
             let (out, stats) = rt
-                .wait_batch(seq as u64, &mut assigner, None)
+                .wait_batch(seq as u64, &|_| assigner, None)
                 .expect("no faults");
             let mut aggs: Vec<(Key, u64)> = out
                 .aggregates
@@ -1398,50 +1286,83 @@ mod tests {
         }
     }
 
+    /// A loss aborts every unfinished batch of the window; the retry assigns
+    /// again and lands every cluster where the unfaulted run does, and the
+    /// shuffle counters count each batch once.
     #[test]
-    fn loss_mid_window_aborts_unfinished_and_replays_cached_assignments() {
-        let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-        // Worker 1 dies right before batch 1's maps dispatch; batch 0 and 1
-        // are both in flight when the loss surfaces.
-        rt.set_fault_plan(NetFaultPlan::none().kill_before(1, 1));
+    fn a_retried_window_produces_the_bucket_stats_of_the_unfaulted_run() {
+        use crate::trace::TraceLevel;
         let spec = JobSpec {
             map: MapSpec::Identity,
             reduce: ReduceOp::Count,
         };
-        let plans: Vec<PartitionPlan> = (0..2).map(|_| small_plan(200, 11, 4)).collect();
-        let mut assigner = PromptReduceAllocator::new(5);
-        let mut assigner: &mut dyn ReduceAssigner = &mut assigner;
-        rt.submit_batch(0, 0, &plans[0], &spec, 2);
-        rt.submit_batch(1, 1, &plans[1], &spec, 2);
-        let loss = rt
-            .wait_batch(0, &mut assigner, None)
-            .expect_err("worker 1 is scripted to die");
-        assert_eq!(loss.worker, 1);
-        assert_eq!(rt.workers_alive(), 1);
-        // Resubmit both; already-Done survivors would be skipped, aborted
-        // ones re-dispatch on the survivor. Outputs still arrive in order.
-        rt.submit_batch(0, 0, &plans[0], &spec, 2);
-        rt.submit_batch(1, 1, &plans[1], &spec, 2);
-        let (out0, _) = rt.wait_batch(0, &mut assigner, None).expect("retry");
-        let (out1, _) = rt.wait_batch(1, &mut assigner, None).expect("retry");
-        assert_eq!(out0.len(), 11);
-        assert_eq!(out1.len(), 11);
+        let plans: Vec<PartitionPlan> = (0..2).map(|i| small_plan(200 + 40 * i, 11, 4)).collect();
+        let assigner = PromptReduceAllocator::new(5);
+        let assigner_of = |_| &assigner as &dyn ReduceAssigner;
+        let counters = |rec: &TraceRecorder| {
+            let shuffle = [Counter::ScatterFragments, Counter::SplitKeyFragments];
+            shuffle.map(|c| rec.counter(c))
+        };
+
+        let clean_rec = TraceRecorder::new(TraceLevel::Summary);
+        let mut clean = DistributedRuntime::launch(thread_opts(2)).expect("launch");
+        let expect: Vec<Vec<BucketStats>> = (plans.iter().enumerate())
+            .map(|(seq, plan)| {
+                let trace = Some((&clean_rec, seq as u64));
+                let done = clean.execute_batch(seq as u64, plan, &spec, &assigner, 3, trace);
+                done.expect("no faults").1
+            })
+            .collect();
+        assert!(counters(&clean_rec)[0] > 0);
+
+        for fault in [
+            // Worker 1 dies right before batch 1's maps dispatch, with batch
+            // 0 in flight too; or right after batch 0's maps, so that attempt
+            // assigns (and tallies) before its sends find the worker gone.
+            NetFaultPlan::none().kill_before(1, 1),
+            NetFaultPlan::none().kill_after_map(0, 1),
+        ] {
+            let rec = TraceRecorder::new(TraceLevel::Summary);
+            let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
+            rt.set_fault_plan(fault.clone());
+            rt.submit_batch(0, 0, &plans[0], &spec, 3);
+            rt.submit_batch(1, 1, &plans[1], &spec, 3);
+            let loss = rt
+                .wait_batch(0, &assigner_of, Some(&rec))
+                .expect_err("worker 1 is scripted to die");
+            assert_eq!(loss.worker, 1, "{fault:?}");
+            assert_eq!(rt.workers_alive(), 1, "{fault:?}");
+            // Resubmit both: an already-Done survivor is skipped, aborted
+            // ones re-dispatch on the survivor. Outputs still arrive in order.
+            rt.submit_batch(0, 0, &plans[0], &spec, 3);
+            rt.submit_batch(1, 1, &plans[1], &spec, 3);
+            for (seq, expect) in expect.iter().enumerate() {
+                let (out, stats) = rt
+                    .wait_batch(seq as u64, &assigner_of, Some(&rec))
+                    .expect("retry");
+                assert_eq!(out.len(), 11, "{fault:?}");
+                assert_eq!(&stats, expect, "{fault:?}: batch {seq}");
+            }
+            assert_eq!(counters(&rec), counters(&clean_rec), "{fault:?}");
+        }
     }
 
-    /// Counts assigner resolutions (one per batch that makes fresh assigner
-    /// calls) and runs `on_assign` at each — the moment a batch enters its
-    /// Reduce phase.
-    struct CountingAssigners<'a, F: FnMut()> {
-        assigner: &'a mut dyn ReduceAssigner,
-        calls: usize,
-        on_assign: F,
+    /// An assigner that runs a hook when it is first asked to assign — the
+    /// moment a batch enters its Reduce phase, before any task of it is out.
+    struct HookedAssigner<F: FnOnce() + Send> {
+        inner: PromptReduceAllocator,
+        hook: std::sync::Mutex<Option<F>>,
     }
 
-    impl<F: FnMut()> BatchAssigners for CountingAssigners<'_, F> {
-        fn assigner_for(&mut self, _seq: u64) -> &mut dyn ReduceAssigner {
-            self.calls += 1;
-            (self.on_assign)();
-            &mut *self.assigner
+    impl<F: FnOnce() + Send> ReduceAssigner for HookedAssigner<F> {
+        fn name(&self) -> &'static str {
+            "hooked"
+        }
+        fn assign(&self, task: usize, cs: &[KeyCluster], split: &KeySet, r: usize) -> Vec<usize> {
+            if let Some(hook) = self.hook.lock().unwrap().take() {
+                hook();
+            }
+            self.inner.assign(task, cs, split, r)
         }
     }
 
@@ -1487,31 +1408,26 @@ mod tests {
                 // Ahead of every real completion of the batch.
                 events.send(forged.take().unwrap()).unwrap();
             }
-            let mut assigner = PromptReduceAllocator::new(7);
-            let mut assigners = CountingAssigners {
-                assigner: &mut assigner,
-                calls: 0,
+            let assigner = HookedAssigner {
+                inner: PromptReduceAllocator::new(7),
                 // Ahead of every real ReduceComplete: no task is out yet.
-                on_assign: || {
-                    if let Some(forged) = forged.take() {
-                        events.send(forged).unwrap();
-                    }
-                },
+                hook: std::sync::Mutex::new(
+                    forged.map(|forged| move || events.send(forged).unwrap()),
+                ),
             };
+            let assigner_of = |_| &assigner as &dyn ReduceAssigner;
             rt.submit_batch(0, 0, &plan, &spec, 3);
             let loss = rt
-                .wait_batch(0, &mut assigners, None)
+                .wait_batch(0, &assigner_of, None)
                 .expect_err("the forged completion is a protocol violation");
             assert_eq!(loss.worker, 1, "{what}: {loss}");
             assert!(loss.detail.contains("protocol violation"), "{what}: {loss}");
             assert_eq!(rt.workers_alive(), 1, "{what}");
-            // The retry completes on the survivor; a batch assigns once,
-            // whichever attempt got that far.
+            // The retry completes on the survivor.
             rt.submit_batch(0, 0, &plan, &spec, 3);
-            let (out, stats) = rt.wait_batch(0, &mut assigners, None).expect("retry");
+            let (out, stats) = rt.wait_batch(0, &assigner_of, None).expect("retry");
             assert_eq!(out.len(), 17, "{what}");
             assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300, "{what}");
-            assert_eq!(assigners.calls, 1, "{what}");
             assert_eq!(rt.stats().workers_lost, 1, "{what}");
         }
     }
@@ -1525,13 +1441,13 @@ mod tests {
             map: MapSpec::Identity,
             reduce: ReduceOp::Count,
         };
-        let mut assigner = PromptReduceAllocator::new(1);
+        let assigner = PromptReduceAllocator::new(1);
         let loss = rt
-            .execute_batch(0, &plan, &spec, &mut assigner, 2, None)
+            .execute_batch(0, &plan, &spec, &assigner, 2, None)
             .expect_err("dead worker must be detected");
         assert_eq!(loss.worker, 2);
         let (out, _) = rt
-            .execute_batch(0, &plan, &spec, &mut assigner, 2, None)
+            .execute_batch(0, &plan, &spec, &assigner, 2, None)
             .expect("two survivors suffice");
         assert_eq!(out.len(), 9);
     }

@@ -11,8 +11,9 @@
 //!   orchestration, heartbeat/connection failure detection.
 //!
 //! The design constraint throughout is *bit-identity with the serial
-//! engine*: map folds, assigner call order and reduce merge order are
-//! preserved exactly, so a distributed run's per-batch plans and outputs
+//! engine*: map folds and reduce merge order are preserved exactly and the
+//! shuffle assignment is the same pure function of each block
+//! (`kernel::assign_block`), so a distributed run's per-batch plans and outputs
 //! equal the in-process engine's, `f64` for `f64`. The differential tests
 //! in `tests/distributed_smoke.rs` enforce this.
 

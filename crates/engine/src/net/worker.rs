@@ -93,6 +93,10 @@ impl ShuffleStore {
         self.batches.entry((seq, epoch)).or_default().pending_blocks += 1;
     }
 
+    /// File block `block_id`'s clusters under the buckets `assignment` names.
+    /// An assignment that does not pair up with the clusters is refused — a
+    /// zip would drop the unpaired keys from the answer — and leaves the
+    /// block pending, so no bucket of the batch ever reads as ready.
     fn add_block(
         &mut self,
         seq: u64,
@@ -100,11 +104,18 @@ impl ShuffleStore {
         block_id: u32,
         ordered: &ClusterList,
         assignment: &[u32],
-    ) {
+    ) -> Result<(), String> {
         let batch = self
             .batches
             .get_mut(&(seq, epoch))
             .expect("assignment for a block never begun");
+        if assignment.len() != ordered.len() {
+            return Err(format!(
+                "block {block_id}: {} buckets assigned to {} clusters",
+                assignment.len(),
+                ordered.len()
+            ));
+        }
         for (&(key, (value, n)), &bucket) in ordered.iter().zip(assignment) {
             let segs = batch.buckets.entry(bucket).or_default();
             match segs.last_mut() {
@@ -116,6 +127,7 @@ impl ShuffleStore {
             }
         }
         batch.pending_blocks -= 1;
+        Ok(())
     }
 
     fn fetch(&self, seq: u64, epoch: u32, bucket: u32) -> Message {
@@ -197,12 +209,19 @@ impl SharedStore {
             .begin_block(seq, epoch);
     }
 
-    fn add_block(&self, seq: u64, epoch: u32, block_id: u32, ordered: &ClusterList, a: &[u32]) {
-        self.store
-            .lock()
-            .expect("store lock")
-            .add_block(seq, epoch, block_id, ordered, a);
+    fn add_block(
+        &self,
+        seq: u64,
+        epoch: u32,
+        block_id: u32,
+        ordered: &ClusterList,
+        a: &[u32],
+    ) -> Result<(), String> {
+        let mut store = self.store.lock().expect("store lock");
+        let added = store.add_block(seq, epoch, block_id, ordered, a);
+        drop(store);
         self.became_ready.notify_all();
+        added
     }
 
     fn fetch(&self, seq: u64, epoch: u32, bucket: u32) -> Message {
@@ -432,8 +451,22 @@ fn serve_tasks(
                 block_id,
                 assignment,
             } => {
-                if let Some(ordered) = pending.remove(&(seq, epoch, block_id)) {
-                    store.add_block(seq, epoch, block_id, &ordered, &assignment);
+                let Some(ordered) = pending.remove(&(seq, epoch, block_id)) else {
+                    continue;
+                };
+                // A malformed assignment fails this attempt of the batch: the
+                // driver loses this worker and retries on the others.
+                if let Err(detail) = store.add_block(seq, epoch, block_id, &ordered, &assignment) {
+                    writer
+                        .lock()
+                        .expect("writer lock")
+                        .send(&Message::WorkerError {
+                            worker: opts.worker,
+                            seq,
+                            epoch,
+                            blame: opts.worker,
+                            detail,
+                        })?;
                 }
             }
             Message::ReduceTask {
@@ -746,7 +779,7 @@ mod tests {
             store.fetch(4, 1, 0),
             Message::FetchReply { ready: false, .. }
         ));
-        store.add_block(4, 1, 0, &ordered, &[0, 1]);
+        store.add_block(4, 1, 0, &ordered, &[0, 1]).unwrap();
         assert!(
             matches!(
                 store.fetch(4, 1, 0),
@@ -754,7 +787,7 @@ mod tests {
             ),
             "one block still unassigned"
         );
-        store.add_block(4, 1, 1, &ordered, &[1, 1]);
+        store.add_block(4, 1, 1, &ordered, &[1, 1]).unwrap();
         match store.fetch(4, 1, 1) {
             Message::FetchReply { ready, segments } => {
                 assert!(ready);
@@ -777,6 +810,34 @@ mod tests {
         ));
     }
 
+    /// A short (or long) assignment would silently drop keys from the answer
+    /// if it were zipped with the clusters: it is refused, and the batch
+    /// never reads as ready on this worker.
+    #[test]
+    fn an_assignment_that_does_not_match_its_clusters_is_refused() {
+        let mut store = ShuffleStore::default();
+        store.begin_block(4, 1);
+        let ordered: ClusterList = vec![(Key(1), (2.0, 2)), (Key(5), (1.0, 1))];
+        for bad in [&[0][..], &[], &[0, 1, 1]] {
+            let err = store.add_block(4, 1, 0, &ordered, bad).unwrap_err();
+            assert!(err.contains("block 0"), "{err}");
+            assert!(matches!(
+                store.fetch(4, 1, 0),
+                Message::FetchReply { ready: false, .. }
+            ));
+        }
+        // Nothing of a refused assignment was filed.
+        store.add_block(4, 1, 0, &ordered, &[1, 0]).unwrap();
+        match store.fetch(4, 1, 0) {
+            Message::FetchReply { ready, segments } => {
+                assert!(ready);
+                assert_eq!(segments.len(), 1);
+                assert_eq!(segments[0].items, vec![(Key(5), 1.0, 1)]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn fetch_wait_parks_until_the_batch_completes() {
         let shared = Arc::new(SharedStore::default());
@@ -796,7 +857,7 @@ mod tests {
             std::thread::yield_now();
         }
         let ordered: ClusterList = vec![(Key(1), (2.0, 2))];
-        shared.add_block(1, 0, 0, &ordered, &[0]);
+        shared.add_block(1, 0, 0, &ordered, &[0]).unwrap();
         match waiter.join().unwrap() {
             Message::FetchReply { ready, segments } => {
                 assert!(ready, "park must end when the last block is assigned");

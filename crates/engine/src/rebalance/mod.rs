@@ -12,11 +12,11 @@
 //!   and far finer than a worker.
 //! * A versioned [`RoutingTable`] maps each group to the reduce worker
 //!   (bucket) that owns it. Every batch carries an immutable snapshot of
-//!   the table as of its own fill, and the [`GroupRoutedAssigner`] consults
-//!   that snapshot for every key cluster, so routing is a pure per-key
-//!   function, split keys land consistently across Map tasks on every
-//!   backend, and a plan applied for a younger batch never re-routes an
-//!   older one still in flight.
+//!   the table as of its own fill and is assigned through it (the table is
+//!   a [`ReduceAssigner`]), so routing is a pure per-key function, split
+//!   keys land consistently across Map tasks on every backend, and a plan
+//!   applied for a younger batch never re-routes an older one still in
+//!   flight.
 //! * A [`LoadLedger`] is fed at commit time from the trace layer's
 //!   existing per-batch worker timings plus the per-group tuple weights of
 //!   the committed plan.
@@ -195,29 +195,26 @@ impl RoutingTable {
     }
 }
 
-/// The reduce assigner over a routing-table snapshot. Routing is a pure
-/// per-key function of the table, so split keys (whose fragments appear in
-/// many Map blocks) land on one bucket without coordination, and
-/// re-assigning the same batch after a worker-loss retry is idempotent.
-pub struct GroupRoutedAssigner<'a>(pub &'a RoutingTable);
-
-impl ReduceAssigner for GroupRoutedAssigner<'_> {
+/// A routing-table snapshot is a reduce assigner. Routing is a pure per-key
+/// function of the table, so split keys (whose fragments appear in many Map
+/// blocks) land on one bucket without coordination.
+impl ReduceAssigner for RoutingTable {
     fn name(&self) -> &'static str {
         "group-routed"
     }
 
     fn assign(
-        &mut self,
+        &self,
+        _task: usize,
         clusters: &[KeyCluster],
         _split_keys: &prompt_core::hash::KeySet,
         r: usize,
     ) -> Vec<usize> {
         debug_assert_eq!(
-            self.0.n_workers(),
-            r,
+            self.n_workers, r,
             "routing table sized for a different reduce count"
         );
-        clusters.iter().map(|c| self.0.route(c.key)).collect()
+        clusters.iter().map(|c| self.route(c.key)).collect()
     }
 }
 
@@ -667,14 +664,13 @@ mod tests {
     #[test]
     fn assigner_routes_clusters_through_the_table() {
         let table = RoutingTable::new(8, 3);
-        let mut asg = GroupRoutedAssigner(&table);
         let clusters: Vec<KeyCluster> = (0..20)
             .map(|k| KeyCluster {
                 key: Key(k),
                 size: 1,
             })
             .collect();
-        let got = asg.assign(&clusters, &prompt_core::hash::KeySet::default(), 3);
+        let got = table.assign(0, &clusters, &prompt_core::hash::KeySet::default(), 3);
         let expect: Vec<usize> = clusters.iter().map(|c| table.route(c.key)).collect();
         assert_eq!(got, expect);
         assert!(got.iter().all(|&b| b < 3));

@@ -117,7 +117,7 @@ pub(crate) fn times_from_view(
 pub fn execute_batch(
     plan: &PartitionPlan,
     job: &Job,
-    assigner: &mut dyn ReduceAssigner,
+    assigner: &dyn ReduceAssigner,
     r: usize,
     cost: &CostModel,
     cluster: &Cluster,
@@ -129,13 +129,13 @@ pub fn execute_batch(
 /// that additionally records shuffle statistics — scatter routings performed
 /// and how many of them carried a split key — into the recorder. Output and
 /// stage times are bit-identical to the row layout on the plan's row
-/// rendering ([`ColumnarPlan::to_row_plan`]) — same fold order, same assigner
-/// call sequence, same cost inputs — gated by the `columnar_differential`
+/// rendering ([`ColumnarPlan::to_row_plan`]) — same fold order, same
+/// assignments, same cost inputs — gated by the `columnar_differential`
 /// suite.
 pub fn execute_columnar_traced(
     plan: &ColumnarPlan,
     job: &Job,
-    assigner: &mut dyn ReduceAssigner,
+    assigner: &dyn ReduceAssigner,
     r: usize,
     cost: &CostModel,
     cluster: &Cluster,
@@ -156,7 +156,7 @@ pub fn execute_columnar_traced(
 fn execute_serial(
     view: PlanView<'_>,
     job: &Job,
-    assigner: &mut dyn ReduceAssigner,
+    assigner: &dyn ReduceAssigner,
     r: usize,
     cost: &CostModel,
     cluster: &Cluster,
@@ -204,11 +204,11 @@ mod tests {
         let mb = batch(spec);
         let plan = tech.build(5).partition(&mb, p);
         let job = Job::identity("sum", ReduceOp::Sum);
-        let mut assigner = PromptReduceAllocator::new(5);
+        let assigner = PromptReduceAllocator::new(5);
         execute_batch(
             &plan,
             &job,
-            &mut assigner,
+            &assigner,
             r,
             &CostModel::default(),
             &Cluster::new(1, 8),
@@ -236,7 +236,7 @@ mod tests {
         let (out, times) = execute_batch(
             &plan,
             &job,
-            &mut HashReduceAssigner::new(0),
+            &HashReduceAssigner::new(0),
             2,
             &CostModel::default(),
             &Cluster::new(1, 4),
@@ -260,7 +260,7 @@ mod tests {
         let (out, _) = execute_batch(
             &plan,
             &job,
-            &mut HashReduceAssigner::new(0),
+            &HashReduceAssigner::new(0),
             2,
             &CostModel::default(),
             &Cluster::new(1, 4),
@@ -302,11 +302,11 @@ mod tests {
         let job = Job::identity("sum", ReduceOp::Sum);
         let exec = |tech: Technique| {
             let plan = tech.build(5).partition(&mb, 8);
-            let mut assigner = PromptReduceAllocator::new(5);
+            let assigner = PromptReduceAllocator::new(5);
             execute_batch(
                 &plan,
                 &job,
-                &mut assigner,
+                &assigner,
                 4,
                 &CostModel::default(),
                 &Cluster::new(1, 8),
@@ -335,7 +335,7 @@ mod tests {
         let (out, _) = execute_columnar_traced(
             &ColumnarPlan::from_row_plan(&plan),
             &job,
-            &mut PromptReduceAllocator::new(0),
+            &PromptReduceAllocator::new(0),
             2,
             &CostModel::default(),
             &Cluster::new(1, 4),
@@ -361,7 +361,7 @@ mod tests {
         let (out, times) = execute_batch(
             &plan,
             &job,
-            &mut HashReduceAssigner::new(0),
+            &HashReduceAssigner::new(0),
             2,
             &CostModel::default(),
             &Cluster::new(1, 4),

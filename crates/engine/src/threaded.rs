@@ -13,12 +13,13 @@
 //! speedups from balanced partitioning.
 //!
 //! * **Map** — one [`PlanView::map_block`] per block, in parallel.
-//! * **Shuffle** — serial, on the calling thread: Algorithm 3's allocator is
-//!   stateful (its running bucket loads must see map outputs in block
-//!   order), and pushing a block's clusters into their buckets right behind
-//!   its assignment is a fraction of a millisecond — less than spawning a
-//!   thread round for it (a bucket-striped parallel scatter stood here and
-//!   was slower on every benchmark workload, ROADMAP § measurement).
+//! * **Shuffle** — serial, on the calling thread. Nothing forces that:
+//!   Algorithm 3 is a pure function of one block's output, so the
+//!   assignments could be computed inside the Map fan-out. It is serial
+//!   because assigning a block and pushing its clusters into their buckets
+//!   is a fraction of a millisecond — less than a thread round costs (a
+//!   bucket-striped parallel scatter stood here and was slower on every
+//!   benchmark workload, ROADMAP "Settled").
 //! * **Reduce** — one [`merge_bucket`] per bucket, in parallel; every bucket
 //!   was filled in block order then key order, whatever the thread count.
 
@@ -30,7 +31,7 @@ use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::{Duration, Key};
 
 use crate::job::Job;
-use crate::kernel::{assign_block, gather_buckets, merge_bucket, PlanView};
+use crate::kernel::{assign_block, gather_buckets, merge_bucket, PlanView, ShuffleTally};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{StageKind, TraceRecorder};
 
@@ -84,7 +85,7 @@ impl ThreadedExecutor {
         &self,
         plan: &PartitionPlan,
         job: &Job,
-        assigner: &mut dyn ReduceAssigner,
+        assigner: &dyn ReduceAssigner,
         r: usize,
     ) -> (BatchOutput, WallTimes) {
         let (out, _, times) = self.execute_with_stats(plan, job, assigner, r, None);
@@ -101,7 +102,7 @@ impl ThreadedExecutor {
         &self,
         plan: &PartitionPlan,
         job: &Job,
-        assigner: &mut dyn ReduceAssigner,
+        assigner: &dyn ReduceAssigner,
         r: usize,
         trace: Option<(&TraceRecorder, u64)>,
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
@@ -121,7 +122,7 @@ impl ThreadedExecutor {
         &self,
         view: PlanView<'_>,
         job: &Job,
-        assigner: &mut dyn ReduceAssigner,
+        assigner: &dyn ReduceAssigner,
         r: usize,
         trace: Option<&TraceRecorder>,
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
@@ -132,12 +133,17 @@ impl ThreadedExecutor {
 
         let t1 = Instant::now();
         let mut buckets: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
-        for ordered in map_outputs {
+        let mut tally = ShuffleTally::default();
+        for (task, ordered) in map_outputs.iter().enumerate() {
             let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
-            let assignment = assign_block(clusters, view.split_keys(), assigner, r, trace);
+            let tally = trace.and(Some(&mut tally));
+            let assignment = assign_block(task, clusters, view.split_keys(), assigner, r, tally);
             for (&(key, (value, n)), &bucket) in ordered.iter().zip(&assignment) {
                 buckets[bucket].push((key, value, n));
             }
+        }
+        if let Some(rec) = trace {
+            tally.record(rec);
         }
         let shuffle = t1.elapsed();
 
@@ -178,8 +184,8 @@ mod tests {
         let plan = Technique::Prompt.build(3).partition(&mb, 8);
         let job = Job::identity("count", ReduceOp::Count);
         let exec = ThreadedExecutor::new(4);
-        let mut assigner = PromptReduceAllocator::new(3);
-        let (out, times) = exec.execute(&plan, &job, &mut assigner, 4);
+        let assigner = PromptReduceAllocator::new(3);
+        let (out, times) = exec.execute(&plan, &job, &assigner, 4);
         assert_eq!(out.len(), 97);
         for k in 0..97u64 {
             let expect = (10_000 / 97) + usize::from(k < 10_000 % 97);
@@ -198,13 +204,13 @@ mod tests {
         let (sim_out, _) = crate::stage::execute_batch(
             &plan,
             &job,
-            &mut PromptReduceAllocator::new(9),
+            &PromptReduceAllocator::new(9),
             3,
             &CostModel::default(),
             &Cluster::new(1, 4),
         );
         let (thr_out, _) =
-            ThreadedExecutor::new(3).execute(&plan, &job, &mut PromptReduceAllocator::new(9), 3);
+            ThreadedExecutor::new(3).execute(&plan, &job, &PromptReduceAllocator::new(9), 3);
         assert_eq!(sim_out.len(), thr_out.len());
         for (k, v) in &sim_out.aggregates {
             assert_eq!(thr_out.aggregates[k], *v);
@@ -217,7 +223,7 @@ mod tests {
         let plan = Technique::Hash.build(0).partition(&mb, 2);
         let job = Job::identity("count", ReduceOp::Count);
         let (out, _) =
-            ThreadedExecutor::new(1).execute(&plan, &job, &mut PromptReduceAllocator::new(0), 1);
+            ThreadedExecutor::new(1).execute(&plan, &job, &PromptReduceAllocator::new(0), 1);
         assert_eq!(out.len(), 5);
     }
 
@@ -228,14 +234,9 @@ mod tests {
         let plan = Technique::Prompt.build(1).partition(&mb, 6);
         let job = Job::identity("count", ReduceOp::Count);
         let rec = TraceRecorder::new(TraceLevel::Full);
-        let mut assigner = PromptReduceAllocator::new(1);
-        let (out, _, times) = ThreadedExecutor::new(3).execute_with_stats(
-            &plan,
-            &job,
-            &mut assigner,
-            4,
-            Some((&rec, 7)),
-        );
+        let assigner = PromptReduceAllocator::new(1);
+        let (out, _, times) =
+            ThreadedExecutor::new(3).execute_with_stats(&plan, &job, &assigner, 4, Some((&rec, 7)));
         assert_eq!(out.len(), 31);
         let phases: Vec<(u64, StageKind)> = rec
             .events()
@@ -268,14 +269,14 @@ mod tests {
         let plan = Technique::Prompt.build(7).partition(&mb, 8);
         let job = Job::identity("sum", ReduceOp::Sum);
         let reference = {
-            let mut assigner = PromptReduceAllocator::new(7);
+            let assigner = PromptReduceAllocator::new(7);
             ThreadedExecutor::new(1)
-                .execute(&plan, &job, &mut assigner, 5)
+                .execute(&plan, &job, &assigner, 5)
                 .0
         };
         for threads in [2, 3, 4, 8] {
-            let mut assigner = PromptReduceAllocator::new(7);
-            let (out, _) = ThreadedExecutor::new(threads).execute(&plan, &job, &mut assigner, 5);
+            let assigner = PromptReduceAllocator::new(7);
+            let (out, _) = ThreadedExecutor::new(threads).execute(&plan, &job, &assigner, 5);
             assert_eq!(out.len(), reference.len(), "{threads} threads");
             for (k, v) in &reference.aggregates {
                 assert_eq!(out.aggregates[k], *v, "{threads} threads, key {k:?}");

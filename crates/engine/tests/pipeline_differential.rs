@@ -132,10 +132,10 @@ fn loss_events(rec: &TraceRecorder) -> Vec<String> {
 
 /// A worker killed mid-window at depths 1, 2 and 4 (one, two, four batches
 /// in flight): the runtime aborts the unfinished window, the driver
-/// re-dispatches it on the survivors from the plans in hand (fresh
-/// assignments replay from the assignment cache, so the stateful allocator
-/// is never consulted twice), outputs stay bit-identical, and the loss is
-/// handled the same way at every depth.
+/// re-dispatches it on the survivors from the plans in hand (the retry
+/// assigns again — a pure function of each block — and lands every cluster
+/// where the lost attempt would have), outputs stay bit-identical, and the
+/// loss is handled the same way at every depth.
 #[test]
 fn worker_kill_mid_window_recovers_at_every_depth() {
     let (oracle, _) = run(Backend::InProcess, 1, NetFaultPlan::none());
@@ -396,8 +396,8 @@ fn adaptive_policy_is_depth_invariant() {
 }
 
 /// A scheduled fault is a barrier: the faulted batch runs alone in the
-/// window, so injected-loss replays and store-loss suffix replays make
-/// their assigner calls in the depth-1 order and the run — recoveries
+/// window, so injected-loss replays and store-loss suffix replays run under
+/// the counts and routing depth 1 would see and the run — recoveries
 /// included — is the depth-1 run.
 #[test]
 fn fault_plans_are_depth_invariant() {

@@ -65,8 +65,8 @@ fn main() {
     let exec = ThreadedExecutor::new(8);
     for tech in [Technique::Hash, Technique::Prompt] {
         let plan = tech.build(5).partition(&batch, 8);
-        let mut assigner = PromptReduceAllocator::new(5);
-        let (out, wall) = exec.execute(&plan, &job, &mut assigner, 8);
+        let assigner = PromptReduceAllocator::new(5);
+        let (out, wall) = exec.execute(&plan, &job, &assigner, 8);
         println!(
             "  {:<8} map {:>7.2?}  shuffle {:>7.2?}  reduce {:>7.2?}  total {:>7.2?}  ({} keys)",
             tech.label(),

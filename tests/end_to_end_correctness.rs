@@ -119,17 +119,13 @@ fn threaded_backend_matches_simulated_backend() {
         let (sim, _) = execute_batch(
             &plan,
             &query.job,
-            &mut PromptReduceAllocator::new(13),
+            &PromptReduceAllocator::new(13),
             4,
             &CostModel::default(),
             &Cluster::new(1, 4),
         );
-        let (thr, _) = ThreadedExecutor::new(4).execute(
-            &plan,
-            &query.job,
-            &mut PromptReduceAllocator::new(13),
-            4,
-        );
+        let (thr, _) =
+            ThreadedExecutor::new(4).execute(&plan, &query.job, &PromptReduceAllocator::new(13), 4);
         assert_same_aggregates(&sim.aggregates, &thr.aggregates, &format!("{tech:?}"));
     }
 }

@@ -56,14 +56,14 @@ fn single_worker_loopback_matches_serial() {
 
     let cost = CostModel::default();
     let cluster = Cluster::new(1, 4);
-    let mut serial_assigner = PromptReduceAllocator::new(42);
+    let serial_assigner = PromptReduceAllocator::new(42);
     let (serial_out, serial_times) =
-        execute_batch(&plan, &job, &mut serial_assigner, r, &cost, &cluster);
+        execute_batch(&plan, &job, &serial_assigner, r, &cost, &cluster);
 
     let mut rt = DistributedRuntime::launch(thread_opts(1)).expect("launch one worker thread");
-    let mut dist_assigner = PromptReduceAllocator::new(42);
+    let dist_assigner = PromptReduceAllocator::new(42);
     let (dist_out, stats) = rt
-        .execute_batch(0, &plan, &spec, &mut dist_assigner, r, None)
+        .execute_batch(0, &plan, &spec, &dist_assigner, r, None)
         .expect("no faults scheduled");
     rt.shutdown();
 
@@ -88,15 +88,15 @@ fn two_workers_stay_identical_across_batches() {
     let cluster = Cluster::new(2, 4);
 
     let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch two worker threads");
-    let mut serial_assigner = PromptReduceAllocator::new(7);
-    let mut dist_assigner = PromptReduceAllocator::new(7);
+    let serial_assigner = PromptReduceAllocator::new(7);
+    let dist_assigner = PromptReduceAllocator::new(7);
     for seq in 0..4u64 {
         let batch = skewed_batch(400 + 37 * seq as usize, 13, seq);
         let plan = plan_of(&batch, p);
         let (serial_out, _) =
-            stage::execute_batch(&plan, &job, &mut serial_assigner, r, &cost, &cluster);
+            stage::execute_batch(&plan, &job, &serial_assigner, r, &cost, &cluster);
         let (dist_out, stats) = rt
-            .execute_batch(seq, &plan, &spec, &mut dist_assigner, r, None)
+            .execute_batch(seq, &plan, &spec, &dist_assigner, r, None)
             .expect("no faults scheduled");
         assert_eq!(dist_out.aggregates, serial_out.aggregates, "batch {seq}");
         let tuples: usize = stats.iter().map(|s| s.tuples).sum();
@@ -123,15 +123,15 @@ fn pooled_connections_are_reused_across_fetches_and_batches() {
     let cluster = Cluster::new(3, 4);
 
     let mut rt = DistributedRuntime::launch(thread_opts(3)).expect("launch three worker threads");
-    let mut serial_assigner = PromptReduceAllocator::new(5);
-    let mut dist_assigner = PromptReduceAllocator::new(5);
+    let serial_assigner = PromptReduceAllocator::new(5);
+    let dist_assigner = PromptReduceAllocator::new(5);
     for seq in 0..6u64 {
         let batch = skewed_batch(300 + 11 * seq as usize, 17, seq);
         let plan = plan_of(&batch, p);
         let (serial_out, _) =
-            stage::execute_batch(&plan, &job, &mut serial_assigner, r, &cost, &cluster);
+            stage::execute_batch(&plan, &job, &serial_assigner, r, &cost, &cluster);
         let (dist_out, _) = rt
-            .execute_batch(seq, &plan, &spec, &mut dist_assigner, r, None)
+            .execute_batch(seq, &plan, &spec, &dist_assigner, r, None)
             .expect("no faults scheduled");
         assert_eq!(dist_out.aggregates, serial_out.aggregates, "batch {seq}");
     }
@@ -172,22 +172,22 @@ fn kill_mid_batch_recovers_and_matches_serial() {
 
     let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch two worker threads");
     rt.set_fault_plan(NetFaultPlan::none().kill_after_map(1, 0));
-    let mut serial_assigner = PromptReduceAllocator::new(11);
-    let mut dist_assigner = PromptReduceAllocator::new(11);
+    let serial_assigner = PromptReduceAllocator::new(11);
+    let dist_assigner = PromptReduceAllocator::new(11);
     for seq in 0..3u64 {
         let batch = skewed_batch(300, 9, seq);
         let plan = plan_of(&batch, p);
         let (serial_out, _) =
-            stage::execute_batch(&plan, &job, &mut serial_assigner, r, &cost, &cluster);
-        let dist_out = match rt.execute_batch(seq, &plan, &spec, &mut dist_assigner, r, None) {
+            stage::execute_batch(&plan, &job, &serial_assigner, r, &cost, &cluster);
+        let dist_out = match rt.execute_batch(seq, &plan, &spec, &dist_assigner, r, None) {
             Ok((out, _)) => out,
             Err(loss) => {
                 assert_eq!(seq, 1, "only batch 1 schedules a kill");
                 assert_eq!(loss.worker, 0);
-                // The failed attempt made no assigner calls, so a plain
-                // retry keeps both sides' allocator state in lock-step.
+                // An assignment is a pure function of the block, so a plain
+                // retry lands every cluster where the serial side put it.
                 let (out, _) = rt
-                    .execute_batch(seq, &plan, &spec, &mut dist_assigner, r, None)
+                    .execute_batch(seq, &plan, &spec, &dist_assigner, r, None)
                     .expect("survivor completes the recompute");
                 out
             }

@@ -159,9 +159,9 @@ proptest! {
             let plan = tech.build(4).partition(&batch, p);
             for assigner in [true, false] {
                 let alloc = if assigner {
-                    allocate_reduce(&plan, &mut PromptReduceAllocator::new(4), r)
+                    allocate_reduce(&plan, &PromptReduceAllocator::new(4), r)
                 } else {
-                    allocate_reduce(&plan, &mut HashReduceAssigner::new(4), r)
+                    allocate_reduce(&plan, &HashReduceAssigner::new(4), r)
                 };
                 // allocate_reduce itself panics on split-key inconsistency;
                 // here we check conservation.

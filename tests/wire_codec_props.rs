@@ -4,8 +4,10 @@
 //! `encode`/`decode` for arbitrary field values, and every malformed frame
 //! (truncated at any byte, wrong magic, wrong version, unknown type,
 //! oversized length) must be rejected with a typed error — never a panic or
-//! a garbage decode. These run in the fast root tier; the deterministic
-//! exemplar-based unit tests live next to the codec itself.
+//! a garbage decode — and so must bytes that never were a frame: a valid
+//! header over an arbitrary payload decodes to a message or to a typed error.
+//! These run in the fast root tier; the deterministic exemplar-based unit
+//! tests live next to the codec itself.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -25,6 +27,27 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 /// covered by the codec's exemplar unit tests).
 fn value() -> impl Strategy<Value = f64> {
     -1.0e12f64..1.0e12
+}
+
+/// One piece of a hostile payload: raw bytes, or a field a decoder would
+/// size an allocation or a loop by — varint counts (mostly huge), `u32`
+/// length prefixes, an over-long varint — or a plausible small count, so
+/// that some payloads get past the first guard.
+fn hostile_chunk() -> impl Strategy<Value = Vec<u8>> {
+    fn varint(v: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_varint(v);
+        w.into_bytes()
+    }
+    (0u8..7, any::<u64>(), vec(any::<u8>(), 0..64)).prop_map(|(kind, n, raw)| match kind {
+        0 => raw,
+        1 => varint(n),
+        2 => varint(u64::MAX >> (n % 24)),
+        3 => varint(n % 300),
+        4 => (n as u32).to_le_bytes().to_vec(),
+        5 => (u32::MAX >> (n % 8)).to_le_bytes().to_vec(),
+        _ => vec![0xff; 11],
+    })
 }
 
 fn round_trip(msg: Message) -> Result<(), proptest::test_runner::TestCaseError> {
@@ -289,6 +312,38 @@ proptest! {
         let mut frame = good;
         frame[5] = msg_type;
         prop_assert_eq!(Message::decode(&frame), Err(WireError::UnknownType(msg_type)));
+    }
+}
+
+proptest! {
+    // Cheap cases (thirteen decodes of ≤ 4 KiB each), so many of them.
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// ROADMAP item 10 (1), the wire half: whatever follows a valid header
+    /// — not a mutation of a valid frame — `decode` answers with a message
+    /// or a typed error. A panic (an index, an overflow, an allocation sized
+    /// by a length prefix) or a loop sized by a count fails the case.
+    #[test]
+    fn arbitrary_bytes_are_an_error_or_a_message(
+        chunks in vec(hostile_chunk(), 0..160),
+    ) {
+        let mut payload = chunks.concat();
+        payload.truncate(4096);
+        for msg_type in 1u8..=13 {
+            let mut frame = ByteWriter::with_capacity(HEADER_LEN + payload.len());
+            frame.put_u32(MAGIC);
+            frame.put_u8(PROTOCOL_VERSION);
+            frame.put_u8(msg_type);
+            frame.put_u32(payload.len() as u32);
+            frame.put_bytes(&payload);
+            match Message::decode(frame.as_bytes()) {
+                // What was accepted is a frame: it encodes, and no larger
+                // than the bytes it was read from allow.
+                Ok(msg) => prop_assert!(msg.encode().len() <= HEADER_LEN + 8 * payload.len() + 8),
+                Err(WireError::Codec(_)) => {}
+                Err(other) => prop_assert!(false, "type {msg_type}: header error {other:?}"),
+            }
+        }
     }
 }
 
