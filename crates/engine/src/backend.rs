@@ -9,8 +9,9 @@
 //! survived: a single submit→wait path at every pipeline depth (depth 1
 //! is a window of one) that, on a loss, charges the recovery and resubmits
 //! the plans still in hand. Nothing is re-partitioned, and the retry lands
-//! every cluster where the lost attempt would have: a batch's assigner is a
-//! pure function it carries with its plan. Dispatch is all a backend does:
+//! every cluster where the lost attempt did: a batch's assigner is a pure
+//! function it carries with its plan, and the fleet runs it at submit, over
+//! the plan's own fragment tables. Dispatch is all a backend does:
 //! keyed state never leaves the driver ([`crate::state`]), so a key-group
 //! migration is not a backend operation.
 
@@ -42,14 +43,16 @@ pub(crate) struct Planned<'a> {
 }
 
 impl Planned<'_> {
-    /// Put the batch's Map tasks on the wire; a no-op while the seq is still
-    /// in flight.
-    fn submit(&self, rt: &mut DistributedRuntime) {
+    /// Put the batch's Map tasks and its bucket assignments on the wire; a
+    /// no-op while the seq is still in flight.
+    fn submit(&self, rt: &mut DistributedRuntime, rec: &TraceRecorder) {
         let spec = self
             .job
             .wire_spec()
             .expect("wire-serialisable: checked by Run::new");
-        rt.submit(self.seq, self.tseq, self.view, &spec, self.r);
+        let trace = rec.enabled().then_some(rec);
+        let (seq, tseq) = (self.seq, self.tseq);
+        rt.submit(seq, tseq, self.view, &spec, self.assigner, self.r, trace);
     }
 }
 
@@ -94,12 +97,13 @@ impl BackendRuntime {
         }
     }
 
-    /// Eager dispatch: on the distributed backend `batch`'s Map tasks go on
-    /// the wire now, overlapping older in-flight batches' reduce and wire
-    /// transfer; its Reduce tasks follow as soon as its own maps are back.
-    pub(crate) fn submit(&mut self, batch: &Planned<'_>) {
+    /// Eager dispatch: on the distributed backend `batch`'s Map tasks and
+    /// assignments go on the wire now, overlapping older in-flight batches'
+    /// reduce and wire transfer; its Reduce tasks follow as soon as its own
+    /// maps are acked.
+    pub(crate) fn submit(&mut self, batch: &Planned<'_>, rec: &TraceRecorder) {
         if let Some(rt) = self.distributed() {
-            batch.submit(rt);
+            batch.submit(rt, rec);
         }
     }
 
@@ -113,11 +117,12 @@ impl BackendRuntime {
     ///
     /// On the distributed backend the batch may already be in flight (maps
     /// dispatched by [`BackendRuntime::submit`]); waiting drives the shared
-    /// event pump, which also advances the `younger` in-flight batches —
-    /// each assigned with its own assigner. A worker lost mid-batch aborts every unfinished batch of the window:
-    /// the loss is charged by [`on_worker_loss`] and the window is
-    /// re-dispatched in batch order from the plans in hand. Failed attempts
-    /// contribute no virtual time — virtual time models the healthy cluster.
+    /// event pump, which also advances the `younger` in-flight batches. A
+    /// worker lost mid-batch aborts every unfinished batch of the window: the
+    /// loss is charged by [`on_worker_loss`] and the window is re-dispatched
+    /// in batch order from the plans in hand, each assigned again through the
+    /// assigner it carries. Failed attempts contribute no virtual time —
+    /// virtual time models the healthy cluster.
     pub(crate) fn execute<'a>(
         &mut self,
         batch: &Planned<'a>,
@@ -140,16 +145,11 @@ impl BackendRuntime {
             BackendRuntime::Distributed(rt) => loop {
                 // No-ops while the seqs are in flight (or already done);
                 // after a loss these re-dispatch the aborted window.
-                batch.submit(rt);
+                batch.submit(rt, rec);
                 for q in younger.clone() {
-                    q.submit(rt);
+                    q.submit(rt, rec);
                 }
-                let assigner_of = |seq| {
-                    let mut window = std::iter::once(*batch).chain(younger.clone());
-                    let of = window.find(|q| q.seq == seq);
-                    of.expect("only the window is in flight").assigner
-                };
-                match rt.wait_batch(batch.seq, &assigner_of, trace) {
+                match rt.wait_batch(batch.seq, trace) {
                     Ok(done) => break done,
                     Err(loss) => {
                         losses += 1;

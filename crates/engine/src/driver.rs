@@ -1803,7 +1803,10 @@ mod tests {
     /// Map task's output, so outside test modules no core or engine source
     /// names a mutable assigner, a run-global task counter, an assignment
     /// cache, a per-window assigner lookup or a stage that waits for a turn
-    /// at the assigner.
+    /// at the assigner. The fleet assigns where the assigner lives, at submit,
+    /// from the plan's fragment tables (DESIGN §4e): no key-table codec, no
+    /// assigner handed to the wait, no second submit spelling, and under
+    /// `net/` one function calls the assignment kernel.
     #[test]
     fn engine_shape_one_assign_site_and_no_columnar_twins() {
         const COLUMNAR_FNS: [&str; 3] = [
@@ -1825,13 +1828,22 @@ mod tests {
             ["Window", "Assigners"].concat(),
             ["Wait", "Assign"].concat(),
             ["Drain", "ing"].concat(),
+            ["assigner", "_of"].concat(),
+            ["key_counts", "_compact"].concat(),
+            ["fn submit", "_batch"].concat(),
         ];
-        let mut twins = Vec::new();
+        let kernel_call = ["assign_", "block("].concat();
+        let (mut twins, mut fleet_assigns) = (Vec::new(), Vec::new());
         for (file, src) in &engine {
             let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            let mut inside = "";
             for (n, line) in lines.enumerate() {
+                if file.contains("/net/") && line.contains(&kernel_call) {
+                    fleet_assigns.push(inside);
+                }
                 if let Some(sig) = line.split("fn ").nth(1) {
                     let name = sig.split(['(', '<']).next().unwrap_or(sig);
+                    inside = name;
                     let snake = name.chars().all(|c| c.is_ascii_lowercase() || c == '_');
                     if snake && name.ends_with("_columnar") && !COLUMNAR_FNS.contains(&name) {
                         twins.push(format!("{file}:{}", n + 1));
@@ -1840,6 +1852,7 @@ mod tests {
             }
         }
         assert!(twins.is_empty(), "layout twins regrew: {twins:?}");
+        assert_eq!(fleet_assigns, ["dispatch_maps"], "fleet assignment sites");
         files.append(&mut engine);
         for (file, src) in &files {
             let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");

@@ -391,7 +391,7 @@ impl<'e> Run<'e> {
             metrics,
             restore_times,
         };
-        backend.submit(&pb.planned(self.eng, self.wire));
+        backend.submit(&pb.planned(self.eng, self.wire), &self.rec);
         Some(pb)
     }
 

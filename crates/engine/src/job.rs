@@ -91,6 +91,14 @@ impl ReduceOp {
 /// boundary; distributed jobs are restricted to the declarative shapes a
 /// worker can reconstruct. (`Identity` covers WordCount, per-key sums and
 /// every experiment in the harness — sources pre-key their tuples.)
+///
+/// Invariant the fleet's driver relies on: every wire-expressible Map keeps
+/// every tuple under its own key — none is filtered, none re-keyed — so a
+/// block's fragment table is its Map output's `(key, count)` table, and the
+/// driver runs Algorithm 3 from the plan without hearing back from the Map
+/// (`net::driver`). A variant that filters cannot be added without giving
+/// that up; a worker whose Map output disagrees with its assignment refuses
+/// it (`WorkerError`), it never drops keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MapSpec {
     /// Keep the tuple's value unchanged (`Job::identity`).

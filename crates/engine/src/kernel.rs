@@ -357,6 +357,82 @@ mod tests {
         }
     }
 
+    /// What the fleet's submit-time assignment rests on (`net/driver.rs`): an
+    /// identity Map keeps every tuple under its own key, so a block's Map
+    /// output, as `(key, tuples folded)`, is the block's fragment table — in
+    /// either layout, whatever cut the block.
+    #[test]
+    fn an_identity_map_yields_each_blocks_fragment_table() {
+        use prompt_core::columnar::{ColRange, ColumnarBatch};
+        let check = |rows: &PartitionPlan, cols: &ColumnarPlan, what: &str| {
+            for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
+                let job = Job::identity("id", op);
+                for (layout, view) in [
+                    ("rows", PlanView::Rows(rows)),
+                    ("columns", PlanView::Columns(cols)),
+                ] {
+                    for i in 0..view.n_blocks() {
+                        let fragments = view.fragments(i).iter().map(|f| (f.key, f.count));
+                        let mapped = view.map_block(i, &job).into_iter();
+                        assert_eq!(
+                            mapped.map(|(k, (_, n))| (k, n)).collect::<Vec<_>>(),
+                            fragments.collect::<Vec<_>>(),
+                            "{what}: block {i} of {layout} under {op:?}"
+                        );
+                    }
+                }
+            }
+        };
+
+        let zipf: Vec<(u64, usize)> = (0..60).map(|k| (k, 900 / (k as usize + 1))).collect();
+        let batches = [
+            ("skewed", zipf),
+            ("all one key", vec![(7, 400)]),
+            ("empty", vec![]),
+            ("fewer tuples than blocks", vec![(1, 1), (2, 1)]),
+        ];
+        let techniques = Technique::EVALUATION_SET
+            .into_iter()
+            .chain([Technique::DChoices(2), Technique::PromptCountTree]);
+        for technique in techniques {
+            for (name, spec) in &batches {
+                for p in [1, 3, 8] {
+                    let mb = batch(spec);
+                    let rows = technique.build(5).partition(&mb, p);
+                    // The technique's own columnar cut where it has one.
+                    let cols = match technique.build(5).partition_columnar(&mb, p) {
+                        Some((cols, _)) => cols,
+                        None => ColumnarPlan::from_row_plan(&rows),
+                    };
+                    check(&rows, &cols, &format!("{technique:?} {name} p={p}"));
+                }
+            }
+        }
+
+        // A heavy key poured into one block twice (its `S_cut` fragment, then
+        // its residual): two ranges, one fragment, one cluster.
+        let keys = [1, 1, 1, 2, 2, 1, 1].map(Key);
+        let tuples: Vec<Tuple> = (keys.iter().enumerate())
+            .map(|(i, &k)| Tuple::new(Time(1 + i as u64), k, i as f64 - 2.5))
+            .collect();
+        let ranges = [(1, 0, 3), (2, 3, 2), (1, 5, 2)];
+        let block = ColumnarBlock::from_ranges(
+            (ranges
+                .iter()
+                .map(|&(k, at, n)| (Key(k), ColRange::new(at, n))))
+            .collect(),
+        );
+        let arena = std::sync::Arc::new(ColumnarBatch::from_tuples(&tuples));
+        let cols = ColumnarPlan::from_blocks(arena, vec![block]);
+        let twice = |f: &KeyFragment| (f.key, f.count) == (Key(1), 5);
+        assert!(cols.blocks[0].fragments.iter().any(twice));
+        check(
+            &cols.to_row_plan(),
+            &cols,
+            "a key in two ranges of one block",
+        );
+    }
+
     /// One plan, as `Rows` and as `Columns`, through every backend: the local
     /// executor at 1 (`InProcess`), 2 and 3 threads and a thread-mode worker
     /// fleet must agree on every aggregate bit, every bucket's statistics,
@@ -479,10 +555,8 @@ mod tests {
                 };
                 seq += 1;
                 let distributed = outcome(view, |assigner, trace| {
-                    fleet.submit(seq, seq, view, &spec, *r);
-                    fleet
-                        .wait_batch(seq, &|_| assigner, trace)
-                        .expect("no faults")
+                    fleet.submit(seq, seq, view, &spec, assigner, *r, trace);
+                    fleet.wait_batch(seq, trace).expect("no faults")
                 });
                 assert_eq!(distributed, reference, "{name}: fleet over {layout}");
             }

@@ -8,22 +8,23 @@
 //! into a single channel.
 //!
 //! Batches move through an explicit in-flight state machine, `Mapping →
-//! Reducing → Done` ([`DistributedRuntime::submit_batch`] / `wait_batch`;
+//! Reducing → Done` (`submit` / `wait_batch`;
 //! [`DistributedRuntime::execute_batch`] is the submit-then-wait
 //! convenience for one batch at a time):
 //!
-//! 1. `submit_batch` fans Map tasks out round-robin over live workers
-//!    (each carries its data block on the wire) — several batches may be
-//!    mapping at once;
-//! 2. the moment a batch's last key/frequency table is back, the driver runs
-//!    Algorithm 3 over each of them with *that batch's* Reduce assigner —
-//!    whatever older batches are doing: an assignment is a pure function of
-//!    one block's table and its block index, so batches need no ordering
-//!    among themselves;
-//! 3. per-block bucket assignments are pushed back (`ShuffleAssign`) and
-//!    Reduce tasks fan out, each fetching its bucket from the map workers'
-//!    shuffle listeners;
-//! 4. `ReduceComplete` aggregates are merged into the batch output, taken
+//! 1. `submit` fans Map tasks out round-robin over live workers (each
+//!    carries its data block on the wire) and, behind them on the same FIFO
+//!    control streams, every block's bucket assignment (`ShuffleAssign`).
+//!    Algorithm 3 needs no reply for that: every wire-expressible Map keeps
+//!    every tuple under its own key ([`crate::job::MapSpec`]), so a block's
+//!    fragment table — already in the plan — *is* its Map output's
+//!    `(key, count)` table. An assignment is a pure function of one block's
+//!    table and its block index, so batches need no ordering among
+//!    themselves and several may be mapping at once;
+//! 2. the moment a batch's last `MapComplete` ack is back, its Reduce tasks
+//!    fan out, each fetching its bucket from the map workers' shuffle
+//!    listeners;
+//! 3. `ReduceComplete` aggregates are merged into the batch output, taken
 //!    by `wait_batch` in strict submission order.
 //!
 //! All progress is driven from one event pump: every worker's inbound
@@ -51,7 +52,6 @@ use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::hash::KeySet;
 use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::Key;
 
@@ -212,16 +212,15 @@ struct WorkerSlot {
 /// Where an in-flight batch is in its lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stage {
-    /// Map tasks dispatched; collecting `MapComplete`s.
+    /// Map tasks and assignments dispatched; collecting `MapComplete`s.
     Mapping,
-    /// Assignments pushed, Reduce tasks dispatched; collecting
-    /// `ReduceComplete`s.
+    /// Reduce tasks dispatched; collecting `ReduceComplete`s.
     Reducing,
     /// Output merged and ready for [`DistributedRuntime::wait_batch`].
     Done,
 }
 
-/// One batch in flight between `submit_batch` and `wait_batch`.
+/// One batch in flight between `submit` and `wait_batch`.
 struct Inflight {
     seq: u64,
     /// Seq used for trace phases (tenancy runs batches under namespaced
@@ -230,12 +229,12 @@ struct Inflight {
     epoch: u32,
     r: usize,
     spec: JobSpec,
-    split_keys: KeySet,
     /// Live workers at submission, the fan-out targets.
     owners: Vec<u32>,
     /// Worker that mapped each block (shuffle sources).
     block_owner: Vec<u32>,
-    clusters: Vec<Option<Vec<(Key, u64)>>>,
+    /// Which blocks' `MapComplete` is in.
+    mapped: Vec<bool>,
     outstanding_maps: usize,
     buckets: Vec<BucketSlot>,
     outstanding_reduces: usize,
@@ -246,7 +245,8 @@ struct Inflight {
     t_reduce: Instant,
     output: BatchOutput,
     stats: Vec<BucketStats>,
-    /// What this attempt's shuffle routed; recorded when it reaches `Done`.
+    /// What this attempt's shuffle routed: taken at submit, recorded when it
+    /// reaches `Done`.
     tally: ShuffleTally,
 }
 
@@ -264,11 +264,11 @@ pub struct DistributedRuntime {
     /// Shuffle-plane totals reported by workers on `ReduceComplete`.
     shuffle: FetchStats,
     shut_down: bool,
-    /// Batches between `submit_batch` and `wait_batch`; looked up by seq,
-    /// in no particular order.
+    /// Batches between `submit` and `wait_batch`; looked up by seq, in no
+    /// particular order.
     inflight: Vec<Inflight>,
-    /// A loss detected while dispatching inside `submit_batch`, surfaced
-    /// by the next `wait_batch`.
+    /// A loss detected while dispatching inside `submit`, surfaced by the
+    /// next `wait_batch`.
     pending_loss: Option<WorkerLoss>,
 }
 
@@ -602,10 +602,12 @@ impl DistributedRuntime {
         WorkerLoss { worker, detail }
     }
 
-    /// `sender` completed a task of batch `seq` it was never given (or that
-    /// does not exist): nothing it says can be trusted, so it is lost.
-    fn protocol_violation(&mut self, sender: u32, stage: &str, task: u32, seq: u64) -> WorkerLoss {
-        let detail = format!("protocol violation: completed {stage} task {task} of batch {seq}");
+    /// `sender` said something about batch `seq` no worker following the
+    /// protocol could — completed a task it was never given (or that does not
+    /// exist), blamed a peer that is not there: nothing it says can be
+    /// trusted, so it is lost.
+    fn protocol_violation(&mut self, sender: u32, what: &str, id: u32, seq: u64) -> WorkerLoss {
+        let detail = format!("protocol violation: {what} {id} of batch {seq}");
         self.declare_lost(sender, detail)
     }
 
@@ -708,10 +710,13 @@ impl DistributedRuntime {
         }
     }
 
-    /// Dispatch one batch's Map tasks without waiting for anything — the
-    /// entry point of the in-flight state machine. Several batches may be
-    /// submitted back to back; their results are taken in submission order
-    /// via `wait_batch`.
+    /// Dispatch one batch's Map tasks and bucket assignments without waiting
+    /// for anything — the entry point of the in-flight state machine. Several
+    /// batches may be submitted back to back; their results are taken in
+    /// submission order via `wait_batch`. A columnar plan's frames are
+    /// encoded straight from its arena slices and are byte-identical to its
+    /// row rendering's — so are the workers' view, the protocol state machine
+    /// and the results.
     ///
     /// Resubmitting a seq that is still in flight (a completed-but-untaken
     /// batch surviving a loss abort) is a no-op, as is submitting after a
@@ -722,47 +727,42 @@ impl DistributedRuntime {
     ///
     /// Panics when no workers are left alive — with nothing to run on,
     /// recompute-and-retry cannot make progress.
-    pub fn submit_batch(
-        &mut self,
-        seq: u64,
-        tseq: u64,
-        plan: &PartitionPlan,
-        spec: &JobSpec,
-        r: usize,
-    ) {
-        self.submit(seq, tseq, PlanView::Rows(plan), spec, r);
-    }
-
-    /// [`DistributedRuntime::submit_batch`] for either layout: a columnar
-    /// plan's frames are encoded straight from its arena slices, and are
-    /// byte-identical to its row rendering's — so are the workers' view, the
-    /// protocol state machine and the results.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn submit(
         &mut self,
         seq: u64,
         tseq: u64,
         view: PlanView<'_>,
         spec: &JobSpec,
+        assigner: &dyn ReduceAssigner,
         r: usize,
+        trace: Option<&TraceRecorder>,
     ) {
         if self.pending_loss.is_some() || self.inflight.iter().any(|e| e.seq == seq) {
             return;
         }
-        if let Err(loss) = self.dispatch_maps(seq, tseq, view, spec, r) {
+        if let Err(loss) = self.dispatch_maps(seq, tseq, view, spec, assigner, r, trace) {
             self.abort_unfinished();
             self.pending_loss = Some(loss);
         }
     }
 
-    /// The map fan-out: epoch bump, scripted pre-map kills, round-robin
-    /// ownership, one frame per block, the in-flight record.
+    /// The fan-out: epoch bump, scripted pre-map kills, round-robin
+    /// ownership, one Map frame per block, then Algorithm 3 over each block's
+    /// fragment table and one assignment frame per block, the in-flight
+    /// record. All Map frames go first, so no worker waits on the driver's
+    /// assigning; FIFO control streams keep every assignment ahead of the
+    /// batch's Reduce tasks.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch_maps(
         &mut self,
         seq: u64,
         tseq: u64,
         view: PlanView<'_>,
         spec: &JobSpec,
+        assigner: &dyn ReduceAssigner,
         r: usize,
+        trace: Option<&TraceRecorder>,
     ) -> Result<(), WorkerLoss> {
         let n_blocks = view.n_blocks();
         self.epoch += 1;
@@ -791,16 +791,32 @@ impl DistributedRuntime {
                 return Err(self.declare_lost(w, format!("send of map_task failed: {e}")));
             }
         }
+        let t_scatter = Instant::now();
+        let mut tally = ShuffleTally::default();
+        for (i, &w) in block_owner.iter().enumerate() {
+            let clusters = view.fragments(i).iter().map(|f| (f.key, f.count));
+            let tally = trace.and(Some(&mut tally));
+            let assignment = assign_block(i, clusters, view.split_keys(), assigner, r, tally);
+            let assign = Message::ShuffleAssign {
+                seq,
+                epoch,
+                block_id: i as u32,
+                assignment: assignment.into_iter().map(|b| b as u32).collect(),
+            };
+            self.send_to(w, &assign)?;
+        }
+        if let Some(rec) = trace {
+            rec.phase(tseq, StageKind::Scatter, wall(t_scatter.elapsed()));
+        }
         self.inflight.push(Inflight {
             seq,
             tseq,
             epoch,
             r,
             spec: *spec,
-            split_keys: view.split_keys().clone(),
             owners,
             block_owner,
-            clusters: vec![None; n_blocks],
+            mapped: vec![false; n_blocks],
             outstanding_maps: n_blocks,
             buckets: vec![None; r],
             outstanding_reduces: r,
@@ -810,7 +826,7 @@ impl DistributedRuntime {
             t_reduce: t_map,
             output: BatchOutput::default(),
             stats: Vec::new(),
-            tally: ShuffleTally::default(),
+            tally,
         });
         Ok(())
     }
@@ -827,15 +843,14 @@ impl DistributedRuntime {
     /// the same plans, assigners and `r`, the outputs and per-bucket stats
     /// are bit-identical to [`crate::stage::execute_batch`]'s at any
     /// pipeline depth. Younger in-flight batches keep advancing during the
-    /// wait, each assigned with `assigner_of(its seq)`.
+    /// wait.
     ///
     /// On `Err(WorkerLoss)` every unfinished in-flight batch was aborted
     /// (completed-but-untaken results survive); resubmit the aborted batches
     /// and wait again.
-    pub(crate) fn wait_batch<'a>(
+    pub(crate) fn wait_batch(
         &mut self,
         seq: u64,
-        assigner_of: &dyn Fn(u64) -> &'a dyn ReduceAssigner,
         trace: Option<&TraceRecorder>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
         loop {
@@ -849,53 +864,21 @@ impl DistributedRuntime {
                 let done = self.inflight.remove(i);
                 return Ok((done.output, done.stats));
             }
-            if let Err(loss) = self.pump_event(assigner_of, trace) {
+            if let Err(loss) = self.pump_event(trace) {
                 self.abort_unfinished();
                 return Err(loss);
             }
         }
     }
 
-    /// Batch `i`'s maps are all back: run Algorithm 3 over each block's
-    /// table, push the assignments and fan the Reduce tasks out.
-    fn begin_reduce(
-        &mut self,
-        i: usize,
-        assigner: &dyn ReduceAssigner,
-        trace: Option<&TraceRecorder>,
-    ) -> Result<(), WorkerLoss> {
-        let t_scatter = Instant::now();
-        let e = &mut self.inflight[i];
-        let (seq, tseq, epoch, r, reduce) = (e.seq, e.tseq, e.epoch, e.r, e.spec.reduce);
-        let owners = e.owners.clone();
-        let block_owner = e.block_owner.clone();
-        // The tables are spent once assigned: taken, not kept until `Done`.
-        let assignments: Vec<Vec<u32>> = (std::mem::take(&mut e.clusters).into_iter().enumerate())
-            .map(|(task, c)| {
-                let c = c.expect("all map completes collected");
-                let clusters = c.iter().map(|&(key, n)| (key, n as usize));
-                let tally = trace.and(Some(&mut e.tally));
-                let assignment = assign_block(task, clusters, &e.split_keys, assigner, r, tally);
-                assignment.into_iter().map(|b| b as u32).collect()
-            })
-            .collect();
-        for (b, assignment) in assignments.into_iter().enumerate() {
-            self.send_to(
-                block_owner[b],
-                &Message::ShuffleAssign {
-                    seq,
-                    epoch,
-                    block_id: b as u32,
-                    assignment,
-                },
-            )?;
-        }
-        if let Some(rec) = trace {
-            rec.phase(tseq, StageKind::Scatter, wall(t_scatter.elapsed()));
-        }
-
+    /// Batch `i`'s maps are all acked (its assignments went out at submit):
+    /// fan the Reduce tasks out.
+    fn begin_reduce(&mut self, i: usize) -> Result<(), WorkerLoss> {
         let t_reduce = Instant::now();
-        let mut src_ids = block_owner;
+        let e = &self.inflight[i];
+        let (seq, epoch, r, reduce) = (e.seq, e.epoch, e.r, e.spec.reduce);
+        let owners = e.owners.clone();
+        let mut src_ids = e.block_owner.clone();
         src_ids.sort_unstable();
         src_ids.dedup();
         let sources: Vec<ShuffleSource> = src_ids
@@ -925,11 +908,7 @@ impl DistributedRuntime {
     }
 
     /// Wait for one event and apply it to the in-flight window.
-    fn pump_event<'a>(
-        &mut self,
-        assigner_of: &dyn Fn(u64) -> &'a dyn ReduceAssigner,
-        trace: Option<&TraceRecorder>,
-    ) -> Result<(), WorkerLoss> {
+    fn pump_event(&mut self, trace: Option<&TraceRecorder>) -> Result<(), WorkerLoss> {
         let (overall, label_seq) = self
             .inflight
             .iter()
@@ -943,7 +922,6 @@ impl DistributedRuntime {
                 seq,
                 epoch,
                 block_id,
-                clusters,
             } => {
                 let Some(i) = self
                     .inflight
@@ -955,12 +933,15 @@ impl DistributedRuntime {
                 // `block_id` is off the wire: only the worker the block was
                 // sent to may report it.
                 if self.inflight[i].block_owner.get(block_id as usize) != Some(&sender) {
-                    return Err(self.protocol_violation(sender, "map", block_id, seq));
+                    return Err(self.protocol_violation(
+                        sender,
+                        "completed map task",
+                        block_id,
+                        seq,
+                    ));
                 }
                 let e = &mut self.inflight[i];
-                let slot = &mut e.clusters[block_id as usize];
-                if slot.is_none() {
-                    *slot = Some(clusters);
+                if !std::mem::replace(&mut e.mapped[block_id as usize], true) {
                     e.outstanding_maps -= 1;
                 }
                 if e.outstanding_maps > 0 {
@@ -975,7 +956,7 @@ impl DistributedRuntime {
                 for w in self.take_kills(seq, FaultPoint::AfterMap) {
                     self.inject_kill(w);
                 }
-                self.begin_reduce(i, assigner_of(seq), trace)?;
+                self.begin_reduce(i)?;
             }
             Message::ReduceComplete {
                 seq,
@@ -990,15 +971,18 @@ impl DistributedRuntime {
                 let Some(i) = self
                     .inflight
                     .iter()
-                    .position(|e| e.seq == seq && e.epoch == epoch && e.stage == Stage::Reducing)
+                    .position(|e| e.seq == seq && e.epoch == epoch && e.stage != Stage::Done)
                 else {
                     return Ok(()); // stale attempt's reply
                 };
-                // Likewise `bucket`: only the worker the task was sent to.
+                // Likewise `bucket`: only the worker the task was sent to —
+                // and while the batch is `Mapping` no Reduce task of this
+                // epoch exists at all.
                 let e = &self.inflight[i];
                 let reducer = e.owners[bucket as usize % e.owners.len()];
-                if bucket as usize >= e.r || reducer != sender {
-                    return Err(self.protocol_violation(sender, "reduce", bucket, seq));
+                if e.stage == Stage::Mapping || bucket as usize >= e.r || reducer != sender {
+                    let what = "completed reduce task";
+                    return Err(self.protocol_violation(sender, what, bucket, seq));
                 }
                 let e = &mut self.inflight[i];
                 let slot = &mut e.buckets[bucket as usize];
@@ -1053,12 +1037,18 @@ impl DistributedRuntime {
                     .inflight
                     .iter()
                     .any(|e| e.seq == seq && e.epoch == epoch && e.stage != Stage::Done);
-                if current {
-                    return Err(
-                        self.declare_lost(blame, format!("worker {worker} reported: {detail}"))
-                    );
+                if !current {
+                    return Ok(()); // a stale attempt's failure; already handled
                 }
-                // A stale attempt's failure; already handled.
+                // `blame` is off the wire too: losing "a worker" that has no
+                // slot, or is already lost, would abort the window and charge
+                // a recovery with nobody gone — as often as the peer repeats.
+                let live = self.slots.get(blame as usize).is_some_and(|s| s.alive);
+                return Err(if live {
+                    self.declare_lost(blame, format!("worker {worker} reported: {detail}"))
+                } else {
+                    self.protocol_violation(sender, "blamed absent worker", blame, seq)
+                });
             }
             _ => {}
         }
@@ -1067,9 +1057,8 @@ impl DistributedRuntime {
 
     /// Execute one batch across the live workers: submit, then wait.
     ///
-    /// The one-batch-at-a-time convenience over
-    /// [`DistributedRuntime::submit_batch`] / `wait_batch` — identical
-    /// semantics at pipeline depth 1. On `Err(WorkerLoss)` the attempt left
+    /// The one-batch-at-a-time convenience over `submit` / `wait_batch` —
+    /// identical semantics at pipeline depth 1. On `Err(WorkerLoss)` the attempt left
     /// nothing behind — call again with the same plan.
     ///
     /// # Panics
@@ -1085,9 +1074,9 @@ impl DistributedRuntime {
         r: usize,
         trace: Option<(&TraceRecorder, u64)>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
-        let tseq = trace.map_or(seq, |(_, t)| t);
-        self.submit_batch(seq, tseq, plan, spec, r);
-        self.wait_batch(seq, &|_| assigner, trace.map(|(rec, _)| rec))
+        let (rec, tseq) = trace.map_or((None, seq), |(rec, t)| (Some(rec), t));
+        self.submit(seq, tseq, PlanView::Rows(plan), spec, assigner, r, rec);
+        self.wait_batch(seq, rec)
     }
 
     /// Shut the fleet down: `Shutdown` to every live worker, then reap
@@ -1171,7 +1160,7 @@ mod tests {
     use crate::job::{MapSpec, ReduceOp};
     use prompt_core::batch::MicroBatch;
     use prompt_core::partitioner::{BufferingMode, Partitioner, PromptPartitioner};
-    use prompt_core::reduce::{KeyCluster, PromptReduceAllocator};
+    use prompt_core::reduce::PromptReduceAllocator;
     use prompt_core::types::{Interval, Time, Tuple};
 
     fn thread_opts(workers: usize) -> DistributedOptions {
@@ -1265,17 +1254,15 @@ mod tests {
         }
 
         // Pipelined: all four batches in flight before the first wait, each
-        // assigning the moment its own maps are back.
+        // assigned as it is submitted.
         let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
         let assigner = PromptReduceAllocator::new(7);
-        let assigner: &dyn ReduceAssigner = &assigner;
         for (seq, plan) in plans.iter().enumerate() {
-            rt.submit_batch(seq as u64, seq as u64, plan, &spec, 3);
+            let view = PlanView::Rows(plan);
+            rt.submit(seq as u64, seq as u64, view, &spec, &assigner, 3, None);
         }
         for (seq, expect) in serial.iter().enumerate() {
-            let (out, stats) = rt
-                .wait_batch(seq as u64, &|_| assigner, None)
-                .expect("no faults");
+            let (out, stats) = rt.wait_batch(seq as u64, None).expect("no faults");
             let mut aggs: Vec<(Key, u64)> = out
                 .aggregates
                 .iter()
@@ -1298,7 +1285,6 @@ mod tests {
         };
         let plans: Vec<PartitionPlan> = (0..2).map(|i| small_plan(200 + 40 * i, 11, 4)).collect();
         let assigner = PromptReduceAllocator::new(5);
-        let assigner_of = |_| &assigner as &dyn ReduceAssigner;
         let counters = |rec: &TraceRecorder| {
             let shuffle = [Counter::ScatterFragments, Counter::SplitKeyFragments];
             shuffle.map(|c| rec.counter(c))
@@ -1318,28 +1304,38 @@ mod tests {
         for fault in [
             // Worker 1 dies right before batch 1's maps dispatch, with batch
             // 0 in flight too; or right after batch 0's maps, so that attempt
-            // assigns (and tallies) before its sends find the worker gone.
+            // has assigned (and tallied) before its sends find the worker gone.
             NetFaultPlan::none().kill_before(1, 1),
             NetFaultPlan::none().kill_after_map(0, 1),
         ] {
             let rec = TraceRecorder::new(TraceLevel::Summary);
             let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
             rt.set_fault_plan(fault.clone());
-            rt.submit_batch(0, 0, &plans[0], &spec, 3);
-            rt.submit_batch(1, 1, &plans[1], &spec, 3);
+            let submit = |rt: &mut DistributedRuntime, seq: usize| {
+                let view = PlanView::Rows(&plans[seq]);
+                rt.submit(
+                    seq as u64,
+                    seq as u64,
+                    view,
+                    &spec,
+                    &assigner,
+                    3,
+                    Some(&rec),
+                );
+            };
+            submit(&mut rt, 0);
+            submit(&mut rt, 1);
             let loss = rt
-                .wait_batch(0, &assigner_of, Some(&rec))
+                .wait_batch(0, Some(&rec))
                 .expect_err("worker 1 is scripted to die");
             assert_eq!(loss.worker, 1, "{fault:?}");
             assert_eq!(rt.workers_alive(), 1, "{fault:?}");
             // Resubmit both: an already-Done survivor is skipped, aborted
             // ones re-dispatch on the survivor. Outputs still arrive in order.
-            rt.submit_batch(0, 0, &plans[0], &spec, 3);
-            rt.submit_batch(1, 1, &plans[1], &spec, 3);
+            submit(&mut rt, 0);
+            submit(&mut rt, 1);
             for (seq, expect) in expect.iter().enumerate() {
-                let (out, stats) = rt
-                    .wait_batch(seq as u64, &assigner_of, Some(&rec))
-                    .expect("retry");
+                let (out, stats) = rt.wait_batch(seq as u64, Some(&rec)).expect("retry");
                 assert_eq!(out.len(), 11, "{fault:?}");
                 assert_eq!(&stats, expect, "{fault:?}: batch {seq}");
             }
@@ -1347,42 +1343,25 @@ mod tests {
         }
     }
 
-    /// An assigner that runs a hook when it is first asked to assign — the
-    /// moment a batch enters its Reduce phase, before any task of it is out.
-    struct HookedAssigner<F: FnOnce() + Send> {
-        inner: PromptReduceAllocator,
-        hook: std::sync::Mutex<Option<F>>,
-    }
-
-    impl<F: FnOnce() + Send> ReduceAssigner for HookedAssigner<F> {
-        fn name(&self) -> &'static str {
-            "hooked"
-        }
-        fn assign(&self, task: usize, cs: &[KeyCluster], split: &KeySet, r: usize) -> Vec<usize> {
-            if let Some(hook) = self.hook.lock().unwrap().take() {
-                hook();
-            }
-            self.inner.assign(task, cs, split, r)
-        }
-    }
-
-    /// Indices and ownership claims read off the wire must not take the
-    /// driver down: a completion for a task that does not exist, or that was
-    /// given to another worker, loses its sender like any other failure.
+    /// Indices, ownership claims and blame read off the wire must not take
+    /// the driver down, nor spin it: a completion for a task that does not
+    /// exist (yet), or that was given to another worker, and a `WorkerError`
+    /// blaming nobody loses its sender like any other failure — once.
     #[test]
     fn a_completion_for_a_task_the_sender_was_not_given_loses_the_sender() {
         let spec = JobSpec {
             map: MapSpec::Identity,
             reduce: ReduceOp::Count,
         };
-        // 4 blocks and 3 buckets over 2 workers: worker 0 maps blocks 0 and
-        // 2 and reduces buckets 0 and 2.
+        // 4 blocks and 3 buckets over workers 0 and 1: worker 0 maps blocks 0
+        // and 2 and reduces buckets 0 and 2. Worker 2 is lost before the
+        // batch: an id with a slot and nobody in it.
         let plan = small_plan(300, 17, 4);
+        let assigner = PromptReduceAllocator::new(7);
         let map = |block_id| Message::MapComplete {
             seq: 0,
             epoch: 1,
             block_id,
-            clusters: vec![(Key(1), 1)],
         };
         let reduce = |bucket| Message::ReduceComplete {
             seq: 0,
@@ -1394,41 +1373,45 @@ mod tests {
             aggregates: vec![(Key(1), 1.0)],
             net: FetchStats::default(),
         };
-        for (what, forged) in [
-            ("map block out of range", map(99)),
-            ("map block of another worker", map(0)),
-            ("reduce bucket out of range", reduce(99)),
-            ("reduce bucket of another worker", reduce(2)),
+        let error = |blame| Message::WorkerError {
+            worker: 1,
+            seq: 0,
+            epoch: 1,
+            blame,
+            detail: "forged".into(),
+        };
+        // `true`: delivered to a batch already `Reducing`, where only the
+        // bucket's range and owner tell a forged completion from a real one.
+        for (what, forged, reducing) in [
+            ("map block out of range", map(99), false),
+            ("map block of another worker", map(0), false),
+            ("reduce bucket before any reduce task", reduce(1), false),
+            ("reduce bucket out of range", reduce(99), true),
+            ("reduce bucket of another worker", reduce(2), true),
+            ("blame of an id out of range", error(99), false),
+            ("blame of a worker already lost", error(2), false),
         ] {
-            let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-            let events = rt._tx.clone();
-            let is_map = matches!(forged, Message::MapComplete { .. });
-            let mut forged = Some((1, Ok(forged)));
-            if is_map {
-                // Ahead of every real completion of the batch.
-                events.send(forged.take().unwrap()).unwrap();
+            let mut rt = DistributedRuntime::launch(thread_opts(3)).expect("launch");
+            let _ = rt.declare_lost(2, "before the batch".into());
+            // Ahead of every real event of the batch.
+            rt._tx.send((1, Ok(forged))).unwrap();
+            let view = PlanView::Rows(&plan);
+            rt.submit(0, 0, view, &spec, &assigner, 3, None);
+            if reducing {
+                rt.inflight[0].stage = Stage::Reducing;
             }
-            let assigner = HookedAssigner {
-                inner: PromptReduceAllocator::new(7),
-                // Ahead of every real ReduceComplete: no task is out yet.
-                hook: std::sync::Mutex::new(
-                    forged.map(|forged| move || events.send(forged).unwrap()),
-                ),
-            };
-            let assigner_of = |_| &assigner as &dyn ReduceAssigner;
-            rt.submit_batch(0, 0, &plan, &spec, 3);
             let loss = rt
-                .wait_batch(0, &assigner_of, None)
-                .expect_err("the forged completion is a protocol violation");
+                .wait_batch(0, None)
+                .expect_err("the forged message is a protocol violation");
             assert_eq!(loss.worker, 1, "{what}: {loss}");
             assert!(loss.detail.contains("protocol violation"), "{what}: {loss}");
             assert_eq!(rt.workers_alive(), 1, "{what}");
             // The retry completes on the survivor.
-            rt.submit_batch(0, 0, &plan, &spec, 3);
-            let (out, stats) = rt.wait_batch(0, &assigner_of, None).expect("retry");
+            rt.submit(0, 0, view, &spec, &assigner, 3, None);
+            let (out, stats) = rt.wait_batch(0, None).expect("retry");
             assert_eq!(out.len(), 17, "{what}");
             assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300, "{what}");
-            assert_eq!(rt.stats().workers_lost, 1, "{what}");
+            assert_eq!(rt.stats().workers_lost, 2, "{what}");
         }
     }
 

@@ -474,11 +474,11 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let counters = NetCounters::shared();
         let mut conn = RetryPolicy::default().connect(addr, &counters).unwrap();
-        let msg = Message::MapComplete {
+        let msg = Message::ShuffleAssign {
             seq: 1,
             epoch: 0,
             block_id: 0,
-            clusters: (0..32).map(|k| (prompt_core::types::Key(k), k)).collect(),
+            assignment: (0..32).collect(),
         };
         conn.send(&msg).unwrap();
         assert_eq!(

@@ -9,13 +9,19 @@
 //!
 //! Protocol v2 compacts the data-plane payloads: collection counts and
 //! small integers travel as LEB128 varints, and the key ids of key-sorted
-//! runs (map-output clusters, shuffle-segment items, reduce aggregates) are
+//! runs (shuffle-segment items, reduce aggregates) are
 //! delta-encoded against the previous key as zigzag varints — ascending ids
 //! a few apart take 1–2 bytes instead of 8. `f64` aggregates stay fixed
 //! 8-byte bit patterns (bit-identity is non-negotiable, and mantissas do
 //! not compress). [`Message::v1_payload_len`] reports what the fixed-width
 //! v1 layout would have used, so transports can account raw vs. encoded
 //! bytes-on-wire.
+//!
+//! Protocol v3 takes the key table out of `MapComplete`: every
+//! wire-expressible Map keeps every tuple under its own key
+//! ([`MapSpec`]), so the fragment table a `MapTask` carries *is* the block's
+//! `(key, count)` cluster table and the driver assigns from its own copy. No
+//! other frame changed a byte.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
@@ -33,7 +39,8 @@ pub const MAGIC: u32 = 0x5445_4e50;
 
 /// Current protocol version. Bump on any incompatible layout change.
 /// v2: varint/delta-compacted data-plane payloads (see module docs).
-pub const PROTOCOL_VERSION: u8 = 2;
+/// v3: `MapComplete` is a bare ack — it no longer carries a key table.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Frame header length: magic + version + msg type + payload length.
 pub const HEADER_LEN: usize = 10;
@@ -165,8 +172,8 @@ pub enum Message {
         /// The block's tuples and fragment table.
         block: DataBlock,
     },
-    /// Worker → driver: map finished; report the key/frequency table of the
-    /// block's clusters (key order) so the driver can run Algorithm 3.
+    /// Worker → driver: map finished. A bare ack: the driver assigned the
+    /// block from the fragment table it sent, so nothing is reported back.
     MapComplete {
         /// Batch sequence number.
         seq: u64,
@@ -174,11 +181,9 @@ pub enum Message {
         epoch: u32,
         /// Block index mapped.
         block_id: u32,
-        /// `(key, mapped-tuple-count)` per cluster, in key order.
-        clusters: Vec<(Key, u64)>,
     },
-    /// Driver → worker: the bucket assignment for one mapped block
-    /// (`assignment[i]` = Reduce bucket of the block's i-th cluster).
+    /// Driver → worker: the bucket assignment for one block, sent behind its
+    /// `MapTask` (`assignment[i]` = Reduce bucket of the block's i-th cluster).
     ShuffleAssign {
         /// Batch sequence number.
         seq: u64,
@@ -340,12 +345,10 @@ impl Message {
                 seq,
                 epoch,
                 block_id,
-                clusters,
             } => {
                 w.put_u64(*seq);
                 w.put_u32(*epoch);
                 w.put_u32(*block_id);
-                put_key_counts_compact(w, clusters);
             }
             Message::ShuffleAssign {
                 seq,
@@ -458,7 +461,7 @@ impl Message {
             Message::MapTask { block, .. } => {
                 map_task_v1_len(block.tuples.len(), block.fragments.len())
             }
-            Message::MapComplete { clusters, .. } => 8 + 4 + 4 + 4 + 16 * clusters.len(),
+            Message::MapComplete { .. } => 16,
             Message::ShuffleAssign { assignment, .. } => 8 + 4 + 4 + 4 + 4 * assignment.len(),
             Message::ReduceTask { sources, .. } => 8 + 4 + 4 + 1 + 4 + 10 * sources.len(),
             Message::ReduceComplete { aggregates, .. } => {
@@ -554,7 +557,6 @@ impl Message {
                 seq: r.get_u64()?,
                 epoch: r.get_u32()?,
                 block_id: r.get_u32()?,
-                clusters: get_key_counts_compact(&mut r)?,
             },
             6 => {
                 let seq = r.get_u64()?;
@@ -760,32 +762,6 @@ pub fn encode_map_task_columnar(
     (frame(MAP_TASK, &payload.into_bytes()), v1)
 }
 
-/// Key-ordered `(key, count)` runs, delta-encoded: varint count prefix,
-/// then per entry a zigzag-varint key delta against the previous key and a
-/// varint count.
-fn put_key_counts_compact<S: BytesSink>(w: &mut S, counts: &[(Key, u64)]) {
-    w.put_varint_len(counts.len());
-    let mut prev = 0u64;
-    for &(k, n) in counts {
-        bytes::put_key_delta(w, prev, k.0);
-        prev = k.0;
-        w.put_varint(n);
-    }
-}
-
-fn get_key_counts_compact(r: &mut ByteReader<'_>) -> Result<Vec<(Key, u64)>, CodecError> {
-    // Minimal entry: 1-byte key delta + 1-byte count.
-    let n = r.get_varint_len(2)?;
-    let mut counts = Vec::with_capacity(n);
-    let mut prev = 0u64;
-    for _ in 0..n {
-        let k = bytes::get_key_delta(r, prev)?;
-        prev = k;
-        counts.push((Key(k), r.get_varint()?));
-    }
-    Ok(counts)
-}
-
 /// Decode a varint that must fit in a `u32` (block ids, bucket indices).
 fn get_small_u32(r: &mut ByteReader<'_>) -> Result<u32, CodecError> {
     u32::try_from(r.get_varint()?).map_err(|_| CodecError::Malformed("varint overflows u32"))
@@ -841,7 +817,6 @@ mod tests {
                 seq: 9,
                 epoch: 2,
                 block_id: 1,
-                clusters: vec![(Key(7), 2), (Key(9), 1)],
             },
             Message::ShuffleAssign {
                 seq: 9,
@@ -954,8 +929,7 @@ mod tests {
             let encoded = msg.encode().len() - HEADER_LEN;
             if matches!(
                 msg,
-                Message::MapComplete { .. }
-                    | Message::ShuffleAssign { .. }
+                Message::ShuffleAssign { .. }
                     | Message::ReduceComplete { .. }
                     | Message::FetchReply { .. }
             ) {
@@ -984,6 +958,36 @@ mod tests {
             Message::decode(&frame),
             Err(WireError::BadVersion(PROTOCOL_VERSION + 1))
         );
+    }
+
+    /// v3: a `MapComplete` is an ack of fixed size whatever was mapped, and a
+    /// peer still speaking v2 — whose type-5 frames carry a key table — is
+    /// turned away at the header, before a payload is read.
+    #[test]
+    fn map_complete_is_a_bare_ack_and_v2_peers_are_refused() {
+        for (seq, epoch, block_id) in [(0, 0, 0), (u64::MAX, u32::MAX, u32::MAX)] {
+            let ack = Message::MapComplete {
+                seq,
+                epoch,
+                block_id,
+            };
+            assert_eq!(ack.encode().len(), HEADER_LEN + 16);
+            assert_eq!(ack.v1_payload_len(), 16);
+        }
+        assert_eq!(PROTOCOL_VERSION, 3);
+        for msg in exemplars() {
+            let mut frame = msg.encode();
+            frame[4] = 2;
+            assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(2)));
+        }
+        // A v2 body under a v3 header: the table is trailing bytes.
+        let mut w = ByteWriter::new();
+        w.put_u64(9);
+        w.put_u32(2);
+        w.put_u32(1);
+        w.put_varint_len(0);
+        let stale = frame(5, &w.into_bytes());
+        assert!(matches!(Message::decode(&stale), Err(WireError::Codec(_))));
     }
 
     #[test]

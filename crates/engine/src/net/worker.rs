@@ -11,6 +11,12 @@
 //! 3. heartbeat from a side thread at the acked period;
 //! 4. serve control messages until `Shutdown` or connection loss.
 //!
+//! Per batch the control stream carries the `MapTask`s, then — already sent
+//! when the first block is mapped, because the driver assigns at submit from
+//! the fragment tables it ships — their `ShuffleAssign`s, then the
+//! `ReduceTask`s. A mapped block therefore waits in `pending` only while the
+//! rest of the batch's Map frames are read, and `MapComplete` is a bare ack.
+//!
 //! Determinism: the map fold and the bucket merge are literally the serial
 //! engine's (`kernel::map_block`, `kernel::merge_bucket`), and the merge is
 //! fed fetched segments in global block order then key order — the serial
@@ -69,8 +75,9 @@ impl WorkerOptions {
     }
 }
 
-/// Map outputs stashed between `MapTask` and `ShuffleAssign`, keyed by
-/// `(seq, epoch)` with a per-bucket segment store once assigned.
+/// Map outputs filed under their Reduce buckets, keyed by `(seq, epoch)`: a
+/// block enters when its `ShuffleAssign` — already on the control stream
+/// behind the batch's `MapTask`s — is read.
 #[derive(Debug, Default)]
 struct ShuffleStore {
     batches: HashMap<(u64, u32), BatchShuffle>,
@@ -430,11 +437,8 @@ fn serve_tasks(
                 block,
             } => {
                 let job = job.instantiate("net-task");
-                let ordered = map_block(&block, &job);
-                let clusters: Vec<(Key, u64)> =
-                    ordered.iter().map(|&(k, (_, n))| (k, n as u64)).collect();
                 store.begin_block(seq, epoch);
-                pending.insert((seq, epoch, block_id), ordered);
+                pending.insert((seq, epoch, block_id), map_block(&block, &job));
                 writer
                     .lock()
                     .expect("writer lock")
@@ -442,7 +446,6 @@ fn serve_tasks(
                         seq,
                         epoch,
                         block_id,
-                        clusters,
                     })?;
             }
             Message::ShuffleAssign {

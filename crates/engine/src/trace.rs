@@ -699,12 +699,19 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
         StageKind::from_name(v).ok_or_else(|| format!("unknown stage kind '{v}'"))
     };
     match get("type")? {
-        "span" => Ok(TraceEvent::Span {
-            seq: num("seq")?,
-            kind: kind("kind")?,
-            start_us: num("start_us")?,
-            end_us: num("end_us")?,
-        }),
+        "span" => {
+            let (start_us, end_us) = (num("start_us")?, num("end_us")?);
+            // `span_us` subtracts: a span that ends before it starts is not one.
+            if end_us < start_us {
+                return Err("span ends before it starts".into());
+            }
+            Ok(TraceEvent::Span {
+                seq: num("seq")?,
+                kind: kind("kind")?,
+                start_us,
+                end_us,
+            })
+        }
         "phase" => Ok(TraceEvent::Phase {
             seq: num("seq")?,
             kind: kind("kind")?,

@@ -5,14 +5,17 @@
 //! deltas must round-trip through the changelog codec, and every malformed
 //! checkpoint frame (truncated at any byte, wrong magic, wrong version,
 //! unknown record kind, oversized length, flipped bit) must be rejected
-//! with a typed error — never a panic or a garbage decode. These run in
-//! the fast root tier, mirroring `wire_codec_props.rs`; the deterministic
-//! exemplar tests live next to the codec itself.
+//! with a typed error — never a panic or a garbage decode — and so must
+//! bytes that never were a checkpoint: the payload decoders and the frame
+//! decoder answer arbitrary input with a value or a typed error, allocating
+//! no more than the input could hold. These run in the fast root tier,
+//! mirroring `wire_codec_props.rs`; the deterministic exemplar tests live
+//! next to the codec itself.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use prompt_core::bytes::{ByteReader, ByteWriter, CodecError};
+use prompt_core::bytes::{ByteReader, ByteWriter, BytesSink, CodecError};
 use prompt_core::hash::KeyMap;
 use prompt_core::types::{Duration, Key};
 use prompt_engine::job::ReduceOp;
@@ -307,6 +310,120 @@ proptest! {
         let pos = flip_pick as usize % frame.len();
         frame[pos] ^= 0x01;
         prop_assert!(decode_frame(&frame).is_err(), "flip at {pos} accepted");
+    }
+}
+
+/// One piece of a hostile checkpoint payload: raw bytes, or a field a
+/// decoder would size an allocation or a loop by — `u32` length prefixes
+/// (mostly huge) — or a stretch that is nearly well-formed (a store header, a
+/// shard, an entry, their counts drawn from the bits of `n` and as often
+/// wrong as right), so that some payloads get past the first guards.
+fn hostile_chunk() -> impl Strategy<Value = Vec<u8>> {
+    // Bucket, 0–2 running entries, 0–3 panes of 0–2 entries.
+    fn shard(w: &mut ByteWriter, n: u64, panes: u64) {
+        w.put_u32((n % 3) as u32);
+        w.put_u32(((n >> 2) % 3) as u32);
+        for i in 0..(n >> 2) % 3 {
+            w.put_u64(n >> (8 + i));
+            w.put_f64(i as f64 - 0.5);
+            w.put_u32(((n >> 4) % 4) as u32);
+        }
+        w.put_u32(panes as u32);
+        for i in 0..panes {
+            w.put_u32(((n >> (6 + i)) % 3) as u32);
+            for j in 0..(n >> (6 + i)) % 3 {
+                w.put_u64((n >> 12) % 50 + j * ((n >> 20) % 3));
+                w.put_f64(j as f64);
+            }
+        }
+    }
+    (0u8..9, any::<u64>(), vec(any::<u8>(), 0..48)).prop_map(|(kind, n, raw)| {
+        let mut w = ByteWriter::new();
+        match kind {
+            0 => return raw,
+            1 => w.put_u32(n as u32),
+            2 => w.put_u32(u32::MAX >> (n % 12)),
+            3 => w.put_u32((n % 4) as u32),
+            4 => w.put_u64(n),
+            5 => w.put_u64(n % 6),
+            // A store: op tag, `len ≥ slide ≥ 1`, `seq`, `since_emit`, the
+            // shard count and the first shard.
+            6 => {
+                let (len, seq) = (1 + (n >> 8) % 3, (n >> 16) % 4);
+                w.put_u8((n % 5) as u8);
+                w.put_u32(len as u32);
+                w.put_u32(1 + ((n >> 10) % 2) as u32);
+                w.put_u64(seq);
+                w.put_u32(((n >> 11) % 2) as u32);
+                w.put_u32(1 + ((n >> 24) % 2) as u32);
+                shard(&mut w, n >> 28 << 2, seq.min(len) + (n >> 26) % 2);
+            }
+            7 => shard(&mut w, n, (n >> 32) % 4),
+            // One entry, as a pane or a delta holds them.
+            _ => {
+                w.put_u64(n);
+                w.put_f64(n as f64);
+            }
+        }
+        w.into_bytes()
+    })
+}
+
+proptest! {
+    // Cheap cases (six decodes of ≤ 4 KiB each), so many of them.
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// ROADMAP item 10 (1), the state half: bytes that never were a
+    /// checkpoint — not mutations of a valid one — decode to a value or to a
+    /// typed error. A panic (an index, an overflow, an allocation sized by a
+    /// length prefix) or a loop sized by a count fails the case; what was
+    /// accepted re-encodes to no more than the bytes it was read from.
+    #[test]
+    fn arbitrary_bytes_are_an_error_or_a_value(
+        chunks in vec(hostile_chunk(), 0..120),
+        kind in 1u8..=3,
+    ) {
+        let mut payload = chunks.concat();
+        payload.truncate(4096);
+        // Every accepted element consumed at least its own width.
+        let (mut store_w, mut shard_w, mut delta_w) =
+            (ByteWriter::new(), ByteWriter::new(), ByteWriter::new());
+        if let Ok(store) = get_store(&mut ByteReader::new(&payload)) {
+            prop_assert!(store.encoded_len() <= payload.len());
+            put_store(&mut store_w, &store);
+        }
+        if let Ok(shard) = get_shard(&mut ByteReader::new(&payload)) {
+            put_shard(&mut shard_w, &shard);
+        }
+        if let Ok(delta) = get_delta(&mut ByteReader::new(&payload)) {
+            prop_assert!(delta.encoded_len() <= payload.len());
+            put_delta(&mut delta_w, &delta);
+        }
+        for w in [store_w, shard_w, delta_w] {
+            prop_assert!(w.as_bytes().len() <= payload.len());
+        }
+
+        // The frame decoder: over the bytes as they are (a header error,
+        // nearly always), over a good magic, version and kind in front of
+        // them — the payload's first four bytes are then the length field —
+        // and over a whole good frame around them.
+        let mut headed = ByteWriter::new();
+        headed.put_u32(CHECKPOINT_MAGIC);
+        headed.put_u8(CHECKPOINT_VERSION);
+        headed.put_u8(kind);
+        headed.put_bytes(&payload);
+        for buf in [&payload[..], headed.as_bytes()] {
+            match decode_frame(buf) {
+                Ok((_, body, used)) => prop_assert!(body.len() < used && used <= buf.len()),
+                Err(CheckpointError::Io(_) | CheckpointError::Codec(_)) => {
+                    prop_assert!(false, "not a frame error")
+                }
+                Err(_) => {}
+            }
+        }
+        let frame = encode_frame(kind, &payload);
+        let (k, body, used) = decode_frame(&frame).expect("a frame");
+        prop_assert_eq!((k, body, used), (kind, &payload[..], frame.len()));
     }
 }
 

@@ -117,15 +117,18 @@ proptest! {
         seq in any::<u64>(),
         epoch in any::<u32>(),
         block_id in any::<u32>(),
-        clusters in vec((any::<u64>(), any::<u64>()), 0..60),
         assignment in vec(any::<u32>(), 0..60),
+        trailing in vec(any::<u8>(), 1..40),
     ) {
-        round_trip(Message::MapComplete {
-            seq,
-            epoch,
-            block_id,
-            clusters: clusters.into_iter().map(|(k, n)| (Key(k), n)).collect(),
-        })?;
+        // The ack is three fixed fields: one size, and nothing may follow.
+        let ack = Message::MapComplete { seq, epoch, block_id };
+        let mut frame = ack.encode();
+        prop_assert_eq!(frame.len(), HEADER_LEN + 16);
+        round_trip(ack)?;
+        frame.extend_from_slice(&trailing);
+        let len = (frame.len() - HEADER_LEN) as u32;
+        frame[6..10].copy_from_slice(&len.to_le_bytes());
+        prop_assert!(matches!(Message::decode(&frame), Err(WireError::Codec(_))));
         round_trip(Message::ShuffleAssign { seq, epoch, block_id, assignment })?;
     }
 
@@ -338,8 +341,12 @@ proptest! {
             frame.put_bytes(&payload);
             match Message::decode(frame.as_bytes()) {
                 // What was accepted is a frame: it encodes, and no larger
-                // than the bytes it was read from allow.
-                Ok(msg) => prop_assert!(msg.encode().len() <= HEADER_LEN + 8 * payload.len() + 8),
+                // than the bytes it was read from allow — a `MapComplete`
+                // (type 5) to exactly the sixteen bytes it was read from.
+                Ok(msg) => {
+                    prop_assert!(msg.encode().len() <= HEADER_LEN + 8 * payload.len() + 8);
+                    prop_assert!(msg_type != 5 || payload.len() == 16);
+                }
                 Err(WireError::Codec(_)) => {}
                 Err(other) => prop_assert!(false, "type {msg_type}: header error {other:?}"),
             }
