@@ -212,14 +212,6 @@ impl BlockBuilder {
         self.tuples.push(t);
     }
 
-    pub fn extend_from_slice(&mut self, key: Key, tuples: &[Tuple]) {
-        if tuples.is_empty() {
-            return;
-        }
-        *self.counts.entry(key).or_insert(0) += tuples.len();
-        self.tuples.extend_from_slice(tuples);
-    }
-
     #[inline]
     pub fn size(&self) -> usize {
         self.tuples.len()
@@ -288,7 +280,7 @@ impl PartitionPlan {
 
     /// Number of distinct keys across the whole plan.
     pub fn total_keys(&self) -> usize {
-        total_keys(&self.block_fragments())
+        total_keys(&self.block_fragments(), &self.split_keys)
     }
 
     /// Every block's fragment list, in block order — all the cost model
@@ -299,13 +291,25 @@ impl PartitionPlan {
     }
 }
 
-/// Number of distinct keys across per-block fragment lists.
-pub fn total_keys(blocks: &[&[KeyFragment]]) -> usize {
-    let mut keys = KeySet::default();
-    for fragments in blocks {
-        keys.extend(fragments.iter().map(|f| f.key));
-    }
-    keys.len()
+/// Number of distinct keys across per-block fragment lists, given the plan's
+/// split-key table: a key has one fragment per block holding it, so every
+/// fragment is a distinct key but those of split keys, which count once.
+/// With no split key (every hash plan) that is O(p).
+pub fn total_keys(blocks: &[&[KeyFragment]], split_keys: &KeySet) -> usize {
+    let fragments = || blocks.iter().flat_map(|b| b.iter());
+    let of_split = if split_keys.is_empty() {
+        0
+    } else {
+        fragments().filter(|f| split_keys.contains(&f.key)).count()
+    };
+    let keys = blocks.iter().map(|b| b.len()).sum::<usize>() - of_split + split_keys.len();
+    let hashed = || fragments().map(|f| f.key).collect::<KeySet>().len();
+    debug_assert_eq!(
+        keys,
+        hashed(),
+        "split-key table does not match the fragments"
+    );
+    keys
 }
 
 #[cfg(test)]
@@ -332,7 +336,8 @@ mod tests {
         b.push(t(1));
         b.push(t(2));
         b.push(t(1));
-        b.extend_from_slice(Key(3), &[t(3), t(3)]);
+        b.push(t(3));
+        b.push(t(3));
         assert_eq!(b.size(), 5);
         let block = b.finish();
         assert_eq!(block.size(), 5);
@@ -341,15 +346,6 @@ mod tests {
         assert_eq!(f1.count, 2);
         let f3 = block.fragments.iter().find(|f| f.key == Key(3)).unwrap();
         assert_eq!(f3.count, 2);
-    }
-
-    #[test]
-    fn block_builder_ignores_empty_extend() {
-        let mut b = BlockBuilder::with_capacity(0);
-        b.extend_from_slice(Key(9), &[]);
-        let block = b.finish();
-        assert_eq!(block.cardinality(), 0);
-        assert_eq!(block.size(), 0);
     }
 
     #[test]

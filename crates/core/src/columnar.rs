@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use crate::batch::{DataBlock, KeyFragment, KeyGroup, PartitionPlan, SealedBatch};
-use crate::hash::{KeyMap, KeySet};
+use crate::hash::KeySet;
 use crate::types::{Interval, Key, Time, Tuple};
 
 /// A micro-batch in struct-of-arrays layout: three parallel columns, one
@@ -242,24 +242,6 @@ pub struct ColumnarBlock {
 }
 
 impl ColumnarBlock {
-    /// Assemble a block from its pieces, deriving the fragment summary the
-    /// same way the row `BlockBuilder` does (aggregate counts per key,
-    /// sorted by key id).
-    pub fn from_ranges(ranges: Vec<(Key, ColRange)>) -> ColumnarBlock {
-        let mut counts: KeyMap<usize> = KeyMap::default();
-        for &(key, r) in &ranges {
-            if r.len > 0 {
-                *counts.entry(key).or_insert(0) += r.len;
-            }
-        }
-        let mut fragments: Vec<KeyFragment> = counts
-            .into_iter()
-            .map(|(key, count)| KeyFragment { key, count })
-            .collect();
-        fragments.sort_by_key(|f| f.key.0);
-        ColumnarBlock { ranges, fragments }
-    }
-
     /// `|block|`: number of tuples.
     #[inline]
     pub fn size(&self) -> usize {
@@ -286,27 +268,6 @@ pub struct ColumnarPlan {
 }
 
 impl ColumnarPlan {
-    /// Assemble a plan from blocks, deriving the split-key reference table
-    /// exactly as [`PartitionPlan::from_blocks`] does.
-    pub fn from_blocks(arena: Arc<ColumnarBatch>, blocks: Vec<ColumnarBlock>) -> ColumnarPlan {
-        let mut seen: KeyMap<usize> = KeyMap::default();
-        for b in &blocks {
-            for f in &b.fragments {
-                *seen.entry(f.key).or_insert(0) += 1;
-            }
-        }
-        let split_keys: KeySet = seen
-            .into_iter()
-            .filter(|&(_, blocks)| blocks > 1)
-            .map(|(k, _)| k)
-            .collect();
-        ColumnarPlan {
-            arena,
-            blocks,
-            split_keys,
-        }
-    }
-
     /// Number of blocks (`p`).
     #[inline]
     pub fn n_blocks(&self) -> usize {
@@ -320,7 +281,7 @@ impl ColumnarPlan {
 
     /// Materialize the row representation (SoA → AoS). Each block's tuples
     /// are its ranges concatenated in assignment order — the order the row
-    /// `BlockBuilder` pushes pieces — so the result is bit-identical to the
+    /// materializer copies pieces — so the result is bit-identical to the
     /// plan the row pipeline builds from the same assignment.
     pub fn to_row_plan(&self) -> PartitionPlan {
         let blocks = self
@@ -448,31 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn block_fragments_match_row_builder_semantics() {
-        // Two pieces of the same key aggregate into one fragment.
-        let block = ColumnarBlock::from_ranges(vec![
-            (Key(5), ColRange::new(0, 3)),
-            (Key(2), ColRange::new(3, 4)),
-            (Key(5), ColRange::new(7, 2)),
-        ]);
-        assert_eq!(block.size(), 9);
-        assert_eq!(block.cardinality(), 2);
-        assert_eq!(
-            block.fragments,
-            vec![
-                KeyFragment {
-                    key: Key(2),
-                    count: 4
-                },
-                KeyFragment {
-                    key: Key(5),
-                    count: 5
-                },
-            ]
-        );
-    }
-
-    #[test]
     fn row_plan_round_trip_is_exact() {
         let iv = Interval::new(Time::ZERO, Time::from_secs(1));
         let mb = MicroBatch::new(tuples(2000, 29), iv);
@@ -483,19 +419,5 @@ mod tests {
             assert_eq!(cols.total_tuples(), plan.total_tuples());
             assert_eq!(cols.to_row_plan(), plan, "{tech:?}");
         }
-    }
-
-    #[test]
-    fn from_blocks_derives_split_keys() {
-        let arena = Arc::new(ColumnarBatch::from_tuples(&tuples(10, 3)));
-        let b1 = ColumnarBlock::from_ranges(vec![(Key(0), ColRange::new(0, 2))]);
-        let b2 = ColumnarBlock::from_ranges(vec![
-            (Key(0), ColRange::new(2, 1)),
-            (Key(1), ColRange::new(3, 2)),
-        ]);
-        let plan = ColumnarPlan::from_blocks(arena, vec![b1, b2]);
-        assert!(plan.split_keys.contains(&Key(0)));
-        assert!(!plan.split_keys.contains(&Key(1)));
-        assert_eq!(plan.split_keys.len(), 1);
     }
 }

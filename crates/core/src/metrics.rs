@@ -151,11 +151,11 @@ pub struct PlanMetrics {
 }
 
 impl PlanMetrics {
-    /// Measure a plan. The distinct-key set behind KSR and MPI is built
-    /// once.
+    /// Measure a plan. The distinct-key count behind KSR and MPI is taken
+    /// once, from the fragments and the split-key table.
     pub fn of(plan: &PartitionPlan) -> PlanMetrics {
         let blocks = plan.block_fragments();
-        PlanMetrics::of_blocks(&blocks, total_keys(&blocks))
+        PlanMetrics::of_blocks(&blocks, total_keys(&blocks, &plan.split_keys))
     }
 
     /// Measure a plan of either layout from its per-block fragment lists,

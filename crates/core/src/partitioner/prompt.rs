@@ -18,17 +18,18 @@
 //! 3. **Residual placement** — each parked residual first tries the block
 //!    that holds its sibling fragment (key locality); overflow goes to the
 //!    block with the *least* remaining capacity that can hold it (Best-Fit),
-//!    fragmenting further only when unavoidable.
+//!    fragmenting further only when unavoidable. A block's fragment table is
+//!    its pieces summed per key, and a key is split iff its residual left
+//!    its home block: nothing is re-derived by hashing.
 
 use std::sync::Arc;
 
-use crate::batch::{BlockBuilder, DataBlock, MicroBatch, PartitionPlan, SealedBatch};
+use crate::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan, SealedBatch};
 use crate::buffering::{
     AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
     ShardedAccumulator,
 };
 use crate::columnar::{ColRange, ColumnarBlock, ColumnarPlan, ColumnarSealed};
-use crate::hash::{KeyMap, KeySet};
 use crate::par::map_indexed;
 use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Key, Tuple};
@@ -127,8 +128,8 @@ impl PromptPartitioner {
     /// larger values trade bounded size imbalance for cardinality balance.
     /// Exposed for the ablation benches.
     pub fn partition_sealed_with(batch: &SealedBatch, p: usize, tolerance: f64) -> PartitionPlan {
-        let pieces = Self::assign_pieces(batch, p, tolerance);
-        Self::materialize_pieces(batch, &pieces, 1)
+        let (pieces, split_keys) = Self::assign_pieces(batch, p, tolerance);
+        Self::materialize_pieces(batch, &pieces, split_keys, 1)
     }
 
     /// [`Self::partition_sealed`] with block materialization fanned out over
@@ -136,8 +137,8 @@ impl PromptPartitioner {
     /// path and blocks materialize independently, so the plan is
     /// bit-identical to [`Self::partition_sealed`] for any thread count.
     pub fn partition_sealed_par(batch: &SealedBatch, p: usize, threads: usize) -> PartitionPlan {
-        let pieces = Self::assign_pieces(batch, p, Self::DEFAULT_TOLERANCE);
-        Self::materialize_pieces(batch, &pieces, threads)
+        let (pieces, split_keys) = Self::assign_pieces(batch, p, Self::DEFAULT_TOLERANCE);
+        Self::materialize_pieces(batch, &pieces, split_keys, threads)
     }
 
     /// Turn the symbolic assignment into a [`ColumnarPlan`]: each piece
@@ -145,21 +146,28 @@ impl PromptPartitioner {
     /// `[g.offset + start, g.offset + end)`. Pieces keep assignment order,
     /// so enumerating a block's ranges visits tuples in exactly the order
     /// the row materializer pushes them.
-    fn materialize_pieces_columnar(batch: &ColumnarSealed, pieces: &[Vec<Piece>]) -> ColumnarPlan {
-        let blocks = pieces
-            .iter()
-            .map(|block_pieces| {
-                let ranges = block_pieces
-                    .iter()
+    fn materialize_pieces_columnar(
+        batch: &ColumnarSealed,
+        pieces: &[Vec<Piece>],
+        split_keys: Vec<Key>,
+    ) -> ColumnarPlan {
+        let blocks = (pieces.iter())
+            .map(|pieces| ColumnarBlock {
+                ranges: (pieces.iter())
                     .map(|pc| {
                         let (key, r) = batch.groups[pc.group];
                         (key, ColRange::new(r.offset + pc.start, pc.end - pc.start))
                     })
-                    .collect();
-                ColumnarBlock::from_ranges(ranges)
+                    .collect(),
+                fragments: fragments_of(batch, pieces),
             })
             .collect();
-        ColumnarPlan::from_blocks(Arc::clone(&batch.arena), blocks)
+        let split_keys = split_keys.into_iter().collect();
+        ColumnarPlan {
+            arena: Arc::clone(&batch.arena),
+            blocks,
+            split_keys,
+        }
     }
 
     /// Materialize every block from its assigned pieces, on up to `threads`
@@ -168,28 +176,31 @@ impl PromptPartitioner {
     fn materialize_pieces(
         batch: &SealedBatch,
         pieces: &[Vec<Piece>],
+        split_keys: Vec<Key>,
         threads: usize,
     ) -> PartitionPlan {
-        PartitionPlan::from_blocks(map_indexed(pieces.len(), threads, |b| {
+        let blocks = map_indexed(pieces.len(), threads, |b| {
             materialize_block(batch, &pieces[b])
-        }))
+        });
+        let split_keys = split_keys.into_iter().collect();
+        PartitionPlan { blocks, split_keys }
     }
 
     /// The decision core of Algorithm 2: compute which range of which key
     /// group lands in which block, without touching any tuple data. The
-    /// symbolic state (block sizes and distinct-key sets) reproduces exactly
-    /// the information the old interleaved implementation read back from its
-    /// partially built blocks, so the assignment — and hence the final plan —
-    /// is unchanged; it is just now independent of materialization, which
-    /// can run per-block in parallel.
-    fn assign_pieces<V: GroupView>(batch: &V, p: usize, tolerance: f64) -> Vec<Vec<Piece>> {
+    /// symbolic state (block sizes and distinct-key counts) is exactly what
+    /// the placement decisions read, so the assignment — and hence the final
+    /// plan — is independent of materialization, which can run per-block in
+    /// parallel.
+    fn assign_pieces<V: GroupView>(batch: &V, p: usize, tolerance: f64) -> Assignment {
         assert!(p > 0, "need at least one block");
         assert!((0.0..=1.0).contains(&tolerance), "tolerance is a fraction");
         let n = batch.total_tuples();
         let k = batch.n_groups();
         let mut blocks = SymbolicBlocks::new(p);
+        let mut split_keys = Vec::new();
         if n == 0 {
-            return blocks.pieces;
+            return (blocks.pieces, split_keys);
         }
 
         // Partition-Size, Partition-Cardinality, Key-Split-CutOff (Alg. 2
@@ -199,16 +210,14 @@ impl PromptPartitioner {
         let s_cut = (p_size / p_card).max(1);
 
         // Phase 1: fragment the high-frequency keys (lines 5–9).
-        let mut residuals: Vec<(usize, usize)> = Vec::new(); // (group, split point)
-        let mut lookup_large_pos: KeyMap<usize> = KeyMap::default();
+        let mut residuals: Vec<(usize, usize)> = Vec::new(); // (group, lookupLargePos)
         let mut normal: Vec<usize> = Vec::with_capacity(k);
         let mut bi = 0usize;
         for gi in 0..k {
-            let (key, count) = batch.group(gi);
+            let (_, count) = batch.group(gi);
             if count > s_cut {
-                blocks.place(bi, gi, 0, s_cut, key);
-                lookup_large_pos.insert(key, bi);
-                residuals.push((gi, s_cut));
+                blocks.place(bi, gi, 0, s_cut, true);
+                residuals.push((gi, bi));
                 bi = (bi + 1) % p;
             } else {
                 normal.push(gi);
@@ -231,8 +240,8 @@ impl PromptPartitioner {
             } else {
                 p - 1 - pos
             };
-            let (key, count) = batch.group(gi);
-            blocks.place((offset + idx) % p, gi, 0, count, key);
+            let (_, count) = batch.group(gi);
+            blocks.place((offset + idx) % p, gi, 0, count, true);
         }
 
         // Phase 3: place the residuals of the fragmented keys (lines 17–25).
@@ -243,19 +252,28 @@ impl PromptPartitioner {
         // spread over all blocks — BSI stays ~0 relative to hashing and BCI
         // stays at shuffle level, the trade Fig. 10 reports.
         let cap_limit = p_size + (p_size as f64 * tolerance) as usize + 1;
-        'residuals: for (gi, split) in residuals {
+        'residuals: for (gi, home) in residuals {
             let (key, count) = batch.group(gi);
-            let (mut start, end) = (split, count);
+            let (mut start, end) = (s_cut, count);
+            // Only here can a key reach a second block, and every block past
+            // its home that a residual reaches is new to the key: the
+            // residual left no room in the blocks it reached before. The
+            // first such block puts the key in the split-key table.
+            let mut put = |blocks: &mut SymbolicBlocks, b: usize, start: usize, end: usize| {
+                if b != home && split_keys.last() != Some(&key) {
+                    split_keys.push(key);
+                }
+                blocks.place(b, gi, start, end, b != home);
+            };
             // Key-locality first: the block already holding this key's
             // S_cut fragment.
-            let home = lookup_large_pos[&key];
             let cap = blocks.capacity(home, cap_limit);
             if end - start <= cap {
-                blocks.place(home, gi, start, end, key);
+                put(&mut blocks, home, start, end);
                 continue;
             }
             if cap > 0 {
-                blocks.place(home, gi, start, start + cap, key);
+                put(&mut blocks, home, start, start + cap);
                 start += cap;
             }
             // Place the rest in a block that can hold it whole. Among those,
@@ -269,32 +287,26 @@ impl PromptPartitioner {
             while start < end {
                 let fit = (0..p)
                     .filter(|&b| blocks.capacity(b, cap_limit) >= end - start)
-                    .min_by_key(|&b| (blocks.cardinality(b), blocks.capacity(b, cap_limit), b));
+                    .min_by_key(|&b| (blocks.cardinalities[b], blocks.capacity(b, cap_limit), b));
                 if let Some(b) = fit {
-                    blocks.place(b, gi, start, end, key);
+                    put(&mut blocks, b, start, end);
                     continue 'residuals;
                 }
                 // No single block fits the residual: pour into the block
                 // with the most remaining capacity to minimise the number
-                // of extra fragments.
+                // of extra fragments. Some block has room: the capacity
+                // limits sum to at least `n + p`, the sizes to at most `n`.
                 let (b, cap) = (0..p)
                     .map(|b| (b, blocks.capacity(b, cap_limit)))
                     .max_by_key(|&(b, c)| (c, usize::MAX - b))
                     .expect("p > 0");
-                if cap == 0 {
-                    // All blocks at capacity (rounding slack exhausted):
-                    // overflow into the globally least-loaded block.
-                    let b = (0..p).min_by_key(|&b| (blocks.size(b), b)).expect("p > 0");
-                    blocks.place(b, gi, start, end, key);
-                    continue 'residuals;
-                }
-                let take = cap.min(end - start);
-                blocks.place(b, gi, start, start + take, key);
-                start += take;
+                assert!(cap > 0, "groups hold more tuples than the batch counts");
+                put(&mut blocks, b, start, start + cap);
+                start += cap;
             }
         }
 
-        blocks.pieces
+        (blocks.pieces, split_keys)
     }
 }
 
@@ -340,6 +352,9 @@ impl GroupView for ColumnarSealed {
     }
 }
 
+/// Every block's pieces, in assignment order, and the split keys.
+type Assignment = (Vec<Vec<Piece>>, Vec<Key>);
+
 /// One contiguous range `[start, end)` of key group `group`'s tuples,
 /// assigned to a block by [`PromptPartitioner::assign_pieces`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -350,12 +365,12 @@ struct Piece {
 }
 
 /// The symbolic block state the assignment phase reads back: per-block
-/// pieces, sizes and distinct-key sets — everything the placement decisions
+/// pieces, sizes and distinct-key counts — everything the placement decisions
 /// depend on, with no tuple data.
 struct SymbolicBlocks {
     pieces: Vec<Vec<Piece>>,
     sizes: Vec<usize>,
-    keys: Vec<KeySet>,
+    cardinalities: Vec<usize>,
 }
 
 impl SymbolicBlocks {
@@ -363,31 +378,42 @@ impl SymbolicBlocks {
         SymbolicBlocks {
             pieces: vec![Vec::new(); p],
             sizes: vec![0; p],
-            keys: vec![KeySet::default(); p],
+            cardinalities: vec![0; p],
         }
     }
 
-    fn place(&mut self, b: usize, group: usize, start: usize, end: usize, key: Key) {
+    /// Append a piece to block `b`; `new_key` says the block does not hold
+    /// the piece's key yet.
+    fn place(&mut self, b: usize, group: usize, start: usize, end: usize, new_key: bool) {
         debug_assert!(start < end, "empty piece");
         self.pieces[b].push(Piece { group, start, end });
         self.sizes[b] += end - start;
-        self.keys[b].insert(key);
-    }
-
-    #[inline]
-    fn size(&self, b: usize) -> usize {
-        self.sizes[b]
-    }
-
-    #[inline]
-    fn cardinality(&self, b: usize) -> usize {
-        self.keys[b].len()
+        self.cardinalities[b] += usize::from(new_key);
     }
 
     #[inline]
     fn capacity(&self, b: usize, cap_limit: usize) -> usize {
         cap_limit.saturating_sub(self.sizes[b])
     }
+}
+
+/// A block's fragment table from its pieces: their sizes summed per key,
+/// sorted by key id. A key has one piece per block, but for a heavy key's
+/// home block, where its residual can follow its `S_cut` fragment.
+fn fragments_of<V: GroupView>(batch: &V, pieces: &[Piece]) -> Vec<KeyFragment> {
+    let mut fragments: Vec<KeyFragment> = (pieces.iter())
+        .map(|pc| KeyFragment {
+            key: batch.group(pc.group).0,
+            count: pc.end - pc.start,
+        })
+        .collect();
+    fragments.sort_unstable_by_key(|f| f.key.0);
+    fragments.dedup_by(|next, kept| {
+        let same = next.key == kept.key;
+        kept.count += if same { next.count } else { 0 };
+        same
+    });
+    fragments
 }
 
 /// Copy one block's assigned ranges out of the sealed batch. Pieces are
@@ -397,12 +423,14 @@ fn materialize_block(batch: &SealedBatch, pieces: &[Piece]) -> DataBlock {
     // Sized exactly: the residual tolerance lets a block run a few tuples
     // past `N/p`, and a guess that low would double the block's allocation.
     let size = pieces.iter().map(|pc| pc.end - pc.start).sum();
-    let mut builder = BlockBuilder::with_capacity(size);
+    let mut tuples = Vec::with_capacity(size);
     for pc in pieces {
-        let key = batch.groups[pc.group].key;
-        builder.extend_from_slice(key, &batch.tuples(pc.group)[pc.start..pc.end]);
+        tuples.extend_from_slice(&batch.tuples(pc.group)[pc.start..pc.end]);
     }
-    builder.finish()
+    DataBlock {
+        tuples,
+        fragments: fragments_of(batch, pieces),
+    }
 }
 
 impl Partitioner for PromptPartitioner {
@@ -459,7 +487,7 @@ impl PromptPartitioner {
             interval,
             p,
             |acc, interval| acc.seal(interval),
-            |sealed, pieces| Self::materialize_pieces(sealed, pieces, threads),
+            |sealed, pieces, split| Self::materialize_pieces(sealed, pieces, split, threads),
         )
     }
 
@@ -475,16 +503,16 @@ impl PromptPartitioner {
         interval: Interval,
         p: usize,
         seal: impl FnOnce(&mut dyn BatchAccumulator, Interval) -> S,
-        materialize: impl FnOnce(&S, &[Vec<Piece>]) -> P,
+        materialize: impl FnOnce(&S, &[Vec<Piece>], Vec<Key>) -> P,
     ) -> (P, PartitionPhases) {
         let t0 = std::time::Instant::now();
         let sealed = seal(self.buffer_arrivals(tuples, interval), interval);
         let seal_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
-        let pieces = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
+        let (pieces, split_keys) = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
         let symbolic_us = t1.elapsed().as_micros() as u64;
         let t2 = std::time::Instant::now();
-        let plan = materialize(&sealed, &pieces);
+        let plan = materialize(&sealed, &pieces, split_keys);
         let materialize_us = t2.elapsed().as_micros() as u64;
         let phases = PartitionPhases {
             select_us: 0,
@@ -790,6 +818,30 @@ mod tests {
                 let what = format!("{mode:?} shards={shards} threads={threads} p={p}");
                 assert_eq!(cols.to_row_plan(), want, "{what}");
                 assert_eq!(cols.split_keys, want.split_keys, "{what}");
+            }
+        }
+    }
+
+    /// Shape guard: a plan's fragment tables and split-key table come from
+    /// the symbolic assignment, so this file's production half builds no
+    /// hash set or map and calls none of the hashing derivations. The
+    /// needles are spelt in halves so that the guard does not match itself.
+    #[test]
+    fn prompt_shape_no_hashing_rederivation() {
+        let production = include_str!("prompt.rs")
+            .lines()
+            .take_while(|l| *l != "#[cfg(test)]");
+        let needles = [
+            ["Key", "Set"],
+            ["Key", "Map"],
+            ["Block", "Builder"],
+            ["from_", "blocks("],
+            ["from_", "ranges("],
+        ]
+        .map(|halves| halves.concat());
+        for (n, line) in production.enumerate() {
+            for needle in &needles {
+                assert!(!line.contains(needle), "prompt.rs:{}: `{needle}`", n + 1);
             }
         }
     }

@@ -130,17 +130,18 @@ impl ReduceAssigner for PromptReduceAllocator {
             }
         }
 
-        // Line 4: sort non-split clusters in descending size order
-        // (ties by key for determinism).
-        non_split.sort_by(|a, b| b.1.size.cmp(&a.1.size).then(a.1.key.0.cmp(&b.1.key.0)));
+        // Line 4: sort non-split clusters in descending size order (ties by
+        // key, then by position — a stable sort's order — for determinism).
+        non_split.sort_unstable_by_key(|&(i, c)| (std::cmp::Reverse(c.size), c.key.0, i));
 
         // Lines 5–12: Worst-Fit with bucket retirement — the chosen bucket
         // leaves the candidate list until every bucket has received one
         // cluster, promoting balanced cluster counts per bucket. Ties are
         // broken by a rotation derived from the task's block index so that
-        // concurrent tasks do not all favour the same bucket.
+        // concurrent tasks do not all favour the same bucket: the table
+        // lists the buckets from `task % r` round, most preferred first.
         let offset = task % r;
-        let preference = |b: usize| r - ((b + r - offset) % r); // higher = preferred
+        let preference: Vec<usize> = (offset..r).chain(0..offset).collect();
 
         // Refill the candidate list with the buckets that still have spare
         // capacity; buckets already overflown by hashed split keys are only
@@ -160,9 +161,10 @@ impl ReduceAssigner for PromptReduceAllocator {
         let mut available = vec![false; r];
         let mut n_available = refill(&capacity, &mut available);
         for (i, c) in non_split {
-            let b = (0..r)
+            // The last of equal maxima, scanning least preferred first.
+            let b = (preference.iter().rev().copied())
                 .filter(|&b| available[b])
-                .max_by_key(|&b| (capacity[b], preference(b)))
+                .max_by_key(|&b| capacity[b])
                 .expect("candidate list refilled before exhaustion");
             out[i] = b;
             capacity[b] -= c.size as i64;
@@ -212,15 +214,15 @@ impl ReduceAllocation {
 /// block index as the task index) and combine the per-bucket statistics.
 ///
 /// Panics if the assigner routes a split key inconsistently across Map
-/// tasks — that would break Reduce correctness.
+/// tasks — that would break Reduce correctness. Only split keys are tracked:
+/// any other key has one fragment, so it is one key of one bucket.
 pub fn allocate_reduce(
     plan: &PartitionPlan,
     assigner: &dyn ReduceAssigner,
     r: usize,
 ) -> ReduceAllocation {
     let mut buckets = vec![BucketStats::default(); r];
-    let mut key_bucket: KeyMap<usize> = KeyMap::default();
-    let mut key_seen_in_bucket: KeyMap<()> = KeyMap::default();
+    let mut split_bucket: KeyMap<usize> = KeyMap::default();
     let mut per_map = Vec::with_capacity(plan.blocks.len());
 
     for (task, block) in plan.blocks.iter().enumerate() {
@@ -236,7 +238,13 @@ pub fn allocate_reduce(
         assert_eq!(assignment.len(), clusters.len(), "assigner output length");
         for (c, &b) in clusters.iter().zip(&assignment) {
             assert!(b < r, "bucket index out of range");
-            match key_bucket.entry(c.key) {
+            buckets[b].size += c.size;
+            buckets[b].fragments += 1;
+            if !plan.split_keys.contains(&c.key) {
+                buckets[b].cardinality += 1;
+                continue;
+            }
+            match split_bucket.entry(c.key) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     assert_eq!(
                         *e.get(),
@@ -247,12 +255,8 @@ pub fn allocate_reduce(
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(b);
+                    buckets[b].cardinality += 1;
                 }
-            }
-            buckets[b].size += c.size;
-            buckets[b].fragments += 1;
-            if key_seen_in_bucket.insert(c.key, ()).is_none() {
-                buckets[b].cardinality += 1;
             }
         }
         per_map.push(assignment);

@@ -2021,8 +2021,9 @@ mod tests {
         assert_eq!(arms.count(), 2, "one `execute` arm per variant");
     }
 
-    /// `BatchRecord::n_keys` comes from the plan's fragment lists (`total_keys`)
-    /// instead of a hashing pass over the input; the two must agree on an
+    /// `BatchRecord::n_keys` comes from the plan's fragment lists and split-key
+    /// table (`total_keys`) instead of a hashing pass over the input; the two
+    /// must agree on an
     /// empty, a one-key and a skewed batch, for every technique and layout.
     #[test]
     fn n_keys_is_the_input_batch_distinct_key_count() {

@@ -362,7 +362,7 @@ impl<'e> Run<'e> {
         // Partitioners conserve tuples, so the plan's distinct keys are the
         // batch's: counted once, for the record and the plan metrics both.
         let blocks = plan.fragments();
-        let n_keys = total_keys(&blocks);
+        let n_keys = total_keys(&blocks, plan.view().split_keys());
         let metrics = PlanMetrics::of_blocks(&blocks, n_keys);
         if let Some(pol) = self.eng.policy.as_mut() {
             pol.observe(&BatchObservation {

@@ -219,6 +219,13 @@ impl ShuffleTally {
     }
 }
 
+impl std::ops::AddAssign for ShuffleTally {
+    fn add_assign(&mut self, other: ShuffleTally) {
+        self.fragments += other.fragments;
+        self.split_key_fragments += other.split_key_fragments;
+    }
+}
+
 /// Shuffle-assign Map task `task`'s output: route each `(key, size)` cluster
 /// to its Reduce bucket. A pure function of the block's own output (§5: "no
 /// coordination between Map tasks"), so callers may run it for any block, in
@@ -275,6 +282,11 @@ pub(crate) fn merge_bucket(
 
 /// Gather the reduced buckets, in bucket order, into the batch's output and
 /// per-bucket shuffle statistics.
+///
+/// Panics, in every build, if a key was reduced in two buckets: its answer
+/// would be one bucket's partial. That happens when a plan's split-key table
+/// leaves out a key that spans blocks — a custom partitioner's plan, say —
+/// and the assigner placed its fragments apart.
 pub(crate) fn gather_buckets<M: IntoIterator<Item = (Key, f64)>>(
     reduced: impl IntoIterator<Item = (M, BucketStats)>,
 ) -> (BatchOutput, Vec<BucketStats>) {
@@ -284,7 +296,7 @@ pub(crate) fn gather_buckets<M: IntoIterator<Item = (Key, f64)>>(
         stats.push(s);
         for (k, v) in bucket {
             let prev = aggregates.insert(k, v);
-            debug_assert!(prev.is_none(), "key {k:?} reduced in two buckets");
+            assert!(prev.is_none(), "key {k:?} reduced in two buckets");
         }
     }
     (BatchOutput { aggregates }, stats)
@@ -416,16 +428,21 @@ mod tests {
             .map(|(i, &k)| Tuple::new(Time(1 + i as u64), k, i as f64 - 2.5))
             .collect();
         let ranges = [(1, 0, 3), (2, 3, 2), (1, 5, 2)];
-        let block = ColumnarBlock::from_ranges(
-            (ranges
-                .iter()
-                .map(|&(k, at, n)| (Key(k), ColRange::new(at, n))))
-            .collect(),
-        );
+        let block = ColumnarBlock {
+            ranges: (ranges.iter())
+                .map(|&(k, at, n)| (Key(k), ColRange::new(at, n)))
+                .collect(),
+            fragments: [(1, 5), (2, 2)]
+                .map(|(k, count)| KeyFragment { key: Key(k), count })
+                .to_vec(),
+        };
         let arena = std::sync::Arc::new(ColumnarBatch::from_tuples(&tuples));
-        let cols = ColumnarPlan::from_blocks(arena, vec![block]);
-        let twice = |f: &KeyFragment| (f.key, f.count) == (Key(1), 5);
-        assert!(cols.blocks[0].fragments.iter().any(twice));
+        let (blocks, split_keys) = (vec![block], KeySet::default());
+        let cols = ColumnarPlan {
+            arena,
+            blocks,
+            split_keys,
+        };
         check(
             &cols.to_row_plan(),
             &cols,

@@ -489,6 +489,11 @@ impl Manifest {
         if head.gen < base.gen || (head.gen == base.gen && head != base) {
             return Err(CheckpointError::Corrupt("manifest epochs out of order"));
         }
+        // The batch after the watermark and the generation after the head
+        // must exist: `restore` and `create` count on them.
+        if watermark == u64::MAX || head.gen == u64::MAX {
+            return Err(CheckpointError::Corrupt("manifest field out of range"));
+        }
         let manifest = Manifest {
             watermark,
             base,
@@ -1068,6 +1073,13 @@ pub fn restore(dir: &Path) -> Result<Option<RestoredState>, CheckpointError> {
     let mut r = ByteReader::new(payload);
     let mut store = get_store(&mut r)?;
     r.expect_empty()?;
+    // Checked here, once, rather than on every push: a replayed delta
+    // evicts by the snapshot's running maps.
+    if !store.tracks_its_panes() {
+        return Err(CheckpointError::Corrupt(
+            "snapshot running state does not match its panes",
+        ));
+    }
     bytes_read += snapshot.len() as u64;
     for epoch in manifest.epochs() {
         replay(dir, epoch, &mut store)?;
@@ -1452,6 +1464,56 @@ mod tests {
         let err = restore(&dir).expect_err("bucket 2 of a 2-shard store");
         let past = matches!(err, CheckpointError::Corrupt(what) if what.contains("shard count"));
         assert!(past, "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot that passes every frame check but whose pane names a key
+    /// its shard's running map does not track, then one committed delta
+    /// whose push evicts that pane: `restore` answers `Corrupt` instead of
+    /// panicking in the eviction.
+    #[test]
+    fn a_pane_key_the_running_map_lacks_is_corrupt() {
+        let dir = temp_dir("untracked");
+        let mut store = fresh_store(2);
+        let batch = |i: usize| out(&[(i as u64 % 5, 1.0 + i as f64), (7, -0.5)]);
+        for i in 0..store.len_batches() {
+            store.push(&batch(i));
+        }
+        // The snapshot: the store with a key of a full shard's oldest pane
+        // dropped from that shard's running map.
+        let mut w = ByteWriter::new();
+        w.put_bytes(&encoded(&store)[..25]); // `put_store`'s header
+        for shard in store.shards() {
+            let mut shard = shard.clone();
+            if let Some(&(key, _)) = shard.panes[0].first() {
+                shard.running.remove(&key);
+            }
+            crate::state::put_shard(&mut w, &shard);
+        }
+        fs::write(
+            dir.join(snapshot_name(0)),
+            encode_frame(frame_kind::SNAPSHOT, w.as_bytes()),
+        )
+        .unwrap();
+        // The next batch's delta, committed.
+        let (_, delta) = store.push_with_delta(&batch(store.len_batches()));
+        let mut w = ByteWriter::new();
+        put_delta(&mut w, &delta);
+        let changelog = encode_frame(frame_kind::DELTA, w.as_bytes());
+        fs::write(dir.join(changelog_name(0)), &changelog).unwrap();
+        let epoch = Epoch {
+            gen: 0,
+            len: changelog.len() as u64,
+            frames: 1,
+        };
+        let manifest = Manifest {
+            watermark: delta.seq,
+            base: epoch,
+            head: epoch,
+        };
+        fs::write(dir.join(MANIFEST_NAME), manifest.frame()).unwrap();
+        let err = restore(&dir).expect_err("an untracked pane key");
+        assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -203,6 +203,29 @@ impl KeyedStateStore {
         self.shards.iter().map(StateShard::key_count).sum()
     }
 
+    /// Whether every key lives in its own shard and every shard's running map
+    /// tracks exactly the keys of its panes, each with the number of panes
+    /// naming it (and nothing, for an operation that keeps no running state)
+    /// — what an eviction relies on. Pushes keep this by construction; a
+    /// store read from disk is checked once, when it is restored.
+    pub(crate) fn tracks_its_panes(&self) -> bool {
+        self.shards.iter().all(|shard| {
+            let keys = || shard.panes.iter().flat_map(|p| p.iter().map(|&(k, _)| k));
+            if keys().any(|k| self.shard_of(k) != shard.bucket as usize) {
+                return false;
+            }
+            if !self.op.invertible() {
+                return shard.running.is_empty();
+            }
+            let mut counts: KeyMap<u32> = KeyMap::default();
+            for k in keys() {
+                *counts.entry(k).or_insert(0) += 1;
+            }
+            counts.len() == shard.running.len()
+                && (counts.iter()).all(|(k, &n)| shard.running.get(k).is_some_and(|e| e.1 == n))
+        })
+    }
+
     /// Let go of the panes (a frozen copy that has been written out): the
     /// live store evicts them on its own schedule, and a copy kept for reuse
     /// must not keep them alive past that.

@@ -12,14 +12,15 @@
 //! each phase is reported beside the output, so the examples can show real
 //! speedups from balanced partitioning.
 //!
-//! * **Map** — one [`PlanView::map_block`] per block, in parallel.
-//! * **Shuffle** — serial, on the calling thread. Nothing forces that:
-//!   Algorithm 3 is a pure function of one block's output, so the
-//!   assignments could be computed inside the Map fan-out. It is serial
-//!   because assigning a block and pushing its clusters into their buckets
-//!   is a fraction of a millisecond — less than a thread round costs (a
-//!   bucket-striped parallel scatter stood here and was slower on every
-//!   benchmark workload, ROADMAP "Settled").
+//! * **Map** — one [`PlanView::map_block`] per block, in parallel, each
+//!   followed by its own Algorithm 3 assignment ([`assign_block`]): the
+//!   assignment is a pure function of one block's output, so it runs where
+//!   that output is made.
+//! * **Shuffle** — serial, on the calling thread: push every block's
+//!   clusters into their buckets, ≈ 0.6 ms of a 500k-tuple `zipf_inproc`
+//!   batch — less than a thread round costs (a bucket-striped parallel
+//!   scatter stood here and was slower on every benchmark workload, ROADMAP
+//!   "Settled").
 //! * **Reduce** — one [`merge_bucket`] per bucket, in parallel; every bucket
 //!   was filled in block order then key order, whatever the thread count.
 
@@ -38,9 +39,10 @@ use crate::trace::{StageKind, TraceRecorder};
 /// Wall-clock timings of one locally executed batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WallTimes {
-    /// Wall time of the parallel Map phase.
+    /// Wall time of the parallel Map phase (each block's Map and its
+    /// Algorithm 3 assignment).
     pub map: std::time::Duration,
-    /// Wall time of the serial shuffle (Algorithm 3 assignment + scatter).
+    /// Wall time of the serial shuffle (the scatter into buckets).
     pub shuffle: std::time::Duration,
     /// Wall time of the parallel Reduce phase.
     pub reduce: std::time::Duration,
@@ -128,19 +130,25 @@ impl ThreadedExecutor {
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
         assert!(r > 0, "need at least one reduce bucket");
         let t0 = Instant::now();
-        let map_outputs = map_indexed(view.n_blocks(), self.threads, |i| view.map_block(i, job));
+        let tallied = trace.is_some();
+        let map_outputs = map_indexed(view.n_blocks(), self.threads, |i| {
+            let ordered = view.map_block(i, job);
+            let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
+            let mut tally = ShuffleTally::default();
+            let tally_into = tallied.then_some(&mut tally);
+            let assignment = assign_block(i, clusters, view.split_keys(), assigner, r, tally_into);
+            (ordered, assignment, tally)
+        });
         let map = t0.elapsed();
 
         let t1 = Instant::now();
         let mut buckets: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
         let mut tally = ShuffleTally::default();
-        for (task, ordered) in map_outputs.iter().enumerate() {
-            let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
-            let tally = trace.and(Some(&mut tally));
-            let assignment = assign_block(task, clusters, view.split_keys(), assigner, r, tally);
-            for (&(key, (value, n)), &bucket) in ordered.iter().zip(&assignment) {
+        for (ordered, assignment, block_tally) in &map_outputs {
+            for (&(key, (value, n)), &bucket) in ordered.iter().zip(assignment) {
                 buckets[bucket].push((key, value, n));
             }
+            tally += *block_tally;
         }
         if let Some(rec) = trace {
             tally.record(rec);
@@ -259,6 +267,30 @@ mod tests {
         let map = summary.wall(StageKind::MapStage).unwrap();
         assert_eq!(map.total_us, times.map.as_micros() as u64);
         assert!(summary.stages.is_empty(), "no virtual span was recorded");
+    }
+
+    /// A plan whose split-key table leaves out a key held by two blocks: the
+    /// allocator places each fragment on its own, the rotation sends them to
+    /// different buckets, and the answer would be one bucket's partial. In
+    /// every build that is a panic naming the key, not a silent wrong sum.
+    #[test]
+    #[should_panic(expected = "key k7 reduced in two buckets")]
+    fn an_under_reported_split_key_fails_loudly() {
+        use prompt_core::batch::{DataBlock, KeyFragment};
+        use prompt_core::hash::KeySet;
+        let block = || DataBlock {
+            tuples: vec![Tuple::new(Time(1), Key(7), 1.0)],
+            fragments: vec![KeyFragment {
+                key: Key(7),
+                count: 1,
+            }],
+        };
+        let plan = PartitionPlan {
+            blocks: vec![block(), block()],
+            split_keys: KeySet::default(),
+        };
+        let job = Job::identity("sum", ReduceOp::Sum);
+        let _ = ThreadedExecutor::new(1).execute(&plan, &job, &PromptReduceAllocator::new(0), 2);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! with a typed error — never a panic or a garbage decode — and so must
 //! bytes that never were a checkpoint: the payload decoders and the frame
 //! decoder answer arbitrary input with a value or a typed error, allocating
-//! no more than the input could hold. These run in the fast root tier,
+//! no more than the input could hold. So does `restore` over a directory
+//! whose `MANIFEST` or changelog is hostile (a value whose batch count
+//! matches its watermark, or a typed error). These run in the fast root tier,
 //! mirroring `wire_codec_props.rs`; the deterministic exemplar tests live
 //! next to the codec itself.
 
@@ -22,8 +24,9 @@ use prompt_engine::job::ReduceOp;
 use prompt_engine::stage::BatchOutput;
 use prompt_engine::state::{
     decode_frame, encode_frame, frame_kind, get_delta, get_shard, get_store, put_delta, put_shard,
-    put_store, CheckpointError, KeyedStateStore, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-    FRAME_HEADER_LEN, FRAME_TRAILER_LEN, MAX_FRAME_PAYLOAD,
+    put_store, restore, CheckpointConfig, CheckpointError, Checkpointer, KeyedStateStore,
+    StateDelta, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FRAME_HEADER_LEN, FRAME_TRAILER_LEN,
+    MAX_FRAME_PAYLOAD,
 };
 use prompt_engine::window::WindowSpec;
 
@@ -424,6 +427,214 @@ proptest! {
         let frame = encode_frame(kind, &payload);
         let (k, body, used) = decode_frame(&frame).expect("a frame");
         prop_assert_eq!((k, body, used), (kind, &payload[..], frame.len()));
+    }
+}
+
+/// A checkpoint directory a real `Checkpointer` committed — one epoch: a
+/// snapshot, its changelog, the manifest — read back once, so that every
+/// hostile-file case below starts from the same good bytes.
+struct Fixture {
+    files: Vec<(String, Vec<u8>)>,
+    /// The manifest's watermark and its epoch's generation.
+    watermark: u64,
+    gen: u64,
+    /// The snapshot's batch count and shard count.
+    seq: u64,
+    shards: usize,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = case_dir("fixture");
+        let cfg = CheckpointConfig::new(&dir).interval(1).snapshot_every(100);
+        let mut store = build_store(ReduceOp::Sum, 3, 3, 1, &[]);
+        let mut ckpt = Checkpointer::create(&cfg).expect("create");
+        for i in 0..6u64 {
+            let entries: Vec<(u64, f64)> = (0..8).map(|k| (k * 7 + i, k as f64 - 0.5)).collect();
+            let (_, delta) = store.push_with_delta(&output(&entries));
+            ckpt.record(&delta, &store).expect("commit");
+        }
+        drop(ckpt);
+        let mut files: Vec<(String, Vec<u8>)> = (std::fs::read_dir(&dir).unwrap())
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (
+                    e.file_name().into_string().unwrap(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        let file = |name: &str| &files.iter().find(|(n, _)| n == name).unwrap().1;
+        let (_, manifest, _) = decode_frame(file("MANIFEST")).unwrap();
+        let mut r = ByteReader::new(manifest);
+        let (watermark, gen) = (r.get_u64().unwrap(), r.get_u64().unwrap());
+        let (_, snapshot, _) = decode_frame(file(&format!("snapshot-{gen}.ckpt"))).unwrap();
+        let snapshot = get_store(&mut ByteReader::new(snapshot)).unwrap();
+        assert_eq!(restore(&dir).unwrap().unwrap().store.seq(), watermark + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+        Fixture {
+            files,
+            watermark,
+            gen,
+            seq: snapshot.seq(),
+            shards: snapshot.shard_count(),
+        }
+    })
+}
+
+fn case_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("prompt-props-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The fixture's files in `dir`, then `name` replaced by `bytes`.
+fn write_case(dir: &std::path::Path, name: &str, bytes: &[u8]) {
+    for (file, good) in &fixture().files {
+        std::fs::write(dir.join(file), good).unwrap();
+    }
+    std::fs::write(dir.join(name), bytes).unwrap();
+}
+
+/// A manifest payload: watermark, then base and head epochs as (generation,
+/// committed bytes, committed frames) — 48 bytes.
+fn manifest_payload(watermark: u64, base: (u64, u64, u32), head: (u64, u64, u32)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u64(watermark);
+    for (gen, len, frames) in [base, head] {
+        w.put_u64(gen);
+        w.put_u64(len);
+        w.put_u32(frames);
+    }
+    w.into_bytes()
+}
+
+/// A `u64` field a hostile file might carry: the good value (most often, so
+/// that some cases get past every check), one off it, zero, the maximum, or
+/// anything.
+fn near(good: u64, pick: u8, any: u64) -> u64 {
+    match pick % 8 {
+        0..=4 => good,
+        5 => good.wrapping_add(1),
+        6 => [0, u64::MAX, u64::MAX - 1, good.wrapping_sub(1)][(any % 4) as usize],
+        _ => any,
+    }
+}
+
+/// What `restore` may answer for a hostile directory: a store whose batch
+/// count is one past the watermark it reports, or a typed error.
+fn restored_or_typed(dir: &std::path::Path) -> Result<(), TestCaseError> {
+    match restore(dir) {
+        Ok(Some(state)) => prop_assert_eq!(Some(state.store.seq()), state.watermark.checked_add(1)),
+        Ok(None) => prop_assert!(false, "a manifest was written"),
+        Err(_) => {}
+    }
+    Ok(())
+}
+
+proptest! {
+    // Each case writes three small files and restores them.
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// ROADMAP item 10 (1), the file half: arbitrary bytes as `MANIFEST` —
+    /// raw, or a CRC-valid frame around fields near the good ones — restore
+    /// a store consistent with the watermark it reports or fail with a typed
+    /// error; no panic, no allocation sized by a field, no endless loop.
+    #[test]
+    fn an_arbitrary_manifest_is_an_error_or_a_store(
+        raw in vec(any::<u8>(), 0..80),
+        picks in vec(any::<u8>(), 8),
+        anys in vec(any::<u64>(), 8),
+        shape in 0u8..4,
+    ) {
+        let f = fixture();
+        let changelog = f.files.iter().find(|(n, _)| n == &format!("changelog-{}.ckpt", f.gen));
+        let (len, frames) = (changelog.map_or(0, |(_, b)| b.len() as u64), f.watermark + 1 - f.seq);
+        let epoch = |i: usize| {
+            (
+                near(f.gen, picks[i], anys[i]),
+                near(len, picks[i + 1], anys[i + 1]),
+                near(frames, picks[i + 2], anys[i + 2]) as u32,
+            )
+        };
+        let base = epoch(1);
+        let head = if picks[7].is_multiple_of(3) { epoch(4) } else { base };
+        let payload = manifest_payload(near(f.watermark, picks[0], anys[0]), base, head);
+        let bytes = match shape {
+            0 => raw,
+            1 => encode_frame(frame_kind::MANIFEST, &raw),
+            2 => encode_frame(frame_kind::MANIFEST, &payload[..raw.len().min(payload.len())]),
+            _ => encode_frame(frame_kind::MANIFEST, &payload),
+        };
+        let dir = case_dir("manifest");
+        write_case(&dir, "MANIFEST", &bytes);
+        restored_or_typed(&dir)?;
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The same for the changelog the manifest names: raw bytes, hostile
+    /// delta payloads in CRC-valid frames, or well-formed deltas for the
+    /// right batches with arbitrary keys — under a manifest whose committed
+    /// length and frame count are the file's or near them.
+    #[test]
+    fn an_arbitrary_changelog_is_an_error_or_a_store(
+        raw in vec(any::<u8>(), 0..200),
+        chunks in vec(hostile_chunk(), 0..12),
+        deltas in vec((0u32..4, vec((0u64..40, value()), 1..6)), 0..5),
+        picks in vec(any::<u8>(), 4),
+        anys in vec(any::<u64>(), 4),
+        shape in 0u8..3,
+    ) {
+        let f = fixture();
+        let mut w = ByteWriter::new();
+        let frames = match shape {
+            0 => {
+                w.put_bytes(&raw);
+                1
+            }
+            1 => {
+                for (i, chunk) in chunks.iter().enumerate() {
+                    let kind = if picks[0] as usize % 8 == i { frame_kind::SNAPSHOT } else { frame_kind::DELTA };
+                    w.put_bytes(&encode_frame(kind, chunk));
+                }
+                chunks.len()
+            }
+            _ => {
+                for (i, (bucket, entries)) in deltas.iter().enumerate() {
+                    let mut pane = entries.clone();
+                    pane.sort_by_key(|e| e.0);
+                    pane.dedup_by_key(|e| e.0);
+                    let pane: Vec<(Key, f64)> = pane.into_iter().map(|(k, v)| (Key(k), v)).collect();
+                    let delta = StateDelta {
+                        seq: f.seq + i as u64,
+                        shards: vec![(*bucket % (f.shards as u32 + 1), std::sync::Arc::new(pane))],
+                    };
+                    let mut d = ByteWriter::new();
+                    put_delta(&mut d, &delta);
+                    w.put_bytes(&encode_frame(frame_kind::DELTA, d.as_bytes()));
+                }
+                deltas.len()
+            }
+        };
+        let bytes = w.into_bytes();
+        let epoch = (
+            f.gen,
+            near(bytes.len() as u64, picks[1], anys[1]),
+            near(frames as u64, picks[2], anys[2]) as u32,
+        );
+        let watermark = near((f.seq + frames as u64).saturating_sub(1), picks[3], anys[3]);
+        let dir = case_dir("changelog");
+        write_case(&dir, &format!("changelog-{}.ckpt", f.gen), &bytes);
+        std::fs::write(
+            dir.join("MANIFEST"),
+            encode_frame(frame_kind::MANIFEST, &manifest_payload(watermark, epoch, epoch)),
+        )
+        .unwrap();
+        restored_or_typed(&dir)?;
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
