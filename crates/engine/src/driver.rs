@@ -1864,6 +1864,37 @@ mod tests {
         }
     }
 
+    /// Shape guard for the fleet's readiness (DESIGN §4e): a worker acks a
+    /// block once it is filed, so a fetch is one exchange with a source that
+    /// already holds the batch. Outside test modules nothing under `net/`
+    /// parks a fetch, re-asks a source, or counts blocks still unfiled.
+    #[test]
+    fn engine_shape_an_ack_means_filed_and_no_fetch_parks() {
+        let mut files = Vec::new();
+        let net_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/net");
+        sources_under(&net_dir, &mut files);
+        assert!(files.len() >= 4, "scanner broken? {} files", files.len());
+        // Spelt in halves so a grep for a needle finds only real uses.
+        let needles = [
+            ["Cond", "var"].concat(),
+            ["fetch", "_wait"].concat(),
+            ["FETCH", "_PARK"].concat(),
+            ["PARK", "_SLICE"].concat(),
+            ["NOT", "_READY"].concat(),
+            ["pending", "_blocks"].concat(),
+            ["begin", "_block"].concat(),
+            ["wait", "ers"].concat(),
+        ];
+        for (file, src) in &files {
+            let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (n, line) in lines.enumerate() {
+                for needle in &needles {
+                    assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
+                }
+            }
+        }
+    }
+
     /// Shape guard for what a batch carries (DESIGN §4h): one technique,
     /// resolved through the one strategy set, and one plan in the layout it
     /// was sealed in. Outside its test modules no engine source names an

@@ -283,23 +283,25 @@ pub(crate) fn merge_bucket(
 /// Gather the reduced buckets, in bucket order, into the batch's output and
 /// per-bucket shuffle statistics.
 ///
-/// Panics, in every build, if a key was reduced in two buckets: its answer
-/// would be one bucket's partial. That happens when a plan's split-key table
-/// leaves out a key that spans blocks — a custom partitioner's plan, say —
-/// and the assigner placed its fragments apart.
+/// A key reduced in two buckets has one bucket's partial for an answer, so
+/// it is `Err((bucket, key))`, naming the later bucket that answered for `key`.
+/// Locally that is a plan bug — a split-key table that leaves out a key
+/// spanning blocks, whose fragments the assigner placed apart; on the fleet
+/// it is also what a reducer lying about its bucket looks like.
 pub(crate) fn gather_buckets<M: IntoIterator<Item = (Key, f64)>>(
     reduced: impl IntoIterator<Item = (M, BucketStats)>,
-) -> (BatchOutput, Vec<BucketStats>) {
+) -> Result<(BatchOutput, Vec<BucketStats>), (usize, Key)> {
     let mut aggregates: KeyMap<f64> = KeyMap::default();
     let mut stats = Vec::new();
-    for (bucket, s) in reduced {
+    for (b, (bucket, s)) in reduced.into_iter().enumerate() {
         stats.push(s);
         for (k, v) in bucket {
-            let prev = aggregates.insert(k, v);
-            assert!(prev.is_none(), "key {k:?} reduced in two buckets");
+            if aggregates.insert(k, v).is_some() {
+                return Err((b, k));
+            }
         }
     }
-    (BatchOutput { aggregates }, stats)
+    Ok((BatchOutput { aggregates }, stats))
 }
 
 #[cfg(test)]
@@ -448,6 +450,48 @@ mod tests {
             &cols,
             "a key in two ranges of one block",
         );
+    }
+
+    /// The fleet reports no counts: a bucket's tuples and fragments are what
+    /// the driver tallied from its assignment at submit, and its keys are
+    /// the length of the reducer's answer. That must be what `merge_bucket`
+    /// counts, bucket for bucket, for every technique, layout and `r`.
+    #[test]
+    fn the_fleets_submit_tally_is_what_every_merge_counts() {
+        let mut opts = DistributedOptions::new(2, 0);
+        opts.launch = LaunchMode::Thread;
+        let mut fleet = DistributedRuntime::launch(opts).expect("launch");
+        let job = Job::identity("sum", ReduceOp::Sum);
+        let spec = job.wire_spec().expect("an identity Map crosses the wire");
+        let zipf: Vec<(u64, usize)> = (0..120).map(|k| (k, 1800 / (k as usize + 1))).collect();
+        let tuples: usize = zipf.iter().map(|&(_, n)| n).sum();
+        let mb = batch(&zipf);
+        let techniques = Technique::EVALUATION_SET
+            .into_iter()
+            .chain([Technique::DChoices(2), Technique::PromptCountTree]);
+        let mut seq = 0u64;
+        for technique in techniques {
+            let rows = technique.build(5).partition(&mb, 4);
+            let cols = match technique.build(5).partition_columnar(&mb, 4) {
+                Some((cols, _)) => cols,
+                None => ColumnarPlan::from_row_plan(&rows),
+            };
+            for (layout, view) in [
+                ("rows", PlanView::Rows(&rows)),
+                ("columns", PlanView::Columns(&cols)),
+            ] {
+                for r in [1, 3, 16] {
+                    let assigner = PromptReduceAllocator::new(5);
+                    let (_, merged, _) =
+                        ThreadedExecutor::new(1).execute_view(view, &job, &assigner, r, None);
+                    assert_eq!(merged.iter().map(|s| s.tuples).sum::<usize>(), tuples);
+                    seq += 1;
+                    fleet.submit(seq, seq, view, &spec, &assigner, r, None);
+                    let (_, tallied) = fleet.wait_batch(seq, None).expect("no faults");
+                    assert_eq!(tallied, merged, "{technique:?} over {layout}, r = {r}");
+                }
+            }
+        }
     }
 
     /// One plan, as `Rows` and as `Columns`, through every backend: the local

@@ -20,10 +20,13 @@
 //!    fragment table — already in the plan — *is* its Map output's
 //!    `(key, count)` table. An assignment is a pure function of one block's
 //!    table and its block index, so batches need no ordering among
-//!    themselves and several may be mapping at once;
-//! 2. the moment a batch's last `MapComplete` ack is back, its Reduce tasks
-//!    fan out, each fetching its bucket from the map workers' shuffle
-//!    listeners;
+//!    themselves and several may be mapping at once. Assigning also tallies
+//!    each bucket's tuples and fragments: with the reply's key count, they
+//!    are the bucket's [`BucketStats`];
+//! 2. a worker acks a block once its assignment has filed it, so the moment
+//!    a batch's last `MapComplete` is back every source holds the batch and
+//!    its Reduce tasks fan out, each fetching its bucket from the map
+//!    workers' shuffle listeners;
 //! 3. `ReduceComplete` aggregates are merged into the batch output, taken
 //!    by `wait_batch` in strict submission order.
 //!
@@ -157,8 +160,8 @@ impl std::error::Error for WorkerLoss {}
 /// The byte/frame counters cover the control plane (task dispatch including
 /// data blocks, replies, heartbeats). Worker-to-worker shuffle fetches
 /// happen on the workers' own sockets, invisible to the driver's counters —
-/// the `shuffle_*` fields instead aggregate the [`FetchStats`] every
-/// reducing worker reports on `ReduceComplete`.
+/// the `shuffle_*` fields instead aggregate (saturating) the [`FetchStats`]
+/// every reducing worker reports on `ReduceComplete`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Bytes the driver wrote.
@@ -212,7 +215,8 @@ struct WorkerSlot {
 /// Where an in-flight batch is in its lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stage {
-    /// Map tasks and assignments dispatched; collecting `MapComplete`s.
+    /// Map tasks and assignments dispatched; collecting the `MapComplete`s
+    /// that say each block is filed.
     Mapping,
     /// Reduce tasks dispatched; collecting `ReduceComplete`s.
     Reducing,
@@ -236,7 +240,8 @@ struct Inflight {
     /// Which blocks' `MapComplete` is in.
     mapped: Vec<bool>,
     outstanding_maps: usize,
-    buckets: Vec<BucketSlot>,
+    /// Each bucket's key-sorted aggregates, once its reply is in.
+    buckets: Vec<Option<Vec<(Key, f64)>>>,
     outstanding_reduces: usize,
     stage: Stage,
     /// Current collection phase's overall deadline.
@@ -244,6 +249,8 @@ struct Inflight {
     t_map: Instant,
     t_reduce: Instant,
     output: BatchOutput,
+    /// Each bucket's tuples and fragments, tallied from the assignment at
+    /// submit; `keys` is its reply's length, set at gather.
     stats: Vec<BucketStats>,
     /// What this attempt's shuffle routed: taken at submit, recorded when it
     /// reaches `Done`.
@@ -301,9 +308,6 @@ fn resolve_worker_bin(opts: &DistributedOptions) -> Option<PathBuf> {
         .into_iter()
         .find(|cand| cand.is_file())
 }
-
-/// A reduce bucket's collected result: its stats plus key-sorted aggregates.
-type BucketSlot = Option<(BucketStats, Vec<(Key, f64)>)>;
 
 impl DistributedRuntime {
     /// Spawn and register the workers. Blocks until every worker has
@@ -751,8 +755,8 @@ impl DistributedRuntime {
     /// ownership, one Map frame per block, then Algorithm 3 over each block's
     /// fragment table and one assignment frame per block, the in-flight
     /// record. All Map frames go first, so no worker waits on the driver's
-    /// assigning; FIFO control streams keep every assignment ahead of the
-    /// batch's Reduce tasks.
+    /// assigning. Each routed cluster adds its tuples and one fragment to its
+    /// bucket's stats: the merge a reducer runs counts exactly that.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_maps(
         &mut self,
@@ -793,10 +797,16 @@ impl DistributedRuntime {
         }
         let t_scatter = Instant::now();
         let mut tally = ShuffleTally::default();
+        let mut stats = vec![BucketStats::default(); r];
         for (i, &w) in block_owner.iter().enumerate() {
-            let clusters = view.fragments(i).iter().map(|f| (f.key, f.count));
+            let fragments = view.fragments(i);
+            let clusters = fragments.iter().map(|f| (f.key, f.count));
             let tally = trace.and(Some(&mut tally));
             let assignment = assign_block(i, clusters, view.split_keys(), assigner, r, tally);
+            for (f, &b) in fragments.iter().zip(&assignment) {
+                stats[b].tuples += f.count;
+                stats[b].fragments += 1;
+            }
             let assign = Message::ShuffleAssign {
                 seq,
                 epoch,
@@ -825,7 +835,7 @@ impl DistributedRuntime {
             t_map,
             t_reduce: t_map,
             output: BatchOutput::default(),
-            stats: Vec::new(),
+            stats,
             tally,
         });
         Ok(())
@@ -962,9 +972,6 @@ impl DistributedRuntime {
                 seq,
                 epoch,
                 bucket,
-                tuples,
-                keys,
-                fragments,
                 aggregates,
                 net,
             } => {
@@ -989,14 +996,7 @@ impl DistributedRuntime {
                 if slot.is_some() {
                     return Ok(());
                 }
-                *slot = Some((
-                    BucketStats {
-                        tuples: tuples as usize,
-                        keys: keys as usize,
-                        fragments: fragments as usize,
-                    },
-                    aggregates,
-                ));
+                *slot = Some(aggregates);
                 e.outstanding_reduces -= 1;
                 self.shuffle.absorb(net);
                 if let Some(rec) = trace {
@@ -1010,10 +1010,21 @@ impl DistributedRuntime {
                 if e.outstanding_reduces > 0 {
                     return Ok(());
                 }
-                (e.output, e.stats) = gather_buckets(e.buckets.drain(..).map(|entry| {
-                    let (s, aggs) = entry.expect("all reduce completes collected");
-                    (aggs, s)
-                }));
+                let replies = e.buckets.drain(..).zip(&e.stats).map(|(aggs, s)| {
+                    let aggs = aggs.expect("all reduce completes collected");
+                    let keys = aggs.len();
+                    (aggs, BucketStats { keys, ..*s })
+                });
+                // Two buckets answering for one key cannot both be honest;
+                // the reducer of the later bucket is lost.
+                (e.output, e.stats) = match gather_buckets(replies) {
+                    Ok(gathered) => gathered,
+                    Err((b, key)) => {
+                        let reducer = e.owners[b % e.owners.len()];
+                        let what = &format!("key {key:?} reduced in two buckets; bucket");
+                        return Err(self.protocol_violation(reducer, what, b as u32, seq));
+                    }
+                };
                 e.stage = Stage::Done;
                 if let Some(rec) = trace {
                     rec.phase(e.tseq, StageKind::ReduceStage, wall(e.t_reduce.elapsed()));
@@ -1343,10 +1354,12 @@ mod tests {
         }
     }
 
-    /// Indices, ownership claims and blame read off the wire must not take
-    /// the driver down, nor spin it: a completion for a task that does not
-    /// exist (yet), or that was given to another worker, and a `WorkerError`
-    /// blaming nobody loses its sender like any other failure — once.
+    /// Indices, ownership claims, blame and answers read off the wire must
+    /// not take the driver down, nor spin it: a completion for a task that
+    /// does not exist (yet), or that was given to another worker, a
+    /// `WorkerError` blaming nobody, and an answer for a key another bucket
+    /// answered for lose their sender like any other failure — once. Fetch
+    /// stats at `u64::MAX` saturate instead of overflowing.
     #[test]
     fn a_completion_for_a_task_the_sender_was_not_given_loses_the_sender() {
         let spec = JobSpec {
@@ -1363,15 +1376,21 @@ mod tests {
             epoch: 1,
             block_id,
         };
-        let reduce = |bucket| Message::ReduceComplete {
+        let reply = |bucket, keys: &[u64], net| Message::ReduceComplete {
             seq: 0,
             epoch: 1,
             bucket,
-            tuples: 1,
-            keys: 1,
-            fragments: 1,
-            aggregates: vec![(Key(1), 1.0)],
-            net: FetchStats::default(),
+            aggregates: keys.iter().map(|&k| (Key(k), 1.0)).collect(),
+            net,
+        };
+        let none = FetchStats::default();
+        let reduce = |bucket| (1, reply(bucket, &[1], none));
+        let max = FetchStats {
+            dialed: u64::MAX,
+            reused: u64::MAX,
+            wait_us: u64::MAX,
+            bytes_wire: u64::MAX,
+            bytes_raw: u64::MAX,
         };
         let error = |blame| Message::WorkerError {
             worker: 1,
@@ -1382,19 +1401,41 @@ mod tests {
         };
         // `true`: delivered to a batch already `Reducing`, where only the
         // bucket's range and owner tell a forged completion from a real one.
+        // Each row's frames are delivered from the workers named; every row
+        // must end in worker 1's loss.
         for (what, forged, reducing) in [
-            ("map block out of range", map(99), false),
-            ("map block of another worker", map(0), false),
-            ("reduce bucket before any reduce task", reduce(1), false),
-            ("reduce bucket out of range", reduce(99), true),
-            ("reduce bucket of another worker", reduce(2), true),
-            ("blame of an id out of range", error(99), false),
-            ("blame of a worker already lost", error(2), false),
+            ("map block out of range", vec![(1, map(99))], false),
+            ("map block of another worker", vec![(1, map(0))], false),
+            (
+                "reduce bucket before any reduce task",
+                vec![reduce(1)],
+                false,
+            ),
+            ("reduce bucket out of range", vec![reduce(99)], true),
+            ("reduce bucket of another worker", vec![reduce(2)], true),
+            ("blame of an id out of range", vec![(1, error(99))], false),
+            ("blame of a worker already lost", vec![(1, error(2))], false),
+            (
+                "a key bucket 0 also reduced",
+                vec![
+                    (0, reply(0, &[1, 2], none)),
+                    (1, reply(1, &[2, 3], none)),
+                    (0, reply(2, &[], none)),
+                ],
+                true,
+            ),
+            (
+                "fetch stats at u64::MAX, twice",
+                vec![(0, reply(0, &[], max)), (1, reply(1, &[], max)), reduce(99)],
+                true,
+            ),
         ] {
             let mut rt = DistributedRuntime::launch(thread_opts(3)).expect("launch");
             let _ = rt.declare_lost(2, "before the batch".into());
             // Ahead of every real event of the batch.
-            rt._tx.send((1, Ok(forged))).unwrap();
+            for (sender, msg) in forged {
+                rt._tx.send((sender, Ok(msg))).unwrap();
+            }
             let view = PlanView::Rows(&plan);
             rt.submit(0, 0, view, &spec, &assigner, 3, None);
             if reducing {

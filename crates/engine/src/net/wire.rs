@@ -22,6 +22,12 @@
 //! ([`MapSpec`]), so the fragment table a `MapTask` carries *is* the block's
 //! `(key, count)` cluster table and the driver assigns from its own copy. No
 //! other frame changed a byte.
+//!
+//! Protocol v4 moves the ack and trims the reply. A worker sends
+//! `MapComplete` once the block's `ShuffleAssign` has filed it into buckets,
+//! so a batch whose acks are all in is fetchable on every source.
+//! `ReduceComplete` carries the aggregates and the fetch stats only: the
+//! driver tallies each bucket's tuples and fragments from its own assignment.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
@@ -40,7 +46,8 @@ pub const MAGIC: u32 = 0x5445_4e50;
 /// Current protocol version. Bump on any incompatible layout change.
 /// v2: varint/delta-compacted data-plane payloads (see module docs).
 /// v3: `MapComplete` is a bare ack — it no longer carries a key table.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// v4: `MapComplete` means filed; `ReduceComplete` carries no counts.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Frame header length: magic + version + msg type + payload length.
 pub const HEADER_LEN: usize = 10;
@@ -127,13 +134,14 @@ pub struct FetchStats {
 }
 
 impl FetchStats {
-    /// Accumulate another task's (or source's) stats into this one.
+    /// Accumulate another task's (or source's) stats into this one. The
+    /// driver adds numbers a peer sent, so the sums saturate.
     pub fn absorb(&mut self, other: FetchStats) {
-        self.dialed += other.dialed;
-        self.reused += other.reused;
-        self.wait_us += other.wait_us;
-        self.bytes_wire += other.bytes_wire;
-        self.bytes_raw += other.bytes_raw;
+        self.dialed = self.dialed.saturating_add(other.dialed);
+        self.reused = self.reused.saturating_add(other.reused);
+        self.wait_us = self.wait_us.saturating_add(other.wait_us);
+        self.bytes_wire = self.bytes_wire.saturating_add(other.bytes_wire);
+        self.bytes_raw = self.bytes_raw.saturating_add(other.bytes_raw);
     }
 }
 
@@ -172,8 +180,9 @@ pub enum Message {
         /// The block's tuples and fragment table.
         block: DataBlock,
     },
-    /// Worker → driver: map finished. A bare ack: the driver assigned the
-    /// block from the fragment table it sent, so nothing is reported back.
+    /// Worker → driver: the block is mapped and filed under the buckets its
+    /// `ShuffleAssign` named, so its segments are fetchable. A bare ack: the
+    /// driver assigned the block from the fragment table it sent.
     MapComplete {
         /// Batch sequence number.
         seq: u64,
@@ -208,7 +217,9 @@ pub enum Message {
         /// Workers holding map outputs for this batch.
         sources: Vec<ShuffleSource>,
     },
-    /// Worker → driver: one bucket reduced.
+    /// Worker → driver: one bucket reduced. Its tuple and fragment counts are
+    /// the driver's own tally of the assignment; its key count is
+    /// `aggregates.len()`.
     ReduceComplete {
         /// Batch sequence number.
         seq: u64,
@@ -216,12 +227,6 @@ pub enum Message {
         epoch: u32,
         /// Reduce bucket index.
         bucket: u32,
-        /// Mapped tuples folded into the bucket.
-        tuples: u64,
-        /// Distinct keys reduced.
-        keys: u64,
-        /// Fragments (per-block partials) merged.
-        fragments: u64,
         /// Final `(key, aggregate)` pairs, in key order.
         aggregates: Vec<(Key, f64)>,
         /// Shuffle-fetch cost of the task, as seen by the reducing worker.
@@ -243,11 +248,10 @@ pub enum Message {
         /// Reduce bucket index.
         bucket: u32,
     },
-    /// Map worker → reduce worker (shuffle plane): the bucket's segments,
-    /// or not-ready (retry after backoff).
+    /// Map worker → reduce worker (shuffle plane): the bucket's segments.
     FetchReply {
-        /// Whether the batch's shuffle state was complete; if `false` the
-        /// segments are empty and the fetcher retries.
+        /// Whether the source holds the batch attempt; if `false` the
+        /// segments are empty and the fetcher blames the source.
         ready: bool,
         /// The bucket's segments (unordered; the fetcher sorts by block).
         segments: Vec<ShuffleSegment>,
@@ -386,18 +390,12 @@ impl Message {
                 seq,
                 epoch,
                 bucket,
-                tuples,
-                keys,
-                fragments,
                 aggregates,
                 net,
             } => {
                 w.put_u64(*seq);
                 w.put_u32(*epoch);
                 w.put_u32(*bucket);
-                w.put_varint(*tuples);
-                w.put_varint(*keys);
-                w.put_varint(*fragments);
                 w.put_varint_len(aggregates.len());
                 let mut prev = 0u64;
                 for &(k, v) in aggregates {
@@ -464,10 +462,8 @@ impl Message {
             Message::MapComplete { .. } => 16,
             Message::ShuffleAssign { assignment, .. } => 8 + 4 + 4 + 4 + 4 * assignment.len(),
             Message::ReduceTask { sources, .. } => 8 + 4 + 4 + 1 + 4 + 10 * sources.len(),
-            Message::ReduceComplete { aggregates, .. } => {
-                // v1 carried no FetchStats trailer.
-                8 + 4 + 4 + 8 + 8 + 8 + 4 + 16 * aggregates.len()
-            }
+            // v1 carried no FetchStats trailer.
+            Message::ReduceComplete { aggregates, .. } => 8 + 4 + 4 + 4 + 16 * aggregates.len(),
             Message::BatchDone { .. } => 8,
             Message::Shutdown => 0,
             Message::Fetch { .. } => 16,
@@ -603,9 +599,6 @@ impl Message {
                 let seq = r.get_u64()?;
                 let epoch = r.get_u32()?;
                 let bucket = r.get_u32()?;
-                let tuples = r.get_varint()?;
-                let keys = r.get_varint()?;
-                let fragments = r.get_varint()?;
                 // Minimal aggregate: 1-byte key delta + 8-byte value.
                 let n = r.get_varint_len(9)?;
                 let mut aggregates = Vec::with_capacity(n);
@@ -626,9 +619,6 @@ impl Message {
                     seq,
                     epoch,
                     bucket,
-                    tuples,
-                    keys,
-                    fragments,
                     aggregates,
                     net,
                 }
@@ -838,9 +828,6 @@ mod tests {
                 seq: 9,
                 epoch: 2,
                 bucket: 3,
-                tuples: 100,
-                keys: 2,
-                fragments: 4,
                 aggregates: vec![(Key(7), 1.0), (Key(9), f64::NEG_INFINITY)],
                 net: FetchStats {
                     dialed: 1,
@@ -960,11 +947,12 @@ mod tests {
         );
     }
 
-    /// v3: a `MapComplete` is an ack of fixed size whatever was mapped, and a
-    /// peer still speaking v2 — whose type-5 frames carry a key table — is
-    /// turned away at the header, before a payload is read.
+    /// v4: a `MapComplete` is still an ack of fixed size whatever was mapped,
+    /// a `ReduceComplete` no longer counts what it reduced, and a peer still
+    /// speaking v3 — whose acks come before filing — is turned away at the
+    /// header, before a payload is read.
     #[test]
-    fn map_complete_is_a_bare_ack_and_v2_peers_are_refused() {
+    fn map_complete_is_a_bare_ack_and_v3_peers_are_refused() {
         for (seq, epoch, block_id) in [(0, 0, 0), (u64::MAX, u32::MAX, u32::MAX)] {
             let ack = Message::MapComplete {
                 seq,
@@ -974,20 +962,31 @@ mod tests {
             assert_eq!(ack.encode().len(), HEADER_LEN + 16);
             assert_eq!(ack.v1_payload_len(), 16);
         }
-        assert_eq!(PROTOCOL_VERSION, 3);
+        assert_eq!(PROTOCOL_VERSION, 4);
         for msg in exemplars() {
             let mut frame = msg.encode();
-            frame[4] = 2;
-            assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(2)));
+            frame[4] = 3;
+            assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(3)));
         }
-        // A v2 body under a v3 header: the table is trailing bytes.
+        // An empty v3 `ReduceComplete` under a v4 header: its three zero
+        // counts are trailing bytes.
         let mut w = ByteWriter::new();
         w.put_u64(9);
         w.put_u32(2);
         w.put_u32(1);
-        w.put_varint_len(0);
-        let stale = frame(5, &w.into_bytes());
+        for _ in 0..3 + 1 + 5 {
+            w.put_varint(0);
+        }
+        let stale = frame(8, &w.into_bytes());
         assert!(matches!(Message::decode(&stale), Err(WireError::Codec(_))));
+        let empty = Message::ReduceComplete {
+            seq: 9,
+            epoch: 2,
+            bucket: 1,
+            aggregates: Vec::new(),
+            net: FetchStats::default(),
+        };
+        assert_eq!(empty.encode().len(), HEADER_LEN + 16 + 1 + 5);
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! Per batch the control stream carries the `MapTask`s, then — already sent
 //! when the first block is mapped, because the driver assigns at submit from
 //! the fragment tables it ships — their `ShuffleAssign`s, then the
-//! `ReduceTask`s. A mapped block therefore waits in `pending` only while the
-//! rest of the batch's Map frames are read, and `MapComplete` is a bare ack.
+//! `ReduceTask`s. A mapped block waits in `pending` only while the rest of
+//! the batch's Map frames are read. `MapComplete` is sent once the block is
+//! filed, so by the time the driver hands out Reduce tasks every source
+//! holds the batch and a fetch is one exchange.
 //!
 //! Determinism: the map fold and the bucket merge are literally the serial
 //! engine's (`kernel::map_block`, `kernel::merge_bucket`), and the merge is
@@ -27,8 +29,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration as WallDuration, Instant};
 
 use prompt_core::types::Key;
@@ -38,22 +40,11 @@ use super::wire::{FetchStats, Message, ShuffleSegment, ShuffleSource};
 use crate::job::ReduceOp;
 use crate::kernel::{map_block, merge_bucket, ClusterList};
 
-/// Fetch round-trips before blaming the source. The serving side parks
-/// each request up to [`FETCH_PARK`], so the budget is ≈ attempts × park.
-const NOT_READY_ATTEMPTS: u32 = 10;
-
-/// How long the shuffle server holds a `Fetch` whose bucket is not ready
-/// yet before replying `ready: false` (the long-poll park deadline).
-const FETCH_PARK: WallDuration = WallDuration::from_millis(500);
-
-/// Granularity at which a parked fetch re-checks the stop flag.
-const PARK_SLICE: WallDuration = WallDuration::from_millis(50);
-
 /// Cap on the shuffle acceptor's backoff between empty accept polls.
 const ACCEPT_BACKOFF_MAX: WallDuration = WallDuration::from_millis(20);
 
-/// Read timeout on shuffle-plane sockets (must exceed [`FETCH_PARK`], or a
-/// parked fetch would look like a dead peer).
+/// Read timeout on shuffle-plane sockets: a source answers from what it
+/// already holds, so this much silence is a dead peer.
 const SHUFFLE_IO_TIMEOUT: WallDuration = WallDuration::from_secs(5);
 
 /// Options for [`run_worker`].
@@ -76,34 +67,17 @@ impl WorkerOptions {
 }
 
 /// Map outputs filed under their Reduce buckets, keyed by `(seq, epoch)`: a
-/// block enters when its `ShuffleAssign` — already on the control stream
-/// behind the batch's `MapTask`s — is read.
+/// batch attempt enters when its first block's `ShuffleAssign` — already on
+/// the control stream behind the batch's `MapTask`s — is filed.
 #[derive(Debug, Default)]
 struct ShuffleStore {
-    batches: HashMap<(u64, u32), BatchShuffle>,
-}
-
-#[derive(Debug, Default)]
-struct BatchShuffle {
-    /// Blocks mapped on this worker whose assignment has not arrived yet.
-    /// A bucket is fetchable only once this drains to zero.
-    pending_blocks: usize,
-    buckets: HashMap<u32, Vec<ShuffleSegment>>,
+    batches: HashMap<(u64, u32), HashMap<u32, Vec<ShuffleSegment>>>,
 }
 
 impl ShuffleStore {
-    fn is_ready(&self, seq: u64, epoch: u32) -> bool {
-        matches!(self.batches.get(&(seq, epoch)), Some(b) if b.pending_blocks == 0)
-    }
-
-    fn begin_block(&mut self, seq: u64, epoch: u32) {
-        self.batches.entry((seq, epoch)).or_default().pending_blocks += 1;
-    }
-
     /// File block `block_id`'s clusters under the buckets `assignment` names.
     /// An assignment that does not pair up with the clusters is refused — a
-    /// zip would drop the unpaired keys from the answer — and leaves the
-    /// block pending, so no bucket of the batch ever reads as ready.
+    /// zip would drop the unpaired keys from the answer — and files nothing.
     fn add_block(
         &mut self,
         seq: u64,
@@ -112,10 +86,6 @@ impl ShuffleStore {
         ordered: &ClusterList,
         assignment: &[u32],
     ) -> Result<(), String> {
-        let batch = self
-            .batches
-            .get_mut(&(seq, epoch))
-            .expect("assignment for a block never begun");
         if assignment.len() != ordered.len() {
             return Err(format!(
                 "block {block_id}: {} buckets assigned to {} clusters",
@@ -123,8 +93,9 @@ impl ShuffleStore {
                 ordered.len()
             ));
         }
+        let buckets = self.batches.entry((seq, epoch)).or_default();
         for (&(key, (value, n)), &bucket) in ordered.iter().zip(assignment) {
-            let segs = batch.buckets.entry(bucket).or_default();
+            let segs = buckets.entry(bucket).or_default();
             match segs.last_mut() {
                 Some(seg) if seg.block_id == block_id => seg.items.push((key, value, n as u64)),
                 _ => segs.push(ShuffleSegment {
@@ -133,20 +104,20 @@ impl ShuffleStore {
                 }),
             }
         }
-        batch.pending_blocks -= 1;
         Ok(())
     }
 
+    /// The bucket's segments, `ready: false` when this worker holds nothing
+    /// of the batch attempt. The reply clones the segments out, so the
+    /// caller encodes and sends it after releasing the lock.
     fn fetch(&self, seq: u64, epoch: u32, bucket: u32) -> Message {
-        match self.batches.get(&(seq, epoch)) {
-            Some(b) if b.pending_blocks == 0 => Message::FetchReply {
-                ready: true,
-                segments: b.buckets.get(&bucket).cloned().unwrap_or_default(),
-            },
-            _ => Message::FetchReply {
-                ready: false,
-                segments: Vec::new(),
-            },
+        let held = self.batches.get(&(seq, epoch));
+        Message::FetchReply {
+            ready: held.is_some(),
+            segments: held
+                .and_then(|b| b.get(&bucket))
+                .cloned()
+                .unwrap_or_default(),
         }
     }
 
@@ -196,105 +167,12 @@ impl Ticker {
     }
 }
 
-/// The shuffle store plus the condvar that long-polling fetch servers park
-/// on. `add_block` signals it whenever a batch may have become complete.
-#[derive(Debug, Default)]
-struct SharedStore {
-    store: Mutex<ShuffleStore>,
-    became_ready: Condvar,
-    /// Fetches currently parked on the condvar. Incremented under the store
-    /// lock before the first wait, so observing a non-zero count proves a
-    /// fetch really reached the parked state (test observability).
-    waiters: AtomicUsize,
-}
-
-impl SharedStore {
-    fn begin_block(&self, seq: u64, epoch: u32) {
-        self.store
-            .lock()
-            .expect("store lock")
-            .begin_block(seq, epoch);
-    }
-
-    fn add_block(
-        &self,
-        seq: u64,
-        epoch: u32,
-        block_id: u32,
-        ordered: &ClusterList,
-        a: &[u32],
-    ) -> Result<(), String> {
-        let mut store = self.store.lock().expect("store lock");
-        let added = store.add_block(seq, epoch, block_id, ordered, a);
-        drop(store);
-        self.became_ready.notify_all();
-        added
-    }
-
-    fn fetch(&self, seq: u64, epoch: u32, bucket: u32) -> Message {
-        self.store
-            .lock()
-            .expect("store lock")
-            .fetch(seq, epoch, bucket)
-    }
-
-    fn gc(&self, seq: u64) {
-        self.store.lock().expect("store lock").gc(seq);
-    }
-
-    /// Long-poll fetch: if the batch's shuffle state is incomplete, park on
-    /// the condvar (in stop-aware slices) until it completes or `park`
-    /// elapses, then answer. The reply clones the segments out under the
-    /// lock; encoding and sending happen after it is released.
-    fn fetch_wait(
-        &self,
-        seq: u64,
-        epoch: u32,
-        bucket: u32,
-        park: WallDuration,
-        stop: &AtomicBool,
-    ) -> Message {
-        let deadline = Instant::now() + park;
-        let mut guard = self.store.lock().expect("store lock");
-        let mut parked = false;
-        let reply = loop {
-            if guard.is_ready(seq, epoch) || stop.load(Ordering::SeqCst) {
-                break guard.fetch(seq, epoch, bucket);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break guard.fetch(seq, epoch, bucket);
-            }
-            if !parked {
-                parked = true;
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-            }
-            let slice = (deadline - now).min(PARK_SLICE);
-            guard = self
-                .became_ready
-                .wait_timeout(guard, slice)
-                .expect("store lock")
-                .0;
-        };
-        if parked {
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-        reply
-    }
-
-    /// Fetches currently parked in [`SharedStore::fetch_wait`].
-    #[cfg(test)]
-    fn waiters(&self) -> usize {
-        self.waiters.load(Ordering::SeqCst)
-    }
-}
-
 /// Run a worker against the driver at `driver`. Returns when the driver
 /// sends `Shutdown` (Ok) or the control connection fails (Err).
 pub fn run_worker(driver: SocketAddr, opts: WorkerOptions) -> Result<(), NetError> {
     let counters = NetCounters::shared();
     let stop = Arc::new(AtomicBool::new(false));
-    let store = Arc::new(SharedStore::default());
+    let store = Arc::new(Mutex::new(ShuffleStore::default()));
 
     // Shuffle data plane: always an ephemeral loopback port, reported to the
     // driver in Register.
@@ -318,7 +196,7 @@ fn control_loop(
     driver: SocketAddr,
     opts: WorkerOptions,
     counters: &Arc<NetCounters>,
-    store: &Arc<SharedStore>,
+    store: &Arc<Mutex<ShuffleStore>>,
     shuffle_port: u16,
     stop: &Arc<AtomicBool>,
 ) -> Result<(), NetError> {
@@ -376,7 +254,7 @@ fn serve_tasks(
     writer: &Arc<Mutex<FrameConn>>,
     opts: WorkerOptions,
     counters: &Arc<NetCounters>,
-    store: &Arc<SharedStore>,
+    store: &Arc<Mutex<ShuffleStore>>,
 ) -> Result<(), NetError> {
     // Shuffle connections persist here across fetches and batches; a fetch
     // failure evicts the peer's pooled entries before retrying or blaming.
@@ -437,16 +315,7 @@ fn serve_tasks(
                 block,
             } => {
                 let job = job.instantiate("net-task");
-                store.begin_block(seq, epoch);
                 pending.insert((seq, epoch, block_id), map_block(&block, &job));
-                writer
-                    .lock()
-                    .expect("writer lock")
-                    .send(&Message::MapComplete {
-                        seq,
-                        epoch,
-                        block_id,
-                    })?;
             }
             Message::ShuffleAssign {
                 seq,
@@ -457,20 +326,28 @@ fn serve_tasks(
                 let Some(ordered) = pending.remove(&(seq, epoch, block_id)) else {
                     continue;
                 };
-                // A malformed assignment fails this attempt of the batch: the
-                // driver loses this worker and retries on the others.
-                if let Err(detail) = store.add_block(seq, epoch, block_id, &ordered, &assignment) {
-                    writer
-                        .lock()
-                        .expect("writer lock")
-                        .send(&Message::WorkerError {
-                            worker: opts.worker,
-                            seq,
-                            epoch,
-                            blame: opts.worker,
-                            detail,
-                        })?;
-                }
+                // The ack means filed: once the driver has them all, every
+                // source holds the batch. A malformed assignment fails this
+                // attempt instead: the driver loses this worker and retries
+                // on the others.
+                let mut shuffle = store.lock().expect("store lock");
+                let filed = shuffle.add_block(seq, epoch, block_id, &ordered, &assignment);
+                drop(shuffle);
+                let reply = match filed {
+                    Ok(()) => Message::MapComplete {
+                        seq,
+                        epoch,
+                        block_id,
+                    },
+                    Err(detail) => Message::WorkerError {
+                        worker: opts.worker,
+                        seq,
+                        epoch,
+                        blame: opts.worker,
+                        detail,
+                    },
+                };
+                writer.lock().expect("writer lock").send(&reply)?;
             }
             Message::ReduceTask {
                 seq,
@@ -481,14 +358,12 @@ fn serve_tasks(
             } => {
                 // Hand the fetch+merge to the reduce executor so Map tasks
                 // for the next in-flight batch are not serialized behind
-                // this batch's shuffle. The local-store readiness argument
-                // still holds at enqueue time: the control stream is FIFO,
-                // so every ShuffleAssign for this worker's blocks of `seq`
-                // was applied before this ReduceTask was read. The driver
-                // sends BatchDone (which GCs the store) only after
-                // collecting this bucket's reply, so the store cannot be
-                // swept mid-reduce. A send error means the executor died
-                // with the control connection; the main loop's next recv
+                // this batch's shuffle. The driver sends a Reduce task only
+                // once every block of the batch is acked as filed, and
+                // BatchDone (which GCs the store) only after collecting this
+                // bucket's reply, so every source holds the batch for the
+                // whole reduce. A send error means the executor died with
+                // the control connection; the main loop's next recv
                 // surfaces that.
                 let _ = reduce_tx.send(ReduceJob {
                     seq,
@@ -500,7 +375,7 @@ fn serve_tasks(
             }
             Message::BatchDone { seq } => {
                 pending.retain(|&(s, _, _), _| s != seq);
-                store.gc(seq);
+                store.lock().expect("store lock").gc(seq);
             }
             Message::Shutdown => return Ok(()),
             // RegisterAck duplicates or anything unexpected: ignore.
@@ -530,7 +405,7 @@ type BlockPartials = BTreeMap<u32, Vec<(Key, f64, u64)>>;
 fn reduce_bucket(
     opts: WorkerOptions,
     pool: &ConnPool,
-    store: &Arc<SharedStore>,
+    store: &Arc<Mutex<ShuffleStore>>,
     seq: u64,
     epoch: u32,
     bucket: u32,
@@ -569,10 +444,9 @@ fn reduce_bucket(
             });
         }
         if sources.iter().any(|s| s.worker == opts.worker) {
-            // Local map outputs: the control stream is FIFO, so every
-            // ShuffleAssign for this worker's blocks was processed before
-            // this ReduceTask — the store is necessarily ready.
-            match store.fetch(seq, epoch, bucket) {
+            // Local map outputs: this worker acked its blocks as filed
+            // before the driver sent this ReduceTask.
+            match store.lock().expect("store lock").fetch(seq, epoch, bucket) {
                 Message::FetchReply {
                     ready: true,
                     segments: segs,
@@ -581,7 +455,7 @@ fn reduce_bucket(
                     failure
                         .lock()
                         .expect("failure lock")
-                        .get_or_insert((opts.worker, "local shuffle state incomplete".into()));
+                        .get_or_insert((opts.worker, "local shuffle state missing".into()));
                 }
             }
         }
@@ -599,26 +473,24 @@ fn reduce_bucket(
         .into_values()
         .flatten()
         .map(|(key, value, n)| (key, value, n as usize));
-    let (acc, stats) = merge_bucket(items, reduce);
+    let (acc, _) = merge_bucket(items, reduce);
     let mut aggregates: Vec<(Key, f64)> = acc.into_iter().collect();
     aggregates.sort_unstable_by_key(|&(k, _)| k.0);
     Ok(Message::ReduceComplete {
         seq,
         epoch,
         bucket,
-        tuples: stats.tuples as u64,
-        keys: stats.keys as u64,
-        fragments: stats.fragments as u64,
         aggregates,
         net: net.into_inner().expect("net lock"),
     })
 }
 
-/// Fetch one bucket from a remote source over a pooled connection,
-/// re-requesting while the source long-polls `NotReady`. A pooled
-/// connection that fails its first exchange (the peer closed it between
-/// health check and use) is thrown away along with every idle sibling, and
-/// the fetch redials once before blaming the source.
+/// Fetch one bucket from a remote source over a pooled connection: one
+/// exchange, since the source acked its blocks as filed before this Reduce
+/// task existed, so a source that does not hold the batch is blamed at
+/// once. A pooled connection that fails its exchange (the peer closed it
+/// between health check and use) is thrown away along with every idle
+/// sibling, and the fetch redials once before blaming the source.
 fn fetch_remote(
     pool: &ConnPool,
     src: &ShuffleSource,
@@ -651,43 +523,38 @@ fn fetch_remote(
         Ok(conn)
     };
 
+    let exchange = |conn: &mut FrameConn| {
+        conn.send(&Message::Fetch { seq, epoch, bucket })
+            .and_then(|()| conn.recv_counted())
+    };
     let mut conn = checkout(&mut stats)?;
-    let mut exchanges = 0u32;
-    for _ in 0..NOT_READY_ATTEMPTS {
-        let exchange = conn
-            .send(&Message::Fetch { seq, epoch, bucket })
-            .and_then(|()| conn.recv_counted());
-        match exchange {
-            Ok((reply, wire)) => {
-                exchanges += 1;
-                stats.bytes_wire += wire as u64;
-                stats.bytes_raw += (super::wire::HEADER_LEN + reply.v1_payload_len()) as u64;
-                match reply {
-                    Message::FetchReply {
-                        ready: true,
-                        segments,
-                    } => {
-                        stats.wait_us = started.elapsed().as_micros() as u64;
-                        pool.checkin(addr, conn);
-                        return Ok((segments, stats));
-                    }
-                    // Server-side park expired with the bucket still
-                    // pending; re-request immediately (no client sleep).
-                    Message::FetchReply { ready: false, .. } => {}
-                    other => return Err(blame(format!("unexpected reply {}", other.kind()))),
-                }
-            }
-            Err(_) if exchanges == 0 && stats.reused > 0 && stats.dialed == 0 => {
-                // The pooled conn died since its health check. Evict the
-                // peer's idle conns and redial fresh exactly once.
-                pool.evict(addr);
-                drop(conn);
-                conn = checkout(&mut stats)?;
-            }
-            Err(e) => return Err(blame(format!("exchange: {e}"))),
+    let (reply, wire) = match exchange(&mut conn) {
+        Ok(done) => done,
+        Err(_) if stats.reused > 0 => {
+            // The pooled conn died since its health check. Evict the peer's
+            // idle conns and redial fresh exactly once.
+            pool.evict(addr);
+            conn = checkout(&mut stats)?;
+            exchange(&mut conn).map_err(|e| blame(format!("exchange: {e}")))?
         }
+        Err(e) => return Err(blame(format!("exchange: {e}"))),
+    };
+    stats.bytes_wire += wire as u64;
+    stats.bytes_raw += (super::wire::HEADER_LEN + reply.v1_payload_len()) as u64;
+    match reply {
+        Message::FetchReply {
+            ready: true,
+            segments,
+        } => {
+            stats.wait_us = started.elapsed().as_micros() as u64;
+            pool.checkin(addr, conn);
+            Ok((segments, stats))
+        }
+        Message::FetchReply { ready: false, .. } => {
+            Err(blame(format!("batch {seq} epoch {epoch} not held")))
+        }
+        other => Err(blame(format!("unexpected reply {}", other.kind()))),
     }
-    Err(blame("bucket never became ready".into()))
 }
 
 /// Accept shuffle connections until `stop`; each connection gets a serving
@@ -697,7 +564,7 @@ fn fetch_remote(
 /// loop goes rather than accumulating until shutdown.
 fn spawn_shuffle_acceptor(
     listener: TcpListener,
-    store: Arc<SharedStore>,
+    store: Arc<Mutex<ShuffleStore>>,
     stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
 ) -> std::thread::JoinHandle<()> {
@@ -740,7 +607,7 @@ fn spawn_shuffle_acceptor(
     })
 }
 
-fn serve_fetches(mut conn: FrameConn, store: Arc<SharedStore>, stop: Arc<AtomicBool>) {
+fn serve_fetches(mut conn: FrameConn, store: Arc<Mutex<ShuffleStore>>, stop: Arc<AtomicBool>) {
     if conn
         .set_read_timeout(Some(WallDuration::from_millis(100)))
         .is_err()
@@ -753,10 +620,7 @@ fn serve_fetches(mut conn: FrameConn, store: Arc<SharedStore>, stop: Arc<AtomicB
         }
         match conn.recv() {
             Ok(Message::Fetch { seq, epoch, bucket }) => {
-                // Long-poll: park until the bucket is ready or the park
-                // deadline passes. The store lock is released before the
-                // reply is encoded and sent.
-                let reply = store.fetch_wait(seq, epoch, bucket, FETCH_PARK, &stop);
+                let reply = store.lock().expect("store lock").fetch(seq, epoch, bucket);
                 if conn.send(&reply).is_err() {
                     return;
                 }
@@ -771,55 +635,169 @@ fn serve_fetches(mut conn: FrameConn, store: Arc<SharedStore>, stop: Arc<AtomicB
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobSpec, MapSpec};
+    use prompt_core::batch::{DataBlock, KeyFragment};
+    use prompt_core::types::{Time, Tuple};
+    use std::net::{Ipv4Addr, SocketAddrV4, TcpStream};
+    use std::sync::mpsc::{Receiver, RecvTimeoutError};
 
-    #[test]
-    fn store_readiness_follows_pending_blocks() {
-        let mut store = ShuffleStore::default();
-        store.begin_block(4, 1);
-        store.begin_block(4, 1);
-        let ordered: ClusterList = vec![(Key(1), (2.0, 2)), (Key(5), (1.0, 1))];
-        assert!(matches!(
-            store.fetch(4, 1, 0),
-            Message::FetchReply { ready: false, .. }
-        ));
-        store.add_block(4, 1, 0, &ordered, &[0, 1]).unwrap();
-        assert!(
-            matches!(
-                store.fetch(4, 1, 0),
-                Message::FetchReply { ready: false, .. }
-            ),
-            "one block still unassigned"
-        );
-        store.add_block(4, 1, 1, &ordered, &[1, 1]).unwrap();
-        match store.fetch(4, 1, 1) {
-            Message::FetchReply { ready, segments } => {
-                assert!(ready);
-                // Bucket 1 got key 5 from block 0 and both keys from block 1.
-                assert_eq!(segments.len(), 2);
-                assert_eq!(segments[0].items, vec![(Key(5), 1.0, 1)]);
-                assert_eq!(segments[1].items, vec![(Key(1), 2.0, 2), (Key(5), 1.0, 1)]);
+    /// A worker thread with the test as its driver: the driver's end of the
+    /// control connection, what the worker sends on it (heartbeats dropped),
+    /// and its shuffle listener.
+    struct ByHand {
+        control: FrameConn,
+        inbound: Receiver<Message>,
+        shuffle: SocketAddrV4,
+        worker: std::thread::JoinHandle<Result<(), NetError>>,
+        reader: std::thread::JoinHandle<()>,
+    }
+
+    impl ByHand {
+        fn launch() -> ByHand {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let worker = std::thread::spawn(move || run_worker(addr, WorkerOptions::new(0)));
+            let mut control = FrameConn::new(listener.accept().unwrap().0, NetCounters::shared());
+            let Message::Register { shuffle_port, .. } = control.recv().unwrap() else {
+                panic!("a worker registers first");
+            };
+            let ack = Message::RegisterAck {
+                worker: 0,
+                heartbeat_ms: 100,
+            };
+            control.send(&ack).unwrap();
+            let mut reader = control.try_clone().unwrap();
+            let (tx, inbound) = std::sync::mpsc::channel();
+            // Ends when the worker closes its end, or the test drops `inbound`.
+            let reader = std::thread::spawn(move || {
+                while let Ok(msg) = reader.recv() {
+                    if !matches!(msg, Message::Heartbeat { .. }) && tx.send(msg).is_err() {
+                        return;
+                    }
+                }
+            });
+            let shuffle = SocketAddrV4::new(Ipv4Addr::LOCALHOST, shuffle_port);
+            ByHand {
+                control,
+                inbound,
+                shuffle,
+                worker,
+                reader,
             }
-            other => panic!("unexpected {other:?}"),
         }
-        // Unknown (seq, epoch) is not ready; GC forgets the batch.
-        assert!(matches!(
-            store.fetch(9, 1, 0),
-            Message::FetchReply { ready: false, .. }
-        ));
-        store.gc(4);
-        assert!(matches!(
-            store.fetch(4, 1, 1),
-            Message::FetchReply { ready: false, .. }
-        ));
+
+        /// Map block 0 of batch `(4, 1)`: keys 1 (2.0 + 0.5) and 5 (1.0).
+        fn send_map_task(&mut self) {
+            let tuples = [(1, 2.0), (5, 1.0), (1, 0.5)]
+                .map(|(k, v)| Tuple::new(Time(1), Key(k), v))
+                .to_vec();
+            let fragments = [(1, 2), (5, 1)]
+                .map(|(k, count)| KeyFragment { key: Key(k), count })
+                .to_vec();
+            let job = JobSpec {
+                map: MapSpec::Identity,
+                reduce: ReduceOp::Sum,
+            };
+            let block = DataBlock { tuples, fragments };
+            let (seq, epoch, block_id) = (4, 1, 0);
+            let task = Message::MapTask {
+                seq,
+                epoch,
+                block_id,
+                job,
+                block,
+            };
+            self.control.send(&task).unwrap();
+        }
+
+        fn send_assignment(&mut self, assignment: Vec<u32>) {
+            let (seq, epoch, block_id) = (4, 1, 0);
+            let assign = Message::ShuffleAssign {
+                seq,
+                epoch,
+                block_id,
+                assignment,
+            };
+            self.control.send(&assign).unwrap();
+        }
+
+        fn next(&self, within: WallDuration) -> Result<Message, RecvTimeoutError> {
+            self.inbound.recv_timeout(within)
+        }
+
+        fn fetch(&self, seq: u64, bucket: u32) -> Message {
+            let stream = TcpStream::connect(self.shuffle).unwrap();
+            let mut conn = FrameConn::new(stream, NetCounters::shared());
+            conn.send(&Message::Fetch {
+                seq,
+                epoch: 1,
+                bucket,
+            })
+            .unwrap();
+            conn.recv().unwrap()
+        }
+
+        fn shut_down(mut self) {
+            self.control.send(&Message::Shutdown).unwrap();
+            self.worker.join().unwrap().unwrap();
+            self.reader.join().unwrap();
+        }
+    }
+
+    /// v4: a block is acked once it is filed, not once it is mapped, so a
+    /// batch whose acks are in is fetchable on the first exchange.
+    #[test]
+    fn a_map_task_is_acked_once_its_assignment_has_filed_it() {
+        let mut w = ByHand::launch();
+        w.send_map_task();
+        let early = w.next(WallDuration::from_millis(300));
+        assert_eq!(early, Err(RecvTimeoutError::Timeout), "acked before filing");
+        w.send_assignment(vec![1, 0]);
+        let ack = w.next(WallDuration::from_secs(5)).unwrap();
+        let (seq, epoch, block_id) = (4, 1, 0);
+        let filed = Message::MapComplete {
+            seq,
+            epoch,
+            block_id,
+        };
+        assert_eq!(ack, filed);
+        let items = vec![(Key(1), 2.5, 2)];
+        let segments = vec![ShuffleSegment { block_id, items }];
+        let ready = true;
+        assert_eq!(w.fetch(4, 1), Message::FetchReply { ready, segments });
+        w.shut_down();
+    }
+
+    /// A source that does not hold the batch says so at once, and the
+    /// fetcher blames it after that one exchange.
+    #[test]
+    fn a_fetch_for_a_batch_the_source_does_not_hold_is_refused_at_once() {
+        let w = ByHand::launch();
+        let started = Instant::now();
+        let segments = Vec::new();
+        let ready = false;
+        assert_eq!(w.fetch(9, 0), Message::FetchReply { ready, segments });
+        assert!(started.elapsed() < WallDuration::from_millis(250));
+
+        let pool = ConnPool::new(RetryPolicy::default(), NetCounters::shared());
+        let src = ShuffleSource {
+            worker: 3,
+            addr: w.shuffle,
+        };
+        let started = Instant::now();
+        let (blamed, detail) = fetch_remote(&pool, &src, 9, 1, 0).unwrap_err();
+        assert!(started.elapsed() < WallDuration::from_millis(250));
+        assert_eq!(blamed, 3);
+        assert!(detail.contains("batch 9 epoch 1 not held"), "{detail}");
+        w.shut_down();
     }
 
     /// A short (or long) assignment would silently drop keys from the answer
-    /// if it were zipped with the clusters: it is refused, and the batch
-    /// never reads as ready on this worker.
+    /// if it were zipped with the clusters: it is refused, nothing of it is
+    /// filed, and the worker answers with an error instead of the ack.
     #[test]
     fn an_assignment_that_does_not_match_its_clusters_is_refused() {
         let mut store = ShuffleStore::default();
-        store.begin_block(4, 1);
         let ordered: ClusterList = vec![(Key(1), (2.0, 2)), (Key(5), (1.0, 1))];
         for bad in [&[0][..], &[], &[0, 1, 1]] {
             let err = store.add_block(4, 1, 0, &ordered, bad).unwrap_err();
@@ -829,46 +807,37 @@ mod tests {
                 Message::FetchReply { ready: false, .. }
             ));
         }
-        // Nothing of a refused assignment was filed.
+        // Filing appends one segment per block to each bucket.
         store.add_block(4, 1, 0, &ordered, &[1, 0]).unwrap();
-        match store.fetch(4, 1, 0) {
-            Message::FetchReply { ready, segments } => {
-                assert!(ready);
-                assert_eq!(segments.len(), 1);
-                assert_eq!(segments[0].items, vec![(Key(5), 1.0, 1)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fetch_wait_parks_until_the_batch_completes() {
-        let shared = Arc::new(SharedStore::default());
-        shared.begin_block(1, 0);
-        let waiter = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let stop = AtomicBool::new(false);
-                shared.fetch_wait(1, 0, 0, WallDuration::from_secs(5), &stop)
-            })
+        store.add_block(4, 1, 1, &ordered, &[1, 1]).unwrap();
+        let Message::FetchReply { ready, segments } = store.fetch(4, 1, 1) else {
+            unreachable!()
         };
-        // Observe the parked state directly instead of racing a sleep
-        // against thread spawn: the waiter count is incremented under the
-        // store lock before the first condvar wait, so reading 1 proves the
-        // fetch is parked — only then is the final block assigned.
-        while shared.waiters() != 1 {
-            std::thread::yield_now();
-        }
-        let ordered: ClusterList = vec![(Key(1), (2.0, 2))];
-        shared.add_block(1, 0, 0, &ordered, &[0]).unwrap();
-        match waiter.join().unwrap() {
-            Message::FetchReply { ready, segments } => {
-                assert!(ready, "park must end when the last block is assigned");
-                assert_eq!(segments.len(), 1);
+        assert!(ready);
+        let items: Vec<_> = segments
+            .iter()
+            .map(|s| (s.block_id, s.items.len()))
+            .collect();
+        assert_eq!(items, [(0, 1), (1, 2)]);
+        store.gc(4);
+        assert!(matches!(
+            store.fetch(4, 1, 1),
+            Message::FetchReply { ready: false, .. }
+        ));
+
+        let mut w = ByHand::launch();
+        w.send_map_task();
+        w.send_assignment(vec![0]);
+        match w.next(WallDuration::from_secs(5)).unwrap() {
+            Message::WorkerError { blame, detail, .. } => {
+                assert_eq!(blame, 0);
+                assert!(detail.contains("block 0"), "{detail}");
             }
-            other => panic!("unexpected {other:?}"),
+            other => panic!("expected the refusal, got {other:?}"),
         }
-        assert_eq!(shared.waiters(), 0, "waiter count must drop on return");
+        let ack = w.next(WallDuration::from_millis(100));
+        assert_eq!(ack, Err(RecvTimeoutError::Timeout), "a refused block acked");
+        w.shut_down();
     }
 
     #[test]
@@ -903,19 +872,5 @@ mod tests {
             WallDuration::from_millis(5)
         );
         assert_eq!(ticker.sleep_hint(ms(950), cap), WallDuration::ZERO);
-    }
-
-    #[test]
-    fn fetch_wait_deadline_answers_not_ready() {
-        let shared = SharedStore::default();
-        shared.begin_block(1, 0);
-        let stop = AtomicBool::new(false);
-        let start = Instant::now();
-        let reply = shared.fetch_wait(1, 0, 0, WallDuration::from_millis(60), &stop);
-        assert!(matches!(reply, Message::FetchReply { ready: false, .. }));
-        assert!(
-            start.elapsed() >= WallDuration::from_millis(55),
-            "must actually park until the deadline"
-        );
     }
 }

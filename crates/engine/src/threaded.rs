@@ -156,9 +156,12 @@ impl ThreadedExecutor {
         let shuffle = t1.elapsed();
 
         let t2 = Instant::now();
-        let (output, stats) = gather_buckets(map_indexed(r, self.threads, |b| {
+        let reduced = map_indexed(r, self.threads, |b| {
             merge_bucket(buckets[b].iter().copied(), job.reduce)
-        }));
+        });
+        // Here a key in two buckets is the plan's bug, not a peer's: panic.
+        let (output, stats) = gather_buckets(reduced)
+            .unwrap_or_else(|(_, k)| panic!("key {k:?} reduced in two buckets"));
         let reduce = t2.elapsed();
         let times = WallTimes {
             map,

@@ -160,9 +160,6 @@ proptest! {
         seq in any::<u64>(),
         epoch in any::<u32>(),
         bucket in any::<u32>(),
-        tuples in any::<u64>(),
-        keys in any::<u64>(),
-        fragments in any::<u64>(),
         aggregates in vec((any::<u64>(), value()), 0..60),
         dialed in any::<u64>(),
         reused in any::<u64>(),
@@ -174,9 +171,6 @@ proptest! {
             seq,
             epoch,
             bucket,
-            tuples,
-            keys,
-            fragments,
             aggregates: aggregates.into_iter().map(|(k, v)| (Key(k), v)).collect(),
             net: FetchStats { dialed, reused, wait_us, bytes_wire, bytes_raw },
         })?;
@@ -221,9 +215,6 @@ proptest! {
             seq,
             epoch: 1,
             bucket: 0,
-            tuples: 10,
-            keys: aggregates.len() as u64,
-            fragments: 10,
             aggregates: aggregates.into_iter().map(|(k, v)| (Key(k), v)).collect(),
             net: FetchStats::default(),
         }
