@@ -223,8 +223,9 @@ impl BlockBuilder {
             .into_iter()
             .map(|(key, count)| KeyFragment { key, count })
             .collect();
-        // Deterministic output regardless of hash-map iteration order.
-        fragments.sort_by_key(|f| f.key.0);
+        // Deterministic output regardless of hash-map iteration order; the
+        // keys are unique, so an unstable sort gives the same order.
+        fragments.sort_unstable_by_key(|f| f.key.0);
         DataBlock {
             tuples: self.tuples,
             fragments,

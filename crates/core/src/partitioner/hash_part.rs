@@ -6,7 +6,7 @@
 //! normalises every other technique against.
 
 use crate::batch::{BlockBuilder, PartitionPlan};
-use crate::hash::bucket_of;
+use crate::hash::{bucket_of, KeySet};
 use crate::partitioner::Partitioner;
 use crate::types::{Interval, Tuple};
 
@@ -41,7 +41,12 @@ impl Partitioner for HashPartitioner {
         for &t in tuples {
             builders[bucket_of(self.seed, t.key, p)].push(t);
         }
-        PartitionPlan::from_blocks(builders.into_iter().map(BlockBuilder::finish).collect())
+        // A key's tuples all hash to one block, so the split-key reference
+        // table is empty by construction: nothing to derive.
+        PartitionPlan {
+            blocks: builders.into_iter().map(BlockBuilder::finish).collect(),
+            split_keys: KeySet::default(),
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Oracle property tests for the three things a plan's consumers used to
-//! re-derive by hashing and now take from the symbolic assignment:
+//! Oracle property tests for the four things a plan's consumers used to
+//! re-derive by hashing and now take from the partitioner:
 //!
 //! 1. Prompt's fragment tables and split-key table — against the hashing
 //!    derivations (`PartitionPlan::from_blocks`, a per-block tuple count, and
@@ -8,7 +8,9 @@
 //! 2. Algorithm 3's Worst-Fit scan — against the pre-table scan, kept here
 //!    verbatim as [`reference_assign`];
 //! 3. `total_keys(blocks, split_keys)` — against a `KeySet` over every
-//!    fragment, for every technique's plan.
+//!    fragment, for every technique's plan;
+//! 4. key grouping's empty split-key table and unstably sorted fragment
+//!    tables — against `PartitionPlan::from_blocks` and a per-block count.
 //!
 //! The vendored proptest shim replays cases by test name, not by seed, so
 //! the regression cases (`plan_derivation_props.proptest-regressions`) are
@@ -17,7 +19,7 @@
 use prompt_core::batch::{total_keys, KeyFragment, MicroBatch, PartitionPlan, SealedBatch};
 use prompt_core::columnar::{ColRange, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{bucket_of, KeyMap, KeySet};
-use prompt_core::partitioner::{PromptPartitioner, Technique};
+use prompt_core::partitioner::{HashPartitioner, Partitioner, PromptPartitioner, Technique};
 use prompt_core::reduce::{KeyCluster, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use proptest::prelude::*;
@@ -324,6 +326,54 @@ proptest! {
                 "{:?} p={}", technique, p
             );
             prop_assert_eq!(plan.total_keys(), counts.len(), "{:?} p={}", technique, p);
+        }
+    }
+
+    /// (4) Key grouping derives no split-key table: its plan equals the one
+    /// `from_blocks` derives from its blocks, and every block's fragment
+    /// table is the per-key count, strictly ascending by key.
+    #[test]
+    fn hash_plans_are_what_from_blocks_would_derive(
+        counts in counts(),
+        p in 1usize..=32,
+        seed in any::<u64>(),
+    ) {
+        check_hash_plan(&arrivals(&counts), p, seed)?;
+    }
+}
+
+/// [`HashPartitioner`]'s plan of `mb` against the derivations it skips.
+fn check_hash_plan(mb: &MicroBatch, p: usize, seed: u64) -> Result<(), TestCaseError> {
+    let plan = HashPartitioner::new(seed).partition(mb, p);
+    prop_assert_eq!(
+        &plan,
+        &PartitionPlan::from_blocks(plan.blocks.clone()),
+        "p={}",
+        p
+    );
+    for (b, block) in plan.blocks.iter().enumerate() {
+        let keys: Vec<u64> = block.fragments.iter().map(|f| f.key.0).collect();
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "block {} order", b);
+        prop_assert_eq!(
+            &block.fragments,
+            &counted_fragments(&block.tuples),
+            "block {}",
+            b
+        );
+    }
+    Ok(())
+}
+
+/// Key grouping's degenerate batches: empty, one tuple, one key holding the
+/// whole batch, and a few keys each holding a third of it.
+#[test]
+fn pinned_hash_plans_of_degenerate_batches() {
+    let one_tuple = [(Key(7), 1)];
+    let one_hot = [(Key(3), 1000)];
+    let all_hot = [(Key(3), 500), (Key(11), 500), (Key(42), 500)];
+    for counts in [&[][..], &one_tuple[..], &one_hot[..], &all_hot[..]] {
+        for p in [1, 2, 5, 32] {
+            check_hash_plan(&arrivals(counts), p, 9).unwrap();
         }
     }
 }

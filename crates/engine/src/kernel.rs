@@ -255,15 +255,18 @@ pub(crate) fn assign_block(
     assignment
 }
 
-/// Reduce one bucket: merge its `(key, partial, tuples)` items per key, in
-/// the order given. Callers present items in block order, then key order
-/// within a block — the one merge sequence that keeps `f64` aggregates
-/// bit-identical across backends.
+/// Reduce one bucket: merge its `n_items` `(key, partial, tuples)` items per
+/// key, in the order given. Callers present items in block order, then key
+/// order within a block — the one merge sequence that keeps `f64` aggregates
+/// bit-identical across backends. The table is sized for `n_items` up front
+/// (a bucket has at most that many keys), so it never grows.
 pub(crate) fn merge_bucket(
     items: impl IntoIterator<Item = (Key, f64, usize)>,
+    n_items: usize,
     op: ReduceOp,
 ) -> (KeyMap<f64>, BucketStats) {
     let mut acc: KeyMap<f64> = KeyMap::default();
+    acc.reserve(n_items);
     let (mut tuples, mut fragments) = (0, 0);
     for (key, value, n) in items {
         tuples += n;
@@ -281,7 +284,9 @@ pub(crate) fn merge_bucket(
 }
 
 /// Gather the reduced buckets, in bucket order, into the batch's output and
-/// per-bucket shuffle statistics.
+/// per-bucket shuffle statistics. The output is sized up front for the sum of
+/// the buckets' key counts: exactly its final size, the buckets being
+/// disjoint.
 ///
 /// A key reduced in two buckets has one bucket's partial for an answer, so
 /// it is `Err((bucket, key))`, naming the later bucket that answered for `key`.
@@ -291,8 +296,10 @@ pub(crate) fn merge_bucket(
 pub(crate) fn gather_buckets<M: IntoIterator<Item = (Key, f64)>>(
     reduced: impl IntoIterator<Item = (M, BucketStats)>,
 ) -> Result<(BatchOutput, Vec<BucketStats>), (usize, Key)> {
+    let reduced: Vec<(M, BucketStats)> = reduced.into_iter().collect();
     let mut aggregates: KeyMap<f64> = KeyMap::default();
-    let mut stats = Vec::new();
+    aggregates.reserve(reduced.iter().map(|(_, s)| s.keys).sum());
+    let mut stats = Vec::with_capacity(reduced.len());
     for (b, (bucket, s)) in reduced.into_iter().enumerate() {
         stats.push(s);
         for (k, v) in bucket {

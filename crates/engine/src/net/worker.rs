@@ -467,13 +467,10 @@ fn reduce_bucket(
 
     // Global block order, then within-block key order: the serial engine's
     // exact merge sequence (bit-identical f64 results).
-    let items = partials
-        .into_inner()
-        .expect("partials lock")
-        .into_values()
-        .flatten()
-        .map(|(key, value, n)| (key, value, n as usize));
-    let (acc, _) = merge_bucket(items, reduce);
+    let partials = partials.into_inner().expect("partials lock");
+    let n_items = partials.values().map(Vec::len).sum();
+    let items = (partials.into_values().flatten()).map(|(key, value, n)| (key, value, n as usize));
+    let (acc, _) = merge_bucket(items, n_items, reduce);
     let mut aggregates: Vec<(Key, f64)> = acc.into_iter().collect();
     aggregates.sort_unstable_by_key(|&(k, _)| k.0);
     Ok(Message::ReduceComplete {

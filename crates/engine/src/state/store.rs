@@ -325,11 +325,14 @@ impl KeyedStateStore {
 
     /// The current window aggregate (incremental when invertible, recomputed
     /// from the panes otherwise) — per-key bits identical to
-    /// `WindowState::current`.
+    /// `WindowState::current`. An emission is retained by the caller, so the
+    /// incremental map is sized exactly: the shards' running entries are its
+    /// keys.
     pub fn current(&self) -> KeyMap<f64> {
         let op = self.op;
         let mut acc: KeyMap<f64> = KeyMap::default();
         if op.invertible() {
+            acc.reserve(self.shards.iter().map(|s| s.running.len()).sum());
             for shard in &self.shards {
                 for (&k, &(v, _)) in &shard.running {
                     acc.insert(k, v);
@@ -408,16 +411,24 @@ pub fn put_shard<S: BytesSink>(s: &mut S, shard: &StateShard) {
 /// Decode one shard.
 pub fn get_shard(r: &mut ByteReader<'_>) -> Result<StateShard, CodecError> {
     let bucket = r.get_u32()?;
+    // `get_len` bounds the count by the bytes left, so it may size the map.
     let n_running = r.get_len(20)?;
     let mut running = KeyMap::default();
+    running.reserve(n_running);
+    let mut last: Option<u64> = None;
     for _ in 0..n_running {
-        let k = Key(r.get_u64()?);
+        let k = r.get_u64()?;
+        // A key listed twice would keep its second value.
+        if last.is_some_and(|p| p >= k) {
+            return Err(CodecError::Malformed("running keys not strictly sorted"));
+        }
+        last = Some(k);
         let v = r.get_f64()?;
         let c = r.get_u32()?;
         if c == 0 {
             return Err(CodecError::Malformed("zero contribution count"));
         }
-        running.insert(k, (v, c));
+        running.insert(Key(k), (v, c));
     }
     let n_panes = r.get_len(4)?;
     let mut panes = VecDeque::with_capacity(n_panes);

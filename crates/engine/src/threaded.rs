@@ -157,7 +157,7 @@ impl ThreadedExecutor {
 
         let t2 = Instant::now();
         let reduced = map_indexed(r, self.threads, |b| {
-            merge_bucket(buckets[b].iter().copied(), job.reduce)
+            merge_bucket(buckets[b].iter().copied(), buckets[b].len(), job.reduce)
         });
         // Here a key in two buckets is the plan's bug, not a peer's: panic.
         let (output, stats) = gather_buckets(reduced)

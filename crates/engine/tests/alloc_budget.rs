@@ -1,0 +1,215 @@
+//! A deterministic allocation budget for the batch path.
+//!
+//! A counting global allocator tallies, per thread, every allocation (and
+//! every reallocation) of at least [`LARGE`] bytes: the per-key tables a
+//! batch builds — fragment tables, bucket merges, the gather, the store's
+//! panes and emissions — and every time one of them grows. The engine runs
+//! two benchmark shapes on `Backend::InProcess`, which executes every stage
+//! on the calling thread; the counters are thread-local, so the checkpoint
+//! compactor and tests running alongside are not counted. The allocation
+//! sequence is a function of the input alone, so the budgets below are exact
+//! measurements, not timings: a table that starts growing from empty again
+//! fails here, whatever the host.
+//!
+//! 250k- and 500k-tuple batches are too slow for a debug tier-1 run; CI runs
+//! this file with `cargo test -p prompt-engine --release --test alloc_budget`.
+//!
+//! After an intended change to the batch path's allocations, run the test and
+//! copy the measurement its failure message prints.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use prompt_core::hash::mix64;
+use prompt_core::partitioner::Technique;
+use prompt_core::types::{Duration, Interval, Key, Time, Tuple};
+use prompt_engine::prelude::*;
+
+/// The smallest allocation counted: 4k per-key entries of 16 bytes.
+const LARGE: usize = 64 << 10;
+
+thread_local! {
+    /// `(allocations, bytes)` of at least [`LARGE`] bytes on this thread.
+    static LARGE_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn tally(size: usize) {
+    if size >= LARGE {
+        // A thread being torn down has no counter left; nothing to count.
+        let _ = LARGE_ALLOCS.try_with(|c| {
+            let (n, bytes) = c.get();
+            c.set((n + 1, bytes + size as u64));
+        });
+    }
+}
+
+struct Counting;
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Batches run before counting starts: the window and the store's running
+/// maps are full, and the checkpointer has taken its first snapshot.
+const WARMUP: usize = 8;
+/// Batches counted: two of the store's snapshot cadences.
+const MEASURED: usize = 8;
+
+/// A seeded stream, `n` tuples an interval over `keys` keys, drawn uniformly
+/// or by a Zipf(1) CDF; it records this thread's counters each time the
+/// engine asks for a batch, so consecutive records bracket one batch.
+struct Stream {
+    n: usize,
+    keys: u64,
+    cdf: Option<Vec<f64>>,
+    seed: u64,
+    marks: Vec<(u64, u64)>,
+}
+
+impl Stream {
+    fn new(n: usize, keys: u64, zipf: bool, seed: u64) -> Stream {
+        let cdf = zipf.then(|| {
+            let mut acc = 0.0;
+            (1..=keys)
+                .map(|rank| {
+                    acc += 1.0 / rank as f64;
+                    acc
+                })
+                .collect()
+        });
+        Stream {
+            n,
+            keys,
+            cdf,
+            seed,
+            marks: Vec::with_capacity(WARMUP + MEASURED + 1),
+        }
+    }
+
+    /// `(allocations, bytes)` per measured batch, averaged.
+    fn per_batch(&self) -> (u64, u64) {
+        let (a, b) = (self.marks[WARMUP], self.marks[WARMUP + MEASURED]);
+        let n = MEASURED as u64;
+        ((b.0 - a.0) / n, (b.1 - a.1) / n)
+    }
+}
+
+impl TupleSource for Stream {
+    fn fill(&mut self, iv: Interval, out: &mut Vec<Tuple>) {
+        self.marks.push(LARGE_ALLOCS.with(Cell::get));
+        let step = iv.len().0 / (self.n as u64 + 1);
+        for i in 0..self.n as u64 {
+            let r = mix64(self.seed ^ mix64(iv.start.0 + i));
+            let rank = match &self.cdf {
+                None => r % self.keys,
+                Some(cdf) => {
+                    let u = (r >> 11) as f64 / (1u64 << 53) as f64 * cdf[cdf.len() - 1];
+                    cdf.partition_point(|&c| c <= u).min(cdf.len() - 1) as u64
+                }
+            };
+            out.push(Tuple::new(
+                Time(iv.start.0 + step * (i + 1)),
+                Key(mix64(rank) >> 20),
+                (i % 16) as f64,
+            ));
+        }
+    }
+}
+
+/// Run `technique` over `stream` at `p = r = 16` on the calling thread and
+/// return the per-batch large allocations of the measured batches.
+fn measure(
+    technique: Technique,
+    op: ReduceOp,
+    window: (u64, u64),
+    checkpoint: Option<CheckpointConfig>,
+    mut stream: Stream,
+) -> (u64, u64) {
+    let cfg = EngineConfig {
+        batch_interval: Duration::from_secs(1),
+        map_tasks: 16,
+        reduce_tasks: 16,
+        cluster: Cluster::new(2, 8),
+        backend: Backend::InProcess,
+        checkpoint,
+        ..EngineConfig::default()
+    };
+    let spec = WindowSpec::sliding(Duration::from_secs(window.0), Duration::from_secs(window.1));
+    let mut engine =
+        StreamingEngine::new(cfg, technique, 7, Job::identity("budget", op)).with_window(spec);
+    let result = engine.run(&mut stream, WARMUP + MEASURED + 1);
+    assert_eq!(result.batches.len(), WARMUP + MEASURED + 1);
+    stream.per_batch()
+}
+
+/// `got` within `budget`, or a failure that prints the measurement.
+fn assert_within(shape: &str, got: (u64, u64), budget: (u64, u64)) {
+    let mib = |b: u64| b as f64 / (1 << 20) as f64;
+    println!(
+        "{shape}: {} allocations of ≥ 64 KiB per batch, {:.1} MiB",
+        got.0,
+        mib(got.1)
+    );
+    assert!(
+        got.0 <= budget.0 && got.1 <= budget.1,
+        "{shape}: {} allocations ({:.1} MiB) of ≥ 64 KiB per batch, over the budget of {} \
+         ({:.1} MiB); measured {got:?}",
+        got.0,
+        mib(got.1),
+        budget.0,
+        mib(budget.1),
+    );
+}
+
+/// `uniform_state`: Hash over 250k tuples of 500k uniform keys, a sliding
+/// 4/1 Sum in the durable keyed store, committed every batch and snapshotted
+/// every fourth commit.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "250k-tuple batches: run with --release")]
+fn uniform_state_stays_within_its_allocation_budget() {
+    let dir = std::env::temp_dir().join(format!("prompt-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ckpt = CheckpointConfig::new(&dir).interval(1).snapshot_every(4);
+    let stream = Stream::new(250_000, 500_000, false, 0x5eed);
+    let got = measure(Technique::Hash, ReduceOp::Sum, (4, 1), Some(ckpt), stream);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_within("uniform_state", got, UNIFORM_BUDGET);
+}
+
+/// `zipf_inproc`: Prompt over 500k tuples of 100k Zipf(1) keys, a tumbling
+/// 2-batch Count, no checkpoint.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
+fn zipf_inproc_stays_within_its_allocation_budget() {
+    let stream = Stream::new(500_000, 100_000, true, 0x5eed);
+    let got = measure(Technique::Prompt, ReduceOp::Count, (2, 2), None, stream);
+    assert_within("zipf_inproc", got, ZIPF_BUDGET);
+}
+
+/// `(allocations, bytes)` per batch. Measured: 268 and 78.7 MiB, against 336
+/// and 105.9 MiB while the gather, the bucket merges and the emission grew
+/// their tables from empty. The slack absorbs a toolchain's different growth
+/// policy, not run-to-run noise: there is none.
+const UNIFORM_BUDGET: (u64, u64) = (280, 85 << 20);
+/// Measured: 149 and 44.0 MiB, against 166 and 46.8 MiB.
+const ZIPF_BUDGET: (u64, u64) = (155, 45 << 20);

@@ -638,6 +638,59 @@ proptest! {
     }
 }
 
+/// A CRC-valid snapshot whose running table lists key 5 twice — 3.0, then
+/// 99.0 — over a pane holding 3.0. Its contribution count matches the pane,
+/// so only the decoder's order check stands between it and a window reading
+/// 99.0.
+#[test]
+fn a_running_key_listed_twice_is_malformed() {
+    let mut w = ByteWriter::new();
+    // Store header: Sum over a one-batch window, one batch pushed, one shard.
+    w.put_u8(ReduceOp::Sum.wire_code());
+    w.put_u32(1);
+    w.put_u32(1);
+    w.put_u64(1);
+    w.put_u32(0);
+    w.put_u32(1);
+    // Shard 0: two running entries for key 5, then one pane.
+    w.put_u32(0);
+    w.put_u32(2);
+    for v in [3.0, 99.0] {
+        w.put_u64(5);
+        w.put_f64(v);
+        w.put_u32(1);
+    }
+    w.put_u32(1);
+    w.put_u32(1);
+    w.put_u64(5);
+    w.put_f64(3.0);
+    let dir = case_dir("running-dup");
+    let gen = 1;
+    std::fs::write(
+        dir.join(format!("snapshot-{gen}.ckpt")),
+        encode_frame(frame_kind::SNAPSHOT, w.as_bytes()),
+    )
+    .unwrap();
+    let epoch = (gen, 0, 0);
+    std::fs::write(
+        dir.join("MANIFEST"),
+        encode_frame(frame_kind::MANIFEST, &manifest_payload(0, epoch, epoch)),
+    )
+    .unwrap();
+    let restored = restore(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    match restored {
+        Err(CheckpointError::Codec(CodecError::Malformed(what))) => {
+            assert_eq!(what, "running keys not strictly sorted")
+        }
+        Ok(Some(state)) => panic!(
+            "restored a window reading {:?}",
+            state.store.current().get(&Key(5))
+        ),
+        other => panic!("{other:?}"),
+    }
+}
+
 #[test]
 fn frame_header_matches_layout() {
     // magic u32 + version u8 + kind u8 + payload-len u32, then a CRC u32.
