@@ -110,16 +110,22 @@ impl ArrivalLog {
     }
 
     /// The heartbeat: lay the key groups out back to back in `order` (every
-    /// key of the batch, once), sized by `count_of(slot)`; scatter the log
-    /// once into that arena, each tuple to its group's next free index, so
-    /// groups keep arrival order; and forget the batch, keeping every
-    /// allocation for the next one.
-    fn seal(
+    /// key of the batch, once), sized by `count_of(slot)`, from index `base`
+    /// of the batch's whole arena; get this log's slice of that arena, its
+    /// length exactly the log's, from `arena(log)`; scatter the log once into
+    /// it, each tuple to its group's next free index, so groups keep arrival
+    /// order and every entry is overwritten; and forget the batch, keeping
+    /// every allocation for the next one. Returns the groups, offsets counted
+    /// from `base`, and the arena. `arena` runs after the layout, so a copy
+    /// of the log made there is still in cache when the scatter reads the
+    /// log again.
+    fn scatter_into<A: AsMut<[Tuple]>>(
         &mut self,
         order: impl Iterator<Item = Key>,
         count_of: impl Fn(usize) -> usize,
-        interval: Interval,
-    ) -> SealedBatch {
+        base: usize,
+        arena: impl FnOnce(&[Tuple]) -> A,
+    ) -> (Vec<KeyGroup>, A) {
         self.cursors.clear();
         self.cursors.resize(self.slots.len(), 0);
         let mut offset = 0;
@@ -129,7 +135,7 @@ impl ArrivalLog {
                 let group = KeyGroup {
                     key,
                     count: count_of(slot),
-                    offset,
+                    offset: base + offset,
                 };
                 self.cursors[slot] = offset;
                 offset += group.count;
@@ -139,18 +145,23 @@ impl ArrivalLog {
         debug_assert_eq!(groups.len(), self.slots.len(), "order misses keys");
         debug_assert_eq!(offset, self.tuples.len(), "counts miss tuples");
 
-        // Start from a copy of the log; the scatter overwrites every entry.
-        let mut arena = self.tuples.clone();
+        let mut arena = arena(&self.tuples);
+        let slice = arena.as_mut();
+        assert_eq!(
+            slice.len(),
+            self.tuples.len(),
+            "arena slice is not the batch's size"
+        );
         for (t, &slot) in self.tuples.iter().zip(&self.slot_of) {
             let at = &mut self.cursors[slot as usize];
-            arena[*at] = *t;
+            slice[*at] = *t;
             *at += 1;
         }
 
         self.slots.clear();
         self.tuples.clear();
         self.slot_of.clear();
-        SealedBatch::new(groups, arena, interval)
+        (groups, arena)
     }
 }
 
@@ -214,15 +225,25 @@ pub trait BatchAccumulator: std::fmt::Debug + Send {
     /// next interval.
     fn seal(&mut self, next_interval: Interval) -> SealedBatch;
 
+    /// [`BatchAccumulator::seal`] into a caller's slice: scatter the batch
+    /// into `arena`, exactly [`BatchStats::n_tuples`] long and overwritten
+    /// whatever it holds, which starts at index `base` of the batch's whole
+    /// arena. Returns the groups in seal order, offsets counted from `base`,
+    /// and the interval the batch was buffered over; resets like `seal`.
+    fn seal_into(
+        &mut self,
+        arena: &mut [Tuple],
+        base: usize,
+        next_interval: Interval,
+    ) -> (Vec<KeyGroup>, Interval);
+
     /// Move the (empty) accumulator to another batch interval, when the one
     /// given to the previous `seal` turned out not to be the next batch's.
     fn set_interval(&mut self, interval: Interval);
 
     /// Seal into the columnar (struct-of-arrays) layout: the same group order
     /// and per-group tuple order as [`BatchAccumulator::seal`], with the
-    /// arena split into columns. The default converts the row seal; the
-    /// sharded accumulator overrides it to merge its shards straight into
-    /// the columns.
+    /// arena split into columns laid out in group order.
     fn seal_columnar(&mut self, next_interval: Interval) -> ColumnarSealed {
         ColumnarSealed::from_sealed(&self.seal(next_interval))
     }
@@ -267,6 +288,33 @@ impl FrequencyAwareAccumulator {
     /// Direct read-only access to the count tree (tests, diagnostics).
     pub fn tree(&self) -> &CountTree {
         &self.tree
+    }
+
+    /// The heartbeat in tree order (`ArrivalLog::scatter_into`), then the
+    /// reset for `next_interval`. Returns the groups, the arena and the
+    /// interval the batch was buffered over.
+    fn seal_with<A: AsMut<[Tuple]>>(
+        &mut self,
+        base: usize,
+        next_interval: Interval,
+        arena: impl FnOnce(&[Tuple]) -> A,
+    ) -> (Vec<KeyGroup>, A, Interval) {
+        // The traversal yields keys in quasi-descending frequency order; the
+        // groups carry the *exact* counts from the `HTable`.
+        debug_assert_eq!(self.tree.len(), self.log.n_keys(), "tree and HTable differ");
+        let entries = &self.entries;
+        let (groups, arena) = self.log.scatter_into(
+            self.tree.iter_desc().map(|(key, _)| key),
+            |slot| entries[slot].freq_current as usize,
+            base,
+            arena,
+        );
+        // HTable and CountTree are cleared at every heartbeat (§4.1).
+        self.entries.clear();
+        self.tree.clear();
+        self.tree_updates = 0;
+        let interval = std::mem::replace(&mut self.interval, next_interval);
+        (groups, arena, interval)
     }
 }
 
@@ -328,21 +376,19 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
     }
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        // The traversal yields keys in quasi-descending frequency order; the
-        // groups carry the *exact* counts from the `HTable`.
-        debug_assert_eq!(self.tree.len(), self.log.n_keys(), "tree and HTable differ");
-        let entries = &self.entries;
-        let sealed = self.log.seal(
-            self.tree.iter_desc().map(|(key, _)| key),
-            |slot| entries[slot].freq_current as usize,
-            self.interval,
-        );
-        // HTable and CountTree are cleared at every heartbeat (§4.1).
-        self.entries.clear();
-        self.tree.clear();
-        self.tree_updates = 0;
-        self.interval = next_interval;
-        sealed
+        // Scatter into a copy of the log; the scatter overwrites every entry.
+        let (groups, arena, interval) = self.seal_with(0, next_interval, <[Tuple]>::to_vec);
+        SealedBatch::new(groups, arena, interval)
+    }
+
+    fn seal_into(
+        &mut self,
+        arena: &mut [Tuple],
+        base: usize,
+        next_interval: Interval,
+    ) -> (Vec<KeyGroup>, Interval) {
+        let (groups, _, interval) = self.seal_with(base, next_interval, |_| arena);
+        (groups, interval)
     }
 
     fn set_interval(&mut self, interval: Interval) {
@@ -380,6 +426,33 @@ impl PostSortAccumulator {
             ..PostSortAccumulator::default()
         }
     }
+
+    /// The heartbeat in sorted order (`ArrivalLog::scatter_into`), then the
+    /// reset for `next_interval`. Returns the groups, the arena and the
+    /// interval the batch was buffered over.
+    fn seal_with<A: AsMut<[Tuple]>>(
+        &mut self,
+        base: usize,
+        next_interval: Interval,
+        arena: impl FnOnce(&[Tuple]) -> A,
+    ) -> (Vec<KeyGroup>, A, Interval) {
+        // The sort the frequency-aware accumulator avoids: every key, by
+        // exact `(count desc, key asc)`.
+        let counts = &self.counts;
+        let mut order: Vec<(usize, Key)> = (self.log.slots.iter())
+            .map(|(&key, &slot)| (counts[slot as usize], key))
+            .collect();
+        order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let (groups, arena) = self.log.scatter_into(
+            order.into_iter().map(|(_, key)| key),
+            |slot| counts[slot],
+            base,
+            arena,
+        );
+        self.counts.clear();
+        let interval = std::mem::replace(&mut self.interval, next_interval);
+        (groups, arena, interval)
+    }
 }
 
 impl BatchAccumulator for PostSortAccumulator {
@@ -393,21 +466,19 @@ impl BatchAccumulator for PostSortAccumulator {
     }
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        // The sort the frequency-aware accumulator avoids: every key, by
-        // exact `(count desc, key asc)`.
-        let counts = &self.counts;
-        let mut order: Vec<(usize, Key)> = (self.log.slots.iter())
-            .map(|(&key, &slot)| (counts[slot as usize], key))
-            .collect();
-        order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let sealed = self.log.seal(
-            order.into_iter().map(|(_, key)| key),
-            |slot| counts[slot],
-            self.interval,
-        );
-        self.counts.clear();
-        self.interval = next_interval;
-        sealed
+        // Scatter into a copy of the log; the scatter overwrites every entry.
+        let (groups, arena, interval) = self.seal_with(0, next_interval, <[Tuple]>::to_vec);
+        SealedBatch::new(groups, arena, interval)
+    }
+
+    fn seal_into(
+        &mut self,
+        arena: &mut [Tuple],
+        base: usize,
+        next_interval: Interval,
+    ) -> (Vec<KeyGroup>, Interval) {
+        let (groups, _, interval) = self.seal_with(base, next_interval, |_| arena);
+        (groups, interval)
     }
 
     fn set_interval(&mut self, interval: Interval) {

@@ -20,6 +20,11 @@
 //!   shard, so each shard sees exactly the sub-stream it would see under
 //!   serial ingest, in the same order. The sealed output is bit-identical
 //!   to serially ingesting the same tuples, regardless of thread count.
+//! * **The seal is parallel and in place.** One arena holds the whole batch,
+//!   split into one slice per shard; on the same workers, each shard sorts
+//!   its keys and scatters its log into its own slice. A group's tuples stay
+//!   contiguous, in arrival order, in its shard's slice, so the arena is not
+//!   in group order — only the group descriptors are merged.
 //! * **Exact shards: any shard count ≡ the serial seal.** At seal the
 //!   per-shard group lists are combined by a k-way merge on exact
 //!   `(count desc, key asc)`. [`ShardedAccumulator::exact`]'s shards are
@@ -37,15 +42,15 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::batch::{KeyGroup, SealedBatch};
 use crate::buffering::{
     AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator, PostSortAccumulator,
 };
-use crate::columnar::{ColRange, ColumnarBatch, ColumnarSealed};
 use crate::hash::bucket_of;
 use crate::par::map_indexed;
-use crate::types::{Interval, Key, Tuple};
+use crate::types::{Interval, Key, Time, Tuple};
 
 /// Fixed routing seed: shard placement is part of the accumulator's
 /// deterministic behaviour, not a per-run random choice.
@@ -65,18 +70,27 @@ fn shard_estimates(est_tuples: f64, avg_keys: f64, n_shards: usize) -> (f64, f64
 #[derive(Clone, Debug)]
 pub struct ShardedAccumulator<A = FrequencyAwareAccumulator> {
     shards: Vec<A>,
+    /// The workers the last [`ShardedAccumulator::par_ingest`] ran on; the
+    /// seal runs on as many.
+    threads: usize,
+}
+
+impl<A> ShardedAccumulator<A> {
+    fn with_shards(shards: Vec<A>) -> Self {
+        assert!(!shards.is_empty(), "need at least one shard");
+        ShardedAccumulator { shards, threads: 1 }
+    }
 }
 
 impl ShardedAccumulator<PostSortAccumulator> {
     /// `n_shards` exact shards: seals the batch the serial
     /// [`PostSortAccumulator`] seals, whatever `n_shards` is.
     pub fn exact(n_shards: usize, interval: Interval) -> Self {
-        assert!(n_shards >= 1, "need at least one shard");
-        ShardedAccumulator {
-            shards: (0..n_shards)
+        Self::with_shards(
+            (0..n_shards)
                 .map(|_| PostSortAccumulator::new(interval))
                 .collect(),
-        }
+        )
     }
 }
 
@@ -84,18 +98,17 @@ impl ShardedAccumulator<FrequencyAwareAccumulator> {
     /// Create an accumulator with `n_shards` independent Algorithm 1
     /// instances, each seeded with its share of the estimates.
     pub fn new(cfg: AccumulatorConfig, n_shards: usize, interval: Interval) -> Self {
-        assert!(n_shards >= 1, "need at least one shard");
         let (est_tuples, avg_keys) = shard_estimates(cfg.est_tuples, cfg.avg_keys, n_shards);
         let shard_cfg = AccumulatorConfig {
             budget: cfg.budget,
             est_tuples,
             avg_keys,
         };
-        ShardedAccumulator {
-            shards: (0..n_shards)
+        Self::with_shards(
+            (0..n_shards)
                 .map(|_| FrequencyAwareAccumulator::new(shard_cfg, interval))
                 .collect(),
-        }
+        )
     }
 }
 
@@ -111,11 +124,11 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
     /// (one hash and one copy per tuple), then ingest each shard's
     /// sub-stream on the worker owning it. Scattering preserves arrival
     /// order within every shard, so the result is bit-identical to serial
-    /// ingest for any thread count.
+    /// ingest for any thread count. The next seal runs on as many workers.
     pub fn par_ingest(&mut self, tuples: &[Tuple], threads: usize) {
         let n_shards = self.shards.len();
-        let threads = threads.clamp(1, n_shards);
-        if threads == 1 {
+        self.threads = threads.clamp(1, n_shards);
+        if self.threads == 1 {
             for &t in tuples {
                 self.ingest(t);
             }
@@ -126,9 +139,9 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         // concatenation of a shard's runs is the stable sub-stream serial
         // ingest would deliver, whatever the chunk boundaries.
         let chunks: Vec<&[Tuple]> = tuples
-            .chunks(tuples.len().div_ceil(threads).max(1))
+            .chunks(tuples.len().div_ceil(self.threads).max(1))
             .collect();
-        let runs: Vec<Vec<Vec<Tuple>>> = map_indexed(chunks.len(), threads, |c| {
+        let runs: Vec<Vec<Vec<Tuple>>> = map_indexed(chunks.len(), self.threads, |c| {
             let chunk = chunks[c];
             let mut runs = vec![Vec::with_capacity(chunk.len() / n_shards + 1); n_shards];
             for &t in chunk {
@@ -136,44 +149,75 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
             }
             runs
         });
-        // Phase 2 (parallel): each worker owns a contiguous shard range and
-        // ingests its shards' runs in chunk (= arrival) order.
-        let shard_chunk = n_shards.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, shard_range) in self.shards.chunks_mut(shard_chunk).enumerate() {
-                let base = ci * shard_chunk;
-                let runs = &runs;
-                scope.spawn(move || {
-                    for (i, shard) in shard_range.iter_mut().enumerate() {
-                        for chunk_runs in runs {
-                            for &t in &chunk_runs[base + i] {
-                                shard.ingest(t);
-                            }
-                        }
-                    }
-                });
+        // Phase 2 (parallel): each shard ingests its runs in chunk (=
+        // arrival) order on the worker owning it.
+        per_shard(&mut self.shards, self.threads, |si, shard| {
+            for &t in runs.iter().flat_map(|chunk_runs| &chunk_runs[si]) {
+                shard.ingest(t);
             }
         });
     }
 }
 
+/// `n` shards split over `min(threads, n)` workers (at least one), as
+/// contiguous ranges in shard order whose sizes differ by at most one.
+fn shard_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
+    let workers = threads.clamp(1, n.max(1));
+    let (size, longer) = (n / workers, n % workers);
+    let mut start = 0;
+    (0..workers)
+        .map(|w| {
+            let range = start..start + size + usize::from(w < longer);
+            start = range.end;
+            range
+        })
+        .collect()
+}
+
+/// `f(i, &mut items[i])` for every item, in index order, with each worker of
+/// [`shard_ranges`] owning its contiguous range of items exclusively. With
+/// one worker nothing is spawned.
+fn per_shard<S: Send, R: Send>(
+    items: &mut [S],
+    threads: usize,
+    f: impl Fn(usize, &mut S) -> R + Sync,
+) -> Vec<R> {
+    let ranges = shard_ranges(items.len(), threads);
+    if ranges.len() == 1 {
+        return items.iter_mut().enumerate().map(|(i, s)| f(i, s)).collect();
+    }
+    let (f, mut rest) = (&f, items);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (ranges.into_iter())
+            .map(|range| {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                scope.spawn(move || range.zip(mine).map(|(i, s)| f(i, s)).collect::<Vec<R>>())
+            })
+            .collect();
+        (workers.into_iter())
+            .flat_map(|w| w.join().expect("shard worker panicked"))
+            .collect()
+    })
+}
+
 /// The k-way merge of the shards' group lists on exact
-/// `(count desc, key asc)`, as `(shard, group)` indices. Keys are unique
-/// across shards, so the heap order is total and the merge deterministic; it
-/// keeps each shard's own order, so lists already sorted on that order merge
-/// into the global sort.
-fn merge_order(shards: &[SealedBatch]) -> Vec<(usize, usize)> {
+/// `(count desc, key asc)`. Keys are unique across shards, so the heap order
+/// is total and the merge deterministic; it keeps each shard's own order, so
+/// lists already sorted on that order merge into the global sort. Only the
+/// descriptors move: each group keeps the arena range its shard scattered.
+fn merge_order(lists: &[Vec<KeyGroup>]) -> Vec<KeyGroup> {
     let head = |si: usize, gi: usize| {
-        let g = shards[si].groups.get(gi)?;
+        let g = lists[si].get(gi)?;
         Some((g.count, Reverse(g.key.0), si, gi))
     };
-    let mut heap: BinaryHeap<_> = (0..shards.len()).filter_map(|si| head(si, 0)).collect();
-    let mut order = Vec::with_capacity(shards.iter().map(SealedBatch::n_keys).sum());
+    let mut heap: BinaryHeap<_> = (0..lists.len()).filter_map(|si| head(si, 0)).collect();
+    let mut merged = Vec::with_capacity(lists.iter().map(Vec::len).sum());
     while let Some((_, _, si, gi)) = heap.pop() {
-        order.push((si, gi));
+        merged.push(lists[si][gi]);
         heap.extend(head(si, gi + 1));
     }
-    order
+    merged
 }
 
 impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
@@ -199,41 +243,41 @@ impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
     }
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        let shards: Vec<SealedBatch> = (self.shards.iter_mut())
-            .map(|s| s.seal(next_interval))
-            .collect();
-        let mut arena = Vec::with_capacity(shards.iter().map(|s| s.n_tuples).sum());
-        let groups = merge_order(&shards)
-            .into_iter()
-            .map(|(si, gi)| {
-                let offset = arena.len();
-                arena.extend_from_slice(shards[si].tuples(gi));
-                KeyGroup {
-                    offset,
-                    ..shards[si].groups[gi]
-                }
-            })
-            .collect();
-        SealedBatch::new(groups, arena, shards[0].interval)
+        // One arena for the whole batch. What it is filled with is never
+        // read: every shard's scatter overwrites all of its slice.
+        let n_tuples = self.stats().n_tuples as usize;
+        let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); n_tuples];
+        let (groups, interval) = self.seal_into(&mut arena, 0, next_interval);
+        SealedBatch::new(groups, arena, interval)
     }
 
-    fn seal_columnar(&mut self, next_interval: Interval) -> ColumnarSealed {
-        // Identical merge order to `seal`, with the merged groups' ranges
-        // split into the three columns of one arena.
-        let shards: Vec<SealedBatch> = (self.shards.iter_mut())
-            .map(|s| s.seal(next_interval))
-            .collect();
-        let mut arena = ColumnarBatch::with_capacity(shards.iter().map(|s| s.n_tuples).sum());
-        let groups = merge_order(&shards)
-            .into_iter()
-            .map(|(si, gi)| {
-                let offset = arena.len();
-                arena.extend_from_tuples(shards[si].tuples(gi));
-                let g = &shards[si].groups[gi];
-                (g.key, ColRange::new(offset, g.count))
-            })
-            .collect();
-        ColumnarSealed::new(std::sync::Arc::new(arena), groups, shards[0].interval)
+    /// Each shard sorts its keys and scatters its log into its own slice of
+    /// `arena`, in parallel; then the shards' group lists merge.
+    fn seal_into(
+        &mut self,
+        arena: &mut [Tuple],
+        base: usize,
+        next_interval: Interval,
+    ) -> (Vec<KeyGroup>, Interval) {
+        assert_eq!(
+            arena.len() as u64,
+            self.stats().n_tuples,
+            "arena slice is not the batch's size"
+        );
+        let (mut rest, mut at) = (arena, base);
+        let mut slices = Vec::with_capacity(self.shards.len());
+        for shard in &mut self.shards {
+            let len = shard.stats().n_tuples as usize;
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            slices.push((shard, mine, at));
+            (rest, at) = (tail, at + len);
+        }
+        let sealed = per_shard(&mut slices, self.threads, |_, (shard, slice, base)| {
+            shard.seal_into(slice, *base, next_interval)
+        });
+        let interval = sealed[0].1;
+        let lists: Vec<Vec<KeyGroup>> = sealed.into_iter().map(|(groups, _)| groups).collect();
+        (merge_order(&lists), interval)
     }
 
     fn set_interval(&mut self, interval: Interval) {
@@ -390,6 +434,45 @@ mod tests {
             let a = row.seal(interval_secs(1, 2));
             let b = col.seal_columnar(interval_secs(1, 2));
             assert_eq!(b.to_sealed(), a, "{n_shards} shards");
+        }
+    }
+
+    #[test]
+    fn shard_ranges_keep_every_worker_busy() {
+        for n in 1..=8 {
+            for threads in 1..=9 {
+                let ranges = shard_ranges(n, threads);
+                assert_eq!(
+                    ranges.len(),
+                    threads.min(n),
+                    "{n} shards / {threads} threads"
+                );
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[ranges.len() - 1].end, n);
+                assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+                let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
+                let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(*lo >= 1 && hi - lo <= 1, "{n} / {threads}: {lens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_shard_runs_every_item_once_in_index_order() {
+        for threads in [1, 2, 3, 8] {
+            let mut items: Vec<usize> = (0..7).collect();
+            let out = per_shard(&mut items, threads, |i, x| {
+                *x += 10;
+                (i, std::thread::current().id())
+            });
+            assert_eq!(items, (10..17).collect::<Vec<_>>());
+            assert!(out.iter().enumerate().all(|(i, &(j, _))| i == j));
+            let me = std::thread::current().id();
+            assert_eq!(
+                out.iter().all(|&(_, id)| id == me),
+                threads == 1,
+                "{threads}"
+            );
         }
     }
 

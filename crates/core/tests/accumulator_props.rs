@@ -1,8 +1,8 @@
 //! Property-based tests of the batching-phase accumulators: the budgeted
 //! frequency-aware one (Algorithm 1) against the exact post-sort one and
 //! against a tree-free model of the algorithm; exact shards against the
-//! serial exact seal for every shard and thread count; plus degenerate
-//! batches through every accumulator.
+//! serial exact seal for every shard and thread count; every seal's groups
+//! tiling its arena; plus degenerate batches through every accumulator.
 
 use std::collections::BTreeMap;
 
@@ -110,6 +110,20 @@ fn assert_groups_hold_arrivals(sealed: &SealedBatch, tuples: &[Tuple]) {
         assert_eq!(sealed.tuples(gi), by_key[&g.key], "group of {:?}", g.key);
         assert_eq!(g.count, by_key[&g.key].len());
     }
+}
+
+/// The groups' arena ranges are disjoint and tile `[0, n_tuples)` exactly.
+fn assert_arena_tiled(sealed: &SealedBatch) {
+    let mut ranges: Vec<(usize, usize)> = (sealed.groups.iter())
+        .map(|g| (g.offset, g.offset + g.count))
+        .collect();
+    ranges.sort_unstable();
+    let mut end = 0;
+    for (start, stop) in ranges {
+        assert_eq!(start, end, "a gap or an overlap at arena index {start}");
+        end = stop;
+    }
+    assert_eq!(end, sealed.n_tuples, "the ranges stop short of the arena");
 }
 
 proptest! {
@@ -223,6 +237,45 @@ proptest! {
                     &acc.seal(IV), &want,
                     "{} shards / {} threads", shards, threads
                 );
+            }
+        }
+    }
+
+    /// Every seal tiles its arena — serial exact and budgeted, and both
+    /// sharded at 1/2/4/7 shards × 1/2/3 threads — with each range holding
+    /// its key's arrivals in order, on a random batch, the empty one, one key
+    /// and a few keys (so some shards' slices are empty). A budgeted-sharded
+    /// seal does not depend on the thread count.
+    #[test]
+    fn sealed_groups_tile_the_arena(stream in stream_strategy(), few in 1u64..4) {
+        let wide = tuples_of(&stream, 0);
+        let one_key: Vec<Tuple> = wide.iter().map(|t| Tuple { key: wide[0].key, ..*t }).collect();
+        let narrow: Vec<Tuple> = wide.iter().copied().filter(|t| t.key.0 < few).collect();
+        let cfg = AccumulatorConfig::default();
+        for batch in [&wide, &Vec::new(), &one_key, &narrow] {
+            let check = |sealed: &SealedBatch| {
+                assert_arena_tiled(sealed);
+                assert_groups_hold_arrivals(sealed, batch);
+            };
+            let mut exact = PostSortAccumulator::new(IV);
+            ingest_all(&mut exact, batch);
+            check(&exact.seal(IV));
+            let mut budgeted = FrequencyAwareAccumulator::new(cfg, IV);
+            ingest_all(&mut budgeted, batch);
+            check(&budgeted.seal(IV));
+            for shards in [1, 2, 4, 7] {
+                let mut at_one_thread = None;
+                for threads in [1, 2, 3] {
+                    let mut exact = ShardedAccumulator::exact(shards, IV);
+                    exact.par_ingest(batch, threads);
+                    check(&exact.seal(IV));
+                    let mut budgeted = ShardedAccumulator::new(cfg, shards, IV);
+                    budgeted.par_ingest(batch, threads);
+                    let sealed = budgeted.seal(IV);
+                    check(&sealed);
+                    let want = at_one_thread.get_or_insert_with(|| sealed.clone());
+                    prop_assert_eq!(&sealed, want, "{} shards / {} threads", shards, threads);
+                }
             }
         }
     }

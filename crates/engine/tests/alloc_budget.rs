@@ -3,8 +3,9 @@
 //! A counting global allocator tallies, per thread, every allocation (and
 //! every reallocation) of at least [`LARGE`] bytes: the per-key tables a
 //! batch builds — fragment tables, bucket merges, the gather, the store's
-//! panes and emissions — and every time one of them grows. The engine runs
-//! two benchmark shapes on `Backend::InProcess`, which executes every stage
+//! panes and emissions, the sealed arena — and every time one of them grows.
+//! The engine runs two benchmark shapes, and the Zipf one again through four
+//! ingest shards, on `Backend::InProcess`, which executes every stage
 //! on the calling thread; the counters are thread-local, so the checkpoint
 //! compactor and tests running alongside are not counted. The allocation
 //! sequence is a function of the input alone, so the budgets below are exact
@@ -136,10 +137,12 @@ impl TupleSource for Stream {
     }
 }
 
-/// Run `technique` over `stream` at `p = r = 16` on the calling thread and
-/// return the per-batch large allocations of the measured batches.
+/// Run `technique` over `stream` at `p = r = 16` on the calling thread,
+/// buffering through `ingest_shards` shards, and return the per-batch large
+/// allocations of the measured batches.
 fn measure(
     technique: Technique,
+    ingest_shards: usize,
     op: ReduceOp,
     window: (u64, u64),
     checkpoint: Option<CheckpointConfig>,
@@ -151,6 +154,7 @@ fn measure(
         reduce_tasks: 16,
         cluster: Cluster::new(2, 8),
         backend: Backend::InProcess,
+        ingest_shards,
         checkpoint,
         ..EngineConfig::default()
     };
@@ -191,7 +195,14 @@ fn uniform_state_stays_within_its_allocation_budget() {
     let _ = std::fs::remove_dir_all(&dir);
     let ckpt = CheckpointConfig::new(&dir).interval(1).snapshot_every(4);
     let stream = Stream::new(250_000, 500_000, false, 0x5eed);
-    let got = measure(Technique::Hash, ReduceOp::Sum, (4, 1), Some(ckpt), stream);
+    let got = measure(
+        Technique::Hash,
+        1,
+        ReduceOp::Sum,
+        (4, 1),
+        Some(ckpt),
+        stream,
+    );
     let _ = std::fs::remove_dir_all(&dir);
     assert_within("uniform_state", got, UNIFORM_BUDGET);
 }
@@ -202,8 +213,18 @@ fn uniform_state_stays_within_its_allocation_budget() {
 #[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
 fn zipf_inproc_stays_within_its_allocation_budget() {
     let stream = Stream::new(500_000, 100_000, true, 0x5eed);
-    let got = measure(Technique::Prompt, ReduceOp::Count, (2, 2), None, stream);
+    let got = measure(Technique::Prompt, 1, ReduceOp::Count, (2, 2), None, stream);
     assert_within("zipf_inproc", got, ZIPF_BUDGET);
+}
+
+/// `zipf_inproc`'s shape buffered through 4 exact ingest shards on one
+/// ingest thread, which seal into one arena.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
+fn zipf_sharded_stays_within_its_allocation_budget() {
+    let stream = Stream::new(500_000, 100_000, true, 0x5eed);
+    let got = measure(Technique::Prompt, 4, ReduceOp::Count, (2, 2), None, stream);
+    assert_within("zipf_sharded", got, ZIPF_SHARDED_BUDGET);
 }
 
 /// `(allocations, bytes)` per batch. Measured: 268 and 78.7 MiB, against 336
@@ -213,3 +234,6 @@ fn zipf_inproc_stays_within_its_allocation_budget() {
 const UNIFORM_BUDGET: (u64, u64) = (280, 85 << 20);
 /// Measured: 149 and 44.0 MiB, against 166 and 46.8 MiB.
 const ZIPF_BUDGET: (u64, u64) = (155, 45 << 20);
+/// Measured: 156 and 45.4 MiB, against 161 and 57.8 MiB while every shard
+/// sealed into an arena of its own and the merge copied them into one more.
+const ZIPF_SHARDED_BUDGET: (u64, u64) = (158, 47 << 20);
