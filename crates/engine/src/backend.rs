@@ -21,7 +21,6 @@ use crate::config::{Backend, EngineConfig};
 use crate::job::Job;
 use crate::kernel::PlanView;
 use crate::net::{DistributedOptions, DistributedRuntime, NetStats, WorkerLoss};
-use crate::recovery::ReplicatedBatchStore;
 use crate::stage::{times_from_view, BatchOutput, StageTimes};
 use crate::threaded::ThreadedExecutor;
 use crate::trace::{Counter, TraceEvent, TraceRecorder};
@@ -33,7 +32,7 @@ use crate::trace::{Counter, TraceEvent, TraceRecorder};
 pub(crate) struct Planned<'a> {
     /// Sequence number on the wire (the run's `WireSeqs` mapping of `tseq`).
     pub(crate) seq: u64,
-    /// Sequence number traces, and the replicated store, know the batch by.
+    /// Sequence number traces and the run know the batch by.
     pub(crate) tseq: u64,
     /// The plan, in the layout the batch was sealed in.
     pub(crate) view: PlanView<'a>,
@@ -108,7 +107,7 @@ impl BackendRuntime {
     }
 
     /// Execute `batch`, returning its output, virtual stage times, and how
-    /// many worker losses were survived on the way.
+    /// many worker losses were survived on the way — at most `budget`.
     ///
     /// Both arms produce bit-identical outputs and virtual
     /// [`StageTimes`] given the same plan and assigner: each reports
@@ -119,17 +118,17 @@ impl BackendRuntime {
     /// dispatched by [`BackendRuntime::submit`]); waiting drives the shared
     /// event pump, which also advances the `younger` in-flight batches. A
     /// worker lost mid-batch aborts every unfinished batch of the window: the
-    /// loss is charged by [`on_worker_loss`] and the window is re-dispatched
-    /// in batch order from the plans in hand, each assigned again through the
-    /// assigner it carries. Failed attempts contribute no virtual time —
-    /// virtual time models the healthy cluster.
+    /// loss is charged against `budget` by [`on_worker_loss`] and the window
+    /// is re-dispatched in batch order from the plans in hand, each assigned
+    /// again through the assigner it carries. Failed attempts contribute no
+    /// virtual time — virtual time models the healthy cluster.
     pub(crate) fn execute<'a>(
         &mut self,
         batch: &Planned<'a>,
         younger: impl Iterator<Item = Planned<'a>> + Clone,
         cfg: &EngineConfig,
         rec: &TraceRecorder,
-        mut store: Option<&mut ReplicatedBatchStore>,
+        budget: usize,
     ) -> (BatchOutput, StageTimes, u64) {
         let trace = rec.enabled().then_some(rec);
         let (view, job, r) = (batch.view, batch.job, batch.r);
@@ -153,13 +152,13 @@ impl BackendRuntime {
                     Ok(done) => break done,
                     Err(loss) => {
                         losses += 1;
-                        on_worker_loss(&loss, batch.tseq, store.as_deref_mut(), rec);
+                        on_worker_loss(&loss, batch.tseq, losses, budget, rec);
                     }
                 }
             },
         };
         let times = times_from_view(view, &stats, &cfg.cost, &cfg.cluster);
-        (output, times, losses)
+        (output, times, losses as u64)
     }
 
     /// Stop the worker fleet, reporting its wire totals.
@@ -172,22 +171,17 @@ impl BackendRuntime {
     }
 }
 
-/// Charge one worker loss (§8): the failed attempt left nothing behind, and
-/// the caller resubmits the plan it still holds. Spending a replica of the retained input (when the run
-/// retains inputs) keeps the recovery budget honest: a batch can be lost at
-/// most `replicas` times before the run aborts.
-fn on_worker_loss(
-    loss: &WorkerLoss,
-    seq: u64,
-    store: Option<&mut ReplicatedBatchStore>,
-    rec: &TraceRecorder,
-) {
-    let replicas_left = store.map_or(0, |store| {
-        if let Err(e) = store.recover(seq) {
-            panic!("worker loss on batch {seq} beyond recovery budget: {e}");
-        }
-        store.replicas_left(seq).unwrap_or(0)
-    });
+/// Charge the `losses`-th worker loss of one execution (§8): the failed
+/// attempt left nothing behind, and the caller resubmits the plan it still
+/// holds, so a loss reads no retained input — it only spends the recovery
+/// budget, and the run aborts once an execution has lost more than `budget`
+/// attempts.
+fn on_worker_loss(loss: &WorkerLoss, seq: u64, losses: usize, budget: usize, rec: &TraceRecorder) {
+    let Some(replicas_left) = budget.checked_sub(losses) else {
+        panic!(
+            "worker loss on batch {seq} beyond recovery budget: {losses} losses, budget {budget}"
+        );
+    };
     rec.incr(Counter::WorkersLost, 1);
     rec.incr(Counter::Recoveries, 1);
     rec.event(TraceEvent::WorkerLost {

@@ -46,7 +46,8 @@ pub enum Backend {
     },
     /// Multi-process execution over the TCP runtime (`net`): tasks run on
     /// spawned local worker processes, shuffle bytes cross sockets, and a
-    /// lost worker triggers batch recomputation from the replicated store.
+    /// lost worker's batches are resubmitted to the survivors from the plans
+    /// the driver holds.
     Distributed {
         /// Worker processes to spawn.
         workers: usize,

@@ -11,11 +11,12 @@
 //! # The batch-state machine
 //!
 //! Each batch advances through four states: **buffering** (its interval is
-//! still accumulating tuples), **partitioned** (ingested, replicated and
-//! planned — a `PreparedBatch`), **executing** (map/reduce in flight on
-//! the backend), and **committed** (window state, checkpoints, virtual-time
-//! scheduling and trace spans applied). [`EngineConfig::pipeline_depth`]
-//! bounds how many batches may sit past *buffering* at once: at the default
+//! still accumulating tuples), **partitioned** (ingested, retained if the
+//! run keeps inputs, and planned — a `PreparedBatch`), **executing**
+//! (map/reduce in flight on the backend), and **committed** (window state,
+//! checkpoints, virtual-time scheduling and trace spans applied).
+//! [`EngineConfig::pipeline_depth`] bounds how many batches may sit past
+//! *buffering* at once: at the default
 //! depth 1 the loop is the classic one-lifecycle-per-heartbeat sequence,
 //! while at depth `d > 1` the driver prepares up to `d` batches ahead and —
 //! on the distributed backend — dispatches their Map tasks eagerly, so
@@ -465,10 +466,12 @@ impl StreamingEngine {
         self
     }
 
-    /// Enable batch-level fault tolerance (§8): retain `replicas` copies of
-    /// every in-window batch input and recover the batches `plan` marks as
-    /// lost by recomputing them from the store. Recomputation cost lands in
-    /// the affected batch's processing time.
+    /// Enable batch-level fault tolerance (§8) under a recovery budget of
+    /// `replicas`: the replica count of every retained batch input, and the
+    /// worker losses one execution of a batch may survive. A non-empty `plan`
+    /// retains every in-window batch input and recovers the batches it marks
+    /// as lost by recomputing them from the store. Recomputation cost lands
+    /// in the affected batch's processing time.
     pub fn with_fault_tolerance(mut self, replicas: usize, plan: FaultPlan) -> StreamingEngine {
         self.fault_tolerance = Some((replicas, plan));
         self
@@ -479,7 +482,9 @@ impl StreamingEngine {
     /// thread-mode connection) at the scheduled point of the scheduled
     /// batch. The driver detects the loss and re-dispatches the in-flight
     /// batches on the survivors from the plans it still holds, spending one
-    /// replica of the recovery budget. Ignored by in-process backends.
+    /// unit of the recovery budget. A kill naming a worker the fleet does not
+    /// have is refused before batch 0 (`run` panics, as for an invalid
+    /// config). Ignored by in-process backends.
     pub fn with_net_faults(mut self, plan: NetFaultPlan) -> StreamingEngine {
         self.net_faults = plan;
         self
@@ -524,7 +529,8 @@ impl StreamingEngine {
     ) -> (RunResult, TraceRecorder) {
         let mut backend = BackendRuntime::launch(self.cfg.backend);
         if let Some(rt) = backend.distributed() {
-            rt.set_fault_plan(self.net_faults.clone());
+            rt.set_fault_plan(self.net_faults.clone())
+                .expect("invalid net fault plan");
         }
         let depth = self.cfg.pipeline_depth;
         let mut run = Run::new(self, source, WireSeqs(1, 0));

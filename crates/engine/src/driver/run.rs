@@ -32,11 +32,11 @@ use crate::trace::{Counter, StageKind, TraceEvent, TraceLevel, TraceRecorder};
 use crate::window::{WindowResult, WindowState};
 
 /// A batch past the *buffering* state of the driver's state machine:
-/// ingested, counted, replicated into the recovery store, and partitioned —
-/// everything up to (but excluding) execution and commit. When
-/// `pipeline_depth` exceeds 1, up to `depth` of these sit in the prepare
-/// queue while older batches execute; on the distributed backend their Map
-/// tasks are already on the wire.
+/// ingested, counted, retained in the recovery store when the run keeps one,
+/// and partitioned — everything up to (but excluding) execution and commit.
+/// When `pipeline_depth` exceeds 1, up to `depth` of these sit in the
+/// prepare queue while older batches execute; on the distributed backend
+/// their Map tasks are already on the wire.
 ///
 /// It is also the only carrier of the actuator state the batch was prepared
 /// under — `r`, `technique`, `routing`: everything downstream of
@@ -93,8 +93,8 @@ impl PreparedBatch {
 /// [`WireSeqs::of`]: a solo run owns the space (`WireSeqs(1, 0)`, the
 /// identity), while tenant `i` of `n` takes `WireSeqs(n, i)` and interleaves
 /// with its neighbours, so tenants never collide in the workers' per-batch
-/// shuffle state. Traces, the replicated store and every result keep the
-/// run's own seqs.
+/// shuffle state. Traces, the retained inputs and every result keep the run's
+/// own seqs.
 #[derive(Clone, Copy)]
 pub(crate) struct WireSeqs(pub(crate) u64, pub(crate) u64);
 
@@ -147,10 +147,13 @@ pub(crate) struct Run<'e> {
     /// the evidence a `Rebalance` trace event cites. Derived from virtual
     /// task times, so identical across backends.
     last_load: Option<(u64, f64)>,
-    /// Replicated batch inputs (§8 point 2); `Some` only when something
-    /// could ever read them back: a scheduled fault, a distributed worker
-    /// loss, or checkpoint-suffix recompute.
+    /// Replicated batch inputs (§8 point 2); `Some` only when a checkpoint or
+    /// a [`FaultPlan`] is configured. Only a `FaultPlan` event reads them back
+    /// ([`Run::replay`]); a checkpointed run retains them up to its watermark.
     store: Option<ReplicatedBatchStore>,
+    /// The recovery budget: replicas per retained input, and how many worker
+    /// losses one execution of a batch may survive.
+    replicas: usize,
     fault_plan: FaultPlan,
     window_len_batches: u64,
 }
@@ -172,11 +175,10 @@ impl<'e> Run<'e> {
             Some(spec) if !state_on => Some(WindowState::new(spec, bi, eng.job.reduce)),
             _ => None,
         };
-        // Checkpoint-suffix recomputes read the retained inputs, and a worker
-        // loss spends one of a batch's replicas (it resubmits the plan in
-        // hand and reads only the count), even when the user configured no
-        // fault tolerance; a budget of one per worker always suffices (the
-        // run aborts anyway once every worker is gone).
+        // A worker loss resubmits the plan in hand and spends only the
+        // budget, which exists even when the user configured no fault
+        // tolerance; one per worker always suffices (the run aborts anyway
+        // once every worker is gone).
         let (replicas, fault_plan) = match (&eng.fault_tolerance, cfg.backend) {
             (Some((replicas, plan)), _) => (*replicas, plan.clone()),
             (None, Backend::Distributed { workers, .. }) => (workers.max(2), FaultPlan::none()),
@@ -187,7 +189,7 @@ impl<'e> Run<'e> {
             !distributed || eng.job.wire_spec().is_some(),
             "Backend::Distributed needs wire-serialisable jobs (build them with Job::identity)"
         );
-        let retain_inputs = distributed || cfg.checkpoint.is_some() || !fault_plan.is_empty();
+        let retain_inputs = cfg.checkpoint.is_some() || !fault_plan.is_empty();
         let scaler = cfg
             .elasticity
             .map(|sc| AutoScaler::new(sc, cfg.map_tasks, cfg.reduce_tasks));
@@ -215,6 +217,7 @@ impl<'e> Run<'e> {
             rebalancer,
             last_load: None,
             store: retain_inputs.then(|| ReplicatedBatchStore::new(replicas)),
+            replicas,
             fault_plan,
             window_len_batches: eng.window.map_or(1, |spec| spec.in_batches(bi).0 as u64),
             eng,
@@ -296,10 +299,10 @@ impl<'e> Run<'e> {
 
     /// Advance batch `seq` from *buffering* to *partitioned*: ingest its
     /// interval, let every controller that acts at the batch boundary act
-    /// (store-loss restore, policy, rebalancer), replicate the input,
-    /// partition it under the run's current actuator state — which the batch
-    /// carries from here on — and put its Map tasks on the wire. `None` when
-    /// a restored checkpoint already covers the batch.
+    /// (store-loss restore, policy, rebalancer), retain the input if the run
+    /// keeps inputs, partition it under the run's current actuator state —
+    /// which the batch carries from here on — and put its Map tasks on the
+    /// wire. `None` when a restored checkpoint already covers the batch.
     pub(crate) fn fill(&mut self, seq: u64, backend: &mut BackendRuntime) -> Option<PreparedBatch> {
         let interval = self.interval_of(seq);
         self.arrivals.clear();
@@ -556,7 +559,7 @@ impl<'e> Run<'e> {
             self.prepared.iter().map(|q| q.planned(eng, wire)),
             &eng.cfg,
             &self.rec,
-            self.store.as_mut(),
+            self.replicas,
         );
         self.charge(losses);
         (output, times)

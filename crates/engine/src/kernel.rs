@@ -102,15 +102,9 @@ impl<'a> PlanView<'a> {
         }
     }
 
-    /// Block `i` as one complete `MapTask` frame plus its v1 payload size.
-    /// The two layouts encode to identical bytes.
-    pub(crate) fn encode_map_task(
-        self,
-        i: usize,
-        seq: u64,
-        epoch: u32,
-        spec: &JobSpec,
-    ) -> (Vec<u8>, usize) {
+    /// Block `i` as one complete `MapTask` frame. The two layouts encode to
+    /// identical bytes.
+    pub(crate) fn encode_map_task(self, i: usize, seq: u64, epoch: u32, spec: &JobSpec) -> Vec<u8> {
         match self {
             PlanView::Rows(p) => encode_map_task(seq, epoch, i as u32, spec, &p.blocks[i]),
             PlanView::Columns(p) => {

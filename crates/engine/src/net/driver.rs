@@ -105,13 +105,6 @@ pub struct DistributedOptions {
 
 impl DistributedOptions {
     /// Defaults for `workers` workers on `base_port` (0 = ephemeral).
-    ///
-    /// The liveness deadlines honor environment overrides so CI can widen
-    /// them on slow shared runners without code changes:
-    /// `PROMPT_HEARTBEAT_TIMEOUT_MS` and `PROMPT_IO_TIMEOUT_MS` (whole
-    /// milliseconds). Kill detection is socket-close based, so raising the
-    /// heartbeat timeout does not slow down clean-failure tests — it only
-    /// guards against false losses under scheduler starvation.
     pub fn new(workers: usize, base_port: u16) -> DistributedOptions {
         DistributedOptions {
             workers,
@@ -119,22 +112,11 @@ impl DistributedOptions {
             launch: LaunchMode::Auto,
             worker_bin: None,
             heartbeat_interval: WallDuration::from_millis(100),
-            heartbeat_timeout: env_millis("PROMPT_HEARTBEAT_TIMEOUT_MS")
-                .unwrap_or_else(|| WallDuration::from_secs(3)),
-            io_timeout: env_millis("PROMPT_IO_TIMEOUT_MS")
-                .unwrap_or_else(|| WallDuration::from_secs(30)),
+            heartbeat_timeout: WallDuration::from_secs(3),
+            io_timeout: WallDuration::from_secs(30),
             retry: RetryPolicy::default(),
         }
     }
-}
-
-/// A positive whole-millisecond duration from the environment, if set.
-fn env_millis(var: &str) -> Option<WallDuration> {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(WallDuration::from_millis)
 }
 
 /// A worker was declared lost while a batch was in flight. The batch left
@@ -157,22 +139,18 @@ impl std::error::Error for WorkerLoss {}
 
 /// Wire-traffic totals of one distributed run, as seen from the driver.
 ///
-/// The byte/frame counters cover the control plane (task dispatch including
-/// data blocks, replies, heartbeats). Worker-to-worker shuffle fetches
-/// happen on the workers' own sockets, invisible to the driver's counters —
-/// the `shuffle_*` fields instead aggregate (saturating) the [`FetchStats`]
-/// every reducing worker reports on `ReduceComplete`.
+/// The byte/frame counters sum the driver's control connections, lost
+/// workers' included (task dispatch including data blocks, replies,
+/// heartbeats). Worker-to-worker shuffle fetches happen on the workers' own
+/// sockets, invisible to the driver — the `shuffle_*` fields instead
+/// aggregate (saturating) the [`FetchStats`] every reducing worker reports on
+/// `ReduceComplete`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Bytes the driver wrote.
     pub bytes_sent: u64,
     /// Bytes the driver read.
     pub bytes_received: u64,
-    /// What the driver's writes would have cost in the fixed-width v1
-    /// layout (the v2 varint encoding's win is `raw - sent`).
-    pub bytes_sent_raw: u64,
-    /// v1-layout equivalent of `bytes_received`.
-    pub bytes_received_raw: u64,
     /// Frames the driver wrote.
     pub frames_sent: u64,
     /// Frames the driver read.
@@ -184,10 +162,8 @@ pub struct NetStats {
     /// Wall-clock µs workers spent waiting on shuffle fetches (summed over
     /// tasks; concurrent fetches overlap, so this exceeds elapsed time).
     pub shuffle_wait_us: u64,
-    /// Fetch-reply bytes received by workers (v2 encoding).
+    /// Fetch-reply bytes received by workers.
     pub shuffle_bytes_wire: u64,
-    /// v1-layout equivalent of `shuffle_bytes_wire`.
-    pub shuffle_bytes_raw: u64,
     /// Workers declared lost over the run.
     pub workers_lost: u64,
 }
@@ -203,7 +179,7 @@ enum WorkerHandle {
 struct WorkerSlot {
     id: u32,
     /// Write half of the control connection (reads happen on the reader
-    /// thread's clone).
+    /// thread's clone, which counts into the same ledger).
     conn: FrameConn,
     /// The worker's shuffle listener.
     shuffle: SocketAddrV4,
@@ -264,7 +240,6 @@ pub struct DistributedRuntime {
     rx: Receiver<(u32, Result<Message, NetError>)>,
     /// Kept so the channel never disconnects even if every reader exits.
     _tx: Sender<(u32, Result<Message, NetError>)>,
-    counters: Arc<NetCounters>,
     epoch: u32,
     fault: NetFaultPlan,
     workers_lost: u64,
@@ -314,7 +289,6 @@ impl DistributedRuntime {
     /// registered (bounded by `opts.io_timeout`).
     pub fn launch(opts: DistributedOptions) -> Result<DistributedRuntime, NetError> {
         assert!(opts.workers >= 1, "need at least one worker");
-        let counters = NetCounters::shared();
         let listener = TcpListener::bind(("127.0.0.1", opts.base_port))?;
         let addr = listener.local_addr()?;
 
@@ -364,7 +338,7 @@ impl DistributedRuntime {
             handles.push(handle);
         }
 
-        match Self::register_all(&listener, &opts, &counters, handles) {
+        match Self::register_all(&listener, &opts, handles) {
             Ok(slots) => {
                 let (tx, rx) = std::sync::mpsc::channel();
                 for slot in &slots {
@@ -392,7 +366,6 @@ impl DistributedRuntime {
                     slots,
                     rx,
                     _tx: tx,
-                    counters,
                     epoch: 0,
                     fault: NetFaultPlan::none(),
                     workers_lost: 0,
@@ -427,7 +400,6 @@ impl DistributedRuntime {
     fn register_all(
         listener: &TcpListener,
         opts: &DistributedOptions,
-        counters: &Arc<NetCounters>,
         handles: Vec<WorkerHandle>,
     ) -> Result<Vec<WorkerSlot>, (Vec<WorkerHandle>, NetError)> {
         let n = opts.workers;
@@ -481,7 +453,7 @@ impl DistributedRuntime {
                         return Err(NetError::Protocol("registration acceptor exited".into()))
                     }
                 };
-                let mut conn = FrameConn::new(stream, Arc::clone(counters));
+                let mut conn = FrameConn::new(stream);
                 conn.set_read_timeout(Some(opts.io_timeout))?;
                 let (worker, shuffle) = match conn.recv()? {
                     Message::Register {
@@ -494,7 +466,6 @@ impl DistributedRuntime {
                             )));
                         }
                         conn.send(&Message::RegisterAck {
-                            worker,
                             heartbeat_ms: opts.heartbeat_interval.as_millis().max(1) as u32,
                         })?;
                         (worker, SocketAddrV4::new(Ipv4Addr::LOCALHOST, shuffle_port))
@@ -549,26 +520,36 @@ impl DistributedRuntime {
         self.slots.iter().filter(|s| s.alive).count()
     }
 
-    /// Install the scripted kill plan (replaces any previous plan).
-    pub fn set_fault_plan(&mut self, plan: NetFaultPlan) {
+    /// Install the scripted kill plan (replaces any previous plan), or
+    /// refuse it, installing nothing, when a kill names a worker the fleet
+    /// does not have.
+    pub fn set_fault_plan(&mut self, plan: NetFaultPlan) -> Result<(), String> {
+        let n = self.slots.len();
+        if let Some(kill) = plan.kills.iter().find(|k| k.worker as usize >= n) {
+            return Err(format!(
+                "kill plan names worker {} of batch {}, but the fleet has {n} workers",
+                kill.worker, kill.seq
+            ));
+        }
         self.fault = plan;
+        Ok(())
     }
 
     /// Driver-side wire totals, worker-reported shuffle totals, and loss
     /// count so far.
     pub fn stats(&self) -> NetStats {
+        let sum = |count: fn(&NetCounters) -> u64| -> u64 {
+            self.slots.iter().map(|s| count(s.conn.counters())).sum()
+        };
         NetStats {
-            bytes_sent: self.counters.bytes_sent(),
-            bytes_received: self.counters.bytes_received(),
-            bytes_sent_raw: self.counters.raw_bytes_sent(),
-            bytes_received_raw: self.counters.raw_bytes_received(),
-            frames_sent: self.counters.frames_sent(),
-            frames_received: self.counters.frames_received(),
+            bytes_sent: sum(NetCounters::bytes_sent),
+            bytes_received: sum(NetCounters::bytes_received),
+            frames_sent: sum(NetCounters::frames_sent),
+            frames_received: sum(NetCounters::frames_received),
             shuffle_conns_dialed: self.shuffle.dialed,
             shuffle_conns_reused: self.shuffle.reused,
             shuffle_wait_us: self.shuffle.wait_us,
             shuffle_bytes_wire: self.shuffle.bytes_wire,
-            shuffle_bytes_raw: self.shuffle.bytes_raw,
             workers_lost: self.workers_lost,
         }
     }
@@ -679,7 +660,7 @@ impl DistributedRuntime {
                     if let Some(slot) = self.slots.get_mut(w as usize) {
                         slot.last_seen = Instant::now();
                     }
-                    if matches!(msg, Message::Heartbeat { .. }) {
+                    if matches!(msg, Message::Heartbeat) {
                         continue;
                     }
                     return Ok((w, msg));
@@ -790,8 +771,8 @@ impl DistributedRuntime {
         for i in 0..n_blocks {
             let w = owners[i % owners.len()];
             block_owner.push(w);
-            let (frame, v1_len) = view.encode_map_task(i, seq, epoch, spec);
-            if let Err(e) = self.slots[w as usize].conn.send_frame(&frame, v1_len) {
+            let frame = view.encode_map_task(i, seq, epoch, spec);
+            if let Err(e) = self.slots[w as usize].conn.send_frame(&frame) {
                 return Err(self.declare_lost(w, format!("send of map_task failed: {e}")));
             }
         }
@@ -1004,7 +985,6 @@ impl DistributedRuntime {
                     rec.incr(Counter::ShuffleConnsReused, net.reused);
                     rec.incr(Counter::ShuffleWaitUs, net.wait_us);
                     rec.incr(Counter::ShuffleBytesWire, net.bytes_wire);
-                    rec.incr(Counter::ShuffleBytesRaw, net.bytes_raw);
                 }
                 let e = &mut self.inflight[i];
                 if e.outstanding_reduces > 0 {
@@ -1038,7 +1018,6 @@ impl DistributedRuntime {
                 }
             }
             Message::WorkerError {
-                worker,
                 seq,
                 epoch,
                 blame,
@@ -1056,7 +1035,7 @@ impl DistributedRuntime {
                 // a recovery with nobody gone — as often as the peer repeats.
                 let live = self.slots.get(blame as usize).is_some_and(|s| s.alive);
                 return Err(if live {
-                    self.declare_lost(blame, format!("worker {worker} reported: {detail}"))
+                    self.declare_lost(blame, format!("worker {sender} reported: {detail}"))
                 } else {
                     self.protocol_violation(sender, "blamed absent worker", blame, seq)
                 });
@@ -1216,7 +1195,8 @@ mod tests {
     #[test]
     fn scripted_kill_is_detected_and_survivors_finish() {
         let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-        rt.set_fault_plan(NetFaultPlan::none().kill_before(0, 1));
+        rt.set_fault_plan(NetFaultPlan::none().kill_before(0, 1))
+            .expect("worker 1 exists");
         let plan = small_plan(200, 11, 4);
         let spec = JobSpec {
             map: MapSpec::Identity,
@@ -1321,7 +1301,7 @@ mod tests {
         ] {
             let rec = TraceRecorder::new(TraceLevel::Summary);
             let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
-            rt.set_fault_plan(fault.clone());
+            rt.set_fault_plan(fault.clone()).expect("worker 1 exists");
             let submit = |rt: &mut DistributedRuntime, seq: usize| {
                 let view = PlanView::Rows(&plans[seq]);
                 rt.submit(
@@ -1390,10 +1370,8 @@ mod tests {
             reused: u64::MAX,
             wait_us: u64::MAX,
             bytes_wire: u64::MAX,
-            bytes_raw: u64::MAX,
         };
         let error = |blame| Message::WorkerError {
-            worker: 1,
             seq: 0,
             epoch: 1,
             blame,
@@ -1454,6 +1432,50 @@ mod tests {
             assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300, "{what}");
             assert_eq!(rt.stats().workers_lost, 2, "{what}");
         }
+    }
+
+    /// A kill naming a worker the fleet does not have is refused when the
+    /// plan is installed — naming the worker and the fleet size, installing
+    /// nothing — and an engine run reports the refusal before batch 0, the
+    /// way it reports an invalid config. The fleet used to index its slots
+    /// with the id when the kill fired, panicking out of bounds mid-run.
+    #[test]
+    #[should_panic(
+        expected = "invalid net fault plan: \"kill plan names worker 5 of batch 1, but the fleet has 2 workers\""
+    )]
+    fn a_kill_plan_naming_a_missing_worker_is_refused_before_batch_0() {
+        use crate::config::{Backend, EngineConfig};
+        use crate::driver::StreamingEngine;
+        use crate::job::Job;
+        use prompt_core::partitioner::Technique;
+
+        let missing = NetFaultPlan::none().kill_after_map(0, 1).kill_before(1, 5);
+        let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
+        rt.set_fault_plan(missing.clone())
+            .expect_err("the fleet has no worker 5");
+        let plan = small_plan(200, 11, 4);
+        let spec = JobSpec {
+            map: MapSpec::Identity,
+            reduce: ReduceOp::Sum,
+        };
+        let assigner = PromptReduceAllocator::new(3);
+        for seq in 0..2 {
+            rt.execute_batch(seq, &plan, &spec, &assigner, 2, None)
+                .expect("the refused plan's kill of worker 1 was not installed");
+        }
+        rt.shutdown();
+
+        let cfg = EngineConfig {
+            backend: Backend::Distributed {
+                workers: 2,
+                base_port: 0,
+            },
+            ..EngineConfig::default()
+        };
+        let job = Job::identity("sum", ReduceOp::Sum);
+        let mut engine =
+            StreamingEngine::new(cfg, Technique::Prompt, 1, job).with_net_faults(missing);
+        engine.run(&mut |_: Interval, _: &mut Vec<Tuple>| {}, 3);
     }
 
     #[test]

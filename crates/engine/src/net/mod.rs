@@ -4,7 +4,8 @@
 //! module executes across N local worker processes (or threads) over TCP:
 //!
 //! - [`wire`] — the versioned length-prefixed binary protocol (no serde);
-//! - [`transport`] — framed connections, byte accounting, retry/backoff;
+//! - [`transport`] — framed connections, per-connection byte accounting,
+//!   retry/backoff;
 //! - [`worker`] — the worker runtime: map/reduce execution plus the
 //!   shuffle data-plane server other workers fetch buckets from;
 //! - [`driver`] — the driver runtime: worker lifecycle, per-batch task

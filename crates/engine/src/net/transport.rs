@@ -1,6 +1,6 @@
-//! Framed TCP transport: length-prefixed message I/O, byte accounting,
-//! connect/read retry with exponential backoff, and a per-peer connection
-//! pool for the shuffle data plane.
+//! Framed TCP transport: length-prefixed message I/O, per-connection byte
+//! accounting, connect/read retry with exponential backoff, and a per-peer
+//! connection pool for the shuffle data plane.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -58,33 +58,24 @@ impl From<WireError> for NetError {
     }
 }
 
-/// Shared atomic counters of wire traffic, aggregated into the run's
-/// [`super::NetStats`].
+/// Bytes and frames one connection has moved, kept by the connection and
+/// shared with its [`FrameConn::try_clone`]s (a reader thread's clone counts
+/// into the same ledger). The driver's [`super::NetStats`] sums its workers'.
 #[derive(Debug, Default)]
 pub struct NetCounters {
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
     frames_sent: AtomicU64,
     frames_received: AtomicU64,
-    raw_bytes_sent: AtomicU64,
-    raw_bytes_received: AtomicU64,
-    conns_dialed: AtomicU64,
-    conns_reused: AtomicU64,
 }
 
 impl NetCounters {
-    /// Fresh zeroed counters behind an `Arc` (every connection of one
-    /// runtime shares them).
-    pub fn shared() -> Arc<NetCounters> {
-        Arc::new(NetCounters::default())
-    }
-
-    /// Total bytes written to sockets.
+    /// Total bytes written to the socket.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.load(Ordering::Relaxed)
     }
 
-    /// Total bytes read from sockets.
+    /// Total bytes read from the socket.
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received.load(Ordering::Relaxed)
     }
@@ -99,38 +90,14 @@ impl NetCounters {
         self.frames_received.load(Ordering::Relaxed)
     }
 
-    /// What the sent frames would have cost in the fixed-width v1 layout
-    /// (compare with [`NetCounters::bytes_sent`] for the encoding win).
-    pub fn raw_bytes_sent(&self) -> u64 {
-        self.raw_bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// v1-layout equivalent of the received frames.
-    pub fn raw_bytes_received(&self) -> u64 {
-        self.raw_bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Connections dialed through a [`ConnPool`] (pool misses).
-    pub fn conns_dialed(&self) -> u64 {
-        self.conns_dialed.load(Ordering::Relaxed)
-    }
-
-    /// Pooled connections reused by a [`ConnPool`] (pool hits).
-    pub fn conns_reused(&self) -> u64 {
-        self.conns_reused.load(Ordering::Relaxed)
-    }
-
-    fn record_send(&self, bytes: usize, raw: usize) {
+    fn record_send(&self, bytes: usize) {
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.raw_bytes_sent.fetch_add(raw as u64, Ordering::Relaxed);
         self.frames_sent.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn record_recv(&self, bytes: usize, raw: usize) {
+    fn record_recv(&self, bytes: usize) {
         self.bytes_received
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.raw_bytes_received
-            .fetch_add(raw as u64, Ordering::Relaxed);
         self.frames_received.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -146,9 +113,17 @@ impl FrameConn {
     /// Wrap an accepted/connected stream. Disables Nagle — the protocol is
     /// request/reply with small control frames, where coalescing only adds
     /// latency.
-    pub fn new(stream: TcpStream, counters: Arc<NetCounters>) -> FrameConn {
+    pub fn new(stream: TcpStream) -> FrameConn {
         let _ = stream.set_nodelay(true);
-        FrameConn { stream, counters }
+        FrameConn {
+            stream,
+            counters: Arc::default(),
+        }
+    }
+
+    /// What this connection (and every clone of it) has moved so far.
+    pub(crate) fn counters(&self) -> &NetCounters {
+        &self.counters
     }
 
     /// Clone the underlying socket (shared file description): one half can
@@ -177,17 +152,14 @@ impl FrameConn {
 
     /// Write one message as a frame.
     pub fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        let frame = msg.encode();
-        self.send_frame(&frame, msg.v1_payload_len())
+        self.send_frame(&msg.encode())
     }
 
-    /// Write one pre-encoded frame (header + payload), accounting
-    /// `v1_payload_len` as its fixed-width v1 size. Lets the data plane
+    /// Write one pre-encoded frame (header + payload). Lets the data plane
     /// encode straight from columnar slices without building a `Message`.
-    pub fn send_frame(&mut self, frame: &[u8], v1_payload_len: usize) -> Result<(), NetError> {
+    pub fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
         self.stream.write_all(frame)?;
-        self.counters
-            .record_send(frame.len(), HEADER_LEN + v1_payload_len);
+        self.counters.record_send(frame.len());
         Ok(())
     }
 
@@ -197,7 +169,7 @@ impl FrameConn {
     }
 
     /// [`FrameConn::recv`], also returning the frame's bytes-on-wire (for
-    /// callers accounting per-fetch transfer, not just the shared totals).
+    /// callers accounting per-fetch transfer, not just the connection's).
     pub fn recv_counted(&mut self) -> Result<(Message, usize), NetError> {
         let mut header = [0u8; HEADER_LEN];
         self.stream.read_exact(&mut header)?;
@@ -206,8 +178,7 @@ impl FrameConn {
         self.stream.read_exact(&mut payload)?;
         let msg = Message::decode_payload(msg_type, &payload)?;
         let wire = HEADER_LEN + payload.len();
-        self.counters
-            .record_recv(wire, HEADER_LEN + msg.v1_payload_len());
+        self.counters.record_recv(wire);
         Ok((msg, wire))
     }
 
@@ -234,20 +205,19 @@ impl FrameConn {
 /// fetches and batches. Stale entries (peer closed, or bytes left queued)
 /// are dropped at checkout, and [`ConnPool::evict`] throws away every idle
 /// connection to a dead peer so recovery never retries a doomed socket.
+/// Dials and reuses are counted by the caller, from `checkout`'s flag.
 #[derive(Debug)]
 pub struct ConnPool {
     idle: Mutex<HashMap<SocketAddr, Vec<FrameConn>>>,
     retry: RetryPolicy,
-    counters: Arc<NetCounters>,
 }
 
 impl ConnPool {
-    /// An empty pool dialing with `retry` and accounting into `counters`.
-    pub fn new(retry: RetryPolicy, counters: Arc<NetCounters>) -> ConnPool {
+    /// An empty pool dialing with `retry`.
+    pub fn new(retry: RetryPolicy) -> ConnPool {
         ConnPool {
             idle: Mutex::new(HashMap::new()),
             retry,
-            counters,
         }
     }
 
@@ -263,17 +233,12 @@ impl ConnPool {
                 .get_mut(&addr)
                 .and_then(Vec::pop);
             match candidate {
-                Some(conn) if conn.is_healthy() => {
-                    self.counters.conns_reused.fetch_add(1, Ordering::Relaxed);
-                    return Ok((conn, true));
-                }
+                Some(conn) if conn.is_healthy() => return Ok((conn, true)),
                 Some(stale) => drop(stale), // closed or desynced: try the next one
                 None => break,
             }
         }
-        let conn = self.retry.connect(addr, &self.counters)?;
-        self.counters.conns_dialed.fetch_add(1, Ordering::Relaxed);
-        Ok((conn, false))
+        Ok((self.retry.connect(addr)?, false))
     }
 
     /// Return a connection after a clean request/reply exchange. Never
@@ -336,15 +301,11 @@ impl RetryPolicy {
     /// Connect to `addr`, retrying with backoff — the peer may not have
     /// bound its listener yet (worker startup races the driver's first
     /// dial, and shuffle listeners come up while a batch is in flight).
-    pub fn connect(
-        &self,
-        addr: SocketAddr,
-        counters: &Arc<NetCounters>,
-    ) -> Result<FrameConn, NetError> {
+    pub fn connect(&self, addr: SocketAddr) -> Result<FrameConn, NetError> {
         let mut last: Option<std::io::Error> = None;
         for attempt in 1..=self.attempts.max(1) {
             match TcpStream::connect(addr) {
-                Ok(stream) => return Ok(FrameConn::new(stream, Arc::clone(counters))),
+                Ok(stream) => return Ok(FrameConn::new(stream)),
                 Err(e) => {
                     last = Some(e);
                     if attempt < self.attempts {
@@ -362,38 +323,38 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// Each connection keeps its own ledger, and a clone counts into it: the
+    /// client's clone sends, the original receives, and one ledger has both.
     #[test]
     fn send_recv_roundtrip_counts_bytes() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let counters = NetCounters::shared();
-        let server_counters = Arc::clone(&counters);
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let mut conn = FrameConn::new(stream, server_counters);
+            let mut conn = FrameConn::new(stream);
             let msg = conn.recv().unwrap();
             conn.send(&msg).unwrap();
+            let c = conn.counters();
+            [c.bytes_sent(), c.bytes_received()]
         });
-        let mut conn = RetryPolicy::default()
-            .connect(addr, &counters)
-            .expect("connect");
-        let msg = Message::Heartbeat { worker: 42 };
-        conn.send(&msg).unwrap();
+        let mut conn = RetryPolicy::default().connect(addr).expect("connect");
+        let msg = Message::BatchDone { seq: 42 };
+        conn.try_clone().unwrap().send(&msg).unwrap();
         let echo = conn.recv().unwrap();
         assert_eq!(echo, msg);
-        server.join().unwrap();
-        assert_eq!(counters.frames_sent(), 2, "client + server sends");
-        assert_eq!(counters.frames_received(), 2);
-        assert_eq!(counters.bytes_sent(), counters.bytes_received());
-        assert!(counters.bytes_sent() > 0);
+        let c = conn.counters();
+        assert_eq!((c.frames_sent(), c.frames_received()), (1, 1));
+        assert_eq!(c.bytes_sent(), msg.encode().len() as u64);
+        assert_eq!(c.bytes_sent(), c.bytes_received());
+        let served = server.join().unwrap();
+        assert_eq!(served, [c.bytes_received(), c.bytes_sent()]);
     }
 
     #[test]
     fn read_timeout_is_distinguishable() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let counters = NetCounters::shared();
-        let mut conn = RetryPolicy::default().connect(addr, &counters).unwrap();
+        let mut conn = RetryPolicy::default().connect(addr).unwrap();
         conn.set_read_timeout(Some(WallDuration::from_millis(30)))
             .unwrap();
         let err = conn.recv().expect_err("nothing to read");
@@ -412,9 +373,7 @@ mod tests {
             base: WallDuration::from_millis(1),
             max: WallDuration::from_millis(2),
         };
-        let err = policy
-            .connect(addr, &NetCounters::shared())
-            .expect_err("no listener");
+        let err = policy.connect(addr).expect_err("no listener");
         assert!(matches!(err, NetError::Io(_)));
         assert!(!err.is_timeout());
     }
@@ -423,26 +382,24 @@ mod tests {
     fn pool_reuses_one_connection_per_peer() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server_counters = NetCounters::shared();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
-            let mut conn = FrameConn::new(stream, server_counters);
+            let mut conn = FrameConn::new(stream);
             // Echo until the client side drops (recv returns EOF).
             while let Ok(msg) = conn.recv() {
                 conn.send(&msg).unwrap();
             }
         });
-        let counters = NetCounters::shared();
-        let pool = ConnPool::new(RetryPolicy::default(), Arc::clone(&counters));
-        for round in 0..3u32 {
+        let pool = ConnPool::new(RetryPolicy::default());
+        let mut reuses = Vec::new();
+        for seq in 0..3 {
             let (mut conn, reused) = pool.checkout(addr).unwrap();
-            assert_eq!(reused, round > 0, "round {round}");
-            conn.send(&Message::Heartbeat { worker: round }).unwrap();
+            reuses.push(reused);
+            conn.send(&Message::BatchDone { seq }).unwrap();
             conn.recv().unwrap();
             pool.checkin(addr, conn);
         }
-        assert_eq!(counters.conns_dialed(), 1, "one dial serves every round");
-        assert_eq!(counters.conns_reused(), 2);
+        assert_eq!(reuses, [false, true, true], "one dial serves every round");
         assert_eq!(pool.idle_count(addr), 1);
         pool.evict(addr);
         assert_eq!(pool.idle_count(addr), 0, "evicted peers hold nothing");
@@ -453,8 +410,7 @@ mod tests {
     fn pool_drops_closed_connections_at_checkout() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let counters = NetCounters::shared();
-        let pool = ConnPool::new(RetryPolicy::default(), Arc::clone(&counters));
+        let pool = ConnPool::new(RetryPolicy::default());
         let (conn, reused) = pool.checkout(addr).unwrap();
         assert!(!reused);
         let (server_side, _) = listener.accept().unwrap();
@@ -463,34 +419,8 @@ mod tests {
         // Let the FIN land so the health probe sees the close.
         std::thread::sleep(WallDuration::from_millis(20));
         let (_conn, reused) = pool.checkout(addr).unwrap();
-        assert!(!reused, "closed idle conn must be dropped, not reused");
-        assert_eq!(counters.conns_dialed(), 2);
-        assert_eq!(counters.conns_reused(), 0);
-    }
-
-    #[test]
-    fn raw_byte_accounting_tracks_v1_layout() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let counters = NetCounters::shared();
-        let mut conn = RetryPolicy::default().connect(addr, &counters).unwrap();
-        let msg = Message::ShuffleAssign {
-            seq: 1,
-            epoch: 0,
-            block_id: 0,
-            assignment: (0..32).collect(),
-        };
-        conn.send(&msg).unwrap();
-        assert_eq!(
-            counters.raw_bytes_sent() as usize,
-            HEADER_LEN + msg.v1_payload_len()
-        );
-        assert!(
-            counters.bytes_sent() < counters.raw_bytes_sent(),
-            "v2 on-wire {} should beat v1 {}",
-            counters.bytes_sent(),
-            counters.raw_bytes_sent()
-        );
+        assert!(!reused, "closed idle conn must be dropped and redialed");
+        assert_eq!(pool.idle_count(addr), 0);
     }
 
     #[test]

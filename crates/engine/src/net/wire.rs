@@ -13,9 +13,7 @@
 //! delta-encoded against the previous key as zigzag varints — ascending ids
 //! a few apart take 1–2 bytes instead of 8. `f64` aggregates stay fixed
 //! 8-byte bit patterns (bit-identity is non-negotiable, and mantissas do
-//! not compress). [`Message::v1_payload_len`] reports what the fixed-width
-//! v1 layout would have used, so transports can account raw vs. encoded
-//! bytes-on-wire.
+//! not compress).
 //!
 //! Protocol v3 takes the key table out of `MapComplete`: every
 //! wire-expressible Map keeps every tuple under its own key
@@ -28,6 +26,11 @@
 //! so a batch whose acks are all in is fetchable on every source.
 //! `ReduceComplete` carries the aggregates and the fetch stats only: the
 //! driver tallies each bucket's tuples and fragments from its own assignment.
+//!
+//! Protocol v5 drops what no reader used: the v1-layout byte count from the
+//! `FetchStats` trailer, and the worker ids `Heartbeat`, `RegisterAck` and
+//! `WorkerError` carried — the connection a frame arrives on already names
+//! its sender. `MapTask` frames did not change a byte.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
@@ -47,7 +50,9 @@ pub const MAGIC: u32 = 0x5445_4e50;
 /// v2: varint/delta-compacted data-plane payloads (see module docs).
 /// v3: `MapComplete` is a bare ack — it no longer carries a key table.
 /// v4: `MapComplete` means filed; `ReduceComplete` carries no counts.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// v5: no v1 byte count in `FetchStats`, no worker id where the connection
+/// names the sender.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Frame header length: magic + version + msg type + payload length.
 pub const HEADER_LEN: usize = 10;
@@ -127,10 +132,8 @@ pub struct FetchStats {
     pub reused: u64,
     /// Wall-clock µs spent waiting on shuffle fetches, summed per source.
     pub wait_us: u64,
-    /// Fetch-reply bytes actually received (v2 varint encoding).
+    /// Fetch-reply bytes actually received.
     pub bytes_wire: u64,
-    /// What the same replies would have cost in the fixed-width v1 layout.
-    pub bytes_raw: u64,
 }
 
 impl FetchStats {
@@ -141,7 +144,6 @@ impl FetchStats {
         self.reused = self.reused.saturating_add(other.reused);
         self.wait_us = self.wait_us.saturating_add(other.wait_us);
         self.bytes_wire = self.bytes_wire.saturating_add(other.bytes_wire);
-        self.bytes_raw = self.bytes_raw.saturating_add(other.bytes_raw);
     }
 }
 
@@ -157,16 +159,11 @@ pub enum Message {
     },
     /// Driver → worker: registration accepted.
     RegisterAck {
-        /// Echo of the worker id.
-        worker: u32,
         /// Heartbeat period the worker should keep.
         heartbeat_ms: u32,
     },
-    /// Worker → driver: liveness beacon.
-    Heartbeat {
-        /// The sending worker.
-        worker: u32,
-    },
+    /// Worker → driver: liveness beacon (the connection names the worker).
+    Heartbeat,
     /// Driver → worker: map one data block.
     MapTask {
         /// Batch sequence number.
@@ -258,10 +255,8 @@ pub enum Message {
     },
     /// Worker → driver: a task failed; `blame` names the peer at fault
     /// (e.g. an unreachable shuffle source) so the driver can declare it
-    /// lost rather than the reporter.
+    /// lost rather than the reporter, whom the connection names.
     WorkerError {
-        /// The reporting worker.
-        worker: u32,
         /// Batch in flight.
         seq: u64,
         /// Execution attempt epoch.
@@ -279,7 +274,7 @@ impl Message {
         match self {
             Message::Register { .. } => 1,
             Message::RegisterAck { .. } => 2,
-            Message::Heartbeat { .. } => 3,
+            Message::Heartbeat => 3,
             Message::MapTask { .. } => MAP_TASK,
             Message::MapComplete { .. } => 5,
             Message::ShuffleAssign { .. } => 6,
@@ -298,7 +293,7 @@ impl Message {
         match self {
             Message::Register { .. } => "register",
             Message::RegisterAck { .. } => "register_ack",
-            Message::Heartbeat { .. } => "heartbeat",
+            Message::Heartbeat => "heartbeat",
             Message::MapTask { .. } => "map_task",
             Message::MapComplete { .. } => "map_complete",
             Message::ShuffleAssign { .. } => "shuffle_assign",
@@ -328,14 +323,8 @@ impl Message {
                 w.put_u32(*worker);
                 w.put_u16(*shuffle_port);
             }
-            Message::RegisterAck {
-                worker,
-                heartbeat_ms,
-            } => {
-                w.put_u32(*worker);
-                w.put_u32(*heartbeat_ms);
-            }
-            Message::Heartbeat { worker } => w.put_u32(*worker),
+            Message::RegisterAck { heartbeat_ms } => w.put_u32(*heartbeat_ms),
+            Message::Heartbeat => {}
             Message::MapTask {
                 seq,
                 epoch,
@@ -407,7 +396,6 @@ impl Message {
                 w.put_varint(net.reused);
                 w.put_varint(net.wait_us);
                 w.put_varint(net.bytes_wire);
-                w.put_varint(net.bytes_raw);
             }
             Message::BatchDone { seq } => w.put_u64(*seq),
             Message::Shutdown => {}
@@ -432,13 +420,11 @@ impl Message {
                 }
             }
             Message::WorkerError {
-                worker,
                 seq,
                 epoch,
                 blame,
                 detail,
             } => {
-                w.put_u32(*worker);
                 w.put_u64(*seq);
                 w.put_u32(*epoch);
                 w.put_u32(*blame);
@@ -447,15 +433,16 @@ impl Message {
         }
     }
 
-    /// What this message's payload would occupy in the fixed-width v1
-    /// layout (8-byte keys/counts, 4-byte length prefixes, no deltas).
-    /// Transports subtract this from the v2 size to report compression
-    /// wins; it is bookkeeping only and never hits the wire.
+    /// What this message's payload occupied in the retired fixed-width v1
+    /// layout (8-byte keys/counts, 4-byte length prefixes, no deltas, a
+    /// worker id in every worker-sent control frame). No transport counts it:
+    /// its one caller outside tests is the benchmark's `wire.bytes_raw`
+    /// probe.
     pub fn v1_payload_len(&self) -> usize {
         match self {
             Message::Register { .. } => 6,
             Message::RegisterAck { .. } => 8,
-            Message::Heartbeat { .. } => 4,
+            Message::Heartbeat => 4,
             Message::MapTask { block, .. } => {
                 map_task_v1_len(block.tuples.len(), block.fragments.len())
             }
@@ -527,12 +514,9 @@ impl Message {
                 shuffle_port: r.get_u16()?,
             },
             2 => Message::RegisterAck {
-                worker: r.get_u32()?,
                 heartbeat_ms: r.get_u32()?,
             },
-            3 => Message::Heartbeat {
-                worker: r.get_u32()?,
-            },
+            3 => Message::Heartbeat,
             MAP_TASK => {
                 let seq = r.get_u64()?;
                 let epoch = r.get_u32()?;
@@ -613,7 +597,6 @@ impl Message {
                     reused: r.get_varint()?,
                     wait_us: r.get_varint()?,
                     bytes_wire: r.get_varint()?,
-                    bytes_raw: r.get_varint()?,
                 };
                 Message::ReduceComplete {
                     seq,
@@ -655,7 +638,6 @@ impl Message {
                 Message::FetchReply { ready, segments }
             }
             13 => Message::WorkerError {
-                worker: r.get_u32()?,
                 seq: r.get_u64()?,
                 epoch: r.get_u32()?,
                 blame: r.get_u32()?,
@@ -703,7 +685,7 @@ fn put_map_task(
     put_block(w);
 }
 
-/// Fixed-width v1 size of a [`Message::MapTask`] payload.
+/// Retired fixed-width v1 size of a [`Message::MapTask`] payload.
 fn map_task_v1_len(tuples: usize, fragments: usize) -> usize {
     8 + 4 + 4 + 1 + 1 + (4 + TUPLE_WIRE_SIZE * tuples) + (4 + FRAGMENT_WIRE_SIZE * fragments)
 }
@@ -711,22 +693,18 @@ fn map_task_v1_len(tuples: usize, fragments: usize) -> usize {
 /// Encode one [`Message::MapTask`] frame from a borrowed row block — what
 /// `Message::MapTask { block, .. }.encode()` produces, without owning (and
 /// so without cloning) the block.
-///
-/// Returns the frame and its fixed-width v1 payload size for raw-byte
-/// accounting (pass both to `FrameConn::send_frame`).
 pub fn encode_map_task(
     seq: u64,
     epoch: u32,
     block_id: u32,
     job: &JobSpec,
     block: &DataBlock,
-) -> (Vec<u8>, usize) {
+) -> Vec<u8> {
     let mut payload = ByteWriter::new();
     put_map_task(&mut payload, seq, epoch, block_id, job, |w| {
         bytes::put_block(w, block)
     });
-    let v1 = map_task_v1_len(block.tuples.len(), block.fragments.len());
-    (frame(MAP_TASK, &payload.into_bytes()), v1)
+    frame(MAP_TASK, &payload.into_bytes())
 }
 
 /// Encode one [`Message::MapTask`] frame straight from columnar block
@@ -734,8 +712,7 @@ pub fn encode_map_task(
 /// are identical to encoding the equivalent row block
 /// ([`bytes::put_block_columnar`] walks the arena ranges in assignment
 /// order, the order `ColumnarPlan::to_row_plan` concatenates), so workers
-/// decode it with the ordinary [`Message::decode`] path. Same return
-/// contract as [`encode_map_task`].
+/// decode it with the ordinary [`Message::decode`] path.
 pub fn encode_map_task_columnar(
     seq: u64,
     epoch: u32,
@@ -743,13 +720,12 @@ pub fn encode_map_task_columnar(
     job: &JobSpec,
     arena: &ColumnarBatch,
     block: &ColumnarBlock,
-) -> (Vec<u8>, usize) {
+) -> Vec<u8> {
     let mut payload = ByteWriter::new();
     put_map_task(&mut payload, seq, epoch, block_id, job, |w| {
         bytes::put_block_columnar(w, arena, block)
     });
-    let v1 = map_task_v1_len(block.size(), block.fragments.len());
-    (frame(MAP_TASK, &payload.into_bytes()), v1)
+    frame(MAP_TASK, &payload.into_bytes())
 }
 
 /// Decode a varint that must fit in a `u32` (block ids, bucket indices).
@@ -788,11 +764,8 @@ mod tests {
                 worker: 3,
                 shuffle_port: 40_001,
             },
-            Message::RegisterAck {
-                worker: 3,
-                heartbeat_ms: 100,
-            },
-            Message::Heartbeat { worker: 3 },
+            Message::RegisterAck { heartbeat_ms: 100 },
+            Message::Heartbeat,
             Message::MapTask {
                 seq: 9,
                 epoch: 2,
@@ -834,7 +807,6 @@ mod tests {
                     reused: 2,
                     wait_us: 350,
                     bytes_wire: 64,
-                    bytes_raw: 128,
                 },
             },
             Message::BatchDone { seq: 9 },
@@ -852,7 +824,6 @@ mod tests {
                 }],
             },
             Message::WorkerError {
-                worker: 2,
                 seq: 9,
                 epoch: 2,
                 blame: 1,
@@ -887,7 +858,7 @@ mod tests {
                 job,
                 block: row.clone(),
             };
-            for (layout, (frame, v1)) in [
+            for (layout, frame) in [
                 ("rows", encode_map_task(42, 3, i as u32, &job, row)),
                 (
                     "columns",
@@ -895,7 +866,6 @@ mod tests {
                 ),
             ] {
                 assert_eq!(frame, msg.encode(), "block {i} {layout} frame diverged");
-                assert_eq!(v1, msg.v1_payload_len(), "block {i} {layout} v1 size");
                 assert_eq!(Message::decode(&frame).unwrap(), msg);
             }
         }
@@ -948,9 +918,8 @@ mod tests {
     }
 
     /// v4: a `MapComplete` is still an ack of fixed size whatever was mapped,
-    /// a `ReduceComplete` no longer counts what it reduced, and a peer still
-    /// speaking v3 — whose acks come before filing — is turned away at the
-    /// header, before a payload is read.
+    /// and a peer still speaking v3 — whose acks come before filing — is
+    /// turned away at the header, before a payload is read.
     #[test]
     fn map_complete_is_a_bare_ack_and_v3_peers_are_refused() {
         for (seq, epoch, block_id) in [(0, 0, 0), (u64::MAX, u32::MAX, u32::MAX)] {
@@ -962,31 +931,62 @@ mod tests {
             assert_eq!(ack.encode().len(), HEADER_LEN + 16);
             assert_eq!(ack.v1_payload_len(), 16);
         }
-        assert_eq!(PROTOCOL_VERSION, 4);
         for msg in exemplars() {
             let mut frame = msg.encode();
             frame[4] = 3;
             assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(3)));
         }
-        // An empty v3 `ReduceComplete` under a v4 header: its three zero
-        // counts are trailing bytes.
-        let mut w = ByteWriter::new();
-        w.put_u64(9);
-        w.put_u32(2);
-        w.put_u32(1);
-        for _ in 0..3 + 1 + 5 {
-            w.put_varint(0);
+    }
+
+    /// v5: `FetchStats` is four varints and the worker-sent control frames
+    /// carry no worker id. A v4 peer is turned away at the header, and a
+    /// v4-shaped `ReduceComplete` payload under a v5 header — its fifth
+    /// trailer varint, the v1 byte count — is an error, not other stats.
+    #[test]
+    fn v5_frames_carry_no_v1_count_and_no_sender_id() {
+        assert_eq!(PROTOCOL_VERSION, 5);
+        for msg in exemplars() {
+            let mut frame = msg.encode();
+            frame[4] = 4;
+            assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(4)));
         }
-        let stale = frame(8, &w.into_bytes());
-        assert!(matches!(Message::decode(&stale), Err(WireError::Codec(_))));
-        let empty = Message::ReduceComplete {
+        let payload = |msg: &Message| msg.encode().len() - HEADER_LEN;
+        assert_eq!(payload(&Message::Heartbeat), 0);
+        assert_eq!(payload(&Message::RegisterAck { heartbeat_ms: 7 }), 4);
+        let error = Message::WorkerError {
+            seq: 9,
+            epoch: 2,
+            blame: 1,
+            detail: String::new(),
+        };
+        assert_eq!(payload(&error), 8 + 4 + 4 + 4);
+        let reply = |trailer: &[u64]| {
+            let mut w = ByteWriter::new();
+            w.put_u64(9);
+            w.put_u32(2);
+            w.put_u32(1);
+            w.put_varint(0); // no aggregates
+            for &v in trailer {
+                w.put_varint(v);
+            }
+            frame(8, &w.into_bytes())
+        };
+        let net = FetchStats {
+            dialed: 1,
+            reused: 2,
+            wait_us: 350,
+            bytes_wire: 64,
+        };
+        let v5 = Message::ReduceComplete {
             seq: 9,
             epoch: 2,
             bucket: 1,
             aggregates: Vec::new(),
-            net: FetchStats::default(),
+            net,
         };
-        assert_eq!(empty.encode().len(), HEADER_LEN + 16 + 1 + 5);
+        assert_eq!(reply(&[1, 2, 350, 64]), v5.encode());
+        let v4 = reply(&[1, 2, 350, 64, 128]);
+        assert!(matches!(Message::decode(&v4), Err(WireError::Codec(_))));
     }
 
     #[test]
@@ -1026,7 +1026,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut frame = Message::Heartbeat { worker: 1 }.encode();
+        let mut frame = Message::BatchDone { seq: 1 }.encode();
         // Grow the payload by one byte and fix up the length field.
         frame.push(0);
         let len = (frame.len() - HEADER_LEN) as u32;

@@ -35,7 +35,7 @@ use std::time::{Duration as WallDuration, Instant};
 
 use prompt_core::types::Key;
 
-use super::transport::{ConnPool, FrameConn, NetCounters, NetError, RetryPolicy};
+use super::transport::{ConnPool, FrameConn, NetError, RetryPolicy};
 use super::wire::{FetchStats, Message, ShuffleSegment, ShuffleSource};
 use crate::job::ReduceOp;
 use crate::kernel::{map_block, merge_bucket, ClusterList};
@@ -170,7 +170,6 @@ impl Ticker {
 /// Run a worker against the driver at `driver`. Returns when the driver
 /// sends `Shutdown` (Ok) or the control connection fails (Err).
 pub fn run_worker(driver: SocketAddr, opts: WorkerOptions) -> Result<(), NetError> {
-    let counters = NetCounters::shared();
     let stop = Arc::new(AtomicBool::new(false));
     let store = Arc::new(Mutex::new(ShuffleStore::default()));
 
@@ -178,14 +177,9 @@ pub fn run_worker(driver: SocketAddr, opts: WorkerOptions) -> Result<(), NetErro
     // driver in Register.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let shuffle_port = listener.local_addr()?.port();
-    let acceptor = spawn_shuffle_acceptor(
-        listener,
-        Arc::clone(&store),
-        Arc::clone(&stop),
-        Arc::clone(&counters),
-    );
+    let acceptor = spawn_shuffle_acceptor(listener, Arc::clone(&store), Arc::clone(&stop));
 
-    let result = control_loop(driver, opts, &counters, &store, shuffle_port, &stop);
+    let result = control_loop(driver, opts, &store, shuffle_port, &stop);
 
     stop.store(true, Ordering::SeqCst);
     let _ = acceptor.join();
@@ -195,18 +189,17 @@ pub fn run_worker(driver: SocketAddr, opts: WorkerOptions) -> Result<(), NetErro
 fn control_loop(
     driver: SocketAddr,
     opts: WorkerOptions,
-    counters: &Arc<NetCounters>,
     store: &Arc<Mutex<ShuffleStore>>,
     shuffle_port: u16,
     stop: &Arc<AtomicBool>,
 ) -> Result<(), NetError> {
-    let mut conn = opts.retry.connect(driver, counters)?;
+    let mut conn = opts.retry.connect(driver)?;
     conn.send(&Message::Register {
         worker: opts.worker,
         shuffle_port,
     })?;
     let heartbeat_ms = match conn.recv()? {
-        Message::RegisterAck { heartbeat_ms, .. } => heartbeat_ms,
+        Message::RegisterAck { heartbeat_ms } => heartbeat_ms,
         other => {
             return Err(NetError::Protocol(format!(
                 "expected register_ack, got {}",
@@ -221,7 +214,6 @@ fn control_loop(
     let heartbeat = {
         let writer = Arc::clone(&writer);
         let stop = Arc::clone(stop);
-        let worker = opts.worker;
         let period = WallDuration::from_millis(u64::from(heartbeat_ms.max(1)));
         std::thread::spawn(move || {
             let cap = WallDuration::from_millis(25);
@@ -231,7 +223,7 @@ fn control_loop(
                     && writer
                         .lock()
                         .expect("writer lock")
-                        .send(&Message::Heartbeat { worker })
+                        .send(&Message::Heartbeat)
                         .is_err()
                 {
                     break;
@@ -241,7 +233,7 @@ fn control_loop(
         })
     };
 
-    let result = serve_tasks(&mut conn, &writer, opts, counters, store);
+    let result = serve_tasks(&mut conn, &writer, opts, store);
 
     stop.store(true, Ordering::SeqCst);
     // Unblock nothing — the heartbeat thread only sleeps in short ticks.
@@ -253,12 +245,11 @@ fn serve_tasks(
     conn: &mut FrameConn,
     writer: &Arc<Mutex<FrameConn>>,
     opts: WorkerOptions,
-    counters: &Arc<NetCounters>,
     store: &Arc<Mutex<ShuffleStore>>,
 ) -> Result<(), NetError> {
     // Shuffle connections persist here across fetches and batches; a fetch
     // failure evicts the peer's pooled entries before retrying or blaming.
-    let pool = Arc::new(ConnPool::new(opts.retry, Arc::clone(counters)));
+    let pool = Arc::new(ConnPool::new(opts.retry));
     // One long-lived reduce executor: ReduceTasks are enqueued and run
     // serially off the control loop. Serial execution preserves the pooled
     // data plane's one-dial-per-peer-direction property (concurrent
@@ -288,7 +279,6 @@ fn serve_tasks(
                 ) {
                     Ok(done) => done,
                     Err((blame, detail)) => Message::WorkerError {
-                        worker: opts.worker,
                         seq: job.seq,
                         epoch: job.epoch,
                         blame,
@@ -340,7 +330,6 @@ fn serve_tasks(
                         block_id,
                     },
                     Err(detail) => Message::WorkerError {
-                        worker: opts.worker,
                         seq,
                         epoch,
                         blame: opts.worker,
@@ -537,7 +526,6 @@ fn fetch_remote(
         Err(e) => return Err(blame(format!("exchange: {e}"))),
     };
     stats.bytes_wire += wire as u64;
-    stats.bytes_raw += (super::wire::HEADER_LEN + reply.v1_payload_len()) as u64;
     match reply {
         Message::FetchReply {
             ready: true,
@@ -563,7 +551,6 @@ fn spawn_shuffle_acceptor(
     listener: TcpListener,
     store: Arc<Mutex<ShuffleStore>>,
     stop: Arc<AtomicBool>,
-    counters: Arc<NetCounters>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         listener
@@ -578,7 +565,7 @@ fn spawn_shuffle_acceptor(
                     stream
                         .set_nonblocking(false)
                         .expect("accepted stream blocking");
-                    let conn = FrameConn::new(stream, Arc::clone(&counters));
+                    let conn = FrameConn::new(stream);
                     let store = Arc::clone(&store);
                     let stop = Arc::clone(&stop);
                     serving.push(std::thread::spawn(move || serve_fetches(conn, store, stop)));
@@ -654,21 +641,19 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let worker = std::thread::spawn(move || run_worker(addr, WorkerOptions::new(0)));
-            let mut control = FrameConn::new(listener.accept().unwrap().0, NetCounters::shared());
+            let mut control = FrameConn::new(listener.accept().unwrap().0);
             let Message::Register { shuffle_port, .. } = control.recv().unwrap() else {
                 panic!("a worker registers first");
             };
-            let ack = Message::RegisterAck {
-                worker: 0,
-                heartbeat_ms: 100,
-            };
-            control.send(&ack).unwrap();
+            control
+                .send(&Message::RegisterAck { heartbeat_ms: 100 })
+                .unwrap();
             let mut reader = control.try_clone().unwrap();
             let (tx, inbound) = std::sync::mpsc::channel();
             // Ends when the worker closes its end, or the test drops `inbound`.
             let reader = std::thread::spawn(move || {
                 while let Ok(msg) = reader.recv() {
-                    if !matches!(msg, Message::Heartbeat { .. }) && tx.send(msg).is_err() {
+                    if !matches!(msg, Message::Heartbeat) && tx.send(msg).is_err() {
                         return;
                     }
                 }
@@ -724,7 +709,7 @@ mod tests {
 
         fn fetch(&self, seq: u64, bucket: u32) -> Message {
             let stream = TcpStream::connect(self.shuffle).unwrap();
-            let mut conn = FrameConn::new(stream, NetCounters::shared());
+            let mut conn = FrameConn::new(stream);
             conn.send(&Message::Fetch {
                 seq,
                 epoch: 1,
@@ -776,7 +761,7 @@ mod tests {
         assert_eq!(w.fetch(9, 0), Message::FetchReply { ready, segments });
         assert!(started.elapsed() < WallDuration::from_millis(250));
 
-        let pool = ConnPool::new(RetryPolicy::default(), NetCounters::shared());
+        let pool = ConnPool::new(RetryPolicy::default());
         let src = ShuffleSource {
             worker: 3,
             addr: w.shuffle,

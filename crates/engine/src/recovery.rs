@@ -242,8 +242,9 @@ pub struct NetFault {
 /// analogue whose failure source is a real dead process rather than
 /// simulated state loss. Each kill terminates the worker (process kill or
 /// socket shutdown for thread-mode workers); the driver then observes the
-/// loss, spends one replica of the awaited batch, and re-dispatches the
-/// in-flight batches on the survivors from the plans it still holds.
+/// loss, spends one unit of the run's recovery budget, and re-dispatches the
+/// in-flight batches on the survivors from the plans it still holds. A kill
+/// must name a worker the fleet has (`DistributedRuntime::set_fault_plan`).
 #[derive(Clone, Debug, Default)]
 pub struct NetFaultPlan {
     /// The scripted kills, in no particular order.

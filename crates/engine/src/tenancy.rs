@@ -24,8 +24,8 @@
 //! On [`Backend::Distributed`](crate::config::Backend::Distributed) the
 //! tenants share one worker fleet; each run's batch seqs are interleaved
 //! into the fleet's seq space so tenants never collide in the workers'
-//! per-batch shuffle state. A tenant retains its batch inputs and spends a
-//! replica per worker loss exactly like a solo distributed run.
+//! per-batch shuffle state. A tenant survives worker losses under the same
+//! recovery budget as a solo distributed run.
 
 use std::collections::HashSet;
 

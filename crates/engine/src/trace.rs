@@ -198,10 +198,8 @@ pub enum Counter {
     ShuffleConnsReused,
     /// Wall-clock µs workers spent waiting on shuffle fetches.
     ShuffleWaitUs,
-    /// Fetch-reply bytes received by workers (v2 varint encoding).
+    /// Fetch-reply bytes received by workers.
     ShuffleBytesWire,
-    /// v1 fixed-width equivalent of the same fetch replies.
-    ShuffleBytesRaw,
     /// Partitioner-policy decisions evaluated at batch boundaries.
     PolicyDecisions,
     /// Policy decisions that switched the partitioning technique.
@@ -214,7 +212,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 29] = [
         Counter::Batches,
         Counter::Tuples,
         Counter::ScatterFragments,
@@ -240,7 +238,6 @@ impl Counter {
         Counter::ShuffleConnsReused,
         Counter::ShuffleWaitUs,
         Counter::ShuffleBytesWire,
-        Counter::ShuffleBytesRaw,
         Counter::PolicyDecisions,
         Counter::PolicySwitches,
         Counter::Rebalances,
@@ -275,7 +272,6 @@ impl Counter {
             Counter::ShuffleConnsReused => "shuffle_conns_reused",
             Counter::ShuffleWaitUs => "shuffle_wait_us",
             Counter::ShuffleBytesWire => "shuffle_bytes_wire",
-            Counter::ShuffleBytesRaw => "shuffle_bytes_raw",
             Counter::PolicyDecisions => "policy_decisions",
             Counter::PolicySwitches => "policy_switches",
             Counter::Rebalances => "rebalances",

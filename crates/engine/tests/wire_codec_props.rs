@@ -1,8 +1,8 @@
 //! Property-based tests of the v2 wire codec's data plane: the
 //! column-slice Map-task encoder must emit **byte-identical** frames to the
 //! row-path `Message::MapTask` encoding for every partitioning of every
-//! arrival stream — same bytes on the wire, same v1-baseline accounting,
-//! and a decode that round-trips to the row message. This is what lets the
+//! arrival stream — same bytes on the wire, and a decode that round-trips to
+//! the row message. This is what lets the
 //! distributed driver swap the columnar plane in without the workers (or
 //! any capture of the traffic) being able to tell.
 
@@ -54,8 +54,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// For every block of every plan, the columnar encoder's frame equals
-    /// the row encoder's frame byte for byte, reports the same v1-baseline
-    /// payload size, and decodes back to the row message.
+    /// the row encoder's frame byte for byte and decodes back to the row
+    /// message.
     #[test]
     fn columnar_frames_are_byte_identical_to_row_frames(
         stream in stream_strategy(),
@@ -77,7 +77,7 @@ proptest! {
                 block: rb.clone(),
             };
             let want = msg.encode();
-            let (frame, v1) = encode_map_task_columnar(
+            let frame = encode_map_task_columnar(
                 seq,
                 epoch,
                 block_id as u32,
@@ -86,7 +86,6 @@ proptest! {
                 cb,
             );
             prop_assert_eq!(&frame, &want, "block {} frame bytes", block_id);
-            prop_assert_eq!(v1, msg.v1_payload_len(), "block {} v1 size", block_id);
             let decoded = Message::decode(&frame).expect("well-formed frame");
             prop_assert_eq!(decoded, msg, "block {} decode", block_id);
         }
@@ -115,9 +114,8 @@ proptest! {
                 job: spec,
                 block: rb.clone(),
             };
-            let (frame, v1) = encode_map_task_columnar(3, 1, block_id as u32, &spec, &cols.arena, cb);
+            let frame = encode_map_task_columnar(3, 1, block_id as u32, &spec, &cols.arena, cb);
             prop_assert_eq!(&frame, &msg.encode(), "block {}", block_id);
-            prop_assert_eq!(v1, msg.v1_payload_len(), "block {}", block_id);
         }
     }
 }

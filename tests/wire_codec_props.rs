@@ -71,8 +71,8 @@ proptest! {
     ) {
         for msg in [
             Message::Register { worker, shuffle_port: port },
-            Message::RegisterAck { worker, heartbeat_ms: hb },
-            Message::Heartbeat { worker },
+            Message::RegisterAck { heartbeat_ms: hb },
+            Message::Heartbeat,
             Message::BatchDone { seq },
             Message::Shutdown,
             Message::Fetch { seq, epoch, bucket },
@@ -165,14 +165,13 @@ proptest! {
         reused in any::<u64>(),
         wait_us in any::<u64>(),
         bytes_wire in any::<u64>(),
-        bytes_raw in any::<u64>(),
     ) {
         round_trip(Message::ReduceComplete {
             seq,
             epoch,
             bucket,
             aggregates: aggregates.into_iter().map(|(k, v)| (Key(k), v)).collect(),
-            net: FetchStats { dialed, reused, wait_us, bytes_wire, bytes_raw },
+            net: FetchStats { dialed, reused, wait_us, bytes_wire },
         })?;
     }
 
@@ -180,7 +179,6 @@ proptest! {
     fn fetch_reply_and_worker_error_round_trip(
         ready in any::<bool>(),
         segments in vec((any::<u32>(), vec((any::<u64>(), value(), any::<u64>()), 0..20)), 0..8),
-        worker in any::<u32>(),
         seq in any::<u64>(),
         epoch in any::<u32>(),
         blame in any::<u32>(),
@@ -197,7 +195,6 @@ proptest! {
                 .collect(),
         })?;
         round_trip(Message::WorkerError {
-            worker,
             seq,
             epoch,
             blame,
@@ -280,13 +277,13 @@ proptest! {
 
     #[test]
     fn corrupt_headers_are_rejected_with_typed_errors(
-        worker in any::<u32>(),
+        seq in any::<u64>(),
         magic in any::<u32>(),
         version in any::<u8>(),
         // 1..=13 are live message types; anything above must be rejected.
         msg_type in 14u8..=255,
     ) {
-        let good = Message::Heartbeat { worker }.encode();
+        let good = Message::BatchDone { seq }.encode();
 
         // Wrong magic: rejected before anything else is interpreted.
         let mut frame = good.clone();
