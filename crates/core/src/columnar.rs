@@ -13,9 +13,9 @@
 //! concatenating ranges in assignment order — exactly the order the row
 //! pipeline builds them — so a columnar block enumerates tuples in the same
 //! sequence as its row block and any per-block `f64` fold visits values in
-//! the identical order. The differential suites
-//! (`columnar_differential`, `tests/wire_codec_props.rs`) gate this
-//! bit-identity across all three backends.
+//! the identical order. The engine's differential oracle
+//! (`crates/engine/tests/oracle.rs`) and `tests/wire_codec_props.rs` gate
+//! this bit-identity across all three backends.
 
 use std::sync::Arc;
 

@@ -461,8 +461,8 @@ impl Partitioner for PromptPartitioner {
         // Accumulators seal straight into column arenas (`seal_columnar`
         // replays the exact row seal order) and materialization emits arena
         // ranges instead of tuple copies, so `to_row_plan()` of this result
-        // is bit-identical to the row layout's plan — gated by
-        // `columnar_differential`.
+        // is bit-identical to the row layout's plan — gated by the engine's
+        // differential oracle.
         Some(self.pipeline(
             &batch.tuples,
             batch.interval,

@@ -98,9 +98,11 @@ pub struct EngineConfig {
     /// window state is kept in a [`crate::state::KeyedStateStore`] of
     /// [`crate::state::STATE_SHARDS`] shards — whatever `reduce_tasks` is,
     /// or elasticity makes of it: a scale action forces no commit —
-    /// committed as changelog deltas + periodic snapshots, and retained
-    /// batch inputs are truncated at the checkpoint watermark instead of
-    /// at window expiry. Requires a window on the engine.
+    /// committed as changelog deltas + periodic snapshots. The batch inputs
+    /// a [`FaultPlan`](crate::recovery::FaultPlan) retains are truncated at
+    /// the checkpoint watermark instead of at window expiry; a checkpoint
+    /// retains none of its own (a resume reads the checkpoint). Requires a
+    /// window on the engine.
     pub checkpoint: Option<CheckpointConfig>,
     /// Bounded in-flight window of the driver's batch-state machine: how
     /// many batches may be past *buffering* (partitioned or executing)
@@ -116,11 +118,14 @@ pub struct EngineConfig {
     /// carries the task counts, technique and routing it was prepared under
     /// through execution and commit; answers (windows, stateful emissions)
     /// never depend on depth; and a depth-`d` run equals the serial run
-    /// forced through the same decision sequence. A batch with a scheduled
+    /// forced through the same decision sequence. The scaler has no forced
+    /// log, so under elasticity a batch runs under the task counts its depth
+    /// lets the scaler set, and a floating `Sum` of a key split across Map
+    /// blocks rounds accordingly. A batch with a scheduled
     /// [`FaultPlan`](crate::recovery::FaultPlan) event is filled into an
     /// empty window (a barrier, not a run-wide clamp); scripted *worker*
     /// kills ([`NetFaultPlan`](crate::recovery::NetFaultPlan)) are survived
-    /// at any depth. Input retention grows with depth
+    /// at any depth. The inputs a `FaultPlan` retains grow with depth
     /// (`StateStats::max_retained_batches` by `d − 1`).
     ///
     /// Work overlaps only on [`Backend::Distributed`], where a filled
@@ -168,8 +173,8 @@ pub struct EngineConfig {
     /// rebalancer read its per-block fragment lists, and no row rendering
     /// is made of it. Plans, outputs, stage times, controller decisions and
     /// wire frames are bit-identical to the row path (gated by the
-    /// `columnar_differential` suite); techniques without a columnar seal
-    /// seal rows, batch by batch. A worker-loss retry resubmits the
+    /// differential oracle, `tests/oracle.rs`); techniques without a
+    /// columnar seal seal rows, batch by batch. A worker-loss retry resubmits the
     /// columnar plan in hand; only replays of a batch whose plan is gone
     /// (scheduled fault-plan losses, the suffix after a state-store loss)
     /// re-partition the replicated row input.
@@ -261,6 +266,18 @@ impl EngineConfig {
         }
         if let Some(ckpt) = &self.checkpoint {
             ckpt.validate()?;
+        }
+        if let Some(sc) = &self.elasticity {
+            if !(sc.thres > 0.0 && sc.step >= 0.0 && sc.d >= 1) {
+                return Err("the scaler needs thres > 0, step >= 0 and d >= 1".into());
+            }
+            let bounds = sc.min_tasks..=sc.max_tasks;
+            if !bounds.contains(&self.map_tasks) || !bounds.contains(&self.reduce_tasks) {
+                return Err(format!(
+                    "task counts ({}, {}) outside the scaler's bounds {}..={}",
+                    self.map_tasks, self.reduce_tasks, sc.min_tasks, sc.max_tasks
+                ));
+            }
         }
         self.policy.validate()?;
         self.rebalance.validate()?;
@@ -377,6 +394,15 @@ mod tests {
             },
             EngineConfig {
                 checkpoint: Some(CheckpointConfig::new("/tmp/ckpt").interval(0)),
+                ..EngineConfig::default()
+            },
+            // A scaler whose bounds exclude the initial task counts.
+            EngineConfig {
+                reduce_tasks: 2,
+                elasticity: Some(ScalerConfig {
+                    min_tasks: 3,
+                    ..ScalerConfig::default()
+                }),
                 ..EngineConfig::default()
             },
             EngineConfig {

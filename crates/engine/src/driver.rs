@@ -1295,6 +1295,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A late store loss is what makes the run retain inputs at all (only a
+    /// `FaultPlan` replay reads them); until it fires, each checkpoint commit
+    /// truncates them at its watermark.
     #[test]
     fn watermark_truncates_retained_inputs() {
         let window = WindowSpec::sliding(Duration::from_secs(8), Duration::from_secs(1));
@@ -1308,7 +1311,8 @@ mod tests {
                 1,
                 Job::identity("count", ReduceOp::Count),
             )
-            .with_window(window);
+            .with_window(window)
+            .with_fault_tolerance(2, FaultPlan::none().lose_store_at(7));
             let res = eng.run(&mut const_source(300, 7), 8);
             let _ = std::fs::remove_dir_all(&dir);
             res.state.expect("state on")

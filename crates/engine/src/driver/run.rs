@@ -147,9 +147,11 @@ pub(crate) struct Run<'e> {
     /// the evidence a `Rebalance` trace event cites. Derived from virtual
     /// task times, so identical across backends.
     last_load: Option<(u64, f64)>,
-    /// Replicated batch inputs (§8 point 2); `Some` only when a checkpoint or
-    /// a [`FaultPlan`] is configured. Only a `FaultPlan` event reads them back
-    /// ([`Run::replay`]); a checkpointed run retains them up to its watermark.
+    /// Replicated batch inputs (§8 point 2); `Some` exactly when a
+    /// [`FaultPlan`] is configured: its replays ([`Run::replay`]) are all that
+    /// read an input back — a worker loss resubmits the plan in hand, and a
+    /// resume reads the checkpoint. A checkpointed run truncates them at its
+    /// watermark.
     store: Option<ReplicatedBatchStore>,
     /// The recovery budget: replicas per retained input, and how many worker
     /// losses one execution of a batch may survive.
@@ -189,7 +191,6 @@ impl<'e> Run<'e> {
             !distributed || eng.job.wire_spec().is_some(),
             "Backend::Distributed needs wire-serialisable jobs (build them with Job::identity)"
         );
-        let retain_inputs = cfg.checkpoint.is_some() || !fault_plan.is_empty();
         let scaler = cfg
             .elasticity
             .map(|sc| AutoScaler::new(sc, cfg.map_tasks, cfg.reduce_tasks));
@@ -216,7 +217,7 @@ impl<'e> Run<'e> {
             was_in_grace: false,
             rebalancer,
             last_load: None,
-            store: retain_inputs.then(|| ReplicatedBatchStore::new(replicas)),
+            store: (!fault_plan.is_empty()).then(|| ReplicatedBatchStore::new(replicas)),
             replicas,
             fault_plan,
             window_len_batches: eng.window.map_or(1, |spec| spec.in_batches(bi).0 as u64),
@@ -673,11 +674,13 @@ impl<'e> Run<'e> {
         }
         if let Some(store) = self.store.as_mut() {
             // Without checkpointing, batches that have produced output and
-            // left every window can drop their replicated input (§8). With
-            // checkpointing, retention is truncated at the checkpoint
+            // left every window can drop their replicated input (§8) — unless
+            // a store loss is still to come, which rebuilds from batch zero.
+            // With checkpointing, retention is truncated at the checkpoint
             // watermark on commit instead — durable state covers everything
             // before it.
-            if self.checkpointer.is_none() && seq + 1 >= self.window_len_batches {
+            let rebuild_ahead = self.fault_plan.lose_store.iter().any(|&s| s > seq);
+            if self.checkpointer.is_none() && !rebuild_ahead && seq + 1 >= self.window_len_batches {
                 store.expire_through(seq + 1 - self.window_len_batches);
             }
         }

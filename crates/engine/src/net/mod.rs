@@ -15,8 +15,8 @@
 //! engine*: map folds and reduce merge order are preserved exactly and the
 //! shuffle assignment is the same pure function of each block
 //! (`kernel::assign_block`), so a distributed run's per-batch plans and outputs
-//! equal the in-process engine's, `f64` for `f64`. The differential tests
-//! in `tests/distributed_smoke.rs` enforce this.
+//! equal the in-process engine's, `f64` for `f64`. The differential oracle
+//! (`tests/oracle.rs`) enforces this.
 
 pub mod driver;
 pub mod transport;

@@ -19,8 +19,8 @@
 //! the trace level, or on pipeline depth. That purity is the determinism
 //! contract — an adaptive run is bit-identical to a run forced through the
 //! same per-batch technique sequence ([`PolicySpec::Forced`] is exactly
-//! that replay mechanism, and `tests/policy_differential.rs` gates it on
-//! all three backends).
+//! that replay mechanism, and the differential oracle, `tests/oracle.rs`,
+//! gates it on all three backends).
 //!
 //! # Scoring
 //!

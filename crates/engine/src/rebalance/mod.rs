@@ -34,8 +34,8 @@
 //! plans in [`crate::driver::RunResult::migrations`]; replaying that
 //! sequence through [`RebalanceSpec::Forced`] reproduces the run bit for
 //! bit (plans, per-task times, windows, span tiling) on all three
-//! backends — the `rebalance_differential` integration test gates this,
-//! including a worker killed on a migration batch. At
+//! backends — the differential oracle (`tests/oracle.rs`) gates this,
+//! worker kills included. At
 //! [`pipeline_depth`](crate::config::EngineConfig::pipeline_depth) `d` the
 //! observations lag the decisions by `d` batches; the policy then waits
 //! for a batch prepared under its own last plan before planning again, so
@@ -161,35 +161,38 @@ impl RoutingTable {
         self.owners[group_of(key, self.owners.len())] as usize
     }
 
-    /// Apply a migration plan, bumping the version. Rejects plans that
-    /// disagree with the current table (stale `from`, unknown group, owner
-    /// out of range, or no moves) — a forced replay that trips this was
-    /// recorded against a different table history.
+    /// Apply a migration plan, bumping the version. The moves apply in
+    /// order, each to the table the moves before it left — the layout the
+    /// planner re-projects after every move, so one plan may move a group
+    /// twice. Rejects plans that disagree with that table (stale `from`,
+    /// unknown group, owner out of range, or no moves), leaving the table
+    /// as it was — a forced replay that trips this was recorded against a
+    /// different table history.
     pub fn apply(&mut self, plan: &MigrationPlan) -> Result<(), String> {
         if plan.is_empty() {
             return Err("migration plan moves nothing".into());
         }
+        let mut owners = self.owners.clone();
         for (i, m) in plan.moves.iter().enumerate() {
             let g = m.group as usize;
-            if g >= self.owners.len() {
+            if g >= owners.len() {
                 return Err(format!("move {i}: group {g} out of range"));
             }
             if m.to as usize >= self.n_workers {
                 return Err(format!("move {i}: destination {} out of range", m.to));
             }
-            if self.owners[g] != m.from {
+            if owners[g] != m.from {
                 return Err(format!(
                     "move {i}: group {g} owned by {}, plan says {}",
-                    self.owners[g], m.from
+                    owners[g], m.from
                 ));
             }
             if m.from == m.to {
                 return Err(format!("move {i}: group {g} moved to its own owner"));
             }
+            owners[g] = m.to;
         }
-        for m in &plan.moves {
-            self.owners[m.group as usize] = m.to;
-        }
+        self.owners = owners;
         self.version += 1;
         Ok(())
     }
@@ -627,6 +630,16 @@ mod tests {
         // Re-applying is stale: group 0 is no longer owned by 0.
         assert!(t.apply(&plan).is_err());
         assert_eq!(t.version(), 1, "failed apply must not bump the version");
+        // Moves apply in order: the planner re-projects after each one, so
+        // a group may move twice in one plan; a stale later move leaves the
+        // table as it was.
+        let mv = |group, from, to| GroupMove { group, from, to };
+        let twice = vec![mv(1, 1, 0), mv(0, 1, 0), mv(1, 0, 1)];
+        t.apply(&MigrationPlan { moves: twice }).unwrap();
+        assert_eq!((t.owners(), t.version()), (&[0, 1, 0, 1][..], 2));
+        let stale = vec![mv(2, 0, 1), mv(2, 0, 1)];
+        assert!(t.apply(&MigrationPlan { moves: stale }).is_err());
+        assert_eq!((t.owners(), t.version()), (&[0, 1, 0, 1][..], 2));
     }
 
     #[test]

@@ -130,8 +130,8 @@ pub fn execute_batch(
 /// and how many of them carried a split key — into the recorder. Output and
 /// stage times are bit-identical to the row layout on the plan's row
 /// rendering ([`ColumnarPlan::to_row_plan`]) — same fold order, same
-/// assignments, same cost inputs — gated by the `columnar_differential`
-/// suite.
+/// assignments, same cost inputs — gated by the differential oracle
+/// (`tests/oracle.rs`).
 pub fn execute_columnar_traced(
     plan: &ColumnarPlan,
     job: &Job,

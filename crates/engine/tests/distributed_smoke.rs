@@ -1,221 +1,152 @@
-//! The distributed acceptance gate: real `prompt-worker` processes over
-//! loopback TCP must be **bit-identical** to the serial in-process engine —
-//! per-batch plans, stage times, aggregates and window outputs — and a
-//! worker killed mid-run must be detected, its batches resubmitted to the
-//! survivors from the plans in hand within the recovery budget, and leave
-//! the outputs unchanged.
+//! What the fleet must do that no equality with the serial engine states
+//! (`oracle.rs` holds every distributed run to the serial one): columnar
+//! frames put a row run's bytes on the wire, a worker loss spends a count
+//! and aborts past it, a checkpoint shrinks the recompute a store loss
+//! costs, a scale action moves no state, and nothing retains an input
+//! unless a `FaultPlan` may replay it.
 //!
 //! These spawn OS processes, so they live in their own test binary (CI runs
 //! it as the `distributed-smoke` job) rather than the fast unit tier.
 
 use prompt_core::partitioner::Technique;
-use prompt_core::types::{Duration, Interval, Key, Time, Tuple};
+use prompt_core::types::Duration;
 use prompt_engine::prelude::*;
 
 mod common;
-use common::assert_runs_identical;
+use common::{assert_answers_equal, completed, ensure_worker_bin, fresh_dir, run, Case, Shape};
 
-/// Point the engine's worker-binary resolution at the freshly built
-/// `prompt-worker` before any runtime launches. Cargo guarantees the binary
-/// exists when this test binary runs.
-fn ensure_worker_bin() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        std::env::set_var("PROMPT_WORKER_BIN", env!("CARGO_BIN_EXE_prompt-worker"));
-    });
-}
-
-/// Skewed workload: key 0 takes ~40% of tuples, the rest spread over a
-/// round-robin tail with varying values.
-fn skewed_source(rate: usize, keys: u64) -> impl TupleSource {
-    move |iv: Interval, out: &mut Vec<Tuple>| {
-        let step = iv.len().0 / (rate as u64 + 1);
-        for i in 0..rate {
-            let key = if i % 5 < 2 {
-                0
-            } else {
-                1 + (i as u64 % (keys - 1))
-            };
-            out.push(Tuple {
-                ts: Time(iv.start.0 + step * (i as u64 + 1)),
-                key: Key(key),
-                value: (i % 17) as f64 - 4.5,
-            });
-        }
-    }
-}
-
-/// Uniform workload with a drifting key set, stressing re-registration of
-/// clusters across batches.
-fn drifting_source(rate: usize, keys: u64) -> impl TupleSource {
-    move |iv: Interval, out: &mut Vec<Tuple>| {
-        let step = iv.len().0 / (rate as u64 + 1);
-        let shift = iv.start.0 / 1_000_000; // one new key band per batch
-        for i in 0..rate {
-            out.push(Tuple {
-                ts: Time(iv.start.0 + step * (i as u64 + 1)),
-                key: Key((i as u64 + shift * 3) % keys),
-                value: 1.0 + (i % 7) as f64,
-            });
-        }
-    }
-}
-
-fn cfg_with(backend: Backend) -> EngineConfig {
+fn fleet(workers: usize) -> EngineConfig {
     EngineConfig {
-        batch_interval: Duration::from_secs(1),
         map_tasks: 4,
         reduce_tasks: 3,
         cluster: Cluster::new(2, 4),
-        backend,
+        backend: Backend::Distributed {
+            workers,
+            base_port: 0,
+        },
+        trace: TraceLevel::Full,
         ..EngineConfig::default()
     }
 }
 
-fn run_pair(
-    technique: Technique,
-    job: Job,
-    source_of: impl Fn() -> Box<dyn TupleSource>,
-    workers: usize,
-    n_batches: usize,
-) -> (RunResult, RunResult) {
-    ensure_worker_bin();
-    let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
-    let mut serial = StreamingEngine::new(cfg_with(Backend::InProcess), technique, 9, job.clone())
-        .with_window(window);
-    let serial_res = serial.run(source_of().as_mut(), n_batches);
-
-    let mut dist = StreamingEngine::new(
-        cfg_with(Backend::Distributed {
-            workers,
-            base_port: 0,
-        }),
-        technique,
-        9,
-        job,
-    )
-    .with_window(window);
-    let dist_res = dist.run(source_of().as_mut(), n_batches);
-    (serial_res, dist_res)
+/// A skewed stream: Zipf 1.2 over 15 keys, 600 tuples a batch.
+fn skewed(cfg: EngineConfig, batches: usize) -> Case {
+    let shape = Shape {
+        alpha: (1.2, 1.2),
+        ..Shape::uniform(600.0, 15)
+    };
+    Case::new(shape, cfg, batches)
 }
 
+/// Column-sliced frames are byte-identical to row frames, so a columnar run
+/// puts exactly a row run's bytes on the wire — and so does its retry after
+/// a worker killed mid-shuffle (at depth 1, where how much of the window
+/// went out before the loss surfaced does not depend on timing).
 #[test]
-fn skewed_sum_two_processes_bit_identical() {
-    let (serial, dist) = run_pair(
-        Technique::Prompt,
-        Job::identity("sum", ReduceOp::Sum),
-        || Box::new(skewed_source(900, 23)),
-        2,
-        6,
-    );
-    assert_runs_identical("distributed vs serial", &serial, &dist);
-    assert_eq!(dist.worker_losses, 0);
-    assert_eq!(dist.recoveries, 0);
-    let net = dist.net.expect("distributed runs report wire stats");
-    assert_eq!(net.workers_lost, 0);
-    assert!(net.frames_sent > 0 && net.bytes_sent > 0);
-    assert!(serial.net.is_none(), "in-process runs have no wire stats");
-
-    // The pooled data plane: across 6 batches the two workers dial each
-    // other at most once per direction and reuse those connections for
-    // every later fetch.
-    assert!(
-        net.shuffle_conns_dialed <= 2,
-        "2 workers need at most one dial per direction, got {}",
-        net.shuffle_conns_dialed
-    );
-    assert!(
-        net.shuffle_conns_reused > net.shuffle_conns_dialed,
-        "pool hits ({}) must dominate dials ({})",
-        net.shuffle_conns_reused,
-        net.shuffle_conns_dialed
-    );
-    assert!(net.shuffle_bytes_wire > 0, "remote fetches happened");
+fn columnar_wire_traffic_matches_rows_byte_for_byte() {
+    for kills in [
+        NetFaultPlan::none(),
+        NetFaultPlan::none().kill_after_map(2, 1),
+    ] {
+        let wire = |columnar| {
+            let case = skewed(
+                EngineConfig {
+                    columnar,
+                    ..fleet(3)
+                },
+                6,
+            );
+            let (res, _) = completed(&Case {
+                kills: kills.clone(),
+                ..case
+            });
+            let net = res.net.expect("distributed runs report wire stats");
+            (net.bytes_sent, net.frames_sent)
+        };
+        assert_eq!(wire(false), wire(true), "{kills:?}");
+    }
 }
 
+/// Three workers, two losses on one batch: worker 0 dies before batch 2's
+/// Map tasks and worker 1 right after them, under a recovery budget of
+/// `budget` worker losses per execution.
+fn killed_twice_in_batch_2(budget: usize) -> Case {
+    Case {
+        window: (2, 2),
+        recovery: Some((budget, FaultPlan::none())),
+        kills: NetFaultPlan::none().kill_before(2, 0).kill_after_map(2, 1),
+        ..skewed(fleet(3), 5)
+    }
+}
+
+/// A worker loss spends the recovery budget, a count: a budget of one
+/// survives batch 2's first loss and aborts the run on its second.
 #[test]
-fn drifting_count_three_processes_bit_identical() {
-    let (serial, dist) = run_pair(
-        Technique::Hash,
-        Job::identity("count", ReduceOp::Count),
-        || Box::new(drifting_source(700, 40)),
-        3,
-        6,
+fn a_second_loss_on_one_batch_exceeds_a_budget_of_one() {
+    let why = run(&killed_twice_in_batch_2(1)).expect_err("the run must abort");
+    assert!(
+        why.contains("worker loss on batch 2 beyond recovery budget"),
+        "{why}"
     );
-    assert_runs_identical("distributed vs serial", &serial, &dist);
-    assert_eq!(dist.worker_losses, 0);
 }
 
-fn ckpt_dir(tag: &str) -> std::path::PathBuf {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!("prompt-smoke-{tag}-{}-{nanos}", std::process::id()))
+/// A budget of two survives both losses of batch 2 on the last worker
+/// standing, and each loss reports what is left.
+#[test]
+fn a_budget_of_two_survives_two_losses_on_one_batch() {
+    let (dist, rec) = completed(&killed_twice_in_batch_2(2));
+    assert_eq!((dist.worker_losses, dist.recoveries), (2, 2));
+    let left: Vec<(u64, usize)> = (rec.events().iter())
+        .filter_map(|e| match *e {
+            TraceEvent::Recovery { seq, replicas_left } => Some((seq, replicas_left)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(left, [(2, 1), (2, 0)], "1 replicas left, then 0");
 }
 
-/// The state-recovery acceptance gate: a worker killed mid-window *and* a
-/// scheduled loss of the whole keyed state store, with checkpointing on,
-/// must restore from the checkpoint, recompute only the post-watermark
-/// suffix (fewer batches than the no-checkpoint rebuild), and leave every
-/// window bit-identical to the serial engine.
+/// The state-recovery gate: a worker killed mid-window *and* a scheduled
+/// loss of the whole keyed state store, with checkpointing on, restore from
+/// the checkpoint and recompute only the post-watermark suffix — fewer
+/// batches than the no-checkpoint rebuild — and leave the run equal to the
+/// serial engine's.
 #[test]
 fn checkpointed_state_survives_worker_kill_and_store_loss() {
-    ensure_worker_bin();
-    let job = Job::identity("sum", ReduceOp::Sum);
-    // The window spans the whole run so the no-checkpoint variant retains
-    // every batch and recompute-from-scratch stays feasible.
-    let window = WindowSpec::sliding(Duration::from_secs(8), Duration::from_secs(1));
-    let n_batches = 8;
-
-    let mut serial = StreamingEngine::new(
-        cfg_with(Backend::InProcess),
-        Technique::Prompt,
-        5,
-        job.clone(),
-    )
-    .with_window(window)
-    .with_stateful(StatefulOp::SessionCount);
-    let serial_res = serial.run(&mut skewed_source(600, 15), n_batches);
-
-    let run_dist = |checkpoint: Option<CheckpointConfig>| {
-        let mut cfg = cfg_with(Backend::Distributed {
-            workers: 3,
-            base_port: 0,
-        });
-        cfg.trace = TraceLevel::Full;
-        cfg.checkpoint = checkpoint;
-        let mut dist = StreamingEngine::new(cfg, Technique::Prompt, 5, job.clone())
-            .with_window(window)
-            .with_stateful(StatefulOp::SessionCount)
-            .with_fault_tolerance(3, FaultPlan::none().lose_store_at(5))
-            .with_net_faults(NetFaultPlan::none().kill_before(2, 1));
-        dist.run_traced(&mut skewed_source(600, 15), n_batches)
+    let lossy = |checkpoint: Option<CheckpointConfig>| Case {
+        // The window spans the run, as a rebuild without a checkpoint would
+        // replay all of it anyway.
+        window: (8, 1),
+        op: ReduceOp::Count,
+        stateful: true,
+        recovery: Some((3, FaultPlan::none().lose_store_at(5))),
+        kills: NetFaultPlan::none().kill_before(2, 1),
+        ..skewed(
+            EngineConfig {
+                checkpoint,
+                ..fleet(3)
+            },
+            8,
+        )
     };
-
-    let dir = ckpt_dir("recovery");
-    let (ckpt_res, rec) = run_dist(Some(CheckpointConfig::new(&dir).interval(1)));
-    let (scratch_res, _) = run_dist(None);
-
-    // The worker kill really happened and was recovered from...
-    assert_eq!(ckpt_res.worker_losses, 1, "worker 1 dies at batch 2");
-    assert_eq!(ckpt_res.recoveries, 1);
-
-    // ...the store loss restored from the checkpoint, recomputing only the
-    // post-watermark suffix (nothing: the watermark covers batch 4)...
-    let ckpt_stats = ckpt_res.state.expect("state layer on");
-    let scratch_stats = scratch_res.state.expect("state layer on");
-    assert_eq!(ckpt_stats.restores, 1);
-    assert_eq!(scratch_stats.restores, 1);
-    assert_eq!(
-        scratch_stats.recomputed_batches, 5,
-        "no checkpoint: rebuild all"
+    let ckpt = lossy(Some(CheckpointConfig::new("set by run").interval(1)));
+    let (res, rec) = completed(&ckpt);
+    let (scratch, _) = completed(&lossy(None));
+    let (serial, _) = completed(&ckpt.serial());
+    assert_eq!(serial.first_difference(&res), None);
+    assert_eq!((res.worker_losses, res.recoveries), (1, 1));
+    let (ckpt, scratch) = (
+        res.state.expect("state on"),
+        scratch.state.expect("state on"),
+    );
+    assert_eq!((ckpt.restores, scratch.restores), (1, 1));
+    assert_eq!(scratch.recomputed_batches, 5, "no checkpoint: rebuild all");
+    assert!(
+        ckpt.recomputed_batches < scratch.recomputed_batches,
+        "checkpoint must shrink the recompute suffix: {ckpt:?} vs {scratch:?}"
     );
     assert!(
-        ckpt_stats.recomputed_batches < scratch_stats.recomputed_batches,
-        "checkpoint must shrink the recompute suffix: {} vs {}",
-        ckpt_stats.recomputed_batches,
-        scratch_stats.recomputed_batches
+        ckpt.max_retained_batches < scratch.max_retained_batches,
+        "watermark truncation must bound retention: {ckpt:?} vs {scratch:?}"
     );
     assert_eq!(rec.counter(Counter::StateRestores), 1);
     assert!(
@@ -223,48 +154,8 @@ fn checkpointed_state_survives_worker_kill_and_store_loss() {
         "one commit per batch"
     );
     let events = rec.events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::StateRestore { seq: 5, .. })),
-        "the restore decision must be visible in the trace"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Checkpoint { .. })),
-        "checkpoint commits must be visible in the trace"
-    );
-
-    // ...and the retained inputs were truncated at the watermark while the
-    // no-checkpoint run had to keep everything.
-    assert!(
-        ckpt_stats.max_retained_batches < scratch_stats.max_retained_batches,
-        "watermark truncation must bound retention: {} vs {}",
-        ckpt_stats.max_retained_batches,
-        scratch_stats.max_retained_batches
-    );
-
-    // Both runs emit windows and stateful results bit-identical to serial.
-    for (name, res) in [("checkpoint", &ckpt_res), ("scratch", &scratch_res)] {
-        assert_eq!(serial_res.windows.len(), res.windows.len(), "{name}");
-        for (a, b) in serial_res.windows.iter().zip(&res.windows) {
-            assert_eq!(
-                a.aggregates, b.aggregates,
-                "{name} window {}",
-                a.last_batch_seq
-            );
-        }
-        assert_eq!(serial_res.stateful.len(), res.stateful.len(), "{name}");
-        for (a, b) in serial_res.stateful.iter().zip(&res.stateful) {
-            assert_eq!(
-                a.aggregates, b.aggregates,
-                "{name} stateful {}",
-                a.last_batch_seq
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let restored = |e: &TraceEvent| matches!(e, TraceEvent::StateRestore { seq: 5, .. });
+    assert!(events.iter().any(restored), "the restore must be traced");
 }
 
 /// Elasticity beside durable state on the fleet: when the auto-scaler changes
@@ -276,234 +167,82 @@ fn checkpointed_state_survives_worker_kill_and_store_loss() {
 #[test]
 fn scaling_moves_no_state_on_the_fleet() {
     ensure_worker_bin();
-    let job = Job::identity("count", ReduceOp::Count);
     let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
-    let source = || {
-        let mut rate = 2000usize;
-        move |iv: Interval, out: &mut Vec<Tuple>| {
-            rate += 400;
-            let step = iv.len().0 / (rate as u64 + 1);
-            for i in 0..rate {
-                out.push(Tuple::keyed(
-                    Time(iv.start.0 + step * (i as u64 + 1)),
-                    Key(i as u64 % 64),
-                ));
-            }
-        }
+    let ramp = Shape {
+        slope: 400.0,
+        ..Shape::uniform(2400.0, 64)
     };
-    let base_cfg = |backend: Backend| {
-        let mut cfg = cfg_with(backend);
-        cfg.map_tasks = 2;
-        cfg.reduce_tasks = 2;
-        cfg.cluster = Cluster::new(4, 4);
-        cfg.cost = CostModel {
-            map_per_tuple: Duration::from_micros(150),
-            reduce_per_tuple: Duration::from_micros(150),
+    let per_tuple = Duration::from_micros(150);
+    let cfg = |backend, checkpoint| EngineConfig {
+        map_tasks: 2,
+        reduce_tasks: 2,
+        cluster: Cluster::new(4, 4),
+        cost: CostModel {
+            map_per_tuple: per_tuple,
+            reduce_per_tuple: per_tuple,
             ..CostModel::default()
-        };
-        cfg.elasticity = Some(ScalerConfig {
+        },
+        elasticity: Some(ScalerConfig {
             d: 2,
-            ..Default::default()
-        });
-        cfg
+            ..ScalerConfig::default()
+        }),
+        backend,
+        checkpoint,
+        ..EngineConfig::default()
     };
-
-    let mut serial = StreamingEngine::new(
-        base_cfg(Backend::InProcess),
-        Technique::Prompt,
-        9,
-        job.clone(),
-    )
-    .with_window(window);
-    let serial_res = serial.run(&mut source(), 20);
-    assert!(
-        serial_res.scale_events.iter().any(|(_, a)| a.out),
-        "load ramp must trigger scale-out"
-    );
-
-    let dist_run = |tag: &str, n_batches: usize| {
-        let dir = ckpt_dir(tag);
-        let mut cfg = base_cfg(Backend::Distributed {
-            workers: 2,
-            base_port: 0,
-        });
-        cfg.checkpoint = Some(CheckpointConfig::new(&dir).interval(2));
-        let mut dist =
-            StreamingEngine::new(cfg, Technique::Prompt, 9, job.clone()).with_window(window);
-        let res = dist.run(&mut source(), n_batches);
+    let run_for = |backend, checkpoint, n: usize| {
+        let job = Job::identity("count", ReduceOp::Count);
+        let mut engine = StreamingEngine::new(cfg(backend, checkpoint), Technique::Prompt, 9, job)
+            .with_window(window);
+        engine.run(ramp.source(Duration::from_secs(1), 9).as_mut(), n)
+    };
+    let serial = run_for(Backend::InProcess, None, 20);
+    let out = serial.scale_events.iter().find(|(_, a)| a.out);
+    let first_out = out.expect("the ramp must scale out").0 as usize;
+    let on_the_fleet = |n| {
+        let dir = fresh_dir("scaling");
+        let checkpoint = CheckpointConfig::new(&dir).interval(2);
+        let res = run_for(fleet(2).backend, Some(checkpoint), n);
         let left = prompt_engine::state::restore(&dir).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         (res, left.expect("the run committed").store.shard_count())
     };
-    let (dist_res, shards_after) = dist_run("scaling", 20);
-
-    assert_eq!(serial_res.scale_events, dist_res.scale_events);
+    let (dist, shards_after) = on_the_fleet(20);
+    assert_eq!(serial.scale_events, dist.scale_events);
+    assert_answers_equal(&serial, &dist, ReduceOp::Count);
     // 10 commits, every one the interval's: the first snapshots and the
     // `snapshot_every` cadence (8) does, a scale action does neither.
-    let stats = dist_res.state.expect("state layer on");
+    let stats = dist.state.expect("state layer on");
     assert_eq!(stats.checkpoints, 20 / 2);
     assert_eq!(stats.snapshots, 1 + (stats.checkpoints - 1) / 8);
-    assert_eq!(shards_after, STATE_SHARDS);
     // The same run cut short of its first scale-out.
-    let (first_out, _) = dist_res.scale_events.iter().find(|(_, a)| a.out).unwrap();
-    let (before, shards_before) = dist_run("scaling-before", *first_out as usize);
+    let (before, shards_before) = on_the_fleet(first_out);
     assert!(before.scale_events.iter().all(|(_, a)| !a.out));
-    assert_eq!(shards_before, STATE_SHARDS);
-    assert_eq!(serial_res.windows.len(), dist_res.windows.len());
-    for (a, b) in serial_res.windows.iter().zip(&dist_res.windows) {
-        assert_eq!(
-            a.aggregates, b.aggregates,
-            "window at batch {} must survive scaling bit-identically",
-            a.last_batch_seq
-        );
+    assert_eq!((shards_before, shards_after), (STATE_SHARDS, STATE_SHARDS));
+}
+
+/// Nothing reads a batch input back unless a `FaultPlan` may replay it — a
+/// worker loss resubmits the plan in hand, a resume reads the checkpoint —
+/// so a distributed stateful run without one retains none, checkpointed or
+/// not, and still survives a worker loss.
+#[test]
+fn a_distributed_run_without_a_fault_plan_retains_no_input() {
+    for checkpoint in [None, Some(CheckpointConfig::new("set by run").interval(2))] {
+        let case = Case {
+            stateful: true,
+            kills: NetFaultPlan::none().kill_before(2, 1),
+            ..skewed(
+                EngineConfig {
+                    checkpoint,
+                    ..fleet(2)
+                },
+                6,
+            )
+        };
+        let (res, _) = completed(&case);
+        assert_eq!(res.worker_losses, 1);
+        let state = res.state.expect("a stateful run reports state stats");
+        let retained = (state.max_retained_batches, state.max_retained_tuples);
+        assert_eq!(retained, (0, 0), "{:?}", case.cfg.checkpoint);
     }
-}
-
-#[test]
-fn killed_worker_recovers_and_outputs_match_serial() {
-    ensure_worker_bin();
-    let job = Job::identity("sum", ReduceOp::Sum);
-    let window = WindowSpec::tumbling(Duration::from_secs(2));
-    let n_batches = 6;
-
-    let mut serial = StreamingEngine::new(
-        cfg_with(Backend::InProcess),
-        Technique::Prompt,
-        5,
-        job.clone(),
-    )
-    .with_window(window);
-    let serial_res = serial.run(&mut skewed_source(600, 15), n_batches);
-
-    let mut cfg = cfg_with(Backend::Distributed {
-        workers: 3,
-        base_port: 0,
-    });
-    cfg.trace = TraceLevel::Full;
-    let mut dist = StreamingEngine::new(cfg, Technique::Prompt, 5, job)
-        .with_window(window)
-        .with_net_faults(NetFaultPlan::none().kill_before(2, 1));
-    let (dist_res, rec) = dist.run_traced(&mut skewed_source(600, 15), n_batches);
-
-    // The kill really happened and was recovered from...
-    assert_eq!(dist_res.worker_losses, 1, "worker 1 dies at batch 2");
-    assert_eq!(dist_res.recoveries, 1);
-    assert_eq!(dist_res.net.expect("wire stats").workers_lost, 1);
-    assert_eq!(rec.counter(Counter::WorkersLost), 1);
-    assert_eq!(rec.counter(Counter::Recoveries), 1);
-    let events = rec.events();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WorkerLost { seq: 2, worker: 1 })),
-        "worker-loss decision must be visible in the trace"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Recovery { seq: 2, .. })),
-        "recompute decision must be visible in the trace"
-    );
-
-    // ...and the survivors' recompute left every output bit-identical.
-    assert_eq!(serial_res.batches.len(), dist_res.batches.len());
-    for (a, b) in serial_res.batches.iter().zip(&dist_res.batches) {
-        assert_eq!(a.n_tuples, b.n_tuples, "batch {}", a.seq);
-        assert_eq!(a.plan_metrics, b.plan_metrics, "batch {} plan", a.seq);
-        assert_eq!(a.map_stage, b.map_stage, "batch {} map stage", a.seq);
-        assert_eq!(a.reduce_stage, b.reduce_stage, "batch {}", a.seq);
-        assert_eq!(a.processing, b.processing, "batch {} processing", a.seq);
-    }
-    assert_eq!(serial_res.windows.len(), dist_res.windows.len());
-    for (a, b) in serial_res.windows.iter().zip(&dist_res.windows) {
-        assert_eq!(a.aggregates, b.aggregates, "window {}", a.last_batch_seq);
-    }
-}
-
-/// Three workers, two losses on one batch: worker 0 dies before batch 2's
-/// Map tasks and worker 1 right after them, under a recovery budget of
-/// `budget` worker losses per execution.
-fn killed_twice_in_batch_2(budget: usize) -> (RunResult, TraceRecorder) {
-    ensure_worker_bin();
-    let mut cfg = cfg_with(Backend::Distributed {
-        workers: 3,
-        base_port: 0,
-    });
-    cfg.trace = TraceLevel::Full;
-    let faults = NetFaultPlan::none().kill_before(2, 0).kill_after_map(2, 1);
-    StreamingEngine::new(
-        cfg,
-        Technique::Prompt,
-        5,
-        Job::identity("sum", ReduceOp::Sum),
-    )
-    .with_window(WindowSpec::tumbling(Duration::from_secs(2)))
-    .with_fault_tolerance(budget, FaultPlan::none())
-    .with_net_faults(faults)
-    .run_traced(&mut skewed_source(600, 15), 5)
-}
-
-/// A worker loss spends the recovery budget, a count: a budget of one
-/// survives batch 2's first loss and aborts the run on its second.
-#[test]
-#[should_panic(expected = "worker loss on batch 2 beyond recovery budget")]
-fn a_second_loss_on_one_batch_exceeds_a_budget_of_one() {
-    killed_twice_in_batch_2(1);
-}
-
-/// A budget of two survives both losses of batch 2 on the last worker
-/// standing, bit-identical to serial, and each loss reports what is left.
-#[test]
-fn a_budget_of_two_survives_two_losses_on_one_batch() {
-    let (dist, rec) = killed_twice_in_batch_2(2);
-    let mut serial = StreamingEngine::new(
-        cfg_with(Backend::InProcess),
-        Technique::Prompt,
-        5,
-        Job::identity("sum", ReduceOp::Sum),
-    )
-    .with_window(WindowSpec::tumbling(Duration::from_secs(2)));
-    let serial = serial.run(&mut skewed_source(600, 15), 5);
-    assert_runs_identical("two losses vs serial", &serial, &dist);
-    assert_eq!((dist.worker_losses, dist.recoveries), (2, 2));
-    let left: Vec<(u64, usize)> = (rec.events().iter())
-        .filter_map(|e| match *e {
-            TraceEvent::Recovery { seq, replicas_left } => Some((seq, replicas_left)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(left, [(2, 1), (2, 0)], "1 replicas left, then 0");
-}
-
-/// Nothing reads a batch input back unless a checkpoint or a `FaultPlan` is
-/// configured, so a distributed stateful run with neither retains none —
-/// and still survives a worker loss, by resubmitting the plan in hand.
-#[test]
-fn a_distributed_run_without_checkpoint_or_fault_plan_retains_no_input() {
-    ensure_worker_bin();
-    let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
-    let engine = |backend| {
-        StreamingEngine::new(
-            cfg_with(backend),
-            Technique::Prompt,
-            5,
-            Job::identity("sum", ReduceOp::Sum),
-        )
-        .with_window(window)
-        .with_stateful(StatefulOp::SessionCount)
-    };
-    let serial = engine(Backend::InProcess).run(&mut skewed_source(600, 15), 6);
-    let dist = engine(Backend::Distributed {
-        workers: 2,
-        base_port: 0,
-    })
-    .with_net_faults(NetFaultPlan::none().kill_before(2, 1))
-    .run(&mut skewed_source(600, 15), 6);
-    assert_runs_identical("distributed vs serial", &serial, &dist);
-    assert_eq!(dist.worker_losses, 1);
-    let state = dist.state.expect("a stateful run reports state stats");
-    assert_eq!(
-        (state.max_retained_batches, state.max_retained_tuples),
-        (0, 0)
-    );
 }

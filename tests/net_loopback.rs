@@ -3,8 +3,8 @@
 //! Runs real batches through `DistributedRuntime` over loopback TCP with the
 //! workers as in-process threads (no spawned binaries — this tier must work
 //! from a bare `cargo test`), and checks the outputs and per-bucket stats
-//! are bit-identical to the serial engine's. The multi-process differential
-//! suite lives in `crates/engine/tests/distributed_smoke.rs`.
+//! are bit-identical to the serial engine's. Multi-process runs are held to
+//! the serial engine by `crates/engine/tests/oracle.rs`.
 
 use prompt_core::batch::{MicroBatch, PartitionPlan};
 use prompt_core::partitioner::{BufferingMode, Partitioner, PromptPartitioner};
