@@ -124,6 +124,11 @@ impl SealedBatch {
         self.groups.len()
     }
 
+    /// The group list and the arena, for the next batch to seal into.
+    pub(crate) fn into_parts(self) -> (Vec<KeyGroup>, Vec<Tuple>) {
+        (self.groups, self.arena)
+    }
+
     /// The tuples of group `gi`, in arrival order.
     #[inline]
     pub fn tuples(&self, gi: usize) -> &[Tuple] {

@@ -111,38 +111,38 @@ impl ArrivalLog {
 
     /// The heartbeat: lay the key groups out back to back in `order` (every
     /// key of the batch, once), sized by `count_of(slot)`, from index `base`
-    /// of the batch's whole arena; get this log's slice of that arena, its
-    /// length exactly the log's, from `arena(log)`; scatter the log once into
-    /// it, each tuple to its group's next free index, so groups keep arrival
-    /// order and every entry is overwritten; and forget the batch, keeping
-    /// every allocation for the next one. Returns the groups, offsets counted
-    /// from `base`, and the arena. `arena` runs after the layout, so a copy
-    /// of the log made there is still in cache when the scatter reads the
-    /// log again.
+    /// of the batch's whole arena, appending them to `groups`; get this log's
+    /// slice of that arena, its length exactly the log's, from `arena(log)`;
+    /// scatter the log once into it, each tuple to its group's next free
+    /// index, so groups keep arrival order and every entry is overwritten;
+    /// and forget the batch, keeping every allocation for the next one.
+    /// Returns the arena. `arena` runs after the layout, so a copy of the
+    /// log made there is still in cache when the scatter reads the log
+    /// again.
     fn scatter_into<A: AsMut<[Tuple]>>(
         &mut self,
         order: impl Iterator<Item = Key>,
         count_of: impl Fn(usize) -> usize,
         base: usize,
+        groups: &mut Vec<KeyGroup>,
         arena: impl FnOnce(&[Tuple]) -> A,
-    ) -> (Vec<KeyGroup>, A) {
+    ) -> A {
         self.cursors.clear();
         self.cursors.resize(self.slots.len(), 0);
         let mut offset = 0;
-        let groups: Vec<KeyGroup> = order
-            .map(|key| {
-                let slot = self.slots[&key] as usize;
-                let group = KeyGroup {
-                    key,
-                    count: count_of(slot),
-                    offset: base + offset,
-                };
-                self.cursors[slot] = offset;
-                offset += group.count;
-                group
-            })
-            .collect();
-        debug_assert_eq!(groups.len(), self.slots.len(), "order misses keys");
+        let first = groups.len();
+        groups.extend(order.map(|key| {
+            let slot = self.slots[&key] as usize;
+            let group = KeyGroup {
+                key,
+                count: count_of(slot),
+                offset: base + offset,
+            };
+            self.cursors[slot] = offset;
+            offset += group.count;
+            group
+        }));
+        debug_assert_eq!(groups.len() - first, self.slots.len(), "order misses keys");
         debug_assert_eq!(offset, self.tuples.len(), "counts miss tuples");
 
         let mut arena = arena(&self.tuples);
@@ -161,7 +161,7 @@ impl ArrivalLog {
         self.slots.clear();
         self.tuples.clear();
         self.slot_of.clear();
-        (groups, arena)
+        arena
     }
 }
 
@@ -225,17 +225,19 @@ pub trait BatchAccumulator: std::fmt::Debug + Send {
     /// next interval.
     fn seal(&mut self, next_interval: Interval) -> SealedBatch;
 
-    /// [`BatchAccumulator::seal`] into a caller's slice: scatter the batch
+    /// [`BatchAccumulator::seal`] into a caller's buffers: scatter the batch
     /// into `arena`, exactly [`BatchStats::n_tuples`] long and overwritten
     /// whatever it holds, which starts at index `base` of the batch's whole
-    /// arena. Returns the groups in seal order, offsets counted from `base`,
-    /// and the interval the batch was buffered over; resets like `seal`.
+    /// arena, and append its groups to `groups` in seal order, offsets
+    /// counted from `base`. Returns the interval the batch was buffered
+    /// over; resets like `seal`.
     fn seal_into(
         &mut self,
         arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
-    ) -> (Vec<KeyGroup>, Interval);
+        groups: &mut Vec<KeyGroup>,
+    ) -> Interval;
 
     /// Move the (empty) accumulator to another batch interval, when the one
     /// given to the previous `seal` turned out not to be the next batch's.
@@ -291,22 +293,24 @@ impl FrequencyAwareAccumulator {
     }
 
     /// The heartbeat in tree order (`ArrivalLog::scatter_into`), then the
-    /// reset for `next_interval`. Returns the groups, the arena and the
-    /// interval the batch was buffered over.
+    /// reset for `next_interval`. Returns the arena and the interval the
+    /// batch was buffered over.
     fn seal_with<A: AsMut<[Tuple]>>(
         &mut self,
         base: usize,
         next_interval: Interval,
+        groups: &mut Vec<KeyGroup>,
         arena: impl FnOnce(&[Tuple]) -> A,
-    ) -> (Vec<KeyGroup>, A, Interval) {
+    ) -> (A, Interval) {
         // The traversal yields keys in quasi-descending frequency order; the
         // groups carry the *exact* counts from the `HTable`.
         debug_assert_eq!(self.tree.len(), self.log.n_keys(), "tree and HTable differ");
         let entries = &self.entries;
-        let (groups, arena) = self.log.scatter_into(
+        let arena = self.log.scatter_into(
             self.tree.iter_desc().map(|(key, _)| key),
             |slot| entries[slot].freq_current as usize,
             base,
+            groups,
             arena,
         );
         // HTable and CountTree are cleared at every heartbeat (§4.1).
@@ -314,7 +318,7 @@ impl FrequencyAwareAccumulator {
         self.tree.clear();
         self.tree_updates = 0;
         let interval = std::mem::replace(&mut self.interval, next_interval);
-        (groups, arena, interval)
+        (arena, interval)
     }
 }
 
@@ -377,7 +381,8 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
         // Scatter into a copy of the log; the scatter overwrites every entry.
-        let (groups, arena, interval) = self.seal_with(0, next_interval, <[Tuple]>::to_vec);
+        let mut groups = Vec::new();
+        let (arena, interval) = self.seal_with(0, next_interval, &mut groups, <[Tuple]>::to_vec);
         SealedBatch::new(groups, arena, interval)
     }
 
@@ -386,9 +391,9 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
         arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
-    ) -> (Vec<KeyGroup>, Interval) {
-        let (groups, _, interval) = self.seal_with(base, next_interval, |_| arena);
-        (groups, interval)
+        groups: &mut Vec<KeyGroup>,
+    ) -> Interval {
+        self.seal_with(base, next_interval, groups, |_| arena).1
     }
 
     fn set_interval(&mut self, interval: Interval) {
@@ -416,6 +421,8 @@ pub struct PostSortAccumulator {
     log: ArrivalLog,
     /// Exact per-key counts, by slot.
     counts: Vec<usize>,
+    /// Seal scratch: every key and its count, in seal order.
+    order: Vec<(usize, Key)>,
 }
 
 impl PostSortAccumulator {
@@ -428,30 +435,31 @@ impl PostSortAccumulator {
     }
 
     /// The heartbeat in sorted order (`ArrivalLog::scatter_into`), then the
-    /// reset for `next_interval`. Returns the groups, the arena and the
-    /// interval the batch was buffered over.
+    /// reset for `next_interval`. Returns the arena and the interval the
+    /// batch was buffered over.
     fn seal_with<A: AsMut<[Tuple]>>(
         &mut self,
         base: usize,
         next_interval: Interval,
+        groups: &mut Vec<KeyGroup>,
         arena: impl FnOnce(&[Tuple]) -> A,
-    ) -> (Vec<KeyGroup>, A, Interval) {
+    ) -> (A, Interval) {
         // The sort the frequency-aware accumulator avoids: every key, by
         // exact `(count desc, key asc)`.
-        let counts = &self.counts;
-        let mut order: Vec<(usize, Key)> = (self.log.slots.iter())
-            .map(|(&key, &slot)| (counts[slot as usize], key))
-            .collect();
+        let (counts, order) = (&self.counts, &mut self.order);
+        order.clear();
+        order.extend((self.log.slots.iter()).map(|(&key, &slot)| (counts[slot as usize], key)));
         order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let (groups, arena) = self.log.scatter_into(
-            order.into_iter().map(|(_, key)| key),
+        let arena = self.log.scatter_into(
+            order.iter().map(|&(_, key)| key),
             |slot| counts[slot],
             base,
+            groups,
             arena,
         );
         self.counts.clear();
         let interval = std::mem::replace(&mut self.interval, next_interval);
-        (groups, arena, interval)
+        (arena, interval)
     }
 }
 
@@ -467,7 +475,8 @@ impl BatchAccumulator for PostSortAccumulator {
 
     fn seal(&mut self, next_interval: Interval) -> SealedBatch {
         // Scatter into a copy of the log; the scatter overwrites every entry.
-        let (groups, arena, interval) = self.seal_with(0, next_interval, <[Tuple]>::to_vec);
+        let mut groups = Vec::new();
+        let (arena, interval) = self.seal_with(0, next_interval, &mut groups, <[Tuple]>::to_vec);
         SealedBatch::new(groups, arena, interval)
     }
 
@@ -476,9 +485,9 @@ impl BatchAccumulator for PostSortAccumulator {
         arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
-    ) -> (Vec<KeyGroup>, Interval) {
-        let (groups, _, interval) = self.seal_with(base, next_interval, |_| arena);
-        (groups, interval)
+        groups: &mut Vec<KeyGroup>,
+    ) -> Interval {
+        self.seal_with(base, next_interval, groups, |_| arena).1
     }
 
     fn set_interval(&mut self, interval: Interval) {

@@ -20,6 +20,9 @@
 //!   shard, so each shard sees exactly the sub-stream it would see under
 //!   serial ingest, in the same order. The sealed output is bit-identical
 //!   to serially ingesting the same tuples, regardless of thread count.
+//!   Both phases run on the process's fan-out pool ([`crate::par`]): each
+//!   shard range is one task, handed out once, and the scatter's
+//!   per-(chunk, shard) runs are cleared for the next batch, not rebuilt.
 //! * **The seal is parallel and in place.** One arena holds the whole batch,
 //!   split into one slice per shard; on the same workers, each shard sorts
 //!   its keys and scatters its log into its own slice. A group's tuples stay
@@ -42,14 +45,14 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
+use std::ops::{Deref, DerefMut, Range};
 
 use crate::batch::{KeyGroup, SealedBatch};
 use crate::buffering::{
     AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator, PostSortAccumulator,
 };
 use crate::hash::bucket_of;
-use crate::par::map_indexed;
+use crate::par::map_mut;
 use crate::types::{Interval, Key, Time, Tuple};
 
 /// Fixed routing seed: shard placement is part of the accumulator's
@@ -66,19 +69,50 @@ fn shard_estimates(est_tuples: f64, avg_keys: f64, n_shards: usize) -> (f64, f64
     )
 }
 
+/// A value on cache lines of its own. Neighbouring shards, and neighbouring
+/// scatter runs, are written by different workers tuple by tuple: sharing a
+/// line, every write would take it from the other worker's cache.
+#[derive(Clone, Debug, Default)]
+#[repr(align(128))]
+struct OwnLines<T>(T);
+
+impl<T> Deref for OwnLines<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> DerefMut for OwnLines<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
 /// An accumulator sharded `n` ways by key hash for parallel ingest.
 #[derive(Clone, Debug)]
 pub struct ShardedAccumulator<A = FrequencyAwareAccumulator> {
-    shards: Vec<A>,
+    shards: Vec<OwnLines<A>>,
     /// The workers the last [`ShardedAccumulator::par_ingest`] ran on; the
     /// seal runs on as many.
     threads: usize,
+    /// The parallel scatter's per-(chunk, shard) runs, chunk by chunk, kept
+    /// from batch to batch: cleared, never dropped.
+    runs: Vec<OwnLines<Vec<Tuple>>>,
+    /// Each shard's sealed group list, merged and cleared at every seal.
+    lists: Vec<Vec<KeyGroup>>,
 }
 
 impl<A> ShardedAccumulator<A> {
     fn with_shards(shards: Vec<A>) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
-        ShardedAccumulator { shards, threads: 1 }
+        let lists = vec![Vec::new(); shards.len()];
+        ShardedAccumulator {
+            shards: shards.into_iter().map(OwnLines).collect(),
+            threads: 1,
+            runs: Vec::new(),
+            lists,
+        }
     }
 }
 
@@ -119,7 +153,7 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         bucket_of(SHARD_SEED, key, self.shards.len())
     }
 
-    /// Ingest an arrival-ordered slice on `threads` OS threads, in two
+    /// Ingest an arrival-ordered slice on `threads` workers, in two
     /// parallel phases: scatter the arrivals into per-shard sub-streams
     /// (one hash and one copy per tuple), then ingest each shard's
     /// sub-stream on the worker owning it. Scattering preserves arrival
@@ -138,21 +172,32 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         // per-(chunk, shard) runs. Chunks are taken in arrival order, so the
         // concatenation of a shard's runs is the stable sub-stream serial
         // ingest would deliver, whatever the chunk boundaries.
-        let chunks: Vec<&[Tuple]> = tuples
-            .chunks(tuples.len().div_ceil(self.threads).max(1))
-            .collect();
-        let runs: Vec<Vec<Vec<Tuple>>> = map_indexed(chunks.len(), self.threads, |c| {
-            let chunk = chunks[c];
-            let mut runs = vec![Vec::with_capacity(chunk.len() / n_shards + 1); n_shards];
+        let chunk_len = tuples.len().div_ceil(self.threads).max(1);
+        let n_runs = tuples.len().div_ceil(chunk_len) * n_shards;
+        if self.runs.len() < n_runs {
+            self.runs.resize_with(n_runs, OwnLines::default);
+        }
+        let mut chunks: Vec<_> = self.runs[..n_runs].chunks_mut(n_shards).collect();
+        map_mut(&mut chunks, self.threads, |c, runs| {
+            let chunk = &tuples[c * chunk_len..tuples.len().min((c + 1) * chunk_len)];
+            for run in runs.iter_mut() {
+                run.clear();
+                run.reserve(chunk.len() / n_shards + 1);
+            }
             for &t in chunk {
                 runs[bucket_of(SHARD_SEED, t.key, n_shards)].push(t);
             }
-            runs
         });
         // Phase 2 (parallel): each shard ingests its runs in chunk (=
         // arrival) order on the worker owning it.
+        let runs = &self.runs[..n_runs];
         per_shard(&mut self.shards, self.threads, |si, shard| {
-            for &t in runs.iter().flat_map(|chunk_runs| &chunk_runs[si]) {
+            for &t in runs
+                .iter()
+                .skip(si)
+                .step_by(n_shards)
+                .flat_map(|run| run.iter())
+            {
                 shard.ingest(t);
             }
         });
@@ -174,50 +219,49 @@ fn shard_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// `f(i, &mut items[i])` for every item, in index order, with each worker of
-/// [`shard_ranges`] owning its contiguous range of items exclusively. With
-/// one worker nothing is spawned.
+/// `f(i, &mut items[i])` for every item, results in index order: each of
+/// [`shard_ranges`]' contiguous ranges is one fan-out task, handed out once,
+/// so one worker runs a whole range, in index order. With one range the
+/// pool is not touched.
 fn per_shard<S: Send, R: Send>(
     items: &mut [S],
     threads: usize,
     f: impl Fn(usize, &mut S) -> R + Sync,
 ) -> Vec<R> {
-    let ranges = shard_ranges(items.len(), threads);
-    if ranges.len() == 1 {
-        return items.iter_mut().enumerate().map(|(i, s)| f(i, s)).collect();
-    }
-    let (f, mut rest) = (&f, items);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (ranges.into_iter())
-            .map(|range| {
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-                rest = tail;
-                scope.spawn(move || range.zip(mine).map(|(i, s)| f(i, s)).collect::<Vec<R>>())
-            })
-            .collect();
-        (workers.into_iter())
-            .flat_map(|w| w.join().expect("shard worker panicked"))
-            .collect()
-    })
+    let mut rest = items;
+    let mut ranges: Vec<(usize, &mut [S])> = (shard_ranges(rest.len(), threads).into_iter())
+        .map(|range| {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            rest = tail;
+            (range.start, mine)
+        })
+        .collect();
+    let workers = ranges.len();
+    let per_range = map_mut(&mut ranges, workers, |_, (start, mine)| {
+        (mine.iter_mut().enumerate())
+            .map(|(j, s)| f(*start + j, s))
+            .collect::<Vec<R>>()
+    });
+    per_range.into_iter().flatten().collect()
 }
 
 /// The k-way merge of the shards' group lists on exact
-/// `(count desc, key asc)`. Keys are unique across shards, so the heap order
-/// is total and the merge deterministic; it keeps each shard's own order, so
-/// lists already sorted on that order merge into the global sort. Only the
-/// descriptors move: each group keeps the arena range its shard scattered.
-fn merge_order(lists: &[Vec<KeyGroup>]) -> Vec<KeyGroup> {
+/// `(count desc, key asc)`, appended to `merged`. Keys are unique across
+/// shards, so the heap order is total and the merge deterministic; it keeps
+/// each shard's own order, so lists already sorted on that order merge into
+/// the global sort. Only the descriptors move: each group keeps the arena
+/// range its shard scattered.
+fn merge_order(lists: &[Vec<KeyGroup>], merged: &mut Vec<KeyGroup>) {
     let head = |si: usize, gi: usize| {
         let g = lists[si].get(gi)?;
         Some((g.count, Reverse(g.key.0), si, gi))
     };
     let mut heap: BinaryHeap<_> = (0..lists.len()).filter_map(|si| head(si, 0)).collect();
-    let mut merged = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+    merged.reserve(lists.iter().map(Vec::len).sum());
     while let Some((_, _, si, gi)) = heap.pop() {
         merged.push(lists[si][gi]);
         heap.extend(head(si, gi + 1));
     }
-    merged
 }
 
 impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
@@ -247,7 +291,8 @@ impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
         // read: every shard's scatter overwrites all of its slice.
         let n_tuples = self.stats().n_tuples as usize;
         let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); n_tuples];
-        let (groups, interval) = self.seal_into(&mut arena, 0, next_interval);
+        let mut groups = Vec::new();
+        let interval = self.seal_into(&mut arena, 0, next_interval, &mut groups);
         SealedBatch::new(groups, arena, interval)
     }
 
@@ -258,7 +303,8 @@ impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
         arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
-    ) -> (Vec<KeyGroup>, Interval) {
+        groups: &mut Vec<KeyGroup>,
+    ) -> Interval {
         assert_eq!(
             arena.len() as u64,
             self.stats().n_tuples,
@@ -266,18 +312,20 @@ impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
         );
         let (mut rest, mut at) = (arena, base);
         let mut slices = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
+        for (shard, list) in self.shards.iter_mut().zip(&mut self.lists) {
             let len = shard.stats().n_tuples as usize;
             let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            slices.push((shard, mine, at));
+            list.clear();
+            slices.push((shard, mine, at, list));
             (rest, at) = (tail, at + len);
         }
-        let sealed = per_shard(&mut slices, self.threads, |_, (shard, slice, base)| {
-            shard.seal_into(slice, *base, next_interval)
-        });
-        let interval = sealed[0].1;
-        let lists: Vec<Vec<KeyGroup>> = sealed.into_iter().map(|(groups, _)| groups).collect();
-        (merge_order(&lists), interval)
+        let intervals = per_shard(
+            &mut slices,
+            self.threads,
+            |_, (shard, slice, base, list)| shard.seal_into(slice, *base, next_interval, list),
+        );
+        merge_order(&self.lists, groups);
+        intervals[0]
     }
 
     fn set_interval(&mut self, interval: Interval) {
@@ -457,22 +505,38 @@ mod tests {
         }
     }
 
+    /// Every item is visited once, in index order, and a whole shard range
+    /// by one worker: the caller (worker 0) or a pool helper.
     #[test]
     fn per_shard_runs_every_item_once_in_index_order() {
+        let me = std::thread::current().id();
         for threads in [1, 2, 3, 8] {
             let mut items: Vec<usize> = (0..7).collect();
             let out = per_shard(&mut items, threads, |i, x| {
                 *x += 10;
-                (i, std::thread::current().id())
+                let thread = std::thread::current();
+                let pooled = thread.name().is_some_and(|n| n.starts_with("prompt-par-"));
+                assert!(
+                    thread.id() == me || pooled,
+                    "{threads}: item {i} off the pool"
+                );
+                (i, thread.id())
             });
             assert_eq!(items, (10..17).collect::<Vec<_>>());
             assert!(out.iter().enumerate().all(|(i, &(j, _))| i == j));
-            let me = std::thread::current().id();
-            assert_eq!(
-                out.iter().all(|&(_, id)| id == me),
-                threads == 1,
-                "{threads}"
-            );
+            for range in shard_ranges(7, threads) {
+                let ids: Vec<_> = out[range.clone()].iter().map(|&(_, id)| id).collect();
+                assert!(
+                    ids.iter().all(|&id| id == ids[0]),
+                    "{threads}: {range:?} split"
+                );
+            }
+            if threads == 1 {
+                assert!(
+                    out.iter().all(|&(_, id)| id == me),
+                    "one range ran off the caller"
+                );
+            }
         }
     }
 

@@ -191,7 +191,16 @@ impl ColumnarSealed {
 
     /// Convert a row sealed batch (AoS → SoA), preserving group order.
     pub fn from_sealed(sealed: &SealedBatch) -> ColumnarSealed {
-        let mut arena = ColumnarBatch::with_capacity(sealed.n_tuples);
+        Self::from_sealed_in(sealed, ColumnarBatch::new())
+    }
+
+    /// [`ColumnarSealed::from_sealed`] into `arena`'s allocations, which
+    /// start empty.
+    pub(crate) fn from_sealed_in(sealed: &SealedBatch, mut arena: ColumnarBatch) -> ColumnarSealed {
+        debug_assert!(arena.is_empty(), "an arena to refill starts empty");
+        arena.ts.reserve_exact(sealed.n_tuples);
+        arena.keys.reserve_exact(sealed.n_tuples);
+        arena.values.reserve_exact(sealed.n_tuples);
         let groups = (sealed.groups.iter().enumerate())
             .map(|(gi, g)| {
                 let offset = arena.len();

@@ -5,21 +5,29 @@
 //! receives a hot key balloons, producing the size imbalance that Fig. 10
 //! normalises every other technique against.
 
-use crate::batch::{BlockBuilder, PartitionPlan};
-use crate::hash::{bucket_of, KeySet};
-use crate::partitioner::Partitioner;
+use crate::batch::{KeyFragment, PartitionPlan};
+use crate::hash::{bucket_of, KeyMap, KeySet};
+use crate::partitioner::{Partitioner, Plan, Spare};
 use crate::types::{Interval, Tuple};
 
 /// Key-grouping (hash) partitioner.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HashPartitioner {
     seed: u64,
+    /// Each block's per-key counts, refilled every batch.
+    counts: Vec<KeyMap<usize>>,
+    /// The buffers of the last plan handed back.
+    spare: Spare,
 }
 
 impl HashPartitioner {
     /// Construct with a hash seed (deterministic across runs).
     pub fn new(seed: u64) -> HashPartitioner {
-        HashPartitioner { seed }
+        HashPartitioner {
+            seed,
+            counts: Vec::new(),
+            spare: Spare::default(),
+        }
     }
 }
 
@@ -35,18 +43,35 @@ impl Partitioner for HashPartitioner {
         p: usize,
     ) -> PartitionPlan {
         assert!(p > 0, "need at least one block");
-        let mut builders: Vec<BlockBuilder> = (0..p)
-            .map(|_| BlockBuilder::with_capacity(tuples.len() / p + 1))
-            .collect();
+        let mut blocks = self.spare.row_blocks(p);
+        self.counts.resize_with(p, KeyMap::default);
+        for block in &mut blocks {
+            block.tuples.reserve(tuples.len() / p + 1);
+        }
         for &t in tuples {
-            builders[bucket_of(self.seed, t.key, p)].push(t);
+            let b = bucket_of(self.seed, t.key, p);
+            blocks[b].tuples.push(t);
+            *self.counts[b].entry(t.key).or_insert(0) += 1;
+        }
+        for (block, counts) in blocks.iter_mut().zip(&mut self.counts) {
+            let fragments = counts
+                .drain()
+                .map(|(key, count)| KeyFragment { key, count });
+            block.fragments.extend(fragments);
+            // Keys are unique, so an unstable sort gives one order whatever
+            // the table's iteration order.
+            block.fragments.sort_unstable_by_key(|f| f.key.0);
         }
         // A key's tuples all hash to one block, so the split-key reference
         // table is empty by construction: nothing to derive.
         PartitionPlan {
-            blocks: builders.into_iter().map(BlockBuilder::finish).collect(),
+            blocks,
             split_keys: KeySet::default(),
         }
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.spare.keep(plan);
     }
 }
 

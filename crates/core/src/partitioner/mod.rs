@@ -24,8 +24,10 @@ pub use prompt::{BufferingMode, PromptPartitioner};
 pub use shuffle::ShufflePartitioner;
 pub use time_based::TimeBasedPartitioner;
 
-use crate::batch::{MicroBatch, PartitionPlan};
-use crate::columnar::ColumnarPlan;
+use std::sync::Arc;
+
+use crate::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan};
+use crate::columnar::{ColumnarBatch, ColumnarBlock, ColumnarPlan};
 use crate::types::{Interval, Tuple};
 
 /// Wall-clock timing of the internal phases of one `partition()` call.
@@ -45,6 +47,83 @@ pub struct PartitionPhases {
     pub symbolic_us: u64,
     /// Materializing data blocks from the symbolic assignment.
     pub materialize_us: u64,
+}
+
+/// A partitioned batch in the layout it was sealed in: row blocks, or ranges
+/// into one column arena.
+#[derive(Debug)]
+pub enum Plan {
+    /// Row blocks ([`Partitioner::partition_phased`]).
+    Rows(PartitionPlan),
+    /// Column ranges ([`Partitioner::partition_columnar`]).
+    Columns(ColumnarPlan),
+}
+
+impl Plan {
+    /// Every block's fragment list, in block order: all that the plan
+    /// metrics (Eqns. 2–6), the partitioner policy and the rebalancer read
+    /// of a plan — the same lists in either layout.
+    pub fn fragments(&self) -> Vec<&[KeyFragment]> {
+        match self {
+            Plan::Rows(p) => p.block_fragments(),
+            Plan::Columns(p) => p.blocks.iter().map(|b| &b.fragments[..]).collect(),
+        }
+    }
+}
+
+/// What a partitioner keeps of the plan [`Partitioner::recycle`] last handed
+/// back: the next plan is built in its buffers. One spare at most — a plan
+/// handed back over an unused one replaces it.
+#[derive(Debug, Default)]
+pub(crate) struct Spare {
+    rows: Vec<DataBlock>,
+    columns: Vec<ColumnarBlock>,
+    arena: ColumnarBatch,
+}
+
+impl Spare {
+    /// Keep `plan`'s buffers. A column arena someone else still shares is
+    /// dropped with the plan, as before.
+    pub(crate) fn keep(&mut self, plan: Plan) {
+        match plan {
+            Plan::Rows(plan) => self.rows = plan.blocks,
+            Plan::Columns(plan) => {
+                self.columns = plan.blocks;
+                if let Ok(arena) = Arc::try_unwrap(plan.arena) {
+                    self.arena = arena;
+                }
+            }
+        }
+    }
+
+    /// `p` empty row blocks, in the spare's allocations where it has them.
+    pub(crate) fn row_blocks(&mut self, p: usize) -> Vec<DataBlock> {
+        let mut blocks = std::mem::take(&mut self.rows);
+        blocks.resize_with(p, DataBlock::default);
+        for b in &mut blocks {
+            b.tuples.clear();
+            b.fragments.clear();
+        }
+        blocks
+    }
+
+    /// `p` empty column blocks, in the spare's allocations where it has them.
+    pub(crate) fn column_blocks(&mut self, p: usize) -> Vec<ColumnarBlock> {
+        let mut blocks = std::mem::take(&mut self.columns);
+        blocks.resize_with(p, ColumnarBlock::default);
+        for b in &mut blocks {
+            b.ranges.clear();
+            b.fragments.clear();
+        }
+        blocks
+    }
+
+    /// An empty column arena, in the spare's allocations where it has them.
+    pub(crate) fn column_arena(&mut self) -> ColumnarBatch {
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.clear();
+        arena
+    }
 }
 
 /// A batching-phase partitioner: splits one micro-batch into `p` data blocks.
@@ -92,6 +171,14 @@ pub trait Partitioner: Send {
     ) -> Option<(ColumnarPlan, PartitionPhases)> {
         let _ = (batch, p);
         None
+    }
+
+    /// Take back a plan this partitioner built, once nothing reads it any
+    /// more: the next `partition*` call may build its plan in the returned
+    /// one's buffers instead of allocating them again. The plans it builds
+    /// are the same either way. The default drops it.
+    fn recycle(&mut self, plan: Plan) {
+        drop(plan);
     }
 }
 

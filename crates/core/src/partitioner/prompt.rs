@@ -21,18 +21,22 @@
 //!    fragmenting further only when unavoidable. A block's fragment table is
 //!    its pieces summed per key, and a key is split iff its residual left
 //!    its home block: nothing is re-derived by hashing.
+//!
+//! A partitioner serves batch after batch, and nothing it needs at steady
+//! state is allocated twice: the batch seals into the arena the previous
+//! batch sealed into, the symbolic phase refills its block lists, and the
+//! blocks materialize into the buffers of the last plan handed back through
+//! [`Partitioner::recycle`].
 
-use std::sync::Arc;
-
-use crate::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan, SealedBatch};
+use crate::batch::{DataBlock, KeyFragment, KeyGroup, MicroBatch, PartitionPlan, SealedBatch};
 use crate::buffering::{
     AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
     ShardedAccumulator,
 };
-use crate::columnar::{ColRange, ColumnarBlock, ColumnarPlan, ColumnarSealed};
-use crate::par::map_indexed;
-use crate::partitioner::{PartitionPhases, Partitioner};
-use crate::types::{Interval, Key, Tuple};
+use crate::columnar::{ColRange, ColumnarPlan, ColumnarSealed};
+use crate::par::map_mut;
+use crate::partitioner::{PartitionPhases, Partitioner, Plan, Spare};
+use crate::types::{Interval, Key, Time, Tuple};
 
 /// How the partitioner obtains the sorted key list when driven through the
 /// arrival-ordered [`Partitioner`] interface.
@@ -59,6 +63,14 @@ pub struct PromptPartitioner {
     buffer: Box<dyn BatchAccumulator>,
     /// Worker threads for parallel ingest and plan materialization.
     threads: usize,
+    /// The group list and arena the last batch sealed into, handed back
+    /// once its plan was materialized: the next seal clears the one and
+    /// resizes the other instead of allocating them.
+    sealed: (Vec<KeyGroup>, Vec<Tuple>),
+    /// The symbolic phase's block lists, refilled every batch.
+    symbolic: SymbolicBlocks,
+    /// The buffers of the last plan handed back.
+    spare: Spare,
 }
 
 impl PromptPartitioner {
@@ -99,6 +111,9 @@ impl PromptPartitioner {
             avg_keys: acc_cfg.avg_keys.max(1.0),
             buffer,
             threads,
+            sealed: (Vec::new(), Vec::new()),
+            symbolic: SymbolicBlocks::default(),
+            spare: Spare::default(),
         }
     }
 
@@ -128,80 +143,94 @@ impl PromptPartitioner {
     /// larger values trade bounded size imbalance for cardinality balance.
     /// Exposed for the ablation benches.
     pub fn partition_sealed_with(batch: &SealedBatch, p: usize, tolerance: f64) -> PartitionPlan {
-        let (pieces, split_keys) = Self::assign_pieces(batch, p, tolerance);
-        Self::materialize_pieces(batch, &pieces, split_keys, 1)
+        let mut symbolic = SymbolicBlocks::default();
+        let split_keys = Self::assign_pieces(batch, p, tolerance, &mut symbolic);
+        Self::materialize_pieces(batch, &symbolic.pieces, split_keys, 1, vec![])
     }
 
     /// [`Self::partition_sealed`] with block materialization fanned out over
-    /// `threads` OS threads. The assignment phase is shared with the serial
+    /// `threads` workers. The assignment phase is shared with the serial
     /// path and blocks materialize independently, so the plan is
     /// bit-identical to [`Self::partition_sealed`] for any thread count.
     pub fn partition_sealed_par(batch: &SealedBatch, p: usize, threads: usize) -> PartitionPlan {
-        let (pieces, split_keys) = Self::assign_pieces(batch, p, Self::DEFAULT_TOLERANCE);
-        Self::materialize_pieces(batch, &pieces, split_keys, threads)
+        let mut symbolic = SymbolicBlocks::default();
+        let split_keys = Self::assign_pieces(batch, p, Self::DEFAULT_TOLERANCE, &mut symbolic);
+        Self::materialize_pieces(batch, &symbolic.pieces, split_keys, threads, vec![])
     }
 
-    /// Turn the symbolic assignment into a [`ColumnarPlan`]: each piece
-    /// `[start, end)` of group `g` becomes the arena range
-    /// `[g.offset + start, g.offset + end)`. Pieces keep assignment order,
-    /// so enumerating a block's ranges visits tuples in exactly the order
-    /// the row materializer pushes them.
+    /// Turn the symbolic assignment into a [`ColumnarPlan`] built in
+    /// `spare`'s buffers: the batch is laid out in columns in seal order, and
+    /// each piece `[start, end)` of group `g` becomes the arena range
+    /// `[g.offset + start, g.offset + end)`. Pieces keep assignment order, so
+    /// enumerating a block's ranges visits tuples in exactly the order the
+    /// row materializer pushes them.
     fn materialize_pieces_columnar(
-        batch: &ColumnarSealed,
+        batch: &SealedBatch,
         pieces: &[Vec<Piece>],
         split_keys: Vec<Key>,
+        spare: &mut Spare,
     ) -> ColumnarPlan {
-        let blocks = (pieces.iter())
-            .map(|pieces| ColumnarBlock {
-                ranges: (pieces.iter())
-                    .map(|pc| {
-                        let (key, r) = batch.groups[pc.group];
-                        (key, ColRange::new(r.offset + pc.start, pc.end - pc.start))
-                    })
-                    .collect(),
-                fragments: fragments_of(batch, pieces),
-            })
-            .collect();
-        let split_keys = split_keys.into_iter().collect();
+        let cols = ColumnarSealed::from_sealed_in(batch, spare.column_arena());
+        let mut blocks = spare.column_blocks(pieces.len());
+        for (block, pieces) in blocks.iter_mut().zip(pieces) {
+            block.ranges.extend(pieces.iter().map(|pc| {
+                let (key, r) = cols.groups[pc.group];
+                (key, ColRange::new(r.offset + pc.start, pc.end - pc.start))
+            }));
+            fragments_into(batch, pieces, &mut block.fragments);
+        }
         ColumnarPlan {
-            arena: Arc::clone(&batch.arena),
+            arena: cols.arena,
             blocks,
-            split_keys,
+            split_keys: split_keys.into_iter().collect(),
         }
     }
 
-    /// Materialize every block from its assigned pieces, on up to `threads`
-    /// OS threads. Blocks materialize independently, so the plan is
+    /// Materialize every block from its assigned pieces into `blocks` (one
+    /// per block of `pieces`, empty; missing ones start empty), on up to
+    /// `threads` workers. Blocks materialize independently, so the plan is
     /// bit-identical for any thread count.
     fn materialize_pieces(
         batch: &SealedBatch,
         pieces: &[Vec<Piece>],
         split_keys: Vec<Key>,
         threads: usize,
+        mut blocks: Vec<DataBlock>,
     ) -> PartitionPlan {
-        let blocks = map_indexed(pieces.len(), threads, |b| {
-            materialize_block(batch, &pieces[b])
+        blocks.resize_with(pieces.len(), DataBlock::default);
+        map_mut(&mut blocks, threads, |b, block| {
+            materialize_block(batch, &pieces[b], block)
         });
         let split_keys = split_keys.into_iter().collect();
         PartitionPlan { blocks, split_keys }
     }
 
     /// The decision core of Algorithm 2: compute which range of which key
-    /// group lands in which block, without touching any tuple data. The
+    /// group lands in which block, without touching any tuple data, into
+    /// `blocks` (whatever it held before). Returns the split keys. The
     /// symbolic state (block sizes and distinct-key counts) is exactly what
     /// the placement decisions read, so the assignment — and hence the final
     /// plan — is independent of materialization, which can run per-block in
-    /// parallel.
-    fn assign_pieces<V: GroupView>(batch: &V, p: usize, tolerance: f64) -> Assignment {
+    /// parallel, in either layout.
+    fn assign_pieces(
+        batch: &SealedBatch,
+        p: usize,
+        tolerance: f64,
+        blocks: &mut SymbolicBlocks,
+    ) -> Vec<Key> {
         assert!(p > 0, "need at least one block");
         assert!((0.0..=1.0).contains(&tolerance), "tolerance is a fraction");
-        let n = batch.total_tuples();
-        let k = batch.n_groups();
-        let mut blocks = SymbolicBlocks::new(p);
+        let n = batch.n_tuples;
+        let k = batch.n_keys();
+        blocks.reset(p);
         let mut split_keys = Vec::new();
         if n == 0 {
-            return (blocks.pieces, split_keys);
+            return split_keys;
         }
+        let group = |gi: usize| {
+            let g = &batch.groups[gi];
+            (g.key, g.count)
+        };
 
         // Partition-Size, Partition-Cardinality, Key-Split-CutOff (Alg. 2
         // lines 1–3). Ceilings keep total capacity ≥ total size (Eqn. 13).
@@ -209,12 +238,12 @@ impl PromptPartitioner {
         let p_card = (k / p).max(1);
         let s_cut = (p_size / p_card).max(1);
 
-        // Phase 1: fragment the high-frequency keys (lines 5–9).
-        let mut residuals: Vec<(usize, usize)> = Vec::new(); // (group, lookupLargePos)
-        let mut normal: Vec<usize> = Vec::with_capacity(k);
+        // Phase 1: fragment the high-frequency keys (lines 5–9). Residuals
+        // are `(group, lookupLargePos)`.
+        let (mut normal, mut residuals) = blocks.take_lists();
         let mut bi = 0usize;
         for gi in 0..k {
-            let (_, count) = batch.group(gi);
+            let (_, count) = group(gi);
             if count > s_cut {
                 blocks.place(bi, gi, 0, s_cut, true);
                 residuals.push((gi, bi));
@@ -240,7 +269,7 @@ impl PromptPartitioner {
             } else {
                 p - 1 - pos
             };
-            let (_, count) = batch.group(gi);
+            let (_, count) = group(gi);
             blocks.place((offset + idx) % p, gi, 0, count, true);
         }
 
@@ -252,8 +281,8 @@ impl PromptPartitioner {
         // spread over all blocks — BSI stays ~0 relative to hashing and BCI
         // stays at shuffle level, the trade Fig. 10 reports.
         let cap_limit = p_size + (p_size as f64 * tolerance) as usize + 1;
-        'residuals: for (gi, home) in residuals {
-            let (key, count) = batch.group(gi);
+        'residuals: for &(gi, home) in &residuals {
+            let (key, count) = group(gi);
             let (mut start, end) = (s_cut, count);
             // Only here can a key reach a second block, and every block past
             // its home that a residual reaches is new to the key: the
@@ -269,11 +298,11 @@ impl PromptPartitioner {
             // S_cut fragment.
             let cap = blocks.capacity(home, cap_limit);
             if end - start <= cap {
-                put(&mut blocks, home, start, end);
+                put(blocks, home, start, end);
                 continue;
             }
             if cap > 0 {
-                put(&mut blocks, home, start, start + cap);
+                put(blocks, home, start, start + cap);
                 start += cap;
             }
             // Place the rest in a block that can hold it whole. Among those,
@@ -289,7 +318,7 @@ impl PromptPartitioner {
                     .filter(|&b| blocks.capacity(b, cap_limit) >= end - start)
                     .min_by_key(|&b| (blocks.cardinalities[b], blocks.capacity(b, cap_limit), b));
                 if let Some(b) = fit {
-                    put(&mut blocks, b, start, end);
+                    put(blocks, b, start, end);
                     continue 'residuals;
                 }
                 // No single block fits the residual: pour into the block
@@ -301,59 +330,14 @@ impl PromptPartitioner {
                     .max_by_key(|&(b, c)| (c, usize::MAX - b))
                     .expect("p > 0");
                 assert!(cap > 0, "groups hold more tuples than the batch counts");
-                put(&mut blocks, b, start, start + cap);
+                put(blocks, b, start, start + cap);
                 start += cap;
             }
         }
-
-        (blocks.pieces, split_keys)
+        blocks.put_lists(normal, residuals);
+        split_keys
     }
 }
-
-/// What the symbolic assignment phase reads from a sealed batch: the group
-/// list as `(key, count)` pairs in seal order. Implemented by both the row
-/// and columnar sealed representations so Algorithm 2's decision core is
-/// literally the same code — and therefore the same plan — for either.
-trait GroupView {
-    fn total_tuples(&self) -> usize;
-    fn n_groups(&self) -> usize;
-    fn group(&self, gi: usize) -> (Key, usize);
-}
-
-impl GroupView for SealedBatch {
-    #[inline]
-    fn total_tuples(&self) -> usize {
-        self.n_tuples
-    }
-    #[inline]
-    fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-    #[inline]
-    fn group(&self, gi: usize) -> (Key, usize) {
-        let g = &self.groups[gi];
-        (g.key, g.count)
-    }
-}
-
-impl GroupView for ColumnarSealed {
-    #[inline]
-    fn total_tuples(&self) -> usize {
-        self.n_tuples
-    }
-    #[inline]
-    fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-    #[inline]
-    fn group(&self, gi: usize) -> (Key, usize) {
-        let (key, r) = self.groups[gi];
-        (key, r.len)
-    }
-}
-
-/// Every block's pieces, in assignment order, and the split keys.
-type Assignment = (Vec<Vec<Piece>>, Vec<Key>);
 
 /// One contiguous range `[start, end)` of key group `group`'s tuples,
 /// assigned to a block by [`PromptPartitioner::assign_pieces`].
@@ -366,20 +350,41 @@ struct Piece {
 
 /// The symbolic block state the assignment phase reads back: per-block
 /// pieces, sizes and distinct-key counts — everything the placement decisions
-/// depend on, with no tuple data.
+/// depend on, with no tuple data — and the two group lists phase 1 sorts the
+/// keys into. Refilled, not rebuilt, batch after batch.
+#[derive(Debug, Default)]
 struct SymbolicBlocks {
     pieces: Vec<Vec<Piece>>,
     sizes: Vec<usize>,
     cardinalities: Vec<usize>,
+    normal: Vec<usize>,
+    residuals: Vec<(usize, usize)>,
 }
 
 impl SymbolicBlocks {
-    fn new(p: usize) -> SymbolicBlocks {
-        SymbolicBlocks {
-            pieces: vec![Vec::new(); p],
-            sizes: vec![0; p],
-            cardinalities: vec![0; p],
-        }
+    /// `p` empty blocks.
+    fn reset(&mut self, p: usize) {
+        self.pieces.resize_with(p, Vec::new);
+        self.pieces.iter_mut().for_each(Vec::clear);
+        self.sizes.clear();
+        self.sizes.resize(p, 0);
+        self.cardinalities.clear();
+        self.cardinalities.resize(p, 0);
+    }
+
+    /// The phase-1 lists, empty, to fill while blocks are placed.
+    fn take_lists(&mut self) -> (Vec<usize>, Vec<(usize, usize)>) {
+        self.normal.clear();
+        self.residuals.clear();
+        (
+            std::mem::take(&mut self.normal),
+            std::mem::take(&mut self.residuals),
+        )
+    }
+
+    /// Keep the phase-1 lists' allocations for the next batch.
+    fn put_lists(&mut self, normal: Vec<usize>, residuals: Vec<(usize, usize)>) {
+        (self.normal, self.residuals) = (normal, residuals);
     }
 
     /// Append a piece to block `b`; `new_key` says the block does not hold
@@ -397,40 +402,38 @@ impl SymbolicBlocks {
     }
 }
 
-/// A block's fragment table from its pieces: their sizes summed per key,
-/// sorted by key id. A key has one piece per block, but for a heavy key's
-/// home block, where its residual can follow its `S_cut` fragment.
-fn fragments_of<V: GroupView>(batch: &V, pieces: &[Piece]) -> Vec<KeyFragment> {
-    let mut fragments: Vec<KeyFragment> = (pieces.iter())
-        .map(|pc| KeyFragment {
-            key: batch.group(pc.group).0,
-            count: pc.end - pc.start,
-        })
-        .collect();
-    fragments.sort_unstable_by_key(|f| f.key.0);
-    fragments.dedup_by(|next, kept| {
+/// A block's fragment table from its pieces, into `out` (empty): their sizes
+/// summed per key, sorted by key id. A key has one piece per block, but for a
+/// heavy key's home block, where its residual can follow its `S_cut`
+/// fragment.
+fn fragments_into(batch: &SealedBatch, pieces: &[Piece], out: &mut Vec<KeyFragment>) {
+    out.extend(pieces.iter().map(|pc| KeyFragment {
+        key: batch.groups[pc.group].key,
+        count: pc.end - pc.start,
+    }));
+    out.sort_unstable_by_key(|f| f.key.0);
+    out.dedup_by(|next, kept| {
         let same = next.key == kept.key;
         kept.count += if same { next.count } else { 0 };
         same
     });
-    fragments
 }
 
-/// Copy one block's assigned ranges out of the sealed batch. Pieces are
-/// appended in assignment order — the same order the old interleaved
-/// implementation pushed tuples — so the block content is bit-identical.
-fn materialize_block(batch: &SealedBatch, pieces: &[Piece]) -> DataBlock {
+/// Copy one block's assigned ranges out of the sealed batch into `block`
+/// (empty). Pieces are appended in assignment order — the same order the old
+/// interleaved implementation pushed tuples — so the block content is
+/// bit-identical.
+fn materialize_block(batch: &SealedBatch, pieces: &[Piece], block: &mut DataBlock) {
     // Sized exactly: the residual tolerance lets a block run a few tuples
     // past `N/p`, and a guess that low would double the block's allocation.
     let size = pieces.iter().map(|pc| pc.end - pc.start).sum();
-    let mut tuples = Vec::with_capacity(size);
+    block.tuples.reserve_exact(size);
     for pc in pieces {
-        tuples.extend_from_slice(&batch.tuples(pc.group)[pc.start..pc.end]);
+        block
+            .tuples
+            .extend_from_slice(&batch.tuples(pc.group)[pc.start..pc.end]);
     }
-    DataBlock {
-        tuples,
-        fragments: fragments_of(batch, pieces),
-    }
+    fragments_into(batch, pieces, &mut block.fragments);
 }
 
 impl Partitioner for PromptPartitioner {
@@ -458,18 +461,21 @@ impl Partitioner for PromptPartitioner {
         batch: &MicroBatch,
         p: usize,
     ) -> Option<(ColumnarPlan, PartitionPhases)> {
-        // Accumulators seal straight into column arenas (`seal_columnar`
-        // replays the exact row seal order) and materialization emits arena
-        // ranges instead of tuple copies, so `to_row_plan()` of this result
-        // is bit-identical to the row layout's plan — gated by the engine's
-        // differential oracle.
+        // The same seal and assignment as the row layout; materialization
+        // lays the sealed batch out in columns (in seal order, as
+        // `seal_columnar` would) and emits arena ranges instead of tuple
+        // copies, so `to_row_plan()` of this result is bit-identical to the
+        // row layout's plan — gated by the engine's differential oracle.
         Some(self.pipeline(
             &batch.tuples,
             batch.interval,
             p,
-            |acc, interval| acc.seal_columnar(interval),
             Self::materialize_pieces_columnar,
         ))
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.spare.keep(plan);
     }
 }
 
@@ -482,38 +488,44 @@ impl PromptPartitioner {
         p: usize,
     ) -> (PartitionPlan, PartitionPhases) {
         let threads = self.threads;
-        self.pipeline(
-            tuples,
-            interval,
-            p,
-            |acc, interval| acc.seal(interval),
-            |sealed, pieces, split| Self::materialize_pieces(sealed, pieces, split, threads),
-        )
+        self.pipeline(tuples, interval, p, |sealed, pieces, split, spare| {
+            let blocks = spare.row_blocks(pieces.len());
+            Self::materialize_pieces(sealed, pieces, split, threads, blocks)
+        })
     }
 
     /// The one partition pipeline: replay the arrivals through the owned
-    /// accumulator and `seal` it (Algorithm 1), assign pieces symbolically
-    /// (Algorithm 2 — the same code for either layout), `materialize` the
-    /// plan; with a wall clock around each phase. The timings drive the
-    /// observability layer's per-stage breakdowns (Fig. 14's overhead story)
-    /// and never influence the plan.
-    fn pipeline<S: GroupView, P>(
+    /// accumulator and seal it into the spare arena (Algorithm 1), assign
+    /// pieces symbolically (Algorithm 2 — the same code for either layout),
+    /// `materialize` the plan from the spare plan's buffers, and take the
+    /// arena back; with a wall clock around each phase. The timings drive
+    /// the observability layer's per-stage breakdowns (Fig. 14's overhead
+    /// story) and never influence the plan.
+    fn pipeline<P>(
         &mut self,
         tuples: &[Tuple],
         interval: Interval,
         p: usize,
-        seal: impl FnOnce(&mut dyn BatchAccumulator, Interval) -> S,
-        materialize: impl FnOnce(&S, &[Vec<Piece>], Vec<Key>) -> P,
+        materialize: impl FnOnce(&SealedBatch, &[Vec<Piece>], Vec<Key>, &mut Spare) -> P,
     ) -> (P, PartitionPhases) {
         let t0 = std::time::Instant::now();
-        let sealed = seal(self.buffer_arrivals(tuples, interval), interval);
+        let (mut groups, mut arena) = std::mem::take(&mut self.sealed);
+        let acc = self.buffer_arrivals(tuples, interval);
+        // What the arena holds is never read: the seal overwrites all of it.
+        let filler = Tuple::keyed(Time::ZERO, Key(0));
+        arena.resize(acc.stats().n_tuples as usize, filler);
+        groups.clear();
+        let interval = acc.seal_into(&mut arena, 0, interval, &mut groups);
+        let sealed = SealedBatch::new(groups, arena, interval);
         let seal_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
-        let (pieces, split_keys) = Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE);
+        let split_keys =
+            Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE, &mut self.symbolic);
         let symbolic_us = t1.elapsed().as_micros() as u64;
         let t2 = std::time::Instant::now();
-        let plan = materialize(&sealed, &pieces, split_keys);
+        let plan = materialize(&sealed, &self.symbolic.pieces, split_keys, &mut self.spare);
         let materialize_us = t2.elapsed().as_micros() as u64;
+        self.sealed = sealed.into_parts();
         let phases = PartitionPhases {
             select_us: 0,
             seal_us,

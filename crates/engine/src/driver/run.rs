@@ -79,7 +79,7 @@ impl PreparedBatch {
         Planned {
             seq: wire.of(self.seq),
             tseq: self.seq,
-            view: self.plan.view(),
+            view: PlanView::of(&self.plan),
             job: &eng.job,
             r: self.r,
             assigner,
@@ -366,7 +366,7 @@ impl<'e> Run<'e> {
         // Partitioners conserve tuples, so the plan's distinct keys are the
         // batch's: counted once, for the record and the plan metrics both.
         let blocks = plan.fragments();
-        let n_keys = total_keys(&blocks, plan.view().split_keys());
+        let n_keys = total_keys(&blocks, PlanView::of(&plan).split_keys());
         let metrics = PlanMetrics::of_blocks(&blocks, n_keys);
         if let Some(pol) = self.eng.policy.as_mut() {
             pol.observe(&BatchObservation {
@@ -597,7 +597,7 @@ impl<'e> Run<'e> {
         backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
-        let (output, mut times) = self.run_plan(pb.seq, pb.plan.view(), under, backend);
+        let (output, mut times) = self.run_plan(pb.seq, PlanView::of(&pb.plan), under, backend);
         self.inject_stragglers(pb.seq, &mut times);
         (output, times)
     }
@@ -713,7 +713,7 @@ impl<'e> Run<'e> {
             seq,
             n_tuples: pb.n_tuples,
             n_keys: pb.n_keys,
-            map_tasks: pb.plan.view().n_blocks(),
+            map_tasks: PlanView::of(&pb.plan).n_blocks(),
             reduce_tasks: pb.r,
             partition_overhead: pb.raw_overhead,
             visible_overhead: pb.visible_overhead,
@@ -728,6 +728,10 @@ impl<'e> Run<'e> {
             plan_metrics: pb.metrics,
             technique: pb.technique,
         });
+        // Nothing reads the plan any more: its buffers are what the
+        // technique builds a later batch's plan in.
+        let partitioner = self.eng.strategies.registry.get_or_build(pb.technique);
+        partitioner.recycle(pb.plan);
     }
 
     /// Per-worker load accounting: the trace summary's imbalance signal, and
@@ -797,7 +801,7 @@ impl<'e> Run<'e> {
         let Some(sc) = self.scaler.as_mut() else {
             return;
         };
-        if (pb.plan.view().n_blocks(), pb.r) != (sc.map_tasks(), sc.reduce_tasks()) {
+        if (PlanView::of(&pb.plan).n_blocks(), pb.r) != (sc.map_tasks(), sc.reduce_tasks()) {
             return;
         }
         let (seq, rec) = (pb.seq, &self.rec);

@@ -16,6 +16,7 @@
 use prompt_core::batch::{DataBlock, KeyFragment, PartitionPlan};
 use prompt_core::columnar::{ColumnarBatch, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{KeyMap, KeySet};
+pub(crate) use prompt_core::partitioner::Plan;
 use prompt_core::reduce::{KeyCluster, ReduceAssigner};
 use prompt_core::types::Key;
 
@@ -36,31 +37,15 @@ pub(crate) enum PlanView<'a> {
     Columns(&'a ColumnarPlan),
 }
 
-/// A partitioned batch in the layout it was sealed in, as its
-/// `PreparedBatch` owns it.
-pub(crate) enum Plan {
-    Rows(PartitionPlan),
-    Columns(ColumnarPlan),
-}
-
-impl Plan {
-    pub(crate) fn view(&self) -> PlanView<'_> {
-        match self {
+impl<'a> PlanView<'a> {
+    /// The view of a plan a `PreparedBatch` owns.
+    pub(crate) fn of(plan: &'a Plan) -> PlanView<'a> {
+        match plan {
             Plan::Rows(p) => PlanView::Rows(p),
             Plan::Columns(p) => PlanView::Columns(p),
         }
     }
 
-    /// Every block's fragment list, in block order: all that the plan
-    /// metrics (Eqns. 2–6), the partitioner policy and the rebalancer read
-    /// of a plan.
-    pub(crate) fn fragments(&self) -> Vec<&[KeyFragment]> {
-        let view = self.view();
-        (0..view.n_blocks()).map(|i| view.fragments(i)).collect()
-    }
-}
-
-impl<'a> PlanView<'a> {
     pub(crate) fn n_blocks(self) -> usize {
         match self {
             PlanView::Rows(p) => p.blocks.len(),
@@ -94,11 +79,12 @@ impl<'a> PlanView<'a> {
         }
     }
 
-    /// Map + local combine over block `i`.
-    pub(crate) fn map_block(self, i: usize, job: &Job) -> ClusterList {
+    /// Map + local combine over block `i` into `out`, through `fold`
+    /// ([`map_block`]).
+    pub(crate) fn map_block(self, i: usize, job: &Job, fold: &mut Fold, out: &mut ClusterList) {
         match self {
-            PlanView::Rows(p) => map_block(&p.blocks[i], job),
-            PlanView::Columns(p) => map_block_columnar(&p.arena, &p.blocks[i], job),
+            PlanView::Rows(p) => map_block(&p.blocks[i], job, fold, out),
+            PlanView::Columns(p) => map_block_columnar(&p.arena, &p.blocks[i], job, fold, out),
         }
     }
 
@@ -114,11 +100,17 @@ impl<'a> PlanView<'a> {
     }
 }
 
+/// A Map task's per-key fold table: `key → (partial aggregate, tuples
+/// folded)`. Left empty by every kernel that fills it, so a caller that keeps
+/// one per task reuses its allocation batch after batch.
+pub(crate) type Fold = KeyMap<(f64, usize)>;
+
 /// Map + local combine over one row block: fold every mapped tuple into its
-/// key cluster. The distributed worker runs this same fold on the block it
-/// decodes, so map outputs are bit-identical across backends.
-pub(crate) fn map_block(block: &DataBlock, job: &Job) -> ClusterList {
-    let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
+/// key cluster in `clusters` (empty), then move them to `out` in key order.
+/// The distributed worker runs this same fold on the block it decodes, so
+/// map outputs are bit-identical across backends.
+pub(crate) fn map_block(block: &DataBlock, job: &Job, clusters: &mut Fold, out: &mut ClusterList) {
+    debug_assert!(clusters.is_empty(), "a block folds into an empty table");
     clusters.reserve(block.cardinality());
     for t in &block.tuples {
         if let Some(v) = (job.map)(t) {
@@ -134,7 +126,7 @@ pub(crate) fn map_block(block: &DataBlock, job: &Job) -> ClusterList {
             }
         }
     }
-    in_key_order(clusters)
+    in_key_order(clusters, out);
 }
 
 /// Map + local combine over one columnar block's ranges — bit-identical to
@@ -151,8 +143,10 @@ pub(crate) fn map_block_columnar(
     arena: &ColumnarBatch,
     block: &ColumnarBlock,
     job: &Job,
-) -> ClusterList {
-    let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
+    clusters: &mut Fold,
+    out: &mut ClusterList,
+) {
+    debug_assert!(clusters.is_empty(), "a block folds into an empty table");
     clusters.reserve(block.cardinality());
     for &(key, r) in &block.ranges {
         let end = r.end();
@@ -187,14 +181,15 @@ pub(crate) fn map_block_columnar(
             }
         }
     }
-    in_key_order(clusters)
+    in_key_order(clusters, out);
 }
 
-/// Deterministic cluster order regardless of hash-map iteration.
-fn in_key_order(clusters: KeyMap<(f64, usize)>) -> ClusterList {
-    let mut ordered: ClusterList = clusters.into_iter().collect();
-    ordered.sort_unstable_by_key(|(k, _)| k.0);
-    ordered
+/// Move `fold`'s clusters to `out` (whatever it held before) in key order,
+/// whatever the table's iteration order; `fold` is left empty.
+fn in_key_order(fold: &mut Fold, out: &mut ClusterList) {
+    out.clear();
+    out.extend(fold.drain());
+    out.sort_unstable_by_key(|(k, _)| k.0);
 }
 
 /// What one batch's shuffle routed: the `ScatterFragments` /
@@ -223,8 +218,9 @@ impl std::ops::AddAssign for ShuffleTally {
 /// Shuffle-assign Map task `task`'s output: route each `(key, size)` cluster
 /// to its Reduce bucket. A pure function of the block's own output (§5: "no
 /// coordination between Map tasks"), so callers may run it for any block, in
-/// any order, as often as they like. Adds the routings performed, and how
-/// many carried a split key, to `tally`.
+/// any order, as often as they like. `descs` is the assigner's input, built
+/// here from `clusters` in whatever buffer the caller keeps. Adds the
+/// routings performed, and how many carried a split key, to `tally`.
 pub(crate) fn assign_block(
     task: usize,
     clusters: impl Iterator<Item = (Key, usize)>,
@@ -232,11 +228,11 @@ pub(crate) fn assign_block(
     assigner: &dyn ReduceAssigner,
     r: usize,
     tally: Option<&mut ShuffleTally>,
+    descs: &mut Vec<KeyCluster>,
 ) -> Vec<usize> {
-    let descs: Vec<KeyCluster> = clusters
-        .map(|(key, size)| KeyCluster { key, size })
-        .collect();
-    let assignment = assigner.assign(task, &descs, split_keys, r);
+    descs.clear();
+    descs.extend(clusters.map(|(key, size)| KeyCluster { key, size }));
+    let assignment = assigner.assign(task, descs, split_keys, r);
     // Every executor zips clusters with buckets: a short list or a bucket
     // nobody reduces would drop keys from the answer without a sound.
     assert_eq!(assignment.len(), descs.len(), "assigner output length");
@@ -249,17 +245,19 @@ pub(crate) fn assign_block(
     assignment
 }
 
-/// Reduce one bucket: merge its `n_items` `(key, partial, tuples)` items per
-/// key, in the order given. Callers present items in block order, then key
-/// order within a block — the one merge sequence that keeps `f64` aggregates
-/// bit-identical across backends. The table is sized for `n_items` up front
-/// (a bucket has at most that many keys), so it never grows.
+/// Reduce one bucket into `acc` (empty): merge its `n_items` `(key, partial,
+/// tuples)` items per key, in the order given. Callers present items in
+/// block order, then key order within a block — the one merge sequence that
+/// keeps `f64` aggregates bit-identical across backends. The table is sized
+/// for `n_items` up front (a bucket has at most that many keys), so it never
+/// grows.
 pub(crate) fn merge_bucket(
     items: impl IntoIterator<Item = (Key, f64, usize)>,
     n_items: usize,
     op: ReduceOp,
-) -> (KeyMap<f64>, BucketStats) {
-    let mut acc: KeyMap<f64> = KeyMap::default();
+    acc: &mut KeyMap<f64>,
+) -> BucketStats {
+    debug_assert!(acc.is_empty(), "a bucket merges into an empty table");
     acc.reserve(n_items);
     let (mut tuples, mut fragments) = (0, 0);
     for (key, value, n) in items {
@@ -269,12 +267,11 @@ pub(crate) fn merge_bucket(
             .and_modify(|a| *a = op.merge(*a, value))
             .or_insert(value);
     }
-    let stats = BucketStats {
+    BucketStats {
         tuples,
         keys: acc.len(),
         fragments,
-    };
-    (acc, stats)
+    }
 }
 
 /// Gather the reduced buckets, in bucket order, into the batch's output and
@@ -388,7 +385,9 @@ mod tests {
                 ] {
                     for i in 0..view.n_blocks() {
                         let fragments = view.fragments(i).iter().map(|f| (f.key, f.count));
-                        let mapped = view.map_block(i, &job).into_iter();
+                        let mut mapped = ClusterList::new();
+                        view.map_block(i, &job, &mut Fold::default(), &mut mapped);
+                        let mapped = mapped.into_iter();
                         assert_eq!(
                             mapped.map(|(k, (_, n))| (k, n)).collect::<Vec<_>>(),
                             fragments.collect::<Vec<_>>(),

@@ -779,11 +779,13 @@ impl DistributedRuntime {
         let t_scatter = Instant::now();
         let mut tally = ShuffleTally::default();
         let mut stats = vec![BucketStats::default(); r];
+        let mut descs = Vec::new();
         for (i, &w) in block_owner.iter().enumerate() {
             let fragments = view.fragments(i);
             let clusters = fragments.iter().map(|f| (f.key, f.count));
             let tally = trace.and(Some(&mut tally));
-            let assignment = assign_block(i, clusters, view.split_keys(), assigner, r, tally);
+            let split = view.split_keys();
+            let assignment = assign_block(i, clusters, split, assigner, r, tally, &mut descs);
             for (f, &b) in fragments.iter().zip(&assignment) {
                 stats[b].tuples += f.count;
                 stats[b].fragments += 1;

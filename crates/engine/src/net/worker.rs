@@ -33,12 +33,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as WallDuration, Instant};
 
+use prompt_core::hash::KeyMap;
 use prompt_core::types::Key;
 
 use super::transport::{ConnPool, FrameConn, NetError, RetryPolicy};
 use super::wire::{FetchStats, Message, ShuffleSegment, ShuffleSource};
 use crate::job::ReduceOp;
-use crate::kernel::{map_block, merge_bucket, ClusterList};
+use crate::kernel::{map_block, merge_bucket, ClusterList, Fold};
 
 /// Cap on the shuffle acceptor's backoff between empty accept polls.
 const ACCEPT_BACKOFF_MAX: WallDuration = WallDuration::from_millis(20);
@@ -295,6 +296,7 @@ fn serve_tasks(
     }
     // Map outputs awaiting their ShuffleAssign, in full precision.
     let mut pending: HashMap<(u64, u32, u32), ClusterList> = HashMap::new();
+    let mut fold = Fold::default();
     loop {
         match conn.recv()? {
             Message::MapTask {
@@ -305,7 +307,9 @@ fn serve_tasks(
                 block,
             } => {
                 let job = job.instantiate("net-task");
-                pending.insert((seq, epoch, block_id), map_block(&block, &job));
+                let mut ordered = ClusterList::new();
+                map_block(&block, &job, &mut fold, &mut ordered);
+                pending.insert((seq, epoch, block_id), ordered);
             }
             Message::ShuffleAssign {
                 seq,
@@ -459,7 +463,8 @@ fn reduce_bucket(
     let partials = partials.into_inner().expect("partials lock");
     let n_items = partials.values().map(Vec::len).sum();
     let items = (partials.into_values().flatten()).map(|(key, value, n)| (key, value, n as usize));
-    let (acc, _) = merge_bucket(items, n_items, reduce);
+    let mut acc = KeyMap::default();
+    merge_bucket(items, n_items, reduce, &mut acc);
     let mut aggregates: Vec<(Key, f64)> = acc.into_iter().collect();
     aggregates.sort_unstable_by_key(|&(k, _)| k.0);
     Ok(Message::ReduceComplete {

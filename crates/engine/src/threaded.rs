@@ -5,12 +5,13 @@
 //! the `p` blocks in parallel, Algorithm 3 routing every Map output to a
 //! Reduce bucket, Reduce tasks over the `r` buckets in parallel.
 //! [`ThreadedExecutor`] is that shape, once, for both local backends:
-//! `Backend::InProcess` runs it with one thread — nothing is spawned, every
-//! phase is a loop on the calling thread — and `Backend::Threaded` with `n`
-//! ([`map_indexed`] fans the two parallel phases out). Virtual task times come
-//! from the [`crate::cost::CostModel`] either way; the wall-clock time of
-//! each phase is reported beside the output, so the examples can show real
-//! speedups from balanced partitioning.
+//! `Backend::InProcess` runs it with one thread — the pool is not touched,
+//! every phase is a loop on the calling thread — and `Backend::Threaded`
+//! with `n`, the calling thread and `n − 1` helpers of the process's
+//! persistent fan-out pool ([`map_mut`]). Virtual task
+//! times come from the [`crate::cost::CostModel`] either way; the
+//! wall-clock time of each phase is reported beside the output, so the
+//! examples can show real speedups from balanced partitioning.
 //!
 //! * **Map** — one [`PlanView::map_block`] per block, in parallel, each
 //!   followed by its own Algorithm 3 assignment ([`assign_block`]): the
@@ -23,16 +24,25 @@
 //!   "Settled").
 //! * **Reduce** — one [`merge_bucket`] per bucket, in parallel; every bucket
 //!   was filled in block order then key order, whatever the thread count.
+//!
+//! An executor keeps its tables from batch to batch: one fold table, cluster
+//! list and assigner input per Map task, one item list and merge table per
+//! Reduce bucket. They are indexed by task, not by thread — which thread
+//! ran a task never matters — and cleared, never dropped, so a steady-state
+//! batch allocates only what its input has outgrown.
 
 use std::time::Instant;
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::par::map_indexed;
-use prompt_core::reduce::ReduceAssigner;
+use prompt_core::hash::KeyMap;
+use prompt_core::par::map_mut;
+use prompt_core::reduce::{KeyCluster, ReduceAssigner};
 use prompt_core::types::{Duration, Key};
 
 use crate::job::Job;
-use crate::kernel::{assign_block, gather_buckets, merge_bucket, PlanView, ShuffleTally};
+use crate::kernel::{
+    assign_block, gather_buckets, merge_bucket, ClusterList, Fold, PlanView, ShuffleTally,
+};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{StageKind, TraceRecorder};
 
@@ -67,18 +77,54 @@ impl WallTimes {
     }
 }
 
-/// The local executor at a fixed thread count.
-#[derive(Clone, Copy, Debug)]
+/// The local executor at a fixed thread count, with the tables its tasks
+/// refill batch after batch.
+#[derive(Clone, Debug)]
 pub struct ThreadedExecutor {
     /// Threads the Map and Reduce phases run on (1 = the calling thread).
     pub threads: usize,
+    maps: Vec<MapTask>,
+    buckets: Vec<ReduceTask>,
+}
+
+/// One Map task's tables, on cache lines of their own: neighbouring tasks'
+/// tables are written by different workers, key by key.
+#[derive(Clone, Debug, Default)]
+#[repr(align(128))]
+struct MapTask {
+    fold: Fold,
+    clusters: ClusterList,
+    descs: Vec<KeyCluster>,
+    /// What the assigner returned for `clusters`, until the shuffle reads it.
+    assignment: Vec<usize>,
+    tally: ShuffleTally,
+}
+
+/// One Reduce bucket's tables, on cache lines of their own, as a Map task's.
+#[derive(Clone, Debug, Default)]
+#[repr(align(128))]
+struct ReduceTask {
+    items: Vec<(Key, f64, usize)>,
+    merged: KeyMap<f64>,
+}
+
+/// The first `n` of `tasks`, growing it with empty tasks when it is shorter.
+fn first<T: Default>(tasks: &mut Vec<T>, n: usize) -> &mut [T] {
+    if tasks.len() < n {
+        tasks.resize_with(n, T::default);
+    }
+    &mut tasks[..n]
 }
 
 impl ThreadedExecutor {
     /// Create an executor with the given parallelism (≥ 1).
     pub fn new(threads: usize) -> ThreadedExecutor {
         assert!(threads >= 1, "need at least one thread");
-        ThreadedExecutor { threads }
+        ThreadedExecutor {
+            threads,
+            maps: Vec::new(),
+            buckets: Vec::new(),
+        }
     }
 
     /// Execute a partitioned batch for real: parallel Map over blocks,
@@ -99,7 +145,7 @@ impl ThreadedExecutor {
     /// the same [`crate::cost::CostModel`] quantities every backend uses
     /// (see [`crate::stage::times_from_stats`]), and records the shuffle
     /// counters and the three wall times (as phases of batch `seq`) into
-    /// `trace = (recorder, seq)`.
+    /// `trace = (recorder, seq)`. A one-off call: its tables are its own.
     pub fn execute_with_stats(
         &self,
         plan: &PartitionPlan,
@@ -109,7 +155,8 @@ impl ThreadedExecutor {
         trace: Option<(&TraceRecorder, u64)>,
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
         let rec = trace.map(|(rec, _)| rec);
-        let (output, stats, times) = self.execute_view(PlanView::Rows(plan), job, assigner, r, rec);
+        let mut exec = ThreadedExecutor::new(self.threads);
+        let (output, stats, times) = exec.execute_view(PlanView::Rows(plan), job, assigner, r, rec);
         if let Some((rec, seq)) = trace {
             times.record(rec, seq);
         }
@@ -121,7 +168,7 @@ impl ThreadedExecutor {
     /// cannot diverge downstream of the fold. `trace` receives the shuffle
     /// counters; stamping the returned wall times is the caller's choice.
     pub(crate) fn execute_view(
-        &self,
+        &mut self,
         view: PlanView<'_>,
         job: &Job,
         assigner: &dyn ReduceAssigner,
@@ -131,24 +178,27 @@ impl ThreadedExecutor {
         assert!(r > 0, "need at least one reduce bucket");
         let t0 = Instant::now();
         let tallied = trace.is_some();
-        let map_outputs = map_indexed(view.n_blocks(), self.threads, |i| {
-            let ordered = view.map_block(i, job);
-            let clusters = ordered.iter().map(|&(key, (_, n))| (key, n));
-            let mut tally = ShuffleTally::default();
-            let tally_into = tallied.then_some(&mut tally);
-            let assignment = assign_block(i, clusters, view.split_keys(), assigner, r, tally_into);
-            (ordered, assignment, tally)
+        let maps = first(&mut self.maps, view.n_blocks());
+        map_mut(maps, self.threads, |i, task| {
+            view.map_block(i, job, &mut task.fold, &mut task.clusters);
+            let clusters = task.clusters.iter().map(|&(key, (_, n))| (key, n));
+            task.tally = ShuffleTally::default();
+            let tally_into = tallied.then_some(&mut task.tally);
+            let split = view.split_keys();
+            let descs = &mut task.descs;
+            task.assignment = assign_block(i, clusters, split, assigner, r, tally_into, descs);
         });
         let map = t0.elapsed();
 
         let t1 = Instant::now();
-        let mut buckets: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
+        let buckets = first(&mut self.buckets, r);
+        buckets.iter_mut().for_each(|b| b.items.clear());
         let mut tally = ShuffleTally::default();
-        for (ordered, assignment, block_tally) in &map_outputs {
-            for (&(key, (value, n)), &bucket) in ordered.iter().zip(assignment) {
-                buckets[bucket].push((key, value, n));
+        for task in maps.iter() {
+            for (&(key, (value, n)), &bucket) in task.clusters.iter().zip(&task.assignment) {
+                buckets[bucket].items.push((key, value, n));
             }
-            tally += *block_tally;
+            tally += task.tally;
         }
         if let Some(rec) = trace {
             tally.record(rec);
@@ -156,9 +206,18 @@ impl ThreadedExecutor {
         let shuffle = t1.elapsed();
 
         let t2 = Instant::now();
-        let reduced = map_indexed(r, self.threads, |b| {
-            merge_bucket(buckets[b].iter().copied(), buckets[b].len(), job.reduce)
+        let stats = map_mut(buckets, self.threads, |_, b| {
+            merge_bucket(
+                b.items.iter().copied(),
+                b.items.len(),
+                job.reduce,
+                &mut b.merged,
+            )
         });
+        let reduced = buckets
+            .iter_mut()
+            .zip(stats)
+            .map(|(b, s)| (b.merged.drain(), s));
         // Here a key in two buckets is the plan's bug, not a peer's: panic.
         let (output, stats) = gather_buckets(reduced)
             .unwrap_or_else(|(_, k)| panic!("key {k:?} reduced in two buckets"));

@@ -1,16 +1,19 @@
 //! A deterministic allocation budget for the batch path.
 //!
-//! A counting global allocator tallies, per thread, every allocation (and
-//! every reallocation) of at least [`LARGE`] bytes: the per-key tables a
-//! batch builds — fragment tables, bucket merges, the gather, the store's
-//! panes and emissions, the sealed arena — and every time one of them grows.
-//! The engine runs two benchmark shapes, and the Zipf one again through four
-//! ingest shards, on `Backend::InProcess`, which executes every stage
-//! on the calling thread; the counters are thread-local, so the checkpoint
-//! compactor and tests running alongside are not counted. The allocation
-//! sequence is a function of the input alone, so the budgets below are exact
-//! measurements, not timings: a table that starts growing from empty again
-//! fails here, whatever the host.
+//! A counting global allocator tallies every allocation (and every
+//! reallocation) of at least [`LARGE`] bytes: the per-key tables a batch
+//! builds — fragment tables, bucket merges, the gather, the store's panes and
+//! emissions, the sealed arena — and every time one of them grows. The engine
+//! runs two benchmark shapes, and the Zipf one again through four ingest
+//! shards, on `Backend::InProcess`, which executes every stage on the calling
+//! thread; those three are counted on that thread alone, so the checkpoint
+//! compactor is not. The fourth shape is `zipf_threaded`'s geometry, whose
+//! tasks run on the fan-out pool's helpers too, so it is counted on every
+//! thread; the file's tests take one lock, so nothing else runs while it
+//! counts. The allocation sequence is a function of the input alone — each
+//! task's tables are indexed by task, not by the thread that ran it — so the
+//! budgets below are exact measurements, not timings: a table that starts
+//! growing from empty again fails here, whatever the host.
 //!
 //! 250k- and 500k-tuple batches are too slow for a debug tier-1 run; CI runs
 //! this file with `cargo test -p prompt-engine --release --test alloc_budget`.
@@ -20,6 +23,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use prompt_core::hash::mix64;
 use prompt_core::partitioner::Technique;
@@ -34,13 +39,32 @@ thread_local! {
     static LARGE_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
+/// The same, on every thread.
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALL_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test, so a shape counted on every thread counts itself alone.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 fn tally(size: usize) {
     if size >= LARGE {
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
         // A thread being torn down has no counter left; nothing to count.
         let _ = LARGE_ALLOCS.try_with(|c| {
             let (n, bytes) = c.get();
             c.set((n + 1, bytes + size as u64));
         });
+    }
+}
+
+/// `(allocations, bytes)` so far, on this thread or on every thread.
+fn counted(every_thread: bool) -> (u64, u64) {
+    if every_thread {
+        let n = ALL_ALLOCS.load(Ordering::Relaxed);
+        (n, ALL_BYTES.load(Ordering::Relaxed))
+    } else {
+        LARGE_ALLOCS.with(Cell::get)
     }
 }
 
@@ -77,13 +101,15 @@ const WARMUP: usize = 8;
 const MEASURED: usize = 8;
 
 /// A seeded stream, `n` tuples an interval over `keys` keys, drawn uniformly
-/// or by a Zipf(1) CDF; it records this thread's counters each time the
-/// engine asks for a batch, so consecutive records bracket one batch.
+/// or by a Zipf(1) CDF; it records the counters each time the engine asks
+/// for a batch, so consecutive records bracket one batch.
 struct Stream {
     n: usize,
     keys: u64,
     cdf: Option<Vec<f64>>,
     seed: u64,
+    /// Count every thread's allocations, not only the driver's.
+    every_thread: bool,
     marks: Vec<(u64, u64)>,
 }
 
@@ -103,6 +129,7 @@ impl Stream {
             keys,
             cdf,
             seed,
+            every_thread: false,
             marks: Vec::with_capacity(WARMUP + MEASURED + 1),
         }
     }
@@ -117,7 +144,7 @@ impl Stream {
 
 impl TupleSource for Stream {
     fn fill(&mut self, iv: Interval, out: &mut Vec<Tuple>) {
-        self.marks.push(LARGE_ALLOCS.with(Cell::get));
+        self.marks.push(counted(self.every_thread));
         let step = iv.len().0 / (self.n as u64 + 1);
         for i in 0..self.n as u64 {
             let r = mix64(self.seed ^ mix64(iv.start.0 + i));
@@ -137,27 +164,29 @@ impl TupleSource for Stream {
     }
 }
 
-/// Run `technique` over `stream` at `p = r = 16` on the calling thread,
-/// buffering through `ingest_shards` shards, and return the per-batch large
-/// allocations of the measured batches.
-fn measure(
-    technique: Technique,
-    ingest_shards: usize,
-    op: ReduceOp,
-    window: (u64, u64),
-    checkpoint: Option<CheckpointConfig>,
-    mut stream: Stream,
-) -> (u64, u64) {
-    let cfg = EngineConfig {
+/// The benchmark shapes' engine: `p = r = 16`, every stage on the calling
+/// thread, one ingest shard.
+fn serial() -> EngineConfig {
+    EngineConfig {
         batch_interval: Duration::from_secs(1),
         map_tasks: 16,
         reduce_tasks: 16,
         cluster: Cluster::new(2, 8),
         backend: Backend::InProcess,
-        ingest_shards,
-        checkpoint,
         ..EngineConfig::default()
-    };
+    }
+}
+
+/// Run `technique` over `stream` under `cfg` and return the per-batch large
+/// allocations of the measured batches.
+fn measure(
+    technique: Technique,
+    cfg: EngineConfig,
+    op: ReduceOp,
+    window: (u64, u64),
+    mut stream: Stream,
+) -> (u64, u64) {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let spec = WindowSpec::sliding(Duration::from_secs(window.0), Duration::from_secs(window.1));
     let mut engine =
         StreamingEngine::new(cfg, technique, 7, Job::identity("budget", op)).with_window(spec);
@@ -194,15 +223,12 @@ fn uniform_state_stays_within_its_allocation_budget() {
     let dir = std::env::temp_dir().join(format!("prompt-alloc-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ckpt = CheckpointConfig::new(&dir).interval(1).snapshot_every(4);
+    let cfg = EngineConfig {
+        checkpoint: Some(ckpt),
+        ..serial()
+    };
     let stream = Stream::new(250_000, 500_000, false, 0x5eed);
-    let got = measure(
-        Technique::Hash,
-        1,
-        ReduceOp::Sum,
-        (4, 1),
-        Some(ckpt),
-        stream,
-    );
+    let got = measure(Technique::Hash, cfg, ReduceOp::Sum, (4, 1), stream);
     let _ = std::fs::remove_dir_all(&dir);
     assert_within("uniform_state", got, UNIFORM_BUDGET);
 }
@@ -213,7 +239,7 @@ fn uniform_state_stays_within_its_allocation_budget() {
 #[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
 fn zipf_inproc_stays_within_its_allocation_budget() {
     let stream = Stream::new(500_000, 100_000, true, 0x5eed);
-    let got = measure(Technique::Prompt, 1, ReduceOp::Count, (2, 2), None, stream);
+    let got = measure(Technique::Prompt, serial(), ReduceOp::Count, (2, 2), stream);
     assert_within("zipf_inproc", got, ZIPF_BUDGET);
 }
 
@@ -222,19 +248,55 @@ fn zipf_inproc_stays_within_its_allocation_budget() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
 fn zipf_sharded_stays_within_its_allocation_budget() {
+    let cfg = EngineConfig {
+        ingest_shards: 4,
+        ..serial()
+    };
     let stream = Stream::new(500_000, 100_000, true, 0x5eed);
-    let got = measure(Technique::Prompt, 4, ReduceOp::Count, (2, 2), None, stream);
+    let got = measure(Technique::Prompt, cfg, ReduceOp::Count, (2, 2), stream);
     assert_within("zipf_sharded", got, ZIPF_SHARDED_BUDGET);
 }
 
-/// `(allocations, bytes)` per batch. Measured: 267 and 73.0 MiB, against 268
-/// and 78.7 MiB while a checkpointed run retained every batch's input (a
-/// 5.7 MiB copy), and 336 and 105.9 MiB while the gather, the bucket merges
-/// and the emission grew their tables from empty. The slack absorbs a
-/// toolchain's different growth policy, not run-to-run noise: there is none.
-const UNIFORM_BUDGET: (u64, u64) = (273, 74 << 20);
-/// Measured: 149 and 44.0 MiB, against 166 and 46.8 MiB.
-const ZIPF_BUDGET: (u64, u64) = (155, 45 << 20);
-/// Measured: 156 and 45.4 MiB, against 161 and 57.8 MiB while every shard
-/// sealed into an arena of its own and the merge copied them into one more.
-const ZIPF_SHARDED_BUDGET: (u64, u64) = (158, 47 << 20);
+/// `zipf_threaded`'s geometry: `zipf_inproc`'s shape through 4 exact ingest
+/// shards on 2 ingest threads, executed on 2 threads at depth 2 — counted on
+/// every thread, so the pool's helpers are held to the same budget as the
+/// driver.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
+fn zipf_threaded_stays_within_its_allocation_budget() {
+    let cfg = EngineConfig {
+        backend: Backend::Threaded { threads: 2 },
+        ingest_shards: 4,
+        ingest_threads: 2,
+        pipeline_depth: 2,
+        ..serial()
+    };
+    let mut stream = Stream::new(500_000, 100_000, true, 0x5eed);
+    stream.every_thread = true;
+    let got = measure(Technique::Prompt, cfg, ReduceOp::Count, (2, 2), stream);
+    assert_within("zipf_threaded", got, ZIPF_THREADED_BUDGET);
+}
+
+/// `(allocations, bytes)` per batch. Measured: 66 and 22.3 MiB — 48 of
+/// them the store's per-shard deltas, 16 Algorithm 3's assignment vectors —
+/// against 267 and 73.0 MiB while every batch built its plan, Map and merge
+/// tables afresh, 268 and 78.7 MiB while a checkpointed run retained every
+/// batch's input (a 5.7 MiB copy), and 336 and 105.9 MiB while the gather,
+/// the bucket merges and the emission grew their tables from empty. The
+/// slack absorbs a toolchain's different growth policy, not run-to-run
+/// noise: there is none.
+const UNIFORM_BUDGET: (u64, u64) = (70, 24 << 20);
+/// Measured: 18 and 4.7 MiB — 16 of them Algorithm 3's lists of non-split
+/// clusters, one the gathered output, and one emission every second batch —
+/// against 149 and 44.0 MiB while every batch sealed into a fresh arena and
+/// built its plan, Map and merge tables afresh, and 166 and 46.8 MiB before
+/// that, while tables grew from empty.
+const ZIPF_BUDGET: (u64, u64) = (20, 5 << 20);
+/// Measured: 18 and 4.7 MiB, as `zipf_inproc`: the shards' group lists and
+/// scatter runs are kept too. Against 156 and 45.4 MiB with fresh arenas,
+/// plans and tables, and 161 and 57.8 MiB while every shard sealed into an
+/// arena of its own and the merge copied them into one more.
+const ZIPF_SHARDED_BUDGET: (u64, u64) = (20, 5 << 20);
+/// Measured: 18 and 4.8 MiB on every thread, as on one: helpers reuse the
+/// tables of the tasks they run, whichever those are.
+const ZIPF_THREADED_BUDGET: (u64, u64) = (20, 5 << 20);
