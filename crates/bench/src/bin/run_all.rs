@@ -26,7 +26,6 @@ fn main() {
             prompt_bench::experiments::checkpoint_overhead::run,
         ),
         ("ablations", prompt_bench::experiments::ablation::run),
-        ("scenarios", prompt_bench::experiments::scenarios::run),
         ("adaptive_policy", prompt_bench::experiments::adaptive::run),
         ("rebalance", prompt_bench::experiments::rebalance::run),
     ];

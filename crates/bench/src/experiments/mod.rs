@@ -16,7 +16,6 @@ pub mod fig14;
 pub mod fig6;
 pub mod net_overhead;
 pub mod rebalance;
-pub mod scenarios;
 pub mod table1;
 
 use prompt_core::types::Duration;

@@ -1,7 +1,5 @@
-//! The execution backend, per [`EngineConfig::backend`]: launched by whoever
-//! drives the batch loop — the solo driver ([`crate::driver`]) for its one
-//! `Run`, the multi-tenant engine ([`crate::tenancy`]) for all its tenants'
-//! — and lent to each step that dispatches.
+//! The execution backend, per [`EngineConfig::backend`]: launched, used and
+//! shut down by the one run of the batch loop ([`crate::driver`]) it serves.
 //!
 //! [`BackendRuntime::execute`] is the one place a planned batch is dispatched
 //! by backend kind — this process (one executor, one thread or many) or the
@@ -30,10 +28,8 @@ use crate::trace::{Counter, TraceEvent, TraceRecorder};
 /// technique / routing snapshot the batch was prepared under).
 #[derive(Clone, Copy)]
 pub(crate) struct Planned<'a> {
-    /// Sequence number on the wire (the run's `WireSeqs` mapping of `tseq`).
+    /// The batch's sequence number: in the run, its trace and on the wire.
     pub(crate) seq: u64,
-    /// Sequence number traces and the run know the batch by.
-    pub(crate) tseq: u64,
     /// The plan, in the layout the batch was sealed in.
     pub(crate) view: PlanView<'a>,
     pub(crate) job: &'a Job,
@@ -50,8 +46,7 @@ impl Planned<'_> {
             .wire_spec()
             .expect("wire-serialisable: checked by Run::new");
         let trace = rec.enabled().then_some(rec);
-        let (seq, tseq) = (self.seq, self.tseq);
-        rt.submit(seq, tseq, self.view, &spec, self.assigner, self.r, trace);
+        rt.submit(self.seq, self.view, &spec, self.assigner, self.r, trace);
     }
 }
 
@@ -71,7 +66,7 @@ pub(crate) enum BackendRuntime {
 }
 
 impl BackendRuntime {
-    /// Instantiate `backend`, for one run or for several sharing it.
+    /// Instantiate `backend` for one run.
     pub(crate) fn launch(backend: Backend) -> BackendRuntime {
         let local = |threads, wall_phases| BackendRuntime::Local {
             exec: ThreadedExecutor::new(threads),
@@ -137,7 +132,7 @@ impl BackendRuntime {
             BackendRuntime::Local { exec, wall_phases } => {
                 let (output, stats, wall) = exec.execute_view(view, job, batch.assigner, r, trace);
                 if let Some(rec) = trace.filter(|_| *wall_phases) {
-                    wall.record(rec, batch.tseq);
+                    wall.record(rec, batch.seq);
                 }
                 (output, stats)
             }
@@ -152,7 +147,7 @@ impl BackendRuntime {
                     Ok(done) => break done,
                     Err(loss) => {
                         losses += 1;
-                        on_worker_loss(&loss, batch.tseq, losses, budget, rec);
+                        on_worker_loss(&loss, batch.seq, losses, budget, rec);
                     }
                 }
             },

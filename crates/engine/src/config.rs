@@ -132,9 +132,7 @@ pub struct EngineConfig {
     /// batch's Map tasks go on the wire at once and the worker fleet
     /// pipelines wire transfer and execution across batches; the in-process
     /// and threaded loops run `fill` and `execute` on one thread, so there
-    /// depth only changes when controllers see their feedback. Tenants of a
-    /// [`MultiTenantEngine`](crate::tenancy::MultiTenantEngine) always run
-    /// at depth 1 (joint commit per heartbeat).
+    /// depth only changes when controllers see their feedback.
     pub pipeline_depth: usize,
     /// Which partitioner runs each batch (see [`crate::policy`]).
     /// `Fixed` (the default) is the classic run-constant behaviour —

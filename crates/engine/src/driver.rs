@@ -37,7 +37,6 @@ use prompt_core::partitioner::{PartitionerRegistry, Technique};
 use prompt_core::reduce::{HashReduceAssigner, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::Duration;
 
-use crate::backend::BackendRuntime;
 use crate::config::EngineConfig;
 use crate::elasticity::ScaleAction;
 use crate::job::Job;
@@ -52,7 +51,7 @@ use crate::trace::TraceRecorder;
 use crate::window::{WindowResult, WindowSpec};
 
 mod run;
-pub(crate) use run::{Run, WireSeqs};
+use run::Run;
 
 /// Per-batch execution record — the raw material of every figure in §7.2.
 #[derive(Clone, Debug)]
@@ -527,13 +526,8 @@ impl StreamingEngine {
         source: &mut dyn TupleSource,
         n_batches: usize,
     ) -> (RunResult, TraceRecorder) {
-        let mut backend = BackendRuntime::launch(self.cfg.backend);
-        if let Some(rt) = backend.distributed() {
-            rt.set_fault_plan(self.net_faults.clone())
-                .expect("invalid net fault plan");
-        }
         let depth = self.cfg.pipeline_depth;
-        let mut run = Run::new(self, source, WireSeqs(1, 0));
+        let mut run = Run::new(self, source);
         let mut next_seq = 0u64;
         loop {
             // Fill: advance batches from *buffering* to *partitioned* until
@@ -543,7 +537,7 @@ impl StreamingEngine {
                 && next_seq < n_batches as u64
                 && !run.fault_barrier(next_seq)
             {
-                if let Some(pb) = run.fill(next_seq, &mut backend) {
+                if let Some(pb) = run.fill(next_seq) {
                     run.prepared.push_back(pb);
                 }
                 next_seq += 1;
@@ -553,12 +547,10 @@ impl StreamingEngine {
             let Some(pb) = run.prepared.pop_front() else {
                 break;
             };
-            let (output, times) = run.execute(&pb, &mut backend);
-            run.commit(pb, output, times, &mut backend);
+            let (output, times) = run.execute(&pb);
+            run.commit(pb, output, times);
         }
-        let (mut result, rec) = run.finish();
-        result.net = backend.shutdown();
-        (result, rec)
+        run.finish()
     }
 
     /// A fresh keyed state store for this engine's window and job.
@@ -1777,7 +1769,6 @@ mod tests {
             ("driver.rs", include_str!("driver.rs")),
             ("driver/run.rs", include_str!("driver/run.rs")),
             ("backend.rs", include_str!("backend.rs")),
-            ("tenancy.rs", include_str!("tenancy.rs")),
             ("kernel.rs", include_str!("kernel.rs")),
             ("stage.rs", include_str!("stage.rs")),
             ("threaded.rs", include_str!("threaded.rs")),

@@ -1,11 +1,10 @@
-//! One run of the batch loop: the cross-batch state a driver threads
-//! through its three steps — [`Run::fill`] (buffer + partition),
-//! [`Run::execute`] (Map/Reduce on the backend) and [`Run::commit`] (window
-//! state, checkpoints, scheduling) — and the named sub-steps each of them is
-//! made of. [`StreamingEngine::run_traced`] drives one `Run`; the
-//! multi-tenant engine ([`crate::tenancy`]) drives one per tenant over a
-//! shared backend, which is why a `Run` borrows the [`BackendRuntime`] per
-//! step instead of owning it.
+//! One run of the batch loop: the cross-batch state
+//! [`StreamingEngine::run_traced`] threads through its three steps —
+//! [`Run::fill`] (buffer + partition), [`Run::execute`] (Map/Reduce on the
+//! backend) and [`Run::commit`] (window state, checkpoints, scheduling) — and
+//! the named sub-steps each of them is made of. A `Run` owns the
+//! [`BackendRuntime`] its batches execute on: [`Run::new`] launches it and
+//! [`Run::finish`] shuts it down.
 
 use std::collections::VecDeque;
 
@@ -72,35 +71,17 @@ pub(crate) struct PreparedBatch {
 }
 
 impl PreparedBatch {
-    fn planned<'a>(&'a self, eng: &'a StreamingEngine, wire: WireSeqs) -> Planned<'a> {
+    fn planned<'a>(&'a self, eng: &'a StreamingEngine) -> Planned<'a> {
         let assigner = eng
             .strategies
             .assigner(self.technique, self.routing.as_ref());
         Planned {
-            seq: wire.of(self.seq),
-            tseq: self.seq,
+            seq: self.seq,
             view: PlanView::of(&self.plan),
             job: &eng.job,
             r: self.r,
             assigner,
         }
-    }
-}
-
-/// A run's slice of the worker fleet's batch-seq space, as `(stride,
-/// offset)`. Every seq handed to
-/// [`DistributedRuntime`](crate::net::DistributedRuntime) goes through
-/// [`WireSeqs::of`]: a solo run owns the space (`WireSeqs(1, 0)`, the
-/// identity), while tenant `i` of `n` takes `WireSeqs(n, i)` and interleaves
-/// with its neighbours, so tenants never collide in the workers' per-batch
-/// shuffle state. Traces, the retained inputs and every result keep the run's
-/// own seqs.
-#[derive(Clone, Copy)]
-pub(crate) struct WireSeqs(pub(crate) u64, pub(crate) u64);
-
-impl WireSeqs {
-    fn of(self, seq: u64) -> u64 {
-        seq * self.0 + self.1
     }
 }
 
@@ -111,7 +92,8 @@ pub(crate) struct Run<'e> {
     source: &'e mut dyn TupleSource,
     rec: TraceRecorder,
     result: RunResult,
-    wire: WireSeqs,
+    /// What every batch executes on, for the whole run.
+    backend: BackendRuntime,
     /// The in-flight window: partitioned batches awaiting execution, oldest
     /// first (at most [`EngineConfig::pipeline_depth`](crate::config::EngineConfig)).
     pub(super) prepared: VecDeque<PreparedBatch>,
@@ -161,11 +143,7 @@ pub(crate) struct Run<'e> {
 }
 
 impl<'e> Run<'e> {
-    pub(crate) fn new(
-        eng: &'e mut StreamingEngine,
-        source: &'e mut dyn TupleSource,
-        wire: WireSeqs,
-    ) -> Run<'e> {
+    pub(crate) fn new(eng: &'e mut StreamingEngine, source: &'e mut dyn TupleSource) -> Run<'e> {
         let cfg = &eng.cfg;
         let bi = cfg.batch_interval;
         let state_on = cfg.checkpoint.is_some() || eng.stateful.is_some();
@@ -191,6 +169,11 @@ impl<'e> Run<'e> {
             !distributed || eng.job.wire_spec().is_some(),
             "Backend::Distributed needs wire-serialisable jobs (build them with Job::identity)"
         );
+        let mut backend = BackendRuntime::launch(cfg.backend);
+        if let Some(rt) = backend.distributed() {
+            rt.set_fault_plan(eng.net_faults.clone())
+                .expect("invalid net fault plan");
+        }
         let scaler = cfg
             .elasticity
             .map(|sc| AutoScaler::new(sc, cfg.map_tasks, cfg.reduce_tasks));
@@ -201,7 +184,7 @@ impl<'e> Run<'e> {
         let mut run = Run {
             rec: TraceRecorder::new(cfg.trace),
             result: RunResult::default(),
-            wire,
+            backend,
             prepared: VecDeque::new(),
             p: cfg.map_tasks,
             r: cfg.reduce_tasks,
@@ -304,7 +287,7 @@ impl<'e> Run<'e> {
     /// keeps inputs, partition it under the run's current actuator state —
     /// which the batch carries from here on — and put its Map tasks on the
     /// wire. `None` when a restored checkpoint already covers the batch.
-    pub(crate) fn fill(&mut self, seq: u64, backend: &mut BackendRuntime) -> Option<PreparedBatch> {
+    pub(crate) fn fill(&mut self, seq: u64) -> Option<PreparedBatch> {
         let interval = self.interval_of(seq);
         self.arrivals.clear();
         self.source.fill(interval, &mut self.arrivals);
@@ -319,7 +302,7 @@ impl<'e> Run<'e> {
         let n_tuples = batch.len();
         self.rec.incr(Counter::Batches, 1);
         self.rec.incr(Counter::Tuples, n_tuples as u64);
-        let restore_times = self.restore_lost_store(seq, backend);
+        let restore_times = self.restore_lost_store(seq);
         let (decision, decide_us) = self.decide(seq);
         let technique = decision
             .as_ref()
@@ -395,7 +378,7 @@ impl<'e> Run<'e> {
             metrics,
             restore_times,
         };
-        backend.submit(&pb.planned(self.eng, self.wire), &self.rec);
+        self.backend.submit(&pb.planned(self.eng), &self.rec);
         Some(pb)
     }
 
@@ -403,14 +386,14 @@ impl<'e> Run<'e> {
     /// rebuild from the latest checkpoint (or from scratch when none exists)
     /// and recompute only the post-watermark suffix from retained inputs.
     /// Returns the suffix recomputes' processing times, billed to `seq`.
-    fn restore_lost_store(&mut self, seq: u64, backend: &mut BackendRuntime) -> Vec<Duration> {
+    fn restore_lost_store(&mut self, seq: u64) -> Vec<Duration> {
         let mut replay_times = Vec::new();
         if self.state_store.is_none() || !self.fault_plan.loses_store_at(seq) {
             return replay_times;
         }
         let (mut rebuilt, covered, bytes) = self.durable_state();
         for b in covered..seq {
-            let (output, times) = self.replay(b, backend).unwrap_or_else(|e| {
+            let (output, times) = self.replay(b).unwrap_or_else(|e| {
                 panic!("state loss at batch {seq}: batch {b} unrecoverable: {e}")
             });
             // Replay into the rebuilt store, discarding emissions — the
@@ -544,20 +527,18 @@ impl<'e> Run<'e> {
         seq: u64,
         view: PlanView<'_>,
         (r, technique, routing): (usize, Technique, Option<&RoutingTable>),
-        backend: &mut BackendRuntime,
     ) -> (BatchOutput, StageTimes) {
-        let (eng, wire) = (&*self.eng, self.wire);
+        let eng = &*self.eng;
         let batch = Planned {
-            seq: wire.of(seq),
-            tseq: seq,
+            seq,
             view,
             job: &eng.job,
             r,
             assigner: eng.strategies.assigner(technique, routing),
         };
-        let (output, times, losses) = backend.execute(
+        let (output, times, losses) = self.backend.execute(
             &batch,
-            self.prepared.iter().map(|q| q.planned(eng, wire)),
+            self.prepared.iter().map(|q| q.planned(eng)),
             &eng.cfg,
             &self.rec,
             self.replicas,
@@ -572,11 +553,7 @@ impl<'e> Run<'e> {
     /// the input), and executed on the backend under the run's *current*
     /// counts and routing. Replays only happen behind
     /// [`Run::fault_barrier`], where current is what depth 1 would see.
-    fn replay(
-        &mut self,
-        b: u64,
-        backend: &mut BackendRuntime,
-    ) -> Result<(BatchOutput, StageTimes), RecoveryError> {
+    fn replay(&mut self, b: u64) -> Result<(BatchOutput, StageTimes), RecoveryError> {
         let store = self.store.as_mut().expect("fault plans retain inputs");
         let (input, technique) = store.recover(b)?;
         let interval = self.interval_of(b);
@@ -584,20 +561,16 @@ impl<'e> Run<'e> {
         let replan = partitioner.partition_slice(&input, interval, self.p);
         let routing = self.routing();
         let under = (self.r, technique, routing.as_ref());
-        Ok(self.run_plan(b, PlanView::Rows(&replan), under, backend))
+        Ok(self.run_plan(b, PlanView::Rows(&replan), under))
     }
 
     /// Execute the oldest in-flight batch on the configured backend. At
     /// depth > 1 a distributed batch is already in flight (maps dispatched
     /// at [`Run::fill`]); waiting on it also advances the younger batches
     /// of the window.
-    pub(crate) fn execute(
-        &mut self,
-        pb: &PreparedBatch,
-        backend: &mut BackendRuntime,
-    ) -> (BatchOutput, StageTimes) {
+    pub(crate) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
-        let (output, mut times) = self.run_plan(pb.seq, PlanView::of(&pb.plan), under, backend);
+        let (output, mut times) = self.run_plan(pb.seq, PlanView::of(&pb.plan), under);
         self.inject_stragglers(pb.seq, &mut times);
         (output, times)
     }
@@ -642,7 +615,6 @@ impl<'e> Run<'e> {
         mut pb: PreparedBatch,
         mut output: BatchOutput,
         times: StageTimes,
-        backend: &mut BackendRuntime,
     ) {
         let seq = pb.seq;
         let bi = self.eng.cfg.batch_interval;
@@ -659,7 +631,7 @@ impl<'e> Run<'e> {
         // one recomputation from the replicated input.
         for _ in 0..self.fault_plan.losses_for(seq) {
             let (recovered, retimes) = self
-                .replay(seq, backend)
+                .replay(seq)
                 .expect("injected failure beyond recovery budget");
             output = recovered;
             processing += retimes.processing();
@@ -903,7 +875,7 @@ impl<'e> Run<'e> {
         }
     }
 
-    /// Hand back the run's results and trace.
+    /// Shut the backend down and hand back the run's results and trace.
     pub(crate) fn finish(mut self) -> (RunResult, TraceRecorder) {
         if self.state_store.is_some() {
             if let Some(ckpt) = self.checkpointer.as_mut() {
@@ -916,6 +888,7 @@ impl<'e> Run<'e> {
             }
             self.result.state = Some(self.sstats);
         }
+        self.result.net = self.backend.shutdown();
         (self.result, self.rec)
     }
 }

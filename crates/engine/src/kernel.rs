@@ -486,7 +486,7 @@ mod tests {
                         ThreadedExecutor::new(1).execute_view(view, &job, &assigner, r, None);
                     assert_eq!(merged.iter().map(|s| s.tuples).sum::<usize>(), tuples);
                     seq += 1;
-                    fleet.submit(seq, seq, view, &spec, &assigner, r, None);
+                    fleet.submit(seq, view, &spec, &assigner, r, None);
                     let (_, tallied) = fleet.wait_batch(seq, None).expect("no faults");
                     assert_eq!(tallied, merged, "{technique:?} over {layout}, r = {r}");
                 }
@@ -616,7 +616,7 @@ mod tests {
                 };
                 seq += 1;
                 let distributed = outcome(view, |assigner, trace| {
-                    fleet.submit(seq, seq, view, &spec, assigner, *r, trace);
+                    fleet.submit(seq, view, &spec, assigner, *r, trace);
                     fleet.wait_batch(seq, trace).expect("no faults")
                 });
                 assert_eq!(distributed, reference, "{name}: fleet over {layout}");

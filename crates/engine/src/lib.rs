@@ -57,7 +57,6 @@ pub mod stage;
 pub mod state;
 pub mod stats;
 pub mod straggler;
-pub mod tenancy;
 pub mod threaded;
 pub mod trace;
 pub mod window;
@@ -95,9 +94,6 @@ pub mod prelude {
     };
     pub use crate::stats::{percentile_sorted, summarize, Summary};
     pub use crate::straggler::{Stage, StragglerEvent, StragglerPlan};
-    pub use crate::tenancy::{
-        fair_makespans, MultiTenantEngine, MultiTenantResult, NoisyNeighbor, TenantRun, TenantSpec,
-    };
     pub use crate::threaded::{ThreadedExecutor, WallTimes};
     pub use crate::trace::{
         parse_jsonl, to_jsonl, Counter, StageKind, StageSummary, TraceEvent, TraceLevel,

@@ -203,9 +203,6 @@ enum Stage {
 /// One batch in flight between `submit` and `wait_batch`.
 struct Inflight {
     seq: u64,
-    /// Seq used for trace phases (tenancy runs batches under namespaced
-    /// wire seqs but records traces under the tenant-local seq).
-    tseq: u64,
     epoch: u32,
     r: usize,
     spec: JobSpec,
@@ -712,11 +709,9 @@ impl DistributedRuntime {
     ///
     /// Panics when no workers are left alive — with nothing to run on,
     /// recompute-and-retry cannot make progress.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn submit(
         &mut self,
         seq: u64,
-        tseq: u64,
         view: PlanView<'_>,
         spec: &JobSpec,
         assigner: &dyn ReduceAssigner,
@@ -726,7 +721,7 @@ impl DistributedRuntime {
         if self.pending_loss.is_some() || self.inflight.iter().any(|e| e.seq == seq) {
             return;
         }
-        if let Err(loss) = self.dispatch_maps(seq, tseq, view, spec, assigner, r, trace) {
+        if let Err(loss) = self.dispatch_maps(seq, view, spec, assigner, r, trace) {
             self.abort_unfinished();
             self.pending_loss = Some(loss);
         }
@@ -738,11 +733,9 @@ impl DistributedRuntime {
     /// record. All Map frames go first, so no worker waits on the driver's
     /// assigning. Each routed cluster adds its tuples and one fragment to its
     /// bucket's stats: the merge a reducer runs counts exactly that.
-    #[allow(clippy::too_many_arguments)]
     fn dispatch_maps(
         &mut self,
         seq: u64,
-        tseq: u64,
         view: PlanView<'_>,
         spec: &JobSpec,
         assigner: &dyn ReduceAssigner,
@@ -799,11 +792,10 @@ impl DistributedRuntime {
             self.send_to(w, &assign)?;
         }
         if let Some(rec) = trace {
-            rec.phase(tseq, StageKind::Scatter, wall(t_scatter.elapsed()));
+            rec.phase(seq, StageKind::Scatter, wall(t_scatter.elapsed()));
         }
         self.inflight.push(Inflight {
             seq,
-            tseq,
             epoch,
             r,
             spec: *spec,
@@ -941,7 +933,7 @@ impl DistributedRuntime {
                     return Ok(());
                 }
                 if let Some(rec) = trace {
-                    rec.phase(e.tseq, StageKind::MapStage, wall(e.t_map.elapsed()));
+                    rec.phase(e.seq, StageKind::MapStage, wall(e.t_map.elapsed()));
                 }
                 // Scripted mid-batch kills: the worker's un-fetched map
                 // outputs die with it. Detection is organic — the next send
@@ -1009,7 +1001,7 @@ impl DistributedRuntime {
                 };
                 e.stage = Stage::Done;
                 if let Some(rec) = trace {
-                    rec.phase(e.tseq, StageKind::ReduceStage, wall(e.t_reduce.elapsed()));
+                    rec.phase(e.seq, StageKind::ReduceStage, wall(e.t_reduce.elapsed()));
                     e.tally.record(rec);
                 }
                 // Commit: let the workers drop the batch's shuffle state. A
@@ -1064,11 +1056,10 @@ impl DistributedRuntime {
         spec: &JobSpec,
         assigner: &dyn ReduceAssigner,
         r: usize,
-        trace: Option<(&TraceRecorder, u64)>,
+        trace: Option<&TraceRecorder>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
-        let (rec, tseq) = trace.map_or((None, seq), |(rec, t)| (Some(rec), t));
-        self.submit(seq, tseq, PlanView::Rows(plan), spec, assigner, r, rec);
-        self.wait_batch(seq, rec)
+        self.submit(seq, PlanView::Rows(plan), spec, assigner, r, trace);
+        self.wait_batch(seq, trace)
     }
 
     /// Shut the fleet down: `Shutdown` to every live worker, then reap
@@ -1252,7 +1243,7 @@ mod tests {
         let assigner = PromptReduceAllocator::new(7);
         for (seq, plan) in plans.iter().enumerate() {
             let view = PlanView::Rows(plan);
-            rt.submit(seq as u64, seq as u64, view, &spec, &assigner, 3, None);
+            rt.submit(seq as u64, view, &spec, &assigner, 3, None);
         }
         for (seq, expect) in serial.iter().enumerate() {
             let (out, stats) = rt.wait_batch(seq as u64, None).expect("no faults");
@@ -1287,7 +1278,7 @@ mod tests {
         let mut clean = DistributedRuntime::launch(thread_opts(2)).expect("launch");
         let expect: Vec<Vec<BucketStats>> = (plans.iter().enumerate())
             .map(|(seq, plan)| {
-                let trace = Some((&clean_rec, seq as u64));
+                let trace = Some(&clean_rec);
                 let done = clean.execute_batch(seq as u64, plan, &spec, &assigner, 3, trace);
                 done.expect("no faults").1
             })
@@ -1306,15 +1297,7 @@ mod tests {
             rt.set_fault_plan(fault.clone()).expect("worker 1 exists");
             let submit = |rt: &mut DistributedRuntime, seq: usize| {
                 let view = PlanView::Rows(&plans[seq]);
-                rt.submit(
-                    seq as u64,
-                    seq as u64,
-                    view,
-                    &spec,
-                    &assigner,
-                    3,
-                    Some(&rec),
-                );
+                rt.submit(seq as u64, view, &spec, &assigner, 3, Some(&rec));
             };
             submit(&mut rt, 0);
             submit(&mut rt, 1);
@@ -1417,7 +1400,7 @@ mod tests {
                 rt._tx.send((sender, Ok(msg))).unwrap();
             }
             let view = PlanView::Rows(&plan);
-            rt.submit(0, 0, view, &spec, &assigner, 3, None);
+            rt.submit(0, view, &spec, &assigner, 3, None);
             if reducing {
                 rt.inflight[0].stage = Stage::Reducing;
             }
@@ -1428,7 +1411,7 @@ mod tests {
             assert!(loss.detail.contains("protocol violation"), "{what}: {loss}");
             assert_eq!(rt.workers_alive(), 1, "{what}");
             // The retry completes on the survivor.
-            rt.submit(0, 0, view, &spec, &assigner, 3, None);
+            rt.submit(0, view, &spec, &assigner, 3, None);
             let (out, stats) = rt.wait_batch(0, None).expect("retry");
             assert_eq!(out.len(), 17, "{what}");
             assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300, "{what}");

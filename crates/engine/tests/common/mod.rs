@@ -70,9 +70,9 @@ const TECHNIQUES: [Technique; 8] = [
 /// A workload: Gáspár et al.'s parameterised synthetic stream.
 #[derive(Clone, Debug)]
 pub struct Shape {
-    /// Tuples per second at `t = 0`, and its change per second.
-    pub rate: f64,
-    pub slope: f64,
+    /// Tuples per second: the generator draws a ramp; a named case may
+    /// burst.
+    pub rate: RateProfile,
     /// The key space: the cardinality tier.
     pub keys: u64,
     /// The Zipf exponent before and after the drift point (0 = uniform).
@@ -111,8 +111,7 @@ impl Shape {
     /// A stationary stream: `rate` tuples a second over `keys` uniform keys.
     pub fn uniform(rate: f64, keys: u64) -> Shape {
         Shape {
-            rate,
-            slope: 0.0,
+            rate: RateProfile::Constant { rate },
             keys,
             alpha: (0.0, 0.0),
             drift_at: 0,
@@ -131,12 +130,8 @@ impl Shape {
         });
         let from = at(self.drift_at);
         let keys = KeyModel::Timed(Box::new(Phases { zipf, churn, from }));
-        let rate = RateProfile::Ramp {
-            start: self.rate,
-            slope: self.slope,
-        };
         let values = ValueModel::Uniform { lo: -2.0, hi: 3.0 };
-        let stream = StreamGenerator::new(rate, keys, values, seed);
+        let stream = StreamGenerator::new(self.rate, keys, values, seed);
         match self.interned {
             true => Box::new(InternedSource::new(stream)),
             false => Box::new(stream),
@@ -203,8 +198,10 @@ impl Case {
             _ => 1,
         };
         let shape = Shape {
-            rate: d.pick(&[300.0, 800.0, 1500.0]),
-            slope: d.pick(&[0.0, 0.0, 150.0]),
+            rate: RateProfile::Ramp {
+                start: d.pick(&[300.0, 800.0, 1500.0]),
+                slope: d.pick(&[0.0, 0.0, 150.0]),
+            },
             keys: d.pick(&[8, 200, 3000]),
             alpha: (d.pick(&[0.0, 0.8, 1.5]), d.pick(&[0.0, 1.0, 1.8])),
             drift_at: seqs(&mut d),

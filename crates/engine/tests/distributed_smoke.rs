@@ -11,6 +11,7 @@
 use prompt_core::partitioner::Technique;
 use prompt_core::types::Duration;
 use prompt_engine::prelude::*;
+use prompt_workloads::prelude::RateProfile;
 
 mod common;
 use common::{assert_answers_equal, completed, ensure_worker_bin, fresh_dir, run, Case, Shape};
@@ -169,7 +170,10 @@ fn scaling_moves_no_state_on_the_fleet() {
     ensure_worker_bin();
     let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
     let ramp = Shape {
-        slope: 400.0,
+        rate: RateProfile::Ramp {
+            start: 2400.0,
+            slope: 400.0,
+        },
         ..Shape::uniform(2400.0, 64)
     };
     let per_tuple = Duration::from_micros(150);

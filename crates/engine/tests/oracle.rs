@@ -2,7 +2,8 @@
 //! fixed set draws one case — a workload shape, every `EngineConfig` field,
 //! the engine's attachments (`common` has the generator and the property) —
 //! which must equal its serial run and its forced depth-1 replay. The named
-//! cases after it hold what no equality states.
+//! cases after it hold what no equality states, and run the two workload
+//! regimes the generator does not draw through the same property.
 //!
 //! A failure names its seed and prints the case it drew. To reproduce a seed
 //! the soak found, add it to `FOUND` with the bug it found: this file's
@@ -17,8 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use prompt_core::partitioner::Technique;
-use prompt_core::types::Duration;
+use prompt_core::types::{Duration, Interval, Time, Tuple};
 use prompt_engine::prelude::*;
+use prompt_workloads::prelude::RateProfile;
 
 mod common;
 use common::{assert_logs_traced, check, completed, panic_message, Case, Shape};
@@ -266,7 +268,10 @@ fn every_feature_honours_the_configured_depth() {
             ..traced(depth)
         };
         let ramp = Shape {
-            slope: 400.0,
+            rate: RateProfile::Ramp {
+                start: 2400.0,
+                slope: 400.0,
+            },
             ..Shape::uniform(2400.0, 64)
         };
         let n = 20;
@@ -370,4 +375,105 @@ fn group_migrate_bytes_are_equal_across_backends() {
     for backend in [Backend::Threaded { threads: 3 }, fleet] {
         assert_eq!(moved(backend), want, "{backend:?}");
     }
+}
+
+/// `(tuples, distinct keys)` of each of `case`'s batches, straight from its
+/// source: what a named case's regime is asserted on.
+fn batch_sizes(case: &Case) -> Vec<(usize, usize)> {
+    let interval = case.cfg.batch_interval;
+    let mut source = case.shape.source(interval, case.seed);
+    (0..case.batches as u64)
+        .map(|b| {
+            let mut tuples: Vec<Tuple> = Vec::new();
+            let iv = Interval::new(Time(interval.0 * b), Time(interval.0 * (b + 1)));
+            source.fill(iv, &mut tuples);
+            let keys: BTreeSet<_> = tuples.iter().map(|t| t.key).collect();
+            (tuples.len(), keys.len())
+        })
+        .collect()
+}
+
+/// Bursty arrivals: a burst of a different height every fourth batch over a
+/// quiet baseline, on a Zipf 1.0 that drifts to 1.5. Threaded, at depth 2,
+/// columnar, under the adaptive policy; then at depth 4 under the scaler,
+/// whose load signal the bursts are.
+#[test]
+fn bursty_arrivals_equal_their_serial_run_and_their_forced_replay() {
+    let bursty = Shape {
+        rate: RateProfile::Bursty {
+            base: 1200.0,
+            burst: 3500.0,
+            period: Duration::from_secs(2),
+            duty: 0.25,
+        },
+        alpha: (1.0, 1.5),
+        drift_at: 6,
+        ..Shape::uniform(0.0, 3000)
+    };
+    let adaptive = EngineConfig {
+        batch_interval: Duration::from_millis(500),
+        backend: Backend::Threaded { threads: 2 },
+        policy: PolicySpec::Adaptive(AdaptiveConfig::default()),
+        columnar: true,
+        ..traced(2)
+    };
+    let scaled = EngineConfig {
+        batch_interval: Duration::from_millis(500),
+        elasticity: Some(ScalerConfig {
+            d: 2,
+            ..ScalerConfig::default()
+        }),
+        cost: CostModel::default().scaled(300.0),
+        ..traced(4)
+    };
+    for cfg in [adaptive, scaled] {
+        let case = Case::new(bursty.clone(), cfg, 12);
+        let sizes: Vec<usize> = batch_sizes(&case).iter().map(|s| s.0).collect();
+        let least = *sizes.iter().min().expect("12 batches");
+        assert!(
+            sizes.iter().any(|&n| n >= 2 * least),
+            "not bursty: {sizes:?}"
+        );
+        check(&case);
+    }
+}
+
+/// A 2^22-key space read through the string interner, a few thousand tuples
+/// a batch: nearly every tuple is a key of its own until a Zipf 1.2 takes
+/// over. On a two-worker fleet at depth 2, Prompt rebalanced over key
+/// groups, with a checkpointed stateful operator.
+#[test]
+fn a_four_million_key_space_equals_its_serial_run_and_its_forced_replay() {
+    let huge = Shape {
+        alpha: (0.0, 1.2),
+        drift_at: 4,
+        interned: true,
+        ..Shape::uniform(3000.0, 1 << 22)
+    };
+    let cfg = EngineConfig {
+        backend: Backend::Distributed {
+            workers: 2,
+            base_port: 0,
+        },
+        rebalance: RebalanceSpec::Auto(RebalanceConfig {
+            n_groups: 24,
+            ..RebalanceConfig::default()
+        }),
+        checkpoint: Some(
+            CheckpointConfig::new("set by run")
+                .interval(1)
+                .snapshot_every(2),
+        ),
+        ..traced(2)
+    };
+    let case = Case {
+        stateful: true,
+        ..Case::new(huge, cfg, 8)
+    };
+    let sizes = batch_sizes(&case);
+    let (tuples, keys) = sizes[0];
+    assert!(tuples >= 2000 && keys * 100 >= tuples * 99, "{sizes:?}");
+    let (tuples, keys) = sizes[case.batches - 1];
+    assert!(keys * 2 < tuples, "the Zipf never took over: {sizes:?}");
+    check(&case);
 }

@@ -16,8 +16,8 @@ use crate::keydist::{zipf_or_uniform, KeyDistribution};
 /// A key distribution whose shape depends on stream time.
 ///
 /// Sampling is deterministic given the same `(t, rng)` call sequence, so a
-/// generator driven by one of these stays replayable — the property every
-/// differential test in the scenario wall relies on.
+/// generator driven by one of these stays replayable — the property the
+/// engine's differential oracle relies on.
 pub trait TimedKeyDistribution: Send {
     /// Draw one key for an arrival at stream time `t`.
     fn sample(&mut self, t: Time, rng: &mut dyn RngCore) -> Key;

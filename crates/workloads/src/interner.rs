@@ -63,8 +63,8 @@ impl KeyInterner {
 /// [`word`] spelling and re-interned in first-sight order, exactly like a
 /// receiver ingesting raw text.
 ///
-/// Used by the scenario wall's huge-cardinality tier to stress the interner
-/// with millions of distinct names. Interning is deterministic (first-sight
+/// The engine's differential oracle reads a 2²²-key space through it.
+/// Interning is deterministic (first-sight
 /// dense assignment over a deterministic tuple stream), so wrapped sources
 /// remain replayable and differential-testable.
 pub struct InternedSource<S> {

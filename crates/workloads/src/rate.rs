@@ -50,7 +50,7 @@ pub enum RateProfile {
     /// Irregular bursts: like [`RateProfile::Step`], but each cycle's burst
     /// height is scaled by a deterministic per-cycle factor in `[0.5, 1.5)`
     /// (a hash of the cycle index), so no two consecutive spikes are alike —
-    /// the "variable spikes" the scenario wall stresses partitioners with.
+    /// the "variable spikes" of Fig. 11, made irregular.
     Bursty {
         /// Baseline rate between bursts.
         base: f64,

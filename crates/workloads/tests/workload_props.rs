@@ -1,4 +1,4 @@
-//! Property tests for the scenario wall's drift/arrival composition APIs:
+//! Property tests for the drift/arrival composition APIs:
 //! every arrival process places sorted, in-interval timestamps, and the
 //! time-varying key distributions never escape their declared keyspace.
 

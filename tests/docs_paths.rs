@@ -1,5 +1,6 @@
 //! ROADMAP item 13, the cheap half: a file the docs name is a file that
-//! exists. README.md and DESIGN.md are read for every repo-relative path with
+//! exists. README.md, DESIGN.md, EXPERIMENTS.md and the verify skill
+//! (`.claude/skills/verify/SKILL.md`) are read for every repo-relative path with
 //! an extension under `crates/`, `tests/`, `src/`, `benchmark/` or `results/`
 //! (a glob or a `{a,b}` set is not a path and is skipped), and each must be
 //! there — so a rename or a deletion has to touch the sentence that names it.
@@ -51,7 +52,13 @@ fn docs_name_files_that_exist() {
     let ignored = read(".gitignore");
     let mut missing = Vec::new();
     let mut checked = 0;
-    for doc in ["README.md", "DESIGN.md"] {
+    let docs = [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ];
+    for doc in docs {
         let text = read(doc);
         for (line, path) in named_paths(&text) {
             checked += 1;
