@@ -333,7 +333,20 @@ impl PartitionerRegistry {
         self.entries.last_mut().expect("just pushed").1.as_mut()
     }
 
-    /// Techniques with a live instance, in first-use order.
+    /// Take the instance for `technique` out of the registry, building it on
+    /// first use: how a partitioner is lent to another thread for one batch.
+    /// [`PartitionerRegistry::insert`] puts it back.
+    pub fn take(&mut self, technique: Technique) -> Box<dyn Partitioner> {
+        match self.entries.iter().position(|(t, _)| *t == technique) {
+            Some(idx) => self.entries.remove(idx).1,
+            None => {
+                technique.build_with_parallelism(self.seed, self.prompt_shards, self.prompt_threads)
+            }
+        }
+    }
+
+    /// Techniques with a live instance, in the order they entered the
+    /// registry (a taken instance re-enters at the end).
     pub fn techniques(&self) -> impl Iterator<Item = Technique> + '_ {
         self.entries.iter().map(|(t, _)| *t)
     }
@@ -506,6 +519,13 @@ mod tests {
         // Re-insert replaces rather than duplicates.
         reg.insert(Technique::Shuffle, Technique::Shuffle.build(0));
         assert_eq!(reg.techniques().count(), 1);
+        // A taken instance is out until it is put back; take builds one
+        // for a technique the registry has not seen.
+        let lent = reg.take(Technique::Shuffle);
+        assert!(!reg.contains(Technique::Shuffle));
+        reg.insert(Technique::Shuffle, lent);
+        assert_eq!(reg.take(Technique::Hash).name(), "Hash");
+        assert_eq!(reg.techniques().collect::<Vec<_>>(), [Technique::Shuffle]);
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub struct EngineConfig {
     /// durable state, a non-`Fixed` policy, fault plans and the rebalancer
     /// all run at the configured depth.
     ///
-    /// The contract (DESIGN §4h): the loop's schedule is fixed — `fill(s)`
-    /// runs after `commit(s − d)` — so what a controller has seen when it
+    /// The contract (DESIGN §4h): the loop's schedule is fixed — batch `s`
+    /// is pulled after `commit(s − d)` — so what a controller has seen when it
     /// decides for batch `s` is a function of `(s, d)` alone; a batch
     /// carries the task counts, technique and routing it was prepared under
     /// through execution and commit; answers (windows, stateful emissions)
@@ -128,11 +128,12 @@ pub struct EngineConfig {
     /// at any depth. The inputs a `FaultPlan` retains grow with depth
     /// (`StateStats::max_retained_batches` by `d − 1`).
     ///
-    /// Work overlaps only on [`Backend::Distributed`], where a filled
-    /// batch's Map tasks go on the wire at once and the worker fleet
-    /// pipelines wire transfer and execution across batches; the in-process
-    /// and threaded loops run `fill` and `execute` on one thread, so there
-    /// depth only changes when controllers see their feedback.
+    /// Work overlaps at `d > 1` on every backend (§4.1, Fig. 7): the next
+    /// batch is pulled from the source on the driver thread and partitioned
+    /// on a second thread while the driver thread executes and commits the
+    /// oldest. On [`Backend::Distributed`] a prepared batch's Map tasks also
+    /// go on the wire at once, and the worker fleet pipelines wire transfer
+    /// and execution across batches.
     pub pipeline_depth: usize,
     /// Which partitioner runs each batch (see [`crate::policy`]).
     /// `Fixed` (the default) is the classic run-constant behaviour —

@@ -18,26 +18,28 @@
 //! [`EngineConfig::pipeline_depth`] bounds how many batches may sit past
 //! *buffering* at once: at the default
 //! depth 1 the loop is the classic one-lifecycle-per-heartbeat sequence,
-//! while at depth `d > 1` the driver prepares up to `d` batches ahead and —
-//! on the distributed backend — dispatches their Map tasks eagerly, so
-//! batch `N+1`'s ingest/partition/wire-transfer overlaps batch `N`'s
-//! execution. **Commits are strictly sequential in batch order** regardless
-//! of depth, and the schedule is fixed — `fill(s)` runs after
-//! `commit(s − d)` — so what a controller (partitioner policy, rebalancer,
-//! scaler) has seen when it decides for batch `s` is a function of `(s, d)`
-//! alone. A batch carries the actuator state it was prepared under (reduce
-//! count, technique, routing-table snapshot) and everything downstream of
-//! `fill` reads *that*, never the run's current value, which is what keeps
-//! answers independent of depth and a depth-`d` run equal to the serial run
-//! forced through the same decision sequence — for every feature
-//! (DESIGN §4h).
+//! while at depth `d > 1` the driver prepares up to `d` batches ahead, on
+//! every backend (§4.1, Fig. 7): it pulls batch `s + d − 1` from the source
+//! on the driver thread, partitions it on a second thread while the driver
+//! thread executes and commits batch `s`, and — on the distributed backend —
+//! dispatches each prepared batch's Map tasks at once, so they overlap the
+//! execution of the batches ahead of it. **Commits are strictly sequential
+//! in batch order** regardless of depth, and the schedule is fixed — batch
+//! `s` is pulled after `commit(s − d)` — so what a controller (partitioner
+//! policy, rebalancer, scaler) has seen when it decides for batch `s` is a
+//! function of `(s, d)` alone. A batch carries the actuator state it was
+//! pulled under (map and reduce counts, technique, routing-table snapshot)
+//! and everything downstream of the pull reads *that*, never the run's
+//! current value, which is what keeps answers independent of depth and a
+//! depth-`d` run equal to the serial run forced through the same decision
+//! sequence — for every feature (DESIGN §4h).
 
 use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PartitionerRegistry, Technique};
 use prompt_core::reduce::{HashReduceAssigner, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::Duration;
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, OverheadMode};
 use crate::elasticity::ScaleAction;
 use crate::job::Job;
 use crate::net::NetStats;
@@ -51,7 +53,7 @@ use crate::trace::TraceRecorder;
 use crate::window::{WindowResult, WindowSpec};
 
 mod run;
-use run::Run;
+use run::{partition, PreparedBatch, PulledBatch, Run};
 
 /// Per-batch execution record — the raw material of every figure in §7.2.
 #[derive(Clone, Debug)]
@@ -526,31 +528,35 @@ impl StreamingEngine {
         source: &mut dyn TupleSource,
         n_batches: usize,
     ) -> (RunResult, TraceRecorder) {
-        let depth = self.cfg.pipeline_depth;
+        let (depth, n_batches) = (self.cfg.pipeline_depth, n_batches as u64);
+        let partition_cfg = (self.cfg.columnar, self.cfg.overhead);
         let mut run = Run::new(self, source);
-        let mut next_seq = 0u64;
         loop {
-            // Fill: advance batches from *buffering* to *partitioned* until
-            // the in-flight window is full, the source is drained, or a
-            // scheduled fault needs the window to itself.
-            while run.prepared.len() < depth
-                && next_seq < n_batches as u64
-                && !run.fault_barrier(next_seq)
-            {
-                if let Some(pb) = run.fill(next_seq) {
-                    run.prepared.push_back(pb);
-                }
-                next_seq += 1;
+            // Fill on this thread: advance batches from *buffering* to
+            // *partitioned* until the in-flight window is full (at depth 1)
+            // or one slot short of it, the source is drained, or a scheduled
+            // fault needs the window to itself.
+            while run.prepared.len() < depth.max(2) - 1 && run.may_pull(n_batches) {
+                run.fill();
             }
+            let overlap = depth > 1 && run.may_pull(n_batches);
             // Execute + commit the oldest in-flight batch, in strict batch
-            // order.
+            // order — at depth ≥ 2 while the window's last slot is
+            // partitioned beside it.
             let Some(pb) = run.prepared.pop_front() else {
                 break;
             };
-            let (output, times) = run.execute(&pb);
-            run.commit(pb, output, times);
+            let pulled = if overlap { run.pull() } else { None };
+            match pulled {
+                Some(pulled) => overlapped(&mut run, pb, pulled, partition_cfg),
+                None => {
+                    let (output, times) = run.execute(&pb);
+                    let spent = run.commit(pb, output, times);
+                    run.recycle(spent);
+                }
+            }
         }
-        run.finish()
+        run.close()
     }
 
     /// A fresh keyed state store for this engine's window and job.
@@ -562,6 +568,36 @@ impl StreamingEngine {
             STATE_SHARDS,
         )
     }
+}
+
+/// One step of the loop at depth ≥ 2 (§4.1, Fig. 7): batch `s + 1`, already
+/// pulled on the driver thread, is partitioned on a second thread while the
+/// driver thread executes and commits batch `s`. The partitioner is lent out
+/// of the registry for the step; `s`'s plan is handed back to it only after
+/// the join, so `partition(s + 2)` builds in it and no third plan exists.
+/// Everything that reads or moves actuator state stays on the driver thread,
+/// in the serial loop's order, so the run is the serial loop's run.
+fn overlapped(
+    run: &mut Run<'_>,
+    pb: PreparedBatch,
+    pulled: PulledBatch,
+    (columnar, overhead): (bool, OverheadMode),
+) {
+    let technique = pulled.technique;
+    let mut partitioner = run.lend(technique);
+    let (lent, batch, p) = (partitioner.as_mut(), &pulled.batch, pulled.p);
+    let (partitioned, spent) = std::thread::scope(|scope| {
+        let worker = scope.spawn(move || partition(lent, batch, p, columnar, overhead));
+        let (output, times) = run.execute(&pb);
+        let spent = run.commit(pb, output, times);
+        let partitioned = worker
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (partitioned, spent)
+    });
+    run.give_back(technique, partitioner);
+    run.recycle(spent);
+    run.finish(pulled, partitioned);
 }
 
 #[cfg(test)]
@@ -1668,6 +1704,81 @@ mod tests {
         (eng, calls)
     }
 
+    /// Delegating probe: records the thread every batch is partitioned on.
+    /// Both the serial fill and the overlapped step enter through
+    /// `partition`; a replay's `partition_slice` is not recorded.
+    struct ThreadProbe {
+        inner: Box<dyn Partitioner>,
+        threads: Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl Partitioner for ThreadProbe {
+        fn name(&self) -> &'static str {
+            "thread-probe"
+        }
+        fn partition(&mut self, batch: &MicroBatch, p: usize) -> PartitionPlan {
+            let here = std::thread::current().id();
+            self.threads.lock().unwrap().push(here);
+            self.inner.partition(batch, p)
+        }
+        fn partition_slice(
+            &mut self,
+            tuples: &[Tuple],
+            interval: Interval,
+            p: usize,
+        ) -> PartitionPlan {
+            self.inner.partition_slice(tuples, interval, p)
+        }
+    }
+
+    /// Fig. 7's overlap is real: at depth 2 every batch after the first is
+    /// partitioned on a second thread while the driver thread executes and
+    /// commits the one before it. Depth 1 and a scheduled fault's barrier
+    /// (the faulted batch fills an empty window, and the next one waits for
+    /// its commit) partition on the driver thread. The answers are the same
+    /// either way.
+    #[test]
+    fn at_depth_two_the_next_batch_is_partitioned_off_the_driver_thread() {
+        let run = |depth: usize, plan: FaultPlan| {
+            let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let probe = ThreadProbe {
+                inner: Technique::Prompt.build(1),
+                threads: Arc::clone(&threads),
+            };
+            let cfg = EngineConfig {
+                backend: Backend::Threaded { threads: 2 },
+                pipeline_depth: depth,
+                ..small_cfg()
+            };
+            let job = Job::identity("count", ReduceOp::Count);
+            let mut eng = StreamingEngine::new(cfg, Technique::Prompt, 1, job)
+                .with_window(WindowSpec::sliding(
+                    Duration::from_secs(3),
+                    Duration::from_secs(1),
+                ))
+                .with_fault_tolerance(2, plan);
+            eng.strategies
+                .registry
+                .insert(Technique::Prompt, Box::new(probe));
+            let res = eng.run(&mut const_source(600, 12), 8);
+            let driver = std::thread::current().id();
+            let threads = threads.lock().unwrap();
+            let off: Vec<bool> = threads.iter().map(|t| *t != driver).collect();
+            (res, off)
+        };
+        let (serial, off) = run(1, FaultPlan::none());
+        assert_eq!(off, [false; 8], "depth 1 partitions on the driver thread");
+        let (overlapped, off) = run(2, FaultPlan::none());
+        assert_eq!(off, [false, true, true, true, true, true, true, true]);
+        assert_windows_identical(&serial, &overlapped, "depth 2 vs depth 1");
+        // Batch 3 loses its state once: it and batch 4 fill behind an empty
+        // window.
+        let (faulted, off) = run(2, FaultPlan::none().lose_once(3));
+        assert_eq!(off, [false, true, true, false, false, true, true, true]);
+        assert_eq!(faulted.recoveries, 1);
+        assert_windows_identical(&serial, &faulted, "a barrier at depth 2 vs depth 1");
+    }
+
     #[test]
     fn worker_loss_resubmits_the_plan_in_hand_without_repartitioning() {
         let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
@@ -2049,6 +2160,45 @@ mod tests {
             erasures[0].1,
             "no `// SAFETY:` comment above it: {erasures:?}"
         );
+
+        // Outside `net/` a thread starts in two places: the batch loop's
+        // overlapped step (partition beside execute + commit) and the
+        // checkpoint compactor, which outlives every batch. The source is
+        // read on the driver thread, so `TupleSource` carries no `Send`.
+        let starts = [
+            ["thread::", "scope("].concat(),
+            ["thread::", "spawn("].concat(),
+            ["thread::", "Builder"].concat(),
+        ];
+        let mut sites = Vec::new();
+        for (file, src) in engine.iter().filter(|(f, _)| !f.contains("/net/")) {
+            let src = production(src);
+            let lines: Vec<&str> = src.lines().collect();
+            for n in (0..lines.len()).filter(|&n| starts.iter().any(|s| lines[n].contains(s))) {
+                let fns = functions_of(file, &src);
+                let enclosing = (fns.iter().rev())
+                    .find(|(_, at, body)| *at <= n + 1 && n + 1 < at + body.len())
+                    .map_or("(no fn)", |(name, ..)| *name);
+                let file = &file[file.find("/src/").expect("under src/") + 5..];
+                sites.push(format!("{file}: {enclosing}"));
+            }
+        }
+        sites.sort();
+        assert_eq!(
+            sites,
+            ["driver.rs: fn overlapped", "state/checkpoint.rs: fn spawn"],
+            "thread starts outside net/"
+        );
+        let (_, source) = (core.iter())
+            .find(|(file, _)| file.ends_with("/source.rs"))
+            .expect("core's source.rs");
+        let unbounded = production(source).contains("\npub trait TupleSource {\n");
+        assert!(unbounded, "TupleSource gained a bound");
+        for (file, src) in core.iter().chain(&engine) {
+            for bound in ["TupleSource + Send", "TupleSource + Sync"] {
+                assert!(!production(src).contains(bound), "{file}: `{bound}`");
+            }
+        }
 
         let mut executors = Vec::new();
         for (file, src) in engine.iter().filter(|(f, _)| !f.contains("/net/")) {

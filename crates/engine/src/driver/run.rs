@@ -1,16 +1,17 @@
 //! One run of the batch loop: the cross-batch state
 //! [`StreamingEngine::run_traced`] threads through its three steps —
-//! [`Run::fill`] (buffer + partition), [`Run::execute`] (Map/Reduce on the
+//! [`Run::fill`] (buffer + partition: [`Run::pull`], the free function
+//! [`partition`] and [`Run::finish`]), [`Run::execute`] (Map/Reduce on the
 //! backend) and [`Run::commit`] (window state, checkpoints, scheduling) — and
 //! the named sub-steps each of them is made of. A `Run` owns the
 //! [`BackendRuntime`] its batches execute on: [`Run::new`] launches it and
-//! [`Run::finish`] shuts it down.
+//! [`Run::close`] shuts it down.
 
 use std::collections::VecDeque;
 
 use prompt_core::batch::{total_keys, MicroBatch};
 use prompt_core::metrics::PlanMetrics;
-use prompt_core::partitioner::{PartitionPhases, Technique};
+use prompt_core::partitioner::{PartitionPhases, Partitioner, Technique};
 use prompt_core::types::{Duration, Interval, Time, Tuple};
 
 use super::{BatchRecord, RunResult, StreamingEngine};
@@ -39,7 +40,7 @@ use crate::window::{WindowResult, WindowState};
 ///
 /// It is also the only carrier of the actuator state the batch was prepared
 /// under — `r`, `technique`, `routing`: everything downstream of
-/// [`Run::fill`] reads these, never the run's current values, which a
+/// [`Run::pull`] reads these, never the run's current values, which a
 /// controller may have moved for a younger batch in the meantime.
 pub(crate) struct PreparedBatch {
     seq: u64,
@@ -51,7 +52,7 @@ pub(crate) struct PreparedBatch {
     plan: Plan,
     raw_overhead: Duration,
     visible_overhead: Duration,
-    /// The Reduce task count in force when the batch was filled.
+    /// The Reduce task count in force when the batch was pulled.
     r: usize,
     /// The technique that partitioned this batch (policy-selected or the
     /// constructor's).
@@ -85,8 +86,80 @@ impl PreparedBatch {
     }
 }
 
+/// A batch [`Run::pull`] took from the source: its input, and the actuator
+/// state in force when it was pulled, which [`partition`] and
+/// [`Run::finish`] read instead of the run's (a commit may move the run's
+/// `p` and `r` while the batch is partitioned).
+pub(crate) struct PulledBatch {
+    seq: u64,
+    pub(super) batch: MicroBatch,
+    /// The Map task count the batch is partitioned into.
+    pub(super) p: usize,
+    r: usize,
+    pub(super) technique: Technique,
+    routing: Option<RoutingTable>,
+    decision: Option<PolicyDecision>,
+    /// Wall-clock µs the policy's decision took (trace only).
+    decide_us: u64,
+    restore_times: Vec<Duration>,
+}
+
+/// What [`partition`] makes of a batch.
+pub(crate) struct Partitioned {
+    plan: Plan,
+    /// Wall-clock phase timings; they only reach the trace.
+    phases: PartitionPhases,
+    raw_overhead: Duration,
+    n_keys: usize,
+    metrics: PlanMetrics,
+}
+
+/// Partition `batch` into `p` Map blocks with `partitioner`: in columns when
+/// `columnar` is set and the technique seals them, else in rows — per batch;
+/// nothing downstream renders the other layout. Reads nothing of a [`Run`],
+/// so the loop may call it on another thread while the driver thread
+/// executes and commits an older batch.
+pub(crate) fn partition(
+    partitioner: &mut dyn Partitioner,
+    batch: &MicroBatch,
+    p: usize,
+    columnar: bool,
+    overhead: OverheadMode,
+) -> Partitioned {
+    let t0 = std::time::Instant::now();
+    let cols = if columnar {
+        partitioner.partition_columnar(batch, p)
+    } else {
+        None
+    };
+    let (plan, phases) = match cols {
+        Some((cols, phases)) => (Plan::Columns(cols), phases),
+        None => {
+            let (rows, phases) = partitioner.partition_phased(batch, p);
+            (Plan::Rows(rows), phases)
+        }
+    };
+    let raw_overhead = match overhead {
+        OverheadMode::None => Duration::ZERO,
+        OverheadMode::Fixed(d) => d,
+        OverheadMode::Measured => Duration::from_micros(t0.elapsed().as_micros() as u64),
+    };
+    // Partitioners conserve tuples, so the plan's distinct keys are the
+    // batch's: counted once, for the record and the plan metrics both.
+    let blocks = plan.fragments();
+    let n_keys = total_keys(&blocks, PlanView::of(&plan).split_keys());
+    let metrics = PlanMetrics::of_blocks(&blocks, n_keys);
+    Partitioned {
+        plan,
+        phases,
+        raw_overhead,
+        n_keys,
+        metrics,
+    }
+}
+
 /// Everything one run carries from batch to batch. Built once per run by
-/// [`Run::new`], consumed by [`Run::finish`].
+/// [`Run::new`], consumed by [`Run::close`].
 pub(crate) struct Run<'e> {
     eng: &'e mut StreamingEngine,
     source: &'e mut dyn TupleSource,
@@ -96,7 +169,11 @@ pub(crate) struct Run<'e> {
     backend: BackendRuntime,
     /// The in-flight window: partitioned batches awaiting execution, oldest
     /// first (at most [`EngineConfig::pipeline_depth`](crate::config::EngineConfig)).
+    /// A batch being partitioned beside an execution is not in it yet.
     pub(super) prepared: VecDeque<PreparedBatch>,
+    /// The batch [`Run::pull`] takes next: every batch before it has been
+    /// pulled (or skipped by a resume), whether or not it is in `prepared`.
+    next_seq: u64,
     /// Map / Reduce task counts the next batch is prepared with (moved by
     /// the scaler at commit). A batch in flight keeps the `r` it was filled
     /// under ([`PreparedBatch`]).
@@ -186,6 +263,7 @@ impl<'e> Run<'e> {
             result: RunResult::default(),
             backend,
             prepared: VecDeque::new(),
+            next_seq: 0,
             p: cfg.map_tasks,
             r: cfg.reduce_tasks,
             pipeline_free_at: Time::ZERO,
@@ -215,7 +293,7 @@ impl<'e> Run<'e> {
         run
     }
 
-    /// Resume a restarted run from its checkpoint directory: [`Run::fill`]
+    /// Resume a restarted run from its checkpoint directory: [`Run::pull`]
     /// then skips the batches the restored watermark covers.
     fn resume(&mut self) {
         if !self.eng.cfg.checkpoint.as_ref().is_some_and(|c| c.resume) {
@@ -281,13 +359,34 @@ impl<'e> Run<'e> {
             .is_some_and(|last| faulted(seq) || faulted(last.seq))
     }
 
-    /// Advance batch `seq` from *buffering* to *partitioned*: ingest its
-    /// interval, let every controller that acts at the batch boundary act
-    /// (store-loss restore, policy, rebalancer), retain the input if the run
-    /// keeps inputs, partition it under the run's current actuator state —
-    /// which the batch carries from here on — and put its Map tasks on the
-    /// wire. `None` when a restored checkpoint already covers the batch.
-    pub(crate) fn fill(&mut self, seq: u64) -> Option<PreparedBatch> {
+    /// Whether the loop may pull the next batch now: the run has one left,
+    /// and no scheduled fault needs the window to itself.
+    pub(crate) fn may_pull(&self, n_batches: u64) -> bool {
+        self.next_seq < n_batches && !self.fault_barrier(self.next_seq)
+    }
+
+    /// Advance the next batch from *buffering* to *partitioned* on this
+    /// thread: [`Run::pull`], [`partition`] and [`Run::finish`] in a row.
+    pub(crate) fn fill(&mut self) {
+        let Some(pulled) = self.pull() else {
+            return;
+        };
+        let (columnar, overhead) = (self.eng.cfg.columnar, self.eng.cfg.overhead);
+        let partitioner = self.eng.strategies.registry.get_or_build(pulled.technique);
+        let partitioned = partition(partitioner, &pulled.batch, pulled.p, columnar, overhead);
+        self.finish(pulled, partitioned);
+    }
+
+    /// The first step of advancing the next batch: ingest its interval, let
+    /// every controller that acts at the batch boundary act (store-loss
+    /// restore, policy, rebalancer) and retain the input if the run keeps
+    /// inputs. The batch leaves with the run's current actuator state — `p`,
+    /// `r`, technique, routing — which it carries from here on. `None` when a
+    /// restored checkpoint already covers the batch. The source is read here
+    /// and only here, on the driver thread.
+    pub(crate) fn pull(&mut self) -> Option<PulledBatch> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         let interval = self.interval_of(seq);
         self.arrivals.clear();
         self.source.fill(interval, &mut self.arrivals);
@@ -299,9 +398,8 @@ impl<'e> Run<'e> {
             return None;
         }
         let batch = MicroBatch::new(std::mem::take(&mut self.arrivals), interval);
-        let n_tuples = batch.len();
         self.rec.incr(Counter::Batches, 1);
-        self.rec.incr(Counter::Tuples, n_tuples as u64);
+        self.rec.incr(Counter::Tuples, batch.len() as u64);
         let restore_times = self.restore_lost_store(seq);
         let (decision, decide_us) = self.decide(seq);
         let technique = decision
@@ -320,66 +418,78 @@ impl<'e> Run<'e> {
             stats.max_retained_batches = stats.max_retained_batches.max(store.len() as u64);
         }
         self.apply_rebalance(seq);
+        Some(PulledBatch {
+            seq,
+            batch,
+            p: self.p,
+            r: self.r,
+            technique,
+            routing: self.routing(),
+            decision,
+            decide_us,
+            restore_times,
+        })
+    }
 
-        // Partition (optionally measuring real cost). The phase timings —
-        // select / seal / symbolic / materialize — only reach the trace.
-        let t0 = std::time::Instant::now();
-        let eng = &mut *self.eng;
-        let partitioner = eng.strategies.registry.get_or_build(technique);
-        // Columnar when the flag is on and the technique seals one, else rows
-        // — per batch; nothing downstream renders the other layout.
-        let columnar = if eng.cfg.columnar {
-            partitioner.partition_columnar(&batch, self.p)
-        } else {
-            None
-        };
-        let (plan, phases) = match columnar {
-            Some((cols, phases)) => (Plan::Columns(cols), phases),
-            None => {
-                let (rows, phases) = partitioner.partition_phased(&batch, self.p);
-                (Plan::Rows(rows), phases)
-            }
-        };
-        let raw_overhead = match eng.cfg.overhead {
-            OverheadMode::None => Duration::ZERO,
-            OverheadMode::Fixed(d) => d,
-            OverheadMode::Measured => Duration::from_micros(t0.elapsed().as_micros() as u64),
-        };
-        self.trace_partition_phases(seq, decision.is_some(), decide_us, &phases);
-        // Partitioners conserve tuples, so the plan's distinct keys are the
-        // batch's: counted once, for the record and the plan metrics both.
-        let blocks = plan.fragments();
-        let n_keys = total_keys(&blocks, PlanView::of(&plan).split_keys());
-        let metrics = PlanMetrics::of_blocks(&blocks, n_keys);
+    /// The last step of advancing a batch: trace its partition phases, show
+    /// the policy the plan (under the `p` it was pulled with), take the
+    /// arrival buffer back for the next interval, put the batch's Map tasks
+    /// on the wire and queue it behind the batches already in flight.
+    pub(crate) fn finish(&mut self, pulled: PulledBatch, part: Partitioned) {
+        let PulledBatch {
+            seq,
+            batch,
+            p,
+            r,
+            technique,
+            routing,
+            decision,
+            decide_us,
+            restore_times,
+        } = pulled;
+        self.trace_partition_phases(seq, decision.is_some(), decide_us, &part.phases);
+        let n_tuples = batch.len();
         if let Some(pol) = self.eng.policy.as_mut() {
             pol.observe(&BatchObservation {
                 seq,
                 technique,
                 n_tuples,
-                n_keys,
-                map_tasks: self.p,
-                metrics,
-                blocks: &blocks,
+                n_keys: part.n_keys,
+                map_tasks: p,
+                metrics: part.metrics,
+                blocks: &part.plan.fragments(),
             });
         }
+        let interval = batch.interval;
         self.arrivals = batch.tuples; // reuse the allocation next interval
         let pb = PreparedBatch {
             seq,
             interval,
             n_tuples,
-            n_keys,
-            plan,
-            raw_overhead,
-            visible_overhead: raw_overhead - self.eng.cfg.early_release_slack(),
-            r: self.r,
+            n_keys: part.n_keys,
+            plan: part.plan,
+            raw_overhead: part.raw_overhead,
+            visible_overhead: part.raw_overhead - self.eng.cfg.early_release_slack(),
+            r,
             technique,
-            routing: self.routing(),
+            routing,
             decision,
-            metrics,
+            metrics: part.metrics,
             restore_times,
         };
         self.backend.submit(&pb.planned(self.eng), &self.rec);
-        Some(pb)
+        self.prepared.push_back(pb);
+    }
+
+    /// Lend `technique`'s partitioner out of the registry, for a batch
+    /// partitioned on another thread; [`Run::give_back`] returns it.
+    pub(crate) fn lend(&mut self, technique: Technique) -> Box<dyn Partitioner> {
+        self.eng.strategies.registry.take(technique)
+    }
+
+    /// Return a partitioner [`Run::lend`] lent out.
+    pub(crate) fn give_back(&mut self, technique: Technique, partitioner: Box<dyn Partitioner>) {
+        self.eng.strategies.registry.insert(technique, partitioner);
     }
 
     /// A scheduled loss of the whole keyed state store at batch `seq`:
@@ -566,7 +676,7 @@ impl<'e> Run<'e> {
 
     /// Execute the oldest in-flight batch on the configured backend. At
     /// depth > 1 a distributed batch is already in flight (maps dispatched
-    /// at [`Run::fill`]); waiting on it also advances the younger batches
+    /// at [`Run::finish`]); waiting on it also advances the younger batches
     /// of the window.
     pub(crate) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
@@ -609,13 +719,15 @@ impl<'e> Run<'e> {
 
     /// Commit an executed batch. Everything with cross-batch feedback —
     /// pipeline clock, windows, checkpoints, retention expiry, scaling —
-    /// runs here, in strict batch order.
+    /// runs here, in strict batch order. Returns the batch's plan with its
+    /// technique: nothing reads it any more, and [`Run::recycle`] hands it
+    /// back to the partitioner that built it.
     pub(crate) fn commit(
         &mut self,
         mut pb: PreparedBatch,
         mut output: BatchOutput,
         times: StageTimes,
-    ) {
+    ) -> (Technique, Plan) {
         let seq = pb.seq;
         let bi = self.eng.cfg.batch_interval;
         self.observe_load(&pb, &times);
@@ -700,10 +812,14 @@ impl<'e> Run<'e> {
             plan_metrics: pb.metrics,
             technique: pb.technique,
         });
-        // Nothing reads the plan any more: its buffers are what the
-        // technique builds a later batch's plan in.
-        let partitioner = self.eng.strategies.registry.get_or_build(pb.technique);
-        partitioner.recycle(pb.plan);
+        (pb.technique, pb.plan)
+    }
+
+    /// Hand a committed batch's plan back to its technique's partitioner:
+    /// its buffers are what a later batch's plan is built in.
+    pub(crate) fn recycle(&mut self, (technique, plan): (Technique, Plan)) {
+        let partitioner = self.eng.strategies.registry.get_or_build(technique);
+        partitioner.recycle(plan);
     }
 
     /// Per-worker load accounting: the trace summary's imbalance signal, and
@@ -809,7 +925,9 @@ impl<'e> Run<'e> {
                 out: action.out,
                 rate_trend,
                 key_trend,
-                effective_seq: self.prepared.back().map_or(seq, |q| q.seq) + 1,
+                // The first batch not yet pulled: one being partitioned
+                // beside this commit already carries the old counts.
+                effective_seq: self.next_seq,
             });
             rec.event(TraceEvent::Grace { seq, entered: true });
         }
@@ -876,7 +994,7 @@ impl<'e> Run<'e> {
     }
 
     /// Shut the backend down and hand back the run's results and trace.
-    pub(crate) fn finish(mut self) -> (RunResult, TraceRecorder) {
+    pub(crate) fn close(mut self) -> (RunResult, TraceRecorder) {
         if self.state_store.is_some() {
             if let Some(ckpt) = self.checkpointer.as_mut() {
                 ckpt.settle().expect("checkpoint write failed");
