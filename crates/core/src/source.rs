@@ -1,6 +1,5 @@
 //! The stream-source abstraction consumed by the engine's receiver.
 
-use crate::columnar::ColumnarBatch;
 use crate::types::{Interval, Tuple};
 
 /// A source of timestamped tuples — the engine's receiver pulls one batch
@@ -11,17 +10,6 @@ use crate::types::{Interval, Tuple};
 pub trait TupleSource {
     /// Append the tuples arriving during `interval` to `out`.
     fn fill(&mut self, interval: Interval, out: &mut Vec<Tuple>);
-
-    /// Append the interval's tuples straight into a columnar batch. The
-    /// default routes through [`TupleSource::fill`] and splits rows into
-    /// columns; sources that generate fields independently can override it
-    /// to write each column directly and skip the row staging entirely.
-    /// Must emit the same tuples in the same order as `fill`.
-    fn fill_columnar(&mut self, interval: Interval, out: &mut ColumnarBatch) {
-        let mut rows = Vec::new();
-        self.fill(interval, &mut rows);
-        out.extend_from_tuples(&rows);
-    }
 }
 
 /// Blanket implementation so closures can act as sources in tests.
@@ -49,22 +37,5 @@ mod tests {
         src.fill(iv, &mut buf);
         assert_eq!(buf.len(), 1);
         assert!(iv.contains(buf[0].ts));
-    }
-
-    #[test]
-    fn columnar_fill_matches_row_fill() {
-        let make = || {
-            |iv: Interval, out: &mut Vec<Tuple>| {
-                for i in 0..10u64 {
-                    out.push(Tuple::new(iv.start, Key(i % 3), i as f64 * 1.5));
-                }
-            }
-        };
-        let iv = Interval::new(Time::ZERO, Time::from_secs(1));
-        let mut rows = Vec::new();
-        make().fill(iv, &mut rows);
-        let mut cols = ColumnarBatch::new();
-        make().fill_columnar(iv, &mut cols);
-        assert_eq!(cols.to_tuples(), rows);
     }
 }

@@ -54,12 +54,9 @@ impl Planned<'_> {
 pub(crate) enum BackendRuntime {
     /// This process: the one local executor, on the calling thread for
     /// [`Backend::InProcess`] (the default) and on `n` threads for
-    /// [`Backend::Threaded`] — which also asks for the measured phase times
-    /// in the trace (`wall_phases`), the only other thing the two differ in.
-    Local {
-        exec: ThreadedExecutor,
-        wall_phases: bool,
-    },
+    /// [`Backend::Threaded`]. Either stamps the Map / scatter / Reduce wall
+    /// times it measures into the trace.
+    Local(ThreadedExecutor),
     /// Real worker processes/threads over TCP (boxed: the runtime holds
     /// per-worker channels and is much larger than the other variant).
     Distributed(Box<DistributedRuntime>),
@@ -68,13 +65,9 @@ pub(crate) enum BackendRuntime {
 impl BackendRuntime {
     /// Instantiate `backend` for one run.
     pub(crate) fn launch(backend: Backend) -> BackendRuntime {
-        let local = |threads, wall_phases| BackendRuntime::Local {
-            exec: ThreadedExecutor::new(threads),
-            wall_phases,
-        };
         match backend {
-            Backend::InProcess => local(1, false),
-            Backend::Threaded { threads } => local(threads, true),
+            Backend::InProcess => BackendRuntime::Local(ThreadedExecutor::new(1)),
+            Backend::Threaded { threads } => BackendRuntime::Local(ThreadedExecutor::new(threads)),
             Backend::Distributed { workers, base_port } => {
                 let rt = DistributedRuntime::launch(DistributedOptions::new(workers, base_port))
                     .expect("failed to launch distributed workers");
@@ -129,9 +122,9 @@ impl BackendRuntime {
         let (view, job, r) = (batch.view, batch.job, batch.r);
         let mut losses = 0;
         let (output, stats) = match self {
-            BackendRuntime::Local { exec, wall_phases } => {
+            BackendRuntime::Local(exec) => {
                 let (output, stats, wall) = exec.execute_view(view, job, batch.assigner, r, trace);
-                if let Some(rec) = trace.filter(|_| *wall_phases) {
+                if let Some(rec) = trace {
                     wall.record(rec, batch.seq);
                 }
                 (output, stats)

@@ -7,8 +7,6 @@
 //! sustainable rate is located by exponential bracketing followed by binary
 //! search.
 
-use crate::trace::{Counter, TraceEvent, TraceRecorder};
-
 /// Find the largest rate in `[lo, hi]` for which `sustainable(rate)` holds,
 /// assuming monotonicity (higher rate ⇒ harder to sustain), with `iters`
 /// bisection steps.
@@ -16,52 +14,22 @@ use crate::trace::{Counter, TraceEvent, TraceRecorder};
 /// Returns `lo` if even `lo` is unsustainable (callers should choose `lo`
 /// small enough that this signals "effectively zero").
 pub fn max_sustainable_rate(
-    sustainable: impl FnMut(f64) -> bool,
-    lo: f64,
-    hi: f64,
-    iters: usize,
-) -> f64 {
-    max_sustainable_rate_traced(sustainable, lo, hi, iters, None)
-}
-
-/// [`max_sustainable_rate`] that additionally records every probe outcome
-/// ([`TraceEvent::Probe`] plus the probe counters) into `rec`.
-pub fn max_sustainable_rate_traced(
     mut sustainable: impl FnMut(f64) -> bool,
     lo: f64,
     hi: f64,
     iters: usize,
-    rec: Option<&TraceRecorder>,
 ) -> f64 {
     assert!(lo > 0.0 && hi >= lo, "invalid search bracket");
-    let mut probe = |rate: f64| {
-        let ok = sustainable(rate);
-        if let Some(rec) = rec {
-            rec.incr(
-                if ok {
-                    Counter::ProbesSustainable
-                } else {
-                    Counter::ProbesUnsustainable
-                },
-                1,
-            );
-            rec.event(TraceEvent::Probe {
-                rate,
-                sustainable: ok,
-            });
-        }
-        ok
-    };
-    if !probe(lo) {
+    if !sustainable(lo) {
         return lo;
     }
-    if probe(hi) {
+    if sustainable(hi) {
         return hi;
     }
     let (mut good, mut bad) = (lo, hi);
     for _ in 0..iters {
         let mid = (good + bad) / 2.0;
-        if probe(mid) {
+        if sustainable(mid) {
             good = mid;
         } else {
             bad = mid;
@@ -94,26 +62,5 @@ mod tests {
     #[should_panic(expected = "invalid search bracket")]
     fn rejects_reversed_bracket() {
         let _ = max_sustainable_rate(|_| true, 100.0, 10.0, 5);
-    }
-
-    #[test]
-    fn traced_probes_record_every_outcome() {
-        use crate::trace::TraceLevel;
-        let rec = TraceRecorder::new(TraceLevel::Full);
-        let rate = max_sustainable_rate_traced(|r| r <= 50.0, 1.0, 100.0, 6, Some(&rec));
-        assert!((rate - 50.0).abs() < 2.0, "got {rate}");
-        let probes = rec
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Probe { .. }))
-            .count();
-        // lo + hi + 6 bisections.
-        assert_eq!(probes, 8);
-        assert_eq!(
-            rec.counter(Counter::ProbesSustainable) + rec.counter(Counter::ProbesUnsustainable),
-            8
-        );
-        // The traced and untraced searches agree.
-        assert_eq!(rate, max_sustainable_rate(|r| r <= 50.0, 1.0, 100.0, 6));
     }
 }

@@ -37,9 +37,7 @@ pub enum Backend {
     /// (`threaded`) at one thread, spawning nothing. The default.
     #[default]
     InProcess,
-    /// The same executor with its Map and Reduce phases on OS threads; also
-    /// records the measured Map / scatter / Reduce wall times as trace
-    /// phases.
+    /// The same executor with its Map and Reduce phases on OS threads.
     Threaded {
         /// Threads for the Map and Reduce phases (the shuffle is serial).
         threads: usize,

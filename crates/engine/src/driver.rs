@@ -48,7 +48,6 @@ use crate::rebalance::{MigrationPlan, RoutingTable};
 use crate::recovery::{FaultPlan, NetFaultPlan};
 use crate::source::TupleSource;
 use crate::state::{KeyedStateStore, StateStats, StatefulOp, STATE_SHARDS};
-use crate::straggler::StragglerPlan;
 use crate::trace::TraceRecorder;
 use crate::window::{WindowResult, WindowSpec};
 
@@ -84,7 +83,7 @@ pub struct BatchRecord {
     pub latency: Duration,
     /// `W = processing / batch_interval` — the elasticity signal.
     pub w: f64,
-    /// Per-Map-task times (for straggler analysis).
+    /// Per-Map-task times.
     pub map_task_times: Vec<Duration>,
     /// Per-Reduce-task times (Fig. 13's latency distribution).
     pub reduce_task_times: Vec<Duration>,
@@ -420,7 +419,6 @@ pub struct StreamingEngine {
     window: Option<WindowSpec>,
     stateful: Option<StatefulOp>,
     fault_tolerance: Option<(usize, FaultPlan)>,
-    stragglers: StragglerPlan,
     net_faults: NetFaultPlan,
 }
 
@@ -446,7 +444,6 @@ impl StreamingEngine {
             window: None,
             stateful: None,
             fault_tolerance: None,
-            stragglers: StragglerPlan::none(),
             net_faults: NetFaultPlan::none(),
         }
     }
@@ -488,15 +485,6 @@ impl StreamingEngine {
     /// config). Ignored by in-process backends.
     pub fn with_net_faults(mut self, plan: NetFaultPlan) -> StreamingEngine {
         self.net_faults = plan;
-        self
-    }
-
-    /// Inject scripted environment-induced stragglers: the affected task
-    /// times are inflated after execution and the stage makespans
-    /// recomputed, so queueing/elasticity react exactly as they would to a
-    /// real slow task.
-    pub fn with_stragglers(mut self, plan: StragglerPlan) -> StreamingEngine {
-        self.stragglers = plan;
         self
     }
 
@@ -1106,43 +1094,6 @@ mod tests {
         );
         let retained = res.state.expect("state on").max_retained_batches;
         assert!(retained <= 3, "a 3-batch window retains {retained} inputs");
-    }
-
-    #[test]
-    fn injected_straggler_inflates_exactly_its_batch() {
-        use crate::straggler::{Stage, StragglerPlan};
-        let run = |plan: StragglerPlan| {
-            let mut eng = StreamingEngine::new(
-                small_cfg(),
-                Technique::Prompt,
-                1,
-                Job::identity("count", ReduceOp::Count),
-            )
-            .with_stragglers(plan);
-            eng.run(&mut const_source(800, 16), 6)
-        };
-        let clean = run(StragglerPlan::none());
-        let slowed = run(StragglerPlan::none().slow(2, Stage::Reduce, 0, 10.0));
-        for seq in 0..6 {
-            if seq == 2 {
-                assert!(
-                    slowed.batches[seq].processing > clean.batches[seq].processing,
-                    "straggler must slow batch 2"
-                );
-                assert!(
-                    slowed.batches[seq].reduce_task_times[0]
-                        > clean.batches[seq].reduce_task_times[0]
-                );
-            } else {
-                assert_eq!(
-                    slowed.batches[seq].processing, clean.batches[seq].processing,
-                    "batch {seq} unaffected"
-                );
-            }
-        }
-        // The stage time follows the inflated max task (Eqn. 1).
-        let b = &slowed.batches[2];
-        assert_eq!(b.reduce_stage, *b.reduce_task_times.iter().max().unwrap());
     }
 
     #[test]

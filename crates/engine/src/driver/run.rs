@@ -27,7 +27,6 @@ use crate::recovery::{FaultPlan, RecoveryError, ReplicatedBatchStore};
 use crate::source::TupleSource;
 use crate::stage::{BatchOutput, StageTimes};
 use crate::state::{restore, Checkpointer, CommitInfo, KeyedStateStore, StateStats};
-use crate::straggler::Stage;
 use crate::trace::{Counter, StageKind, TraceEvent, TraceLevel, TraceRecorder};
 use crate::window::{WindowResult, WindowState};
 
@@ -680,41 +679,7 @@ impl<'e> Run<'e> {
     /// of the window.
     pub(crate) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
-        let (output, mut times) = self.run_plan(pb.seq, PlanView::of(&pb.plan), under);
-        self.inject_stragglers(pb.seq, &mut times);
-        (output, times)
-    }
-
-    /// Inflate the task times scripted stragglers hit and recompute the
-    /// stage makespans.
-    fn inject_stragglers(&self, seq: u64, times: &mut StageTimes) {
-        let (plan, cluster) = (&self.eng.stragglers, &self.eng.cfg.cluster);
-        if plan.is_empty() {
-            return;
-        }
-        plan.apply(seq, &mut times.map_tasks, &mut times.reduce_tasks);
-        times.map_stage = cluster.makespan(&times.map_tasks);
-        times.reduce_stage = cluster.makespan(&times.reduce_tasks);
-        if !self.rec.enabled() {
-            return;
-        }
-        for e in plan.events_for(seq) {
-            // Mirror `apply`: out-of-range task indices did nothing, so
-            // they are not recorded either.
-            let (stage, n) = match e.stage {
-                Stage::Map => (StageKind::MapStage, times.map_tasks.len()),
-                Stage::Reduce => (StageKind::ReduceStage, times.reduce_tasks.len()),
-            };
-            if e.task < n {
-                self.rec.incr(Counter::Stragglers, 1);
-                self.rec.event(TraceEvent::Straggler {
-                    seq,
-                    stage,
-                    task: e.task,
-                    slowdown: e.slowdown,
-                });
-            }
-        }
+        self.run_plan(pb.seq, PlanView::of(&pb.plan), under)
     }
 
     /// Commit an executed batch. Everything with cross-batch feedback —

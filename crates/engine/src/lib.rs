@@ -56,7 +56,6 @@ pub mod source {
 pub mod stage;
 pub mod state;
 pub mod stats;
-pub mod straggler;
 pub mod threaded;
 pub mod trace;
 pub mod window;
@@ -93,7 +92,6 @@ pub mod prelude {
         StatefulOp, STATE_SHARDS,
     };
     pub use crate::stats::{percentile_sorted, summarize, Summary};
-    pub use crate::straggler::{Stage, StragglerEvent, StragglerPlan};
     pub use crate::threaded::{ThreadedExecutor, WallTimes};
     pub use crate::trace::{
         parse_jsonl, to_jsonl, Counter, StageKind, StageSummary, TraceEvent, TraceLevel,

@@ -13,20 +13,20 @@
 //!   tests assert that, so the trace layer carries its own differential
 //!   safety net.
 //! * **Phases** over wall-clock time — the batching phase's seal / symbolic
-//!   assignment / materialization split, and the threaded backend's real
-//!   Map / scatter / Reduce times. Informational only: wall time never feeds
+//!   assignment / materialization split, and the real Map / scatter / Reduce
+//!   times of every backend that runs them. Informational only: wall time never feeds
 //!   back into virtual time, so traced runs stay deterministic.
 //! * **Decision events** — elasticity zone transitions, grace entry/exit,
-//!   scale actions with their rate/key-trend evidence, straggler hits,
-//!   recovery recomputations, back-pressure trips and probe outcomes.
+//!   scale actions with their rate/key-trend evidence, recovery
+//!   recomputations and back-pressure trips.
 //!
 //! # Recorder concurrency
 //!
 //! [`TraceRecorder`]'s recording methods take `&self`, so it can be shared
 //! by reference across threads. Counters and per-stage histograms are plain
 //! atomics (lock-free). The event log is one mutexed vector: every recording
-//! call in the engine runs on the driver thread (the threaded backend stamps
-//! its phases after its joins; the fleet's reader threads hold no recorder),
+//! call in the engine runs on the driver thread (the local executor's phases
+//! are stamped after its joins; the fleet's reader threads hold no recorder),
 //! so the lock is uncontended and lock order is recording order.
 //!
 //! # Sinks
@@ -82,7 +82,7 @@ pub enum StageKind {
     PartitionVisible,
     /// Virtual: time queued behind earlier batches in the pipeline.
     QueueWait,
-    /// Wall-clock (threaded backend): the shuffle scatter.
+    /// Wall-clock: the local executor's shuffle scatter.
     Scatter,
     /// The Map stage makespan.
     MapStage,
@@ -167,8 +167,6 @@ pub enum Counter {
     NoopDecisions,
     /// Grace periods entered (= applied actions).
     GraceEntries,
-    /// Straggler events applied.
-    Stragglers,
     /// Recovery recomputations performed.
     Recoveries,
     /// Distributed workers declared lost (heartbeat timeout, socket failure
@@ -176,10 +174,6 @@ pub enum Counter {
     WorkersLost,
     /// Batches whose queue delay exceeded the back-pressure threshold.
     BackpressureBatches,
-    /// Sustainable-rate probes that came back sustainable.
-    ProbesSustainable,
-    /// Sustainable-rate probes that came back unsustainable.
-    ProbesUnsustainable,
     /// Checkpoint commits (delta or snapshot) written by the state layer.
     Checkpoints,
     /// Total checkpoint bytes written (deltas + snapshots + manifests).
@@ -212,7 +206,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 26] = [
         Counter::Batches,
         Counter::Tuples,
         Counter::ScatterFragments,
@@ -222,12 +216,9 @@ impl Counter {
         Counter::ScaleIn,
         Counter::NoopDecisions,
         Counter::GraceEntries,
-        Counter::Stragglers,
         Counter::Recoveries,
         Counter::WorkersLost,
         Counter::BackpressureBatches,
-        Counter::ProbesSustainable,
-        Counter::ProbesUnsustainable,
         Counter::Checkpoints,
         Counter::CheckpointBytes,
         Counter::Snapshots,
@@ -256,12 +247,9 @@ impl Counter {
             Counter::ScaleIn => "scale_in",
             Counter::NoopDecisions => "noop_decisions",
             Counter::GraceEntries => "grace_entries",
-            Counter::Stragglers => "stragglers",
             Counter::Recoveries => "recoveries",
             Counter::WorkersLost => "workers_lost",
             Counter::BackpressureBatches => "backpressure_batches",
-            Counter::ProbesSustainable => "probes_sustainable",
-            Counter::ProbesUnsustainable => "probes_unsustainable",
             Counter::Checkpoints => "checkpoints",
             Counter::CheckpointBytes => "checkpoint_bytes",
             Counter::Snapshots => "snapshots",
@@ -344,17 +332,6 @@ pub enum TraceEvent {
         /// True on entry, false on exit.
         entered: bool,
     },
-    /// An injected straggler inflated a task.
-    Straggler {
-        /// Batch sequence number.
-        seq: u64,
-        /// [`StageKind::MapStage`] or [`StageKind::ReduceStage`].
-        stage: StageKind,
-        /// Task index within the stage.
-        task: usize,
-        /// Multiplicative slowdown applied.
-        slowdown: f64,
-    },
     /// One recovery recomputation after injected state loss.
     Recovery {
         /// Batch sequence number.
@@ -378,13 +355,6 @@ pub enum TraceEvent {
         queue_us: u64,
         /// The configured threshold in µs.
         limit_us: u64,
-    },
-    /// One sustainable-rate probe outcome.
-    Probe {
-        /// Probed ingestion rate (tuples/s).
-        rate: f64,
-        /// Whether the run at this rate stayed stable.
-        sustainable: bool,
     },
     /// One checkpoint commit of the keyed state store.
     Checkpoint {
@@ -480,7 +450,6 @@ impl TraceEvent {
             | TraceEvent::Zone { seq, .. }
             | TraceEvent::Scale { seq, .. }
             | TraceEvent::Grace { seq, .. }
-            | TraceEvent::Straggler { seq, .. }
             | TraceEvent::Recovery { seq, .. }
             | TraceEvent::WorkerLost { seq, .. }
             | TraceEvent::Backpressure { seq, .. }
@@ -489,7 +458,7 @@ impl TraceEvent {
             | TraceEvent::Rebalance { seq, .. }
             | TraceEvent::GroupMigrate { seq, .. } => Some(seq),
             TraceEvent::PolicySwitch { seq, .. } => Some(seq),
-            TraceEvent::Probe { .. } | TraceEvent::Compactor { .. } => None,
+            TraceEvent::Compactor { .. } => None,
         }
     }
 
@@ -526,15 +495,6 @@ impl TraceEvent {
             TraceEvent::Grace { seq, entered } => {
                 format!("{{\"type\":\"grace\",\"seq\":{seq},\"entered\":{entered}}}")
             }
-            TraceEvent::Straggler {
-                seq,
-                stage,
-                task,
-                slowdown,
-            } => format!(
-                "{{\"type\":\"straggler\",\"seq\":{seq},\"stage\":\"{}\",\"task\":{task},\"slowdown\":{slowdown}}}",
-                stage.name()
-            ),
             TraceEvent::Recovery { seq, replicas_left } => format!(
                 "{{\"type\":\"recovery\",\"seq\":{seq},\"replicas_left\":{replicas_left}}}"
             ),
@@ -548,9 +508,6 @@ impl TraceEvent {
             } => format!(
                 "{{\"type\":\"backpressure\",\"seq\":{seq},\"queue_us\":{queue_us},\"limit_us\":{limit_us}}}"
             ),
-            TraceEvent::Probe { rate, sustainable } => {
-                format!("{{\"type\":\"probe\",\"rate\":{rate},\"sustainable\":{sustainable}}}")
-            }
             TraceEvent::Checkpoint {
                 seq,
                 snapshot,
@@ -731,12 +688,6 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             seq: num("seq")?,
             entered: boolean("entered")?,
         }),
-        "straggler" => Ok(TraceEvent::Straggler {
-            seq: num("seq")?,
-            stage: kind("stage")?,
-            task: num("task")? as usize,
-            slowdown: float("slowdown")?,
-        }),
         "recovery" => Ok(TraceEvent::Recovery {
             seq: num("seq")?,
             replicas_left: num("replicas_left")? as usize,
@@ -749,10 +700,6 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             seq: num("seq")?,
             queue_us: num("queue_us")?,
             limit_us: num("limit_us")?,
-        }),
-        "probe" => Ok(TraceEvent::Probe {
-            rate: float("rate")?,
-            sustainable: boolean("sustainable")?,
         }),
         "checkpoint" => Ok(TraceEvent::Checkpoint {
             seq: num("seq")?,
@@ -1301,12 +1248,6 @@ mod tests {
                 seq: 7,
                 entered: false,
             },
-            TraceEvent::Straggler {
-                seq: 8,
-                stage: StageKind::ReduceStage,
-                task: 2,
-                slowdown: 10.0,
-            },
             TraceEvent::Recovery {
                 seq: 9,
                 replicas_left: 1,
@@ -1316,10 +1257,6 @@ mod tests {
                 seq: 10,
                 queue_us: 2_500_000,
                 limit_us: 2_000_000,
-            },
-            TraceEvent::Probe {
-                rate: 123456.789,
-                sustainable: false,
             },
             TraceEvent::Checkpoint {
                 seq: 11,
@@ -1378,6 +1315,14 @@ mod tests {
             parse_jsonl("{\"type\":\"phase\",\"seq\":0,\"kind\":\"nope\",\"wall_us\":1}").is_err(),
             "unknown stage kind"
         );
+        // Retired event types are unknown ones, reported with their line.
+        for retired in [
+            "{\"type\":\"straggler\",\"seq\":8,\"stage\":\"reduce_stage\",\"task\":2,\"slowdown\":10}",
+            "{\"type\":\"probe\",\"rate\":123456.789,\"sustainable\":false}",
+        ] {
+            let err = parse_jsonl(&format!("\n{retired}\n")).unwrap_err();
+            assert!(err.starts_with("line 2: unknown event type"), "{err}");
+        }
         // Blank lines are fine.
         assert_eq!(parse_jsonl("\n\n").unwrap(), vec![]);
     }
@@ -1433,7 +1378,7 @@ mod tests {
     /// A backend that measures its Map phase stamps it under the kind the
     /// driver's cost-model span uses: the two must not share a histogram.
     #[test]
-    fn summary_keeps_virtual_spans_and_wall_phases_apart() {
+    fn summary_keeps_virtual_spans_and_measured_phases_apart() {
         let rec = TraceRecorder::new(TraceLevel::Summary);
         rec.span(0, StageKind::MapStage, Time(0), Time(1000));
         rec.phase(0, StageKind::MapStage, Duration::from_micros(70));

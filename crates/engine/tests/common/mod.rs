@@ -5,8 +5,8 @@
 //! (Zipf α with a drift point, hot-set churn and a cardinality tier, built
 //! from `prompt-workloads`' own generators), every `EngineConfig` field at a
 //! value `validate` accepts, and the engine's attachments (a window, a
-//! stateful operator, a recovery budget with its `FaultPlan`, worker kills
-//! and stragglers). [`check`] runs the case and asserts two equalities:
+//! stateful operator, a recovery budget with its `FaultPlan` and worker
+//! kills). [`check`] runs the case and asserts two equalities:
 //!
 //! 1. it equals [`Case::serial`], the same case with every knob that is
 //!    wall-clock-only by contract (backend, trace level, layout, ingest
@@ -156,7 +156,6 @@ pub struct Case {
     /// `with_fault_tolerance`'s recovery budget and fault plan.
     pub recovery: Option<(usize, FaultPlan)>,
     pub kills: NetFaultPlan,
-    pub stragglers: StragglerPlan,
 }
 
 impl Case {
@@ -173,7 +172,6 @@ impl Case {
             stateful: false,
             recovery: None,
             kills: NetFaultPlan::none(),
-            stragglers: StragglerPlan::none(),
         }
     }
 
@@ -322,10 +320,9 @@ impl Case {
                 };
             }
         }
-        let mut stragglers = StragglerPlan::none();
+        // Where a retired straggler axis drew: its draws stay, so no later field moves.
         if d.one_in(3) {
-            let stage = d.pick(&[Stage::Map, Stage::Reduce]);
-            stragglers = stragglers.slow(seqs(&mut d), stage, d.below(4), d.pick(&[2.0, 4.0]));
+            (0..4).for_each(|_| _ = d.below(2));
         }
         let len = 1 + d.below(4) as u64;
         let case = Case {
@@ -339,7 +336,6 @@ impl Case {
             stateful,
             recovery,
             kills: settled(kills, pipeline_depth),
-            stragglers,
         };
         case.cfg
             .validate()
@@ -413,8 +409,7 @@ impl Case {
         let cfg = self.cfg.clone();
         let mut engine = StreamingEngine::new(cfg, self.technique, self.seed % 97, job)
             .with_window(WindowSpec::sliding(Duration(len), Duration(slide)))
-            .with_net_faults(self.kills.clone())
-            .with_stragglers(self.stragglers.clone());
+            .with_net_faults(self.kills.clone());
         if self.stateful {
             engine = engine.with_stateful(StatefulOp::SessionCount);
         }

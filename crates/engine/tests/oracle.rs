@@ -168,7 +168,6 @@ fn the_fixed_seeds_cover_the_configuration_space() {
                 "lose_store",
                 recovery.is_some_and(|p| !p.lose_store.is_empty()),
             ),
-            ("straggler", !case.stragglers.is_empty()),
         ];
         let faults = faults.into_iter().filter(|f| f.1).map(|f| f.0.to_string());
         kills
@@ -189,7 +188,6 @@ fn the_fixed_seeds_cover_the_configuration_space() {
         "kill BeforeMap",
         "lose_state",
         "lose_store",
-        "straggler",
     ];
     assert_eq!(faults, kinds);
     let distributed = cases
