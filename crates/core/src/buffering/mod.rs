@@ -1,7 +1,7 @@
 //! Micro-batch buffering: what Algorithm 1 (§4.1) hands Algorithm 2 at the
 //! heartbeat — the batch's tuples grouped by key, most frequent key first.
 //!
-//! Two accumulators produce that list from the same arrival log:
+//! Two accumulators produce that list from the same arrivals:
 //!
 //! * [`PostSortAccumulator`] — **what the engine runs** (`Technique::Prompt`).
 //!   During the interval it keeps one exact counter per key and nothing else;
@@ -27,12 +27,17 @@
 //!
 //! ## Layout
 //!
-//! Both accumulators share a key→slot index plus a dense vector of per-key
-//! counters (the paper's `HTable`), and hold the tuple lists as one
-//! arrival-ordered log with each entry's slot beside it (`ArrivalLog`).
-//! Nothing is allocated per key. Sealing turns the key order into one arena
-//! offset per slot and scatters the log once into that arena, which the
-//! [`SealedBatch`] groups then index as ranges.
+//! Both accumulators share one index from each key to its slot and its exact
+//! count (the paper's `HTable` with `Freq_Current`; the budgeted one keeps
+//! the rest of each key's entry in a dense vector by slot), and keep no copy
+//! of the batch: per arrival they record only its key's slot and its
+//! position in the slice the seal reads (`ArrivalSlots`). The engine hands
+//! its batch over as a slice ([`BatchAccumulator::seal_slice_into`]), so the
+//! tuples stay where it keeps them; callers that pass tuples one at a time
+//! have them held in one buffer instead. Sealing orders the keys as `(count, key, slot)`, turns that order
+//! into one arena offset per slot, and scatters the arrivals once from the
+//! slice into that arena, which the [`SealedBatch`] groups then index as
+//! ranges. Nothing is allocated per key.
 
 mod count_tree;
 mod sharded;
@@ -44,6 +49,10 @@ use crate::batch::{KeyGroup, SealedBatch};
 use crate::columnar::ColumnarSealed;
 use crate::hash::KeyMap;
 use crate::types::{Duration, Interval, Key, Time, Tuple};
+
+/// Why a batch's arrival positions are `u32`: the bound every entry point
+/// that numbers arrivals asserts.
+const POSITIONS_FIT: &str = "arrival positions per batch fit in u32";
 
 /// Tuning parameters for Algorithm 1.
 #[derive(Clone, Copy, Debug)]
@@ -75,101 +84,112 @@ impl AccumulatorConfig {
     }
 }
 
-/// Where a batch's tuples wait for the heartbeat: a key→slot index (slots
-/// are dense, in first-sighting order) and one arrival-ordered log with each
-/// entry's slot beside it.
+/// What a batch leaves in an accumulator until the heartbeat: an index from
+/// each key to its slot (slots are dense, in first-sighting order) and its
+/// exact count, and, per arrival in arrival order, its position in the slice
+/// the seal reads and its key's slot. Tuples are kept only for callers that
+/// hand them over one at a time.
 #[derive(Clone, Debug, Default)]
-struct ArrivalLog {
-    slots: KeyMap<u32>,
-    tuples: Vec<Tuple>,
-    slot_of: Vec<u32>,
+struct ArrivalSlots {
+    /// Key → `(slot, count)`.
+    index: KeyMap<(u32, u32)>,
+    /// `(position, slot)` of every arrival, in arrival order.
+    marks: Vec<(u32, u32)>,
+    /// The tuples [`BatchAccumulator::ingest`] was handed, which a seal given
+    /// no slice reads. The slice seal leaves it empty.
+    held: Vec<Tuple>,
+    /// Seal scratch: every key with its count and slot, in seal order.
+    order: Vec<(u32, Key, u32)>,
     /// Seal scratch: the arena index each slot's next tuple scatters to.
     cursors: Vec<usize>,
 }
 
-impl ArrivalLog {
-    /// Append one arrival. Returns its key's slot and whether this is the
-    /// key's first sighting.
+impl ArrivalSlots {
+    /// Record an arrival of `key` that the seal reads at position `at`.
+    /// Returns its key's slot and its count so far, this arrival included.
     #[inline]
-    fn push(&mut self, t: Tuple) -> (usize, bool) {
-        let next = u32::try_from(self.slots.len()).expect("distinct keys per batch fit in u32");
-        let slot = *self.slots.entry(t.key).or_insert(next);
-        self.tuples.push(t);
-        self.slot_of.push(slot);
-        (slot as usize, slot == next)
+    fn record(&mut self, at: u32, key: Key) -> (usize, u32) {
+        let next = u32::try_from(self.index.len()).expect("distinct keys per batch fit in u32");
+        let (slot, count) = self.index.entry(key).or_insert((next, 0));
+        *count += 1;
+        self.marks.push((at, *slot));
+        (*slot as usize, *count)
+    }
+
+    /// Hold `t` for the seal; returns its position among the held tuples.
+    #[inline]
+    fn hold(&mut self, t: Tuple) -> u32 {
+        let at = u32::try_from(self.held.len()).expect(POSITIONS_FIT);
+        self.held.push(t);
+        at
     }
 
     #[inline]
     fn n_tuples(&self) -> usize {
-        self.tuples.len()
+        self.marks.len()
     }
 
     #[inline]
     fn n_keys(&self) -> usize {
-        self.slots.len()
+        self.index.len()
     }
 
-    /// The heartbeat: lay the key groups out back to back in `order` (every
-    /// key of the batch, once), sized by `count_of(slot)`, from index `base`
-    /// of the batch's whole arena, appending them to `groups`; get this log's
-    /// slice of that arena, its length exactly the log's, from `arena(log)`;
-    /// scatter the log once into it, each tuple to its group's next free
-    /// index, so groups keep arrival order and every entry is overwritten;
-    /// and forget the batch, keeping every allocation for the next one.
-    /// Returns the arena. `arena` runs after the layout, so a copy of the
-    /// log made there is still in cache when the scatter reads the log
-    /// again.
-    fn scatter_into<A: AsMut<[Tuple]>>(
+    /// The heartbeat, once `order` holds every key of the batch with its
+    /// exact count and its slot, in seal order: lay the key groups out back
+    /// to back from index `base` of the batch's whole arena, appending them
+    /// to `groups`; scatter every arrival, read at its position in
+    /// `arrivals` (the held tuples when `None`), into `arena` — this
+    /// accumulator's slice of the whole arena, exactly its length — each to
+    /// its group's next free index, so groups keep arrival order and every
+    /// entry is overwritten; and forget the batch, keeping every allocation
+    /// for the next one.
+    fn scatter_into(
         &mut self,
-        order: impl Iterator<Item = Key>,
-        count_of: impl Fn(usize) -> usize,
+        arrivals: Option<&[Tuple]>,
         base: usize,
         groups: &mut Vec<KeyGroup>,
-        arena: impl FnOnce(&[Tuple]) -> A,
-    ) -> A {
+        arena: &mut [Tuple],
+    ) {
         self.cursors.clear();
-        self.cursors.resize(self.slots.len(), 0);
+        self.cursors.resize(self.index.len(), 0);
+        let cursors = &mut self.cursors;
         let mut offset = 0;
-        let first = groups.len();
-        groups.extend(order.map(|key| {
-            let slot = self.slots[&key] as usize;
+        groups.extend(self.order.iter().map(|&(count, key, slot)| {
+            cursors[slot as usize] = offset;
             let group = KeyGroup {
                 key,
-                count: count_of(slot),
+                count: count as usize,
                 offset: base + offset,
             };
-            self.cursors[slot] = offset;
             offset += group.count;
             group
         }));
-        debug_assert_eq!(groups.len() - first, self.slots.len(), "order misses keys");
-        debug_assert_eq!(offset, self.tuples.len(), "counts miss tuples");
+        debug_assert_eq!(self.order.len(), self.index.len(), "order misses keys");
+        debug_assert_eq!(offset, self.marks.len(), "counts miss tuples");
 
-        let mut arena = arena(&self.tuples);
-        let slice = arena.as_mut();
         assert_eq!(
-            slice.len(),
-            self.tuples.len(),
+            arena.len(),
+            self.marks.len(),
             "arena slice is not the batch's size"
         );
-        for (t, &slot) in self.tuples.iter().zip(&self.slot_of) {
-            let at = &mut self.cursors[slot as usize];
-            slice[*at] = *t;
-            *at += 1;
+        let arrivals = arrivals.unwrap_or(&self.held);
+        for &(at, slot) in &self.marks {
+            let next = &mut self.cursors[slot as usize];
+            arena[*next] = arrivals[at as usize];
+            *next += 1;
         }
 
-        self.slots.clear();
-        self.tuples.clear();
-        self.slot_of.clear();
-        arena
+        self.index.clear();
+        self.marks.clear();
+        self.held.clear();
+        self.order.clear();
     }
 }
 
-/// Per-key bookkeeping stored in the `HTable`, indexed by slot.
+/// Per-key bookkeeping stored in the `HTable` beside the exact count
+/// (`k.Freq_Current`, kept in the shared index), indexed by slot.
 #[derive(Clone, Copy, Debug)]
 struct KeyEntry {
-    /// `k.Freq_Current`: exact frequency so far.
-    freq_current: u64,
     /// `k.Freq_Updated`: frequency currently recorded in the `CountTree`.
     freq_in_tree: u64,
     /// Remaining tree-update budget for this batch.
@@ -195,10 +215,51 @@ pub struct BatchStats {
     pub tree_updates: u64,
 }
 
+/// The record step and the scatter every accumulator shares, through which
+/// [`ShardedAccumulator`] drives its shards. The module is private to the
+/// crate, so only this crate implements [`BatchAccumulator`].
+pub(crate) mod sealed {
+    use crate::batch::KeyGroup;
+    use crate::types::{Interval, Key, Time, Tuple};
+
+    pub trait Slots {
+        /// Record one arrival of `key` at time `ts` that the seal reads at
+        /// `arrivals[at]`: its key's slot and count, and nothing else of the
+        /// tuple. Only the budgeted accumulator reads `ts`.
+        fn record(&mut self, at: u32, key: Key, ts: Time);
+
+        /// Record every tuple of `arrivals` at its own index, on up to
+        /// `threads` workers where the accumulator can use them.
+        fn record_all(&mut self, arrivals: &[Tuple], _threads: usize) {
+            for (at, t) in arrivals.iter().enumerate() {
+                self.record(at as u32, t.key, t.ts);
+            }
+        }
+
+        /// The heartbeat: scatter every recorded arrival, read from
+        /// `arrivals` (the held tuples when `None`), into `arena` as
+        /// [`super::BatchAccumulator::seal_into`] lays it out; reset for
+        /// `next_interval`. Returns the interval the batch was buffered over.
+        fn scatter(
+            &mut self,
+            arrivals: Option<&[Tuple]>,
+            arena: &mut [Tuple],
+            base: usize,
+            next_interval: Interval,
+            groups: &mut Vec<KeyGroup>,
+        ) -> Interval;
+
+        /// Length and capacity of the held-tuple buffers.
+        #[cfg(test)]
+        fn held(&self) -> (usize, usize);
+    }
+}
+
 /// The common interface of batching-phase accumulators: the exact one the
 /// engine runs, the paper's budgeted one, and either of them sharded.
-pub trait BatchAccumulator: std::fmt::Debug + Send {
-    /// Ingest one tuple; `t.ts` is used as the receiver-local clock.
+pub trait BatchAccumulator: std::fmt::Debug + Send + sealed::Slots {
+    /// Ingest one tuple; `t.ts` is used as the receiver-local clock. The
+    /// accumulator holds the tuple until the seal.
     fn ingest(&mut self, t: Tuple);
 
     /// Ingest an arrival-ordered slice, on up to `threads` threads where the
@@ -223,21 +284,57 @@ pub trait BatchAccumulator: std::fmt::Debug + Send {
     /// Seal the batch: emit the key groups, most frequent first (exactly or
     /// approximately, by implementation), and reset internal state for the
     /// next interval.
-    fn seal(&mut self, next_interval: Interval) -> SealedBatch;
+    fn seal(&mut self, next_interval: Interval) -> SealedBatch {
+        // What the arena holds is never read: the seal overwrites all of it.
+        let filler = Tuple::keyed(Time::ZERO, Key(0));
+        let mut arena = vec![filler; self.stats().n_tuples as usize];
+        let mut groups = Vec::new();
+        let interval = self.seal_into(&mut arena, 0, next_interval, &mut groups);
+        SealedBatch::new(groups, arena, interval)
+    }
 
-    /// [`BatchAccumulator::seal`] into a caller's buffers: scatter the batch
-    /// into `arena`, exactly [`BatchStats::n_tuples`] long and overwritten
-    /// whatever it holds, which starts at index `base` of the batch's whole
-    /// arena, and append its groups to `groups` in seal order, offsets
-    /// counted from `base`. Returns the interval the batch was buffered
-    /// over; resets like `seal`.
+    /// [`BatchAccumulator::seal`] into a caller's buffers: scatter the tuples
+    /// the accumulator was handed one at a time, each once, into `arena`,
+    /// exactly [`BatchStats::n_tuples`] long and overwritten whatever it
+    /// holds, which starts at index `base` of the batch's whole arena, and
+    /// append its groups to `groups` in seal order, offsets counted from
+    /// `base`. Returns the interval the batch was buffered over; resets like
+    /// `seal`.
     fn seal_into(
         &mut self,
         arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
         groups: &mut Vec<KeyGroup>,
-    ) -> Interval;
+    ) -> Interval {
+        self.scatter(None, arena, base, next_interval, groups)
+    }
+
+    /// Buffer a whole batch handed over as the caller's arrival-ordered
+    /// slice and seal it like [`BatchAccumulator::seal_into`], on up to
+    /// `threads` workers where the accumulator can use them. The accumulator
+    /// records each arrival's slot and position only, and the scatter reads
+    /// the tuples from `arrivals`: no tuple is copied before the arena. The
+    /// batch equals ingesting `arrivals` one by one and sealing; the
+    /// accumulator must hold no arrivals when it is called.
+    fn seal_slice_into(
+        &mut self,
+        arrivals: &[Tuple],
+        threads: usize,
+        arena: &mut [Tuple],
+        base: usize,
+        next_interval: Interval,
+        groups: &mut Vec<KeyGroup>,
+    ) -> Interval {
+        assert!(u32::try_from(arrivals.len()).is_ok(), "{POSITIONS_FIT}");
+        assert_eq!(
+            self.stats().n_tuples,
+            0,
+            "a slice seal starts from an empty accumulator"
+        );
+        self.record_all(arrivals, threads);
+        self.scatter(Some(arrivals), arena, base, next_interval, groups)
+    }
 
     /// Move the (empty) accumulator to another batch interval, when the one
     /// given to the previous `seal` turned out not to be the next batch's.
@@ -256,14 +353,14 @@ pub trait BatchAccumulator: std::fmt::Debug + Send {
 
 /// Algorithm 1: the frequency-aware micro-batch accumulator.
 ///
-/// One instance serves batch after batch: `seal` hands the batch out and
-/// keeps the index, log and counter allocations for the next interval.
+/// One instance serves batch after batch: a seal hands the batch out and
+/// keeps the index, slot and counter allocations for the next interval.
 #[derive(Clone, Debug)]
 pub struct FrequencyAwareAccumulator {
     cfg: AccumulatorConfig,
     interval: Interval,
-    log: ArrivalLog,
-    /// The `HTable`'s per-key counters, by slot.
+    slots: ArrivalSlots,
+    /// The `HTable`'s per-key update state, by slot.
     entries: Vec<KeyEntry>,
     tree: CountTree,
     tree_updates: u64,
@@ -275,7 +372,7 @@ impl FrequencyAwareAccumulator {
         FrequencyAwareAccumulator {
             cfg,
             interval,
-            log: ArrivalLog::default(),
+            slots: ArrivalSlots::default(),
             entries: Vec::new(),
             tree: CountTree::new(),
             tree_updates: 0,
@@ -291,71 +388,40 @@ impl FrequencyAwareAccumulator {
     pub fn tree(&self) -> &CountTree {
         &self.tree
     }
-
-    /// The heartbeat in tree order (`ArrivalLog::scatter_into`), then the
-    /// reset for `next_interval`. Returns the arena and the interval the
-    /// batch was buffered over.
-    fn seal_with<A: AsMut<[Tuple]>>(
-        &mut self,
-        base: usize,
-        next_interval: Interval,
-        groups: &mut Vec<KeyGroup>,
-        arena: impl FnOnce(&[Tuple]) -> A,
-    ) -> (A, Interval) {
-        // The traversal yields keys in quasi-descending frequency order; the
-        // groups carry the *exact* counts from the `HTable`.
-        debug_assert_eq!(self.tree.len(), self.log.n_keys(), "tree and HTable differ");
-        let entries = &self.entries;
-        let arena = self.log.scatter_into(
-            self.tree.iter_desc().map(|(key, _)| key),
-            |slot| entries[slot].freq_current as usize,
-            base,
-            groups,
-            arena,
-        );
-        // HTable and CountTree are cleared at every heartbeat (§4.1).
-        self.entries.clear();
-        self.tree.clear();
-        self.tree_updates = 0;
-        let interval = std::mem::replace(&mut self.interval, next_interval);
-        (arena, interval)
-    }
 }
 
-impl BatchAccumulator for FrequencyAwareAccumulator {
+impl sealed::Slots for FrequencyAwareAccumulator {
     #[inline]
-    fn ingest(&mut self, t: Tuple) {
-        let now = t.ts;
+    fn record(&mut self, at: u32, key: Key, now: Time) {
         let cfg = self.cfg;
         let t_end = self.interval.end;
-        let (slot, first_sighting) = self.log.push(t);
-        let n_c = self.log.n_tuples() as u64;
+        let (slot, count) = self.slots.record(at, key);
+        let n_c = self.slots.n_tuples() as u64;
 
-        if first_sighting {
+        if count == 1 {
             // Insert into HTable and CountTree (Alg. 1 l.25-30).
             self.entries.push(KeyEntry {
-                freq_current: 1,
                 freq_in_tree: 1,
                 budget_left: cfg.budget,
                 f_step: cfg.initial_f_step(),
                 t_step: Duration(t_end.since(now).0 / cfg.budget.max(1) as u64),
                 last_update: now,
             });
-            self.tree.insert(1, t.key);
+            self.tree.insert(1, key);
             return;
         }
 
         let entry = &mut self.entries[slot];
-        entry.freq_current += 1;
         if entry.budget_left == 0 {
             return;
         }
-        let by_frequency = entry.freq_current - entry.freq_in_tree >= entry.f_step;
+        let freq_current = u64::from(count);
+        let by_frequency = freq_current - entry.freq_in_tree >= entry.f_step;
         if !by_frequency && now.since(entry.last_update) < entry.t_step {
             // Not yet eligible for an update (Alg. 1 l.21).
             return;
         }
-        let (old, new) = (entry.freq_in_tree, entry.freq_current);
+        let (old, new) = (entry.freq_in_tree, freq_current);
         entry.budget_left -= 1;
         entry.freq_in_tree = new;
         entry.last_update = now;
@@ -368,10 +434,53 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
             // t.step = (t_end − now) / k.budget  (Alg. 1 l.19)
             entry.t_step = Duration(t_end.since(now).0 / entry.budget_left.max(1) as u64);
         }
-        let removed = self.tree.remove(old, t.key);
-        debug_assert!(removed, "stale tree count for {:?}", t.key);
-        self.tree.insert(new, t.key);
+        let removed = self.tree.remove(old, key);
+        debug_assert!(removed, "stale tree count for {key:?}");
+        self.tree.insert(new, key);
         self.tree_updates += 1;
+    }
+
+    /// The heartbeat in tree order, then the reset for `next_interval`.
+    fn scatter(
+        &mut self,
+        arrivals: Option<&[Tuple]>,
+        arena: &mut [Tuple],
+        base: usize,
+        next_interval: Interval,
+        groups: &mut Vec<KeyGroup>,
+    ) -> Interval {
+        // The traversal yields keys in quasi-descending frequency order, one
+        // index lookup each for the slot; the groups carry the *exact*
+        // counts from the `HTable`.
+        debug_assert_eq!(
+            self.tree.len(),
+            self.slots.n_keys(),
+            "tree and HTable differ"
+        );
+        let slots = &mut self.slots;
+        slots.order.extend(self.tree.iter_desc().map(|(key, _)| {
+            let (slot, count) = slots.index[&key];
+            (count, key, slot)
+        }));
+        slots.scatter_into(arrivals, base, groups, arena);
+        // HTable and CountTree are cleared at every heartbeat (§4.1).
+        self.entries.clear();
+        self.tree.clear();
+        self.tree_updates = 0;
+        std::mem::replace(&mut self.interval, next_interval)
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> (usize, usize) {
+        (self.slots.held.len(), self.slots.held.capacity())
+    }
+}
+
+impl BatchAccumulator for FrequencyAwareAccumulator {
+    #[inline]
+    fn ingest(&mut self, t: Tuple) {
+        let at = self.slots.hold(t);
+        sealed::Slots::record(self, at, t.key, t.ts);
     }
 
     fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
@@ -379,32 +488,15 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
         self.cfg.avg_keys = avg_keys;
     }
 
-    fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        // Scatter into a copy of the log; the scatter overwrites every entry.
-        let mut groups = Vec::new();
-        let (arena, interval) = self.seal_with(0, next_interval, &mut groups, <[Tuple]>::to_vec);
-        SealedBatch::new(groups, arena, interval)
-    }
-
-    fn seal_into(
-        &mut self,
-        arena: &mut [Tuple],
-        base: usize,
-        next_interval: Interval,
-        groups: &mut Vec<KeyGroup>,
-    ) -> Interval {
-        self.seal_with(base, next_interval, groups, |_| arena).1
-    }
-
     fn set_interval(&mut self, interval: Interval) {
-        debug_assert_eq!(self.log.n_tuples(), 0, "interval changed mid-batch");
+        debug_assert_eq!(self.slots.n_tuples(), 0, "interval changed mid-batch");
         self.interval = interval;
     }
 
     fn stats(&self) -> BatchStats {
         BatchStats {
-            n_tuples: self.log.n_tuples() as u64,
-            n_keys: self.log.n_keys() as u64,
+            n_tuples: self.slots.n_tuples() as u64,
+            n_keys: self.slots.n_keys() as u64,
             tree_updates: self.tree_updates,
         }
     }
@@ -418,11 +510,7 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
 #[derive(Clone, Debug, Default)]
 pub struct PostSortAccumulator {
     interval: Interval,
-    log: ArrivalLog,
-    /// Exact per-key counts, by slot.
-    counts: Vec<usize>,
-    /// Seal scratch: every key and its count, in seal order.
-    order: Vec<(usize, Key)>,
+    slots: ArrivalSlots,
 }
 
 impl PostSortAccumulator {
@@ -433,72 +521,56 @@ impl PostSortAccumulator {
             ..PostSortAccumulator::default()
         }
     }
+}
 
-    /// The heartbeat in sorted order (`ArrivalLog::scatter_into`), then the
-    /// reset for `next_interval`. Returns the arena and the interval the
-    /// batch was buffered over.
-    fn seal_with<A: AsMut<[Tuple]>>(
+impl sealed::Slots for PostSortAccumulator {
+    #[inline]
+    fn record(&mut self, at: u32, key: Key, _ts: Time) {
+        self.slots.record(at, key);
+    }
+
+    /// The heartbeat in sorted order, then the reset for `next_interval`.
+    fn scatter(
         &mut self,
+        arrivals: Option<&[Tuple]>,
+        arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
         groups: &mut Vec<KeyGroup>,
-        arena: impl FnOnce(&[Tuple]) -> A,
-    ) -> (A, Interval) {
+    ) -> Interval {
         // The sort the frequency-aware accumulator avoids: every key, by
-        // exact `(count desc, key asc)`.
-        let (counts, order) = (&self.counts, &mut self.order);
-        order.clear();
-        order.extend((self.log.slots.iter()).map(|(&key, &slot)| (counts[slot as usize], key)));
-        order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let arena = self.log.scatter_into(
-            order.iter().map(|&(_, key)| key),
-            |slot| counts[slot],
-            base,
-            groups,
-            arena,
-        );
-        self.counts.clear();
-        let interval = std::mem::replace(&mut self.interval, next_interval);
-        (arena, interval)
+        // exact `(count desc, key asc)`, carrying its slot so the layout
+        // probes no index.
+        let slots = &mut self.slots;
+        let keys = slots.index.iter();
+        (slots.order).extend(keys.map(|(&key, &(slot, count))| (count, key, slot)));
+        (slots.order).sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        slots.scatter_into(arrivals, base, groups, arena);
+        std::mem::replace(&mut self.interval, next_interval)
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> (usize, usize) {
+        (self.slots.held.len(), self.slots.held.capacity())
     }
 }
 
 impl BatchAccumulator for PostSortAccumulator {
     #[inline]
     fn ingest(&mut self, t: Tuple) {
-        let (slot, first_sighting) = self.log.push(t);
-        if first_sighting {
-            self.counts.push(0);
-        }
-        self.counts[slot] += 1;
-    }
-
-    fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        // Scatter into a copy of the log; the scatter overwrites every entry.
-        let mut groups = Vec::new();
-        let (arena, interval) = self.seal_with(0, next_interval, &mut groups, <[Tuple]>::to_vec);
-        SealedBatch::new(groups, arena, interval)
-    }
-
-    fn seal_into(
-        &mut self,
-        arena: &mut [Tuple],
-        base: usize,
-        next_interval: Interval,
-        groups: &mut Vec<KeyGroup>,
-    ) -> Interval {
-        self.seal_with(base, next_interval, groups, |_| arena).1
+        let at = self.slots.hold(t);
+        sealed::Slots::record(self, at, t.key, t.ts);
     }
 
     fn set_interval(&mut self, interval: Interval) {
-        debug_assert_eq!(self.log.n_tuples(), 0, "interval changed mid-batch");
+        debug_assert_eq!(self.slots.n_tuples(), 0, "interval changed mid-batch");
         self.interval = interval;
     }
 
     fn stats(&self) -> BatchStats {
         BatchStats {
-            n_tuples: self.log.n_tuples() as u64,
-            n_keys: self.log.n_keys() as u64,
+            n_tuples: self.slots.n_tuples() as u64,
+            n_keys: self.slots.n_keys() as u64,
             tree_updates: 0,
         }
     }

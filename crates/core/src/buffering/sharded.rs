@@ -13,21 +13,26 @@
 //! * **Counts are exact and shard-invariant.** Sealed groups carry exact
 //!   per-key counts, so the frequency table is identical to the serial
 //!   accumulator's for *any* shard count.
-//! * **Parallel ≡ serial.** [`ShardedAccumulator::par_ingest`] scatters the
-//!   arrival slice into per-shard sub-streams (chunked across workers, in
-//!   arrival order), then gives each worker exclusive ownership of a
-//!   contiguous shard range; scattering keeps arrival order within every
-//!   shard, so each shard sees exactly the sub-stream it would see under
-//!   serial ingest, in the same order. The sealed output is bit-identical
-//!   to serially ingesting the same tuples, regardless of thread count.
-//!   Both phases run on the process's fan-out pool ([`crate::par`]): each
-//!   shard range is one task, handed out once, and the scatter's
-//!   per-(chunk, shard) runs are cleared for the next batch, not rebuilt.
+//! * **Parallel ≡ serial.** [`ShardedAccumulator::par_ingest`] and the
+//!   slice seal route the arrival slice to the shards in two phases: the
+//!   positions and keys of contiguous arrival chunks go into per-(chunk,
+//!   shard) runs, in arrival order, then each worker walks the runs of a contiguous shard
+//!   range it owns. Routing keeps arrival order within every shard, so each
+//!   shard sees exactly the sub-stream it would see under serial ingest, in
+//!   the same order. The sealed output is bit-identical to serially
+//!   ingesting the same tuples, regardless of thread count. Both phases run
+//!   on the process's fan-out pool ([`crate::par`]): each shard range is one
+//!   task, handed out once, and the runs are cleared for the next batch, not
+//!   rebuilt.
 //! * **The seal is parallel and in place.** One arena holds the whole batch,
 //!   split into one slice per shard; on the same workers, each shard sorts
-//!   its keys and scatters its log into its own slice. A group's tuples stay
-//!   contiguous, in arrival order, in its shard's slice, so the arena is not
-//!   in group order — only the group descriptors are merged.
+//!   its keys and scatters its arrivals into its own slice. On the engine's
+//!   path ([`BatchAccumulator::seal_slice_into`]) a shard keeps no tuples,
+//!   only each arrival's position, and its scatter reads `arrivals[pos]`
+//!   from the caller's slice; tuples handed over one at a time are held by
+//!   the shard they route to. A group's tuples stay contiguous, in arrival
+//!   order, in its shard's slice, so the arena is not in group order — only
+//!   the group descriptors are merged.
 //! * **Exact shards: any shard count ≡ the serial seal.** At seal the
 //!   per-shard group lists are combined by a k-way merge on exact
 //!   `(count desc, key asc)`. [`ShardedAccumulator::exact`]'s shards are
@@ -47,9 +52,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut, Range};
 
-use crate::batch::{KeyGroup, SealedBatch};
+use crate::batch::KeyGroup;
+use crate::buffering::sealed::Slots;
 use crate::buffering::{
-    AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator, PostSortAccumulator,
+    AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator,
+    PostSortAccumulator, POSITIONS_FIT,
 };
 use crate::hash::bucket_of;
 use crate::par::map_mut;
@@ -93,12 +100,12 @@ impl<T> DerefMut for OwnLines<T> {
 #[derive(Clone, Debug)]
 pub struct ShardedAccumulator<A = FrequencyAwareAccumulator> {
     shards: Vec<OwnLines<A>>,
-    /// The workers the last [`ShardedAccumulator::par_ingest`] ran on; the
-    /// seal runs on as many.
+    /// The workers the last routing ([`ShardedAccumulator::par_ingest`] or a
+    /// slice seal) ran on; the seal runs on as many.
     threads: usize,
-    /// The parallel scatter's per-(chunk, shard) runs, chunk by chunk, kept
-    /// from batch to batch: cleared, never dropped.
-    runs: Vec<OwnLines<Vec<Tuple>>>,
+    /// The routing's per-(chunk, shard) runs of arrival positions and keys,
+    /// chunk by chunk, kept from batch to batch: cleared, never dropped.
+    runs: Vec<OwnLines<Vec<(u32, Key)>>>,
     /// Each shard's sealed group list, merged and cleared at every seal.
     lists: Vec<Vec<KeyGroup>>,
 }
@@ -153,25 +160,39 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         bucket_of(SHARD_SEED, key, self.shards.len())
     }
 
-    /// Ingest an arrival-ordered slice on `threads` workers, in two
-    /// parallel phases: scatter the arrivals into per-shard sub-streams
-    /// (one hash and one copy per tuple), then ingest each shard's
-    /// sub-stream on the worker owning it. Scattering preserves arrival
-    /// order within every shard, so the result is bit-identical to serial
-    /// ingest for any thread count. The next seal runs on as many workers.
+    /// Ingest an arrival-ordered slice on `threads` workers: route it
+    /// ([`Self::route`]), and each shard holds its own sub-stream for the
+    /// seal. The result is bit-identical to serial ingest for any thread
+    /// count. The next seal runs on as many workers.
     pub fn par_ingest(&mut self, tuples: &[Tuple], threads: usize) {
+        self.route(tuples, threads, |shard, at, _| {
+            shard.ingest(tuples[at as usize])
+        });
+    }
+
+    /// Hand every arrival to its shard as `f(shard, position, key)` on
+    /// `threads` workers, in two parallel phases: route the positions and
+    /// keys of contiguous arrival chunks into per-(chunk, shard) runs (one
+    /// hash and no tuple copy per arrival), then walk each shard's runs on
+    /// the worker owning it. Routing preserves arrival order within every
+    /// shard, so each shard sees exactly the sub-stream serial ingest would
+    /// deliver, in the same order.
+    fn route(&mut self, tuples: &[Tuple], threads: usize, f: impl Fn(&mut A, u32, Key) + Sync) {
+        assert!(u32::try_from(tuples.len()).is_ok(), "{POSITIONS_FIT}");
         let n_shards = self.shards.len();
         self.threads = threads.clamp(1, n_shards);
         if self.threads == 1 {
-            for &t in tuples {
-                self.ingest(t);
+            for (at, t) in tuples.iter().enumerate() {
+                let s = self.shard_of(t.key);
+                f(&mut self.shards[s], at as u32, t.key);
             }
             return;
         }
-        // Phase 1 (parallel): scatter contiguous arrival chunks into
-        // per-(chunk, shard) runs. Chunks are taken in arrival order, so the
-        // concatenation of a shard's runs is the stable sub-stream serial
-        // ingest would deliver, whatever the chunk boundaries.
+        // Phase 1 (parallel): route contiguous arrival chunks into
+        // per-(chunk, shard) runs of `(position, key)`. Chunks are taken in
+        // arrival order, so the concatenation of a shard's runs is the stable
+        // sub-stream serial ingest would deliver, whatever the chunk
+        // boundaries.
         let chunk_len = tuples.len().div_ceil(self.threads).max(1);
         let n_runs = tuples.len().div_ceil(chunk_len) * n_shards;
         if self.runs.len() < n_runs {
@@ -179,26 +200,27 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         }
         let mut chunks: Vec<_> = self.runs[..n_runs].chunks_mut(n_shards).collect();
         map_mut(&mut chunks, self.threads, |c, runs| {
-            let chunk = &tuples[c * chunk_len..tuples.len().min((c + 1) * chunk_len)];
+            let first = c * chunk_len;
+            let chunk = &tuples[first..tuples.len().min(first + chunk_len)];
             for run in runs.iter_mut() {
                 run.clear();
                 run.reserve(chunk.len() / n_shards + 1);
             }
-            for &t in chunk {
-                runs[bucket_of(SHARD_SEED, t.key, n_shards)].push(t);
+            for (at, t) in (first as u32..).zip(chunk) {
+                runs[bucket_of(SHARD_SEED, t.key, n_shards)].push((at, t.key));
             }
         });
-        // Phase 2 (parallel): each shard ingests its runs in chunk (=
-        // arrival) order on the worker owning it.
+        // Phase 2 (parallel): each shard takes its runs in chunk (= arrival)
+        // order on the worker owning it.
         let runs = &self.runs[..n_runs];
         per_shard(&mut self.shards, self.threads, |si, shard| {
-            for &t in runs
+            for &(at, key) in runs
                 .iter()
                 .skip(si)
                 .step_by(n_shards)
                 .flat_map(|run| run.iter())
             {
-                shard.ingest(t);
+                f(shard, at, key);
             }
         });
     }
@@ -264,42 +286,26 @@ fn merge_order(lists: &[Vec<KeyGroup>], merged: &mut Vec<KeyGroup>) {
     }
 }
 
-impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
-    fn ingest(&mut self, t: Tuple) {
-        let s = self.shard_of(t.key);
-        self.shards[s].ingest(t);
+impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
+    fn record(&mut self, at: u32, key: Key, ts: Time) {
+        let s = self.shard_of(key);
+        self.shards[s].record(at, key, ts);
     }
 
-    fn ingest_all(&mut self, tuples: &[Tuple], threads: usize) {
-        self.par_ingest(tuples, threads);
+    fn record_all(&mut self, arrivals: &[Tuple], threads: usize) {
+        // An exact shard ignores `ts`, so once `record` inlines the load is
+        // dead and the shard reads the slice only to scatter.
+        let ts = |at: u32| arrivals[at as usize].ts;
+        self.route(arrivals, threads, |shard, at, key| {
+            shard.record(at, key, ts(at))
+        });
     }
 
-    /// Every shard takes its share of the whole-batch estimates.
-    fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
-        let (est_tuples, avg_keys) = shard_estimates(est_tuples, avg_keys, self.shards.len());
-        for shard in &mut self.shards {
-            shard.set_estimates(est_tuples, avg_keys);
-        }
-    }
-
-    fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn seal(&mut self, next_interval: Interval) -> SealedBatch {
-        // One arena for the whole batch. What it is filled with is never
-        // read: every shard's scatter overwrites all of its slice.
-        let n_tuples = self.stats().n_tuples as usize;
-        let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); n_tuples];
-        let mut groups = Vec::new();
-        let interval = self.seal_into(&mut arena, 0, next_interval, &mut groups);
-        SealedBatch::new(groups, arena, interval)
-    }
-
-    /// Each shard sorts its keys and scatters its log into its own slice of
-    /// `arena`, in parallel; then the shards' group lists merge.
-    fn seal_into(
+    /// Each shard sorts its keys and scatters its arrivals into its own
+    /// slice of `arena`, in parallel; then the shards' group lists merge.
+    fn scatter(
         &mut self,
+        arrivals: Option<&[Tuple]>,
         arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
@@ -322,10 +328,40 @@ impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
         let intervals = per_shard(
             &mut slices,
             self.threads,
-            |_, (shard, slice, base, list)| shard.seal_into(slice, *base, next_interval, list),
+            |_, (shard, slice, base, list)| {
+                shard.scatter(arrivals, slice, *base, next_interval, list)
+            },
         );
         merge_order(&self.lists, groups);
         intervals[0]
+    }
+
+    #[cfg(test)]
+    fn held(&self) -> (usize, usize) {
+        (self.shards.iter().map(|s| s.held())).fold((0, 0), |(len, cap), (l, c)| (len + l, cap + c))
+    }
+}
+
+impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
+    fn ingest(&mut self, t: Tuple) {
+        let s = self.shard_of(t.key);
+        self.shards[s].ingest(t);
+    }
+
+    fn ingest_all(&mut self, tuples: &[Tuple], threads: usize) {
+        self.par_ingest(tuples, threads);
+    }
+
+    /// Every shard takes its share of the whole-batch estimates.
+    fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
+        let (est_tuples, avg_keys) = shard_estimates(est_tuples, avg_keys, self.shards.len());
+        for shard in &mut self.shards {
+            shard.set_estimates(est_tuples, avg_keys);
+        }
+    }
+
+    fn n_shards(&self) -> usize {
+        self.shards.len()
     }
 
     fn set_interval(&mut self, interval: Interval) {
@@ -349,7 +385,8 @@ impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Duration, Time};
+    use crate::batch::SealedBatch;
+    use crate::types::Duration;
 
     fn interval_secs(a: u64, b: u64) -> Interval {
         Interval::new(Time::from_secs(a), Time::from_secs(b))

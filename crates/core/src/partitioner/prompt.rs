@@ -56,10 +56,11 @@ pub struct PromptPartitioner {
     mode: BufferingMode,
     /// `K_Avg` the frequency-aware accumulator is re-seeded with every batch.
     avg_keys: f64,
-    /// The batching-phase buffer, refilled every batch so the index, log,
-    /// counter and shard allocations are made once per run. Either mode
-    /// runs serial or sharded for parallel ingest; an exact buffer seals
-    /// the same batch either way.
+    /// The batching-phase buffer, refilled every batch so the index, slot,
+    /// counter and shard allocations are made once per run; it is handed
+    /// each batch's slice and holds no tuple. Either mode runs serial or
+    /// sharded for parallel ingest; an exact buffer seals the same batch
+    /// either way.
     buffer: Box<dyn BatchAccumulator>,
     /// Worker threads for parallel ingest and plan materialization.
     threads: usize,
@@ -494,13 +495,13 @@ impl PromptPartitioner {
         })
     }
 
-    /// The one partition pipeline: replay the arrivals through the owned
-    /// accumulator and seal it into the spare arena (Algorithm 1), assign
-    /// pieces symbolically (Algorithm 2 — the same code for either layout),
-    /// `materialize` the plan from the spare plan's buffers, and take the
-    /// arena back; with a wall clock around each phase. The timings drive
-    /// the observability layer's per-stage breakdowns (Fig. 14's overhead
-    /// story) and never influence the plan.
+    /// The one partition pipeline: hand the arrivals to the owned
+    /// accumulator, which seals them into the spare arena (Algorithm 1),
+    /// assign pieces symbolically (Algorithm 2 — the same code for either
+    /// layout), `materialize` the plan from the spare plan's buffers, and
+    /// take the arena back; with a wall clock around each phase. The timings
+    /// drive the observability layer's per-stage breakdowns (Fig. 14's
+    /// overhead story) and never influence the plan.
     fn pipeline<P>(
         &mut self,
         tuples: &[Tuple],
@@ -510,12 +511,19 @@ impl PromptPartitioner {
     ) -> (P, PartitionPhases) {
         let t0 = std::time::Instant::now();
         let (mut groups, mut arena) = std::mem::take(&mut self.sealed);
-        let acc = self.buffer_arrivals(tuples, interval);
+        // With no history from the caller, the frequency-aware `N_Est` is
+        // re-seeded from the batch itself.
+        let buffer = &mut self.buffer;
+        buffer.set_estimates(tuples.len().max(1) as f64, self.avg_keys);
+        buffer.set_interval(interval);
         // What the arena holds is never read: the seal overwrites all of it.
         let filler = Tuple::keyed(Time::ZERO, Key(0));
-        arena.resize(acc.stats().n_tuples as usize, filler);
+        arena.resize(tuples.len(), filler);
         groups.clear();
-        let interval = acc.seal_into(&mut arena, 0, interval, &mut groups);
+        // The batching phase of §4.1 and its heartbeat in one call: the
+        // accumulator keeps slots, not tuples, and scatters from `tuples`.
+        let interval =
+            buffer.seal_slice_into(tuples, self.threads, &mut arena, 0, interval, &mut groups);
         let sealed = SealedBatch::new(groups, arena, interval);
         let seal_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
@@ -533,22 +541,6 @@ impl PromptPartitioner {
             materialize_us,
         };
         (plan, phases)
-    }
-
-    /// Replay one batch's arrivals through the owned accumulator (the
-    /// batching phase of §4.1), ready to seal at the heartbeat. With no
-    /// history from the caller, the frequency-aware `N_Est` is re-seeded
-    /// from the batch itself.
-    fn buffer_arrivals(
-        &mut self,
-        tuples: &[Tuple],
-        interval: Interval,
-    ) -> &mut dyn BatchAccumulator {
-        let est_tuples = tuples.len().max(1) as f64;
-        self.buffer.set_estimates(est_tuples, self.avg_keys);
-        self.buffer.set_interval(interval);
-        self.buffer.ingest_all(tuples, self.threads);
-        &mut *self.buffer
     }
 }
 
@@ -855,6 +847,30 @@ mod tests {
             for needle in &needles {
                 assert!(!line.contains(needle), "prompt.rs:{}: `{needle}`", n + 1);
             }
+        }
+    }
+
+    /// Shape guard: the pipeline hands the accumulator the batch's own
+    /// slice, so no tuple is copied before the seal: after a partition in
+    /// either layout, in every mode and ingest geometry, the accumulator's
+    /// held-tuple buffer is empty and has never allocated.
+    #[test]
+    fn prompt_shape_the_accumulator_holds_no_tuples() {
+        let mb = zipfish_batch(120, 900);
+        for (mode, shards, threads) in [
+            (BufferingMode::PostSort, 1, 1),
+            (BufferingMode::PostSort, 4, 2),
+            (BufferingMode::FrequencyAware, 1, 1),
+            (BufferingMode::FrequencyAware, 4, 2),
+        ] {
+            let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
+            let what = format!("{mode:?} shards={shards} threads={threads}");
+            let (plan, _) = part.partition_phased(&mb, 4);
+            assert_eq!(plan.total_tuples(), mb.len(), "{what}");
+            assert_eq!(part.buffer.held(), (0, 0), "{what}: rows");
+            part.partition_columnar(&mb, 4)
+                .expect("Prompt has a columnar path");
+            assert_eq!(part.buffer.held(), (0, 0), "{what}: columns");
         }
     }
 

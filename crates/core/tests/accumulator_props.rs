@@ -37,6 +37,15 @@ fn ingest_all<A: BatchAccumulator>(acc: &mut A, tuples: &[Tuple]) {
     }
 }
 
+/// The engine's entry point: seal `tuples` handed over as one slice, on
+/// `threads` workers, into a fresh arena.
+fn seal_slice<A: BatchAccumulator>(acc: &mut A, tuples: &[Tuple], threads: usize) -> SealedBatch {
+    let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); tuples.len()];
+    let mut groups = Vec::new();
+    let interval = acc.seal_slice_into(tuples, threads, &mut arena, 0, IV, &mut groups);
+    SealedBatch::new(groups, arena, interval)
+}
+
 /// Algorithm 1 with no tree: replay the per-key `f.step` / `t.step` / budget
 /// rules of §4.1 to learn which frequency each key last published, then sort
 /// by that `(published frequency, key)` descending — the order an in-order
@@ -209,7 +218,9 @@ proptest! {
     /// Exact shards seal the serial exact batch — same groups, counts and
     /// per-group arrival order — for every shard and thread count, and keep
     /// doing so when the same accumulators are refilled with a batch over a
-    /// smaller key set (then an empty one).
+    /// smaller key set (then an empty one). Every accumulator seals each
+    /// batch twice, tuple by tuple and then as one slice, so a seal through
+    /// either entry point follows one through the other.
     #[test]
     fn exact_shards_seal_the_serial_batch_for_any_geometry(
         stream in stream_strategy(),
@@ -230,12 +241,17 @@ proptest! {
             let want = serial.seal(IV);
             assert_groups_hold_arrivals(&want, batch);
             prop_assert_eq!(want.adjacent_inversions(), 0);
+            prop_assert_eq!(&seal_slice(&mut serial, batch, 1), &want, "serial slice seal");
             for (shards, threads, acc) in &mut sharded {
                 acc.par_ingest(batch, *threads);
                 prop_assert_eq!(acc.stats(), stats);
                 prop_assert_eq!(
                     &acc.seal(IV), &want,
                     "{} shards / {} threads", shards, threads
+                );
+                prop_assert_eq!(
+                    &seal_slice(acc, batch, *threads), &want,
+                    "{} shards / {} threads, slice seal", shards, threads
                 );
             }
         }
@@ -245,7 +261,9 @@ proptest! {
     /// sharded at 1/2/4/7 shards × 1/2/3 threads — with each range holding
     /// its key's arrivals in order, on a random batch, the empty one, one key
     /// and a few keys (so some shards' slices are empty). A budgeted-sharded
-    /// seal does not depend on the thread count.
+    /// seal does not depend on the thread count. Each accumulator then seals
+    /// the batch again as one slice, which must equal its tuple-by-tuple
+    /// seal.
     #[test]
     fn sealed_groups_tile_the_arena(stream in stream_strategy(), few in 1u64..4) {
         let wide = tuples_of(&stream, 0);
@@ -259,20 +277,33 @@ proptest! {
             };
             let mut exact = PostSortAccumulator::new(IV);
             ingest_all(&mut exact, batch);
-            check(&exact.seal(IV));
+            let sealed = exact.seal(IV);
+            check(&sealed);
+            prop_assert_eq!(&seal_slice(&mut exact, batch, 1), &sealed, "exact slice seal");
             let mut budgeted = FrequencyAwareAccumulator::new(cfg, IV);
             ingest_all(&mut budgeted, batch);
-            check(&budgeted.seal(IV));
+            let sealed = budgeted.seal(IV);
+            check(&sealed);
+            prop_assert_eq!(&seal_slice(&mut budgeted, batch, 1), &sealed, "budgeted slice seal");
             for shards in [1, 2, 4, 7] {
                 let mut at_one_thread = None;
                 for threads in [1, 2, 3] {
                     let mut exact = ShardedAccumulator::exact(shards, IV);
                     exact.par_ingest(batch, threads);
-                    check(&exact.seal(IV));
+                    let sealed = exact.seal(IV);
+                    check(&sealed);
+                    prop_assert_eq!(
+                        &seal_slice(&mut exact, batch, threads), &sealed,
+                        "exact {} shards / {} threads, slice seal", shards, threads
+                    );
                     let mut budgeted = ShardedAccumulator::new(cfg, shards, IV);
                     budgeted.par_ingest(batch, threads);
                     let sealed = budgeted.seal(IV);
                     check(&sealed);
+                    prop_assert_eq!(
+                        &seal_slice(&mut budgeted, batch, threads), &sealed,
+                        "budgeted {} shards / {} threads, slice seal", shards, threads
+                    );
                     let want = at_one_thread.get_or_insert_with(|| sealed.clone());
                     prop_assert_eq!(&sealed, want, "{} shards / {} threads", shards, threads);
                 }
