@@ -31,19 +31,28 @@
 //! count (the paper's `HTable` with `Freq_Current`; the budgeted one keeps
 //! the rest of each key's entry in a dense vector by slot), and keep no copy
 //! of the batch: per arrival they record only its key's slot and its
-//! position in the slice the seal reads (`ArrivalSlots`). The engine hands
-//! its batch over as a slice ([`BatchAccumulator::seal_slice_into`]), so the
-//! tuples stay where it keeps them; callers that pass tuples one at a time
-//! have them held in one buffer instead. Sealing orders the keys as `(count, key, slot)`, turns that order
-//! into one arena offset per slot, and scatters the arrivals once from the
-//! slice into that arena, which the [`SealedBatch`] groups then index as
-//! ranges. Nothing is allocated per key.
+//! position in the slice the scatter reads (`ArrivalSlots`). The engine hands
+//! its batch over as a slice, so the tuples stay where it keeps them; callers
+//! that pass tuples one at a time have them held in one buffer instead.
+//!
+//! The heartbeat has two halves. *Order* sorts the keys as `(count, key,
+//! slot)` and lays their groups out from counts alone. *Scatter* writes each
+//! arrival once, from the slice to the next free position of its key's
+//! destination: a slice, then further slices in turn, one table entry per
+//! slot. The arena seal ([`BatchAccumulator::seal_into`] and its kin) gives
+//! every group its range of one arena, which the [`SealedBatch`] groups then
+//! index. The Prompt partitioner's row path runs the same two halves as
+//! record → order → assign → scatter: Algorithm 2 assigns pieces between
+//! them, and each key's destination is its pieces' slices of their blocks,
+//! so no arena is filled. Nothing is allocated per key.
 
 mod count_tree;
 mod sharded;
 
 pub use count_tree::CountTree;
 pub use sharded::ShardedAccumulator;
+
+use std::slice::IterMut;
 
 use crate::batch::{KeyGroup, SealedBatch};
 use crate::columnar::ColumnarSealed;
@@ -100,8 +109,6 @@ struct ArrivalSlots {
     held: Vec<Tuple>,
     /// Seal scratch: every key with its count and slot, in seal order.
     order: Vec<(u32, Key, u32)>,
-    /// Seal scratch: the arena index each slot's next tuple scatters to.
-    cursors: Vec<usize>,
 }
 
 impl ArrivalSlots {
@@ -134,56 +141,173 @@ impl ArrivalSlots {
         self.index.len()
     }
 
-    /// The heartbeat, once `order` holds every key of the batch with its
-    /// exact count and its slot, in seal order: lay the key groups out back
-    /// to back from index `base` of the batch's whole arena, appending them
-    /// to `groups`; scatter every arrival, read at its position in
-    /// `arrivals` (the held tuples when `None`), into `arena` — this
-    /// accumulator's slice of the whole arena, exactly its length — each to
-    /// its group's next free index, so groups keep arrival order and every
-    /// entry is overwritten; and forget the batch, keeping every allocation
-    /// for the next one.
-    fn scatter_into(
-        &mut self,
-        arrivals: Option<&[Tuple]>,
-        base: usize,
-        groups: &mut Vec<KeyGroup>,
-        arena: &mut [Tuple],
-    ) {
-        self.cursors.clear();
-        self.cursors.resize(self.index.len(), 0);
-        let cursors = &mut self.cursors;
-        let mut offset = 0;
-        groups.extend(self.order.iter().map(|&(count, key, slot)| {
-            cursors[slot as usize] = offset;
+    /// The heartbeat's first half, once `order` holds every key of the batch
+    /// with its exact count and its slot, in seal order: lay the key groups
+    /// out back to back from index `base` of the batch's whole arena,
+    /// appending them to `groups`, and each group's slot to `slots`.
+    fn order_into(&self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
+        debug_assert_eq!(self.order.len(), self.index.len(), "order misses keys");
+        let mut offset = base;
+        groups.extend(self.order.iter().map(|&(count, key, _)| {
             let group = KeyGroup {
                 key,
                 count: count as usize,
-                offset: base + offset,
+                offset,
             };
             offset += group.count;
             group
         }));
-        debug_assert_eq!(self.order.len(), self.index.len(), "order misses keys");
-        debug_assert_eq!(offset, self.marks.len(), "counts miss tuples");
+        slots.extend(self.order.iter().map(|&(_, _, slot)| slot));
+        debug_assert_eq!(offset - base, self.marks.len(), "counts miss tuples");
+    }
 
+    /// Lay every group's destination over `arena`, this accumulator's slice
+    /// of the whole arena, exactly its length: the groups back to back in
+    /// seal order, each at `heads[slot]`.
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
         assert_eq!(
             arena.len(),
             self.marks.len(),
             "arena slice is not the batch's size"
         );
+        let mut rest = arena;
+        for &(count, _, slot) in &self.order {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(count as usize);
+            heads[slot as usize] = mine.iter_mut();
+            rest = tail;
+        }
+    }
+
+    /// The heartbeat's second half, the one scatter loop: write every
+    /// arrival, read at its position in `arrivals` (the held tuples when
+    /// `None`), to the front of its key's destination `heads[slot]`, which
+    /// moves on to the next slice of `more[slot]` once full (`more` is empty
+    /// when no key has a second slice). Each group keeps arrival order and
+    /// every destination is filled. Then forget the batch, keeping every
+    /// allocation for the next one.
+    fn scatter_to<'a>(
+        &mut self,
+        arrivals: Option<&[Tuple]>,
+        heads: &mut [IterMut<'a, Tuple>],
+        more: &mut [&mut [IterMut<'a, Tuple>]],
+    ) {
+        assert_eq!(heads.len(), self.index.len(), "one destination per key");
         let arrivals = arrivals.unwrap_or(&self.held);
         for &(at, slot) in &self.marks {
-            let next = &mut self.cursors[slot as usize];
-            arena[*next] = arrivals[at as usize];
-            *next += 1;
+            // The tuple is read only once its destination is known: held
+            // across the cold call, it would be spilled on every arrival.
+            let head = &mut heads[slot as usize];
+            let to = match head.next() {
+                Some(to) => to,
+                None => next_slice(head, more.get_mut(slot as usize)),
+            };
+            *to = arrivals[at as usize];
         }
-
+        // A slot left short would leave stale tuples in a recycled block.
+        assert!(
+            heads.iter().all(|h| h.len() == 0) && more.iter().all(|m| m.is_empty()),
+            "a destination was not filled"
+        );
         self.index.clear();
         self.marks.clear();
         self.held.clear();
         self.order.clear();
     }
+}
+
+/// Move a key's full destination on to the first of its remaining slices,
+/// and take that slice's first position.
+#[cold]
+fn next_slice<'a>(
+    head: &mut IterMut<'a, Tuple>,
+    more: Option<&mut &mut [IterMut<'a, Tuple>]>,
+) -> &'a mut Tuple {
+    const FULL: &str = "more arrivals than the key's destination holds";
+    let more = more.expect(FULL);
+    let (next, rest) = std::mem::take(more).split_first_mut().expect(FULL);
+    (*head, *more) = (std::mem::take(next), rest);
+    head.next().expect("destination slices are never empty")
+}
+
+/// `v`'s allocation, emptied, as a vector of another element type of the
+/// same layout: a collect over the emptied vector reuses its buffer in place.
+/// This is how a destination table, which borrows one batch's buffers,
+/// keeps its own allocation for the next batch.
+pub(crate) fn relabel<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+/// The scatter's destination tables and the seal's group-to-slot table,
+/// kept from batch to batch: a key's destination is `heads[slot]`, then each
+/// slice of `more[slot]` in turn. Between batches `heads` and `more` are
+/// empty.
+#[derive(Debug, Default)]
+pub(crate) struct ScatterTables {
+    heads: Heads<'static>,
+    more: More<'static, 'static>,
+    pub(crate) slots: Vec<u32>,
+}
+
+/// Every key's current destination slice, as the positions left in it.
+pub(crate) type Heads<'a> = Vec<IterMut<'a, Tuple>>;
+/// Every key's later destination slices, in order.
+pub(crate) type More<'a, 'b> = Vec<&'b mut [IterMut<'a, Tuple>]>;
+
+impl ScatterTables {
+    /// `n` empty destinations and, when `chained`, `n` empty lists of later
+    /// slices (else none), in the kept allocations.
+    pub(crate) fn lend<'a, 'b>(&mut self, n: usize, chained: bool) -> (Heads<'a>, More<'a, 'b>) {
+        let mut heads = relabel(std::mem::take(&mut self.heads));
+        let mut more = relabel(std::mem::take(&mut self.more));
+        heads.resize_with(n, Default::default);
+        more.resize_with(if chained { n } else { 0 }, Default::default);
+        (heads, more)
+    }
+
+    /// Keep the tables' allocations.
+    pub(crate) fn keep(&mut self, (heads, more): (Heads<'_>, More<'_, '_>)) {
+        self.heads = relabel(heads);
+        self.more = relabel(more);
+    }
+}
+
+/// Record a whole batch handed over as the caller's arrival-ordered slice:
+/// the accumulator must hold no arrivals.
+pub(crate) fn record_slice<A: BatchAccumulator + ?Sized>(
+    acc: &mut A,
+    arrivals: &[Tuple],
+    threads: usize,
+) {
+    assert!(u32::try_from(arrivals.len()).is_ok(), "{POSITIONS_FIT}");
+    assert_eq!(
+        acc.stats().n_tuples,
+        0,
+        "a slice seal starts from an empty accumulator"
+    );
+    acc.record_all(arrivals, threads);
+}
+
+/// The arena seal: order the keys, lay their groups over `arena` and scatter
+/// the arrivals into it, with `tables` lent for the destinations.
+pub(crate) fn seal_arena<A: BatchAccumulator + ?Sized>(
+    acc: &mut A,
+    arrivals: Option<&[Tuple]>,
+    arena: &mut [Tuple],
+    base: usize,
+    next_interval: Interval,
+    groups: &mut Vec<KeyGroup>,
+    tables: &mut ScatterTables,
+) -> Interval {
+    tables.slots.clear();
+    acc.order(base, groups, &mut tables.slots);
+    let (mut heads, mut more) = tables.lend(acc.stats().n_keys as usize, false);
+    acc.carve(arena, &mut heads);
+    let interval = acc.scatter(arrivals, &mut heads, &mut more, next_interval);
+    tables.keep((heads, more));
+    interval
 }
 
 /// Per-key bookkeeping stored in the `HTable` beside the exact count
@@ -215,10 +339,13 @@ pub struct BatchStats {
     pub tree_updates: u64,
 }
 
-/// The record step and the scatter every accumulator shares, through which
-/// [`ShardedAccumulator`] drives its shards. The module is private to the
+/// The record, order and scatter steps every accumulator shares, through
+/// which [`ShardedAccumulator`] drives its shards and the partitioner writes
+/// each arrival straight into its block. The module is private to the
 /// crate, so only this crate implements [`BatchAccumulator`].
 pub(crate) mod sealed {
+    use std::slice::IterMut;
+
     use crate::batch::KeyGroup;
     use crate::types::{Interval, Key, Time, Tuple};
 
@@ -236,17 +363,30 @@ pub(crate) mod sealed {
             }
         }
 
-        /// The heartbeat: scatter every recorded arrival, read from
-        /// `arrivals` (the held tuples when `None`), into `arena` as
-        /// [`super::BatchAccumulator::seal_into`] lays it out; reset for
-        /// `next_interval`. Returns the interval the batch was buffered over.
-        fn scatter(
+        /// The heartbeat's first half: order the recorded keys, append
+        /// their groups to `groups`, laid out from `base` as the arena seal
+        /// lays them out, and each group's index in the destination table
+        /// [`Slots::scatter`] takes to `slots`. Only counts are read.
+        fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>);
+
+        /// Lay the ordered groups over `arena`, exactly the batch's length:
+        /// each group's range, as [`Slots::order`] laid it out, becomes its
+        /// destination in `heads` (one per key).
+        fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]);
+
+        /// The heartbeat's second half: write every recorded arrival, read
+        /// from `arrivals` (the held tuples when `None`), to its group's
+        /// destination — `heads[slot]`, then each slice of `more[slot]` in
+        /// turn, indexed as [`Slots::order`] numbered the groups; `more` is
+        /// empty when no group has a second slice — filling every one; reset
+        /// for `next_interval`. Returns the interval the batch was buffered
+        /// over.
+        fn scatter<'a>(
             &mut self,
             arrivals: Option<&[Tuple]>,
-            arena: &mut [Tuple],
-            base: usize,
+            heads: &mut [IterMut<'a, Tuple>],
+            more: &mut [&mut [IterMut<'a, Tuple>]],
             next_interval: Interval,
-            groups: &mut Vec<KeyGroup>,
         ) -> Interval;
 
         /// Length and capacity of the held-tuple buffers.
@@ -307,7 +447,8 @@ pub trait BatchAccumulator: std::fmt::Debug + Send + sealed::Slots {
         next_interval: Interval,
         groups: &mut Vec<KeyGroup>,
     ) -> Interval {
-        self.scatter(None, arena, base, next_interval, groups)
+        let tables = &mut ScatterTables::default();
+        seal_arena(self, None, arena, base, next_interval, groups, tables)
     }
 
     /// Buffer a whole batch handed over as the caller's arrival-ordered
@@ -326,14 +467,17 @@ pub trait BatchAccumulator: std::fmt::Debug + Send + sealed::Slots {
         next_interval: Interval,
         groups: &mut Vec<KeyGroup>,
     ) -> Interval {
-        assert!(u32::try_from(arrivals.len()).is_ok(), "{POSITIONS_FIT}");
-        assert_eq!(
-            self.stats().n_tuples,
-            0,
-            "a slice seal starts from an empty accumulator"
-        );
-        self.record_all(arrivals, threads);
-        self.scatter(Some(arrivals), arena, base, next_interval, groups)
+        record_slice(self, arrivals, threads);
+        let tables = &mut ScatterTables::default();
+        seal_arena(
+            self,
+            Some(arrivals),
+            arena,
+            base,
+            next_interval,
+            groups,
+            tables,
+        )
     }
 
     /// Move the (empty) accumulator to another batch interval, when the one
@@ -440,15 +584,8 @@ impl sealed::Slots for FrequencyAwareAccumulator {
         self.tree_updates += 1;
     }
 
-    /// The heartbeat in tree order, then the reset for `next_interval`.
-    fn scatter(
-        &mut self,
-        arrivals: Option<&[Tuple]>,
-        arena: &mut [Tuple],
-        base: usize,
-        next_interval: Interval,
-        groups: &mut Vec<KeyGroup>,
-    ) -> Interval {
+    /// The heartbeat in tree order.
+    fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
         // The traversal yields keys in quasi-descending frequency order, one
         // index lookup each for the slot; the groups carry the *exact*
         // counts from the `HTable`.
@@ -457,12 +594,27 @@ impl sealed::Slots for FrequencyAwareAccumulator {
             self.slots.n_keys(),
             "tree and HTable differ"
         );
-        let slots = &mut self.slots;
-        slots.order.extend(self.tree.iter_desc().map(|(key, _)| {
-            let (slot, count) = slots.index[&key];
+        let arrivals = &mut self.slots;
+        arrivals.order.extend(self.tree.iter_desc().map(|(key, _)| {
+            let (slot, count) = arrivals.index[&key];
             (count, key, slot)
         }));
-        slots.scatter_into(arrivals, base, groups, arena);
+        arrivals.order_into(base, groups, slots);
+    }
+
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
+        self.slots.carve(arena, heads);
+    }
+
+    /// The scatter, then the reset for `next_interval`.
+    fn scatter<'a>(
+        &mut self,
+        arrivals: Option<&[Tuple]>,
+        heads: &mut [IterMut<'a, Tuple>],
+        more: &mut [&mut [IterMut<'a, Tuple>]],
+        next_interval: Interval,
+    ) -> Interval {
+        self.slots.scatter_to(arrivals, heads, more);
         // HTable and CountTree are cleared at every heartbeat (§4.1).
         self.entries.clear();
         self.tree.clear();
@@ -529,23 +681,31 @@ impl sealed::Slots for PostSortAccumulator {
         self.slots.record(at, key);
     }
 
-    /// The heartbeat in sorted order, then the reset for `next_interval`.
-    fn scatter(
-        &mut self,
-        arrivals: Option<&[Tuple]>,
-        arena: &mut [Tuple],
-        base: usize,
-        next_interval: Interval,
-        groups: &mut Vec<KeyGroup>,
-    ) -> Interval {
+    /// The heartbeat in sorted order.
+    fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
         // The sort the frequency-aware accumulator avoids: every key, by
         // exact `(count desc, key asc)`, carrying its slot so the layout
         // probes no index.
-        let slots = &mut self.slots;
-        let keys = slots.index.iter();
-        (slots.order).extend(keys.map(|(&key, &(slot, count))| (count, key, slot)));
-        (slots.order).sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        slots.scatter_into(arrivals, base, groups, arena);
+        let arrivals = &mut self.slots;
+        let keys = arrivals.index.iter();
+        (arrivals.order).extend(keys.map(|(&key, &(slot, count))| (count, key, slot)));
+        (arrivals.order).sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        arrivals.order_into(base, groups, slots);
+    }
+
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
+        self.slots.carve(arena, heads);
+    }
+
+    /// The scatter, then the reset for `next_interval`.
+    fn scatter<'a>(
+        &mut self,
+        arrivals: Option<&[Tuple]>,
+        heads: &mut [IterMut<'a, Tuple>],
+        more: &mut [&mut [IterMut<'a, Tuple>]],
+        next_interval: Interval,
+    ) -> Interval {
+        self.slots.scatter_to(arrivals, heads, more);
         std::mem::replace(&mut self.interval, next_interval)
     }
 
@@ -791,6 +951,20 @@ mod tests {
         let a = row.seal(interval_secs(1, 2));
         let b = col.seal_columnar(interval_secs(1, 2));
         assert_eq!(b.to_sealed(), a);
+    }
+
+    /// The destination tables borrow each batch's buffers, yet keep their
+    /// allocation from batch to batch: relabelling moves no element and
+    /// keeps the buffer.
+    #[test]
+    fn relabel_keeps_the_allocation() {
+        let mut arena = [Tuple::keyed(Time::ZERO, Key(1)); 4];
+        let mut heads: Heads<'_> = Vec::with_capacity(1000);
+        heads.push(arena.iter_mut());
+        let buffer = heads.as_ptr() as usize;
+        let kept: Heads<'static> = relabel(heads);
+        assert_eq!((kept.as_ptr() as usize, kept.capacity()), (buffer, 1000));
+        assert!(kept.is_empty());
     }
 
     #[test]

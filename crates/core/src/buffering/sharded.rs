@@ -24,15 +24,17 @@
 //!   on the process's fan-out pool ([`crate::par`]): each shard range is one
 //!   task, handed out once, and the runs are cleared for the next batch, not
 //!   rebuilt.
-//! * **The seal is parallel and in place.** One arena holds the whole batch,
-//!   split into one slice per shard; on the same workers, each shard sorts
-//!   its keys and scatters its arrivals into its own slice. On the engine's
-//!   path ([`BatchAccumulator::seal_slice_into`]) a shard keeps no tuples,
-//!   only each arrival's position, and its scatter reads `arrivals[pos]`
-//!   from the caller's slice; tuples handed over one at a time are held by
-//!   the shard they route to. A group's tuples stay contiguous, in arrival
-//!   order, in its shard's slice, so the arena is not in group order — only
-//!   the group descriptors are merged.
+//! * **The heartbeat is parallel and in place.** On the same workers, each
+//!   shard orders its own keys, then scatters its own arrivals to its own
+//!   keys' destinations: in the arena seal, one slice of a single arena per
+//!   shard; on the partitioner's row path, its keys' pieces of the blocks,
+//!   carved with `split_at_mut`, so no two shards write one position. On the
+//!   engine's path a shard keeps no tuples, only each arrival's position,
+//!   and its scatter reads `arrivals[pos]` from the caller's slice; tuples
+//!   handed over one at a time are held by the shard they route to. A
+//!   group's tuples stay contiguous, in arrival order, in its shard's slice,
+//!   so the arena is not in group order — only the group descriptors are
+//!   merged.
 //! * **Exact shards: any shard count ≡ the serial seal.** At seal the
 //!   per-shard group lists are combined by a k-way merge on exact
 //!   `(count desc, key asc)`. [`ShardedAccumulator::exact`]'s shards are
@@ -51,6 +53,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut, Range};
+use std::slice::IterMut;
 
 use crate::batch::KeyGroup;
 use crate::buffering::sealed::Slots;
@@ -106,14 +109,15 @@ pub struct ShardedAccumulator<A = FrequencyAwareAccumulator> {
     /// The routing's per-(chunk, shard) runs of arrival positions and keys,
     /// chunk by chunk, kept from batch to batch: cleared, never dropped.
     runs: Vec<OwnLines<Vec<(u32, Key)>>>,
-    /// Each shard's sealed group list, merged and cleared at every seal.
-    lists: Vec<Vec<KeyGroup>>,
+    /// Each shard's sealed group list and its groups' slots, merged and
+    /// cleared at every seal.
+    lists: Vec<(Vec<KeyGroup>, Vec<u32>)>,
 }
 
 impl<A> ShardedAccumulator<A> {
     fn with_shards(shards: Vec<A>) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
-        let lists = vec![Vec::new(); shards.len()];
+        let lists = vec![(Vec::new(), Vec::new()); shards.len()];
         ShardedAccumulator {
             shards: shards.into_iter().map(OwnLines).collect(),
             threads: 1,
@@ -268,22 +272,46 @@ fn per_shard<S: Send, R: Send>(
 }
 
 /// The k-way merge of the shards' group lists on exact
-/// `(count desc, key asc)`, appended to `merged`. Keys are unique across
-/// shards, so the heap order is total and the merge deterministic; it keeps
-/// each shard's own order, so lists already sorted on that order merge into
-/// the global sort. Only the descriptors move: each group keeps the arena
-/// range its shard scattered.
-fn merge_order(lists: &[Vec<KeyGroup>], merged: &mut Vec<KeyGroup>) {
+/// `(count desc, key asc)`, appended to `merged`, with each group's slot to
+/// `slots`: its shard's slot, past the keys of the shards before it. Keys are
+/// unique across shards, so the heap order is total and the merge
+/// deterministic; it keeps each shard's own order, so lists already sorted on
+/// that order merge into the global sort. Only the descriptors move: each
+/// group keeps the arena range its shard laid out.
+fn merge_order(
+    lists: &[(Vec<KeyGroup>, Vec<u32>)],
+    merged: &mut Vec<KeyGroup>,
+    slots: &mut Vec<u32>,
+) {
     let head = |si: usize, gi: usize| {
-        let g = lists[si].get(gi)?;
+        let g = lists[si].0.get(gi)?;
         Some((g.count, Reverse(g.key.0), si, gi))
     };
+    let mut first_slot = Vec::with_capacity(lists.len());
+    let mut keys = 0;
+    for (list, _) in lists {
+        first_slot.push(keys);
+        keys += list.len() as u32;
+    }
     let mut heap: BinaryHeap<_> = (0..lists.len()).filter_map(|si| head(si, 0)).collect();
-    merged.reserve(lists.iter().map(Vec::len).sum());
+    merged.reserve(keys as usize);
+    slots.reserve(keys as usize);
     while let Some((_, _, si, gi)) = heap.pop() {
-        merged.push(lists[si][gi]);
+        merged.push(lists[si].0[gi]);
+        slots.push(first_slot[si] + lists[si].1[gi]);
         heap.extend(head(si, gi + 1));
     }
+}
+
+/// `items` cut into consecutive sub-slices of the given lengths.
+fn cut<T>(items: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut rest = items;
+    lens.map(|len| {
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        mine
+    })
+    .collect()
 }
 
 impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
@@ -301,38 +329,58 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
         });
     }
 
-    /// Each shard sorts its keys and scatters its arrivals into its own
-    /// slice of `arena`, in parallel; then the shards' group lists merge.
-    fn scatter(
-        &mut self,
-        arrivals: Option<&[Tuple]>,
-        arena: &mut [Tuple],
-        base: usize,
-        next_interval: Interval,
-        groups: &mut Vec<KeyGroup>,
-    ) -> Interval {
+    /// Each shard orders its keys and lays them out in its own slice of the
+    /// arena, in parallel; then the shards' group lists merge. A shard's
+    /// slots follow the slots of the shards before it.
+    fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
+        let mut at = base;
+        let mut jobs: Vec<_> = (self.shards.iter_mut().zip(&mut self.lists))
+            .map(|(shard, (list, slots))| {
+                list.clear();
+                slots.clear();
+                let first = at;
+                at += shard.stats().n_tuples as usize;
+                (shard, first, list, slots)
+            })
+            .collect();
+        per_shard(&mut jobs, self.threads, |_, (shard, base, list, slots)| {
+            shard.order(*base, list, slots)
+        });
+        merge_order(&self.lists, groups, slots);
+    }
+
+    /// Each shard lays its groups over its own slice of `arena`.
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
         assert_eq!(
             arena.len() as u64,
             self.stats().n_tuples,
             "arena slice is not the batch's size"
         );
-        let (mut rest, mut at) = (arena, base);
-        let mut slices = Vec::with_capacity(self.shards.len());
-        for (shard, list) in self.shards.iter_mut().zip(&mut self.lists) {
-            let len = shard.stats().n_tuples as usize;
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            list.clear();
-            slices.push((shard, mine, at, list));
-            (rest, at) = (tail, at + len);
+        let stats = || self.shards.iter().map(|s| s.stats());
+        let slices = cut(arena, stats().map(|s| s.n_tuples as usize));
+        let tables = cut(heads, stats().map(|s| s.n_keys as usize));
+        for ((shard, slice), table) in self.shards.iter().zip(slices).zip(tables) {
+            shard.carve(slice, table);
         }
-        let intervals = per_shard(
-            &mut slices,
-            self.threads,
-            |_, (shard, slice, base, list)| {
-                shard.scatter(arrivals, slice, *base, next_interval, list)
-            },
-        );
-        merge_order(&self.lists, groups);
+    }
+
+    /// Each shard scatters its own arrivals to its own keys' destinations,
+    /// in parallel.
+    fn scatter<'a>(
+        &mut self,
+        arrivals: Option<&[Tuple]>,
+        heads: &mut [IterMut<'a, Tuple>],
+        more: &mut [&mut [IterMut<'a, Tuple>]],
+        next_interval: Interval,
+    ) -> Interval {
+        let chained = !more.is_empty();
+        let keys = || self.shards.iter().map(|s| s.stats().n_keys as usize);
+        let heads = cut(heads, keys());
+        let more = cut(more, keys().map(|n| if chained { n } else { 0 }));
+        let mut jobs: Vec<_> = self.shards.iter_mut().zip(heads).zip(more).collect();
+        let intervals = per_shard(&mut jobs, self.threads, |_, ((shard, heads), more)| {
+            shard.scatter(arrivals, heads, more, next_interval)
+        });
         intervals[0]
     }
 

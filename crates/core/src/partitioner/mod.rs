@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan};
 use crate::columnar::{ColumnarBatch, ColumnarBlock, ColumnarPlan};
-use crate::types::{Interval, Tuple};
+use crate::types::{Interval, Key, Time, Tuple};
 
 /// Wall-clock timing of the internal phases of one `partition()` call.
 /// Informational only — virtual-time scheduling never consumes these — so
@@ -41,11 +41,15 @@ pub struct PartitionPhases {
     /// decision pass) — kept separate from `partition` proper so strategy
     /// overhead is visible in stage-breakdown tables.
     pub select_us: u64,
-    /// Sealing the accumulated batch (replaying arrivals, merging shards).
+    /// Sealing the accumulated batch: recording the arrivals and ordering
+    /// the keys (merging shards). Prompt's row path ends it before any tuple
+    /// moves; its columnar path includes the scatter into the arena.
     pub seal_us: u64,
     /// Symbolic piece assignment (Algorithm 2 proper).
     pub symbolic_us: u64,
-    /// Materializing data blocks from the symbolic assignment.
+    /// Materializing data blocks from the symbolic assignment: on Prompt's
+    /// row path, the scatter of every arrival into its block and the
+    /// fragment tables.
     pub materialize_us: u64,
 }
 
@@ -102,6 +106,24 @@ impl Spare {
         blocks.resize_with(p, DataBlock::default);
         for b in &mut blocks {
             b.tuples.clear();
+            b.fragments.clear();
+        }
+        blocks
+    }
+
+    /// One row block per size, each `tuples` exactly that long and its
+    /// fragment table empty, in the spare's allocations where it has them.
+    /// The tuples are whatever the last plan left: the caller overwrites
+    /// every one, so only the length changes, and exactly.
+    pub(crate) fn sized_row_blocks(&mut self, sizes: &[usize]) -> Vec<DataBlock> {
+        let filler = Tuple::keyed(Time::ZERO, Key(0));
+        let mut blocks = std::mem::take(&mut self.rows);
+        blocks.resize_with(sizes.len(), DataBlock::default);
+        for (b, &size) in blocks.iter_mut().zip(sizes) {
+            // Exactly: the residual tolerance lets a block run a few tuples
+            // past `N/p`, and growth by doubling would double its allocation.
+            b.tuples.reserve_exact(size.saturating_sub(b.tuples.len()));
+            b.tuples.resize(size, filler);
             b.fragments.clear();
         }
         blocks

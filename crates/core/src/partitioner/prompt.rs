@@ -22,16 +22,30 @@
 //!    its pieces summed per key, and a key is split iff its residual left
 //!    its home block: nothing is re-derived by hashing.
 //!
+//! Driven through the [`Partitioner`] interface, the row pipeline is
+//! record → order → assign → scatter: the accumulator records each arrival's
+//! key slot (Algorithm 1's batching phase), the heartbeat orders the key
+//! groups from their counts alone, Algorithm 2 assigns pieces of those groups
+//! to blocks from the same counts, and only then is each arrival written,
+//! once, from the batch's own slice to its final position in its block. A
+//! group's destination is its first piece's slice of its block, then its
+//! later pieces' slices in `start` order; under sharded ingest each shard
+//! scatters its own arrivals to its own keys' destinations, in parallel. The
+//! row path fills no sealed arena: only [`PromptPartitioner::partition_sealed`]
+//! and the columnar layout, which lays the batch out in seal order, read one.
+//!
 //! A partitioner serves batch after batch, and nothing it needs at steady
-//! state is allocated twice: the batch seals into the arena the previous
-//! batch sealed into, the symbolic phase refills its block lists, and the
-//! blocks materialize into the buffers of the last plan handed back through
+//! state is allocated twice: the accumulator, the group list, the symbolic
+//! block lists and the destination tables are refilled, and the blocks are
+//! written into the buffers of the last plan handed back through
 //! [`Partitioner::recycle`].
+
+use std::slice::IterMut;
 
 use crate::batch::{DataBlock, KeyFragment, KeyGroup, MicroBatch, PartitionPlan, SealedBatch};
 use crate::buffering::{
-    AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
-    ShardedAccumulator,
+    record_slice, relabel, seal_arena, AccumulatorConfig, BatchAccumulator,
+    FrequencyAwareAccumulator, PostSortAccumulator, ScatterTables, ShardedAccumulator,
 };
 use crate::columnar::{ColRange, ColumnarPlan, ColumnarSealed};
 use crate::par::map_mut;
@@ -62,14 +76,19 @@ pub struct PromptPartitioner {
     /// sharded for parallel ingest; an exact buffer seals the same batch
     /// either way.
     buffer: Box<dyn BatchAccumulator>,
-    /// Worker threads for parallel ingest and plan materialization.
+    /// Worker threads for parallel ingest, scatter and fragment tables.
     threads: usize,
-    /// The group list and arena the last batch sealed into, handed back
-    /// once its plan was materialized: the next seal clears the one and
-    /// resizes the other instead of allocating them.
+    /// The group list the last batch was ordered into, and the arena the
+    /// last columnar batch sealed into, handed back once its plan was
+    /// materialized: the next batch clears the one and resizes the other
+    /// instead of allocating them. The row path never touches the arena.
     sealed: (Vec<KeyGroup>, Vec<Tuple>),
     /// The symbolic phase's block lists, refilled every batch.
     symbolic: SymbolicBlocks,
+    /// The scatter's destination and slot tables, refilled every batch.
+    tables: ScatterTables,
+    /// The row scatter's slices of later pieces, empty between batches.
+    tiles: Vec<IterMut<'static, Tuple>>,
     /// The buffers of the last plan handed back.
     spare: Spare,
 }
@@ -114,6 +133,8 @@ impl PromptPartitioner {
             threads,
             sealed: (Vec::new(), Vec::new()),
             symbolic: SymbolicBlocks::default(),
+            tables: ScatterTables::default(),
+            tiles: Vec::new(),
             spare: Spare::default(),
         }
     }
@@ -145,8 +166,8 @@ impl PromptPartitioner {
     /// Exposed for the ablation benches.
     pub fn partition_sealed_with(batch: &SealedBatch, p: usize, tolerance: f64) -> PartitionPlan {
         let mut symbolic = SymbolicBlocks::default();
-        let split_keys = Self::assign_pieces(batch, p, tolerance, &mut symbolic);
-        Self::materialize_pieces(batch, &symbolic.pieces, split_keys, 1, vec![])
+        let split_keys = Self::assign_pieces(&batch.groups, p, tolerance, &mut symbolic);
+        Self::materialize_pieces(batch, &symbolic.pieces, split_keys, 1)
     }
 
     /// [`Self::partition_sealed`] with block materialization fanned out over
@@ -155,8 +176,9 @@ impl PromptPartitioner {
     /// bit-identical to [`Self::partition_sealed`] for any thread count.
     pub fn partition_sealed_par(batch: &SealedBatch, p: usize, threads: usize) -> PartitionPlan {
         let mut symbolic = SymbolicBlocks::default();
-        let split_keys = Self::assign_pieces(batch, p, Self::DEFAULT_TOLERANCE, &mut symbolic);
-        Self::materialize_pieces(batch, &symbolic.pieces, split_keys, threads, vec![])
+        let split_keys =
+            Self::assign_pieces(&batch.groups, p, Self::DEFAULT_TOLERANCE, &mut symbolic);
+        Self::materialize_pieces(batch, &symbolic.pieces, split_keys, threads)
     }
 
     /// Turn the symbolic assignment into a [`ColumnarPlan`] built in
@@ -178,7 +200,7 @@ impl PromptPartitioner {
                 let (key, r) = cols.groups[pc.group];
                 (key, ColRange::new(r.offset + pc.start, pc.end - pc.start))
             }));
-            fragments_into(batch, pieces, &mut block.fragments);
+            fragments_into(&batch.groups, pieces, &mut block.fragments);
         }
         ColumnarPlan {
             arena: cols.arena,
@@ -187,17 +209,16 @@ impl PromptPartitioner {
         }
     }
 
-    /// Materialize every block from its assigned pieces into `blocks` (one
-    /// per block of `pieces`, empty; missing ones start empty), on up to
-    /// `threads` workers. Blocks materialize independently, so the plan is
-    /// bit-identical for any thread count.
+    /// Materialize every block from its assigned pieces, copied out of the
+    /// sealed batch's arena, on up to `threads` workers. Blocks materialize
+    /// independently, so the plan is bit-identical for any thread count.
     fn materialize_pieces(
         batch: &SealedBatch,
         pieces: &[Vec<Piece>],
         split_keys: Vec<Key>,
         threads: usize,
-        mut blocks: Vec<DataBlock>,
     ) -> PartitionPlan {
+        let mut blocks = Vec::new();
         blocks.resize_with(pieces.len(), DataBlock::default);
         map_mut(&mut blocks, threads, |b, block| {
             materialize_block(batch, &pieces[b], block)
@@ -207,29 +228,29 @@ impl PromptPartitioner {
     }
 
     /// The decision core of Algorithm 2: compute which range of which key
-    /// group lands in which block, without touching any tuple data, into
-    /// `blocks` (whatever it held before). Returns the split keys. The
-    /// symbolic state (block sizes and distinct-key counts) is exactly what
-    /// the placement decisions read, so the assignment — and hence the final
-    /// plan — is independent of materialization, which can run per-block in
-    /// parallel, in either layout.
+    /// group lands in which block from the groups' counts alone, without
+    /// touching any tuple data, into `blocks` (whatever it held before).
+    /// Returns the split keys. The symbolic state (block sizes and
+    /// distinct-key counts) is exactly what the placement decisions read, so
+    /// the assignment — and hence the final plan — is independent of how the
+    /// tuples reach their blocks, in either layout.
     fn assign_pieces(
-        batch: &SealedBatch,
+        groups: &[KeyGroup],
         p: usize,
         tolerance: f64,
         blocks: &mut SymbolicBlocks,
     ) -> Vec<Key> {
         assert!(p > 0, "need at least one block");
         assert!((0.0..=1.0).contains(&tolerance), "tolerance is a fraction");
-        let n = batch.n_tuples;
-        let k = batch.n_keys();
+        let n: usize = groups.iter().map(|g| g.count).sum();
+        let k = groups.len();
         blocks.reset(p);
         let mut split_keys = Vec::new();
         if n == 0 {
             return split_keys;
         }
         let group = |gi: usize| {
-            let g = &batch.groups[gi];
+            let g = &groups[gi];
             (g.key, g.count)
         };
 
@@ -341,23 +362,29 @@ impl PromptPartitioner {
 }
 
 /// One contiguous range `[start, end)` of key group `group`'s tuples,
-/// assigned to a block by [`PromptPartitioner::assign_pieces`].
+/// assigned to a block by [`PromptPartitioner::assign_pieces`]. A piece past
+/// its group's first (`start > 0`) is a residual's, and `later` is its place
+/// among those in placement order, which is group by group, in `start` order
+/// within a group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Piece {
     group: usize,
     start: usize,
     end: usize,
+    later: usize,
 }
 
 /// The symbolic block state the assignment phase reads back: per-block
 /// pieces, sizes and distinct-key counts — everything the placement decisions
-/// depend on, with no tuple data — and the two group lists phase 1 sorts the
-/// keys into. Refilled, not rebuilt, batch after batch.
+/// depend on, with no tuple data — the group of every later piece in
+/// placement order, and the two group lists phase 1 sorts the keys into.
+/// Refilled, not rebuilt, batch after batch.
 #[derive(Debug, Default)]
 struct SymbolicBlocks {
     pieces: Vec<Vec<Piece>>,
     sizes: Vec<usize>,
     cardinalities: Vec<usize>,
+    later: Vec<usize>,
     normal: Vec<usize>,
     residuals: Vec<(usize, usize)>,
 }
@@ -371,6 +398,7 @@ impl SymbolicBlocks {
         self.sizes.resize(p, 0);
         self.cardinalities.clear();
         self.cardinalities.resize(p, 0);
+        self.later.clear();
     }
 
     /// The phase-1 lists, empty, to fill while blocks are placed.
@@ -392,7 +420,16 @@ impl SymbolicBlocks {
     /// the piece's key yet.
     fn place(&mut self, b: usize, group: usize, start: usize, end: usize, new_key: bool) {
         debug_assert!(start < end, "empty piece");
-        self.pieces[b].push(Piece { group, start, end });
+        let later = self.later.len();
+        if start > 0 {
+            self.later.push(group);
+        }
+        self.pieces[b].push(Piece {
+            group,
+            start,
+            end,
+            later,
+        });
         self.sizes[b] += end - start;
         self.cardinalities[b] += usize::from(new_key);
     }
@@ -407,9 +444,9 @@ impl SymbolicBlocks {
 /// summed per key, sorted by key id. A key has one piece per block, but for a
 /// heavy key's home block, where its residual can follow its `S_cut`
 /// fragment.
-fn fragments_into(batch: &SealedBatch, pieces: &[Piece], out: &mut Vec<KeyFragment>) {
+fn fragments_into(groups: &[KeyGroup], pieces: &[Piece], out: &mut Vec<KeyFragment>) {
     out.extend(pieces.iter().map(|pc| KeyFragment {
-        key: batch.groups[pc.group].key,
+        key: groups[pc.group].key,
         count: pc.end - pc.start,
     }));
     out.sort_unstable_by_key(|f| f.key.0);
@@ -421,9 +458,8 @@ fn fragments_into(batch: &SealedBatch, pieces: &[Piece], out: &mut Vec<KeyFragme
 }
 
 /// Copy one block's assigned ranges out of the sealed batch into `block`
-/// (empty). Pieces are appended in assignment order — the same order the old
-/// interleaved implementation pushed tuples — so the block content is
-/// bit-identical.
+/// (empty). Pieces are appended in assignment order, the order the row
+/// scatter lays them out in, so either way the block is bit-identical.
 fn materialize_block(batch: &SealedBatch, pieces: &[Piece], block: &mut DataBlock) {
     // Sized exactly: the residual tolerance lets a block run a few tuples
     // past `N/p`, and a guess that low would double the block's allocation.
@@ -434,7 +470,7 @@ fn materialize_block(batch: &SealedBatch, pieces: &[Piece], block: &mut DataBloc
             .tuples
             .extend_from_slice(&batch.tuples(pc.group)[pc.start..pc.end]);
     }
-    fragments_into(batch, pieces, &mut block.fragments);
+    fragments_into(&batch.groups, pieces, &mut block.fragments);
 }
 
 impl Partitioner for PromptPartitioner {
@@ -462,76 +498,41 @@ impl Partitioner for PromptPartitioner {
         batch: &MicroBatch,
         p: usize,
     ) -> Option<(ColumnarPlan, PartitionPhases)> {
-        // The same seal and assignment as the row layout; materialization
-        // lays the sealed batch out in columns (in seal order, as
-        // `seal_columnar` would) and emits arena ranges instead of tuple
-        // copies, so `to_row_plan()` of this result is bit-identical to the
-        // row layout's plan — gated by the engine's differential oracle.
-        Some(self.pipeline(
-            &batch.tuples,
-            batch.interval,
-            p,
-            Self::materialize_pieces_columnar,
-        ))
-    }
-
-    fn recycle(&mut self, plan: Plan) {
-        self.spare.keep(plan);
-    }
-}
-
-impl PromptPartitioner {
-    /// [`Self::pipeline`] in the row layout.
-    fn partition_rows(
-        &mut self,
-        tuples: &[Tuple],
-        interval: Interval,
-        p: usize,
-    ) -> (PartitionPlan, PartitionPhases) {
-        let threads = self.threads;
-        self.pipeline(tuples, interval, p, |sealed, pieces, split, spare| {
-            let blocks = spare.row_blocks(pieces.len());
-            Self::materialize_pieces(sealed, pieces, split, threads, blocks)
-        })
-    }
-
-    /// The one partition pipeline: hand the arrivals to the owned
-    /// accumulator, which seals them into the spare arena (Algorithm 1),
-    /// assign pieces symbolically (Algorithm 2 — the same code for either
-    /// layout), `materialize` the plan from the spare plan's buffers, and
-    /// take the arena back; with a wall clock around each phase. The timings
-    /// drive the observability layer's per-stage breakdowns (Fig. 14's
-    /// overhead story) and never influence the plan.
-    fn pipeline<P>(
-        &mut self,
-        tuples: &[Tuple],
-        interval: Interval,
-        p: usize,
-        materialize: impl FnOnce(&SealedBatch, &[Vec<Piece>], Vec<Key>, &mut Spare) -> P,
-    ) -> (P, PartitionPhases) {
+        // The same record, order and assignment as the row layout, but the
+        // batch is scattered into the sealed arena in seal order (as
+        // `seal_columnar` lays it out), and the blocks are arena ranges, so
+        // `to_row_plan()` of this result is bit-identical to the row
+        // layout's plan — gated by the engine's differential oracle.
+        let (tuples, interval) = (&batch.tuples[..], batch.interval);
         let t0 = std::time::Instant::now();
         let (mut groups, mut arena) = std::mem::take(&mut self.sealed);
-        // With no history from the caller, the frequency-aware `N_Est` is
-        // re-seeded from the batch itself.
-        let buffer = &mut self.buffer;
-        buffer.set_estimates(tuples.len().max(1) as f64, self.avg_keys);
-        buffer.set_interval(interval);
-        // What the arena holds is never read: the seal overwrites all of it.
-        let filler = Tuple::keyed(Time::ZERO, Key(0));
-        arena.resize(tuples.len(), filler);
         groups.clear();
-        // The batching phase of §4.1 and its heartbeat in one call: the
-        // accumulator keeps slots, not tuples, and scatters from `tuples`.
-        let interval =
-            buffer.seal_slice_into(tuples, self.threads, &mut arena, 0, interval, &mut groups);
+        self.record(tuples, interval);
+        // What the arena holds is never read: the scatter overwrites all of it.
+        arena.resize(tuples.len(), Tuple::keyed(Time::ZERO, Key(0)));
+        let buffer = &mut *self.buffer;
+        let interval = seal_arena(
+            buffer,
+            Some(tuples),
+            &mut arena,
+            0,
+            interval,
+            &mut groups,
+            &mut self.tables,
+        );
         let sealed = SealedBatch::new(groups, arena, interval);
         let seal_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
-        let split_keys =
-            Self::assign_pieces(&sealed, p, Self::DEFAULT_TOLERANCE, &mut self.symbolic);
+        let split_keys = Self::assign_pieces(
+            &sealed.groups,
+            p,
+            Self::DEFAULT_TOLERANCE,
+            &mut self.symbolic,
+        );
         let symbolic_us = t1.elapsed().as_micros() as u64;
         let t2 = std::time::Instant::now();
-        let plan = materialize(&sealed, &self.symbolic.pieces, split_keys, &mut self.spare);
+        let pieces = &self.symbolic.pieces;
+        let plan = Self::materialize_pieces_columnar(&sealed, pieces, split_keys, &mut self.spare);
         let materialize_us = t2.elapsed().as_micros() as u64;
         self.sealed = sealed.into_parts();
         let phases = PartitionPhases {
@@ -540,7 +541,106 @@ impl PromptPartitioner {
             symbolic_us,
             materialize_us,
         };
+        Some((plan, phases))
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.spare.keep(plan);
+    }
+}
+
+impl PromptPartitioner {
+    /// The batching phase of §4.1 for a batch handed over as its own slice:
+    /// the accumulator, reset for `interval`, records each arrival's key
+    /// slot and position, and keeps no tuple.
+    fn record(&mut self, tuples: &[Tuple], interval: Interval) {
+        // With no history from the caller, the frequency-aware `N_Est` is
+        // re-seeded from the batch itself.
+        let buffer = &mut *self.buffer;
+        buffer.set_estimates(tuples.len().max(1) as f64, self.avg_keys);
+        buffer.set_interval(interval);
+        record_slice(buffer, tuples, self.threads);
+    }
+
+    /// The row pipeline, record → order → assign → scatter, with a wall
+    /// clock around each phase: `seal_us` ends once the keys are ordered,
+    /// and `materialize_us` holds the scatter and the fragment tables. The
+    /// timings drive the observability layer's per-stage breakdowns (Fig.
+    /// 14's overhead story) and never influence the plan.
+    fn partition_rows(
+        &mut self,
+        tuples: &[Tuple],
+        interval: Interval,
+        p: usize,
+    ) -> (PartitionPlan, PartitionPhases) {
+        let t0 = std::time::Instant::now();
+        let mut groups = std::mem::take(&mut self.sealed.0);
+        groups.clear();
+        self.record(tuples, interval);
+        self.tables.slots.clear();
+        self.buffer.order(0, &mut groups, &mut self.tables.slots);
+        let seal_us = t0.elapsed().as_micros() as u64;
+        let t1 = std::time::Instant::now();
+        let split_keys =
+            Self::assign_pieces(&groups, p, Self::DEFAULT_TOLERANCE, &mut self.symbolic);
+        let symbolic_us = t1.elapsed().as_micros() as u64;
+        let t2 = std::time::Instant::now();
+        let mut blocks = self.spare.sized_row_blocks(&self.symbolic.sizes);
+        self.scatter_rows(tuples, interval, &mut blocks);
+        let pieces = &self.symbolic.pieces;
+        map_mut(&mut blocks, self.threads, |b, block| {
+            fragments_into(&groups, &pieces[b], &mut block.fragments)
+        });
+        let materialize_us = t2.elapsed().as_micros() as u64;
+        self.sealed.0 = groups;
+        let plan = PartitionPlan {
+            blocks,
+            split_keys: split_keys.into_iter().collect(),
+        };
+        let phases = PartitionPhases {
+            select_us: 0,
+            seal_us,
+            symbolic_us,
+            materialize_us,
+        };
         (plan, phases)
+    }
+
+    /// Write every arrival of `tuples` once, straight to its position in
+    /// `blocks`, each already as long as its assigned pieces: carve every
+    /// block into its pieces' slices, in assignment order; a group's
+    /// destination is its first piece's slice, then its later pieces' slices
+    /// in `start` order; and the accumulator scatters its arrivals to them.
+    fn scatter_rows(&mut self, tuples: &[Tuple], interval: Interval, blocks: &mut [DataBlock]) {
+        let symbolic = &self.symbolic;
+        let slots = std::mem::take(&mut self.tables.slots);
+        let (mut heads, mut more) = self.tables.lend(slots.len(), true);
+        let mut tiles: Vec<IterMut<'_, Tuple>> = relabel(std::mem::take(&mut self.tiles));
+        tiles.resize_with(symbolic.later.len(), Default::default);
+        for (block, pieces) in blocks.iter_mut().zip(&symbolic.pieces) {
+            let mut rest = &mut block.tuples[..];
+            for pc in pieces {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(pc.end - pc.start);
+                rest = tail;
+                if pc.start == 0 {
+                    heads[slots[pc.group] as usize] = mine.iter_mut();
+                } else {
+                    tiles[pc.later] = mine.iter_mut();
+                }
+            }
+        }
+        // Later pieces were placed group by group, in `start` order.
+        let mut rest = &mut tiles[..];
+        for run in symbolic.later.chunk_by(|a, b| a == b) {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
+            more[slots[run[0]] as usize] = mine;
+            rest = tail;
+        }
+        self.buffer
+            .scatter(Some(tuples), &mut heads, &mut more, interval);
+        self.tables.keep((heads, more));
+        self.tiles = relabel(tiles);
+        self.tables.slots = slots;
     }
 }
 
@@ -853,21 +953,30 @@ mod tests {
     /// Shape guard: the pipeline hands the accumulator the batch's own
     /// slice, so no tuple is copied before the seal: after a partition in
     /// either layout, in every mode and ingest geometry, the accumulator's
-    /// held-tuple buffer is empty and has never allocated.
+    /// held-tuple buffer is empty and has never allocated. The row path
+    /// scatters every arrival straight into its block, so it never fills the
+    /// sealed arena either: after row partitions, batch after batch, the
+    /// arena has never allocated.
     #[test]
     fn prompt_shape_the_accumulator_holds_no_tuples() {
         let mb = zipfish_batch(120, 900);
         for (mode, shards, threads) in [
             (BufferingMode::PostSort, 1, 1),
             (BufferingMode::PostSort, 4, 2),
+            (BufferingMode::PostSort, 7, 3),
             (BufferingMode::FrequencyAware, 1, 1),
             (BufferingMode::FrequencyAware, 4, 2),
+            (BufferingMode::FrequencyAware, 7, 3),
         ] {
             let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
             let what = format!("{mode:?} shards={shards} threads={threads}");
-            let (plan, _) = part.partition_phased(&mb, 4);
-            assert_eq!(plan.total_tuples(), mb.len(), "{what}");
-            assert_eq!(part.buffer.held(), (0, 0), "{what}: rows");
+            for _ in 0..2 {
+                let (plan, _) = part.partition_phased(&mb, 4);
+                assert_eq!(plan.total_tuples(), mb.len(), "{what}");
+                assert_eq!(part.buffer.held(), (0, 0), "{what}: rows");
+                assert_eq!(part.sealed.1.capacity(), 0, "{what}: rows filled the arena");
+                part.recycle(Plan::Rows(plan));
+            }
             part.partition_columnar(&mb, 4)
                 .expect("Prompt has a columnar path");
             assert_eq!(part.buffer.held(), (0, 0), "{what}: columns");

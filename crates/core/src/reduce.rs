@@ -119,63 +119,103 @@ impl ReduceAssigner for PromptReduceAllocator {
 
         // Line 2: split keys are routed by hashing (consistency across Map
         // tasks); their sizes consume bucket capacity.
-        let mut non_split: Vec<(usize, KeyCluster)> = Vec::with_capacity(clusters.len());
         for (i, c) in clusters.iter().enumerate() {
             if split.contains(&c.key) {
                 let b = bucket_of(self.seed, c.key, r);
                 out[i] = b;
                 capacity[b] -= c.size as i64;
-            } else {
-                non_split.push((i, *c));
             }
         }
 
-        // Line 4: sort non-split clusters in descending size order (ties by
-        // key, then by position — a stable sort's order — for determinism).
-        non_split.sort_unstable_by_key(|&(i, c)| (std::cmp::Reverse(c.size), c.key.0, i));
+        // Line 4: the non-split clusters, still unassigned, in descending
+        // size order, ties by key, then by position.
+        let non_split = by_size_descending(clusters, |i| out[i] == usize::MAX);
 
         // Lines 5–12: Worst-Fit with bucket retirement — the chosen bucket
         // leaves the candidate list until every bucket has received one
-        // cluster, promoting balanced cluster counts per bucket. Ties are
-        // broken by a rotation derived from the task's block index so that
-        // concurrent tasks do not all favour the same bucket: the table
-        // lists the buckets from `task % r` round, most preferred first.
+        // cluster, promoting balanced cluster counts per bucket. No
+        // candidate's capacity changes until it is chosen, so each round
+        // deals its clusters to the candidates in one order: most remaining
+        // capacity first, ties to the bucket the task prefers. Preference is
+        // a rotation by the task's block index so that concurrent tasks do
+        // not all favour the same bucket: `task % r` first, then upwards.
         let offset = task % r;
-        let preference: Vec<usize> = (offset..r).chain(0..offset).collect();
-
-        // Refill the candidate list with the buckets that still have spare
-        // capacity; buckets already overflown by hashed split keys are only
-        // used when nothing else remains ("limits bucket overflow", §5).
-        let refill = |capacity: &[i64], available: &mut [bool]| -> usize {
-            let mut n = 0;
-            for b in 0..available.len() {
-                available[b] = capacity[b] > 0;
-                n += available[b] as usize;
+        let rank = |b: usize| (b + r - offset) % r;
+        let mut non_split = non_split.into_iter().map(|i| i as usize);
+        let mut candidates = Vec::with_capacity(r);
+        loop {
+            // Refill the candidate list with the buckets that still have
+            // spare capacity; buckets already overflown by hashed split keys
+            // are only used when nothing else remains ("limits bucket
+            // overflow", §5).
+            candidates.clear();
+            candidates.extend((0..r).filter(|&b| capacity[b] > 0));
+            if candidates.is_empty() {
+                candidates.extend(0..r);
             }
-            if n == 0 {
-                available.fill(true);
-                n = available.len();
-            }
-            n
-        };
-        let mut available = vec![false; r];
-        let mut n_available = refill(&capacity, &mut available);
-        for (i, c) in non_split {
-            // The last of equal maxima, scanning least preferred first.
-            let b = (preference.iter().rev().copied())
-                .filter(|&b| available[b])
-                .max_by_key(|&b| capacity[b])
-                .expect("candidate list refilled before exhaustion");
-            out[i] = b;
-            capacity[b] -= c.size as i64;
-            available[b] = false;
-            n_available -= 1;
-            if n_available == 0 {
-                n_available = refill(&capacity, &mut available);
+            candidates.sort_unstable_by_key(|&b| (std::cmp::Reverse(capacity[b]), rank(b)));
+            for &b in &candidates {
+                let Some(i) = non_split.next() else {
+                    return out;
+                };
+                out[i] = b;
+                capacity[b] -= clusters[i].size as i64;
             }
         }
-        out
     }
+}
+
+/// Cluster sizes below this are ordered by counting; the few at or above it
+/// by comparison.
+const COUNTED_SIZES: usize = 1 << 12;
+
+/// The positions of the clusters `pick` selects, by size descending, then
+/// key, then position. A stable sort by size keeps key order, so clusters not
+/// already in key order (no engine caller's) are sorted by key first; the
+/// sort by size is a counting sort for the sizes below [`COUNTED_SIZES`].
+fn by_size_descending(clusters: &[KeyCluster], pick: impl Fn(usize) -> bool) -> Vec<u32> {
+    assert!(
+        u32::try_from(clusters.len()).is_ok(),
+        "clusters per task fit in u32"
+    );
+    let picked = (0..clusters.len()).filter(|&i| pick(i));
+    if clusters.windows(2).all(|w| w[0].key.0 <= w[1].key.0) {
+        return counting_sort(clusters, picked);
+    }
+    let mut by_key: Vec<usize> = picked.collect();
+    by_key.sort_by_key(|&i| clusters[i].key.0);
+    counting_sort(clusters, by_key.into_iter())
+}
+
+/// `positions` stably sorted by their clusters' sizes, largest first.
+fn counting_sort(
+    clusters: &[KeyCluster],
+    positions: impl Iterator<Item = usize> + Clone,
+) -> Vec<u32> {
+    let size = |i: usize| clusters[i].size;
+    let small = move |i: &usize| size(*i) < COUNTED_SIZES;
+    let mut sorted = Vec::with_capacity(positions.clone().count());
+    sorted.extend(positions.clone().filter(|i| !small(i)).map(|i| i as u32));
+    sorted.sort_by_key(|&i| std::cmp::Reverse(size(i as usize)));
+    let Some(largest) = positions.clone().filter(small).map(size).max() else {
+        return sorted;
+    };
+    // `next[s]`: where the next cluster of size `s` goes.
+    let mut next = vec![0usize; largest + 1];
+    positions
+        .clone()
+        .filter(small)
+        .for_each(|i| next[size(i)] += 1);
+    let mut at = sorted.len();
+    for slot in next.iter_mut().rev() {
+        (*slot, at) = (at, at + *slot);
+    }
+    sorted.resize(at, u32::MAX);
+    for i in positions.filter(small) {
+        sorted[next[size(i)]] = i as u32;
+        next[size(i)] += 1;
+    }
+    sorted
 }
 
 /// Aggregate view of one Reduce bucket after all Map tasks assigned their

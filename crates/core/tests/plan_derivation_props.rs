@@ -5,21 +5,31 @@
 //!    derivations (`PartitionPlan::from_blocks`, a per-block tuple count, and
 //!    the columnar `from_ranges` / `from_blocks` Prompt used to call, kept
 //!    here verbatim), in both layouts;
-//! 2. Algorithm 3's Worst-Fit scan — against the pre-table scan, kept here
-//!    verbatim as [`reference_assign`];
+//! 2. Algorithm 3's counting sort and per-round bucket order — against the
+//!    per-cluster scan, kept here verbatim as [`reference_assign`], on
+//!    arbitrary and on key-ascending clusters;
 //! 3. `total_keys(blocks, split_keys)` — against a `KeySet` over every
 //!    fragment, for every technique's plan;
 //! 4. key grouping's empty split-key table and unstably sorted fragment
-//!    tables — against `PartitionPlan::from_blocks` and a per-block count.
+//!    tables — against `PartitionPlan::from_blocks` and a per-block count;
+//! 5. Prompt's row pipeline, which writes each arrival straight into its
+//!    block — against `partition_sealed` of the same accumulator's arena
+//!    seal, in every mode and ingest geometry, batch after batch.
 //!
 //! The vendored proptest shim replays cases by test name, not by seed, so
 //! the regression cases (`plan_derivation_props.proptest-regressions`) are
 //! pinned as the explicit `pinned_*` tests at the bottom.
 
 use prompt_core::batch::{total_keys, KeyFragment, MicroBatch, PartitionPlan, SealedBatch};
+use prompt_core::buffering::{
+    AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
+    ShardedAccumulator,
+};
 use prompt_core::columnar::{ColRange, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{bucket_of, KeyMap, KeySet};
-use prompt_core::partitioner::{HashPartitioner, Partitioner, PromptPartitioner, Technique};
+use prompt_core::partitioner::{
+    BufferingMode, HashPartitioner, Partitioner, Plan, PromptPartitioner, Technique,
+};
 use prompt_core::reduce::{KeyCluster, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use proptest::prelude::*;
@@ -305,6 +315,41 @@ proptest! {
         prop_assert_eq!(got, want, "task {} of r = {}", task, r);
     }
 
+    /// (2b) The engine's input — clusters in strictly ascending key order,
+    /// as every block's fragment table is — takes the counting sort without
+    /// a key pre-sort: sizes on both sides of its counting range, a few
+    /// past 10⁴, any split subset, tasks past `r`.
+    #[test]
+    fn assign_of_key_ascending_clusters_matches_the_reference_scan(
+        raw in proptest::collection::vec((1u64..40, 0u8..8, 1usize..8_200), 0..120),
+        split_bits in any::<u64>(),
+        seed in any::<u64>(),
+        r in 1usize..=33,
+        task_pick in any::<usize>(),
+    ) {
+        let mut key = 0;
+        let clusters: Vec<KeyCluster> = (raw.iter())
+            .map(|&(gap, kind, size)| {
+                key += gap;
+                // One in eight is large; small sizes repeat, so ties are common.
+                let size = match kind {
+                    0 => 10_000 + size * 7,
+                    1..=3 => 1 + size % 24,
+                    _ => size,
+                };
+                KeyCluster { key: Key(key), size }
+            })
+            .collect();
+        let split: KeySet = (clusters.iter().enumerate())
+            .filter(|&(i, _)| split_bits.rotate_left(i as u32) & 3 == 0)
+            .map(|(_, c)| c.key)
+            .collect();
+        let task = task_pick % (2 * r);
+        let got = PromptReduceAllocator::new(seed).assign(task, &clusters, &split, r);
+        let want = reference_assign(seed, task, &clusters, &split, r);
+        prop_assert_eq!(got, want, "task {} of r = {}", task, r);
+    }
+
     /// (3) `total_keys` from fragments and split keys equals a hashing
     /// count over the fragments, for every technique's plan.
     #[test]
@@ -339,6 +384,107 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check_hash_plan(&arrivals(&counts), p, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// (5) The row pipeline's direct scatter builds the plan
+    /// `partition_sealed` builds from the same accumulator's arena seal, in
+    /// both modes and every ingest geometry, and again for a second batch
+    /// through the same partitioner, into the blocks of the first plan.
+    #[test]
+    fn direct_scatter_builds_the_arena_plan(
+        first in counts(),
+        second in counts(),
+        p in 1usize..=17,
+    ) {
+        check_direct_scatter(&[arrivals(&first), arrivals(&second)], p)?;
+    }
+}
+
+/// Ingest geometries the direct scatter is checked over.
+const SHARDS: [usize; 4] = [1, 2, 4, 7];
+const THREADS: [usize; 3] = [1, 2, 3];
+
+/// `mb` sealed by the accumulator a [`PromptPartitioner`] of this mode and
+/// geometry owns, seeded as the partitioner seeds it, through the arena path
+/// (one tuple at a time, or `par_ingest`), and partitioned from the arena.
+fn arena_plan(
+    mode: BufferingMode,
+    shards: usize,
+    threads: usize,
+    mb: &MicroBatch,
+    p: usize,
+) -> PartitionPlan {
+    let iv = mb.interval;
+    let cfg = AccumulatorConfig {
+        est_tuples: mb.len().max(1) as f64,
+        ..AccumulatorConfig::default()
+    };
+    let mut acc: Box<dyn BatchAccumulator> = match (mode, shards > 1) {
+        (BufferingMode::PostSort, false) => Box::new(PostSortAccumulator::new(iv)),
+        (BufferingMode::PostSort, true) => Box::new(ShardedAccumulator::exact(shards, iv)),
+        (BufferingMode::FrequencyAware, false) => Box::new(FrequencyAwareAccumulator::new(cfg, iv)),
+        (BufferingMode::FrequencyAware, true) => Box::new(ShardedAccumulator::new(cfg, shards, iv)),
+    };
+    acc.ingest_all(&mb.tuples, threads);
+    PromptPartitioner::partition_sealed(&acc.seal(iv), p)
+}
+
+/// Every batch of `batches` in turn through one partitioner per mode and
+/// geometry, each plan handed back before the next batch, against
+/// [`arena_plan`].
+fn check_direct_scatter(batches: &[MicroBatch], p: usize) -> Result<(), TestCaseError> {
+    for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
+        for shards in SHARDS {
+            for threads in THREADS {
+                let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
+                for (i, mb) in batches.iter().enumerate() {
+                    let plan = part.partition(mb, p);
+                    let want = arena_plan(mode, shards, threads, mb, p);
+                    prop_assert_eq!(
+                        &plan,
+                        &want,
+                        "{:?} shards={} threads={} p={} batch {}",
+                        mode,
+                        shards,
+                        threads,
+                        p,
+                        i
+                    );
+                    part.recycle(Plan::Rows(plan));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The direct scatter's degenerate batches: empty, one tuple, one key, every
+/// key above `S_cut` (fewer equal keys than blocks), more blocks than tuples,
+/// and one block — each after a Zipf batch, so the first plan's blocks are
+/// recycled into a plan of another shape.
+#[test]
+fn direct_scatter_of_degenerate_batches() {
+    let zipf: Vec<(Key, usize)> = (1..=30).map(|i| (Key(i * 7), 300 / i as usize)).collect();
+    let one_tuple = [(Key(7), 1)];
+    let one_key = [(Key(3), 1000)];
+    let all_above_s_cut = [(Key(3), 500), (Key(11), 500), (Key(42), 500)];
+    let few_tuples = [(Key(5), 2), (Key(6), 1), (Key(9), 1)];
+    let cases = [
+        (&[][..], &[1, 3][..]),
+        (&one_tuple, &[1, 4]),
+        (&one_key, &[1, 2, 5]),
+        (&all_above_s_cut, &[4, 8]),
+        (&few_tuples, &[1, 9, 17]),
+    ];
+    for (counts, ps) in cases {
+        for &p in ps {
+            let batches = [arrivals(&zipf), arrivals(counts)];
+            check_direct_scatter(&batches, p).unwrap();
+        }
     }
 }
 

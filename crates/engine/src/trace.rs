@@ -72,11 +72,15 @@ pub enum StageKind {
     /// the d-choices sketch probe), split out of the partition phases so
     /// policy overhead is visible in stage-breakdown tables.
     Select,
-    /// Wall-clock: replaying the accumulator into the sealed batch.
+    /// Wall-clock: Algorithm 1's batching phase and heartbeat order. On the
+    /// row path it ends before any tuple moves; the columnar plane's includes
+    /// its scatter into the sealed arena.
     Seal,
     /// Wall-clock: Algorithm 2's symbolic piece assignment.
     PartitionSymbolic,
-    /// Wall-clock: materializing blocks from the symbolic assignment.
+    /// Wall-clock: materializing blocks from the symbolic assignment — on the
+    /// row path, the scatter of every arrival into its block and the
+    /// fragment tables.
     PartitionMaterialize,
     /// Virtual: partitioning overhead that spilled past early release.
     PartitionVisible,
