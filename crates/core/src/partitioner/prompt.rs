@@ -18,9 +18,14 @@
 //! 3. **Residual placement** — each parked residual first tries the block
 //!    that holds its sibling fragment (key locality); overflow goes to the
 //!    block with the *least* remaining capacity that can hold it (Best-Fit),
-//!    fragmenting further only when unavoidable. A block's fragment table is
-//!    its pieces summed per key, and a key is split iff its residual left
+//!    fragmenting further only when unavoidable. What returns home extends
+//!    the key's `S_cut` piece, so a block holds one piece per key: its
+//!    fragment table is its pieces, and a key is split iff its residual left
 //!    its home block: nothing is re-derived by hashing.
+//!
+//! Every block is then laid out in key order, its pieces sorted by key, so a
+//! block is one run per key, keys ascending. The Map kernel folds such a
+//! block run by run into its key-ordered output.
 //!
 //! Driven through the [`Partitioner`] interface, the row pipeline is
 //! record → order → assign → scatter: the accumulator records each arrival's
@@ -166,7 +171,7 @@ impl PromptPartitioner {
     /// Exposed for the ablation benches.
     pub fn partition_sealed_with(batch: &SealedBatch, p: usize, tolerance: f64) -> PartitionPlan {
         let mut symbolic = SymbolicBlocks::default();
-        let split_keys = Self::assign_pieces(&batch.groups, p, tolerance, &mut symbolic);
+        let split_keys = Self::assign_pieces(&batch.groups, p, tolerance, 1, &mut symbolic);
         Self::materialize_pieces(batch, &symbolic.pieces, split_keys, 1)
     }
 
@@ -176,17 +181,17 @@ impl PromptPartitioner {
     /// bit-identical to [`Self::partition_sealed`] for any thread count.
     pub fn partition_sealed_par(batch: &SealedBatch, p: usize, threads: usize) -> PartitionPlan {
         let mut symbolic = SymbolicBlocks::default();
-        let split_keys =
-            Self::assign_pieces(&batch.groups, p, Self::DEFAULT_TOLERANCE, &mut symbolic);
+        let tolerance = Self::DEFAULT_TOLERANCE;
+        let split_keys = Self::assign_pieces(&batch.groups, p, tolerance, threads, &mut symbolic);
         Self::materialize_pieces(batch, &symbolic.pieces, split_keys, threads)
     }
 
     /// Turn the symbolic assignment into a [`ColumnarPlan`] built in
     /// `spare`'s buffers: the batch is laid out in columns in seal order, and
     /// each piece `[start, end)` of group `g` becomes the arena range
-    /// `[g.offset + start, g.offset + end)`. Pieces keep assignment order, so
-    /// enumerating a block's ranges visits tuples in exactly the order the
-    /// row materializer pushes them.
+    /// `[g.offset + start, g.offset + end)`. Ranges take the pieces' key
+    /// order, so enumerating a block's ranges visits tuples in exactly the
+    /// order the row materializer pushes them.
     fn materialize_pieces_columnar(
         batch: &SealedBatch,
         pieces: &[Vec<Piece>],
@@ -197,10 +202,10 @@ impl PromptPartitioner {
         let mut blocks = spare.column_blocks(pieces.len());
         for (block, pieces) in blocks.iter_mut().zip(pieces) {
             block.ranges.extend(pieces.iter().map(|pc| {
-                let (key, r) = cols.groups[pc.group];
-                (key, ColRange::new(r.offset + pc.start, pc.end - pc.start))
+                let (key, r) = cols.groups[pc.group()];
+                (key, ColRange::new(r.offset + pc.range().start, pc.len()))
             }));
-            fragments_into(&batch.groups, pieces, &mut block.fragments);
+            fragments_into(pieces, &mut block.fragments);
         }
         ColumnarPlan {
             arena: cols.arena,
@@ -233,11 +238,14 @@ impl PromptPartitioner {
     /// Returns the split keys. The symbolic state (block sizes and
     /// distinct-key counts) is exactly what the placement decisions read, so
     /// the assignment — and hence the final plan — is independent of how the
-    /// tuples reach their blocks, in either layout.
+    /// tuples reach their blocks, in either layout. Once every piece is
+    /// placed, each block's pieces are sorted by key, which is the order
+    /// every materializer lays them out in.
     fn assign_pieces(
         groups: &[KeyGroup],
         p: usize,
         tolerance: f64,
+        threads: usize,
         blocks: &mut SymbolicBlocks,
     ) -> Vec<Key> {
         assert!(p > 0, "need at least one block");
@@ -249,6 +257,11 @@ impl PromptPartitioner {
         if n == 0 {
             return split_keys;
         }
+        // Pieces hold group indices and offsets as `u32`.
+        assert!(
+            u32::try_from(n.max(k)).is_ok(),
+            "a batch holds fewer than 2^32 tuples"
+        );
         let group = |gi: usize| {
             let g = &groups[gi];
             (g.key, g.count)
@@ -261,14 +274,14 @@ impl PromptPartitioner {
         let s_cut = (p_size / p_card).max(1);
 
         // Phase 1: fragment the high-frequency keys (lines 5–9). Residuals
-        // are `(group, lookupLargePos)`.
+        // are `(group, lookupLargePos, its S_cut piece there)`.
         let (mut normal, mut residuals) = blocks.take_lists();
         let mut bi = 0usize;
         for gi in 0..k {
-            let (_, count) = group(gi);
+            let (key, count) = group(gi);
             if count > s_cut {
-                blocks.place(bi, gi, 0, s_cut, true);
-                residuals.push((gi, bi));
+                let at = blocks.place(bi, key, gi, 0, s_cut);
+                residuals.push((gi, bi, at));
                 bi = (bi + 1) % p;
             } else {
                 normal.push(gi);
@@ -291,8 +304,8 @@ impl PromptPartitioner {
             } else {
                 p - 1 - pos
             };
-            let (_, count) = group(gi);
-            blocks.place((offset + idx) % p, gi, 0, count, true);
+            let (key, count) = group(gi);
+            blocks.place((offset + idx) % p, key, gi, 0, count);
         }
 
         // Phase 3: place the residuals of the fragmented keys (lines 17–25).
@@ -303,18 +316,24 @@ impl PromptPartitioner {
         // spread over all blocks — BSI stays ~0 relative to hashing and BCI
         // stays at shuffle level, the trade Fig. 10 reports.
         let cap_limit = p_size + (p_size as f64 * tolerance) as usize + 1;
-        'residuals: for &(gi, home) in &residuals {
+        'residuals: for &(gi, home, at) in &residuals {
             let (key, count) = group(gi);
             let (mut start, end) = (s_cut, count);
-            // Only here can a key reach a second block, and every block past
-            // its home that a residual reaches is new to the key: the
-            // residual left no room in the blocks it reached before. The
-            // first such block puts the key in the split-key table.
+            // What returns home continues the `S_cut` piece, so a block holds
+            // one piece per key. Only here can a key reach a second block,
+            // and every block past its home that a residual reaches is new
+            // to the key: the residual left no room in the blocks it reached
+            // before. The first such block puts the key in the split-key
+            // table.
             let mut put = |blocks: &mut SymbolicBlocks, b: usize, start: usize, end: usize| {
-                if b != home && split_keys.last() != Some(&key) {
-                    split_keys.push(key);
+                if b == home {
+                    blocks.extend(home, at, start, end);
+                } else {
+                    if split_keys.last() != Some(&key) {
+                        split_keys.push(key);
+                    }
+                    blocks.place(b, key, gi, start, end);
                 }
-                blocks.place(b, gi, start, end, b != home);
             };
             // Key-locality first: the block already holding this key's
             // S_cut fragment.
@@ -357,21 +376,45 @@ impl PromptPartitioner {
             }
         }
         blocks.put_lists(normal, residuals);
+        // Placement is decided; lay each block out in key order, on up to
+        // `threads` workers. A block holds one piece per key, so every block
+        // becomes one run per key, keys ascending.
+        map_mut(&mut blocks.pieces, threads, |_, pieces| {
+            pieces.sort_unstable_by_key(|pc| pc.key.0)
+        });
         split_keys
     }
 }
 
-/// One contiguous range `[start, end)` of key group `group`'s tuples,
-/// assigned to a block by [`PromptPartitioner::assign_pieces`]. A piece past
-/// its group's first (`start > 0`) is a residual's, and `later` is its place
-/// among those in placement order, which is group by group, in `start` order
-/// within a group.
+/// One contiguous range `[start, end)` of key group `group`'s tuples, whose
+/// key is `key`, assigned to a block by [`PromptPartitioner::assign_pieces`];
+/// a block holds at most one piece of a key. A piece past its group's first
+/// (`start > 0`) is a residual's that left the key's home block, and `later`
+/// is its place among those in placement order, which is group by group, in
+/// `start` order within a group. Indices and offsets are `u32`, which keeps
+/// the per-block sort's elements at 24 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Piece {
-    group: usize,
-    start: usize,
-    end: usize,
-    later: usize,
+    key: Key,
+    group: u32,
+    start: u32,
+    end: u32,
+    later: u32,
+}
+
+impl Piece {
+    fn group(&self) -> usize {
+        self.group as usize
+    }
+
+    /// The piece's tuples as offsets into its group.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    fn len(&self) -> usize {
+        (self.end - self.start) as usize
+    }
 }
 
 /// The symbolic block state the assignment phase reads back: per-block
@@ -386,7 +429,7 @@ struct SymbolicBlocks {
     cardinalities: Vec<usize>,
     later: Vec<usize>,
     normal: Vec<usize>,
-    residuals: Vec<(usize, usize)>,
+    residuals: Vec<(usize, usize, usize)>,
 }
 
 impl SymbolicBlocks {
@@ -402,7 +445,7 @@ impl SymbolicBlocks {
     }
 
     /// The phase-1 lists, empty, to fill while blocks are placed.
-    fn take_lists(&mut self) -> (Vec<usize>, Vec<(usize, usize)>) {
+    fn take_lists(&mut self) -> (Vec<usize>, Vec<(usize, usize, usize)>) {
         self.normal.clear();
         self.residuals.clear();
         (
@@ -412,26 +455,39 @@ impl SymbolicBlocks {
     }
 
     /// Keep the phase-1 lists' allocations for the next batch.
-    fn put_lists(&mut self, normal: Vec<usize>, residuals: Vec<(usize, usize)>) {
+    fn put_lists(&mut self, normal: Vec<usize>, residuals: Vec<(usize, usize, usize)>) {
         (self.normal, self.residuals) = (normal, residuals);
     }
 
-    /// Append a piece to block `b`; `new_key` says the block does not hold
-    /// the piece's key yet.
-    fn place(&mut self, b: usize, group: usize, start: usize, end: usize, new_key: bool) {
+    /// Append a piece of group `group`, keyed `key`, to block `b`, which
+    /// does not hold the key yet, and return its index there.
+    /// `assign_pieces` has checked that every value fits a `u32`.
+    fn place(&mut self, b: usize, key: Key, group: usize, start: usize, end: usize) -> usize {
         debug_assert!(start < end, "empty piece");
-        let later = self.later.len();
+        let later = self.later.len() as u32;
         if start > 0 {
             self.later.push(group);
         }
+        let (group, start, end) = (group as u32, start as u32, end as u32);
         self.pieces[b].push(Piece {
+            key,
             group,
             start,
             end,
             later,
         });
+        self.sizes[b] += (end - start) as usize;
+        self.cardinalities[b] += 1;
+        self.pieces[b].len() - 1
+    }
+
+    /// Extend block `b`'s piece `at` by `[start, end)`: a residual returning
+    /// to its home block, straight after its `S_cut` fragment.
+    fn extend(&mut self, b: usize, at: usize, start: usize, end: usize) {
+        let pc = &mut self.pieces[b][at];
+        debug_assert_eq!(pc.end as usize, start, "a residual continues its piece");
         self.sizes[b] += end - start;
-        self.cardinalities[b] += usize::from(new_key);
+        pc.end = end as u32;
     }
 
     #[inline]
@@ -440,37 +496,29 @@ impl SymbolicBlocks {
     }
 }
 
-/// A block's fragment table from its pieces, into `out` (empty): their sizes
-/// summed per key, sorted by key id. A key has one piece per block, but for a
-/// heavy key's home block, where its residual can follow its `S_cut`
-/// fragment.
-fn fragments_into(groups: &[KeyGroup], pieces: &[Piece], out: &mut Vec<KeyFragment>) {
+/// A block's fragment table from its key-ordered pieces, into `out`
+/// (empty): a block holds one piece per key, so one fragment per piece.
+fn fragments_into(pieces: &[Piece], out: &mut Vec<KeyFragment>) {
     out.extend(pieces.iter().map(|pc| KeyFragment {
-        key: groups[pc.group].key,
-        count: pc.end - pc.start,
+        key: pc.key,
+        count: pc.len(),
     }));
-    out.sort_unstable_by_key(|f| f.key.0);
-    out.dedup_by(|next, kept| {
-        let same = next.key == kept.key;
-        kept.count += if same { next.count } else { 0 };
-        same
-    });
 }
 
 /// Copy one block's assigned ranges out of the sealed batch into `block`
-/// (empty). Pieces are appended in assignment order, the order the row
-/// scatter lays them out in, so either way the block is bit-identical.
+/// (empty). Pieces are appended in key order, the order the row scatter
+/// lays them out in, so either way the block is bit-identical.
 fn materialize_block(batch: &SealedBatch, pieces: &[Piece], block: &mut DataBlock) {
     // Sized exactly: the residual tolerance lets a block run a few tuples
     // past `N/p`, and a guess that low would double the block's allocation.
-    let size = pieces.iter().map(|pc| pc.end - pc.start).sum();
+    let size = pieces.iter().map(Piece::len).sum();
     block.tuples.reserve_exact(size);
     for pc in pieces {
         block
             .tuples
-            .extend_from_slice(&batch.tuples(pc.group)[pc.start..pc.end]);
+            .extend_from_slice(&batch.tuples(pc.group())[pc.range()]);
     }
-    fragments_into(&batch.groups, pieces, &mut block.fragments);
+    fragments_into(pieces, &mut block.fragments);
 }
 
 impl Partitioner for PromptPartitioner {
@@ -527,6 +575,7 @@ impl Partitioner for PromptPartitioner {
             &sealed.groups,
             p,
             Self::DEFAULT_TOLERANCE,
+            self.threads,
             &mut self.symbolic,
         );
         let symbolic_us = t1.elapsed().as_micros() as u64;
@@ -564,7 +613,8 @@ impl PromptPartitioner {
 
     /// The row pipeline, record → order → assign → scatter, with a wall
     /// clock around each phase: `seal_us` ends once the keys are ordered,
-    /// and `materialize_us` holds the scatter and the fragment tables. The
+    /// `symbolic_us` holds the assignment and each block's key sort, and
+    /// `materialize_us` holds the scatter and the fragment tables. The
     /// timings drive the observability layer's per-stage breakdowns (Fig.
     /// 14's overhead story) and never influence the plan.
     fn partition_rows(
@@ -581,15 +631,16 @@ impl PromptPartitioner {
         self.buffer.order(0, &mut groups, &mut self.tables.slots);
         let seal_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
+        let tolerance = Self::DEFAULT_TOLERANCE;
         let split_keys =
-            Self::assign_pieces(&groups, p, Self::DEFAULT_TOLERANCE, &mut self.symbolic);
+            Self::assign_pieces(&groups, p, tolerance, self.threads, &mut self.symbolic);
         let symbolic_us = t1.elapsed().as_micros() as u64;
         let t2 = std::time::Instant::now();
         let mut blocks = self.spare.sized_row_blocks(&self.symbolic.sizes);
         self.scatter_rows(tuples, interval, &mut blocks);
         let pieces = &self.symbolic.pieces;
         map_mut(&mut blocks, self.threads, |b, block| {
-            fragments_into(&groups, &pieces[b], &mut block.fragments)
+            fragments_into(&pieces[b], &mut block.fragments)
         });
         let materialize_us = t2.elapsed().as_micros() as u64;
         self.sealed.0 = groups;
@@ -608,7 +659,7 @@ impl PromptPartitioner {
 
     /// Write every arrival of `tuples` once, straight to its position in
     /// `blocks`, each already as long as its assigned pieces: carve every
-    /// block into its pieces' slices, in assignment order; a group's
+    /// block into its pieces' slices, in key order; a group's
     /// destination is its first piece's slice, then its later pieces' slices
     /// in `start` order; and the accumulator scatters its arrivals to them.
     fn scatter_rows(&mut self, tuples: &[Tuple], interval: Interval, blocks: &mut [DataBlock]) {
@@ -620,12 +671,12 @@ impl PromptPartitioner {
         for (block, pieces) in blocks.iter_mut().zip(&symbolic.pieces) {
             let mut rest = &mut block.tuples[..];
             for pc in pieces {
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(pc.end - pc.start);
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(pc.len());
                 rest = tail;
                 if pc.start == 0 {
-                    heads[slots[pc.group] as usize] = mine.iter_mut();
+                    heads[slots[pc.group()] as usize] = mine.iter_mut();
                 } else {
-                    tiles[pc.later] = mine.iter_mut();
+                    tiles[pc.later as usize] = mine.iter_mut();
                 }
             }
         }

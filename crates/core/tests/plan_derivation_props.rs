@@ -1,5 +1,6 @@
-//! Oracle property tests for the four things a plan's consumers used to
-//! re-derive by hashing and now take from the partitioner:
+//! Oracle property tests for what a plan's consumers used to re-derive by
+//! hashing and now take from the partitioner, and for the block shape the
+//! Map kernel relies on:
 //!
 //! 1. Prompt's fragment tables and split-key table — against the hashing
 //!    derivations (`PartitionPlan::from_blocks`, a per-block tuple count, and
@@ -15,6 +16,9 @@
 //! 5. Prompt's row pipeline, which writes each arrival straight into its
 //!    block — against `partition_sealed` of the same accumulator's arena
 //!    seal, in every mode and ingest geometry, batch after batch.
+//! 6. the shape every Prompt block has, which the Map kernel's run walk
+//!    relies on — one run per key, keys ascending — in every mode and
+//!    geometry, in both layouts and through `partition_sealed`.
 //!
 //! The vendored proptest shim replays cases by test name, not by seed, so
 //! the regression cases (`plan_derivation_props.proptest-regressions`) are
@@ -404,6 +408,92 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// (6) Every Prompt block is key runs, keys ascending, one run per
+    /// fragment: `partition_sealed` at every tolerance in either seal order,
+    /// and the partitioner's row plan and columnar plan (as rows) in both
+    /// modes and every ingest geometry.
+    #[test]
+    fn key_ordered_blocks_in_every_mode_and_geometry(
+        counts in counts(),
+        p in 1usize..=17,
+        quasi in any::<bool>(),
+    ) {
+        check_key_ordered_plans(&counts, p, quasi)?;
+    }
+}
+
+/// A Prompt plan's blocks are each one run per key, keys strictly ascending:
+/// as many runs as fragments.
+fn check_key_ordered(plan: &PartitionPlan, what: &str) -> Result<(), TestCaseError> {
+    for (b, block) in plan.blocks.iter().enumerate() {
+        let runs: Vec<u64> = (block.tuples.chunk_by(|x, y| x.key == y.key))
+            .map(|run| run[0].key.0)
+            .collect();
+        prop_assert!(
+            runs.windows(2).all(|w| w[0] < w[1]),
+            "{}: block {} runs {:?} are not key-ascending",
+            what,
+            b,
+            runs
+        );
+        prop_assert_eq!(runs.len(), block.fragments.len(), "{}: block {}", what, b);
+    }
+    Ok(())
+}
+
+/// [`check_key_ordered`] over every way a Prompt plan of `counts` is built.
+fn check_key_ordered_plans(
+    counts: &[(Key, usize)],
+    p: usize,
+    quasi: bool,
+) -> Result<(), TestCaseError> {
+    let batch = sealed(counts, quasi);
+    for tolerance in TOLERANCES {
+        let plan = PromptPartitioner::partition_sealed_with(&batch, p, tolerance);
+        let what = format!("partition_sealed p={p} tolerance={tolerance}");
+        check_key_ordered(&plan, &what)?;
+    }
+    let mb = arrivals(counts);
+    for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
+        for (shards, threads) in [(1, 1), (1, 2), (4, 1), (4, 2), (7, 3)] {
+            let what = format!("{mode:?} shards={shards} threads={threads} p={p}");
+            let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
+            check_key_ordered(&part.partition(&mb, p), &format!("{what} rows"))?;
+            let (cols, _) = part.partition_columnar(&mb, p).expect("a columnar path");
+            check_key_ordered(&cols.to_row_plan(), &format!("{what} columns"))?;
+        }
+    }
+    Ok(())
+}
+
+/// [`check_key_ordered_plans`] of the degenerate batches: empty, one tuple,
+/// one key over every block, every key above `S_cut`, more blocks than
+/// tuples, and one block.
+#[test]
+fn key_ordered_blocks_of_degenerate_batches() {
+    let one_tuple = [(Key(7), 1)];
+    let one_key = [(Key(3), 1000)];
+    let all_above_s_cut = [(Key(42), 500), (Key(11), 500), (Key(3), 500)];
+    let few_tuples = [(Key(5), 2), (Key(6), 1), (Key(9), 1)];
+    let cases = [
+        (&[][..], &[1, 3][..]),
+        (&one_tuple, &[1, 4]),
+        (&one_key, &[1, 2, 5]),
+        (&all_above_s_cut, &[1, 2, 4, 8]),
+        (&few_tuples, &[1, 9, 17]),
+    ];
+    for (counts, ps) in cases {
+        for &p in ps {
+            for quasi in [false, true] {
+                check_key_ordered_plans(counts, p, quasi).unwrap();
+            }
+        }
+    }
+}
+
 /// Ingest geometries the direct scatter is checked over.
 const SHARDS: [usize; 4] = [1, 2, 4, 7];
 const THREADS: [usize; 3] = [1, 2, 3];
@@ -540,8 +630,8 @@ fn pinned_a_residual_merges_into_its_home_fragment() {
 }
 
 /// One giant key over four blocks: its `S_cut` fragment and one tuple of
-/// residual share the home block, the rest pours over the three others —
-/// the split key of a plan whose every block holds it.
+/// residual share the home block, as one piece, the rest pours over the
+/// three others — the split key of a plan whose every block holds it.
 #[test]
 fn pinned_a_poured_residual_reaches_every_block() {
     let counts = [(Key(1), 1000)];
@@ -556,7 +646,7 @@ fn pinned_a_poured_residual_reaches_every_block() {
         .build(1)
         .partition_columnar(&mb, 4)
         .unwrap();
-    assert_eq!(cols.blocks[0].ranges.len(), 2, "home holds two pieces");
+    assert_eq!(cols.blocks[0].ranges.len(), 1, "home holds one piece");
     check_columnar_plan(&cols, &rows, "poured").unwrap();
 }
 

@@ -7,6 +7,10 @@
 //! what a block maps to, and what a block looks like on the wire — and
 //! [`PlanView`] answers them for either layout (a sixth, each block's
 //! fragment list, is all that metrics, the policy and the rebalancer read).
+//! The row Map fold walks a block's runs of one key: while their keys
+//! ascend, as every Prompt block's do, each run goes straight onto the
+//! key-ordered output; a block that breaks the order finishes through a
+//! per-key table.
 //! Everything downstream of the Map fold sees only [`ClusterList`]s, so the
 //! two executors — the local one ([`crate::threaded`], one thread for
 //! `InProcess`, `n` for `Threaded`) and the worker fleet ([`crate::net`]) —
@@ -101,32 +105,56 @@ impl<'a> PlanView<'a> {
 }
 
 /// A Map task's per-key fold table: `key → (partial aggregate, tuples
-/// folded)`. Left empty by every kernel that fills it, so a caller that keeps
-/// one per task reuses its allocation batch after batch.
+/// folded)`, for columnar blocks and row blocks whose key runs do not
+/// ascend. Left empty by every kernel that fills it, so a caller that keeps
+/// one per task reuses its allocation batch after batch; a caller whose row
+/// blocks all ascend never allocates it.
 pub(crate) type Fold = KeyMap<(f64, usize)>;
 
-/// Map + local combine over one row block: fold every mapped tuple into its
-/// key cluster in `clusters` (empty), then move them to `out` in key order.
-/// The distributed worker runs this same fold on the block it decodes, so
-/// map outputs are bit-identical across backends.
-pub(crate) fn map_block(block: &DataBlock, job: &Job, clusters: &mut Fold, out: &mut ClusterList) {
-    debug_assert!(clusters.is_empty(), "a block folds into an empty table");
-    clusters.reserve(block.cardinality());
-    for t in &block.tuples {
-        if let Some(v) = (job.map)(t) {
-            match clusters.entry(t.key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (acc, n) = e.get_mut();
-                    *acc = job.reduce.apply(Some(*acc), v);
-                    *n += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((job.reduce.apply(None, v), 1));
+/// Map + local combine over one row block into `out` (whatever it held
+/// before), in key order. While the block's runs of one key ascend — every
+/// Prompt block's do, to its end — each run folds into a local accumulator
+/// that goes straight onto `out`: no table, no sort. At the first run that
+/// does not ascend past `out`'s last key, `out` moves into `fold` (empty)
+/// and the rest of the block folds tuple by tuple through it, as a baseline
+/// technique's block does; `fold` is left empty. Either way each key's
+/// `apply` sequence is the per-tuple fold's, so the output is bit-identical
+/// to it. The distributed worker runs this same fold on the block it
+/// decodes, so map outputs are bit-identical across backends.
+pub(crate) fn map_block(block: &DataBlock, job: &Job, fold: &mut Fold, out: &mut ClusterList) {
+    debug_assert!(fold.is_empty(), "a block folds into an empty table");
+    out.clear();
+    let mut done = 0;
+    for run in block.tuples.chunk_by(|a, b| a.key == b.key) {
+        let key = run[0].key;
+        if out.last().is_some_and(|&(last, _)| last.0 >= key.0) {
+            fold.reserve(block.cardinality());
+            fold.extend(out.drain(..));
+            for t in &block.tuples[done..] {
+                if let Some(v) = (job.map)(t) {
+                    match fold.entry(t.key) {
+                        std::collections::hash_map::Entry::Occupied(mut e) => {
+                            let (acc, n) = e.get_mut();
+                            *acc = job.reduce.apply(Some(*acc), v);
+                            *n += 1;
+                        }
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            e.insert((job.reduce.apply(None, v), 1));
+                        }
+                    }
                 }
             }
+            return in_key_order(fold, out);
         }
+        let (op, mut values) = (job.reduce, run.iter().filter_map(|t| (job.map)(t)));
+        if let Some(v) = values.next() {
+            let folded = values.fold((op.apply(None, v), 1), |(a, n), v| {
+                (op.apply(Some(a), v), n + 1)
+            });
+            out.push((key, folded));
+        }
+        done += run.len();
     }
-    in_key_order(clusters, out);
 }
 
 /// Map + local combine over one columnar block's ranges — bit-identical to
@@ -315,6 +343,7 @@ mod tests {
     use prompt_core::partitioner::Technique;
     use prompt_core::reduce::PromptReduceAllocator;
     use prompt_core::types::{Interval, Time, Tuple};
+    use proptest::prelude::*;
 
     /// `spec` = `(key, count)`s, arrivals interleaved round-robin over the
     /// keys, values varied so a Sum's fold order shows in its bits.
@@ -366,6 +395,113 @@ mod tests {
             stats,
             scatter_fragments: rec.counter(Counter::ScatterFragments),
             split_key_fragments: rec.counter(Counter::SplitKeyFragments),
+        }
+    }
+
+    /// The per-tuple fold `map_block` ran on every block before it walked key
+    /// runs, verbatim: one table entry per mapped tuple, then a drain and a
+    /// sort. The reference the run walk must equal bit for bit.
+    fn per_tuple_fold(block: &DataBlock, job: &Job, clusters: &mut Fold, out: &mut ClusterList) {
+        debug_assert!(clusters.is_empty(), "a block folds into an empty table");
+        clusters.reserve(block.cardinality());
+        for t in &block.tuples {
+            if let Some(v) = (job.map)(t) {
+                match clusters.entry(t.key) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        let (acc, n) = e.get_mut();
+                        *acc = job.reduce.apply(Some(*acc), v);
+                        *n += 1;
+                    }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert((job.reduce.apply(None, v), 1));
+                    }
+                }
+            }
+        }
+        in_key_order(clusters, out);
+    }
+
+    /// A cluster list with its aggregates as bits.
+    fn bits(out: &ClusterList) -> Vec<(Key, u64, usize)> {
+        out.iter().map(|&(k, (v, n))| (k, v.to_bits(), n)).collect()
+    }
+
+    /// A row block of `runs` — `(key, length)` runs of consecutive tuples,
+    /// values varied so a Sum's fold order shows in its bits — with its
+    /// fragment table.
+    fn block_of_runs(runs: &[(Key, usize)]) -> DataBlock {
+        let keys = (runs.iter()).flat_map(|&(key, len)| std::iter::repeat_n(key, len));
+        let tuples: Vec<Tuple> = (keys.enumerate())
+            .map(|(i, key)| Tuple::new(Time(i as u64), key, (i % 13) as f64 * 0.37 - 2.1))
+            .collect();
+        let mut counts: KeyMap<usize> = KeyMap::default();
+        for t in &tuples {
+            *counts.entry(t.key).or_insert(0) += 1;
+        }
+        let mut fragments: Vec<KeyFragment> = (counts.into_iter())
+            .map(|(key, count)| KeyFragment { key, count })
+            .collect();
+        fragments.sort_unstable_by_key(|f| f.key.0);
+        DataBlock { tuples, fragments }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The run walk against the per-tuple fold: key-ascending runs, with
+        /// or without a stretch of arbitrary runs (a descent, keys coming
+        /// back, fresh keys below every other) spliced in at any run; a map
+        /// that keeps all, drops whole keys, drops single tuples or drops
+        /// everything; every `ReduceOp`. The output must equal the
+        /// reference bit for bit, and the fold table must be left empty —
+        /// and unallocated when the block ascends.
+        #[test]
+        fn map_block_matches_the_per_tuple_fold(
+            ascending in proptest::collection::vec((1u64..4, 1usize..6), 0..40),
+            tail in proptest::collection::vec((0usize..64, 1usize..6), 0..8),
+            at in 0usize..64,
+            filter in 0u8..4,
+            op in 0u8..4,
+        ) {
+            let mut key = 10;
+            let mut runs: Vec<(Key, usize)> = (ascending.iter())
+                .map(|&(gap, len)| {
+                    key += gap;
+                    (Key(key), len)
+                })
+                .collect();
+            // A quarter of the spliced runs take a fresh key below every
+            // ascending one; the rest repeat one of the ascending keys.
+            let spliced = tail.iter().map(|&(pick, len)| match runs.len() {
+                n if n == 0 || pick % 4 == 0 => (Key(pick as u64 % 10), len),
+                n => (runs[pick % n].0, len),
+            });
+            let at = at % (runs.len() + 1);
+            let spliced: Vec<(Key, usize)> = spliced.collect();
+            runs.splice(at..at, spliced);
+            let block = block_of_runs(&runs);
+            let op = [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min][op as usize];
+            let job = match filter {
+                0 => Job::identity("all", op),
+                1 => Job::new("drop-keys", |t: &Tuple| (!t.key.0.is_multiple_of(3)).then_some(t.value), op),
+                2 => Job::new("drop-tuples", |t: &Tuple| (!t.ts.0.is_multiple_of(4)).then_some(t.value), op),
+                _ => Job::new("drop-all", |_: &Tuple| None, op),
+            };
+            let mut want = ClusterList::new();
+            per_tuple_fold(&block, &job, &mut Fold::default(), &mut want);
+            let ascends = (block.tuples.windows(2)).all(|w| w[0].key.0 <= w[1].key.0);
+
+            let (mut fold, mut out) = (Fold::default(), vec![(Key(1), (0.5, 9))]);
+            map_block(&block, &job, &mut fold, &mut out);
+            prop_assert_eq!(bits(&out), bits(&want), "{:?}", runs);
+            prop_assert!(fold.is_empty(), "the fold table was left filled");
+            if ascends {
+                prop_assert_eq!(fold.capacity(), 0, "the fold table was allocated");
+            }
+            // Again, through the table the first call left behind.
+            map_block(&block, &job, &mut fold, &mut out);
+            prop_assert_eq!(bits(&out), bits(&want), "again: {:?}", runs);
+            prop_assert!(fold.is_empty(), "the fold table was left filled");
         }
     }
 

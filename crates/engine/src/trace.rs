@@ -76,11 +76,13 @@ pub enum StageKind {
     /// row path it ends before any tuple moves; the columnar plane's includes
     /// its scatter into the sealed arena.
     Seal,
-    /// Wall-clock: Algorithm 2's symbolic piece assignment.
+    /// Wall-clock: Algorithm 2's symbolic piece assignment, and the sort of
+    /// each block's pieces into key order that lets Map fold a Prompt block
+    /// run by run (Fig. 14's Prompt partition time includes it).
     PartitionSymbolic,
     /// Wall-clock: materializing blocks from the symbolic assignment — on the
     /// row path, the scatter of every arrival into its block and the
-    /// fragment tables.
+    /// fragment tables, merged from the key-ordered pieces without a sort.
     PartitionMaterialize,
     /// Virtual: partitioning overhead that spilled past early release.
     PartitionVisible,

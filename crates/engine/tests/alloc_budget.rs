@@ -286,17 +286,20 @@ fn zipf_threaded_stays_within_its_allocation_budget() {
 /// slack absorbs a toolchain's different growth policy, not run-to-run
 /// noise: there is none.
 const UNIFORM_BUDGET: (u64, u64) = (70, 24 << 20);
-/// Measured: 18 and 4.7 MiB — 16 of them Algorithm 3's lists of non-split
-/// clusters, one the gathered output, and one emission every second batch —
-/// against 149 and 44.0 MiB while every batch sealed into a fresh arena and
-/// built its plan, Map and merge tables afresh, and 166 and 46.8 MiB before
-/// that, while tables grew from empty.
-const ZIPF_BUDGET: (u64, u64) = (20, 5 << 20);
-/// Measured: 18 and 4.7 MiB, as `zipf_inproc`: the shards' group lists and
+/// Measured: 1 and 3.2 MiB — the gathered output, and one emission every
+/// second batch; no Map task's fold table, which a key-ordered block never
+/// fills — against 2 while Map folded every block through its table, 18 and
+/// 4.7 MiB while Algorithm 3 built a list of non-split clusters per block,
+/// 149 and 44.0 MiB while every batch sealed into a fresh arena and built its
+/// plan, Map and merge tables afresh, and 166 and 46.8 MiB before that, while
+/// tables grew from empty. A stable sort of each block's pieces (it allocates
+/// a buffer per block) measured 17.
+const ZIPF_BUDGET: (u64, u64) = (4, 5 << 20);
+/// Measured: 1 and 3.2 MiB, as `zipf_inproc`: the shards' group lists and
 /// scatter runs are kept too. Against 156 and 45.4 MiB with fresh arenas,
 /// plans and tables, and 161 and 57.8 MiB while every shard sealed into an
 /// arena of its own and the merge copied them into one more.
-const ZIPF_SHARDED_BUDGET: (u64, u64) = (20, 5 << 20);
-/// Measured: 18 and 4.8 MiB on every thread, as on one: helpers reuse the
+const ZIPF_SHARDED_BUDGET: (u64, u64) = (4, 5 << 20);
+/// Measured: 2 and 3.3 MiB on every thread, as on one: helpers reuse the
 /// tables of the tasks they run, whichever those are.
-const ZIPF_THREADED_BUDGET: (u64, u64) = (20, 5 << 20);
+const ZIPF_THREADED_BUDGET: (u64, u64) = (4, 5 << 20);
