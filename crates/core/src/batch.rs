@@ -195,49 +195,6 @@ impl DataBlock {
     }
 }
 
-/// Builder used by all partitioners to assemble a block while keeping the
-/// per-key fragment summary consistent with the tuple payload.
-#[derive(Debug)]
-pub(crate) struct BlockBuilder {
-    tuples: Vec<Tuple>,
-    counts: KeyMap<usize>,
-}
-
-impl BlockBuilder {
-    pub fn with_capacity(n: usize) -> BlockBuilder {
-        BlockBuilder {
-            tuples: Vec::with_capacity(n),
-            counts: KeyMap::default(),
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, t: Tuple) {
-        *self.counts.entry(t.key).or_insert(0) += 1;
-        self.tuples.push(t);
-    }
-
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.tuples.len()
-    }
-
-    pub fn finish(self) -> DataBlock {
-        let mut fragments: Vec<KeyFragment> = self
-            .counts
-            .into_iter()
-            .map(|(key, count)| KeyFragment { key, count })
-            .collect();
-        // Deterministic output regardless of hash-map iteration order; the
-        // keys are unique, so an unstable sort gives the same order.
-        fragments.sort_unstable_by_key(|f| f.key.0);
-        DataBlock {
-            tuples: self.tuples,
-            fragments,
-        }
-    }
-}
-
 /// The result of partitioning one micro-batch: `p` data blocks plus the
 /// reference table of split keys (§5: "each data block is equipped with a
 /// reference table \[marking\] if keys are split over other data blocks").
@@ -252,19 +209,7 @@ pub struct PartitionPlan {
 impl PartitionPlan {
     /// Assemble a plan from blocks, deriving the split-key reference table.
     pub fn from_blocks(blocks: Vec<DataBlock>) -> PartitionPlan {
-        // Each key has at most one fragment per block, so a key's fragment
-        // count is the number of blocks holding it.
-        let mut holders: KeyMap<usize> = KeyMap::default();
-        for b in &blocks {
-            for f in &b.fragments {
-                *holders.entry(f.key).or_insert(0) += 1;
-            }
-        }
-        let split_keys: KeySet = holders
-            .into_iter()
-            .filter(|&(_, n)| n > 1)
-            .map(|(k, _)| k)
-            .collect();
+        let split_keys = split_keys(&blocks, &mut KeyMap::default());
         PartitionPlan { blocks, split_keys }
     }
 
@@ -295,6 +240,19 @@ impl PartitionPlan {
     pub fn block_fragments(&self) -> Vec<&[KeyFragment]> {
         self.blocks.iter().map(|b| &b.fragments[..]).collect()
     }
+}
+
+/// The keys held by more than one of `blocks`, counted in `holders` (empty,
+/// and drained again before returning). Each key has at most one fragment
+/// per block, so a key's fragment count is the number of blocks holding it.
+pub(crate) fn split_keys(blocks: &[DataBlock], holders: &mut KeyMap<usize>) -> KeySet {
+    for f in blocks.iter().flat_map(|b| &b.fragments) {
+        *holders.entry(f.key).or_insert(0) += 1;
+    }
+    (holders.drain())
+        .filter(|&(_, n)| n > 1)
+        .map(|(k, _)| k)
+        .collect()
 }
 
 /// Number of distinct keys across per-block fragment lists, given the plan's
@@ -336,33 +294,21 @@ mod tests {
         assert!(MicroBatch::new(vec![], iv).is_empty());
     }
 
-    #[test]
-    fn block_builder_tracks_fragments() {
-        let mut b = BlockBuilder::with_capacity(4);
-        b.push(t(1));
-        b.push(t(2));
-        b.push(t(1));
-        b.push(t(3));
-        b.push(t(3));
-        assert_eq!(b.size(), 5);
-        let block = b.finish();
-        assert_eq!(block.size(), 5);
-        assert_eq!(block.cardinality(), 3);
-        let f1 = block.fragments.iter().find(|f| f.key == Key(1)).unwrap();
-        assert_eq!(f1.count, 2);
-        let f3 = block.fragments.iter().find(|f| f.key == Key(3)).unwrap();
-        assert_eq!(f3.count, 2);
+    /// A block holding one tuple of each of `keys`, distinct and ascending.
+    fn block(keys: &[u64]) -> DataBlock {
+        let fragment = |&k: &u64| KeyFragment {
+            key: Key(k),
+            count: 1,
+        };
+        DataBlock {
+            tuples: keys.iter().map(|&k| t(k)).collect(),
+            fragments: keys.iter().map(fragment).collect(),
+        }
     }
 
     #[test]
     fn plan_derives_split_keys() {
-        let mut b1 = BlockBuilder::with_capacity(2);
-        b1.push(t(1));
-        b1.push(t(2));
-        let mut b2 = BlockBuilder::with_capacity(2);
-        b2.push(t(1));
-        b2.push(t(3));
-        let plan = PartitionPlan::from_blocks(vec![b1.finish(), b2.finish()]);
+        let plan = PartitionPlan::from_blocks(vec![block(&[1, 2]), block(&[1, 3])]);
         assert_eq!(plan.n_blocks(), 2);
         assert_eq!(plan.total_tuples(), 4);
         assert_eq!(plan.total_keys(), 3);

@@ -14,9 +14,10 @@
 //! The paper's evaluation (§7) sweeps the number of candidates per key for
 //! cAM and reports the best configuration; the harness does the same.
 
-use crate::batch::{BlockBuilder, PartitionPlan};
-use crate::hash::{HashFamily, KeySet};
-use crate::partitioner::Partitioner;
+use crate::batch::PartitionPlan;
+use crate::hash::HashFamily;
+use crate::partitioner::per_tuple::PerTuple;
+use crate::partitioner::{PartitionPhases, Partitioner, Plan};
 use crate::types::{Interval, Tuple};
 
 /// Default weight of the cardinality term in the placement cost.
@@ -28,6 +29,7 @@ pub struct CamPartitioner {
     family: HashFamily,
     d: usize,
     gamma: f64,
+    blocks: PerTuple,
 }
 
 impl CamPartitioner {
@@ -44,6 +46,7 @@ impl CamPartitioner {
             family: HashFamily::new(seed, d),
             d,
             gamma,
+            blocks: PerTuple::default(),
         }
     }
 
@@ -63,51 +66,31 @@ impl Partitioner for CamPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
-    ) -> PartitionPlan {
-        assert!(p > 0, "need at least one block");
-        let mut builders: Vec<BlockBuilder> = (0..p)
-            .map(|_| BlockBuilder::with_capacity(tuples.len() / p + 1))
-            .collect();
-        // Track each block's key set to detect zero-cardinality placements.
-        let mut key_sets: Vec<KeySet> = vec![KeySet::default(); p];
-
-        for &t in tuples {
-            let mut best: Option<(f64, usize)> = None;
-            let mut best_local: Option<(usize, usize)> = None; // (size, block)
-            for b in self.family.candidates(t.key, p) {
-                let size = builders[b].size();
-                if key_sets[b].contains(&t.key) {
-                    // Locality-preserving candidate: compare by size only.
-                    if best_local.is_none_or(|(s, bb)| (size, b) < (s, bb)) {
-                        best_local = Some((size, b));
-                    }
-                } else {
-                    let cost = size as f64 + self.gamma * key_sets[b].len() as f64;
-                    if best.is_none_or(|(c, bb)| (cost, b) < (c, bb)) {
-                        best = Some((cost, b));
-                    }
-                }
-            }
+    ) -> (PartitionPlan, PartitionPhases) {
+        let plan = self.blocks.place(tuples, p, true, |_, t, placed| {
+            let candidates = || self.family.candidates(t.key, p);
+            let cost = |b| placed.size(b) as f64 + self.gamma * placed.cardinality(b) as f64;
+            // Candidates that hold the key compare by size only, the others
+            // by `cost`; the first minimum wins.
+            let local = (candidates().filter(|&b| placed.holds(b, t.key)))
+                .min_by_key(|&b| (placed.size(b), b));
+            let fresh = (candidates().filter(|&b| !placed.holds(b, t.key)))
+                .map(|b| (cost(b), b))
+                .min_by(|x, y| x.partial_cmp(y).expect("costs are finite"));
             // Prefer a candidate that already holds the key unless a fresh
             // candidate is strictly cheaper even after paying the
             // cardinality penalty.
-            let block = match (best_local, best) {
-                (Some((lsize, lb)), Some((cost, b))) => {
-                    let local_cost = lsize as f64;
-                    if cost + self.gamma < local_cost {
-                        b
-                    } else {
-                        lb
-                    }
-                }
-                (Some((_, lb)), None) => lb,
-                (None, Some((_, b))) => b,
-                (None, None) => unreachable!("family is non-empty"),
-            };
-            key_sets[block].insert(t.key);
-            builders[block].push(t);
-        }
-        PartitionPlan::from_blocks(builders.into_iter().map(BlockBuilder::finish).collect())
+            match (local, fresh) {
+                (Some(lb), Some((cost, b))) if cost + self.gamma < placed.size(lb) as f64 => b,
+                (Some(lb), _) => lb,
+                (None, fresh) => fresh.expect("family is non-empty").1,
+            }
+        });
+        (plan, PartitionPhases::default())
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.blocks.recycle(plan);
     }
 }
 

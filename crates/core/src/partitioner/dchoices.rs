@@ -7,9 +7,10 @@
 //! original) and gives only them `d` candidate blocks; the long tail routes
 //! by a single hash, preserving its key locality.
 
-use crate::batch::{BlockBuilder, MicroBatch, PartitionPlan};
+use crate::batch::PartitionPlan;
 use crate::hash::{bucket_of, HashFamily};
-use crate::partitioner::{PartitionPhases, Partitioner};
+use crate::partitioner::per_tuple::PerTuple;
+use crate::partitioner::{PartitionPhases, Partitioner, Plan};
 use crate::sketch::SpaceSaving;
 use crate::types::{Interval, Tuple};
 
@@ -24,6 +25,7 @@ pub struct DChoicesPartitioner {
     d: usize,
     phi: f64,
     sketch_counters: usize,
+    blocks: PerTuple,
 }
 
 impl DChoicesPartitioner {
@@ -44,6 +46,7 @@ impl DChoicesPartitioner {
             phi,
             // Counters sized so every key above phi is guaranteed tracked.
             sketch_counters: (2.0 / phi).ceil() as usize,
+            blocks: PerTuple::default(),
         }
     }
 
@@ -56,9 +59,7 @@ impl DChoicesPartitioner {
     pub fn phi(&self) -> f64 {
         self.phi
     }
-}
 
-impl DChoicesPartitioner {
     /// The select phase: run the arrivals through the heavy-hitter sketch
     /// and flag every tuple whose key is heavy as of its own arrival.
     fn flag_heavy(&self, tuples: &[Tuple]) -> Vec<bool> {
@@ -70,28 +71,6 @@ impl DChoicesPartitioner {
                 sketch.is_heavy(t.key, self.phi)
             })
             .collect()
-    }
-
-    /// The placement phase, given each tuple's [`Self::flag_heavy`] flag.
-    fn place(&self, tuples: &[Tuple], heavy: &[bool], p: usize) -> PartitionPlan {
-        assert!(p > 0, "need at least one block");
-        let mut builders: Vec<BlockBuilder> = (0..p)
-            .map(|_| BlockBuilder::with_capacity(tuples.len() / p + 1))
-            .collect();
-        for (&t, &heavy) in tuples.iter().zip(heavy) {
-            let block = if heavy {
-                // Heavy: least-loaded of the d candidates.
-                self.family
-                    .candidates(t.key, p)
-                    .min_by_key(|&b| (builders[b].size(), b))
-                    .expect("family non-empty")
-            } else {
-                // Tail: single hash keeps locality.
-                bucket_of(self.seed, t.key, p)
-            };
-            builders[block].push(t);
-        }
-        PartitionPlan::from_blocks(builders.into_iter().map(BlockBuilder::finish).collect())
     }
 }
 
@@ -105,23 +84,25 @@ impl Partitioner for DChoicesPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
-    ) -> PartitionPlan {
-        self.place(tuples, &self.flag_heavy(tuples), p)
-    }
-
-    fn partition_phased(
-        &mut self,
-        batch: &MicroBatch,
-        p: usize,
     ) -> (PartitionPlan, PartitionPhases) {
         // The sketch probe is the technique-specific select/score work,
         // timed apart from placement so stage-breakdown tables can
         // attribute it.
         let t0 = std::time::Instant::now();
-        let heavy = self.flag_heavy(&batch.tuples);
+        let heavy = self.flag_heavy(tuples);
         let select_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
-        let plan = self.place(&batch.tuples, &heavy, p);
+        let plan = self.blocks.place(tuples, p, true, |i, t, placed| {
+            if heavy[i] {
+                // Heavy: least-loaded of the d candidates.
+                (self.family.candidates(t.key, p))
+                    .min_by_key(|&b| (placed.size(b), b))
+                    .expect("family non-empty")
+            } else {
+                // Tail: single hash keeps locality.
+                bucket_of(self.seed, t.key, p)
+            }
+        });
         let materialize_us = t1.elapsed().as_micros() as u64;
         let phases = PartitionPhases {
             select_us,
@@ -129,6 +110,10 @@ impl Partitioner for DChoicesPartitioner {
             ..PartitionPhases::default()
         };
         (plan, phases)
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.blocks.recycle(plan);
     }
 }
 
@@ -190,7 +175,8 @@ mod tests {
     #[test]
     fn phased_path_is_bit_identical_to_plain() {
         let batch = zipfish_batch(60, 600);
-        let (plan, phases) = DChoicesPartitioner::new(7, 5).partition_phased(&batch, 8);
+        let (plan, phases) =
+            DChoicesPartitioner::new(7, 5).partition_slice(&batch.tuples, batch.interval, 8);
         let plain = DChoicesPartitioner::new(7, 5).partition(&batch, 8);
         assert_plan_valid(&batch, &plan, 8);
         assert_eq!(plan.blocks.len(), plain.blocks.len());

@@ -5,19 +5,17 @@
 //! receives a hot key balloons, producing the size imbalance that Fig. 10
 //! normalises every other technique against.
 
-use crate::batch::{KeyFragment, PartitionPlan};
-use crate::hash::{bucket_of, KeyMap, KeySet};
-use crate::partitioner::{Partitioner, Plan, Spare};
+use crate::batch::PartitionPlan;
+use crate::hash::bucket_of;
+use crate::partitioner::per_tuple::PerTuple;
+use crate::partitioner::{PartitionPhases, Partitioner, Plan};
 use crate::types::{Interval, Tuple};
 
 /// Key-grouping (hash) partitioner.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct HashPartitioner {
     seed: u64,
-    /// Each block's per-key counts, refilled every batch.
-    counts: Vec<KeyMap<usize>>,
-    /// The buffers of the last plan handed back.
-    spare: Spare,
+    blocks: PerTuple,
 }
 
 impl HashPartitioner {
@@ -25,8 +23,7 @@ impl HashPartitioner {
     pub fn new(seed: u64) -> HashPartitioner {
         HashPartitioner {
             seed,
-            counts: Vec::new(),
-            spare: Spare::default(),
+            blocks: PerTuple::default(),
         }
     }
 }
@@ -41,37 +38,17 @@ impl Partitioner for HashPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
-    ) -> PartitionPlan {
-        assert!(p > 0, "need at least one block");
-        let mut blocks = self.spare.row_blocks(p);
-        self.counts.resize_with(p, KeyMap::default);
-        for block in &mut blocks {
-            block.tuples.reserve(tuples.len() / p + 1);
-        }
-        for &t in tuples {
-            let b = bucket_of(self.seed, t.key, p);
-            blocks[b].tuples.push(t);
-            *self.counts[b].entry(t.key).or_insert(0) += 1;
-        }
-        for (block, counts) in blocks.iter_mut().zip(&mut self.counts) {
-            let fragments = counts
-                .drain()
-                .map(|(key, count)| KeyFragment { key, count });
-            block.fragments.extend(fragments);
-            // Keys are unique, so an unstable sort gives one order whatever
-            // the table's iteration order.
-            block.fragments.sort_unstable_by_key(|f| f.key.0);
-        }
+    ) -> (PartitionPlan, PartitionPhases) {
         // A key's tuples all hash to one block, so the split-key reference
         // table is empty by construction: nothing to derive.
-        PartitionPlan {
-            blocks,
-            split_keys: KeySet::default(),
-        }
+        let plan = self
+            .blocks
+            .place(tuples, p, false, |_, t, _| bucket_of(self.seed, t.key, p));
+        (plan, PartitionPhases::default())
     }
 
     fn recycle(&mut self, plan: Plan) {
-        self.spare.keep(plan);
+        self.blocks.recycle(plan);
     }
 }
 

@@ -3,14 +3,18 @@
 //!
 //! All partitioners implement [`Partitioner`]: given the micro-batch of one
 //! interval (tuples in arrival order), produce `p` data blocks. Per-tuple
-//! techniques (time-based, shuffle, hash, PK-d, cAM) replay the arrival
-//! sequence and decide block placement online, exactly as they would in a
-//! tuple-at-a-time engine; Prompt buffers the arrivals with exact per-key
-//! counts, sorts the keys at the heartbeat and partitions the sealed batch.
+//! techniques (time-based, shuffle, hash, PK-d, cAM, D-Choices) replay the
+//! arrival sequence and decide block placement online, exactly as they would
+//! in a tuple-at-a-time engine: each is a block chooser driven by the one
+//! placement loop in `per_tuple`, which builds, counts and recycles the
+//! blocks. Prompt records the arrivals' per-key counts, orders the keys at
+//! the heartbeat, assigns key ranges to blocks from the counts alone
+//! (Algorithm 2), and then writes each arrival once into its block.
 
 mod cam;
 mod dchoices;
 mod hash_part;
+mod per_tuple;
 mod pkg;
 mod prompt;
 mod shuffle;
@@ -57,7 +61,7 @@ pub struct PartitionPhases {
 /// into one column arena.
 #[derive(Debug)]
 pub enum Plan {
-    /// Row blocks ([`Partitioner::partition_phased`]).
+    /// Row blocks ([`Partitioner::partition_slice`]).
     Rows(PartitionPlan),
     /// Column ranges ([`Partitioner::partition_columnar`]).
     Columns(ColumnarPlan),
@@ -78,7 +82,7 @@ impl Plan {
 /// What a partitioner keeps of the plan [`Partitioner::recycle`] last handed
 /// back: the next plan is built in its buffers. One spare at most — a plan
 /// handed back over an unused one replaces it.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Spare {
     rows: Vec<DataBlock>,
     columns: Vec<ColumnarBlock>,
@@ -100,12 +104,14 @@ impl Spare {
         }
     }
 
-    /// `p` empty row blocks, in the spare's allocations where it has them.
-    pub(crate) fn row_blocks(&mut self, p: usize) -> Vec<DataBlock> {
+    /// `p` empty row blocks, each with room for `capacity` tuples, in the
+    /// spare's allocations where it has them.
+    pub(crate) fn row_blocks(&mut self, p: usize, capacity: usize) -> Vec<DataBlock> {
         let mut blocks = std::mem::take(&mut self.rows);
         blocks.resize_with(p, DataBlock::default);
         for b in &mut blocks {
             b.tuples.clear();
+            b.tuples.reserve(capacity);
             b.fragments.clear();
         }
         blocks
@@ -156,26 +162,21 @@ pub trait Partitioner: Send {
     /// Partition the batch into exactly `p` blocks. Implementations must
     /// conserve tuples: the plan's total size equals `batch.len()`.
     fn partition(&mut self, batch: &MicroBatch, p: usize) -> PartitionPlan {
-        self.partition_slice(&batch.tuples, batch.interval, p)
+        self.partition_slice(&batch.tuples, batch.interval, p).0
     }
 
-    /// Partition a raw arrival slice into exactly `p` blocks. This is the
-    /// required entry point: every technique reads only the arrival order
-    /// (plus the interval, for time-based slotting), so callers that hold
-    /// tuples outside a [`MicroBatch`] — e.g. the replay path's shared
-    /// retained input — can partition without materializing a batch.
-    fn partition_slice(&mut self, tuples: &[Tuple], interval: Interval, p: usize) -> PartitionPlan;
-
-    /// Like [`Partitioner::partition`], additionally reporting wall-clock
-    /// phase timings for observability. The default implementation has no
-    /// phase split and reports zeros; `PromptPartitioner` overrides it.
-    fn partition_phased(
+    /// Partition a raw arrival slice into exactly `p` blocks, with the
+    /// wall-clock phase timings (zeros where a technique has no phase
+    /// split). The one required entry point, for a fresh batch and a replay
+    /// alike: a technique reads only the arrivals (and the interval, for
+    /// time-based slotting), so the replay path partitions its shared
+    /// retained input without materializing a [`MicroBatch`].
+    fn partition_slice(
         &mut self,
-        batch: &MicroBatch,
+        tuples: &[Tuple],
+        interval: Interval,
         p: usize,
-    ) -> (PartitionPlan, PartitionPhases) {
-        (self.partition(batch, p), PartitionPhases::default())
-    }
+    ) -> (PartitionPlan, PartitionPhases);
 
     /// Columnar fast path: partition the batch directly into a
     /// [`ColumnarPlan`] whose blocks are `(key, range)` views into one shared

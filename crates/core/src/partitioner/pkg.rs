@@ -9,9 +9,10 @@
 //! As in the original per-tuple setting, the decision uses only the running
 //! block sizes — no batch-wide statistics.
 
-use crate::batch::{BlockBuilder, PartitionPlan};
+use crate::batch::PartitionPlan;
 use crate::hash::HashFamily;
-use crate::partitioner::Partitioner;
+use crate::partitioner::per_tuple::PerTuple;
+use crate::partitioner::{PartitionPhases, Partitioner, Plan};
 use crate::types::{Interval, Tuple};
 
 /// PK-d partitioner with `d` candidate blocks per key.
@@ -19,6 +20,7 @@ use crate::types::{Interval, Tuple};
 pub struct PkgPartitioner {
     family: HashFamily,
     d: usize,
+    blocks: PerTuple,
 }
 
 impl PkgPartitioner {
@@ -28,6 +30,7 @@ impl PkgPartitioner {
         PkgPartitioner {
             family: HashFamily::new(seed, d),
             d,
+            blocks: PerTuple::default(),
         }
     }
 
@@ -47,22 +50,19 @@ impl Partitioner for PkgPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
-    ) -> PartitionPlan {
-        assert!(p > 0, "need at least one block");
-        let mut builders: Vec<BlockBuilder> = (0..p)
-            .map(|_| BlockBuilder::with_capacity(tuples.len() / p + 1))
-            .collect();
-        for &t in tuples {
+    ) -> (PartitionPlan, PartitionPhases) {
+        let plan = self.blocks.place(tuples, p, true, |_, t, placed| {
             // Least-loaded among the d candidates (first minimum wins, which
             // keeps the decision deterministic).
-            let block = self
-                .family
-                .candidates(t.key, p)
-                .min_by_key(|&b| (builders[b].size(), b))
-                .expect("family is non-empty");
-            builders[block].push(t);
-        }
-        PartitionPlan::from_blocks(builders.into_iter().map(BlockBuilder::finish).collect())
+            (self.family.candidates(t.key, p))
+                .min_by_key(|&b| (placed.size(b), b))
+                .expect("family is non-empty")
+        });
+        (plan, PartitionPhases::default())
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.blocks.recycle(plan);
     }
 }
 

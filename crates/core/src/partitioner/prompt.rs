@@ -158,8 +158,10 @@ impl PromptPartitioner {
     /// see DESIGN.md §4b.
     pub const DEFAULT_TOLERANCE: f64 = 1.0 / 64.0;
 
-    /// Algorithm 2 proper: partition an already-sealed (quasi-sorted) batch
-    /// into `p` blocks. This is the API the engine calls at the heartbeat.
+    /// Algorithm 2 over an already-sealed (quasi-sorted) batch: the pieces
+    /// the row pipeline assigns, copied out of the sealed arena into `p`
+    /// blocks, for callers holding a sealed batch (ablations, benchmark
+    /// probes, tests). The engine runs [`Partitioner::partition_slice`].
     pub fn partition_sealed(batch: &SealedBatch, p: usize) -> PartitionPlan {
         Self::partition_sealed_with(batch, p, Self::DEFAULT_TOLERANCE)
     }
@@ -529,16 +531,50 @@ impl Partitioner for PromptPartitioner {
         }
     }
 
-    fn partition_slice(&mut self, tuples: &[Tuple], interval: Interval, p: usize) -> PartitionPlan {
-        self.partition_rows(tuples, interval, p).0
-    }
-
-    fn partition_phased(
+    /// The row pipeline, record → order → assign → scatter, with a wall
+    /// clock around each phase: `seal_us` ends once the keys are ordered,
+    /// `symbolic_us` holds the assignment and each block's key sort, and
+    /// `materialize_us` holds the scatter and the fragment tables. The
+    /// timings drive the observability layer's per-stage breakdowns (Fig.
+    /// 14's overhead story) and never influence the plan.
+    fn partition_slice(
         &mut self,
-        batch: &MicroBatch,
+        tuples: &[Tuple],
+        interval: Interval,
         p: usize,
     ) -> (PartitionPlan, PartitionPhases) {
-        self.partition_rows(&batch.tuples, batch.interval, p)
+        let t0 = std::time::Instant::now();
+        let mut groups = std::mem::take(&mut self.sealed.0);
+        groups.clear();
+        self.record(tuples, interval);
+        self.tables.slots.clear();
+        self.buffer.order(0, &mut groups, &mut self.tables.slots);
+        let seal_us = t0.elapsed().as_micros() as u64;
+        let t1 = std::time::Instant::now();
+        let tolerance = Self::DEFAULT_TOLERANCE;
+        let split_keys =
+            Self::assign_pieces(&groups, p, tolerance, self.threads, &mut self.symbolic);
+        let symbolic_us = t1.elapsed().as_micros() as u64;
+        let t2 = std::time::Instant::now();
+        let mut blocks = self.spare.sized_row_blocks(&self.symbolic.sizes);
+        self.scatter_rows(tuples, interval, &mut blocks);
+        let pieces = &self.symbolic.pieces;
+        map_mut(&mut blocks, self.threads, |b, block| {
+            fragments_into(&pieces[b], &mut block.fragments)
+        });
+        let materialize_us = t2.elapsed().as_micros() as u64;
+        self.sealed.0 = groups;
+        let plan = PartitionPlan {
+            blocks,
+            split_keys: split_keys.into_iter().collect(),
+        };
+        let phases = PartitionPhases {
+            select_us: 0,
+            seal_us,
+            symbolic_us,
+            materialize_us,
+        };
+        (plan, phases)
     }
 
     fn partition_columnar(
@@ -609,52 +645,6 @@ impl PromptPartitioner {
         buffer.set_estimates(tuples.len().max(1) as f64, self.avg_keys);
         buffer.set_interval(interval);
         record_slice(buffer, tuples, self.threads);
-    }
-
-    /// The row pipeline, record → order → assign → scatter, with a wall
-    /// clock around each phase: `seal_us` ends once the keys are ordered,
-    /// `symbolic_us` holds the assignment and each block's key sort, and
-    /// `materialize_us` holds the scatter and the fragment tables. The
-    /// timings drive the observability layer's per-stage breakdowns (Fig.
-    /// 14's overhead story) and never influence the plan.
-    fn partition_rows(
-        &mut self,
-        tuples: &[Tuple],
-        interval: Interval,
-        p: usize,
-    ) -> (PartitionPlan, PartitionPhases) {
-        let t0 = std::time::Instant::now();
-        let mut groups = std::mem::take(&mut self.sealed.0);
-        groups.clear();
-        self.record(tuples, interval);
-        self.tables.slots.clear();
-        self.buffer.order(0, &mut groups, &mut self.tables.slots);
-        let seal_us = t0.elapsed().as_micros() as u64;
-        let t1 = std::time::Instant::now();
-        let tolerance = Self::DEFAULT_TOLERANCE;
-        let split_keys =
-            Self::assign_pieces(&groups, p, tolerance, self.threads, &mut self.symbolic);
-        let symbolic_us = t1.elapsed().as_micros() as u64;
-        let t2 = std::time::Instant::now();
-        let mut blocks = self.spare.sized_row_blocks(&self.symbolic.sizes);
-        self.scatter_rows(tuples, interval, &mut blocks);
-        let pieces = &self.symbolic.pieces;
-        map_mut(&mut blocks, self.threads, |b, block| {
-            fragments_into(&pieces[b], &mut block.fragments)
-        });
-        let materialize_us = t2.elapsed().as_micros() as u64;
-        self.sealed.0 = groups;
-        let plan = PartitionPlan {
-            blocks,
-            split_keys: split_keys.into_iter().collect(),
-        };
-        let phases = PartitionPhases {
-            select_us: 0,
-            seal_us,
-            symbolic_us,
-            materialize_us,
-        };
-        (plan, phases)
     }
 
     /// Write every arrival of `tuples` once, straight to its position in
@@ -941,17 +931,19 @@ mod tests {
     fn phased_partition_is_bit_identical_and_times_phases() {
         let mb = zipfish_batch(150, 1500);
         let want = PromptPartitioner::new(BufferingMode::FrequencyAware).partition(&mb, 8);
-        let (got, phases) =
-            PromptPartitioner::new(BufferingMode::FrequencyAware).partition_phased(&mb, 8);
+        let (got, phases) = PromptPartitioner::new(BufferingMode::FrequencyAware).partition_slice(
+            &mb.tuples,
+            mb.interval,
+            8,
+        );
         assert_eq!(want, got, "phase timing must not change the plan");
         // Wall clocks are monotonic; phases can be fast but never negative,
-        // and the default-trait fallback (all zeros) must not be what the
-        // override returns for a non-trivial batch... except on a machine
-        // fast enough to stay under 1 µs per phase, so only sanity-check
-        // the type here.
+        // and a machine fast enough to stay under 1 µs per phase reads all
+        // zeros, so only sanity-check the type here.
         let _ = phases.seal_us + phases.symbolic_us + phases.materialize_us;
-        // A non-Prompt partitioner keeps the zero-phase default.
-        let (_, zero) = crate::partitioner::HashPartitioner::new(1).partition_phased(&mb, 8);
+        // A technique with no phase split reports zeros.
+        let (_, zero) =
+            crate::partitioner::HashPartitioner::new(1).partition_slice(&mb.tuples, mb.interval, 8);
         assert_eq!(zero, PartitionPhases::default());
     }
 
@@ -1001,6 +993,37 @@ mod tests {
         }
     }
 
+    /// Shape guard: every baseline is a block chooser over the one
+    /// placement loop, so no production half under `partitioner/` but
+    /// `per_tuple.rs`' pushes a tuple into a block, and that one does so
+    /// once; no file names the builder the loop replaced, and cAM keeps no
+    /// key sets beside the loop's count tables. Every file in the directory
+    /// is read, so a new one is checked too. Needles are spelt in halves.
+    #[test]
+    fn baseline_shape_one_placement_loop() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/partitioner");
+        let push = ["tuples.", "push("].concat();
+        let builder = ["Block", "Builder"].concat();
+        let key_set = ["Key", "Set"].concat();
+        let mut pushes = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("partitioner sources") {
+            let path = entry.expect("a directory entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let source = std::fs::read_to_string(&path).expect("a source file");
+            let production = source.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (n, line) in production.enumerate() {
+                if line.contains(&push) {
+                    pushes.push(format!("{name}:{}", n + 1));
+                }
+                assert!(!line.contains(&builder), "{name}:{}: `{builder}`", n + 1);
+                let cam_set = name == "cam.rs" && line.contains(&key_set);
+                assert!(!cam_set, "cam.rs:{}: `{key_set}`", n + 1);
+            }
+        }
+        assert_eq!(pushes.len(), 1, "tuple pushes: {pushes:?}");
+        assert!(pushes[0].starts_with("per_tuple.rs:"), "{pushes:?}");
+    }
+
     /// Shape guard: the pipeline hands the accumulator the batch's own
     /// slice, so no tuple is copied before the seal: after a partition in
     /// either layout, in every mode and ingest geometry, the accumulator's
@@ -1022,7 +1045,7 @@ mod tests {
             let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
             let what = format!("{mode:?} shards={shards} threads={threads}");
             for _ in 0..2 {
-                let (plan, _) = part.partition_phased(&mb, 4);
+                let plan = part.partition(&mb, 4);
                 assert_eq!(plan.total_tuples(), mb.len(), "{what}");
                 assert_eq!(part.buffer.held(), (0, 0), "{what}: rows");
                 assert_eq!(part.sealed.1.capacity(), 0, "{what}: rows filled the arena");

@@ -4,18 +4,21 @@
 //! key locality: tuples of one key scatter across (up to) all blocks, which
 //! inflates the per-key aggregation work of the Reduce stage.
 
-use crate::batch::{BlockBuilder, PartitionPlan};
-use crate::partitioner::Partitioner;
+use crate::batch::PartitionPlan;
+use crate::partitioner::per_tuple::PerTuple;
+use crate::partitioner::{PartitionPhases, Partitioner, Plan};
 use crate::types::{Interval, Tuple};
 
 /// Round-robin partitioner.
 #[derive(Debug, Default, Clone)]
-pub struct ShufflePartitioner;
+pub struct ShufflePartitioner {
+    blocks: PerTuple,
+}
 
 impl ShufflePartitioner {
-    /// Construct the partitioner (stateless).
+    /// Construct the partitioner (it decides from the arrival order alone).
     pub fn new() -> ShufflePartitioner {
-        ShufflePartitioner
+        ShufflePartitioner::default()
     }
 }
 
@@ -29,15 +32,13 @@ impl Partitioner for ShufflePartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
-    ) -> PartitionPlan {
-        assert!(p > 0, "need at least one block");
-        let mut builders: Vec<BlockBuilder> = (0..p)
-            .map(|_| BlockBuilder::with_capacity(tuples.len() / p + 1))
-            .collect();
-        for (i, &t) in tuples.iter().enumerate() {
-            builders[i % p].push(t);
-        }
-        PartitionPlan::from_blocks(builders.into_iter().map(BlockBuilder::finish).collect())
+    ) -> (PartitionPlan, PartitionPhases) {
+        let plan = self.blocks.place(tuples, p, true, |i, _, _| i % p);
+        (plan, PartitionPhases::default())
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.blocks.recycle(plan);
     }
 }
 

@@ -5,18 +5,21 @@
 //! track the instantaneous data rate: a rate spike inside one slot inflates
 //! that slot's block, which is exactly the weakness Fig. 11 exposes.
 
-use crate::batch::{BlockBuilder, PartitionPlan};
-use crate::partitioner::Partitioner;
+use crate::batch::PartitionPlan;
+use crate::partitioner::per_tuple::PerTuple;
+use crate::partitioner::{PartitionPhases, Partitioner, Plan};
 use crate::types::{Interval, Tuple};
 
 /// Time-based (arrival-slot) partitioner.
 #[derive(Debug, Default, Clone)]
-pub struct TimeBasedPartitioner;
+pub struct TimeBasedPartitioner {
+    blocks: PerTuple,
+}
 
 impl TimeBasedPartitioner {
-    /// Construct the partitioner (stateless).
+    /// Construct the partitioner (it decides from arrival times alone).
     pub fn new() -> TimeBasedPartitioner {
-        TimeBasedPartitioner
+        TimeBasedPartitioner::default()
     }
 }
 
@@ -25,21 +28,26 @@ impl Partitioner for TimeBasedPartitioner {
         "Time-based"
     }
 
-    fn partition_slice(&mut self, tuples: &[Tuple], interval: Interval, p: usize) -> PartitionPlan {
-        assert!(p > 0, "need at least one block");
-        let mut builders: Vec<BlockBuilder> = (0..p)
-            .map(|_| BlockBuilder::with_capacity(tuples.len() / p + 1))
-            .collect();
+    fn partition_slice(
+        &mut self,
+        tuples: &[Tuple],
+        interval: Interval,
+        p: usize,
+    ) -> (PartitionPlan, PartitionPhases) {
         let span = interval.len().as_micros().max(1);
         let start = interval.start.as_micros();
-        for &t in tuples {
+        let plan = self.blocks.place(tuples, p, true, |_, t, _| {
             // Slot index by arrival time; clamp tuples at/after the interval
             // end (e.g. boundary timestamps) into the last slot.
             let offset = t.ts.as_micros().saturating_sub(start);
             let slot = ((offset as u128 * p as u128) / span as u128) as usize;
-            builders[slot.min(p - 1)].push(t);
-        }
-        PartitionPlan::from_blocks(builders.into_iter().map(BlockBuilder::finish).collect())
+            slot.min(p - 1)
+        });
+        (plan, PartitionPhases::default())
+    }
+
+    fn recycle(&mut self, plan: Plan) {
+        self.blocks.recycle(plan);
     }
 }
 

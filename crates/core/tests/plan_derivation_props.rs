@@ -11,8 +11,10 @@
 //!    arbitrary and on key-ascending clusters;
 //! 3. `total_keys(blocks, split_keys)` — against a `KeySet` over every
 //!    fragment, for every technique's plan;
-//! 4. key grouping's empty split-key table and unstably sorted fragment
-//!    tables — against `PartitionPlan::from_blocks` and a per-block count;
+//! 4. every per-tuple technique's fragment tables and split-key table, which
+//!    the one placement loop keeps in count tables that outlive the batch
+//!    (key grouping's split-key table empty, derived from nothing) — against
+//!    `PartitionPlan::from_blocks` and a per-block count, batch after batch;
 //! 5. Prompt's row pipeline, which writes each arrival straight into its
 //!    block — against `partition_sealed` of the same accumulator's arena
 //!    seal, in every mode and ingest geometry, batch after batch.
@@ -31,9 +33,7 @@ use prompt_core::buffering::{
 };
 use prompt_core::columnar::{ColRange, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{bucket_of, KeyMap, KeySet};
-use prompt_core::partitioner::{
-    BufferingMode, HashPartitioner, Partitioner, Plan, PromptPartitioner, Technique,
-};
+use prompt_core::partitioner::{BufferingMode, Partitioner, Plan, PromptPartitioner, Technique};
 use prompt_core::reduce::{KeyCluster, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use proptest::prelude::*;
@@ -378,16 +378,20 @@ proptest! {
         }
     }
 
-    /// (4) Key grouping derives no split-key table: its plan equals the one
-    /// `from_blocks` derives from its blocks, and every block's fragment
-    /// table is the per-key count, strictly ascending by key.
+    /// (4) Every per-tuple technique's plan is what `from_blocks` derives
+    /// from its blocks — key grouping's split-key table, which it derives
+    /// from nothing, empty — and every block's fragment table is the
+    /// per-key count, strictly ascending by key. A second batch through the
+    /// same instance at another `p`, after the first plan is handed back,
+    /// builds the plan a fresh instance builds.
     #[test]
-    fn hash_plans_are_what_from_blocks_would_derive(
-        counts in counts(),
+    fn per_tuple_plans_are_what_from_blocks_would_derive(
+        first in counts(),
+        second in counts(),
         p in 1usize..=32,
         seed in any::<u64>(),
     ) {
-        check_hash_plan(&arrivals(&counts), p, seed)?;
+        check_per_tuple_plans(&arrivals(&first), &arrivals(&second), p, seed)?;
     }
 }
 
@@ -578,38 +582,84 @@ fn direct_scatter_of_degenerate_batches() {
     }
 }
 
-/// [`HashPartitioner`]'s plan of `mb` against the derivations it skips.
-fn check_hash_plan(mb: &MicroBatch, p: usize, seed: u64) -> Result<(), TestCaseError> {
-    let plan = HashPartitioner::new(seed).partition(mb, p);
-    prop_assert_eq!(
-        &plan,
-        &PartitionPlan::from_blocks(plan.blocks.clone()),
-        "p={}",
-        p
-    );
+/// The per-tuple techniques: every technique the placement loop runs.
+const PER_TUPLE: [Technique; 7] = [
+    Technique::TimeBased,
+    Technique::Shuffle,
+    Technique::Hash,
+    Technique::Pkg(2),
+    Technique::Pkg(5),
+    Technique::Cam(4),
+    Technique::DChoices(2),
+];
+
+/// Every per-tuple technique's plans of `first` at `p` and, through the same
+/// instance once the first plan is handed back, of `second` at another
+/// block count, against the derivations the placement loop replaced.
+fn check_per_tuple_plans(
+    first: &MicroBatch,
+    second: &MicroBatch,
+    p: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let q = p % 32 + 1;
+    for technique in PER_TUPLE {
+        let mut part = technique.build(seed);
+        let plan = part.partition(first, p);
+        check_derivations(&plan, technique, p)?;
+        part.recycle(Plan::Rows(plan));
+        let again = part.partition(second, q);
+        check_derivations(&again, technique, q)?;
+        let fresh = technique.build(seed).partition(second, q);
+        prop_assert_eq!(&again, &fresh, "{:?} p={}: recycled vs fresh", technique, q);
+    }
+    Ok(())
+}
+
+/// A per-tuple plan against `from_blocks` and a per-block count.
+fn check_derivations(
+    plan: &PartitionPlan,
+    technique: Technique,
+    p: usize,
+) -> Result<(), TestCaseError> {
+    let what = format!("{technique:?} p={p}");
+    prop_assert_eq!(plan.n_blocks(), p, "{}", what);
+    let derived = PartitionPlan::from_blocks(plan.blocks.clone());
+    prop_assert_eq!(&plan.split_keys, &derived.split_keys, "{}", what);
+    if technique == Technique::Hash {
+        prop_assert!(plan.split_keys.is_empty(), "{}: a split key", what);
+    }
     for (b, block) in plan.blocks.iter().enumerate() {
         let keys: Vec<u64> = block.fragments.iter().map(|f| f.key.0).collect();
-        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "block {} order", b);
+        prop_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "{}: block {} order",
+            what,
+            b
+        );
         prop_assert_eq!(
             &block.fragments,
             &counted_fragments(&block.tuples),
-            "block {}",
+            "{}: block {}",
+            what,
             b
         );
     }
     Ok(())
 }
 
-/// Key grouping's degenerate batches: empty, one tuple, one key holding the
-/// whole batch, and a few keys each holding a third of it.
+/// The per-tuple techniques' degenerate batches: empty, one tuple, one key
+/// holding the whole batch, and a few keys each holding a third of it, each
+/// followed through the same instance by a Zipf batch.
 #[test]
-fn pinned_hash_plans_of_degenerate_batches() {
+fn pinned_per_tuple_plans_of_degenerate_batches() {
+    let zipf: Vec<(Key, usize)> = (1..=30).map(|i| (Key(i * 7), 300 / i as usize)).collect();
     let one_tuple = [(Key(7), 1)];
     let one_hot = [(Key(3), 1000)];
     let all_hot = [(Key(3), 500), (Key(11), 500), (Key(42), 500)];
     for counts in [&[][..], &one_tuple[..], &one_hot[..], &all_hot[..]] {
         for p in [1, 2, 5, 32] {
-            check_hash_plan(&arrivals(counts), p, 9).unwrap();
+            check_per_tuple_plans(&arrivals(counts), &arrivals(&zipf), p, 9).unwrap();
         }
     }
 }

@@ -596,7 +596,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::job::ReduceOp;
     use prompt_core::batch::{MicroBatch, PartitionPlan};
-    use prompt_core::partitioner::Partitioner;
+    use prompt_core::partitioner::{PartitionPhases, Partitioner};
     use prompt_core::types::{Interval, Key, Time, Tuple};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -1563,33 +1563,36 @@ mod tests {
         use std::sync::Mutex;
         // Delegating probe: records the allocation every replay's partition
         // call sees, so the test can prove recovery hands out the retained
-        // buffer itself rather than a per-replay deep clone. `fill` enters
-        // through `partition` (not recorded); `Run::replay` partitions the
-        // store's shared slice directly.
+        // buffer itself rather than a per-replay deep clone. A fresh batch
+        // and a replay enter through the same `partition_slice`; a replay
+        // re-partitions an interval already seen, and only it is recorded.
         struct ProbePartitioner {
             inner: Box<dyn Partitioner>,
+            seen: Vec<Interval>,
             replayed: Arc<Mutex<Vec<usize>>>,
         }
         impl Partitioner for ProbePartitioner {
             fn name(&self) -> &'static str {
                 "probe"
             }
-            fn partition(&mut self, batch: &MicroBatch, p: usize) -> PartitionPlan {
-                self.inner.partition(batch, p)
-            }
             fn partition_slice(
                 &mut self,
                 tuples: &[Tuple],
                 interval: Interval,
                 p: usize,
-            ) -> PartitionPlan {
-                self.replayed.lock().unwrap().push(tuples.as_ptr() as usize);
+            ) -> (PartitionPlan, PartitionPhases) {
+                if self.seen.contains(&interval) {
+                    self.replayed.lock().unwrap().push(tuples.as_ptr() as usize);
+                } else {
+                    self.seen.push(interval);
+                }
                 self.inner.partition_slice(tuples, interval, p)
             }
         }
         let replayed = Arc::new(Mutex::new(Vec::new()));
         let probe = ProbePartitioner {
             inner: Technique::Prompt.build(1),
+            seen: Vec::new(),
             replayed: Arc::clone(&replayed),
         };
         let mut eng = StreamingEngine::new(
@@ -1616,8 +1619,8 @@ mod tests {
         );
     }
 
-    /// Delegating probe: counts every partition call (the trait's other
-    /// entry points default to `partition_slice`).
+    /// Delegating probe: counts every partition call (`partition` defaults
+    /// to `partition_slice`).
     struct CountingPartitioner {
         inner: Box<dyn Partitioner>,
         calls: Arc<AtomicUsize>,
@@ -1632,7 +1635,7 @@ mod tests {
             tuples: &[Tuple],
             interval: Interval,
             p: usize,
-        ) -> PartitionPlan {
+        ) -> (PartitionPlan, PartitionPhases) {
             self.calls.fetch_add(1, Ordering::Relaxed);
             self.inner.partition_slice(tuples, interval, p)
         }
@@ -1656,10 +1659,12 @@ mod tests {
     }
 
     /// Delegating probe: records the thread every batch is partitioned on.
-    /// Both the serial fill and the overlapped step enter through
-    /// `partition`; a replay's `partition_slice` is not recorded.
+    /// The serial fill, the overlapped step and a replay all enter through
+    /// `partition_slice`; a replay re-partitions an interval already seen
+    /// and is not recorded.
     struct ThreadProbe {
         inner: Box<dyn Partitioner>,
+        seen: Vec<Interval>,
         threads: Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
     }
 
@@ -1667,17 +1672,17 @@ mod tests {
         fn name(&self) -> &'static str {
             "thread-probe"
         }
-        fn partition(&mut self, batch: &MicroBatch, p: usize) -> PartitionPlan {
-            let here = std::thread::current().id();
-            self.threads.lock().unwrap().push(here);
-            self.inner.partition(batch, p)
-        }
         fn partition_slice(
             &mut self,
             tuples: &[Tuple],
             interval: Interval,
             p: usize,
-        ) -> PartitionPlan {
+        ) -> (PartitionPlan, PartitionPhases) {
+            if !self.seen.contains(&interval) {
+                self.seen.push(interval);
+                let here = std::thread::current().id();
+                self.threads.lock().unwrap().push(here);
+            }
             self.inner.partition_slice(tuples, interval, p)
         }
     }
@@ -1694,6 +1699,7 @@ mod tests {
             let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
             let probe = ThreadProbe {
                 inner: Technique::Prompt.build(1),
+                seen: Vec::new(),
                 threads: Arc::clone(&threads),
             };
             let cfg = EngineConfig {

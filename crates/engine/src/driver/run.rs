@@ -134,7 +134,7 @@ pub(crate) fn partition(
     let (plan, phases) = match cols {
         Some((cols, phases)) => (Plan::Columns(cols), phases),
         None => {
-            let (rows, phases) = partitioner.partition_phased(batch, p);
+            let (rows, phases) = partitioner.partition_slice(&batch.tuples, batch.interval, p);
             (Plan::Rows(rows), phases)
         }
     };
@@ -667,7 +667,7 @@ impl<'e> Run<'e> {
         let (input, technique) = store.recover(b)?;
         let interval = self.interval_of(b);
         let partitioner = self.eng.strategies.registry.get_or_build(technique);
-        let replan = partitioner.partition_slice(&input, interval, self.p);
+        let (replan, _) = partitioner.partition_slice(&input, interval, self.p);
         let routing = self.routing();
         let under = (self.r, technique, routing.as_ref());
         Ok(self.run_plan(b, PlanView::Rows(&replan), under))

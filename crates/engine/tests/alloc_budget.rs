@@ -4,13 +4,14 @@
 //! reallocation) of at least [`LARGE`] bytes: the per-key tables a batch
 //! builds — fragment tables, bucket merges, the gather, the store's panes and
 //! emissions, the sealed arena — and every time one of them grows. The engine
-//! runs two benchmark shapes, and the Zipf one again through four ingest
-//! shards, on `Backend::InProcess`, which executes every stage on the calling
-//! thread; those three are counted on that thread alone, so the checkpoint
-//! compactor is not. The fourth shape is `zipf_threaded`'s geometry, whose
-//! tasks run on the fan-out pool's helpers too, so it is counted on every
-//! thread; the file's tests take one lock, so nothing else runs while it
-//! counts. The allocation sequence is a function of the input alone — each
+//! runs two benchmark shapes, the Zipf one again through four ingest shards
+//! and once more through PK-2 (the per-tuple placement loop the baselines
+//! share), on `Backend::InProcess`, which executes every stage on the
+//! calling thread; those four are counted on that thread alone, so the
+//! checkpoint compactor is not. The fifth shape is `zipf_threaded`'s
+//! geometry, whose tasks run on the fan-out pool's helpers too, so it is
+//! counted on every thread; the file's tests take one lock, so nothing else
+//! runs while it counts. The allocation sequence is a function of the input alone — each
 //! task's tables are indexed by task, not by the thread that ran it — so the
 //! budgets below are exact measurements, not timings: a table that starts
 //! growing from empty again fails here, whatever the host.
@@ -277,6 +278,17 @@ fn zipf_threaded_stays_within_its_allocation_budget() {
     assert_within("zipf_threaded", got, ZIPF_THREADED_BUDGET);
 }
 
+/// `zipf_inproc`'s stream through PK-2: the per-tuple placement loop every
+/// baseline runs, with its split-key derivation and a Map fold table per
+/// task, since a baseline block's runs do not ascend.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
+fn zipf_pk2_stays_within_its_allocation_budget() {
+    let stream = Stream::new(500_000, 100_000, true, 0x5eed);
+    let got = measure(Technique::Pkg(2), serial(), ReduceOp::Count, (2, 2), stream);
+    assert_within("zipf_pk2", got, PK2_BUDGET);
+}
+
 /// `(allocations, bytes)` per batch. Measured: 66 and 22.3 MiB — 48 of
 /// them the store's per-shard deltas, 16 Algorithm 3's assignment vectors —
 /// against 267 and 73.0 MiB while every batch built its plan, Map and merge
@@ -303,3 +315,8 @@ const ZIPF_SHARDED_BUDGET: (u64, u64) = (4, 5 << 20);
 /// Measured: 2 and 3.3 MiB on every thread, as on one: helpers reuse the
 /// tables of the tasks they run, whichever those are.
 const ZIPF_THREADED_BUDGET: (u64, u64) = (4, 5 << 20);
+/// Measured: 5 and 3.9 MiB, with the blocks built in the last plan handed
+/// back and the per-block count tables drained, not dropped — against 73
+/// and 26.8 MiB while every batch built fresh blocks and a key map per
+/// block, and dropped its plan.
+const PK2_BUDGET: (u64, u64) = (5, 5 << 20);
