@@ -59,7 +59,7 @@ use crate::batch::KeyGroup;
 use crate::buffering::sealed::Slots;
 use crate::buffering::{
     AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator,
-    PostSortAccumulator, POSITIONS_FIT,
+    PostSortAccumulator, POSITIONS_FIT, RECORD_AHEAD,
 };
 use crate::hash::bucket_of;
 use crate::par::map_mut;
@@ -218,13 +218,13 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         // order on the worker owning it.
         let runs = &self.runs[..n_runs];
         per_shard(&mut self.shards, self.threads, |si, shard| {
-            for &(at, key) in runs
-                .iter()
-                .skip(si)
-                .step_by(n_shards)
-                .flat_map(|run| run.iter())
-            {
-                f(shard, at, key);
+            for run in runs.iter().skip(si).step_by(n_shards) {
+                for (i, &(at, key)) in run.iter().enumerate() {
+                    if let Some(&(_, later)) = run.get(i + RECORD_AHEAD) {
+                        shard.prefetch(later);
+                    }
+                    f(shard, at, key);
+                }
             }
         });
     }

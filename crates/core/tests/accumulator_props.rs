@@ -15,9 +15,29 @@ use prompt_core::hash::KeyMap;
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use proptest::prelude::*;
 
-/// An arbitrary arrival stream: (key, inter-arrival µs) pairs.
+/// An arbitrary arrival stream: (key, inter-arrival µs) pairs. Two streams
+/// in three are under 800 arrivals over 50 keys, so keys repeat often. The
+/// third is 800 to 3,000 arrivals over 3,000 keys plus `u64::MAX`, with key
+/// 0 drawn often (an empty index entry must not read as key 0), so a serial
+/// key index grows past 512 distinct keys and often past 1,024. Its gaps are
+/// under 1 ms, so every stream spans under 4 s, and a many-key one under 3 s.
 fn stream_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec((0u64..50, 1u64..5_000), 1..800)
+    let few_keys = proptest::collection::vec((0u64..50, 1u64..5_000), 1..800);
+    let many_keys = proptest::collection::vec((0u64..3_000, 0u64..10, 1u64..1_000), 800..3_000);
+    (0u8..3, few_keys, many_keys).prop_map(|(kind, few_keys, many_keys)| {
+        if kind > 0 {
+            return few_keys;
+        }
+        let key = |key, pick| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            _ => key,
+        };
+        many_keys
+            .into_iter()
+            .map(|(k, pick, gap)| (key(k, pick), gap))
+            .collect()
+    })
 }
 
 fn tuples_of(stream: &[(u64, u64)], start: u64) -> Vec<Tuple> {
@@ -136,7 +156,9 @@ fn assert_arena_tiled(sealed: &SealedBatch) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // `stream_strategy` draws a few-key stream two times in three, so 96
+    // cases give the few-key streams about 64 and the many-key ones 32.
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn frequency_aware_matches_exact_reference(
@@ -472,15 +494,29 @@ fn every_tuple_at_the_heartbeat_instant() {
     check_all_accumulators(cfg, &[tuples]);
 }
 
+/// Many keys, few, none, many others: the key index grows past 512 and
+/// 1,024 keys (the squares mod 4,099 are 2,050 keys), is cleared to a few
+/// keys, then refilled by keys at both ends of the key space, 0 and
+/// `u64::MAX` included, with nothing carried across a seal.
 #[test]
 fn second_batch_with_fewer_keys_on_a_reused_accumulator() {
     let cfg = AccumulatorConfig {
         est_tuples: 5_000.0,
         ..AccumulatorConfig::default()
     };
-    let wide = spread((0..).map(|i| i * i % 997), 5_000);
+    let wide = spread((0..).map(|i| i * i % 4_099), 5_000);
     let narrow = spread((0..).map(|i| 1_000 + i % 3), 400);
-    check_all_accumulators(cfg, &[wide.clone(), narrow, vec![], wide]);
+    let ends = spread(
+        (0..).map(|i: u64| match i % 2 {
+            0 => i / 2 % 750,
+            _ => u64::MAX - i / 2 % 750,
+        }),
+        6_000,
+    );
+    check_all_accumulators(
+        cfg,
+        &[wide.clone(), narrow.clone(), vec![], ends, narrow, wide],
+    );
 }
 
 #[test]
