@@ -4,8 +4,9 @@
 //!
 //! * `checkpoint_overhead` — the cost side: running with checkpointing off
 //!   vs committing every batch vs every fourth batch. Reports wall time,
-//!   commit/snapshot counts, bytes written, and the retained-input
-//!   high-water mark (the memory the checkpoint watermark reclaims).
+//!   commit/snapshot counts, bytes written, and the high-water mark of
+//!   batches kept for a scheduled store loss (zero here: this table
+//!   schedules none).
 //! * `checkpoint_recovery` — the payoff side: the same scheduled loss of
 //!   the whole keyed state store, recovered by recompute-from-scratch
 //!   (no checkpoint) vs checkpoint-restore plus suffix recompute. Reports

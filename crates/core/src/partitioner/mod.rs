@@ -167,10 +167,10 @@ pub trait Partitioner: Send {
 
     /// Partition a raw arrival slice into exactly `p` blocks, with the
     /// wall-clock phase timings (zeros where a technique has no phase
-    /// split). The one required entry point, for a fresh batch and a replay
-    /// alike: a technique reads only the arrivals (and the interval, for
-    /// time-based slotting), so the replay path partitions its shared
-    /// retained input without materializing a [`MicroBatch`].
+    /// split). The one required entry point: a technique reads only the
+    /// arrivals (and the interval, for time-based slotting), so a caller
+    /// partitions its arrival buffer without materializing a
+    /// [`MicroBatch`].
     fn partition_slice(
         &mut self,
         tuples: &[Tuple],

@@ -119,12 +119,11 @@ pub struct EngineConfig {
     /// forced through the same decision sequence. The scaler has no forced
     /// log, so under elasticity a batch runs under the task counts its depth
     /// lets the scaler set, and a floating `Sum` of a key split across Map
-    /// blocks rounds accordingly. A batch with a scheduled
-    /// [`FaultPlan`](crate::recovery::FaultPlan) event is filled into an
-    /// empty window (a barrier, not a run-wide clamp); scripted *worker*
-    /// kills ([`NetFaultPlan`](crate::recovery::NetFaultPlan)) are survived
-    /// at any depth. The inputs a `FaultPlan` retains grow with depth
-    /// (`StateStats::max_retained_batches` by `d − 1`).
+    /// blocks rounds accordingly. Every recovery re-runs a plan the batch
+    /// carries, at its commit, so a scheduled
+    /// [`FaultPlan`](crate::recovery::FaultPlan) loss and a scripted *worker*
+    /// kill ([`NetFaultPlan`](crate::recovery::NetFaultPlan)) are both
+    /// survived at any depth.
     ///
     /// Work overlaps at `d > 1` on every backend (§4.1, Fig. 7): the next
     /// batch is pulled from the source on the driver thread and partitioned
@@ -171,10 +170,8 @@ pub struct EngineConfig {
     /// is made of it. Plans, outputs, stage times, controller decisions and
     /// wire frames are bit-identical to the row path (gated by the
     /// differential oracle, `tests/oracle.rs`); techniques without a
-    /// columnar seal seal rows, batch by batch. A worker-loss retry resubmits the
-    /// columnar plan in hand; only replays of a batch whose plan is gone
-    /// (scheduled fault-plan losses, the suffix after a state-store loss)
-    /// re-partition the replicated row input.
+    /// columnar seal seal rows, batch by batch. Every recovery re-runs the
+    /// plan in its own layout.
     pub columnar: bool,
 }
 

@@ -11,10 +11,10 @@
 //! # The batch-state machine
 //!
 //! Each batch advances through four states: **buffering** (its interval is
-//! still accumulating tuples), **partitioned** (ingested, retained if the
-//! run keeps inputs, and planned — a `PreparedBatch`), **executing**
-//! (map/reduce in flight on the backend), and **committed** (window state,
-//! checkpoints, virtual-time scheduling and trace spans applied).
+//! still accumulating tuples), **partitioned** (ingested and planned — a
+//! `PreparedBatch`), **executing** (map/reduce in flight on the backend), and
+//! **committed** (recovery re-runs, window state, checkpoints, virtual-time
+//! scheduling and trace spans applied).
 //! [`EngineConfig::pipeline_depth`] bounds how many batches may sit past
 //! *buffering* at once: at the default
 //! depth 1 the loop is the classic one-lifecycle-per-heartbeat sequence,
@@ -141,9 +141,9 @@ impl RunResult {
     /// `policy_decisions` with scores by bits, `migrations`, `state`).
     ///
     /// Not compared, because they are the cost of getting there rather than
-    /// where the run got: [`RunResult::net`], [`RunResult::recoveries`],
-    /// [`RunResult::worker_losses`] and `state.max_retained_{tuples,batches}`
-    /// (a lost worker or a deeper pipeline changes those and nothing else).
+    /// where the run got: [`RunResult::net`], [`RunResult::recoveries`] and
+    /// [`RunResult::worker_losses`] (a lost worker changes those and nothing
+    /// else).
     pub fn first_difference(&self, other: &RunResult) -> Option<String> {
         // Returns the difference out of `first_difference`.
         macro_rules! same {
@@ -212,15 +212,7 @@ impl RunResult {
             decisions(other),
             "policy decisions (seq, technique, prev, switched, score bits)"
         );
-        // The high-water marks follow the pipeline depth, not the answers.
-        let durable = |state: Option<StateStats>| {
-            state.map(|s| StateStats {
-                max_retained_tuples: 0,
-                max_retained_batches: 0,
-                ..s
-            })
-        };
-        same!(durable(self.state), durable(other.state), "state");
+        same!(self.state, other.state, "state");
         None
     }
 
@@ -522,8 +514,7 @@ impl StreamingEngine {
         loop {
             // Fill on this thread: advance batches from *buffering* to
             // *partitioned* until the in-flight window is full (at depth 1)
-            // or one slot short of it, the source is drained, or a scheduled
-            // fault needs the window to itself.
+            // or one slot short of it, or the source is drained.
             while run.prepared.len() < depth.max(2) - 1 && run.may_pull(n_batches) {
                 run.fill();
             }
@@ -539,8 +530,8 @@ impl StreamingEngine {
                 Some(pulled) => overlapped(&mut run, pb, pulled, partition_cfg),
                 None => {
                     let (output, times) = run.execute(&pb);
-                    let spent = run.commit(pb, output, times);
-                    run.recycle(spent);
+                    run.commit(pb, output, times);
+                    run.recycle();
                 }
             }
         }
@@ -574,17 +565,16 @@ fn overlapped(
     let technique = pulled.technique;
     let mut partitioner = run.lend(technique);
     let (lent, batch, p) = (partitioner.as_mut(), &pulled.batch, pulled.p);
-    let (partitioned, spent) = std::thread::scope(|scope| {
+    let partitioned = std::thread::scope(|scope| {
         let worker = scope.spawn(move || partition(lent, batch, p, columnar, overhead));
         let (output, times) = run.execute(&pb);
-        let spent = run.commit(pb, output, times);
-        let partitioned = worker
+        run.commit(pb, output, times);
+        worker
             .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (partitioned, spent)
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     });
     run.give_back(technique, partitioner);
-    run.recycle(spent);
+    run.recycle();
     run.finish(pulled, partitioned);
 }
 
@@ -1067,6 +1057,55 @@ mod tests {
             }
             assert_windows_identical(&clean, &faulted, what);
         }
+    }
+
+    /// A re-run runs under what its batch carries, never the run's current
+    /// values: at depth 4 the rebalancer moves groups for younger batches
+    /// while a lost batch commits, and every lost batch still costs exactly
+    /// its own stages once more — as does each batch a lost store re-runs.
+    #[test]
+    fn a_rerun_runs_under_the_routing_its_batch_carries() {
+        use crate::rebalance::{RebalanceConfig, RebalanceSpec};
+        let n = 12;
+        let run = |plan: FaultPlan| {
+            let cfg = EngineConfig {
+                pipeline_depth: 4,
+                rebalance: RebalanceSpec::Auto(RebalanceConfig {
+                    n_groups: 16,
+                    ..RebalanceConfig::default()
+                }),
+                ..small_cfg()
+            };
+            let job = Job::identity("count", ReduceOp::Count);
+            StreamingEngine::new(cfg, Technique::Hash, 1, job)
+                .with_window(WindowSpec::sliding(
+                    Duration::from_secs(3),
+                    Duration::from_secs(1),
+                ))
+                .with_stateful(StatefulOp::SessionCount)
+                .with_fault_tolerance(1, plan)
+                .run(&mut skewed_source(2000, 0.6, 30), n)
+        };
+        let stages = |b: &BatchRecord| b.map_stage + b.reduce_stage;
+        let clean = run(FaultPlan::none());
+        // Batches `s − 3 ..= s − 1` are in flight when a plan applies for `s`.
+        let (moved_at, _) = clean.migrations.first().expect("a 60% hot key migrates");
+        assert!((1..n as u64).contains(moved_at), "{moved_at}");
+        let every = (0..n as u64).fold(FaultPlan::none(), |plan, s| plan.lose_once(s));
+        let lost = run(every);
+        assert_eq!(clean.migrations, lost.migrations);
+        for (a, b) in clean.batches.iter().zip(&lost.batches) {
+            assert_eq!(b.processing, a.processing + stages(a), "batch {}", a.seq);
+        }
+        assert_windows_identical(&clean, &lost, "every batch lost once");
+        let last = n as u64 - 1;
+        let restored = run(FaultPlan::none().lose_store_at(last));
+        let mut rebuilt = clean.batches[n - 1].processing;
+        for b in &clean.batches[..n - 1] {
+            rebuilt += stages(b);
+        }
+        assert_eq!(restored.batches[n - 1].processing, rebuilt);
+        assert_windows_identical(&clean, &restored, "the store lost at the last batch");
     }
 
     #[test]
@@ -1558,18 +1597,18 @@ mod tests {
         }
     }
 
+    /// Every recovery re-runs a plan the run already holds: with a lost
+    /// batch and a lost store scheduled, no partitioner sees an interval
+    /// twice.
     #[test]
-    fn replay_partitions_the_retained_buffer_without_copying() {
+    fn recovery_partitions_nothing() {
         use std::sync::Mutex;
-        // Delegating probe: records the allocation every replay's partition
-        // call sees, so the test can prove recovery hands out the retained
-        // buffer itself rather than a per-replay deep clone. A fresh batch
-        // and a replay enter through the same `partition_slice`; a replay
-        // re-partitions an interval already seen, and only it is recorded.
+        // Delegating probe: records every interval it is asked to partition
+        // a second time.
         struct ProbePartitioner {
             inner: Box<dyn Partitioner>,
             seen: Vec<Interval>,
-            replayed: Arc<Mutex<Vec<usize>>>,
+            again: Arc<Mutex<Vec<Interval>>>,
         }
         impl Partitioner for ProbePartitioner {
             fn name(&self) -> &'static str {
@@ -1582,41 +1621,41 @@ mod tests {
                 p: usize,
             ) -> (PartitionPlan, PartitionPhases) {
                 if self.seen.contains(&interval) {
-                    self.replayed.lock().unwrap().push(tuples.as_ptr() as usize);
+                    self.again.lock().unwrap().push(interval);
                 } else {
                     self.seen.push(interval);
                 }
                 self.inner.partition_slice(tuples, interval, p)
             }
         }
-        let replayed = Arc::new(Mutex::new(Vec::new()));
+        let again = Arc::new(Mutex::new(Vec::new()));
         let probe = ProbePartitioner {
             inner: Technique::Prompt.build(1),
             seen: Vec::new(),
-            replayed: Arc::clone(&replayed),
+            again: Arc::clone(&again),
         };
+        let plan = FaultPlan::none().lose_once(2).lose_store_at(4);
         let mut eng = StreamingEngine::new(
             small_cfg(),
             Technique::Prompt,
             1,
             Job::identity("count", ReduceOp::Count),
         )
-        .with_fault_tolerance(2, FaultPlan::none().lose_times(2, 2));
+        .with_window(WindowSpec::sliding(
+            Duration::from_secs(8),
+            Duration::from_secs(1),
+        ))
+        .with_stateful(StatefulOp::SessionCount)
+        .with_fault_tolerance(2, plan);
         eng.strategies
             .registry
             .insert(Technique::Prompt, Box::new(probe));
-        let res = eng.run(&mut const_source(400, 8), 5);
-        assert_eq!(res.recoveries, 2);
-        let ptrs = replayed.lock().unwrap();
-        assert_eq!(
-            ptrs.len(),
-            2,
-            "each injected loss replays via partition_slice"
-        );
-        assert_eq!(
-            ptrs[0], ptrs[1],
-            "both replays must see the same retained allocation — no deep copy"
-        );
+        let res = eng.run(&mut const_source(400, 8), 6);
+        assert_eq!(res.recoveries, 1);
+        let state = res.state.expect("state on");
+        assert_eq!((state.restores, state.recomputed_batches), (1, 4));
+        let again = again.lock().unwrap();
+        assert!(again.is_empty(), "re-partitioned {again:?}");
     }
 
     /// Delegating probe: counts every partition call (`partition` defaults
@@ -1659,9 +1698,8 @@ mod tests {
     }
 
     /// Delegating probe: records the thread every batch is partitioned on.
-    /// The serial fill, the overlapped step and a replay all enter through
-    /// `partition_slice`; a replay re-partitions an interval already seen
-    /// and is not recorded.
+    /// The serial fill and the overlapped step both enter through
+    /// `partition_slice`; an interval seen before is not recorded.
     struct ThreadProbe {
         inner: Box<dyn Partitioner>,
         seen: Vec<Interval>,
@@ -1689,10 +1727,9 @@ mod tests {
 
     /// Fig. 7's overlap is real: at depth 2 every batch after the first is
     /// partitioned on a second thread while the driver thread executes and
-    /// commits the one before it. Depth 1 and a scheduled fault's barrier
-    /// (the faulted batch fills an empty window, and the next one waits for
-    /// its commit) partition on the driver thread. The answers are the same
-    /// either way.
+    /// commits the one before it, and a scheduled fault changes nothing of
+    /// that — its recovery re-runs a plan at commit. Depth 1 partitions on
+    /// the driver thread. The answers are the same either way.
     #[test]
     fn at_depth_two_the_next_batch_is_partitioned_off_the_driver_thread() {
         let run = |depth: usize, plan: FaultPlan| {
@@ -1713,6 +1750,7 @@ mod tests {
                     Duration::from_secs(3),
                     Duration::from_secs(1),
                 ))
+                .with_stateful(StatefulOp::SessionCount)
                 .with_fault_tolerance(2, plan);
             eng.strategies
                 .registry
@@ -1728,12 +1766,15 @@ mod tests {
         let (overlapped, off) = run(2, FaultPlan::none());
         assert_eq!(off, [false, true, true, true, true, true, true, true]);
         assert_windows_identical(&serial, &overlapped, "depth 2 vs depth 1");
-        // Batch 3 loses its state once: it and batch 4 fill behind an empty
-        // window.
+        // Batch 3 loses its state once; the store is lost at batch 5.
         let (faulted, off) = run(2, FaultPlan::none().lose_once(3));
-        assert_eq!(off, [false, true, true, false, false, true, true, true]);
+        assert_eq!(off, [false, true, true, true, true, true, true, true]);
         assert_eq!(faulted.recoveries, 1);
-        assert_windows_identical(&serial, &faulted, "a barrier at depth 2 vs depth 1");
+        assert_windows_identical(&serial, &faulted, "a lost batch at depth 2 vs depth 1");
+        let (restored, off) = run(2, FaultPlan::none().lose_store_at(5));
+        assert_eq!(off, [false, true, true, true, true, true, true, true]);
+        assert_eq!(restored.state.expect("state on").restores, 1);
+        assert_windows_identical(&serial, &restored, "a lost store at depth 2 vs depth 1");
     }
 
     #[test]
@@ -2001,7 +2042,9 @@ mod tests {
     /// waits for an ack of it — the in-flight window is the event pump's one
     /// wait mode — and its shard count is its own, so none re-shards it or
     /// forces a snapshot commit, and nothing under `state/` knows the Reduce
-    /// task count.
+    /// task count. A lost batch re-runs the plan it carries (DESIGN §4e): no
+    /// fault barrier, no store of retained inputs, and in the driver only
+    /// `run::partition` calls a partitioner.
     #[test]
     fn engine_shape_no_depth_clamp_no_shared_routing_no_state_push() {
         let mut files = Vec::new();
@@ -2023,7 +2066,13 @@ mod tests {
             ["snapshot", "_now"].concat(),
             ["install", "_shards"].concat(),
             ["State", "Migrate"].concat(),
+            ["fault", "_barrier"].concat(),
+            ["Replicated", "BatchStore"].concat(),
+            ["Recovery", "Error"].concat(),
+            ["restore", "_times"].concat(),
+            ["Arc<[", "Tuple]>"].concat(),
         ];
+        let partitioner_calls = [".partition(", ".partition_slice(", ".partition_columnar("];
         let task_count = ["reduce", "_tasks"].concat();
         for (file, src) in &files {
             for (n, line) in src.lines().enumerate() {
@@ -2046,6 +2095,20 @@ mod tests {
                         !line.contains(&task_count),
                         "{file}:{}: `{task_count}`",
                         n + 1
+                    );
+                }
+            }
+            if file.ends_with("driver.rs") || file.contains("/driver/") {
+                let production: Vec<&str> =
+                    src.lines().take_while(|l| *l != "#[cfg(test)]").collect();
+                let production = production.join("\n");
+                for (name, _, body) in functions_of(file, &production) {
+                    let calls = body
+                        .iter()
+                        .any(|l| partitioner_calls.iter().any(|c| l.contains(c)));
+                    assert!(
+                        !calls || (file.ends_with("run.rs") && name == "fn partition"),
+                        "{file}: `{name}` calls a partitioner"
                     );
                 }
             }

@@ -23,7 +23,7 @@ use crate::policy::{BatchObservation, PolicyDecision};
 use crate::rebalance::{
     group_weights, imbalance_ratio, RebalanceObservation, RebalancePolicy, RoutingTable,
 };
-use crate::recovery::{FaultPlan, RecoveryError, ReplicatedBatchStore};
+use crate::recovery::FaultPlan;
 use crate::source::TupleSource;
 use crate::stage::{BatchOutput, StageTimes};
 use crate::state::{restore, Checkpointer, CommitInfo, KeyedStateStore, StateStats};
@@ -31,8 +31,8 @@ use crate::trace::{Counter, StageKind, TraceEvent, TraceLevel, TraceRecorder};
 use crate::window::{WindowResult, WindowState};
 
 /// A batch past the *buffering* state of the driver's state machine:
-/// ingested, counted, retained in the recovery store when the run keeps one,
-/// and partitioned — everything up to (but excluding) execution and commit.
+/// ingested, counted and partitioned — everything up to (but excluding)
+/// execution and commit.
 /// When `pipeline_depth` exceeds 1, up to `depth` of these sit in the
 /// prepare queue while older batches execute; on the distributed backend
 /// their Map tasks are already on the wire.
@@ -40,7 +40,8 @@ use crate::window::{WindowResult, WindowState};
 /// It is also the only carrier of the actuator state the batch was prepared
 /// under — `r`, `technique`, `routing`: everything downstream of
 /// [`Run::pull`] reads these, never the run's current values, which a
-/// controller may have moved for a younger batch in the meantime.
+/// controller may have moved for a younger batch in the meantime. Its plan
+/// is the batch's replicated input (§8): every recovery re-runs it.
 pub(crate) struct PreparedBatch {
     seq: u64,
     interval: Interval,
@@ -65,9 +66,6 @@ pub(crate) struct PreparedBatch {
     /// Plan-quality metrics, computed once at prepare (the policy consumes
     /// them too).
     metrics: PlanMetrics,
-    /// Processing time of suffix recomputes after a store loss; billed to
-    /// this batch.
-    restore_times: Vec<Duration>,
 }
 
 impl PreparedBatch {
@@ -100,7 +98,6 @@ pub(crate) struct PulledBatch {
     decision: Option<PolicyDecision>,
     /// Wall-clock µs the policy's decision took (trace only).
     decide_us: u64,
-    restore_times: Vec<Duration>,
 }
 
 /// What [`partition`] makes of a batch.
@@ -205,14 +202,15 @@ pub(crate) struct Run<'e> {
     /// the evidence a `Rebalance` trace event cites. Derived from virtual
     /// task times, so identical across backends.
     last_load: Option<(u64, f64)>,
-    /// Replicated batch inputs (§8 point 2); `Some` exactly when a
-    /// [`FaultPlan`] is configured: its replays ([`Run::replay`]) are all that
-    /// read an input back — a worker loss resubmits the plan in hand, and a
-    /// resume reads the checkpoint. A checkpointed run truncates them at its
-    /// watermark.
-    store: Option<ReplicatedBatchStore>,
-    /// The recovery budget: replicas per retained input, and how many worker
-    /// losses one execution of a batch may survive.
+    /// Committed batches, oldest first, each with the replicas it has left:
+    /// what a scheduled store loss re-runs (§8 point 2). [`Run::recycle`]
+    /// hands back every one before `retain_from` — at once, unless the run
+    /// keeps a state store and schedules a store loss.
+    committed: VecDeque<(PreparedBatch, usize)>,
+    /// The first committed batch a store loss may still re-run.
+    retain_from: u64,
+    /// The recovery budget: replicas per batch, and how many worker losses
+    /// one execution of a batch may survive.
     replicas: usize,
     fault_plan: FaultPlan,
     window_len_batches: u64,
@@ -277,7 +275,8 @@ impl<'e> Run<'e> {
             was_in_grace: false,
             rebalancer,
             last_load: None,
-            store: (!fault_plan.is_empty()).then(|| ReplicatedBatchStore::new(replicas)),
+            committed: VecDeque::new(),
+            retain_from: 0,
             replicas,
             fault_plan,
             window_len_batches: eng.window.map_or(1, |spec| spec.in_batches(bi).0 as u64),
@@ -346,22 +345,9 @@ impl<'e> Run<'e> {
         Interval::new(Time(bi.0 * seq), Time(bi.0 * (seq + 1)))
     }
 
-    /// A scheduled [`FaultPlan`] event is a barrier: a batch that loses its
-    /// state or the store is filled only into an empty window and nothing is
-    /// filled behind it until it commits, so its replays (which run under
-    /// the run's *current* counts and routing) see exactly the depth-1
-    /// world. True when `seq` must wait for the window to drain.
-    pub(super) fn fault_barrier(&self, seq: u64) -> bool {
-        let faulted = |s| self.fault_plan.losses_for(s) > 0 || self.fault_plan.loses_store_at(s);
-        self.prepared
-            .back()
-            .is_some_and(|last| faulted(seq) || faulted(last.seq))
-    }
-
-    /// Whether the loop may pull the next batch now: the run has one left,
-    /// and no scheduled fault needs the window to itself.
+    /// Whether the run has a batch left to pull.
     pub(crate) fn may_pull(&self, n_batches: u64) -> bool {
-        self.next_seq < n_batches && !self.fault_barrier(self.next_seq)
+        self.next_seq < n_batches
     }
 
     /// Advance the next batch from *buffering* to *partitioned* on this
@@ -376,10 +362,9 @@ impl<'e> Run<'e> {
         self.finish(pulled, partitioned);
     }
 
-    /// The first step of advancing the next batch: ingest its interval, let
-    /// every controller that acts at the batch boundary act (store-loss
-    /// restore, policy, rebalancer) and retain the input if the run keeps
-    /// inputs. The batch leaves with the run's current actuator state — `p`,
+    /// The first step of advancing the next batch: ingest its interval and
+    /// let every controller that acts at the batch boundary act (policy,
+    /// rebalancer). The batch leaves with the run's current actuator state — `p`,
     /// `r`, technique, routing — which it carries from here on. `None` when a
     /// restored checkpoint already covers the batch. The source is read here
     /// and only here, on the driver thread.
@@ -399,23 +384,10 @@ impl<'e> Run<'e> {
         let batch = MicroBatch::new(std::mem::take(&mut self.arrivals), interval);
         self.rec.incr(Counter::Batches, 1);
         self.rec.incr(Counter::Tuples, batch.len() as u64);
-        let restore_times = self.restore_lost_store(seq);
         let (decision, decide_us) = self.decide(seq);
         let technique = decision
             .as_ref()
             .map_or(self.eng.technique, |d| d.technique);
-        if let Some(store) = self.store.as_mut() {
-            // The buffer is shared (`Arc`), so recovery reads and replica
-            // accounting never deep-copy the tuples again. The technique
-            // rides along (and expires with the input): a replay must
-            // re-partition with the strategy the original run used.
-            store.retain(seq, batch.tuples.as_slice().into(), technique);
-            let stats = &mut self.sstats;
-            stats.max_retained_tuples = stats
-                .max_retained_tuples
-                .max(store.retained_tuples() as u64);
-            stats.max_retained_batches = stats.max_retained_batches.max(store.len() as u64);
-        }
         self.apply_rebalance(seq);
         Some(PulledBatch {
             seq,
@@ -426,7 +398,6 @@ impl<'e> Run<'e> {
             routing: self.routing(),
             decision,
             decide_us,
-            restore_times,
         })
     }
 
@@ -444,7 +415,6 @@ impl<'e> Run<'e> {
             routing,
             decision,
             decide_us,
-            restore_times,
         } = pulled;
         self.trace_partition_phases(seq, decision.is_some(), decide_us, &part.phases);
         let n_tuples = batch.len();
@@ -474,7 +444,6 @@ impl<'e> Run<'e> {
             routing,
             decision,
             metrics: part.metrics,
-            restore_times,
         };
         self.backend.submit(&pb.planned(self.eng), &self.rec);
         self.prepared.push_back(pb);
@@ -491,28 +460,99 @@ impl<'e> Run<'e> {
         self.eng.strategies.registry.insert(technique, partitioner);
     }
 
-    /// A scheduled loss of the whole keyed state store at batch `seq`:
-    /// rebuild from the latest checkpoint (or from scratch when none exists)
-    /// and recompute only the post-watermark suffix from retained inputs.
-    /// Returns the suffix recomputes' processing times, billed to `seq`.
+    /// A scheduled loss of the whole keyed state store at the commit of
+    /// batch `seq`, before its output is pushed — when every batch before it
+    /// has committed, at any depth: rebuild from the latest checkpoint (or
+    /// from scratch when none exists) and re-run the retained plans of the
+    /// committed batches it does not cover, each spending one of its
+    /// replicas. Returns the re-runs' processing times, billed to `seq`.
     fn restore_lost_store(&mut self, seq: u64) -> Vec<Duration> {
-        let mut replay_times = Vec::new();
+        let mut rerun_times = Vec::new();
         if self.state_store.is_none() || !self.fault_plan.loses_store_at(seq) {
-            return replay_times;
+            return rerun_times;
         }
         let (mut rebuilt, covered, bytes) = self.durable_state();
-        for b in covered..seq {
-            let (output, times) = self.replay(b).unwrap_or_else(|e| {
-                panic!("state loss at batch {seq}: batch {b} unrecoverable: {e}")
-            });
-            // Replay into the rebuilt store, discarding emissions — the
+        let mut committed = std::mem::take(&mut self.committed);
+        for (pb, replicas_left) in committed.iter_mut().filter(|(pb, _)| pb.seq >= covered) {
+            let Some(left) = replicas_left.checked_sub(1) else {
+                panic!(
+                    "state loss at batch {seq}: every replica of batch {} lost",
+                    pb.seq
+                );
+            };
+            *replicas_left = left;
+            let (output, times) = self.execute(pb);
+            // Re-run into the rebuilt store, discarding emissions — the
             // original run already emitted these windows.
             rebuilt.push(&output);
-            replay_times.push(times.processing());
+            rerun_times.push(times.processing());
         }
-        self.record_restore(seq, covered, bytes, replay_times.len() as u64);
+        self.committed = committed;
+        let recomputed = rerun_times.len() as u64;
+        assert_eq!(
+            recomputed,
+            seq - covered,
+            "store lost at batch {seq}: a re-run expired"
+        );
+        self.record_restore(seq, covered, bytes, recomputed);
         self.state_store = Some(rebuilt);
-        replay_times
+        rerun_times
+    }
+
+    /// Each scheduled loss of `pb`'s state re-runs its plan, spending one of
+    /// its replicas: `output` becomes the last re-run's and each re-run's
+    /// processing time is pushed to `recovery_times`. Returns the replicas
+    /// left.
+    fn rerun_lost_state(
+        &mut self,
+        pb: &PreparedBatch,
+        output: &mut BatchOutput,
+        recovery_times: &mut Vec<Duration>,
+    ) -> usize {
+        let (seq, mut replicas_left) = (pb.seq, self.replicas);
+        for _ in 0..self.fault_plan.losses_for(seq) {
+            let Some(left) = replicas_left.checked_sub(1) else {
+                panic!(
+                    "injected failure beyond recovery budget: every replica of batch {seq} lost"
+                );
+            };
+            replicas_left = left;
+            let (rerun, times) = self.execute(pb);
+            *output = rerun;
+            recovery_times.push(times.processing());
+            self.result.recoveries += 1;
+            self.rec.incr(Counter::Recoveries, 1);
+            self.rec.event(TraceEvent::Recovery { seq, replicas_left });
+        }
+        replicas_left
+    }
+
+    /// Keep committed batch `pb` for a scheduled store loss to re-run, with
+    /// the replicas it has left; [`Run::recycle`] hands back whatever no
+    /// store loss can need any more. A checkpoint truncates retention at its
+    /// watermark ([`Run::record_commit`]); without one, a batch that has left
+    /// every window is not needed (§8) — unless a store loss is still to
+    /// come, which rebuilds from batch zero.
+    fn retain(&mut self, pb: PreparedBatch, replicas_left: usize) {
+        let (seq, lose_store) = (pb.seq, &self.fault_plan.lose_store);
+        self.committed.push_back((pb, replicas_left));
+        if self.state_store.is_none() || lose_store.is_empty() {
+            self.retain_from = seq + 1;
+            return;
+        }
+        let rebuild_ahead = lose_store.iter().any(|&s| s > seq);
+        if self.checkpointer.is_none() && !rebuild_ahead {
+            let out_of_window = (seq + 2).saturating_sub(self.window_len_batches);
+            self.retain_from = self.retain_from.max(out_of_window);
+        }
+        let live = self
+            .committed
+            .iter()
+            .filter(|(pb, _)| pb.seq >= self.retain_from);
+        let (batches, tuples) = live.fold((0, 0), |(b, t), (pb, _)| (b + 1, t + pb.n_tuples));
+        let stats = &mut self.sstats;
+        stats.max_retained_batches = stats.max_retained_batches.max(batches);
+        stats.max_retained_tuples = stats.max_retained_tuples.max(tuples as u64);
     }
 
     /// Rebalancing: the policy decides a migration plan at the batch
@@ -656,82 +696,38 @@ impl<'e> Run<'e> {
         (output, times)
     }
 
-    /// Recompute batch `b` from its replicated input (§8), spending one
-    /// replica: the shared retained buffer is re-partitioned in place — no
-    /// deep copy — with the strategy the original run used (retained next to
-    /// the input), and executed on the backend under the run's *current*
-    /// counts and routing. Replays only happen behind
-    /// [`Run::fault_barrier`], where current is what depth 1 would see.
-    fn replay(&mut self, b: u64) -> Result<(BatchOutput, StageTimes), RecoveryError> {
-        let store = self.store.as_mut().expect("fault plans retain inputs");
-        let (input, technique) = store.recover(b)?;
-        let interval = self.interval_of(b);
-        let partitioner = self.eng.strategies.registry.get_or_build(technique);
-        let (replan, _) = partitioner.partition_slice(&input, interval, self.p);
-        let routing = self.routing();
-        let under = (self.r, technique, routing.as_ref());
-        Ok(self.run_plan(b, PlanView::Rows(&replan), under))
-    }
-
-    /// Execute the oldest in-flight batch on the configured backend. At
-    /// depth > 1 a distributed batch is already in flight (maps dispatched
-    /// at [`Run::finish`]); waiting on it also advances the younger batches
-    /// of the window.
+    /// Execute a batch's plan on the configured backend: the oldest in-flight
+    /// batch, or a re-run of a lost one. At depth > 1 a distributed batch is
+    /// already in flight (maps dispatched at [`Run::finish`]); waiting on it
+    /// also advances the younger batches of the window.
     pub(crate) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
         self.run_plan(pb.seq, PlanView::of(&pb.plan), under)
     }
 
     /// Commit an executed batch. Everything with cross-batch feedback —
-    /// pipeline clock, windows, checkpoints, retention expiry, scaling —
-    /// runs here, in strict batch order. Returns the batch's plan with its
-    /// technique: nothing reads it any more, and [`Run::recycle`] hands it
+    /// recovery, pipeline clock, windows, checkpoints, retention, scaling —
+    /// runs here, in strict batch order. The batch is then kept for a
+    /// scheduled store loss, or left for [`Run::recycle`] to hand its plan
     /// back to the partitioner that built it.
     pub(crate) fn commit(
         &mut self,
         mut pb: PreparedBatch,
         mut output: BatchOutput,
         times: StageTimes,
-    ) -> (Technique, Plan) {
+    ) {
         let seq = pb.seq;
         let bi = self.eng.cfg.batch_interval;
         self.observe_load(&pb, &times);
 
-        // Suffix recomputes after a store loss bill this batch, exactly like
-        // the injected-loss recomputations below.
-        let mut recovery_times = std::mem::take(&mut pb.restore_times);
+        // Recovery re-runs plans the run holds and bills this batch: the
+        // committed suffix a store loss needs, then each scheduled loss of
+        // this batch's own state.
+        let mut recovery_times = self.restore_lost_store(seq);
+        let replicas_left = self.rerun_lost_state(&pb, &mut output, &mut recovery_times);
         let mut processing = pb.visible_overhead + times.processing();
         for &d in &recovery_times {
             processing += d;
-        }
-        // Fault injection: each scheduled loss of this batch's state forces
-        // one recomputation from the replicated input.
-        for _ in 0..self.fault_plan.losses_for(seq) {
-            let (recovered, retimes) = self
-                .replay(seq)
-                .expect("injected failure beyond recovery budget");
-            output = recovered;
-            processing += retimes.processing();
-            recovery_times.push(retimes.processing());
-            self.result.recoveries += 1;
-            self.rec.incr(Counter::Recoveries, 1);
-            let replicas_left = self.store.as_ref().and_then(|s| s.replicas_left(seq));
-            self.rec.event(TraceEvent::Recovery {
-                seq,
-                replicas_left: replicas_left.unwrap_or(0),
-            });
-        }
-        if let Some(store) = self.store.as_mut() {
-            // Without checkpointing, batches that have produced output and
-            // left every window can drop their replicated input (§8) — unless
-            // a store loss is still to come, which rebuilds from batch zero.
-            // With checkpointing, retention is truncated at the checkpoint
-            // watermark on commit instead — durable state covers everything
-            // before it.
-            let rebuild_ahead = self.fault_plan.lose_store.iter().any(|&s| s > seq);
-            if self.checkpointer.is_none() && !rebuild_ahead && seq + 1 >= self.window_len_batches {
-                store.expire_through(seq + 1 - self.window_len_batches);
-            }
         }
 
         // Pipelined scheduling: processing starts at the heartbeat or when
@@ -755,7 +751,7 @@ impl<'e> Run<'e> {
         self.step_scaler(&pb, w);
         self.commit_window(output);
 
-        if let Some(d) = pb.decision {
+        if let Some(d) = pb.decision.take() {
             self.result.policy_decisions.push(d);
         }
         self.result.batches.push(BatchRecord {
@@ -777,14 +773,18 @@ impl<'e> Run<'e> {
             plan_metrics: pb.metrics,
             technique: pb.technique,
         });
-        (pb.technique, pb.plan)
+        self.retain(pb, replicas_left);
     }
 
-    /// Hand a committed batch's plan back to its technique's partitioner:
-    /// its buffers are what a later batch's plan is built in.
-    pub(crate) fn recycle(&mut self, (technique, plan): (Technique, Plan)) {
-        let partitioner = self.eng.strategies.registry.get_or_build(technique);
-        partitioner.recycle(plan);
+    /// Hand the plan of every committed batch no store loss can re-run any
+    /// more back to its technique's partitioner: its buffers are what a
+    /// later batch's plan is built in.
+    pub(crate) fn recycle(&mut self) {
+        let retain_from = self.retain_from;
+        while let Some((pb, _)) = self.committed.pop_front_if(|(pb, _)| pb.seq < retain_from) {
+            let partitioner = self.eng.strategies.registry.get_or_build(pb.technique);
+            partitioner.recycle(pb.plan);
+        }
     }
 
     /// Per-worker load accounting: the trace summary's imbalance signal, and
@@ -937,7 +937,7 @@ impl<'e> Run<'e> {
     }
 
     /// Account one checkpoint commit. Everything it covers is durable, so
-    /// input retention is truncated at its watermark.
+    /// no store loss re-runs a batch at or before its watermark.
     fn record_commit(&mut self, commit: CommitInfo) {
         self.sstats.checkpoints += 1;
         self.sstats.checkpoint_bytes += commit.bytes;
@@ -953,9 +953,7 @@ impl<'e> Run<'e> {
             bytes: commit.bytes,
             wall_us: commit.wall_us,
         });
-        if let Some(store) = self.store.as_mut() {
-            store.expire_through(commit.seq);
-        }
+        self.retain_from = self.retain_from.max(commit.seq + 1);
     }
 
     /// Shut the backend down and hand back the run's results and trace.

@@ -27,7 +27,8 @@
 //!   same code with its Map and Reduce loops fanned out.
 //! * [`net::DistributedRuntime`] — a real multi-*process* backend: tasks run
 //!   on spawned `prompt-worker` processes over a binary TCP protocol, with
-//!   heartbeat failure detection and recompute-from-replica recovery.
+//!   heartbeat failure detection, and recovery that resubmits the plans a
+//!   lost worker held: a batch's plan is its replicated input.
 //!
 //! [`driver::StreamingEngine`] is the top-level entry point;
 //! [`elasticity::AutoScaler`] implements the Algorithm 4 controller.
@@ -81,9 +82,7 @@ pub mod prelude {
         GroupMove, LoadLedger, MigrationPlan, RebalanceConfig, RebalanceObservation,
         RebalancePolicy, RebalanceSpec, RoutingTable, GROUP_HASH_SEED,
     };
-    pub use crate::recovery::{
-        FaultPlan, FaultPoint, NetFault, NetFaultPlan, RecoveryError, ReplicatedBatchStore,
-    };
+    pub use crate::recovery::{FaultPlan, FaultPoint, NetFault, NetFaultPlan};
     pub use crate::reorder::ReorderingReceiver;
     pub use crate::source::TupleSource;
     pub use crate::stage::{execute_batch, times_from_stats, BatchOutput, BucketStats, StageTimes};

@@ -1,9 +1,9 @@
 //! Durable keyed state: sharded window state and incremental checkpointing.
 //!
 //! The engine's recovery story before this module was recompute-from-input:
-//! `ReplicatedBatchStore` retains every batch's tuples and a lost batch is
-//! re-executed from scratch. That bounds neither recovery time nor retained
-//! bytes. This module adds the missing layer:
+//! every batch's tuples were retained and a lost store was rebuilt by
+//! re-executing every batch from the first. That bounds neither recovery time
+//! nor retained bytes. This module adds the missing layer:
 //!
 //! * [`KeyedStateStore`] — the window state of `crate::window::WindowState`,
 //!   sharded by bucket with a fixed hash seed, bit-identical to the serial
@@ -18,9 +18,9 @@
 //! Algorithm 4 auto-scaler changes the task counts of the next batch filled
 //! and moves no state.
 //!
-//! With checkpointing on, the driver truncates retained inputs at the
-//! checkpoint watermark and recovery recomputes only the post-checkpoint
-//! suffix — both visible as trace events.
+//! With checkpointing on, the driver truncates the batches it retains for a
+//! scheduled store loss at the checkpoint watermark and recovery re-runs only
+//! the post-checkpoint suffix — both visible as trace events.
 
 mod checkpoint;
 mod store;
@@ -69,11 +69,13 @@ pub struct StateStats {
     pub watermark: Option<u64>,
     /// State restores performed (lost state or resumed run).
     pub restores: u64,
-    /// Batches recomputed from retained input after restores.
+    /// Retained batches re-run after restores.
     pub recomputed_batches: u64,
-    /// High-water mark of tuples retained by the replicated batch store
-    /// over the run (the memory bound the watermark truncation enforces).
+    /// High-water mark of the tuples in the committed batches retained for a
+    /// scheduled store loss (the memory bound the watermark truncation
+    /// enforces).
     pub max_retained_tuples: u64,
-    /// High-water mark of batches retained by the replicated batch store.
+    /// High-water mark of the committed batches retained for a scheduled
+    /// store loss.
     pub max_retained_batches: u64,
 }

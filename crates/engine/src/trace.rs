@@ -190,7 +190,7 @@ pub enum Counter {
     SnapshotBytes,
     /// Keyed-state restores (lost store or resumed run).
     StateRestores,
-    /// Batches recomputed from retained input after state restores.
+    /// Retained committed batches re-run after state restores.
     RecomputedBatches,
     /// Shuffle connections dialed by reducing workers (pool misses).
     ShuffleConnsDialed,
@@ -391,7 +391,7 @@ pub enum TraceEvent {
         covered: u64,
         /// Checkpoint bytes read during the restore.
         bytes: u64,
-        /// Batches recomputed from retained input to catch up.
+        /// Retained committed batches re-run to catch up.
         recomputed: u64,
     },
     /// The partitioner policy hot-swapped the technique at a batch

@@ -2,8 +2,8 @@
 //! (`oracle.rs` holds every distributed run to the serial one): columnar
 //! frames put a row run's bytes on the wire, a worker loss spends a count
 //! and aborts past it, a checkpoint shrinks the recompute a store loss
-//! costs, a scale action moves no state, and nothing retains an input
-//! unless a `FaultPlan` may replay it.
+//! costs, a scale action moves no state, and nothing retains a batch
+//! unless a scheduled store loss may re-run it.
 //!
 //! These spawn OS processes, so they live in their own test binary (CI runs
 //! it as the `distributed-smoke` job) rather than the fast unit tier.
@@ -110,53 +110,67 @@ fn a_budget_of_two_survives_two_losses_on_one_batch() {
 /// loss of the whole keyed state store, with checkpointing on, restore from
 /// the checkpoint and recompute only the post-watermark suffix — fewer
 /// batches than the no-checkpoint rebuild — and leave the run equal to the
-/// serial engine's.
+/// serial engine's. At depth 4 batch 4 loses its state too, so its re-run and
+/// the rebuild's re-runs go on the wire while younger batches are in flight.
 #[test]
 fn checkpointed_state_survives_worker_kill_and_store_loss() {
-    let lossy = |checkpoint: Option<CheckpointConfig>| Case {
-        // The window spans the run, as a rebuild without a checkpoint would
-        // replay all of it anyway.
-        window: (8, 1),
-        op: ReduceOp::Count,
-        stateful: true,
-        recovery: Some((3, FaultPlan::none().lose_store_at(5))),
-        kills: NetFaultPlan::none().kill_before(2, 1),
-        ..skewed(
-            EngineConfig {
-                checkpoint,
-                ..fleet(3)
-            },
-            8,
-        )
-    };
-    let ckpt = lossy(Some(CheckpointConfig::new("set by run").interval(1)));
-    let (res, rec) = completed(&ckpt);
-    let (scratch, _) = completed(&lossy(None));
-    let (serial, _) = completed(&ckpt.serial());
-    assert_eq!(serial.first_difference(&res), None);
-    assert_eq!((res.worker_losses, res.recoveries), (1, 1));
-    let (ckpt, scratch) = (
-        res.state.expect("state on"),
-        scratch.state.expect("state on"),
-    );
-    assert_eq!((ckpt.restores, scratch.restores), (1, 1));
-    assert_eq!(scratch.recomputed_batches, 5, "no checkpoint: rebuild all");
-    assert!(
-        ckpt.recomputed_batches < scratch.recomputed_batches,
-        "checkpoint must shrink the recompute suffix: {ckpt:?} vs {scratch:?}"
-    );
-    assert!(
-        ckpt.max_retained_batches < scratch.max_retained_batches,
-        "watermark truncation must bound retention: {ckpt:?} vs {scratch:?}"
-    );
-    assert_eq!(rec.counter(Counter::StateRestores), 1);
-    assert!(
-        rec.counter(Counter::Checkpoints) >= 7,
-        "one commit per batch"
-    );
-    let events = rec.events();
-    let restored = |e: &TraceEvent| matches!(e, TraceEvent::StateRestore { seq: 5, .. });
-    assert!(events.iter().any(restored), "the restore must be traced");
+    for (depth, plan) in [
+        (1, FaultPlan::none().lose_store_at(5)),
+        (4, FaultPlan::none().lose_store_at(5).lose_once(4)),
+    ] {
+        let lossy = |checkpoint: Option<CheckpointConfig>| Case {
+            // The window spans the run, as a rebuild without a checkpoint
+            // would replay all of it anyway.
+            window: (8, 1),
+            op: ReduceOp::Count,
+            stateful: true,
+            recovery: Some((3, plan.clone())),
+            kills: NetFaultPlan::none().kill_before(2, 1),
+            ..skewed(
+                EngineConfig {
+                    checkpoint,
+                    pipeline_depth: depth,
+                    ..fleet(3)
+                },
+                8,
+            )
+        };
+        let ckpt = lossy(Some(CheckpointConfig::new("set by run").interval(1)));
+        let (res, rec) = completed(&ckpt);
+        let (scratch, _) = completed(&lossy(None));
+        let (serial, _) = completed(&ckpt.serial());
+        assert_eq!(serial.first_difference(&res), None, "depth {depth}");
+        let (serial_scratch, _) = completed(&lossy(None).serial());
+        assert_eq!(
+            serial_scratch.first_difference(&scratch),
+            None,
+            "depth {depth}, no checkpoint"
+        );
+        let lost_batches = plan.lose_state.len() as u64;
+        assert_eq!((res.worker_losses, res.recoveries), (1, 1 + lost_batches));
+        let (ckpt, scratch) = (
+            res.state.expect("state on"),
+            scratch.state.expect("state on"),
+        );
+        assert_eq!((ckpt.restores, scratch.restores), (1, 1));
+        assert_eq!(scratch.recomputed_batches, 5, "no checkpoint: rebuild all");
+        assert!(
+            ckpt.recomputed_batches < scratch.recomputed_batches,
+            "checkpoint must shrink the recompute suffix: {ckpt:?} vs {scratch:?}"
+        );
+        assert!(
+            ckpt.max_retained_batches < scratch.max_retained_batches,
+            "watermark truncation must bound retention: {ckpt:?} vs {scratch:?}"
+        );
+        assert_eq!(rec.counter(Counter::StateRestores), 1);
+        assert!(
+            rec.counter(Counter::Checkpoints) >= 7,
+            "one commit per batch"
+        );
+        let events = rec.events();
+        let restored = |e: &TraceEvent| matches!(e, TraceEvent::StateRestore { seq: 5, .. });
+        assert!(events.iter().any(restored), "the restore must be traced");
+    }
 }
 
 /// Elasticity beside durable state on the fleet: when the auto-scaler changes
@@ -225,10 +239,10 @@ fn scaling_moves_no_state_on_the_fleet() {
     assert_eq!((shards_before, shards_after), (STATE_SHARDS, STATE_SHARDS));
 }
 
-/// Nothing reads a batch input back unless a `FaultPlan` may replay it — a
-/// worker loss resubmits the plan in hand, a resume reads the checkpoint —
-/// so a distributed stateful run without one retains none, checkpointed or
-/// not, and still survives a worker loss.
+/// Nothing keeps a committed batch unless a scheduled store loss may re-run
+/// it — a worker loss resubmits the plan in hand, a resume reads the
+/// checkpoint — so a distributed stateful run without a `FaultPlan` retains
+/// none, checkpointed or not, and still survives a worker loss.
 #[test]
 fn a_distributed_run_without_a_fault_plan_retains_no_input() {
     for checkpoint in [None, Some(CheckpointConfig::new("set by run").interval(2))] {

@@ -1,7 +1,8 @@
 //! The consistency machinery of §8 end-to-end: a jittery (out-of-order)
 //! delivery network in front of a bounded-delay reordering receiver, with
-//! injected executor failures recovered from the replicated batch store —
-//! and the window answers coming out exactly-once identical.
+//! injected executor failures each recovered by re-running the lost batch's
+//! plan (its data blocks are its replicated input) — and the window answers
+//! coming out exactly-once identical.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerant_pipeline
