@@ -68,26 +68,31 @@ pub trait BytesSink {
     fn put_bytes(&mut self, bytes: &[u8]);
 
     /// Append a `u8`.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_bytes(&[v]);
     }
 
     /// Append a little-endian `u16`.
+    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_bytes(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_bytes(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_bytes(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern (bit-exact round trip).
+    #[inline]
     fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
@@ -96,6 +101,7 @@ pub trait BytesSink {
     ///
     /// Panics if `len` exceeds `u32::MAX` — four billion elements in one
     /// frame is beyond any workload this engine batches.
+    #[inline]
     fn put_len(&mut self, len: usize) {
         self.put_u32(u32::try_from(len).expect("collection too large for wire"));
     }
@@ -172,6 +178,14 @@ impl ByteWriter {
         self.buf.reserve(additional);
     }
 
+    /// Overwrite the four bytes at `at` with a little-endian `u32`: a length
+    /// prefix written as a placeholder before what it counts.
+    ///
+    /// Panics if fewer than four bytes were written at `at`.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
     /// Consume the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -184,6 +198,7 @@ impl ByteWriter {
 }
 
 impl BytesSink for ByteWriter {
+    #[inline]
     fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -212,6 +227,7 @@ impl<'a> ByteReader<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
@@ -225,26 +241,31 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a `u8`.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a little-endian `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read an `f64` from its bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
@@ -352,38 +373,86 @@ pub const TUPLE_WIRE_SIZE: usize = 24;
 /// Encoded size of one [`KeyFragment`]: key + count.
 pub const FRAGMENT_WIRE_SIZE: usize = 16;
 
+/// Entries [`put_blocked`] hands a sink per call.
+const BLOCK_ENTRIES: usize = 256;
+
+/// Encode `items` at `W` bytes each through a stack block, 256 entries to a
+/// sink call, not a call per field: a Map frame carries hundreds of
+/// thousands of tuples and a snapshot over a million entries, and the sink
+/// call was most of what encoding one cost.
+pub fn put_blocked<S: BytesSink, T, const W: usize>(
+    s: &mut S,
+    items: impl IntoIterator<Item = T>,
+    encode: impl Fn(T) -> [u8; W],
+) {
+    let mut block = [[0u8; W]; BLOCK_ENTRIES];
+    let mut n = 0;
+    for item in items {
+        block[n] = encode(item);
+        n += 1;
+        if n == BLOCK_ENTRIES {
+            s.put_bytes(block.as_flattened());
+            n = 0;
+        }
+    }
+    if n > 0 {
+        s.put_bytes(block[..n].as_flattened());
+    }
+}
+
+/// A tuple's bytes from its three fields: timestamp, key and value bits,
+/// little-endian.
+fn tuple_fields(ts: u64, key: u64, value: u64) -> [u8; TUPLE_WIRE_SIZE] {
+    let mut out = [0u8; TUPLE_WIRE_SIZE];
+    out[..8].copy_from_slice(&ts.to_le_bytes());
+    out[8..16].copy_from_slice(&key.to_le_bytes());
+    out[16..].copy_from_slice(&value.to_le_bytes());
+    out
+}
+
+/// The little-endian `u64` at `at` of a slice whose length was checked.
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// One tuple's bytes.
+fn tuple_bytes(t: &Tuple) -> [u8; TUPLE_WIRE_SIZE] {
+    tuple_fields(t.ts.0, t.key.0, t.value.to_bits())
+}
+
+/// The tuple in `TUPLE_WIRE_SIZE` bytes.
+fn tuple_from(b: &[u8]) -> Tuple {
+    Tuple {
+        ts: Time(u64_at(b, 0)),
+        key: Key(u64_at(b, 8)),
+        value: f64::from_bits(u64_at(b, 16)),
+    }
+}
+
 /// Encode one tuple.
 pub fn put_tuple<S: BytesSink>(s: &mut S, t: &Tuple) {
-    s.put_u64(t.ts.0);
-    s.put_u64(t.key.0);
-    s.put_f64(t.value);
+    s.put_bytes(&tuple_bytes(t));
 }
 
 /// Decode one tuple.
 pub fn get_tuple(r: &mut ByteReader<'_>) -> Result<Tuple, CodecError> {
-    Ok(Tuple {
-        ts: Time(r.get_u64()?),
-        key: Key(r.get_u64()?),
-        value: r.get_f64()?,
-    })
+    Ok(tuple_from(r.take(TUPLE_WIRE_SIZE)?))
 }
 
 /// Encode a tuple run (length-prefixed).
 pub fn put_tuples<S: BytesSink>(s: &mut S, tuples: &[Tuple]) {
     s.put_len(tuples.len());
-    for t in tuples {
-        put_tuple(s, t);
-    }
+    put_blocked(s, tuples, tuple_bytes);
 }
 
-/// Decode a tuple run.
+/// Decode a tuple run: its bytes are bounds-checked once, not per field.
 pub fn get_tuples(r: &mut ByteReader<'_>) -> Result<Vec<Tuple>, CodecError> {
     let n = r.get_len(TUPLE_WIRE_SIZE)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_tuple(r)?);
-    }
-    Ok(out)
+    let bytes = r.take(n * TUPLE_WIRE_SIZE)?;
+    Ok(bytes
+        .chunks_exact(TUPLE_WIRE_SIZE)
+        .map(tuple_from)
+        .collect())
 }
 
 /// Encode a tuple run straight from column slices — byte-identical to
@@ -397,13 +466,21 @@ pub fn put_tuples_columnar<S: BytesSink>(
 ) {
     let n: usize = ranges.iter().map(|&(_, r)| r.len).sum();
     s.put_len(n);
-    for &(_, r) in ranges {
-        for i in r.offset..r.end() {
-            s.put_u64(arena.ts[i].0);
-            s.put_u64(arena.keys[i].0);
-            s.put_f64(arena.values[i]);
-        }
-    }
+    let rows = ranges.iter().flat_map(|&(_, r)| r.offset..r.end());
+    put_blocked(s, rows, |i| {
+        tuple_fields(arena.ts[i].0, arena.keys[i].0, arena.values[i].to_bits())
+    });
+}
+
+/// Encode a fragment table (length-prefixed), 16 bytes a fragment.
+fn put_fragments<S: BytesSink>(s: &mut S, fragments: &[KeyFragment]) {
+    s.put_len(fragments.len());
+    put_blocked(s, fragments, |f| {
+        let mut out = [0u8; FRAGMENT_WIRE_SIZE];
+        out[..8].copy_from_slice(&f.key.0.to_le_bytes());
+        out[8..].copy_from_slice(&(f.count as u64).to_le_bytes());
+        out
+    });
 }
 
 /// Encode a columnar block — byte-identical to [`put_block`] over the row
@@ -412,35 +489,28 @@ pub fn put_tuples_columnar<S: BytesSink>(
 /// already matches the row builder's.
 pub fn put_block_columnar<S: BytesSink>(s: &mut S, arena: &ColumnarBatch, block: &ColumnarBlock) {
     put_tuples_columnar(s, arena, &block.ranges);
-    s.put_len(block.fragments.len());
-    for f in &block.fragments {
-        s.put_u64(f.key.0);
-        s.put_u64(f.count as u64);
-    }
+    put_fragments(s, &block.fragments);
 }
 
 /// Encode one data block: its tuples plus the per-key fragment summary.
 pub fn put_block<S: BytesSink>(s: &mut S, block: &DataBlock) {
     put_tuples(s, &block.tuples);
-    s.put_len(block.fragments.len());
-    for f in &block.fragments {
-        s.put_u64(f.key.0);
-        s.put_u64(f.count as u64);
-    }
+    put_fragments(s, &block.fragments);
 }
 
 /// Decode one data block.
 pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
     let tuples = get_tuples(r)?;
     let n = r.get_len(FRAGMENT_WIRE_SIZE)?;
-    let mut fragments = Vec::with_capacity(n);
-    for _ in 0..n {
-        fragments.push(KeyFragment {
-            key: Key(r.get_u64()?),
-            count: r.get_u64()? as usize,
-        });
-    }
-    Ok(DataBlock { tuples, fragments })
+    let bytes = r.take(n * FRAGMENT_WIRE_SIZE)?;
+    let fragments = bytes.chunks_exact(FRAGMENT_WIRE_SIZE).map(|b| KeyFragment {
+        key: Key(u64_at(b, 0)),
+        count: u64_at(b, 8) as usize,
+    });
+    Ok(DataBlock {
+        tuples,
+        fragments: fragments.collect(),
+    })
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) lookup tables,

@@ -1110,9 +1110,10 @@ mod tests {
 
     #[test]
     fn remembered_techniques_are_bounded_by_input_retention() {
-        // The technique of a batch lives next to its retained input and
-        // expires with it: a long adaptive run remembers as many techniques
-        // as it retains inputs — the window, not the run length.
+        // A batch's technique travels in the plan it carries, and a lost
+        // batch re-runs that plan: a long adaptive run with a loss keeps
+        // committed batches, and their techniques, only while recovery can
+        // need them — bounded by the window, not the run length.
         let cfg = EngineConfig {
             policy: PolicySpec::Adaptive(crate::policy::AdaptiveConfig::default()),
             ..small_cfg()
@@ -1127,12 +1128,12 @@ mod tests {
             .with_fault_tolerance(2, FaultPlan::none().lose_once(150))
             .run(&mut skewed_source(300, 0.5, 30), 200);
         assert_eq!(res.policy_decisions.len(), 200);
-        assert_eq!(
-            res.recoveries, 1,
-            "batch 150 replays from its retained input"
-        );
+        assert_eq!(res.recoveries, 1, "batch 150 re-runs the plan it carries");
         let retained = res.state.expect("state on").max_retained_batches;
-        assert!(retained <= 3, "a 3-batch window retains {retained} inputs");
+        assert!(
+            retained <= 3,
+            "a 3-batch window keeps {retained} committed batches"
+        );
     }
 
     #[test]

@@ -102,11 +102,20 @@ impl NetCounters {
     }
 }
 
+/// The largest read buffer a connection keeps between frames. A frame above
+/// it (up to [`super::wire::MAX_PAYLOAD_LEN`]) is read into a buffer that is
+/// freed once the frame is decoded, so one large frame does not pin its size
+/// for the connection's life. A benchmark Map frame is ≈ 0.8 MiB.
+const KEPT_READ_BUF: usize = 4 << 20;
+
 /// A TCP stream speaking the framed protocol.
 #[derive(Debug)]
 pub struct FrameConn {
     stream: TcpStream,
     counters: Arc<NetCounters>,
+    /// Where each payload is read: kept across frames while it is at most
+    /// [`KEPT_READ_BUF`], and zero-filled only when it grows.
+    read_buf: Vec<u8>,
 }
 
 impl FrameConn {
@@ -118,6 +127,7 @@ impl FrameConn {
         FrameConn {
             stream,
             counters: Arc::default(),
+            read_buf: Vec::new(),
         }
     }
 
@@ -132,6 +142,7 @@ impl FrameConn {
         Ok(FrameConn {
             stream: self.stream.try_clone()?,
             counters: Arc::clone(&self.counters),
+            read_buf: Vec::new(),
         })
     }
 
@@ -174,10 +185,23 @@ impl FrameConn {
         let mut header = [0u8; HEADER_LEN];
         self.stream.read_exact(&mut header)?;
         let (msg_type, len) = Message::check_header(&header)?;
-        let mut payload = vec![0u8; len as usize];
-        self.stream.read_exact(&mut payload)?;
-        let msg = Message::decode_payload(msg_type, &payload)?;
-        let wire = HEADER_LEN + payload.len();
+        let len = len as usize;
+        if self.read_buf.len() < len {
+            // Grown to a power of two within the bound, so frames of
+            // similar sizes settle on one buffer; the old bytes are garbage.
+            let size = len.next_power_of_two().min(KEPT_READ_BUF).max(len);
+            self.read_buf = vec![0u8; size];
+        }
+        let payload = &mut self.read_buf[..len];
+        let msg = match self.stream.read_exact(payload) {
+            Ok(()) => Message::decode_payload(msg_type, payload).map_err(NetError::from),
+            Err(e) => Err(NetError::from(e)),
+        };
+        if self.read_buf.len() > KEPT_READ_BUF {
+            self.read_buf = Vec::new();
+        }
+        let msg = msg?;
+        let wire = HEADER_LEN + len;
         self.counters.record_recv(wire);
         Ok((msg, wire))
     }
@@ -348,6 +372,140 @@ mod tests {
         assert_eq!(c.bytes_sent(), c.bytes_received());
         let served = server.join().unwrap();
         assert_eq!(served, [c.bytes_received(), c.bytes_sent()]);
+    }
+
+    /// A Map frame of `n` tuples whose value bits vary with `salt` (NaN
+    /// payloads and `-0.0` included).
+    fn map_frame(n: u64, salt: u64) -> Message {
+        use crate::job::{JobSpec, MapSpec, ReduceOp};
+        use prompt_core::batch::{DataBlock, KeyFragment};
+        use prompt_core::types::{Key, Time, Tuple};
+        let tuples = (0..n)
+            .map(|i| {
+                let bits = prompt_core::hash::mix64(i ^ salt);
+                let value = match i % 4 {
+                    0 => f64::from_bits(0x7ff8_0000_0000_0000 | bits >> 13),
+                    1 => -0.0,
+                    _ => f64::from_bits(bits >> 2),
+                };
+                Tuple::new(Time(i + salt), Key(i % 97), value)
+            })
+            .collect();
+        let fragments = (0..97)
+            .map(|k| KeyFragment {
+                key: Key(k),
+                count: (n / 97 + u64::from(k < n % 97)) as usize,
+            })
+            .collect();
+        Message::MapTask {
+            seq: salt,
+            epoch: 1,
+            block_id: 2,
+            job: JobSpec {
+                map: MapSpec::Identity,
+                reduce: ReduceOp::Sum,
+            },
+            block: DataBlock { tuples, fragments },
+        }
+    }
+
+    /// A connected pair: the accepted side reads, the dialed side writes.
+    fn pair() -> (FrameConn, FrameConn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = RetryPolicy::default().connect(addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (FrameConn::new(stream), writer)
+    }
+
+    /// Every frame is read into the one buffer the connection keeps: a large
+    /// frame, a small one and a smaller large one decode bit-exactly, though
+    /// each leaves the last one's bytes behind its own.
+    #[test]
+    fn large_small_large_frames_decode_bit_exactly_from_one_kept_buffer() {
+        let (mut reader, mut writer) = pair();
+        let sent = [
+            map_frame(40_000, 1),
+            Message::BatchDone { seq: 9 },
+            map_frame(30_000, 2),
+        ];
+        let frames: Vec<Vec<u8>> = sent.iter().map(Message::encode).collect();
+        let writing = std::thread::spawn(move || {
+            for frame in &frames {
+                writer.send_frame(frame).unwrap();
+            }
+        });
+        let mut kept = Vec::new();
+        for msg in &sent {
+            let (got, wire) = reader.recv_counted().unwrap();
+            assert_eq!(wire, msg.encode().len());
+            // By bytes: NaN values compare unequal as `f64`s.
+            assert_eq!(got.encode(), msg.encode(), "{} diverged", msg.kind());
+            kept.push((reader.read_buf.as_ptr(), reader.read_buf.len()));
+        }
+        writing.join().unwrap();
+        assert!(
+            kept.iter().all(|&k| k == kept[0]),
+            "one buffer served all: {kept:?}"
+        );
+        assert!(kept[0].1 <= KEPT_READ_BUF);
+    }
+
+    /// A length above `MAX_PAYLOAD_LEN` fails at the header, before the
+    /// connection allocates anything for its payload.
+    #[test]
+    fn an_oversized_header_is_refused_before_any_allocation() {
+        use super::super::wire::{MAGIC, MAX_PAYLOAD_LEN, PROTOCOL_VERSION};
+        let (mut reader, mut writer) = pair();
+        let mut header = MAGIC.to_le_bytes().to_vec();
+        header.extend([PROTOCOL_VERSION, 4]);
+        header.extend((MAX_PAYLOAD_LEN + 1).to_le_bytes());
+        writer.send_frame(&header).unwrap();
+        let err = reader.recv().expect_err("oversized header");
+        assert!(
+            matches!(err, NetError::Wire(WireError::FrameTooLarge(n)) if n == MAX_PAYLOAD_LEN + 1),
+            "{err}"
+        );
+        assert_eq!(reader.read_buf.capacity(), 0);
+    }
+
+    /// A legal frame above the kept bound is read into a buffer freed once
+    /// it is decoded, and so is a hostile header at the cap whose payload
+    /// never comes: neither pins its size for the connection's life.
+    #[test]
+    fn a_frame_above_the_kept_bound_does_not_pin_its_buffer() {
+        use super::super::wire::{MAGIC, MAX_PAYLOAD_LEN, PROTOCOL_VERSION};
+        let (mut reader, mut writer) = pair();
+        let big = map_frame(200_000, 3);
+        let frame = big.encode();
+        assert!(frame.len() > KEPT_READ_BUF);
+        let small = map_frame(1_000, 4);
+        let small_frame = small.encode();
+        let writing = std::thread::spawn(move || {
+            writer.send_frame(&frame).unwrap();
+            writer.send_frame(&small_frame).unwrap();
+            let mut header = MAGIC.to_le_bytes().to_vec();
+            header.extend([PROTOCOL_VERSION, 4]);
+            header.extend(MAX_PAYLOAD_LEN.to_le_bytes());
+            writer.send_frame(&header).unwrap();
+            writer.shutdown();
+        });
+        assert_eq!(reader.recv().unwrap().encode(), big.encode());
+        assert_eq!(
+            reader.read_buf.capacity(),
+            0,
+            "the large frame's buffer was kept"
+        );
+        assert_eq!(reader.recv().unwrap().encode(), small.encode());
+        assert!(reader.read_buf.len() <= KEPT_READ_BUF);
+        let err = reader.recv().expect_err("the payload never comes");
+        assert!(matches!(err, NetError::Io(_)), "{err}");
+        assert_eq!(
+            reader.read_buf.capacity(),
+            0,
+            "the capped frame's buffer was kept"
+        );
+        writing.join().unwrap();
     }
 
     #[test]

@@ -31,6 +31,16 @@
 //! `FetchStats` trailer, and the worker ids `Heartbeat`, `RegisterAck` and
 //! `WorkerError` carried — the connection a frame arrives on already names
 //! its sender. `MapTask` frames did not change a byte.
+//!
+//! How a frame is written and read changed no byte, so the version stays 5.
+//! An encoder writes the header in place, then the payload behind it, into
+//! one buffer, and patches the payload length in last; a `MapTask`'s buffer
+//! is sized exactly up front (`18 + 4 + 24·n + 4 + 16·f` payload bytes), so
+//! encoding one makes one allocation. Tuples and fragment tables go to the
+//! buffer from a stack block, 256 entries a write. A reader
+//! ([`super::transport::FrameConn`]) reads each payload into a buffer the
+//! connection keeps across frames, bounded so that one large frame does not
+//! pin its size for the connection's life.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
@@ -307,11 +317,23 @@ impl Message {
         }
     }
 
-    /// Encode as one complete frame (header + payload).
+    /// Encode as one complete frame (header + payload), written once into
+    /// one buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = ByteWriter::new();
-        self.encode_payload(&mut payload);
-        frame(self.type_id(), &payload.into_bytes())
+        write_frame(self.type_id(), self.payload_capacity(), |w| {
+            self.encode_payload(w)
+        })
+    }
+
+    /// Payload bytes to reserve: exact for a `MapTask`, every field of which
+    /// is fixed-width; the other payloads grow as they are written.
+    fn payload_capacity(&self) -> usize {
+        match self {
+            Message::MapTask { block, .. } => {
+                map_task_len(block.tuples.len(), block.fragments.len())
+            }
+            _ => 64,
+        }
     }
 
     fn encode_payload(&self, w: &mut ByteWriter) {
@@ -444,7 +466,7 @@ impl Message {
             Message::RegisterAck { .. } => 8,
             Message::Heartbeat => 4,
             Message::MapTask { block, .. } => {
-                map_task_v1_len(block.tuples.len(), block.fragments.len())
+                map_task_len(block.tuples.len(), block.fragments.len())
             }
             Message::MapComplete { .. } => 16,
             Message::ShuffleAssign { assignment, .. } => 8 + 4 + 4 + 4 + 4 * assignment.len(),
@@ -650,20 +672,23 @@ impl Message {
     }
 }
 
-/// Wrap a payload in the frame header.
-fn frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
+/// Write one frame into a single buffer of `HEADER_LEN + capacity` bytes:
+/// the header first, `payload` after it, and then the payload's length into
+/// the header — so no payload is built apart and copied behind a header.
+fn write_frame(msg_type: u8, capacity: usize, payload: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(HEADER_LEN + capacity);
+    w.put_u32(MAGIC);
+    w.put_u8(PROTOCOL_VERSION);
+    w.put_u8(msg_type);
+    w.put_u32(0);
+    payload(&mut w);
+    let len = w.len() - HEADER_LEN;
     assert!(
-        payload.len() <= MAX_PAYLOAD_LEN as usize,
-        "oversized frame: {} bytes",
-        payload.len()
+        len <= MAX_PAYLOAD_LEN as usize,
+        "oversized frame: {len} bytes"
     );
-    let mut frame = ByteWriter::with_capacity(HEADER_LEN + payload.len());
-    frame.put_u32(MAGIC);
-    frame.put_u8(PROTOCOL_VERSION);
-    frame.put_u8(msg_type);
-    frame.put_u32(payload.len() as u32);
-    frame.put_bytes(payload);
-    frame.into_bytes()
+    w.patch_u32(HEADER_LEN - 4, len as u32);
+    w.into_bytes()
 }
 
 /// The [`Message::MapTask`] payload: the task header, then the block body
@@ -685,8 +710,9 @@ fn put_map_task(
     put_block(w);
 }
 
-/// Retired fixed-width v1 size of a [`Message::MapTask`] payload.
-fn map_task_v1_len(tuples: usize, fragments: usize) -> usize {
+/// Size of a [`Message::MapTask`] payload — in every protocol version, v1's
+/// fixed-width layout included.
+fn map_task_len(tuples: usize, fragments: usize) -> usize {
     8 + 4 + 4 + 1 + 1 + (4 + TUPLE_WIRE_SIZE * tuples) + (4 + FRAGMENT_WIRE_SIZE * fragments)
 }
 
@@ -700,11 +726,10 @@ pub fn encode_map_task(
     job: &JobSpec,
     block: &DataBlock,
 ) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    put_map_task(&mut payload, seq, epoch, block_id, job, |w| {
-        bytes::put_block(w, block)
-    });
-    frame(MAP_TASK, &payload.into_bytes())
+    let len = map_task_len(block.tuples.len(), block.fragments.len());
+    write_frame(MAP_TASK, len, |w| {
+        put_map_task(w, seq, epoch, block_id, job, |w| bytes::put_block(w, block))
+    })
 }
 
 /// Encode one [`Message::MapTask`] frame straight from columnar block
@@ -721,11 +746,12 @@ pub fn encode_map_task_columnar(
     arena: &ColumnarBatch,
     block: &ColumnarBlock,
 ) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    put_map_task(&mut payload, seq, epoch, block_id, job, |w| {
-        bytes::put_block_columnar(w, arena, block)
-    });
-    frame(MAP_TASK, &payload.into_bytes())
+    let len = map_task_len(block.size(), block.fragments.len());
+    write_frame(MAP_TASK, len, |w| {
+        put_map_task(w, seq, epoch, block_id, job, |w| {
+            bytes::put_block_columnar(w, arena, block)
+        })
+    })
 }
 
 /// Decode a varint that must fit in a `u32` (block ids, bucket indices).
@@ -738,6 +764,12 @@ mod tests {
     use super::*;
     use prompt_core::batch::KeyFragment;
     use prompt_core::types::{Time, Tuple};
+
+    /// A frame around a payload built by hand (for payloads no `Message`
+    /// encodes).
+    fn frame(msg_type: u8, payload: &[u8]) -> Vec<u8> {
+        write_frame(msg_type, payload.len(), |w| w.put_bytes(payload))
+    }
 
     /// One exemplar of every message variant.
     pub(crate) fn exemplars() -> Vec<Message> {

@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use prompt_core::bytes::{ByteReader, BytesSink, CodecError};
+use prompt_core::bytes::{self, ByteReader, BytesSink, CodecError};
 use prompt_core::hash::{bucket_of, KeyMap};
 use prompt_core::types::{Duration, Key};
 
@@ -368,21 +368,14 @@ impl KeyedStateStore {
     }
 }
 
-/// Entries a block buffer holds: the encoders below hand the sink one block
-/// at a time, not two or three fields an entry (a snapshot has over a million
-/// entries, and the sink call is most of what encoding one costs).
-const BLOCK_ENTRIES: usize = 256;
-
 /// Encode `(key, value)` entries at 16 B each.
 fn put_entries<S: BytesSink>(s: &mut S, entries: &[(Key, f64)]) {
-    let mut block = [0u8; 16 * BLOCK_ENTRIES];
-    for chunk in entries.chunks(BLOCK_ENTRIES) {
-        for (slot, &(k, v)) in block.chunks_exact_mut(16).zip(chunk) {
-            slot[..8].copy_from_slice(&k.0.to_le_bytes());
-            slot[8..].copy_from_slice(&v.to_bits().to_le_bytes());
-        }
-        s.put_bytes(&block[..16 * chunk.len()]);
-    }
+    bytes::put_blocked(s, entries, |&(k, v)| {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&k.0.to_le_bytes());
+        out[8..].copy_from_slice(&v.to_bits().to_le_bytes());
+        out
+    });
 }
 
 /// Encode one shard: running entries in sorted key order, then the panes
@@ -392,15 +385,13 @@ pub fn put_shard<S: BytesSink>(s: &mut S, shard: &StateShard) {
     let mut running: Vec<(Key, (f64, u32))> = shard.running.iter().map(|(&k, &e)| (k, e)).collect();
     running.sort_unstable_by_key(|&(k, _)| k.0);
     s.put_len(running.len());
-    let mut block = [0u8; 20 * BLOCK_ENTRIES];
-    for chunk in running.chunks(BLOCK_ENTRIES) {
-        for (slot, &(k, (v, c))) in block.chunks_exact_mut(20).zip(chunk) {
-            slot[..8].copy_from_slice(&k.0.to_le_bytes());
-            slot[8..16].copy_from_slice(&v.to_bits().to_le_bytes());
-            slot[16..].copy_from_slice(&c.to_le_bytes());
-        }
-        s.put_bytes(&block[..20 * chunk.len()]);
-    }
+    bytes::put_blocked(s, &running, |&(k, (v, c))| {
+        let mut out = [0u8; 20];
+        out[..8].copy_from_slice(&k.0.to_le_bytes());
+        out[8..16].copy_from_slice(&v.to_bits().to_le_bytes());
+        out[16..].copy_from_slice(&c.to_le_bytes());
+        out
+    });
     s.put_len(shard.panes.len());
     for pane in &shard.panes {
         s.put_len(pane.len());

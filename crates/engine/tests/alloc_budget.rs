@@ -11,10 +11,12 @@
 //! checkpoint compactor is not. The fifth shape is `zipf_threaded`'s
 //! geometry, whose tasks run on the fan-out pool's helpers too, so it is
 //! counted on every thread; the file's tests take one lock, so nothing else
-//! runs while it counts. The allocation sequence is a function of the input alone — each
-//! task's tables are indexed by task, not by the thread that ran it — so the
-//! budgets below are exact measurements, not timings: a table that starts
-//! growing from empty again fails here, whatever the host.
+//! runs while it counts. The sixth is `zipf_dist`'s, counted on the driver
+//! thread, which encodes every Map frame. The allocation sequence is a
+//! function of the input alone — each task's tables are indexed by task, not
+//! by the thread that ran it — so the budgets below are exact measurements,
+//! not timings: a table that starts growing from empty again fails here,
+//! whatever the host.
 //!
 //! 250k- and 500k-tuple batches are too slow for a debug tier-1 run; CI runs
 //! this file with `cargo test -p prompt-engine --release --test alloc_budget`.
@@ -289,6 +291,26 @@ fn zipf_pk2_stays_within_its_allocation_budget() {
     assert_within("zipf_pk2", got, PK2_BUDGET);
 }
 
+/// `zipf_dist`'s geometry: `zipf_inproc`'s shape on a fleet of 2 workers at
+/// depth 2, counted on the driver thread. That thread encodes and sends every
+/// Map frame; Algorithm 1/2 run on the partition thread and the replies are
+/// decoded on the connections' reader threads, so neither is counted.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
+fn zipf_dist_stays_within_its_allocation_budget() {
+    let cfg = EngineConfig {
+        backend: Backend::Distributed {
+            workers: 2,
+            base_port: 0,
+        },
+        pipeline_depth: 2,
+        ..serial()
+    };
+    let stream = Stream::new(500_000, 100_000, true, 0x5eed);
+    let got = measure(Technique::Prompt, cfg, ReduceOp::Count, (2, 2), stream);
+    assert_within("zipf_dist", got, ZIPF_DIST_BUDGET);
+}
+
 /// `(allocations, bytes)` per batch. Measured: 66 and 22.3 MiB — 48 of
 /// them the store's per-shard deltas, 16 Algorithm 3's assignment vectors —
 /// against 267 and 73.0 MiB while every batch built its plan, Map and merge
@@ -320,3 +342,9 @@ const ZIPF_THREADED_BUDGET: (u64, u64) = (4, 5 << 20);
 /// and 26.8 MiB while every batch built fresh blocks and a key map per
 /// block, and dropped its plan.
 const PK2_BUDGET: (u64, u64) = (5, 5 << 20);
+/// Measured: 18 and 15.7 MiB — one exact-size buffer per Map frame (16 of
+/// them, 12.4 MiB), plus `zipf_inproc`'s gathered output and emission —
+/// against 98 and 46.7 MiB while each payload grew from an empty writer
+/// (64 KiB → 1 MiB) and was then copied behind its header: six a frame. A
+/// frame that regrows or is copied again adds 16.
+const ZIPF_DIST_BUDGET: (u64, u64) = (20, 18 << 20);
