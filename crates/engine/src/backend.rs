@@ -37,19 +37,6 @@ pub(crate) struct Planned<'a> {
     pub(crate) assigner: &'a dyn ReduceAssigner,
 }
 
-impl Planned<'_> {
-    /// Put the batch's Map tasks and its bucket assignments on the wire; a
-    /// no-op while the seq is still in flight.
-    fn submit(&self, rt: &mut DistributedRuntime, rec: &TraceRecorder) {
-        let spec = self
-            .job
-            .wire_spec()
-            .expect("wire-serialisable: checked by Run::new");
-        let trace = rec.enabled().then_some(rec);
-        rt.submit(self.seq, self.view, &spec, self.assigner, self.r, trace);
-    }
-}
-
 /// See the module docs.
 pub(crate) enum BackendRuntime {
     /// This process: the one local executor, on the calling thread for
@@ -84,16 +71,6 @@ impl BackendRuntime {
         }
     }
 
-    /// Eager dispatch: on the distributed backend `batch`'s Map tasks and
-    /// assignments go on the wire now, overlapping older in-flight batches'
-    /// reduce and wire transfer; its Reduce tasks follow as soon as its own
-    /// maps are acked.
-    pub(crate) fn submit(&mut self, batch: &Planned<'_>, rec: &TraceRecorder) {
-        if let Some(rt) = self.distributed() {
-            batch.submit(rt, rec);
-        }
-    }
-
     /// Execute `batch`, returning its output, virtual stage times, and how
     /// many worker losses were survived on the way — at most `budget`.
     ///
@@ -102,14 +79,17 @@ impl BackendRuntime {
     /// raw [`BucketStats`](crate::stage::BucketStats), which
     /// [`times_from_view`] costs once, after the dispatch.
     ///
-    /// On the distributed backend the batch may already be in flight (maps
-    /// dispatched by [`BackendRuntime::submit`]); waiting drives the shared
-    /// event pump, which also advances the `younger` in-flight batches. A
-    /// worker lost mid-batch aborts every unfinished batch of the window: the
-    /// loss is charged against `budget` by [`on_worker_loss`] and the window
-    /// is re-dispatched in batch order from the plans in hand, each assigned
-    /// again through the assigner it carries. Failed attempts contribute no
-    /// virtual time — virtual time models the healthy cluster.
+    /// On the distributed backend this is where a batch goes on the wire:
+    /// `batch` and every `younger` prepared batch not yet in flight are
+    /// dispatched (Map tasks, then bucket assignments) before the wait, so a
+    /// batch leaves while the loop partitions the next one beside this call.
+    /// Waiting drives the shared event pump, which also advances the
+    /// younger in-flight batches. A worker lost mid-batch aborts every
+    /// unfinished batch of the window: the loss is charged against `budget`
+    /// by [`on_worker_loss`] and the window is re-dispatched in batch order
+    /// from the plans in hand, each assigned again through the assigner it
+    /// carries. Failed attempts contribute no virtual time — virtual time
+    /// models the healthy cluster.
     pub(crate) fn execute<'a>(
         &mut self,
         batch: &Planned<'a>,
@@ -130,11 +110,14 @@ impl BackendRuntime {
                 (output, stats)
             }
             BackendRuntime::Distributed(rt) => loop {
-                // No-ops while the seqs are in flight (or already done);
-                // after a loss these re-dispatch the aborted window.
-                batch.submit(rt, rec);
-                for q in younger.clone() {
-                    q.submit(rt, rec);
+                // A seq already in flight is skipped; after a loss every
+                // batch of the aborted window goes out again.
+                for q in std::iter::once(*batch).chain(younger.clone()) {
+                    let spec = q
+                        .job
+                        .wire_spec()
+                        .expect("wire-serialisable: checked by Run::new");
+                    rt.submit(q.seq, q.view, &spec, q.assigner, q.r, trace);
                 }
                 match rt.wait_batch(batch.seq, trace) {
                     Ok(done) => break done,

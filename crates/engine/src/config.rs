@@ -128,8 +128,10 @@ pub struct EngineConfig {
     /// Work overlaps at `d > 1` on every backend (§4.1, Fig. 7): the next
     /// batch is pulled from the source on the driver thread and partitioned
     /// on a second thread while the driver thread executes and commits the
-    /// oldest. On [`Backend::Distributed`] a prepared batch's Map tasks also
-    /// go on the wire at once, and the worker fleet pipelines wire transfer
+    /// oldest. On [`Backend::Distributed`] that execute is where a batch's
+    /// Map tasks go on the wire — the oldest's, and at `d > 2` every younger
+    /// prepared one's not yet in flight — so encoding and sending overlap the
+    /// next batch's partition, and the worker fleet pipelines wire transfer
     /// and execution across batches.
     pub pipeline_depth: usize,
     /// Which partitioner runs each batch (see [`crate::policy`]).

@@ -551,9 +551,12 @@ impl StreamingEngine {
 
 /// One step of the loop at depth ≥ 2 (§4.1, Fig. 7): batch `s + 1`, already
 /// pulled on the driver thread, is partitioned on a second thread while the
-/// driver thread executes and commits batch `s`. The partitioner is lent out
-/// of the registry for the step; `s`'s plan is handed back to it only after
-/// the join, so `partition(s + 2)` builds in it and no third plan exists.
+/// driver thread executes and commits batch `s` — on the distributed backend
+/// that execute is also where `s` goes on the wire. The time the driver
+/// thread then blocks at the join is traced as `PartitionWait`. The
+/// partitioner is lent out of the registry for the step; `s`'s plan is
+/// handed back to it only after the join, so `partition(s + 2)` builds in
+/// it and no third plan exists.
 /// Everything that reads or moves actuator state stays on the driver thread,
 /// in the serial loop's order, so the run is the serial loop's run.
 fn overlapped(
@@ -565,14 +568,17 @@ fn overlapped(
     let technique = pulled.technique;
     let mut partitioner = run.lend(technique);
     let (lent, batch, p) = (partitioner.as_mut(), &pulled.batch, pulled.p);
-    let partitioned = std::thread::scope(|scope| {
+    let (partitioned, waited) = std::thread::scope(|scope| {
         let worker = scope.spawn(move || partition(lent, batch, p, columnar, overhead));
         let (output, times) = run.execute(&pb);
         run.commit(pb, output, times);
-        worker
+        let t0 = std::time::Instant::now();
+        let partitioned = worker
             .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (partitioned, t0.elapsed())
     });
+    run.trace_partition_wait(&pulled, waited);
     run.give_back(technique, partitioner);
     run.recycle();
     run.finish(pulled, partitioned);
@@ -585,6 +591,7 @@ mod tests {
     use crate::config::{Backend, OverheadMode};
     use crate::cost::CostModel;
     use crate::job::ReduceOp;
+    use crate::trace::{StageKind, TraceEvent, TraceLevel};
     use prompt_core::batch::{MicroBatch, PartitionPlan};
     use prompt_core::partitioner::{PartitionPhases, Partitioner};
     use prompt_core::types::{Interval, Key, Time, Tuple};
@@ -1778,6 +1785,82 @@ mod tests {
         assert_windows_identical(&serial, &restored, "a lost store at depth 2 vs depth 1");
     }
 
+    /// Delegating probe whose partition of every batch after the first
+    /// sleeps 30 ms: the slow side of an overlapped step.
+    struct SlowProbe(Box<dyn Partitioner>);
+
+    impl Partitioner for SlowProbe {
+        fn name(&self) -> &'static str {
+            "slow-probe"
+        }
+        fn partition_slice(
+            &mut self,
+            tuples: &[Tuple],
+            interval: Interval,
+            p: usize,
+        ) -> (PartitionPlan, PartitionPhases) {
+            if interval.start > Time::ZERO {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            self.0.partition_slice(tuples, interval, p)
+        }
+    }
+
+    /// A partition-bound overlapped step shows in the trace: the driver
+    /// thread, done with the older batch long before the 30 ms partition,
+    /// records its wait at the join as one `PartitionWait` phase per
+    /// overlapped batch. Depth 1 joins nothing and records none.
+    #[test]
+    fn a_partition_bound_step_traces_the_driver_threads_wait_at_the_join() {
+        let run = |depth: usize, trace: TraceLevel| {
+            let cfg = EngineConfig {
+                pipeline_depth: depth,
+                trace,
+                ..small_cfg()
+            };
+            let job = Job::identity("count", ReduceOp::Count);
+            let mut eng = StreamingEngine::new(cfg, Technique::Prompt, 1, job);
+            let probe = SlowProbe(Technique::Prompt.build(1));
+            eng.strategies
+                .registry
+                .insert(Technique::Prompt, Box::new(probe));
+            eng.run_traced(&mut const_source(400, 8), 5).1
+        };
+        let waits = |rec: &TraceRecorder| -> Vec<(u64, u64)> {
+            (rec.events().iter())
+                .filter_map(|e| match *e {
+                    TraceEvent::Phase {
+                        seq,
+                        kind: StageKind::PartitionWait,
+                        wall_us,
+                    } => Some((seq, wall_us)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let overlapped = run(2, TraceLevel::Full);
+        let waited = waits(&overlapped);
+        let seqs: Vec<u64> = waited.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(
+            seqs,
+            [1, 2, 3, 4],
+            "one wait per batch partitioned beside an execute"
+        );
+        assert!(
+            waited.iter().all(|&(_, us)| us >= 20_000),
+            "the driver thread waits out the partition: {waited:?}"
+        );
+        let summary = run(2, TraceLevel::Summary).summary();
+        let wall = summary
+            .wall(StageKind::PartitionWait)
+            .expect("kept at Summary");
+        assert_eq!(wall.count, 4);
+        assert!(wall.total_us >= 4 * 20_000, "{wall:?}");
+        let serial = run(1, TraceLevel::Full);
+        assert_eq!(waits(&serial), [], "depth 1 joins nothing");
+        assert!(serial.summary().wall(StageKind::PartitionWait).is_none());
+    }
+
     #[test]
     fn worker_loss_resubmits_the_plan_in_hand_without_repartitioning() {
         let window = WindowSpec::sliding(Duration::from_secs(3), Duration::from_secs(1));
@@ -2045,7 +2128,10 @@ mod tests {
     /// forces a snapshot commit, and nothing under `state/` knows the Reduce
     /// task count. A lost batch re-runs the plan it carries (DESIGN §4e): no
     /// fault barrier, no store of retained inputs, and in the driver only
-    /// `run::partition` calls a partitioner.
+    /// `run::partition` calls a partitioner. A batch goes on the wire where
+    /// it is executed, not where it is prepared: `BackendRuntime` has no
+    /// submit of its own, and the fleet's submit is called only from
+    /// `BackendRuntime::execute` and the fleet's one-batch `execute_batch`.
     #[test]
     fn engine_shape_no_depth_clamp_no_shared_routing_no_state_push() {
         let mut files = Vec::new();
@@ -2075,6 +2161,7 @@ mod tests {
         ];
         let partitioner_calls = [".partition(", ".partition_slice(", ".partition_columnar("];
         let task_count = ["reduce", "_tasks"].concat();
+        let (submit_fn, submit_call) = (["fn sub", "mit"].concat(), [".sub", "mit("].concat());
         for (file, src) in &files {
             for (n, line) in src.lines().enumerate() {
                 assert!(!line.contains(&clamp), "{file}:{}: depth clamp", n + 1);
@@ -2110,6 +2197,25 @@ mod tests {
                     assert!(
                         !calls || (file.ends_with("run.rs") && name == "fn partition"),
                         "{file}: `{name}` calls a partitioner"
+                    );
+                }
+            }
+            let production: Vec<&str> = src.lines().take_while(|l| *l != "#[cfg(test)]").collect();
+            if file.ends_with("backend.rs") {
+                assert!(
+                    !production.iter().any(|l| l.contains(&submit_fn)),
+                    "{file}: `BackendRuntime` dispatches outside `execute`"
+                );
+            }
+            if production.iter().any(|l| l.contains(&submit_call)) {
+                for (name, _, body) in functions_of(file, &production.join("\n")) {
+                    let sends = body.iter().any(|l| l.contains(&submit_call));
+                    let dispatch_site = (file.ends_with("backend.rs")
+                        && name.starts_with("fn execute"))
+                        || (file.ends_with("net/driver.rs") && name == "fn execute_batch");
+                    assert!(
+                        !sends || dispatch_site,
+                        "{file}: `{name}` puts a batch on the wire outside `BackendRuntime::execute`"
                     );
                 }
             }

@@ -35,7 +35,7 @@ use crate::window::{WindowResult, WindowState};
 /// execution and commit.
 /// When `pipeline_depth` exceeds 1, up to `depth` of these sit in the
 /// prepare queue while older batches execute; on the distributed backend
-/// their Map tasks are already on the wire.
+/// each goes on the wire at the first [`Run::execute`] that sees it queued.
 ///
 /// It is also the only carrier of the actuator state the batch was prepared
 /// under — `r`, `technique`, `routing`: everything downstream of
@@ -403,8 +403,9 @@ impl<'e> Run<'e> {
 
     /// The last step of advancing a batch: trace its partition phases, show
     /// the policy the plan (under the `p` it was pulled with), take the
-    /// arrival buffer back for the next interval, put the batch's Map tasks
-    /// on the wire and queue it behind the batches already in flight.
+    /// arrival buffer back for the next interval and queue the batch behind
+    /// the batches already in flight. No backend sees it here: it is
+    /// dispatched by the next [`Run::execute`].
     pub(crate) fn finish(&mut self, pulled: PulledBatch, part: Partitioned) {
         let PulledBatch {
             seq,
@@ -445,8 +446,14 @@ impl<'e> Run<'e> {
             decision,
             metrics: part.metrics,
         };
-        self.backend.submit(&pb.planned(self.eng), &self.rec);
         self.prepared.push_back(pb);
+    }
+
+    /// Trace how long the driver thread waited at an overlapped step's join
+    /// for `pulled`'s partition (wall clock).
+    pub(crate) fn trace_partition_wait(&self, pulled: &PulledBatch, waited: std::time::Duration) {
+        let waited = Duration::from_micros(waited.as_micros() as u64);
+        self.rec.phase(pulled.seq, StageKind::PartitionWait, waited);
     }
 
     /// Lend `technique`'s partitioner out of the registry, for a batch
@@ -697,9 +704,10 @@ impl<'e> Run<'e> {
     }
 
     /// Execute a batch's plan on the configured backend: the oldest in-flight
-    /// batch, or a re-run of a lost one. At depth > 1 a distributed batch is
-    /// already in flight (maps dispatched at [`Run::finish`]); waiting on it
-    /// also advances the younger batches of the window.
+    /// batch, or a re-run of a lost one. On the distributed backend this is
+    /// where the batch and every younger queued one not yet in flight go on
+    /// the wire — at depth 2 beside the next batch's partition — and waiting
+    /// on it also advances the younger batches of the window.
     pub(crate) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
         self.run_plan(pb.seq, PlanView::of(&pb.plan), under)

@@ -84,6 +84,11 @@ pub enum StageKind {
     /// row path, the scatter of every arrival into its block and the
     /// fragment tables, merged from the key-ordered pieces without a sort.
     PartitionMaterialize,
+    /// Wall-clock: at an overlapped step (depth ≥ 2), how long the driver
+    /// thread, done executing and committing the older batch, blocked at
+    /// the join on this batch's partition — near zero when execution is the
+    /// longer side of the step, the partition's surplus when it is not.
+    PartitionWait,
     /// Virtual: partitioning overhead that spilled past early release.
     PartitionVisible,
     /// Virtual: time queued behind earlier batches in the pipeline.
@@ -100,12 +105,13 @@ pub enum StageKind {
 
 impl StageKind {
     /// All kinds, in lifecycle order.
-    pub const ALL: [StageKind; 11] = [
+    pub const ALL: [StageKind; 12] = [
         StageKind::Accumulate,
         StageKind::Select,
         StageKind::Seal,
         StageKind::PartitionSymbolic,
         StageKind::PartitionMaterialize,
+        StageKind::PartitionWait,
         StageKind::PartitionVisible,
         StageKind::QueueWait,
         StageKind::Scatter,
@@ -122,6 +128,7 @@ impl StageKind {
             StageKind::Seal => "seal",
             StageKind::PartitionSymbolic => "partition_symbolic",
             StageKind::PartitionMaterialize => "partition_materialize",
+            StageKind::PartitionWait => "partition_wait",
             StageKind::PartitionVisible => "partition_visible",
             StageKind::QueueWait => "queue_wait",
             StageKind::Scatter => "scatter",
@@ -1231,6 +1238,11 @@ mod tests {
                 seq: 3,
                 kind: StageKind::PartitionSymbolic,
                 wall_us: 42,
+            },
+            TraceEvent::Phase {
+                seq: 4,
+                kind: StageKind::PartitionWait,
+                wall_us: 12_700,
             },
             TraceEvent::Zone {
                 seq: 4,

@@ -1,7 +1,8 @@
 //! What the fleet must do that no equality with the serial engine states
 //! (`oracle.rs` holds every distributed run to the serial one): columnar
 //! frames put a row run's bytes on the wire, a worker loss spends a count
-//! and aborts past it, a checkpoint shrinks the recompute a store loss
+//! and aborts past it, a kill on a batch dispatched inside an older batch's
+//! execute is survived, a checkpoint shrinks the recompute a store loss
 //! costs, a scale action moves no state, and nothing retains a batch
 //! unless a scheduled store loss may re-run it.
 //!
@@ -104,6 +105,34 @@ fn a_budget_of_two_survives_two_losses_on_one_batch() {
         })
         .collect();
     assert_eq!(left, [(2, 1), (2, 0)], "1 replicas left, then 0");
+}
+
+/// A batch goes on the wire inside an older batch's execute: at depth 4
+/// batches 1 and 2 leave in batch 0's and every later batch `b` in batch
+/// `b − 2`'s. A worker killed before batch 3's Map tasks, and another before
+/// batch 6's, dies while an older batch is awaited; each loss aborts the
+/// window, which goes out again from the plans in hand. Each kill costs one
+/// loss and one recovery, and the answers are the serial engine's.
+#[test]
+fn kills_on_batches_dispatched_inside_an_older_execute_are_survived_at_depth_4() {
+    let case = Case {
+        kills: NetFaultPlan::none().kill_before(3, 0).kill_before(6, 2),
+        ..skewed(
+            EngineConfig {
+                pipeline_depth: 4,
+                ..fleet(3)
+            },
+            9,
+        )
+    };
+    let (res, _) = completed(&case);
+    let (serial, _) = completed(&case.serial());
+    assert_eq!(serial.first_difference(&res), None);
+    assert_eq!(
+        (res.worker_losses, res.recoveries),
+        (2, 2),
+        "one loss per kill"
+    );
 }
 
 /// The state-recovery gate: a worker killed mid-window *and* a scheduled
