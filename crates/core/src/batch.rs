@@ -164,28 +164,52 @@ impl PartialEq for SealedBatch {
 }
 
 /// One fragment of a key placed in a data block: `count` of the key's tuples.
+/// A block's runs are fragments too: `count` consecutive values of one key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyFragment {
     /// The key this fragment belongs to.
     pub key: Key,
-    /// Number of tuples of the key in this block.
+    /// Number of tuples of the key in this block (or in this run).
     pub count: usize,
 }
 
 /// A data block: one partition of a micro-batch, the input of one Map task.
+///
+/// After the seal a tuple is its value: the timestamp served batching alone
+/// (§4.1) and the Map is `Map(k, v)` (§2.1), so a block holds its values in
+/// placement order and says which key each belongs to by runs — `(key,
+/// count)` for `count` consecutive values — not per value. A Prompt block has
+/// one run per key, keys ascending, so its runs are its fragment table; a
+/// baseline's block starts a run wherever the key changes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DataBlock {
-    /// Tuples assigned to this block.
-    pub tuples: Vec<Tuple>,
-    /// Per-key fragment summary (each key appears at most once).
+    /// `(key, count)` runs over `values`, in placement order; no run is
+    /// empty and their counts sum to `values.len()`.
+    pub runs: Vec<KeyFragment>,
+    /// The block's values, in placement order.
+    pub values: Vec<f64>,
+    /// Per-key fragment summary (each key appears at most once), sorted by
+    /// key. Empty on a block decoded from a `MapTask` frame, which carries
+    /// none: the Map reads only the runs and values.
     pub fragments: Vec<KeyFragment>,
 }
 
 impl DataBlock {
+    /// Append one value of `key`: it extends the last run when that run is
+    /// `key`'s, else starts one. The fragment table is the caller's to keep.
+    #[inline]
+    pub fn push(&mut self, key: Key, value: f64) {
+        match self.runs.last_mut() {
+            Some(run) if run.key == key => run.count += 1,
+            _ => self.runs.push(KeyFragment { key, count: 1 }),
+        }
+        self.values.push(value);
+    }
+
     /// `|block|`: number of tuples.
     #[inline]
     pub fn size(&self) -> usize {
-        self.tuples.len()
+        self.values.len()
     }
 
     /// `‖block‖`: number of distinct keys.
@@ -193,6 +217,43 @@ impl DataBlock {
     pub fn cardinality(&self) -> usize {
         self.fragments.len()
     }
+
+    /// Each run's key with its values, in placement order.
+    pub fn key_runs(&self) -> impl Iterator<Item = (Key, &[f64])> + '_ {
+        let mut rest = &self.values[..];
+        self.runs.iter().map(move |run| {
+            let (mine, tail) = rest.split_at(run.count);
+            rest = tail;
+            (run.key, mine)
+        })
+    }
+}
+
+/// `(key, value)` pairs in placement order, as [`DataBlock::push`] takes
+/// them, with the fragment table derived.
+impl FromIterator<(Key, f64)> for DataBlock {
+    fn from_iter<I: IntoIterator<Item = (Key, f64)>>(pairs: I) -> DataBlock {
+        let mut block = DataBlock::default();
+        for (key, value) in pairs {
+            block.push(key, value);
+        }
+        block.fragments = fragments_of(&block.runs);
+        block
+    }
+}
+
+/// The fragment table of `runs`: each key's counts summed, sorted by key.
+fn fragments_of(runs: &[KeyFragment]) -> Vec<KeyFragment> {
+    let mut fragments = runs.to_vec();
+    fragments.sort_by_key(|f| f.key.0);
+    fragments.dedup_by(|later, kept| {
+        let same = later.key == kept.key;
+        if same {
+            kept.count += later.count;
+        }
+        same
+    });
+    fragments
 }
 
 /// The result of partitioning one micro-batch: `p` data blocks plus the
@@ -296,14 +357,41 @@ mod tests {
 
     /// A block holding one tuple of each of `keys`, distinct and ascending.
     fn block(keys: &[u64]) -> DataBlock {
-        let fragment = |&k: &u64| KeyFragment {
-            key: Key(k),
-            count: 1,
-        };
-        DataBlock {
-            tuples: keys.iter().map(|&k| t(k)).collect(),
-            fragments: keys.iter().map(fragment).collect(),
-        }
+        keys.iter().map(|&k| (Key(k), 1.0)).collect()
+    }
+
+    fn fragment(k: u64, count: usize) -> KeyFragment {
+        KeyFragment { key: Key(k), count }
+    }
+
+    #[test]
+    fn pushed_values_extend_or_start_runs() {
+        let pairs = [(3, 0.5), (3, 1.5), (1, 2.0), (3, -1.0), (2, 4.0), (2, 0.0)];
+        let block: DataBlock = pairs.iter().map(|&(k, v)| (Key(k), v)).collect();
+        let runs = [
+            fragment(3, 2),
+            fragment(1, 1),
+            fragment(3, 1),
+            fragment(2, 2),
+        ];
+        assert_eq!(block.runs, runs);
+        assert_eq!(block.values, [0.5, 1.5, 2.0, -1.0, 4.0, 0.0]);
+        assert_eq!(
+            block.fragments,
+            [fragment(1, 1), fragment(2, 2), fragment(3, 3)]
+        );
+        assert_eq!((block.size(), block.cardinality()), (6, 3));
+        let by_run: Vec<(Key, Vec<f64>)> = (block.key_runs())
+            .map(|(k, values)| (k, values.to_vec()))
+            .collect();
+        assert_eq!(by_run[2], (Key(3), vec![-1.0]));
+        // Ascending runs are their own fragment table.
+        let block: DataBlock = [(1, 1.0), (1, 2.0), (5, 3.0)]
+            .map(|(k, v)| (Key(k), v))
+            .into_iter()
+            .collect();
+        assert_eq!(block.fragments, [fragment(1, 2), fragment(5, 1)]);
+        assert_eq!(block.fragments, block.runs);
     }
 
     #[test]

@@ -353,7 +353,7 @@ impl ArrivalSlots {
     /// Lay every group's destination over `arena`, this accumulator's slice
     /// of the whole arena, exactly its length: the groups back to back in
     /// seal order, each at `heads[slot]`.
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
         assert_eq!(
             arena.len(),
             self.marks.len(),
@@ -371,14 +371,15 @@ impl ArrivalSlots {
     /// arrival, read at its position in `arrivals` (the held tuples when
     /// `None`), to the front of its key's destination `heads[slot]`, which
     /// moves on to the next slice of `more[slot]` once full (`more` is empty
-    /// when no key has a second slice). Each group keeps arrival order and
-    /// every destination is filled. Then forget the batch, keeping every
+    /// when no key has a second slice) — the whole tuple into an arena, its
+    /// value alone into a block ([`Lane`]). Each group keeps arrival order
+    /// and every destination is filled. Then forget the batch, keeping every
     /// allocation for the next one.
-    fn scatter_to<'a>(
+    fn scatter_to<'a, T: Lane>(
         &mut self,
         arrivals: Option<&[Tuple]>,
-        heads: &mut [IterMut<'a, Tuple>],
-        more: &mut [&mut [IterMut<'a, Tuple>]],
+        heads: &mut Heads<'a, T>,
+        more: &mut More<'a, '_, T>,
     ) {
         assert_eq!(heads.len(), self.index.len(), "one destination per key");
         let arrivals = arrivals.unwrap_or(&self.held);
@@ -399,7 +400,7 @@ impl ArrivalSlots {
                 Some(to) => to,
                 None => next_slice(head, more.get_mut(slot as usize)),
             };
-            *to = arrivals[at as usize];
+            *to = T::of(&arrivals[at as usize]);
         }
         // A slot left short would leave stale tuples in a recycled block.
         assert!(
@@ -416,10 +417,10 @@ impl ArrivalSlots {
 /// Move a key's full destination on to the first of its remaining slices,
 /// and take that slice's first position.
 #[cold]
-fn next_slice<'a>(
-    head: &mut IterMut<'a, Tuple>,
-    more: Option<&mut &mut [IterMut<'a, Tuple>]>,
-) -> &'a mut Tuple {
+fn next_slice<'a, T>(
+    head: &mut IterMut<'a, T>,
+    more: Option<&mut &mut [IterMut<'a, T>]>,
+) -> &'a mut T {
     const FULL: &str = "more arrivals than the key's destination holds";
     let more = more.expect(FULL);
     let (next, rest) = std::mem::take(more).split_first_mut().expect(FULL);
@@ -438,26 +439,52 @@ pub(crate) fn relabel<T, U>(mut v: Vec<T>) -> Vec<U> {
         .collect()
 }
 
+/// What the scatter writes of an arrival: the whole tuple into a sealed
+/// arena, or its value alone into a data block — after the seal a tuple is
+/// its value, its key being its destination's.
+pub(crate) trait Lane: Copy + Send {
+    /// The part of `t` a destination of this lane holds.
+    fn of(t: &Tuple) -> Self;
+}
+
+impl Lane for Tuple {
+    #[inline(always)]
+    fn of(t: &Tuple) -> Tuple {
+        *t
+    }
+}
+
+impl Lane for f64 {
+    #[inline(always)]
+    fn of(t: &Tuple) -> f64 {
+        t.value
+    }
+}
+
 /// The scatter's destination tables and the seal's group-to-slot table,
 /// kept from batch to batch: a key's destination is `heads[slot]`, then each
 /// slice of `more[slot]` in turn. Between batches `heads` and `more` are
-/// empty.
+/// empty; a table lent for one lane keeps its allocation for either.
 #[derive(Debug, Default)]
 pub(crate) struct ScatterTables {
-    heads: Heads<'static>,
-    more: More<'static, 'static>,
+    heads: Vec<IterMut<'static, Tuple>>,
+    more: Vec<&'static mut [IterMut<'static, Tuple>]>,
     pub(crate) slots: Vec<u32>,
 }
 
 /// Every key's current destination slice, as the positions left in it.
-pub(crate) type Heads<'a> = Vec<IterMut<'a, Tuple>>;
+pub(crate) type Heads<'a, T> = [IterMut<'a, T>];
 /// Every key's later destination slices, in order.
-pub(crate) type More<'a, 'b> = Vec<&'b mut [IterMut<'a, Tuple>]>;
+pub(crate) type More<'a, 'b, T> = [&'b mut [IterMut<'a, T>]];
 
 impl ScatterTables {
     /// `n` empty destinations and, when `chained`, `n` empty lists of later
     /// slices (else none), in the kept allocations.
-    pub(crate) fn lend<'a, 'b>(&mut self, n: usize, chained: bool) -> (Heads<'a>, More<'a, 'b>) {
+    pub(crate) fn lend<'a, 'b, T>(
+        &mut self,
+        n: usize,
+        chained: bool,
+    ) -> (Vec<IterMut<'a, T>>, Vec<&'b mut [IterMut<'a, T>]>) {
         let mut heads = relabel(std::mem::take(&mut self.heads));
         let mut more = relabel(std::mem::take(&mut self.more));
         heads.resize_with(n, Default::default);
@@ -466,7 +493,7 @@ impl ScatterTables {
     }
 
     /// Keep the tables' allocations.
-    pub(crate) fn keep(&mut self, (heads, more): (Heads<'_>, More<'_, '_>)) {
+    pub(crate) fn keep<T>(&mut self, heads: Vec<IterMut<'_, T>>, more: Vec<&mut [IterMut<'_, T>]>) {
         self.heads = relabel(heads);
         self.more = relabel(more);
     }
@@ -504,7 +531,7 @@ pub(crate) fn seal_arena<A: BatchAccumulator + ?Sized>(
     let (mut heads, mut more) = tables.lend(acc.stats().n_keys as usize, false);
     acc.carve(arena, &mut heads);
     let interval = acc.scatter(arrivals, &mut heads, &mut more, next_interval);
-    tables.keep((heads, more));
+    tables.keep(heads, more);
     interval
 }
 
@@ -542,8 +569,7 @@ pub struct BatchStats {
 /// each arrival straight into its block. The module is private to the
 /// crate, so only this crate implements [`BatchAccumulator`].
 pub(crate) mod sealed {
-    use std::slice::IterMut;
-
+    use super::{Heads, More};
     use crate::batch::KeyGroup;
     use crate::types::{Interval, Key, Time, Tuple};
 
@@ -577,7 +603,7 @@ pub(crate) mod sealed {
         /// Lay the ordered groups over `arena`, exactly the batch's length:
         /// each group's range, as [`Slots::order`] laid it out, becomes its
         /// destination in `heads` (one per key).
-        fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]);
+        fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>);
 
         /// The heartbeat's second half: write every recorded arrival, read
         /// from `arrivals` (the held tuples when `None`), to its group's
@@ -589,8 +615,18 @@ pub(crate) mod sealed {
         fn scatter<'a>(
             &mut self,
             arrivals: Option<&[Tuple]>,
-            heads: &mut [IterMut<'a, Tuple>],
-            more: &mut [&mut [IterMut<'a, Tuple>]],
+            heads: &mut Heads<'a, Tuple>,
+            more: &mut More<'a, '_, Tuple>,
+            next_interval: Interval,
+        ) -> Interval;
+
+        /// [`Slots::scatter`] of each arrival's value alone, into the
+        /// partitioner's data blocks.
+        fn scatter_values<'a>(
+            &mut self,
+            arrivals: &[Tuple],
+            heads: &mut Heads<'a, f64>,
+            more: &mut More<'a, '_, f64>,
             next_interval: Interval,
         ) -> Interval;
 
@@ -737,6 +773,15 @@ impl FrequencyAwareAccumulator {
     pub fn tree(&self) -> &CountTree {
         &self.tree
     }
+
+    /// After the scatter: clear the `HTable` and the `CountTree`, as every
+    /// heartbeat does (§4.1), and move on to `next_interval`.
+    fn reset(&mut self, next_interval: Interval) -> Interval {
+        self.entries.clear();
+        self.tree.clear();
+        self.tree_updates = 0;
+        std::mem::replace(&mut self.interval, next_interval)
+    }
 }
 
 impl sealed::Slots for FrequencyAwareAccumulator {
@@ -812,24 +857,30 @@ impl sealed::Slots for FrequencyAwareAccumulator {
         arrivals.order_into(base, groups, slots);
     }
 
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
         self.slots.carve(arena, heads);
     }
 
-    /// The scatter, then the reset for `next_interval`.
     fn scatter<'a>(
         &mut self,
         arrivals: Option<&[Tuple]>,
-        heads: &mut [IterMut<'a, Tuple>],
-        more: &mut [&mut [IterMut<'a, Tuple>]],
+        heads: &mut Heads<'a, Tuple>,
+        more: &mut More<'a, '_, Tuple>,
         next_interval: Interval,
     ) -> Interval {
         self.slots.scatter_to(arrivals, heads, more);
-        // HTable and CountTree are cleared at every heartbeat (§4.1).
-        self.entries.clear();
-        self.tree.clear();
-        self.tree_updates = 0;
-        std::mem::replace(&mut self.interval, next_interval)
+        self.reset(next_interval)
+    }
+
+    fn scatter_values<'a>(
+        &mut self,
+        arrivals: &[Tuple],
+        heads: &mut Heads<'a, f64>,
+        more: &mut More<'a, '_, f64>,
+        next_interval: Interval,
+    ) -> Interval {
+        self.slots.scatter_to(Some(arrivals), heads, more);
+        self.reset(next_interval)
     }
 
     #[cfg(test)]
@@ -907,19 +958,29 @@ impl sealed::Slots for PostSortAccumulator {
         arrivals.order_into(base, groups, slots);
     }
 
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
         self.slots.carve(arena, heads);
     }
 
-    /// The scatter, then the reset for `next_interval`.
     fn scatter<'a>(
         &mut self,
         arrivals: Option<&[Tuple]>,
-        heads: &mut [IterMut<'a, Tuple>],
-        more: &mut [&mut [IterMut<'a, Tuple>]],
+        heads: &mut Heads<'a, Tuple>,
+        more: &mut More<'a, '_, Tuple>,
         next_interval: Interval,
     ) -> Interval {
         self.slots.scatter_to(arrivals, heads, more);
+        std::mem::replace(&mut self.interval, next_interval)
+    }
+
+    fn scatter_values<'a>(
+        &mut self,
+        arrivals: &[Tuple],
+        heads: &mut Heads<'a, f64>,
+        more: &mut More<'a, '_, f64>,
+        next_interval: Interval,
+    ) -> Interval {
+        self.slots.scatter_to(Some(arrivals), heads, more);
         std::mem::replace(&mut self.interval, next_interval)
     }
 
@@ -1168,15 +1229,15 @@ mod tests {
     }
 
     /// The destination tables borrow each batch's buffers, yet keep their
-    /// allocation from batch to batch: relabelling moves no element and
-    /// keeps the buffer.
+    /// allocation from batch to batch, and from one lane to the other:
+    /// relabelling moves no element and keeps the buffer.
     #[test]
     fn relabel_keeps_the_allocation() {
         let mut arena = [Tuple::keyed(Time::ZERO, Key(1)); 4];
-        let mut heads: Heads<'_> = Vec::with_capacity(1000);
+        let mut heads: Vec<IterMut<'_, Tuple>> = Vec::with_capacity(1000);
         heads.push(arena.iter_mut());
         let buffer = heads.as_ptr() as usize;
-        let kept: Heads<'static> = relabel(heads);
+        let kept: Vec<IterMut<'static, f64>> = relabel(heads);
         assert_eq!((kept.as_ptr() as usize, kept.capacity()), (buffer, 1000));
         assert!(kept.is_empty());
     }

@@ -53,12 +53,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut, Range};
-use std::slice::IterMut;
 
 use crate::batch::KeyGroup;
 use crate::buffering::sealed::Slots;
 use crate::buffering::{
-    AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator,
+    AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator, Heads, More,
     PostSortAccumulator, POSITIONS_FIT, RECORD_AHEAD,
 };
 use crate::hash::bucket_of;
@@ -228,6 +227,27 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
             }
         });
     }
+
+    /// Each shard scatters its own arrivals to its own keys' destinations
+    /// through `scatter`, in parallel: the tables are cut at the shards'
+    /// key counts, a shard's slots following the shards' before it.
+    /// Returns the interval the batch was buffered over.
+    fn per_shard_scatter<'a, T: Send>(
+        &mut self,
+        heads: &mut Heads<'a, T>,
+        more: &mut More<'a, '_, T>,
+        scatter: impl Fn(&mut A, &mut Heads<'a, T>, &mut More<'a, '_, T>) -> Interval + Sync,
+    ) -> Interval {
+        let chained = !more.is_empty();
+        let keys = || self.shards.iter().map(|s| s.stats().n_keys as usize);
+        let heads = cut(heads, keys());
+        let more = cut(more, keys().map(|n| if chained { n } else { 0 }));
+        let mut jobs: Vec<_> = self.shards.iter_mut().zip(heads).zip(more).collect();
+        let intervals = per_shard(&mut jobs, self.threads, |_, ((shard, heads), more)| {
+            scatter(shard, heads, more)
+        });
+        intervals[0]
+    }
 }
 
 /// `n` shards split over `min(threads, n)` workers (at least one), as
@@ -350,7 +370,7 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
     }
 
     /// Each shard lays its groups over its own slice of `arena`.
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut [IterMut<'a, Tuple>]) {
+    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
         assert_eq!(
             arena.len() as u64,
             self.stats().n_tuples,
@@ -364,24 +384,28 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
         }
     }
 
-    /// Each shard scatters its own arrivals to its own keys' destinations,
-    /// in parallel.
     fn scatter<'a>(
         &mut self,
         arrivals: Option<&[Tuple]>,
-        heads: &mut [IterMut<'a, Tuple>],
-        more: &mut [&mut [IterMut<'a, Tuple>]],
+        heads: &mut Heads<'a, Tuple>,
+        more: &mut More<'a, '_, Tuple>,
         next_interval: Interval,
     ) -> Interval {
-        let chained = !more.is_empty();
-        let keys = || self.shards.iter().map(|s| s.stats().n_keys as usize);
-        let heads = cut(heads, keys());
-        let more = cut(more, keys().map(|n| if chained { n } else { 0 }));
-        let mut jobs: Vec<_> = self.shards.iter_mut().zip(heads).zip(more).collect();
-        let intervals = per_shard(&mut jobs, self.threads, |_, ((shard, heads), more)| {
+        self.per_shard_scatter(heads, more, |shard, heads, more| {
             shard.scatter(arrivals, heads, more, next_interval)
-        });
-        intervals[0]
+        })
+    }
+
+    fn scatter_values<'a>(
+        &mut self,
+        arrivals: &[Tuple],
+        heads: &mut Heads<'a, f64>,
+        more: &mut More<'a, '_, f64>,
+        next_interval: Interval,
+    ) -> Interval {
+        self.per_shard_scatter(heads, more, |shard, heads, more| {
+            shard.scatter_values(arrivals, heads, more, next_interval)
+        })
     }
 
     #[cfg(test)]

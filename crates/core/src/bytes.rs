@@ -15,8 +15,8 @@
 //!   one layer up, in the engine's wire module.
 
 use crate::batch::{DataBlock, KeyFragment};
-use crate::columnar::{ColRange, ColumnarBatch, ColumnarBlock};
-use crate::types::{Key, Time, Tuple};
+use crate::columnar::{ColumnarBatch, ColumnarBlock};
+use crate::types::Key;
 
 /// Decoding error: the bytes do not describe a valid value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -367,18 +367,24 @@ pub fn get_key_delta(r: &mut ByteReader<'_>, prev: u64) -> Result<u64, CodecErro
     Ok(prev.wrapping_add(unzigzag(r.get_varint()?) as u64))
 }
 
-/// Encoded size of one [`Tuple`]: ts + key + value, 8 bytes each.
+/// What one tuple took on the wire before blocks dropped the timestamp:
+/// ts + key + value, 8 bytes each. Only the retired layouts' accounting
+/// reads it.
 pub const TUPLE_WIRE_SIZE: usize = 24;
 
-/// Encoded size of one [`KeyFragment`]: key + count.
+/// Encoded size of one [`KeyFragment`] — a block's run or a fragment: key +
+/// count.
 pub const FRAGMENT_WIRE_SIZE: usize = 16;
+
+/// Encoded size of one value: its IEEE-754 bits.
+pub const VALUE_WIRE_SIZE: usize = 8;
 
 /// Entries [`put_blocked`] hands a sink per call.
 const BLOCK_ENTRIES: usize = 256;
 
 /// Encode `items` at `W` bytes each through a stack block, 256 entries to a
 /// sink call, not a call per field: a Map frame carries hundreds of
-/// thousands of tuples and a snapshot over a million entries, and the sink
+/// thousands of values and a snapshot over a million entries, and the sink
 /// call was most of what encoding one cost.
 pub fn put_blocked<S: BytesSink, T, const W: usize>(
     s: &mut S,
@@ -400,82 +406,15 @@ pub fn put_blocked<S: BytesSink, T, const W: usize>(
     }
 }
 
-/// A tuple's bytes from its three fields: timestamp, key and value bits,
-/// little-endian.
-fn tuple_fields(ts: u64, key: u64, value: u64) -> [u8; TUPLE_WIRE_SIZE] {
-    let mut out = [0u8; TUPLE_WIRE_SIZE];
-    out[..8].copy_from_slice(&ts.to_le_bytes());
-    out[8..16].copy_from_slice(&key.to_le_bytes());
-    out[16..].copy_from_slice(&value.to_le_bytes());
-    out
-}
-
 /// The little-endian `u64` at `at` of a slice whose length was checked.
 fn u64_at(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// One tuple's bytes.
-fn tuple_bytes(t: &Tuple) -> [u8; TUPLE_WIRE_SIZE] {
-    tuple_fields(t.ts.0, t.key.0, t.value.to_bits())
-}
-
-/// The tuple in `TUPLE_WIRE_SIZE` bytes.
-fn tuple_from(b: &[u8]) -> Tuple {
-    Tuple {
-        ts: Time(u64_at(b, 0)),
-        key: Key(u64_at(b, 8)),
-        value: f64::from_bits(u64_at(b, 16)),
-    }
-}
-
-/// Encode one tuple.
-pub fn put_tuple<S: BytesSink>(s: &mut S, t: &Tuple) {
-    s.put_bytes(&tuple_bytes(t));
-}
-
-/// Decode one tuple.
-pub fn get_tuple(r: &mut ByteReader<'_>) -> Result<Tuple, CodecError> {
-    Ok(tuple_from(r.take(TUPLE_WIRE_SIZE)?))
-}
-
-/// Encode a tuple run (length-prefixed).
-pub fn put_tuples<S: BytesSink>(s: &mut S, tuples: &[Tuple]) {
-    s.put_len(tuples.len());
-    put_blocked(s, tuples, tuple_bytes);
-}
-
-/// Decode a tuple run: its bytes are bounds-checked once, not per field.
-pub fn get_tuples(r: &mut ByteReader<'_>) -> Result<Vec<Tuple>, CodecError> {
-    let n = r.get_len(TUPLE_WIRE_SIZE)?;
-    let bytes = r.take(n * TUPLE_WIRE_SIZE)?;
-    Ok(bytes
-        .chunks_exact(TUPLE_WIRE_SIZE)
-        .map(tuple_from)
-        .collect())
-}
-
-/// Encode a tuple run straight from column slices — byte-identical to
-/// [`put_tuples`] over the same logical tuples, with no intermediate row
-/// materialization. Ranges are emitted in order; within a range the three
-/// columns are walked in lockstep.
-pub fn put_tuples_columnar<S: BytesSink>(
-    s: &mut S,
-    arena: &ColumnarBatch,
-    ranges: &[(Key, ColRange)],
-) {
-    let n: usize = ranges.iter().map(|&(_, r)| r.len).sum();
-    s.put_len(n);
-    let rows = ranges.iter().flat_map(|&(_, r)| r.offset..r.end());
-    put_blocked(s, rows, |i| {
-        tuple_fields(arena.ts[i].0, arena.keys[i].0, arena.values[i].to_bits())
-    });
-}
-
-/// Encode a fragment table (length-prefixed), 16 bytes a fragment.
-fn put_fragments<S: BytesSink>(s: &mut S, fragments: &[KeyFragment]) {
-    s.put_len(fragments.len());
-    put_blocked(s, fragments, |f| {
+/// Encode a run table (length-prefixed), 16 bytes a run.
+fn put_runs<S: BytesSink>(s: &mut S, runs: impl ExactSizeIterator<Item = KeyFragment>) {
+    s.put_len(runs.len());
+    put_blocked(s, runs, |f| {
         let mut out = [0u8; FRAGMENT_WIRE_SIZE];
         out[..8].copy_from_slice(&f.key.0.to_le_bytes());
         out[8..].copy_from_slice(&(f.count as u64).to_le_bytes());
@@ -483,35 +422,64 @@ fn put_fragments<S: BytesSink>(s: &mut S, fragments: &[KeyFragment]) {
     });
 }
 
+/// Encode a column of `n` values (length-prefixed), 8 bytes a value.
+fn put_values<S: BytesSink>(s: &mut S, n: usize, values: impl IntoIterator<Item = f64>) {
+    s.put_len(n);
+    put_blocked(s, values, |v| v.to_bits().to_le_bytes());
+}
+
+/// Encode one data block: its runs, then its values. The fragment table is
+/// not sent: the Map, the frame's one reader, needs none.
+pub fn put_block<S: BytesSink>(s: &mut S, block: &DataBlock) {
+    put_runs(s, block.runs.iter().copied());
+    put_values(s, block.values.len(), block.values.iter().copied());
+}
+
 /// Encode a columnar block — byte-identical to [`put_block`] over the row
 /// twin ([`ColumnarPlan::to_row_plan`](crate::columnar::ColumnarPlan::to_row_plan)
-/// block): ranges concatenate in assignment order and the fragment summary
-/// already matches the row builder's.
+/// block): its ranges are the runs, in assignment order, and their values
+/// concatenate in the same order.
 pub fn put_block_columnar<S: BytesSink>(s: &mut S, arena: &ColumnarBatch, block: &ColumnarBlock) {
-    put_tuples_columnar(s, arena, &block.ranges);
-    put_fragments(s, &block.fragments);
+    put_runs(s, block.runs());
+    let values = (block.ranges.iter()).flat_map(|&(_, r)| &arena.values[r.offset..r.end()]);
+    put_values(s, block.size(), values.copied());
 }
 
-/// Encode one data block: its tuples plus the per-key fragment summary.
-pub fn put_block<S: BytesSink>(s: &mut S, block: &DataBlock) {
-    put_tuples(s, &block.tuples);
-    put_fragments(s, &block.fragments);
-}
-
-/// Decode one data block.
+/// Decode one data block, refusing one that is not a block: a length
+/// prefix past the bytes left is `BadLength`; an empty run, or run counts
+/// that do not sum exactly to the value count, are `Malformed`. The block
+/// has no fragment table: the frame carries none.
 pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
-    let tuples = get_tuples(r)?;
-    let n = r.get_len(FRAGMENT_WIRE_SIZE)?;
-    let bytes = r.take(n * FRAGMENT_WIRE_SIZE)?;
-    let fragments = bytes.chunks_exact(FRAGMENT_WIRE_SIZE).map(|b| KeyFragment {
-        key: Key(u64_at(b, 0)),
-        count: u64_at(b, 8) as usize,
-    });
+    let n_runs = r.get_len(FRAGMENT_WIRE_SIZE)?;
+    let bytes = r.take(n_runs * FRAGMENT_WIRE_SIZE)?;
+    let mut runs = Vec::with_capacity(n_runs);
+    let mut covered = 0usize;
+    for b in bytes.chunks_exact(FRAGMENT_WIRE_SIZE) {
+        let count = usize::try_from(u64_at(b, 8)).map_err(|_| RUNS_PAST_VALUES)?;
+        if count == 0 {
+            return Err(CodecError::Malformed("empty run"));
+        }
+        covered = covered.checked_add(count).ok_or(RUNS_PAST_VALUES)?;
+        runs.push(KeyFragment {
+            key: Key(u64_at(b, 0)),
+            count,
+        });
+    }
+    let n = r.get_len(VALUE_WIRE_SIZE)?;
+    if covered != n {
+        return Err(RUNS_PAST_VALUES);
+    }
+    let bytes = r.take(n * VALUE_WIRE_SIZE)?;
+    let values = (bytes.chunks_exact(VALUE_WIRE_SIZE)).map(|b| f64::from_bits(u64_at(b, 0)));
     Ok(DataBlock {
-        tuples,
-        fragments: fragments.collect(),
+        runs,
+        values: values.collect(),
+        fragments: Vec::new(),
     })
 }
+
+/// Why a block's runs were refused when they do not cover its values.
+const RUNS_PAST_VALUES: CodecError = CodecError::Malformed("runs do not sum to the value count");
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) lookup tables,
 /// built at compile time. `[0]` is the byte-at-a-time table; `[k]` is the
@@ -610,7 +578,7 @@ mod tests {
     use super::*;
     use crate::batch::{MicroBatch, PartitionPlan};
     use crate::partitioner::{HashPartitioner, Partitioner};
-    use crate::types::Interval;
+    use crate::types::{Interval, Time, Tuple};
 
     fn sample_plan() -> PartitionPlan {
         let tuples: Vec<Tuple> = (0..200)
@@ -625,23 +593,93 @@ mod tests {
     }
 
     #[test]
-    fn tuple_round_trips_bit_exact() {
-        for value in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, -123.456] {
-            let t = Tuple {
-                ts: Time(99),
-                key: Key(u64::MAX),
-                value,
-            };
-            let mut w = ByteWriter::new();
-            put_tuple(&mut w, &t);
-            assert_eq!(w.len(), TUPLE_WIRE_SIZE);
-            let mut r = ByteReader::new(w.as_bytes());
-            let back = get_tuple(&mut r).unwrap();
-            assert_eq!(back.ts, t.ts);
-            assert_eq!(back.key, t.key);
-            assert_eq!(back.value.to_bits(), t.value.to_bits());
-            r.expect_empty().unwrap();
+    fn a_block_is_its_runs_and_its_values_bit_exact() {
+        let values = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, -123.456];
+        let run = |k, count| KeyFragment { key: Key(k), count };
+        let block = DataBlock {
+            runs: vec![run(u64::MAX, 2), run(0, 3), run(u64::MAX, 1)],
+            values: values.to_vec(),
+            fragments: vec![run(0, 3), run(u64::MAX, 3)],
+        };
+        let mut w = ByteWriter::new();
+        put_block(&mut w, &block);
+        assert_eq!(
+            w.len(),
+            4 + 3 * FRAGMENT_WIRE_SIZE + 4 + 6 * VALUE_WIRE_SIZE
+        );
+        let mut r = ByteReader::new(w.as_bytes());
+        let back = get_block(&mut r).unwrap();
+        r.expect_empty().unwrap();
+        assert_eq!(back.runs, block.runs);
+        assert!(
+            back.fragments.is_empty(),
+            "a frame carries no fragment table"
+        );
+        let bits = |b: &DataBlock| b.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&block));
+    }
+
+    /// A block's bytes from a run table and a value count, as a hostile
+    /// peer might write them.
+    fn block_bytes(runs: &[(u64, u64)], values: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_len(runs.len());
+        for &(key, count) in runs {
+            w.put_u64(key);
+            w.put_u64(count);
         }
+        w.put_len(values);
+        for i in 0..values {
+            w.put_f64(i as f64);
+        }
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<DataBlock, CodecError> {
+        get_block(&mut ByteReader::new(bytes))
+    }
+
+    #[test]
+    fn a_block_with_an_empty_run_is_refused() {
+        assert!(decode(&block_bytes(&[(1, 2), (2, 1)], 3)).is_ok());
+        assert_eq!(
+            decode(&block_bytes(&[(1, 2), (2, 0), (3, 1)], 3)),
+            Err(CodecError::Malformed("empty run"))
+        );
+    }
+
+    #[test]
+    fn runs_that_do_not_sum_to_the_value_count_are_refused() {
+        for (runs, values) in [
+            (&[(1, 2), (2, 1)][..], 4),
+            (&[(1, 2), (2, 3)][..], 4),
+            (&[], 1),
+            (&[(1, 1)], 0),
+            // Counts that overflow the sum, and one past `usize`.
+            (&[(1, u64::MAX), (2, 2)], 1),
+        ] {
+            assert_eq!(
+                decode(&block_bytes(runs, values)),
+                Err(RUNS_PAST_VALUES),
+                "{runs:?} over {values} values"
+            );
+        }
+    }
+
+    #[test]
+    fn counts_past_the_frames_bytes_are_refused_before_allocating() {
+        // A run table that promises 4 billion runs.
+        let mut w = ByteWriter::new();
+        w.put_u32(u32::MAX);
+        assert!(matches!(
+            decode(w.as_bytes()),
+            Err(CodecError::BadLength { .. })
+        ));
+        // A value column that promises more values than follow.
+        let mut bytes = block_bytes(&[(1, 3)], 3);
+        let at = 4 + FRAGMENT_WIRE_SIZE;
+        bytes[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+        assert!(matches!(decode(&bytes), Err(CodecError::BadLength { .. })));
     }
 
     #[test]
@@ -658,17 +696,6 @@ mod tests {
                 bytes.len()
             );
         }
-    }
-
-    #[test]
-    fn absurd_length_prefix_rejected_without_allocation() {
-        let mut w = ByteWriter::new();
-        w.put_u32(u32::MAX); // promises 4 billion tuples
-        let mut r = ByteReader::new(w.as_bytes());
-        assert!(matches!(
-            get_tuples(&mut r),
-            Err(CodecError::BadLength { .. })
-        ));
     }
 
     #[test]
@@ -812,9 +839,14 @@ mod tests {
             let mut col_w = ByteWriter::new();
             put_block_columnar(&mut col_w, &cols.arena, col_block);
             assert_eq!(row_w.as_bytes(), col_w.as_bytes());
-            // And the columnar bytes decode back to the row block.
+            // And the columnar bytes decode back to the row block's runs and
+            // values.
             let mut r = ByteReader::new(col_w.as_bytes());
-            assert_eq!(&get_block(&mut r).unwrap(), row_block);
+            let back = get_block(&mut r).unwrap();
+            assert_eq!(
+                (&back.runs, &back.values),
+                (&row_block.runs, &row_block.values)
+            );
             r.expect_empty().unwrap();
         }
     }

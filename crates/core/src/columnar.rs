@@ -1,12 +1,13 @@
 //! Struct-of-arrays (columnar) micro-batch containers for the hot path.
 //!
-//! Row containers ([`MicroBatch`], [`SealedBatch`], [`DataBlock`]) move
+//! The row batch containers ([`MicroBatch`], [`SealedBatch`]) move
 //! `Vec<Tuple>` — 24-byte structs whose interleaved fields defeat the
-//! auto-vectorizer in the map/scatter/reduce inner loops. The columnar twin
-//! keeps one contiguous arena of three flat columns (`ts`, `keys`, `values`)
-//! and describes key groups and data blocks as `(offset, len)` ranges into
-//! it, so partitioning materializes no tuple copies at all and the execution
-//! backends can run branch-light passes over flat `f64` arrays.
+//! auto-vectorizer; a row [`DataBlock`] is already a value column under key
+//! runs. The columnar twin keeps one contiguous arena of three flat columns
+//! (`ts`, `keys`, `values`) and describes key groups and data blocks as
+//! `(offset, len)` ranges into it, so partitioning materializes no tuple
+//! copies at all; a block's ranges are its runs, and its Map task's frame is
+//! the row block's, byte for byte.
 //!
 //! **Fold-order guarantee.** Every columnar container converts to its row
 //! twin ([`ColumnarSealed::to_sealed`], [`ColumnarPlan::to_row_plan`]) by
@@ -238,7 +239,8 @@ impl ColumnarSealed {
 }
 
 /// The columnar twin of [`DataBlock`]: the block's tuples as arena ranges in
-/// assignment order, plus the same per-key fragment summary.
+/// assignment order — the row block's runs — plus the same per-key fragment
+/// summary.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnarBlock {
     /// `(key, range)` pieces in assignment order. A key may appear in more
@@ -255,6 +257,12 @@ impl ColumnarBlock {
     #[inline]
     pub fn size(&self) -> usize {
         self.ranges.iter().map(|&(_, r)| r.len).sum()
+    }
+
+    /// The ranges as the row block's `(key, count)` runs, in assignment
+    /// order.
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = KeyFragment> + '_ {
+        (self.ranges.iter()).map(|&(key, r)| KeyFragment { key, count: r.len })
     }
 
     /// `‖block‖`: number of distinct keys.
@@ -288,21 +296,23 @@ impl ColumnarPlan {
         self.blocks.iter().map(|b| b.size()).sum()
     }
 
-    /// Materialize the row representation (SoA → AoS). Each block's tuples
-    /// are its ranges concatenated in assignment order — the order the row
-    /// materializer copies pieces — so the result is bit-identical to the
-    /// plan the row pipeline builds from the same assignment.
+    /// Materialize the row representation. Each block's runs are its ranges
+    /// and its values the ranges' values, concatenated in assignment order —
+    /// the order the row materializer copies pieces — so the result is
+    /// bit-identical to the plan the row pipeline builds from the same
+    /// assignment.
     pub fn to_row_plan(&self) -> PartitionPlan {
         let blocks = self
             .blocks
             .iter()
             .map(|b| {
-                let mut tuples = Vec::with_capacity(b.size());
+                let mut values = Vec::with_capacity(b.size());
                 for &(_, r) in &b.ranges {
-                    self.arena.extend_rows_into(r, &mut tuples);
+                    values.extend_from_slice(&self.arena.values[r.offset..r.end()]);
                 }
                 DataBlock {
-                    tuples,
+                    runs: b.runs().collect(),
+                    values,
                     fragments: b.fragments.clone(),
                 }
             })
@@ -313,22 +323,21 @@ impl ColumnarPlan {
         }
     }
 
-    /// Convert a row plan (AoS → SoA): the arena is the blocks' tuples
-    /// concatenated, and each block's ranges are its key runs in tuple
-    /// order. Round-tripping through [`ColumnarPlan::to_row_plan`] is exact.
+    /// Convert a row plan: the arena is the blocks' values concatenated,
+    /// each under its run's key, and each block's ranges are its runs. A row
+    /// block carries no timestamps, so the arena's are zero. Round-tripping
+    /// through [`ColumnarPlan::to_row_plan`] is exact.
     pub fn from_row_plan(plan: &PartitionPlan) -> ColumnarPlan {
         let total: usize = plan.blocks.iter().map(|b| b.size()).sum();
         let mut arena = ColumnarBatch::with_capacity(total);
         let mut blocks = Vec::with_capacity(plan.blocks.len());
         for b in &plan.blocks {
-            let mut ranges: Vec<(Key, ColRange)> = Vec::new();
-            for t in &b.tuples {
-                let offset = arena.len();
-                match ranges.last_mut() {
-                    Some((key, r)) if *key == t.key && r.end() == offset => r.len += 1,
-                    _ => ranges.push((t.key, ColRange::new(offset, 1))),
+            let mut ranges: Vec<(Key, ColRange)> = Vec::with_capacity(b.runs.len());
+            for (key, values) in b.key_runs() {
+                ranges.push((key, ColRange::new(arena.len(), values.len())));
+                for &value in values {
+                    arena.push(Tuple::new(Time::ZERO, key, value));
                 }
-                arena.push(*t);
             }
             blocks.push(ColumnarBlock {
                 ranges,

@@ -190,22 +190,13 @@ pub fn relative(value: f64, baseline: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{DataBlock, KeyFragment};
-    use crate::types::{Key, Time, Tuple};
+    use crate::batch::DataBlock;
+    use crate::types::Key;
 
     fn block(spec: &[(u64, usize)]) -> DataBlock {
-        let mut tuples = Vec::new();
-        let mut fragments = Vec::new();
-        for &(k, c) in spec {
-            fragments.push(KeyFragment {
-                key: Key(k),
-                count: c,
-            });
-            for _ in 0..c {
-                tuples.push(Tuple::keyed(Time::ZERO, Key(k)));
-            }
-        }
-        DataBlock { tuples, fragments }
+        (spec.iter())
+            .flat_map(|&(k, c)| std::iter::repeat_n((Key(k), 1.0), c))
+            .collect()
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crate::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan};
 use crate::columnar::{ColumnarBatch, ColumnarBlock, ColumnarPlan};
-use crate::types::{Interval, Key, Time, Tuple};
+use crate::types::{Interval, Tuple};
 
 /// Wall-clock timing of the internal phases of one `partition()` call.
 /// Informational only — virtual-time scheduling never consumes these — so
@@ -104,32 +104,33 @@ impl Spare {
         }
     }
 
-    /// `p` empty row blocks, each with room for `capacity` tuples, in the
+    /// `p` empty row blocks, each with room for `capacity` values, in the
     /// spare's allocations where it has them.
     pub(crate) fn row_blocks(&mut self, p: usize, capacity: usize) -> Vec<DataBlock> {
         let mut blocks = std::mem::take(&mut self.rows);
         blocks.resize_with(p, DataBlock::default);
         for b in &mut blocks {
-            b.tuples.clear();
-            b.tuples.reserve(capacity);
+            b.runs.clear();
+            b.values.clear();
+            b.values.reserve(capacity);
             b.fragments.clear();
         }
         blocks
     }
 
-    /// One row block per size, each `tuples` exactly that long and its
-    /// fragment table empty, in the spare's allocations where it has them.
-    /// The tuples are whatever the last plan left: the caller overwrites
-    /// every one, so only the length changes, and exactly.
+    /// One row block per size, each `values` exactly that long and its run
+    /// and fragment tables empty, in the spare's allocations where it has
+    /// them. The values are whatever the last plan left: the caller
+    /// overwrites every one, so only the length changes, and exactly.
     pub(crate) fn sized_row_blocks(&mut self, sizes: &[usize]) -> Vec<DataBlock> {
-        let filler = Tuple::keyed(Time::ZERO, Key(0));
         let mut blocks = std::mem::take(&mut self.rows);
         blocks.resize_with(sizes.len(), DataBlock::default);
         for (b, &size) in blocks.iter_mut().zip(sizes) {
             // Exactly: the residual tolerance lets a block run a few tuples
             // past `N/p`, and growth by doubling would double its allocation.
-            b.tuples.reserve_exact(size.saturating_sub(b.tuples.len()));
-            b.tuples.resize(size, filler);
+            b.values.reserve_exact(size.saturating_sub(b.values.len()));
+            b.values.resize(size, 0.0);
+            b.runs.clear();
             b.fragments.clear();
         }
         blocks

@@ -1,10 +1,13 @@
 //! The per-tuple placement loop every baseline runs (§2.2, §7).
 //!
 //! A per-tuple technique is a routing decision: given an arrival and the
-//! blocks placed so far, pick a block. [`PerTuple`] does the rest — writes
-//! the arrival into its block, counts it, hands over key-sorted fragment
-//! tables and the split-key table — in buffers that outlive the batch: count
-//! tables drained, not dropped, and the blocks of the last plan recycled.
+//! blocks placed so far, pick a block. [`PerTuple`] does the rest — pushes
+//! the arrival's value into its block, extending the block's last run when
+//! the key repeats and starting one when it does not, counts it, hands over
+//! key-sorted fragment tables and the split-key table — in buffers that
+//! outlive the batch: count tables drained, not dropped, and the blocks of
+//! the last plan recycled. A block's runs are however the arrivals fell:
+//! nothing groups them, so a baseline pays for its placement in the Map.
 
 use crate::batch::{split_keys, DataBlock, KeyFragment, PartitionPlan};
 use crate::hash::{KeyMap, KeySet};
@@ -20,7 +23,7 @@ pub(crate) struct Placed<'a> {
 impl Placed<'_> {
     /// `|block b|`: tuples placed in it so far.
     pub(crate) fn size(&self, b: usize) -> usize {
-        self.blocks[b].tuples.len()
+        self.blocks[b].size()
     }
 
     /// Whether block `b` holds a tuple of `key` yet.
@@ -67,7 +70,7 @@ impl PerTuple {
                 counts: &self.counts,
             };
             let b = choose(i, &t, &placed);
-            blocks[b].tuples.push(t);
+            blocks[b].push(t.key, t.value);
             *self.counts[b].entry(t.key).or_insert(0) += 1;
         }
         for (block, counts) in blocks.iter_mut().zip(&mut self.counts) {
@@ -120,7 +123,9 @@ mod tests {
         let fragment = |k, count| KeyFragment { key: Key(k), count };
         assert_eq!(plan.blocks[0].fragments, [fragment(1, 3), fragment(2, 1)]);
         assert_eq!(plan.blocks[1].fragments, [fragment(3, 2)]);
-        assert_eq!(plan.blocks[0].tuples, [1, 2, 1, 1].map(t));
+        let run = |k, count| KeyFragment { key: Key(k), count };
+        assert_eq!(plan.blocks[0].runs, [run(1, 1), run(2, 1), run(1, 2)]);
+        assert_eq!(plan.blocks[0].values, [1.0; 4]);
         assert!(plan.split_keys.is_empty());
     }
 
@@ -141,10 +146,10 @@ mod tests {
         let tuples: Vec<Tuple> = (0..64).map(|i| t(i % 5)).collect();
         let mut loop_ = PerTuple::default();
         let first = loop_.place(&tuples, 4, true, |i, _, _| i % 4);
-        let held: Vec<*const Tuple> = first.blocks.iter().map(|b| b.tuples.as_ptr()).collect();
+        let held: Vec<*const f64> = first.blocks.iter().map(|b| b.values.as_ptr()).collect();
         loop_.recycle(Plan::Rows(first));
         let second = loop_.place(&tuples, 4, true, |i, _, _| (i + 1) % 4);
-        let again: Vec<*const Tuple> = second.blocks.iter().map(|b| b.tuples.as_ptr()).collect();
+        let again: Vec<*const f64> = second.blocks.iter().map(|b| b.values.as_ptr()).collect();
         assert_eq!(held, again, "the blocks are the recycled plan's");
         let fresh = PerTuple::default().place(&tuples, 4, true, |i, _, _| (i + 1) % 4);
         assert_eq!(second, fresh);

@@ -24,15 +24,17 @@
 //!    its home block: nothing is re-derived by hashing.
 //!
 //! Every block is then laid out in key order, its pieces sorted by key, so a
-//! block is one run per key, keys ascending. The Map kernel folds such a
-//! block run by run into its key-ordered output.
+//! block is one run per key, keys ascending: its pieces are its runs and its
+//! fragment table at once. The Map kernel folds such a block run by run into
+//! its key-ordered output.
 //!
 //! Driven through the [`Partitioner`] interface, the row pipeline is
 //! record → order → assign → scatter: the accumulator records each arrival's
 //! key slot (Algorithm 1's batching phase), the heartbeat orders the key
 //! groups from their counts alone, Algorithm 2 assigns pieces of those groups
-//! to blocks from the same counts, and only then is each arrival written,
-//! once, from the batch's own slice to its final position in its block. A
+//! to blocks from the same counts, and only then is each arrival's value
+//! written, once, from the batch's own slice to its final position in its
+//! block (a block holds values, its runs naming their keys). A
 //! group's destination is its first piece's slice of its block, then its
 //! later pieces' slices in `start` order; under sharded ingest each shard
 //! scatters its own arrivals to its own keys' destinations, in parallel. The
@@ -93,7 +95,7 @@ pub struct PromptPartitioner {
     /// The scatter's destination and slot tables, refilled every batch.
     tables: ScatterTables,
     /// The row scatter's slices of later pieces, empty between batches.
-    tiles: Vec<IterMut<'static, Tuple>>,
+    tiles: Vec<IterMut<'static, f64>>,
     /// The buffers of the last plan handed back.
     spare: Spare,
 }
@@ -207,7 +209,7 @@ impl PromptPartitioner {
                 let (key, r) = cols.groups[pc.group()];
                 (key, ColRange::new(r.offset + pc.range().start, pc.len()))
             }));
-            fragments_into(pieces, &mut block.fragments);
+            block.fragments.extend(pieces.iter().map(Piece::fragment));
         }
         ColumnarPlan {
             arena: cols.arena,
@@ -417,6 +419,15 @@ impl Piece {
     fn len(&self) -> usize {
         (self.end - self.start) as usize
     }
+
+    /// The piece as its block's run of its key, and so its fragment: a
+    /// block holds one piece per key.
+    fn fragment(&self) -> KeyFragment {
+        KeyFragment {
+            key: self.key,
+            count: self.len(),
+        }
+    }
 }
 
 /// The symbolic block state the assignment phase reads back: per-block
@@ -498,29 +509,27 @@ impl SymbolicBlocks {
     }
 }
 
-/// A block's fragment table from its key-ordered pieces, into `out`
-/// (empty): a block holds one piece per key, so one fragment per piece.
-fn fragments_into(pieces: &[Piece], out: &mut Vec<KeyFragment>) {
-    out.extend(pieces.iter().map(|pc| KeyFragment {
-        key: pc.key,
-        count: pc.len(),
-    }));
+/// A block's runs and fragment table from its key-ordered pieces, into
+/// `block`'s (empty): a block holds one piece per key, so each piece is one
+/// run and one fragment, and the two tables are equal.
+fn runs_into(pieces: &[Piece], block: &mut DataBlock) {
+    block.runs.extend(pieces.iter().map(Piece::fragment));
+    block.fragments.extend_from_slice(&block.runs);
 }
 
-/// Copy one block's assigned ranges out of the sealed batch into `block`
-/// (empty). Pieces are appended in key order, the order the row scatter
-/// lays them out in, so either way the block is bit-identical.
+/// Copy the values of one block's assigned ranges out of the sealed batch
+/// into `block` (empty). Pieces are appended in key order, the order the row
+/// scatter lays them out in, so either way the block is bit-identical.
 fn materialize_block(batch: &SealedBatch, pieces: &[Piece], block: &mut DataBlock) {
     // Sized exactly: the residual tolerance lets a block run a few tuples
     // past `N/p`, and a guess that low would double the block's allocation.
     let size = pieces.iter().map(Piece::len).sum();
-    block.tuples.reserve_exact(size);
+    block.values.reserve_exact(size);
     for pc in pieces {
-        block
-            .tuples
-            .extend_from_slice(&batch.tuples(pc.group())[pc.range()]);
+        let tuples = &batch.tuples(pc.group())[pc.range()];
+        block.values.extend(tuples.iter().map(|t| t.value));
     }
-    fragments_into(pieces, &mut block.fragments);
+    runs_into(pieces, block);
 }
 
 impl Partitioner for PromptPartitioner {
@@ -534,7 +543,7 @@ impl Partitioner for PromptPartitioner {
     /// The row pipeline, record → order → assign → scatter, with a wall
     /// clock around each phase: `seal_us` ends once the keys are ordered,
     /// `symbolic_us` holds the assignment and each block's key sort, and
-    /// `materialize_us` holds the scatter and the fragment tables. The
+    /// `materialize_us` holds the scatter and the run tables. The
     /// timings drive the observability layer's per-stage breakdowns (Fig.
     /// 14's overhead story) and never influence the plan.
     fn partition_slice(
@@ -560,7 +569,7 @@ impl Partitioner for PromptPartitioner {
         self.scatter_rows(tuples, interval, &mut blocks);
         let pieces = &self.symbolic.pieces;
         map_mut(&mut blocks, self.threads, |b, block| {
-            fragments_into(&pieces[b], &mut block.fragments)
+            runs_into(&pieces[b], block)
         });
         let materialize_us = t2.elapsed().as_micros() as u64;
         self.sealed.0 = groups;
@@ -647,19 +656,19 @@ impl PromptPartitioner {
         record_slice(buffer, tuples, self.threads);
     }
 
-    /// Write every arrival of `tuples` once, straight to its position in
-    /// `blocks`, each already as long as its assigned pieces: carve every
-    /// block into its pieces' slices, in key order; a group's
+    /// Write the value of every arrival of `tuples` once, straight to its
+    /// position in `blocks`, each already as long as its assigned pieces:
+    /// carve every block into its pieces' slices, in key order; a group's
     /// destination is its first piece's slice, then its later pieces' slices
     /// in `start` order; and the accumulator scatters its arrivals to them.
     fn scatter_rows(&mut self, tuples: &[Tuple], interval: Interval, blocks: &mut [DataBlock]) {
         let symbolic = &self.symbolic;
         let slots = std::mem::take(&mut self.tables.slots);
         let (mut heads, mut more) = self.tables.lend(slots.len(), true);
-        let mut tiles: Vec<IterMut<'_, Tuple>> = relabel(std::mem::take(&mut self.tiles));
+        let mut tiles: Vec<IterMut<'_, f64>> = relabel(std::mem::take(&mut self.tiles));
         tiles.resize_with(symbolic.later.len(), Default::default);
         for (block, pieces) in blocks.iter_mut().zip(&symbolic.pieces) {
-            let mut rest = &mut block.tuples[..];
+            let mut rest = &mut block.values[..];
             for pc in pieces {
                 let (mine, tail) = std::mem::take(&mut rest).split_at_mut(pc.len());
                 rest = tail;
@@ -678,8 +687,8 @@ impl PromptPartitioner {
             rest = tail;
         }
         self.buffer
-            .scatter(Some(tuples), &mut heads, &mut more, interval);
-        self.tables.keep((heads, more));
+            .scatter_values(tuples, &mut heads, &mut more, interval);
+        self.tables.keep(heads, more);
         self.tiles = relabel(tiles);
         self.tables.slots = slots;
     }
@@ -995,14 +1004,15 @@ mod tests {
 
     /// Shape guard: every baseline is a block chooser over the one
     /// placement loop, so no production half under `partitioner/` but
-    /// `per_tuple.rs`' pushes a tuple into a block, and that one does so
-    /// once; no file names the builder the loop replaced, and cAM keeps no
+    /// `per_tuple.rs`' pushes an arrival into a block — a `DataBlock::push`
+    /// of its key and value, or a push onto a value column — and that one
+    /// does so once; no file names the builder the loop replaced, and cAM keeps no
     /// key sets beside the loop's count tables. Every file in the directory
     /// is read, so a new one is checked too. Needles are spelt in halves.
     #[test]
     fn baseline_shape_one_placement_loop() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/partitioner");
-        let push = ["tuples.", "push("].concat();
+        let pushes_of = [[".push(", "t.key,"].concat(), ["values.", "push("].concat()];
         let builder = ["Block", "Builder"].concat();
         let key_set = ["Key", "Set"].concat();
         let mut pushes = Vec::new();
@@ -1012,7 +1022,7 @@ mod tests {
             let source = std::fs::read_to_string(&path).expect("a source file");
             let production = source.lines().take_while(|l| *l != "#[cfg(test)]");
             for (n, line) in production.enumerate() {
-                if line.contains(&push) {
+                if pushes_of.iter().any(|push| line.contains(push)) {
                     pushes.push(format!("{name}:{}", n + 1));
                 }
                 assert!(!line.contains(&builder), "{name}:{}: `{builder}`", n + 1);
@@ -1020,7 +1030,7 @@ mod tests {
                 assert!(!cam_set, "cam.rs:{}: `{key_set}`", n + 1);
             }
         }
-        assert_eq!(pushes.len(), 1, "tuple pushes: {pushes:?}");
+        assert_eq!(pushes.len(), 1, "arrival pushes: {pushes:?}");
         assert!(pushes[0].starts_with("per_tuple.rs:"), "{pushes:?}");
     }
 

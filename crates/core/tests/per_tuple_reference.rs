@@ -62,8 +62,18 @@ impl Builder {
             .map(|(key, count)| KeyFragment { key, count })
             .collect();
         fragments.sort_unstable_by_key(|f| f.key.0);
+        // The block as it crosses the seal: the tuples' values, under runs
+        // of their keys.
+        let mut runs: Vec<KeyFragment> = Vec::new();
+        for run in self.tuples.chunk_by(|a, b| a.key == b.key) {
+            runs.push(KeyFragment {
+                key: run[0].key,
+                count: run.len(),
+            });
+        }
         DataBlock {
-            tuples: self.tuples,
+            runs,
+            values: self.tuples.iter().map(|t| t.value).collect(),
             fragments,
         }
     }

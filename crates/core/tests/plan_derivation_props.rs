@@ -26,7 +26,9 @@
 //! the regression cases (`plan_derivation_props.proptest-regressions`) are
 //! pinned as the explicit `pinned_*` tests at the bottom.
 
-use prompt_core::batch::{total_keys, KeyFragment, MicroBatch, PartitionPlan, SealedBatch};
+use prompt_core::batch::{
+    total_keys, DataBlock, KeyFragment, MicroBatch, PartitionPlan, SealedBatch,
+};
 use prompt_core::buffering::{
     AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
     ShardedAccumulator,
@@ -92,10 +94,12 @@ fn arrivals(counts: &[(Key, usize)]) -> MicroBatch {
 }
 
 /// A block's fragment table the hashing way: count its tuples per key.
-fn counted_fragments(tuples: &[Tuple]) -> Vec<KeyFragment> {
+fn counted_fragments(block: &DataBlock) -> Vec<KeyFragment> {
     let mut counts: KeyMap<usize> = KeyMap::default();
-    for t in tuples {
-        *counts.entry(t.key).or_insert(0) += 1;
+    for (key, values) in block.key_runs() {
+        for _ in values {
+            *counts.entry(key).or_insert(0) += 1;
+        }
     }
     let mut fragments: Vec<KeyFragment> = (counts.into_iter())
         .map(|(key, count)| KeyFragment { key, count })
@@ -115,7 +119,7 @@ fn hashed_key_count(blocks: &[&[KeyFragment]]) -> usize {
 /// Prompt's row plan against the hashing derivations; `what` names the case.
 fn check_row_plan(plan: &PartitionPlan, what: &str) -> Result<(), TestCaseError> {
     for (b, block) in plan.blocks.iter().enumerate() {
-        let want = counted_fragments(&block.tuples);
+        let want = counted_fragments(block);
         prop_assert_eq!(&block.fragments, &want, "{}: block {} fragments", what, b);
     }
     let rebuilt = PartitionPlan::from_blocks(plan.blocks.clone());
@@ -433,9 +437,7 @@ proptest! {
 /// as many runs as fragments.
 fn check_key_ordered(plan: &PartitionPlan, what: &str) -> Result<(), TestCaseError> {
     for (b, block) in plan.blocks.iter().enumerate() {
-        let runs: Vec<u64> = (block.tuples.chunk_by(|x, y| x.key == y.key))
-            .map(|run| run[0].key.0)
-            .collect();
+        let runs: Vec<u64> = block.runs.iter().map(|run| run.key.0).collect();
         prop_assert!(
             runs.windows(2).all(|w| w[0] < w[1]),
             "{}: block {} runs {:?} are not key-ascending",
@@ -639,7 +641,7 @@ fn check_derivations(
         );
         prop_assert_eq!(
             &block.fragments,
-            &counted_fragments(&block.tuples),
+            &counted_fragments(block),
             "{}: block {}",
             what,
             b

@@ -18,9 +18,12 @@
 //!   shard-invariant.
 //!
 //! The `plan` and `plan_reused` columns of both tables were regenerated
-//! once since, when Prompt blocks became key-ordered: each equals the old
-//! plan with every block's tuples stably sorted by key, and the other
-//! columns did not move.
+//! twice since, the other columns never moving: once when Prompt blocks
+//! became key-ordered — each equals the old plan with every block's tuples
+//! stably sorted by key — and once when a block became `(key, count)` runs
+//! over a value column, with no timestamp: each equals, at the commit
+//! before, the same fingerprint taken over every block's runs of equal keys
+//! and its values.
 //!
 //! `accumulator_props` pins the same orders by meaning (a reference model);
 //! this file pins them by history.
@@ -31,7 +34,7 @@
 //! To regenerate after an *intended* order change, run the test and copy the
 //! table the failure message prints.
 
-use prompt_core::batch::{MicroBatch, PartitionPlan, SealedBatch};
+use prompt_core::batch::{DataBlock, MicroBatch, PartitionPlan, SealedBatch};
 use prompt_core::buffering::{
     AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
     ShardedAccumulator,
@@ -122,9 +125,22 @@ fn tuples_fingerprint(sealed: &SealedBatch) -> u64 {
     (0..sealed.n_keys()).fold(0, |h, gi| fold_tuples(h, sealed.tuples(gi)))
 }
 
+/// A block as the Map reads it: its `(key, count)` runs, then its values.
+fn fold_block(h: u64, block: &DataBlock) -> u64 {
+    let runs = block
+        .runs
+        .iter()
+        .fold(fold(h, block.runs.len() as u64), |h, r| {
+            fold(fold(h, r.key.0), r.count as u64)
+        });
+    (block.values.iter()).fold(fold(runs, block.values.len() as u64), |h, v| {
+        fold(h, v.to_bits())
+    })
+}
+
 fn plan_fingerprint(plan: &PartitionPlan) -> u64 {
     let mut h = plan.blocks.iter().fold(0, |h, b| {
-        b.fragments.iter().fold(fold_tuples(h, &b.tuples), |h, f| {
+        b.fragments.iter().fold(fold_block(h, b), |h, f| {
             fold(fold(h, f.key.0), f.count as u64)
         })
     });
@@ -162,32 +178,32 @@ const EXACT_GOLDEN: [Golden; 4] = [
         order: 0x0c43a3ed245f590e,
         tuples: 0x9d3122bb68033b01,
         tree_updates: 0,
-        plan: 0x2a6175ad40c95da1,
-        plan_reused: 0x30a478db3ec88b87,
+        plan: 0xa67bc16e46a563c4,
+        plan_reused: 0xf2409c140460107b,
     },
     // zipf1.0
     Golden {
         order: 0x025969760387fec9,
         tuples: 0xed990054030d6409,
         tree_updates: 0,
-        plan: 0x376a3a10a2aebdef,
-        plan_reused: 0x762e81384cd92a67,
+        plan: 0x43d841b670875ba2,
+        plan_reused: 0xdd19e5c71f477961,
     },
     // zipf1.5
     Golden {
         order: 0x4ed11367d5f9ea8f,
         tuples: 0xbb6553b06910e0b9,
         tree_updates: 0,
-        plan: 0x9aab510e635f6b5f,
-        plan_reused: 0x1f7d7fa11a757068,
+        plan: 0x91e42a4b676bb9a3,
+        plan_reused: 0xfeeeb05edb0b3cd6,
     },
     // uniform
     Golden {
         order: 0x17fb76a869f5e4cb,
         tuples: 0x942f5175e4a36f9c,
         tree_updates: 0,
-        plan: 0x659d18c310550f01,
-        plan_reused: 0x3a9368a0a7458294,
+        plan: 0xafebd2f6371b212c,
+        plan_reused: 0xd2b50cd7c2df5696,
     },
 ];
 
@@ -199,64 +215,64 @@ const COUNT_TREE_GOLDEN: [Golden; 8] = [
         order: 0x820246eddfe91eef,
         tuples: 0xc61b03898a325f53,
         tree_updates: 232835,
-        plan: 0x2f08e5c0240bc8b7,
-        plan_reused: 0xee0e2c4e28101978,
+        plan: 0xe564d2eef46761b7,
+        plan_reused: 0xe2b2e8b4125230b6,
     },
     // zipf0.5/4
     Golden {
         order: 0x45a3ad2bd660a4a9,
         tuples: 0xa5207c9b509538b6,
         tree_updates: 232835,
-        plan: 0xf0b19b4b655b3372,
-        plan_reused: 0xcaafea6b6a2836ac,
+        plan: 0x3d3def887e446c95,
+        plan_reused: 0xec7feb157a1aeeea,
     },
     // zipf1.0/1
     Golden {
         order: 0x9e3a682088afdc25,
         tuples: 0x0f9ebb35906b49ad,
         tree_updates: 78545,
-        plan: 0x79da04b667a2355f,
-        plan_reused: 0xc3608c294cff5979,
+        plan: 0x75821c8440d79e4b,
+        plan_reused: 0x11285b508d2a0705,
     },
     // zipf1.0/4
     Golden {
         order: 0xe09365d986a6fed4,
         tuples: 0x11d2c717c90473e4,
         tree_updates: 78537,
-        plan: 0xe698252353455314,
-        plan_reused: 0x775928e4beda9741,
+        plan: 0xcc04af4365ebc1bb,
+        plan_reused: 0x35fbb587e5237f3d,
     },
     // zipf1.5/1
     Golden {
         order: 0x90d0b0ef97191425,
         tuples: 0xc0a2e70d22567c2e,
         tree_updates: 8915,
-        plan: 0x723dba9726ca98e7,
-        plan_reused: 0xce118dd132fdc8e1,
+        plan: 0x2df1df3596129d7c,
+        plan_reused: 0x69b6dc3936bfd9b3,
     },
     // zipf1.5/4
     Golden {
         order: 0x23e7df0d73473bc4,
         tuples: 0xd444d2ead3ac5c0b,
         tree_updates: 8896,
-        plan: 0x759ab4fbef7f7769,
-        plan_reused: 0xaaaccc9ed2b6324c,
+        plan: 0x018253d680bada35,
+        plan_reused: 0x07f2710e850a3863,
     },
     // uniform/1
     Golden {
         order: 0x8e3d849d7ed4078e,
         tuples: 0x0e7d474aec054387,
         tree_updates: 272493,
-        plan: 0xc9a9caee8b653b9c,
-        plan_reused: 0x80656a8d8a844b2a,
+        plan: 0xdf735d2e6c31028a,
+        plan_reused: 0x9ffb137dae90d046,
     },
     // uniform/4
     Golden {
         order: 0x19c12d00edeb5125,
         tuples: 0x12119a541c5130b7,
         tree_updates: 272493,
-        plan: 0xb9cf7ed70da44932,
-        plan_reused: 0xf78a0dc2ab100e5d,
+        plan: 0x14bde2d0c82903f9,
+        plan_reused: 0x4f58bab54a389d50,
     },
 ];
 

@@ -1992,7 +1992,8 @@ mod tests {
     /// Shape guard for the execution layer: layout is a property of the plan
     /// (`kernel::PlanView`), not of the function called. Outside its test
     /// module no engine source may grow a `*_columnar` function again beyond
-    /// the two adapters `benchmark/` pins and the columnar Map kernel; and
+    /// the two adapters `benchmark/` pins (the Map kernel walks either
+    /// layout's runs); and
     /// assigners are shared references — Algorithm 3 is a pure function of one
     /// Map task's output, so outside test modules no core or engine source
     /// names a mutable assigner, a run-global task counter, an assignment
@@ -2003,11 +2004,7 @@ mod tests {
     /// `net/` one function calls the assignment kernel.
     #[test]
     fn engine_shape_one_assign_site_and_no_columnar_twins() {
-        const COLUMNAR_FNS: [&str; 3] = [
-            "execute_columnar_traced",
-            "encode_map_task_columnar",
-            "map_block_columnar",
-        ];
+        const COLUMNAR_FNS: [&str; 2] = ["execute_columnar_traced", "encode_map_task_columnar"];
         let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
         let (mut engine, mut files) = (Vec::new(), Vec::new());
         sources_under(&manifest.join("src"), &mut engine);
@@ -2114,6 +2111,58 @@ mod tests {
                 for needle in &needles {
                     assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
                 }
+            }
+        }
+    }
+
+    /// Shape guard for what crosses the seal (DESIGN §4e): the timestamp
+    /// serves batching alone (§4.1), so after the seal a tuple is its value.
+    /// A `DataBlock` holds no `Tuple` — its values under key runs — the Map
+    /// takes a key and a value, and no production line of the Map, shuffle
+    /// and Reduce kernels, the local executor or the fleet reads a `.ts`.
+    #[test]
+    fn engine_shape_nothing_after_the_seal_reads_a_timestamp() {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let batch = std::fs::read_to_string(manifest.join("../core/src/batch.rs"))
+            .expect("readable core source");
+        let block: Vec<&str> = (batch.lines())
+            .skip_while(|l| !l.starts_with("pub struct DataBlock {"))
+            .take_while(|l| *l != "}")
+            .collect();
+        assert!(block.len() > 2, "no `DataBlock` in batch.rs");
+        assert!(
+            block.iter().all(|l| !l.contains("Tuple")),
+            "a DataBlock holds tuples: {block:?}"
+        );
+        let map_fn = include_str!("job.rs")
+            .lines()
+            .find(|l| l.starts_with("pub type MapFn"));
+        assert!(
+            map_fn.is_some_and(|l| l.contains("dyn Fn(Key, f64) -> Option<f64>")),
+            "the Map is not `(Key, f64)`: {map_fn:?}"
+        );
+        let mut files = vec![
+            (
+                "kernel.rs".to_string(),
+                include_str!("kernel.rs").to_string(),
+            ),
+            ("stage.rs".to_string(), include_str!("stage.rs").to_string()),
+            (
+                "threaded.rs".to_string(),
+                include_str!("threaded.rs").to_string(),
+            ),
+        ];
+        sources_under(&manifest.join("src/net"), &mut files);
+        assert!(files.len() >= 7, "scanner broken? {} files", files.len());
+        let field = ".ts";
+        for (file, src) in &files {
+            let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
+            for (n, line) in lines.enumerate() {
+                let reads = line.match_indices(field).any(|(at, _)| {
+                    let next = line[at + field.len()..].chars().next();
+                    !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                });
+                assert!(!reads, "{file}:{}: reads a timestamp: {line}", n + 1);
             }
         }
     }

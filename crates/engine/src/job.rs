@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use prompt_core::types::Tuple;
+use prompt_core::types::Key;
 
 /// The associative aggregation applied by the Reduce stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,13 +141,15 @@ impl JobSpec {
     }
 }
 
-/// The Map function: filter + value transform, at most one output per input
-/// tuple. The paper's Map is key-preserving — `Map(k, v1) → (k, List(V))` —
-/// which is what keeps each block's split-key reference table valid for the
-/// Reduce allocator, so the output key is implicitly the tuple's key.
+/// The Map function: filter + value transform of one `(key, value)` pair, at
+/// most one output per input. The paper's Map is key-preserving —
+/// `Map(k, v1) → (k, List(V))` — which is what keeps each block's split-key
+/// reference table valid for the Reduce allocator, so the output key is
+/// implicitly the input's. It sees no timestamp: time serves batching
+/// alone (§4.1), which ends at the seal, and a data block holds none.
 /// (Flat-mapping generators — e.g. splitting text into words — happen in the
 /// source, exactly as the paper keys tweets by their words at ingestion.)
-pub type MapFn = Arc<dyn Fn(&Tuple) -> Option<f64> + Send + Sync>;
+pub type MapFn = Arc<dyn Fn(Key, f64) -> Option<f64> + Send + Sync>;
 
 /// A streaming Map-Reduce job.
 #[derive(Clone)]
@@ -177,7 +179,7 @@ impl Job {
     /// A job with an explicit map function.
     pub fn new(
         name: impl Into<String>,
-        map: impl Fn(&Tuple) -> Option<f64> + Send + Sync + 'static,
+        map: impl Fn(Key, f64) -> Option<f64> + Send + Sync + 'static,
         reduce: ReduceOp,
     ) -> Job {
         Job {
@@ -191,7 +193,7 @@ impl Job {
     /// The identity job: keep the value as-is and aggregate with `op`.
     /// Covers WordCount (`Count`), per-key sums, etc.
     pub fn identity(name: impl Into<String>, op: ReduceOp) -> Job {
-        let mut job = Job::new(name, |t: &Tuple| Some(t.value), op);
+        let mut job = Job::new(name, |_, v| Some(v), op);
         job.spec = Some(JobSpec {
             map: MapSpec::Identity,
             reduce: op,
@@ -209,7 +211,6 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prompt_core::types::{Key, Time};
 
     #[test]
     fn sum_and_count_apply_merge_invert() {
@@ -246,8 +247,7 @@ mod tests {
     #[test]
     fn identity_job_maps_through() {
         let job = Job::identity("wordcount", ReduceOp::Count);
-        let t = Tuple::new(Time::ZERO, Key(4), 9.0);
-        assert_eq!((job.map)(&t), Some(9.0));
+        assert_eq!((job.map)(Key(4), 9.0), Some(9.0));
         assert_eq!(job.name, "wordcount");
     }
 
@@ -266,10 +266,9 @@ mod tests {
         let job = Job::identity("sum", ReduceOp::Sum);
         let spec = job.wire_spec().expect("identity jobs are wire-able");
         let remote = spec.instantiate("sum");
-        let t = Tuple::new(Time::ZERO, Key(1), 4.5);
-        assert_eq!((remote.map)(&t), (job.map)(&t));
+        assert_eq!((remote.map)(Key(1), 4.5), (job.map)(Key(1), 4.5));
 
-        let opaque = Job::new("custom", |_: &Tuple| None, ReduceOp::Sum);
+        let opaque = Job::new("custom", |_, _| None, ReduceOp::Sum);
         assert_eq!(opaque.wire_spec(), None);
     }
 
@@ -277,10 +276,10 @@ mod tests {
     fn filtering_map() {
         let job = Job::new(
             "evens",
-            |t: &Tuple| t.key.0.is_multiple_of(2).then_some(t.value * 2.0),
+            |k: Key, v| k.0.is_multiple_of(2).then_some(v * 2.0),
             ReduceOp::Sum,
         );
-        assert_eq!((job.map)(&Tuple::keyed(Time::ZERO, Key(2))), Some(2.0));
-        assert_eq!((job.map)(&Tuple::keyed(Time::ZERO, Key(3))), None);
+        assert_eq!((job.map)(Key(2), 1.0), Some(2.0));
+        assert_eq!((job.map)(Key(3), 1.0), None);
     }
 }

@@ -378,9 +378,9 @@ mod tests {
     /// payloads and `-0.0` included).
     fn map_frame(n: u64, salt: u64) -> Message {
         use crate::job::{JobSpec, MapSpec, ReduceOp};
-        use prompt_core::batch::{DataBlock, KeyFragment};
-        use prompt_core::types::{Key, Time, Tuple};
-        let tuples = (0..n)
+        use prompt_core::batch::DataBlock;
+        use prompt_core::types::Key;
+        let block: DataBlock = (0..n)
             .map(|i| {
                 let bits = prompt_core::hash::mix64(i ^ salt);
                 let value = match i % 4 {
@@ -388,13 +388,7 @@ mod tests {
                     1 => -0.0,
                     _ => f64::from_bits(bits >> 2),
                 };
-                Tuple::new(Time(i + salt), Key(i % 97), value)
-            })
-            .collect();
-        let fragments = (0..97)
-            .map(|k| KeyFragment {
-                key: Key(k),
-                count: (n / 97 + u64::from(k < n % 97)) as usize,
+                (Key(i % 97), value)
             })
             .collect();
         Message::MapTask {
@@ -405,7 +399,7 @@ mod tests {
                 map: MapSpec::Identity,
                 reduce: ReduceOp::Sum,
             },
-            block: DataBlock { tuples, fragments },
+            block,
         }
     }
 

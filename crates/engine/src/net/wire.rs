@@ -32,12 +32,20 @@
 //! `WorkerError` carried — the connection a frame arrives on already names
 //! its sender. `MapTask` frames did not change a byte.
 //!
-//! How a frame is written and read changed no byte, so the version stays 5.
+//! Protocol v6 ships a block as what the Map reads of it: `(key, count)`
+//! runs over a value column, 16 bytes a run and 8 a value, where v5 sent
+//! 24-byte `{ts, key, value}` tuples and a 16-byte-a-key fragment table.
+//! No worker read the timestamps (the Map is `Map(k, v)`) or the table (the
+//! driver assigns from its own copy, and a worker pairs its output with the
+//! driver's `ShuffleAssign`), so a decoded block has no fragment table. A
+//! Prompt block is one run per key, so its frame fell from
+//! `24·n + 16·f` to `8·n + 16·f` block bytes. No other frame changed.
+//!
 //! An encoder writes the header in place, then the payload behind it, into
 //! one buffer, and patches the payload length in last; a `MapTask`'s buffer
-//! is sized exactly up front (`18 + 4 + 24·n + 4 + 16·f` payload bytes), so
-//! encoding one makes one allocation. Tuples and fragment tables go to the
-//! buffer from a stack block, 256 entries a write. A reader
+//! is sized exactly up front (`18 + 4 + 16·r + 4 + 8·n` payload bytes for
+//! `r` runs over `n` values), so encoding one makes one allocation. Runs and
+//! values go to the buffer from a stack block, 256 entries a write. A reader
 //! ([`super::transport::FrameConn`]) reads each payload into a buffer the
 //! connection keeps across frames, bounded so that one large frame does not
 //! pin its size for the connection's life.
@@ -47,6 +55,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use prompt_core::batch::DataBlock;
 use prompt_core::bytes::{
     self, ByteReader, ByteWriter, BytesSink, CodecError, FRAGMENT_WIRE_SIZE, TUPLE_WIRE_SIZE,
+    VALUE_WIRE_SIZE,
 };
 use prompt_core::columnar::{ColumnarBatch, ColumnarBlock};
 use prompt_core::types::Key;
@@ -62,7 +71,9 @@ pub const MAGIC: u32 = 0x5445_4e50;
 /// v4: `MapComplete` means filed; `ReduceComplete` carries no counts.
 /// v5: no v1 byte count in `FetchStats`, no worker id where the connection
 /// names the sender.
-pub const PROTOCOL_VERSION: u8 = 5;
+/// v6: a `MapTask` block is key runs over a value column: no timestamps, no
+/// fragment table.
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Frame header length: magic + version + msg type + payload length.
 pub const HEADER_LEN: usize = 10;
@@ -184,12 +195,13 @@ pub enum Message {
         block_id: u32,
         /// The job to run.
         job: JobSpec,
-        /// The block's tuples and fragment table.
+        /// The block: its runs and values cross the wire, its fragment table
+        /// does not (a decoded block has none).
         block: DataBlock,
     },
     /// Worker → driver: the block is mapped and filed under the buckets its
     /// `ShuffleAssign` named, so its segments are fetchable. A bare ack: the
-    /// driver assigned the block from the fragment table it sent.
+    /// driver assigned the block from its own plan's fragment table.
     MapComplete {
         /// Batch sequence number.
         seq: u64,
@@ -329,9 +341,7 @@ impl Message {
     /// is fixed-width; the other payloads grow as they are written.
     fn payload_capacity(&self) -> usize {
         match self {
-            Message::MapTask { block, .. } => {
-                map_task_len(block.tuples.len(), block.fragments.len())
-            }
+            Message::MapTask { block, .. } => map_task_len(block.runs.len(), block.size()),
             _ => 64,
         }
     }
@@ -466,7 +476,12 @@ impl Message {
             Message::RegisterAck { .. } => 8,
             Message::Heartbeat => 4,
             Message::MapTask { block, .. } => {
-                map_task_len(block.tuples.len(), block.fragments.len())
+                let (tuples, fragments) = (block.size(), block.cardinality());
+                MAP_TASK_HEADER_LEN
+                    + 4
+                    + TUPLE_WIRE_SIZE * tuples
+                    + 4
+                    + FRAGMENT_WIRE_SIZE * fragments
             }
             Message::MapComplete { .. } => 16,
             Message::ShuffleAssign { assignment, .. } => 8 + 4 + 4 + 4 + 4 * assignment.len(),
@@ -710,10 +725,14 @@ fn put_map_task(
     put_block(w);
 }
 
-/// Size of a [`Message::MapTask`] payload — in every protocol version, v1's
-/// fixed-width layout included.
-fn map_task_len(tuples: usize, fragments: usize) -> usize {
-    8 + 4 + 4 + 1 + 1 + (4 + TUPLE_WIRE_SIZE * tuples) + (4 + FRAGMENT_WIRE_SIZE * fragments)
+/// Bytes of a [`Message::MapTask`] payload before its block: seq, epoch,
+/// block id and the job's two tags.
+const MAP_TASK_HEADER_LEN: usize = 8 + 4 + 4 + 1 + 1;
+
+/// Size of a [`Message::MapTask`] payload whose block has `runs` runs over
+/// `values` values.
+fn map_task_len(runs: usize, values: usize) -> usize {
+    MAP_TASK_HEADER_LEN + (4 + FRAGMENT_WIRE_SIZE * runs) + (4 + VALUE_WIRE_SIZE * values)
 }
 
 /// Encode one [`Message::MapTask`] frame from a borrowed row block — what
@@ -726,7 +745,7 @@ pub fn encode_map_task(
     job: &JobSpec,
     block: &DataBlock,
 ) -> Vec<u8> {
-    let len = map_task_len(block.tuples.len(), block.fragments.len());
+    let len = map_task_len(block.runs.len(), block.size());
     write_frame(MAP_TASK, len, |w| {
         put_map_task(w, seq, epoch, block_id, job, |w| bytes::put_block(w, block))
     })
@@ -735,9 +754,10 @@ pub fn encode_map_task(
 /// Encode one [`Message::MapTask`] frame straight from columnar block
 /// slices — no intermediate row [`DataBlock`] is built. The payload bytes
 /// are identical to encoding the equivalent row block
-/// ([`bytes::put_block_columnar`] walks the arena ranges in assignment
-/// order, the order `ColumnarPlan::to_row_plan` concatenates), so workers
-/// decode it with the ordinary [`Message::decode`] path.
+/// ([`bytes::put_block_columnar`] sends the ranges as its runs and walks
+/// their values in assignment order, the order `ColumnarPlan::to_row_plan`
+/// concatenates), so workers decode it with the ordinary
+/// [`Message::decode`] path.
 pub fn encode_map_task_columnar(
     seq: u64,
     epoch: u32,
@@ -746,7 +766,7 @@ pub fn encode_map_task_columnar(
     arena: &ColumnarBatch,
     block: &ColumnarBlock,
 ) -> Vec<u8> {
-    let len = map_task_len(block.size(), block.fragments.len());
+    let len = map_task_len(block.ranges.len(), block.size());
     write_frame(MAP_TASK, len, |w| {
         put_map_task(w, seq, epoch, block_id, job, |w| {
             bytes::put_block_columnar(w, arena, block)
@@ -762,7 +782,6 @@ fn get_small_u32(r: &mut ByteReader<'_>) -> Result<u32, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prompt_core::batch::KeyFragment;
     use prompt_core::types::{Time, Tuple};
 
     /// A frame around a payload built by hand (for payloads no `Message`
@@ -771,26 +790,21 @@ mod tests {
         write_frame(msg_type, payload.len(), |w| w.put_bytes(payload))
     }
 
+    /// `block` as a `MapTask` frame carries it: no fragment table.
+    pub(crate) fn on_the_wire(block: DataBlock) -> DataBlock {
+        DataBlock {
+            fragments: Vec::new(),
+            ..block
+        }
+    }
+
     /// One exemplar of every message variant.
     pub(crate) fn exemplars() -> Vec<Message> {
-        let block = DataBlock {
-            tuples: vec![
-                Tuple {
-                    ts: Time(1),
-                    key: Key(7),
-                    value: 1.5,
-                },
-                Tuple {
-                    ts: Time(2),
-                    key: Key(7),
-                    value: -0.5,
-                },
-            ],
-            fragments: vec![KeyFragment {
-                key: Key(7),
-                count: 2,
-            }],
-        };
+        let block = on_the_wire(
+            [(Key(7), 1.5), (Key(7), -0.5), (Key(2), 4.0)]
+                .into_iter()
+                .collect(),
+        );
         vec![
             Message::Register {
                 worker: 3,
@@ -898,7 +912,10 @@ mod tests {
                 ),
             ] {
                 assert_eq!(frame, msg.encode(), "block {i} {layout} frame diverged");
-                assert_eq!(Message::decode(&frame).unwrap(), msg);
+                let Message::MapTask { block, .. } = Message::decode(&frame).unwrap() else {
+                    panic!("block {i} {layout} decoded to another message");
+                };
+                assert_eq!(block, on_the_wire(row.clone()), "block {i} {layout}");
             }
         }
     }
@@ -976,7 +993,6 @@ mod tests {
     /// trailer varint, the v1 byte count — is an error, not other stats.
     #[test]
     fn v5_frames_carry_no_v1_count_and_no_sender_id() {
-        assert_eq!(PROTOCOL_VERSION, 5);
         for msg in exemplars() {
             let mut frame = msg.encode();
             frame[4] = 4;
@@ -1019,6 +1035,30 @@ mod tests {
         assert_eq!(reply(&[1, 2, 350, 64]), v5.encode());
         let v4 = reply(&[1, 2, 350, 64, 128]);
         assert!(matches!(Message::decode(&v4), Err(WireError::Codec(_))));
+    }
+
+    /// v6: a `MapTask`'s block is its runs and its values — 16 bytes a run,
+    /// 8 a value, no timestamp and no fragment table — and a v5 peer, whose
+    /// frames carry both, is turned away at the header.
+    #[test]
+    fn v6_map_tasks_carry_runs_and_values_only() {
+        assert_eq!(PROTOCOL_VERSION, 6);
+        for msg in exemplars() {
+            let mut frame = msg.encode();
+            frame[4] = 5;
+            assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(5)));
+        }
+        let task = (exemplars().into_iter())
+            .find(|m| matches!(m, Message::MapTask { .. }))
+            .expect("a MapTask exemplar");
+        let Message::MapTask { block, .. } = &task else {
+            unreachable!()
+        };
+        assert_eq!((block.runs.len(), block.size()), (2, 3));
+        let payload = task.encode().len() - HEADER_LEN;
+        assert_eq!(payload, 18 + (4 + 2 * 16) + (4 + 3 * 8));
+        assert!(payload < task.v1_payload_len());
+        assert_eq!(Message::decode(&task.encode()), Ok(task));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! 3. heartbeat from a side thread at the acked period;
 //! 4. serve control messages until `Shutdown` or connection loss.
 //!
-//! Per batch the control stream carries the `MapTask`s, then — already sent
-//! when the first block is mapped, because the driver assigns at submit from
-//! the fragment tables it ships — their `ShuffleAssign`s, then the
+//! Per batch the control stream carries the `MapTask`s — each block's key
+//! runs and values — then, already sent when the first block is mapped,
+//! because the driver assigns at submit from its own plan's fragment tables,
+//! their `ShuffleAssign`s, then the
 //! `ReduceTask`s. A mapped block waits in `pending` only while the rest of
 //! the batch's Map frames are read. `MapComplete` is sent once the block is
 //! filed, so by the time the driver hands out Reduce tasks every source
@@ -625,8 +626,7 @@ fn serve_fetches(mut conn: FrameConn, store: Arc<Mutex<ShuffleStore>>, stop: Arc
 mod tests {
     use super::*;
     use crate::job::{JobSpec, MapSpec};
-    use prompt_core::batch::{DataBlock, KeyFragment};
-    use prompt_core::types::{Time, Tuple};
+    use prompt_core::batch::DataBlock;
     use std::net::{Ipv4Addr, SocketAddrV4, TcpStream};
     use std::sync::mpsc::{Receiver, RecvTimeoutError};
 
@@ -675,17 +675,14 @@ mod tests {
 
         /// Map block 0 of batch `(4, 1)`: keys 1 (2.0 + 0.5) and 5 (1.0).
         fn send_map_task(&mut self) {
-            let tuples = [(1, 2.0), (5, 1.0), (1, 0.5)]
-                .map(|(k, v)| Tuple::new(Time(1), Key(k), v))
-                .to_vec();
-            let fragments = [(1, 2), (5, 1)]
-                .map(|(k, count)| KeyFragment { key: Key(k), count })
-                .to_vec();
+            let block: DataBlock = [(1, 2.0), (5, 1.0), (1, 0.5)]
+                .map(|(k, v)| (Key(k), v))
+                .into_iter()
+                .collect();
             let job = JobSpec {
                 map: MapSpec::Identity,
                 reduce: ReduceOp::Sum,
             };
-            let block = DataBlock { tuples, fragments };
             let (seq, epoch, block_id) = (4, 1, 0);
             let task = Message::MapTask {
                 seq,

@@ -254,7 +254,7 @@ mod tests {
         let plan = Technique::Shuffle.build(0).partition(&mb, 2);
         let job = Job::new(
             "only-key-1",
-            |t: &Tuple| (t.key == Key(1)).then_some(1.0),
+            |k: Key, _| (k == Key(1)).then_some(1.0),
             ReduceOp::Sum,
         );
         let (out, _) = execute_batch(

@@ -341,15 +341,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "key k7 reduced in two buckets")]
     fn an_under_reported_split_key_fails_loudly() {
-        use prompt_core::batch::{DataBlock, KeyFragment};
+        use prompt_core::batch::DataBlock;
         use prompt_core::hash::KeySet;
-        let block = || DataBlock {
-            tuples: vec![Tuple::new(Time(1), Key(7), 1.0)],
-            fragments: vec![KeyFragment {
-                key: Key(7),
-                count: 1,
-            }],
-        };
+        let block = || DataBlock::from_iter([(Key(7), 1.0)]);
         let plan = PartitionPlan {
             blocks: vec![block(), block()],
             split_keys: KeySet::default(),

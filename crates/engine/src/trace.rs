@@ -81,8 +81,9 @@ pub enum StageKind {
     /// run by run (Fig. 14's Prompt partition time includes it).
     PartitionSymbolic,
     /// Wall-clock: materializing blocks from the symbolic assignment — on the
-    /// row path, the scatter of every arrival into its block and the
-    /// fragment tables, merged from the key-ordered pieces without a sort.
+    /// row path, the scatter of every arrival's value into its block and the
+    /// run and fragment tables, taken from the key-ordered pieces without a
+    /// sort.
     PartitionMaterialize,
     /// Wall-clock: at an overlapped step (depth ≥ 2), how long the driver
     /// thread, done executing and committing the older batch, blocked at

@@ -320,31 +320,36 @@ fn zipf_dist_stays_within_its_allocation_budget() {
 /// slack absorbs a toolchain's different growth policy, not run-to-run
 /// noise: there is none.
 const UNIFORM_BUDGET: (u64, u64) = (70, 24 << 20);
-/// Measured: 1 and 3.2 MiB — the gathered output, and one emission every
-/// second batch; no Map task's fold table, which a key-ordered block never
-/// fills — against 2 while Map folded every block through its table, 18 and
+/// Measured: 2 and 3.3 MiB — the gathered output, one emission every
+/// second batch, and a block's run table growing past its largest yet beside
+/// its fragment table (on a Prompt block the two are equal; 1 and 3.2 MiB
+/// while a block held tuples and no run table); no Map task's fold table,
+/// which a key-ordered block never fills — against 2 while Map folded every
+/// block through its table, 18 and
 /// 4.7 MiB while Algorithm 3 built a list of non-split clusters per block,
 /// 149 and 44.0 MiB while every batch sealed into a fresh arena and built its
 /// plan, Map and merge tables afresh, and 166 and 46.8 MiB before that, while
 /// tables grew from empty. A stable sort of each block's pieces (it allocates
 /// a buffer per block) measured 17.
 const ZIPF_BUDGET: (u64, u64) = (4, 5 << 20);
-/// Measured: 1 and 3.2 MiB, as `zipf_inproc`: the shards' group lists and
+/// Measured: 2 and 3.3 MiB, as `zipf_inproc`: the shards' group lists and
 /// scatter runs are kept too. Against 156 and 45.4 MiB with fresh arenas,
 /// plans and tables, and 161 and 57.8 MiB while every shard sealed into an
 /// arena of its own and the merge copied them into one more.
 const ZIPF_SHARDED_BUDGET: (u64, u64) = (4, 5 << 20);
-/// Measured: 2 and 3.3 MiB on every thread, as on one: helpers reuse the
-/// tables of the tasks they run, whichever those are.
+/// Measured: 3 and 3.4 MiB on every thread, one more than on one: helpers
+/// reuse the tables of the tasks they run, whichever those are.
 const ZIPF_THREADED_BUDGET: (u64, u64) = (4, 5 << 20);
-/// Measured: 5 and 3.9 MiB, with the blocks built in the last plan handed
+/// Measured: 5 and 3.8 MiB, with the blocks built in the last plan handed
 /// back and the per-block count tables drained, not dropped — against 73
 /// and 26.8 MiB while every batch built fresh blocks and a key map per
 /// block, and dropped its plan.
 const PK2_BUDGET: (u64, u64) = (5, 5 << 20);
-/// Measured: 18 and 15.7 MiB — one exact-size buffer per Map frame (16 of
-/// them, 12.4 MiB), plus `zipf_inproc`'s gathered output and emission —
-/// against 98 and 46.7 MiB while each payload grew from an empty writer
-/// (64 KiB → 1 MiB) and was then copied behind its header: six a frame. A
-/// frame that regrows or is copied again adds 16.
-const ZIPF_DIST_BUDGET: (u64, u64) = (20, 18 << 20);
+/// Measured: 18 and 8.1 MiB — one exact-size buffer per Map frame (16 of
+/// them, 4.8 MiB of key runs and values), plus `zipf_inproc`'s gathered
+/// output and emission — against 18 and 15.7 MiB while a frame carried
+/// 24-byte tuples and a fragment table (12.4 MiB), and 98 and 46.7 MiB
+/// while each payload grew from an empty writer (64 KiB → 1 MiB) and was
+/// then copied behind its header: six a frame. A frame that regrows or is
+/// copied again adds 16; one that carries tuples again, 7 MiB.
+const ZIPF_DIST_BUDGET: (u64, u64) = (20, 10 << 20);

@@ -6,7 +6,7 @@
 //! distributed driver swap the columnar plane in without the workers (or
 //! any capture of the traffic) being able to tell.
 
-use prompt_core::batch::MicroBatch;
+use prompt_core::batch::{DataBlock, MicroBatch};
 use prompt_core::columnar::ColumnarPlan;
 use prompt_core::partitioner::Technique;
 use prompt_core::types::{Interval, Key, Time, Tuple};
@@ -55,7 +55,7 @@ proptest! {
 
     /// For every block of every plan, the columnar encoder's frame equals
     /// the row encoder's frame byte for byte and decodes back to the row
-    /// message.
+    /// message, as a frame carries it: runs and values, no fragment table.
     #[test]
     fn columnar_frames_are_byte_identical_to_row_frames(
         stream in stream_strategy(),
@@ -74,7 +74,7 @@ proptest! {
                 epoch,
                 block_id: block_id as u32,
                 job: spec,
-                block: rb.clone(),
+                block: DataBlock { fragments: Vec::new(), ..rb.clone() },
             };
             let want = msg.encode();
             let frame = encode_map_task_columnar(

@@ -148,9 +148,7 @@ impl QuerySpec {
         let transform = self.transform;
         let job = Job::new(
             self.name.clone(),
-            move |t: &prompt_core::types::Tuple| {
-                predicate.eval(t.value).then(|| transform.apply(t.value))
-            },
+            move |_, v| predicate.eval(v).then(|| transform.apply(v)),
             self.aggregate,
         );
         (job, WindowSpec::sliding(self.window, self.slide))
@@ -225,11 +223,8 @@ mod tests {
             .map(Transform::Scale(0.1))
             .aggregate(ReduceOp::Sum);
         let (job, window) = spec.compile();
-        assert_eq!(
-            (job.map)(&Tuple::new(Time::ZERO, Key(1), 200.0)),
-            Some(20.0)
-        );
-        assert_eq!((job.map)(&Tuple::new(Time::ZERO, Key(1), 50.0)), None);
+        assert_eq!((job.map)(Key(1), 200.0), Some(20.0));
+        assert_eq!((job.map)(Key(1), 50.0), None);
         assert_eq!(job.reduce, ReduceOp::Sum);
         assert_eq!(window.length, Duration::from_secs(30));
     }
@@ -243,8 +238,8 @@ mod tests {
         let (job, _) = spec.compile();
         let reference = crate::tpch_q6();
         for v in [0.0, 12.5, 900.0] {
-            let t = Tuple::new(Time::ZERO, Key(9), v);
-            assert_eq!((job.map)(&t), (reference.job.map)(&t), "value {v}");
+            let key = Key(9);
+            assert_eq!((job.map)(key, v), (reference.job.map)(key, v), "value {v}");
         }
     }
 

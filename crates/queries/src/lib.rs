@@ -21,7 +21,7 @@
 pub mod dsl;
 
 use prompt_core::source::TupleSource;
-use prompt_core::types::{Duration, Key, Tuple};
+use prompt_core::types::{Duration, Key};
 use prompt_engine::job::{Job, ReduceOp};
 use prompt_engine::window::{WindowResult, WindowSpec};
 use prompt_workloads::datasets::{self, DebsField, TpchQuery};
@@ -186,7 +186,7 @@ pub fn tpch_q6() -> Query {
         name: "TPCH-Q6",
         job: Job::new(
             "TPCH-Q6 revenue",
-            |t: &Tuple| (t.value > 0.0).then_some(t.value),
+            |_, v: f64| (v > 0.0).then_some(v),
             ReduceOp::Sum,
         ),
         window: WindowSpec::sliding(Duration::from_secs(3600), Duration::from_secs(60)),
@@ -260,8 +260,8 @@ mod tests {
     #[test]
     fn q6_map_filters_zeros() {
         let q = tpch_q6();
-        let keep = (q.job.map)(&Tuple::new(Time::ZERO, Key(1), 42.0));
-        let drop = (q.job.map)(&Tuple::new(Time::ZERO, Key(1), 0.0));
+        let keep = (q.job.map)(Key(1), 42.0);
+        let drop = (q.job.map)(Key(1), 0.0);
         assert_eq!(keep, Some(42.0));
         assert_eq!(drop, None);
     }

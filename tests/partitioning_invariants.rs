@@ -61,8 +61,8 @@ proptest! {
             let mut got: KeyMap<usize> = KeyMap::default();
             for block in &plan.blocks {
                 let mut block_tuples: KeyMap<usize> = KeyMap::default();
-                for t in &block.tuples {
-                    *block_tuples.entry(t.key).or_insert(0) += 1;
+                for (key, values) in block.key_runs() {
+                    *block_tuples.entry(key).or_insert(0) += values.len();
                 }
                 // Fragment summaries agree with the payload.
                 prop_assert_eq!(block.fragments.len(), block_tuples.len());

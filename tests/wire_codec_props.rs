@@ -12,9 +12,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use prompt_core::batch::{DataBlock, KeyFragment};
-use prompt_core::bytes::{self, ByteReader, ByteWriter, BytesSink};
-use prompt_core::types::{Key, Time, Tuple};
+use prompt_core::batch::DataBlock;
+use prompt_core::bytes::{self, ByteReader, ByteWriter, BytesSink, CodecError};
+use prompt_core::types::Key;
 use prompt_engine::job::{JobSpec, MapSpec, ReduceOp};
 use prompt_engine::net::wire::{
     FetchStats, Message, ShuffleSegment, ShuffleSource, WireError, HEADER_LEN, MAGIC,
@@ -81,26 +81,25 @@ proptest! {
         }
     }
 
+    /// A block is its runs over its values (v6): any runs — keys repeating,
+    /// descending, or one run per key ascending as a Prompt block's — round
+    /// trip with their values bit for bit; no fragment table is sent.
+    /// The same frame with a run emptied, or a run one longer or shorter
+    /// than the values allow, is a `Malformed` error.
     #[test]
     fn map_task_round_trips(
         seq in any::<u64>(),
         epoch in any::<u32>(),
         block_id in any::<u32>(),
         reduce_code in 0u8..4,
-        tuples in vec((any::<u64>(), any::<u64>(), value()), 0..40),
-        fragments in vec((any::<u64>(), 0usize..10_000), 0..20),
+        runs in vec((any::<u64>(), vec(value(), 1..6)), 0..20),
+        pick in any::<usize>(),
+        longer in any::<bool>(),
     ) {
-        let block = DataBlock {
-            tuples: tuples
-                .into_iter()
-                .map(|(ts, key, value)| Tuple { ts: Time(ts), key: Key(key), value })
-                .collect(),
-            fragments: fragments
-                .into_iter()
-                .map(|(key, count)| KeyFragment { key: Key(key), count })
-                .collect(),
-        };
-        round_trip(Message::MapTask {
+        let pairs = (runs.iter()).flat_map(|(key, values)| values.iter().map(move |&v| (Key(*key), v)));
+        let block = DataBlock { fragments: Vec::new(), ..pairs.collect() };
+        let n_runs = block.runs.len();
+        let msg = Message::MapTask {
             seq,
             epoch,
             block_id,
@@ -109,7 +108,29 @@ proptest! {
                 reduce: ReduceOp::from_wire_code(reduce_code).unwrap(),
             },
             block,
-        })?;
+        };
+        let frame = msg.encode();
+        round_trip(msg)?;
+        if n_runs == 0 {
+            return Ok(());
+        }
+        // The run table follows the 18-byte task header and its u32 count;
+        // a run is its key, then its count, eight bytes each.
+        let count_at = HEADER_LEN + 18 + 4 + 16 * (pick % n_runs) + 8;
+        let count = u64::from_le_bytes(frame[count_at..count_at + 8].try_into().unwrap());
+        // A run of one cannot shrink without emptying: it grows instead.
+        let off_by_one = if longer || count == 1 { count + 1 } else { count - 1 };
+        for (bad, what) in [
+            (0, "empty run"),
+            (off_by_one, "runs do not sum to the value count"),
+        ] {
+            let mut corrupt = frame.clone();
+            corrupt[count_at..count_at + 8].copy_from_slice(&bad.to_le_bytes());
+            prop_assert_eq!(
+                Message::decode(&corrupt),
+                Err(WireError::Codec(CodecError::Malformed(what)))
+            );
+        }
     }
 
     #[test]
