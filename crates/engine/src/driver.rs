@@ -1116,29 +1116,32 @@ mod tests {
     }
 
     #[test]
-    fn remembered_techniques_are_bounded_by_input_retention() {
-        // A batch's technique travels in the plan it carries, and a lost
-        // batch re-runs that plan: a long adaptive run with a loss keeps
-        // committed batches, and their techniques, only while recovery can
-        // need them — bounded by the window, not the run length.
+    fn committed_batches_expire_with_the_window_after_a_store_loss() {
+        // A batch's technique travels in the plan it carries, and a store
+        // loss re-runs the committed plans the store does not cover. Without
+        // a checkpoint nothing expires while a store loss is ahead; once the
+        // one at batch 1 is behind, a long adaptive run keeps committed
+        // batches, and their techniques, only while a window can need them —
+        // bounded by the 3-batch window, not the run length.
         let cfg = EngineConfig {
             policy: PolicySpec::Adaptive(crate::policy::AdaptiveConfig::default()),
             ..small_cfg()
         };
         let job = Job::identity("count", ReduceOp::Count);
+        let faults = FaultPlan::none().lose_once(150).lose_store_at(1);
         let res = StreamingEngine::new(cfg, Technique::Hash, 1, job)
             .with_window(WindowSpec::sliding(
                 Duration::from_secs(3),
                 Duration::from_secs(1),
             ))
             .with_stateful(StatefulOp::SessionCount)
-            .with_fault_tolerance(2, FaultPlan::none().lose_once(150))
+            .with_fault_tolerance(2, faults)
             .run(&mut skewed_source(300, 0.5, 30), 200);
         assert_eq!(res.policy_decisions.len(), 200);
         assert_eq!(res.recoveries, 1, "batch 150 re-runs the plan it carries");
         let retained = res.state.expect("state on").max_retained_batches;
         assert!(
-            retained <= 3,
+            (1..=3).contains(&retained),
             "a 3-batch window keeps {retained} committed batches"
         );
     }
@@ -2081,6 +2084,62 @@ mod tests {
             for (n, line) in lines.enumerate() {
                 for needle in &needles {
                     assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
+                }
+            }
+        }
+    }
+
+    /// Shape guard for what the fleet lets a caller set (DESIGN §4e): the
+    /// worker count, the control port and the launch mode. Its timings are
+    /// constants, so no production line of the engine names a retry policy,
+    /// a heartbeat or deadline setting or a worker-path option, and the
+    /// transport is the crate's own: no `pub use` exports its connection,
+    /// pool or byte-ledger types, and its module is not public.
+    #[test]
+    fn engine_shape_the_fleet_keeps_only_what_a_caller_sets() {
+        let mut files = Vec::new();
+        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        sources_under(&src_dir, &mut files);
+        assert!(files.len() > 20, "scanner broken? {} files", files.len());
+        // Spelt in halves so a grep for a needle finds only real uses.
+        let settings = [
+            ["Retry", "Policy"].concat(),
+            ["heartbeat", "_interval"].concat(),
+            ["heartbeat", "_timeout"].concat(),
+            ["io", "_timeout"].concat(),
+            ["worker", "_bin"].concat(),
+        ];
+        let transport_types = [
+            ["Conn", "Pool"].concat(),
+            ["Frame", "Conn"].concat(),
+            ["Net", "Counters"].concat(),
+        ];
+        let public_transport = ["pub mod ", "transport"].concat();
+        let is_word = |c: char| c.is_alphanumeric() || c == '_';
+        for (file, src) in &files {
+            let production: Vec<&str> = src.lines().take_while(|l| *l != "#[cfg(test)]").collect();
+            for (n, line) in production.iter().enumerate() {
+                for needle in &settings {
+                    let named = line.match_indices(needle.as_str()).any(|(at, _)| {
+                        let before = line[..at].chars().next_back();
+                        let after = line[at + needle.len()..].chars().next();
+                        !before.is_some_and(is_word) && !after.is_some_and(is_word)
+                    });
+                    assert!(!named, "{file}:{}: `{needle}`", n + 1);
+                }
+            }
+            let production = production.join("\n");
+            assert!(
+                !production.contains(&public_transport),
+                "{file}: the transport is public"
+            );
+            for (at, _) in production.match_indices("pub use ") {
+                let export = production[at..].split(';').next().unwrap_or_default();
+                for ty in &transport_types {
+                    assert!(
+                        !export.contains(ty.as_str()),
+                        "{file}: `{export}` exports `{ty}`"
+                    );
                 }
             }
         }

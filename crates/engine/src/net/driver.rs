@@ -46,6 +46,12 @@
 //! aborted batches (their plans are unchanged). A retry simply assigns
 //! again and gets the same buckets; what an aborted attempt had tallied for
 //! the shuffle counters is dropped with it, so a batch is counted once.
+//!
+//! The timings are constants, not options: workers beat every 100 ms
+//! (`HEARTBEAT_INTERVAL`, the period `RegisterAck` carries), a worker silent
+//! for 3 s (`HEARTBEAT_TIMEOUT`) is lost, and registration and each
+//! collection phase of a batch must finish within 30 s (`IO_TIMEOUT`), whose
+//! expiry blames the quietest worker.
 
 use std::net::{Ipv4Addr, SocketAddrV4, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -59,7 +65,7 @@ use prompt_core::batch::PartitionPlan;
 use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::Key;
 
-use super::transport::{FrameConn, NetCounters, NetError, RetryPolicy};
+use super::transport::{FrameConn, NetCounters, NetError};
 use super::wire::{FetchStats, Message, ShuffleSource};
 use super::worker::{run_worker, WorkerOptions};
 use crate::job::JobSpec;
@@ -68,12 +74,22 @@ use crate::recovery::{FaultPoint, NetFaultPlan};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{Counter, StageKind, TraceRecorder};
 
+/// The heartbeat period each worker is told in `RegisterAck`.
+const HEARTBEAT_INTERVAL: WallDuration = WallDuration::from_millis(100);
+
+/// Silence longer than this declares a worker lost.
+const HEARTBEAT_TIMEOUT: WallDuration = WallDuration::from_secs(3);
+
+/// The deadline of registration and of each collection phase of a batch
+/// (its Map acks, then its Reduce replies).
+const IO_TIMEOUT: WallDuration = WallDuration::from_secs(30);
+
 /// How workers are spawned.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LaunchMode {
     /// Use worker processes when a `prompt-worker` binary can be found
-    /// (explicit path, `PROMPT_WORKER_BIN`, or next to the current
-    /// executable), in-process threads otherwise.
+    /// (`PROMPT_WORKER_BIN`, or next to the current executable), in-process
+    /// threads otherwise.
     #[default]
     Auto,
     /// Require worker processes; launching fails without a binary.
@@ -92,16 +108,6 @@ pub struct DistributedOptions {
     pub base_port: u16,
     /// Process vs thread workers.
     pub launch: LaunchMode,
-    /// Explicit path to the worker binary (overrides discovery).
-    pub worker_bin: Option<PathBuf>,
-    /// Heartbeat period workers are told to keep.
-    pub heartbeat_interval: WallDuration,
-    /// Silence longer than this declares a worker lost.
-    pub heartbeat_timeout: WallDuration,
-    /// Overall deadline for each collection phase of a batch.
-    pub io_timeout: WallDuration,
-    /// Connect-retry policy (driver dial and worker registration wait).
-    pub retry: RetryPolicy,
 }
 
 impl DistributedOptions {
@@ -111,11 +117,6 @@ impl DistributedOptions {
             workers,
             base_port,
             launch: LaunchMode::Auto,
-            worker_bin: None,
-            heartbeat_interval: WallDuration::from_millis(100),
-            heartbeat_timeout: WallDuration::from_secs(3),
-            io_timeout: WallDuration::from_secs(30),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -233,7 +234,6 @@ struct Inflight {
 
 /// A running fleet of local workers executing batches over TCP.
 pub struct DistributedRuntime {
-    opts: DistributedOptions,
     slots: Vec<WorkerSlot>,
     rx: Receiver<(u32, Result<Message, NetError>)>,
     /// Kept so the channel never disconnects even if every reader exits.
@@ -262,13 +262,10 @@ impl std::fmt::Debug for DistributedRuntime {
     }
 }
 
-/// Find a worker binary: explicit option, `PROMPT_WORKER_BIN`, or a
-/// `prompt-worker` next to (or one directory above, for test binaries in
-/// `target/<profile>/deps/`) the current executable.
-fn resolve_worker_bin(opts: &DistributedOptions) -> Option<PathBuf> {
-    if let Some(p) = &opts.worker_bin {
-        return Some(p.clone());
-    }
+/// Find a worker binary: `PROMPT_WORKER_BIN`, or a `prompt-worker` next to
+/// (or one directory above, for test binaries in `target/<profile>/deps/`)
+/// the current executable.
+fn resolve_worker_bin() -> Option<PathBuf> {
     if let Ok(p) = std::env::var("PROMPT_WORKER_BIN") {
         if !p.is_empty() {
             return Some(PathBuf::from(p));
@@ -284,7 +281,7 @@ fn resolve_worker_bin(opts: &DistributedOptions) -> Option<PathBuf> {
 
 impl DistributedRuntime {
     /// Spawn and register the workers. Blocks until every worker has
-    /// registered (bounded by `opts.io_timeout`).
+    /// registered (bounded by `IO_TIMEOUT`, 30 s).
     pub fn launch(opts: DistributedOptions) -> Result<DistributedRuntime, NetError> {
         assert!(opts.workers >= 1, "need at least one worker");
         let listener = TcpListener::bind(("127.0.0.1", opts.base_port))?;
@@ -292,11 +289,11 @@ impl DistributedRuntime {
 
         let bin = match opts.launch {
             LaunchMode::Thread => None,
-            LaunchMode::Auto => resolve_worker_bin(&opts),
-            LaunchMode::Process => Some(resolve_worker_bin(&opts).ok_or_else(|| {
+            LaunchMode::Auto => resolve_worker_bin(),
+            LaunchMode::Process => Some(resolve_worker_bin().ok_or_else(|| {
                 NetError::Protocol(
                     "LaunchMode::Process but no prompt-worker binary found \
-                     (set PROMPT_WORKER_BIN or DistributedOptions::worker_bin)"
+                     (set PROMPT_WORKER_BIN)"
                         .into(),
                 )
             })?),
@@ -326,17 +323,14 @@ impl DistributedRuntime {
                         }
                     }
                 }
-                None => {
-                    let retry = opts.retry;
-                    WorkerHandle::Thread(Some(std::thread::spawn(move || {
-                        run_worker(addr, WorkerOptions { worker: id, retry })
-                    })))
-                }
+                None => WorkerHandle::Thread(Some(std::thread::spawn(move || {
+                    run_worker(addr, WorkerOptions::new(id))
+                }))),
             };
             handles.push(handle);
         }
 
-        match Self::register_all(&listener, &opts, handles) {
+        match Self::register_all(&listener, opts.workers, handles) {
             Ok(slots) => {
                 let (tx, rx) = std::sync::mpsc::channel();
                 for slot in &slots {
@@ -360,7 +354,6 @@ impl DistributedRuntime {
                     });
                 }
                 Ok(DistributedRuntime {
-                    opts,
                     slots,
                     rx,
                     _tx: tx,
@@ -387,8 +380,9 @@ impl DistributedRuntime {
         }
     }
 
-    /// Accept and ack `Register` from every spawned worker, pairing each
-    /// with its handle. On failure returns the handles for cleanup.
+    /// Accept and ack `Register` from each of the `n` spawned workers,
+    /// pairing each with its handle. On failure returns the handles for
+    /// cleanup.
     ///
     /// An acceptor thread owns a (blocking) clone of the listener and
     /// feeds accepted streams over a channel; this thread waits on the
@@ -397,14 +391,13 @@ impl DistributedRuntime {
     /// a stop flag plus a self-connect wakeup.
     fn register_all(
         listener: &TcpListener,
-        opts: &DistributedOptions,
+        n: usize,
         handles: Vec<WorkerHandle>,
     ) -> Result<Vec<WorkerSlot>, (Vec<WorkerHandle>, NetError)> {
-        let n = opts.workers;
         let mut registered: Vec<Option<(FrameConn, SocketAddrV4)>> = Vec::new();
         registered.resize_with(n, || None);
         let mut pending = n;
-        let deadline = Instant::now() + opts.io_timeout;
+        let deadline = Instant::now() + IO_TIMEOUT;
 
         let addr = match listener.local_addr() {
             Ok(a) => a,
@@ -452,7 +445,7 @@ impl DistributedRuntime {
                     }
                 };
                 let mut conn = FrameConn::new(stream);
-                conn.set_read_timeout(Some(opts.io_timeout))?;
+                conn.set_read_timeout(Some(IO_TIMEOUT))?;
                 let (worker, shuffle) = match conn.recv()? {
                     Message::Register {
                         worker,
@@ -464,7 +457,7 @@ impl DistributedRuntime {
                             )));
                         }
                         conn.send(&Message::RegisterAck {
-                            heartbeat_ms: opts.heartbeat_interval.as_millis().max(1) as u32,
+                            heartbeat_ms: HEARTBEAT_INTERVAL.as_millis() as u32,
                         })?;
                         (worker, SocketAddrV4::new(Ipv4Addr::LOCALHOST, shuffle_port))
                     }
@@ -619,11 +612,10 @@ impl DistributedRuntime {
 
     /// Any alive worker gone silent past the heartbeat timeout?
     fn check_heartbeats(&mut self) -> Result<(), WorkerLoss> {
-        let timeout = self.opts.heartbeat_timeout;
         let silent = self
             .slots
             .iter()
-            .find(|s| s.alive && s.last_seen.elapsed() > timeout)
+            .find(|s| s.alive && s.last_seen.elapsed() > HEARTBEAT_TIMEOUT)
             .map(|s| s.id);
         match silent {
             Some(w) => Err(self.declare_lost(w, "heartbeat timeout".into())),
@@ -650,7 +642,7 @@ impl DistributedRuntime {
                 .slots
                 .iter()
                 .filter(|s| s.alive)
-                .map(|s| s.last_seen + self.opts.heartbeat_timeout)
+                .map(|s| s.last_seen + HEARTBEAT_TIMEOUT)
                 .min();
             let wake = next_hb.map_or(overall, |hb| overall.min(hb));
             match self.rx.recv_timeout(wake.saturating_duration_since(now)) {
@@ -807,7 +799,7 @@ impl DistributedRuntime {
             buckets: vec![None; r],
             outstanding_reduces: r,
             stage: Stage::Mapping,
-            deadline: Instant::now() + self.opts.io_timeout,
+            deadline: Instant::now() + IO_TIMEOUT,
             t_map,
             t_reduce: t_map,
             output: BatchOutput::default(),
@@ -888,7 +880,7 @@ impl DistributedRuntime {
         }
         let e = &mut self.inflight[i];
         e.stage = Stage::Reducing;
-        e.deadline = Instant::now() + self.opts.io_timeout;
+        e.deadline = Instant::now() + IO_TIMEOUT;
         e.t_reduce = t_reduce;
         Ok(())
     }
@@ -1142,6 +1134,7 @@ fn wall(d: WallDuration) -> prompt_core::types::Duration {
 mod tests {
     use super::*;
     use crate::job::{MapSpec, ReduceOp};
+    use crate::net::transport::connect;
     use prompt_core::batch::MicroBatch;
     use prompt_core::partitioner::{BufferingMode, Partitioner, PromptPartitioner};
     use prompt_core::reduce::PromptReduceAllocator;
@@ -1151,6 +1144,63 @@ mod tests {
         let mut opts = DistributedOptions::new(workers, 0);
         opts.launch = LaunchMode::Thread;
         opts
+    }
+
+    /// Drive `register_all` for `n` workers while `dial` connects to its
+    /// listener and sends hand-made frames; return how many handles the
+    /// refusal gave back for cleanup, and its message.
+    fn refused_registration(n: usize, dial: fn(std::net::SocketAddr)) -> (usize, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let dialer = std::thread::spawn(move || dial(addr));
+        let handles = (0..n).map(|_| WorkerHandle::Thread(None)).collect();
+        let refused = DistributedRuntime::register_all(&listener, n, handles);
+        dialer.join().expect("the dialer's frames went out");
+        match refused {
+            Err((handles, NetError::Protocol(what))) => (handles.len(), what),
+            Err((_, e)) => panic!("refused for another reason: {e}"),
+            Ok(_) => panic!("the registration was accepted"),
+        }
+    }
+
+    /// Dial `addr` and send `Register` as worker `worker`.
+    fn register(addr: std::net::SocketAddr, worker: u32) -> FrameConn {
+        let mut conn = connect(addr).expect("dial");
+        let register = Message::Register {
+            worker,
+            shuffle_port: 1,
+        };
+        conn.send(&register).expect("send");
+        conn
+    }
+
+    #[test]
+    fn a_registration_from_an_unknown_worker_is_refused() {
+        let (handles, what) = refused_registration(2, |addr| drop(register(addr, 2)));
+        assert_eq!(handles, 2, "every handle comes back for cleanup");
+        assert_eq!(what, "registration from unknown worker 2");
+    }
+
+    #[test]
+    fn a_worker_that_registers_twice_is_refused() {
+        let (handles, what) = refused_registration(2, |addr| {
+            let mut first = register(addr, 0);
+            let ack = first.recv().expect("the first registration is acked");
+            assert_eq!(ack, Message::RegisterAck { heartbeat_ms: 100 });
+            drop(register(addr, 0));
+        });
+        assert_eq!(handles, 2, "every handle comes back for cleanup");
+        assert_eq!(what, "worker 0 registered twice");
+    }
+
+    #[test]
+    fn a_first_frame_that_is_not_register_is_refused() {
+        let (handles, what) = refused_registration(2, |addr| {
+            let mut conn = connect(addr).expect("dial");
+            conn.send(&Message::Heartbeat).expect("send");
+        });
+        assert_eq!(handles, 2, "every handle comes back for cleanup");
+        assert_eq!(what, "expected register, got heartbeat");
     }
 
     fn small_plan(n_tuples: usize, keys: u64, p: usize) -> PartitionPlan {

@@ -4,8 +4,8 @@
 //! module executes across N local worker processes (or threads) over TCP:
 //!
 //! - [`wire`] — the versioned length-prefixed binary protocol (no serde);
-//! - [`transport`] — framed connections, per-connection byte accounting,
-//!   retry/backoff;
+//! - `transport` (crate-private) — framed connections, per-connection byte
+//!   accounting, the connect retry schedule and the shuffle connection pool;
 //! - [`worker`] — the worker runtime: map/reduce execution plus the
 //!   shuffle data-plane server other workers fetch buckets from;
 //! - [`driver`] — the driver runtime: worker lifecycle, per-batch task
@@ -17,13 +17,20 @@
 //! (`kernel::assign_block`), so a distributed run's per-batch plans and outputs
 //! equal the in-process engine's, `f64` for `f64`. The differential oracle
 //! (`tests/oracle.rs`) enforces this.
+//!
+//! A caller sets only what differs between runs: the worker count, the
+//! control port and the launch mode ([`DistributedOptions`]). The fleet's
+//! timings are constants — the heartbeat period, heartbeat timeout and
+//! collection deadline in [`driver`], the connect retry schedule in
+//! `transport` — and a worker binary is found through `PROMPT_WORKER_BIN` or
+//! next to the running executable.
 
 pub mod driver;
-pub mod transport;
+pub(crate) mod transport;
 pub mod wire;
 pub mod worker;
 
 pub use driver::{DistributedOptions, DistributedRuntime, LaunchMode, NetStats, WorkerLoss};
-pub use transport::{ConnPool, FrameConn, NetCounters, NetError, RetryPolicy};
+pub use transport::NetError;
 pub use wire::{FetchStats, Message, ShuffleSegment, ShuffleSource, WireError, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerOptions};

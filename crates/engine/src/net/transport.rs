@@ -1,6 +1,7 @@
 //! Framed TCP transport: length-prefixed message I/O, per-connection byte
-//! accounting, connect/read retry with exponential backoff, and a per-peer
-//! connection pool for the shuffle data plane.
+//! accounting, a connect that retries on one fixed backoff schedule, and a
+//! per-peer connection pool for the shuffle data plane. Crate-private: the
+//! fleet's driver and workers are its only users.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -151,11 +152,6 @@ impl FrameConn {
         self.stream.set_read_timeout(t)
     }
 
-    /// The peer's address.
-    pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
-        self.stream.peer_addr()
-    }
-
     /// Shut down both directions; concurrent reads unblock with an error.
     pub fn shutdown(&self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -233,21 +229,19 @@ impl FrameConn {
 #[derive(Debug)]
 pub struct ConnPool {
     idle: Mutex<HashMap<SocketAddr, Vec<FrameConn>>>,
-    retry: RetryPolicy,
 }
 
 impl ConnPool {
-    /// An empty pool dialing with `retry`.
-    pub fn new(retry: RetryPolicy) -> ConnPool {
+    /// An empty pool.
+    pub fn new() -> ConnPool {
         ConnPool {
             idle: Mutex::new(HashMap::new()),
-            retry,
         }
     }
 
     /// Check a connection to `addr` out: the most recently returned healthy
-    /// idle connection if any (`reused = true`), else a fresh dial under
-    /// the retry policy (`reused = false`).
+    /// idle connection if any (`reused = true`), else a fresh [`connect`]
+    /// (`reused = false`).
     pub fn checkout(&self, addr: SocketAddr) -> Result<(FrameConn, bool), NetError> {
         loop {
             let candidate = self
@@ -262,7 +256,7 @@ impl ConnPool {
                 None => break,
             }
         }
-        Ok((self.retry.connect(addr)?, false))
+        Ok((connect(addr)?, false))
     }
 
     /// Return a connection after a clean request/reply exchange. Never
@@ -283,7 +277,8 @@ impl ConnPool {
         self.idle.lock().expect("pool lock").remove(&addr);
     }
 
-    /// Idle connections currently held for `addr` (tests and diagnostics).
+    /// Idle connections currently held for `addr`.
+    #[cfg(test)]
     pub fn idle_count(&self, addr: SocketAddr) -> usize {
         self.idle
             .lock()
@@ -293,52 +288,40 @@ impl ConnPool {
     }
 }
 
-/// Connect/retry policy with exponential backoff.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Maximum attempts before giving up.
-    pub attempts: u32,
-    /// Delay after the first failed attempt.
-    pub base: WallDuration,
-    /// Backoff cap.
-    pub max: WallDuration,
+/// Dial attempts before [`connect`] gives up.
+const CONNECT_ATTEMPTS: u32 = 8;
+
+/// The backoff after the first failed dial; it doubles after each further
+/// failure, up to [`CONNECT_BACKOFF_MAX`].
+const CONNECT_BACKOFF_BASE: WallDuration = WallDuration::from_millis(10);
+
+/// The longest backoff between two dials.
+const CONNECT_BACKOFF_MAX: WallDuration = WallDuration::from_millis(500);
+
+/// The backoff before dial number `attempt + 1` (`attempt` is 1-based):
+/// doubles from [`CONNECT_BACKOFF_BASE`], capped at [`CONNECT_BACKOFF_MAX`].
+/// The sleeps of a dial that never connects total 1.13 s.
+fn backoff(attempt: u32) -> WallDuration {
+    let factor = 1u32 << attempt.saturating_sub(1).min(16);
+    CONNECT_BACKOFF_BASE
+        .saturating_mul(factor)
+        .min(CONNECT_BACKOFF_MAX)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 8,
-            base: WallDuration::from_millis(10),
-            max: WallDuration::from_millis(500),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (1-based): doubles from
-    /// [`RetryPolicy::base`], capped at [`RetryPolicy::max`].
-    pub fn delay(&self, attempt: u32) -> WallDuration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        self.base.saturating_mul(factor).min(self.max)
-    }
-
-    /// Connect to `addr`, retrying with backoff — the peer may not have
-    /// bound its listener yet (worker startup races the driver's first
-    /// dial, and shuffle listeners come up while a batch is in flight).
-    pub fn connect(&self, addr: SocketAddr) -> Result<FrameConn, NetError> {
-        let mut last: Option<std::io::Error> = None;
-        for attempt in 1..=self.attempts.max(1) {
-            match TcpStream::connect(addr) {
-                Ok(stream) => return Ok(FrameConn::new(stream)),
-                Err(e) => {
-                    last = Some(e);
-                    if attempt < self.attempts {
-                        std::thread::sleep(self.delay(attempt));
-                    }
-                }
+/// Connect to `addr`, retrying with backoff — the peer may not have bound
+/// its listener yet (worker startup races the driver's first dial, and
+/// shuffle listeners come up while a batch is in flight).
+pub(crate) fn connect(addr: SocketAddr) -> Result<FrameConn, NetError> {
+    let mut attempt = 1;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return Ok(FrameConn::new(stream)),
+            Err(e) if attempt == CONNECT_ATTEMPTS => return Err(NetError::Io(e)),
+            Err(_) => {
+                std::thread::sleep(backoff(attempt));
+                attempt += 1;
             }
         }
-        Err(NetError::Io(last.expect("at least one attempt")))
     }
 }
 
@@ -361,7 +344,7 @@ mod tests {
             let c = conn.counters();
             [c.bytes_sent(), c.bytes_received()]
         });
-        let mut conn = RetryPolicy::default().connect(addr).expect("connect");
+        let mut conn = connect(addr).expect("connect");
         let msg = Message::BatchDone { seq: 42 };
         conn.try_clone().unwrap().send(&msg).unwrap();
         let echo = conn.recv().unwrap();
@@ -407,7 +390,7 @@ mod tests {
     fn pair() -> (FrameConn, FrameConn) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let writer = RetryPolicy::default().connect(addr).unwrap();
+        let writer = connect(addr).unwrap();
         let (stream, _) = listener.accept().unwrap();
         (FrameConn::new(stream), writer)
     }
@@ -506,7 +489,7 @@ mod tests {
     fn read_timeout_is_distinguishable() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut conn = RetryPolicy::default().connect(addr).unwrap();
+        let mut conn = connect(addr).unwrap();
         conn.set_read_timeout(Some(WallDuration::from_millis(30)))
             .unwrap();
         let err = conn.recv().expect_err("nothing to read");
@@ -520,14 +503,13 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let policy = RetryPolicy {
-            attempts: 2,
-            base: WallDuration::from_millis(1),
-            max: WallDuration::from_millis(2),
-        };
-        let err = policy.connect(addr).expect_err("no listener");
+        let started = std::time::Instant::now();
+        let err = connect(addr).expect_err("no listener");
         assert!(matches!(err, NetError::Io(_)));
         assert!(!err.is_timeout());
+        // 10 + 20 + 40 + 80 + 160 + 320 + 500 ms between the eight dials.
+        let slept = started.elapsed();
+        assert!(slept >= WallDuration::from_millis(1_130), "{slept:?}");
     }
 
     #[test]
@@ -542,7 +524,7 @@ mod tests {
                 conn.send(&msg).unwrap();
             }
         });
-        let pool = ConnPool::new(RetryPolicy::default());
+        let pool = ConnPool::new();
         let mut reuses = Vec::new();
         for seq in 0..3 {
             let (mut conn, reused) = pool.checkout(addr).unwrap();
@@ -562,7 +544,7 @@ mod tests {
     fn pool_drops_closed_connections_at_checkout() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let pool = ConnPool::new(RetryPolicy::default());
+        let pool = ConnPool::new();
         let (conn, reused) = pool.checkout(addr).unwrap();
         assert!(!reused);
         let (server_side, _) = listener.accept().unwrap();
@@ -577,15 +559,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            attempts: 10,
-            base: WallDuration::from_millis(10),
-            max: WallDuration::from_millis(60),
-        };
-        assert_eq!(p.delay(1), WallDuration::from_millis(10));
-        assert_eq!(p.delay(2), WallDuration::from_millis(20));
-        assert_eq!(p.delay(3), WallDuration::from_millis(40));
-        assert_eq!(p.delay(4), WallDuration::from_millis(60), "capped");
-        assert_eq!(p.delay(9), WallDuration::from_millis(60));
+        let ms: Vec<u128> = (1..CONNECT_ATTEMPTS)
+            .map(|a| backoff(a).as_millis())
+            .collect();
+        assert_eq!(ms, [10, 20, 40, 80, 160, 320, 500], "capped at 500 ms");
+        assert_eq!(backoff(30), CONNECT_BACKOFF_MAX);
     }
 }

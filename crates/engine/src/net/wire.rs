@@ -46,7 +46,7 @@
 //! is sized exactly up front (`18 + 4 + 16·r + 4 + 8·n` payload bytes for
 //! `r` runs over `n` values), so encoding one makes one allocation. Runs and
 //! values go to the buffer from a stack block, 256 entries a write. A reader
-//! ([`super::transport::FrameConn`]) reads each payload into a buffer the
+//! (`transport::FrameConn`) reads each payload into a buffer the
 //! connection keeps across frames, bounded so that one large frame does not
 //! pin its size for the connection's life.
 

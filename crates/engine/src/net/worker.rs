@@ -37,7 +37,7 @@ use std::time::{Duration as WallDuration, Instant};
 use prompt_core::hash::KeyMap;
 use prompt_core::types::Key;
 
-use super::transport::{ConnPool, FrameConn, NetError, RetryPolicy};
+use super::transport::{connect, ConnPool, FrameConn, NetError};
 use super::wire::{FetchStats, Message, ShuffleSegment, ShuffleSource};
 use crate::job::ReduceOp;
 use crate::kernel::{map_block, merge_bucket, ClusterList, Fold};
@@ -54,17 +54,12 @@ const SHUFFLE_IO_TIMEOUT: WallDuration = WallDuration::from_secs(5);
 pub struct WorkerOptions {
     /// This worker's id (assigned by the spawner; must be unique per run).
     pub worker: u32,
-    /// Retry policy for dialing the driver and shuffle peers.
-    pub retry: RetryPolicy,
 }
 
 impl WorkerOptions {
-    /// Default options for worker `worker`.
+    /// Options for worker `worker`.
     pub fn new(worker: u32) -> WorkerOptions {
-        WorkerOptions {
-            worker,
-            retry: RetryPolicy::default(),
-        }
+        WorkerOptions { worker }
     }
 }
 
@@ -195,7 +190,7 @@ fn control_loop(
     shuffle_port: u16,
     stop: &Arc<AtomicBool>,
 ) -> Result<(), NetError> {
-    let mut conn = opts.retry.connect(driver)?;
+    let mut conn = connect(driver)?;
     conn.send(&Message::Register {
         worker: opts.worker,
         shuffle_port,
@@ -251,7 +246,7 @@ fn serve_tasks(
 ) -> Result<(), NetError> {
     // Shuffle connections persist here across fetches and batches; a fetch
     // failure evicts the peer's pooled entries before retrying or blaming.
-    let pool = Arc::new(ConnPool::new(opts.retry));
+    let pool = Arc::new(ConnPool::new());
     // One long-lived reduce executor: ReduceTasks are enqueued and run
     // serially off the control loop. Serial execution preserves the pooled
     // data plane's one-dial-per-peer-direction property (concurrent
@@ -763,7 +758,7 @@ mod tests {
         assert_eq!(w.fetch(9, 0), Message::FetchReply { ready, segments });
         assert!(started.elapsed() < WallDuration::from_millis(250));
 
-        let pool = ConnPool::new(RetryPolicy::default());
+        let pool = ConnPool::new();
         let src = ShuffleSource {
             worker: 3,
             addr: w.shuffle,
