@@ -37,7 +37,7 @@ impl PlanReport {
     pub fn analyse(plan: &PartitionPlan, top_n: usize) -> PlanReport {
         let mut per_key: KeyMap<(usize, usize)> = KeyMap::default(); // (tuples, blocks)
         for block in &plan.blocks {
-            for f in &block.fragments {
+            for f in &block.runs {
                 let e = per_key.entry(f.key).or_insert((0, 0));
                 e.0 += f.count;
                 e.1 += 1;
@@ -52,7 +52,7 @@ impl PlanReport {
                 size: b.size(),
                 cardinality: b.cardinality(),
                 split_keys: b
-                    .fragments
+                    .runs
                     .iter()
                     .filter(|f| plan.split_keys.contains(&f.key))
                     .count(),

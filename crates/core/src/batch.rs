@@ -163,8 +163,8 @@ impl PartialEq for SealedBatch {
     }
 }
 
-/// One fragment of a key placed in a data block: `count` of the key's tuples.
-/// A block's runs are fragments too: `count` consecutive values of one key.
+/// One fragment of a key placed in a data block: `count` of the key's tuples,
+/// which the block holds as one run of `count` consecutive values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KeyFragment {
     /// The key this fragment belongs to.
@@ -176,36 +176,22 @@ pub struct KeyFragment {
 /// A data block: one partition of a micro-batch, the input of one Map task.
 ///
 /// After the seal a tuple is its value: the timestamp served batching alone
-/// (§4.1) and the Map is `Map(k, v)` (§2.1), so a block holds its values in
-/// placement order and says which key each belongs to by runs — `(key,
-/// count)` for `count` consecutive values — not per value. A Prompt block has
-/// one run per key, keys ascending, so its runs are its fragment table; a
-/// baseline's block starts a run wherever the key changes.
+/// (§4.1) and the Map is `Map(k, v)` (§2.1), so a block holds its values
+/// grouped by key and says which key each belongs to by runs — `(key,
+/// count)` for `count` consecutive values — not per value. Every technique
+/// builds its blocks so: one run per key, keys strictly ascending, each
+/// key's values in placement order. The runs are thus the block's per-key
+/// reference table (§5), its fragment table.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DataBlock {
-    /// `(key, count)` runs over `values`, in placement order; no run is
-    /// empty and their counts sum to `values.len()`.
+    /// `(key, count)` runs over `values`, one per key, keys strictly
+    /// ascending; no run is empty and their counts sum to `values.len()`.
     pub runs: Vec<KeyFragment>,
-    /// The block's values, in placement order.
+    /// The block's values, run by run.
     pub values: Vec<f64>,
-    /// Per-key fragment summary (each key appears at most once), sorted by
-    /// key. Empty on a block decoded from a `MapTask` frame, which carries
-    /// none: the Map reads only the runs and values.
-    pub fragments: Vec<KeyFragment>,
 }
 
 impl DataBlock {
-    /// Append one value of `key`: it extends the last run when that run is
-    /// `key`'s, else starts one. The fragment table is the caller's to keep.
-    #[inline]
-    pub fn push(&mut self, key: Key, value: f64) {
-        match self.runs.last_mut() {
-            Some(run) if run.key == key => run.count += 1,
-            _ => self.runs.push(KeyFragment { key, count: 1 }),
-        }
-        self.values.push(value);
-    }
-
     /// `|block|`: number of tuples.
     #[inline]
     pub fn size(&self) -> usize {
@@ -215,10 +201,10 @@ impl DataBlock {
     /// `‖block‖`: number of distinct keys.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.fragments.len()
+        self.runs.len()
     }
 
-    /// Each run's key with its values, in placement order.
+    /// Each run's key with its values, in key order.
     pub fn key_runs(&self) -> impl Iterator<Item = (Key, &[f64])> + '_ {
         let mut rest = &self.values[..];
         self.runs.iter().map(move |run| {
@@ -229,31 +215,23 @@ impl DataBlock {
     }
 }
 
-/// `(key, value)` pairs in placement order, as [`DataBlock::push`] takes
-/// them, with the fragment table derived.
+/// `(key, value)` pairs in placement order, grouped by key with a stable
+/// sort: one run per key, keys ascending, each key's values in the order
+/// given.
 impl FromIterator<(Key, f64)> for DataBlock {
     fn from_iter<I: IntoIterator<Item = (Key, f64)>>(pairs: I) -> DataBlock {
+        let mut pairs: Vec<(Key, f64)> = pairs.into_iter().collect();
+        pairs.sort_by_key(|&(key, _)| key.0);
         let mut block = DataBlock::default();
         for (key, value) in pairs {
-            block.push(key, value);
+            match block.runs.last_mut() {
+                Some(run) if run.key == key => run.count += 1,
+                _ => block.runs.push(KeyFragment { key, count: 1 }),
+            }
+            block.values.push(value);
         }
-        block.fragments = fragments_of(&block.runs);
         block
     }
-}
-
-/// The fragment table of `runs`: each key's counts summed, sorted by key.
-fn fragments_of(runs: &[KeyFragment]) -> Vec<KeyFragment> {
-    let mut fragments = runs.to_vec();
-    fragments.sort_by_key(|f| f.key.0);
-    fragments.dedup_by(|later, kept| {
-        let same = later.key == kept.key;
-        if same {
-            kept.count += later.count;
-        }
-        same
-    });
-    fragments
 }
 
 /// The result of partitioning one micro-batch: `p` data blocks plus the
@@ -287,7 +265,7 @@ impl PartitionPlan {
 
     /// Total key fragments across blocks (denominator-side of KSR, Eqn. 5).
     pub fn total_fragments(&self) -> usize {
-        self.blocks.iter().map(|b| b.fragments.len()).sum()
+        self.blocks.iter().map(|b| b.runs.len()).sum()
     }
 
     /// Number of distinct keys across the whole plan.
@@ -295,11 +273,11 @@ impl PartitionPlan {
         total_keys(&self.block_fragments(), &self.split_keys)
     }
 
-    /// Every block's fragment list, in block order — all the cost model
-    /// (§3.3), the partitioner policy and the rebalancer read of a plan, and
-    /// what its columnar rendering holds identically.
+    /// Every block's runs — its fragment list — in block order: all the cost
+    /// model (§3.3), the partitioner policy and the rebalancer read of a
+    /// plan, and what its columnar rendering holds identically.
     pub fn block_fragments(&self) -> Vec<&[KeyFragment]> {
-        self.blocks.iter().map(|b| &b.fragments[..]).collect()
+        self.blocks.iter().map(|b| &b.runs[..]).collect()
     }
 }
 
@@ -307,7 +285,7 @@ impl PartitionPlan {
 /// and drained again before returning). Each key has at most one fragment
 /// per block, so a key's fragment count is the number of blocks holding it.
 pub(crate) fn split_keys(blocks: &[DataBlock], holders: &mut KeyMap<usize>) -> KeySet {
-    for f in blocks.iter().flat_map(|b| &b.fragments) {
+    for f in blocks.iter().flat_map(|b| &b.runs) {
         *holders.entry(f.key).or_insert(0) += 1;
     }
     (holders.drain())
@@ -365,33 +343,16 @@ mod tests {
     }
 
     #[test]
-    fn pushed_values_extend_or_start_runs() {
+    fn pairs_group_by_key_in_placement_order() {
         let pairs = [(3, 0.5), (3, 1.5), (1, 2.0), (3, -1.0), (2, 4.0), (2, 0.0)];
         let block: DataBlock = pairs.iter().map(|&(k, v)| (Key(k), v)).collect();
-        let runs = [
-            fragment(3, 2),
-            fragment(1, 1),
-            fragment(3, 1),
-            fragment(2, 2),
-        ];
-        assert_eq!(block.runs, runs);
-        assert_eq!(block.values, [0.5, 1.5, 2.0, -1.0, 4.0, 0.0]);
-        assert_eq!(
-            block.fragments,
-            [fragment(1, 1), fragment(2, 2), fragment(3, 3)]
-        );
+        assert_eq!(block.runs, [fragment(1, 1), fragment(2, 2), fragment(3, 3)]);
+        assert_eq!(block.values, [2.0, 4.0, 0.0, 0.5, 1.5, -1.0]);
         assert_eq!((block.size(), block.cardinality()), (6, 3));
         let by_run: Vec<(Key, Vec<f64>)> = (block.key_runs())
             .map(|(k, values)| (k, values.to_vec()))
             .collect();
-        assert_eq!(by_run[2], (Key(3), vec![-1.0]));
-        // Ascending runs are their own fragment table.
-        let block: DataBlock = [(1, 1.0), (1, 2.0), (5, 3.0)]
-            .map(|(k, v)| (Key(k), v))
-            .into_iter()
-            .collect();
-        assert_eq!(block.fragments, [fragment(1, 2), fragment(5, 1)]);
-        assert_eq!(block.fragments, block.runs);
+        assert_eq!(by_run[2], (Key(3), vec![0.5, 1.5, -1.0]));
     }
 
     #[test]

@@ -227,7 +227,7 @@ pub fn prompt_heuristic(inst: &Instance) -> Assignment {
     let plan = PromptPartitioner::partition_sealed(&sealed, inst.bins);
     let mut out = Assignment::empty(inst.bins);
     for (b, block) in plan.blocks.iter().enumerate() {
-        for f in &block.fragments {
+        for f in &block.runs {
             out.bins[b].push((f.key.0 as usize, f.count));
         }
     }

@@ -163,10 +163,11 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         bucket_of(SHARD_SEED, key, self.shards.len())
     }
 
-    /// Ingest an arrival-ordered slice on `threads` workers: route it
-    /// ([`Self::route`]), and each shard holds its own sub-stream for the
-    /// seal. The result is bit-identical to serial ingest for any thread
-    /// count. The next seal runs on as many workers.
+    /// Ingest an arrival-ordered slice on `threads` workers: route each
+    /// arrival to the shard of its key ([`Self::shard_of`]), and each shard
+    /// holds its own sub-stream for the seal. The result is bit-identical to
+    /// serial ingest for any thread count. The next seal runs on as many
+    /// workers.
     pub fn par_ingest(&mut self, tuples: &[Tuple], threads: usize) {
         self.route(tuples, threads, |shard, at, _| {
             shard.ingest(tuples[at as usize])

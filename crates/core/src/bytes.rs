@@ -428,8 +428,7 @@ fn put_values<S: BytesSink>(s: &mut S, n: usize, values: impl IntoIterator<Item 
     put_blocked(s, values, |v| v.to_bits().to_le_bytes());
 }
 
-/// Encode one data block: its runs, then its values. The fragment table is
-/// not sent: the Map, the frame's one reader, needs none.
+/// Encode one data block: its runs, then its values.
 pub fn put_block<S: BytesSink>(s: &mut S, block: &DataBlock) {
     put_runs(s, block.runs.iter().copied());
     put_values(s, block.values.len(), block.values.iter().copied());
@@ -446,24 +445,26 @@ pub fn put_block_columnar<S: BytesSink>(s: &mut S, arena: &ColumnarBatch, block:
 }
 
 /// Decode one data block, refusing one that is not a block: a length
-/// prefix past the bytes left is `BadLength`; an empty run, or run counts
-/// that do not sum exactly to the value count, are `Malformed`. The block
-/// has no fragment table: the frame carries none.
+/// prefix past the bytes left is `BadLength`; an empty run, run keys that do
+/// not strictly ascend, or run counts that do not sum exactly to the value
+/// count are `Malformed`. So a decoded block is one run per key, keys
+/// ascending, as every block is.
 pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
     let n_runs = r.get_len(FRAGMENT_WIRE_SIZE)?;
     let bytes = r.take(n_runs * FRAGMENT_WIRE_SIZE)?;
-    let mut runs = Vec::with_capacity(n_runs);
+    let mut runs: Vec<KeyFragment> = Vec::with_capacity(n_runs);
     let mut covered = 0usize;
     for b in bytes.chunks_exact(FRAGMENT_WIRE_SIZE) {
         let count = usize::try_from(u64_at(b, 8)).map_err(|_| RUNS_PAST_VALUES)?;
         if count == 0 {
             return Err(CodecError::Malformed("empty run"));
         }
+        let key = Key(u64_at(b, 0));
+        if runs.last().is_some_and(|last| last.key.0 >= key.0) {
+            return Err(CodecError::Malformed("run keys do not ascend"));
+        }
         covered = covered.checked_add(count).ok_or(RUNS_PAST_VALUES)?;
-        runs.push(KeyFragment {
-            key: Key(u64_at(b, 0)),
-            count,
-        });
+        runs.push(KeyFragment { key, count });
     }
     let n = r.get_len(VALUE_WIRE_SIZE)?;
     if covered != n {
@@ -474,7 +475,6 @@ pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
     Ok(DataBlock {
         runs,
         values: values.collect(),
-        fragments: Vec::new(),
     })
 }
 
@@ -597,9 +597,8 @@ mod tests {
         let values = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, -123.456];
         let run = |k, count| KeyFragment { key: Key(k), count };
         let block = DataBlock {
-            runs: vec![run(u64::MAX, 2), run(0, 3), run(u64::MAX, 1)],
+            runs: vec![run(0, 3), run(7, 1), run(u64::MAX, 2)],
             values: values.to_vec(),
-            fragments: vec![run(0, 3), run(u64::MAX, 3)],
         };
         let mut w = ByteWriter::new();
         put_block(&mut w, &block);
@@ -611,10 +610,6 @@ mod tests {
         let back = get_block(&mut r).unwrap();
         r.expect_empty().unwrap();
         assert_eq!(back.runs, block.runs);
-        assert!(
-            back.fragments.is_empty(),
-            "a frame carries no fragment table"
-        );
         let bits = |b: &DataBlock| b.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&block));
     }
@@ -646,6 +641,19 @@ mod tests {
             decode(&block_bytes(&[(1, 2), (2, 0), (3, 1)], 3)),
             Err(CodecError::Malformed("empty run"))
         );
+    }
+
+    #[test]
+    fn runs_that_do_not_ascend_are_refused() {
+        let refused = Err(CodecError::Malformed("run keys do not ascend"));
+        // A repeated key, adjacent or not, and a descending pair.
+        for runs in [
+            &[(1, 2), (1, 1)][..],
+            &[(1, 1), (4, 1), (1, 1)],
+            &[(u64::MAX, 2), (0, 1)],
+        ] {
+            assert_eq!(decode(&block_bytes(runs, 3)), refused, "{runs:?}");
+        }
     }
 
     #[test]

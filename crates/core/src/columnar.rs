@@ -1,6 +1,7 @@
 //! Struct-of-arrays (columnar) micro-batch containers for the hot path.
 //!
-//! The row batch containers ([`MicroBatch`], [`SealedBatch`]) move
+//! The row batch containers ([`MicroBatch`](crate::batch::MicroBatch),
+//! [`SealedBatch`]) move
 //! `Vec<Tuple>` — 24-byte structs whose interleaved fields defeat the
 //! auto-vectorizer; a row [`DataBlock`] is already a value column under key
 //! runs. The columnar twin keeps one contiguous arena of three flat columns
@@ -238,17 +239,15 @@ impl ColumnarSealed {
     }
 }
 
-/// The columnar twin of [`DataBlock`]: the block's tuples as arena ranges in
-/// assignment order — the row block's runs — plus the same per-key fragment
-/// summary.
+/// The columnar twin of [`DataBlock`]: the block's tuples as arena ranges —
+/// the row block's runs — plus the same per-key fragment summary.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnarBlock {
-    /// `(key, range)` pieces in assignment order. A key may appear in more
-    /// than one piece (e.g. a heavy key's `S_cut` fragment and its residual
-    /// poured back into the same block).
+    /// `(key, range)` pieces, one per key, keys strictly ascending, as a row
+    /// block's runs are.
     pub ranges: Vec<(Key, ColRange)>,
-    /// Per-key fragment summary (each key appears at most once), sorted by
-    /// key id — identical to the row [`DataBlock::fragments`].
+    /// Per-key fragment summary: the ranges as runs, identical to the row
+    /// [`DataBlock::runs`].
     pub fragments: Vec<KeyFragment>,
 }
 
@@ -259,8 +258,7 @@ impl ColumnarBlock {
         self.ranges.iter().map(|&(_, r)| r.len).sum()
     }
 
-    /// The ranges as the row block's `(key, count)` runs, in assignment
-    /// order.
+    /// The ranges as the row block's `(key, count)` runs.
     pub fn runs(&self) -> impl ExactSizeIterator<Item = KeyFragment> + '_ {
         (self.ranges.iter()).map(|&(key, r)| KeyFragment { key, count: r.len })
     }
@@ -313,7 +311,6 @@ impl ColumnarPlan {
                 DataBlock {
                     runs: b.runs().collect(),
                     values,
-                    fragments: b.fragments.clone(),
                 }
             })
             .collect();
@@ -341,7 +338,7 @@ impl ColumnarPlan {
             }
             blocks.push(ColumnarBlock {
                 ranges,
-                fragments: b.fragments.clone(),
+                fragments: b.runs.clone(),
             });
         }
         ColumnarPlan {

@@ -182,7 +182,7 @@ mod tests {
         assert_eq!(plan.blocks.len(), plain.blocks.len());
         for (a, b) in plan.blocks.iter().zip(&plain.blocks) {
             assert_eq!(a.size(), b.size());
-            assert_eq!(a.fragments, b.fragments);
+            assert_eq!(a.runs, b.runs);
         }
         // Only the select/materialize phases are populated (no seal or
         // symbolic stage in d-choices); values are wall-clock and may be 0.

@@ -87,7 +87,7 @@ mod tests {
         let b = HashPartitioner::new(11).partition(&batch, 4);
         for (x, y) in a.blocks.iter().zip(&b.blocks) {
             assert_eq!(x.size(), y.size());
-            assert_eq!(x.fragments, y.fragments);
+            assert_eq!(x.runs, y.runs);
         }
     }
 

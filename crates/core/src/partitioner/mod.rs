@@ -104,34 +104,26 @@ impl Spare {
         }
     }
 
-    /// `p` empty row blocks, each with room for `capacity` values, in the
-    /// spare's allocations where it has them.
-    pub(crate) fn row_blocks(&mut self, p: usize, capacity: usize) -> Vec<DataBlock> {
-        let mut blocks = std::mem::take(&mut self.rows);
-        blocks.resize_with(p, DataBlock::default);
-        for b in &mut blocks {
-            b.runs.clear();
-            b.values.clear();
-            b.values.reserve(capacity);
-            b.fragments.clear();
-        }
-        blocks
-    }
-
     /// One row block per size, each `values` exactly that long and its run
-    /// and fragment tables empty, in the spare's allocations where it has
-    /// them. The values are whatever the last plan left: the caller
-    /// overwrites every one, so only the length changes, and exactly.
-    pub(crate) fn sized_row_blocks(&mut self, sizes: &[usize]) -> Vec<DataBlock> {
+    /// table empty, in the spare's allocations where it has them. The values
+    /// are whatever the last plan left: the caller overwrites every one, so
+    /// only the length changes. A block that outgrows its allocation grows
+    /// to exactly its size when `exact` — Prompt's blocks run a few tuples
+    /// past `N/p` at most, and growth by doubling would double their
+    /// allocation — else by doubling, as a baseline's block, whose size
+    /// wanders from batch to batch, would otherwise grow at each new largest.
+    pub(crate) fn sized_row_blocks(&mut self, sizes: &[usize], exact: bool) -> Vec<DataBlock> {
         let mut blocks = std::mem::take(&mut self.rows);
         blocks.resize_with(sizes.len(), DataBlock::default);
         for (b, &size) in blocks.iter_mut().zip(sizes) {
-            // Exactly: the residual tolerance lets a block run a few tuples
-            // past `N/p`, and growth by doubling would double its allocation.
-            b.values.reserve_exact(size.saturating_sub(b.values.len()));
+            let more = size.saturating_sub(b.values.len());
+            if exact {
+                b.values.reserve_exact(more);
+            } else {
+                b.values.reserve(more);
+            }
             b.values.resize(size, 0.0);
             b.runs.clear();
-            b.fragments.clear();
         }
         blocks
     }
@@ -430,8 +422,10 @@ pub(crate) mod test_support {
         assert_eq!(plan.n_blocks(), p, "wrong block count");
         assert_eq!(plan.total_tuples(), batch.len(), "tuples not conserved");
         for b in &plan.blocks {
-            let from_fragments: usize = b.fragments.iter().map(|f| f.count).sum();
-            assert_eq!(from_fragments, b.size(), "fragment summary inconsistent");
+            let from_runs: usize = b.runs.iter().map(|f| f.count).sum();
+            assert_eq!(from_runs, b.size(), "runs do not cover the values");
+            let ascend = b.runs.windows(2).all(|w| w[0].key.0 < w[1].key.0);
+            assert!(ascend, "run keys do not ascend: {:?}", b.runs);
         }
         // Per-key totals must match the input.
         use crate::hash::KeyMap;
@@ -441,7 +435,7 @@ pub(crate) mod test_support {
         }
         let mut got: KeyMap<usize> = KeyMap::default();
         for b in &plan.blocks {
-            for f in &b.fragments {
+            for f in &b.runs {
                 *got.entry(f.key).or_insert(0) += f.count;
             }
         }

@@ -1,47 +1,68 @@
 //! The per-tuple placement loop every baseline runs (§2.2, §7).
 //!
 //! A per-tuple technique is a routing decision: given an arrival and the
-//! blocks placed so far, pick a block. [`PerTuple`] does the rest — pushes
-//! the arrival's value into its block, extending the block's last run when
-//! the key repeats and starting one when it does not, counts it, hands over
-//! key-sorted fragment tables and the split-key table — in buffers that
-//! outlive the batch: count tables drained, not dropped, and the blocks of
-//! the last plan recycled. A block's runs are however the arrivals fell:
-//! nothing groups them, so a baseline pays for its placement in the Map.
+//! blocks placed so far, pick a block. [`PerTuple`] does the rest, in two
+//! passes over buffers that outlive the batch. The first asks the chooser
+//! for each arrival's block, finds or adds its key's slot in that block's
+//! table, counts the arrival there and notes the slot. The second is a
+//! counting sort, as Prompt's scatter is: each block's slots, sorted by key,
+//! become its runs, and every value is written once to its key's next
+//! position. So a baseline's block is what every block is — one run per
+//! key, keys ascending, each key's values in arrival order — and its Map
+//! folds each key's values in the order they arrived. The split-key table
+//! is derived as [`PartitionPlan::from_blocks`] derives it; key tables are
+//! cleared, not dropped, and the blocks of the last plan recycled.
 
-use crate::batch::{split_keys, DataBlock, KeyFragment, PartitionPlan};
+use crate::batch::{split_keys, KeyFragment, PartitionPlan};
 use crate::hash::{KeyMap, KeySet};
 use crate::partitioner::{Plan, Spare};
 use crate::types::{Key, Tuple};
 
 /// What a block chooser reads of the blocks placed so far.
 pub(crate) struct Placed<'a> {
-    blocks: &'a [DataBlock],
-    counts: &'a [KeyMap<usize>],
+    sizes: &'a [usize],
+    tables: &'a [KeyMap<u32>],
 }
 
 impl Placed<'_> {
     /// `|block b|`: tuples placed in it so far.
     pub(crate) fn size(&self, b: usize) -> usize {
-        self.blocks[b].size()
+        self.sizes[b]
     }
 
     /// Whether block `b` holds a tuple of `key` yet.
     pub(crate) fn holds(&self, b: usize, key: Key) -> bool {
-        self.counts[b].contains_key(&key)
+        self.tables[b].contains_key(&key)
     }
 
     /// `‖block b‖`: distinct keys placed in it so far.
     pub(crate) fn cardinality(&self, b: usize) -> usize {
-        self.counts[b].len()
+        self.tables[b].len()
     }
+}
+
+/// One key of one block: the key and, in the first pass, its arrivals so
+/// far; once the block's runs are laid out, the position its next value
+/// goes to.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: Key,
+    at: usize,
 }
 
 /// The placement loop's state, refilled batch after batch.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PerTuple {
-    /// Each block's per-key counts, drained into its fragment table.
-    counts: Vec<KeyMap<usize>>,
+    /// Each block's key table: key → the key's slot in `slots`.
+    tables: Vec<KeyMap<u32>>,
+    /// Each block's slots, in the order its keys first arrived.
+    slots: Vec<Vec<Slot>>,
+    /// Each block's tuples so far.
+    sizes: Vec<usize>,
+    /// Each arrival's `(block, slot)`, in arrival order.
+    arrivals: Vec<(u32, u32)>,
+    /// One block's `(key, slot)`s, sorted by key.
+    order: Vec<(u64, u32)>,
     /// Each key's number of holding blocks, drained into the split keys.
     holders: KeyMap<usize>,
     /// The buffers of the last plan handed back.
@@ -62,24 +83,57 @@ impl PerTuple {
         mut choose: impl FnMut(usize, &Tuple, &Placed<'_>) -> usize,
     ) -> PartitionPlan {
         assert!(p > 0, "need at least one block");
-        let mut blocks = self.spare.row_blocks(p, tuples.len() / p + 1);
-        self.counts.resize_with(p, KeyMap::default);
-        for (i, &t) in tuples.iter().enumerate() {
+        assert!(u32::try_from(tuples.len()).is_ok(), "over 2^32 arrivals");
+        self.tables.resize_with(p, KeyMap::default);
+        self.slots.resize_with(p, Vec::new);
+        self.sizes.clear();
+        self.sizes.resize(p, 0);
+        self.arrivals.clear();
+        for (i, t) in tuples.iter().enumerate() {
             let placed = Placed {
-                blocks: &blocks,
-                counts: &self.counts,
+                sizes: &self.sizes,
+                tables: &self.tables,
             };
-            let b = choose(i, &t, &placed);
-            blocks[b].push(t.key, t.value);
-            *self.counts[b].entry(t.key).or_insert(0) += 1;
+            let b = choose(i, t, &placed);
+            let slots = &mut self.slots[b];
+            let slot = *self.tables[b].entry(t.key).or_insert_with(|| {
+                slots.push(Slot { key: t.key, at: 0 });
+                (slots.len() - 1) as u32
+            });
+            slots[slot as usize].at += 1;
+            self.sizes[b] += 1;
+            self.arrivals.push((b as u32, slot));
         }
-        for (block, counts) in blocks.iter_mut().zip(&mut self.counts) {
-            let fragments = (counts.drain()).map(|(key, count)| KeyFragment { key, count });
-            block.fragments.extend(fragments);
-            // Keys are unique, so an unstable sort gives one order whatever
-            // the table's iteration order.
-            block.fragments.sort_unstable_by_key(|f| f.key.0);
+        let mut blocks = self.spare.sized_row_blocks(&self.sizes, false);
+        for ((block, slots), table) in blocks.iter_mut().zip(&mut self.slots).zip(&mut self.tables)
+        {
+            table.clear();
+            self.order.clear();
+            let keyed = slots
+                .iter()
+                .enumerate()
+                .map(|(s, slot)| (slot.key.0, s as u32));
+            self.order.extend(keyed);
+            // A block's keys are unique, so an unstable sort gives one
+            // order whatever order they first arrived in.
+            self.order.sort_unstable();
+            let mut at = 0;
+            for &(key, s) in &self.order {
+                let slot = &mut slots[s as usize];
+                let count = slot.at;
+                block.runs.push(KeyFragment {
+                    key: Key(key),
+                    count,
+                });
+                (slot.at, at) = (at, at + count);
+            }
         }
+        for (&(b, s), t) in self.arrivals.iter().zip(tuples) {
+            let slot = &mut self.slots[b as usize][s as usize];
+            blocks[b as usize].values[slot.at] = t.value;
+            slot.at += 1;
+        }
+        self.slots.iter_mut().for_each(Vec::clear);
         let split_keys = if split {
             split_keys(&blocks, &mut self.holders)
         } else {
@@ -104,9 +158,15 @@ mod tests {
         Tuple::keyed(Time::ZERO, Key(k))
     }
 
+    /// The chooser sees what the first pass placed, and the counting sort
+    /// lays each block out as one run per key, keys ascending, each key's
+    /// values in the order they arrived.
     #[test]
     fn chooser_reads_what_the_loop_placed() {
-        let tuples: Vec<Tuple> = [1, 2, 1, 3, 3, 1].map(t).to_vec();
+        let keys = [2, 1, 2, 3, 3, 1];
+        let tuples: Vec<Tuple> = (keys.iter().enumerate())
+            .map(|(i, &k)| Tuple::new(Time(i as u64), Key(k), i as f64))
+            .collect();
         // What each block holds so far, kept beside the loop.
         let mut model: Vec<Vec<Key>> = vec![Vec::new(); 2];
         let plan = PerTuple::default().place(&tuples, 2, true, |i, t, placed| {
@@ -120,12 +180,11 @@ mod tests {
             model[b].push(t.key);
             b
         });
-        let fragment = |k, count| KeyFragment { key: Key(k), count };
-        assert_eq!(plan.blocks[0].fragments, [fragment(1, 3), fragment(2, 1)]);
-        assert_eq!(plan.blocks[1].fragments, [fragment(3, 2)]);
         let run = |k, count| KeyFragment { key: Key(k), count };
-        assert_eq!(plan.blocks[0].runs, [run(1, 1), run(2, 1), run(1, 2)]);
-        assert_eq!(plan.blocks[0].values, [1.0; 4]);
+        assert_eq!(plan.blocks[0].runs, [run(1, 2), run(2, 2)]);
+        assert_eq!(plan.blocks[0].values, [1.0, 5.0, 0.0, 2.0]);
+        assert_eq!(plan.blocks[1].runs, [run(3, 2)]);
+        assert_eq!(plan.blocks[1].values, [3.0, 4.0]);
         assert!(plan.split_keys.is_empty());
     }
 

@@ -83,7 +83,7 @@ mod tests {
             use crate::hash::KeyMap;
             let mut blocks_per_key: KeyMap<usize> = KeyMap::default();
             for b in &plan.blocks {
-                for f in &b.fragments {
+                for f in &b.runs {
                     *blocks_per_key.entry(f.key).or_insert(0) += 1;
                 }
             }

@@ -83,7 +83,7 @@ pub struct PromptPartitioner {
     /// sharded for parallel ingest; an exact buffer seals the same batch
     /// either way.
     buffer: Box<dyn BatchAccumulator>,
-    /// Worker threads for parallel ingest, scatter and fragment tables.
+    /// Worker threads for parallel ingest, scatter and run tables.
     threads: usize,
     /// The group list the last batch was ordered into, and the arena the
     /// last columnar batch sealed into, handed back once its plan was
@@ -509,12 +509,10 @@ impl SymbolicBlocks {
     }
 }
 
-/// A block's runs and fragment table from its key-ordered pieces, into
-/// `block`'s (empty): a block holds one piece per key, so each piece is one
-/// run and one fragment, and the two tables are equal.
+/// A block's runs from its key-ordered pieces, into `block`'s (empty): a
+/// block holds one piece per key, so each piece is one run.
 fn runs_into(pieces: &[Piece], block: &mut DataBlock) {
     block.runs.extend(pieces.iter().map(Piece::fragment));
-    block.fragments.extend_from_slice(&block.runs);
 }
 
 /// Copy the values of one block's assigned ranges out of the sealed batch
@@ -565,7 +563,7 @@ impl Partitioner for PromptPartitioner {
             Self::assign_pieces(&groups, p, tolerance, self.threads, &mut self.symbolic);
         let symbolic_us = t1.elapsed().as_micros() as u64;
         let t2 = std::time::Instant::now();
-        let mut blocks = self.spare.sized_row_blocks(&self.symbolic.sizes);
+        let mut blocks = self.spare.sized_row_blocks(&self.symbolic.sizes, true);
         self.scatter_rows(tuples, interval, &mut blocks);
         let pieces = &self.symbolic.pieces;
         map_mut(&mut blocks, self.threads, |b, block| {
@@ -874,7 +872,7 @@ mod tests {
         let blocks_with_k1 = plan
             .blocks
             .iter()
-            .filter(|b| b.fragments.iter().any(|f| f.key == Key(1)))
+            .filter(|b| b.runs.iter().any(|f| f.key == Key(1)))
             .count();
         assert!(blocks_with_k1 <= 2);
         assert_eq!(plan.total_tuples(), 100);
@@ -1004,15 +1002,20 @@ mod tests {
 
     /// Shape guard: every baseline is a block chooser over the one
     /// placement loop, so no production half under `partitioner/` but
-    /// `per_tuple.rs`' pushes an arrival into a block — a `DataBlock::push`
-    /// of its key and value, or a push onto a value column — and that one
-    /// does so once; no file names the builder the loop replaced, and cAM keeps no
-    /// key sets beside the loop's count tables. Every file in the directory
-    /// is read, so a new one is checked too. Needles are spelt in halves.
+    /// `per_tuple.rs`' writes an arrival into a block — its value written
+    /// to a position, a push of its key and value, or a push onto a value
+    /// column — and that one does so once; no file names the builder the
+    /// loop replaced, and cAM keeps no key sets beside the loop's count
+    /// tables. Every file in the directory is read, so a new one is checked
+    /// too. Needles are spelt in halves.
     #[test]
     fn baseline_shape_one_placement_loop() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/partitioner");
-        let pushes_of = [[".push(", "t.key,"].concat(), ["values.", "push("].concat()];
+        let pushes_of = [
+            ["= t.", "value"].concat(),
+            [".push(", "t.key,"].concat(),
+            ["values.", "push("].concat(),
+        ];
         let builder = ["Block", "Builder"].concat();
         let key_set = ["Key", "Set"].concat();
         let mut pushes = Vec::new();
@@ -1030,7 +1033,7 @@ mod tests {
                 assert!(!cam_set, "cam.rs:{}: `{key_set}`", n + 1);
             }
         }
-        assert_eq!(pushes.len(), 1, "arrival pushes: {pushes:?}");
+        assert_eq!(pushes.len(), 1, "arrival writes: {pushes:?}");
         assert!(pushes[0].starts_with("per_tuple.rs:"), "{pushes:?}");
     }
 

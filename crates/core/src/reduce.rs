@@ -238,7 +238,7 @@ pub struct ReduceAllocation {
     /// Per-bucket aggregate statistics, length `r`.
     pub buckets: Vec<BucketStats>,
     /// For each map task (block), the bucket chosen for each of its
-    /// fragments, parallel to `plan.blocks[m].fragments`.
+    /// fragments, parallel to `plan.blocks[m].runs`.
     pub per_map: Vec<Vec<usize>>,
 }
 
@@ -267,7 +267,7 @@ pub fn allocate_reduce(
 
     for (task, block) in plan.blocks.iter().enumerate() {
         let clusters: Vec<KeyCluster> = block
-            .fragments
+            .runs
             .iter()
             .map(|f| KeyCluster {
                 key: f.key,
@@ -446,7 +446,7 @@ mod tests {
         let plan = ShufflePartitioner::new().partition(&batch, 4);
         let alloc = allocate_reduce(&plan, &HashReduceAssigner::new(1), 2);
         let fragments: usize = alloc.buckets.iter().map(|b| b.fragments).sum();
-        let plan_fragments: usize = plan.blocks.iter().map(|b| b.fragments.len()).sum();
+        let plan_fragments: usize = plan.blocks.iter().map(|b| b.runs.len()).sum();
         assert_eq!(fragments, plan_fragments);
         let cardinality: usize = alloc.buckets.iter().map(|b| b.cardinality).sum();
         assert_eq!(cardinality, 10);

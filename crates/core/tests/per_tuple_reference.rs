@@ -1,10 +1,11 @@
 //! Bit-identity of every per-tuple technique against the placement it had
 //! before the techniques shared one placement loop: a fresh block builder
-//! per block and per batch (tuples plus a per-key count map, fragments
-//! sorted by key at the end), one chooser per technique reading the
-//! builders' sizes — and, for cAM, a key set per block — and the split keys
-//! `PartitionPlan::from_blocks` derives. The builder and the choosers are
-//! kept here verbatim as the reference.
+//! per block and per batch (tuples plus a per-key count map), one chooser
+//! per technique reading the builders' sizes — and, for cAM, a key set per
+//! block — and the split keys `PartitionPlan::from_blocks` derives. The
+//! builder and the choosers are kept here verbatim as the reference; only
+//! the end of a block changed, as every block did: its tuples grouped by key
+//! with a stable sort, one run per key, keys ascending.
 //!
 //! Each technique's plan must equal the reference on random streams (the
 //! same instance partitioning a second batch at another block count after
@@ -57,24 +58,18 @@ impl Builder {
         self.tuples.len()
     }
 
-    fn finish(self) -> DataBlock {
-        let mut fragments: Vec<KeyFragment> = (self.counts.into_iter())
+    /// The block as it crosses the seal: the tuples' values, projected by
+    /// a stable group-by-key — one run per key from the counts, keys
+    /// ascending, each key's values in placement order.
+    fn finish(mut self) -> DataBlock {
+        let mut runs: Vec<KeyFragment> = (self.counts.into_iter())
             .map(|(key, count)| KeyFragment { key, count })
             .collect();
-        fragments.sort_unstable_by_key(|f| f.key.0);
-        // The block as it crosses the seal: the tuples' values, under runs
-        // of their keys.
-        let mut runs: Vec<KeyFragment> = Vec::new();
-        for run in self.tuples.chunk_by(|a, b| a.key == b.key) {
-            runs.push(KeyFragment {
-                key: run[0].key,
-                count: run.len(),
-            });
-        }
+        runs.sort_unstable_by_key(|f| f.key.0);
+        self.tuples.sort_by_key(|t| t.key.0);
         DataBlock {
             runs,
             values: self.tuples.iter().map(|t| t.value).collect(),
-            fragments,
         }
     }
 }

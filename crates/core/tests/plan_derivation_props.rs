@@ -120,7 +120,7 @@ fn hashed_key_count(blocks: &[&[KeyFragment]]) -> usize {
 fn check_row_plan(plan: &PartitionPlan, what: &str) -> Result<(), TestCaseError> {
     for (b, block) in plan.blocks.iter().enumerate() {
         let want = counted_fragments(block);
-        prop_assert_eq!(&block.fragments, &want, "{}: block {} fragments", what, b);
+        prop_assert_eq!(&block.runs, &want, "{}: block {} runs", what, b);
     }
     let rebuilt = PartitionPlan::from_blocks(plan.blocks.clone());
     prop_assert_eq!(
@@ -433,8 +433,7 @@ proptest! {
     }
 }
 
-/// A Prompt plan's blocks are each one run per key, keys strictly ascending:
-/// as many runs as fragments.
+/// A Prompt plan's blocks are each one run per key, keys strictly ascending.
 fn check_key_ordered(plan: &PartitionPlan, what: &str) -> Result<(), TestCaseError> {
     for (b, block) in plan.blocks.iter().enumerate() {
         let runs: Vec<u64> = block.runs.iter().map(|run| run.key.0).collect();
@@ -445,7 +444,6 @@ fn check_key_ordered(plan: &PartitionPlan, what: &str) -> Result<(), TestCaseErr
             b,
             runs
         );
-        prop_assert_eq!(runs.len(), block.fragments.len(), "{}: block {}", what, b);
     }
     Ok(())
 }
@@ -632,7 +630,7 @@ fn check_derivations(
         prop_assert!(plan.split_keys.is_empty(), "{}: a split key", what);
     }
     for (b, block) in plan.blocks.iter().enumerate() {
-        let keys: Vec<u64> = block.fragments.iter().map(|f| f.key.0).collect();
+        let keys: Vec<u64> = block.runs.iter().map(|f| f.key.0).collect();
         prop_assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
             "{}: block {} order",
@@ -640,7 +638,7 @@ fn check_derivations(
             b
         );
         prop_assert_eq!(
-            &block.fragments,
+            &block.runs,
             &counted_fragments(block),
             "{}: block {}",
             what,
@@ -674,7 +672,7 @@ fn pinned_a_residual_merges_into_its_home_fragment() {
     let plan = PromptPartitioner::partition_sealed_with(&sealed(&counts, false), 2, 1.0);
     check_row_plan(&plan, "home merge").unwrap();
     let of_key_1: Vec<usize> = (plan.blocks.iter())
-        .flat_map(|b| b.fragments.iter().filter(|f| f.key == Key(1)))
+        .flat_map(|b| b.runs.iter().filter(|f| f.key == Key(1)))
         .map(|f| f.count)
         .collect();
     assert_eq!(of_key_1, [60], "the residual fits its home block");
@@ -689,7 +687,7 @@ fn pinned_a_poured_residual_reaches_every_block() {
     let counts = [(Key(1), 1000)];
     let plan = PromptPartitioner::partition_sealed(&sealed(&counts, false), 4);
     check_row_plan(&plan, "poured").unwrap();
-    let sizes: Vec<usize> = plan.blocks.iter().map(|b| b.fragments[0].count).collect();
+    let sizes: Vec<usize> = plan.blocks.iter().map(|b| b.runs[0].count).collect();
     assert_eq!(sizes, [254, 254, 254, 238]);
     assert_eq!(plan.split_keys, [Key(1)].into_iter().collect::<KeySet>());
     let mb = arrivals(&counts);

@@ -139,8 +139,10 @@ fn fold_block(h: u64, block: &DataBlock) -> u64 {
 }
 
 fn plan_fingerprint(plan: &PartitionPlan) -> u64 {
+    // Each block's runs again where its fragment table was folded: on a
+    // Prompt block the two were equal, so no golden value moved.
     let mut h = plan.blocks.iter().fold(0, |h, b| {
-        b.fragments.iter().fold(fold_block(h, b), |h, f| {
+        b.runs.iter().fold(fold_block(h, b), |h, f| {
             fold(fold(h, f.key.0), f.count as u64)
         })
     });

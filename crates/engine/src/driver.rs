@@ -2226,6 +2226,66 @@ mod tests {
         }
     }
 
+    /// Shape guard for what a block is: every technique builds it as one run
+    /// per key, keys strictly ascending, so its runs are its fragment table
+    /// and the Map has one walk. `DataBlock` holds no second, fragment
+    /// table; no production line of the kernel, the local executor or the
+    /// worker names a fold table (`Fold`); and no line of the Map
+    /// (`map_block`, `map_runs`) names a per-key table (`KeyMap`) — the
+    /// Reduce's merge table is the kernel's one.
+    #[test]
+    fn engine_shape_one_block_shape_one_map_walk() {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let batch = std::fs::read_to_string(manifest.join("../core/src/batch.rs"))
+            .expect("readable core source");
+        let block: Vec<&str> = (batch.lines())
+            .skip_while(|l| !l.starts_with("pub struct DataBlock {"))
+            .take_while(|l| *l != "}")
+            .collect();
+        assert!(block.len() > 2, "no `DataBlock` in batch.rs");
+        let field = ["pub frag", "ments:"].concat();
+        assert!(
+            block.iter().all(|l| !l.contains(&field)),
+            "a DataBlock holds a fragment table: {block:?}"
+        );
+        // Spelt in halves so a grep for a needle finds only real uses.
+        let (fold, key_map) = (["Fo", "ld"].concat(), ["Key", "Map"].concat());
+        let production = |src: &'static str| -> Vec<&'static str> {
+            src.lines().take_while(|l| *l != "#[cfg(test)]").collect()
+        };
+        for (file, src) in [
+            ("kernel.rs", include_str!("kernel.rs")),
+            ("threaded.rs", include_str!("threaded.rs")),
+            ("net/worker.rs", include_str!("net/worker.rs")),
+        ] {
+            for (n, line) in production(src).iter().enumerate() {
+                assert!(!line.contains(&fold), "{file}:{}: `{fold}`", n + 1);
+            }
+        }
+        // Each Map function, from its signature to its closing brace.
+        let kernel = production(include_str!("kernel.rs"));
+        let signatures = [
+            ["fn map_", "block("].concat(),
+            ["fn map_", "runs("].concat(),
+        ];
+        let mut walks = 0;
+        for (start, line) in kernel.iter().enumerate() {
+            let body = line.trim_start();
+            if !signatures.iter().any(|s| body.contains(s)) {
+                continue;
+            }
+            walks += 1;
+            let close = format!("{}}}", &line[..line.len() - body.len()]);
+            let len = kernel[start..].iter().position(|l| *l == close);
+            let len = len.expect("a Map function ends");
+            for (n, line) in kernel[start..=start + len].iter().enumerate() {
+                let at = start + n + 1;
+                assert!(!line.contains(&key_map), "kernel.rs:{at}: `{key_map}`");
+            }
+        }
+        assert_eq!(walks, 3, "PlanView::map_block, map_block and map_runs");
+    }
+
     /// Shape guard for the staleness contract (DESIGN §4h): a batch carries
     /// what it was prepared under, so there is no depth clamp to regrow and no
     /// routing table shared behind a lock between the step that decides and

@@ -7,11 +7,10 @@
 //! what a block maps to, and what a block looks like on the wire — and
 //! [`PlanView`] answers them for either layout (a sixth, each block's
 //! fragment list, is all that metrics, the policy and the rebalancer read).
-//! The Map fold walks a block's runs of one key — a row block's `(key,
-//! count)` runs over its value column, a columnar block's ranges: while
-//! their keys ascend, as every Prompt block's do, each run goes straight
-//! onto the key-ordered output; a block that breaks the order finishes
-//! through a per-key table, one probe a run.
+//! The Map fold walks a block's runs — a row block's `(key, count)` runs
+//! over its value column, a columnar block's ranges. Every technique builds
+//! a block as one run per key, keys ascending, so each run folds straight
+//! onto the key-ordered output: no table, no sort.
 //! Everything downstream of the Map fold sees only [`ClusterList`]s, so the
 //! two executors — the local one ([`crate::threaded`], one thread for
 //! `InProcess`, `n` for `Threaded`) and the worker fleet ([`crate::net`]) —
@@ -65,11 +64,11 @@ impl<'a> PlanView<'a> {
         }
     }
 
-    /// Block `i`'s per-key fragment list, sorted by key — the same list in
-    /// either layout.
+    /// Block `i`'s per-key fragment list — its runs, sorted by key — the
+    /// same list in either layout.
     pub(crate) fn fragments(self, i: usize) -> &'a [KeyFragment] {
         match self {
-            PlanView::Rows(p) => &p.blocks[i].fragments,
+            PlanView::Rows(p) => &p.blocks[i].runs,
             PlanView::Columns(p) => &p.blocks[i].fragments,
         }
     }
@@ -84,15 +83,14 @@ impl<'a> PlanView<'a> {
         }
     }
 
-    /// Map + local combine over block `i` into `out`, through `fold`
-    /// ([`map_runs`]): a columnar block's ranges are its runs.
-    pub(crate) fn map_block(self, i: usize, job: &Job, fold: &mut Fold, out: &mut ClusterList) {
+    /// Map + local combine over block `i` into `out` ([`map_runs`]): a
+    /// columnar block's ranges are its runs.
+    pub(crate) fn map_block(self, i: usize, job: &Job, out: &mut ClusterList) {
         match self {
-            PlanView::Rows(p) => map_block(&p.blocks[i], job, fold, out),
+            PlanView::Rows(p) => map_block(&p.blocks[i], job, out),
             PlanView::Columns(p) => {
-                let block = &p.blocks[i];
-                let runs = (block.ranges.iter()).map(|&(k, r)| (k, r.offset, r.len));
-                map_runs(&p.arena.values, runs, block.cardinality(), job, fold, out)
+                let runs = (p.blocks[i].ranges.iter()).map(|&(k, r)| (k, r.offset, r.len));
+                map_runs(&p.arena.values, runs, job, out)
             }
         }
     }
@@ -109,64 +107,40 @@ impl<'a> PlanView<'a> {
     }
 }
 
-/// A Map task's per-key fold table: `key → (partial aggregate, tuples
-/// folded)`, for blocks whose key runs do not ascend. Left empty by every
-/// kernel that fills it, so a caller that keeps one per task reuses its
-/// allocation batch after batch; a caller whose blocks all ascend never
-/// allocates it.
-pub(crate) type Fold = KeyMap<(f64, usize)>;
-
 /// Map + local combine over one row block into `out` (whatever it held
 /// before), in key order ([`map_runs`] over the block's runs). The
 /// distributed worker runs this same fold on the block it decodes, so map
 /// outputs are bit-identical across backends.
-pub(crate) fn map_block(block: &DataBlock, job: &Job, fold: &mut Fold, out: &mut ClusterList) {
+pub(crate) fn map_block(block: &DataBlock, job: &Job, out: &mut ClusterList) {
     let runs = block.runs.iter().scan(0, |at, run| {
         let start = *at;
         *at += run.count;
         Some((run.key, start, run.count))
     });
-    map_runs(&block.values, runs, block.cardinality(), job, fold, out);
+    map_runs(&block.values, runs, job, out);
 }
 
 /// Map + local combine over a block's runs — each `(key, start, len)`, the
-/// key of `values[start..start + len]`, in placement order; a row block's
-/// runs over its value column or a columnar block's ranges over the arena's
-/// — into `out` (whatever it held before), in key order, for a block of
-/// `cardinality` keys. While the runs' keys ascend — every Prompt block's
-/// do, to its end — each run folds into a local accumulator that goes
-/// straight onto `out`: no table, no sort. At the first run that does not
-/// ascend past `out`'s last key, `out` moves into `fold` (empty) and the rest
-/// of the block folds run by run through it, one table probe a run, as a
-/// baseline technique's block does; `fold` is left empty. Either way each
-/// key's `apply` sequence is the per-tuple fold's, so the output is
-/// bit-identical to it.
+/// key of `values[start..start + len]`, one run per key, keys ascending; a
+/// row block's runs over its value column or a columnar block's ranges over
+/// the arena's — into `out` (whatever it held before), in key order. Each
+/// run folds into a local accumulator that goes straight onto `out`: no
+/// table, no sort. Each key's `apply` sequence is the per-tuple fold's, so
+/// the output is bit-identical to it.
 fn map_runs(
     values: &[f64],
-    mut runs: impl Iterator<Item = (Key, usize, usize)>,
-    cardinality: usize,
+    runs: impl Iterator<Item = (Key, usize, usize)>,
     job: &Job,
-    fold: &mut Fold,
     out: &mut ClusterList,
 ) {
-    debug_assert!(fold.is_empty(), "a block folds into an empty table");
     out.clear();
-    while let Some((key, start, len)) = runs.next() {
-        if out.last().is_some_and(|&(last, _)| last.0 >= key.0) {
-            fold.reserve(cardinality);
-            fold.extend(out.drain(..));
-            fold_run_into(fold, key, &values[start..start + len], job);
-            for (key, start, len) in runs {
-                if len == 1 {
-                    fold_value_into(fold, key, values[start], job);
-                } else {
-                    fold_run_into(fold, key, &values[start..start + len], job);
-                }
-            }
-            return in_key_order(fold, out);
-        }
-        let values = &values[start..start + len];
-        let (op, mut mapped) = (job.reduce, mapped(job, key, values));
+    for (key, start, len) in runs {
+        debug_assert!(
+            out.last().is_none_or(|&(last, _)| last.0 < key.0),
+            "run keys ascend"
+        );
+        let op = job.reduce;
+        let mut mapped = (values[start..start + len].iter()).filter_map(|&v| (job.map)(key, v));
         if let Some(v) = mapped.next() {
             let folded = mapped.fold((op.apply(None, v), 1), |(a, n), v| {
                 (op.apply(Some(a), v), n + 1)
@@ -174,65 +148,6 @@ fn map_runs(
             out.push((key, folded));
         }
     }
-}
-
-/// What the job's Map keeps of a run's values.
-#[inline(always)]
-fn mapped<'a>(job: &'a Job, key: Key, values: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
-    values.iter().filter_map(move |&v| (job.map)(key, v))
-}
-
-/// Fold a run of one value — most of a baseline block's runs — into `fold`:
-/// one probe and no loop or slice, as a per-tuple loop folds a tuple
-/// (measured: a walk taking every run through [`fold_run_into`] made
-/// `uniform_state`'s Map ≈ 10 % slower than the per-tuple loop).
-#[inline(always)]
-fn fold_value_into(fold: &mut Fold, key: Key, v: f64, job: &Job) {
-    if let Some(v) = (job.map)(key, v) {
-        let op = job.reduce;
-        match fold.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (acc, n) = e.get_mut();
-                *acc = op.apply(Some(*acc), v);
-                *n += 1;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((op.apply(None, v), 1));
-            }
-        }
-    }
-}
-
-/// Fold one run into `fold`: ONE table entry operation, at the run's first
-/// mapped value, then the rest of the run into the held slot; a run the Map
-/// filters entirely touches the table not at all. A key that already has a
-/// slot (a run of it came earlier in the block) continues its fold there.
-#[inline(always)]
-fn fold_run_into(fold: &mut Fold, key: Key, values: &[f64], job: &Job) {
-    let op = job.reduce;
-    let mut mapped = mapped(job, key, values);
-    let Some(v0) = mapped.next() else { return };
-    let slot: &mut (f64, usize) = match fold.entry(key) {
-        std::collections::hash_map::Entry::Occupied(e) => {
-            let s = e.into_mut();
-            s.0 = op.apply(Some(s.0), v0);
-            s.1 += 1;
-            s
-        }
-        std::collections::hash_map::Entry::Vacant(e) => e.insert((op.apply(None, v0), 1)),
-    };
-    for v in mapped {
-        slot.0 = op.apply(Some(slot.0), v);
-        slot.1 += 1;
-    }
-}
-
-/// Move `fold`'s clusters to `out` (whatever it held before) in key order,
-/// whatever the table's iteration order; `fold` is left empty.
-fn in_key_order(fold: &mut Fold, out: &mut ClusterList) {
-    out.clear();
-    out.extend(fold.drain());
-    out.sort_unstable_by_key(|(k, _)| k.0);
 }
 
 /// What one batch's shuffle routed: the `ScatterFragments` /
@@ -414,15 +329,12 @@ mod tests {
     }
 
     /// The per-tuple fold `map_block` ran on every block before it walked key
-    /// runs, verbatim but for reading each tuple as its run's key and its
-    /// value: one table entry per mapped tuple, then a drain and a sort. The
+    /// runs, verbatim but for reading a block's pairs: one table entry per
+    /// mapped tuple, in placement order, then a drain and a sort. The
     /// reference the run walk must equal bit for bit.
-    fn per_tuple_fold(block: &DataBlock, job: &Job, clusters: &mut Fold, out: &mut ClusterList) {
-        debug_assert!(clusters.is_empty(), "a block folds into an empty table");
-        clusters.reserve(block.cardinality());
-        let tuples =
-            (block.key_runs()).flat_map(|(key, values)| values.iter().map(move |&v| (key, v)));
-        for (key, value) in tuples {
+    fn per_tuple_fold(pairs: &[(Key, f64)], job: &Job) -> ClusterList {
+        let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
+        for &(key, value) in pairs {
             if let Some(v) = (job.map)(key, value) {
                 match clusters.entry(key) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -436,7 +348,9 @@ mod tests {
                 }
             }
         }
-        in_key_order(clusters, out);
+        let mut out: ClusterList = clusters.into_iter().collect();
+        out.sort_unstable_by_key(|(k, _)| k.0);
+        out
     }
 
     /// A cluster list with its aggregates as bits.
@@ -444,51 +358,27 @@ mod tests {
         out.iter().map(|&(k, (v, n))| (k, v.to_bits(), n)).collect()
     }
 
-    /// A row block of `runs` — `(key, length)` runs of consecutive tuples,
-    /// values varied so a Sum's fold order shows in its bits — with its
-    /// fragment table.
-    fn block_of_runs(runs: &[(Key, usize)]) -> DataBlock {
-        let keys = (runs.iter()).flat_map(|&(key, len)| std::iter::repeat_n(key, len));
-        (keys.enumerate())
-            .map(|(i, key)| (key, (i % 13) as f64 * 0.37 - 2.1))
-            .collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The run walk against the per-tuple fold: key-ascending runs, with
-        /// or without a stretch of arbitrary runs (a descent, keys coming
-        /// back, fresh keys below every other) spliced in at any run; a map
-        /// that keeps all, drops whole keys, drops single tuples or drops
-        /// everything; every `ReduceOp`. The output must equal the
-        /// reference bit for bit, and the fold table must be left empty —
-        /// and unallocated when the block ascends.
+        /// The run walk against the per-tuple fold: a block placed from
+        /// arbitrary `(key, length)` stretches of arrivals — keys repeating,
+        /// descending, coming back — values varied so a Sum's fold order
+        /// shows in its bits; a map that keeps all, drops whole keys, drops
+        /// single tuples or drops everything; every `ReduceOp`. Grouped into
+        /// one run per key, each key's values in placement order, the block
+        /// must map to the per-tuple fold of its arrivals, bit for bit.
         #[test]
         fn map_block_matches_the_per_tuple_fold(
-            ascending in proptest::collection::vec((1u64..4, 1usize..6), 0..40),
-            tail in proptest::collection::vec((0usize..64, 1usize..6), 0..8),
-            at in 0usize..64,
+            stretches in proptest::collection::vec((0u64..12, 1usize..6), 0..40),
             filter in 0u8..4,
             op in 0u8..4,
         ) {
-            let mut key = 10;
-            let mut runs: Vec<(Key, usize)> = (ascending.iter())
-                .map(|&(gap, len)| {
-                    key += gap;
-                    (Key(key), len)
-                })
+            let keys = (stretches.iter()).flat_map(|&(key, len)| std::iter::repeat_n(Key(key), len));
+            let pairs: Vec<(Key, f64)> = (keys.enumerate())
+                .map(|(i, key)| (key, (i % 13) as f64 * 0.37 - 2.1))
                 .collect();
-            // A quarter of the spliced runs take a fresh key below every
-            // ascending one; the rest repeat one of the ascending keys.
-            let spliced = tail.iter().map(|&(pick, len)| match runs.len() {
-                n if n == 0 || pick % 4 == 0 => (Key(pick as u64 % 10), len),
-                n => (runs[pick % n].0, len),
-            });
-            let at = at % (runs.len() + 1);
-            let spliced: Vec<(Key, usize)> = spliced.collect();
-            runs.splice(at..at, spliced);
-            let block = block_of_runs(&runs);
+            let block: DataBlock = pairs.iter().copied().collect();
             let op = [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min][op as usize];
             let job = match filter {
                 0 => Job::identity("all", op),
@@ -496,21 +386,10 @@ mod tests {
                 2 => Job::new("drop-tuples", |_, v: f64| (v >= 0.0).then_some(v), op),
                 _ => Job::new("drop-all", |_, _| None, op),
             };
-            let mut want = ClusterList::new();
-            per_tuple_fold(&block, &job, &mut Fold::default(), &mut want);
-            let ascends = (block.runs.windows(2)).all(|w| w[0].key.0 <= w[1].key.0);
-
-            let (mut fold, mut out) = (Fold::default(), vec![(Key(1), (0.5, 9))]);
-            map_block(&block, &job, &mut fold, &mut out);
-            prop_assert_eq!(bits(&out), bits(&want), "{:?}", runs);
-            prop_assert!(fold.is_empty(), "the fold table was left filled");
-            if ascends {
-                prop_assert_eq!(fold.capacity(), 0, "the fold table was allocated");
-            }
-            // Again, through the table the first call left behind.
-            map_block(&block, &job, &mut fold, &mut out);
-            prop_assert_eq!(bits(&out), bits(&want), "again: {:?}", runs);
-            prop_assert!(fold.is_empty(), "the fold table was left filled");
+            let want = per_tuple_fold(&pairs, &job);
+            let mut out = vec![(Key(1), (0.5, 9))];
+            map_block(&block, &job, &mut out);
+            prop_assert_eq!(bits(&out), bits(&want), "{:?}", stretches);
         }
     }
 
@@ -520,7 +399,6 @@ mod tests {
     /// either layout, whatever cut the block.
     #[test]
     fn an_identity_map_yields_each_blocks_fragment_table() {
-        use prompt_core::columnar::{ColRange, ColumnarBatch, ColumnarBlock};
         let check = |rows: &PartitionPlan, cols: &ColumnarPlan, what: &str| {
             for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
                 let job = Job::identity("id", op);
@@ -531,7 +409,7 @@ mod tests {
                     for i in 0..view.n_blocks() {
                         let fragments = view.fragments(i).iter().map(|f| (f.key, f.count));
                         let mut mapped = ClusterList::new();
-                        view.map_block(i, &job, &mut Fold::default(), &mut mapped);
+                        view.map_block(i, &job, &mut mapped);
                         let mapped = mapped.into_iter();
                         assert_eq!(
                             mapped.map(|(k, (_, n))| (k, n)).collect::<Vec<_>>(),
@@ -567,34 +445,6 @@ mod tests {
                 }
             }
         }
-
-        // A heavy key poured into one block twice (its `S_cut` fragment, then
-        // its residual): two ranges, one fragment, one cluster.
-        let keys = [1, 1, 1, 2, 2, 1, 1].map(Key);
-        let tuples: Vec<Tuple> = (keys.iter().enumerate())
-            .map(|(i, &k)| Tuple::new(Time(1 + i as u64), k, i as f64 - 2.5))
-            .collect();
-        let ranges = [(1, 0, 3), (2, 3, 2), (1, 5, 2)];
-        let block = ColumnarBlock {
-            ranges: (ranges.iter())
-                .map(|&(k, at, n)| (Key(k), ColRange::new(at, n)))
-                .collect(),
-            fragments: [(1, 5), (2, 2)]
-                .map(|(k, count)| KeyFragment { key: Key(k), count })
-                .to_vec(),
-        };
-        let arena = std::sync::Arc::new(ColumnarBatch::from_tuples(&tuples));
-        let (blocks, split_keys) = (vec![block], KeySet::default());
-        let cols = ColumnarPlan {
-            arena,
-            blocks,
-            split_keys,
-        };
-        check(
-            &cols.to_row_plan(),
-            &cols,
-            "a key in two ranges of one block",
-        );
     }
 
     /// The fleet reports no counts: a bucket's tuples and fragments are what

@@ -357,8 +357,8 @@ mod tests {
         assert_eq!(served, [c.bytes_received(), c.bytes_sent()]);
     }
 
-    /// A Map frame of `n` tuples whose value bits vary with `salt` (NaN
-    /// payloads and `-0.0` included).
+    /// A Map frame of `n` tuples, each its own key's run, whose value bits
+    /// vary with `salt` (NaN payloads and `-0.0` included).
     fn map_frame(n: u64, salt: u64) -> Message {
         use crate::job::{JobSpec, MapSpec, ReduceOp};
         use prompt_core::batch::DataBlock;
@@ -371,7 +371,7 @@ mod tests {
                     1 => -0.0,
                     _ => f64::from_bits(bits >> 2),
                 };
-                (Key(i % 97), value)
+                (Key(i), value)
             })
             .collect();
         Message::MapTask {

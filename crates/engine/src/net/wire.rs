@@ -37,9 +37,15 @@
 //! 24-byte `{ts, key, value}` tuples and a 16-byte-a-key fragment table.
 //! No worker read the timestamps (the Map is `Map(k, v)`) or the table (the
 //! driver assigns from its own copy, and a worker pairs its output with the
-//! driver's `ShuffleAssign`), so a decoded block has no fragment table. A
-//! Prompt block is one run per key, so its frame fell from
-//! `24·n + 16·f` to `8·n + 16·f` block bytes. No other frame changed.
+//! driver's `ShuffleAssign`). A Prompt block is one run per key, so its
+//! frame fell from `24·n + 16·f` to `8·n + 16·f` block bytes. No other frame
+//! changed.
+//!
+//! Protocol v7 keeps v6's layout and narrows what a `MapTask` block may be:
+//! what every block is, one run per key, keys strictly ascending. A block
+//! whose run keys repeat or descend is `Malformed`, so the worker's Map
+//! folds every block it decodes in one walk. v6 accepted such blocks, so a
+//! v6 peer is turned away at the header.
 //!
 //! An encoder writes the header in place, then the payload behind it, into
 //! one buffer, and patches the payload length in last; a `MapTask`'s buffer
@@ -73,7 +79,8 @@ pub const MAGIC: u32 = 0x5445_4e50;
 /// names the sender.
 /// v6: a `MapTask` block is key runs over a value column: no timestamps, no
 /// fragment table.
-pub const PROTOCOL_VERSION: u8 = 6;
+/// v7: a `MapTask` block's run keys strictly ascend; the layout is v6's.
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Frame header length: magic + version + msg type + payload length.
 pub const HEADER_LEN: usize = 10;
@@ -790,21 +797,11 @@ mod tests {
         write_frame(msg_type, payload.len(), |w| w.put_bytes(payload))
     }
 
-    /// `block` as a `MapTask` frame carries it: no fragment table.
-    pub(crate) fn on_the_wire(block: DataBlock) -> DataBlock {
-        DataBlock {
-            fragments: Vec::new(),
-            ..block
-        }
-    }
-
     /// One exemplar of every message variant.
     pub(crate) fn exemplars() -> Vec<Message> {
-        let block = on_the_wire(
-            [(Key(7), 1.5), (Key(7), -0.5), (Key(2), 4.0)]
-                .into_iter()
-                .collect(),
-        );
+        let block = [(Key(7), 1.5), (Key(7), -0.5), (Key(2), 4.0)]
+            .into_iter()
+            .collect();
         vec![
             Message::Register {
                 worker: 3,
@@ -915,7 +912,7 @@ mod tests {
                 let Message::MapTask { block, .. } = Message::decode(&frame).unwrap() else {
                     panic!("block {i} {layout} decoded to another message");
                 };
-                assert_eq!(block, on_the_wire(row.clone()), "block {i} {layout}");
+                assert_eq!(&block, row, "block {i} {layout}");
             }
         }
     }
@@ -1037,16 +1034,20 @@ mod tests {
         assert!(matches!(Message::decode(&v4), Err(WireError::Codec(_))));
     }
 
-    /// v6: a `MapTask`'s block is its runs and its values — 16 bytes a run,
-    /// 8 a value, no timestamp and no fragment table — and a v5 peer, whose
-    /// frames carry both, is turned away at the header.
+    /// v7: a `MapTask`'s block is its runs and its values — 16 bytes a run,
+    /// 8 a value, no timestamp and no fragment table, as at v6 — and its run
+    /// keys strictly ascend. A v6 peer, which may send runs that do not, and
+    /// a v5 peer, whose frames carry timestamps and a fragment table, are
+    /// turned away at the header.
     #[test]
-    fn v6_map_tasks_carry_runs_and_values_only() {
-        assert_eq!(PROTOCOL_VERSION, 6);
+    fn v7_map_tasks_carry_ascending_runs_and_values_only() {
+        assert_eq!(PROTOCOL_VERSION, 7);
         for msg in exemplars() {
-            let mut frame = msg.encode();
-            frame[4] = 5;
-            assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(5)));
+            for old in [5, 6] {
+                let mut frame = msg.encode();
+                frame[4] = old;
+                assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(old)));
+            }
         }
         let task = (exemplars().into_iter())
             .find(|m| matches!(m, Message::MapTask { .. }))

@@ -40,7 +40,7 @@ use prompt_core::types::Key;
 use super::transport::{connect, ConnPool, FrameConn, NetError};
 use super::wire::{FetchStats, Message, ShuffleSegment, ShuffleSource};
 use crate::job::ReduceOp;
-use crate::kernel::{map_block, merge_bucket, ClusterList, Fold};
+use crate::kernel::{map_block, merge_bucket, ClusterList};
 
 /// Cap on the shuffle acceptor's backoff between empty accept polls.
 const ACCEPT_BACKOFF_MAX: WallDuration = WallDuration::from_millis(20);
@@ -292,7 +292,6 @@ fn serve_tasks(
     }
     // Map outputs awaiting their ShuffleAssign, in full precision.
     let mut pending: HashMap<(u64, u32, u32), ClusterList> = HashMap::new();
-    let mut fold = Fold::default();
     loop {
         match conn.recv()? {
             Message::MapTask {
@@ -304,7 +303,7 @@ fn serve_tasks(
             } => {
                 let job = job.instantiate("net-task");
                 let mut ordered = ClusterList::new();
-                map_block(&block, &job, &mut fold, &mut ordered);
+                map_block(&block, &job, &mut ordered);
                 pending.insert((seq, epoch, block_id), ordered);
             }
             Message::ShuffleAssign {

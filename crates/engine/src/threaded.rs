@@ -13,8 +13,8 @@
 //! wall-clock time of each phase is reported beside the output, so the
 //! examples can show real speedups from balanced partitioning.
 //!
-//! * **Map** — one [`PlanView::map_block`] per block, in parallel, each
-//!   followed by its own Algorithm 3 assignment ([`assign_block`]): the
+//! * **Map** — one `PlanView::map_block` per block, in parallel, each
+//!   followed by its own Algorithm 3 assignment (`kernel::assign_block`): the
 //!   assignment is a pure function of one block's output, so it runs where
 //!   that output is made.
 //! * **Shuffle** — serial, on the calling thread: push every block's
@@ -22,17 +22,15 @@
 //!   batch — less than a thread round costs (a bucket-striped parallel
 //!   scatter stood here and was slower on every benchmark workload, ROADMAP
 //!   "Settled").
-//! * **Reduce** — one [`merge_bucket`] per bucket, in parallel; every bucket
-//!   was filled in block order then key order, whatever the thread count.
+//! * **Reduce** — one `kernel::merge_bucket` per bucket, in parallel; every
+//!   bucket was filled in block order then key order, whatever the thread
+//!   count.
 //!
 //! An executor keeps its tables from batch to batch: a cluster list and
-//! assigner input per Map task, one item list and merge table per Reduce
-//! bucket, and a fold table per Map task that only a columnar block or a
-//! row block whose key runs do not ascend fills — a Prompt row block is one
-//! run per key, keys ascending, and folds straight into its cluster list.
-//! They are indexed by task, not by thread — which thread ran a task never
-//! matters — and cleared, never dropped, so a steady-state batch allocates
-//! only what its input has outgrown.
+//! assigner input per Map task, and one item list and merge table per Reduce
+//! bucket. They are indexed by task, not by thread — which thread ran a task
+//! never matters — and cleared, never dropped, so a steady-state batch
+//! allocates only what its input has outgrown.
 
 use std::time::Instant;
 
@@ -44,7 +42,7 @@ use prompt_core::types::{Duration, Key};
 
 use crate::job::Job;
 use crate::kernel::{
-    assign_block, gather_buckets, merge_bucket, ClusterList, Fold, PlanView, ShuffleTally,
+    assign_block, gather_buckets, merge_bucket, ClusterList, PlanView, ShuffleTally,
 };
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{StageKind, TraceRecorder};
@@ -95,7 +93,6 @@ pub struct ThreadedExecutor {
 #[derive(Clone, Debug, Default)]
 #[repr(align(128))]
 struct MapTask {
-    fold: Fold,
     clusters: ClusterList,
     descs: Vec<KeyCluster>,
     /// What the assigner returned for `clusters`, until the shuffle reads it.
@@ -183,7 +180,7 @@ impl ThreadedExecutor {
         let tallied = trace.is_some();
         let maps = first(&mut self.maps, view.n_blocks());
         map_mut(maps, self.threads, |i, task| {
-            view.map_block(i, job, &mut task.fold, &mut task.clusters);
+            view.map_block(i, job, &mut task.clusters);
             let clusters = task.clusters.iter().map(|&(key, (_, n))| (key, n));
             task.tally = ShuffleTally::default();
             let tally_into = tallied.then_some(&mut task.tally);
@@ -350,46 +347,6 @@ mod tests {
         };
         let job = Job::identity("sum", ReduceOp::Sum);
         let _ = ThreadedExecutor::new(1).execute(&plan, &job, &PromptReduceAllocator::new(0), 2);
-    }
-
-    /// Prompt's blocks are one run per key, keys ascending, so every Map
-    /// task folds them straight into its output: over the engine's Prompt
-    /// row plans — either buffer, serial or sharded, one thread or two — no
-    /// task's fold table is ever allocated. A Hash plan, whose blocks keep
-    /// arrival order, allocates them.
-    #[test]
-    fn key_ordered_blocks_leave_every_map_fold_unallocated() {
-        // Skewed: keys 0..7 are hot, and split across blocks.
-        let mut mb = batch(20_000, 211);
-        for t in mb.tuples.iter_mut().step_by(2) {
-            t.key = Key(t.key.0 % 7);
-        }
-        let job = Job::identity("sum", ReduceOp::Sum);
-        let assigner = PromptReduceAllocator::new(5);
-        let fold_capacity = |plan: &PartitionPlan, threads: usize| {
-            let mut exec = ThreadedExecutor::new(threads);
-            for _ in 0..2 {
-                exec.execute_view(PlanView::Rows(plan), &job, &assigner, 4, None);
-            }
-            exec.maps.iter().map(|m| m.fold.capacity()).max()
-        };
-        for technique in [Technique::Prompt, Technique::PromptCountTree] {
-            for (shards, threads) in [(1, 1), (4, 2)] {
-                let mut part = technique.build_with_parallelism(5, shards, threads);
-                let plan = part.partition(&mb, 8);
-                assert!(!plan.split_keys.is_empty(), "the case needs a split key");
-                assert_eq!(
-                    fold_capacity(&plan, threads),
-                    Some(0),
-                    "{technique:?} at {shards} shards, {threads} threads: a fold table was allocated"
-                );
-            }
-        }
-        let hash = Technique::Hash.build(5).partition(&mb, 8);
-        assert!(
-            fold_capacity(&hash, 1) > Some(0),
-            "Hash blocks fold through the table"
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! distributed driver swap the columnar plane in without the workers (or
 //! any capture of the traffic) being able to tell.
 
-use prompt_core::batch::{DataBlock, MicroBatch};
+use prompt_core::batch::MicroBatch;
 use prompt_core::columnar::ColumnarPlan;
 use prompt_core::partitioner::Technique;
 use prompt_core::types::{Interval, Key, Time, Tuple};
@@ -74,7 +74,7 @@ proptest! {
                 epoch,
                 block_id: block_id as u32,
                 job: spec,
-                block: DataBlock { fragments: Vec::new(), ..rb.clone() },
+                block: rb.clone(),
             };
             let want = msg.encode();
             let frame = encode_map_task_columnar(

@@ -55,23 +55,31 @@ proptest! {
         techniques.push(Technique::DChoices(5));
         for tech in techniques {
             let plan = tech.build(3).partition(&batch, p);
-            prop_assert_eq!(plan.n_blocks(), p);
-            prop_assert_eq!(plan.total_tuples(), batch.len());
-            // Per-key totals across fragments equal the input.
-            let mut got: KeyMap<usize> = KeyMap::default();
-            for block in &plan.blocks {
-                let mut block_tuples: KeyMap<usize> = KeyMap::default();
-                for (key, values) in block.key_runs() {
-                    *block_tuples.entry(key).or_insert(0) += values.len();
+            // The technique's own columnar cut, where it has one, as rows.
+            let columnar = (tech.build(3).partition_columnar(&batch, p))
+                .map(|(cols, _)| cols.to_row_plan());
+            for plan in std::iter::once(plan).chain(columnar) {
+                prop_assert_eq!(plan.n_blocks(), p);
+                prop_assert_eq!(plan.total_tuples(), batch.len());
+                // Per-key totals across fragments equal the input.
+                let mut got: KeyMap<usize> = KeyMap::default();
+                for block in &plan.blocks {
+                    // One run per key, keys strictly ascending: the runs
+                    // are the block's fragment table.
+                    let ascend = block.runs.windows(2).all(|w| w[0].key.0 < w[1].key.0);
+                    prop_assert!(ascend, "{:?}: runs {:?}", tech, block.runs);
+                    let mut block_tuples: KeyMap<usize> = KeyMap::default();
+                    for (key, values) in block.key_runs() {
+                        *block_tuples.entry(key).or_insert(0) += values.len();
+                    }
+                    prop_assert_eq!(block.runs.len(), block_tuples.len());
+                    for f in &block.runs {
+                        prop_assert_eq!(block_tuples.get(&f.key).copied(), Some(f.count));
+                        *got.entry(f.key).or_insert(0) += f.count;
+                    }
                 }
-                // Fragment summaries agree with the payload.
-                prop_assert_eq!(block.fragments.len(), block_tuples.len());
-                for f in &block.fragments {
-                    prop_assert_eq!(block_tuples.get(&f.key).copied(), Some(f.count));
-                    *got.entry(f.key).or_insert(0) += f.count;
-                }
+                prop_assert_eq!(&got, &want, "{:?}", tech);
             }
-            prop_assert_eq!(&got, &want, "{:?}", tech);
         }
     }
 
@@ -82,7 +90,7 @@ proptest! {
             let plan = tech.build(9).partition(&batch, p);
             let mut blocks_per_key: KeyMap<usize> = KeyMap::default();
             for block in &plan.blocks {
-                for f in &block.fragments {
+                for f in &block.runs {
                     *blocks_per_key.entry(f.key).or_insert(0) += 1;
                 }
             }
@@ -120,7 +128,7 @@ proptest! {
         let plan = Technique::Pkg(d).build(5).partition(&batch, 8);
         let mut blocks_per_key: KeyMap<usize> = KeyMap::default();
         for block in &plan.blocks {
-            for f in &block.fragments {
+            for f in &block.runs {
                 *blocks_per_key.entry(f.key).or_insert(0) += 1;
             }
         }

@@ -278,9 +278,9 @@ proptest! {
         prop_assert_eq!(plan.total_tuples(), tuples.len());
         let mut got: BTreeMap<u64, usize> = BTreeMap::new();
         for b in &plan.blocks {
-            let from_fragments: usize = b.fragments.iter().map(|f| f.count).sum();
-            prop_assert_eq!(from_fragments, b.size(), "fragment summary out of sync");
-            for f in &b.fragments {
+            let from_runs: usize = b.runs.iter().map(|f| f.count).sum();
+            prop_assert_eq!(from_runs, b.size(), "runs out of sync with the values");
+            for f in &b.runs {
                 *got.entry(f.key.0).or_insert(0) += f.count;
             }
         }

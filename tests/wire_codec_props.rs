@@ -81,23 +81,32 @@ proptest! {
         }
     }
 
-    /// A block is its runs over its values (v6): any runs — keys repeating,
-    /// descending, or one run per key ascending as a Prompt block's — round
-    /// trip with their values bit for bit; no fragment table is sent.
-    /// The same frame with a run emptied, or a run one longer or shorter
-    /// than the values allow, is a `Malformed` error.
+    /// A block is its runs over its values (v7): one run per key, keys
+    /// strictly ascending, as every block is. Any such runs round trip with
+    /// their values bit for bit; no fragment table is sent. The same frame
+    /// with a run emptied, a run one longer or shorter than the values
+    /// allow, or two runs swapped so that their keys descend is a
+    /// `Malformed` error.
     #[test]
     fn map_task_round_trips(
         seq in any::<u64>(),
         epoch in any::<u32>(),
         block_id in any::<u32>(),
         reduce_code in 0u8..4,
-        runs in vec((any::<u64>(), vec(value(), 1..6)), 0..20),
+        first in any::<u64>(),
+        runs in vec((1u64..1 << 40, vec(value(), 1..6)), 0..20),
         pick in any::<usize>(),
+        other in any::<usize>(),
         longer in any::<bool>(),
     ) {
-        let pairs = (runs.iter()).flat_map(|(key, values)| values.iter().map(move |&v| (Key(*key), v)));
-        let block = DataBlock { fragments: Vec::new(), ..pairs.collect() };
+        // Each run's key is the last one's plus its gap, while that fits.
+        let keys = runs.iter().scan(Some(first), |key, &(gap, _)| {
+            let this = (*key)?;
+            *key = this.checked_add(gap);
+            Some(this)
+        });
+        let pairs = (keys.zip(&runs)).flat_map(|(key, (_, values))| values.iter().map(move |&v| (Key(key), v)));
+        let block: DataBlock = pairs.collect();
         let n_runs = block.runs.len();
         let msg = Message::MapTask {
             seq,
@@ -116,7 +125,8 @@ proptest! {
         }
         // The run table follows the 18-byte task header and its u32 count;
         // a run is its key, then its count, eight bytes each.
-        let count_at = HEADER_LEN + 18 + 4 + 16 * (pick % n_runs) + 8;
+        let run_at = |i: usize| HEADER_LEN + 18 + 4 + 16 * i;
+        let count_at = run_at(pick % n_runs) + 8;
         let count = u64::from_le_bytes(frame[count_at..count_at + 8].try_into().unwrap());
         // A run of one cannot shrink without emptying: it grows instead.
         let off_by_one = if longer || count == 1 { count + 1 } else { count - 1 };
@@ -131,6 +141,20 @@ proptest! {
                 Err(WireError::Codec(CodecError::Malformed(what)))
             );
         }
+        if n_runs < 2 {
+            return Ok(());
+        }
+        // Two distinct runs swapped, counts and all: the counts still sum
+        // to the values, but the keys no longer ascend.
+        let (a, b) = (pick % n_runs, other % (n_runs - 1));
+        let (a, b) = if b >= a { (a, b + 1) } else { (b, a) };
+        let mut swapped = frame.clone();
+        let (head, tail) = swapped.split_at_mut(run_at(b));
+        head[run_at(a)..run_at(a) + 16].swap_with_slice(&mut tail[..16]);
+        prop_assert_eq!(
+            Message::decode(&swapped),
+            Err(WireError::Codec(CodecError::Malformed("run keys do not ascend")))
+        );
     }
 
     #[test]
