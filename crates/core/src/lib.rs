@@ -63,6 +63,7 @@ pub mod par;
 pub mod partitioner;
 pub mod reduce;
 pub mod sketch;
+pub mod sort;
 pub mod source;
 pub mod types;
 

@@ -15,7 +15,7 @@
 //! cAM and reports the best configuration; the harness does the same.
 
 use crate::batch::PartitionPlan;
-use crate::hash::HashFamily;
+use crate::hash::{HashFamily, KeySet};
 use crate::partitioner::per_tuple::PerTuple;
 use crate::partitioner::{PartitionPhases, Partitioner, Plan};
 use crate::types::{Interval, Tuple};
@@ -29,6 +29,8 @@ pub struct CamPartitioner {
     family: HashFamily,
     d: usize,
     gamma: f64,
+    /// Each block's keys so far.
+    key_sets: Vec<KeySet>,
     blocks: PerTuple,
 }
 
@@ -46,6 +48,7 @@ impl CamPartitioner {
             family: HashFamily::new(seed, d),
             d,
             gamma,
+            key_sets: Vec::new(),
             blocks: PerTuple::default(),
         }
     }
@@ -67,24 +70,31 @@ impl Partitioner for CamPartitioner {
         _interval: Interval,
         p: usize,
     ) -> (PartitionPlan, PartitionPhases) {
+        // The loop counts sizes only: the key sets the choice reads are
+        // cAM's own, one per block, cleared each batch and kept.
+        self.key_sets.iter_mut().for_each(KeySet::clear);
+        self.key_sets.resize_with(p, KeySet::default);
+        let (family, gamma, sets) = (&self.family, self.gamma, &mut self.key_sets);
         let plan = self.blocks.place(tuples, p, true, |_, t, placed| {
-            let candidates = || self.family.candidates(t.key, p);
-            let cost = |b| placed.size(b) as f64 + self.gamma * placed.cardinality(b) as f64;
+            let candidates = || family.candidates(t.key, p);
+            let holds = |b: usize| sets[b].contains(&t.key);
+            let cost = |b: usize| placed.size(b) as f64 + gamma * sets[b].len() as f64;
             // Candidates that hold the key compare by size only, the others
             // by `cost`; the first minimum wins.
-            let local = (candidates().filter(|&b| placed.holds(b, t.key)))
-                .min_by_key(|&b| (placed.size(b), b));
-            let fresh = (candidates().filter(|&b| !placed.holds(b, t.key)))
+            let local = (candidates().filter(|&b| holds(b))).min_by_key(|&b| (placed.size(b), b));
+            let fresh = (candidates().filter(|&b| !holds(b)))
                 .map(|b| (cost(b), b))
                 .min_by(|x, y| x.partial_cmp(y).expect("costs are finite"));
             // Prefer a candidate that already holds the key unless a fresh
             // candidate is strictly cheaper even after paying the
             // cardinality penalty.
-            match (local, fresh) {
-                (Some(lb), Some((cost, b))) if cost + self.gamma < placed.size(lb) as f64 => b,
+            let b = match (local, fresh) {
+                (Some(lb), Some((cost, b))) if cost + gamma < placed.size(lb) as f64 => b,
                 (Some(lb), _) => lb,
                 (None, fresh) => fresh.expect("family is non-empty").1,
-            }
+            };
+            sets[b].insert(t.key);
+            b
         });
         (plan, PartitionPhases::default())
     }
@@ -160,6 +170,21 @@ mod tests {
         // With gamma = 0 the cost is pure size, so balance matches PK2.
         let pkg = PkgPartitioner::new(7, 2).partition(&batch, 4);
         assert!((metrics::bsi(&cam) - metrics::bsi(&pkg)).abs() <= 2.0);
+    }
+
+    /// cAM's key sets are cleared each batch, not dropped: batch after batch,
+    /// at fewer blocks and at more, a recycled instance places what a fresh
+    /// one places.
+    #[test]
+    fn a_recycled_instance_places_as_a_fresh_one() {
+        let batches = [zipfish_batch(80, 300), zipfish_batch(40, 500)];
+        let mut cam = CamPartitioner::new(9, 3);
+        for (i, p) in [8, 3, 12, 8].into_iter().enumerate() {
+            let batch = &batches[i % 2];
+            let plan = cam.partition(batch, p);
+            assert_eq!(plan, CamPartitioner::new(9, 3).partition(batch, p), "p={p}");
+            cam.recycle(Plan::Rows(plan));
+        }
     }
 
     #[test]

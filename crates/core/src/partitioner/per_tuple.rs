@@ -1,27 +1,29 @@
 //! The per-tuple placement loop every baseline runs (§2.2, §7).
 //!
 //! A per-tuple technique is a routing decision: given an arrival and the
-//! blocks placed so far, pick a block. [`PerTuple`] does the rest, in two
+//! blocks placed so far, pick a block. [`PerTuple`] does the rest, in four
 //! passes over buffers that outlive the batch. The first asks the chooser
-//! for each arrival's block, finds or adds its key's slot in that block's
-//! table, counts the arrival there and notes the slot. The second is a
-//! counting sort, as Prompt's scatter is: each block's slots, sorted by key,
-//! become its runs, and every value is written once to its key's next
-//! position. So a baseline's block is what every block is — one run per
-//! key, keys ascending, each key's values in arrival order — and its Map
-//! folds each key's values in the order they arrived. The split-key table
-//! is derived as [`PartitionPlan::from_blocks`] derives it; key tables are
-//! cleared, not dropped, and the blocks of the last plan recycled.
+//! for each arrival's block and counts the blocks' sizes. The second
+//! scatters each arrival's key and value into its block's range of one pair
+//! buffer, in arrival order. The third sorts each range by key with the
+//! stable radix sort of [`crate::sort`], so each key's values stay in the
+//! order they arrived, and the fourth writes the range out as its block's
+//! runs and values. So a baseline's block is what every block is — one run
+//! per key, keys ascending, each key's values in arrival order — and its Map
+//! folds each key's values in the order they arrived, with no key table and
+//! no comparison sort on the way. The split-key table is derived as
+//! [`PartitionPlan::from_blocks`] derives it, and the blocks of the last
+//! plan are recycled.
 
 use crate::batch::{split_keys, KeyFragment, PartitionPlan};
 use crate::hash::{KeyMap, KeySet};
 use crate::partitioner::{Plan, Spare};
+use crate::sort::RadixSort;
 use crate::types::{Key, Tuple};
 
 /// What a block chooser reads of the blocks placed so far.
 pub(crate) struct Placed<'a> {
     sizes: &'a [usize],
-    tables: &'a [KeyMap<u32>],
 }
 
 impl Placed<'_> {
@@ -29,40 +31,20 @@ impl Placed<'_> {
     pub(crate) fn size(&self, b: usize) -> usize {
         self.sizes[b]
     }
-
-    /// Whether block `b` holds a tuple of `key` yet.
-    pub(crate) fn holds(&self, b: usize, key: Key) -> bool {
-        self.tables[b].contains_key(&key)
-    }
-
-    /// `‖block b‖`: distinct keys placed in it so far.
-    pub(crate) fn cardinality(&self, b: usize) -> usize {
-        self.tables[b].len()
-    }
-}
-
-/// One key of one block: the key and, in the first pass, its arrivals so
-/// far; once the block's runs are laid out, the position its next value
-/// goes to.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    key: Key,
-    at: usize,
 }
 
 /// The placement loop's state, refilled batch after batch.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PerTuple {
-    /// Each block's key table: key → the key's slot in `slots`.
-    tables: Vec<KeyMap<u32>>,
-    /// Each block's slots, in the order its keys first arrived.
-    slots: Vec<Vec<Slot>>,
-    /// Each block's tuples so far.
+    /// Each block's tuples so far; from the scatter on, the next position
+    /// of its range in `pairs`.
     sizes: Vec<usize>,
-    /// Each arrival's `(block, slot)`, in arrival order.
-    arrivals: Vec<(u32, u32)>,
-    /// One block's `(key, slot)`s, sorted by key.
-    order: Vec<(u64, u32)>,
+    /// Each arrival's block, in arrival order.
+    chosen: Vec<u32>,
+    /// Every arrival's key and value, block after block.
+    pairs: Vec<(Key, f64)>,
+    /// The sort of each block's range of `pairs`.
+    radix: RadixSort<(Key, f64)>,
     /// Each key's number of holding blocks, drained into the split keys.
     holders: KeyMap<usize>,
     /// The buffers of the last plan handed back.
@@ -84,56 +66,40 @@ impl PerTuple {
     ) -> PartitionPlan {
         assert!(p > 0, "need at least one block");
         assert!(u32::try_from(tuples.len()).is_ok(), "over 2^32 arrivals");
-        self.tables.resize_with(p, KeyMap::default);
-        self.slots.resize_with(p, Vec::new);
         self.sizes.clear();
         self.sizes.resize(p, 0);
-        self.arrivals.clear();
+        self.chosen.clear();
         for (i, t) in tuples.iter().enumerate() {
-            let placed = Placed {
-                sizes: &self.sizes,
-                tables: &self.tables,
-            };
-            let b = choose(i, t, &placed);
-            let slots = &mut self.slots[b];
-            let slot = *self.tables[b].entry(t.key).or_insert_with(|| {
-                slots.push(Slot { key: t.key, at: 0 });
-                (slots.len() - 1) as u32
-            });
-            slots[slot as usize].at += 1;
+            let b = choose(i, t, &Placed { sizes: &self.sizes });
             self.sizes[b] += 1;
-            self.arrivals.push((b as u32, slot));
+            self.chosen.push(b as u32);
         }
         let mut blocks = self.spare.sized_row_blocks(&self.sizes, false);
-        for ((block, slots), table) in blocks.iter_mut().zip(&mut self.slots).zip(&mut self.tables)
-        {
-            table.clear();
-            self.order.clear();
-            let keyed = slots
-                .iter()
-                .enumerate()
-                .map(|(s, slot)| (slot.key.0, s as u32));
-            self.order.extend(keyed);
-            // A block's keys are unique, so an unstable sort gives one
-            // order whatever order they first arrived in.
-            self.order.sort_unstable();
-            let mut at = 0;
-            for &(key, s) in &self.order {
-                let slot = &mut slots[s as usize];
-                let count = slot.at;
-                block.runs.push(KeyFragment {
-                    key: Key(key),
-                    count,
-                });
-                (slot.at, at) = (at, at + count);
+        let mut start = 0;
+        for at in &mut self.sizes {
+            (*at, start) = (start, start + *at);
+        }
+        self.pairs.clear();
+        self.pairs.resize(tuples.len(), (Key(0), 0.0));
+        for (&b, t) in self.chosen.iter().zip(tuples) {
+            let at = &mut self.sizes[b as usize];
+            self.pairs[*at] = (t.key, t.value);
+            *at += 1;
+        }
+        // Each block's range now ends where its next position stopped.
+        let mut start = 0;
+        for (block, &end) in blocks.iter_mut().zip(&self.sizes) {
+            let pairs = &mut self.pairs[start..end];
+            self.radix.sort(pairs, |&(key, _)| key.0);
+            for (v, &(key, value)) in block.values.iter_mut().zip(&*pairs) {
+                *v = value;
+                match block.runs.last_mut() {
+                    Some(run) if run.key == key => run.count += 1,
+                    _ => block.runs.push(KeyFragment { key, count: 1 }),
+                }
             }
+            start = end;
         }
-        for (&(b, s), t) in self.arrivals.iter().zip(tuples) {
-            let slot = &mut self.slots[b as usize][s as usize];
-            blocks[b as usize].values[slot.at] = t.value;
-            slot.at += 1;
-        }
-        self.slots.iter_mut().for_each(Vec::clear);
         let split_keys = if split {
             split_keys(&blocks, &mut self.holders)
         } else {
@@ -158,26 +124,23 @@ mod tests {
         Tuple::keyed(Time::ZERO, Key(k))
     }
 
-    /// The chooser sees what the first pass placed, and the counting sort
-    /// lays each block out as one run per key, keys ascending, each key's
-    /// values in the order they arrived.
+    /// The chooser sees the sizes the first pass counted, and the radix
+    /// sort lays each block out as one run per key, keys ascending, each
+    /// key's values in the order they arrived.
     #[test]
     fn chooser_reads_what_the_loop_placed() {
         let keys = [2, 1, 2, 3, 3, 1];
         let tuples: Vec<Tuple> = (keys.iter().enumerate())
             .map(|(i, &k)| Tuple::new(Time(i as u64), Key(k), i as f64))
             .collect();
-        // What each block holds so far, kept beside the loop.
-        let mut model: Vec<Vec<Key>> = vec![Vec::new(); 2];
+        // Each block's size so far, kept beside the loop.
+        let mut model = [0; 2];
         let plan = PerTuple::default().place(&tuples, 2, true, |i, t, placed| {
-            for (b, keys) in model.iter().enumerate() {
-                assert_eq!(placed.size(b), keys.len(), "arrival {i}");
-                let distinct: KeySet = keys.iter().copied().collect();
-                assert_eq!(placed.cardinality(b), distinct.len(), "arrival {i}");
-                assert_eq!(placed.holds(b, t.key), distinct.contains(&t.key));
+            for (b, &size) in model.iter().enumerate() {
+                assert_eq!(placed.size(b), size, "arrival {i}");
             }
             let b = usize::from(t.key == Key(3));
-            model[b].push(t.key);
+            model[b] += 1;
             b
         });
         let run = |k, count| KeyFragment { key: Key(k), count };

@@ -1003,21 +1003,25 @@ mod tests {
     /// Shape guard: every baseline is a block chooser over the one
     /// placement loop, so no production half under `partitioner/` but
     /// `per_tuple.rs`' writes an arrival into a block — its value written
-    /// to a position, a push of its key and value, or a push onto a value
-    /// column — and that one does so once; no file names the builder the
-    /// loop replaced, and cAM keeps no key sets beside the loop's count
-    /// tables. Every file in the directory is read, so a new one is checked
-    /// too. Needles are spelt in halves.
+    /// to a position, its key and value scattered as a pair, a push of its
+    /// key and value, or a push onto a value column — and that one does so
+    /// once; no file names the builder the loop replaced. The loop lays its
+    /// blocks out with the radix sort alone: `per_tuple.rs` names no
+    /// `KeyMap` but the split-key derivation's `holders`, and calls no
+    /// comparison sort. Every file in the directory is read, so a new one is
+    /// checked too. Needles are spelt in halves.
     #[test]
     fn baseline_shape_one_placement_loop() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/partitioner");
         let pushes_of = [
             ["= t.", "value"].concat(),
+            ["(t.key, ", "t.value)"].concat(),
             [".push(", "t.key,"].concat(),
             ["values.", "push("].concat(),
         ];
         let builder = ["Block", "Builder"].concat();
-        let key_set = ["Key", "Set"].concat();
+        let key_map = ["Key", "Map"].concat();
+        let sorts = [["sort_", "unstable"].concat(), ["sort_", "by"].concat()];
         let mut pushes = Vec::new();
         for entry in std::fs::read_dir(dir).expect("partitioner sources") {
             let path = entry.expect("a directory entry").path();
@@ -1025,12 +1029,19 @@ mod tests {
             let source = std::fs::read_to_string(&path).expect("a source file");
             let production = source.lines().take_while(|l| *l != "#[cfg(test)]");
             for (n, line) in production.enumerate() {
+                let at = format!("{name}:{}", n + 1);
                 if pushes_of.iter().any(|push| line.contains(push)) {
-                    pushes.push(format!("{name}:{}", n + 1));
+                    pushes.push(at.clone());
                 }
-                assert!(!line.contains(&builder), "{name}:{}: `{builder}`", n + 1);
-                let cam_set = name == "cam.rs" && line.contains(&key_set);
-                assert!(!cam_set, "cam.rs:{}: `{key_set}`", n + 1);
+                assert!(!line.contains(&builder), "{at}: `{builder}`");
+                if name != "per_tuple.rs" {
+                    continue;
+                }
+                let table = line.contains(&key_map) && !line.starts_with("use ");
+                assert!(!table || line.contains("holders"), "{at}: `{key_map}`");
+                for sort in &sorts {
+                    assert!(!line.contains(sort), "{at}: `{sort}`");
+                }
             }
         }
         assert_eq!(pushes.len(), 1, "arrival writes: {pushes:?}");

@@ -13,7 +13,7 @@
 //! more blocks than tuples, and time-based arrivals on both interval edges.
 
 use prompt_core::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan};
-use prompt_core::hash::{bucket_of, HashFamily, KeyMap, KeySet};
+use prompt_core::hash::{bucket_of, mix64, HashFamily, KeyMap, KeySet};
 use prompt_core::partitioner::{Plan, Technique};
 use prompt_core::sketch::SpaceSaving;
 use prompt_core::types::{Interval, Key, Time, Tuple};
@@ -175,14 +175,24 @@ fn interval() -> Interval {
 
 /// `n` arrivals over `keys` keys, skewed towards low key ids, with
 /// timestamps drawn from the whole interval, both edges and a little
-/// outside it.
+/// outside it. One stream in three spreads its keys over the whole `u64`
+/// range: id 0 is key `0`, id 1 key `u64::MAX` (both among the most
+/// frequent), any other id `mix64` of it — so a block's sort reads every
+/// digit of a key, and skips none.
 fn stream(n: usize, keys: u64, bits: u64) -> MicroBatch {
     let iv = interval();
     let (start, len) = (iv.start.as_micros(), iv.len().as_micros());
+    let wide = bits.is_multiple_of(3);
     let tuples = (0..n as u64)
         .map(|i| {
             let r = bits.rotate_left(i as u32 % 64) ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let key = (r % keys).min((r >> 21) % keys).min((r >> 42) % keys);
+            let id = (r % keys).min((r >> 21) % keys).min((r >> 42) % keys);
+            let key = match id {
+                _ if !wide => id,
+                0 => 0,
+                1 => u64::MAX,
+                _ => mix64(id),
+            };
             let ts = match r % 7 {
                 0 => start,
                 1 => start + len,

@@ -12,8 +12,8 @@
 //! 3. `total_keys(blocks, split_keys)` — against a `KeySet` over every
 //!    fragment, for every technique's plan;
 //! 4. every per-tuple technique's fragment tables and split-key table, which
-//!    the one placement loop keeps in count tables that outlive the batch
-//!    (key grouping's split-key table empty, derived from nothing) — against
+//!    the one placement loop builds in buffers that outlive the batch (key
+//!    grouping's split-key table empty, derived from nothing) — against
 //!    `PartitionPlan::from_blocks` and a per-block count, batch after batch;
 //! 5. Prompt's row pipeline, which writes each arrival straight into its
 //!    block — against `partition_sealed` of the same accumulator's arena
@@ -21,6 +21,9 @@
 //! 6. the shape every Prompt block has, which the Map kernel's run walk
 //!    relies on — one run per key, keys ascending — in every mode and
 //!    geometry, in both layouts and through `partition_sealed`.
+//! 7. the stable radix sort every baseline block, state pane and snapshot
+//!    is laid out with — against `slice::sort_by_key`, which is stable, on
+//!    `(key, tag)` pairs whose tags are their input positions.
 //!
 //! The vendored proptest shim replays cases by test name, not by seed, so
 //! the regression cases (`plan_derivation_props.proptest-regressions`) are
@@ -34,9 +37,10 @@ use prompt_core::buffering::{
     ShardedAccumulator,
 };
 use prompt_core::columnar::{ColRange, ColumnarBlock, ColumnarPlan};
-use prompt_core::hash::{bucket_of, KeyMap, KeySet};
+use prompt_core::hash::{bucket_of, mix64, KeyMap, KeySet};
 use prompt_core::partitioner::{BufferingMode, Partitioner, Plan, PromptPartitioner, Technique};
 use prompt_core::reduce::{KeyCluster, PromptReduceAllocator, ReduceAssigner};
+use prompt_core::sort::{RadixSort, FALLBACK_LEN};
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use proptest::prelude::*;
 
@@ -721,5 +725,86 @@ fn pinned_duplicate_keys_and_sizes_keep_the_stable_order() {
                 "r={r}"
             );
         }
+    }
+}
+
+/// `(key, tag)` pairs, the tag each pair's input position: as many as the
+/// fallback sorts or several thousand, over a few distinct keys (so most
+/// repeat) of one of five shapes — below 2^11 (one live digit), spread over
+/// every digit, differing only in the top digit, all equal, or `0` and
+/// `u64::MAX`.
+fn tagged_pairs() -> impl Strategy<Value = Vec<(u64, u32)>> {
+    let sizes = (any::<bool>(), 0usize..2 * FALLBACK_LEN, 0usize..6000);
+    (sizes, 0u8..5, 1u64..200, any::<u64>()).prop_map(
+        |((short, few, many), shape, distinct, bits)| {
+            let n = if short { few } else { many };
+            (0..n as u64)
+                .map(|i| {
+                    let r = mix64(bits ^ i) % distinct;
+                    let key = match shape {
+                        0 => r % (1 << 11),
+                        1 => mix64(r ^ bits),
+                        2 => r << 55,
+                        3 => bits,
+                        _ => [0, u64::MAX][r as usize % 2],
+                    };
+                    (key, i as u32)
+                })
+                .collect()
+        },
+    )
+}
+
+/// `pairs` through the radix sort must equal `pairs` through the standard
+/// library's stable sort: keys ascending, equal keys in input order.
+fn check_radix_sort(
+    sort: &mut RadixSort<(u64, u32)>,
+    pairs: &[(u64, u32)],
+) -> Result<(), TestCaseError> {
+    let mut want = pairs.to_vec();
+    want.sort_by_key(|&(key, _)| key);
+    let mut got = pairs.to_vec();
+    sort.sort(&mut got, |&(key, _)| key);
+    prop_assert_eq!(got, want, "{} pairs", pairs.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// (7) The radix sort is the stable comparison sort, through one sorter
+    /// kept across two slices as its callers keep theirs.
+    #[test]
+    fn radix_sort_matches_the_stable_comparison_sort(
+        first in tagged_pairs(),
+        second in tagged_pairs(),
+    ) {
+        let mut sort = RadixSort::default();
+        check_radix_sort(&mut sort, &first)?;
+        check_radix_sort(&mut sort, &second)?;
+    }
+}
+
+/// The radix sort's edge cases, each at lengths on both sides of the
+/// fallback: empty and one-element slices, all-equal keys, keys that differ
+/// only in the top digit, `0` and `u64::MAX`, and runs of duplicate keys
+/// whose tags show their input order kept.
+#[test]
+fn radix_sort_of_edge_cases() {
+    let tagged =
+        |keys: &mut dyn Iterator<Item = u64>| -> Vec<(u64, u32)> { keys.zip(0..).collect() };
+    let mut sort = RadixSort::default();
+    let mut check = |pairs: Vec<(u64, u32)>| check_radix_sort(&mut sort, &pairs).unwrap();
+    check(Vec::new());
+    check(vec![(u64::MAX, 0)]);
+    for n in [2, FALLBACK_LEN - 1, FALLBACK_LEN, FALLBACK_LEN + 1, 5000] {
+        let n = n as u64;
+        check(tagged(&mut (0..n).map(|_| 0x5eed)));
+        check(tagged(&mut (0..n).map(|i| ((n - i) % 3) << 61)));
+        check(tagged(&mut (0..n).map(|i| (((n - i) % 9) << 55) | 0x7ff)));
+        check(tagged(
+            &mut (0..n).map(|i| [u64::MAX, 0, 1, u64::MAX - 1][i as usize % 4]),
+        ));
+        check(tagged(&mut (0..n).map(|i| mix64(i % 7))));
     }
 }

@@ -102,7 +102,9 @@ use std::time::Instant;
 
 use prompt_core::bytes::{crc32, ByteReader, ByteWriter, BytesSink, CodecError};
 
-use super::store::{get_delta, get_store, put_delta, put_store, KeyedStateStore, StateDelta};
+use super::store::{
+    get_delta, get_store, put_delta, put_store_in, KeyedStateStore, RunningOrder, StateDelta,
+};
 
 /// Checkpoint frame magic: "PCKP" little-endian.
 pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"PCKP");
@@ -638,18 +640,19 @@ impl Dir {
 
     /// The one snapshot-writing routine, run by the compactor for the cadence
     /// and for the first commit alike: the whole store as one frame
-    /// in `frame` (whose allocation the caller keeps), put under the
-    /// generation's name atomically, name flushed. When this returns a
-    /// manifest may name the snapshot.
+    /// in `frame`, its running entries sorted in `order` (the caller keeps
+    /// both allocations), put under the generation's name atomically, name
+    /// flushed. When this returns a manifest may name the snapshot.
     fn write_snapshot(
         &self,
         gen: u64,
         store: &KeyedStateStore,
         frame: &mut ByteWriter,
+        order: &mut RunningOrder,
     ) -> Result<(), CheckpointError> {
         frame.clear();
         put_frame(frame, frame_kind::SNAPSHOT, store.encoded_len(), |w| {
-            put_store(w, store)
+            put_store_in(w, store, order)
         });
         self.replace(&snapshot_name(gen), frame.as_bytes())?;
         self.sync()
@@ -708,6 +711,7 @@ impl Compactor {
         let (outbox, done) = mpsc::channel();
         let run = move || {
             let mut frame = ByteWriter::new();
+            let mut order = RunningOrder::default();
             for job in inbox {
                 match job {
                     Job::Remove(gens) => {
@@ -720,7 +724,7 @@ impl Compactor {
                     Job::Snapshot { gen, mut store } => {
                         dir.sync_point(SyncPoint::CompactionStarts);
                         let started = Instant::now();
-                        let result = dir.write_snapshot(gen, &store, &mut frame);
+                        let result = dir.write_snapshot(gen, &store, &mut frame, &mut order);
                         store.release_panes();
                         let busy_us = started.elapsed().as_micros() as u64;
                         let done = Done {
@@ -1144,7 +1148,7 @@ mod tests {
     use crate::job::{Job, ReduceOp};
     use crate::recovery::FaultPlan;
     use crate::stage::BatchOutput;
-    use crate::state::STATE_SHARDS;
+    use crate::state::{put_store, STATE_SHARDS};
     use crate::trace::{TraceEvent, TraceLevel};
     use crate::window::WindowSpec;
     use prompt_core::hash::KeyMap;

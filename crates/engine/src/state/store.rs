@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use prompt_core::bytes::{self, ByteReader, BytesSink, CodecError};
 use prompt_core::hash::{bucket_of, KeyMap};
+use prompt_core::sort::RadixSort;
 use prompt_core::types::{Duration, Key};
 
 use crate::job::ReduceOp;
@@ -124,12 +125,15 @@ pub struct KeyedStateStore {
     shards: Vec<StateShard>,
     seq: u64,
     since_emit: usize,
+    /// The sort of each new pane, kept across pushes.
+    radix: RadixSort<(Key, f64)>,
 }
 
 impl Clone for KeyedStateStore {
     fn clone(&self) -> KeyedStateStore {
         KeyedStateStore {
             shards: self.shards.clone(),
+            radix: RadixSort::default(),
             ..*self
         }
     }
@@ -140,6 +144,7 @@ impl Clone for KeyedStateStore {
         self.shards.clone_from(&source.shards);
         *self = KeyedStateStore {
             shards: std::mem::take(&mut self.shards),
+            radix: std::mem::take(&mut self.radix),
             ..*source
         };
     }
@@ -164,6 +169,7 @@ impl KeyedStateStore {
             shards: (0..shards).map(|b| StateShard::empty(b as u32)).collect(),
             seq: 0,
             since_emit: 0,
+            radix: RadixSort::default(),
         }
     }
 
@@ -251,7 +257,7 @@ impl KeyedStateStore {
         let split: Vec<Arc<Pane>> = split
             .into_iter()
             .map(|mut entries| {
-                entries.sort_unstable_by_key(|&(k, _)| k.0);
+                self.radix.sort(&mut entries, |&(k, _)| k.0);
                 Arc::new(entries)
             })
             .collect();
@@ -378,14 +384,30 @@ fn put_entries<S: BytesSink>(s: &mut S, entries: &[(Key, f64)]) {
     });
 }
 
+/// A shard's running entries in key order, and the sort that puts them
+/// there: kept by a caller that encodes store after store (the compactor),
+/// so that once it has grown a snapshot sorts in buffers it already holds.
+#[derive(Debug, Default)]
+pub(crate) struct RunningOrder {
+    entries: Vec<(Key, (f64, u32))>,
+    radix: RadixSort<(Key, (f64, u32))>,
+}
+
 /// Encode one shard: running entries in sorted key order, then the panes
 /// (already sorted) oldest first.
 pub fn put_shard<S: BytesSink>(s: &mut S, shard: &StateShard) {
+    put_shard_in(s, shard, &mut RunningOrder::default());
+}
+
+/// [`put_shard`], sorting in `order`'s buffers.
+fn put_shard_in<S: BytesSink>(s: &mut S, shard: &StateShard, order: &mut RunningOrder) {
     s.put_u32(shard.bucket);
-    let mut running: Vec<(Key, (f64, u32))> = shard.running.iter().map(|(&k, &e)| (k, e)).collect();
-    running.sort_unstable_by_key(|&(k, _)| k.0);
+    let running = &mut order.entries;
+    running.clear();
+    running.extend(shard.running.iter().map(|(&k, &e)| (k, e)));
+    order.radix.sort(running, |&(k, _)| k.0);
     s.put_len(running.len());
-    bytes::put_blocked(s, &running, |&(k, (v, c))| {
+    bytes::put_blocked(s, &*running, |&(k, (v, c))| {
         let mut out = [0u8; 20];
         out[..8].copy_from_slice(&k.0.to_le_bytes());
         out[8..16].copy_from_slice(&v.to_bits().to_le_bytes());
@@ -446,6 +468,15 @@ pub fn get_shard(r: &mut ByteReader<'_>) -> Result<StateShard, CodecError> {
 
 /// Encode a whole store (the snapshot payload).
 pub fn put_store<S: BytesSink>(s: &mut S, store: &KeyedStateStore) {
+    put_store_in(s, store, &mut RunningOrder::default());
+}
+
+/// [`put_store`], sorting each shard's running entries in `order`'s buffers.
+pub(crate) fn put_store_in<S: BytesSink>(
+    s: &mut S,
+    store: &KeyedStateStore,
+    order: &mut RunningOrder,
+) {
     s.put_u8(store.op.wire_code());
     s.put_u32(store.len_batches as u32);
     s.put_u32(store.slide_batches as u32);
@@ -453,7 +484,7 @@ pub fn put_store<S: BytesSink>(s: &mut S, store: &KeyedStateStore) {
     s.put_u32(store.since_emit as u32);
     s.put_len(store.shards.len());
     for shard in &store.shards {
-        put_shard(s, shard);
+        put_shard_in(s, shard, order);
     }
 }
 
@@ -497,6 +528,7 @@ pub fn get_store(r: &mut ByteReader<'_>) -> Result<KeyedStateStore, CodecError> 
         shards,
         seq,
         since_emit,
+        radix: RadixSort::default(),
     })
 }
 

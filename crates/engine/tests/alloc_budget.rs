@@ -281,7 +281,7 @@ fn zipf_threaded_stays_within_its_allocation_budget() {
 }
 
 /// `zipf_inproc`'s stream through PK-2: the per-tuple placement loop every
-/// baseline runs — its count tables, per-arrival slots and counting sort —
+/// baseline runs — its per-arrival blocks, pair buffer and radix sort —
 /// with its split-key derivation.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
@@ -314,7 +314,9 @@ fn zipf_dist_stays_within_its_allocation_budget() {
 /// `(allocations, bytes)` per batch. Measured: 66 and 22.2 MiB — 48 of
 /// them the store's per-shard deltas, 16 Algorithm 3's assignment vectors;
 /// Hash blocks are grouped by key at placement, so no Map task keeps a fold
-/// table, and grow by doubling (68 while they grew to exactly their size) —
+/// table, and grow by doubling (68 while they grew to exactly their size);
+/// the same 66 once the placement loop and the store's panes sort by radix
+/// in buffers they keep (98 with a fresh sorter per block, or per pane) —
 /// against 267 and 73.0 MiB while every batch built its plan, Map and merge
 /// tables afresh, 268 and 78.7 MiB while a checkpointed run retained every
 /// batch's input (a 5.7 MiB copy), and 336 and 105.9 MiB while the gather,
@@ -342,9 +344,12 @@ const ZIPF_SHARDED_BUDGET: (u64, u64) = (3, 5 << 20);
 /// MiB while a block's run table grew beside an equal fragment table).
 const ZIPF_THREADED_BUDGET: (u64, u64) = (3, 5 << 20);
 /// Measured: 4 and 3.8 MiB, with the blocks built in the last plan handed
-/// back, and the count tables, the per-arrival slots and the run sort's
-/// buffer kept — against 5 while a block's values grew to exactly its size
-/// (a baseline's block size wanders batch to batch), and 73 and 26.8 MiB
+/// back, and the per-arrival blocks, the pair buffer and the radix sort's
+/// buffers kept (as with the count tables, per-arrival slots and run sort
+/// buffer the loop kept before it sorted by radix; 36 and 12.9 MiB with a
+/// fresh sorter per block) — against 5 while a block's values grew to
+/// exactly its size (a baseline's block size wanders batch to batch), and
+/// 73 and 26.8 MiB
 /// while every batch built fresh blocks and a key map per block, and
 /// dropped its plan.
 const PK2_BUDGET: (u64, u64) = (4, 5 << 20);
