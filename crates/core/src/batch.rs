@@ -124,11 +124,6 @@ impl SealedBatch {
         self.groups.len()
     }
 
-    /// The group list and the arena, for the next batch to seal into.
-    pub(crate) fn into_parts(self) -> (Vec<KeyGroup>, Vec<Tuple>) {
-        (self.groups, self.arena)
-    }
-
     /// The tuples of group `gi`, in arrival order.
     #[inline]
     pub fn tuples(&self, gi: usize) -> &[Tuple] {
@@ -275,7 +270,7 @@ impl PartitionPlan {
 
     /// Every block's runs — its fragment list — in block order: all the cost
     /// model (§3.3), the partitioner policy and the rebalancer read of a
-    /// plan, and what its columnar rendering holds identically.
+    /// plan.
     pub fn block_fragments(&self) -> Vec<&[KeyFragment]> {
         self.blocks.iter().map(|b| &b.runs[..]).collect()
     }

@@ -727,7 +727,9 @@ pub trait BatchAccumulator: std::fmt::Debug + Send + sealed::Slots {
 
     /// Seal into the columnar (struct-of-arrays) layout: the same group order
     /// and per-group tuple order as [`BatchAccumulator::seal`], with the
-    /// arena split into columns laid out in group order.
+    /// arena split into columns laid out in group order. No engine path
+    /// calls it: it is kept for the benchmark's columnar seal probe and the
+    /// seal-order tests.
     fn seal_columnar(&mut self, next_interval: Interval) -> ColumnarSealed {
         ColumnarSealed::from_sealed(&self.seal(next_interval))
     }

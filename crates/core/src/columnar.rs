@@ -1,23 +1,23 @@
-//! Struct-of-arrays (columnar) micro-batch containers for the hot path.
+//! Struct-of-arrays (columnar) micro-batch containers.
 //!
-//! The row batch containers ([`MicroBatch`](crate::batch::MicroBatch),
-//! [`SealedBatch`]) move
-//! `Vec<Tuple>` — 24-byte structs whose interleaved fields defeat the
-//! auto-vectorizer; a row [`DataBlock`] is already a value column under key
-//! runs. The columnar twin keeps one contiguous arena of three flat columns
-//! (`ts`, `keys`, `values`) and describes key groups and data blocks as
-//! `(offset, len)` ranges into it, so partitioning materializes no tuple
-//! copies at all; a block's ranges are its runs, and its Map task's frame is
-//! the row block's, byte for byte.
+//! The engine partitions and executes every batch in rows: a row
+//! [`DataBlock`] is a value column under key runs. These containers keep one
+//! contiguous arena of three flat columns (`ts`, `keys`, `values`) and
+//! describe key groups and data blocks as `(offset, len)` ranges into it; a
+//! block's ranges are its runs, and its Map task's frame is the row block's,
+//! byte for byte. They were the engine's second data plane, which lost to
+//! rows on every measured workload; what remains serves the end-to-end
+//! benchmark's columnar probes and the property tests, through
+//! `Partitioner::partition_columnar`, `BatchAccumulator::seal_columnar`,
+//! `stage::execute_columnar_traced` and `wire::encode_map_task_columnar`.
 //!
 //! **Fold-order guarantee.** Every columnar container converts to its row
 //! twin ([`ColumnarSealed::to_sealed`], [`ColumnarPlan::to_row_plan`]) by
 //! concatenating ranges in assignment order — exactly the order the row
 //! pipeline builds them — so a columnar block enumerates tuples in the same
-//! sequence as its row block and any per-block `f64` fold visits values in
-//! the identical order. The engine's differential oracle
-//! (`crates/engine/tests/oracle.rs`) and `tests/wire_codec_props.rs` gate
-//! this bit-identity across all three backends.
+//! sequence as its row block. `columnar_props`,
+//! `plan_derivation_props` and the engine's `wire_codec_props` hold the
+//! conversions, Prompt's columnar cut and the Map frames to the row ones.
 
 use std::sync::Arc;
 
@@ -193,16 +193,7 @@ impl ColumnarSealed {
 
     /// Convert a row sealed batch (AoS → SoA), preserving group order.
     pub fn from_sealed(sealed: &SealedBatch) -> ColumnarSealed {
-        Self::from_sealed_in(sealed, ColumnarBatch::new())
-    }
-
-    /// [`ColumnarSealed::from_sealed`] into `arena`'s allocations, which
-    /// start empty.
-    pub(crate) fn from_sealed_in(sealed: &SealedBatch, mut arena: ColumnarBatch) -> ColumnarSealed {
-        debug_assert!(arena.is_empty(), "an arena to refill starts empty");
-        arena.ts.reserve_exact(sealed.n_tuples);
-        arena.keys.reserve_exact(sealed.n_tuples);
-        arena.values.reserve_exact(sealed.n_tuples);
+        let mut arena = ColumnarBatch::with_capacity(sealed.n_tuples);
         let groups = (sealed.groups.iter().enumerate())
             .map(|(gi, g)| {
                 let offset = arena.len();
@@ -240,15 +231,12 @@ impl ColumnarSealed {
 }
 
 /// The columnar twin of [`DataBlock`]: the block's tuples as arena ranges —
-/// the row block's runs — plus the same per-key fragment summary.
+/// the row block's runs.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnarBlock {
     /// `(key, range)` pieces, one per key, keys strictly ascending, as a row
     /// block's runs are.
     pub ranges: Vec<(Key, ColRange)>,
-    /// Per-key fragment summary: the ranges as runs, identical to the row
-    /// [`DataBlock::runs`].
-    pub fragments: Vec<KeyFragment>,
 }
 
 impl ColumnarBlock {
@@ -266,7 +254,7 @@ impl ColumnarBlock {
     /// `‖block‖`: number of distinct keys.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.fragments.len()
+        self.ranges.len()
     }
 }
 
@@ -336,10 +324,7 @@ impl ColumnarPlan {
                     arena.push(Tuple::new(Time::ZERO, key, value));
                 }
             }
-            blocks.push(ColumnarBlock {
-                ranges,
-                fragments: b.runs.clone(),
-            });
+            blocks.push(ColumnarBlock { ranges });
         }
         ColumnarPlan {
             arena: Arc::new(arena),

@@ -8,8 +8,7 @@
 //!   with `p1+p2+p3 = 1` (the paper uses 1/3 each).
 //!
 //! All four are functions of the per-block fragment lists alone — a block's
-//! size is the sum of its fragment counts, its cardinality their number —
-//! so a row plan and a columnar plan of one assignment measure identically
+//! size is the sum of its fragment counts, its cardinality their number
 //! ([`PlanMetrics::of_blocks`]).
 //!
 //! BSI applies equally to Reduce buckets (Eqn. 3); the helpers here take any

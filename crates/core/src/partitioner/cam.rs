@@ -17,7 +17,7 @@
 use crate::batch::PartitionPlan;
 use crate::hash::{HashFamily, KeySet};
 use crate::partitioner::per_tuple::PerTuple;
-use crate::partitioner::{PartitionPhases, Partitioner, Plan};
+use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Tuple};
 
 /// Default weight of the cardinality term in the placement cost.
@@ -99,7 +99,7 @@ impl Partitioner for CamPartitioner {
         (plan, PartitionPhases::default())
     }
 
-    fn recycle(&mut self, plan: Plan) {
+    fn recycle(&mut self, plan: PartitionPlan) {
         self.blocks.recycle(plan);
     }
 }
@@ -183,7 +183,7 @@ mod tests {
             let batch = &batches[i % 2];
             let plan = cam.partition(batch, p);
             assert_eq!(plan, CamPartitioner::new(9, 3).partition(batch, p), "p={p}");
-            cam.recycle(Plan::Rows(plan));
+            cam.recycle(plan);
         }
     }
 

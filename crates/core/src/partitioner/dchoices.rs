@@ -10,7 +10,7 @@
 use crate::batch::PartitionPlan;
 use crate::hash::{bucket_of, HashFamily};
 use crate::partitioner::per_tuple::PerTuple;
-use crate::partitioner::{PartitionPhases, Partitioner, Plan};
+use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::sketch::SpaceSaving;
 use crate::types::{Interval, Tuple};
 
@@ -112,7 +112,7 @@ impl Partitioner for DChoicesPartitioner {
         (plan, phases)
     }
 
-    fn recycle(&mut self, plan: Plan) {
+    fn recycle(&mut self, plan: PartitionPlan) {
         self.blocks.recycle(plan);
     }
 }

@@ -8,7 +8,7 @@
 use crate::batch::PartitionPlan;
 use crate::hash::bucket_of;
 use crate::partitioner::per_tuple::PerTuple;
-use crate::partitioner::{PartitionPhases, Partitioner, Plan};
+use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Tuple};
 
 /// Key-grouping (hash) partitioner.
@@ -47,7 +47,7 @@ impl Partitioner for HashPartitioner {
         (plan, PartitionPhases::default())
     }
 
-    fn recycle(&mut self, plan: Plan) {
+    fn recycle(&mut self, plan: PartitionPlan) {
         self.blocks.recycle(plan);
     }
 }

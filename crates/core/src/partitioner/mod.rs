@@ -28,10 +28,8 @@ pub use prompt::{BufferingMode, PromptPartitioner};
 pub use shuffle::ShufflePartitioner;
 pub use time_based::TimeBasedPartitioner;
 
-use std::sync::Arc;
-
-use crate::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan};
-use crate::columnar::{ColumnarBatch, ColumnarBlock, ColumnarPlan};
+use crate::batch::{DataBlock, MicroBatch, PartitionPlan};
+use crate::columnar::ColumnarPlan;
 use crate::types::{Interval, Tuple};
 
 /// Wall-clock timing of the internal phases of one `partition()` call.
@@ -46,8 +44,9 @@ pub struct PartitionPhases {
     /// overhead is visible in stage-breakdown tables.
     pub select_us: u64,
     /// Sealing the accumulated batch: recording the arrivals and ordering
-    /// the keys (merging shards). Prompt's row path ends it before any tuple
-    /// moves; its columnar path includes the scatter into the arena.
+    /// the keys (merging shards). Prompt ends it before any tuple moves
+    /// ([`Partitioner::partition_columnar`], which the engine never calls,
+    /// includes its scatter into the arena).
     pub seal_us: u64,
     /// Symbolic piece assignment (Algorithm 2 proper).
     pub symbolic_us: u64,
@@ -57,51 +56,18 @@ pub struct PartitionPhases {
     pub materialize_us: u64,
 }
 
-/// A partitioned batch in the layout it was sealed in: row blocks, or ranges
-/// into one column arena.
-#[derive(Debug)]
-pub enum Plan {
-    /// Row blocks ([`Partitioner::partition_slice`]).
-    Rows(PartitionPlan),
-    /// Column ranges ([`Partitioner::partition_columnar`]).
-    Columns(ColumnarPlan),
-}
-
-impl Plan {
-    /// Every block's fragment list, in block order: all that the plan
-    /// metrics (Eqns. 2–6), the partitioner policy and the rebalancer read
-    /// of a plan — the same lists in either layout.
-    pub fn fragments(&self) -> Vec<&[KeyFragment]> {
-        match self {
-            Plan::Rows(p) => p.block_fragments(),
-            Plan::Columns(p) => p.blocks.iter().map(|b| &b.fragments[..]).collect(),
-        }
-    }
-}
-
 /// What a partitioner keeps of the plan [`Partitioner::recycle`] last handed
-/// back: the next plan is built in its buffers. One spare at most — a plan
+/// back: the next plan is built in its blocks. One spare at most — a plan
 /// handed back over an unused one replaces it.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Spare {
     rows: Vec<DataBlock>,
-    columns: Vec<ColumnarBlock>,
-    arena: ColumnarBatch,
 }
 
 impl Spare {
-    /// Keep `plan`'s buffers. A column arena someone else still shares is
-    /// dropped with the plan, as before.
-    pub(crate) fn keep(&mut self, plan: Plan) {
-        match plan {
-            Plan::Rows(plan) => self.rows = plan.blocks,
-            Plan::Columns(plan) => {
-                self.columns = plan.blocks;
-                if let Ok(arena) = Arc::try_unwrap(plan.arena) {
-                    self.arena = arena;
-                }
-            }
-        }
+    /// Keep `plan`'s blocks.
+    pub(crate) fn keep(&mut self, plan: PartitionPlan) {
+        self.rows = plan.blocks;
     }
 
     /// One row block per size, each `values` exactly that long and its run
@@ -126,24 +92,6 @@ impl Spare {
             b.runs.clear();
         }
         blocks
-    }
-
-    /// `p` empty column blocks, in the spare's allocations where it has them.
-    pub(crate) fn column_blocks(&mut self, p: usize) -> Vec<ColumnarBlock> {
-        let mut blocks = std::mem::take(&mut self.columns);
-        blocks.resize_with(p, ColumnarBlock::default);
-        for b in &mut blocks {
-            b.ranges.clear();
-            b.fragments.clear();
-        }
-        blocks
-    }
-
-    /// An empty column arena, in the spare's allocations where it has them.
-    pub(crate) fn column_arena(&mut self) -> ColumnarBatch {
-        let mut arena = std::mem::take(&mut self.arena);
-        arena.clear();
-        arena
     }
 }
 
@@ -171,15 +119,16 @@ pub trait Partitioner: Send {
         p: usize,
     ) -> (PartitionPlan, PartitionPhases);
 
-    /// Columnar fast path: partition the batch directly into a
-    /// [`ColumnarPlan`] whose blocks are `(key, range)` views into one shared
-    /// column arena, skipping per-tuple row materialization entirely.
+    /// Partition the batch into a [`ColumnarPlan`] whose blocks are
+    /// `(key, range)` views into one column arena. The engine runs rows
+    /// only: this entry point is kept for the benchmark's columnar probe and
+    /// the property tests, and builds its buffers afresh on every call.
     ///
-    /// Returns `None` when the technique has no columnar implementation, in
-    /// which case the caller falls back to [`Partitioner::partition`] (or
-    /// converts via [`ColumnarPlan::from_row_plan`]). Implementations must
-    /// guarantee `to_row_plan()` of the result is bit-identical to what
-    /// `partition` would have produced for the same input and state.
+    /// Returns `None` when the technique has no columnar implementation
+    /// (a caller converts via [`ColumnarPlan::from_row_plan`]).
+    /// Implementations must guarantee `to_row_plan()` of the result is
+    /// bit-identical to what `partition` would have produced for the same
+    /// input and state.
     fn partition_columnar(
         &mut self,
         batch: &MicroBatch,
@@ -190,10 +139,10 @@ pub trait Partitioner: Send {
     }
 
     /// Take back a plan this partitioner built, once nothing reads it any
-    /// more: the next `partition*` call may build its plan in the returned
-    /// one's buffers instead of allocating them again. The plans it builds
-    /// are the same either way. The default drops it.
-    fn recycle(&mut self, plan: Plan) {
+    /// more: the next `partition` or `partition_slice` call may build its
+    /// plan in the returned one's blocks instead of allocating them again.
+    /// The plans it builds are the same either way. The default drops it.
+    fn recycle(&mut self, plan: PartitionPlan) {
         drop(plan);
     }
 }

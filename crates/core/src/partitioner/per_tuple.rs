@@ -17,7 +17,7 @@
 
 use crate::batch::{split_keys, KeyFragment, PartitionPlan};
 use crate::hash::{KeyMap, KeySet};
-use crate::partitioner::{Plan, Spare};
+use crate::partitioner::Spare;
 use crate::sort::RadixSort;
 use crate::types::{Key, Tuple};
 
@@ -109,7 +109,7 @@ impl PerTuple {
     }
 
     /// Keep `plan`'s buffers for the next batch.
-    pub(crate) fn recycle(&mut self, plan: Plan) {
+    pub(crate) fn recycle(&mut self, plan: PartitionPlan) {
         self.spare.keep(plan);
     }
 }
@@ -169,7 +169,7 @@ mod tests {
         let mut loop_ = PerTuple::default();
         let first = loop_.place(&tuples, 4, true, |i, _, _| i % 4);
         let held: Vec<*const f64> = first.blocks.iter().map(|b| b.values.as_ptr()).collect();
-        loop_.recycle(Plan::Rows(first));
+        loop_.recycle(first);
         let second = loop_.place(&tuples, 4, true, |i, _, _| (i + 1) % 4);
         let again: Vec<*const f64> = second.blocks.iter().map(|b| b.values.as_ptr()).collect();
         assert_eq!(held, again, "the blocks are the recycled plan's");

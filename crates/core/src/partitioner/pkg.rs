@@ -12,7 +12,7 @@
 use crate::batch::PartitionPlan;
 use crate::hash::HashFamily;
 use crate::partitioner::per_tuple::PerTuple;
-use crate::partitioner::{PartitionPhases, Partitioner, Plan};
+use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Tuple};
 
 /// PK-d partitioner with `d` candidate blocks per key.
@@ -61,7 +61,7 @@ impl Partitioner for PkgPartitioner {
         (plan, PartitionPhases::default())
     }
 
-    fn recycle(&mut self, plan: Plan) {
+    fn recycle(&mut self, plan: PartitionPlan) {
         self.blocks.recycle(plan);
     }
 }

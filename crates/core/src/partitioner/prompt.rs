@@ -39,7 +39,8 @@
 //! later pieces' slices in `start` order; under sharded ingest each shard
 //! scatters its own arrivals to its own keys' destinations, in parallel. The
 //! row path fills no sealed arena: only [`PromptPartitioner::partition_sealed`]
-//! and the columnar layout, which lays the batch out in seal order, read one.
+//! and [`Partitioner::partition_columnar`] (which the engine never calls; it
+//! lays the batch out in seal order, in buffers of its own) read one.
 //!
 //! A partitioner serves batch after batch, and nothing it needs at steady
 //! state is allocated twice: the accumulator, the group list, the symbolic
@@ -54,9 +55,9 @@ use crate::buffering::{
     record_slice, relabel, seal_arena, AccumulatorConfig, BatchAccumulator,
     FrequencyAwareAccumulator, PostSortAccumulator, ScatterTables, ShardedAccumulator,
 };
-use crate::columnar::{ColRange, ColumnarPlan, ColumnarSealed};
+use crate::columnar::{ColRange, ColumnarBlock, ColumnarPlan, ColumnarSealed};
 use crate::par::map_mut;
-use crate::partitioner::{PartitionPhases, Partitioner, Plan, Spare};
+use crate::partitioner::{PartitionPhases, Partitioner, Spare};
 use crate::types::{Interval, Key, Time, Tuple};
 
 /// How the partitioner obtains the sorted key list when driven through the
@@ -85,11 +86,9 @@ pub struct PromptPartitioner {
     buffer: Box<dyn BatchAccumulator>,
     /// Worker threads for parallel ingest, scatter and run tables.
     threads: usize,
-    /// The group list the last batch was ordered into, and the arena the
-    /// last columnar batch sealed into, handed back once its plan was
-    /// materialized: the next batch clears the one and resizes the other
-    /// instead of allocating them. The row path never touches the arena.
-    sealed: (Vec<KeyGroup>, Vec<Tuple>),
+    /// The group list the last batch was ordered into: the next batch
+    /// clears it instead of allocating it.
+    groups: Vec<KeyGroup>,
     /// The symbolic phase's block lists, refilled every batch.
     symbolic: SymbolicBlocks,
     /// The scatter's destination and slot tables, refilled every batch.
@@ -138,7 +137,7 @@ impl PromptPartitioner {
             avg_keys: acc_cfg.avg_keys.max(1.0),
             buffer,
             threads,
-            sealed: (Vec::new(), Vec::new()),
+            groups: Vec::new(),
             symbolic: SymbolicBlocks::default(),
             tables: ScatterTables::default(),
             tiles: Vec::new(),
@@ -190,27 +189,28 @@ impl PromptPartitioner {
         Self::materialize_pieces(batch, &symbolic.pieces, split_keys, threads)
     }
 
-    /// Turn the symbolic assignment into a [`ColumnarPlan`] built in
-    /// `spare`'s buffers: the batch is laid out in columns in seal order, and
-    /// each piece `[start, end)` of group `g` becomes the arena range
-    /// `[g.offset + start, g.offset + end)`. Ranges take the pieces' key
-    /// order, so enumerating a block's ranges visits tuples in exactly the
-    /// order the row materializer pushes them.
+    /// Turn the symbolic assignment into a [`ColumnarPlan`]: the batch is
+    /// laid out in columns in seal order, and each piece `[start, end)` of
+    /// group `g` becomes the arena range `[g.offset + start, g.offset +
+    /// end)`. Ranges take the pieces' key order, so enumerating a block's
+    /// ranges visits tuples in exactly the order the row materializer
+    /// pushes them.
     fn materialize_pieces_columnar(
         batch: &SealedBatch,
         pieces: &[Vec<Piece>],
         split_keys: Vec<Key>,
-        spare: &mut Spare,
     ) -> ColumnarPlan {
-        let cols = ColumnarSealed::from_sealed_in(batch, spare.column_arena());
-        let mut blocks = spare.column_blocks(pieces.len());
-        for (block, pieces) in blocks.iter_mut().zip(pieces) {
-            block.ranges.extend(pieces.iter().map(|pc| {
-                let (key, r) = cols.groups[pc.group()];
-                (key, ColRange::new(r.offset + pc.range().start, pc.len()))
-            }));
-            block.fragments.extend(pieces.iter().map(Piece::fragment));
-        }
+        let cols = ColumnarSealed::from_sealed(batch);
+        let blocks = (pieces.iter())
+            .map(|pieces| ColumnarBlock {
+                ranges: (pieces.iter())
+                    .map(|pc| {
+                        let (key, r) = cols.groups[pc.group()];
+                        (key, ColRange::new(r.offset + pc.range().start, pc.len()))
+                    })
+                    .collect(),
+            })
+            .collect();
         ColumnarPlan {
             arena: cols.arena,
             blocks,
@@ -551,7 +551,7 @@ impl Partitioner for PromptPartitioner {
         p: usize,
     ) -> (PartitionPlan, PartitionPhases) {
         let t0 = std::time::Instant::now();
-        let mut groups = std::mem::take(&mut self.sealed.0);
+        let mut groups = std::mem::take(&mut self.groups);
         groups.clear();
         self.record(tuples, interval);
         self.tables.slots.clear();
@@ -570,7 +570,7 @@ impl Partitioner for PromptPartitioner {
             runs_into(&pieces[b], block)
         });
         let materialize_us = t2.elapsed().as_micros() as u64;
-        self.sealed.0 = groups;
+        self.groups = groups;
         let plan = PartitionPlan {
             blocks,
             split_keys: split_keys.into_iter().collect(),
@@ -593,14 +593,15 @@ impl Partitioner for PromptPartitioner {
         // batch is scattered into the sealed arena in seal order (as
         // `seal_columnar` lays it out), and the blocks are arena ranges, so
         // `to_row_plan()` of this result is bit-identical to the row
-        // layout's plan — gated by the engine's differential oracle.
+        // layout's plan (`plan_derivation_props`, `columnar_props`). The
+        // arena and the blocks are allocated afresh.
         let (tuples, interval) = (&batch.tuples[..], batch.interval);
         let t0 = std::time::Instant::now();
-        let (mut groups, mut arena) = std::mem::take(&mut self.sealed);
+        let mut groups = std::mem::take(&mut self.groups);
         groups.clear();
         self.record(tuples, interval);
         // What the arena holds is never read: the scatter overwrites all of it.
-        arena.resize(tuples.len(), Tuple::keyed(Time::ZERO, Key(0)));
+        let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); tuples.len()];
         let buffer = &mut *self.buffer;
         let interval = seal_arena(
             buffer,
@@ -624,9 +625,9 @@ impl Partitioner for PromptPartitioner {
         let symbolic_us = t1.elapsed().as_micros() as u64;
         let t2 = std::time::Instant::now();
         let pieces = &self.symbolic.pieces;
-        let plan = Self::materialize_pieces_columnar(&sealed, pieces, split_keys, &mut self.spare);
+        let plan = Self::materialize_pieces_columnar(&sealed, pieces, split_keys);
         let materialize_us = t2.elapsed().as_micros() as u64;
-        self.sealed = sealed.into_parts();
+        self.groups = sealed.groups;
         let phases = PartitionPhases {
             select_us: 0,
             seal_us,
@@ -636,7 +637,7 @@ impl Partitioner for PromptPartitioner {
         Some((plan, phases))
     }
 
-    fn recycle(&mut self, plan: Plan) {
+    fn recycle(&mut self, plan: PartitionPlan) {
         self.spare.keep(plan);
     }
 }
@@ -1051,10 +1052,9 @@ mod tests {
     /// Shape guard: the pipeline hands the accumulator the batch's own
     /// slice, so no tuple is copied before the seal: after a partition in
     /// either layout, in every mode and ingest geometry, the accumulator's
-    /// held-tuple buffer is empty and has never allocated. The row path
-    /// scatters every arrival straight into its block, so it never fills the
-    /// sealed arena either: after row partitions, batch after batch, the
-    /// arena has never allocated.
+    /// held-tuple buffer is empty and has never allocated. (The row path
+    /// scatters every arrival straight into its block: the partitioner
+    /// keeps no sealed arena to fill.)
     #[test]
     fn prompt_shape_the_accumulator_holds_no_tuples() {
         let mb = zipfish_batch(120, 900);
@@ -1072,8 +1072,7 @@ mod tests {
                 let plan = part.partition(&mb, 4);
                 assert_eq!(plan.total_tuples(), mb.len(), "{what}");
                 assert_eq!(part.buffer.held(), (0, 0), "{what}: rows");
-                assert_eq!(part.sealed.1.capacity(), 0, "{what}: rows filled the arena");
-                part.recycle(Plan::Rows(plan));
+                part.recycle(plan);
             }
             part.partition_columnar(&mb, 4)
                 .expect("Prompt has a columnar path");

@@ -6,7 +6,7 @@
 
 use crate::batch::PartitionPlan;
 use crate::partitioner::per_tuple::PerTuple;
-use crate::partitioner::{PartitionPhases, Partitioner, Plan};
+use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Tuple};
 
 /// Round-robin partitioner.
@@ -37,7 +37,7 @@ impl Partitioner for ShufflePartitioner {
         (plan, PartitionPhases::default())
     }
 
-    fn recycle(&mut self, plan: Plan) {
+    fn recycle(&mut self, plan: PartitionPlan) {
         self.blocks.recycle(plan);
     }
 }

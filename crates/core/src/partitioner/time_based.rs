@@ -7,7 +7,7 @@
 
 use crate::batch::PartitionPlan;
 use crate::partitioner::per_tuple::PerTuple;
-use crate::partitioner::{PartitionPhases, Partitioner, Plan};
+use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Tuple};
 
 /// Time-based (arrival-slot) partitioner.
@@ -46,7 +46,7 @@ impl Partitioner for TimeBasedPartitioner {
         (plan, PartitionPhases::default())
     }
 
-    fn recycle(&mut self, plan: Plan) {
+    fn recycle(&mut self, plan: PartitionPlan) {
         self.blocks.recycle(plan);
     }
 }

@@ -14,7 +14,7 @@
 
 use prompt_core::batch::{DataBlock, KeyFragment, MicroBatch, PartitionPlan};
 use prompt_core::hash::{bucket_of, mix64, HashFamily, KeyMap, KeySet};
-use prompt_core::partitioner::{Plan, Technique};
+use prompt_core::partitioner::Technique;
 use prompt_core::sketch::SpaceSaving;
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use proptest::prelude::*;
@@ -214,7 +214,7 @@ fn check(first: &MicroBatch, second: &MicroBatch, p: usize, q: usize, seed: u64)
         let plan = part.partition(first, p);
         let want = reference(technique, seed, first, p);
         assert_eq!(plan, want, "{technique:?} p={p}");
-        part.recycle(Plan::Rows(plan));
+        part.recycle(plan);
         let again = part.partition(second, q);
         let want = reference(technique, seed, second, q);
         assert_eq!(again, want, "{technique:?} second batch, p={q}");

@@ -38,7 +38,7 @@ use prompt_core::buffering::{
 };
 use prompt_core::columnar::{ColRange, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{bucket_of, mix64, KeyMap, KeySet};
-use prompt_core::partitioner::{BufferingMode, Partitioner, Plan, PromptPartitioner, Technique};
+use prompt_core::partitioner::{BufferingMode, Partitioner, PromptPartitioner, Technique};
 use prompt_core::reduce::{KeyCluster, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::sort::{RadixSort, FALLBACK_LEN};
 use prompt_core::types::{Interval, Key, Time, Tuple};
@@ -161,7 +161,7 @@ fn from_ranges(ranges: &[(Key, ColRange)]) -> Vec<KeyFragment> {
 fn from_blocks(blocks: &[ColumnarBlock]) -> KeySet {
     let mut seen: KeyMap<usize> = KeyMap::default();
     for b in blocks {
-        for f in &b.fragments {
+        for f in b.runs() {
             *seen.entry(f.key).or_insert(0) += 1;
         }
     }
@@ -182,7 +182,13 @@ fn check_columnar_plan(
 ) -> Result<(), TestCaseError> {
     for (b, block) in cols.blocks.iter().enumerate() {
         let want = from_ranges(&block.ranges);
-        prop_assert_eq!(&block.fragments, &want, "{}: block {}", what, b);
+        prop_assert_eq!(
+            block.runs().collect::<Vec<_>>(),
+            want,
+            "{}: block {}",
+            what,
+            b
+        );
     }
     prop_assert_eq!(
         &cols.split_keys,
@@ -552,7 +558,7 @@ fn check_direct_scatter(batches: &[MicroBatch], p: usize) -> Result<(), TestCase
                         p,
                         i
                     );
-                    part.recycle(Plan::Rows(plan));
+                    part.recycle(plan);
                 }
             }
         }
@@ -611,7 +617,7 @@ fn check_per_tuple_plans(
         let mut part = technique.build(seed);
         let plan = part.partition(first, p);
         check_derivations(&plan, technique, p)?;
-        part.recycle(Plan::Rows(plan));
+        part.recycle(plan);
         let again = part.partition(second, q);
         check_derivations(&again, technique, q)?;
         let fresh = technique.build(seed).partition(second, q);

@@ -13,13 +13,13 @@
 //! keyed state never leaves the driver ([`crate::state`]), so a key-group
 //! migration is not a backend operation.
 
+use prompt_core::batch::PartitionPlan;
 use prompt_core::reduce::ReduceAssigner;
 
 use crate::config::{Backend, EngineConfig};
 use crate::job::Job;
-use crate::kernel::PlanView;
 use crate::net::{DistributedOptions, DistributedRuntime, NetStats, WorkerLoss};
-use crate::stage::{times_from_view, BatchOutput, StageTimes};
+use crate::stage::{times_from_stats, BatchOutput, StageTimes};
 use crate::threaded::ThreadedExecutor;
 use crate::trace::{Counter, TraceEvent, TraceRecorder};
 
@@ -30,8 +30,7 @@ use crate::trace::{Counter, TraceEvent, TraceRecorder};
 pub(crate) struct Planned<'a> {
     /// The batch's sequence number: in the run, its trace and on the wire.
     pub(crate) seq: u64,
-    /// The plan, in the layout the batch was sealed in.
-    pub(crate) view: PlanView<'a>,
+    pub(crate) plan: &'a PartitionPlan,
     pub(crate) job: &'a Job,
     pub(crate) r: usize,
     pub(crate) assigner: &'a dyn ReduceAssigner,
@@ -77,7 +76,7 @@ impl BackendRuntime {
     /// Both arms produce bit-identical outputs and virtual
     /// [`StageTimes`] given the same plan and assigner: each reports
     /// raw [`BucketStats`](crate::stage::BucketStats), which
-    /// [`times_from_view`] costs once, after the dispatch.
+    /// [`times_from_stats`] costs once, after the dispatch.
     ///
     /// On the distributed backend this is where a batch goes on the wire:
     /// `batch` and every `younger` prepared batch not yet in flight are
@@ -99,11 +98,11 @@ impl BackendRuntime {
         budget: usize,
     ) -> (BatchOutput, StageTimes, u64) {
         let trace = rec.enabled().then_some(rec);
-        let (view, job, r) = (batch.view, batch.job, batch.r);
+        let (plan, job, r) = (batch.plan, batch.job, batch.r);
         let mut losses = 0;
         let (output, stats) = match self {
             BackendRuntime::Local(exec) => {
-                let (output, stats, wall) = exec.execute_view(view, job, batch.assigner, r, trace);
+                let (output, stats, wall) = exec.execute_plan(plan, job, batch.assigner, r, trace);
                 if let Some(rec) = trace {
                     wall.record(rec, batch.seq);
                 }
@@ -117,7 +116,7 @@ impl BackendRuntime {
                         .job
                         .wire_spec()
                         .expect("wire-serialisable: checked by Run::new");
-                    rt.submit(q.seq, q.view, &spec, q.assigner, q.r, trace);
+                    rt.submit(q.seq, q.plan, &spec, q.assigner, q.r, trace);
                 }
                 match rt.wait_batch(batch.seq, trace) {
                     Ok(done) => break done,
@@ -128,7 +127,7 @@ impl BackendRuntime {
                 }
             },
         };
-        let times = times_from_view(view, &stats, &cfg.cost, &cfg.cluster);
+        let times = times_from_stats(plan, &stats, &cfg.cost, &cfg.cluster);
         (output, times, losses as u64)
     }
 

@@ -160,24 +160,18 @@ pub struct EngineConfig {
     /// `reduce_tasks`, and re-laying it out on a scale action is the
     /// controller-composition follow-up (ROADMAP).
     pub rebalance: RebalanceSpec,
-    /// Columnar (struct-of-arrays) data plane for the batch hot path. When
-    /// on, a partitioner that supports it (currently Prompt) seals the
-    /// batch into column arrays and emits a
-    /// [`ColumnarPlan`](prompt_core::columnar::ColumnarPlan) whose blocks
-    /// are `(offset, len)` ranges over a shared arena; the backends then
-    /// map/scatter/reduce over flat column slices and the distributed
-    /// backend encodes Map-task frames straight from the arena. That plan
-    /// is the batch's only one: plan metrics, the partitioner policy and the
-    /// rebalancer read its per-block fragment lists, and no row rendering
-    /// is made of it. Plans, outputs, stage times, controller decisions and
-    /// wire frames are bit-identical to the row path (gated by the
-    /// differential oracle, `tests/oracle.rs`); techniques without a
-    /// columnar seal seal rows, batch by batch. Every recovery re-runs the
-    /// plan in its own layout.
+    /// Has no effect: the engine partitions and executes every batch in
+    /// rows. It once chose a columnar data plane whose every plan, output,
+    /// stage time, controller decision and wire frame was bit-identical to
+    /// the row path's, and lost to it on every measured workload; it stays
+    /// only so that struct literals naming it keep compiling. The columnar
+    /// types remain in [`prompt_core::columnar`] as adapters.
+    #[deprecated(note = "has no effect: the engine runs rows only")]
     pub columnar: bool,
 }
 
 impl Default for EngineConfig {
+    #[allow(deprecated)]
     fn default() -> EngineConfig {
         EngineConfig {
             batch_interval: Duration::from_secs(1),
@@ -505,7 +499,6 @@ mod tests {
         ] {
             let cfg = EngineConfig {
                 backend,
-                columnar: true,
                 ..EngineConfig::default()
             };
             assert!(cfg.validate().is_ok(), "{backend:?}");

@@ -509,7 +509,7 @@ impl StreamingEngine {
         n_batches: usize,
     ) -> (RunResult, TraceRecorder) {
         let (depth, n_batches) = (self.cfg.pipeline_depth, n_batches as u64);
-        let partition_cfg = (self.cfg.columnar, self.cfg.overhead);
+        let overhead = self.cfg.overhead;
         let mut run = Run::new(self, source);
         loop {
             // Fill on this thread: advance batches from *buffering* to
@@ -527,7 +527,7 @@ impl StreamingEngine {
             };
             let pulled = if overlap { run.pull() } else { None };
             match pulled {
-                Some(pulled) => overlapped(&mut run, pb, pulled, partition_cfg),
+                Some(pulled) => overlapped(&mut run, pb, pulled, overhead),
                 None => {
                     let (output, times) = run.execute(&pb);
                     run.commit(pb, output, times);
@@ -559,17 +559,12 @@ impl StreamingEngine {
 /// it and no third plan exists.
 /// Everything that reads or moves actuator state stays on the driver thread,
 /// in the serial loop's order, so the run is the serial loop's run.
-fn overlapped(
-    run: &mut Run<'_>,
-    pb: PreparedBatch,
-    pulled: PulledBatch,
-    (columnar, overhead): (bool, OverheadMode),
-) {
+fn overlapped(run: &mut Run<'_>, pb: PreparedBatch, pulled: PulledBatch, overhead: OverheadMode) {
     let technique = pulled.technique;
     let mut partitioner = run.lend(technique);
     let (lent, batch, p) = (partitioner.as_mut(), &pulled.batch, pulled.p);
     let (partitioned, waited) = std::thread::scope(|scope| {
-        let worker = scope.spawn(move || partition(lent, batch, p, columnar, overhead));
+        let worker = scope.spawn(move || partition(lent, batch, p, overhead));
         let (output, times) = run.execute(&pb);
         run.commit(pb, output, times);
         let t0 = std::time::Instant::now();
@@ -1564,7 +1559,9 @@ mod tests {
         assert_eq!(res.stateful[0].aggregates[&Key(0)], 1.0);
     }
 
+    /// The deprecated `columnar` flag changes nothing.
     #[test]
+    #[allow(deprecated)]
     fn columnar_runs_bit_identical_to_row() {
         for backend in [Backend::InProcess, Backend::Threaded { threads: 3 }] {
             let run = |columnar: bool| {
@@ -1992,11 +1989,10 @@ mod tests {
         }
     }
 
-    /// Shape guard for the execution layer: layout is a property of the plan
-    /// (`kernel::PlanView`), not of the function called. Outside its test
-    /// module no engine source may grow a `*_columnar` function again beyond
-    /// the two adapters `benchmark/` pins (the Map kernel walks either
-    /// layout's runs); and
+    /// Shape guard for the execution layer: the engine runs rows only
+    /// (`engine_shape_one_data_layout`). Outside its test module no engine
+    /// source may grow a `*_columnar` function again beyond the two adapters
+    /// `benchmark/` pins; and
     /// assigners are shared references — Algorithm 3 is a pure function of one
     /// Map task's output, so outside test modules no core or engine source
     /// names a mutable assigner, a run-global task counter, an assignment
@@ -2146,11 +2142,13 @@ mod tests {
     }
 
     /// Shape guard for what a batch carries (DESIGN §4h): one technique,
-    /// resolved through the one strategy set, and one plan in the layout it
-    /// was sealed in. Outside its test modules no engine source names an
-    /// optional technique, a constructor that takes strategy instances, a
-    /// per-batch row re-rendering of a columnar plan, or a second
-    /// slice-partitioning entry point.
+    /// resolved through the one strategy set, and one row plan. Outside its
+    /// test modules no engine source names an optional technique, a
+    /// constructor that takes strategy instances, a row re-rendering of a
+    /// columnar plan — but in the benchmark's columnar adapter
+    /// (`stage::execute_columnar_traced`), which renders its argument once
+    /// and runs the row executor — or a second slice-partitioning entry
+    /// point.
     #[test]
     fn engine_shape_one_technique_and_one_plan_per_batch() {
         let mut files = Vec::new();
@@ -2165,13 +2163,133 @@ mod tests {
             ["partition", "_shared"].concat(),
         ];
         for (file, src) in &files {
-            let lines = src.lines().take_while(|l| *l != "#[cfg(test)]");
-            for (n, line) in lines.enumerate() {
+            let lines: Vec<&str> = src.lines().take_while(|l| *l != "#[cfg(test)]").collect();
+            let adapter = pinned_lines(file, &lines);
+            for (n, line) in lines.iter().enumerate() {
                 for needle in &needles {
-                    assert!(!line.contains(needle), "{file}:{}: `{needle}`", n + 1);
+                    // The pinned columnar adapter renders its argument as rows.
+                    let pinned = adapter.contains(&n) && *needle == needles[2];
+                    assert!(
+                        pinned || !line.contains(needle),
+                        "{file}:{}: `{needle}`",
+                        n + 1
+                    );
                 }
             }
         }
+    }
+
+    /// The two columnar adapters `benchmark/` compiles against:
+    /// `(file suffix, fn name)`.
+    const PINNED_ADAPTERS: [(&str, &str); 2] = [
+        ("/stage.rs", "fn execute_columnar_traced"),
+        ("/net/wire.rs", "fn encode_map_task_columnar"),
+    ];
+
+    /// The 0-based indices of `lines` (a file's production half) that belong
+    /// to a pinned columnar adapter: its doc comment, attributes and body.
+    fn pinned_lines(file: &str, lines: &[&str]) -> Vec<usize> {
+        let pinned = PINNED_ADAPTERS.iter().filter(|(f, _)| file.ends_with(f));
+        let mut at = Vec::new();
+        for (_, name) in pinned {
+            let src = lines.join("\n");
+            let fns = functions_of(file, &src);
+            let (_, start, body) = (fns.iter())
+                .find(|(n, ..)| n == name)
+                .unwrap_or_else(|| panic!("{file}: no `{name}`"));
+            let mut first = start - 1;
+            while first > 0 && {
+                let above = lines[first - 1].trim_start();
+                above.starts_with("///") || above.starts_with("#[")
+            } {
+                first -= 1;
+            }
+            at.extend(first..start - 1 + body.len());
+        }
+        at
+    }
+
+    /// Whether `line` holds `ident` with no identifier character right
+    /// before it (`FaultPlan::` does not name `Plan::`).
+    fn names(line: &str, ident: &str) -> bool {
+        line.match_indices(ident).any(|(at, _)| {
+            let before = line[..at].chars().next_back();
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+    }
+
+    /// Shape guard for the data layout (ROADMAP aim 2): the engine
+    /// partitions, executes, costs and encodes every batch in rows. Outside
+    /// their test modules no engine source names a plan-layout view, a
+    /// two-layout plan enum, a columnar plan, the columnar partition entry
+    /// point or the config's deprecated `columnar` flag — but the two
+    /// adapters `benchmark/` pins ([`PINNED_ADAPTERS`]) and the flag's own
+    /// declaration in `config.rs`. Core's partitioner declares no
+    /// two-layout plan, its spare keeps no column buffers, and a plan is
+    /// handed back as rows.
+    #[test]
+    fn engine_shape_one_data_layout() {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut engine = Vec::new();
+        sources_under(&manifest.join("src"), &mut engine);
+        assert!(engine.len() > 20, "scanner broken? {} files", engine.len());
+        // Spelt in halves so a grep for a needle finds only real uses.
+        let idents = [
+            ["Plan", "View"].concat(),
+            ["Plan", "::"].concat(),
+            ["Columnar", "Plan"].concat(),
+        ];
+        let calls = [
+            [".partition", "_columnar("].concat(),
+            ["cfg.", "columnar"].concat(),
+        ];
+        for (file, src) in &engine {
+            let lines: Vec<&str> = src.lines().take_while(|l| *l != "#[cfg(test)]").collect();
+            let pinned = pinned_lines(file, &lines);
+            for (n, line) in lines.iter().enumerate() {
+                if pinned.contains(&n) {
+                    continue;
+                }
+                for ident in &idents {
+                    assert!(!names(line, ident), "{file}:{}: `{ident}`", n + 1);
+                }
+                for call in &calls {
+                    assert!(!line.contains(call), "{file}:{}: `{call}`", n + 1);
+                }
+            }
+        }
+        let partitioner = std::fs::read_to_string(manifest.join("../core/src/partitioner/mod.rs"))
+            .expect("readable core source");
+        let production: Vec<&str> = (partitioner.lines())
+            .take_while(|l| *l != "#[cfg(test)]")
+            .collect();
+        let (plan_enum, spare) = (["enum ", "Plan"].concat(), ["struct ", "Spare"].concat());
+        for (n, line) in production.iter().enumerate() {
+            let declares = line.match_indices(&plan_enum).any(|(at, _)| {
+                let next = line[at + plan_enum.len()..].chars().next();
+                !next.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            });
+            assert!(!declares, "partitioner/mod.rs:{}: `{plan_enum}`", n + 1);
+        }
+        let fields: Vec<&str> = (production.iter())
+            .skip_while(|l| !l.contains(&spare))
+            .take_while(|l| **l != "}")
+            .copied()
+            .collect();
+        assert!(!fields.is_empty(), "no `Spare` in partitioner/mod.rs");
+        let columns = ["Columnar", "Block"].concat();
+        let arena = ["Columnar", "Batch"].concat();
+        assert!(
+            fields
+                .iter()
+                .all(|l| !l.contains(&columns) && !l.contains(&arena)),
+            "the spare keeps column buffers: {fields:?}"
+        );
+        let recycle = ["fn recycle(&mut self, plan: ", "PartitionPlan)"].concat();
+        assert!(
+            production.iter().any(|l| l.contains(&recycle)),
+            "`Partitioner::recycle` takes no row plan"
+        );
     }
 
     /// Shape guard for what crosses the seal (DESIGN §4e): the timestamp
@@ -2230,9 +2348,9 @@ mod tests {
     /// per key, keys strictly ascending, so its runs are its fragment table
     /// and the Map has one walk. `DataBlock` holds no second, fragment
     /// table; no production line of the kernel, the local executor or the
-    /// worker names a fold table (`Fold`); and no line of the Map
-    /// (`map_block`, `map_runs`) names a per-key table (`KeyMap`) — the
-    /// Reduce's merge table is the kernel's one.
+    /// worker names a fold table (`Fold`); and the Map is one function
+    /// (`map_block`) that names no per-key table (`KeyMap`) — the Reduce's
+    /// merge table is the kernel's one.
     #[test]
     fn engine_shape_one_block_shape_one_map_walk() {
         let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -2283,7 +2401,7 @@ mod tests {
                 assert!(!line.contains(&key_map), "kernel.rs:{at}: `{key_map}`");
             }
         }
-        assert_eq!(walks, 3, "PlanView::map_block, map_block and map_runs");
+        assert_eq!(walks, 1, "one Map walk: `map_block`");
     }
 
     /// Shape guard for the staleness contract (DESIGN §4h): a batch carries
@@ -2327,7 +2445,8 @@ mod tests {
             ["restore", "_times"].concat(),
             ["Arc<[", "Tuple]>"].concat(),
         ];
-        let partitioner_calls = [".partition(", ".partition_slice(", ".partition_columnar("];
+        let partitioner_calls = [".partition(", ".partition_slice("];
+        let mut partitions = Vec::new();
         let task_count = ["reduce", "_tasks"].concat();
         let (submit_fn, submit_call) = (["fn sub", "mit"].concat(), [".sub", "mit("].concat());
         for (file, src) in &files {
@@ -2362,10 +2481,10 @@ mod tests {
                     let calls = body
                         .iter()
                         .any(|l| partitioner_calls.iter().any(|c| l.contains(c)));
-                    assert!(
-                        !calls || (file.ends_with("run.rs") && name == "fn partition"),
-                        "{file}: `{name}` calls a partitioner"
-                    );
+                    if calls {
+                        let short = file.rsplit("/src/").next().unwrap_or(file);
+                        partitions.push(format!("{short}: {name}"));
+                    }
                 }
             }
             let production: Vec<&str> = src.lines().take_while(|l| *l != "#[cfg(test)]").collect();
@@ -2388,6 +2507,11 @@ mod tests {
                 }
             }
         }
+        assert_eq!(
+            partitions,
+            ["driver/run.rs: fn partition"],
+            "partitioner calls"
+        );
     }
 
     /// Shape guard for the local execution path (DESIGN §4): `InProcess` is
@@ -2525,7 +2649,7 @@ mod tests {
         }
         assert_eq!(executors.len(), 1, "Map → assign → Reduce in {executors:?}");
         assert!(
-            executors[0].ends_with("threaded.rs: fn execute_view"),
+            executors[0].ends_with("threaded.rs: fn execute_plan"),
             "{executors:?}"
         );
 
@@ -2548,8 +2672,8 @@ mod tests {
 
     /// `BatchRecord::n_keys` comes from the plan's fragment lists and split-key
     /// table (`total_keys`) instead of a hashing pass over the input; the two
-    /// must agree on an
-    /// empty, a one-key and a skewed batch, for every technique and layout.
+    /// must agree on an empty, a one-key and a skewed batch, for every
+    /// technique.
     #[test]
     fn n_keys_is_the_input_batch_distinct_key_count() {
         let mut source = |iv: Interval, out: &mut Vec<Tuple>| {
@@ -2574,16 +2698,10 @@ mod tests {
         let mut techniques = Technique::EVALUATION_SET.to_vec();
         techniques.extend([Technique::DChoices(5), Technique::PromptCountTree]);
         for technique in techniques {
-            for columnar in [false, true] {
-                let cfg = EngineConfig {
-                    columnar,
-                    ..small_cfg()
-                };
-                let job = Job::identity("count", ReduceOp::Count);
-                let res = StreamingEngine::new(cfg, technique, 1, job).run(&mut source, 3);
-                let n_keys: Vec<usize> = res.batches.iter().map(|b| b.n_keys).collect();
-                assert_eq!(n_keys, expected, "{technique:?}, columnar {columnar}");
-            }
+            let job = Job::identity("count", ReduceOp::Count);
+            let res = StreamingEngine::new(small_cfg(), technique, 1, job).run(&mut source, 3);
+            let n_keys: Vec<usize> = res.batches.iter().map(|b| b.n_keys).collect();
+            assert_eq!(n_keys, expected, "{technique:?}");
         }
     }
 

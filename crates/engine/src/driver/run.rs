@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use prompt_core::batch::{total_keys, MicroBatch};
+use prompt_core::batch::{total_keys, MicroBatch, PartitionPlan};
 use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PartitionPhases, Partitioner, Technique};
 use prompt_core::types::{Duration, Interval, Time, Tuple};
@@ -18,7 +18,6 @@ use super::{BatchRecord, RunResult, StreamingEngine};
 use crate::backend::{BackendRuntime, Planned};
 use crate::config::{Backend, OverheadMode};
 use crate::elasticity::{AutoScaler, Observation};
-use crate::kernel::{Plan, PlanView};
 use crate::policy::{BatchObservation, PolicyDecision};
 use crate::rebalance::{
     group_weights, imbalance_ratio, RebalanceObservation, RebalancePolicy, RoutingTable,
@@ -47,9 +46,9 @@ pub(crate) struct PreparedBatch {
     interval: Interval,
     n_tuples: usize,
     n_keys: usize,
-    /// The plan, in the layout it was sealed in: what executes, and what
-    /// metrics, the policy and the rebalancer read the fragment lists of.
-    plan: Plan,
+    /// The plan: what executes, and what metrics, the policy and the
+    /// rebalancer read the fragment lists of.
+    plan: PartitionPlan,
     raw_overhead: Duration,
     visible_overhead: Duration,
     /// The Reduce task count in force when the batch was pulled.
@@ -75,7 +74,7 @@ impl PreparedBatch {
             .assigner(self.technique, self.routing.as_ref());
         Planned {
             seq: self.seq,
-            view: PlanView::of(&self.plan),
+            plan: &self.plan,
             job: &eng.job,
             r: self.r,
             assigner,
@@ -102,7 +101,7 @@ pub(crate) struct PulledBatch {
 
 /// What [`partition`] makes of a batch.
 pub(crate) struct Partitioned {
-    plan: Plan,
+    plan: PartitionPlan,
     /// Wall-clock phase timings; they only reach the trace.
     phases: PartitionPhases,
     raw_overhead: Duration,
@@ -110,31 +109,17 @@ pub(crate) struct Partitioned {
     metrics: PlanMetrics,
 }
 
-/// Partition `batch` into `p` Map blocks with `partitioner`: in columns when
-/// `columnar` is set and the technique seals them, else in rows — per batch;
-/// nothing downstream renders the other layout. Reads nothing of a [`Run`],
-/// so the loop may call it on another thread while the driver thread
-/// executes and commits an older batch.
+/// Partition `batch` into `p` Map blocks with `partitioner`. Reads nothing
+/// of a [`Run`], so the loop may call it on another thread while the driver
+/// thread executes and commits an older batch.
 pub(crate) fn partition(
     partitioner: &mut dyn Partitioner,
     batch: &MicroBatch,
     p: usize,
-    columnar: bool,
     overhead: OverheadMode,
 ) -> Partitioned {
     let t0 = std::time::Instant::now();
-    let cols = if columnar {
-        partitioner.partition_columnar(batch, p)
-    } else {
-        None
-    };
-    let (plan, phases) = match cols {
-        Some((cols, phases)) => (Plan::Columns(cols), phases),
-        None => {
-            let (rows, phases) = partitioner.partition_slice(&batch.tuples, batch.interval, p);
-            (Plan::Rows(rows), phases)
-        }
-    };
+    let (plan, phases) = partitioner.partition_slice(&batch.tuples, batch.interval, p);
     let raw_overhead = match overhead {
         OverheadMode::None => Duration::ZERO,
         OverheadMode::Fixed(d) => d,
@@ -142,8 +127,8 @@ pub(crate) fn partition(
     };
     // Partitioners conserve tuples, so the plan's distinct keys are the
     // batch's: counted once, for the record and the plan metrics both.
-    let blocks = plan.fragments();
-    let n_keys = total_keys(&blocks, PlanView::of(&plan).split_keys());
+    let blocks = plan.block_fragments();
+    let n_keys = total_keys(&blocks, &plan.split_keys);
     let metrics = PlanMetrics::of_blocks(&blocks, n_keys);
     Partitioned {
         plan,
@@ -356,9 +341,9 @@ impl<'e> Run<'e> {
         let Some(pulled) = self.pull() else {
             return;
         };
-        let (columnar, overhead) = (self.eng.cfg.columnar, self.eng.cfg.overhead);
+        let overhead = self.eng.cfg.overhead;
         let partitioner = self.eng.strategies.registry.get_or_build(pulled.technique);
-        let partitioned = partition(partitioner, &pulled.batch, pulled.p, columnar, overhead);
+        let partitioned = partition(partitioner, &pulled.batch, pulled.p, overhead);
         self.finish(pulled, partitioned);
     }
 
@@ -427,7 +412,7 @@ impl<'e> Run<'e> {
                 n_keys: part.n_keys,
                 map_tasks: p,
                 metrics: part.metrics,
-                blocks: &part.plan.fragments(),
+                blocks: &part.plan.block_fragments(),
             });
         }
         let interval = batch.interval;
@@ -681,13 +666,13 @@ impl<'e> Run<'e> {
     fn run_plan(
         &mut self,
         seq: u64,
-        view: PlanView<'_>,
+        plan: &PartitionPlan,
         (r, technique, routing): (usize, Technique, Option<&RoutingTable>),
     ) -> (BatchOutput, StageTimes) {
         let eng = &*self.eng;
         let batch = Planned {
             seq,
-            view,
+            plan,
             job: &eng.job,
             r,
             assigner: eng.strategies.assigner(technique, routing),
@@ -710,7 +695,7 @@ impl<'e> Run<'e> {
     /// on it also advances the younger batches of the window.
     pub(crate) fn execute(&mut self, pb: &PreparedBatch) -> (BatchOutput, StageTimes) {
         let under = (pb.r, pb.technique, pb.routing.as_ref());
-        self.run_plan(pb.seq, PlanView::of(&pb.plan), under)
+        self.run_plan(pb.seq, &pb.plan, under)
     }
 
     /// Commit an executed batch. Everything with cross-batch feedback —
@@ -766,7 +751,7 @@ impl<'e> Run<'e> {
             seq,
             n_tuples: pb.n_tuples,
             n_keys: pb.n_keys,
-            map_tasks: PlanView::of(&pb.plan).n_blocks(),
+            map_tasks: pb.plan.blocks.len(),
             reduce_tasks: pb.r,
             partition_overhead: pb.raw_overhead,
             visible_overhead: pb.visible_overhead,
@@ -804,7 +789,7 @@ impl<'e> Run<'e> {
             return;
         };
         let busy: Vec<u64> = times.reduce_tasks.iter().map(|d| d.0).collect();
-        let group_tuples = group_weights(&pb.plan.fragments(), table.n_groups());
+        let group_tuples = group_weights(&pb.plan.block_fragments(), table.n_groups());
         reb.observe(&RebalanceObservation {
             seq: pb.seq,
             version: table.version(),
@@ -862,7 +847,7 @@ impl<'e> Run<'e> {
         let Some(sc) = self.scaler.as_mut() else {
             return;
         };
-        if (PlanView::of(&pb.plan).n_blocks(), pb.r) != (sc.map_tasks(), sc.reduce_tasks()) {
+        if (pb.plan.blocks.len(), pb.r) != (sc.map_tasks(), sc.reduce_tasks()) {
             return;
         }
         let (seq, rec) = (pb.seq, &self.rec);

@@ -1,31 +1,21 @@
-//! The one place layout matters to execution, and the three kernels every
-//! backend is built from.
+//! The three kernels every backend is built from.
 //!
-//! A partitioned batch is either row blocks ([`PartitionPlan`]) or ranges
-//! into a column arena ([`ColumnarPlan`]). An executor asks a plan exactly
-//! five things — how many blocks, which keys are split, what a block costs,
-//! what a block maps to, and what a block looks like on the wire — and
-//! [`PlanView`] answers them for either layout (a sixth, each block's
-//! fragment list, is all that metrics, the policy and the rebalancer read).
-//! The Map fold walks a block's runs — a row block's `(key, count)` runs
-//! over its value column, a columnar block's ranges. Every technique builds
-//! a block as one run per key, keys ascending, so each run folds straight
-//! onto the key-ordered output: no table, no sort.
+//! A partitioned batch is row blocks ([`PartitionPlan`]): every technique
+//! builds a block as `(key, count)` runs over its value column, one run per
+//! key, keys ascending, so the Map fold ([`map_block`]) walks the runs and
+//! folds each straight onto its key-ordered output: no table, no sort.
 //! Everything downstream of the Map fold sees only [`ClusterList`]s, so the
 //! two executors — the local one ([`crate::threaded`], one thread for
 //! `InProcess`, `n` for `Threaded`) and the worker fleet ([`crate::net`]) —
 //! share [`assign_block`] and [`merge_bucket`] verbatim and cannot diverge by
-//! layout or by backend.
+//! backend.
 
-use prompt_core::batch::{DataBlock, KeyFragment, PartitionPlan};
-use prompt_core::columnar::ColumnarPlan;
+use prompt_core::batch::DataBlock;
 use prompt_core::hash::{KeyMap, KeySet};
-pub(crate) use prompt_core::partitioner::Plan;
 use prompt_core::reduce::{KeyCluster, ReduceAssigner};
 use prompt_core::types::Key;
 
-use crate::job::{Job, JobSpec, ReduceOp};
-use crate::net::wire::{encode_map_task, encode_map_task_columnar};
+use crate::job::{Job, ReduceOp};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{Counter, TraceRecorder};
 
@@ -33,114 +23,21 @@ use crate::trace::{Counter, TraceRecorder};
 /// key cluster, in key order.
 pub(crate) type ClusterList = Vec<(Key, (f64, usize))>;
 
-/// A partitioned batch as an executor sees it, in whichever layout the
-/// batch was sealed.
-#[derive(Clone, Copy)]
-pub(crate) enum PlanView<'a> {
-    Rows(&'a PartitionPlan),
-    Columns(&'a ColumnarPlan),
-}
-
-impl<'a> PlanView<'a> {
-    /// The view of a plan a `PreparedBatch` owns.
-    pub(crate) fn of(plan: &'a Plan) -> PlanView<'a> {
-        match plan {
-            Plan::Rows(p) => PlanView::Rows(p),
-            Plan::Columns(p) => PlanView::Columns(p),
-        }
-    }
-
-    pub(crate) fn n_blocks(self) -> usize {
-        match self {
-            PlanView::Rows(p) => p.blocks.len(),
-            PlanView::Columns(p) => p.blocks.len(),
-        }
-    }
-
-    pub(crate) fn split_keys(self) -> &'a KeySet {
-        match self {
-            PlanView::Rows(p) => &p.split_keys,
-            PlanView::Columns(p) => &p.split_keys,
-        }
-    }
-
-    /// Block `i`'s per-key fragment list — its runs, sorted by key — the
-    /// same list in either layout.
-    pub(crate) fn fragments(self, i: usize) -> &'a [KeyFragment] {
-        match self {
-            PlanView::Rows(p) => &p.blocks[i].runs,
-            PlanView::Columns(p) => &p.blocks[i].fragments,
-        }
-    }
-
-    /// Block `i`'s `(size, cardinality)` — what the cost model charges a Map
-    /// task for (filtering happens inside the user function, so the whole
-    /// block is charged).
-    pub(crate) fn cost_inputs(self, i: usize) -> (usize, usize) {
-        match self {
-            PlanView::Rows(p) => (p.blocks[i].size(), p.blocks[i].cardinality()),
-            PlanView::Columns(p) => (p.blocks[i].size(), p.blocks[i].cardinality()),
-        }
-    }
-
-    /// Map + local combine over block `i` into `out` ([`map_runs`]): a
-    /// columnar block's ranges are its runs.
-    pub(crate) fn map_block(self, i: usize, job: &Job, out: &mut ClusterList) {
-        match self {
-            PlanView::Rows(p) => map_block(&p.blocks[i], job, out),
-            PlanView::Columns(p) => {
-                let runs = (p.blocks[i].ranges.iter()).map(|&(k, r)| (k, r.offset, r.len));
-                map_runs(&p.arena.values, runs, job, out)
-            }
-        }
-    }
-
-    /// Block `i` as one complete `MapTask` frame. The two layouts encode to
-    /// identical bytes.
-    pub(crate) fn encode_map_task(self, i: usize, seq: u64, epoch: u32, spec: &JobSpec) -> Vec<u8> {
-        match self {
-            PlanView::Rows(p) => encode_map_task(seq, epoch, i as u32, spec, &p.blocks[i]),
-            PlanView::Columns(p) => {
-                encode_map_task_columnar(seq, epoch, i as u32, spec, &p.arena, &p.blocks[i])
-            }
-        }
-    }
-}
-
-/// Map + local combine over one row block into `out` (whatever it held
-/// before), in key order ([`map_runs`] over the block's runs). The
-/// distributed worker runs this same fold on the block it decodes, so map
-/// outputs are bit-identical across backends.
+/// Map + local combine over one block into `out` (whatever it held before),
+/// in key order. Each run — one per key, keys ascending — folds into a local
+/// accumulator that goes straight onto `out`: no table, no sort. Each key's
+/// `apply` sequence is the per-tuple fold's, so the output is bit-identical
+/// to it. The distributed worker runs this same fold on the block it
+/// decodes, so map outputs are bit-identical across backends.
 pub(crate) fn map_block(block: &DataBlock, job: &Job, out: &mut ClusterList) {
-    let runs = block.runs.iter().scan(0, |at, run| {
-        let start = *at;
-        *at += run.count;
-        Some((run.key, start, run.count))
-    });
-    map_runs(&block.values, runs, job, out);
-}
-
-/// Map + local combine over a block's runs — each `(key, start, len)`, the
-/// key of `values[start..start + len]`, one run per key, keys ascending; a
-/// row block's runs over its value column or a columnar block's ranges over
-/// the arena's — into `out` (whatever it held before), in key order. Each
-/// run folds into a local accumulator that goes straight onto `out`: no
-/// table, no sort. Each key's `apply` sequence is the per-tuple fold's, so
-/// the output is bit-identical to it.
-fn map_runs(
-    values: &[f64],
-    runs: impl Iterator<Item = (Key, usize, usize)>,
-    job: &Job,
-    out: &mut ClusterList,
-) {
     out.clear();
-    for (key, start, len) in runs {
+    let op = job.reduce;
+    for (key, values) in block.key_runs() {
         debug_assert!(
             out.last().is_none_or(|&(last, _)| last.0 < key.0),
             "run keys ascend"
         );
-        let op = job.reduce;
-        let mut mapped = (values[start..start + len].iter()).filter_map(|&v| (job.map)(key, v));
+        let mut mapped = values.iter().filter_map(|&v| (job.map)(key, v));
         if let Some(v) = mapped.next() {
             let folded = mapped.fold((op.apply(None, v), 1), |(a, n), v| {
                 (op.apply(Some(a), v), n + 1)
@@ -265,11 +162,13 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::cost::CostModel;
+    use crate::net::wire::{encode_map_task, encode_map_task_columnar, Message};
     use crate::net::{DistributedOptions, DistributedRuntime, LaunchMode};
-    use crate::stage::{times_from_view, StageTimes};
+    use crate::stage::{execute_columnar_traced, times_from_stats, StageTimes};
     use crate::threaded::ThreadedExecutor;
     use crate::trace::TraceLevel;
-    use prompt_core::batch::MicroBatch;
+    use prompt_core::batch::{MicroBatch, PartitionPlan};
+    use prompt_core::columnar::ColumnarPlan;
     use prompt_core::partitioner::Technique;
     use prompt_core::reduce::PromptReduceAllocator;
     use prompt_core::types::{Interval, Time, Tuple};
@@ -305,7 +204,7 @@ mod tests {
 
     /// Run `exec` with a fresh allocator and recorder and digest its result.
     fn outcome(
-        view: PlanView<'_>,
+        plan: &PartitionPlan,
         exec: impl FnOnce(
             &dyn ReduceAssigner,
             Option<&TraceRecorder>,
@@ -321,7 +220,7 @@ mod tests {
         aggregates.sort_unstable_by_key(|&(k, _)| k.0);
         Outcome {
             aggregates,
-            times: times_from_view(view, &stats, &CostModel::default(), &Cluster::new(1, 8)),
+            times: times_from_stats(plan, &stats, &CostModel::default(), &Cluster::new(1, 8)),
             stats,
             scatter_fragments: rec.counter(Counter::ScatterFragments),
             split_key_fragments: rec.counter(Counter::SplitKeyFragments),
@@ -393,28 +292,48 @@ mod tests {
         }
     }
 
+    /// The technique's own columnar cut of `mb` where it has one, else the
+    /// row plan's columnar rendering.
+    fn columnar_cut(technique: Technique, mb: &MicroBatch, p: usize) -> ColumnarPlan {
+        match technique.build(5).partition_columnar(mb, p) {
+            Some((cols, _)) => cols,
+            None => ColumnarPlan::from_row_plan(&technique.build(5).partition(mb, p)),
+        }
+    }
+
     /// What the fleet's submit-time assignment rests on (`net/driver.rs`): an
     /// identity Map keeps every tuple under its own key, so a block's Map
-    /// output, as `(key, tuples folded)`, is the block's fragment table — in
-    /// either layout, whatever cut the block.
+    /// output, as `(key, tuples folded)`, is the block's fragment table —
+    /// whatever cut the block, on the driver and on the worker that decodes
+    /// its frame. The columnar frame adapter (`encode_map_task_columnar`)
+    /// over the technique's own columnar cut must put the row frame's bytes
+    /// on the wire.
     #[test]
     fn an_identity_map_yields_each_blocks_fragment_table() {
+        let spec = Job::identity("id", ReduceOp::Sum)
+            .wire_spec()
+            .expect("an identity Map");
         let check = |rows: &PartitionPlan, cols: &ColumnarPlan, what: &str| {
-            for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
-                let job = Job::identity("id", op);
-                for (layout, view) in [
-                    ("rows", PlanView::Rows(rows)),
-                    ("columns", PlanView::Columns(cols)),
-                ] {
-                    for i in 0..view.n_blocks() {
-                        let fragments = view.fragments(i).iter().map(|f| (f.key, f.count));
+            for (i, block) in rows.blocks.iter().enumerate() {
+                let frame = encode_map_task(1, 2, i as u32, &spec, block);
+                let (arena, col) = (&cols.arena, &cols.blocks[i]);
+                let columnar = encode_map_task_columnar(1, 2, i as u32, &spec, arena, col);
+                assert_eq!(columnar, frame, "{what}: block {i}'s columnar frame");
+                let Ok(Message::MapTask { block: decoded, .. }) = Message::decode(&frame) else {
+                    panic!("{what}: block {i}'s frame decodes to a Map task");
+                };
+                let fragments = block.runs.iter().map(|f| (f.key, f.count));
+                let fragments: Vec<(Key, usize)> = fragments.collect();
+                for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
+                    let job = Job::identity("id", op);
+                    for (side, block) in [("driver", block), ("worker", &decoded)] {
                         let mut mapped = ClusterList::new();
-                        view.map_block(i, &job, &mut mapped);
-                        let mapped = mapped.into_iter();
+                        map_block(block, &job, &mut mapped);
+                        let mapped = mapped.into_iter().map(|(k, (_, n))| (k, n));
                         assert_eq!(
-                            mapped.map(|(k, (_, n))| (k, n)).collect::<Vec<_>>(),
-                            fragments.collect::<Vec<_>>(),
-                            "{what}: block {i} of {layout} under {op:?}"
+                            mapped.collect::<Vec<_>>(),
+                            fragments,
+                            "{what}: block {i} on the {side} under {op:?}"
                         );
                     }
                 }
@@ -436,11 +355,7 @@ mod tests {
                 for p in [1, 3, 8] {
                     let mb = batch(spec);
                     let rows = technique.build(5).partition(&mb, p);
-                    // The technique's own columnar cut where it has one.
-                    let cols = match technique.build(5).partition_columnar(&mb, p) {
-                        Some((cols, _)) => cols,
-                        None => ColumnarPlan::from_row_plan(&rows),
-                    };
+                    let cols = columnar_cut(technique, &mb, p);
                     check(&rows, &cols, &format!("{technique:?} {name} p={p}"));
                 }
             }
@@ -450,7 +365,9 @@ mod tests {
     /// The fleet reports no counts: a bucket's tuples and fragments are what
     /// the driver tallied from its assignment at submit, and its keys are
     /// the length of the reducer's answer. That must be what `merge_bucket`
-    /// counts, bucket for bucket, for every technique, layout and `r`.
+    /// counts, bucket for bucket, for every technique and `r` — and what the
+    /// columnar adapter (`execute_columnar_traced`) over the technique's own
+    /// columnar cut is costed from.
     #[test]
     fn the_fleets_submit_tally_is_what_every_merge_counts() {
         let mut opts = DistributedOptions::new(2, 0);
@@ -458,6 +375,7 @@ mod tests {
         let mut fleet = DistributedRuntime::launch(opts).expect("launch");
         let job = Job::identity("sum", ReduceOp::Sum);
         let spec = job.wire_spec().expect("an identity Map crosses the wire");
+        let (cost, cluster) = (CostModel::default(), Cluster::new(1, 8));
         let zipf: Vec<(u64, usize)> = (0..120).map(|k| (k, 1800 / (k as usize + 1))).collect();
         let tuples: usize = zipf.iter().map(|&(_, n)| n).sum();
         let mb = batch(&zipf);
@@ -467,32 +385,30 @@ mod tests {
         let mut seq = 0u64;
         for technique in techniques {
             let rows = technique.build(5).partition(&mb, 4);
-            let cols = match technique.build(5).partition_columnar(&mb, 4) {
-                Some((cols, _)) => cols,
-                None => ColumnarPlan::from_row_plan(&rows),
-            };
-            for (layout, view) in [
-                ("rows", PlanView::Rows(&rows)),
-                ("columns", PlanView::Columns(&cols)),
-            ] {
-                for r in [1, 3, 16] {
-                    let assigner = PromptReduceAllocator::new(5);
-                    let (_, merged, _) =
-                        ThreadedExecutor::new(1).execute_view(view, &job, &assigner, r, None);
-                    assert_eq!(merged.iter().map(|s| s.tuples).sum::<usize>(), tuples);
-                    seq += 1;
-                    fleet.submit(seq, view, &spec, &assigner, r, None);
-                    let (_, tallied) = fleet.wait_batch(seq, None).expect("no faults");
-                    assert_eq!(tallied, merged, "{technique:?} over {layout}, r = {r}");
-                }
+            let cols = columnar_cut(technique, &mb, 4);
+            for r in [1, 3, 16] {
+                let assigner = PromptReduceAllocator::new(5);
+                let (_, merged, _) =
+                    ThreadedExecutor::new(1).execute_plan(&rows, &job, &assigner, r, None);
+                assert_eq!(merged.iter().map(|s| s.tuples).sum::<usize>(), tuples);
+                seq += 1;
+                fleet.submit(seq, &rows, &spec, &assigner, r, None);
+                let (_, tallied) = fleet.wait_batch(seq, None).expect("no faults");
+                assert_eq!(tallied, merged, "{technique:?}, r = {r}");
+                let (_, times) =
+                    execute_columnar_traced(&cols, &job, &assigner, r, &cost, &cluster, None);
+                let want = times_from_stats(&rows, &tallied, &cost, &cluster);
+                assert_eq!(times, want, "{technique:?} over columns, r = {r}");
             }
         }
     }
 
-    /// One plan, as `Rows` and as `Columns`, through every backend: the local
-    /// executor at 1 (`InProcess`), 2 and 3 threads and a thread-mode worker
-    /// fleet must agree on every aggregate bit, every bucket's statistics,
-    /// the stage times and the shuffle counters.
+    /// One plan through every backend: the local executor at 1
+    /// (`InProcess`), 2 and 3 threads and a thread-mode worker fleet must
+    /// agree on every aggregate bit, every bucket's statistics, the stage
+    /// times and the shuffle counters; and so must the columnar adapter
+    /// (`execute_columnar_traced`) over the plan's columnar rendering, on
+    /// everything it reports (it returns no bucket statistics).
     #[test]
     fn every_backend_agrees_on_every_layout() {
         struct Case {
@@ -584,38 +500,37 @@ mod tests {
                 .technique
                 .build(5)
                 .partition(&batch(&case.spec), case.p);
-            let cols = ColumnarPlan::from_row_plan(&rows);
-            let local = |view: PlanView<'_>, threads: usize| {
-                outcome(view, |assigner, trace| {
-                    let (output, stats, _wall) =
-                        ThreadedExecutor::new(threads).execute_view(view, job, assigner, *r, trace);
+            let local = |threads: usize| {
+                outcome(&rows, |assigner, trace| {
+                    let (output, stats, _wall) = ThreadedExecutor::new(threads)
+                        .execute_plan(&rows, job, assigner, *r, trace);
                     (output, stats)
                 })
             };
-            let reference = local(PlanView::Rows(&rows), 1);
+            let reference = local(1);
             (case.check)(&rows, &reference);
-            for (layout, view) in [
-                ("rows", PlanView::Rows(&rows)),
-                ("columns", PlanView::Columns(&cols)),
-            ] {
-                for threads in [1, 2, 3] {
-                    assert_eq!(
-                        local(view, threads),
-                        reference,
-                        "{name}: {threads} threads over {layout}"
-                    );
-                }
-                // Closures cannot cross a process boundary.
-                let Some(spec) = job.wire_spec() else {
-                    continue;
-                };
-                seq += 1;
-                let distributed = outcome(view, |assigner, trace| {
-                    fleet.submit(seq, view, &spec, assigner, *r, trace);
-                    fleet.wait_batch(seq, trace).expect("no faults")
-                });
-                assert_eq!(distributed, reference, "{name}: fleet over {layout}");
+            for threads in [2, 3] {
+                assert_eq!(local(threads), reference, "{name}: {threads} threads");
             }
+            let cols = ColumnarPlan::from_row_plan(&rows);
+            let (cost, cluster) = (CostModel::default(), Cluster::new(1, 8));
+            let columnar = outcome(&rows, |assigner, trace| {
+                let (output, times) =
+                    execute_columnar_traced(&cols, job, assigner, *r, &cost, &cluster, trace);
+                assert_eq!(times, reference.times, "{name}: columnar stage times");
+                (output, reference.stats.clone())
+            });
+            assert_eq!(columnar, reference, "{name}: columnar adapter");
+            // Closures cannot cross a process boundary.
+            let Some(spec) = job.wire_spec() else {
+                continue;
+            };
+            seq += 1;
+            let distributed = outcome(&rows, |assigner, trace| {
+                fleet.submit(seq, &rows, &spec, assigner, *r, trace);
+                fleet.wait_batch(seq, trace).expect("no faults")
+            });
+            assert_eq!(distributed, reference, "{name}: fleet");
         }
     }
 }

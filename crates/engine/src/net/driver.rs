@@ -66,10 +66,10 @@ use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::Key;
 
 use super::transport::{FrameConn, NetCounters, NetError};
-use super::wire::{FetchStats, Message, ShuffleSource};
+use super::wire::{encode_map_task, FetchStats, Message, ShuffleSource};
 use super::worker::{run_worker, WorkerOptions};
 use crate::job::JobSpec;
-use crate::kernel::{assign_block, gather_buckets, PlanView, ShuffleTally};
+use crate::kernel::{assign_block, gather_buckets, ShuffleTally};
 use crate::recovery::{FaultPoint, NetFaultPlan};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{Counter, StageKind, TraceRecorder};
@@ -688,10 +688,7 @@ impl DistributedRuntime {
     /// Dispatch one batch's Map tasks and bucket assignments without waiting
     /// for anything — the entry point of the in-flight state machine. Several
     /// batches may be submitted back to back; their results are taken in
-    /// submission order via `wait_batch`. A columnar plan's frames are
-    /// encoded straight from its arena slices and are byte-identical to its
-    /// row rendering's — so are the workers' view, the protocol state machine
-    /// and the results.
+    /// submission order via `wait_batch`.
     ///
     /// Resubmitting a seq that is still in flight (a completed-but-untaken
     /// batch surviving a loss abort) is a no-op, as is submitting after a
@@ -705,7 +702,7 @@ impl DistributedRuntime {
     pub(crate) fn submit(
         &mut self,
         seq: u64,
-        view: PlanView<'_>,
+        plan: &PartitionPlan,
         spec: &JobSpec,
         assigner: &dyn ReduceAssigner,
         r: usize,
@@ -714,7 +711,7 @@ impl DistributedRuntime {
         if self.pending_loss.is_some() || self.inflight.iter().any(|e| e.seq == seq) {
             return;
         }
-        if let Err(loss) = self.dispatch_maps(seq, view, spec, assigner, r, trace) {
+        if let Err(loss) = self.dispatch_maps(seq, plan, spec, assigner, r, trace) {
             self.abort_unfinished();
             self.pending_loss = Some(loss);
         }
@@ -729,13 +726,13 @@ impl DistributedRuntime {
     fn dispatch_maps(
         &mut self,
         seq: u64,
-        view: PlanView<'_>,
+        plan: &PartitionPlan,
         spec: &JobSpec,
         assigner: &dyn ReduceAssigner,
         r: usize,
         trace: Option<&TraceRecorder>,
     ) -> Result<(), WorkerLoss> {
-        let n_blocks = view.n_blocks();
+        let n_blocks = plan.blocks.len();
         self.epoch += 1;
         let epoch = self.epoch;
 
@@ -754,10 +751,10 @@ impl DistributedRuntime {
 
         let t_map = Instant::now();
         let mut block_owner = Vec::with_capacity(n_blocks);
-        for i in 0..n_blocks {
+        for (i, block) in plan.blocks.iter().enumerate() {
             let w = owners[i % owners.len()];
             block_owner.push(w);
-            let frame = view.encode_map_task(i, seq, epoch, spec);
+            let frame = encode_map_task(seq, epoch, i as u32, spec, block);
             if let Err(e) = self.slots[w as usize].conn.send_frame(&frame) {
                 return Err(self.declare_lost(w, format!("send of map_task failed: {e}")));
             }
@@ -767,10 +764,10 @@ impl DistributedRuntime {
         let mut stats = vec![BucketStats::default(); r];
         let mut descs = Vec::new();
         for (i, &w) in block_owner.iter().enumerate() {
-            let fragments = view.fragments(i);
+            let fragments = &plan.blocks[i].runs;
             let clusters = fragments.iter().map(|f| (f.key, f.count));
             let tally = trace.and(Some(&mut tally));
-            let split = view.split_keys();
+            let split = &plan.split_keys;
             let assignment = assign_block(i, clusters, split, assigner, r, tally, &mut descs);
             for (f, &b) in fragments.iter().zip(&assignment) {
                 stats[b].tuples += f.count;
@@ -1051,7 +1048,7 @@ impl DistributedRuntime {
         r: usize,
         trace: Option<&TraceRecorder>,
     ) -> Result<(BatchOutput, Vec<BucketStats>), WorkerLoss> {
-        self.submit(seq, PlanView::Rows(plan), spec, assigner, r, trace);
+        self.submit(seq, plan, spec, assigner, r, trace);
         self.wait_batch(seq, trace)
     }
 
@@ -1293,8 +1290,7 @@ mod tests {
         let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
         let assigner = PromptReduceAllocator::new(7);
         for (seq, plan) in plans.iter().enumerate() {
-            let view = PlanView::Rows(plan);
-            rt.submit(seq as u64, view, &spec, &assigner, 3, None);
+            rt.submit(seq as u64, plan, &spec, &assigner, 3, None);
         }
         for (seq, expect) in serial.iter().enumerate() {
             let (out, stats) = rt.wait_batch(seq as u64, None).expect("no faults");
@@ -1347,8 +1343,7 @@ mod tests {
             let mut rt = DistributedRuntime::launch(thread_opts(2)).expect("launch");
             rt.set_fault_plan(fault.clone()).expect("worker 1 exists");
             let submit = |rt: &mut DistributedRuntime, seq: usize| {
-                let view = PlanView::Rows(&plans[seq]);
-                rt.submit(seq as u64, view, &spec, &assigner, 3, Some(&rec));
+                rt.submit(seq as u64, &plans[seq], &spec, &assigner, 3, Some(&rec));
             };
             submit(&mut rt, 0);
             submit(&mut rt, 1);
@@ -1450,8 +1445,7 @@ mod tests {
             for (sender, msg) in forged {
                 rt._tx.send((sender, Ok(msg))).unwrap();
             }
-            let view = PlanView::Rows(&plan);
-            rt.submit(0, view, &spec, &assigner, 3, None);
+            rt.submit(0, &plan, &spec, &assigner, 3, None);
             if reducing {
                 rt.inflight[0].stage = Stage::Reducing;
             }
@@ -1462,7 +1456,7 @@ mod tests {
             assert!(loss.detail.contains("protocol violation"), "{what}: {loss}");
             assert_eq!(rt.workers_alive(), 1, "{what}");
             // The retry completes on the survivor.
-            rt.submit(0, view, &spec, &assigner, 3, None);
+            rt.submit(0, &plan, &spec, &assigner, 3, None);
             let (out, stats) = rt.wait_batch(0, None).expect("retry");
             assert_eq!(out.len(), 17, "{what}");
             assert_eq!(stats.iter().map(|s| s.tuples).sum::<usize>(), 300, "{what}");

@@ -162,8 +162,9 @@ impl FrameConn {
         self.send_frame(&msg.encode())
     }
 
-    /// Write one pre-encoded frame (header + payload). Lets the data plane
-    /// encode straight from columnar slices without building a `Message`.
+    /// Write one pre-encoded frame (header + payload). Lets the driver
+    /// encode a Map task straight from its borrowed block
+    /// (`wire::encode_map_task`) without building a `Message`.
     pub fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
         self.stream.write_all(frame)?;
         self.counters.record_send(frame.len());

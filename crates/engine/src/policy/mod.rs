@@ -171,8 +171,7 @@ pub struct BatchObservation<'a> {
     pub map_tasks: usize,
     /// Partition-quality metrics of the plan.
     pub metrics: PlanMetrics,
-    /// The plan's per-block fragment lists (exact per-key counts) — the
-    /// same for a row and a columnar plan.
+    /// The plan's per-block fragment lists (exact per-key counts).
     pub blocks: &'a [&'a [KeyFragment]],
 }
 

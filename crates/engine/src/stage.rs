@@ -5,7 +5,6 @@
 //! is [`crate::threaded`]'s; [`execute_batch`] runs it on the calling thread.
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::columnar::ColumnarPlan;
 use prompt_core::hash::KeyMap;
 use prompt_core::reduce::ReduceAssigner;
 use prompt_core::types::Duration;
@@ -13,7 +12,6 @@ use prompt_core::types::Duration;
 use crate::cluster::Cluster;
 use crate::cost::CostModel;
 use crate::job::Job;
-use crate::kernel::PlanView;
 use crate::threaded::ThreadedExecutor;
 use crate::trace::TraceRecorder;
 
@@ -72,30 +70,19 @@ pub struct BucketStats {
 }
 
 /// Derive [`StageTimes`] from a plan plus per-bucket shuffle statistics:
-/// Map-task costs come from the blocks, Reduce-task costs from the reported
-/// stats, stage times as cluster makespans. Every backend's times — the
-/// serial simulator's included — are derived here, from the same quantities.
+/// Map-task costs come from the blocks (filtering happens inside the user
+/// function, so a whole block is charged), Reduce-task costs from the
+/// reported stats, stage times as cluster makespans. Every backend's times —
+/// the serial simulator's included — are derived here, from the same
+/// quantities.
 pub fn times_from_stats(
     plan: &PartitionPlan,
     stats: &[BucketStats],
     cost: &CostModel,
     cluster: &Cluster,
 ) -> StageTimes {
-    times_from_view(PlanView::Rows(plan), stats, cost, cluster)
-}
-
-/// [`times_from_stats`] for either layout.
-pub(crate) fn times_from_view(
-    view: PlanView<'_>,
-    stats: &[BucketStats],
-    cost: &CostModel,
-    cluster: &Cluster,
-) -> StageTimes {
-    let map_tasks: Vec<Duration> = (0..view.n_blocks())
-        .map(|i| {
-            let (size, cardinality) = view.cost_inputs(i);
-            cost.map_task(size, cardinality)
-        })
+    let map_tasks: Vec<Duration> = (plan.blocks.iter())
+        .map(|b| cost.map_task(b.size(), b.cardinality()))
         .collect();
     let reduce_tasks: Vec<Duration> = stats
         .iter()
@@ -122,18 +109,17 @@ pub fn execute_batch(
     cost: &CostModel,
     cluster: &Cluster,
 ) -> (BatchOutput, StageTimes) {
-    execute_serial(PlanView::Rows(plan), job, assigner, r, cost, cluster, None)
+    execute_serial(plan, job, assigner, r, cost, cluster, None)
 }
 
-/// [`execute_batch`] over a columnar plan, without materializing row blocks,
-/// that additionally records shuffle statistics — scatter routings performed
-/// and how many of them carried a split key — into the recorder. Output and
-/// stage times are bit-identical to the row layout on the plan's row
-/// rendering ([`ColumnarPlan::to_row_plan`]) — same fold order, same
-/// assignments, same cost inputs — gated by the differential oracle
-/// (`tests/oracle.rs`).
+/// [`execute_batch`] over a columnar plan, recording the shuffle counters —
+/// scatter routings performed and how many of them carried a split key —
+/// into `trace`. The engine runs rows only: this adapter renders the plan as
+/// rows ([`ColumnarPlan::to_row_plan`](prompt_core::columnar::ColumnarPlan::to_row_plan),
+/// exact) and runs the row executor, so
+/// output and stage times are the row path's by construction.
 pub fn execute_columnar_traced(
-    plan: &ColumnarPlan,
+    plan: &prompt_core::columnar::ColumnarPlan,
     job: &Job,
     assigner: &dyn ReduceAssigner,
     r: usize,
@@ -141,20 +127,13 @@ pub fn execute_columnar_traced(
     cluster: &Cluster,
     trace: Option<&TraceRecorder>,
 ) -> (BatchOutput, StageTimes) {
-    execute_serial(
-        PlanView::Columns(plan),
-        job,
-        assigner,
-        r,
-        cost,
-        cluster,
-        trace,
-    )
+    let rows = plan.to_row_plan();
+    execute_serial(&rows, job, assigner, r, cost, cluster, trace)
 }
 
 /// The local executor ([`ThreadedExecutor`]) at one thread, costed.
 fn execute_serial(
-    view: PlanView<'_>,
+    plan: &PartitionPlan,
     job: &Job,
     assigner: &dyn ReduceAssigner,
     r: usize,
@@ -163,8 +142,8 @@ fn execute_serial(
     trace: Option<&TraceRecorder>,
 ) -> (BatchOutput, StageTimes) {
     let (output, stats, _wall) =
-        ThreadedExecutor::new(1).execute_view(view, job, assigner, r, trace);
-    (output, times_from_view(view, &stats, cost, cluster))
+        ThreadedExecutor::new(1).execute_plan(plan, job, assigner, r, trace);
+    (output, times_from_stats(plan, &stats, cost, cluster))
 }
 
 #[cfg(test)]
@@ -333,7 +312,7 @@ mod tests {
         let job = Job::identity("sum", ReduceOp::Sum);
         let rec = TraceRecorder::new(TraceLevel::Summary);
         let (out, _) = execute_columnar_traced(
-            &ColumnarPlan::from_row_plan(&plan),
+            &prompt_core::columnar::ColumnarPlan::from_row_plan(&plan),
             &job,
             &PromptReduceAllocator::new(0),
             2,

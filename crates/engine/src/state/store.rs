@@ -250,7 +250,13 @@ impl KeyedStateStore {
     /// describes the change.
     pub fn push_with_delta(&mut self, out: &BatchOutput) -> (Option<WindowResult>, StateDelta) {
         let r = self.shards.len();
-        let mut split: Vec<Pane> = vec![Pane::new(); r];
+        // Sized up front, since a pane grown from empty reallocates at every
+        // doubling: a shard's key count is binomial about `n / r`, so four
+        // standard deviations (≈ √(n / r)) above it hold every pane but a
+        // rare one, which then grows once.
+        let mean = out.aggregates.len() / r;
+        let cap = mean + 4 * mean.isqrt() + 16;
+        let mut split: Vec<Pane> = (0..r).map(|_| Pane::with_capacity(cap)).collect();
         for (&k, &v) in &out.aggregates {
             split[bucket_of(STATE_SHARD_SEED, k, r)].push((k, v));
         }

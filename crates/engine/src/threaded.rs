@@ -13,7 +13,7 @@
 //! wall-clock time of each phase is reported beside the output, so the
 //! examples can show real speedups from balanced partitioning.
 //!
-//! * **Map** — one `PlanView::map_block` per block, in parallel, each
+//! * **Map** — one `kernel::map_block` per block, in parallel, each
 //!   followed by its own Algorithm 3 assignment (`kernel::assign_block`): the
 //!   assignment is a pure function of one block's output, so it runs where
 //!   that output is made.
@@ -42,7 +42,7 @@ use prompt_core::types::{Duration, Key};
 
 use crate::job::Job;
 use crate::kernel::{
-    assign_block, gather_buckets, merge_bucket, ClusterList, PlanView, ShuffleTally,
+    assign_block, gather_buckets, map_block, merge_bucket, ClusterList, ShuffleTally,
 };
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{StageKind, TraceRecorder};
@@ -156,7 +156,7 @@ impl ThreadedExecutor {
     ) -> (BatchOutput, Vec<BucketStats>, WallTimes) {
         let rec = trace.map(|(rec, _)| rec);
         let mut exec = ThreadedExecutor::new(self.threads);
-        let (output, stats, times) = exec.execute_view(PlanView::Rows(plan), job, assigner, r, rec);
+        let (output, stats, times) = exec.execute_plan(plan, job, assigner, r, rec);
         if let Some((rec, seq)) = trace {
             times.record(rec, seq);
         }
@@ -164,12 +164,12 @@ impl ThreadedExecutor {
     }
 
     /// The executor behind every local entry point. Only the Map phase reads
-    /// the plan; everything after it sees cluster lists, so the two layouts
-    /// cannot diverge downstream of the fold. `trace` receives the shuffle
-    /// counters; stamping the returned wall times is the caller's choice.
-    pub(crate) fn execute_view(
+    /// the plan; everything after it sees cluster lists. `trace` receives the
+    /// shuffle counters; stamping the returned wall times is the caller's
+    /// choice.
+    pub(crate) fn execute_plan(
         &mut self,
-        view: PlanView<'_>,
+        plan: &PartitionPlan,
         job: &Job,
         assigner: &dyn ReduceAssigner,
         r: usize,
@@ -178,13 +178,13 @@ impl ThreadedExecutor {
         assert!(r > 0, "need at least one reduce bucket");
         let t0 = Instant::now();
         let tallied = trace.is_some();
-        let maps = first(&mut self.maps, view.n_blocks());
+        let maps = first(&mut self.maps, plan.blocks.len());
         map_mut(maps, self.threads, |i, task| {
-            view.map_block(i, job, &mut task.clusters);
+            map_block(&plan.blocks[i], job, &mut task.clusters);
             let clusters = task.clusters.iter().map(|&(key, (_, n))| (key, n));
             task.tally = ShuffleTally::default();
             let tally_into = tallied.then_some(&mut task.tally);
-            let split = view.split_keys();
+            let split = &plan.split_keys;
             let descs = &mut task.descs;
             task.assignment = assign_block(i, clusters, split, assigner, r, tally_into, descs);
         });

@@ -72,9 +72,8 @@ pub enum StageKind {
     /// the d-choices sketch probe), split out of the partition phases so
     /// policy overhead is visible in stage-breakdown tables.
     Select,
-    /// Wall-clock: Algorithm 1's batching phase and heartbeat order. On the
-    /// row path it ends before any tuple moves; the columnar plane's includes
-    /// its scatter into the sealed arena.
+    /// Wall-clock: Algorithm 1's batching phase and heartbeat order. It ends
+    /// before any tuple moves.
     Seal,
     /// Wall-clock: Algorithm 2's symbolic piece assignment, and the sort of
     /// each block's pieces into key order that lets Map fold a Prompt block

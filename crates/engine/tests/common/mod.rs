@@ -176,6 +176,7 @@ impl Case {
     }
 
     /// The case seed `seed` draws.
+    #[allow(deprecated)] // draws `columnar`, which must change nothing
     pub fn draw(seed: u64) -> Case {
         let mut d = Draw(seed);
         let batches = d.pick(&[6, 8, 10]);
@@ -362,6 +363,7 @@ impl Case {
     /// worker killed: what [`check`]'s first equality compares against. The
     /// ingest geometry is one of those knobs except for the paper's
     /// budgeted count tree, whose sketch is per shard by design (§4c).
+    #[allow(deprecated)]
     pub fn serial(&self) -> Case {
         let mut case = self.clone();
         case.cfg.backend = Backend::InProcess;

@@ -1,10 +1,10 @@
 //! What the fleet must do that no equality with the serial engine states
-//! (`oracle.rs` holds every distributed run to the serial one): columnar
-//! frames put a row run's bytes on the wire, a worker loss spends a count
-//! and aborts past it, a kill on a batch dispatched inside an older batch's
-//! execute is survived, a checkpoint shrinks the recompute a store loss
-//! costs, a scale action moves no state, and nothing retains a batch
-//! unless a scheduled store loss may re-run it.
+//! (`oracle.rs` holds every distributed run to the serial one): the
+//! deprecated `columnar` flag changes no byte on the wire, a worker loss
+//! spends a count and aborts past it, a kill on a batch dispatched inside an
+//! older batch's execute is survived, a checkpoint shrinks the recompute a
+//! store loss costs, a scale action moves no state, and nothing retains a
+//! batch unless a scheduled store loss may re-run it.
 //!
 //! These spawn OS processes, so they live in their own test binary (CI runs
 //! it as the `distributed-smoke` job) rather than the fast unit tier.
@@ -40,11 +40,12 @@ fn skewed(cfg: EngineConfig, batches: usize) -> Case {
     Case::new(shape, cfg, batches)
 }
 
-/// Column-sliced frames are byte-identical to row frames, so a columnar run
-/// puts exactly a row run's bytes on the wire — and so does its retry after
-/// a worker killed mid-shuffle (at depth 1, where how much of the window
-/// went out before the loss surfaced does not depend on timing).
+/// The deprecated `columnar` flag has no effect, so a run that sets it puts
+/// exactly a row run's bytes on the wire — and so does its retry after a
+/// worker killed mid-shuffle (at depth 1, where how much of the window went
+/// out before the loss surfaced does not depend on timing).
 #[test]
+#[allow(deprecated)]
 fn columnar_wire_traffic_matches_rows_byte_for_byte() {
     for kills in [
         NetFaultPlan::none(),

@@ -102,6 +102,7 @@ fn soak() {
 /// The fixed set's reach, asserted: an edit to the generator cannot narrow
 /// what it draws without failing here.
 #[test]
+#[allow(deprecated)]
 fn the_fixed_seeds_cover_the_configuration_space() {
     let cases: Vec<Case> = fixed_seeds().map(Case::draw).collect();
     let mut seen: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
@@ -396,6 +397,7 @@ fn batch_sizes(case: &Case) -> Vec<(usize, usize)> {
 /// columnar, under the adaptive policy; then at depth 4 under the scaler,
 /// whose load signal the bursts are.
 #[test]
+#[allow(deprecated)]
 fn bursty_arrivals_equal_their_serial_run_and_their_forced_replay() {
     let bursty = Shape {
         rate: RateProfile::Bursty {
