@@ -168,6 +168,18 @@ pub struct KeyFragment {
     pub count: usize,
 }
 
+/// Which columns a plan's blocks carry: the ones the job that reads them
+/// reads. A count under the identity map answers each key with its run
+/// length, so its blocks carry runs alone; every other job reads values.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Columns {
+    /// `(key, count)` runs over a value column.
+    #[default]
+    RunsAndValues,
+    /// `(key, count)` runs over an empty value column.
+    Runs,
+}
+
 /// A data block: one partition of a micro-batch, the input of one Map task.
 ///
 /// After the seal a tuple is its value: the timestamp served batching alone
@@ -176,21 +188,42 @@ pub struct KeyFragment {
 /// count)` for `count` consecutive values — not per value. Every technique
 /// builds its blocks so: one run per key, keys strictly ascending, each
 /// key's values in placement order. The runs are thus the block's per-key
-/// reference table (§5), its fragment table.
+/// reference table (§5), its fragment table. A block built for a job that
+/// reads no value ([`Columns::Runs`]) keeps its runs and an empty value
+/// column; its size is still its runs' total.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DataBlock {
     /// `(key, count)` runs over `values`, one per key, keys strictly
-    /// ascending; no run is empty and their counts sum to `values.len()`.
+    /// ascending; no run is empty and their counts sum to the block's size.
     pub runs: Vec<KeyFragment>,
-    /// The block's values, run by run.
+    /// The block's values, run by run: exactly its size, or none when the
+    /// block carries runs alone.
     pub values: Vec<f64>,
+    /// `|block|`, the runs' total, kept beside them.
+    tuples: usize,
 }
 
 impl DataBlock {
+    /// A block of `runs` over `values`, which is either empty (a block of
+    /// runs alone) or exactly as long as the runs' total. Panics otherwise.
+    pub fn new(runs: Vec<KeyFragment>, values: Vec<f64>) -> DataBlock {
+        let tuples = runs.iter().map(|f| f.count).sum();
+        assert!(
+            values.is_empty() || values.len() == tuples,
+            "{} values under runs of {tuples} tuples",
+            values.len()
+        );
+        DataBlock {
+            runs,
+            values,
+            tuples,
+        }
+    }
+
     /// `|block|`: number of tuples.
     #[inline]
     pub fn size(&self) -> usize {
-        self.values.len()
+        self.tuples
     }
 
     /// `‖block‖`: number of distinct keys.
@@ -199,8 +232,31 @@ impl DataBlock {
         self.runs.len()
     }
 
-    /// Each run's key with its values, in key order.
+    /// The columns the block carries. An empty block carries every column.
+    #[inline]
+    pub fn columns(&self) -> Columns {
+        if self.values.len() == self.tuples {
+            Columns::RunsAndValues
+        } else {
+            Columns::Runs
+        }
+    }
+
+    /// Set the block's size to `tuples`, which its runs must total once
+    /// its builder has written them.
+    #[inline]
+    pub(crate) fn set_size(&mut self, tuples: usize) {
+        self.tuples = tuples;
+    }
+
+    /// Each run's key with its values, in key order. Panics on a block of
+    /// runs alone.
     pub fn key_runs(&self) -> impl Iterator<Item = (Key, &[f64])> + '_ {
+        assert_eq!(
+            self.columns(),
+            Columns::RunsAndValues,
+            "a block of runs alone has no values"
+        );
         let mut rest = &self.values[..];
         self.runs.iter().map(move |run| {
             let (mine, tail) = rest.split_at(run.count);
@@ -225,6 +281,7 @@ impl FromIterator<(Key, f64)> for DataBlock {
             }
             block.values.push(value);
         }
+        block.tuples = block.values.len();
         block
     }
 }

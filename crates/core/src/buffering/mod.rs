@@ -407,6 +407,11 @@ impl ArrivalSlots {
             heads.iter().all(|h| h.len() == 0) && more.iter().all(|m| m.is_empty()),
             "a destination was not filled"
         );
+        self.forget();
+    }
+
+    /// Forget the batch, keeping every allocation for the next one.
+    fn forget(&mut self) {
         self.index.clear();
         self.marks.clear();
         self.held.clear();
@@ -629,6 +634,12 @@ pub(crate) mod sealed {
             more: &mut More<'a, '_, f64>,
             next_interval: Interval,
         ) -> Interval;
+
+        /// The heartbeat with no scatter, for a plan that carries no
+        /// value: forget every recorded arrival and reset for
+        /// `next_interval`, as [`Slots::scatter`] does once it has written
+        /// them. Returns the interval the batch was buffered over.
+        fn forget(&mut self, next_interval: Interval) -> Interval;
 
         /// Length and capacity of the held-tuple buffers.
         #[cfg(test)]
@@ -885,6 +896,11 @@ impl sealed::Slots for FrequencyAwareAccumulator {
         self.reset(next_interval)
     }
 
+    fn forget(&mut self, next_interval: Interval) -> Interval {
+        self.slots.forget();
+        self.reset(next_interval)
+    }
+
     #[cfg(test)]
     fn held(&self) -> (usize, usize) {
         (self.slots.held.len(), self.slots.held.capacity())
@@ -983,6 +999,11 @@ impl sealed::Slots for PostSortAccumulator {
         next_interval: Interval,
     ) -> Interval {
         self.slots.scatter_to(Some(arrivals), heads, more);
+        std::mem::replace(&mut self.interval, next_interval)
+    }
+
+    fn forget(&mut self, next_interval: Interval) -> Interval {
+        self.slots.forget();
         std::mem::replace(&mut self.interval, next_interval)
     }
 

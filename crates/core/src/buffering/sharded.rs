@@ -409,6 +409,13 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
         })
     }
 
+    fn forget(&mut self, next_interval: Interval) -> Interval {
+        let intervals = per_shard(&mut self.shards, self.threads, |_, shard| {
+            shard.forget(next_interval)
+        });
+        intervals[0]
+    }
+
     #[cfg(test)]
     fn held(&self) -> (usize, usize) {
         (self.shards.iter().map(|s| s.held())).fold((0, 0), |(len, cap), (l, c)| (len + l, cap + c))

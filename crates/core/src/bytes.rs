@@ -14,7 +14,7 @@
 //! * no self-describing tags inside payloads — framing and versioning live
 //!   one layer up, in the engine's wire module.
 
-use crate::batch::{DataBlock, KeyFragment};
+use crate::batch::{Columns, DataBlock, KeyFragment};
 use crate::columnar::{ColumnarBatch, ColumnarBlock};
 use crate::types::Key;
 
@@ -428,28 +428,53 @@ fn put_values<S: BytesSink>(s: &mut S, n: usize, values: impl IntoIterator<Item 
     put_blocked(s, values, |v| v.to_bits().to_le_bytes());
 }
 
-/// Encode one data block: its runs, then its values.
-pub fn put_block<S: BytesSink>(s: &mut S, block: &DataBlock) {
+/// Encode one data block as a job reading `columns` reads it: its runs, then
+/// its value column — every value under [`Columns::RunsAndValues`], none
+/// under [`Columns::Runs`], whatever the block carries. Panics when the job
+/// reads values the block does not carry.
+pub fn put_block<S: BytesSink>(s: &mut S, block: &DataBlock, columns: Columns) {
     put_runs(s, block.runs.iter().copied());
-    put_values(s, block.values.len(), block.values.iter().copied());
+    match columns {
+        Columns::RunsAndValues => {
+            assert_eq!(
+                block.columns(),
+                Columns::RunsAndValues,
+                "a job that reads values is sent a block of runs alone"
+            );
+            put_values(s, block.values.len(), block.values.iter().copied());
+        }
+        Columns::Runs => put_values(s, 0, []),
+    }
 }
 
 /// Encode a columnar block — byte-identical to [`put_block`] over the row
 /// twin ([`ColumnarPlan::to_row_plan`](crate::columnar::ColumnarPlan::to_row_plan)
 /// block): its ranges are the runs, in assignment order, and their values
 /// concatenate in the same order.
-pub fn put_block_columnar<S: BytesSink>(s: &mut S, arena: &ColumnarBatch, block: &ColumnarBlock) {
+pub fn put_block_columnar<S: BytesSink>(
+    s: &mut S,
+    arena: &ColumnarBatch,
+    block: &ColumnarBlock,
+    columns: Columns,
+) {
     put_runs(s, block.runs());
-    let values = (block.ranges.iter()).flat_map(|&(_, r)| &arena.values[r.offset..r.end()]);
-    put_values(s, block.size(), values.copied());
+    match columns {
+        Columns::RunsAndValues => {
+            let ranges = block.ranges.iter();
+            let values = ranges.flat_map(|&(_, r)| &arena.values[r.offset..r.end()]);
+            put_values(s, block.size(), values.copied());
+        }
+        Columns::Runs => put_values(s, 0, []),
+    }
 }
 
-/// Decode one data block, refusing one that is not a block: a length
-/// prefix past the bytes left is `BadLength`; an empty run, run keys that do
-/// not strictly ascend, or run counts that do not sum exactly to the value
-/// count are `Malformed`. So a decoded block is one run per key, keys
-/// ascending, as every block is.
-pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
+/// Decode one data block sent to a job reading `columns`, refusing one that
+/// is not a block: a length prefix past the bytes left is `BadLength`; an
+/// empty run, run keys that do not strictly ascend, run counts that do not
+/// sum exactly to the value count under a job that reads values, or a value
+/// column under one that reads none, are `Malformed`. So a decoded block is
+/// one run per key, keys ascending, as every block is, carrying `columns`.
+pub fn get_block(r: &mut ByteReader<'_>, columns: Columns) -> Result<DataBlock, CodecError> {
     let n_runs = r.get_len(FRAGMENT_WIRE_SIZE)?;
     let bytes = r.take(n_runs * FRAGMENT_WIRE_SIZE)?;
     let mut runs: Vec<KeyFragment> = Vec::with_capacity(n_runs);
@@ -467,15 +492,18 @@ pub fn get_block(r: &mut ByteReader<'_>) -> Result<DataBlock, CodecError> {
         runs.push(KeyFragment { key, count });
     }
     let n = r.get_len(VALUE_WIRE_SIZE)?;
-    if covered != n {
-        return Err(RUNS_PAST_VALUES);
+    match columns {
+        Columns::RunsAndValues if covered != n => return Err(RUNS_PAST_VALUES),
+        Columns::Runs if n > 0 => {
+            return Err(CodecError::Malformed(
+                "a value column under a job that reads none",
+            ))
+        }
+        _ => {}
     }
     let bytes = r.take(n * VALUE_WIRE_SIZE)?;
     let values = (bytes.chunks_exact(VALUE_WIRE_SIZE)).map(|b| f64::from_bits(u64_at(b, 0)));
-    Ok(DataBlock {
-        runs,
-        values: values.collect(),
-    })
+    Ok(DataBlock::new(runs, values.collect()))
 }
 
 /// Why a block's runs were refused when they do not cover its values.
@@ -596,22 +624,51 @@ mod tests {
     fn a_block_is_its_runs_and_its_values_bit_exact() {
         let values = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, -123.456];
         let run = |k, count| KeyFragment { key: Key(k), count };
-        let block = DataBlock {
-            runs: vec![run(0, 3), run(7, 1), run(u64::MAX, 2)],
-            values: values.to_vec(),
-        };
+        let block = DataBlock::new(
+            vec![run(0, 3), run(7, 1), run(u64::MAX, 2)],
+            values.to_vec(),
+        );
         let mut w = ByteWriter::new();
-        put_block(&mut w, &block);
+        put_block(&mut w, &block, Columns::RunsAndValues);
         assert_eq!(
             w.len(),
             4 + 3 * FRAGMENT_WIRE_SIZE + 4 + 6 * VALUE_WIRE_SIZE
         );
         let mut r = ByteReader::new(w.as_bytes());
-        let back = get_block(&mut r).unwrap();
+        let back = get_block(&mut r, Columns::RunsAndValues).unwrap();
         r.expect_empty().unwrap();
         assert_eq!(back.runs, block.runs);
         let bits = |b: &DataBlock| b.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&block));
+    }
+
+    /// A job that reads no value is sent the block's runs alone, whether or
+    /// not the block carries values, and decodes a block of the same size
+    /// and runs with an empty value column.
+    #[test]
+    fn a_block_of_runs_alone_is_its_runs_and_an_empty_value_column() {
+        let mut block = sample_plan().blocks.swap_remove(0);
+        let mut carried = ByteWriter::new();
+        put_block(&mut carried, &block, Columns::Runs);
+        assert_eq!(carried.len(), 4 + block.runs.len() * FRAGMENT_WIRE_SIZE + 4);
+        block.values.clear();
+        let mut alone = ByteWriter::new();
+        put_block(&mut alone, &block, Columns::Runs);
+        assert_eq!(carried.as_bytes(), alone.as_bytes());
+        let mut r = ByteReader::new(alone.as_bytes());
+        let back = get_block(&mut r, Columns::Runs).unwrap();
+        r.expect_empty().unwrap();
+        assert_eq!(back, block);
+        assert_eq!(back.columns(), Columns::Runs);
+        assert!(back.size() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a job that reads values is sent a block of runs alone")]
+    fn a_block_of_runs_alone_is_not_sent_to_a_job_that_reads_values() {
+        let mut block = sample_plan().blocks.swap_remove(0);
+        block.values.clear();
+        put_block(&mut ByteWriter::new(), &block, Columns::RunsAndValues);
     }
 
     /// A block's bytes from a run table and a value count, as a hostile
@@ -631,7 +688,11 @@ mod tests {
     }
 
     fn decode(bytes: &[u8]) -> Result<DataBlock, CodecError> {
-        get_block(&mut ByteReader::new(bytes))
+        get_block(&mut ByteReader::new(bytes), Columns::RunsAndValues)
+    }
+
+    fn decode_runs(bytes: &[u8]) -> Result<DataBlock, CodecError> {
+        get_block(&mut ByteReader::new(bytes), Columns::Runs)
     }
 
     #[test]
@@ -653,9 +714,12 @@ mod tests {
             &[(u64::MAX, 2), (0, 1)],
         ] {
             assert_eq!(decode(&block_bytes(runs, 3)), refused, "{runs:?}");
+            assert_eq!(decode_runs(&block_bytes(runs, 0)), refused, "{runs:?}");
         }
     }
 
+    /// Under a job that reads values, a block of runs alone is one whose
+    /// runs do not sum to its value count.
     #[test]
     fn runs_that_do_not_sum_to_the_value_count_are_refused() {
         for (runs, values) in [
@@ -663,6 +727,7 @@ mod tests {
             (&[(1, 2), (2, 3)][..], 4),
             (&[], 1),
             (&[(1, 1)], 0),
+            (&[(1, 2), (2, 1)], 0),
             // Counts that overflow the sum, and one past `usize`.
             (&[(1, u64::MAX), (2, 2)], 1),
         ] {
@@ -672,6 +737,25 @@ mod tests {
                 "{runs:?} over {values} values"
             );
         }
+        let overflow = block_bytes(&[(1, u64::MAX), (2, 2)], 0);
+        assert_eq!(decode_runs(&overflow), Err(RUNS_PAST_VALUES));
+    }
+
+    /// A job that reads no value is sent no value column; an empty block
+    /// suits either job.
+    #[test]
+    fn a_value_column_under_a_job_that_reads_none_is_refused() {
+        let runs = &[(1, 2), (2, 1)];
+        assert!(decode_runs(&block_bytes(runs, 0)).is_ok());
+        let unread = Err(CodecError::Malformed(
+            "a value column under a job that reads none",
+        ));
+        for values in [1, 3] {
+            assert_eq!(decode_runs(&block_bytes(runs, values)), unread);
+        }
+        let empty = Ok(DataBlock::default());
+        assert_eq!(decode(&block_bytes(&[], 0)), empty);
+        assert_eq!(decode_runs(&block_bytes(&[], 0)), empty);
     }
 
     #[test]
@@ -693,16 +777,18 @@ mod tests {
     #[test]
     fn truncation_is_detected_at_every_length() {
         let plan = sample_plan();
-        let mut w = ByteWriter::new();
-        put_block(&mut w, &plan.blocks[0]);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = ByteReader::new(&bytes[..cut]);
-            assert!(
-                get_block(&mut r).is_err(),
-                "cut at {cut}/{} decoded anyway",
-                bytes.len()
-            );
+        for columns in [Columns::RunsAndValues, Columns::Runs] {
+            let mut w = ByteWriter::new();
+            put_block(&mut w, &plan.blocks[0], columns);
+            let bytes = w.into_bytes();
+            for cut in 0..bytes.len() {
+                let mut r = ByteReader::new(&bytes[..cut]);
+                assert!(
+                    get_block(&mut r, columns).is_err(),
+                    "cut at {cut}/{} decoded anyway",
+                    bytes.len()
+                );
+            }
         }
     }
 
@@ -842,20 +928,23 @@ mod tests {
         let plan = sample_plan();
         let cols = ColumnarPlan::from_row_plan(&plan);
         for (row_block, col_block) in plan.blocks.iter().zip(&cols.blocks) {
-            let mut row_w = ByteWriter::new();
-            put_block(&mut row_w, row_block);
-            let mut col_w = ByteWriter::new();
-            put_block_columnar(&mut col_w, &cols.arena, col_block);
-            assert_eq!(row_w.as_bytes(), col_w.as_bytes());
-            // And the columnar bytes decode back to the row block's runs and
-            // values.
-            let mut r = ByteReader::new(col_w.as_bytes());
-            let back = get_block(&mut r).unwrap();
-            assert_eq!(
-                (&back.runs, &back.values),
-                (&row_block.runs, &row_block.values)
-            );
-            r.expect_empty().unwrap();
+            for columns in [Columns::RunsAndValues, Columns::Runs] {
+                let mut row_w = ByteWriter::new();
+                put_block(&mut row_w, row_block, columns);
+                let mut col_w = ByteWriter::new();
+                put_block_columnar(&mut col_w, &cols.arena, col_block, columns);
+                assert_eq!(row_w.as_bytes(), col_w.as_bytes());
+                // And the columnar bytes decode back to the row block's runs
+                // and the values the job reads.
+                let mut r = ByteReader::new(col_w.as_bytes());
+                let back = get_block(&mut r, columns).unwrap();
+                let mut want = row_block.clone();
+                if columns == Columns::Runs {
+                    want.values.clear();
+                }
+                assert_eq!(back, want);
+                r.expect_empty().unwrap();
+            }
         }
     }
 }

@@ -296,10 +296,7 @@ impl ColumnarPlan {
                 for &(_, r) in &b.ranges {
                     values.extend_from_slice(&self.arena.values[r.offset..r.end()]);
                 }
-                DataBlock {
-                    runs: b.runs().collect(),
-                    values,
-                }
+                DataBlock::new(b.runs().collect(), values)
             })
             .collect();
         PartitionPlan {

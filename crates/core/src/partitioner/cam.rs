@@ -14,7 +14,7 @@
 //! The paper's evaluation (§7) sweeps the number of candidates per key for
 //! cAM and reports the best configuration; the harness does the same.
 
-use crate::batch::PartitionPlan;
+use crate::batch::{Columns, PartitionPlan};
 use crate::hash::{HashFamily, KeySet};
 use crate::partitioner::per_tuple::PerTuple;
 use crate::partitioner::{PartitionPhases, Partitioner};
@@ -69,13 +69,14 @@ impl Partitioner for CamPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases) {
         // The loop counts sizes only: the key sets the choice reads are
         // cAM's own, one per block, cleared each batch and kept.
         self.key_sets.iter_mut().for_each(KeySet::clear);
         self.key_sets.resize_with(p, KeySet::default);
         let (family, gamma, sets) = (&self.family, self.gamma, &mut self.key_sets);
-        let plan = self.blocks.place(tuples, p, true, |_, t, placed| {
+        let plan = self.blocks.place(tuples, p, true, columns, |_, t, placed| {
             let candidates = || family.candidates(t.key, p);
             let holds = |b: usize| sets[b].contains(&t.key);
             let cost = |b: usize| placed.size(b) as f64 + gamma * sets[b].len() as f64;

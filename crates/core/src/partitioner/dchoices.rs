@@ -7,7 +7,7 @@
 //! original) and gives only them `d` candidate blocks; the long tail routes
 //! by a single hash, preserving its key locality.
 
-use crate::batch::PartitionPlan;
+use crate::batch::{Columns, PartitionPlan};
 use crate::hash::{bucket_of, HashFamily};
 use crate::partitioner::per_tuple::PerTuple;
 use crate::partitioner::{PartitionPhases, Partitioner};
@@ -84,6 +84,7 @@ impl Partitioner for DChoicesPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases) {
         // The sketch probe is the technique-specific select/score work,
         // timed apart from placement so stage-breakdown tables can
@@ -92,7 +93,7 @@ impl Partitioner for DChoicesPartitioner {
         let heavy = self.flag_heavy(tuples);
         let select_us = t0.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
-        let plan = self.blocks.place(tuples, p, true, |i, t, placed| {
+        let plan = self.blocks.place(tuples, p, true, columns, |i, t, placed| {
             if heavy[i] {
                 // Heavy: least-loaded of the d candidates.
                 (self.family.candidates(t.key, p))
@@ -175,8 +176,12 @@ mod tests {
     #[test]
     fn phased_path_is_bit_identical_to_plain() {
         let batch = zipfish_batch(60, 600);
-        let (plan, phases) =
-            DChoicesPartitioner::new(7, 5).partition_slice(&batch.tuples, batch.interval, 8);
+        let (plan, phases) = DChoicesPartitioner::new(7, 5).partition_slice(
+            &batch.tuples,
+            batch.interval,
+            8,
+            Columns::RunsAndValues,
+        );
         let plain = DChoicesPartitioner::new(7, 5).partition(&batch, 8);
         assert_plan_valid(&batch, &plan, 8);
         assert_eq!(plan.blocks.len(), plain.blocks.len());

@@ -5,7 +5,7 @@
 //! receives a hot key balloons, producing the size imbalance that Fig. 10
 //! normalises every other technique against.
 
-use crate::batch::PartitionPlan;
+use crate::batch::{Columns, PartitionPlan};
 use crate::hash::bucket_of;
 use crate::partitioner::per_tuple::PerTuple;
 use crate::partitioner::{PartitionPhases, Partitioner};
@@ -38,12 +38,13 @@ impl Partitioner for HashPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases) {
         // A key's tuples all hash to one block, so the split-key reference
         // table is empty by construction: nothing to derive.
-        let plan = self
-            .blocks
-            .place(tuples, p, false, |_, t, _| bucket_of(self.seed, t.key, p));
+        let plan = self.blocks.place(tuples, p, false, columns, |_, t, _| {
+            bucket_of(self.seed, t.key, p)
+        });
         (plan, PartitionPhases::default())
     }
 

@@ -28,7 +28,7 @@ pub use prompt::{BufferingMode, PromptPartitioner};
 pub use shuffle::ShufflePartitioner;
 pub use time_based::TimeBasedPartitioner;
 
-use crate::batch::{DataBlock, MicroBatch, PartitionPlan};
+use crate::batch::{Columns, DataBlock, MicroBatch, PartitionPlan};
 use crate::columnar::ColumnarPlan;
 use crate::types::{Interval, Tuple};
 
@@ -70,18 +70,31 @@ impl Spare {
         self.rows = plan.blocks;
     }
 
-    /// One row block per size, each `values` exactly that long and its run
-    /// table empty, in the spare's allocations where it has them. The values
-    /// are whatever the last plan left: the caller overwrites every one, so
-    /// only the length changes. A block that outgrows its allocation grows
-    /// to exactly its size when `exact` — Prompt's blocks run a few tuples
-    /// past `N/p` at most, and growth by doubling would double their
-    /// allocation — else by doubling, as a baseline's block, whose size
-    /// wanders from batch to batch, would otherwise grow at each new largest.
-    pub(crate) fn sized_row_blocks(&mut self, sizes: &[usize], exact: bool) -> Vec<DataBlock> {
+    /// One row block per size, its run table empty, in the spare's
+    /// allocations where it has them. Under [`Columns::RunsAndValues`] each
+    /// block's `values` is exactly its size long and holds whatever the last
+    /// plan left: the caller overwrites every one, so only the length
+    /// changes. A block that outgrows its allocation grows to exactly its
+    /// size when `exact` — Prompt's blocks run a few tuples past `N/p` at
+    /// most, and growth by doubling would double their allocation — else by
+    /// doubling, as a baseline's block, whose size wanders from batch to
+    /// batch, would otherwise grow at each new largest. Under
+    /// [`Columns::Runs`] each block's `values` is empty.
+    pub(crate) fn sized_row_blocks(
+        &mut self,
+        sizes: &[usize],
+        exact: bool,
+        columns: Columns,
+    ) -> Vec<DataBlock> {
         let mut blocks = std::mem::take(&mut self.rows);
         blocks.resize_with(sizes.len(), DataBlock::default);
         for (b, &size) in blocks.iter_mut().zip(sizes) {
+            b.runs.clear();
+            b.set_size(size);
+            if columns == Columns::Runs {
+                b.values.clear();
+                continue;
+            }
             let more = size.saturating_sub(b.values.len());
             if exact {
                 b.values.reserve_exact(more);
@@ -89,7 +102,6 @@ impl Spare {
                 b.values.reserve(more);
             }
             b.values.resize(size, 0.0);
-            b.runs.clear();
         }
         blocks
     }
@@ -100,23 +112,29 @@ pub trait Partitioner: Send {
     /// Human-readable technique name (used in experiment output).
     fn name(&self) -> &'static str;
 
-    /// Partition the batch into exactly `p` blocks. Implementations must
-    /// conserve tuples: the plan's total size equals `batch.len()`.
+    /// Partition the batch into exactly `p` blocks, each carrying its runs
+    /// and its values. Implementations must conserve tuples: the plan's
+    /// total size equals `batch.len()`.
     fn partition(&mut self, batch: &MicroBatch, p: usize) -> PartitionPlan {
-        self.partition_slice(&batch.tuples, batch.interval, p).0
+        let (tuples, interval) = (&batch.tuples, batch.interval);
+        self.partition_slice(tuples, interval, p, Columns::RunsAndValues)
+            .0
     }
 
-    /// Partition a raw arrival slice into exactly `p` blocks, with the
-    /// wall-clock phase timings (zeros where a technique has no phase
-    /// split). The one required entry point: a technique reads only the
-    /// arrivals (and the interval, for time-based slotting), so a caller
-    /// partitions its arrival buffer without materializing a
-    /// [`MicroBatch`].
+    /// Partition a raw arrival slice into exactly `p` blocks carrying
+    /// `columns`, with the wall-clock phase timings (zeros where a
+    /// technique has no phase split). The one required entry point: a
+    /// technique reads only the arrivals (and the interval, for time-based
+    /// slotting), so a caller partitions its arrival buffer without
+    /// materializing a [`MicroBatch`]. The plan's runs, sizes and split
+    /// keys are the same for either `columns`; under [`Columns::Runs`]
+    /// every block's value column is empty.
     fn partition_slice(
         &mut self,
         tuples: &[Tuple],
         interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases);
 
     /// Partition the batch into a [`ColumnarPlan`] whose blocks are

@@ -8,14 +8,14 @@
 //! buffer, in arrival order. The third sorts each range by key with the
 //! stable radix sort of [`crate::sort`], so each key's values stay in the
 //! order they arrived, and the fourth writes the range out as its block's
-//! runs and values. So a baseline's block is what every block is — one run
-//! per key, keys ascending, each key's values in arrival order — and its Map
-//! folds each key's values in the order they arrived, with no key table and
-//! no comparison sort on the way. The split-key table is derived as
+//! runs and, when the job reads them, its values. So a baseline's block is
+//! what every block is — one run per key, keys ascending, each key's values
+//! in arrival order — and its Map folds each key's values in the order they
+//! arrived, with no key table and no comparison sort on the way. The split-key table is derived as
 //! [`PartitionPlan::from_blocks`] derives it, and the blocks of the last
 //! plan are recycled.
 
-use crate::batch::{split_keys, KeyFragment, PartitionPlan};
+use crate::batch::{split_keys, Columns, KeyFragment, PartitionPlan};
 use crate::hash::{KeyMap, KeySet};
 use crate::partitioner::Spare;
 use crate::sort::RadixSort;
@@ -56,12 +56,14 @@ impl PerTuple {
     /// picks for it from its arrival index, the tuple and the blocks placed
     /// so far. With `split` the plan carries the keys held by more than one
     /// block, as [`PartitionPlan::from_blocks`] derives them; without it the
-    /// caller vouches that no key is split and the table stays empty.
+    /// caller vouches that no key is split and the table stays empty. The
+    /// blocks carry `columns`.
     pub(crate) fn place(
         &mut self,
         tuples: &[Tuple],
         p: usize,
         split: bool,
+        columns: Columns,
         mut choose: impl FnMut(usize, &Tuple, &Placed<'_>) -> usize,
     ) -> PartitionPlan {
         assert!(p > 0, "need at least one block");
@@ -74,7 +76,7 @@ impl PerTuple {
             self.sizes[b] += 1;
             self.chosen.push(b as u32);
         }
-        let mut blocks = self.spare.sized_row_blocks(&self.sizes, false);
+        let mut blocks = self.spare.sized_row_blocks(&self.sizes, false, columns);
         let mut start = 0;
         for at in &mut self.sizes {
             (*at, start) = (start, start + *at);
@@ -91,11 +93,13 @@ impl PerTuple {
         for (block, &end) in blocks.iter_mut().zip(&self.sizes) {
             let pairs = &mut self.pairs[start..end];
             self.radix.sort(pairs, |&(key, _)| key.0);
-            for (v, &(key, value)) in block.values.iter_mut().zip(&*pairs) {
-                *v = value;
-                match block.runs.last_mut() {
-                    Some(run) if run.key == key => run.count += 1,
-                    _ => block.runs.push(KeyFragment { key, count: 1 }),
+            let runs = &mut block.runs;
+            if columns == Columns::Runs {
+                pairs.iter().for_each(|&(key, _)| add_to_runs(runs, key));
+            } else {
+                for (v, &(key, value)) in block.values.iter_mut().zip(&*pairs) {
+                    *v = value;
+                    add_to_runs(runs, key);
                 }
             }
             start = end;
@@ -111,6 +115,16 @@ impl PerTuple {
     /// Keep `plan`'s buffers for the next batch.
     pub(crate) fn recycle(&mut self, plan: PartitionPlan) {
         self.spare.keep(plan);
+    }
+}
+
+/// Count one more tuple of `key`, which sorts at or after every key in
+/// `runs`, into them.
+#[inline]
+fn add_to_runs(runs: &mut Vec<KeyFragment>, key: Key) {
+    match runs.last_mut() {
+        Some(run) if run.key == key => run.count += 1,
+        _ => runs.push(KeyFragment { key, count: 1 }),
     }
 }
 
@@ -135,14 +149,15 @@ mod tests {
             .collect();
         // Each block's size so far, kept beside the loop.
         let mut model = [0; 2];
-        let plan = PerTuple::default().place(&tuples, 2, true, |i, t, placed| {
-            for (b, &size) in model.iter().enumerate() {
-                assert_eq!(placed.size(b), size, "arrival {i}");
-            }
-            let b = usize::from(t.key == Key(3));
-            model[b] += 1;
-            b
-        });
+        let plan =
+            PerTuple::default().place(&tuples, 2, true, Columns::RunsAndValues, |i, t, placed| {
+                for (b, &size) in model.iter().enumerate() {
+                    assert_eq!(placed.size(b), size, "arrival {i}");
+                }
+                let b = usize::from(t.key == Key(3));
+                model[b] += 1;
+                b
+            });
         let run = |k, count| KeyFragment { key: Key(k), count };
         assert_eq!(plan.blocks[0].runs, [run(1, 2), run(2, 2)]);
         assert_eq!(plan.blocks[0].values, [1.0, 5.0, 0.0, 2.0]);
@@ -155,10 +170,10 @@ mod tests {
     fn split_keys_are_derived_only_when_asked() {
         let tuples: Vec<Tuple> = [1, 1, 2, 3].map(t).to_vec();
         let mut loop_ = PerTuple::default();
-        let plan = loop_.place(&tuples, 2, true, |i, _, _| i % 2);
+        let plan = loop_.place(&tuples, 2, true, Columns::RunsAndValues, |i, _, _| i % 2);
         assert_eq!(plan.split_keys, KeySet::from_iter([Key(1)]));
         assert_eq!(plan, PartitionPlan::from_blocks(plan.blocks.clone()));
-        let unsplit = loop_.place(&tuples, 2, false, |i, _, _| i % 2);
+        let unsplit = loop_.place(&tuples, 2, false, Columns::RunsAndValues, |i, _, _| i % 2);
         assert!(unsplit.split_keys.is_empty());
         assert_eq!(unsplit.blocks, plan.blocks);
     }
@@ -167,13 +182,18 @@ mod tests {
     fn a_recycled_plan_is_refilled_not_reallocated() {
         let tuples: Vec<Tuple> = (0..64).map(|i| t(i % 5)).collect();
         let mut loop_ = PerTuple::default();
-        let first = loop_.place(&tuples, 4, true, |i, _, _| i % 4);
+        let first = loop_.place(&tuples, 4, true, Columns::RunsAndValues, |i, _, _| i % 4);
         let held: Vec<*const f64> = first.blocks.iter().map(|b| b.values.as_ptr()).collect();
         loop_.recycle(first);
-        let second = loop_.place(&tuples, 4, true, |i, _, _| (i + 1) % 4);
+        let second = loop_.place(&tuples, 4, true, Columns::RunsAndValues, |i, _, _| {
+            (i + 1) % 4
+        });
         let again: Vec<*const f64> = second.blocks.iter().map(|b| b.values.as_ptr()).collect();
         assert_eq!(held, again, "the blocks are the recycled plan's");
-        let fresh = PerTuple::default().place(&tuples, 4, true, |i, _, _| (i + 1) % 4);
+        let fresh =
+            PerTuple::default().place(&tuples, 4, true, Columns::RunsAndValues, |i, _, _| {
+                (i + 1) % 4
+            });
         assert_eq!(second, fresh);
     }
 }

@@ -9,7 +9,7 @@
 //! As in the original per-tuple setting, the decision uses only the running
 //! block sizes — no batch-wide statistics.
 
-use crate::batch::PartitionPlan;
+use crate::batch::{Columns, PartitionPlan};
 use crate::hash::HashFamily;
 use crate::partitioner::per_tuple::PerTuple;
 use crate::partitioner::{PartitionPhases, Partitioner};
@@ -50,8 +50,9 @@ impl Partitioner for PkgPartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases) {
-        let plan = self.blocks.place(tuples, p, true, |_, t, placed| {
+        let plan = self.blocks.place(tuples, p, true, columns, |_, t, placed| {
             // Least-loaded among the d candidates (first minimum wins, which
             // keeps the decision deterministic).
             (self.family.candidates(t.key, p))

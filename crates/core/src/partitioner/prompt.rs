@@ -40,7 +40,10 @@
 //! scatters its own arrivals to its own keys' destinations, in parallel. The
 //! row path fills no sealed arena: only [`PromptPartitioner::partition_sealed`]
 //! and [`Partitioner::partition_columnar`] (which the engine never calls; it
-//! lays the batch out in seal order, in buffers of its own) read one.
+//! lays the batch out in seal order, in buffers of its own) read one. A plan
+//! of runs alone ([`Columns::Runs`], for a job that reads no value) is
+//! record → order → assign: its runs are the pieces, so nothing is
+//! scattered.
 //!
 //! A partitioner serves batch after batch, and nothing it needs at steady
 //! state is allocated twice: the accumulator, the group list, the symbolic
@@ -50,7 +53,9 @@
 
 use std::slice::IterMut;
 
-use crate::batch::{DataBlock, KeyFragment, KeyGroup, MicroBatch, PartitionPlan, SealedBatch};
+use crate::batch::{
+    Columns, DataBlock, KeyFragment, KeyGroup, MicroBatch, PartitionPlan, SealedBatch,
+};
 use crate::buffering::{
     record_slice, relabel, seal_arena, AccumulatorConfig, BatchAccumulator,
     FrequencyAwareAccumulator, PostSortAccumulator, ScatterTables, ShardedAccumulator,
@@ -527,6 +532,7 @@ fn materialize_block(batch: &SealedBatch, pieces: &[Piece], block: &mut DataBloc
         let tuples = &batch.tuples(pc.group())[pc.range()];
         block.values.extend(tuples.iter().map(|t| t.value));
     }
+    block.set_size(size);
     runs_into(pieces, block);
 }
 
@@ -541,14 +547,16 @@ impl Partitioner for PromptPartitioner {
     /// The row pipeline, record → order → assign → scatter, with a wall
     /// clock around each phase: `seal_us` ends once the keys are ordered,
     /// `symbolic_us` holds the assignment and each block's key sort, and
-    /// `materialize_us` holds the scatter and the run tables. The
-    /// timings drive the observability layer's per-stage breakdowns (Fig.
-    /// 14's overhead story) and never influence the plan.
+    /// `materialize_us` holds the scatter and the run tables. A plan of
+    /// runs alone ([`Columns::Runs`]) skips the scatter: its runs are the
+    /// pieces'. The timings drive the observability layer's per-stage
+    /// breakdowns (Fig. 14's overhead story) and never influence the plan.
     fn partition_slice(
         &mut self,
         tuples: &[Tuple],
         interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases) {
         let t0 = std::time::Instant::now();
         let mut groups = std::mem::take(&mut self.groups);
@@ -563,8 +571,12 @@ impl Partitioner for PromptPartitioner {
             Self::assign_pieces(&groups, p, tolerance, self.threads, &mut self.symbolic);
         let symbolic_us = t1.elapsed().as_micros() as u64;
         let t2 = std::time::Instant::now();
-        let mut blocks = self.spare.sized_row_blocks(&self.symbolic.sizes, true);
-        self.scatter_rows(tuples, interval, &mut blocks);
+        let sizes = &self.symbolic.sizes;
+        let mut blocks = self.spare.sized_row_blocks(sizes, true, columns);
+        match columns {
+            Columns::RunsAndValues => self.scatter_rows(tuples, interval, &mut blocks),
+            Columns::Runs => _ = self.buffer.forget(interval),
+        }
         let pieces = &self.symbolic.pieces;
         map_mut(&mut blocks, self.threads, |b, block| {
             runs_into(&pieces[b], block)
@@ -943,6 +955,7 @@ mod tests {
             &mb.tuples,
             mb.interval,
             8,
+            Columns::RunsAndValues,
         );
         assert_eq!(want, got, "phase timing must not change the plan");
         // Wall clocks are monotonic; phases can be fast but never negative,
@@ -950,8 +963,12 @@ mod tests {
         // zeros, so only sanity-check the type here.
         let _ = phases.seal_us + phases.symbolic_us + phases.materialize_us;
         // A technique with no phase split reports zeros.
-        let (_, zero) =
-            crate::partitioner::HashPartitioner::new(1).partition_slice(&mb.tuples, mb.interval, 8);
+        let (_, zero) = crate::partitioner::HashPartitioner::new(1).partition_slice(
+            &mb.tuples,
+            mb.interval,
+            8,
+            Columns::Runs,
+        );
         assert_eq!(zero, PartitionPhases::default());
     }
 

@@ -4,7 +4,7 @@
 //! key locality: tuples of one key scatter across (up to) all blocks, which
 //! inflates the per-key aggregation work of the Reduce stage.
 
-use crate::batch::PartitionPlan;
+use crate::batch::{Columns, PartitionPlan};
 use crate::partitioner::per_tuple::PerTuple;
 use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Tuple};
@@ -32,8 +32,9 @@ impl Partitioner for ShufflePartitioner {
         tuples: &[Tuple],
         _interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases) {
-        let plan = self.blocks.place(tuples, p, true, |i, _, _| i % p);
+        let plan = self.blocks.place(tuples, p, true, columns, |i, _, _| i % p);
         (plan, PartitionPhases::default())
     }
 

@@ -5,7 +5,7 @@
 //! track the instantaneous data rate: a rate spike inside one slot inflates
 //! that slot's block, which is exactly the weakness Fig. 11 exposes.
 
-use crate::batch::PartitionPlan;
+use crate::batch::{Columns, PartitionPlan};
 use crate::partitioner::per_tuple::PerTuple;
 use crate::partitioner::{PartitionPhases, Partitioner};
 use crate::types::{Interval, Tuple};
@@ -33,10 +33,11 @@ impl Partitioner for TimeBasedPartitioner {
         tuples: &[Tuple],
         interval: Interval,
         p: usize,
+        columns: Columns,
     ) -> (PartitionPlan, PartitionPhases) {
         let span = interval.len().as_micros().max(1);
         let start = interval.start.as_micros();
-        let plan = self.blocks.place(tuples, p, true, |_, t, _| {
+        let plan = self.blocks.place(tuples, p, true, columns, |_, t, _| {
             // Slot index by arrival time; clamp tuples at/after the interval
             // end (e.g. boundary timestamps) into the last slot.
             let offset = t.ts.as_micros().saturating_sub(start);

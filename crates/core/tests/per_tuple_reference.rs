@@ -67,10 +67,7 @@ impl Builder {
             .collect();
         runs.sort_unstable_by_key(|f| f.key.0);
         self.tuples.sort_by_key(|t| t.key.0);
-        DataBlock {
-            runs,
-            values: self.tuples.iter().map(|t| t.value).collect(),
-        }
+        DataBlock::new(runs, self.tuples.iter().map(|t| t.value).collect())
     }
 }
 

@@ -24,13 +24,17 @@
 //! 7. the stable radix sort every baseline block, state pane and snapshot
 //!    is laid out with — against `slice::sort_by_key`, which is stable, on
 //!    `(key, tag)` pairs whose tags are their input positions.
+//! 8. a plan of runs alone, which a count under the identity map reads —
+//!    against the plan that carries values, with its value columns dropped,
+//!    for every technique and Prompt geometry, batch after batch through
+//!    one instance as the job's columns alternate.
 //!
 //! The vendored proptest shim replays cases by test name, not by seed, so
 //! the regression cases (`plan_derivation_props.proptest-regressions`) are
 //! pinned as the explicit `pinned_*` tests at the bottom.
 
 use prompt_core::batch::{
-    total_keys, DataBlock, KeyFragment, MicroBatch, PartitionPlan, SealedBatch,
+    total_keys, Columns, DataBlock, KeyFragment, MicroBatch, PartitionPlan, SealedBatch,
 };
 use prompt_core::buffering::{
     AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
@@ -407,6 +411,72 @@ proptest! {
     ) {
         check_per_tuple_plans(&arrivals(&first), &arrivals(&second), p, seed)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// (8) A plan of runs alone is the plan that carries values with its
+    /// value columns dropped — the same runs, sizes and split keys — for
+    /// every technique and Prompt geometry, through one instance whose
+    /// plans are handed back between batches of alternating columns.
+    #[test]
+    fn a_plan_of_runs_alone_is_the_value_plan_without_its_values(
+        first in counts(),
+        second in counts(),
+        p in 1usize..=17,
+        seed in any::<u64>(),
+    ) {
+        check_runs_alone(&[arrivals(&first), arrivals(&second), arrivals(&first)], p, seed)?;
+    }
+}
+
+/// Every technique, and Prompt sharded in either mode, built afresh.
+fn every_partitioner(seed: u64) -> Vec<(String, Box<dyn Partitioner>)> {
+    let techniques = PER_TUPLE
+        .into_iter()
+        .chain([Technique::Prompt, Technique::PromptCountTree]);
+    let mut built: Vec<(String, Box<dyn Partitioner>)> = techniques
+        .map(|t| (format!("{t:?}"), t.build(seed)))
+        .collect();
+    for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
+        let sharded = PromptPartitioner::with_parallelism(mode, 4, 2);
+        built.push((format!("{mode:?} 4 shards / 2 threads"), Box::new(sharded)));
+    }
+    built
+}
+
+/// Every partitioner partitions `batches` through one instance — runs
+/// alone, then values, then runs alone, each plan handed back before the
+/// next — into the plans a fresh instance builds with values, less their
+/// values where the batch was partitioned without.
+fn check_runs_alone(batches: &[MicroBatch], p: usize, seed: u64) -> Result<(), TestCaseError> {
+    let mut reused = every_partitioner(seed);
+    for (i, batch) in batches.iter().enumerate() {
+        let columns = if i % 2 == 0 {
+            Columns::Runs
+        } else {
+            Columns::RunsAndValues
+        };
+        for ((name, part), (_, mut fresh)) in reused.iter_mut().zip(every_partitioner(seed)) {
+            let (plan, _) = part.partition_slice(&batch.tuples, batch.interval, p, columns);
+            let mut want = fresh.partition(batch, p);
+            if columns == Columns::Runs {
+                want.blocks.iter_mut().for_each(|b| b.values.clear());
+            }
+            prop_assert_eq!(&plan, &want, "{} batch {} {:?}", name, i, columns);
+            for block in &plan.blocks {
+                let carried = if block.size() == 0 {
+                    Columns::RunsAndValues
+                } else {
+                    columns
+                };
+                prop_assert_eq!(block.columns(), carried, "{} batch {}", name, i);
+            }
+            part.recycle(plan);
+        }
+    }
+    Ok(())
 }
 
 proptest! {

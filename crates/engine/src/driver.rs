@@ -34,6 +34,7 @@
 //! depth-`d` run equal to the serial run forced through the same decision
 //! sequence — for every feature (DESIGN §4h).
 
+use prompt_core::batch::Columns;
 use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PartitionerRegistry, Technique};
 use prompt_core::reduce::{HashReduceAssigner, PromptReduceAllocator, ReduceAssigner};
@@ -509,7 +510,7 @@ impl StreamingEngine {
         n_batches: usize,
     ) -> (RunResult, TraceRecorder) {
         let (depth, n_batches) = (self.cfg.pipeline_depth, n_batches as u64);
-        let overhead = self.cfg.overhead;
+        let (overhead, columns) = (self.cfg.overhead, self.job.columns());
         let mut run = Run::new(self, source);
         loop {
             // Fill on this thread: advance batches from *buffering* to
@@ -527,7 +528,7 @@ impl StreamingEngine {
             };
             let pulled = if overlap { run.pull() } else { None };
             match pulled {
-                Some(pulled) => overlapped(&mut run, pb, pulled, overhead),
+                Some(pulled) => overlapped(&mut run, pb, pulled, columns, overhead),
                 None => {
                     let (output, times) = run.execute(&pb);
                     run.commit(pb, output, times);
@@ -543,7 +544,7 @@ impl StreamingEngine {
         KeyedStateStore::new(
             self.window.expect("the state layer requires a window"),
             self.cfg.batch_interval,
-            self.job.reduce,
+            self.job.reduce(),
             STATE_SHARDS,
         )
     }
@@ -559,12 +560,18 @@ impl StreamingEngine {
 /// it and no third plan exists.
 /// Everything that reads or moves actuator state stays on the driver thread,
 /// in the serial loop's order, so the run is the serial loop's run.
-fn overlapped(run: &mut Run<'_>, pb: PreparedBatch, pulled: PulledBatch, overhead: OverheadMode) {
+fn overlapped(
+    run: &mut Run<'_>,
+    pb: PreparedBatch,
+    pulled: PulledBatch,
+    columns: Columns,
+    overhead: OverheadMode,
+) {
     let technique = pulled.technique;
     let mut partitioner = run.lend(technique);
     let (lent, batch, p) = (partitioner.as_mut(), &pulled.batch, pulled.p);
     let (partitioned, waited) = std::thread::scope(|scope| {
-        let worker = scope.spawn(move || partition(lent, batch, p, overhead));
+        let worker = scope.spawn(move || partition(lent, batch, p, columns, overhead));
         let (output, times) = run.execute(&pb);
         run.commit(pb, output, times);
         let t0 = std::time::Instant::now();
@@ -1627,13 +1634,14 @@ mod tests {
                 tuples: &[Tuple],
                 interval: Interval,
                 p: usize,
+                columns: Columns,
             ) -> (PartitionPlan, PartitionPhases) {
                 if self.seen.contains(&interval) {
                     self.again.lock().unwrap().push(interval);
                 } else {
                     self.seen.push(interval);
                 }
-                self.inner.partition_slice(tuples, interval, p)
+                self.inner.partition_slice(tuples, interval, p, columns)
             }
         }
         let again = Arc::new(Mutex::new(Vec::new()));
@@ -1666,6 +1674,71 @@ mod tests {
         assert!(again.is_empty(), "re-partitioned {again:?}");
     }
 
+    /// The driver asks every partition for the columns its job reads: runs
+    /// alone for a count under the identity map, runs and values for any
+    /// other op and for a closure map, which may read a value. At depth 2
+    /// too, where the partition runs on another thread.
+    #[test]
+    fn a_plan_carries_the_columns_its_job_reads() {
+        use std::sync::Mutex;
+        struct ColumnsProbe {
+            inner: Box<dyn Partitioner>,
+            asked: Arc<Mutex<Vec<Columns>>>,
+        }
+        impl Partitioner for ColumnsProbe {
+            fn name(&self) -> &'static str {
+                "columns"
+            }
+            fn partition_slice(
+                &mut self,
+                tuples: &[Tuple],
+                interval: Interval,
+                p: usize,
+                columns: Columns,
+            ) -> (PartitionPlan, PartitionPhases) {
+                self.asked.lock().unwrap().push(columns);
+                let (plan, phases) = self.inner.partition_slice(tuples, interval, p, columns);
+                for block in &plan.blocks {
+                    let want = if block.size() == 0 {
+                        Columns::RunsAndValues
+                    } else {
+                        columns
+                    };
+                    assert_eq!(block.columns(), want);
+                }
+                (plan, phases)
+            }
+        }
+        for (job, want) in [
+            (Job::identity("c", ReduceOp::Count), Columns::Runs),
+            (Job::identity("s", ReduceOp::Sum), Columns::RunsAndValues),
+            (Job::identity("m", ReduceOp::Max), Columns::RunsAndValues),
+            (
+                Job::new("c", |_, v| Some(v), ReduceOp::Count),
+                Columns::RunsAndValues,
+            ),
+        ] {
+            for depth in [1, 2] {
+                let asked = Arc::new(Mutex::new(Vec::new()));
+                let probe = ColumnsProbe {
+                    inner: Technique::Prompt.build(1),
+                    asked: Arc::clone(&asked),
+                };
+                let cfg = EngineConfig {
+                    pipeline_depth: depth,
+                    ..small_cfg()
+                };
+                let mut eng = StreamingEngine::new(cfg, Technique::Prompt, 1, job.clone());
+                eng.strategies
+                    .registry
+                    .insert(Technique::Prompt, Box::new(probe));
+                eng.run(&mut const_source(400, 8), 4);
+                let asked = asked.lock().unwrap();
+                assert_eq!(*asked, [want; 4], "{job:?} at depth {depth}");
+            }
+        }
+    }
+
     /// Delegating probe: counts every partition call (`partition` defaults
     /// to `partition_slice`).
     struct CountingPartitioner {
@@ -1682,9 +1755,10 @@ mod tests {
             tuples: &[Tuple],
             interval: Interval,
             p: usize,
+            columns: Columns,
         ) -> (PartitionPlan, PartitionPhases) {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.partition_slice(tuples, interval, p)
+            self.inner.partition_slice(tuples, interval, p, columns)
         }
     }
 
@@ -1723,13 +1797,14 @@ mod tests {
             tuples: &[Tuple],
             interval: Interval,
             p: usize,
+            columns: Columns,
         ) -> (PartitionPlan, PartitionPhases) {
             if !self.seen.contains(&interval) {
                 self.seen.push(interval);
                 let here = std::thread::current().id();
                 self.threads.lock().unwrap().push(here);
             }
-            self.inner.partition_slice(tuples, interval, p)
+            self.inner.partition_slice(tuples, interval, p, columns)
         }
     }
 
@@ -1798,11 +1873,12 @@ mod tests {
             tuples: &[Tuple],
             interval: Interval,
             p: usize,
+            columns: Columns,
         ) -> (PartitionPlan, PartitionPhases) {
             if interval.start > Time::ZERO {
                 std::thread::sleep(std::time::Duration::from_millis(30));
             }
-            self.0.partition_slice(tuples, interval, p)
+            self.0.partition_slice(tuples, interval, p, columns)
         }
     }
 

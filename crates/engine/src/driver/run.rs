@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use prompt_core::batch::{total_keys, MicroBatch, PartitionPlan};
+use prompt_core::batch::{total_keys, Columns, MicroBatch, PartitionPlan};
 use prompt_core::metrics::PlanMetrics;
 use prompt_core::partitioner::{PartitionPhases, Partitioner, Technique};
 use prompt_core::types::{Duration, Interval, Time, Tuple};
@@ -109,17 +109,19 @@ pub(crate) struct Partitioned {
     metrics: PlanMetrics,
 }
 
-/// Partition `batch` into `p` Map blocks with `partitioner`. Reads nothing
-/// of a [`Run`], so the loop may call it on another thread while the driver
-/// thread executes and commits an older batch.
+/// Partition `batch` into `p` Map blocks carrying `columns`, the ones the
+/// run's job reads, with `partitioner`. Reads nothing of a [`Run`], so the
+/// loop may call it on another thread while the driver thread executes and
+/// commits an older batch.
 pub(crate) fn partition(
     partitioner: &mut dyn Partitioner,
     batch: &MicroBatch,
     p: usize,
+    columns: Columns,
     overhead: OverheadMode,
 ) -> Partitioned {
     let t0 = std::time::Instant::now();
-    let (plan, phases) = partitioner.partition_slice(&batch.tuples, batch.interval, p);
+    let (plan, phases) = partitioner.partition_slice(&batch.tuples, batch.interval, p, columns);
     let raw_overhead = match overhead {
         OverheadMode::None => Duration::ZERO,
         OverheadMode::Fixed(d) => d,
@@ -211,7 +213,7 @@ impl<'e> Run<'e> {
             "checkpointing and stateful operators require a window (with_window)"
         );
         let window = match eng.window {
-            Some(spec) if !state_on => Some(WindowState::new(spec, bi, eng.job.reduce)),
+            Some(spec) if !state_on => Some(WindowState::new(spec, bi, eng.job.reduce())),
             _ => None,
         };
         // A worker loss resubmits the plan in hand and spends only the
@@ -341,9 +343,9 @@ impl<'e> Run<'e> {
         let Some(pulled) = self.pull() else {
             return;
         };
-        let overhead = self.eng.cfg.overhead;
+        let (overhead, columns) = (self.eng.cfg.overhead, self.eng.job.columns());
         let partitioner = self.eng.strategies.registry.get_or_build(pulled.technique);
-        let partitioned = partition(partitioner, &pulled.batch, pulled.p, overhead);
+        let partitioned = partition(partitioner, &pulled.batch, pulled.p, columns, overhead);
         self.finish(pulled, partitioned);
     }
 

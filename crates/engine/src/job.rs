@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use prompt_core::batch::Columns;
 use prompt_core::types::Key;
 
 /// The associative aggregation applied by the Reduce stage.
@@ -133,6 +134,16 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// The block columns the job reads: runs alone for a count under the
+    /// identity map, whose answer per key is its run length; runs and
+    /// values otherwise.
+    pub fn columns(self) -> Columns {
+        match (self.map, self.reduce) {
+            (MapSpec::Identity, ReduceOp::Count) => Columns::Runs,
+            (MapSpec::Identity, _) => Columns::RunsAndValues,
+        }
+    }
+
     /// Materialize the runnable job on this process.
     pub fn instantiate(self, name: impl Into<String>) -> Job {
         match self.map {
@@ -156,10 +167,12 @@ pub type MapFn = Arc<dyn Fn(Key, f64) -> Option<f64> + Send + Sync>;
 pub struct Job {
     /// Job name for reports.
     pub name: String,
-    /// The Map function.
-    pub map: MapFn,
+    /// The Map function. Fixed at construction, with `reduce`, so the
+    /// columns a job reads ([`Job::columns`]) and its wire description stay
+    /// its own.
+    map: MapFn,
     /// The Reduce aggregation.
-    pub reduce: ReduceOp,
+    reduce: ReduceOp,
     /// The wire-expressible description, when the map shape has one.
     /// `None` for arbitrary closures ([`Job::new`]) — such jobs cannot run
     /// on the distributed backend.
@@ -201,10 +214,27 @@ impl Job {
         job
     }
 
+    /// The Map function.
+    pub fn map(&self) -> &MapFn {
+        &self.map
+    }
+
+    /// The Reduce aggregation.
+    pub fn reduce(&self) -> ReduceOp {
+        self.reduce
+    }
+
     /// The wire-expressible description of this job, if its map shape has
     /// one. The distributed backend requires `Some`.
     pub fn wire_spec(&self) -> Option<JobSpec> {
         self.spec
+    }
+
+    /// The block columns the job reads, so the columns its plans carry: a
+    /// map with no wire description may read any value (it may filter on
+    /// one), so it reads them all.
+    pub fn columns(&self) -> Columns {
+        self.spec.map_or(Columns::RunsAndValues, JobSpec::columns)
     }
 }
 
@@ -247,7 +277,7 @@ mod tests {
     #[test]
     fn identity_job_maps_through() {
         let job = Job::identity("wordcount", ReduceOp::Count);
-        assert_eq!((job.map)(Key(4), 9.0), Some(9.0));
+        assert_eq!((job.map())(Key(4), 9.0), Some(9.0));
         assert_eq!(job.name, "wordcount");
     }
 
@@ -266,10 +296,24 @@ mod tests {
         let job = Job::identity("sum", ReduceOp::Sum);
         let spec = job.wire_spec().expect("identity jobs are wire-able");
         let remote = spec.instantiate("sum");
-        assert_eq!((remote.map)(Key(1), 4.5), (job.map)(Key(1), 4.5));
+        assert_eq!((remote.map())(Key(1), 4.5), (job.map())(Key(1), 4.5));
 
         let opaque = Job::new("custom", |_, _| None, ReduceOp::Sum);
         assert_eq!(opaque.wire_spec(), None);
+    }
+
+    #[test]
+    fn only_an_identity_count_reads_runs_alone() {
+        for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
+            let want = if op == ReduceOp::Count {
+                Columns::Runs
+            } else {
+                Columns::RunsAndValues
+            };
+            assert_eq!(Job::identity("j", op).columns(), want, "{op:?}");
+            let opaque = Job::new("j", |_, v| Some(v), op);
+            assert_eq!(opaque.columns(), Columns::RunsAndValues, "{op:?}");
+        }
     }
 
     #[test]
@@ -279,7 +323,7 @@ mod tests {
             |k: Key, v| k.0.is_multiple_of(2).then_some(v * 2.0),
             ReduceOp::Sum,
         );
-        assert_eq!((job.map)(Key(2), 1.0), Some(2.0));
-        assert_eq!((job.map)(Key(3), 1.0), None);
+        assert_eq!((job.map())(Key(2), 1.0), Some(2.0));
+        assert_eq!((job.map())(Key(3), 1.0), None);
     }
 }

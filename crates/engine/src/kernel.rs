@@ -10,7 +10,7 @@
 //! share [`assign_block`] and [`merge_bucket`] verbatim and cannot diverge by
 //! backend.
 
-use prompt_core::batch::DataBlock;
+use prompt_core::batch::{Columns, DataBlock};
 use prompt_core::hash::{KeyMap, KeySet};
 use prompt_core::reduce::{KeyCluster, ReduceAssigner};
 use prompt_core::types::Key;
@@ -25,19 +25,29 @@ pub(crate) type ClusterList = Vec<(Key, (f64, usize))>;
 
 /// Map + local combine over one block into `out` (whatever it held before),
 /// in key order. Each run — one per key, keys ascending — folds into a local
-/// accumulator that goes straight onto `out`: no table, no sort. Each key's
-/// `apply` sequence is the per-tuple fold's, so the output is bit-identical
-/// to it. The distributed worker runs this same fold on the block it
-/// decodes, so map outputs are bit-identical across backends.
+/// accumulator that goes straight onto `out`: no table, no sort. A job that
+/// reads runs alone ([`Columns::Runs`], a count under the identity map)
+/// answers each key with its run's length: `n` applies of `+1` sum to exactly
+/// `n` below 2⁵³. Otherwise each key's `apply` sequence is the per-tuple
+/// fold's, so the output is bit-identical to it. The distributed worker runs
+/// this same fold on the block it decodes, so map outputs are bit-identical
+/// across backends.
 pub(crate) fn map_block(block: &DataBlock, job: &Job, out: &mut ClusterList) {
     out.clear();
-    let op = job.reduce;
+    if job.columns() == Columns::Runs {
+        // One push a run, as below: a table that grows grows by doubling.
+        for run in &block.runs {
+            out.push((run.key, (run.count as f64, run.count)));
+        }
+        return;
+    }
+    let op = job.reduce();
     for (key, values) in block.key_runs() {
         debug_assert!(
             out.last().is_none_or(|&(last, _)| last.0 < key.0),
             "run keys ascend"
         );
-        let mut mapped = values.iter().filter_map(|&v| (job.map)(key, v));
+        let mut mapped = values.iter().filter_map(|&v| (job.map())(key, v));
         if let Some(v) = mapped.next() {
             let folded = mapped.fold((op.apply(None, v), 1), |(a, n), v| {
                 (op.apply(Some(a), v), n + 1)
@@ -234,15 +244,15 @@ mod tests {
     fn per_tuple_fold(pairs: &[(Key, f64)], job: &Job) -> ClusterList {
         let mut clusters: KeyMap<(f64, usize)> = KeyMap::default();
         for &(key, value) in pairs {
-            if let Some(v) = (job.map)(key, value) {
+            if let Some(v) = (job.map())(key, value) {
                 match clusters.entry(key) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
                         let (acc, n) = e.get_mut();
-                        *acc = job.reduce.apply(Some(*acc), v);
+                        *acc = job.reduce().apply(Some(*acc), v);
                         *n += 1;
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((job.reduce.apply(None, v), 1));
+                        e.insert((job.reduce().apply(None, v), 1));
                     }
                 }
             }

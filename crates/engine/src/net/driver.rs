@@ -13,8 +13,8 @@
 //! convenience for one batch at a time):
 //!
 //! 1. `submit` fans Map tasks out round-robin over live workers (each
-//!    carries its data block's key runs and values on the wire, not its
-//!    fragment table) and, behind them on the same FIFO
+//!    carries its data block's key runs, and the values its job reads, on
+//!    the wire, not its fragment table) and, behind them on the same FIFO
 //!    control streams, every block's bucket assignment (`ShuffleAssign`).
 //!    Algorithm 3 needs no reply for that: every wire-expressible Map keeps
 //!    every tuple under its own key ([`crate::job::MapSpec`]), so a block's

@@ -47,18 +47,26 @@
 //! folds every block it decodes in one walk. v6 accepted such blocks, so a
 //! v6 peer is turned away at the header.
 //!
+//! Protocol v8 sends a block as the job reads it: its runs, then its value
+//! column, which is empty when the job reads no value — a count under the
+//! identity map, whose answer per key is its run length. The layout is v7's;
+//! a `zipf_dist` Map frame falls from `16·r + 8·n` to `16·r` block bytes. A
+//! value column under a job that reads none, and runs that do not sum to the
+//! value count under one that reads values (a block of runs alone among
+//! them), are `Malformed`.
+//!
 //! An encoder writes the header in place, then the payload behind it, into
 //! one buffer, and patches the payload length in last; a `MapTask`'s buffer
 //! is sized exactly up front (`18 + 4 + 16·r + 4 + 8·n` payload bytes for
-//! `r` runs over `n` values), so encoding one makes one allocation. Runs and
-//! values go to the buffer from a stack block, 256 entries a write. A reader
-//! (`transport::FrameConn`) reads each payload into a buffer the
+//! `r` runs over `n` values sent), so encoding one makes one allocation. Runs
+//! and values go to the buffer from a stack block, 256 entries a write. A
+//! reader (`transport::FrameConn`) reads each payload into a buffer the
 //! connection keeps across frames, bounded so that one large frame does not
 //! pin its size for the connection's life.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use prompt_core::batch::DataBlock;
+use prompt_core::batch::{Columns, DataBlock};
 use prompt_core::bytes::{
     self, ByteReader, ByteWriter, BytesSink, CodecError, FRAGMENT_WIRE_SIZE, TUPLE_WIRE_SIZE,
     VALUE_WIRE_SIZE,
@@ -80,7 +88,9 @@ pub const MAGIC: u32 = 0x5445_4e50;
 /// v6: a `MapTask` block is key runs over a value column: no timestamps, no
 /// fragment table.
 /// v7: a `MapTask` block's run keys strictly ascend; the layout is v6's.
-pub const PROTOCOL_VERSION: u8 = 7;
+/// v8: a `MapTask` block carries an empty value column when the job reads no
+/// value; the layout is v7's.
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Frame header length: magic + version + msg type + payload length.
 pub const HEADER_LEN: usize = 10;
@@ -202,8 +212,8 @@ pub enum Message {
         block_id: u32,
         /// The job to run.
         job: JobSpec,
-        /// The block: its runs and values cross the wire, its fragment table
-        /// does not (a decoded block has none).
+        /// The block: its runs, and the values the job reads, cross the
+        /// wire; its fragment table does not (a decoded block has none).
         block: DataBlock,
     },
     /// Worker → driver: the block is mapped and filed under the buckets its
@@ -348,7 +358,9 @@ impl Message {
     /// is fixed-width; the other payloads grow as they are written.
     fn payload_capacity(&self) -> usize {
         match self {
-            Message::MapTask { block, .. } => map_task_len(block.runs.len(), block.size()),
+            Message::MapTask { job, block, .. } => {
+                map_task_len(job, block.runs.len(), block.size())
+            }
             _ => 64,
         }
     }
@@ -371,7 +383,7 @@ impl Message {
                 job,
                 block,
             } => put_map_task(w, *seq, *epoch, *block_id, job, |w| {
-                bytes::put_block(w, block)
+                bytes::put_block(w, block, job.columns())
             }),
             Message::MapComplete {
                 seq,
@@ -569,12 +581,13 @@ impl Message {
                     .ok_or(WireError::Codec(CodecError::Malformed("map spec tag")))?;
                 let reduce = ReduceOp::from_wire_code(r.get_u8()?)
                     .ok_or(WireError::Codec(CodecError::Malformed("reduce op tag")))?;
+                let job = JobSpec { map, reduce };
                 Message::MapTask {
                     seq,
                     epoch,
                     block_id,
-                    job: JobSpec { map, reduce },
-                    block: bytes::get_block(&mut r)?,
+                    job,
+                    block: bytes::get_block(&mut r, job.columns())?,
                 }
             }
             5 => Message::MapComplete {
@@ -736,9 +749,13 @@ fn put_map_task(
 /// block id and the job's two tags.
 const MAP_TASK_HEADER_LEN: usize = 8 + 4 + 4 + 1 + 1;
 
-/// Size of a [`Message::MapTask`] payload whose block has `runs` runs over
-/// `values` values.
-fn map_task_len(runs: usize, values: usize) -> usize {
+/// Size of a [`Message::MapTask`] payload for `job` whose block has `runs`
+/// runs over `tuples` tuples: the values go only to a job that reads them.
+fn map_task_len(job: &JobSpec, runs: usize, tuples: usize) -> usize {
+    let values = match job.columns() {
+        Columns::RunsAndValues => tuples,
+        Columns::Runs => 0,
+    };
     MAP_TASK_HEADER_LEN + (4 + FRAGMENT_WIRE_SIZE * runs) + (4 + VALUE_WIRE_SIZE * values)
 }
 
@@ -752,9 +769,11 @@ pub fn encode_map_task(
     job: &JobSpec,
     block: &DataBlock,
 ) -> Vec<u8> {
-    let len = map_task_len(block.runs.len(), block.size());
+    let len = map_task_len(job, block.runs.len(), block.size());
     write_frame(MAP_TASK, len, |w| {
-        put_map_task(w, seq, epoch, block_id, job, |w| bytes::put_block(w, block))
+        put_map_task(w, seq, epoch, block_id, job, |w| {
+            bytes::put_block(w, block, job.columns())
+        })
     })
 }
 
@@ -773,10 +792,10 @@ pub fn encode_map_task_columnar(
     arena: &ColumnarBatch,
     block: &ColumnarBlock,
 ) -> Vec<u8> {
-    let len = map_task_len(block.ranges.len(), block.size());
+    let len = map_task_len(job, block.ranges.len(), block.size());
     write_frame(MAP_TASK, len, |w| {
         put_map_task(w, seq, epoch, block_id, job, |w| {
-            bytes::put_block_columnar(w, arena, block)
+            bytes::put_block_columnar(w, arena, block, job.columns())
         })
     })
 }
@@ -889,30 +908,38 @@ mod tests {
         let batch = MicroBatch::new(tuples, interval);
         let plan = Technique::Prompt.build(7).partition(&batch, 4);
         let cols = ColumnarPlan::from_row_plan(&plan);
-        let job = JobSpec {
-            map: MapSpec::Identity,
-            reduce: ReduceOp::Sum,
-        };
-        for (i, (row, col)) in plan.blocks.iter().zip(&cols.blocks).enumerate() {
-            let msg = Message::MapTask {
-                seq: 42,
-                epoch: 3,
-                block_id: i as u32,
-                job,
-                block: row.clone(),
+        for reduce in [ReduceOp::Sum, ReduceOp::Count] {
+            let job = JobSpec {
+                map: MapSpec::Identity,
+                reduce,
             };
-            for (layout, frame) in [
-                ("rows", encode_map_task(42, 3, i as u32, &job, row)),
-                (
-                    "columns",
-                    encode_map_task_columnar(42, 3, i as u32, &job, &cols.arena, col),
-                ),
-            ] {
-                assert_eq!(frame, msg.encode(), "block {i} {layout} frame diverged");
-                let Message::MapTask { block, .. } = Message::decode(&frame).unwrap() else {
-                    panic!("block {i} {layout} decoded to another message");
+            for (i, (row, col)) in plan.blocks.iter().zip(&cols.blocks).enumerate() {
+                let msg = Message::MapTask {
+                    seq: 42,
+                    epoch: 3,
+                    block_id: i as u32,
+                    job,
+                    block: row.clone(),
                 };
-                assert_eq!(&block, row, "block {i} {layout}");
+                // What the job reads of the block.
+                let mut read = row.clone();
+                if reduce == ReduceOp::Count {
+                    read.values.clear();
+                }
+                for (layout, frame) in [
+                    ("rows", encode_map_task(42, 3, i as u32, &job, row)),
+                    (
+                        "columns",
+                        encode_map_task_columnar(42, 3, i as u32, &job, &cols.arena, col),
+                    ),
+                ] {
+                    let what = format!("{reduce:?} block {i} {layout}");
+                    assert_eq!(frame, msg.encode(), "{what} frame diverged");
+                    let Message::MapTask { block, .. } = Message::decode(&frame).unwrap() else {
+                        panic!("{what} decoded to another message");
+                    };
+                    assert_eq!(block, read, "{what}");
+                }
             }
         }
     }
@@ -1034,16 +1061,15 @@ mod tests {
         assert!(matches!(Message::decode(&v4), Err(WireError::Codec(_))));
     }
 
-    /// v7: a `MapTask`'s block is its runs and its values — 16 bytes a run,
-    /// 8 a value, no timestamp and no fragment table, as at v6 — and its run
-    /// keys strictly ascend. A v6 peer, which may send runs that do not, and
-    /// a v5 peer, whose frames carry timestamps and a fragment table, are
-    /// turned away at the header.
+    /// v8: a `MapTask`'s block is its runs and the values its job reads —
+    /// 16 bytes a run, 8 a value under a job that reads values, none under a
+    /// count, which reads runs alone. A v7 peer, which sends every value, and
+    /// older peers are turned away at the header.
     #[test]
-    fn v7_map_tasks_carry_ascending_runs_and_values_only() {
-        assert_eq!(PROTOCOL_VERSION, 7);
+    fn v8_map_tasks_carry_the_columns_their_job_reads() {
+        assert_eq!(PROTOCOL_VERSION, 8);
         for msg in exemplars() {
-            for old in [5, 6] {
+            for old in [5, 6, 7] {
                 let mut frame = msg.encode();
                 frame[4] = old;
                 assert_eq!(Message::decode(&frame), Err(WireError::BadVersion(old)));
@@ -1052,14 +1078,42 @@ mod tests {
         let task = (exemplars().into_iter())
             .find(|m| matches!(m, Message::MapTask { .. }))
             .expect("a MapTask exemplar");
-        let Message::MapTask { block, .. } = &task else {
+        let Message::MapTask {
+            seq,
+            epoch,
+            block_id,
+            job,
+            block,
+        } = &task
+        else {
             unreachable!()
         };
-        assert_eq!((block.runs.len(), block.size()), (2, 3));
+        assert_eq!(
+            (block.runs.len(), block.size(), job.reduce),
+            (2, 3, ReduceOp::Sum)
+        );
         let payload = task.encode().len() - HEADER_LEN;
         assert_eq!(payload, 18 + (4 + 2 * 16) + (4 + 3 * 8));
         assert!(payload < task.v1_payload_len());
-        assert_eq!(Message::decode(&task.encode()), Ok(task));
+        assert_eq!(Message::decode(&task.encode()), Ok(task.clone()));
+
+        let count = JobSpec {
+            reduce: ReduceOp::Count,
+            ..*job
+        };
+        let frame = encode_map_task(*seq, *epoch, *block_id, &count, block);
+        assert_eq!(frame.len() - HEADER_LEN, 18 + (4 + 2 * 16) + 4);
+        let mut runs = block.clone();
+        runs.values.clear();
+        let want = Message::MapTask {
+            seq: *seq,
+            epoch: *epoch,
+            block_id: *block_id,
+            job: count,
+            block: runs,
+        };
+        assert_eq!(want.encode(), frame);
+        assert_eq!(Message::decode(&frame), Ok(want));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 4. serve control messages until `Shutdown` or connection loss.
 //!
 //! Per batch the control stream carries the `MapTask`s — each block's key
-//! runs and values — then, already sent when the first block is mapped,
+//! runs and the values its job reads — then, already sent when the first block is mapped,
 //! because the driver assigns at submit from its own plan's fragment tables,
 //! their `ShuffleAssign`s, then the
 //! `ReduceTask`s. A mapped block waits in `pending` only while the rest of

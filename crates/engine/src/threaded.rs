@@ -210,7 +210,7 @@ impl ThreadedExecutor {
             merge_bucket(
                 b.items.iter().copied(),
                 b.items.len(),
-                job.reduce,
+                job.reduce(),
                 &mut b.merged,
             )
         });

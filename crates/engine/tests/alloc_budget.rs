@@ -345,8 +345,8 @@ const ZIPF_SHARDED_BUDGET: (u64, u64) = (3, 5 << 20);
 /// reuse the tables of the tasks they run, whichever those are (3 and 3.4
 /// MiB while a block's run table grew beside an equal fragment table).
 const ZIPF_THREADED_BUDGET: (u64, u64) = (3, 5 << 20);
-/// Measured: 4 and 3.8 MiB, with the blocks built in the last plan handed
-/// back, and the per-arrival blocks, the pair buffer and the radix sort's
+/// Measured: 4 and 3.7 MiB (3.8 while a count's blocks carried values),
+/// with the blocks built in the last plan handed back, and the per-arrival blocks, the pair buffer and the radix sort's
 /// buffers kept (as with the count tables, per-arrival slots and run sort
 /// buffer the loop kept before it sorted by radix; 36 and 12.9 MiB with a
 /// fresh sorter per block) — against 5 while a block's values grew to
@@ -355,11 +355,14 @@ const ZIPF_THREADED_BUDGET: (u64, u64) = (3, 5 << 20);
 /// while every batch built fresh blocks and a key map per block, and
 /// dropped its plan.
 const PK2_BUDGET: (u64, u64) = (4, 5 << 20);
-/// Measured: 18 and 8.1 MiB — one exact-size buffer per Map frame (16 of
-/// them, 4.8 MiB of key runs and values), plus `zipf_inproc`'s gathered
-/// output and emission — against 18 and 15.7 MiB while a frame carried
-/// 24-byte tuples and a fragment table (12.4 MiB), and 98 and 46.7 MiB
-/// while each payload grew from an empty writer (64 KiB → 1 MiB) and was
-/// then copied behind its header: six a frame. A frame that regrows or is
-/// copied again adds 16; one that carries tuples again, 7 MiB.
-const ZIPF_DIST_BUDGET: (u64, u64) = (20, 10 << 20);
+/// Measured: 8 and 3.7 MiB — one exact-size buffer per Map frame of 64 KiB
+/// or more (a count's frame is its block's key runs alone, 16 bytes a run,
+/// so about half of the 16 reach it), plus `zipf_inproc`'s gathered output
+/// and emission — against 18 and 8.1 MiB while every frame carried its
+/// block's values too (4.8 MiB of key runs and values), 18 and 15.7 MiB
+/// while a frame carried 24-byte tuples and a fragment table (12.4 MiB),
+/// and 98 and 46.7 MiB while each payload grew from an empty writer (64 KiB
+/// → 1 MiB) and was then copied behind its header: six a frame. A frame
+/// that carries the values again fails it by its bytes; one that regrows or
+/// is copied again, by its count.
+const ZIPF_DIST_BUDGET: (u64, u64) = (10, 5 << 20);

@@ -6,12 +6,15 @@
 //! distributed driver swap the columnar plane in without the workers (or
 //! any capture of the traffic) being able to tell.
 
-use prompt_core::batch::MicroBatch;
+use prompt_core::batch::{Columns, MicroBatch};
+use prompt_core::bytes::CodecError;
 use prompt_core::columnar::ColumnarPlan;
 use prompt_core::partitioner::Technique;
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use prompt_engine::job::{JobSpec, MapSpec, ReduceOp};
-use prompt_engine::net::wire::{encode_map_task_columnar, Message};
+use prompt_engine::net::wire::{
+    encode_map_task, encode_map_task_columnar, Message, WireError, HEADER_LEN,
+};
 use proptest::prelude::*;
 
 /// NaN-free f64 payloads with signed zeros, subnormals and extreme
@@ -116,6 +119,57 @@ proptest! {
             };
             let frame = encode_map_task_columnar(3, 1, block_id as u32, &spec, &cols.arena, cb);
             prop_assert_eq!(&frame, &msg.encode(), "block {}", block_id);
+        }
+    }
+
+    /// Every block of every technique's plan, sent to each job, decodes to
+    /// what that job reads: its runs and values, or under a count its runs
+    /// alone, the same size. The frame with its reduce tag turned to a job
+    /// that reads the other columns is `Malformed`: a value column under a
+    /// count, or runs alone under a job that reads values.
+    #[test]
+    fn a_map_frame_carries_the_columns_its_job_reads(
+        stream in stream_strategy(),
+        p in 1usize..6,
+        technique in 0usize..Technique::EVALUATION_SET.len(),
+    ) {
+        let batch = build_batch(&stream);
+        let plan = Technique::EVALUATION_SET[technique].build(7).partition(&batch, p);
+        let ops = [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min];
+        let malformed = |what| Err(WireError::Codec(CodecError::Malformed(what)));
+        // The reduce tag closes the task header.
+        let tag_at = HEADER_LEN + 17;
+        for (block_id, block) in plan.blocks.iter().enumerate() {
+            for reduce in ops {
+                let spec = JobSpec { map: MapSpec::Identity, reduce };
+                let frame = encode_map_task(5, 0, block_id as u32, &spec, block);
+                let Message::MapTask { block: read, .. } = Message::decode(&frame).unwrap() else {
+                    panic!("a Map frame decoded to another message");
+                };
+                let mut want = block.clone();
+                if spec.columns() == Columns::Runs {
+                    want.values.clear();
+                }
+                prop_assert_eq!(&read, &want, "{:?} block {}", reduce, block_id);
+                prop_assert_eq!(read.size(), block.size());
+
+                if block.size() == 0 {
+                    continue;
+                }
+                for other in ops.into_iter().filter(|&o| o != reduce) {
+                    let other_spec = JobSpec { map: MapSpec::Identity, reduce: other };
+                    if other_spec.columns() == spec.columns() {
+                        continue;
+                    }
+                    let mut forged = frame.clone();
+                    forged[tag_at] = other.wire_code();
+                    let what = match other_spec.columns() {
+                        Columns::Runs => "a value column under a job that reads none",
+                        Columns::RunsAndValues => "runs do not sum to the value count",
+                    };
+                    prop_assert_eq!(Message::decode(&forged), malformed(what));
+                }
+            }
         }
     }
 }

@@ -223,9 +223,9 @@ mod tests {
             .map(Transform::Scale(0.1))
             .aggregate(ReduceOp::Sum);
         let (job, window) = spec.compile();
-        assert_eq!((job.map)(Key(1), 200.0), Some(20.0));
-        assert_eq!((job.map)(Key(1), 50.0), None);
-        assert_eq!(job.reduce, ReduceOp::Sum);
+        assert_eq!((job.map())(Key(1), 200.0), Some(20.0));
+        assert_eq!((job.map())(Key(1), 50.0), None);
+        assert_eq!(job.reduce(), ReduceOp::Sum);
         assert_eq!(window.length, Duration::from_secs(30));
     }
 
@@ -239,7 +239,11 @@ mod tests {
         let reference = crate::tpch_q6();
         for v in [0.0, 12.5, 900.0] {
             let key = Key(9);
-            assert_eq!((job.map)(key, v), (reference.job.map)(key, v), "value {v}");
+            assert_eq!(
+                (job.map())(key, v),
+                (reference.job.map())(key, v),
+                "value {v}"
+            );
         }
     }
 

@@ -260,8 +260,8 @@ mod tests {
     #[test]
     fn q6_map_filters_zeros() {
         let q = tpch_q6();
-        let keep = (q.job.map)(Key(1), 42.0);
-        let drop = (q.job.map)(Key(1), 0.0);
+        let keep = (q.job.map())(Key(1), 42.0);
+        let drop = (q.job.map())(Key(1), 0.0);
         assert_eq!(keep, Some(42.0));
         assert_eq!(drop, None);
     }

@@ -12,7 +12,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use prompt_core::batch::DataBlock;
+use prompt_core::batch::{Columns, DataBlock};
 use prompt_core::bytes::{self, ByteReader, ByteWriter, BytesSink, CodecError};
 use prompt_core::types::Key;
 use prompt_engine::job::{JobSpec, MapSpec, ReduceOp};
@@ -50,6 +50,17 @@ fn hostile_chunk() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// A `MapTask` frame around `payload`.
+fn reframe(payload: &[u8]) -> Vec<u8> {
+    let mut frame = ByteWriter::with_capacity(HEADER_LEN + payload.len());
+    frame.put_u32(MAGIC);
+    frame.put_u8(PROTOCOL_VERSION);
+    frame.put_u8(4);
+    frame.put_u32(payload.len() as u32);
+    frame.put_bytes(payload);
+    frame.into_bytes()
+}
+
 fn round_trip(msg: Message) -> Result<(), proptest::test_runner::TestCaseError> {
     let frame = msg.encode();
     let back = Message::decode(&frame);
@@ -81,12 +92,14 @@ proptest! {
         }
     }
 
-    /// A block is its runs over its values (v7): one run per key, keys
-    /// strictly ascending, as every block is. Any such runs round trip with
-    /// their values bit for bit; no fragment table is sent. The same frame
-    /// with a run emptied, a run one longer or shorter than the values
-    /// allow, or two runs swapped so that their keys descend is a
-    /// `Malformed` error.
+    /// A block is its runs and the values its job reads (v8): one run per
+    /// key, keys strictly ascending, as every block is. Any such runs round
+    /// trip, with their values bit for bit under a job that reads values and
+    /// with none under a count, which reads runs alone; no fragment table is
+    /// sent. The same frame with a run emptied, two runs swapped so that
+    /// their keys descend, or a value column added under a count is a
+    /// `Malformed` error; under a job that reads values, so is a run one
+    /// longer or shorter than the values allow, or the value column dropped.
     #[test]
     fn map_task_round_trips(
         seq in any::<u64>(),
@@ -107,39 +120,59 @@ proptest! {
         });
         let pairs = (keys.zip(&runs)).flat_map(|(key, (_, values))| values.iter().map(move |&v| (Key(key), v)));
         let block: DataBlock = pairs.collect();
-        let n_runs = block.runs.len();
-        let msg = Message::MapTask {
-            seq,
-            epoch,
-            block_id,
-            job: JobSpec {
-                map: MapSpec::Identity,
-                reduce: ReduceOp::from_wire_code(reduce_code).unwrap(),
-            },
-            block,
+        let (n_runs, tuples) = (block.runs.len(), block.size());
+        let job = JobSpec {
+            map: MapSpec::Identity,
+            reduce: ReduceOp::from_wire_code(reduce_code).unwrap(),
         };
+        let reads_values = job.columns() == Columns::RunsAndValues;
+        let msg = Message::MapTask { seq, epoch, block_id, job, block };
         let frame = msg.encode();
-        round_trip(msg)?;
+        let Message::MapTask { mut block, .. } = msg else { unreachable!() };
+        if !reads_values {
+            block.values.clear();
+        }
+        round_trip(Message::MapTask { seq, epoch, block_id, job, block })?;
         if n_runs == 0 {
             return Ok(());
         }
         // The run table follows the 18-byte task header and its u32 count;
-        // a run is its key, then its count, eight bytes each.
+        // a run is its key, then its count, eight bytes each; then the value
+        // column's u32 count and its values.
         let run_at = |i: usize| HEADER_LEN + 18 + 4 + 16 * i;
+        let values_at = run_at(n_runs);
+        let malformed = |what| Err(WireError::Codec(CodecError::Malformed(what)));
+        let mut runs_alone = frame[HEADER_LEN..values_at].to_vec();
+        if reads_values {
+            // The block's values dropped: its runs alone, to a job that
+            // reads values.
+            runs_alone.extend_from_slice(&0u32.to_le_bytes());
+            prop_assert_eq!(
+                Message::decode(&reframe(&runs_alone)),
+                malformed("runs do not sum to the value count")
+            );
+        } else {
+            // A value column to a count, which reads none.
+            runs_alone.extend_from_slice(&(tuples as u32).to_le_bytes());
+            runs_alone.extend((0..tuples).flat_map(|i| (i as f64).to_bits().to_le_bytes()));
+            prop_assert_eq!(
+                Message::decode(&reframe(&runs_alone)),
+                malformed("a value column under a job that reads none")
+            );
+        }
         let count_at = run_at(pick % n_runs) + 8;
         let count = u64::from_le_bytes(frame[count_at..count_at + 8].try_into().unwrap());
         // A run of one cannot shrink without emptying: it grows instead.
         let off_by_one = if longer || count == 1 { count + 1 } else { count - 1 };
-        for (bad, what) in [
-            (0, "empty run"),
-            (off_by_one, "runs do not sum to the value count"),
-        ] {
+        let mut refused = vec![(0, "empty run")];
+        // Under a count the runs alone give the block's size.
+        if reads_values {
+            refused.push((off_by_one, "runs do not sum to the value count"));
+        }
+        for (bad, what) in refused {
             let mut corrupt = frame.clone();
             corrupt[count_at..count_at + 8].copy_from_slice(&bad.to_le_bytes());
-            prop_assert_eq!(
-                Message::decode(&corrupt),
-                Err(WireError::Codec(CodecError::Malformed(what)))
-            );
+            prop_assert_eq!(Message::decode(&corrupt), malformed(what));
         }
         if n_runs < 2 {
             return Ok(());
@@ -151,10 +184,7 @@ proptest! {
         let mut swapped = frame.clone();
         let (head, tail) = swapped.split_at_mut(run_at(b));
         head[run_at(a)..run_at(a) + 16].swap_with_slice(&mut tail[..16]);
-        prop_assert_eq!(
-            Message::decode(&swapped),
-            Err(WireError::Codec(CodecError::Malformed("run keys do not ascend")))
-        );
+        prop_assert_eq!(Message::decode(&swapped), malformed("run keys do not ascend"));
     }
 
     #[test]
