@@ -297,6 +297,7 @@ mod tests {
         assert!(stages.contains(&"map_stage"), "rows: {stages:?}");
         assert!(stages.contains(&"reduce_stage"));
         assert!(stages.contains(&"seal (wall)"));
+        assert!(stages.contains(&"order (wall)"));
         assert!(stages.contains(&"partition_materialize (wall)"));
         // Every processing-share cell parses and the shares sum to ~100%.
         let share: f64 = t

@@ -347,10 +347,15 @@ mod tests {
                 kind: StageKind::Seal,
                 wall_us: 500,
             },
+            TraceEvent::Phase {
+                seq: 0,
+                kind: StageKind::Order,
+                wall_us: 250,
+            },
         ];
         let t = stage_breakdown_table("tb", "demo", &[("run".into(), events)]);
-        // map_stage, reduce_stage, plus the wall-clock seal phase.
-        assert_eq!(t.rows.len(), 3);
+        // map_stage, reduce_stage, plus the wall-clock seal and order phases.
+        assert_eq!(t.rows.len(), 4);
         let map = t.rows.iter().find(|r| r[1] == "map_stage").unwrap();
         assert_eq!(map[2], "2"); // spans
         assert_eq!(map[3], "40.000"); // total ms
@@ -358,6 +363,9 @@ mod tests {
         let seal = t.rows.iter().find(|r| r[1] == "seal (wall)").unwrap();
         assert_eq!(seal[3], "0.500");
         assert_eq!(seal[7], "-");
+        let order = t.rows.iter().find(|r| r[1] == "order (wall)").unwrap();
+        assert_eq!(order[3], "0.250");
+        assert_eq!(order[7], "-");
     }
 
     #[test]

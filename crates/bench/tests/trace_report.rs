@@ -70,16 +70,19 @@ fn jsonl_export_feeds_the_stage_breakdown() {
     assert!((share - 100.0).abs() < 0.5, "shares sum to {share}");
 
     // The export also carries the wall-clock partition phases of the
-    // sharded ingest pipeline.
-    assert!(events.iter().any(|e| matches!(
-        e,
-        TraceEvent::Phase {
-            kind: StageKind::Seal,
-            ..
-        }
-    )));
-    assert!(t
-        .rows
-        .iter()
-        .any(|r| r[1] == "partition_materialize (wall)"));
+    // sharded ingest pipeline: the record step and the heartbeat order
+    // apart, one of each per batch.
+    for kind in [StageKind::Seal, StageKind::Order] {
+        let phases = (events.iter())
+            .filter(|e| matches!(e, TraceEvent::Phase { kind: k, .. } if *k == kind))
+            .count();
+        assert_eq!(phases, 10, "{kind:?}");
+    }
+    for row in [
+        "seal (wall)",
+        "order (wall)",
+        "partition_materialize (wall)",
+    ] {
+        assert!(t.rows.iter().any(|r| r[1] == row), "missing row {row}");
+    }
 }

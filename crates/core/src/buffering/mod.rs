@@ -5,10 +5,11 @@
 //!
 //! * [`PostSortAccumulator`] — **what the engine runs** (`Technique::Prompt`).
 //!   During the interval it keeps one exact counter per key and nothing else;
-//!   at the heartbeat it sorts the keys once by `(count desc, key asc)`. The
-//!   order is exact and canonical — a function of the batch's key counts
-//!   alone — which is what lets [`ShardedAccumulator`] seal the same batch
-//!   for any shard and thread count.
+//!   at the heartbeat it sorts the keys once by `(count desc, key asc)`, with
+//!   a stable radix sort it keeps ([`crate::sort`]). The order is exact and
+//!   canonical — a function of the batch's key counts alone — which is what
+//!   lets [`ShardedAccumulator`] seal the same batch for any shard and thread
+//!   count: its exact shards' keys go through that same sort, together.
 //! * [`FrequencyAwareAccumulator`] — **the paper's Algorithm 1**, kept for
 //!   fidelity (`Technique::PromptCountTree`, Fig. 14, the ablations). Beside
 //!   the counters it maintains a [`CountTree`] of approximate key
@@ -20,10 +21,11 @@
 //!   in quasi-descending frequency order with no sorting step.
 //!
 //! The paper's argument for the tree is that the sort would sit inside the
-//! processing window (Fig. 14a). Measured on this implementation the sort is
-//! ≈ 3 ms for the ≈ 62k distinct keys of a 500k-tuple Zipf batch, while the
-//! tree's upkeep is ≈ 40 ms of ingest; EXPERIMENTS.md, "Algorithm 1 without
-//! the tree", has the table and says where the trade turns.
+//! processing window (Fig. 14a). Measured on this implementation the whole
+//! order — the keys collected, sorted and their groups laid out — is
+//! ≈ 3 ms for the ≈ 62k distinct keys of a 500k-tuple Zipf batch,
+//! while the tree's upkeep is ≈ 40 ms of ingest; EXPERIMENTS.md, "Algorithm 1
+//! without the tree", has the table and says where the trade turns.
 //!
 //! ## Layout
 //!
@@ -40,7 +42,8 @@
 //! seal with its capacity kept, so a steady stream of batches allocates none.
 //!
 //! The heartbeat has two halves. *Order* sorts the keys as `(count, key,
-//! slot)` and lays their groups out from counts alone. *Scatter* writes each
+//! slot)` — one radix sort, or the count tree's walk — and lays their
+//! groups out from counts alone. *Scatter* writes each
 //! arrival once, from the slice to the next free position of its key's
 //! destination: a slice, then further slices in turn, one table entry per
 //! slot. The arena seal ([`BatchAccumulator::seal_into`] and its kin) gives
@@ -72,6 +75,7 @@ use std::slice::IterMut;
 use crate::batch::{KeyGroup, SealedBatch};
 use crate::columnar::ColumnarSealed;
 use crate::hash::mix64;
+use crate::sort::RadixSort;
 use crate::types::{Duration, Interval, Key, Time, Tuple};
 
 /// Why a batch's arrival positions are `u32`: the bound every entry point
@@ -240,15 +244,16 @@ impl KeyIndex {
         }
     }
 
-    /// Append every key as `(count, key, slot)` to `out`, in table order.
-    /// Every entry is stored and only an occupied one kept, so the walk
-    /// has no branch to mispredict on a table about half full.
-    fn keys_into(&self, out: &mut Vec<(u32, Key, u32)>) {
+    /// Append every key as `(count, key, first_slot + slot)` to `out`, in
+    /// table order. Every entry is stored and only an occupied one kept, so
+    /// the walk has no branch to mispredict on a table about half full.
+    fn keys_into(&self, first_slot: u32, out: &mut Vec<OrderEntry>) {
         let start = out.len();
         out.resize(start + self.len + 1, (0, Key(0), 0));
         let mut at = start;
         for e in &self.entries {
-            out[at] = (e.count, e.key, e.slot_1.wrapping_sub(1));
+            let slot = e.slot_1.wrapping_sub(1).wrapping_add(first_slot);
+            out[at] = (e.count, e.key, slot);
             at += usize::from(e.slot_1 != 0);
         }
         debug_assert_eq!(at - start, self.len, "the index miscounts its keys");
@@ -298,8 +303,9 @@ struct ArrivalSlots {
     /// The tuples [`BatchAccumulator::ingest`] was handed, which a seal given
     /// no slice reads. The slice seal leaves it empty.
     held: Vec<Tuple>,
-    /// Seal scratch: every key with its count and slot, in seal order.
-    order: Vec<(u32, Key, u32)>,
+    /// Seal scratch of a serial accumulator: every key with its count and
+    /// slot, in seal order.
+    order: Vec<OrderEntry>,
 }
 
 impl ArrivalSlots {
@@ -336,35 +342,9 @@ impl ArrivalSlots {
     /// appending them to `groups`, and each group's slot to `slots`.
     fn order_into(&self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
         debug_assert_eq!(self.order.len(), self.index.len(), "order misses keys");
-        let mut offset = base;
-        groups.extend(self.order.iter().map(|&(count, key, _)| {
-            let group = KeyGroup {
-                key,
-                count: count as usize,
-                offset,
-            };
-            offset += group.count;
-            group
-        }));
-        slots.extend(self.order.iter().map(|&(_, _, slot)| slot));
-        debug_assert_eq!(offset - base, self.marks.len(), "counts miss tuples");
-    }
-
-    /// Lay every group's destination over `arena`, this accumulator's slice
-    /// of the whole arena, exactly its length: the groups back to back in
-    /// seal order, each at `heads[slot]`.
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
-        assert_eq!(
-            arena.len(),
-            self.marks.len(),
-            "arena slice is not the batch's size"
-        );
-        let mut rest = arena;
-        for &(count, _, slot) in &self.order {
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(count as usize);
-            heads[slot as usize] = mine.iter_mut();
-            rest = tail;
-        }
+        let shard = &mut [(0, base)];
+        lay_out(&self.order, shard, groups, slots);
+        debug_assert_eq!(shard[0].1 - base, self.marks.len(), "counts miss tuples");
     }
 
     /// The heartbeat's second half, the one scatter loop: write every
@@ -417,6 +397,87 @@ impl ArrivalSlots {
         self.held.clear();
         self.order.clear();
     }
+}
+
+/// One key of a batch at the heartbeat: `(count, key, slot)`.
+pub(crate) type OrderEntry = (u32, Key, u32);
+
+/// The heartbeat's order in every exact accumulator, serial or sharded:
+/// sort `keys` — every key of the batch, as
+/// [`Slots::exact_keys_into`](sealed::Slots::exact_keys_into) appended them —
+/// into `(count desc, key asc)` with the kept radix sort
+/// `sort`, then [`lay_out`] their groups over `shards`. Keys are unique, so
+/// the order is total.
+pub(crate) fn order_exact(
+    keys: &mut [OrderEntry],
+    sort: &mut RadixSort<OrderEntry>,
+    shards: &mut [(u32, usize)],
+    groups: &mut Vec<KeyGroup>,
+    slots: &mut Vec<u32>,
+) {
+    sort.order_by_count(keys, |e| u64::from(e.0), |e| e.1 .0);
+    lay_out(keys, shards, groups, slots);
+}
+
+/// The shard a group of slot `slot` is in, of `shards` as [`lay_out`]
+/// takes them: the last whose first slot is not past it. A shard with no
+/// keys shares its first slot with the next and is never the last such.
+/// Counted, not searched: in seal order a group's shard is as good as
+/// random, and a search would mispredict a branch on most groups.
+#[inline]
+fn shard_of_slot(shards: &[(u32, usize)], slot: u32) -> usize {
+    (shards[1..].iter())
+        .map(|&(first, _)| usize::from(first <= slot))
+        .sum()
+}
+
+/// Append the groups of `order` — every key of the batch as `(count, key,
+/// slot)`, in seal order — to `groups`, and their slots to `slots`. `shards`
+/// holds, per shard, its first slot (ascending, from 0) and the arena index
+/// its next group starts at, which moves on past each group laid there: a
+/// shard's groups lie back to back in its own slice of the arena, in seal
+/// order, because seal order restricted to one shard is that shard's order.
+fn lay_out(
+    order: &[OrderEntry],
+    shards: &mut [(u32, usize)],
+    groups: &mut Vec<KeyGroup>,
+    slots: &mut Vec<u32>,
+) {
+    groups.extend(order.iter().map(|&(count, key, slot)| {
+        let offset = &mut shards[shard_of_slot(shards, slot)].1;
+        let group = KeyGroup {
+            key,
+            count: count as usize,
+            offset: *offset,
+        };
+        *offset += group.count;
+        group
+    }));
+    slots.extend(order.iter().map(|&(_, _, slot)| slot));
+}
+
+/// Lay the ordered `groups`, whose slots are `slots`, over the arena cut
+/// into one slice per shard of `shards` (`arena`, each exactly its shard's
+/// tuples): each group takes the front of what is left of its shard's
+/// slice, which is the range [`lay_out`] gave it, and that range becomes
+/// the destination `heads[slot]`.
+pub(crate) fn carve_groups<'a>(
+    groups: &[KeyGroup],
+    slots: &[u32],
+    arena: &mut [&'a mut [Tuple]],
+    shards: &[(u32, usize)],
+    heads: &mut Heads<'a, Tuple>,
+) {
+    for (g, &slot) in groups.iter().zip(slots) {
+        let s = shard_of_slot(shards, slot);
+        let (mine, rest) = std::mem::take(&mut arena[s]).split_at_mut(g.count);
+        heads[slot as usize] = mine.iter_mut();
+        arena[s] = rest;
+    }
+    assert!(
+        arena.iter().all(|rest| rest.is_empty()),
+        "arena slice is not the batch's size"
+    );
 }
 
 /// Move a key's full destination on to the first of its remaining slices,
@@ -532,9 +593,10 @@ pub(crate) fn seal_arena<A: BatchAccumulator + ?Sized>(
     tables: &mut ScatterTables,
 ) -> Interval {
     tables.slots.clear();
+    let first = groups.len();
     acc.order(base, groups, &mut tables.slots);
     let (mut heads, mut more) = tables.lend(acc.stats().n_keys as usize, false);
-    acc.carve(arena, &mut heads);
+    acc.carve(&groups[first..], &tables.slots, arena, &mut heads);
     let interval = acc.scatter(arrivals, &mut heads, &mut more, next_interval);
     tables.keep(heads, more);
     interval
@@ -574,7 +636,7 @@ pub struct BatchStats {
 /// each arrival straight into its block. The module is private to the
 /// crate, so only this crate implements [`BatchAccumulator`].
 pub(crate) mod sealed {
-    use super::{Heads, More};
+    use super::{Heads, More, OrderEntry};
     use crate::batch::KeyGroup;
     use crate::types::{Interval, Key, Time, Tuple};
 
@@ -605,10 +667,26 @@ pub(crate) mod sealed {
         /// [`Slots::scatter`] takes to `slots`. Only counts are read.
         fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>);
 
-        /// Lay the ordered groups over `arena`, exactly the batch's length:
-        /// each group's range, as [`Slots::order`] laid it out, becomes its
-        /// destination in `heads` (one per key).
-        fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>);
+        /// If this accumulator orders its keys exactly, by `(count desc, key
+        /// asc)`, which a sort of the keys alone gives: append every
+        /// recorded key to `out` as `(count, key, first_slot + slot)`, in no
+        /// set order, and return true. Else append nothing and return false.
+        fn exact_keys_into(&self, _first_slot: u32, _out: &mut Vec<OrderEntry>) -> bool {
+            false
+        }
+
+        /// Lay `groups`, as [`Slots::order`] laid them out and numbered
+        /// them (`slots`), over `arena`, exactly the batch's length: each
+        /// group's range becomes its destination in `heads` (one per key).
+        fn carve<'a>(
+            &self,
+            groups: &[KeyGroup],
+            slots: &[u32],
+            arena: &'a mut [Tuple],
+            heads: &mut Heads<'a, Tuple>,
+        ) {
+            super::carve_groups(groups, slots, &mut [arena], &[(0, 0)], heads);
+        }
 
         /// The heartbeat's second half: write every recorded arrival, read
         /// from `arrivals` (the held tuples when `None`), to its group's
@@ -870,10 +948,6 @@ impl sealed::Slots for FrequencyAwareAccumulator {
         arrivals.order_into(base, groups, slots);
     }
 
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
-        self.slots.carve(arena, heads);
-    }
-
     fn scatter<'a>(
         &mut self,
         arrivals: Option<&[Tuple]>,
@@ -935,13 +1009,15 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
 
 /// The engine's buffer: exact per-key counts while tuples arrive, one sort of
 /// the keys by `(count desc, key asc)` *after* the heartbeat — the "post-sort"
-/// side of the paper's Fig. 14a. The order is exact and depends only on the
-/// batch's key counts, so any sharding of it merges back to the same batch;
-/// the sort is the one cost it puts inside the processing window.
+/// side of the paper's Fig. 14a — by a radix sort it keeps. The order is
+/// exact and depends only on the batch's key counts, so any sharding of it
+/// sorts back to the same batch; the sort is the one cost it puts inside the
+/// processing window.
 #[derive(Clone, Debug, Default)]
 pub struct PostSortAccumulator {
     interval: Interval,
     slots: ArrivalSlots,
+    sort: RadixSort<OrderEntry>,
 }
 
 impl PostSortAccumulator {
@@ -971,13 +1047,14 @@ impl sealed::Slots for PostSortAccumulator {
         // exact `(count desc, key asc)`, carrying its slot so the layout
         // probes no index.
         let arrivals = &mut self.slots;
-        arrivals.index.keys_into(&mut arrivals.order);
-        (arrivals.order).sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        arrivals.order_into(base, groups, slots);
+        arrivals.index.keys_into(0, &mut arrivals.order);
+        let shard = &mut [(0, base)];
+        order_exact(&mut arrivals.order, &mut self.sort, shard, groups, slots);
     }
 
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
-        self.slots.carve(arena, heads);
+    fn exact_keys_into(&self, first_slot: u32, out: &mut Vec<OrderEntry>) -> bool {
+        self.slots.index.keys_into(first_slot, out);
+        true
     }
 
     fn scatter<'a>(
@@ -1296,7 +1373,7 @@ mod tests {
             }
             assert_eq!(index.get(Key(12_345)), None);
             let mut got = Vec::new();
-            index.keys_into(&mut got);
+            index.keys_into(0, &mut got);
             let mut got: Vec<_> = got.into_iter().map(|(c, k, s)| (k, (s, c))).collect();
             let mut want: Vec<_> = want.into_iter().collect();
             got.sort_unstable();
@@ -1308,7 +1385,7 @@ mod tests {
             assert_eq!(*table.get_or_insert(kept), kept, "table reallocated");
             index.clear();
             let mut left = Vec::new();
-            index.keys_into(&mut left);
+            index.keys_into(0, &mut left);
             assert_eq!((index.len(), left.len()), (0, 0));
             assert_eq!(index.get(Key(0)), None, "an empty entry read as key 0");
             assert_eq!((index.entries.as_ptr(), index.entries.len()), kept);

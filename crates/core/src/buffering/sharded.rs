@@ -24,29 +24,36 @@
 //!   on the process's fan-out pool ([`crate::par`]): each shard range is one
 //!   task, handed out once, and the runs are cleared for the next batch, not
 //!   rebuilt.
-//! * **The heartbeat is parallel and in place.** On the same workers, each
-//!   shard orders its own keys, then scatters its own arrivals to its own
-//!   keys' destinations: in the arena seal, one slice of a single arena per
-//!   shard; on the partitioner's row path, its keys' pieces of the blocks,
-//!   carved with `split_at_mut`, so no two shards write one position. On the
-//!   engine's path a shard keeps no tuples, only each arrival's position,
-//!   and its scatter reads `arrivals[pos]` from the caller's slice; tuples
-//!   handed over one at a time are held by the shard they route to. A
-//!   group's tuples stay contiguous, in arrival order, in its shard's slice,
-//!   so the arena is not in group order — only the group descriptors are
-//!   merged.
-//! * **Exact shards: any shard count ≡ the serial seal.** At seal the
-//!   per-shard group lists are combined by a k-way merge on exact
-//!   `(count desc, key asc)`. [`ShardedAccumulator::exact`]'s shards are
-//!   [`PostSortAccumulator`]s, each already sorted on that same total order,
-//!   so the merge *is* the global sort: the sealed batch — and any
-//!   downstream [`PartitionPlan`] — equals the serial `PostSortAccumulator`'s
-//!   for every shard and thread count. This is what the engine runs.
+//! * **The scatter is parallel and in place.** At the heartbeat the keys
+//!   are ordered (below); then, on the same workers, each shard scatters its
+//!   own arrivals to its own keys' destinations: in the arena seal, one
+//!   slice of a single arena per shard; on the partitioner's row path, its
+//!   keys' pieces of the blocks, carved with `split_at_mut`, so no two
+//!   shards write one position. On the engine's path a shard keeps no
+//!   tuples, only each arrival's position, and its scatter reads
+//!   `arrivals[pos]` from the caller's slice; tuples handed over one at a
+//!   time are held by the shard they route to. A group's tuples stay
+//!   contiguous, in arrival order, in its shard's slice, so the arena is not
+//!   in group order — only the group descriptors are ordered.
+//! * **Exact shards: any shard count ≡ the serial seal, by construction.**
+//!   [`ShardedAccumulator::exact`]'s shards are [`PostSortAccumulator`]s.
+//!   At the heartbeat every shard's keys go, as `(count, key, slot)` with a
+//!   shard's slots past the slots of the shards before it, into one buffer,
+//!   and one kept radix sort orders them by exact `(count desc, key asc)` —
+//!   the serial accumulator's sort, over the same keys. In the same pass
+//!   each group is laid out at its shard's base plus the counts of that
+//!   shard's earlier groups: the global order restricted to one shard is
+//!   that shard's own order, so each shard's groups lie back to back in its
+//!   slice. The sealed batch — and any downstream [`PartitionPlan`] — equals
+//!   the serial `PostSortAccumulator`'s for every shard and thread count.
+//!   This is what the engine runs.
 //! * **Budgeted shards: one shard ≡ the serial seal.**
 //!   [`ShardedAccumulator::new`]'s shards are the paper's
-//!   [`FrequencyAwareAccumulator`]s, whose lists are only quasi-sorted (and
-//!   tie-break the other way), so the merge is deterministic and
-//!   quasi-descending but differs from the serial tree walk unless `n = 1`.
+//!   [`FrequencyAwareAccumulator`]s, whose lists are tree walks, not sorts:
+//!   each shard walks its own tree in parallel, and a k-way merge on exact
+//!   `(count desc, key asc)` heads combines the quasi-sorted lists. The merge
+//!   is deterministic and quasi-descending but differs from the serial tree
+//!   walk (which tie-breaks the other way) unless `n = 1`.
 //!
 //! [`PartitionPlan`]: crate::batch::PartitionPlan
 
@@ -57,11 +64,13 @@ use std::ops::{Deref, DerefMut, Range};
 use crate::batch::KeyGroup;
 use crate::buffering::sealed::Slots;
 use crate::buffering::{
-    AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator, Heads, More,
-    PostSortAccumulator, POSITIONS_FIT, RECORD_AHEAD,
+    carve_groups, order_exact, AccumulatorConfig, BatchAccumulator, BatchStats,
+    FrequencyAwareAccumulator, Heads, More, OrderEntry, PostSortAccumulator, POSITIONS_FIT,
+    RECORD_AHEAD,
 };
 use crate::hash::bucket_of;
 use crate::par::map_mut;
+use crate::sort::RadixSort;
 use crate::types::{Interval, Key, Time, Tuple};
 
 /// Fixed routing seed: shard placement is part of the accumulator's
@@ -108,8 +117,15 @@ pub struct ShardedAccumulator<A = FrequencyAwareAccumulator> {
     /// The routing's per-(chunk, shard) runs of arrival positions and keys,
     /// chunk by chunk, kept from batch to batch: cleared, never dropped.
     runs: Vec<OwnLines<Vec<(u32, Key)>>>,
-    /// Each shard's sealed group list and its groups' slots, merged and
-    /// cleared at every seal.
+    /// Exact shards: every shard's keys, sorted once into the heartbeat
+    /// order by `sort`; both kept from batch to batch.
+    keys: Vec<OrderEntry>,
+    sort: RadixSort<OrderEntry>,
+    /// Each shard's first slot and the arena index its next group starts at,
+    /// refilled at every seal.
+    bases: Vec<(u32, usize)>,
+    /// Budgeted shards: each shard's sealed group list and its groups'
+    /// slots, merged and cleared at every seal.
     lists: Vec<(Vec<KeyGroup>, Vec<u32>)>,
 }
 
@@ -121,6 +137,9 @@ impl<A> ShardedAccumulator<A> {
             shards: shards.into_iter().map(OwnLines).collect(),
             threads: 1,
             runs: Vec::new(),
+            keys: Vec::new(),
+            sort: RadixSort::default(),
+            bases: Vec::new(),
             lists,
         }
     }
@@ -229,6 +248,21 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         });
     }
 
+    /// Refill `bases` with each shard's first slot — a shard's slots follow
+    /// the slots of the shards before it — and the start of its slice of
+    /// the arena, which begins at index `base` of the batch's whole arena:
+    /// the shard layout of this batch's groups, which the carve reads.
+    fn fill_bases(&mut self, base: usize) {
+        self.bases.clear();
+        let (mut slot, mut at) = (0, base);
+        for shard in &self.shards {
+            self.bases.push((slot, at));
+            let stats = shard.stats();
+            slot += stats.n_keys as u32;
+            at += stats.n_tuples as usize;
+        }
+    }
+
     /// Each shard scatters its own arrivals to its own keys' destinations
     /// through `scatter`, in parallel: the tables are cut at the shards'
     /// key counts, a shard's slots following the shards' before it.
@@ -292,13 +326,13 @@ fn per_shard<S: Send, R: Send>(
     per_range.into_iter().flatten().collect()
 }
 
-/// The k-way merge of the shards' group lists on exact
-/// `(count desc, key asc)`, appended to `merged`, with each group's slot to
-/// `slots`: its shard's slot, past the keys of the shards before it. Keys are
-/// unique across shards, so the heap order is total and the merge
-/// deterministic; it keeps each shard's own order, so lists already sorted on
-/// that order merge into the global sort. Only the descriptors move: each
-/// group keeps the arena range its shard laid out.
+/// The k-way merge of budgeted shards' group lists on exact
+/// `(count desc, key asc)` heads, appended to `merged`, with each group's
+/// slot to `slots`: its shard's slot, past the keys of the shards before it.
+/// Keys are unique across shards, so the heap order is total and the merge
+/// deterministic; it keeps each shard's own order. Only the descriptors
+/// move: each group keeps the arena range its shard laid out. Exact shards
+/// never come here: their keys are sorted once, together.
 fn merge_order(
     lists: &[(Vec<KeyGroup>, Vec<u32>)],
     merged: &mut Vec<KeyGroup>,
@@ -350,17 +384,28 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
         });
     }
 
-    /// Each shard orders its keys and lays them out in its own slice of the
-    /// arena, in parallel; then the shards' group lists merge. A shard's
-    /// slots follow the slots of the shards before it.
+    /// Exact shards: every shard's keys, their slots past the slots of the
+    /// shards before it, are sorted once into the serial order, and each
+    /// group laid out in its shard's own slice of the arena, past that
+    /// shard's earlier groups — which is where its shard's own order would
+    /// put it, since the global order restricted to one shard is that
+    /// shard's order. Budgeted shards: each shard walks its tree and lays
+    /// its groups out, in parallel; then the shards' group lists merge.
     fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
-        let mut at = base;
-        let mut jobs: Vec<_> = (self.shards.iter_mut().zip(&mut self.lists))
-            .map(|(shard, (list, slots))| {
+        self.fill_bases(base);
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        if self.exact_keys_into(0, &mut keys) {
+            order_exact(&mut keys, &mut self.sort, &mut self.bases, groups, slots);
+            self.keys = keys;
+            return;
+        }
+        self.keys = keys;
+        let shards = self.shards.iter_mut().zip(&mut self.lists).zip(&self.bases);
+        let mut jobs: Vec<_> = (shards)
+            .map(|((shard, (list, slots)), &(_, first))| {
                 list.clear();
                 slots.clear();
-                let first = at;
-                at += shard.stats().n_tuples as usize;
                 (shard, first, list, slots)
             })
             .collect();
@@ -370,19 +415,36 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
         merge_order(&self.lists, groups, slots);
     }
 
-    /// Each shard lays its groups over its own slice of `arena`.
-    fn carve<'a>(&self, arena: &'a mut [Tuple], heads: &mut Heads<'a, Tuple>) {
+    /// Every shard's keys, each shard's slots past the slots of the shards
+    /// before it, if the shards order their keys exactly.
+    fn exact_keys_into(&self, first_slot: u32, out: &mut Vec<OrderEntry>) -> bool {
+        let mut slot = first_slot;
+        for shard in &self.shards {
+            if !shard.exact_keys_into(slot, out) {
+                return false;
+            }
+            slot += shard.stats().n_keys as u32;
+        }
+        true
+    }
+
+    /// Each group takes its range of its own shard's slice of `arena`, as
+    /// the last [`Slots::order`] laid them out.
+    fn carve<'a>(
+        &self,
+        groups: &[KeyGroup],
+        slots: &[u32],
+        arena: &'a mut [Tuple],
+        heads: &mut Heads<'a, Tuple>,
+    ) {
         assert_eq!(
             arena.len() as u64,
             self.stats().n_tuples,
             "arena slice is not the batch's size"
         );
-        let stats = || self.shards.iter().map(|s| s.stats());
-        let slices = cut(arena, stats().map(|s| s.n_tuples as usize));
-        let tables = cut(heads, stats().map(|s| s.n_keys as usize));
-        for ((shard, slice), table) in self.shards.iter().zip(slices).zip(tables) {
-            shard.carve(slice, table);
-        }
+        let tuples = self.shards.iter().map(|s| s.stats().n_tuples as usize);
+        let mut slices = cut(arena, tuples);
+        carve_groups(groups, slots, &mut slices, &self.bases, heads);
     }
 
     fn scatter<'a>(

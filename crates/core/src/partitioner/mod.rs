@@ -43,11 +43,15 @@ pub struct PartitionPhases {
     /// decision pass) — kept separate from `partition` proper so strategy
     /// overhead is visible in stage-breakdown tables.
     pub select_us: u64,
-    /// Sealing the accumulated batch: recording the arrivals and ordering
-    /// the keys (merging shards). Prompt ends it before any tuple moves
+    /// Algorithm 1's record step: each arrival's key counted and its slot
+    /// noted, in the accumulator or its shards.
+    pub seal_us: u64,
+    /// Algorithm 1's heartbeat order: sorting the recorded keys (or walking
+    /// the count tree and merging shards) and laying out their groups.
+    /// Prompt ends it before any tuple moves
     /// ([`Partitioner::partition_columnar`], which the engine never calls,
     /// includes its scatter into the arena).
-    pub seal_us: u64,
+    pub order_us: u64,
     /// Symbolic piece assignment (Algorithm 2 proper).
     pub symbolic_us: u64,
     /// Materializing data blocks from the symbolic assignment: on Prompt's

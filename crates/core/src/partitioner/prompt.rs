@@ -63,6 +63,7 @@ use crate::buffering::{
 use crate::columnar::{ColRange, ColumnarBlock, ColumnarPlan, ColumnarSealed};
 use crate::par::map_mut;
 use crate::partitioner::{PartitionPhases, Partitioner, Spare};
+use crate::sort::RadixSort;
 use crate::types::{Interval, Key, Time, Tuple};
 
 /// How the partitioner obtains the sorted key list when driven through the
@@ -385,12 +386,7 @@ impl PromptPartitioner {
             }
         }
         blocks.put_lists(normal, residuals);
-        // Placement is decided; lay each block out in key order, on up to
-        // `threads` workers. A block holds one piece per key, so every block
-        // becomes one run per key, keys ascending.
-        map_mut(&mut blocks.pieces, threads, |_, pieces| {
-            pieces.sort_unstable_by_key(|pc| pc.key.0)
-        });
+        blocks.lay_out_by_key(threads);
         split_keys
     }
 }
@@ -438,8 +434,9 @@ impl Piece {
 /// The symbolic block state the assignment phase reads back: per-block
 /// pieces, sizes and distinct-key counts — everything the placement decisions
 /// depend on, with no tuple data — the group of every later piece in
-/// placement order, and the two group lists phase 1 sorts the keys into.
-/// Refilled, not rebuilt, batch after batch.
+/// placement order, the two group lists phase 1 sorts the keys into, and the
+/// radix sorters that lay each block out, one per worker. Refilled, not
+/// rebuilt, batch after batch.
 #[derive(Debug, Default)]
 struct SymbolicBlocks {
     pieces: Vec<Vec<Piece>>,
@@ -448,6 +445,7 @@ struct SymbolicBlocks {
     later: Vec<usize>,
     normal: Vec<usize>,
     residuals: Vec<(usize, usize, usize)>,
+    sorters: Vec<RadixSort<Piece>>,
 }
 
 impl SymbolicBlocks {
@@ -512,6 +510,26 @@ impl SymbolicBlocks {
     fn capacity(&self, b: usize, cap_limit: usize) -> usize {
         cap_limit.saturating_sub(self.sizes[b])
     }
+
+    /// Placement is decided: lay each block out in key order. A block holds
+    /// one piece per key, so every block becomes one run per key, keys
+    /// ascending. The blocks are cut into one contiguous range per worker,
+    /// up to `threads`, and each worker sorts its range with its own kept
+    /// sorter.
+    fn lay_out_by_key(&mut self, threads: usize) {
+        let workers = threads.clamp(1, self.pieces.len().max(1));
+        if self.sorters.len() < workers {
+            self.sorters.resize_with(workers, RadixSort::default);
+        }
+        let per_worker = self.pieces.len().div_ceil(workers).max(1);
+        let ranges = self.pieces.chunks_mut(per_worker);
+        let mut jobs: Vec<_> = self.sorters.iter_mut().zip(ranges).collect();
+        map_mut(&mut jobs, workers, |_, (sort, blocks)| {
+            for pieces in blocks.iter_mut() {
+                sort.sort(pieces, |pc| pc.key.0);
+            }
+        });
+    }
 }
 
 /// A block's runs from its key-ordered pieces, into `block`'s (empty): a
@@ -545,8 +563,9 @@ impl Partitioner for PromptPartitioner {
     }
 
     /// The row pipeline, record → order → assign → scatter, with a wall
-    /// clock around each phase: `seal_us` ends once the keys are ordered,
-    /// `symbolic_us` holds the assignment and each block's key sort, and
+    /// clock around each phase: `seal_us` holds the record step, `order_us`
+    /// the keys' order, `symbolic_us` the assignment and each block's key
+    /// sort, and
     /// `materialize_us` holds the scatter and the run tables. A plan of
     /// runs alone ([`Columns::Runs`]) skips the scatter: its runs are the
     /// pieces'. The timings drive the observability layer's per-stage
@@ -562,9 +581,11 @@ impl Partitioner for PromptPartitioner {
         let mut groups = std::mem::take(&mut self.groups);
         groups.clear();
         self.record(tuples, interval);
+        let seal_us = t0.elapsed().as_micros() as u64;
+        let t_order = std::time::Instant::now();
         self.tables.slots.clear();
         self.buffer.order(0, &mut groups, &mut self.tables.slots);
-        let seal_us = t0.elapsed().as_micros() as u64;
+        let order_us = t_order.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
         let tolerance = Self::DEFAULT_TOLERANCE;
         let split_keys =
@@ -590,6 +611,7 @@ impl Partitioner for PromptPartitioner {
         let phases = PartitionPhases {
             select_us: 0,
             seal_us,
+            order_us,
             symbolic_us,
             materialize_us,
         };
@@ -612,6 +634,8 @@ impl Partitioner for PromptPartitioner {
         let mut groups = std::mem::take(&mut self.groups);
         groups.clear();
         self.record(tuples, interval);
+        let seal_us = t0.elapsed().as_micros() as u64;
+        let t_order = std::time::Instant::now();
         // What the arena holds is never read: the scatter overwrites all of it.
         let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); tuples.len()];
         let buffer = &mut *self.buffer;
@@ -625,7 +649,7 @@ impl Partitioner for PromptPartitioner {
             &mut self.tables,
         );
         let sealed = SealedBatch::new(groups, arena, interval);
-        let seal_us = t0.elapsed().as_micros() as u64;
+        let order_us = t_order.elapsed().as_micros() as u64;
         let t1 = std::time::Instant::now();
         let split_keys = Self::assign_pieces(
             &sealed.groups,
@@ -643,6 +667,7 @@ impl Partitioner for PromptPartitioner {
         let phases = PartitionPhases {
             select_us: 0,
             seal_us,
+            order_us,
             symbolic_us,
             materialize_us,
         };
@@ -961,7 +986,7 @@ mod tests {
         // Wall clocks are monotonic; phases can be fast but never negative,
         // and a machine fast enough to stay under 1 µs per phase reads all
         // zeros, so only sanity-check the type here.
-        let _ = phases.seal_us + phases.symbolic_us + phases.materialize_us;
+        let _ = phases.seal_us + phases.order_us + phases.symbolic_us + phases.materialize_us;
         // A technique with no phase split reports zeros.
         let (_, zero) = crate::partitioner::HashPartitioner::new(1).partition_slice(
             &mb.tuples,

@@ -1,15 +1,20 @@
-//! One stable LSD radix sort keyed by a `u64`, for the layouts that need raw
-//! key order: a baseline's blocks, a state shard's panes and its snapshot.
+//! One stable LSD radix sort keyed by a `u64`, for every order the engine
+//! lays data out in: the heartbeat's exact `(count desc, key asc)` order of
+//! a batch's keys, serial or sharded ([`RadixSort::order_by_count`]);
+//! each Prompt block's pieces in key order; a baseline's blocks; a state
+//! shard's panes and its snapshot.
 //!
-//! A key is read as six 11-bit digits, least significant first. One pass
-//! over the slice fills all six histograms; a digit every element shares is
-//! skipped, so keys below 2²² sort in two scatter passes whatever their
-//! width. Each scatter is stable, so elements with equal keys keep their
-//! input order — what lets a sort by key alone group a block's values in
-//! arrival order. Below [`FALLBACK_LEN`] elements a stable comparison sort
-//! is cheaper than clearing the histograms. The ping-pong buffer and the
-//! histograms belong to a [`RadixSort`] the caller keeps, so sorting
-//! allocates only while the longest slice so far grows.
+//! A key is read as six 11-bit digits, least significant first. A first
+//! pass over the slice finds the bits in which keys differ; a digit with
+//! none of them is one every element shares, and is skipped, so keys below
+//! 2²² sort in two scatter passes whatever their width. One more pass fills
+//! the histograms of the live digits alone. Each scatter is stable, so
+//! elements with equal keys keep their input order — what lets a sort by key
+//! alone group a block's values in arrival order. Below [`FALLBACK_LEN`]
+//! elements a stable comparison sort is cheaper than clearing the
+//! histograms. The ping-pong buffer and the histograms belong to a
+//! [`RadixSort`] the caller keeps, so sorting allocates only while the
+//! longest slice so far grows.
 
 /// Bits of one digit.
 const DIGIT_BITS: u32 = 11;
@@ -27,7 +32,7 @@ pub const FALLBACK_LEN: usize = 64;
 pub struct RadixSort<T> {
     /// The other half of the ping-pong: as long as the longest slice sorted.
     buf: Vec<T>,
-    /// One histogram per digit, then each digit's next write position.
+    /// One histogram per live digit, then each digit's next write position.
     counts: Vec<[usize; BUCKETS]>,
 }
 
@@ -40,6 +45,16 @@ impl<T> Default for RadixSort<T> {
     }
 }
 
+/// The bits in which the values `of` yields differ: set in some, clear in
+/// others.
+fn varying<T>(v: &[T], of: impl Fn(&T) -> u64) -> u64 {
+    let (any, all) = (v.iter()).fold((0, u64::MAX), |(any, all), x| {
+        let k = of(x);
+        (any | k, all & k)
+    });
+    any ^ all
+}
+
 impl<T: Copy> RadixSort<T> {
     /// Sort `v` by `key`, stably: elements with equal keys keep their order.
     pub fn sort(&mut self, v: &mut [T], key: impl Fn(&T) -> u64) {
@@ -49,20 +64,12 @@ impl<T: Copy> RadixSort<T> {
             return;
         }
         let digit = |k: u64, d: usize| (k >> (d as u32 * DIGIT_BITS)) as usize & (BUCKETS - 1);
-        self.counts.resize(DIGITS, [0; BUCKETS]);
-        self.counts.iter_mut().for_each(|h| h.fill(0));
-        for x in v.iter() {
-            let k = key(x);
-            for (d, h) in self.counts.iter_mut().enumerate() {
-                h[digit(k, d)] += 1;
-            }
-        }
-        // A digit is live unless one bucket holds every element.
-        let first = key(&v[0]);
+        // A digit is live if some key differs from another in it.
+        let varying = varying(v, &key);
         let mut live = [0; DIGITS];
         let mut passes = 0;
-        for (d, h) in self.counts.iter().enumerate() {
-            if h[digit(first, d)] != n {
+        for d in 0..DIGITS {
+            if digit(varying, d) != 0 {
                 live[passes] = d;
                 passes += 1;
             }
@@ -70,11 +77,20 @@ impl<T: Copy> RadixSort<T> {
         if passes == 0 {
             return;
         }
+        let live = &live[..passes];
+        self.counts.resize(DIGITS, [0; BUCKETS]);
+        let counts = &mut self.counts[..passes];
+        counts.iter_mut().for_each(|h| h.fill(0));
+        for x in v.iter() {
+            let k = key(x);
+            for (h, &d) in counts.iter_mut().zip(live) {
+                h[digit(k, d)] += 1;
+            }
+        }
         self.buf.clear();
         self.buf.extend_from_slice(v);
         let (mut src, mut dst): (&mut [T], &mut [T]) = (v, &mut self.buf);
-        for &d in &live[..passes] {
-            let at = &mut self.counts[d];
+        for (at, &d) in counts.iter_mut().zip(live) {
             let mut start = 0;
             for c in at.iter_mut() {
                 (*c, start) = (start, start + *c);
@@ -90,6 +106,20 @@ impl<T: Copy> RadixSort<T> {
             // The sorted elements are in the buffer, `src`; `dst` is `v`.
             dst.copy_from_slice(src);
         }
+    }
+
+    /// Sort `v` by `count` descending, then `key` ascending — the exact
+    /// heartbeat order — stably: a sort by key, then a stable one by the
+    /// count's complement. Only digits in which keys, or counts, differ cost
+    /// a pass, so keys below 2²² with counts below 2²² take four.
+    pub fn order_by_count(
+        &mut self,
+        v: &mut [T],
+        count: impl Fn(&T) -> u64,
+        key: impl Fn(&T) -> u64,
+    ) {
+        self.sort(v, key);
+        self.sort(v, |x| !count(x));
     }
 }
 

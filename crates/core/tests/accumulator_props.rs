@@ -1,8 +1,9 @@
 //! Property-based tests of the batching-phase accumulators: the budgeted
 //! frequency-aware one (Algorithm 1) against the exact post-sort one and
 //! against a tree-free model of the algorithm; exact shards against the
-//! serial exact seal for every shard and thread count; every seal's groups
-//! tiling its arena; plus degenerate batches through every accumulator.
+//! serial exact seal for every shard and thread count, their one sorted
+//! order laid out shard by shard in the arena; every seal's groups tiling
+//! its arena; plus degenerate batches through every accumulator.
 
 use std::collections::BTreeMap;
 
@@ -328,6 +329,72 @@ proptest! {
                     );
                     let want = at_one_thread.get_or_insert_with(|| sealed.clone());
                     prop_assert_eq!(&sealed, want, "{} shards / {} threads", shards, threads);
+                }
+            }
+        }
+    }
+
+    /// Exact shards order every key as the serial accumulator does — one
+    /// sort of all shards' keys, not a merge — and lay each group out in its
+    /// own shard's slice of the arena, after that shard's earlier groups, at
+    /// 1, 2, 3, 4 and 8 shards on 1 to 3 threads, through both arena seals
+    /// from a non-zero base: on the stream, on the keys of it that route to
+    /// one shard (which holds every key, the others none), and on a few keys
+    /// (most shards empty).
+    #[test]
+    fn exact_shards_sort_once_into_the_serial_order(
+        stream in stream_strategy(),
+        few in 1u64..4,
+    ) {
+        const BASE: usize = 1_000;
+        let wide = tuples_of(&stream, 0);
+        let narrow: Vec<Tuple> = wide.iter().copied().filter(|t| t.key.0 < few).collect();
+        for shards in [1usize, 2, 3, 4, 8] {
+            let route = ShardedAccumulator::exact(shards, IV);
+            let last = |t: &&Tuple| route.shard_of(t.key) == shards - 1;
+            let one_shard: Vec<Tuple> = wide.iter().filter(last).copied().collect();
+            for batch in [&wide, &one_shard, &narrow] {
+                let mut serial = PostSortAccumulator::new(IV);
+                ingest_all(&mut serial, batch);
+                let want = serial.seal(IV);
+                // Each shard's slice starts where the shards before it end,
+                // and its groups follow one another in seal order.
+                let mut next = vec![0; shards];
+                for t in batch.iter() {
+                    next[route.shard_of(t.key)] += 1;
+                }
+                let mut at = BASE;
+                for n in &mut next {
+                    (*n, at) = (at, at + *n);
+                }
+                let layout: Vec<usize> = (want.groups.iter())
+                    .map(|g| {
+                        let n = &mut next[route.shard_of(g.key)];
+                        *n += g.count;
+                        *n - g.count
+                    })
+                    .collect();
+                for threads in [1, 2, 3] {
+                    let what = format!("{shards} shards / {threads} threads, {} tuples", batch.len());
+                    let mut acc = ShardedAccumulator::exact(shards, IV);
+                    for slice in [true, false] {
+                        let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); batch.len()];
+                        let mut groups = Vec::new();
+                        if slice {
+                            acc.seal_slice_into(batch, threads, &mut arena, BASE, IV, &mut groups);
+                        } else {
+                            acc.par_ingest(batch, threads);
+                            acc.seal_into(&mut arena, BASE, IV, &mut groups);
+                        }
+                        let offsets: Vec<usize> = groups.iter().map(|g| g.offset).collect();
+                        prop_assert_eq!(&offsets, &layout, "{} (slice seal: {})", what, slice);
+                        for g in &mut groups {
+                            g.offset -= BASE;
+                        }
+                        let sealed = SealedBatch::new(groups, arena, IV);
+                        prop_assert_eq!(&sealed, &want, "{} (slice seal: {})", what, slice);
+                        assert_arena_tiled(&sealed);
+                    }
                 }
             }
         }

@@ -23,7 +23,10 @@
 //!    geometry, in both layouts and through `partition_sealed`.
 //! 7. the stable radix sort every baseline block, state pane and snapshot
 //!    is laid out with — against `slice::sort_by_key`, which is stable, on
-//!    `(key, tag)` pairs whose tags are their input positions.
+//!    `(key, tag)` pairs whose tags are their input positions — and the
+//!    exact heartbeat order every exact accumulator sorts its keys into
+//!    with it, `(count desc, key asc)` — against `slice::sort_by` on that
+//!    comparison, on `(count, key, tag)` triples.
 //! 8. a plan of runs alone, which a count under the identity map reads —
 //!    against the plan that carries values, with its value columns dropped,
 //!    for every technique and Prompt geometry, batch after batch through
@@ -882,5 +885,117 @@ fn radix_sort_of_edge_cases() {
             &mut (0..n).map(|i| [u64::MAX, 0, 1, u64::MAX - 1][i as usize % 4]),
         ));
         check(tagged(&mut (0..n).map(|i| mix64(i % 7))));
+    }
+}
+
+/// `(count, key, tag)` triples, the tag each triple's input position: as
+/// many as the fallback sorts or several thousand, with counts and keys
+/// drawn from a few values each, so both repeat and tie. Keys are of one of
+/// three shapes: spread over all 64 bits, so every digit is live, with `0`
+/// and `u64::MAX` among them (the sort by key, then by count); below 2^17;
+/// or differing in their low 20 bits only, above which every key has the
+/// same bits set (both one sort of count and key cut to their widths).
+/// Counts are of one of four scales: below 2^11, past 2^11, past 2^22, or
+/// near `u32::MAX`.
+fn counted_keys() -> impl Strategy<Value = Vec<(u32, u64, u32)>> {
+    let sizes = (any::<bool>(), 0usize..FALLBACK_LEN, 0usize..5000);
+    let shapes = (0u8..3, 0u8..4);
+    (sizes, shapes, 1u64..300, 1u64..40, any::<u64>()).prop_map(
+        |((short, few, many), (keys_shape, scale), keys, counts, bits)| {
+            let n = if short { few } else { many };
+            (0..n as u64)
+                .map(|i| {
+                    let k = mix64(bits ^ i) % keys;
+                    let key = match (keys_shape, k % 8) {
+                        (0, 0) => 0,
+                        (0, 1) => u64::MAX,
+                        (0, _) => mix64(k ^ bits),
+                        (1, _) => mix64(k ^ bits) % (1 << 17),
+                        _ => (0xabcd << 44) | (mix64(k ^ bits) % (1 << 20)),
+                    };
+                    let c = mix64(!bits ^ i) % counts;
+                    let count = match scale {
+                        0 => c * 37,
+                        1 => (1 << 11) + c * 4099,
+                        2 => (1 << 22) + c * 7919,
+                        _ => u64::from(u32::MAX) - c,
+                    };
+                    (count as u32, key, i as u32)
+                })
+                .collect()
+        },
+    )
+}
+
+/// `triples` through the radix sort's exact order must equal `triples`
+/// through the standard library's stable sort on `(count desc, key asc)`.
+fn check_exact_order(
+    sort: &mut RadixSort<(u32, u64, u32)>,
+    triples: &[(u32, u64, u32)],
+) -> Result<(), TestCaseError> {
+    let mut want = triples.to_vec();
+    want.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut got = triples.to_vec();
+    sort.order_by_count(&mut got, |&(count, _, _)| count.into(), |&(_, key, _)| key);
+    prop_assert_eq!(got, want, "{} triples", triples.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// (7) The exact heartbeat order is the comparison sort's, through one
+    /// sorter kept across two lists as every exact accumulator keeps its.
+    #[test]
+    fn exact_order_matches_the_comparison_sort(
+        first in counted_keys(),
+        second in counted_keys(),
+    ) {
+        let mut sort = RadixSort::default();
+        check_exact_order(&mut sort, &first)?;
+        check_exact_order(&mut sort, &second)?;
+    }
+}
+
+/// The exact order's edge cases, at lengths on both sides of the fallback:
+/// one count with keys at both ends of the key space, counts at the digit
+/// boundaries 2^11 and 2^22 and at `u32::MAX` over wide and narrow keys,
+/// keys that differ only in their top bits, and duplicate triples whose
+/// tags show their input order kept.
+#[test]
+fn exact_order_of_edge_cases() {
+    const EDGES: [u32; 7] = [
+        0,
+        1,
+        (1 << 11) - 1,
+        1 << 11,
+        (1 << 22) - 1,
+        1 << 22,
+        u32::MAX,
+    ];
+    /// `(count, key)` of element `i` of `n`.
+    type Case = fn(u64, u64) -> (u32, u64);
+    let cases: [Case; 6] = [
+        |i, _| (7, [0, u64::MAX][i as usize % 2]),
+        |i, _| (EDGES[i as usize % 7], mix64(i % 5)),
+        |i, n| (EDGES[(n - i) as usize % 7], i << 58),
+        |i, _| (u32::MAX - (i % 3) as u32, u64::MAX - i % 2),
+        |i, _| (EDGES[i as usize % 7], i % 11),
+        |i, _| (EDGES[i as usize % 3], ((i % 5) << 60) | 7),
+    ];
+    let mut sort = RadixSort::default();
+    let mut check = |triples: Vec<(u32, u64, u32)>| check_exact_order(&mut sort, &triples).unwrap();
+    check(Vec::new());
+    check(vec![(u32::MAX, u64::MAX, 0)]);
+    for n in [2, FALLBACK_LEN - 1, FALLBACK_LEN, FALLBACK_LEN + 1, 5000] {
+        let n = n as u64;
+        for case in cases {
+            check(
+                (0..n)
+                    .map(|i| (case(i, n), i as u32))
+                    .map(|((c, k), t)| (c, k, t))
+                    .collect(),
+            );
+        }
     }
 }

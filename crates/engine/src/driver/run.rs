@@ -653,6 +653,7 @@ impl<'e> Run<'e> {
         if *phases != PartitionPhases::default() {
             for (kind, us) in [
                 (StageKind::Seal, phases.seal_us),
+                (StageKind::Order, phases.order_us),
                 (StageKind::PartitionSymbolic, phases.symbolic_us),
                 (StageKind::PartitionMaterialize, phases.materialize_us),
             ] {

@@ -72,9 +72,13 @@ pub enum StageKind {
     /// the d-choices sketch probe), split out of the partition phases so
     /// policy overhead is visible in stage-breakdown tables.
     Select,
-    /// Wall-clock: Algorithm 1's batching phase and heartbeat order. It ends
-    /// before any tuple moves.
+    /// Wall-clock: Algorithm 1's batching phase, the record step: each
+    /// arrival's key counted and its slot noted. Nothing is ordered yet.
     Seal,
+    /// Wall-clock: Algorithm 1's heartbeat order — the exact accumulators'
+    /// one sort of the batch's keys (or the count tree's walk) and the
+    /// layout of their groups. It ends before any tuple moves.
+    Order,
     /// Wall-clock: Algorithm 2's symbolic piece assignment, and the sort of
     /// each block's pieces into key order that lets Map fold a Prompt block
     /// run by run (Fig. 14's Prompt partition time includes it).
@@ -105,10 +109,11 @@ pub enum StageKind {
 
 impl StageKind {
     /// All kinds, in lifecycle order.
-    pub const ALL: [StageKind; 12] = [
+    pub const ALL: [StageKind; 13] = [
         StageKind::Accumulate,
         StageKind::Select,
         StageKind::Seal,
+        StageKind::Order,
         StageKind::PartitionSymbolic,
         StageKind::PartitionMaterialize,
         StageKind::PartitionWait,
@@ -126,6 +131,7 @@ impl StageKind {
             StageKind::Accumulate => "accumulate",
             StageKind::Select => "select",
             StageKind::Seal => "seal",
+            StageKind::Order => "order",
             StageKind::PartitionSymbolic => "partition_symbolic",
             StageKind::PartitionMaterialize => "partition_materialize",
             StageKind::PartitionWait => "partition_wait",
@@ -1236,6 +1242,11 @@ mod tests {
             },
             TraceEvent::Phase {
                 seq: 3,
+                kind: StageKind::Order,
+                wall_us: 1_800,
+            },
+            TraceEvent::Phase {
+                seq: 3,
                 kind: StageKind::PartitionSymbolic,
                 wall_us: 42,
             },
@@ -1401,6 +1412,7 @@ mod tests {
         rec.span(0, StageKind::MapStage, Time(0), Time(1000));
         rec.phase(0, StageKind::MapStage, Duration::from_micros(70));
         rec.phase(0, StageKind::Seal, Duration::from_micros(5));
+        rec.phase(0, StageKind::Order, Duration::from_micros(3));
         let s = rec.summary();
         let map = s.stage(StageKind::MapStage).expect("virtual map stage");
         assert_eq!((map.count, map.total_us, map.max_us), (1, 1000, 1000));
@@ -1408,9 +1420,12 @@ mod tests {
         assert_eq!((wall.count, wall.total_us), (1, 70));
         assert!(s.stage(StageKind::Seal).is_none(), "seal is wall-only");
         assert_eq!(s.wall(StageKind::Seal).unwrap().total_us, 5);
+        assert!(s.stage(StageKind::Order).is_none(), "order is wall-only");
+        assert_eq!(s.wall(StageKind::Order).unwrap().total_us, 3);
         let text = s.to_string();
         assert!(text.contains("\nmap_stage  "), "{text}");
         assert!(text.contains("\nmap_stage (wall)  "), "{text}");
         assert!(text.contains("\nseal (wall)  "), "{text}");
+        assert!(text.contains("\norder (wall)  "), "{text}");
     }
 }
