@@ -204,8 +204,7 @@ pub fn run_throughput(quick: bool) -> Table {
 }
 
 /// Figure 14c (companion view): where a real heartbeat goes, from the trace
-/// export of a driver run with measured overhead and sharded parallel
-/// ingest. Unlike 14a/b, which time the accumulator in isolation, this
+/// export of a driver run with measured overhead. Unlike 14a/b, which time the accumulator in isolation, this
 /// charges the measured partitioning cost against the batch and reads the
 /// per-stage split back out of the JSON-lines export — the same path the
 /// observability layer exposes to external consumers.
@@ -222,8 +221,6 @@ pub fn run_trace_breakdown(quick: bool) -> Table {
     };
     let mut cfg = standard_config(Duration::from_secs(1));
     cfg.overhead = OverheadMode::Measured;
-    cfg.ingest_shards = 4;
-    cfg.ingest_threads = 2;
     cfg.trace = TraceLevel::Full;
     let mut engine = StreamingEngine::new(
         cfg,
@@ -293,7 +290,7 @@ mod tests {
         let stages: Vec<&str> = t.rows.iter().map(|r| r[1].as_str()).collect();
         // Under measured overhead the heartbeat-visible partitioning cost
         // shows up as its own processing span, and the wall-clock phases of
-        // the sharded seal/partition pipeline ride along.
+        // the seal/partition pipeline ride along.
         assert!(stages.contains(&"map_stage"), "rows: {stages:?}");
         assert!(stages.contains(&"reduce_stage"));
         assert!(stages.contains(&"seal (wall)"));

@@ -19,8 +19,6 @@ fn jsonl_export_feeds_the_stage_breakdown() {
         map_tasks: 8,
         reduce_tasks: 8,
         overhead: OverheadMode::Fixed(Duration::from_millis(120)),
-        ingest_shards: 4,
-        ingest_threads: 2,
         trace: TraceLevel::Full,
         ..EngineConfig::default()
     };

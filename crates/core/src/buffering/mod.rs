@@ -7,9 +7,7 @@
 //!   During the interval it keeps one exact counter per key and nothing else;
 //!   at the heartbeat it sorts the keys once by `(count desc, key asc)`, with
 //!   a stable radix sort it keeps ([`crate::sort`]). The order is exact and
-//!   canonical — a function of the batch's key counts alone — which is what
-//!   lets [`ShardedAccumulator`] seal the same batch for any shard and thread
-//!   count: its exact shards' keys go through that same sort, together.
+//!   canonical — a function of the batch's key counts alone.
 //! * [`FrequencyAwareAccumulator`] — **the paper's Algorithm 1**, kept for
 //!   fidelity (`Technique::PromptCountTree`, Fig. 14, the ablations). Beside
 //!   the counters it maintains a [`CountTree`] of approximate key
@@ -19,6 +17,10 @@
 //!   step (`t.step` elapsed since the key's last update, so rare keys still
 //!   get refreshed). At the heartbeat an in-order traversal yields the keys
 //!   in quasi-descending frequency order with no sorting step.
+//!
+//! The engine runs one of them, serially, per batch: the batching phase has
+//! no shards. [`ShardedAccumulator`] splits the budgeted one by key hash for
+//! callers that time a parallel Algorithm 1 by hand.
 //!
 //! The paper's argument for the tree is that the sort would sit inside the
 //! processing window (Fig. 14a). Measured on this implementation the whole
@@ -58,8 +60,8 @@
 //! a write to one of as many destinations. So each loop looks ahead, and
 //! hints the hardware to fetch what a later arrival will touch while it
 //! works on this one, and the misses overlap instead of queuing. The record
-//! loops (the serial one, and each shard's walk of its runs when a sharded
-//! route runs on more than one thread) fetch the home entry of the key
+//! loops (the serial one, and each shard's walk of its runs in
+//! [`ShardedAccumulator::par_ingest`]) fetch the home entry of the key
 //! `RECORD_AHEAD` arrivals on; the scatter fetches the destination-table
 //! entry of the arrival 2 · `SCATTER_AHEAD` on, and then, `SCATTER_AHEAD`
 //! arrivals on, the position that entry points to.
@@ -244,16 +246,15 @@ impl KeyIndex {
         }
     }
 
-    /// Append every key as `(count, key, first_slot + slot)` to `out`, in
-    /// table order. Every entry is stored and only an occupied one kept, so
-    /// the walk has no branch to mispredict on a table about half full.
-    fn keys_into(&self, first_slot: u32, out: &mut Vec<OrderEntry>) {
+    /// Append every key as `(count, key, slot)` to `out`, in table order.
+    /// Every entry is stored and only an occupied one kept, so the walk has
+    /// no branch to mispredict on a table about half full.
+    fn keys_into(&self, out: &mut Vec<OrderEntry>) {
         let start = out.len();
         out.resize(start + self.len + 1, (0, Key(0), 0));
         let mut at = start;
         for e in &self.entries {
-            let slot = e.slot_1.wrapping_sub(1).wrapping_add(first_slot);
-            out[at] = (e.count, e.key, slot);
+            out[at] = (e.count, e.key, e.slot_1.wrapping_sub(1));
             at += usize::from(e.slot_1 != 0);
         }
         debug_assert_eq!(at - start, self.len, "the index miscounts its keys");
@@ -303,8 +304,7 @@ struct ArrivalSlots {
     /// The tuples [`BatchAccumulator::ingest`] was handed, which a seal given
     /// no slice reads. The slice seal leaves it empty.
     held: Vec<Tuple>,
-    /// Seal scratch of a serial accumulator: every key with its count and
-    /// slot, in seal order.
+    /// Seal scratch: every key with its count and slot, in seal order.
     order: Vec<OrderEntry>,
 }
 
@@ -342,9 +342,18 @@ impl ArrivalSlots {
     /// appending them to `groups`, and each group's slot to `slots`.
     fn order_into(&self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
         debug_assert_eq!(self.order.len(), self.index.len(), "order misses keys");
-        let shard = &mut [(0, base)];
-        lay_out(&self.order, shard, groups, slots);
-        debug_assert_eq!(shard[0].1 - base, self.marks.len(), "counts miss tuples");
+        let mut offset = base;
+        groups.extend(self.order.iter().map(|&(count, key, _)| {
+            let group = KeyGroup {
+                key,
+                count: count as usize,
+                offset,
+            };
+            offset += group.count;
+            group
+        }));
+        slots.extend(self.order.iter().map(|&(_, _, slot)| slot));
+        debug_assert_eq!(offset - base, self.marks.len(), "counts miss tuples");
     }
 
     /// The heartbeat's second half, the one scatter loop: write every
@@ -400,26 +409,9 @@ impl ArrivalSlots {
 }
 
 /// One key of a batch at the heartbeat: `(count, key, slot)`.
-pub(crate) type OrderEntry = (u32, Key, u32);
+type OrderEntry = (u32, Key, u32);
 
-/// The heartbeat's order in every exact accumulator, serial or sharded:
-/// sort `keys` — every key of the batch, as
-/// [`Slots::exact_keys_into`](sealed::Slots::exact_keys_into) appended them —
-/// into `(count desc, key asc)` with the kept radix sort
-/// `sort`, then [`lay_out`] their groups over `shards`. Keys are unique, so
-/// the order is total.
-pub(crate) fn order_exact(
-    keys: &mut [OrderEntry],
-    sort: &mut RadixSort<OrderEntry>,
-    shards: &mut [(u32, usize)],
-    groups: &mut Vec<KeyGroup>,
-    slots: &mut Vec<u32>,
-) {
-    sort.order_by_count(keys, |e| u64::from(e.0), |e| e.1 .0);
-    lay_out(keys, shards, groups, slots);
-}
-
-/// The shard a group of slot `slot` is in, of `shards` as [`lay_out`]
+/// The shard a group of slot `slot` is in, of `shards` as [`carve_groups`]
 /// takes them: the last whose first slot is not past it. A shard with no
 /// keys shares its first slot with the next and is never the last such.
 /// Counted, not searched: in seal order a group's shard is as good as
@@ -431,36 +423,13 @@ fn shard_of_slot(shards: &[(u32, usize)], slot: u32) -> usize {
         .sum()
 }
 
-/// Append the groups of `order` — every key of the batch as `(count, key,
-/// slot)`, in seal order — to `groups`, and their slots to `slots`. `shards`
-/// holds, per shard, its first slot (ascending, from 0) and the arena index
-/// its next group starts at, which moves on past each group laid there: a
-/// shard's groups lie back to back in its own slice of the arena, in seal
-/// order, because seal order restricted to one shard is that shard's order.
-fn lay_out(
-    order: &[OrderEntry],
-    shards: &mut [(u32, usize)],
-    groups: &mut Vec<KeyGroup>,
-    slots: &mut Vec<u32>,
-) {
-    groups.extend(order.iter().map(|&(count, key, slot)| {
-        let offset = &mut shards[shard_of_slot(shards, slot)].1;
-        let group = KeyGroup {
-            key,
-            count: count as usize,
-            offset: *offset,
-        };
-        *offset += group.count;
-        group
-    }));
-    slots.extend(order.iter().map(|&(_, _, slot)| slot));
-}
-
 /// Lay the ordered `groups`, whose slots are `slots`, over the arena cut
 /// into one slice per shard of `shards` (`arena`, each exactly its shard's
-/// tuples): each group takes the front of what is left of its shard's
-/// slice, which is the range [`lay_out`] gave it, and that range becomes
-/// the destination `heads[slot]`.
+/// tuples; `shards` holds each shard's first slot, ascending from 0): each
+/// group takes the front of what is left of its shard's slice, which is the
+/// range its shard's order laid it out in — a shard's groups lie back to
+/// back in its slice, in seal order — and that range becomes the
+/// destination `heads[slot]`.
 pub(crate) fn carve_groups<'a>(
     groups: &[KeyGroup],
     slots: &[u32],
@@ -567,18 +536,14 @@ impl ScatterTables {
 
 /// Record a whole batch handed over as the caller's arrival-ordered slice:
 /// the accumulator must hold no arrivals.
-pub(crate) fn record_slice<A: BatchAccumulator + ?Sized>(
-    acc: &mut A,
-    arrivals: &[Tuple],
-    threads: usize,
-) {
+pub(crate) fn record_slice<A: BatchAccumulator + ?Sized>(acc: &mut A, arrivals: &[Tuple]) {
     assert!(u32::try_from(arrivals.len()).is_ok(), "{POSITIONS_FIT}");
     assert_eq!(
         acc.stats().n_tuples,
         0,
         "a slice seal starts from an empty accumulator"
     );
-    acc.record_all(arrivals, threads);
+    acc.record_all(arrivals);
 }
 
 /// The arena seal: order the keys, lay their groups over `arena` and scatter
@@ -636,7 +601,7 @@ pub struct BatchStats {
 /// each arrival straight into its block. The module is private to the
 /// crate, so only this crate implements [`BatchAccumulator`].
 pub(crate) mod sealed {
-    use super::{Heads, More, OrderEntry};
+    use super::{Heads, More};
     use crate::batch::KeyGroup;
     use crate::types::{Interval, Key, Time, Tuple};
 
@@ -646,9 +611,8 @@ pub(crate) mod sealed {
         /// tuple. Only the budgeted accumulator reads `ts`.
         fn record(&mut self, at: u32, key: Key, ts: Time);
 
-        /// Record every tuple of `arrivals` at its own index, on up to
-        /// `threads` workers where the accumulator can use them.
-        fn record_all(&mut self, arrivals: &[Tuple], _threads: usize) {
+        /// Record every tuple of `arrivals` at its own index.
+        fn record_all(&mut self, arrivals: &[Tuple]) {
             for (at, t) in arrivals.iter().enumerate() {
                 if let Some(later) = arrivals.get(at + super::RECORD_AHEAD) {
                     self.prefetch(later.key);
@@ -666,14 +630,6 @@ pub(crate) mod sealed {
         /// lays them out, and each group's index in the destination table
         /// [`Slots::scatter`] takes to `slots`. Only counts are read.
         fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>);
-
-        /// If this accumulator orders its keys exactly, by `(count desc, key
-        /// asc)`, which a sort of the keys alone gives: append every
-        /// recorded key to `out` as `(count, key, first_slot + slot)`, in no
-        /// set order, and return true. Else append nothing and return false.
-        fn exact_keys_into(&self, _first_slot: u32, _out: &mut Vec<OrderEntry>) -> bool {
-            false
-        }
 
         /// Lay `groups`, as [`Slots::order`] laid them out and numbered
         /// them (`slots`), over `arena`, exactly the batch's length: each
@@ -726,30 +682,16 @@ pub(crate) mod sealed {
 }
 
 /// The common interface of batching-phase accumulators: the exact one the
-/// engine runs, the paper's budgeted one, and either of them sharded.
+/// engine runs, the paper's budgeted one, and the budgeted one sharded.
 pub trait BatchAccumulator: std::fmt::Debug + Send + sealed::Slots {
     /// Ingest one tuple; `t.ts` is used as the receiver-local clock. The
     /// accumulator holds the tuple until the seal.
     fn ingest(&mut self, t: Tuple);
 
-    /// Ingest an arrival-ordered slice, on up to `threads` threads where the
-    /// accumulator can use them (the sharded one does); same result as
-    /// ingesting the tuples one by one.
-    fn ingest_all(&mut self, tuples: &[Tuple], _threads: usize) {
-        for &t in tuples {
-            self.ingest(t);
-        }
-    }
-
     /// Re-seed the expected tuple and key counts of the batch about to be
     /// ingested. Only the budgeted accumulator reads them (for its initial
     /// frequency step); exact counts have nothing to estimate.
     fn set_estimates(&mut self, _est_tuples: f64, _avg_keys: f64) {}
-
-    /// How many key-hash shards ingest is spread over (1 = serial).
-    fn n_shards(&self) -> usize {
-        1
-    }
 
     /// Seal the batch: emit the key groups, most frequent first (exactly or
     /// approximately, by implementation), and reset internal state for the
@@ -782,8 +724,7 @@ pub trait BatchAccumulator: std::fmt::Debug + Send + sealed::Slots {
     }
 
     /// Buffer a whole batch handed over as the caller's arrival-ordered
-    /// slice and seal it like [`BatchAccumulator::seal_into`], on up to
-    /// `threads` workers where the accumulator can use them. The accumulator
+    /// slice and seal it like [`BatchAccumulator::seal_into`]. The accumulator
     /// records each arrival's slot and position only, and the scatter reads
     /// the tuples from `arrivals`: no tuple is copied before the arena. The
     /// batch equals ingesting `arrivals` one by one and sealing; the
@@ -791,13 +732,12 @@ pub trait BatchAccumulator: std::fmt::Debug + Send + sealed::Slots {
     fn seal_slice_into(
         &mut self,
         arrivals: &[Tuple],
-        threads: usize,
         arena: &mut [Tuple],
         base: usize,
         next_interval: Interval,
         groups: &mut Vec<KeyGroup>,
     ) -> Interval {
-        record_slice(self, arrivals, threads);
+        record_slice(self, arrivals);
         let tables = &mut ScatterTables::default();
         seal_arena(
             self,
@@ -1010,9 +950,8 @@ impl BatchAccumulator for FrequencyAwareAccumulator {
 /// The engine's buffer: exact per-key counts while tuples arrive, one sort of
 /// the keys by `(count desc, key asc)` *after* the heartbeat — the "post-sort"
 /// side of the paper's Fig. 14a — by a radix sort it keeps. The order is
-/// exact and depends only on the batch's key counts, so any sharding of it
-/// sorts back to the same batch; the sort is the one cost it puts inside the
-/// processing window.
+/// exact and depends only on the batch's key counts; the sort is the one
+/// cost it puts inside the processing window.
 #[derive(Clone, Debug, Default)]
 pub struct PostSortAccumulator {
     interval: Interval,
@@ -1045,16 +984,13 @@ impl sealed::Slots for PostSortAccumulator {
     fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
         // The sort the frequency-aware accumulator avoids: every key, by
         // exact `(count desc, key asc)`, carrying its slot so the layout
-        // probes no index.
+        // probes no index. Keys are unique, so the order is total.
         let arrivals = &mut self.slots;
-        arrivals.index.keys_into(0, &mut arrivals.order);
-        let shard = &mut [(0, base)];
-        order_exact(&mut arrivals.order, &mut self.sort, shard, groups, slots);
-    }
-
-    fn exact_keys_into(&self, first_slot: u32, out: &mut Vec<OrderEntry>) -> bool {
-        self.slots.index.keys_into(first_slot, out);
-        true
+        arrivals.index.keys_into(&mut arrivals.order);
+        let order = &mut arrivals.order;
+        self.sort
+            .order_by_count(order, |e| u64::from(e.0), |e| e.1 .0);
+        arrivals.order_into(base, groups, slots);
     }
 
     fn scatter<'a>(
@@ -1373,7 +1309,7 @@ mod tests {
             }
             assert_eq!(index.get(Key(12_345)), None);
             let mut got = Vec::new();
-            index.keys_into(0, &mut got);
+            index.keys_into(&mut got);
             let mut got: Vec<_> = got.into_iter().map(|(c, k, s)| (k, (s, c))).collect();
             let mut want: Vec<_> = want.into_iter().collect();
             got.sort_unstable();
@@ -1385,7 +1321,7 @@ mod tests {
             assert_eq!(*table.get_or_insert(kept), kept, "table reallocated");
             index.clear();
             let mut left = Vec::new();
-            index.keys_into(0, &mut left);
+            index.keys_into(&mut left);
             assert_eq!((index.len(), left.len()), (0, 0));
             assert_eq!(index.get(Key(0)), None, "an empty entry read as key 0");
             assert_eq!((index.entries.as_ptr(), index.entries.len()), kept);

@@ -1,61 +1,44 @@
-//! Sharded parallel ingest for the batching phase.
+//! Sharded parallel ingest for the paper's budgeted Algorithm 1.
 //!
-//! One accumulator is inherently serial: every `ingest` touches its key
-//! index and counters (and, for the paper's Algorithm 1, the `CountTree`). To
-//! scale the batching phase across receiver cores, the accumulator is split
-//! into `n` independent shards, each a full accumulator over the keys that
-//! hash to it. Tuples route by a fixed key hash, so a key's entire group
-//! lives in exactly one shard and per-key state never crosses shard
-//! boundaries.
+//! No engine path builds one: the engine's batching phase is one serial
+//! accumulator per batch, as §4.1 has it, and gets its parallelism from the
+//! pipeline (the next batch is partitioned while the oldest executes) and
+//! from the backend's width in Algorithm 2. What remains here is the
+//! count-tree buffer split `n` ways by key hash, with
+//! [`ShardedAccumulator::par_ingest`] to fill it on several threads: the
+//! adapter the end-to-end benchmark's buffering probe
+//! (`benchmark/src/trace.rs`) times by hand.
+//!
+//! Tuples route by a fixed key hash, so a key's entire group lives in
+//! exactly one shard and per-key state never crosses shard boundaries.
 //!
 //! ## Determinism contract
 //!
 //! * **Counts are exact and shard-invariant.** Sealed groups carry exact
 //!   per-key counts, so the frequency table is identical to the serial
 //!   accumulator's for *any* shard count.
-//! * **Parallel ≡ serial.** [`ShardedAccumulator::par_ingest`] and the
-//!   slice seal route the arrival slice to the shards in two phases: the
-//!   positions and keys of contiguous arrival chunks go into per-(chunk,
-//!   shard) runs, in arrival order, then each worker walks the runs of a contiguous shard
-//!   range it owns. Routing keeps arrival order within every shard, so each
-//!   shard sees exactly the sub-stream it would see under serial ingest, in
-//!   the same order. The sealed output is bit-identical to serially
-//!   ingesting the same tuples, regardless of thread count. Both phases run
-//!   on the process's fan-out pool ([`crate::par`]): each shard range is one
-//!   task, handed out once, and the runs are cleared for the next batch, not
+//! * **Parallel ≡ serial.** [`ShardedAccumulator::par_ingest`] routes the
+//!   arrival slice to the shards in two phases: the positions and keys of
+//!   contiguous arrival chunks go into per-(chunk, shard) runs, in arrival
+//!   order, then each worker walks the runs of a contiguous shard range it
+//!   owns. Routing keeps arrival order within every shard, so each shard
+//!   sees exactly the sub-stream it would see under serial ingest, in the
+//!   same order. The sealed output is bit-identical to serially ingesting
+//!   the same tuples, regardless of thread count. Both phases run on the
+//!   process's fan-out pool ([`crate::par`]): each shard range is one task,
+//!   handed out once, and the runs are cleared for the next batch, not
 //!   rebuilt.
-//! * **The scatter is parallel and in place.** At the heartbeat the keys
-//!   are ordered (below); then, on the same workers, each shard scatters its
-//!   own arrivals to its own keys' destinations: in the arena seal, one
-//!   slice of a single arena per shard; on the partitioner's row path, its
-//!   keys' pieces of the blocks, carved with `split_at_mut`, so no two
-//!   shards write one position. On the engine's path a shard keeps no
-//!   tuples, only each arrival's position, and its scatter reads
-//!   `arrivals[pos]` from the caller's slice; tuples handed over one at a
-//!   time are held by the shard they route to. A group's tuples stay
-//!   contiguous, in arrival order, in its shard's slice, so the arena is not
-//!   in group order — only the group descriptors are ordered.
-//! * **Exact shards: any shard count ≡ the serial seal, by construction.**
-//!   [`ShardedAccumulator::exact`]'s shards are [`PostSortAccumulator`]s.
-//!   At the heartbeat every shard's keys go, as `(count, key, slot)` with a
-//!   shard's slots past the slots of the shards before it, into one buffer,
-//!   and one kept radix sort orders them by exact `(count desc, key asc)` —
-//!   the serial accumulator's sort, over the same keys. In the same pass
-//!   each group is laid out at its shard's base plus the counts of that
-//!   shard's earlier groups: the global order restricted to one shard is
-//!   that shard's own order, so each shard's groups lie back to back in its
-//!   slice. The sealed batch — and any downstream [`PartitionPlan`] — equals
-//!   the serial `PostSortAccumulator`'s for every shard and thread count.
-//!   This is what the engine runs.
-//! * **Budgeted shards: one shard ≡ the serial seal.**
-//!   [`ShardedAccumulator::new`]'s shards are the paper's
-//!   [`FrequencyAwareAccumulator`]s, whose lists are tree walks, not sorts:
-//!   each shard walks its own tree in parallel, and a k-way merge on exact
-//!   `(count desc, key asc)` heads combines the quasi-sorted lists. The merge
-//!   is deterministic and quasi-descending but differs from the serial tree
-//!   walk (which tie-breaks the other way) unless `n = 1`.
-//!
-//! [`PartitionPlan`]: crate::batch::PartitionPlan
+//! * **The seal is parallel and in place.** At the heartbeat each shard
+//!   walks its own tree and lays its groups out in its own slice of the one
+//!   arena, then scatters its own arrivals there, on the same workers. A
+//!   group's tuples stay contiguous, in arrival order, in its shard's slice,
+//!   so the arena is not in group order — only the group descriptors are
+//!   ordered.
+//! * **One shard ≡ the serial seal.** The shards' lists are tree walks, not
+//!   sorts: a k-way merge on exact `(count desc, key asc)` heads combines
+//!   the quasi-sorted lists. The merge is deterministic and quasi-descending
+//!   but differs from the serial tree walk (which tie-breaks the other way)
+//!   unless `n = 1`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -64,13 +47,11 @@ use std::ops::{Deref, DerefMut, Range};
 use crate::batch::KeyGroup;
 use crate::buffering::sealed::Slots;
 use crate::buffering::{
-    carve_groups, order_exact, AccumulatorConfig, BatchAccumulator, BatchStats,
-    FrequencyAwareAccumulator, Heads, More, OrderEntry, PostSortAccumulator, POSITIONS_FIT,
-    RECORD_AHEAD,
+    carve_groups, AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator,
+    Heads, More, POSITIONS_FIT, RECORD_AHEAD,
 };
 use crate::hash::bucket_of;
 use crate::par::map_mut;
-use crate::sort::RadixSort;
 use crate::types::{Interval, Key, Time, Tuple};
 
 /// Fixed routing seed: shard placement is part of the accumulator's
@@ -107,75 +88,46 @@ impl<T> DerefMut for OwnLines<T> {
     }
 }
 
-/// An accumulator sharded `n` ways by key hash for parallel ingest.
+/// The budgeted accumulator sharded `n` ways by key hash for parallel
+/// ingest.
 #[derive(Clone, Debug)]
-pub struct ShardedAccumulator<A = FrequencyAwareAccumulator> {
-    shards: Vec<OwnLines<A>>,
-    /// The workers the last routing ([`ShardedAccumulator::par_ingest`] or a
-    /// slice seal) ran on; the seal runs on as many.
+pub struct ShardedAccumulator {
+    shards: Vec<OwnLines<FrequencyAwareAccumulator>>,
+    /// The workers the last [`ShardedAccumulator::par_ingest`] ran on; the
+    /// seal runs on as many.
     threads: usize,
     /// The routing's per-(chunk, shard) runs of arrival positions and keys,
     /// chunk by chunk, kept from batch to batch: cleared, never dropped.
     runs: Vec<OwnLines<Vec<(u32, Key)>>>,
-    /// Exact shards: every shard's keys, sorted once into the heartbeat
-    /// order by `sort`; both kept from batch to batch.
-    keys: Vec<OrderEntry>,
-    sort: RadixSort<OrderEntry>,
     /// Each shard's first slot and the arena index its next group starts at,
     /// refilled at every seal.
     bases: Vec<(u32, usize)>,
-    /// Budgeted shards: each shard's sealed group list and its groups'
-    /// slots, merged and cleared at every seal.
+    /// Each shard's sealed group list and its groups' slots, merged and
+    /// cleared at every seal.
     lists: Vec<(Vec<KeyGroup>, Vec<u32>)>,
 }
 
-impl<A> ShardedAccumulator<A> {
-    fn with_shards(shards: Vec<A>) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let lists = vec![(Vec::new(), Vec::new()); shards.len()];
-        ShardedAccumulator {
-            shards: shards.into_iter().map(OwnLines).collect(),
-            threads: 1,
-            runs: Vec::new(),
-            keys: Vec::new(),
-            sort: RadixSort::default(),
-            bases: Vec::new(),
-            lists,
-        }
-    }
-}
-
-impl ShardedAccumulator<PostSortAccumulator> {
-    /// `n_shards` exact shards: seals the batch the serial
-    /// [`PostSortAccumulator`] seals, whatever `n_shards` is.
-    pub fn exact(n_shards: usize, interval: Interval) -> Self {
-        Self::with_shards(
-            (0..n_shards)
-                .map(|_| PostSortAccumulator::new(interval))
-                .collect(),
-        )
-    }
-}
-
-impl ShardedAccumulator<FrequencyAwareAccumulator> {
+impl ShardedAccumulator {
     /// Create an accumulator with `n_shards` independent Algorithm 1
     /// instances, each seeded with its share of the estimates.
     pub fn new(cfg: AccumulatorConfig, n_shards: usize, interval: Interval) -> Self {
+        assert!(n_shards > 0, "need at least one shard");
         let (est_tuples, avg_keys) = shard_estimates(cfg.est_tuples, cfg.avg_keys, n_shards);
         let shard_cfg = AccumulatorConfig {
             budget: cfg.budget,
             est_tuples,
             avg_keys,
         };
-        Self::with_shards(
-            (0..n_shards)
-                .map(|_| FrequencyAwareAccumulator::new(shard_cfg, interval))
-                .collect(),
-        )
+        let shard = FrequencyAwareAccumulator::new(shard_cfg, interval);
+        ShardedAccumulator {
+            shards: vec![OwnLines(shard); n_shards],
+            threads: 1,
+            runs: Vec::new(),
+            bases: Vec::new(),
+            lists: vec![(Vec::new(), Vec::new()); n_shards],
+        }
     }
-}
 
-impl<A: BatchAccumulator> ShardedAccumulator<A> {
     /// The shard a key routes to.
     #[inline]
     pub fn shard_of(&self, key: Key) -> usize {
@@ -183,31 +135,23 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
     }
 
     /// Ingest an arrival-ordered slice on `threads` workers: route each
-    /// arrival to the shard of its key ([`Self::shard_of`]), and each shard
-    /// holds its own sub-stream for the seal. The result is bit-identical to
-    /// serial ingest for any thread count. The next seal runs on as many
-    /// workers.
-    pub fn par_ingest(&mut self, tuples: &[Tuple], threads: usize) {
-        self.route(tuples, threads, |shard, at, _| {
-            shard.ingest(tuples[at as usize])
-        });
-    }
-
-    /// Hand every arrival to its shard as `f(shard, position, key)` on
-    /// `threads` workers, in two parallel phases: route the positions and
-    /// keys of contiguous arrival chunks into per-(chunk, shard) runs (one
-    /// hash and no tuple copy per arrival), then walk each shard's runs on
+    /// arrival to the shard of its key ([`Self::shard_of`]), which holds it
+    /// for the seal. The result is bit-identical to serial ingest for any
+    /// thread count. The next seal runs on as many workers.
+    ///
+    /// The routing runs in two parallel phases: the positions and keys of
+    /// contiguous arrival chunks go into per-(chunk, shard) runs (one hash
+    /// and no tuple copy per arrival), then each shard's runs are walked on
     /// the worker owning it. Routing preserves arrival order within every
     /// shard, so each shard sees exactly the sub-stream serial ingest would
     /// deliver, in the same order.
-    fn route(&mut self, tuples: &[Tuple], threads: usize, f: impl Fn(&mut A, u32, Key) + Sync) {
+    pub fn par_ingest(&mut self, tuples: &[Tuple], threads: usize) {
         assert!(u32::try_from(tuples.len()).is_ok(), "{POSITIONS_FIT}");
         let n_shards = self.shards.len();
         self.threads = threads.clamp(1, n_shards);
         if self.threads == 1 {
-            for (at, t) in tuples.iter().enumerate() {
-                let s = self.shard_of(t.key);
-                f(&mut self.shards[s], at as u32, t.key);
+            for &t in tuples {
+                self.ingest(t);
             }
             return;
         }
@@ -238,11 +182,11 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         let runs = &self.runs[..n_runs];
         per_shard(&mut self.shards, self.threads, |si, shard| {
             for run in runs.iter().skip(si).step_by(n_shards) {
-                for (i, &(at, key)) in run.iter().enumerate() {
+                for (i, &(at, _)) in run.iter().enumerate() {
                     if let Some(&(_, later)) = run.get(i + RECORD_AHEAD) {
                         shard.prefetch(later);
                     }
-                    f(shard, at, key);
+                    shard.ingest(tuples[at as usize]);
                 }
             }
         });
@@ -271,7 +215,8 @@ impl<A: BatchAccumulator> ShardedAccumulator<A> {
         &mut self,
         heads: &mut Heads<'a, T>,
         more: &mut More<'a, '_, T>,
-        scatter: impl Fn(&mut A, &mut Heads<'a, T>, &mut More<'a, '_, T>) -> Interval + Sync,
+        scatter: impl Fn(&mut FrequencyAwareAccumulator, &mut Heads<'a, T>, &mut More<'a, '_, T>) -> Interval
+            + Sync,
     ) -> Interval {
         let chained = !more.is_empty();
         let keys = || self.shards.iter().map(|s| s.stats().n_keys as usize);
@@ -331,8 +276,7 @@ fn per_shard<S: Send, R: Send>(
 /// slot to `slots`: its shard's slot, past the keys of the shards before it.
 /// Keys are unique across shards, so the heap order is total and the merge
 /// deterministic; it keeps each shard's own order. Only the descriptors
-/// move: each group keeps the arena range its shard laid out. Exact shards
-/// never come here: their keys are sorted once, together.
+/// move: each group keeps the arena range its shard laid out.
 fn merge_order(
     lists: &[(Vec<KeyGroup>, Vec<u32>)],
     merged: &mut Vec<KeyGroup>,
@@ -369,38 +313,16 @@ fn cut<T>(items: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
     .collect()
 }
 
-impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
+impl Slots for ShardedAccumulator {
     fn record(&mut self, at: u32, key: Key, ts: Time) {
         let s = self.shard_of(key);
         self.shards[s].record(at, key, ts);
     }
 
-    fn record_all(&mut self, arrivals: &[Tuple], threads: usize) {
-        // An exact shard ignores `ts`, so once `record` inlines the load is
-        // dead and the shard reads the slice only to scatter.
-        let ts = |at: u32| arrivals[at as usize].ts;
-        self.route(arrivals, threads, |shard, at, key| {
-            shard.record(at, key, ts(at))
-        });
-    }
-
-    /// Exact shards: every shard's keys, their slots past the slots of the
-    /// shards before it, are sorted once into the serial order, and each
-    /// group laid out in its shard's own slice of the arena, past that
-    /// shard's earlier groups — which is where its shard's own order would
-    /// put it, since the global order restricted to one shard is that
-    /// shard's order. Budgeted shards: each shard walks its tree and lays
-    /// its groups out, in parallel; then the shards' group lists merge.
+    /// Each shard walks its tree and lays its groups out, in parallel; then
+    /// the shards' group lists merge.
     fn order(&mut self, base: usize, groups: &mut Vec<KeyGroup>, slots: &mut Vec<u32>) {
         self.fill_bases(base);
-        let mut keys = std::mem::take(&mut self.keys);
-        keys.clear();
-        if self.exact_keys_into(0, &mut keys) {
-            order_exact(&mut keys, &mut self.sort, &mut self.bases, groups, slots);
-            self.keys = keys;
-            return;
-        }
-        self.keys = keys;
         let shards = self.shards.iter_mut().zip(&mut self.lists).zip(&self.bases);
         let mut jobs: Vec<_> = (shards)
             .map(|((shard, (list, slots)), &(_, first))| {
@@ -413,19 +335,6 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
             shard.order(*base, list, slots)
         });
         merge_order(&self.lists, groups, slots);
-    }
-
-    /// Every shard's keys, each shard's slots past the slots of the shards
-    /// before it, if the shards order their keys exactly.
-    fn exact_keys_into(&self, first_slot: u32, out: &mut Vec<OrderEntry>) -> bool {
-        let mut slot = first_slot;
-        for shard in &self.shards {
-            if !shard.exact_keys_into(slot, out) {
-                return false;
-            }
-            slot += shard.stats().n_keys as u32;
-        }
-        true
     }
 
     /// Each group takes its range of its own shard's slice of `arena`, as
@@ -484,14 +393,10 @@ impl<A: BatchAccumulator> Slots for ShardedAccumulator<A> {
     }
 }
 
-impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
+impl BatchAccumulator for ShardedAccumulator {
     fn ingest(&mut self, t: Tuple) {
         let s = self.shard_of(t.key);
         self.shards[s].ingest(t);
-    }
-
-    fn ingest_all(&mut self, tuples: &[Tuple], threads: usize) {
-        self.par_ingest(tuples, threads);
     }
 
     /// Every shard takes its share of the whole-batch estimates.
@@ -500,10 +405,6 @@ impl<A: BatchAccumulator> BatchAccumulator for ShardedAccumulator<A> {
         for shard in &mut self.shards {
             shard.set_estimates(est_tuples, avg_keys);
         }
-    }
-
-    fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 
     fn set_interval(&mut self, interval: Interval) {
@@ -722,7 +623,7 @@ mod tests {
     #[test]
     fn shard_routing_is_total_and_stable() {
         let acc = ShardedAccumulator::new(AccumulatorConfig::default(), 6, interval_secs(0, 1));
-        assert_eq!(acc.n_shards(), 6);
+        assert_eq!(acc.shards.len(), 6);
         for k in 0..1000u64 {
             let s = acc.shard_of(Key(k));
             assert!(s < 6);

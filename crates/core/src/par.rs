@@ -1,7 +1,8 @@
 //! The one fan-out primitive: an index-parallel loop on a persistent pool.
 //!
-//! Every parallel phase of the hot path — the ingest scatter, shard ingest
-//! and seal, block materialization, the engine's Map and Reduce stages — is
+//! Every parallel phase of the hot path — each block's key sort and run
+//! table, the engine's Map and Reduce stages, and the sharded count tree's
+//! ingest and seal — is
 //! the same loop: `n` independent tasks, each a pure function of its index,
 //! results wanted in index order. [`map_indexed`] is that loop, so a caller's
 //! output cannot depend on the thread count.

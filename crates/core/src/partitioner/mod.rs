@@ -44,10 +44,10 @@ pub struct PartitionPhases {
     /// overhead is visible in stage-breakdown tables.
     pub select_us: u64,
     /// Algorithm 1's record step: each arrival's key counted and its slot
-    /// noted, in the accumulator or its shards.
+    /// noted, in the accumulator.
     pub seal_us: u64,
     /// Algorithm 1's heartbeat order: sorting the recorded keys (or walking
-    /// the count tree and merging shards) and laying out their groups.
+    /// the count tree) and laying out their groups.
     /// Prompt ends it before any tuple moves
     /// ([`Partitioner::partition_columnar`], which the engine never calls,
     /// includes its scatter into the arena).
@@ -224,26 +224,14 @@ impl Technique {
 
     /// Instantiate the partitioner with a deterministic seed.
     pub fn build(&self, seed: u64) -> Box<dyn Partitioner> {
-        self.build_with_parallelism(seed, 1, 1)
+        self.build_with_parallelism(seed, 1)
     }
 
-    /// [`Technique::build`] with the Prompt variants' batching phase sharded
-    /// `shards` ways over `threads` workers (every other technique
-    /// partitions per tuple and ignores both). `Technique::Prompt` builds the
-    /// same plans for every geometry.
-    pub fn build_with_parallelism(
-        &self,
-        seed: u64,
-        shards: usize,
-        threads: usize,
-    ) -> Box<dyn Partitioner> {
-        let prompt = |mode| {
-            Box::new(PromptPartitioner::with_parallelism(
-                mode,
-                shards.max(1),
-                threads.max(1),
-            ))
-        };
+    /// [`Technique::build`] with the Prompt variants' assignment run on
+    /// `threads` workers (every other technique partitions per tuple and
+    /// ignores it). Every width builds the same plans.
+    pub fn build_with_parallelism(&self, seed: u64, threads: usize) -> Box<dyn Partitioner> {
+        let prompt = |mode| Box::new(PromptPartitioner::with_threads(mode, threads.max(1)));
         match *self {
             Technique::TimeBased => Box::new(TimeBasedPartitioner::new()),
             Technique::Shuffle => Box::new(ShufflePartitioner::new()),
@@ -264,12 +252,10 @@ impl Technique {
 /// instance to persist across batches (Prompt's accumulator, for example,
 /// keeps its index, log and counter allocations from one batch to the
 /// next). The registry builds each technique lazily on first use — with the
-/// run's seed and ingest parallelism
-/// ([`Technique::build_with_parallelism`]) — and hands back the same
-/// instance for the rest of the run.
+/// run's seed and width ([`Technique::build_with_parallelism`]) — and hands
+/// back the same instance for the rest of the run.
 pub struct PartitionerRegistry {
     seed: u64,
-    prompt_shards: usize,
     prompt_threads: usize,
     entries: Vec<(Technique, Box<dyn Partitioner>)>,
 }
@@ -277,17 +263,15 @@ pub struct PartitionerRegistry {
 impl PartitionerRegistry {
     /// Registry whose Prompt instances run single-threaded.
     pub fn new(seed: u64) -> PartitionerRegistry {
-        PartitionerRegistry::with_parallelism(seed, 1, 1)
+        PartitionerRegistry::with_parallelism(seed, 1)
     }
 
-    /// Registry that builds the Prompt variants with the given accumulator
-    /// sharding / materialization threading (mirrors the engine's ingest
-    /// configuration so a swapped-in Prompt behaves exactly like a
-    /// run-constant one).
-    pub fn with_parallelism(seed: u64, shards: usize, threads: usize) -> PartitionerRegistry {
+    /// Registry that builds the Prompt variants at width `threads` (the
+    /// engine passes its backend's, so a swapped-in Prompt behaves exactly
+    /// like a run-constant one).
+    pub fn with_parallelism(seed: u64, threads: usize) -> PartitionerRegistry {
         PartitionerRegistry {
             seed,
-            prompt_shards: shards.max(1),
             prompt_threads: threads.max(1),
             entries: Vec::new(),
         }
@@ -314,8 +298,7 @@ impl PartitionerRegistry {
         if let Some(idx) = self.entries.iter().position(|(t, _)| t == &technique) {
             return self.entries[idx].1.as_mut();
         }
-        let built =
-            technique.build_with_parallelism(self.seed, self.prompt_shards, self.prompt_threads);
+        let built = technique.build_with_parallelism(self.seed, self.prompt_threads);
         self.entries.push((technique, built));
         self.entries.last_mut().expect("just pushed").1.as_mut()
     }
@@ -326,9 +309,7 @@ impl PartitionerRegistry {
     pub fn take(&mut self, technique: Technique) -> Box<dyn Partitioner> {
         match self.entries.iter().position(|(t, _)| *t == technique) {
             Some(idx) => self.entries.remove(idx).1,
-            None => {
-                technique.build_with_parallelism(self.seed, self.prompt_shards, self.prompt_threads)
-            }
+            None => technique.build_with_parallelism(self.seed, self.prompt_threads),
         }
     }
 
@@ -481,21 +462,23 @@ mod tests {
     }
 
     #[test]
-    fn prompt_builds_the_same_plan_for_every_ingest_geometry() {
+    fn prompt_builds_the_same_plan_at_every_width() {
         // What `Technique::build` hands a solo caller and what the engine
-        // and the registry build from `ingest_shards` / `ingest_threads`.
+        // and the registry build at its backend's width.
         let batch = zipfish_batch(300, 4000);
-        let want = Technique::Prompt.build(3).partition(&batch, 8);
-        assert_plan_valid(&batch, &want, 8);
-        for (shards, threads) in [(1, 2), (4, 1), (4, 2), (7, 3)] {
-            let built = Technique::Prompt
-                .build_with_parallelism(3, shards, threads)
-                .partition(&batch, 8);
-            assert_eq!(built, want, "{shards} shards / {threads} threads");
-            let via_registry = PartitionerRegistry::with_parallelism(3, shards, threads)
-                .get_or_build(Technique::Prompt)
-                .partition(&batch, 8);
-            assert_eq!(via_registry, want, "registry, {shards} / {threads}");
+        for technique in [Technique::Prompt, Technique::PromptCountTree] {
+            let want = technique.build(3).partition(&batch, 8);
+            assert_plan_valid(&batch, &want, 8);
+            for threads in [2, 3] {
+                let built = technique
+                    .build_with_parallelism(3, threads)
+                    .partition(&batch, 8);
+                assert_eq!(built, want, "{technique:?}, {threads} threads");
+                let via_registry = PartitionerRegistry::with_parallelism(3, threads)
+                    .get_or_build(technique)
+                    .partition(&batch, 8);
+                assert_eq!(via_registry, want, "{technique:?} registry, {threads}");
+            }
         }
     }
 

@@ -36,9 +36,10 @@
 //! written, once, from the batch's own slice to its final position in its
 //! block (a block holds values, its runs naming their keys). A
 //! group's destination is its first piece's slice of its block, then its
-//! later pieces' slices in `start` order; under sharded ingest each shard
-//! scatters its own arrivals to its own keys' destinations, in parallel. The
-//! row path fills no sealed arena: only [`PromptPartitioner::partition_sealed`]
+//! later pieces' slices in `start` order. The batching phase is one serial
+//! accumulator, as §4.1 has it; the partitioner's `threads` widen only the
+//! assignment's per-block key sort and the run tables. The row path fills
+//! no sealed arena: only [`PromptPartitioner::partition_sealed`]
 //! and [`Partitioner::partition_columnar`] (which the engine never calls; it
 //! lays the batch out in seal order, in buffers of its own) read one. A plan
 //! of runs alone ([`Columns::Runs`], for a job that reads no value) is
@@ -58,7 +59,7 @@ use crate::batch::{
 };
 use crate::buffering::{
     record_slice, relabel, seal_arena, AccumulatorConfig, BatchAccumulator,
-    FrequencyAwareAccumulator, PostSortAccumulator, ScatterTables, ShardedAccumulator,
+    FrequencyAwareAccumulator, PostSortAccumulator, ScatterTables,
 };
 use crate::columnar::{ColRange, ColumnarBlock, ColumnarPlan, ColumnarSealed};
 use crate::par::map_mut;
@@ -84,13 +85,11 @@ pub struct PromptPartitioner {
     mode: BufferingMode,
     /// `K_Avg` the frequency-aware accumulator is re-seeded with every batch.
     avg_keys: f64,
-    /// The batching-phase buffer, refilled every batch so the index, slot,
-    /// counter and shard allocations are made once per run; it is handed
-    /// each batch's slice and holds no tuple. Either mode runs serial or
-    /// sharded for parallel ingest; an exact buffer seals the same batch
-    /// either way.
+    /// The batching-phase buffer, one serial accumulator of the mode,
+    /// refilled every batch so the index, slot and counter allocations are
+    /// made once per run; it is handed each batch's slice and holds no tuple.
     buffer: Box<dyn BatchAccumulator>,
-    /// Worker threads for parallel ingest, scatter and run tables.
+    /// Worker threads for each block's key sort and the run tables.
     threads: usize,
     /// The group list the last batch was ordered into: the next batch
     /// clears it instead of allocating it.
@@ -106,37 +105,23 @@ pub struct PromptPartitioner {
 }
 
 impl PromptPartitioner {
-    /// Construct the serial pipeline: one shard, one thread.
+    /// Construct the serial pipeline: one thread.
     pub fn new(mode: BufferingMode) -> PromptPartitioner {
-        Self::with_parallelism(mode, 1, 1)
+        Self::with_threads(mode, 1)
     }
 
-    /// Construct the parallel pipeline: `shards`-way sharded ingest and
-    /// `threads` workers for ingest and block materialization. The sharded
-    /// accumulator's determinism contract (see
-    /// [`ShardedAccumulator`](crate::buffering::ShardedAccumulator)) makes
-    /// the output independent of `threads` — and, for
-    /// [`BufferingMode::PostSort`], of `shards` too; `shards = 1,
-    /// threads = 1` is exactly the serial path.
-    pub fn with_parallelism(
-        mode: BufferingMode,
-        shards: usize,
-        threads: usize,
-    ) -> PromptPartitioner {
-        assert!(shards >= 1, "need at least one shard");
+    /// Construct the pipeline with `threads` workers for each block's key
+    /// sort and the run tables. Blocks are laid out independently, so the
+    /// plan is the same for every thread count; the record, order and
+    /// scatter of the batching phase run on the calling thread.
+    pub fn with_threads(mode: BufferingMode, threads: usize) -> PromptPartitioner {
         assert!(threads >= 1, "need at least one thread");
         let acc_cfg = AccumulatorConfig::default();
         // Every batch sets its own interval before it is replayed.
         let iv = Interval::default();
-        let buffer: Box<dyn BatchAccumulator> = match (mode, shards > 1) {
-            (BufferingMode::PostSort, false) => Box::new(PostSortAccumulator::new(iv)),
-            (BufferingMode::PostSort, true) => Box::new(ShardedAccumulator::exact(shards, iv)),
-            (BufferingMode::FrequencyAware, false) => {
-                Box::new(FrequencyAwareAccumulator::new(acc_cfg, iv))
-            }
-            (BufferingMode::FrequencyAware, true) => {
-                Box::new(ShardedAccumulator::new(acc_cfg, shards, iv))
-            }
+        let buffer: Box<dyn BatchAccumulator> = match mode {
+            BufferingMode::PostSort => Box::new(PostSortAccumulator::new(iv)),
+            BufferingMode::FrequencyAware => Box::new(FrequencyAwareAccumulator::new(acc_cfg, iv)),
         };
         PromptPartitioner {
             mode,
@@ -151,14 +136,22 @@ impl PromptPartitioner {
         }
     }
 
+    /// [`Self::with_threads`]: `shards` has no effect. The batching phase
+    /// is one serial accumulator; this spelling stays only because the
+    /// end-to-end benchmark's hand pipeline (`benchmark/src/trace.rs`)
+    /// compiles against it.
+    #[deprecated(note = "the batching phase is one serial accumulator: use `with_threads`")]
+    pub fn with_parallelism(
+        mode: BufferingMode,
+        _shards: usize,
+        threads: usize,
+    ) -> PromptPartitioner {
+        Self::with_threads(mode, threads)
+    }
+
     /// The buffering mode in use.
     pub fn mode(&self) -> BufferingMode {
         self.mode
-    }
-
-    /// How many ways the batching-phase buffer is sharded (1 = serial).
-    pub fn ingest_shards(&self) -> usize {
-        self.buffer.n_shards()
     }
 
     /// Default residual-phase capacity tolerance (fraction of `P_size`),
@@ -689,7 +682,7 @@ impl PromptPartitioner {
         let buffer = &mut *self.buffer;
         buffer.set_estimates(tuples.len().max(1) as f64, self.avg_keys);
         buffer.set_interval(interval);
-        record_slice(buffer, tuples, self.threads);
+        record_slice(buffer, tuples);
     }
 
     /// Write the value of every arrival of `tuples` once, straight to its
@@ -947,32 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pipeline_with_one_shard_matches_serial_exactly() {
-        // shards = 1 keeps the legacy accumulator order, and parallel
-        // materialization is bit-identical, so the whole pipeline is.
-        let mb = zipfish_batch(200, 2000);
-        let want = PromptPartitioner::new(BufferingMode::FrequencyAware).partition(&mb, 8);
-        let got = PromptPartitioner::with_parallelism(BufferingMode::FrequencyAware, 1, 4)
-            .partition(&mb, 8);
-        assert_eq!(want, got);
-    }
-
-    #[test]
-    fn sharded_pipeline_produces_valid_plans_of_comparable_quality() {
-        let mb = zipfish_batch(200, 4000);
-        let serial = PromptPartitioner::new(BufferingMode::FrequencyAware).partition(&mb, 8);
-        let plan = PromptPartitioner::with_parallelism(BufferingMode::FrequencyAware, 8, 4)
-            .partition(&mb, 8);
-        assert_plan_valid(&mb, &plan, 8);
-        let m_serial = metrics::PlanMetrics::of(&serial);
-        let m_sharded = metrics::PlanMetrics::of(&plan);
-        assert!(
-            m_sharded.mpi <= m_serial.mpi * 1.5 + 0.1,
-            "sharded quality too far off: {m_sharded:?} vs {m_serial:?}"
-        );
-    }
-
-    #[test]
     fn phased_partition_is_bit_identical_and_times_phases() {
         let mb = zipfish_batch(150, 1500);
         let want = PromptPartitioner::new(BufferingMode::FrequencyAware).partition(&mb, 8);
@@ -1000,19 +967,18 @@ mod tests {
     #[test]
     fn partition_columnar_matches_partition_for_all_modes() {
         let mb = zipfish_batch(120, 900);
-        for (mode, shards, threads) in [
-            (BufferingMode::FrequencyAware, 1, 1),
-            (BufferingMode::FrequencyAware, 4, 3),
-            (BufferingMode::PostSort, 1, 1),
-            (BufferingMode::PostSort, 4, 3),
+        for (mode, threads) in [
+            (BufferingMode::FrequencyAware, 1),
+            (BufferingMode::FrequencyAware, 3),
+            (BufferingMode::PostSort, 1),
+            (BufferingMode::PostSort, 3),
         ] {
             for p in [1usize, 2, 4, 8] {
-                let want =
-                    PromptPartitioner::with_parallelism(mode, shards, threads).partition(&mb, p);
-                let (cols, _) = PromptPartitioner::with_parallelism(mode, shards, threads)
+                let want = PromptPartitioner::with_threads(mode, threads).partition(&mb, p);
+                let (cols, _) = PromptPartitioner::with_threads(mode, threads)
                     .partition_columnar(&mb, p)
                     .expect("Prompt has a columnar path");
-                let what = format!("{mode:?} shards={shards} threads={threads} p={p}");
+                let what = format!("{mode:?} threads={threads} p={p}");
                 assert_eq!(cols.to_row_plan(), want, "{what}");
                 assert_eq!(cols.split_keys, want.split_keys, "{what}");
             }
@@ -1093,32 +1059,27 @@ mod tests {
 
     /// Shape guard: the pipeline hands the accumulator the batch's own
     /// slice, so no tuple is copied before the seal: after a partition in
-    /// either layout, in every mode and ingest geometry, the accumulator's
+    /// either layout, in every mode and at every width, the accumulator's
     /// held-tuple buffer is empty and has never allocated. (The row path
     /// scatters every arrival straight into its block: the partitioner
     /// keeps no sealed arena to fill.)
     #[test]
     fn prompt_shape_the_accumulator_holds_no_tuples() {
         let mb = zipfish_batch(120, 900);
-        for (mode, shards, threads) in [
-            (BufferingMode::PostSort, 1, 1),
-            (BufferingMode::PostSort, 4, 2),
-            (BufferingMode::PostSort, 7, 3),
-            (BufferingMode::FrequencyAware, 1, 1),
-            (BufferingMode::FrequencyAware, 4, 2),
-            (BufferingMode::FrequencyAware, 7, 3),
-        ] {
-            let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
-            let what = format!("{mode:?} shards={shards} threads={threads}");
-            for _ in 0..2 {
-                let plan = part.partition(&mb, 4);
-                assert_eq!(plan.total_tuples(), mb.len(), "{what}");
-                assert_eq!(part.buffer.held(), (0, 0), "{what}: rows");
-                part.recycle(plan);
+        for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
+            for threads in [1, 3] {
+                let mut part = PromptPartitioner::with_threads(mode, threads);
+                let what = format!("{mode:?} threads={threads}");
+                for _ in 0..2 {
+                    let plan = part.partition(&mb, 4);
+                    assert_eq!(plan.total_tuples(), mb.len(), "{what}");
+                    assert_eq!(part.buffer.held(), (0, 0), "{what}: rows");
+                    part.recycle(plan);
+                }
+                part.partition_columnar(&mb, 4)
+                    .expect("Prompt has a columnar path");
+                assert_eq!(part.buffer.held(), (0, 0), "{what}: columns");
             }
-            part.partition_columnar(&mb, 4)
-                .expect("Prompt has a columnar path");
-            assert_eq!(part.buffer.held(), (0, 0), "{what}: columns");
         }
     }
 
@@ -1130,24 +1091,21 @@ mod tests {
             .is_none());
     }
 
+    /// In either mode the plan is the same at every width, and the
+    /// deprecated `shards` argument changes nothing.
     #[test]
-    fn every_mode_honours_its_ingest_geometry() {
-        for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
-            assert_eq!(PromptPartitioner::new(mode).ingest_shards(), 1);
-            let part = PromptPartitioner::with_parallelism(mode, 4, 2);
-            assert_eq!(part.mode(), mode);
-            assert_eq!(part.ingest_shards(), 4, "{mode:?} dropped its shards");
-        }
-    }
-
-    #[test]
-    fn post_sort_plans_are_independent_of_the_ingest_geometry() {
+    #[allow(deprecated)]
+    fn plans_are_independent_of_the_width_and_of_shards() {
         let mb = zipfish_batch(200, 4000);
-        let want = PromptPartitioner::new(BufferingMode::PostSort).partition(&mb, 8);
-        for (shards, threads) in [(1, 4), (2, 1), (8, 4), (3, 16)] {
-            let got = PromptPartitioner::with_parallelism(BufferingMode::PostSort, shards, threads)
-                .partition(&mb, 8);
-            assert_eq!(want, got, "{shards} shards / {threads} threads");
+        for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
+            let want = PromptPartitioner::new(mode).partition(&mb, 8);
+            for threads in [2, 4, 16] {
+                let got = PromptPartitioner::with_threads(mode, threads).partition(&mb, 8);
+                assert_eq!(want, got, "{mode:?}, {threads} threads");
+            }
+            let mut part = PromptPartitioner::with_parallelism(mode, 8, 2);
+            assert_eq!(part.mode(), mode);
+            assert_eq!(want, part.partition(&mb, 8), "{mode:?}, 8 shards");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! One stable LSD radix sort keyed by a `u64`, for every order the engine
 //! lays data out in: the heartbeat's exact `(count desc, key asc)` order of
-//! a batch's keys, serial or sharded ([`RadixSort::order_by_count`]);
+//! a batch's keys ([`RadixSort::order_by_count`]);
 //! each Prompt block's pieces in key order; a baseline's blocks; a state
 //! shard's panes and its snapshot.
 //!

@@ -1,9 +1,8 @@
 //! Property-based tests of the batching-phase accumulators: the budgeted
 //! frequency-aware one (Algorithm 1) against the exact post-sort one and
-//! against a tree-free model of the algorithm; exact shards against the
-//! serial exact seal for every shard and thread count, their one sorted
-//! order laid out shard by shard in the arena; every seal's groups tiling
-//! its arena; plus degenerate batches through every accumulator.
+//! against a tree-free model of the algorithm; every seal's groups tiling
+//! its arena, serial and sharded; plus degenerate batches through every
+//! accumulator.
 
 use std::collections::BTreeMap;
 
@@ -58,12 +57,20 @@ fn ingest_all<A: BatchAccumulator>(acc: &mut A, tuples: &[Tuple]) {
     }
 }
 
-/// The engine's entry point: seal `tuples` handed over as one slice, on
-/// `threads` workers, into a fresh arena.
-fn seal_slice<A: BatchAccumulator>(acc: &mut A, tuples: &[Tuple], threads: usize) -> SealedBatch {
+/// The engine's entry point: seal `tuples` handed over as one slice into a
+/// fresh arena, laid out as the slice of a batch's whole arena that starts
+/// at index 1,000; the groups come back counted from the slice's start.
+fn seal_slice<A: BatchAccumulator>(acc: &mut A, tuples: &[Tuple]) -> SealedBatch {
+    const BASE: usize = 1_000;
     let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); tuples.len()];
     let mut groups = Vec::new();
-    let interval = acc.seal_slice_into(tuples, threads, &mut arena, 0, IV, &mut groups);
+    let interval = acc.seal_slice_into(tuples, &mut arena, BASE, IV, &mut groups);
+    for g in &mut groups {
+        g.offset = g
+            .offset
+            .checked_sub(BASE)
+            .expect("a group laid out before the base");
+    }
     SealedBatch::new(groups, arena, interval)
 }
 
@@ -238,55 +245,12 @@ proptest! {
         assert_groups_hold_arrivals(&sealed, &tuples);
     }
 
-    /// Exact shards seal the serial exact batch — same groups, counts and
-    /// per-group arrival order — for every shard and thread count, and keep
-    /// doing so when the same accumulators are refilled with a batch over a
-    /// smaller key set (then an empty one). Every accumulator seals each
-    /// batch twice, tuple by tuple and then as one slice, so a seal through
-    /// either entry point follows one through the other.
-    #[test]
-    fn exact_shards_seal_the_serial_batch_for_any_geometry(
-        stream in stream_strategy(),
-        keep in 0u64..50,
-    ) {
-        let wide = tuples_of(&stream, 0);
-        let narrow: Vec<Tuple> = wide.iter().copied().filter(|t| t.key.0 < keep).collect();
-        let mut serial = PostSortAccumulator::new(IV);
-        let mut sharded: Vec<(usize, usize, ShardedAccumulator<PostSortAccumulator>)> =
-            [1usize, 2, 4, 7]
-                .into_iter()
-                .flat_map(|shards| [1usize, 2, 3].map(|threads| (shards, threads)))
-                .map(|(shards, threads)| (shards, threads, ShardedAccumulator::exact(shards, IV)))
-                .collect();
-        for batch in [&wide, &narrow, &Vec::new()] {
-            ingest_all(&mut serial, batch);
-            let stats = serial.stats();
-            let want = serial.seal(IV);
-            assert_groups_hold_arrivals(&want, batch);
-            prop_assert_eq!(want.adjacent_inversions(), 0);
-            prop_assert_eq!(&seal_slice(&mut serial, batch, 1), &want, "serial slice seal");
-            for (shards, threads, acc) in &mut sharded {
-                acc.par_ingest(batch, *threads);
-                prop_assert_eq!(acc.stats(), stats);
-                prop_assert_eq!(
-                    &acc.seal(IV), &want,
-                    "{} shards / {} threads", shards, threads
-                );
-                prop_assert_eq!(
-                    &seal_slice(acc, batch, *threads), &want,
-                    "{} shards / {} threads, slice seal", shards, threads
-                );
-            }
-        }
-    }
-
-    /// Every seal tiles its arena — serial exact and budgeted, and both
+    /// Every seal tiles its arena — serial exact and budgeted, and budgeted
     /// sharded at 1/2/4/7 shards × 1/2/3 threads — with each range holding
     /// its key's arrivals in order, on a random batch, the empty one, one key
-    /// and a few keys (so some shards' slices are empty). A budgeted-sharded
-    /// seal does not depend on the thread count. Each accumulator then seals
-    /// the batch again as one slice, which must equal its tuple-by-tuple
-    /// seal.
+    /// and a few keys (so some shards' slices are empty). A sharded seal does
+    /// not depend on the thread count. Each accumulator then seals the batch
+    /// again as one slice, which must equal its tuple-by-tuple seal.
     #[test]
     fn sealed_groups_tile_the_arena(stream in stream_strategy(), few in 1u64..4) {
         let wide = tuples_of(&stream, 0);
@@ -302,99 +266,25 @@ proptest! {
             ingest_all(&mut exact, batch);
             let sealed = exact.seal(IV);
             check(&sealed);
-            prop_assert_eq!(&seal_slice(&mut exact, batch, 1), &sealed, "exact slice seal");
+            prop_assert_eq!(&seal_slice(&mut exact, batch), &sealed, "exact slice seal");
             let mut budgeted = FrequencyAwareAccumulator::new(cfg, IV);
             ingest_all(&mut budgeted, batch);
             let sealed = budgeted.seal(IV);
             check(&sealed);
-            prop_assert_eq!(&seal_slice(&mut budgeted, batch, 1), &sealed, "budgeted slice seal");
+            prop_assert_eq!(&seal_slice(&mut budgeted, batch), &sealed, "budgeted slice seal");
             for shards in [1, 2, 4, 7] {
                 let mut at_one_thread = None;
                 for threads in [1, 2, 3] {
-                    let mut exact = ShardedAccumulator::exact(shards, IV);
-                    exact.par_ingest(batch, threads);
-                    let sealed = exact.seal(IV);
-                    check(&sealed);
-                    prop_assert_eq!(
-                        &seal_slice(&mut exact, batch, threads), &sealed,
-                        "exact {} shards / {} threads, slice seal", shards, threads
-                    );
                     let mut budgeted = ShardedAccumulator::new(cfg, shards, IV);
                     budgeted.par_ingest(batch, threads);
                     let sealed = budgeted.seal(IV);
                     check(&sealed);
                     prop_assert_eq!(
-                        &seal_slice(&mut budgeted, batch, threads), &sealed,
+                        &seal_slice(&mut budgeted, batch), &sealed,
                         "budgeted {} shards / {} threads, slice seal", shards, threads
                     );
                     let want = at_one_thread.get_or_insert_with(|| sealed.clone());
                     prop_assert_eq!(&sealed, want, "{} shards / {} threads", shards, threads);
-                }
-            }
-        }
-    }
-
-    /// Exact shards order every key as the serial accumulator does — one
-    /// sort of all shards' keys, not a merge — and lay each group out in its
-    /// own shard's slice of the arena, after that shard's earlier groups, at
-    /// 1, 2, 3, 4 and 8 shards on 1 to 3 threads, through both arena seals
-    /// from a non-zero base: on the stream, on the keys of it that route to
-    /// one shard (which holds every key, the others none), and on a few keys
-    /// (most shards empty).
-    #[test]
-    fn exact_shards_sort_once_into_the_serial_order(
-        stream in stream_strategy(),
-        few in 1u64..4,
-    ) {
-        const BASE: usize = 1_000;
-        let wide = tuples_of(&stream, 0);
-        let narrow: Vec<Tuple> = wide.iter().copied().filter(|t| t.key.0 < few).collect();
-        for shards in [1usize, 2, 3, 4, 8] {
-            let route = ShardedAccumulator::exact(shards, IV);
-            let last = |t: &&Tuple| route.shard_of(t.key) == shards - 1;
-            let one_shard: Vec<Tuple> = wide.iter().filter(last).copied().collect();
-            for batch in [&wide, &one_shard, &narrow] {
-                let mut serial = PostSortAccumulator::new(IV);
-                ingest_all(&mut serial, batch);
-                let want = serial.seal(IV);
-                // Each shard's slice starts where the shards before it end,
-                // and its groups follow one another in seal order.
-                let mut next = vec![0; shards];
-                for t in batch.iter() {
-                    next[route.shard_of(t.key)] += 1;
-                }
-                let mut at = BASE;
-                for n in &mut next {
-                    (*n, at) = (at, at + *n);
-                }
-                let layout: Vec<usize> = (want.groups.iter())
-                    .map(|g| {
-                        let n = &mut next[route.shard_of(g.key)];
-                        *n += g.count;
-                        *n - g.count
-                    })
-                    .collect();
-                for threads in [1, 2, 3] {
-                    let what = format!("{shards} shards / {threads} threads, {} tuples", batch.len());
-                    let mut acc = ShardedAccumulator::exact(shards, IV);
-                    for slice in [true, false] {
-                        let mut arena = vec![Tuple::keyed(Time::ZERO, Key(0)); batch.len()];
-                        let mut groups = Vec::new();
-                        if slice {
-                            acc.seal_slice_into(batch, threads, &mut arena, BASE, IV, &mut groups);
-                        } else {
-                            acc.par_ingest(batch, threads);
-                            acc.seal_into(&mut arena, BASE, IV, &mut groups);
-                        }
-                        let offsets: Vec<usize> = groups.iter().map(|g| g.offset).collect();
-                        prop_assert_eq!(&offsets, &layout, "{} (slice seal: {})", what, slice);
-                        for g in &mut groups {
-                            g.offset -= BASE;
-                        }
-                        let sealed = SealedBatch::new(groups, arena, IV);
-                        prop_assert_eq!(&sealed, &want, "{} (slice seal: {})", what, slice);
-                        assert_arena_tiled(&sealed);
-                    }
                 }
             }
         }
@@ -465,17 +355,6 @@ fn check_all_accumulators(cfg: AccumulatorConfig, batches: &[Vec<Tuple>]) {
     check(|| ShardedAccumulator::new(cfg, 1, IV), batches);
     check(|| ShardedAccumulator::new(cfg, 4, IV), batches);
     check(|| PostSortAccumulator::new(IV), batches);
-    check(|| ShardedAccumulator::exact(1, IV), batches);
-    check(|| ShardedAccumulator::exact(7, IV), batches);
-
-    // Exact shards are the serial exact accumulator, batch after batch.
-    let mut serial = PostSortAccumulator::new(IV);
-    let mut sharded = ShardedAccumulator::exact(7, IV);
-    for tuples in batches {
-        ingest_all(&mut serial, tuples);
-        sharded.par_ingest(tuples, 3);
-        assert_eq!(sharded.seal(IV), serial.seal(IV));
-    }
 }
 
 fn spread(keys: impl Iterator<Item = u64>, n: usize) -> Vec<Tuple> {

@@ -17,19 +17,19 @@
 //!    `PartitionPlan::from_blocks` and a per-block count, batch after batch;
 //! 5. Prompt's row pipeline, which writes each arrival straight into its
 //!    block — against `partition_sealed` of the same accumulator's arena
-//!    seal, in every mode and ingest geometry, batch after batch.
+//!    seal, in every mode and at every width, batch after batch.
 //! 6. the shape every Prompt block has, which the Map kernel's run walk
-//!    relies on — one run per key, keys ascending — in every mode and
-//!    geometry, in both layouts and through `partition_sealed`.
+//!    relies on — one run per key, keys ascending — in every mode and at
+//!    every width, in both layouts and through `partition_sealed`.
 //! 7. the stable radix sort every baseline block, state pane and snapshot
 //!    is laid out with — against `slice::sort_by_key`, which is stable, on
 //!    `(key, tag)` pairs whose tags are their input positions — and the
-//!    exact heartbeat order every exact accumulator sorts its keys into
-//!    with it, `(count desc, key asc)` — against `slice::sort_by` on that
+//!    exact heartbeat order the exact accumulator sorts its keys into with
+//!    it, `(count desc, key asc)` — against `slice::sort_by` on that
 //!    comparison, on `(count, key, tag)` triples.
 //! 8. a plan of runs alone, which a count under the identity map reads —
 //!    against the plan that carries values, with its value columns dropped,
-//!    for every technique and Prompt geometry, batch after batch through
+//!    for every technique and Prompt width, batch after batch through
 //!    one instance as the job's columns alternate.
 //!
 //! The vendored proptest shim replays cases by test name, not by seed, so
@@ -41,7 +41,6 @@ use prompt_core::batch::{
 };
 use prompt_core::buffering::{
     AccumulatorConfig, BatchAccumulator, FrequencyAwareAccumulator, PostSortAccumulator,
-    ShardedAccumulator,
 };
 use prompt_core::columnar::{ColRange, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{bucket_of, mix64, KeyMap, KeySet};
@@ -421,7 +420,7 @@ proptest! {
 
     /// (8) A plan of runs alone is the plan that carries values with its
     /// value columns dropped — the same runs, sizes and split keys — for
-    /// every technique and Prompt geometry, through one instance whose
+    /// every technique and Prompt width, through one instance whose
     /// plans are handed back between batches of alternating columns.
     #[test]
     fn a_plan_of_runs_alone_is_the_value_plan_without_its_values(
@@ -434,7 +433,7 @@ proptest! {
     }
 }
 
-/// Every technique, and Prompt sharded in either mode, built afresh.
+/// Every technique, and Prompt at two threads in either mode, built afresh.
 fn every_partitioner(seed: u64) -> Vec<(String, Box<dyn Partitioner>)> {
     let techniques = PER_TUPLE
         .into_iter()
@@ -443,8 +442,8 @@ fn every_partitioner(seed: u64) -> Vec<(String, Box<dyn Partitioner>)> {
         .map(|t| (format!("{t:?}"), t.build(seed)))
         .collect();
     for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
-        let sharded = PromptPartitioner::with_parallelism(mode, 4, 2);
-        built.push((format!("{mode:?} 4 shards / 2 threads"), Box::new(sharded)));
+        let wide = PromptPartitioner::with_threads(mode, 2);
+        built.push((format!("{mode:?} 2 threads"), Box::new(wide)));
     }
     built
 }
@@ -487,7 +486,7 @@ proptest! {
 
     /// (5) The row pipeline's direct scatter builds the plan
     /// `partition_sealed` builds from the same accumulator's arena seal, in
-    /// both modes and every ingest geometry, and again for a second batch
+    /// both modes and at every width, and again for a second batch
     /// through the same partitioner, into the blocks of the first plan.
     #[test]
     fn direct_scatter_builds_the_arena_plan(
@@ -505,7 +504,7 @@ proptest! {
     /// (6) Every Prompt block is key runs, keys ascending, one run per
     /// fragment: `partition_sealed` at every tolerance in either seal order,
     /// and the partitioner's row plan and columnar plan (as rows) in both
-    /// modes and every ingest geometry.
+    /// modes and at every width.
     #[test]
     fn key_ordered_blocks_in_every_mode_and_geometry(
         counts in counts(),
@@ -545,9 +544,9 @@ fn check_key_ordered_plans(
     }
     let mb = arrivals(counts);
     for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
-        for (shards, threads) in [(1, 1), (1, 2), (4, 1), (4, 2), (7, 3)] {
-            let what = format!("{mode:?} shards={shards} threads={threads} p={p}");
-            let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
+        for threads in THREADS {
+            let what = format!("{mode:?} threads={threads} p={p}");
+            let mut part = PromptPartitioner::with_threads(mode, threads);
             check_key_ordered(&part.partition(&mb, p), &format!("{what} rows"))?;
             let (cols, _) = part.partition_columnar(&mb, p).expect("a columnar path");
             check_key_ordered(&cols.to_row_plan(), &format!("{what} columns"))?;
@@ -581,58 +580,48 @@ fn key_ordered_blocks_of_degenerate_batches() {
     }
 }
 
-/// Ingest geometries the direct scatter is checked over.
-const SHARDS: [usize; 4] = [1, 2, 4, 7];
+/// Widths the Prompt partitioner is checked at.
 const THREADS: [usize; 3] = [1, 2, 3];
 
-/// `mb` sealed by the accumulator a [`PromptPartitioner`] of this mode and
-/// geometry owns, seeded as the partitioner seeds it, through the arena path
-/// (one tuple at a time, or `par_ingest`), and partitioned from the arena.
-fn arena_plan(
-    mode: BufferingMode,
-    shards: usize,
-    threads: usize,
-    mb: &MicroBatch,
-    p: usize,
-) -> PartitionPlan {
+/// `mb` sealed by the accumulator a [`PromptPartitioner`] of this mode owns,
+/// seeded as the partitioner seeds it, through the arena path (one tuple at
+/// a time), and partitioned from the arena.
+fn arena_plan(mode: BufferingMode, mb: &MicroBatch, p: usize) -> PartitionPlan {
     let iv = mb.interval;
     let cfg = AccumulatorConfig {
         est_tuples: mb.len().max(1) as f64,
         ..AccumulatorConfig::default()
     };
-    let mut acc: Box<dyn BatchAccumulator> = match (mode, shards > 1) {
-        (BufferingMode::PostSort, false) => Box::new(PostSortAccumulator::new(iv)),
-        (BufferingMode::PostSort, true) => Box::new(ShardedAccumulator::exact(shards, iv)),
-        (BufferingMode::FrequencyAware, false) => Box::new(FrequencyAwareAccumulator::new(cfg, iv)),
-        (BufferingMode::FrequencyAware, true) => Box::new(ShardedAccumulator::new(cfg, shards, iv)),
+    let mut acc: Box<dyn BatchAccumulator> = match mode {
+        BufferingMode::PostSort => Box::new(PostSortAccumulator::new(iv)),
+        BufferingMode::FrequencyAware => Box::new(FrequencyAwareAccumulator::new(cfg, iv)),
     };
-    acc.ingest_all(&mb.tuples, threads);
+    for &t in &mb.tuples {
+        acc.ingest(t);
+    }
     PromptPartitioner::partition_sealed(&acc.seal(iv), p)
 }
 
 /// Every batch of `batches` in turn through one partitioner per mode and
-/// geometry, each plan handed back before the next batch, against
+/// width, each plan handed back before the next batch, against
 /// [`arena_plan`].
 fn check_direct_scatter(batches: &[MicroBatch], p: usize) -> Result<(), TestCaseError> {
     for mode in [BufferingMode::PostSort, BufferingMode::FrequencyAware] {
-        for shards in SHARDS {
-            for threads in THREADS {
-                let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
-                for (i, mb) in batches.iter().enumerate() {
-                    let plan = part.partition(mb, p);
-                    let want = arena_plan(mode, shards, threads, mb, p);
-                    prop_assert_eq!(
-                        &plan,
-                        &want,
-                        "{:?} shards={} threads={} p={} batch {}",
-                        mode,
-                        shards,
-                        threads,
-                        p,
-                        i
-                    );
-                    part.recycle(plan);
-                }
+        for threads in THREADS {
+            let mut part = PromptPartitioner::with_threads(mode, threads);
+            for (i, mb) in batches.iter().enumerate() {
+                let plan = part.partition(mb, p);
+                let want = arena_plan(mode, mb, p);
+                prop_assert_eq!(
+                    &plan,
+                    &want,
+                    "{:?} threads={} p={} batch {}",
+                    mode,
+                    threads,
+                    p,
+                    i
+                );
+                part.recycle(plan);
             }
         }
     }

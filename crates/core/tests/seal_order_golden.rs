@@ -8,14 +8,16 @@
 //! * [`EXACT_GOLDEN`] — the engine's buffer (`Technique::Prompt`: exact
 //!   counts, one sort at the heartbeat), generated at the commit that made it
 //!   the default. One row per distribution: the sealed batch is a function of
-//!   the key counts alone, so every shard count and thread count must
-//!   reproduce the same row.
+//!   the key counts alone, so the partitioner must reproduce the same row at
+//!   every width.
 //! * [`COUNT_TREE_GOLDEN`] — the paper's budgeted Algorithm 1
 //!   (`Technique::PromptCountTree`), generated at the commit *before* the
 //!   `CountTree` became a B-tree and the `HTable` a slot index over one flat
 //!   arrival log, and unchanged since. One row per distribution and shard
-//!   count: its k-way merge of quasi-sorted shards is deterministic but not
-//!   shard-invariant.
+//!   count: the sharded count tree's k-way merge of quasi-sorted shards is
+//!   deterministic but not shard-invariant. The partitioner runs one serial
+//!   accumulator, so it is checked against the one-shard rows; the 4-shard
+//!   rows pin `ShardedAccumulator`, each plan built from its seal.
 //!
 //! The `plan` and `plan_reused` columns of both tables were regenerated
 //! twice since, the other columns never moving: once when Prompt blocks
@@ -278,58 +280,77 @@ const COUNT_TREE_GOLDEN: [Golden; 8] = [
     },
 ];
 
-/// Ingest `first` on `threads` threads and seal it, checking on the way that
-/// the columnar seal emits the same groups in the same order. Returns the
-/// sealed batch and the tree updates it took.
-fn seal_both_layouts<A: BatchAccumulator + Send>(
-    mut acc: ShardedAccumulator<A>,
+/// Seal `first` through `acc`, checking on the way that the columnar seal
+/// emits the same groups in the same order. Returns the sealed batch and
+/// the tree updates it took.
+fn seal_both_layouts<A: BatchAccumulator>(
+    acc: &mut A,
     first: &[Tuple],
-    threads: usize,
+    ingest: impl Fn(&mut A, &[Tuple]),
 ) -> (SealedBatch, u64) {
-    acc.par_ingest(first, threads);
+    ingest(acc, first);
     let tree_updates = acc.stats().tree_updates;
     let sealed = acc.seal(IV);
     assert_eq!(sealed.n_tuples, first.len());
-    acc.par_ingest(first, threads);
+    ingest(acc, first);
     assert_eq!(acc.seal_columnar(IV).to_sealed(), sealed);
     (sealed, tree_updates)
 }
 
+fn one_by_one<A: BatchAccumulator>(acc: &mut A, tuples: &[Tuple]) {
+    for &t in tuples {
+        acc.ingest(t);
+    }
+}
+
+/// The accumulator configuration `PromptPartitioner` seeds for a batch of
+/// `n` tuples.
+fn seeded(n: usize) -> AccumulatorConfig {
+    AccumulatorConfig {
+        est_tuples: n as f64,
+        ..AccumulatorConfig::default()
+    }
+}
+
+/// One row: `dist` sealed by the mode's serial accumulator and partitioned
+/// by the partitioner at `threads` workers, or, for the count tree at more
+/// than one shard, sealed by `ShardedAccumulator` on `threads` workers and
+/// partitioned from its seal.
 fn measure(mode: BufferingMode, dist: Dist, shards: usize, threads: usize) -> Golden {
     let first = stream(dist, 0x5ea1, TUPLES);
     let second = stream(dist, 0x5ea2, TUPLES / 5);
-    let serial_seal = |mut acc: Box<dyn BatchAccumulator>| {
-        for &t in &first {
-            acc.ingest(t);
-        }
-        let tree_updates = acc.stats().tree_updates;
-        (acc.seal(IV), tree_updates)
-    };
     let (sealed, tree_updates) = match mode {
         BufferingMode::PostSort => {
-            let got = seal_both_layouts(ShardedAccumulator::exact(shards, IV), &first, threads);
-            // Any shard count is the serial accumulator.
-            let serial = serial_seal(Box::new(PostSortAccumulator::new(IV)));
-            assert_eq!(serial, got);
-            got
+            assert_eq!(shards, 1, "the exact buffer has no shards");
+            seal_both_layouts(&mut PostSortAccumulator::new(IV), &first, one_by_one)
         }
         BufferingMode::FrequencyAware => {
-            // The accumulator configuration `PromptPartitioner` seeds per batch.
-            let cfg = AccumulatorConfig {
-                est_tuples: first.len() as f64,
-                ..AccumulatorConfig::default()
-            };
-            let got = seal_both_layouts(ShardedAccumulator::new(cfg, shards, IV), &first, threads);
-            if shards == 1 {
-                // One shard is the serial accumulator.
-                let serial = serial_seal(Box::new(FrequencyAwareAccumulator::new(cfg, IV)));
-                assert_eq!(serial, got);
+            let cfg = seeded(first.len());
+            let mut sharded = ShardedAccumulator::new(cfg, shards, IV);
+            let par =
+                |acc: &mut ShardedAccumulator, tuples: &[Tuple]| acc.par_ingest(tuples, threads);
+            let got = seal_both_layouts(&mut sharded, &first, par);
+            if shards > 1 {
+                let plan = PromptPartitioner::partition_sealed(&got.0, BLOCKS);
+                sharded.set_estimates(second.len() as f64, AccumulatorConfig::default().avg_keys);
+                sharded.par_ingest(&second, threads);
+                let reused = PromptPartitioner::partition_sealed(&sharded.seal(IV), BLOCKS);
+                return Golden {
+                    order: order_fingerprint(&got.0),
+                    tuples: tuples_fingerprint(&got.0),
+                    tree_updates: got.1,
+                    plan: plan_fingerprint(&plan),
+                    plan_reused: plan_fingerprint(&reused),
+                };
             }
+            // One shard is the serial accumulator.
+            let mut serial = FrequencyAwareAccumulator::new(cfg, IV);
+            assert_eq!(seal_both_layouts(&mut serial, &first, one_by_one), got);
             got
         }
     };
 
-    let mut part = PromptPartitioner::with_parallelism(mode, shards, threads);
+    let mut part = PromptPartitioner::with_threads(mode, threads);
     let plan = part.partition(&MicroBatch::new(first, IV), BLOCKS);
     assert_eq!(
         plan,
@@ -362,16 +383,16 @@ fn table(got: &[Golden], names: impl Iterator<Item = String>) -> String {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "500k-tuple inputs: run with --release")]
-fn exact_seal_is_one_fingerprint_per_distribution_for_every_geometry() {
+fn exact_seal_is_one_fingerprint_per_distribution_at_every_width() {
     let got: Vec<Golden> = DISTS
         .iter()
         .map(|&(name, dist)| {
             let one = measure(BufferingMode::PostSort, dist, 1, 1);
-            for (shards, threads) in [(1, 2), (4, 1), (4, 2), (7, 3)] {
+            for threads in [2, 3] {
                 assert_eq!(
-                    measure(BufferingMode::PostSort, dist, shards, threads),
+                    measure(BufferingMode::PostSort, dist, 1, threads),
                     one,
-                    "{name}: {shards} shards / {threads} threads"
+                    "{name}: {threads} threads"
                 );
             }
             one

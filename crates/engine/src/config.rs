@@ -39,7 +39,8 @@ pub enum Backend {
     InProcess,
     /// The same executor with its Map and Reduce phases on OS threads.
     Threaded {
-        /// Threads for the Map and Reduce phases (the shuffle is serial).
+        /// Threads for the Map and Reduce phases (the shuffle is serial),
+        /// and for Prompt's assignment and run tables.
         threads: usize,
     },
     /// Multi-process execution over the TCP runtime (`net`): tasks run on
@@ -75,14 +76,17 @@ pub struct EngineConfig {
     pub backpressure_queue: f64,
     /// Enable the Algorithm 4 auto-scaler.
     pub elasticity: Option<ScalerConfig>,
-    /// Accumulator shards for the Prompt batching phase. `1` is the serial
-    /// buffer; `> 1` ingests through the sharded accumulator. A wall-clock
-    /// knob only: `Technique::Prompt` seals the same batch — and builds the
-    /// same plan — for every shard and thread count (see
-    /// `prompt_core::buffering::ShardedAccumulator`).
+    /// Has no effect: the batching phase is one serial accumulator per
+    /// batch (§4.1), and the engine's parallelism comes from the pipeline
+    /// ([`pipeline_depth`](EngineConfig::pipeline_depth)) and the backend.
+    /// It once sharded Prompt's accumulator by key hash. It stays only so
+    /// that struct literals naming it keep compiling.
+    #[deprecated(note = "has no effect: the batching phase is one serial accumulator")]
     pub ingest_shards: usize,
-    /// Worker threads for parallel ingest (when `ingest_shards > 1`) and
-    /// plan materialization (capped by the shard/block counts).
+    /// Has no effect: the partitioner runs as wide as the backend —
+    /// [`Backend::Threaded`]'s `threads`, else one thread. It stays only so
+    /// that struct literals naming it keep compiling.
+    #[deprecated(note = "has no effect: the partitioner's width is the backend's")]
     pub ingest_threads: usize,
     /// Observability verbosity: what [`StreamingEngine::run_traced`]
     /// records (see `crate::trace`). `Off` keeps the hot path free of any
@@ -216,9 +220,6 @@ impl EngineConfig {
         if self.backpressure_queue <= 0.0 {
             return Err("backpressure queue threshold must be positive".into());
         }
-        if self.ingest_shards == 0 || self.ingest_threads == 0 {
-            return Err("ingest shards and threads must be positive".into());
-        }
         // A config can describe a cluster shape directly (the fields are
         // public), so report emptiness here instead of panicking later.
         Cluster::try_new(self.cluster.executors, self.cluster.cores_per_executor)?;
@@ -340,14 +341,6 @@ mod tests {
             },
             EngineConfig {
                 backpressure_queue: 0.0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                ingest_shards: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                ingest_threads: 0,
                 ..EngineConfig::default()
             },
             EngineConfig {

@@ -40,7 +40,7 @@ use prompt_core::partitioner::{PartitionerRegistry, Technique};
 use prompt_core::reduce::{HashReduceAssigner, PromptReduceAllocator, ReduceAssigner};
 use prompt_core::types::Duration;
 
-use crate::config::{EngineConfig, OverheadMode};
+use crate::config::{Backend, EngineConfig, OverheadMode};
 use crate::elasticity::ScaleAction;
 use crate::job::Job;
 use crate::net::NetStats;
@@ -116,7 +116,7 @@ pub struct RunResult {
     /// [`RunResult::recoveries`]). Always 0 for in-process backends.
     pub worker_losses: u64,
     /// Driver-side wire totals when the run used
-    /// [`Backend::Distributed`](crate::config::Backend::Distributed).
+    /// [`Backend::Distributed`].
     pub net: Option<NetStats>,
     /// State-layer accounting when the keyed state store was active
     /// (checkpointing configured or a stateful operator attached).
@@ -373,9 +373,9 @@ struct StrategySet {
 }
 
 impl StrategySet {
-    fn new(seed: u64, shards: usize, threads: usize) -> StrategySet {
+    fn new(seed: u64, threads: usize) -> StrategySet {
         StrategySet {
-            registry: PartitionerRegistry::with_parallelism(seed, shards, threads),
+            registry: PartitionerRegistry::with_parallelism(seed, threads),
             hash_assigner: HashReduceAssigner::new(seed),
             prompt_assigner: PromptReduceAllocator::new(seed),
         }
@@ -426,11 +426,16 @@ impl StreamingEngine {
             // spec so `config()` reports what actually runs.
             cfg.policy = PolicySpec::Fixed(technique);
         }
+        // The batching phase is one serial accumulator; the partitioner runs
+        // as wide as the local executor. The fleet's driver partitions on
+        // one thread, as `InProcess` does.
+        let width = match cfg.backend {
+            Backend::Threaded { threads } => threads,
+            Backend::InProcess | Backend::Distributed { .. } => 1,
+        };
         StreamingEngine {
             technique,
-            // The ingest-parallelism knobs only apply to Prompt's batching
-            // phase; every other technique partitions per tuple.
-            strategies: StrategySet::new(seed, cfg.ingest_shards, cfg.ingest_threads),
+            strategies: StrategySet::new(seed, width),
             policy: build_policy(&cfg.policy, technique, seed),
             cfg,
             job,
@@ -815,37 +820,55 @@ mod tests {
         }
     }
 
+    /// The batching phase is one serial accumulator, so neither the
+    /// deprecated ingest geometry nor the backend's width changes a batch:
+    /// for `Technique::Prompt` and the paper's count tree alike, every
+    /// geometry, on the calling thread and on `Backend::Threaded` at two
+    /// threads and depth 2, gives the serial run: its plans' metrics, task
+    /// times and windows, a `Sum`'s rounding included.
     #[test]
+    #[allow(deprecated)]
     fn ingest_geometry_changes_no_plan_and_no_answer() {
-        // `Technique::Prompt` seals the same batch for every shard and
-        // thread count, so everything downstream of the seal is identical:
-        // plan metrics, per-task times, windows.
-        let run = |shards: usize, threads: usize| {
+        let run = |technique, backend, depth, shards, threads| {
             let mut cfg = small_cfg();
+            cfg.backend = backend;
+            cfg.pipeline_depth = depth;
             cfg.ingest_shards = shards;
             cfg.ingest_threads = threads;
-            let mut eng = StreamingEngine::new(
-                cfg,
-                Technique::Prompt,
-                1,
-                Job::identity("count", ReduceOp::Count),
-            )
-            .with_window(WindowSpec::tumbling(Duration::from_secs(2)));
-            eng.run(&mut const_source(500, 21), 6)
+            let job = Job::identity("sum", ReduceOp::Sum);
+            let mut eng = StreamingEngine::new(cfg, technique, 1, job)
+                .with_window(WindowSpec::tumbling(Duration::from_secs(2)));
+            // Zipf-like counts over a thousand keys: key `1000 / (r + 1)`,
+            // `r` scrambled over the interval, so key 1 takes half the
+            // tuples and most keys a few, and values of varied bits.
+            let mut zipfish = |iv: Interval, out: &mut Vec<Tuple>| {
+                let n = 3_000u64;
+                let step = iv.len().0 / (n + 1);
+                for i in 0..n {
+                    let r = (iv.start.0 / step + i).wrapping_mul(0x9e37_79b9) % 1_000;
+                    let ts = Time(iv.start.0 + step * (i + 1));
+                    out.push(Tuple::new(ts, Key(1_000 / (r + 1)), 0.1 * (i % 7) as f64));
+                }
+            };
+            eng.run(&mut zipfish, 6)
         };
-        let reference = run(1, 1);
-        for (shards, threads) in [(1, 2), (4, 2), (8, 4)] {
-            let res = run(shards, threads);
-            let label = format!("{shards} shards / {threads} threads");
-            assert_eq!(res.batches.len(), reference.batches.len());
-            for (a, b) in reference.batches.iter().zip(&res.batches) {
-                assert_eq!(a.plan_metrics, b.plan_metrics, "{label}, batch {}", a.seq);
-                assert_eq!(a.map_task_times, b.map_task_times, "{label}");
-                assert_eq!(a.reduce_task_times, b.reduce_task_times, "{label}");
+        let threaded = Backend::Threaded { threads: 2 };
+        for technique in [Technique::Prompt, Technique::PromptCountTree] {
+            let reference = run(technique, Backend::InProcess, 1, 1, 1);
+            for (backend, depth, shards, threads) in [
+                (Backend::InProcess, 1, 1, 2),
+                (Backend::InProcess, 1, 4, 2),
+                (Backend::InProcess, 1, 8, 4),
+                (threaded, 2, 1, 1),
+                (threaded, 2, 4, 2),
+            ] {
+                let res = run(technique, backend, depth, shards, threads);
+                let label = format!(
+                    "{technique:?} on {backend:?} at depth {depth}, \
+                     {shards} shards / {threads} threads"
+                );
+                assert_eq!(reference.first_difference(&res), None, "{label}");
             }
-            let a = reference.windows.last().unwrap();
-            let b = res.windows.last().unwrap();
-            assert_eq!(a.aggregates, b.aggregates, "{label}");
         }
     }
 
@@ -2366,6 +2389,141 @@ mod tests {
             production.iter().any(|l| l.contains(&recycle)),
             "`Partitioner::recycle` takes no row plan"
         );
+    }
+
+    /// What survives of sharded ingest, each as `(file under core's src,
+    /// its function, the file that compiles against it)`: the end-to-end
+    /// benchmark's hand pipeline times a sharded count tree and builds its
+    /// partitioner through the old three-argument constructor. Each goes
+    /// with the `[benchmark]` change that stops calling it (ROADMAP item 1).
+    const PINNED_INGEST_ADAPTERS: [(&str, &str, &str); 3] = [
+        (
+            "buffering/sharded.rs",
+            "ShardedAccumulator::new(",
+            "benchmark/src/trace.rs",
+        ),
+        (
+            "buffering/sharded.rs",
+            ".par_ingest(",
+            "benchmark/src/trace.rs",
+        ),
+        (
+            "partitioner/prompt.rs",
+            "PromptPartitioner::with_parallelism(",
+            "benchmark/src/trace.rs",
+        ),
+    ];
+
+    /// Shape guard for the batching phase (ROADMAP item 26): one serial
+    /// accumulator per batch, and the backend's width the partitioner's
+    /// only one. No production line of core or engine reads the deprecated
+    /// `ingest_shards` / `ingest_threads`, but their declarations and
+    /// `Default` in `config.rs`; the strategy pool, the registry and
+    /// `Technique`'s builder take no shard count; no exact shards are left,
+    /// and neither the engine nor core's partitioners name the sharded
+    /// accumulator. What is left of it is [`PINNED_INGEST_ADAPTERS`], each
+    /// still called where the list says.
+    #[test]
+    fn engine_shape_one_serial_accumulator() {
+        let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let core = manifest.join("../core/src");
+        let mut sources = Vec::new();
+        sources_under(&manifest.join("src"), &mut sources);
+        sources_under(&core, &mut sources);
+        assert!(
+            sources.len() > 40,
+            "scanner broken? {} files",
+            sources.len()
+        );
+        let production = |src: &str| -> Vec<String> {
+            (src.lines())
+                .take_while(|l| *l != "#[cfg(test)]")
+                .map(str::to_string)
+                .collect()
+        };
+        // Spelt in halves so a grep for a needle finds only real uses.
+        let knobs = [
+            ["ingest", "_shards"].concat(),
+            ["ingest", "_threads"].concat(),
+        ];
+        let sharded = ["Sharded", "Accumulator"].concat();
+        for (file, src) in &sources {
+            let lines = production(src);
+            for (n, line) in lines.iter().enumerate() {
+                for knob in &knobs {
+                    if !line.contains(knob.as_str()) {
+                        continue;
+                    }
+                    let declared = [
+                        format!("    pub {knob}: usize,"),
+                        format!("            {knob}: 1,"),
+                    ];
+                    assert!(
+                        file.ends_with("/config.rs") && declared.contains(line),
+                        "{file}:{}: reads `{knob}`",
+                        n + 1
+                    );
+                }
+                let partitioner = file.contains("/partitioner/");
+                let engine = file.contains("/engine/src/");
+                assert!(
+                    !((partitioner || engine) && line.contains(&sharded)),
+                    "{file}:{}: `{sharded}` on the engine's path",
+                    n + 1
+                );
+            }
+        }
+        let read = |rel: &str| {
+            production(&std::fs::read_to_string(core.join(rel)).expect("readable core source"))
+        };
+        let sharded_src = read("buffering/sharded.rs");
+        let exact = ["pub fn ", "exact("].concat();
+        assert!(
+            !sharded_src.iter().any(|l| l.contains(&exact)),
+            "exact shards are back"
+        );
+        let driver = production(include_str!("driver.rs"));
+        let partitioner = read("partitioner/mod.rs");
+        for (lines, signature) in [
+            (&driver, "fn new(seed: u64, threads: usize) -> StrategySet"),
+            (
+                &partitioner,
+                "pub fn with_parallelism(seed: u64, threads: usize)",
+            ),
+            (
+                &partitioner,
+                "pub fn build_with_parallelism(&self, seed: u64, threads: usize)",
+            ),
+        ] {
+            assert!(
+                lines.iter().any(|l| l.contains(signature)),
+                "no `{signature}`"
+            );
+        }
+        let shards = ["shards", ":"].concat();
+        for (name, lines) in [("driver.rs", &driver), ("partitioner/mod.rs", &partitioner)] {
+            for (n, line) in lines.iter().enumerate() {
+                assert!(!line.contains(&shards), "{name}:{}: `{shards}`", n + 1);
+            }
+        }
+        for (file, call, caller) in PINNED_INGEST_ADAPTERS {
+            let name = call
+                .trim_end_matches('(')
+                .rsplit(['.', ':'])
+                .next()
+                .expect("a name");
+            let declared = format!("pub fn {name}(");
+            assert!(
+                read(file).iter().any(|l| l.contains(&declared)),
+                "{file}: no `{declared}`"
+            );
+            let caller_src = std::fs::read_to_string(manifest.join("../..").join(caller))
+                .unwrap_or_else(|e| panic!("{caller}: {e}"));
+            assert!(
+                caller_src.contains(call),
+                "{caller} no longer calls `{call}`: delete the adapter and its pin"
+            );
+        }
     }
 
     /// Shape guard for what crosses the seal (DESIGN §4e): the timestamp

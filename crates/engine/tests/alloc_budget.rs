@@ -4,19 +4,22 @@
 //! reallocation) of at least [`LARGE`] bytes: the per-key tables a batch
 //! builds — run tables, bucket merges, the gather, the store's panes and
 //! emissions, the sealed arena — and every time one of them grows. The engine
-//! runs two benchmark shapes, the Zipf one again through four ingest shards
-//! and once more through PK-2 (the per-tuple placement loop the baselines
-//! share), on `Backend::InProcess`, which executes every stage on the
-//! calling thread; those four are counted on that thread alone, so the
-//! checkpoint compactor is not. The fifth shape is `zipf_threaded`'s
-//! geometry, whose tasks run on the fan-out pool's helpers too, so it is
-//! counted on every thread; the file's tests take one lock, so nothing else
-//! runs while it counts. The sixth is `zipf_dist`'s, counted on the driver
-//! thread, which encodes every Map frame. The allocation sequence is a
-//! function of the input alone — each task's tables are indexed by task, not
-//! by the thread that ran it — so the budgets below are exact measurements,
-//! not timings: a table that starts growing from empty again fails here,
-//! whatever the host.
+//! runs two benchmark shapes, and the Zipf one again through PK-2 (the
+//! per-tuple placement loop the baselines share), on `Backend::InProcess`,
+//! which executes every stage on the calling thread; those three are counted
+//! on that thread alone, so the checkpoint compactor is not. The fourth
+//! shape is `zipf_threaded`'s geometry, whose tasks run on the fan-out
+//! pool's helpers too, so it is counted on every thread; the file's tests
+//! take one lock, so nothing else runs while it counts. The fifth is
+//! `zipf_dist`'s, counted on the driver thread, which encodes every Map
+//! frame. The allocation sequence is a function of the input alone — each
+//! task's tables are indexed by task, not by the thread that ran it — so the
+//! budgets below are exact measurements, not timings: a table that starts
+//! growing from empty again fails here, whatever the host.
+//!
+//! Each budget bounds the most any one measured batch allocates, not the
+//! mean: a mean in whole allocations rounds a steady allocation in fewer
+//! than all the measured batches down to nothing.
 //!
 //! 250k- and 500k-tuple batches are too slow for a debug tier-1 run; CI runs
 //! this file with `cargo test -p prompt-engine --release --test alloc_budget`.
@@ -137,11 +140,13 @@ impl Stream {
         }
     }
 
-    /// `(allocations, bytes)` per measured batch, averaged.
+    /// The most `(allocations, bytes)` any one measured batch made, each
+    /// maximised on its own.
     fn per_batch(&self) -> (u64, u64) {
-        let (a, b) = (self.marks[WARMUP], self.marks[WARMUP + MEASURED]);
-        let n = MEASURED as u64;
-        ((b.0 - a.0) / n, (b.1 - a.1) / n)
+        let measured = &self.marks[WARMUP..=WARMUP + MEASURED];
+        (measured.windows(2))
+            .map(|w| (w[1].0 - w[0].0, w[1].1 - w[0].1))
+            .fold((0, 0), |most, got| (most.0.max(got.0), most.1.max(got.1)))
     }
 }
 
@@ -180,8 +185,8 @@ fn serial() -> EngineConfig {
     }
 }
 
-/// Run `technique` over `stream` under `cfg` and return the per-batch large
-/// allocations of the measured batches.
+/// Run `technique` over `stream` under `cfg` and return the most large
+/// allocations (and bytes) one measured batch made.
 fn measure(
     technique: Technique,
     cfg: EngineConfig,
@@ -202,13 +207,13 @@ fn measure(
 fn assert_within(shape: &str, got: (u64, u64), budget: (u64, u64)) {
     let mib = |b: u64| b as f64 / (1 << 20) as f64;
     println!(
-        "{shape}: {} allocations of ≥ 64 KiB per batch, {:.1} MiB",
+        "{shape}: at most {} allocations of ≥ 64 KiB a batch, {:.1} MiB",
         got.0,
         mib(got.1)
     );
     assert!(
         got.0 <= budget.0 && got.1 <= budget.1,
-        "{shape}: {} allocations ({:.1} MiB) of ≥ 64 KiB per batch, over the budget of {} \
+        "{shape}: {} allocations ({:.1} MiB) of ≥ 64 KiB in one batch, over the budget of {} \
          ({:.1} MiB); measured {got:?}",
         got.0,
         mib(got.1),
@@ -246,31 +251,15 @@ fn zipf_inproc_stays_within_its_allocation_budget() {
     assert_within("zipf_inproc", got, ZIPF_BUDGET);
 }
 
-/// `zipf_inproc`'s shape buffered through 4 exact ingest shards on one
-/// ingest thread, which seal into one arena.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
-fn zipf_sharded_stays_within_its_allocation_budget() {
-    let cfg = EngineConfig {
-        ingest_shards: 4,
-        ..serial()
-    };
-    let stream = Stream::new(500_000, 100_000, true, 0x5eed);
-    let got = measure(Technique::Prompt, cfg, ReduceOp::Count, (2, 2), stream);
-    assert_within("zipf_sharded", got, ZIPF_SHARDED_BUDGET);
-}
-
-/// `zipf_threaded`'s geometry: `zipf_inproc`'s shape through 4 exact ingest
-/// shards on 2 ingest threads, executed on 2 threads at depth 2 — counted on
-/// every thread, so the pool's helpers are held to the same budget as the
-/// driver.
+/// `zipf_threaded`'s geometry: `zipf_inproc`'s shape on 2 threads at depth
+/// 2 — the next batch partitioned on the partition thread while the oldest
+/// executes — counted on every thread, so the partition thread and the
+/// pool's helpers are held to the same budget as the driver.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "500k-tuple batches: run with --release")]
 fn zipf_threaded_stays_within_its_allocation_budget() {
     let cfg = EngineConfig {
         backend: Backend::Threaded { threads: 2 },
-        ingest_shards: 4,
-        ingest_threads: 2,
         pipeline_depth: 2,
         ..serial()
     };
@@ -311,58 +300,58 @@ fn zipf_dist_stays_within_its_allocation_budget() {
     assert_within("zipf_dist", got, ZIPF_DIST_BUDGET);
 }
 
-/// `(allocations, bytes)` per batch. Measured: 34 and 18.3 MiB — 16 of
-/// them the store's per-shard panes, each sized once up front (66 and
-/// 22.2 MiB while each grew from empty, three allocations a pane), 16
-/// Algorithm 3's assignment vectors;
-/// Hash blocks are grouped by key at placement, so no Map task keeps a fold
-/// table, and grow by doubling (68 while they grew to exactly their size);
-/// 66 too once the placement loop and the store's panes sorted by radix
-/// in buffers they keep (98 with a fresh sorter per block, or per pane) —
-/// against 267 and 73.0 MiB while every batch built its plan, Map and merge
-/// tables afresh, 268 and 78.7 MiB while a checkpointed run retained every
-/// batch's input (a 5.7 MiB copy), and 336 and 105.9 MiB while the gather,
-/// the bucket merges and the emission grew their tables from empty. The
-/// slack absorbs a toolchain's different growth policy, not run-to-run
-/// noise: there is none.
-const UNIFORM_BUDGET: (u64, u64) = (38, 20 << 20);
-/// Measured: 1 and 3.2 MiB — the gathered output and one emission every
-/// second batch; a block's run table is its fragment table — against 2 and
-/// 3.3 MiB while a block's run table grew beside an equal fragment table, 2
-/// while Map folded every block through a table, 18 and
-/// 4.7 MiB while Algorithm 3 built a list of non-split clusters per block,
-/// 149 and 44.0 MiB while every batch sealed into a fresh arena and built its
-/// plan, Map and merge tables afresh, and 166 and 46.8 MiB before that, while
-/// tables grew from empty. A stable sort of each block's pieces (it allocates
-/// a buffer per block) measured 17.
-const ZIPF_BUDGET: (u64, u64) = (3, 5 << 20);
-/// Measured: 1 and 3.2 MiB, as `zipf_inproc`: the shards' group lists and
-/// scatter runs are kept too. Against 156 and 45.4 MiB with fresh arenas,
-/// plans and tables, and 161 and 57.8 MiB while every shard sealed into an
-/// arena of its own and the merge copied them into one more.
-const ZIPF_SHARDED_BUDGET: (u64, u64) = (3, 5 << 20);
-/// Measured: 2 and 3.3 MiB on every thread, one more than on one: helpers
-/// reuse the tables of the tasks they run, whichever those are (3 and 3.4
-/// MiB while a block's run table grew beside an equal fragment table).
-const ZIPF_THREADED_BUDGET: (u64, u64) = (3, 5 << 20);
-/// Measured: 4 and 3.7 MiB (3.8 while a count's blocks carried values),
-/// with the blocks built in the last plan handed back, and the per-arrival blocks, the pair buffer and the radix sort's
-/// buffers kept (as with the count tables, per-arrival slots and run sort
-/// buffer the loop kept before it sorted by radix; 36 and 12.9 MiB with a
-/// fresh sorter per block) — against 5 while a block's values grew to
-/// exactly its size (a baseline's block size wanders batch to batch), and
-/// 73 and 26.8 MiB
-/// while every batch built fresh blocks and a key map per block, and
+/// `(allocations, bytes)` of the measured batch that makes the most.
+/// Measured: 39 and 25.2 MiB in the first measured batch, and 34 and 17.4
+/// MiB in every other — 16 of
+/// them the store's per-shard panes, each sized once up front, 16
+/// Algorithm 3's assignment vectors. The figures below in parentheses are
+/// means over the 8 measured batches, as the budgets were once taken: 34 and
+/// 18.3 MiB now, 66 and 22.2 MiB while each pane grew from empty (three
+/// allocations a pane); Hash blocks are grouped by key at placement, so no
+/// Map task keeps a fold table, and grow by doubling (68 while they grew to
+/// exactly their size); 66 too once the placement loop and the store's
+/// panes sorted by radix in buffers they keep (98 with a fresh sorter per
+/// block, or per pane) — against 267 and 73.0 MiB while every batch built
+/// its plan, Map and merge tables afresh, 268 and 78.7 MiB while a
+/// checkpointed run retained every batch's input (a 5.7 MiB copy), and 336
+/// and 105.9 MiB while the gather, the bucket merges and the emission grew
+/// their tables from empty. The slack absorbs a toolchain's different
+/// growth policy, not run-to-run noise: there is none.
+const UNIFORM_BUDGET: (u64, u64) = (42, 28 << 20);
+/// Measured: 3 and 4.4 MiB — the gathered output, and one emission every
+/// second batch; a block's run table is its fragment table. Means: 1 and
+/// 3.2 MiB, against 2 and 3.3 MiB while a block's run table grew beside an
+/// equal fragment table, 2 while Map folded every block through a table, 18
+/// and 4.7 MiB while Algorithm 3 built a list of non-split clusters per
+/// block, 149 and 44.0 MiB while every batch sealed into a fresh arena and
+/// built its plan, Map and merge tables afresh, and 166 and 46.8 MiB before
+/// that, while tables grew from empty. A stable sort of each block's pieces
+/// (it allocates a buffer per block) measured a mean of 17.
+const ZIPF_BUDGET: (u64, u64) = (4, 6 << 20);
+/// Measured: 6 and 4.4 MiB on every thread, in the second measured batch,
+/// and as `zipf_inproc` in the rest: helpers reuse the tables of the tasks
+/// they run, whichever those are. 7 and 4.6 MiB while the batching phase
+/// ran 4 shards on 2 threads (a mean of 2 and 3.3 MiB; 3 and 3.4 MiB while a
+/// block's run table grew beside an equal fragment table).
+const ZIPF_THREADED_BUDGET: (u64, u64) = (7, 6 << 20);
+/// Measured: 6 and 4.9 MiB, with the blocks built in the last plan handed
+/// back, and the per-arrival blocks, the pair buffer and the radix sort's
+/// buffers kept. Means: 4 and 3.7 MiB (3.8 while a count's blocks carried
+/// values; as with the count tables, per-arrival slots and run sort buffer
+/// the loop kept before it sorted by radix; 36 and 12.9 MiB with a fresh
+/// sorter per block) — against 5 while a block's values grew to exactly its
+/// size (a baseline's block size wanders batch to batch), and 73 and 26.8
+/// MiB while every batch built fresh blocks and a key map per block, and
 /// dropped its plan.
-const PK2_BUDGET: (u64, u64) = (4, 5 << 20);
-/// Measured: 8 and 3.7 MiB — one exact-size buffer per Map frame of 64 KiB
+const PK2_BUDGET: (u64, u64) = (7, 6 << 20);
+/// Measured: 9 and 4.8 MiB — one exact-size buffer per Map frame of 64 KiB
 /// or more (a count's frame is its block's key runs alone, 16 bytes a run,
 /// so about half of the 16 reach it), plus `zipf_inproc`'s gathered output
-/// and emission — against 18 and 8.1 MiB while every frame carried its
-/// block's values too (4.8 MiB of key runs and values), 18 and 15.7 MiB
-/// while a frame carried 24-byte tuples and a fragment table (12.4 MiB),
-/// and 98 and 46.7 MiB while each payload grew from an empty writer (64 KiB
-/// → 1 MiB) and was then copied behind its header: six a frame. A frame
-/// that carries the values again fails it by its bytes; one that regrows or
-/// is copied again, by its count.
-const ZIPF_DIST_BUDGET: (u64, u64) = (10, 5 << 20);
+/// and emission. Means: 8 and 3.7 MiB, against 18 and 8.1 MiB while every
+/// frame carried its block's values too (4.8 MiB of key runs and values), 18
+/// and 15.7 MiB while a frame carried 24-byte tuples and a fragment table
+/// (12.4 MiB), and 98 and 46.7 MiB while each payload grew from an empty
+/// writer (64 KiB → 1 MiB) and was then copied behind its header: six a
+/// frame. A frame that carries the values again fails it by its bytes; one
+/// that regrows or is copied again, by its count.
+const ZIPF_DIST_BUDGET: (u64, u64) = (10, 6 << 20);

@@ -361,24 +361,16 @@ impl Case {
 
     /// This case with every wall-clock-only knob at its serial value and no
     /// worker killed: what [`check`]'s first equality compares against. The
-    /// ingest geometry is one of those knobs except for the paper's
-    /// budgeted count tree, whose sketch is per shard by design (§4c).
+    /// deprecated ingest geometry is one of those knobs, whatever technique
+    /// may run: the batching phase is one serial accumulator.
     #[allow(deprecated)]
     pub fn serial(&self) -> Case {
         let mut case = self.clone();
         case.cfg.backend = Backend::InProcess;
         case.cfg.trace = TraceLevel::Off;
         case.cfg.columnar = false;
+        (case.cfg.ingest_shards, case.cfg.ingest_threads) = (1, 1);
         case.kills = NetFaultPlan::none();
-        let tree = Technique::PromptCountTree;
-        let tree_may_run = match &self.cfg.policy {
-            PolicySpec::Forced(techniques) => techniques.contains(&tree),
-            PolicySpec::Adaptive(cfg) => self.technique == tree || cfg.candidates.contains(&tree),
-            PolicySpec::Fixed(_) => self.technique == tree,
-        };
-        if !tree_may_run {
-            (case.cfg.ingest_shards, case.cfg.ingest_threads) = (1, 1);
-        }
         case
     }
 

@@ -1,11 +1,12 @@
-//! Differential safety net for the sharded parallel ingest & partitioning
-//! pipeline, plus property-based validation of the B-BPFI heuristic.
+//! Differential safety net for sharded parallel ingest of the paper's
+//! budgeted Algorithm 1 and for parallel materialization, plus
+//! property-based validation of the B-BPFI heuristic.
 //!
-//! The parallel pipeline's contract for the paper's budgeted shards (see
-//! `prompt_core::buffering::ShardedAccumulator::new`; the engine's exact
-//! shards, which seal the serial batch for *any* shard count, are covered by
-//! `crates/core/tests/accumulator_props.rs`) is checked differentially
-//! against the serial reference over generated skewed streams:
+//! The engine buffers every batch in one serial accumulator; the sharded
+//! count tree (`prompt_core::buffering::ShardedAccumulator`) survives for
+//! callers that time a parallel Algorithm 1 by hand. Its contract is checked
+//! differentially against the serial reference over generated skewed
+//! streams:
 //!
 //! * sharded ingest produces the *exact* per-key frequencies of the serial
 //!   Algorithm 1 accumulator, for any shard count;

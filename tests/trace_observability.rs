@@ -1,10 +1,6 @@
 //! Differential safety net for the batch-lifecycle trace layer: every span
 //! the recorder emits must reconcile exactly with the `BatchRecord` the
 //! driver already reports, and the JSON-lines export must round-trip.
-//!
-//! Shard/thread counts for the parallel ingest pipeline come from
-//! `PROMPT_INGEST_SHARDS` / `PROMPT_INGEST_THREADS` (defaults 4/2), so CI
-//! can re-run the suite with a different parallel geometry.
 
 use prompt_core::partitioner::Technique;
 use prompt_core::types::Duration;
@@ -22,13 +18,6 @@ use prompt_workloads::rate::RateProfile;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn env_or(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn traced_config() -> EngineConfig {
     EngineConfig {
         batch_interval: Duration::from_secs(1),
@@ -38,8 +27,6 @@ fn traced_config() -> EngineConfig {
         // partition_visible span is non-zero and participates in the
         // reconciliation.
         overhead: OverheadMode::Fixed(Duration::from_millis(120)),
-        ingest_shards: env_or("PROMPT_INGEST_SHARDS", 4),
-        ingest_threads: env_or("PROMPT_INGEST_THREADS", 2),
         trace: TraceLevel::Full,
         ..EngineConfig::default()
     }
