@@ -352,10 +352,16 @@ mod tests {
                 kind: StageKind::Order,
                 wall_us: 250,
             },
+            TraceEvent::Phase {
+                seq: 0,
+                kind: StageKind::WindowCommit,
+                wall_us: 125,
+            },
         ];
         let t = stage_breakdown_table("tb", "demo", &[("run".into(), events)]);
-        // map_stage, reduce_stage, plus the wall-clock seal and order phases.
-        assert_eq!(t.rows.len(), 4);
+        // map_stage, reduce_stage, plus the wall-clock seal, order and
+        // window commit phases.
+        assert_eq!(t.rows.len(), 5);
         let map = t.rows.iter().find(|r| r[1] == "map_stage").unwrap();
         assert_eq!(map[2], "2"); // spans
         assert_eq!(map[3], "40.000"); // total ms
@@ -366,6 +372,11 @@ mod tests {
         let order = t.rows.iter().find(|r| r[1] == "order (wall)").unwrap();
         assert_eq!(order[3], "0.250");
         assert_eq!(order[7], "-");
+        let commit = (t.rows.iter())
+            .find(|r| r[1] == "window_commit (wall)")
+            .unwrap();
+        assert_eq!(commit[3], "0.125");
+        assert_eq!(commit[7], "-");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use prompt_engine::config::{EngineConfig, OverheadMode};
 use prompt_engine::driver::StreamingEngine;
 use prompt_engine::job::{Job, ReduceOp};
 use prompt_engine::trace::{parse_jsonl, StageKind, TraceEvent, TraceLevel};
+use prompt_engine::window::WindowSpec;
 use prompt_workloads::datasets;
 use prompt_workloads::rate::RateProfile;
 
@@ -27,7 +28,8 @@ fn jsonl_export_feeds_the_stage_breakdown() {
         Technique::Prompt,
         23,
         Job::identity("WordCount", ReduceOp::Count),
-    );
+    )
+    .with_window(WindowSpec::tumbling(Duration::from_secs(2)));
     let mut source = datasets::tweets(RateProfile::Constant { rate: 30_000.0 }, 2_000, 23);
     let (res, rec) = engine.run_traced(&mut source, 10);
 
@@ -68,9 +70,9 @@ fn jsonl_export_feeds_the_stage_breakdown() {
     assert!((share - 100.0).abs() < 0.5, "shares sum to {share}");
 
     // The export also carries the wall-clock partition phases of the
-    // sharded ingest pipeline: the record step and the heartbeat order
-    // apart, one of each per batch.
-    for kind in [StageKind::Seal, StageKind::Order] {
+    // ingest pipeline, the record step and the heartbeat order apart, and
+    // the commit's window push: one of each per batch.
+    for kind in [StageKind::Seal, StageKind::Order, StageKind::WindowCommit] {
         let phases = (events.iter())
             .filter(|e| matches!(e, TraceEvent::Phase { kind: k, .. } if *k == kind))
             .count();
@@ -80,6 +82,7 @@ fn jsonl_export_feeds_the_stage_breakdown() {
         "seal (wall)",
         "order (wall)",
         "partition_materialize (wall)",
+        "window_commit (wall)",
     ] {
         assert!(t.rows.iter().any(|r| r[1] == row), "missing row {row}");
     }

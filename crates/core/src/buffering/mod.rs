@@ -62,9 +62,11 @@
 //! works on this one, and the misses overlap instead of queuing. The record
 //! loops (the serial one, and each shard's walk of its runs in
 //! [`ShardedAccumulator::par_ingest`]) fetch the home entry of the key
-//! `RECORD_AHEAD` arrivals on; the scatter fetches the destination-table
-//! entry of the arrival 2 · `SCATTER_AHEAD` on, and then, `SCATTER_AHEAD`
-//! arrivals on, the position that entry points to.
+//! `RECORD_AHEAD` arrivals on, and hash each arrival once: its `mix64` is
+//! computed for that prefetch, waits in a ring of `RECORD_AHEAD` hashes,
+//! and is the one the probe starts from. The scatter fetches the
+//! destination-table entry of the arrival 2 · `SCATTER_AHEAD` on, and then,
+//! `SCATTER_AHEAD` arrivals on, the position that entry points to.
 
 mod count_tree;
 mod sharded;
@@ -114,14 +116,17 @@ impl AccumulatorConfig {
     }
 }
 
-/// How many arrivals ahead the record loops prefetch a key's home entry. A
-/// probe that misses waits on memory for far longer than one arrival's few
-/// ns of work, so the hint must go out several arrivals early, yet not so
-/// early that the line is evicted again before its arrival comes. On a
-/// 500k-tuple Zipf batch (62k keys, a 2 MB index), on a 2-vCPU x86_64 Xeon
-/// with 2 MiB of L2 per core, the record loop ran fastest at 16, against 4,
-/// 8, 32 and 64, in alternating runs.
-const RECORD_AHEAD: usize = 16;
+/// How many arrivals ahead the record loops prefetch a key's home entry, and
+/// so how many hashes wait in their ring. A probe that misses waits on
+/// memory for far longer than one arrival's few ns of work, so the hint must
+/// go out several arrivals early, yet not so early that the line is evicted
+/// again before its arrival comes. On a 500k-tuple Zipf batch (62k keys, a
+/// 2 MB index), on a 2-vCPU x86_64 Xeon with 2 MiB of L2 per core, over 10
+/// rounds of alternating runs, the record step's fastest run in a round had
+/// a median of 5.38 ms at 8 (the least, or within 0.02 ms of it, in 8 of
+/// the rounds), 5.59 at 32, 5.61 at 16 and 6.00 at 4. The loop that hashed
+/// each arrival twice, at 16, its best distance then, took 6.60.
+const RECORD_AHEAD: usize = 8;
 
 /// How many arrivals ahead the scatter prefetches: twice this for a key's
 /// destination-table entry, once for the position that entry points to.
@@ -184,28 +189,36 @@ impl KeyIndex {
     /// each time the keys pass half of it.
     const FIRST_CAPACITY: usize = 1024;
 
+    /// The home entry of a key whose `mix64` is `hash`.
     #[inline]
-    fn home(&self, key: Key) -> usize {
-        mix64(key.0) as usize & (self.entries.len() - 1)
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & (self.entries.len() - 1)
     }
 
-    /// Start loading `key`'s home entry into the cache.
+    /// Start loading the home entry of the key whose `mix64` is `hash` into
+    /// the cache.
     #[inline]
-    fn prefetch(&self, key: Key) {
+    fn prefetch(&self, hash: u64) {
         if !self.entries.is_empty() {
-            prefetch(self.entries.as_ptr().wrapping_add(self.home(key)));
+            prefetch(self.entries.as_ptr().wrapping_add(self.home(hash)));
         }
     }
 
-    /// Count one arrival of `key`: its slot and its count, this arrival
-    /// included. A key not seen before takes the next slot.
+    /// Count one arrival of `key`, whose `mix64` the caller computed once
+    /// as `hash`: its slot and its count, this arrival included. A key not
+    /// seen before takes the next slot.
     #[inline]
-    fn record(&mut self, key: Key) -> (u32, u32) {
+    fn record(&mut self, key: Key, hash: u64) -> (u32, u32) {
+        debug_assert_eq!(
+            hash,
+            mix64(key.0),
+            "a record probed from another key's hash"
+        );
         if 2 * (self.len + 1) > self.entries.len() {
             self.grow();
         }
         let mask = self.entries.len() - 1;
-        let mut i = self.home(key);
+        let mut i = self.home(hash);
         loop {
             let entry = &mut self.entries[i];
             if entry.slot_1 == 0 {
@@ -233,7 +246,7 @@ impl KeyIndex {
             return None;
         }
         let mask = self.entries.len() - 1;
-        let mut i = self.home(key);
+        let mut i = self.home(mix64(key.0));
         loop {
             let entry = self.entries[i];
             if entry.slot_1 == 0 {
@@ -274,7 +287,7 @@ impl KeyIndex {
         let old = std::mem::replace(&mut self.entries, vec![IndexEntry::EMPTY; capacity]);
         let mask = capacity - 1;
         for entry in old.into_iter().filter(|e| e.slot_1 != 0) {
-            let mut i = self.home(entry.key);
+            let mut i = self.home(mix64(entry.key.0));
             while self.entries[i].slot_1 != 0 {
                 i = (i + 1) & mask;
             }
@@ -309,11 +322,12 @@ struct ArrivalSlots {
 }
 
 impl ArrivalSlots {
-    /// Record an arrival of `key` that the seal reads at position `at`.
-    /// Returns its key's slot and its count so far, this arrival included.
+    /// Record an arrival of `key` (`mix64` = `hash`) that the seal reads at
+    /// position `at`. Returns its key's slot and its count so far, this
+    /// arrival included.
     #[inline]
-    fn record(&mut self, at: u32, key: Key) -> (usize, u32) {
-        let (slot, count) = self.index.record(key);
+    fn record(&mut self, at: u32, key: Key, hash: u64) -> (usize, u32) {
+        let (slot, count) = self.index.record(key, hash);
         self.marks.push((at, slot));
         (slot as usize, count)
     }
@@ -534,6 +548,33 @@ impl ScatterTables {
     }
 }
 
+/// Walk `items` in order, hashing each one's key once: `record(acc, i,
+/// mix64(key))` for every item `i`. The hash of the item `RECORD_AHEAD` on
+/// is computed, and its home entry prefetched, just before item `i` is
+/// recorded, and waits in a ring of `RECORD_AHEAD` hashes for its turn.
+#[inline(always)]
+fn record_hashed<A: sealed::Slots + ?Sized, T>(
+    acc: &mut A,
+    items: &[T],
+    key: impl Fn(&T) -> Key,
+    mut record: impl FnMut(&mut A, usize, u64),
+) {
+    let mut ahead = [0u64; RECORD_AHEAD];
+    for (hash, item) in ahead.iter_mut().zip(items) {
+        *hash = mix64(key(item).0);
+        acc.prefetch(*hash);
+    }
+    for i in 0..items.len() {
+        let ring = i % RECORD_AHEAD;
+        let hash = ahead[ring];
+        if let Some(later) = items.get(i + RECORD_AHEAD) {
+            ahead[ring] = mix64(key(later).0);
+            acc.prefetch(ahead[ring]);
+        }
+        record(acc, i, hash);
+    }
+}
+
 /// Record a whole batch handed over as the caller's arrival-ordered slice:
 /// the accumulator must hold no arrivals.
 pub(crate) fn record_slice<A: BatchAccumulator + ?Sized>(acc: &mut A, arrivals: &[Tuple]) {
@@ -608,22 +649,29 @@ pub(crate) mod sealed {
     pub trait Slots {
         /// Record one arrival of `key` at time `ts` that the seal reads at
         /// `arrivals[at]`: its key's slot and count, and nothing else of the
-        /// tuple. Only the budgeted accumulator reads `ts`.
-        fn record(&mut self, at: u32, key: Key, ts: Time);
+        /// tuple. `hash` is `mix64(key)`, computed once by the caller for
+        /// this probe and the prefetch before it. Only the budgeted
+        /// accumulator reads `ts`.
+        fn record(&mut self, at: u32, key: Key, hash: u64, ts: Time);
 
-        /// Record every tuple of `arrivals` at its own index.
+        /// Record every tuple of `arrivals` at its own index, hashing each
+        /// key once.
         fn record_all(&mut self, arrivals: &[Tuple]) {
-            for (at, t) in arrivals.iter().enumerate() {
-                if let Some(later) = arrivals.get(at + super::RECORD_AHEAD) {
-                    self.prefetch(later.key);
-                }
-                self.record(at as u32, t.key, t.ts);
-            }
+            super::record_hashed(
+                self,
+                arrivals,
+                |t| t.key,
+                |acc, at, hash| {
+                    let t = &arrivals[at];
+                    acc.record(at as u32, t.key, hash, t.ts);
+                },
+            );
         }
 
-        /// Start loading what [`Slots::record`] of `key` will probe, a few
-        /// arrivals before it does. Only a hint: it changes nothing.
-        fn prefetch(&self, _key: Key) {}
+        /// Start loading what [`Slots::record`] of the key whose `mix64` is
+        /// `hash` will probe, a few arrivals before it does. Only a hint: it
+        /// changes nothing.
+        fn prefetch(&self, _hash: u64) {}
 
         /// The heartbeat's first half: order the recorded keys, append
         /// their groups to `groups`, laid out from `base` as the arena seal
@@ -805,6 +853,15 @@ impl FrequencyAwareAccumulator {
         &self.tree
     }
 
+    /// [`BatchAccumulator::ingest`] of a tuple whose key's `mix64` the
+    /// caller computed: its shard's walk in
+    /// [`ShardedAccumulator::par_ingest`] hashes each arrival once.
+    #[inline]
+    fn ingest_hashed(&mut self, t: Tuple, hash: u64) {
+        let at = self.slots.hold(t);
+        sealed::Slots::record(self, at, t.key, hash, t.ts);
+    }
+
     /// After the scatter: clear the `HTable` and the `CountTree`, as every
     /// heartbeat does (§4.1), and move on to `next_interval`.
     fn reset(&mut self, next_interval: Interval) -> Interval {
@@ -817,10 +874,10 @@ impl FrequencyAwareAccumulator {
 
 impl sealed::Slots for FrequencyAwareAccumulator {
     #[inline]
-    fn record(&mut self, at: u32, key: Key, now: Time) {
+    fn record(&mut self, at: u32, key: Key, hash: u64, now: Time) {
         let cfg = self.cfg;
         let t_end = self.interval.end;
-        let (slot, count) = self.slots.record(at, key);
+        let (slot, count) = self.slots.record(at, key, hash);
         let n_c = self.slots.n_tuples() as u64;
 
         if count == 1 {
@@ -866,8 +923,8 @@ impl sealed::Slots for FrequencyAwareAccumulator {
     }
 
     #[inline]
-    fn prefetch(&self, key: Key) {
-        self.slots.index.prefetch(key);
+    fn prefetch(&self, hash: u64) {
+        self.slots.index.prefetch(hash);
     }
 
     /// The heartbeat in tree order.
@@ -924,8 +981,7 @@ impl sealed::Slots for FrequencyAwareAccumulator {
 impl BatchAccumulator for FrequencyAwareAccumulator {
     #[inline]
     fn ingest(&mut self, t: Tuple) {
-        let at = self.slots.hold(t);
-        sealed::Slots::record(self, at, t.key, t.ts);
+        self.ingest_hashed(t, mix64(t.key.0));
     }
 
     fn set_estimates(&mut self, est_tuples: f64, avg_keys: f64) {
@@ -971,13 +1027,13 @@ impl PostSortAccumulator {
 
 impl sealed::Slots for PostSortAccumulator {
     #[inline]
-    fn record(&mut self, at: u32, key: Key, _ts: Time) {
-        self.slots.record(at, key);
+    fn record(&mut self, at: u32, key: Key, hash: u64, _ts: Time) {
+        self.slots.record(at, key, hash);
     }
 
     #[inline]
-    fn prefetch(&self, key: Key) {
-        self.slots.index.prefetch(key);
+    fn prefetch(&self, hash: u64) {
+        self.slots.index.prefetch(hash);
     }
 
     /// The heartbeat in sorted order.
@@ -1030,7 +1086,7 @@ impl BatchAccumulator for PostSortAccumulator {
     #[inline]
     fn ingest(&mut self, t: Tuple) {
         let at = self.slots.hold(t);
-        sealed::Slots::record(self, at, t.key, t.ts);
+        sealed::Slots::record(self, at, t.key, mix64(t.key.0), t.ts);
     }
 
     fn set_interval(&mut self, interval: Interval) {
@@ -1299,8 +1355,8 @@ mod tests {
                 let next = want.len() as u32;
                 let (slot, count) = want.entry(Key(k)).or_insert((next, 0));
                 *count += 1;
-                assert_eq!(index.record(Key(k)), (*slot, *count), "key {k}");
-                index.prefetch(Key(k));
+                assert_eq!(index.record(Key(k), mix64(k)), (*slot, *count), "key {k}");
+                index.prefetch(mix64(k));
             }
             assert_eq!(index.len(), want.len());
             assert!(2 * index.len() <= index.entries.len(), "over half full");

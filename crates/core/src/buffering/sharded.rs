@@ -47,8 +47,8 @@ use std::ops::{Deref, DerefMut, Range};
 use crate::batch::KeyGroup;
 use crate::buffering::sealed::Slots;
 use crate::buffering::{
-    carve_groups, AccumulatorConfig, BatchAccumulator, BatchStats, FrequencyAwareAccumulator,
-    Heads, More, POSITIONS_FIT, RECORD_AHEAD,
+    carve_groups, record_hashed, AccumulatorConfig, BatchAccumulator, BatchStats,
+    FrequencyAwareAccumulator, Heads, More, POSITIONS_FIT,
 };
 use crate::hash::bucket_of;
 use crate::par::map_mut;
@@ -182,12 +182,14 @@ impl ShardedAccumulator {
         let runs = &self.runs[..n_runs];
         per_shard(&mut self.shards, self.threads, |si, shard| {
             for run in runs.iter().skip(si).step_by(n_shards) {
-                for (i, &(at, _)) in run.iter().enumerate() {
-                    if let Some(&(_, later)) = run.get(i + RECORD_AHEAD) {
-                        shard.prefetch(later);
-                    }
-                    shard.ingest(tuples[at as usize]);
-                }
+                record_hashed(
+                    &mut **shard,
+                    run,
+                    |&(_, key)| key,
+                    |shard, i, hash| {
+                        shard.ingest_hashed(tuples[run[i].0 as usize], hash);
+                    },
+                );
             }
         });
     }
@@ -314,9 +316,9 @@ fn cut<T>(items: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
 }
 
 impl Slots for ShardedAccumulator {
-    fn record(&mut self, at: u32, key: Key, ts: Time) {
+    fn record(&mut self, at: u32, key: Key, hash: u64, ts: Time) {
         let s = self.shard_of(key);
-        self.shards[s].record(at, key, ts);
+        self.shards[s].record(at, key, hash, ts);
     }
 
     /// Each shard walks its tree and lays its groups out, in parallel; then

@@ -745,7 +745,7 @@ impl<'e> Run<'e> {
             });
         }
         self.step_scaler(&pb, w);
-        self.commit_window(output);
+        self.commit_window(seq, output);
 
         if let Some(d) = pb.decision.take() {
             self.result.policy_decisions.push(d);
@@ -903,10 +903,22 @@ impl<'e> Run<'e> {
         self.was_in_grace = in_grace;
     }
 
-    /// Window maintenance: through the sharded state store (with checkpoint
+    /// Window maintenance, traced as one `WindowCommit` wall phase when the
+    /// run keeps a window: through the sharded state store (with checkpoint
     /// commits and watermark truncation) when the state layer is active,
     /// else the serial `WindowState`. The two paths are bit-identical.
-    fn commit_window(&mut self, output: BatchOutput) {
+    fn commit_window(&mut self, seq: u64, output: BatchOutput) {
+        if self.window.is_none() && self.state_store.is_none() {
+            return;
+        }
+        let t0 = std::time::Instant::now();
+        self.push_window(output);
+        let wall = Duration::from_micros(t0.elapsed().as_micros() as u64);
+        self.rec.phase(seq, StageKind::WindowCommit, wall);
+    }
+
+    /// [`Run::commit_window`]'s push, and the checkpoint record after it.
+    fn push_window(&mut self, output: BatchOutput) {
         let Some(store) = self.state_store.as_mut() else {
             if let Some(res) = self.window.as_mut().and_then(|ws| ws.push(output)) {
                 self.result.windows.push(res);

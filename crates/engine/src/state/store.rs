@@ -5,7 +5,16 @@
 //! Bit-identity with the serial window is load-bearing: every per-key
 //! floating-point operation happens in exactly the order `WindowState::push`
 //! would perform it, so a run that checkpoints produces the same window
-//! results, bit for bit, as one that does not — at any shard count.
+//! results, bit for bit, as one that does not — at any shard count. For a
+//! sliding window that is the merge of each entering pane and the inverse
+//! Reduce of each exiting one. For a tumbling window it is the fold of the
+//! window's own panes in batch order: the window's first push clears every
+//! shard's running map and panes (keeping their allocations) and nothing is
+//! evicted, as `WindowState` folds a tumbling window's outputs. The clear
+//! waits for that first push, not the emission, because the emitted
+//! window's panes are still read after it (session counts, the checkpoint
+//! record); a snapshot therefore holds the open window's panes alone
+//! mid-window, and the whole emitted window at a boundary.
 //!
 //! The sharding is a memory layout, not a unit of ownership: the driver's
 //! store is the only copy of keyed state, and the split buys cache-sized
@@ -291,14 +300,35 @@ impl KeyedStateStore {
         self.apply_panes(split)
     }
 
+    /// Whether consecutive answers share no batch (slide = length, in
+    /// batches).
+    fn tumbling(&self) -> bool {
+        self.len_batches == self.slide_batches
+    }
+
     /// The shard-wise mirror of `WindowState::push`: merge each shard's
     /// entries into its running state in sorted-key order, append the pane,
     /// evict the batch leaving the window.
+    ///
+    /// A tumbling window's first push starts every shard afresh instead,
+    /// its running map and panes cleared with their allocations kept, so the
+    /// window is a fold of its own panes and nothing is evicted. It clears
+    /// here and not at the emission, since the caller still reads the
+    /// emitted window (session counts, the checkpoint record) after this
+    /// returns. The first push is the persisted `since_emit == 0`: a store
+    /// restored mid-window from one that kept the older window's panes
+    /// (it evicted a tumbling window's panes one by one) evicts them as that
+    /// store would, until its window closes.
     fn apply_panes(&mut self, split: Vec<Arc<Pane>>) -> Option<WindowResult> {
         let op = self.op;
         let invertible = op.invertible();
         let len_batches = self.len_batches;
+        let fresh = self.tumbling() && self.since_emit == 0;
         for (shard, entries) in self.shards.iter_mut().zip(split) {
+            if fresh {
+                shard.running.clear();
+                shard.panes.clear();
+            }
             if invertible {
                 for &(k, v) in entries.iter() {
                     let e = shard.running.entry(k).or_insert((0.0, 0));
@@ -512,17 +542,26 @@ pub fn get_store(r: &mut ByteReader<'_>) -> Result<KeyedStateStore, CodecError> 
         return Err(CodecError::Malformed("store needs at least one shard"));
     }
     // Every push appends one pane to every shard and evicts past the window,
-    // so pane indices align across shards.
-    let n_panes = seq.min(len_batches as u64) as usize;
-    let mut shards = Vec::with_capacity(n_shards);
+    // so pane indices align across shards. A tumbling window's first push
+    // clears them instead, so mid-window it holds the open window's panes
+    // alone — or, written by a store that evicted tumbling panes one by
+    // one, the last `min(seq, length)` too.
+    let held = seq.min(len_batches as u64) as usize;
+    let open = if slide_batches == len_batches && since_emit > 0 {
+        since_emit
+    } else {
+        held
+    };
+    let mut shards: Vec<StateShard> = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
         let shard = get_shard(r)?;
         if shard.bucket != i as u32 {
             return Err(CodecError::Malformed("shard buckets out of order"));
         }
-        if shard.panes.len() != n_panes {
+        let n_panes = shards.first().map_or(shard.panes.len(), |s| s.panes.len());
+        if shard.panes.len() != n_panes || (n_panes != held && n_panes != open) {
             return Err(CodecError::Malformed(
-                "shard pane count is not min(seq, window length)",
+                "shard pane count is not the window's batches",
             ));
         }
         shards.push(shard);
@@ -627,6 +666,7 @@ impl KeyedStateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::StatefulOp;
     use crate::window::WindowState;
     use prompt_core::bytes::ByteWriter;
 
@@ -654,28 +694,46 @@ mod tests {
         WindowSpec::sliding(Duration::from_secs(4), Duration::from_secs(2))
     }
 
+    /// The sliding spec and tumbling windows of 1, 2 and 3 batches.
+    fn specs() -> [WindowSpec; 4] {
+        [
+            spec(),
+            WindowSpec::tumbling(Duration::from_secs(1)),
+            WindowSpec::tumbling(Duration::from_secs(2)),
+            WindowSpec::tumbling(Duration::from_secs(3)),
+        ]
+    }
+
+    /// Two window answers, bit for bit.
+    fn assert_same_answer(expect: &KeyMap<f64>, got: &KeyMap<f64>, what: &str) {
+        assert_eq!(expect.len(), got.len(), "{what}");
+        for (k, v) in expect {
+            assert_eq!(v.to_bits(), got[k].to_bits(), "{what}: key {k:?} differs");
+        }
+    }
+
+    /// Two emissions (or non-emissions), bit for bit.
+    fn assert_same_emission(expect: Option<WindowResult>, got: Option<WindowResult>, what: &str) {
+        match (expect, got) {
+            (None, None) => {}
+            (Some(e), Some(g)) => {
+                assert_eq!(e.last_batch_seq, g.last_batch_seq, "{what}");
+                assert_same_answer(&e.aggregates, &g.aggregates, what);
+            }
+            (e, g) => panic!("{what}: emission mismatch: {e:?} vs {g:?}"),
+        }
+    }
+
     #[test]
     fn store_matches_window_state_bit_for_bit() {
-        for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
-            let mut window = WindowState::new(spec(), Duration::from_secs(1), op);
-            let mut store = KeyedStateStore::new(spec(), Duration::from_secs(1), op, 4);
-            for b in batches(12, 9) {
-                let expect = window.push(b.clone());
-                let got = store.push(&b);
-                match (expect, got) {
-                    (None, None) => {}
-                    (Some(e), Some(g)) => {
-                        assert_eq!(e.last_batch_seq, g.last_batch_seq);
-                        assert_eq!(e.aggregates.len(), g.aggregates.len(), "{op:?}");
-                        for (k, v) in &e.aggregates {
-                            assert_eq!(
-                                v.to_bits(),
-                                g.aggregates[k].to_bits(),
-                                "{op:?} key {k:?} differs"
-                            );
-                        }
-                    }
-                    (e, g) => panic!("emission mismatch: {e:?} vs {g:?}"),
+        for spec in specs() {
+            for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
+                let mut window = WindowState::new(spec, Duration::from_secs(1), op);
+                let mut store = KeyedStateStore::new(spec, Duration::from_secs(1), op, 4);
+                for b in batches(12, 9) {
+                    let expect = window.push(b.clone());
+                    let got = store.push(&b);
+                    assert_same_emission(expect, got, &format!("{spec:?} {op:?}"));
                 }
             }
         }
@@ -683,17 +741,144 @@ mod tests {
 
     #[test]
     fn delta_replay_reproduces_push() {
-        let mut live = KeyedStateStore::new(spec(), Duration::from_secs(1), ReduceOp::Sum, 3);
-        let mut replayed = live.clone();
-        for b in batches(10, 7) {
-            let (_, delta) = live.push_with_delta(&b);
-            replayed.apply_delta(&delta);
+        for spec in specs() {
+            let mut live = KeyedStateStore::new(spec, Duration::from_secs(1), ReduceOp::Sum, 3);
+            let mut replayed = live.clone();
+            for b in batches(10, 7) {
+                let (expect, delta) = live.push_with_delta(&b);
+                let got = replayed.apply_delta(&delta);
+                assert_same_emission(expect, got, &format!("{spec:?}"));
+            }
+            assert_same_answer(&live.current(), &replayed.current(), &format!("{spec:?}"));
         }
-        let a = live.current();
-        let b = replayed.current();
-        assert_eq!(a.len(), b.len());
-        for (k, v) in &a {
-            assert_eq!(v.to_bits(), b[k].to_bits());
+    }
+
+    /// The store's half of the window's residue test: a tumbling 2-batch
+    /// Sum's second window is the fold of its own two batches.
+    #[test]
+    fn tumbling_sum_carries_no_residue_of_the_window_before() {
+        let spec = WindowSpec::tumbling(Duration::from_secs(2));
+        let mut store = KeyedStateStore::new(spec, Duration::from_secs(1), ReduceOp::Sum, 2);
+        assert!(store.push(&out(&[(7, 1e20), (8, 0.1)])).is_none());
+        assert!(store.push(&out(&[(8, 0.2)])).is_some());
+        assert!(store.push(&out(&[(7, 1.0), (8, 0.3)])).is_none());
+        let second = store
+            .push(&out(&[(8, 0.4)]))
+            .expect("the second window closes");
+        assert_eq!(second.last_batch_seq, 3);
+        assert_eq!(second.aggregates.len(), 2);
+        assert_eq!(second.aggregates[&Key(7)].to_bits(), 1.0f64.to_bits());
+        assert_eq!(
+            second.aggregates[&Key(8)].to_bits(),
+            (0.3f64 + 0.4).to_bits()
+        );
+        // The emitted window stays readable until the next push.
+        assert_eq!(store.session_counts()[&Key(8)], 2.0);
+        assert_eq!(store.session_counts()[&Key(7)], 1.0);
+    }
+
+    /// A snapshot taken at every point of a tumbling window — mid-window and
+    /// at each boundary — restores to a store that goes on exactly as the
+    /// live one: the same emissions, bit for bit, and the same session
+    /// counts at each emission.
+    #[test]
+    fn a_tumbling_snapshot_restores_and_continues_bit_identically() {
+        let inputs = batches(10, 9);
+        for len in 1..=3 {
+            let spec = WindowSpec::tumbling(Duration::from_secs(len));
+            for op in [ReduceOp::Sum, ReduceOp::Max] {
+                for at in 0..inputs.len() {
+                    let mut live = KeyedStateStore::new(spec, Duration::from_secs(1), op, 3);
+                    for b in &inputs[..at] {
+                        live.push(b);
+                    }
+                    let mut w = ByteWriter::new();
+                    put_store(&mut w, &live);
+                    let mut back = get_store(&mut ByteReader::new(w.as_bytes())).unwrap();
+                    assert!(back.tracks_its_panes());
+                    for b in &inputs[at..] {
+                        let what = format!("len {len} {op:?} snapshot after {at}");
+                        let expect = live.push(b);
+                        let got = back.push(b);
+                        if expect.is_some() {
+                            let sessions = StatefulOp::SessionCount;
+                            assert_same_answer(&sessions.eval(&live), &sessions.eval(&back), &what);
+                        }
+                        assert_same_emission(expect, got, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A tumbling store's snapshot holds the open window's panes or the last
+    /// `min(seq, length)`: a pane count that is neither is malformed.
+    #[test]
+    fn a_tumbling_pane_count_of_neither_layout_is_refused() {
+        let spec = WindowSpec::tumbling(Duration::from_secs(3));
+        let mut store = KeyedStateStore::new(spec, Duration::from_secs(1), ReduceOp::Sum, 2);
+        for b in batches(4, 5) {
+            store.push(&b);
+        }
+        let mut w = ByteWriter::new();
+        put_store(&mut w, &store);
+        let mut bytes = w.into_bytes();
+        assert!(get_store(&mut ByteReader::new(&bytes)).is_ok());
+        // One pane held, as `since_emit` 1 says; claim 2.
+        bytes[17..21].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            get_store(&mut ByteReader::new(&bytes)),
+            Err(CodecError::Malformed(_))
+        ));
+    }
+
+    /// A tumbling store snapshotted mid-window by a writer that evicted its
+    /// panes one by one — holding the older window's panes, with their
+    /// contributions in the running map — finishes that window as that
+    /// writer would: a sliding store of the same length holds exactly that
+    /// state, and answers the window's last batch alike. The next window is
+    /// a fold of its own batches again.
+    #[test]
+    fn a_mid_window_snapshot_that_kept_the_older_panes_finishes_its_window() {
+        let inputs = batches(9, 7);
+        let len = 3usize;
+        let tumbling = WindowSpec::tumbling(Duration::from_secs(len as u64));
+        let one_by_one =
+            WindowSpec::sliding(Duration::from_secs(len as u64), Duration::from_secs(1));
+        for at in (len + 1)..(2 * len) {
+            let mut evicting =
+                KeyedStateStore::new(one_by_one, Duration::from_secs(1), ReduceOp::Sum, 2);
+            for b in &inputs[..at] {
+                evicting.push(b);
+            }
+            // The same bytes with the tumbling geometry and its position in
+            // the window: what a store that kept the older panes wrote.
+            let mut w = ByteWriter::new();
+            put_store(&mut w, &evicting);
+            let mut bytes = w.into_bytes();
+            bytes[5..9].copy_from_slice(&(len as u32).to_le_bytes());
+            bytes[17..21].copy_from_slice(&((at % len) as u32).to_le_bytes());
+            let mut back = get_store(&mut ByteReader::new(&bytes)).unwrap();
+            assert!(back.tracks_its_panes());
+            let mut fresh = WindowState::new(tumbling, Duration::from_secs(1), ReduceOp::Sum);
+            for b in &inputs[..at] {
+                fresh.push(b.clone());
+            }
+            for (i, b) in inputs.iter().enumerate().skip(at) {
+                let got = back.push(b);
+                let expect_evicting = evicting.push(b);
+                let expect_fresh = fresh.push(b.clone());
+                let what = format!("snapshot after {at}, batch {i}");
+                if i < 2 * len {
+                    // Still the restored window: the evicting writer's answer.
+                    assert_eq!(got.is_some(), i == 2 * len - 1, "{what}");
+                    if got.is_some() {
+                        assert_same_emission(expect_evicting, got, &what);
+                    }
+                } else {
+                    assert_same_emission(expect_fresh, got, &what);
+                }
+            }
         }
     }
 

@@ -103,13 +103,18 @@ pub enum StageKind {
     MapStage,
     /// The Reduce stage makespan.
     ReduceStage,
+    /// Wall-clock: the commit's window upkeep — the batch's output pushed
+    /// into the window (or the keyed state store), the stateful operator
+    /// evaluated at an emission and, with checkpointing on, the checkpoint
+    /// record — on the driver thread.
+    WindowCommit,
     /// Virtual: one recovery recomputation after injected state loss.
     Recovery,
 }
 
 impl StageKind {
     /// All kinds, in lifecycle order.
-    pub const ALL: [StageKind; 13] = [
+    pub const ALL: [StageKind; 14] = [
         StageKind::Accumulate,
         StageKind::Select,
         StageKind::Seal,
@@ -122,6 +127,7 @@ impl StageKind {
         StageKind::Scatter,
         StageKind::MapStage,
         StageKind::ReduceStage,
+        StageKind::WindowCommit,
         StageKind::Recovery,
     ];
 
@@ -140,6 +146,7 @@ impl StageKind {
             StageKind::Scatter => "scatter",
             StageKind::MapStage => "map_stage",
             StageKind::ReduceStage => "reduce_stage",
+            StageKind::WindowCommit => "window_commit",
             StageKind::Recovery => "recovery",
         }
     }
@@ -1255,6 +1262,11 @@ mod tests {
                 kind: StageKind::PartitionWait,
                 wall_us: 12_700,
             },
+            TraceEvent::Phase {
+                seq: 4,
+                kind: StageKind::WindowCommit,
+                wall_us: 560,
+            },
             TraceEvent::Zone {
                 seq: 4,
                 zone: 3,
@@ -1413,6 +1425,7 @@ mod tests {
         rec.phase(0, StageKind::MapStage, Duration::from_micros(70));
         rec.phase(0, StageKind::Seal, Duration::from_micros(5));
         rec.phase(0, StageKind::Order, Duration::from_micros(3));
+        rec.phase(0, StageKind::WindowCommit, Duration::from_micros(2));
         let s = rec.summary();
         let map = s.stage(StageKind::MapStage).expect("virtual map stage");
         assert_eq!((map.count, map.total_us, map.max_us), (1, 1000, 1000));
@@ -1422,10 +1435,16 @@ mod tests {
         assert_eq!(s.wall(StageKind::Seal).unwrap().total_us, 5);
         assert!(s.stage(StageKind::Order).is_none(), "order is wall-only");
         assert_eq!(s.wall(StageKind::Order).unwrap().total_us, 3);
+        assert!(
+            s.stage(StageKind::WindowCommit).is_none(),
+            "window_commit is wall-only"
+        );
+        assert_eq!(s.wall(StageKind::WindowCommit).unwrap().total_us, 2);
         let text = s.to_string();
         assert!(text.contains("\nmap_stage  "), "{text}");
         assert!(text.contains("\nmap_stage (wall)  "), "{text}");
         assert!(text.contains("\nseal (wall)  "), "{text}");
         assert!(text.contains("\norder (wall)  "), "{text}");
+        assert!(text.contains("\nwindow_commit (wall)  "), "{text}");
     }
 }

@@ -1,11 +1,21 @@
 //! Sliding/tumbling windows over batch states (§2.1, Fig. 3).
 //!
 //! A streaming query's answer aggregates the partial outputs of all batches
-//! inside the window's time predicate. Batches *entering* the window merge
-//! into the running answer; batches *exiting* are retired with the inverse
-//! Reduce when the operation is invertible (the paper implements inverse
-//! Reduce for all window queries to avoid re-evaluation, §7), and by
-//! recomputation otherwise.
+//! inside the window's time predicate. How it is kept depends on whether
+//! consecutive answers share batches:
+//!
+//! * A *sliding* window (slide shorter than length, in batches) shares
+//!   batches with the answer before it. Batches *entering* the window merge
+//!   into the running answer; batches *exiting* are retired with the inverse
+//!   Reduce when the operation is invertible (the paper implements inverse
+//!   Reduce for its window queries to avoid re-evaluation, §7), and by
+//!   recomputation otherwise.
+//! * A *tumbling* window (slide equal to length, in batches) shares nothing
+//!   with the one before it, so its answer is a fold of its own batches: the
+//!   first batch's output is the open window's answer, each later one merges
+//!   into it in batch order, and the emission hands it over. Nothing is
+//!   buffered, evicted or inverted, for any operation, and the answer cannot
+//!   carry a residue of an earlier window's rounding.
 
 use std::collections::VecDeque;
 
@@ -70,7 +80,9 @@ impl WindowResult {
     }
 }
 
-/// Incremental window state over batch outputs.
+/// Window state over batch outputs: an incremental answer for a sliding
+/// window, a fold of the open window's batches for a tumbling one (see the
+/// module docs).
 ///
 /// # Examples
 ///
@@ -94,12 +106,15 @@ pub struct WindowState {
     op: ReduceOp,
     len_batches: usize,
     slide_batches: usize,
-    /// In-window batch outputs, oldest first (needed for eviction and for
-    /// non-invertible recomputation).
+    /// Sliding windows: in-window batch outputs, oldest first (needed for
+    /// eviction and for non-invertible recomputation).
     buffer: VecDeque<BatchOutput>,
-    /// Running per-key aggregate with contribution counts (only maintained
-    /// for invertible operations).
+    /// Sliding windows: running per-key aggregate with contribution counts
+    /// (only maintained for invertible operations).
     running: KeyMap<(f64, usize)>,
+    /// Tumbling windows: the open window's answer so far — its first
+    /// batch's output, moved in, with each later batch merged into it.
+    open: KeyMap<f64>,
     seq: u64,
     since_emit: usize,
 }
@@ -114,6 +129,7 @@ impl WindowState {
             slide_batches,
             buffer: VecDeque::with_capacity(len_batches + 1),
             running: KeyMap::default(),
+            open: KeyMap::default(),
             seq: 0,
             since_emit: 0,
         }
@@ -124,9 +140,57 @@ impl WindowState {
         self.len_batches
     }
 
+    /// Whether consecutive answers share no batch (slide = length, in
+    /// batches).
+    fn tumbling(&self) -> bool {
+        self.len_batches == self.slide_batches
+    }
+
     /// Push one batch output; returns a result when a slide boundary is
     /// crossed.
     pub fn push(&mut self, out: BatchOutput) -> Option<WindowResult> {
+        if self.tumbling() {
+            self.fold(out);
+        } else {
+            self.slide(out);
+        }
+        self.seq += 1;
+        self.since_emit += 1;
+        if self.since_emit >= self.slide_batches {
+            self.since_emit = 0;
+            let aggregates = if self.tumbling() {
+                std::mem::take(&mut self.open)
+            } else {
+                self.current()
+            };
+            Some(WindowResult {
+                last_batch_seq: self.seq - 1,
+                aggregates,
+            })
+        } else {
+            None
+        }
+    }
+
+    /// A tumbling window's push: the window's first output becomes its
+    /// answer, and each later one merges into it, key by key.
+    fn fold(&mut self, out: BatchOutput) {
+        if self.since_emit == 0 {
+            self.open = out.aggregates;
+            return;
+        }
+        let op = self.op;
+        for (k, v) in out.aggregates {
+            self.open
+                .entry(k)
+                .and_modify(|a| *a = op.merge(*a, v))
+                .or_insert(v);
+        }
+    }
+
+    /// A sliding window's push: merge the output into the running answer
+    /// and retire the batch leaving the window.
+    fn slide(&mut self, out: BatchOutput) {
         if self.op.invertible() {
             for (&k, &v) in &out.aggregates {
                 let e = self.running.entry(k).or_insert((0.0, 0));
@@ -149,23 +213,17 @@ impl WindowState {
                 }
             }
         }
-        self.seq += 1;
-        self.since_emit += 1;
-        if self.since_emit >= self.slide_batches {
-            self.since_emit = 0;
-            Some(WindowResult {
-                last_batch_seq: self.seq - 1,
-                aggregates: self.current(),
-            })
-        } else {
-            None
-        }
     }
 
-    /// The current window aggregate (incremental when invertible, recomputed
-    /// otherwise).
+    /// The current window aggregate. A sliding window's is incremental when
+    /// invertible and recomputed otherwise, and stays the last emitted
+    /// answer until the next push. A tumbling window's is a copy of the open
+    /// window's batches pushed so far: empty right after an emission, which
+    /// hands the answer over.
     pub fn current(&self) -> KeyMap<f64> {
-        if self.op.invertible() {
+        if self.tumbling() {
+            self.open.clone()
+        } else if self.op.invertible() {
             self.running.iter().map(|(&k, &(v, _))| (k, v)).collect()
         } else {
             let mut acc: KeyMap<f64> = KeyMap::default();
@@ -184,6 +242,7 @@ impl WindowState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn out(spec: &[(u64, f64)]) -> BatchOutput {
         let mut aggregates = KeyMap::default();
@@ -280,6 +339,91 @@ mod tests {
         assert!(w.push(out(&[(1, 1.0)])).is_some());
         assert!(w.push(out(&[(1, 1.0)])).is_none());
         assert!(w.push(out(&[(1, 1.0)])).is_some());
+    }
+
+    /// A tumbling window's answer is its own batches' fold: the second
+    /// window of a 2-batch Sum owes nothing to the 1e20 the first window
+    /// held. An inverse Reduce that retires the first window's batches
+    /// answers `k7 = 0.0` and `k8 = 0.7000000000000002` here.
+    #[test]
+    fn tumbling_sum_carries_no_residue_of_the_window_before() {
+        let spec = WindowSpec::tumbling(Duration::from_secs(2));
+        let mut w = WindowState::new(spec, Duration::from_secs(1), ReduceOp::Sum);
+        assert!(w.push(out(&[(7, 1e20), (8, 0.1)])).is_none());
+        let first = w.push(out(&[(8, 0.2)])).expect("the first window closes");
+        assert_eq!(first.aggregates[&Key(7)], 1e20);
+        assert_eq!(
+            first.aggregates[&Key(8)].to_bits(),
+            (0.1f64 + 0.2).to_bits()
+        );
+        assert!(w.push(out(&[(7, 1.0), (8, 0.3)])).is_none());
+        let second = w.push(out(&[(8, 0.4)])).expect("the second window closes");
+        assert_eq!(second.last_batch_seq, 3);
+        assert_eq!(second.aggregates.len(), 2);
+        assert_eq!(second.aggregates[&Key(7)].to_bits(), 1.0f64.to_bits());
+        assert_eq!(
+            second.aggregates[&Key(8)].to_bits(),
+            (0.3f64 + 0.4).to_bits()
+        );
+    }
+
+    /// A tumbling window's answer as `(key, bits)`, sorted.
+    fn answer_bits(aggregates: &KeyMap<f64>) -> Vec<(u64, u64)> {
+        let mut bits: Vec<_> = aggregates.iter().map(|(k, v)| (k.0, v.to_bits())).collect();
+        bits.sort_unstable();
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every emission of a tumbling window, for every `ReduceOp` and
+        /// lengths 1–4, is the answer of a fresh window fed only that
+        /// window's batches, and the fold of those batches in batch order,
+        /// bit for bit. Values are non-integer, signed and of mixed
+        /// magnitude, so a Sum that kept any earlier batch's rounding shows.
+        #[test]
+        fn a_tumbling_emission_is_its_own_batches_fold(
+            len in 1usize..5,
+            stream in proptest::collection::vec(
+                proptest::collection::vec((0u64..6, -40i32..40, 0u32..3), 0..6),
+                0..14,
+            ),
+        ) {
+            let batches: Vec<BatchOutput> = (stream.iter())
+                .map(|entries| {
+                    let values = entries.iter().map(|&(k, v, scale)| {
+                        (k, (v as f64 + 0.1) * [1.0, 1e-3, 1e17][scale as usize])
+                    });
+                    out(&values.collect::<Vec<_>>())
+                })
+                .collect();
+            let spec = WindowSpec::tumbling(Duration::from_secs(len as u64));
+            for op in [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min] {
+                let mut w = WindowState::new(spec, Duration::from_secs(1), op);
+                for (i, b) in batches.iter().enumerate() {
+                    let got = w.push(b.clone());
+                    prop_assert_eq!(got.is_some(), (i + 1) % len == 0);
+                    let Some(got) = got else { continue };
+                    let window = &batches[i + 1 - len..=i];
+                    let mut fresh = WindowState::new(spec, Duration::from_secs(1), op);
+                    let mut alone = None;
+                    for b in window {
+                        alone = fresh.push(b.clone());
+                    }
+                    let alone = alone.expect("a fresh window closes on its last batch");
+                    let mut fold: KeyMap<f64> = KeyMap::default();
+                    for b in window {
+                        for (&k, &v) in &b.aggregates {
+                            fold.entry(k).and_modify(|a| *a = op.merge(*a, v)).or_insert(v);
+                        }
+                    }
+                    prop_assert_eq!(got.last_batch_seq, i as u64);
+                    prop_assert_eq!(answer_bits(&got.aggregates), answer_bits(&alone.aggregates));
+                    prop_assert_eq!(answer_bits(&got.aggregates), answer_bits(&fold));
+                }
+            }
+        }
     }
 
     #[test]

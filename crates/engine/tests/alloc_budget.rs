@@ -318,40 +318,48 @@ fn zipf_dist_stays_within_its_allocation_budget() {
 /// their tables from empty. The slack absorbs a toolchain's different
 /// growth policy, not run-to-run noise: there is none.
 const UNIFORM_BUDGET: (u64, u64) = (42, 28 << 20);
-/// Measured: 3 and 4.4 MiB — the gathered output, and one emission every
-/// second batch; a block's run table is its fragment table. Means: 1 and
-/// 3.2 MiB, against 2 and 3.3 MiB while a block's run table grew beside an
-/// equal fragment table, 2 while Map folded every block through a table, 18
+/// Measured: 3 and 2.4 MiB in the first measured batch, and 1 and 2.1 MiB
+/// — the gathered output — in all but one of the rest: the tumbling window
+/// keeps the first batch's output as its answer and hands it over at the
+/// emission, so no emission is rebuilt; a block's run table is its fragment
+/// table. Means: 1 and 2.2 MiB, against 3 and 4.4 MiB at most (a mean of 1
+/// and 3.2 MiB) while the window merged every output into a running table
+/// and rebuilt a map at every emission, 2 and 3.3 MiB while a block's run
+/// table grew beside an equal fragment table, 2 while Map folded every
+/// block through a table, 18
 /// and 4.7 MiB while Algorithm 3 built a list of non-split clusters per
 /// block, 149 and 44.0 MiB while every batch sealed into a fresh arena and
 /// built its plan, Map and merge tables afresh, and 166 and 46.8 MiB before
 /// that, while tables grew from empty. A stable sort of each block's pieces
 /// (it allocates a buffer per block) measured a mean of 17.
-const ZIPF_BUDGET: (u64, u64) = (4, 6 << 20);
-/// Measured: 6 and 4.4 MiB on every thread, in the second measured batch,
+const ZIPF_BUDGET: (u64, u64) = (4, 4 << 20);
+/// Measured: 6 and 2.7 MiB on every thread, in the second measured batch,
 /// and as `zipf_inproc` in the rest: helpers reuse the tables of the tasks
-/// they run, whichever those are. 7 and 4.6 MiB while the batching phase
-/// ran 4 shards on 2 threads (a mean of 2 and 3.3 MiB; 3 and 3.4 MiB while a
+/// they run, whichever those are. 6 and 4.4 MiB while the window rebuilt
+/// its emission, 7 and 4.6 MiB while the batching phase ran 4 shards on 2
+/// threads (a mean of 2 and 3.3 MiB; 3 and 3.4 MiB while a
 /// block's run table grew beside an equal fragment table).
-const ZIPF_THREADED_BUDGET: (u64, u64) = (7, 6 << 20);
-/// Measured: 6 and 4.9 MiB, with the blocks built in the last plan handed
+const ZIPF_THREADED_BUDGET: (u64, u64) = (7, 4 << 20);
+/// Measured: 5 and 2.8 MiB, with the blocks built in the last plan handed
 /// back, and the per-arrival blocks, the pair buffer and the radix sort's
-/// buffers kept. Means: 4 and 3.7 MiB (3.8 while a count's blocks carried
-/// values; as with the count tables, per-arrival slots and run sort buffer
+/// buffers kept (6 and 4.9 MiB while the window rebuilt its emission).
+/// Means: 4 and 2.6 MiB, against 4 and 3.7 MiB (3.8 while a count's blocks
+/// carried values; as with the count tables, per-arrival slots and run sort buffer
 /// the loop kept before it sorted by radix; 36 and 12.9 MiB with a fresh
 /// sorter per block) — against 5 while a block's values grew to exactly its
 /// size (a baseline's block size wanders batch to batch), and 73 and 26.8
 /// MiB while every batch built fresh blocks and a key map per block, and
 /// dropped its plan.
-const PK2_BUDGET: (u64, u64) = (7, 6 << 20);
-/// Measured: 9 and 4.8 MiB — one exact-size buffer per Map frame of 64 KiB
+const PK2_BUDGET: (u64, u64) = (6, 4 << 20);
+/// Measured: 9 and 2.7 MiB — one exact-size buffer per Map frame of 64 KiB
 /// or more (a count's frame is its block's key runs alone, 16 bytes a run,
-/// so about half of the 16 reach it), plus `zipf_inproc`'s gathered output
-/// and emission. Means: 8 and 3.7 MiB, against 18 and 8.1 MiB while every
+/// so about half of the 16 reach it), plus `zipf_inproc`'s gathered output.
+/// Means: 8 and 2.6 MiB, against 9 and 4.8 MiB at most (a mean of 8 and
+/// 3.7 MiB) while the window rebuilt its emission, 18 and 8.1 MiB while every
 /// frame carried its block's values too (4.8 MiB of key runs and values), 18
 /// and 15.7 MiB while a frame carried 24-byte tuples and a fragment table
 /// (12.4 MiB), and 98 and 46.7 MiB while each payload grew from an empty
 /// writer (64 KiB → 1 MiB) and was then copied behind its header: six a
 /// frame. A frame that carries the values again fails it by its bytes; one
 /// that regrows or is copied again, by its count.
-const ZIPF_DIST_BUDGET: (u64, u64) = (10, 6 << 20);
+const ZIPF_DIST_BUDGET: (u64, u64) = (10, 4 << 20);

@@ -141,7 +141,7 @@ proptest! {
         }
     }
 
-    /// The writer keeps every shard at exactly `min(seq, len)` panes —
+    /// The writer keeps every shard of a sliding store at exactly `min(seq, len)` panes —
     /// each shard evicts on its own pane count — so a CRC-valid store whose
     /// shards disagree with each other, or all fall short of the batch
     /// count, is malformed, not a window that silently keeps a batch too
