@@ -16,6 +16,15 @@
 //! record); a snapshot therefore holds the open window's panes alone
 //! mid-window, and the whole emitted window at a boundary.
 //!
+//! A shard keeps each pane it merges twice: in key order, the pane the
+//! changelog delta and the snapshot write, and in its running table's slot
+//! order (see [`slot_mask`]), so merging the entering pane and inverting the
+//! leaving one each sweep the table front to back. The emission draws from
+//! every shard's table in slices, so it fills front to back too. The slot
+//! order only affects speed: no per-key operation depends on where a key
+//! sits in a pane. A pane restored from a snapshot has no slot-ordered copy
+//! and is evicted in key order.
+//!
 //! The sharding is a memory layout, not a unit of ownership: the driver's
 //! store is the only copy of keyed state, and the split buys cache-sized
 //! running maps and short per-pane sorts (EXPERIMENTS "State shard count").
@@ -30,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use prompt_core::bytes::{self, ByteReader, BytesSink, CodecError};
-use prompt_core::hash::{bucket_of, KeyMap};
+use prompt_core::hash::{bucket_of, mix64, KeyMap};
 use prompt_core::sort::RadixSort;
 use prompt_core::types::{Duration, Key};
 
@@ -53,6 +62,19 @@ pub const STATE_SHARDS: usize = 16;
 /// frozen copy of the store share it by `Arc` instead of copying entries.
 pub type Pane = Vec<(Key, f64)>;
 
+/// Slices `current()` draws each shard's running table in, round-robin:
+/// a slice of each table lands in the same stretches of the emission.
+const EMISSION_SLICES: usize = 64;
+
+/// The bucket mask of `table`: a std `KeyMap` iterates in ascending
+/// `mix64(key) & mask`, its slot order, but for keys displaced from their
+/// home slot within a probe group (`std_keymap_iterates_in_slot_order` pins
+/// this). `capacity()` is the items plus the growth left, seven eighths of
+/// the buckets in a table without tombstones, and less by the tombstones.
+fn slot_mask<V>(table: &KeyMap<V>) -> u64 {
+    ((table.capacity() * 8 / 7).next_power_of_two() - 1) as u64
+}
+
 /// One state shard: the running aggregates and in-window panes for the keys
 /// that hash to its bucket.
 #[derive(Debug, Default)]
@@ -65,6 +87,12 @@ pub struct StateShard {
     /// In-window panes, oldest first. Every push appends one pane to every
     /// shard (possibly empty), so pane indices align across shards.
     pub(crate) panes: VecDeque<Arc<Pane>>,
+    /// The newest panes again, oldest first, each in `running`'s slot order
+    /// as of its merge: what the merge and the eviction walk. A pane
+    /// restored from a snapshot has none, so these are the last
+    /// `slotted.len()` of `panes`. Only speed rests on them: a copy of the
+    /// store, and the snapshot, leave them out.
+    slotted: VecDeque<Pane>,
 }
 
 impl Clone for StateShard {
@@ -73,6 +101,7 @@ impl Clone for StateShard {
             bucket: self.bucket,
             running: self.running.clone(),
             panes: self.panes.clone(),
+            slotted: VecDeque::new(),
         }
     }
 
@@ -83,6 +112,7 @@ impl Clone for StateShard {
         self.bucket = source.bucket;
         self.running.clone_from(&source.running);
         self.panes.clone_from(&source.panes);
+        self.slotted.clear();
     }
 }
 
@@ -92,6 +122,7 @@ impl StateShard {
             bucket,
             running: KeyMap::default(),
             panes: VecDeque::new(),
+            slotted: VecDeque::new(),
         }
     }
 
@@ -134,15 +165,51 @@ pub struct KeyedStateStore {
     shards: Vec<StateShard>,
     seq: u64,
     since_emit: usize,
-    /// The sort of each new pane, kept across pushes.
+    /// What each push builds its panes in, kept across pushes.
+    kept: PaneBuffers,
+}
+
+/// The buffers a push lays its panes out in: every push fills one per
+/// shard in key order and, for a running table, one in its slot order, in
+/// the buffers of the panes and copies it evicts.
+#[derive(Debug, Default)]
+struct PaneBuffers {
+    /// The sort of each new pane, by key and by slot.
     radix: RadixSort<(Key, f64)>,
+    /// Emptied panes to fill again.
+    spare: Vec<Pane>,
+}
+
+impl PaneBuffers {
+    /// An empty pane: a spare one, else one sized for about `n` entries.
+    /// It is sized up front, since one grown from empty reallocates at
+    /// every doubling, and with room to spare, since buffers move between
+    /// panes: a shard's key count is binomial about its mean, so four
+    /// standard deviations (≈ √n) above it hold every pane but a rare one,
+    /// which then grows once.
+    fn take(&mut self, n: usize) -> Pane {
+        (self.spare.pop()).unwrap_or_else(|| Pane::with_capacity(n + 4 * n.isqrt() + 16))
+    }
+
+    /// Keep `pane`'s buffer.
+    fn keep(&mut self, mut pane: Pane) {
+        pane.clear();
+        self.spare.push(pane);
+    }
+
+    /// Keep `pane`'s buffer, unless a delta or a frozen copy still holds it.
+    fn give_back(&mut self, pane: Arc<Pane>) {
+        if let Ok(entries) = Arc::try_unwrap(pane) {
+            self.keep(entries);
+        }
+    }
 }
 
 impl Clone for KeyedStateStore {
     fn clone(&self) -> KeyedStateStore {
         KeyedStateStore {
             shards: self.shards.clone(),
-            radix: RadixSort::default(),
+            kept: PaneBuffers::default(),
             ..*self
         }
     }
@@ -153,7 +220,7 @@ impl Clone for KeyedStateStore {
         self.shards.clone_from(&source.shards);
         *self = KeyedStateStore {
             shards: std::mem::take(&mut self.shards),
-            radix: std::mem::take(&mut self.radix),
+            kept: std::mem::take(&mut self.kept),
             ..*source
         };
     }
@@ -178,7 +245,7 @@ impl KeyedStateStore {
             shards: (0..shards).map(|b| StateShard::empty(b as u32)).collect(),
             seq: 0,
             since_emit: 0,
-            radix: RadixSort::default(),
+            kept: PaneBuffers::default(),
         }
     }
 
@@ -259,20 +326,15 @@ impl KeyedStateStore {
     /// describes the change.
     pub fn push_with_delta(&mut self, out: &BatchOutput) -> (Option<WindowResult>, StateDelta) {
         let r = self.shards.len();
-        // Sized up front, since a pane grown from empty reallocates at every
-        // doubling: a shard's key count is binomial about `n / r`, so four
-        // standard deviations (≈ √(n / r)) above it hold every pane but a
-        // rare one, which then grows once.
         let mean = out.aggregates.len() / r;
-        let cap = mean + 4 * mean.isqrt() + 16;
-        let mut split: Vec<Pane> = (0..r).map(|_| Pane::with_capacity(cap)).collect();
+        let mut split: Vec<Pane> = (0..r).map(|_| self.kept.take(mean)).collect();
         for (&k, &v) in &out.aggregates {
             split[bucket_of(STATE_SHARD_SEED, k, r)].push((k, v));
         }
         let split: Vec<Arc<Pane>> = split
             .into_iter()
             .map(|mut entries| {
-                self.radix.sort(&mut entries, |&(k, _)| k.0);
+                self.kept.radix.sort(&mut entries, |&(k, _)| k.0);
                 Arc::new(entries)
             })
             .collect();
@@ -306,41 +368,71 @@ impl KeyedStateStore {
         self.len_batches == self.slide_batches
     }
 
-    /// The shard-wise mirror of `WindowState::push`: merge each shard's
-    /// entries into its running state in sorted-key order, append the pane,
-    /// evict the batch leaving the window.
+    /// Ready every shard for a push of `len(b)` entries into shard `b`.
     ///
-    /// A tumbling window's first push starts every shard afresh instead,
-    /// its running map and panes cleared with their allocations kept, so the
-    /// window is a fold of its own panes and nothing is evicted. It clears
-    /// here and not at the emission, since the caller still reads the
-    /// emitted window (session counts, the checkpoint record) after this
-    /// returns. The first push is the persisted `since_emit == 0`: a store
-    /// restored mid-window from one that kept the older window's panes
-    /// (it evicted a tumbling window's panes one by one) evicts them as that
+    /// A tumbling window's first push starts every shard afresh, its running
+    /// map and panes cleared with their allocations kept, so the window is a
+    /// fold of its own panes and nothing is evicted. It clears here and not
+    /// at the emission, since the caller still reads the emitted window
+    /// (session counts, the checkpoint record) after the push that emitted
+    /// it returns. The first push is the persisted `since_emit == 0`: a store
+    /// restored mid-window from one that kept the older window's panes (it
+    /// evicted a tumbling window's panes one by one) evicts them as that
     /// store would, until its window closes.
+    ///
+    /// A running table then makes room for every key of the pane before the
+    /// merge, which adds them before the eviction removes any: the pane's
+    /// copy is laid out in the table it is merged into, and the table grows
+    /// while the window fills, not once tombstones have used up its room.
+    fn ready(&mut self, len: impl Fn(usize) -> usize) {
+        let fresh = self.tumbling() && self.since_emit == 0;
+        let invertible = self.op.invertible();
+        for (b, shard) in self.shards.iter_mut().enumerate() {
+            if fresh {
+                shard.running.clear();
+                for pane in shard.panes.drain(..) {
+                    self.kept.give_back(pane);
+                }
+                for copy in shard.slotted.drain(..) {
+                    self.kept.keep(copy);
+                }
+            }
+            if invertible {
+                shard.running.reserve(len(b));
+            }
+        }
+    }
+
+    /// The shard-wise mirror of `WindowState::push`: merge each shard's
+    /// entries into its running state, append the pane, evict the batch
+    /// leaving the window. The merge and the eviction walk a pane's
+    /// slot-ordered copy where it has one; per key, every merge and inverse
+    /// happens in batch order whatever the order of a pane's keys.
     fn apply_panes(&mut self, split: Vec<Arc<Pane>>) -> Option<WindowResult> {
+        self.ready(|b| split[b].len());
         let op = self.op;
         let invertible = op.invertible();
         let len_batches = self.len_batches;
-        let fresh = self.tumbling() && self.since_emit == 0;
         for (shard, entries) in self.shards.iter_mut().zip(split) {
-            if fresh {
-                shard.running.clear();
-                shard.panes.clear();
-            }
             if invertible {
-                for &(k, v) in entries.iter() {
+                let mask = slot_mask(&shard.running);
+                let mut copy = self.kept.take(entries.len());
+                copy.extend_from_slice(&entries);
+                (self.kept.radix).sort(&mut copy, |&(k, _)| mix64(k.0) & mask);
+                for &(k, v) in &copy {
                     let e = shard.running.entry(k).or_insert((0.0, 0));
                     e.0 = if e.1 == 0 { v } else { op.merge(e.0, v) };
                     e.1 += 1;
                 }
+                shard.slotted.push_back(copy);
             }
             shard.panes.push_back(entries);
             if shard.panes.len() > len_batches {
                 let old = shard.panes.pop_front().expect("pane non-empty");
+                let copy = (shard.slotted.len() > shard.panes.len())
+                    .then(|| shard.slotted.pop_front().expect("copy non-empty"));
                 if invertible {
-                    for &(k, v) in old.iter() {
+                    for &(k, v) in copy.as_deref().unwrap_or(&old) {
                         let e = shard.running.get_mut(&k).expect("evicted key tracked");
                         e.1 -= 1;
                         if e.1 == 0 {
@@ -350,6 +442,10 @@ impl KeyedStateStore {
                         }
                     }
                 }
+                if let Some(copy) = copy {
+                    self.kept.keep(copy);
+                }
+                self.kept.give_back(old);
             }
         }
         self.seq += 1;
@@ -369,15 +465,24 @@ impl KeyedStateStore {
     /// from the panes otherwise) — per-key bits identical to
     /// `WindowState::current`. An emission is retained by the caller, so the
     /// incremental map is sized exactly: the shards' running entries are its
-    /// keys.
+    /// keys. They are drawn from every shard's table in turn, a 64th of
+    /// each table at a time: each table is read in its slot order, which is
+    /// the emission's at a coarser mask, so the emission fills front to back
+    /// once instead of once per shard.
     pub fn current(&self) -> KeyMap<f64> {
         let op = self.op;
         let mut acc: KeyMap<f64> = KeyMap::default();
         if op.invertible() {
             acc.reserve(self.shards.iter().map(|s| s.running.len()).sum());
-            for shard in &self.shards {
-                for (&k, &(v, _)) in &shard.running {
-                    acc.insert(k, v);
+            let mut tables: Vec<_> = (self.shards.iter())
+                .map(|s| (s.running.len(), s.running.iter()))
+                .collect();
+            for slice in 0..EMISSION_SLICES {
+                for (len, entries) in &mut tables {
+                    let n = (slice + 1) * *len / EMISSION_SLICES - slice * *len / EMISSION_SLICES;
+                    for (&k, &(v, _)) in entries.take(n) {
+                        acc.insert(k, v);
+                    }
                 }
             }
         } else {
@@ -499,6 +604,7 @@ pub fn get_shard(r: &mut ByteReader<'_>) -> Result<StateShard, CodecError> {
         bucket,
         running,
         panes,
+        slotted: VecDeque::new(),
     })
 }
 
@@ -573,7 +679,7 @@ pub fn get_store(r: &mut ByteReader<'_>) -> Result<KeyedStateStore, CodecError> 
         shards,
         seq,
         since_emit,
-        radix: RadixSort::default(),
+        kept: PaneBuffers::default(),
     })
 }
 
@@ -694,6 +800,31 @@ mod tests {
         WindowSpec::sliding(Duration::from_secs(4), Duration::from_secs(2))
     }
 
+    /// Thousands of keys a batch over a key range that slides by a tenth of
+    /// its width each batch, with signed non-integer values of mixed
+    /// magnitude: at this size every shard's running table grows while the
+    /// window fills, and keys leaving the window churn it after.
+    fn sliding_batches(n: usize) -> Vec<BatchOutput> {
+        (0..n as u64)
+            .map(|i| {
+                let entries: Vec<(u64, f64)> = (i * 400..i * 400 + 4_000)
+                    .filter(|&k| mix64(k ^ (i << 40)) % 5 < 3)
+                    .map(|k| {
+                        let h = mix64(k.wrapping_mul(i + 1));
+                        let scale = [1e-3, 1.0, 1e6][(h % 3) as usize];
+                        (k, ((h >> 8) % 20_001) as f64 * 0.37e-2 * scale - 37.0)
+                    })
+                    .collect();
+                out(&entries)
+            })
+            .collect()
+    }
+
+    /// A sliding window of 4 batches, sliding by 1.
+    fn four_by_one() -> WindowSpec {
+        WindowSpec::sliding(Duration::from_secs(4), Duration::from_secs(1))
+    }
+
     /// The sliding spec and tumbling windows of 1, 2 and 3 batches.
     fn specs() -> [WindowSpec; 4] {
         [
@@ -737,6 +868,16 @@ mod tests {
                 }
             }
         }
+        for op in [ReduceOp::Sum, ReduceOp::Max] {
+            let spec = four_by_one();
+            let mut window = WindowState::new(spec, Duration::from_secs(1), op);
+            let mut store = KeyedStateStore::new(spec, Duration::from_secs(1), op, 4);
+            for (i, b) in sliding_batches(14).into_iter().enumerate() {
+                let expect = window.push(b.clone());
+                let got = store.push(&b);
+                assert_same_emission(expect, got, &format!("sliding keys {op:?} batch {i}"));
+            }
+        }
     }
 
     #[test]
@@ -750,6 +891,81 @@ mod tests {
                 assert_same_emission(expect, got, &format!("{spec:?}"));
             }
             assert_same_answer(&live.current(), &replayed.current(), &format!("{spec:?}"));
+        }
+        for op in [ReduceOp::Sum, ReduceOp::Max] {
+            let mut live = KeyedStateStore::new(four_by_one(), Duration::from_secs(1), op, 3);
+            let mut replayed = live.clone();
+            for (i, b) in sliding_batches(14).iter().enumerate() {
+                let (expect, delta) = live.push_with_delta(b);
+                let got = replayed.apply_delta(&delta);
+                assert_same_emission(expect, got, &format!("sliding keys {op:?} batch {i}"));
+            }
+            assert_same_answer(&live.current(), &replayed.current(), "sliding keys");
+        }
+    }
+
+    /// A std `KeyMap` iterates in its slot order, ascending `mix64(key) &
+    /// mask` under [`slot_mask`], but for a key displaced from its home slot
+    /// by less than one probe group: the order a shard's copy of each pane is
+    /// laid out in, so that merging and evicting it sweep the table front to
+    /// back.
+    /// Only speed rests on this, so a std change must fail here instead of
+    /// slowing the commit unseen. The tables are the store's shard sizes,
+    /// 2¹⁰–2¹⁶ buckets: fresh, at the load a shard's table rests at and at the
+    /// most it reaches mid-push, and a store's one shard after a sliding
+    /// window's churn has left tombstones. The mask one bit wider must not
+    /// describe the order, so the derivation is the table's bucket count,
+    /// not twice it.
+    #[test]
+    fn std_keymap_iterates_in_slot_order() {
+        /// Buckets in one probe group.
+        const GROUP: u64 = 16;
+        /// The share of consecutive steps that go back by less than a group.
+        fn in_order<V>(table: &KeyMap<V>, mask: u64) -> f64 {
+            let slots: Vec<u64> = table.keys().map(|k| mix64(k.0) & mask).collect();
+            let ok = slots.windows(2).filter(|w| w[1] + GROUP > w[0]).count();
+            ok as f64 / (slots.len() - 1) as f64
+        }
+        fn check<V>(table: &KeyMap<V>, buckets: u64, what: &str) {
+            let mask = slot_mask(table);
+            assert_eq!(mask + 1, buckets, "{what}: capacity {}", table.capacity());
+            let own = in_order(table, mask);
+            assert!(own >= 0.99, "{what}: {own:.4} of steps in slot order");
+            let wide = in_order(table, 2 * mask + 1);
+            assert!(
+                wide < 0.9,
+                "{what}: {wide:.4} in order under twice the buckets"
+            );
+        }
+        for bits in 10..=16 {
+            let buckets = 1u64 << bits;
+            for load in [0.45, 0.6] {
+                let mut table: KeyMap<(f64, u32)> = KeyMap::default();
+                for k in 0..(buckets as f64 * load) as u64 {
+                    table.insert(Key(k), (0.0, 1));
+                }
+                check(&table, buckets, &format!("fresh, 2^{bits} at {load}"));
+            }
+            // Four batches of two in five keys of a space of half the
+            // buckets hold 0.43 of them, 0.64 with the pane the next push
+            // makes room for.
+            let space = buckets / 2;
+            let mut store =
+                KeyedStateStore::new(four_by_one(), Duration::from_secs(1), ReduceOp::Sum, 1);
+            for i in 0..24u64 {
+                let entries: Vec<(u64, f64)> = (0..space)
+                    .filter(|&k| mix64(k ^ (i << 40)) % 5 < 2)
+                    .map(|k| (k, 1.0))
+                    .collect();
+                store.push(&out(&entries));
+            }
+            let table = &store.shards()[0].running;
+            let what = format!("churned, 2^{bits}");
+            assert!(
+                table.capacity() < (buckets * 7 / 8) as usize,
+                "{what}: no tombstone"
+            );
+            check(table, buckets, &what);
         }
     }
 
