@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use prompt_core::batch::MicroBatch;
-use prompt_core::hash::KeySet;
 use prompt_core::partitioner::Technique;
 use prompt_core::reduce::{
     allocate_reduce, HashReduceAssigner, KeyCluster, PromptReduceAllocator, ReduceAssigner,
@@ -28,15 +27,22 @@ fn bench_single_task(c: &mut Criterion) {
     group.sample_size(30);
     for &n in &[1_000usize, 10_000] {
         let cs = clusters(n);
-        let split = KeySet::default();
+        let split = vec![false; n];
+        let mut out = Vec::new();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("prompt_worst_fit", n), &cs, |b, cs| {
             let a = PromptReduceAllocator::new(3);
-            b.iter(|| a.assign(0, cs, &split, 32).len())
+            b.iter(|| {
+                a.assign(0, cs, &split, 32, &mut out);
+                out.len()
+            })
         });
         group.bench_with_input(BenchmarkId::new("hash", n), &cs, |b, cs| {
             let a = HashReduceAssigner::new(3);
-            b.iter(|| a.assign(0, cs, &split, 32).len())
+            b.iter(|| {
+                a.assign(0, cs, &split, 32, &mut out);
+                out.len()
+            })
         });
     }
     group.finish();

@@ -37,18 +37,59 @@ pub trait ReduceAssigner: Send + Sync {
     /// Technique name for reporting.
     fn name(&self) -> &'static str;
 
-    /// Return the bucket index (`< r`) for each cluster, in order.
+    /// Write the bucket index (`< r`, and `r` fits in `u32`, as it does on
+    /// the wire) of each cluster, in order, into `out`, replacing whatever it
+    /// held.
     ///
-    /// `task` is the Map task's block index within its batch. `split_keys`
-    /// is the data block's reference table: keys split across blocks
-    /// **must** be routed consistently by every Map task.
+    /// `task` is the Map task's block index within its batch. `split` holds
+    /// one flag per cluster: whether its key is in the data block's
+    /// reference table ([`split_flags`]). Keys split across blocks **must**
+    /// be routed consistently by every Map task.
     fn assign(
         &self,
         task: usize,
         clusters: &[KeyCluster],
-        split_keys: &KeySet,
+        split: &[bool],
         r: usize,
-    ) -> Vec<usize>;
+        out: &mut Vec<u32>,
+    );
+}
+
+/// `split_keys`, the batch's split-key reference table, in ascending order
+/// into `sorted` (whatever it held): the form [`split_flags`] walks.
+pub fn sort_split_keys(split_keys: &KeySet, sorted: &mut Vec<Key>) {
+    sorted.clear();
+    sorted.extend(split_keys);
+    sorted.sort_unstable();
+}
+
+/// Fill `flags` (whatever it held) with one flag per cluster: whether its
+/// key is in `split_keys`, the batch's split-key reference table in
+/// ascending order ([`sort_split_keys`]). A key-ascending cluster list, as
+/// every Map task's is, takes one merge walk of the two lists; a cluster
+/// whose key is below the one before starts the walk again from the first
+/// split key. No key is looked at when the table is empty, as it is for
+/// every plan that splits no key.
+pub fn split_flags(clusters: &[KeyCluster], split_keys: &[Key], flags: &mut Vec<bool>) {
+    debug_assert!(split_keys.is_sorted(), "split keys ascend");
+    flags.clear();
+    if split_keys.is_empty() {
+        flags.resize(clusters.len(), false);
+        return;
+    }
+    // The split keys not below the last cluster's key.
+    let mut rest = split_keys;
+    let mut last = Key(0);
+    flags.extend(clusters.iter().map(|c| {
+        if c.key < last {
+            rest = split_keys;
+        }
+        last = c.key;
+        while rest.first().is_some_and(|&k| k < c.key) {
+            rest = &rest[1..];
+        }
+        rest.first() == Some(&c.key)
+    }));
 }
 
 /// Conventional hashing assignment (Fig. 8a): every key, split or not, is
@@ -70,12 +111,15 @@ impl ReduceAssigner for HashReduceAssigner {
         "Hash"
     }
 
-    fn assign(&self, _: usize, clusters: &[KeyCluster], _: &KeySet, r: usize) -> Vec<usize> {
+    fn assign(&self, _: usize, clusters: &[KeyCluster], _: &[bool], r: usize, out: &mut Vec<u32>) {
         assert!(r > 0, "need at least one bucket");
-        clusters
-            .iter()
-            .map(|c| bucket_of(self.seed, c.key, r))
-            .collect()
+        assert!(u32::try_from(r).is_ok(), "buckets fit in u32");
+        out.clear();
+        out.extend(
+            clusters
+                .iter()
+                .map(|c| bucket_of(self.seed, c.key, r) as u32),
+        );
     }
 }
 
@@ -105,14 +149,23 @@ impl ReduceAssigner for PromptReduceAllocator {
         "Prompt"
     }
 
-    fn assign(&self, task: usize, clusters: &[KeyCluster], split: &KeySet, r: usize) -> Vec<usize> {
+    fn assign(
+        &self,
+        task: usize,
+        clusters: &[KeyCluster],
+        split: &[bool],
+        r: usize,
+        out: &mut Vec<u32>,
+    ) {
         assert!(r > 0, "need at least one bucket");
+        assert_eq!(split.len(), clusters.len(), "one split flag per cluster");
         let total: usize = clusters.iter().map(|c| c.size).sum();
         // Expected bucket size |I| / r (line 1), as a ceiling so capacities
         // cover the input.
         let bucket_size = total.div_ceil(r).max(1);
 
-        let mut out = vec![usize::MAX; clusters.len()];
+        out.clear();
+        out.resize(clusters.len(), u32::MAX);
         // Capacities may go negative when hashed split keys overflow a
         // bucket; keep them signed so Worst-Fit still orders correctly.
         let mut capacity: Vec<i64> = vec![bucket_size as i64; r];
@@ -120,16 +173,16 @@ impl ReduceAssigner for PromptReduceAllocator {
         // Line 2: split keys are routed by hashing (consistency across Map
         // tasks); their sizes consume bucket capacity.
         for (i, c) in clusters.iter().enumerate() {
-            if split.contains(&c.key) {
+            if split[i] {
                 let b = bucket_of(self.seed, c.key, r);
-                out[i] = b;
+                out[i] = b as u32;
                 capacity[b] -= c.size as i64;
             }
         }
 
-        // Line 4: the non-split clusters, still unassigned, in descending
-        // size order, ties by key, then by position.
-        let non_split = by_size_descending(clusters, |i| out[i] == usize::MAX);
+        // Line 4: the non-split clusters in descending size order, ties by
+        // key, then by position.
+        let non_split = by_size_descending(clusters, |i| !split[i]);
 
         // Lines 5–12: Worst-Fit with bucket retirement — the chosen bucket
         // leaves the candidate list until every bucket has received one
@@ -140,28 +193,78 @@ impl ReduceAssigner for PromptReduceAllocator {
         // a rotation by the task's block index so that concurrent tasks do
         // not all favour the same bucket: `task % r` first, then upwards.
         let offset = task % r;
-        let rank = |b: usize| (b + r - offset) % r;
         let mut non_split = non_split.into_iter().map(|i| i as usize);
-        let mut candidates = Vec::with_capacity(r);
+        let mut round = Round::with_capacity(r);
+        round.refill(&capacity, offset);
         loop {
-            // Refill the candidate list with the buckets that still have
-            // spare capacity; buckets already overflown by hashed split keys
-            // are only used when nothing else remains ("limits bucket
-            // overflow", §5).
-            candidates.clear();
-            candidates.extend((0..r).filter(|&b| capacity[b] > 0));
-            if candidates.is_empty() {
-                candidates.extend(0..r);
-            }
-            candidates.sort_unstable_by_key(|&b| (std::cmp::Reverse(capacity[b]), rank(b)));
-            for &b in &candidates {
+            // One cluster to each candidate, in order; a round that deals
+            // every candidate the same size keeps their order.
+            let mut dealt = None;
+            let mut uniform = true;
+            for &(_, _, b) in &round.candidates {
                 let Some(i) = non_split.next() else {
-                    return out;
+                    return;
                 };
+                let size = clusters[i].size;
                 out[i] = b;
-                capacity[b] -= clusters[i].size as i64;
+                capacity[b as usize] -= size as i64;
+                uniform &= *dealt.get_or_insert(size) == size;
+            }
+            if !(uniform && round.keep_order(&capacity)) {
+                round.refill(&capacity, offset);
             }
         }
+    }
+}
+
+/// Algorithm 3's candidate list for one retirement round: each candidate
+/// bucket as `(−capacity, rank, bucket)`, where `rank` is the bucket's place
+/// in the task's rotated preference, in dealing order.
+struct Round {
+    candidates: Vec<(i64, u32, u32)>,
+    /// Whether the list is every bucket, none having spare capacity.
+    every_bucket: bool,
+}
+
+impl Round {
+    fn with_capacity(r: usize) -> Round {
+        assert!(u32::try_from(r).is_ok(), "buckets fit in u32");
+        Round {
+            candidates: Vec::with_capacity(r),
+            every_bucket: false,
+        }
+    }
+
+    /// Refill the list with the buckets that still have spare capacity;
+    /// buckets already overflown by hashed split keys are only used when
+    /// nothing else remains ("limits bucket overflow", §5). Sorted by
+    /// precomputed keys, so no comparison computes a rank.
+    fn refill(&mut self, capacity: &[i64], offset: usize) {
+        let r = capacity.len();
+        let key = |b: usize| (-capacity[b], ((b + r - offset) % r) as u32, b as u32);
+        self.candidates.clear();
+        self.candidates
+            .extend((0..r).filter(|&b| capacity[b] > 0).map(key));
+        self.every_bucket = self.candidates.is_empty();
+        if self.every_bucket {
+            self.candidates.extend((0..r).map(key));
+        }
+        self.candidates.sort_unstable();
+    }
+
+    /// After a round that dealt every candidate the same size, make the list
+    /// the next round's without sorting, if it can be: every capacity fell
+    /// by the same amount, so the order holds, and the buckets that reached
+    /// ≤ 0 are a suffix, which leaves. Every bucket stays on a list of every
+    /// bucket (none regained capacity). `false` when no candidate is left
+    /// with spare capacity and the list must become every bucket.
+    fn keep_order(&mut self, capacity: &[i64]) -> bool {
+        if self.every_bucket {
+            return true;
+        }
+        let spare = (self.candidates).partition_point(|&(_, _, b)| capacity[b as usize] > 0);
+        self.candidates.truncate(spare);
+        spare > 0
     }
 }
 
@@ -187,33 +290,41 @@ fn by_size_descending(clusters: &[KeyCluster], pick: impl Fn(usize) -> bool) -> 
     counting_sort(clusters, by_key.into_iter())
 }
 
-/// `positions` stably sorted by their clusters' sizes, largest first.
+/// `positions` stably sorted by their clusters' sizes, largest first: one
+/// pass counts the small sizes and keeps the large positions, a second
+/// places the small ones.
 fn counting_sort(
     clusters: &[KeyCluster],
     positions: impl Iterator<Item = usize> + Clone,
 ) -> Vec<u32> {
     let size = |i: usize| clusters[i].size;
-    let small = move |i: &usize| size(*i) < COUNTED_SIZES;
-    let mut sorted = Vec::with_capacity(positions.clone().count());
-    sorted.extend(positions.clone().filter(|i| !small(i)).map(|i| i as u32));
+    let mut sorted = Vec::with_capacity(clusters.len());
+    // `next[s]`: how many small clusters have size `s`; below, where the
+    // next one goes.
+    let mut next: Vec<usize> = Vec::new();
+    for i in positions.clone() {
+        match size(i) {
+            s if s < COUNTED_SIZES => {
+                if s >= next.len() {
+                    next.resize(s + 1, 0);
+                }
+                next[s] += 1;
+            }
+            _ => sorted.push(i as u32),
+        }
+    }
     sorted.sort_by_key(|&i| std::cmp::Reverse(size(i as usize)));
-    let Some(largest) = positions.clone().filter(small).map(size).max() else {
-        return sorted;
-    };
-    // `next[s]`: where the next cluster of size `s` goes.
-    let mut next = vec![0usize; largest + 1];
-    positions
-        .clone()
-        .filter(small)
-        .for_each(|i| next[size(i)] += 1);
     let mut at = sorted.len();
     for slot in next.iter_mut().rev() {
         (*slot, at) = (at, at + *slot);
     }
     sorted.resize(at, u32::MAX);
-    for i in positions.filter(small) {
-        sorted[next[size(i)]] = i as u32;
-        next[size(i)] += 1;
+    for i in positions {
+        let s = size(i);
+        if s < COUNTED_SIZES {
+            sorted[next[s]] = i as u32;
+            next[s] += 1;
+        }
     }
     sorted
 }
@@ -239,7 +350,7 @@ pub struct ReduceAllocation {
     pub buckets: Vec<BucketStats>,
     /// For each map task (block), the bucket chosen for each of its
     /// fragments, parallel to `plan.blocks[m].runs`.
-    pub per_map: Vec<Vec<usize>>,
+    pub per_map: Vec<Vec<u32>>,
 }
 
 impl ReduceAllocation {
@@ -262,26 +373,28 @@ pub fn allocate_reduce(
     r: usize,
 ) -> ReduceAllocation {
     let mut buckets = vec![BucketStats::default(); r];
-    let mut split_bucket: KeyMap<usize> = KeyMap::default();
+    let mut split_bucket: KeyMap<u32> = KeyMap::default();
     let mut per_map = Vec::with_capacity(plan.blocks.len());
+    let (mut clusters, mut split, mut split_keys) = (Vec::new(), Vec::new(), Vec::new());
+    sort_split_keys(&plan.split_keys, &mut split_keys);
 
     for (task, block) in plan.blocks.iter().enumerate() {
-        let clusters: Vec<KeyCluster> = block
-            .runs
-            .iter()
-            .map(|f| KeyCluster {
-                key: f.key,
-                size: f.count,
-            })
-            .collect();
-        let assignment = assigner.assign(task, &clusters, &plan.split_keys, r);
+        clusters.clear();
+        clusters.extend(block.runs.iter().map(|f| KeyCluster {
+            key: f.key,
+            size: f.count,
+        }));
+        split_flags(&clusters, &split_keys, &mut split);
+        let mut assignment = Vec::new();
+        assigner.assign(task, &clusters, &split, r, &mut assignment);
         assert_eq!(assignment.len(), clusters.len(), "assigner output length");
-        for (c, &b) in clusters.iter().zip(&assignment) {
-            assert!(b < r, "bucket index out of range");
-            buckets[b].size += c.size;
-            buckets[b].fragments += 1;
-            if !plan.split_keys.contains(&c.key) {
-                buckets[b].cardinality += 1;
+        for ((c, &b), &is_split) in clusters.iter().zip(&assignment).zip(&split) {
+            assert!((b as usize) < r, "bucket index out of range");
+            let bucket = &mut buckets[b as usize];
+            bucket.size += c.size;
+            bucket.fragments += 1;
+            if !is_split {
+                bucket.cardinality += 1;
                 continue;
             }
             match split_bucket.entry(c.key) {
@@ -295,7 +408,7 @@ pub fn allocate_reduce(
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(b);
-                    buckets[b].cardinality += 1;
+                    bucket.cardinality += 1;
                 }
             }
         }
@@ -311,6 +424,21 @@ mod tests {
     use crate::partitioner::test_support::zipfish_batch;
     use crate::partitioner::{BufferingMode, Partitioner, PromptPartitioner, ShufflePartitioner};
 
+    /// `assigner`'s buckets for `cs` under the split-key table `split`.
+    fn assign(
+        assigner: &dyn ReduceAssigner,
+        task: usize,
+        cs: &[KeyCluster],
+        split: &KeySet,
+        r: usize,
+    ) -> Vec<usize> {
+        let (mut sorted, mut flags, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        sort_split_keys(split, &mut sorted);
+        split_flags(cs, &sorted, &mut flags);
+        assigner.assign(task, cs, &flags, r, &mut out);
+        out.into_iter().map(|b| b as usize).collect()
+    }
+
     fn clusters(spec: &[(u64, usize)]) -> Vec<KeyCluster> {
         spec.iter()
             .map(|&(k, s)| KeyCluster {
@@ -325,8 +453,8 @@ mod tests {
         let a = HashReduceAssigner::new(5);
         let cs = clusters(&[(1, 10), (2, 20), (3, 30)]);
         let split = KeySet::default();
-        let out1 = a.assign(0, &cs, &split, 4);
-        let out2 = a.assign(1, &cs, &split, 4);
+        let out1 = assign(&a, 0, &cs, &split, 4);
+        let out2 = assign(&a, 1, &cs, &split, 4);
         assert_eq!(out1, out2);
         assert!(out1.iter().all(|&b| b < 4));
     }
@@ -347,7 +475,7 @@ mod tests {
         ]);
         let split = KeySet::default();
         let prompt = PromptReduceAllocator::new(7);
-        let out = prompt.assign(0, &cs, &split, 2);
+        let out = assign(&prompt, 0, &cs, &split, 2);
         let mut sizes = [0usize; 2];
         for (c, &b) in cs.iter().zip(&out) {
             sizes[b] += c.size;
@@ -365,7 +493,7 @@ mod tests {
         let mut split = KeySet::default();
         split.insert(Key(1));
         let prompt = PromptReduceAllocator::new(42);
-        let out = prompt.assign(3, &cs, &split, 8);
+        let out = assign(&prompt, 3, &cs, &split, 8);
         assert_eq!(out[0], bucket_of(42, Key(1), 8), "split key must hash");
     }
 
@@ -384,7 +512,7 @@ mod tests {
         ]);
         let split = KeySet::default();
         let prompt = PromptReduceAllocator::new(0);
-        let out = prompt.assign(1, &cs, &split, 4);
+        let out = assign(&prompt, 1, &cs, &split, 4);
         let mut counts = [0usize; 4];
         for &b in &out {
             counts[b] += 1;
@@ -460,8 +588,15 @@ mod tests {
             fn name(&self) -> &'static str {
                 "Bad"
             }
-            fn assign(&self, task: usize, cs: &[KeyCluster], _: &KeySet, _: usize) -> Vec<usize> {
-                vec![task % 2; cs.len()] // different bucket each map task
+            fn assign(
+                &self,
+                task: usize,
+                _: &[KeyCluster],
+                split: &[bool],
+                _: usize,
+                out: &mut Vec<u32>,
+            ) {
+                *out = vec![task as u32 % 2; split.len()]; // different bucket each map task
             }
         }
         let batch = zipfish_batch(4, 40);
@@ -472,8 +607,34 @@ mod tests {
     #[test]
     fn empty_cluster_list() {
         let prompt = PromptReduceAllocator::new(0);
-        let out = prompt.assign(0, &[], &KeySet::default(), 4);
+        let out = assign(&prompt, 0, &[], &KeySet::default(), 4);
         assert!(out.is_empty());
+    }
+
+    /// The merge walk flags what a probe of the table would, for a
+    /// key-ascending list (every Map task's), a descending one, one with
+    /// repeated keys and split keys above and below every cluster, and
+    /// under an empty table.
+    #[test]
+    fn split_flags_match_a_probe_of_the_table() {
+        let keys = |ks: &[u64]| clusters(&ks.iter().map(|&k| (k, 1)).collect::<Vec<_>>());
+        let table: KeySet = [0, 4, 5, 9, 30, 31, 99].into_iter().map(Key).collect();
+        let mut sorted = Vec::new();
+        sort_split_keys(&table, &mut sorted);
+        assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        let mut flags = Vec::new();
+        for list in [
+            keys(&[1, 4, 5, 6, 9, 10, 31, 40]),
+            keys(&[40, 31, 10, 9, 6, 5, 4, 1]),
+            keys(&[5, 5, 0, 30, 2, 31, 31, 99, 4]),
+            keys(&[]),
+        ] {
+            let probed: Vec<bool> = list.iter().map(|c| table.contains(&c.key)).collect();
+            split_flags(&list, &sorted, &mut flags);
+            assert_eq!(flags, probed, "{list:?}");
+            split_flags(&list, &[], &mut flags);
+            assert_eq!(flags, vec![false; list.len()]);
+        }
     }
 
     #[test]

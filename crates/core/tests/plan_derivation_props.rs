@@ -8,7 +8,8 @@
 //!    here verbatim), in both layouts;
 //! 2. Algorithm 3's counting sort and per-round bucket order — against the
 //!    per-cluster scan, kept here verbatim as [`reference_assign`], on
-//!    arbitrary and on key-ascending clusters;
+//!    arbitrary and on key-ascending clusters, and on thousands of clusters
+//!    in long runs of equal size, whose rounds keep their order;
 //! 3. `total_keys(blocks, split_keys)` — against a `KeySet` over every
 //!    fragment, for every technique's plan;
 //! 4. every per-tuple technique's fragment tables and split-key table, which
@@ -45,7 +46,9 @@ use prompt_core::buffering::{
 use prompt_core::columnar::{ColRange, ColumnarBlock, ColumnarPlan};
 use prompt_core::hash::{bucket_of, mix64, KeyMap, KeySet};
 use prompt_core::partitioner::{BufferingMode, Partitioner, PromptPartitioner, Technique};
-use prompt_core::reduce::{KeyCluster, PromptReduceAllocator, ReduceAssigner};
+use prompt_core::reduce::{
+    sort_split_keys, split_flags, KeyCluster, PromptReduceAllocator, ReduceAssigner,
+};
 use prompt_core::sort::{RadixSort, FALLBACK_LEN};
 use prompt_core::types::{Interval, Key, Time, Tuple};
 use proptest::prelude::*;
@@ -285,6 +288,21 @@ fn reference_assign(
     out
 }
 
+/// `assigner`'s buckets for `clusters` under the split-key table `split`.
+fn assign(
+    assigner: &dyn ReduceAssigner,
+    task: usize,
+    clusters: &[KeyCluster],
+    split: &KeySet,
+    r: usize,
+) -> Vec<usize> {
+    let (mut sorted, mut flags, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    sort_split_keys(split, &mut sorted);
+    split_flags(clusters, &sorted, &mut flags);
+    assigner.assign(task, clusters, &flags, r, &mut out);
+    out.into_iter().map(|b| b as usize).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -334,7 +352,7 @@ proptest! {
             .collect();
         let split: KeySet = split.iter().map(|&k| Key(k)).collect();
         let task = task_pick % (2 * r);
-        let got = PromptReduceAllocator::new(seed).assign(task, &clusters, &split, r);
+        let got = assign(&PromptReduceAllocator::new(seed), task, &clusters, &split, r);
         let want = reference_assign(seed, task, &clusters, &split, r);
         prop_assert_eq!(got, want, "task {} of r = {}", task, r);
     }
@@ -369,9 +387,68 @@ proptest! {
             .map(|(_, c)| c.key)
             .collect();
         let task = task_pick % (2 * r);
-        let got = PromptReduceAllocator::new(seed).assign(task, &clusters, &split, r);
+        let got = assign(&PromptReduceAllocator::new(seed), task, &clusters, &split, r);
         let want = reference_assign(seed, task, &clusters, &split, r);
         prop_assert_eq!(got, want, "task {} of r = {}", task, r);
+    }
+
+    /// (2c) A round that deals one size to every candidate keeps its order
+    /// for the next round: thousands of clusters in long runs of size 1 and
+    /// of a size k, so most rounds keep it; split keys that take part of
+    /// the capacity of the buckets they hash to, so capacities cross 0 in
+    /// the middle of a run and the list sheds a suffix; split keys that
+    /// overflow their buckets many times over; and zero-size clusters after
+    /// every bucket has reached exactly 0, so the list of every bucket deals
+    /// them for many rounds. (Capacities sum to the slack plus the size left
+    /// to deal, so that list never deals a cluster of positive size.) Keys
+    /// ascending or scrambled, `r = 1` in a quarter of the cases, tasks past
+    /// `r`.
+    #[test]
+    fn assign_of_long_equal_size_runs_matches_the_reference_scan(
+        ones in 0usize..3_000,
+        runs in proptest::collection::vec((2usize..40, 1usize..400), 0..5),
+        zeros in 0usize..400,
+        split_mode in 0u8..3,
+        split_bits in any::<u64>(),
+        seed in any::<u64>(),
+        r_pick in 0usize..68,
+        task_pick in any::<usize>(),
+        scramble in any::<bool>(),
+    ) {
+        let r = if r_pick < 17 { 1 } else { 1 + r_pick % 17 };
+        // Mode 0 deals `r` equal shares of ones and nothing else of positive
+        // size, so every bucket reaches exactly 0 before the zero sizes.
+        let (ones, runs) = match split_mode {
+            0 => (ones - ones % r, Vec::new()),
+            _ => (ones, runs),
+        };
+        let sizes = (runs.iter())
+            .flat_map(|&(k, n)| std::iter::repeat_n(k, n))
+            .chain(std::iter::repeat_n(1, ones))
+            .chain(std::iter::repeat_n(0, zeros));
+        let key = |i: usize| Key(if scramble { mix64(i as u64) } else { 3 * i as u64 + 1 });
+        let mut clusters: Vec<KeyCluster> = (sizes.enumerate())
+            .map(|(i, size)| KeyCluster { key: key(i), size })
+            .collect();
+        let mut split: KeySet = match split_mode {
+            0 => KeySet::default(),
+            _ => (clusters.iter().enumerate())
+                .filter(|&(i, _)| split_bits.rotate_left(i as u32) & 7 == 0)
+                .map(|(_, c)| c.key)
+                .collect(),
+        };
+        if split_mode == 2 {
+            let mass: usize = clusters.iter().map(|c| c.size).sum();
+            for j in 0..r.div_ceil(2) {
+                let big = KeyCluster { key: key(clusters.len()), size: 3 * mass + j + 1 };
+                split.insert(big.key);
+                clusters.push(big);
+            }
+        }
+        let task = task_pick % (3 * r);
+        let got = assign(&PromptReduceAllocator::new(seed), task, &clusters, &split, r);
+        let want = reference_assign(seed, task, &clusters, &split, r);
+        prop_assert_eq!(got, want, "task {} of r = {}, {} clusters", task, r, clusters.len());
     }
 
     /// (3) `total_keys` from fragments and split keys equals a hashing
@@ -786,12 +863,44 @@ fn pinned_duplicate_keys_and_sizes_keep_the_stable_order() {
     let split: KeySet = [Key(2)].into_iter().collect();
     for r in [1, 2, 3, 4, 7] {
         for task in 0..2 * r {
-            let got = PromptReduceAllocator::new(11).assign(task, &clusters, &split, r);
+            let got = assign(&PromptReduceAllocator::new(11), task, &clusters, &split, r);
             assert_eq!(
                 got,
                 reference_assign(11, task, &clusters, &split, r),
                 "r={r}"
             );
+        }
+    }
+}
+
+/// Algorithm 3's degenerate lists against the reference: empty, one
+/// cluster, zero sizes alone, and equal shares of ones, at `r = 1` and
+/// above, for tasks up to `3r`.
+#[test]
+fn pinned_degenerate_lists_assign_as_the_reference_scan() {
+    let list = |sizes: &[usize]| -> Vec<KeyCluster> {
+        (sizes.iter().enumerate())
+            .map(|(i, &size)| KeyCluster {
+                key: Key(i as u64),
+                size,
+            })
+            .collect()
+    };
+    let lists = [
+        list(&[]),
+        list(&[5]),
+        list(&[0; 9]),
+        list(&[1; 12]),
+        list(&[2, 1, 1, 0, 0]),
+    ];
+    let split = KeySet::default();
+    for clusters in &lists {
+        for r in [1, 2, 3, 4, 7] {
+            for task in 0..3 * r {
+                let got = assign(&PromptReduceAllocator::new(3), task, clusters, &split, r);
+                let want = reference_assign(3, task, clusters, &split, r);
+                assert_eq!(got, want, "task {task} of r = {r}: {clusters:?}");
+            }
         }
     }
 }

@@ -12,7 +12,9 @@
 //!    instance, of what was assigned before, or of the calling thread.
 
 use prompt_core::hash::{bucket_of, KeyMap, KeySet};
-use prompt_core::reduce::{KeyCluster, PromptReduceAllocator, ReduceAssigner};
+use prompt_core::reduce::{
+    sort_split_keys, split_flags, KeyCluster, PromptReduceAllocator, ReduceAssigner,
+};
 use prompt_core::types::Key;
 use proptest::prelude::*;
 
@@ -38,6 +40,21 @@ fn dedup_clusters(raw: &[(u64, usize)]) -> Vec<KeyCluster> {
         .collect()
 }
 
+/// `assigner`'s buckets for `clusters` under the split-key table `split`.
+fn assign(
+    assigner: &dyn ReduceAssigner,
+    task: usize,
+    clusters: &[KeyCluster],
+    split: &KeySet,
+    r: usize,
+) -> Vec<usize> {
+    let (mut sorted, mut flags, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    sort_split_keys(split, &mut sorted);
+    split_flags(clusters, &sorted, &mut flags);
+    assigner.assign(task, clusters, &flags, r, &mut out);
+    out.into_iter().map(|b| b as usize).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -59,7 +76,7 @@ proptest! {
         let mut routed: KeyMap<usize> = KeyMap::default();
         for (task, raw) in tasks.iter().enumerate() {
             let cs = dedup_clusters(raw);
-            let out = alloc.assign(task, &cs, &split_set, r);
+            let out = assign(&alloc, task, &cs, &split_set, r);
             prop_assert_eq!(out.len(), cs.len());
             for (c, &b) in cs.iter().zip(&out) {
                 prop_assert!(b < r, "bucket {b} out of range for r = {r}");
@@ -100,7 +117,7 @@ proptest! {
             .unwrap();
         let mut hit = vec![false; r];
         for task in first_task..first_task + r {
-            let b = alloc.assign(task, &cs, &split, r)[largest];
+            let b = assign(&alloc, task, &cs, &split, r)[largest];
             prop_assert!(!hit[b], "two of {r} tasks stacked the largest cluster on bucket {b}");
             hit[b] = true;
         }
@@ -121,13 +138,13 @@ proptest! {
         let inputs: Vec<Vec<KeyCluster>> = tasks.iter().map(|raw| dedup_clusters(raw)).collect();
         let one = PromptReduceAllocator::new(seed);
         let in_order: Vec<Vec<usize>> = (0..inputs.len())
-            .map(|t| one.assign(t, &inputs[t], &split_set, r))
+            .map(|t| assign(&one, t, &inputs[t], &split_set, r))
             .collect();
 
         // Another instance, called in an arbitrary order, some tasks twice.
         let other = PromptReduceAllocator::new(seed);
         for t in order.iter().map(|pick| pick % inputs.len()) {
-            prop_assert_eq!(&other.assign(t, &inputs[t], &split_set, r), &in_order[t], "task {}", t);
+            prop_assert_eq!(&assign(&other, t, &inputs[t], &split_set, r), &in_order[t], "task {}", t);
         }
 
         // Two threads sharing one `&dyn ReduceAssigner`, odd and even tasks.
@@ -139,7 +156,7 @@ proptest! {
                     s.spawn(move || {
                         (half..inputs.len())
                             .step_by(2)
-                            .map(|t| (t, shared.assign(t, &inputs[t], split_set, r)))
+                            .map(|t| (t, assign(shared, t, &inputs[t], split_set, r)))
                             .collect()
                     })
                 })
@@ -168,7 +185,7 @@ proptest! {
         let mut cs = dedup_clusters(&split_raw);
         cs.extend(dedup_clusters(&extra_raw));
         let alloc = PromptReduceAllocator::new(seed);
-        let out = alloc.assign(0, &cs, &split_set, r);
+        let out = assign(&alloc, 0, &cs, &split_set, r);
         prop_assert_eq!(out.len(), cs.len());
         for (c, &b) in cs.iter().zip(&out) {
             prop_assert!(b < r, "bucket {b} out of range for r = {r}");

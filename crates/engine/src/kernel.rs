@@ -8,11 +8,16 @@
 //! two executors — the local one ([`crate::threaded`], one thread for
 //! `InProcess`, `n` for `Threaded`) and the worker fleet ([`crate::net`]) —
 //! share [`assign_block`] and [`merge_bucket`] verbatim and cannot diverge by
-//! backend.
+//! backend. [`assign_block`] looks each cluster up once in the batch's
+//! split-key table, sorted once a batch and walked beside the key-ascending
+//! clusters, and keeps the flags beside the assignment; the local executor
+//! reads them to send only split keys' partials through [`merge_bucket`],
+//! while a worker, which is not told which keys are split, merges every
+//! partial it fetched.
 
 use prompt_core::batch::{Columns, DataBlock};
-use prompt_core::hash::{KeyMap, KeySet};
-use prompt_core::reduce::{KeyCluster, ReduceAssigner};
+use prompt_core::hash::KeyMap;
+use prompt_core::reduce::{split_flags, KeyCluster, ReduceAssigner};
 use prompt_core::types::Key;
 
 use crate::job::{Job, ReduceOp};
@@ -80,34 +85,55 @@ impl std::ops::AddAssign for ShuffleTally {
     }
 }
 
-/// Shuffle-assign Map task `task`'s output: route each `(key, size)` cluster
-/// to its Reduce bucket. A pure function of the block's own output (§5: "no
-/// coordination between Map tasks"), so callers may run it for any block, in
-/// any order, as often as they like. `descs` is the assigner's input, built
-/// here from `clusters` in whatever buffer the caller keeps. Adds the
-/// routings performed, and how many carried a split key, to `tally`.
+/// One Map task's Algorithm 3 buffers, kept from block to block: the
+/// assigner's input, each cluster's split flag and each cluster's bucket.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Assignment {
+    descs: Vec<KeyCluster>,
+    /// Whether each cluster's key is split across blocks: the one look-up
+    /// of the split-key table per cluster, which the assigner, the tally
+    /// and the local shuffle all read.
+    pub(crate) split: Vec<bool>,
+    /// The Reduce bucket of each cluster.
+    pub(crate) buckets: Vec<u32>,
+}
+
+/// Shuffle-assign Map task `task`'s output into `into`: route each `(key,
+/// size)` cluster to its Reduce bucket. A pure function of the block's own
+/// output (§5: "no coordination between Map tasks"), so callers may run it
+/// for any block, in any order, as often as they like. `split_keys` is the
+/// batch's split-key table in ascending order
+/// ([`prompt_core::reduce::sort_split_keys`]). Adds
+/// the routings performed, and how many carried a split key, to `tally`.
 pub(crate) fn assign_block(
     task: usize,
     clusters: impl Iterator<Item = (Key, usize)>,
-    split_keys: &KeySet,
+    split_keys: &[Key],
     assigner: &dyn ReduceAssigner,
     r: usize,
     tally: Option<&mut ShuffleTally>,
-    descs: &mut Vec<KeyCluster>,
-) -> Vec<usize> {
+    into: &mut Assignment,
+) {
+    let Assignment {
+        descs,
+        split,
+        buckets,
+    } = into;
     descs.clear();
     descs.extend(clusters.map(|(key, size)| KeyCluster { key, size }));
-    let assignment = assigner.assign(task, descs, split_keys, r);
+    split_flags(descs, split_keys, split);
+    assigner.assign(task, descs, split, r, buckets);
     // Every executor zips clusters with buckets: a short list or a bucket
     // nobody reduces would drop keys from the answer without a sound.
-    assert_eq!(assignment.len(), descs.len(), "assigner output length");
-    assert!(assignment.iter().all(|&b| b < r), "bucket out of range");
+    assert_eq!(buckets.len(), descs.len(), "assigner output length");
+    assert!(
+        buckets.iter().all(|&b| (b as usize) < r),
+        "bucket out of range"
+    );
     if let Some(tally) = tally {
-        tally.fragments += assignment.len() as u64;
-        let split = descs.iter().filter(|c| split_keys.contains(&c.key)).count();
-        tally.split_key_fragments += split as u64;
+        tally.fragments += buckets.len() as u64;
+        tally.split_key_fragments += split.iter().filter(|&&s| s).count() as u64;
     }
-    assignment
 }
 
 /// Reduce one bucket into `acc` (empty): merge its `n_items` `(key, partial,
@@ -115,7 +141,8 @@ pub(crate) fn assign_block(
 /// block order, then key order within a block — the one merge sequence that
 /// keeps `f64` aggregates bit-identical across backends. The table is sized
 /// for `n_items` up front (a bucket has at most that many keys), so it never
-/// grows.
+/// grows. The local executor passes only split keys' partials; a key with
+/// one partial needs no merge.
 pub(crate) fn merge_bucket(
     items: impl IntoIterator<Item = (Key, f64, usize)>,
     n_items: usize,
@@ -144,11 +171,12 @@ pub(crate) fn merge_bucket(
 /// the buckets' key counts: exactly its final size, the buckets being
 /// disjoint.
 ///
-/// A key reduced in two buckets has one bucket's partial for an answer, so
-/// it is `Err((bucket, key))`, naming the later bucket that answered for `key`.
+/// A key answered twice has one partial for an answer, so it is
+/// `Err((bucket, key))`, naming the later bucket that answered for `key`.
 /// Locally that is a plan bug — a split-key table that leaves out a key
-/// spanning blocks, whose fragments the assigner placed apart; on the fleet
-/// it is also what a reducer lying about its bucket looks like.
+/// spanning blocks, whose partials then skip the merge as single ones, in
+/// one bucket or in two; on the fleet it is also what a reducer lying about
+/// its bucket looks like.
 pub(crate) fn gather_buckets<M: IntoIterator<Item = (Key, f64)>>(
     reduced: impl IntoIterator<Item = (M, BucketStats)>,
 ) -> Result<(BatchOutput, Vec<BucketStats>), (usize, Key)> {

@@ -62,14 +62,14 @@ use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::reduce::ReduceAssigner;
+use prompt_core::reduce::{sort_split_keys, ReduceAssigner};
 use prompt_core::types::Key;
 
 use super::transport::{FrameConn, NetCounters, NetError};
 use super::wire::{encode_map_task, FetchStats, Message, ShuffleSource};
 use super::worker::{run_worker, WorkerOptions};
 use crate::job::JobSpec;
-use crate::kernel::{assign_block, gather_buckets, ShuffleTally};
+use crate::kernel::{assign_block, gather_buckets, Assignment, ShuffleTally};
 use crate::recovery::{FaultPoint, NetFaultPlan};
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{Counter, StageKind, TraceRecorder};
@@ -762,22 +762,31 @@ impl DistributedRuntime {
         let t_scatter = Instant::now();
         let mut tally = ShuffleTally::default();
         let mut stats = vec![BucketStats::default(); r];
-        let mut descs = Vec::new();
+        let mut assignment = Assignment::default();
+        let mut split_keys = Vec::new();
+        sort_split_keys(&plan.split_keys, &mut split_keys);
         for (i, &w) in block_owner.iter().enumerate() {
             let fragments = &plan.blocks[i].runs;
             let clusters = fragments.iter().map(|f| (f.key, f.count));
             let tally = trace.and(Some(&mut tally));
-            let split = &plan.split_keys;
-            let assignment = assign_block(i, clusters, split, assigner, r, tally, &mut descs);
-            for (f, &b) in fragments.iter().zip(&assignment) {
-                stats[b].tuples += f.count;
-                stats[b].fragments += 1;
+            assign_block(
+                i,
+                clusters,
+                &split_keys,
+                assigner,
+                r,
+                tally,
+                &mut assignment,
+            );
+            for (f, &b) in fragments.iter().zip(&assignment.buckets) {
+                stats[b as usize].tuples += f.count;
+                stats[b as usize].fragments += 1;
             }
             let assign = Message::ShuffleAssign {
                 seq,
                 epoch,
                 block_id: i as u32,
-                assignment: assignment.into_iter().map(|b| b as u32).collect(),
+                assignment: assignment.buckets.clone(),
             };
             self.send_to(w, &assign)?;
         }

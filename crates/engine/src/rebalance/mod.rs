@@ -210,14 +210,16 @@ impl ReduceAssigner for RoutingTable {
         &self,
         _task: usize,
         clusters: &[KeyCluster],
-        _split_keys: &prompt_core::hash::KeySet,
+        _split: &[bool],
         r: usize,
-    ) -> Vec<usize> {
+        out: &mut Vec<u32>,
+    ) {
         debug_assert_eq!(
             self.n_workers, r,
             "routing table sized for a different reduce count"
         );
-        clusters.iter().map(|c| self.route(c.key)).collect()
+        out.clear();
+        out.extend(clusters.iter().map(|c| self.route(c.key) as u32));
     }
 }
 
@@ -683,8 +685,9 @@ mod tests {
                 size: 1,
             })
             .collect();
-        let got = table.assign(0, &clusters, &prompt_core::hash::KeySet::default(), 3);
-        let expect: Vec<usize> = clusters.iter().map(|c| table.route(c.key)).collect();
+        let mut got = Vec::new();
+        table.assign(0, &clusters, &[false; 20], 3, &mut got);
+        let expect: Vec<u32> = clusters.iter().map(|c| table.route(c.key) as u32).collect();
         assert_eq!(got, expect);
         assert!(got.iter().all(|&b| b < 3));
     }

@@ -16,33 +16,38 @@
 //! * **Map** — one `kernel::map_block` per block, in parallel, each
 //!   followed by its own Algorithm 3 assignment (`kernel::assign_block`): the
 //!   assignment is a pure function of one block's output, so it runs where
-//!   that output is made.
+//!   that output is made, and it flags each cluster whose key is split.
 //! * **Shuffle** — serial, on the calling thread: push every block's
-//!   clusters into their buckets, ≈ 0.6 ms of a 500k-tuple `zipf_inproc`
-//!   batch — less than a thread round costs (a bucket-striped parallel
-//!   scatter stood here and was slower on every benchmark workload, ROADMAP
-//!   "Settled").
-//! * **Reduce** — one `kernel::merge_bucket` per bucket, in parallel; every
-//!   bucket was filled in block order then key order, whatever the thread
-//!   count.
+//!   clusters into their buckets, a split key's partial onto the bucket's
+//!   merge list, every other key's — its only one in the batch — onto its
+//!   single-partial list, as `(key, partial)` alone. ≈ 0.35–0.45 ms of a
+//!   500k-tuple `zipf_inproc` batch on a 2-vCPU Xeon — less than a thread
+//!   round costs (a bucket-striped parallel scatter stood here and was
+//!   slower on every benchmark workload, ROADMAP "Settled").
+//! * **Reduce** — one `kernel::merge_bucket` per bucket over its split keys'
+//!   partials, in parallel; every bucket was filled in block order then key
+//!   order, whatever the thread count. The gather then inserts each bucket's
+//!   merged keys and single partials into the output once, and a key it
+//!   finds twice is a plan bug: a panic naming the key.
 //!
 //! An executor keeps its tables from batch to batch: a cluster list and
-//! assigner input per Map task, and one item list and merge table per Reduce
-//! bucket. They are indexed by task, not by thread — which thread ran a task
-//! never matters — and cleared, never dropped, so a steady-state batch
-//! allocates only what its input has outgrown.
+//! Algorithm 3's buffers per Map task, and a merge list, a single-partial
+//! list and a merge table per Reduce bucket. They are indexed by task, not
+//! by thread — which thread ran a task never matters — and cleared, never
+//! dropped, so a steady-state batch allocates only what its input has
+//! outgrown.
 
 use std::time::Instant;
 
 use prompt_core::batch::PartitionPlan;
 use prompt_core::hash::KeyMap;
 use prompt_core::par::map_mut;
-use prompt_core::reduce::{KeyCluster, ReduceAssigner};
+use prompt_core::reduce::{sort_split_keys, ReduceAssigner};
 use prompt_core::types::{Duration, Key};
 
 use crate::job::Job;
 use crate::kernel::{
-    assign_block, gather_buckets, map_block, merge_bucket, ClusterList, ShuffleTally,
+    assign_block, gather_buckets, map_block, merge_bucket, Assignment, ClusterList, ShuffleTally,
 };
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{StageKind, TraceRecorder};
@@ -84,6 +89,8 @@ impl WallTimes {
 pub struct ThreadedExecutor {
     /// Threads the Map and Reduce phases run on (1 = the calling thread).
     pub threads: usize,
+    /// The batch's split-key table, ascending, as the Map tasks walk it.
+    split_keys: Vec<Key>,
     maps: Vec<MapTask>,
     buckets: Vec<ReduceTask>,
 }
@@ -94,9 +101,8 @@ pub struct ThreadedExecutor {
 #[repr(align(128))]
 struct MapTask {
     clusters: ClusterList,
-    descs: Vec<KeyCluster>,
-    /// What the assigner returned for `clusters`, until the shuffle reads it.
-    assignment: Vec<usize>,
+    /// Each cluster's split flag and bucket, until the shuffle reads them.
+    assignment: Assignment,
     tally: ShuffleTally,
 }
 
@@ -104,7 +110,12 @@ struct MapTask {
 #[derive(Clone, Debug, Default)]
 #[repr(align(128))]
 struct ReduceTask {
-    items: Vec<(Key, f64, usize)>,
+    /// The bucket's split keys' partials, in block order, for the merge.
+    split: Vec<(Key, f64, usize)>,
+    /// Every other key's partial, its only one in the batch, and the tuples
+    /// they fold.
+    singles: Vec<(Key, f64)>,
+    single_tuples: usize,
     merged: KeyMap<f64>,
 }
 
@@ -122,6 +133,7 @@ impl ThreadedExecutor {
         assert!(threads >= 1, "need at least one thread");
         ThreadedExecutor {
             threads,
+            split_keys: Vec::new(),
             maps: Vec::new(),
             buckets: Vec::new(),
         }
@@ -178,25 +190,40 @@ impl ThreadedExecutor {
         assert!(r > 0, "need at least one reduce bucket");
         let t0 = Instant::now();
         let tallied = trace.is_some();
+        sort_split_keys(&plan.split_keys, &mut self.split_keys);
+        let split_keys = &self.split_keys[..];
         let maps = first(&mut self.maps, plan.blocks.len());
         map_mut(maps, self.threads, |i, task| {
             map_block(&plan.blocks[i], job, &mut task.clusters);
             let clusters = task.clusters.iter().map(|&(key, (_, n))| (key, n));
             task.tally = ShuffleTally::default();
             let tally_into = tallied.then_some(&mut task.tally);
-            let split = &plan.split_keys;
-            let descs = &mut task.descs;
-            task.assignment = assign_block(i, clusters, split, assigner, r, tally_into, descs);
+            let into = &mut task.assignment;
+            assign_block(i, clusters, split_keys, assigner, r, tally_into, into);
         });
         let map = t0.elapsed();
 
         let t1 = Instant::now();
         let buckets = first(&mut self.buckets, r);
-        buckets.iter_mut().for_each(|b| b.items.clear());
+        for b in buckets.iter_mut() {
+            b.split.clear();
+            b.singles.clear();
+            b.single_tuples = 0;
+        }
         let mut tally = ShuffleTally::default();
         for task in maps.iter() {
-            for (&(key, (value, n)), &bucket) in task.clusters.iter().zip(&task.assignment) {
-                buckets[bucket].items.push((key, value, n));
+            let Assignment {
+                split, buckets: to, ..
+            } = &task.assignment;
+            let routed = task.clusters.iter().zip(to).zip(split);
+            for ((&(key, (value, n)), &b), &is_split) in routed {
+                let bucket = &mut buckets[b as usize];
+                if is_split {
+                    bucket.split.push((key, value, n));
+                } else {
+                    bucket.singles.push((key, value));
+                    bucket.single_tuples += n;
+                }
             }
             tally += task.tally;
         }
@@ -205,22 +232,23 @@ impl ThreadedExecutor {
         }
         let shuffle = t1.elapsed();
 
+        // Only split keys have partials to merge; a single partial is its
+        // key's answer, which the gather inserts once.
         let t2 = Instant::now();
         let stats = map_mut(buckets, self.threads, |_, b| {
-            merge_bucket(
-                b.items.iter().copied(),
-                b.items.len(),
-                job.reduce(),
-                &mut b.merged,
-            )
+            let split = b.split.iter().copied();
+            let mut s = merge_bucket(split, b.split.len(), job.reduce(), &mut b.merged);
+            s.tuples += b.single_tuples;
+            s.keys += b.singles.len();
+            s.fragments += b.singles.len();
+            s
         });
-        let reduced = buckets
-            .iter_mut()
-            .zip(stats)
-            .map(|(b, s)| (b.merged.drain(), s));
-        // Here a key in two buckets is the plan's bug, not a peer's: panic.
-        let (output, stats) = gather_buckets(reduced)
-            .unwrap_or_else(|(_, k)| panic!("key {k:?} reduced in two buckets"));
+        let reduced = (buckets.iter_mut().zip(stats))
+            .map(|(b, s)| (b.merged.drain().chain(b.singles.iter().copied()), s));
+        // Here a key reduced twice, in one bucket or in two, is the plan's
+        // bug, not a peer's: panic.
+        let (output, stats) =
+            gather_buckets(reduced).unwrap_or_else(|(_, k)| panic!("key {k:?} reduced twice"));
         let reduce = t2.elapsed();
         let times = WallTimes {
             map,
@@ -336,7 +364,7 @@ mod tests {
     /// different buckets, and the answer would be one bucket's partial. In
     /// every build that is a panic naming the key, not a silent wrong sum.
     #[test]
-    #[should_panic(expected = "key k7 reduced in two buckets")]
+    #[should_panic(expected = "key k7 reduced twice")]
     fn an_under_reported_split_key_fails_loudly() {
         use prompt_core::batch::DataBlock;
         use prompt_core::hash::KeySet;
@@ -347,6 +375,102 @@ mod tests {
         };
         let job = Job::identity("sum", ReduceOp::Sum);
         let _ = ThreadedExecutor::new(1).execute(&plan, &job, &PromptReduceAllocator::new(0), 2);
+    }
+
+    /// The same plan bug with both fragments in one bucket (`r = 1`): each
+    /// is a single partial, so neither is merged, and the gather finds the
+    /// key twice. A panic naming the key, not a silent wrong sum.
+    #[test]
+    #[should_panic(expected = "key k7 reduced twice")]
+    fn an_under_reported_split_key_in_one_bucket_fails_loudly() {
+        use prompt_core::batch::DataBlock;
+        use prompt_core::hash::KeySet;
+        let block = || DataBlock::from_iter([(Key(3), 1.0), (Key(7), 1.0)]);
+        let plan = PartitionPlan {
+            blocks: vec![block(), DataBlock::from_iter([(Key(5), 2.0)]), block()],
+            split_keys: [Key(3)].into_iter().collect::<KeySet>(),
+        };
+        let job = Job::identity("sum", ReduceOp::Sum);
+        let _ = ThreadedExecutor::new(1).execute(&plan, &job, &PromptReduceAllocator::new(0), 1);
+    }
+
+    /// The executor as it stood before single partials skipped the bucket
+    /// merge, on one thread with fresh tables: every partial of a bucket
+    /// through `merge_bucket`, in block order, then the gather. The
+    /// reference the executor's output and bucket statistics must equal by
+    /// bits.
+    fn merge_every_partial(
+        plan: &PartitionPlan,
+        job: &Job,
+        assigner: &dyn ReduceAssigner,
+        r: usize,
+    ) -> (BatchOutput, Vec<BucketStats>) {
+        let mut items: Vec<Vec<(Key, f64, usize)>> = vec![Vec::new(); r];
+        let mut split_keys = Vec::new();
+        sort_split_keys(&plan.split_keys, &mut split_keys);
+        for (i, block) in plan.blocks.iter().enumerate() {
+            let mut clusters = ClusterList::new();
+            map_block(block, job, &mut clusters);
+            let sizes = clusters.iter().map(|&(key, (_, n))| (key, n));
+            let mut into = Assignment::default();
+            assign_block(i, sizes, &split_keys, assigner, r, None, &mut into);
+            for (&(key, (value, n)), &bucket) in clusters.iter().zip(&into.buckets) {
+                items[bucket as usize].push((key, value, n));
+            }
+        }
+        let reduced = items.iter().map(|b| {
+            let mut merged = KeyMap::default();
+            let stats = merge_bucket(b.iter().copied(), b.len(), job.reduce(), &mut merged);
+            (merged, stats)
+        });
+        gather_buckets(reduced).expect("a key in one bucket")
+    }
+
+    /// `uniform_state`'s shape at a tenth of its size: Hash, so the split-key
+    /// table is empty and every partial is a single one, a Sum of values
+    /// whose fold order shows in the bits, at one and two threads, over
+    /// consecutive batches through one executor — against merging every
+    /// partial. And a skewed Prompt plan, whose split keys take the merge.
+    #[test]
+    fn single_partials_skip_the_merge_and_change_no_bit() {
+        // `n` tuples of keys `key(draw)`, a draw per tuple.
+        let drawn = |n: usize, seed: u64, key: fn(u64) -> u64| {
+            let iv = Interval::new(Time::ZERO, Time::from_secs(1));
+            let tuples: Vec<Tuple> = (0..n as u64)
+                .map(|i| {
+                    let key = Key(key(prompt_core::hash::mix64(seed ^ i)));
+                    let value = (i % 17) as f64 * 0.37 - 2.5;
+                    Tuple::new(Time::from_micros(i), key, value)
+                })
+                .collect();
+            MicroBatch::new(tuples, iv)
+        };
+        let job = Job::identity("sum", ReduceOp::Sum);
+        let assigner = PromptReduceAllocator::new(7);
+        let bits = |out: &BatchOutput| {
+            let mut bits: Vec<(Key, u64)> = (out.aggregates.iter())
+                .map(|(&k, &v)| (k, v.to_bits()))
+                .collect();
+            bits.sort_unstable_by_key(|&(k, _)| k.0);
+            bits
+        };
+        for threads in [1, 2] {
+            let mut exec = ThreadedExecutor::new(threads);
+            for seed in 0..3 {
+                let uniform = drawn(25_000, seed, |d| d % 50_000);
+                let skewed = drawn(20_000, seed, |d| 1_000 / (1 + d % 1_000));
+                let hash = Technique::Hash.build(3).partition(&uniform, 16);
+                let prompt = Technique::Prompt.build(3).partition(&skewed, 8);
+                assert!(hash.split_keys.is_empty() && !prompt.split_keys.is_empty());
+                for (name, plan) in [("hash", &hash), ("prompt", &prompt)] {
+                    let (out, stats, _) = exec.execute_plan(plan, &job, &assigner, 16, None);
+                    let (want, want_stats) = merge_every_partial(plan, &job, &assigner, 16);
+                    let what = format!("{name}, {threads} threads, batch {seed}");
+                    assert_eq!(bits(&out), bits(&want), "{what}");
+                    assert_eq!(stats, want_stats, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -301,14 +301,17 @@ fn zipf_dist_stays_within_its_allocation_budget() {
 }
 
 /// `(allocations, bytes)` of the measured batch that makes the most.
-/// Measured: 34 and 17.4 MiB in a batch whose push evicts panes the
-/// checkpoint's frozen copy still holds, and 18 and 14.3 MiB in the rest —
-/// 16 of them Algorithm 3's assignment vectors. A push lays its panes and
-/// their slot-ordered copies out in the buffers of the panes and copies it
-/// evicts, and sizes a pane afresh (once, up front, from the batch's key
-/// count) only for one still held elsewhere: the compactor has the snapshot
-/// taken a commit earlier, so up to 16. Whether it has let go of them by
-/// the push is timing, so a batch makes 18 or 34; the budget is the most.
+/// Measured: 18 and 15.9 MiB in a batch whose push evicts panes the
+/// checkpoint's frozen copy still holds, and 2 and 12.8 MiB in the rest. A
+/// push lays its panes and their slot-ordered copies out in the buffers of
+/// the panes and copies it evicts, and sizes a pane afresh (once, up front,
+/// from the batch's key count) only for one still held elsewhere: the
+/// compactor has the snapshot taken a commit earlier, so up to 16. Whether
+/// it has let go of them by the push is timing, so a batch makes 2 or 18;
+/// the budget is the most. 34 and 17.4 MiB (18 and 14.3 MiB in the rest)
+/// while every Map task's Algorithm 3 assignment was a fresh vector (16 of
+/// ≥ 64 KiB a batch) and every bucket's merge table was sized for all its
+/// partials, where it now holds split keys alone (Hash splits none).
 /// 39 and 25.2 MiB in the first measured batch while five shards' running
 /// tables grew there, once tombstones had used up their room after the
 /// window filled, and the frozen copy's clone of them grew with them at the
@@ -326,13 +329,18 @@ fn zipf_dist_stays_within_its_allocation_budget() {
 /// 268 and 78.7 MiB while a checkpointed run retained every batch's input (a
 /// 5.7 MiB copy), and 336 and 105.9 MiB while the gather, the bucket merges
 /// and the emission grew their tables from empty. No slack: timing decides
-/// only which batch makes the 34, and nothing else varies run to run.
-const UNIFORM_BUDGET: (u64, u64) = (34, 18 << 20);
-/// Measured: 3 and 2.4 MiB in the first measured batch, and 1 and 2.1 MiB
-/// — the gathered output — in all but one of the rest: the tumbling window
-/// keeps the first batch's output as its answer and hands it over at the
-/// emission, so no emission is rebuilt; a block's run table is its fragment
-/// table. Means: 1 and 2.2 MiB, against 3 and 4.4 MiB at most (a mean of 1
+/// only which batch makes the 18, and nothing else varies run to run.
+const UNIFORM_BUDGET: (u64, u64) = (18, 16 << 20);
+/// Measured: 4 and 2.5 MiB in the first measured batch, and 1 and 2.1 MiB
+/// — the gathered output — in most of the rest, 2 in two of them: a Reduce
+/// bucket's single-partial list (16 bytes a partial, ≈ 3.7k a bucket)
+/// outgrows 4,096 entries for the first time now and then, where one list
+/// of all its partials (≈ 4.0k) outgrew it in the warm-up (3 and 2.4 MiB,
+/// and 1 in all but one of the rest, while a bucket kept one). The tumbling
+/// window keeps the first batch's output as its answer and hands it over at
+/// the emission, so no emission is rebuilt; a block's run table is its
+/// fragment table. Means: 1.6 allocations (1 and 2.2 MiB while a bucket
+/// kept one list), against 3 and 4.4 MiB at most (a mean of 1
 /// and 3.2 MiB) while the window merged every output into a running table
 /// and rebuilt a map at every emission, 2 and 3.3 MiB while a block's run
 /// table grew beside an equal fragment table, 2 while Map folded every
@@ -341,11 +349,16 @@ const UNIFORM_BUDGET: (u64, u64) = (34, 18 << 20);
 /// block, 149 and 44.0 MiB while every batch sealed into a fresh arena and
 /// built its plan, Map and merge tables afresh, and 166 and 46.8 MiB before
 /// that, while tables grew from empty. A stable sort of each block's pieces
-/// (it allocates a buffer per block) measured a mean of 17.
+/// (it allocates a buffer per block) measured a mean of 17. Each Map task
+/// keeps its Algorithm 3 assignment, 4 bytes a cluster: kept at 8 bytes,
+/// its first doubling past a block's ≈ 4.3k clusters crossed 64 KiB in the
+/// first measured batch (4 here, 7 threaded, 6 through PK-2).
 const ZIPF_BUDGET: (u64, u64) = (4, 4 << 20);
-/// Measured: 6 and 2.7 MiB on every thread, in the second measured batch,
+/// Measured: 7 and 2.9 MiB on every thread, in the second measured batch,
 /// and as `zipf_inproc` in the rest: helpers reuse the tables of the tasks
-/// they run, whichever those are. 6 and 4.4 MiB while the window rebuilt
+/// they run, whichever those are. 6 and 2.7 MiB while a Reduce bucket kept
+/// one list of all its partials (`zipf_inproc`'s single-partial lists),
+/// 6 and 4.4 MiB while the window rebuilt
 /// its emission, 7 and 4.6 MiB while the batching phase ran 4 shards on 2
 /// threads (a mean of 2 and 3.3 MiB; 3 and 3.4 MiB while a
 /// block's run table grew beside an equal fragment table).
