@@ -56,6 +56,11 @@ fn varying<T>(v: &[T], of: impl Fn(&T) -> u64) -> u64 {
 }
 
 impl<T: Copy> RadixSort<T> {
+    /// Make room to sort `n` elements without growing.
+    pub fn reserve(&mut self, n: usize) {
+        self.buf.reserve(n.saturating_sub(self.buf.len()));
+    }
+
     /// Sort `v` by `key`, stably: elements with equal keys keep their order.
     pub fn sort(&mut self, v: &mut [T], key: impl Fn(&T) -> u64) {
         let n = v.len();

@@ -2751,7 +2751,9 @@ mod tests {
     /// Shape guard for the local execution path (DESIGN §4): `InProcess` is
     /// `Threaded` at one thread, so there is one local executor — the only
     /// function outside `net/` that strings Map, assign and Reduce together —
-    /// behind one `BackendRuntime` variant, and index-parallel loops go
+    /// behind one `BackendRuntime` variant; one Reduce merge, the kernel a
+    /// worker's Reduce calls too, with no hash table in it and no ordered
+    /// map on the worker; and index-parallel loops go
     /// through the one fan-out primitive (`prompt_core::par`) and its
     /// persistent pool: core starts no scoped thread, and spawns threads only
     /// in `par.rs`. Core and engine production code hold exactly two
@@ -2876,7 +2878,7 @@ mod tests {
             }
             for (name, _, body) in functions_of(file, &src) {
                 let calls = |callee: &str| body.iter().any(|l| l.contains(callee));
-                if calls("map_block(") && calls("assign_block(") && calls("merge_bucket(") {
+                if calls("map_block(") && calls("assign_block(") && calls("reduce_bucket(") {
                     executors.push(format!("{file}: {name}"));
                 }
             }
@@ -2886,6 +2888,31 @@ mod tests {
             executors[0].ends_with("threaded.rs: fn execute_plan"),
             "{executors:?}"
         );
+        // One Reduce merge: a worker's Reduce calls the local executor's
+        // kernel, which tables nothing, and the worker keeps no ordered map
+        // of its own to merge by.
+        let body_of = |file: &str, src: &str, name: &str| {
+            let fns = functions_of(file, src);
+            let (_, _, body) = (fns.into_iter())
+                .find(|(n, ..)| *n == name)
+                .unwrap_or_else(|| panic!("{file}: no `{name}`"));
+            body.join("\n")
+        };
+        let kernel = production(include_str!("kernel.rs"));
+        let merge = body_of("kernel.rs", &kernel, "fn reduce_bucket");
+        assert!(
+            !merge.contains("KeyMap"),
+            "the bucket merge tables its keys"
+        );
+        let worker = production(include_str!("net/worker.rs"));
+        let reduce = body_of("net/worker.rs", &worker, "fn reduce_bucket");
+        assert!(
+            reduce.contains("kernel::reduce_bucket("),
+            "a worker's Reduce merges by a kernel of its own"
+        );
+        for table in [["BTree", "Map"].concat(), ["Key", "Map"].concat()] {
+            assert!(!worker.contains(&table), "net/worker.rs: a `{table}`");
+        }
 
         let backend = production(include_str!("backend.rs"));
         let variants = (backend.lines())

@@ -7,17 +7,19 @@
 //! Everything downstream of the Map fold sees only [`ClusterList`]s, so the
 //! two executors — the local one ([`crate::threaded`], one thread for
 //! `InProcess`, `n` for `Threaded`) and the worker fleet ([`crate::net`]) —
-//! share [`assign_block`] and [`merge_bucket`] verbatim and cannot diverge by
+//! share [`assign_block`] and [`reduce_bucket`] verbatim and cannot diverge by
 //! backend. [`assign_block`] looks each cluster up once in the batch's
 //! split-key table, sorted once a batch and walked beside the key-ascending
-//! clusters, and keeps the flags beside the assignment; the local executor
-//! reads them to send only split keys' partials through [`merge_bucket`],
-//! while a worker, which is not told which keys are split, merges every
-//! partial it fetched.
+//! clusters, and keeps the flags beside the assignment. [`reduce_bucket`]
+//! merges a bucket's partials by one stable radix sort by key and one fold of
+//! equal neighbours, with no table: the local executor reads the flags to
+//! hand it only split keys' partials, while a worker, which is not told
+//! which keys are split, hands it every partial it fetched.
 
 use prompt_core::batch::{Columns, DataBlock};
 use prompt_core::hash::KeyMap;
 use prompt_core::reduce::{split_flags, KeyCluster, ReduceAssigner};
+use prompt_core::sort::RadixSort;
 use prompt_core::types::Key;
 
 use crate::job::{Job, ReduceOp};
@@ -136,33 +138,36 @@ pub(crate) fn assign_block(
     }
 }
 
-/// Reduce one bucket into `acc` (empty): merge its `n_items` `(key, partial,
-/// tuples)` items per key, in the order given. Callers present items in
-/// block order, then key order within a block — the one merge sequence that
-/// keeps `f64` aggregates bit-identical across backends. The table is sized
-/// for `n_items` up front (a bucket has at most that many keys), so it never
-/// grows. The local executor passes only split keys' partials; a key with
-/// one partial needs no merge.
-pub(crate) fn merge_bucket(
-    items: impl IntoIterator<Item = (Key, f64, usize)>,
-    n_items: usize,
+/// One `(key, partial, tuples)` item of a Reduce bucket.
+pub(crate) type BucketItem = (Key, f64, usize);
+
+/// Reduce one bucket: merge its `(key, partial, tuples)` items per key into
+/// `out` (whatever it held before), keys ascending. Callers present items in
+/// block order, then key order within a block; a stable sort by key keeps
+/// each key's partials in that order, so each key folds in the one merge
+/// sequence that keeps `f64` aggregates bit-identical across backends. The
+/// sort reorders `items` in place, in `sort`'s kept buffers, and the fold
+/// merges each key's partials as neighbours: no table.
+pub(crate) fn reduce_bucket(
+    items: &mut [BucketItem],
     op: ReduceOp,
-    acc: &mut KeyMap<f64>,
+    sort: &mut RadixSort<BucketItem>,
+    out: &mut Vec<(Key, f64)>,
 ) -> BucketStats {
-    debug_assert!(acc.is_empty(), "a bucket merges into an empty table");
-    acc.reserve(n_items);
-    let (mut tuples, mut fragments) = (0, 0);
-    for (key, value, n) in items {
+    sort.sort(items, |&(key, ..)| key.0);
+    out.clear();
+    let mut tuples = 0;
+    for &(key, value, n) in items.iter() {
         tuples += n;
-        fragments += 1;
-        acc.entry(key)
-            .and_modify(|a| *a = op.merge(*a, value))
-            .or_insert(value);
+        match out.last_mut() {
+            Some((last, acc)) if *last == key => *acc = op.merge(*acc, value),
+            _ => out.push((key, value)),
+        }
     }
     BucketStats {
         tuples,
-        keys: acc.len(),
-        fragments,
+        keys: out.len(),
+        fragments: items.len(),
     }
 }
 
@@ -295,6 +300,64 @@ mod tests {
         out.iter().map(|&(k, (v, n))| (k, v.to_bits(), n)).collect()
     }
 
+    /// The bucket merge as both executors ran it before the sort: every item
+    /// into a table sized for them all, in the order given. The reference
+    /// the radix merge must equal bit for bit.
+    fn merge_in_a_table(
+        items: impl IntoIterator<Item = BucketItem>,
+        n_items: usize,
+        op: ReduceOp,
+        acc: &mut KeyMap<f64>,
+    ) -> BucketStats {
+        debug_assert!(acc.is_empty(), "a bucket merges into an empty table");
+        acc.reserve(n_items);
+        let (mut tuples, mut fragments) = (0, 0);
+        for (key, value, n) in items {
+            tuples += n;
+            fragments += 1;
+            acc.entry(key)
+                .and_modify(|a| *a = op.merge(*a, value))
+                .or_insert(value);
+        }
+        BucketStats {
+            tuples,
+            keys: acc.len(),
+            fragments,
+        }
+    }
+
+    /// `items` merged by the table, then by the kernel through a sorter and
+    /// an output that already hold another bucket's: each answer as
+    /// key-ascending `(key, bits)`, with its statistics.
+    fn both_merges(items: &[BucketItem], op: ReduceOp) -> [(Vec<(Key, u64)>, BucketStats); 2] {
+        let mut table = KeyMap::default();
+        let table_stats = merge_in_a_table(items.iter().copied(), items.len(), op, &mut table);
+        let mut want: Vec<(Key, u64)> = table.iter().map(|(&k, &v)| (k, v.to_bits())).collect();
+        want.sort_unstable_by_key(|&(k, _)| k.0);
+
+        let (mut sort, mut out) = (RadixSort::default(), Vec::new());
+        let mut other: Vec<BucketItem> = (0..200).map(|i| (Key(i % 70), 1.5, 1)).collect();
+        reduce_bucket(&mut other, op, &mut sort, &mut out);
+        let stats = reduce_bucket(&mut items.to_vec(), op, &mut sort, &mut out);
+        let got = out.iter().map(|&(k, v)| (k, v.to_bits())).collect();
+        [(got, stats), (want, table_stats)]
+    }
+
+    const OPS: [ReduceOp; 4] = [ReduceOp::Sum, ReduceOp::Count, ReduceOp::Max, ReduceOp::Min];
+
+    /// The buckets a random draw seldom makes: none, one item, and one key
+    /// from every block.
+    #[test]
+    fn empty_and_one_item_buckets_merge_as_the_table() {
+        let one_key: Vec<BucketItem> = (0..70).map(|i| (Key(9), i as f64 * 0.1, 2)).collect();
+        for items in [vec![], vec![(Key(u64::MAX), -0.5, 3)], one_key] {
+            for op in OPS {
+                let [got, want] = both_merges(&items, op);
+                assert_eq!(got, want, "{op:?} over {} items", items.len());
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -327,6 +390,38 @@ mod tests {
             let mut out = vec![(Key(1), (0.5, 9))];
             map_block(&block, &job, &mut out);
             prop_assert_eq!(bits(&out), bits(&want), "{:?}", stretches);
+        }
+
+        /// The radix merge against the table merge: a bucket of blocks, each
+        /// a key-ascending run of `(key, partial, tuples)` items, keys
+        /// recurring across blocks — from 0 items (no block, or only empty
+        /// ones) up past the sort's comparison fallback, keys narrow or
+        /// spread over all 64 bits — values whose Sum shows its fold order in
+        /// the bits, every `ReduceOp`. The kernel must answer every key the
+        /// table's `f64` bit for bit, keys ascending, with the table's
+        /// `BucketStats`.
+        #[test]
+        fn reduce_bucket_matches_the_table_merge(
+            blocks in proptest::collection::vec(
+                proptest::collection::vec((0u64..48, 0u16..400, 1usize..9), 0..24),
+                0..12,
+            ),
+            wide in any::<bool>(),
+            op in 0u8..4,
+        ) {
+            let key = |k: u64| Key(if wide { prompt_core::hash::mix64(k) } else { k });
+            let value = |v: u16| v as f64 * 0.37 - 2.1 + if v.is_multiple_of(7) { 1e16 } else { 0.0 };
+            let items: Vec<BucketItem> = (blocks.iter())
+                .flat_map(|block| {
+                    let mut run: Vec<BucketItem> =
+                        block.iter().map(|&(k, v, n)| (key(k), value(v), n)).collect();
+                    run.sort_by_key(|&(k, ..)| k.0);
+                    run.dedup_by_key(|&mut (k, ..)| k);
+                    run
+                })
+                .collect();
+            let [got, want] = both_merges(&items, OPS[op as usize]);
+            prop_assert_eq!(got, want, "{:?}", items);
         }
     }
 
@@ -402,7 +497,7 @@ mod tests {
 
     /// The fleet reports no counts: a bucket's tuples and fragments are what
     /// the driver tallied from its assignment at submit, and its keys are
-    /// the length of the reducer's answer. That must be what `merge_bucket`
+    /// the length of the reducer's answer. That must be what `reduce_bucket`
     /// counts, bucket for bucket, for every technique and `r` — and what the
     /// columnar adapter (`execute_columnar_traced`) over the technique's own
     /// columnar cut is costed from.

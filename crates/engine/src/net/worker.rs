@@ -20,27 +20,27 @@
 //! filed, so by the time the driver hands out Reduce tasks every source
 //! holds the batch and a fetch is one exchange.
 //!
-//! Determinism: the map fold and the bucket merge are literally the serial
-//! engine's (`kernel::map_block`, `kernel::merge_bucket`), and the merge is
-//! fed fetched segments in global block order then key order — the serial
-//! engine's exact sequence, so `f64` aggregates are bit-identical. Fetches
-//! are pipelined (every remote source fetched concurrently over pooled
-//! connections, segments parked in per-block accumulators as they land),
-//! which reorders only the *arrival* of segments, never the fold.
+//! Determinism: the map fold and the bucket merge are literally the local
+//! executor's (`kernel::map_block`, `kernel::reduce_bucket`), and the merge
+//! is fed fetched segments in global block order then key order — the local
+//! executor's exact sequence, so `f64` aggregates are bit-identical, and the
+//! kernel's answer is already key-ascending, as `ReduceComplete` carries it.
+//! Fetches are pipelined (every remote source fetched concurrently over
+//! pooled connections, segments collected as they land, then ordered by
+//! block id), which reorders only the *arrival* of segments, never the fold.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as WallDuration, Instant};
 
-use prompt_core::hash::KeyMap;
-use prompt_core::types::Key;
+use prompt_core::sort::RadixSort;
 
 use super::transport::{connect, ConnPool, FrameConn, NetError};
 use super::wire::{FetchStats, Message, ShuffleSegment, ShuffleSource};
 use crate::job::ReduceOp;
-use crate::kernel::{map_block, merge_bucket, ClusterList};
+use crate::kernel::{self, map_block, BucketItem, ClusterList};
 
 /// Cap on the shuffle acceptor's backoff between empty accept polls.
 const ACCEPT_BACKOFF_MAX: WallDuration = WallDuration::from_millis(20);
@@ -263,17 +263,9 @@ fn serve_tasks(
         let store = Arc::clone(store);
         let writer = Arc::clone(writer);
         std::thread::spawn(move || {
+            let mut sort = RadixSort::default();
             while let Ok(job) = reduce_rx.recv() {
-                let reply = match reduce_bucket(
-                    opts,
-                    &pool,
-                    &store,
-                    job.seq,
-                    job.epoch,
-                    job.bucket,
-                    job.reduce,
-                    &job.sources,
-                ) {
+                let reply = match reduce_bucket(opts, &pool, &store, &job, &mut sort) {
                     Ok(done) => done,
                     Err((blame, detail)) => Message::WorkerError {
                         seq: job.seq,
@@ -381,93 +373,70 @@ struct ReduceJob {
     sources: Vec<ShuffleSource>,
 }
 
-/// Per-block partial accumulator: segment items keyed by the globally
-/// unique block id they were mapped under.
-type BlockPartials = BTreeMap<u32, Vec<(Key, f64, u64)>>;
-
 /// Execute one Reduce task: fetch the bucket's segments from every source
-/// concurrently (pooled connections), park each segment in a per-block
-/// accumulator as it lands, then merge deterministically and return the
-/// `ReduceComplete`. On failure returns `(blamed worker, detail)`.
-#[allow(clippy::too_many_arguments)]
+/// concurrently (pooled connections), then merge them in block order with
+/// the local executor's kernel (in `sort`'s kept buffers) and return the
+/// `ReduceComplete`. On failure returns `(blamed worker, detail)`: its own,
+/// if it holds nothing of the batch, else the first failed source's.
 fn reduce_bucket(
     opts: WorkerOptions,
     pool: &ConnPool,
     store: &Arc<Mutex<ShuffleStore>>,
-    seq: u64,
-    epoch: u32,
-    bucket: u32,
-    reduce: ReduceOp,
-    sources: &[ShuffleSource],
+    job: &ReduceJob,
+    sort: &mut RadixSort<BucketItem>,
 ) -> Result<Message, (u32, String)> {
-    // Per-block partial accumulators. Block ids are globally unique (each
-    // block is mapped by exactly one worker), so keying arrivals by block
-    // id and folding the BTreeMap in ascending order reproduces the exact
-    // sort-by-block merge sequence of the serial engine no matter which
-    // source's reply lands first.
-    let partials: Mutex<BlockPartials> = Mutex::new(BTreeMap::new());
-    let net = Mutex::new(FetchStats::default());
-    let failure: Mutex<Option<(u32, String)>> = Mutex::new(None);
-
-    let park = |segs: Vec<ShuffleSegment>| {
-        let mut map = partials.lock().expect("partials lock");
-        for seg in segs {
-            map.entry(seg.block_id).or_default().extend(seg.items);
-        }
-    };
-
-    std::thread::scope(|scope| {
-        for src in sources {
-            if src.worker == opts.worker {
-                continue; // handled below, overlapping the remote fetches
-            }
-            scope.spawn(|| match fetch_remote(pool, src, seq, epoch, bucket) {
-                Ok((segs, stats)) => {
-                    park(segs);
-                    net.lock().expect("net lock").absorb(stats);
-                }
-                Err(blamed) => {
-                    failure.lock().expect("failure lock").get_or_insert(blamed);
-                }
-            });
-        }
-        if sources.iter().any(|s| s.worker == opts.worker) {
-            // Local map outputs: this worker acked its blocks as filed
-            // before the driver sent this ReduceTask.
-            match store.lock().expect("store lock").fetch(seq, epoch, bucket) {
+    let ReduceJob {
+        seq,
+        epoch,
+        bucket,
+        reduce,
+        ref sources,
+    } = *job;
+    let fetched = std::thread::scope(|scope| {
+        let remote: Vec<_> = (sources.iter())
+            .filter(|src| src.worker != opts.worker)
+            .map(|src| scope.spawn(move || fetch_remote(pool, src, seq, epoch, bucket)))
+            .collect();
+        // Local map outputs, read while the remote fetches run: this worker
+        // acked its blocks as filed before the driver sent this ReduceTask.
+        let own = sources.iter().any(|src| src.worker == opts.worker);
+        let local = own.then(|| {
+            let held = store.lock().expect("store lock").fetch(seq, epoch, bucket);
+            match held {
                 Message::FetchReply {
                     ready: true,
-                    segments: segs,
-                } => park(segs),
-                _ => {
-                    failure
-                        .lock()
-                        .expect("failure lock")
-                        .get_or_insert((opts.worker, "local shuffle state missing".into()));
-                }
+                    segments,
+                } => Ok((segments, FetchStats::default())),
+                _ => Err((opts.worker, "local shuffle state missing".to_string())),
             }
-        }
+        });
+        let remote = (remote.into_iter()).map(|fetch| fetch.join().expect("fetch thread"));
+        local.into_iter().chain(remote).collect::<Vec<_>>()
     });
-
-    if let Some(blamed) = failure.into_inner().expect("failure lock") {
-        return Err(blamed);
+    let (mut segments, mut net) = (Vec::new(), FetchStats::default());
+    for fetch in fetched {
+        let (segs, stats) = fetch?;
+        segments.extend(segs);
+        net.absorb(stats);
     }
 
-    // Global block order, then within-block key order: the serial engine's
-    // exact merge sequence (bit-identical f64 results).
-    let partials = partials.into_inner().expect("partials lock");
-    let n_items = partials.values().map(Vec::len).sum();
-    let items = (partials.into_values().flatten()).map(|(key, value, n)| (key, value, n as usize));
-    let mut acc = KeyMap::default();
-    merge_bucket(items, n_items, reduce, &mut acc);
-    let mut aggregates: Vec<(Key, f64)> = acc.into_iter().collect();
-    aggregates.sort_unstable_by_key(|&(k, _)| k.0);
+    // Block ids are globally unique (each block is mapped by exactly one
+    // worker), so ordered by block id the segments are the local executor's
+    // merge sequence — global block order, then key order within a block —
+    // whichever source's reply landed first.
+    segments.sort_by_key(|seg| seg.block_id);
+    let mut items = Vec::with_capacity(segments.iter().map(|seg| seg.items.len()).sum());
+    for seg in &segments {
+        items.extend((seg.items.iter()).map(|&(key, value, n)| (key, value, n as usize)));
+    }
+    let mut aggregates = Vec::with_capacity(items.len());
+    kernel::reduce_bucket(&mut items, reduce, sort, &mut aggregates);
     Ok(Message::ReduceComplete {
         seq,
         epoch,
         bucket,
         aggregates,
-        net: net.into_inner().expect("net lock"),
+        net,
     })
 }
 
@@ -621,6 +590,7 @@ mod tests {
     use super::*;
     use crate::job::{JobSpec, MapSpec};
     use prompt_core::batch::DataBlock;
+    use prompt_core::types::Key;
     use std::net::{Ipv4Addr, SocketAddrV4, TcpStream};
     use std::sync::mpsc::{Receiver, RecvTimeoutError};
 
@@ -743,6 +713,157 @@ mod tests {
         let segments = vec![ShuffleSegment { block_id, items }];
         let ready = true;
         assert_eq!(w.fetch(4, 1), Message::FetchReply { ready, segments });
+        w.shut_down();
+    }
+
+    /// A source that answers one `Fetch`, `after` it arrives, with
+    /// `segments`: a remote source whose reply lands when the test says.
+    fn slow_source(
+        worker: u32,
+        segments: Vec<ShuffleSegment>,
+        after: WallDuration,
+    ) -> (ShuffleSource, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let std::net::SocketAddr::V4(addr) = listener.local_addr().unwrap() else {
+            unreachable!("a loopback v4 listener")
+        };
+        let serve = std::thread::spawn(move || {
+            let mut conn = FrameConn::new(listener.accept().unwrap().0);
+            let Ok(Message::Fetch { .. }) = conn.recv() else {
+                panic!("a reducer fetches first");
+            };
+            std::thread::sleep(after);
+            let ready = true;
+            conn.send(&Message::FetchReply { ready, segments }).unwrap();
+        });
+        (ShuffleSource { worker, addr }, serve)
+    }
+
+    /// A Reduce task's answer does not depend on which source answers
+    /// first: the worker orders the segments by block before the merge.
+    /// Blocks 0 and 2 are its own (block 0 files through `send_map_task`),
+    /// blocks 1, 3 and 4 come from two remote sources whose replies land in
+    /// either order; keys recur across blocks, with values whose Sum shows
+    /// its fold order in the bits. Every order must put the same
+    /// `ReduceComplete` bytes on the wire, fetch statistics aside (they time
+    /// the fetches), and that answer is the kernel's over the items in block
+    /// order.
+    #[test]
+    fn a_reduce_answer_is_the_same_whichever_source_lands_first() {
+        let mut w = ByHand::launch();
+        let (seq, epoch, bucket) = (4, 1, 0);
+        w.send_map_task();
+        w.send_assignment(vec![0, 0]);
+        let block: DataBlock = [(1, 1e-3), (5, 0.7), (9, -2.2)]
+            .map(|(k, v)| (Key(k), v))
+            .into_iter()
+            .collect();
+        let job = JobSpec {
+            map: MapSpec::Identity,
+            reduce: ReduceOp::Sum,
+        };
+        let block_id = 2;
+        let task = Message::MapTask {
+            seq,
+            epoch,
+            block_id,
+            job,
+            block,
+        };
+        w.control.send(&task).unwrap();
+        let assignment = vec![0; 3];
+        let assign = Message::ShuffleAssign {
+            seq,
+            epoch,
+            block_id,
+            assignment,
+        };
+        w.control.send(&assign).unwrap();
+        for _ in 0..2 {
+            let ack = w.next(WallDuration::from_secs(5)).unwrap();
+            assert!(matches!(ack, Message::MapComplete { .. }), "{ack:?}");
+        }
+        let segment = |block_id, items: &[(u64, f64, u64)]| ShuffleSegment {
+            block_id,
+            items: items.iter().map(|&(k, v, n)| (Key(k), v, n)).collect(),
+        };
+        let first = vec![
+            segment(1, &[(1, 0.1, 1), (5, 1e16, 2)]),
+            segment(4, &[(1, 0.2, 3), (5, -1e16, 1), (9, 0.3, 1)]),
+        ];
+        let second = vec![segment(3, &[(1, 0.3, 2), (5, 1.0, 1), (7, 2.5, 4)])];
+
+        let mut frames = Vec::new();
+        for (lag_first, lag_second) in [(0, 150), (150, 0)] {
+            let lag = WallDuration::from_millis;
+            let (a, serve_a) = slow_source(1, first.clone(), lag(lag_first));
+            let (b, serve_b) = slow_source(2, second.clone(), lag(lag_second));
+            let own = ShuffleSource {
+                worker: 0,
+                addr: w.shuffle,
+            };
+            let reduce = ReduceOp::Sum;
+            let sources = vec![a, own, b];
+            let task = Message::ReduceTask {
+                seq,
+                epoch,
+                bucket,
+                reduce,
+                sources,
+            };
+            w.control.send(&task).unwrap();
+            let Message::ReduceComplete {
+                seq,
+                epoch,
+                bucket,
+                aggregates,
+                ..
+            } = w.next(WallDuration::from_secs(5)).unwrap()
+            else {
+                panic!("the reducer answers");
+            };
+            let net = FetchStats::default();
+            let done = Message::ReduceComplete {
+                seq,
+                epoch,
+                bucket,
+                aggregates,
+                net,
+            };
+            frames.push(done.encode());
+            serve_a.join().unwrap();
+            serve_b.join().unwrap();
+        }
+        assert_eq!(
+            frames[0], frames[1],
+            "the answer moved with the arrival order"
+        );
+
+        let own = [
+            segment(0, &[(1, 2.5, 2), (5, 1.0, 1)]),
+            segment(2, &[(1, 1e-3, 1), (5, 0.7, 1), (9, -2.2, 1)]),
+        ];
+        let mut by_block: Vec<ShuffleSegment> =
+            own.into_iter().chain(first).chain(second).collect();
+        by_block.sort_by_key(|seg| seg.block_id);
+        let items = by_block.iter().flat_map(|seg| &seg.items);
+        let mut items: Vec<BucketItem> = items.map(|&(k, v, n)| (k, v, n as usize)).collect();
+        let mut aggregates = Vec::new();
+        kernel::reduce_bucket(
+            &mut items,
+            ReduceOp::Sum,
+            &mut RadixSort::default(),
+            &mut aggregates,
+        );
+        let net = FetchStats::default();
+        let want = Message::ReduceComplete {
+            seq,
+            epoch,
+            bucket,
+            aggregates,
+            net,
+        };
+        assert_eq!(frames[0], want.encode());
         w.shut_down();
     }
 

@@ -24,30 +24,32 @@
 //!   500k-tuple `zipf_inproc` batch on a 2-vCPU Xeon — less than a thread
 //!   round costs (a bucket-striped parallel scatter stood here and was
 //!   slower on every benchmark workload, ROADMAP "Settled").
-//! * **Reduce** — one `kernel::merge_bucket` per bucket over its split keys'
-//!   partials, in parallel; every bucket was filled in block order then key
-//!   order, whatever the thread count. The gather then inserts each bucket's
-//!   merged keys and single partials into the output once, and a key it
-//!   finds twice is a plan bug: a panic naming the key.
+//! * **Reduce** — one `kernel::reduce_bucket` per bucket over its split
+//!   keys' partials, in parallel, as a worker runs it over every partial;
+//!   every bucket was filled in block order then key order, whatever the
+//!   thread count. The gather then inserts each bucket's merged keys and
+//!   single partials into the output once, and a key it finds twice is a
+//!   plan bug: a panic naming the key.
 //!
-//! An executor keeps its tables from batch to batch: a cluster list and
+//! An executor keeps its buffers from batch to batch: a cluster list and
 //! Algorithm 3's buffers per Map task, and a merge list, a single-partial
-//! list and a merge table per Reduce bucket. They are indexed by task, not
-//! by thread — which thread ran a task never matters — and cleared, never
-//! dropped, so a steady-state batch allocates only what its input has
-//! outgrown.
+//! list, a merged list and a radix sorter per Reduce bucket. They are
+//! indexed by task, not by thread — which thread ran a task never matters —
+//! and cleared, never dropped, each with room for its last batch's length
+//! and more, so a steady-state batch seldom grows one.
 
 use std::time::Instant;
 
 use prompt_core::batch::PartitionPlan;
-use prompt_core::hash::KeyMap;
 use prompt_core::par::map_mut;
 use prompt_core::reduce::{sort_split_keys, ReduceAssigner};
+use prompt_core::sort::RadixSort;
 use prompt_core::types::{Duration, Key};
 
 use crate::job::Job;
 use crate::kernel::{
-    assign_block, gather_buckets, map_block, merge_bucket, Assignment, ClusterList, ShuffleTally,
+    assign_block, gather_buckets, map_block, reduce_bucket, Assignment, BucketItem, ClusterList,
+    ShuffleTally,
 };
 use crate::stage::{BatchOutput, BucketStats};
 use crate::trace::{StageKind, TraceRecorder};
@@ -111,12 +113,31 @@ struct MapTask {
 #[repr(align(128))]
 struct ReduceTask {
     /// The bucket's split keys' partials, in block order, for the merge.
-    split: Vec<(Key, f64, usize)>,
+    split: Vec<BucketItem>,
     /// Every other key's partial, its only one in the batch, and the tuples
     /// they fold.
     singles: Vec<(Key, f64)>,
     single_tuples: usize,
-    merged: KeyMap<f64>,
+    /// The split keys' merged partials, keys ascending, and the sorter that
+    /// orders them.
+    merged: Vec<(Key, f64)>,
+    sort: RadixSort<BucketItem>,
+}
+
+impl ReduceTask {
+    /// Empty the bucket's lists, each with room for its length in the last
+    /// batch and the batch-to-batch wobble around it: the headroom the state
+    /// store gives a pane, rounded up to a power of two.
+    fn clear(&mut self) {
+        let room = |n: usize| (n + 4 * n.isqrt() + 16).next_power_of_two();
+        let (split, singles) = (room(self.split.len()), room(self.singles.len()));
+        self.split.clear();
+        self.split.reserve(split);
+        self.sort.reserve(split);
+        self.singles.clear();
+        self.singles.reserve(singles);
+        self.single_tuples = 0;
+    }
 }
 
 /// The first `n` of `tasks`, growing it with empty tasks when it is shorter.
@@ -205,11 +226,7 @@ impl ThreadedExecutor {
 
         let t1 = Instant::now();
         let buckets = first(&mut self.buckets, r);
-        for b in buckets.iter_mut() {
-            b.split.clear();
-            b.singles.clear();
-            b.single_tuples = 0;
-        }
+        buckets.iter_mut().for_each(ReduceTask::clear);
         let mut tally = ShuffleTally::default();
         for task in maps.iter() {
             let Assignment {
@@ -236,15 +253,14 @@ impl ThreadedExecutor {
         // key's answer, which the gather inserts once.
         let t2 = Instant::now();
         let stats = map_mut(buckets, self.threads, |_, b| {
-            let split = b.split.iter().copied();
-            let mut s = merge_bucket(split, b.split.len(), job.reduce(), &mut b.merged);
+            let mut s = reduce_bucket(&mut b.split, job.reduce(), &mut b.sort, &mut b.merged);
             s.tuples += b.single_tuples;
             s.keys += b.singles.len();
             s.fragments += b.singles.len();
             s
         });
-        let reduced = (buckets.iter_mut().zip(stats))
-            .map(|(b, s)| (b.merged.drain().chain(b.singles.iter().copied()), s));
+        let reduced = (buckets.iter().zip(stats))
+            .map(|(b, s)| (b.merged.iter().chain(&b.singles).copied(), s));
         // Here a key reduced twice, in one bucket or in two, is the plan's
         // bug, not a peer's: panic.
         let (output, stats) =
@@ -264,6 +280,7 @@ mod tests {
     use super::*;
     use crate::job::ReduceOp;
     use prompt_core::batch::MicroBatch;
+    use prompt_core::hash::KeyMap;
     use prompt_core::partitioner::Technique;
     use prompt_core::reduce::PromptReduceAllocator;
     use prompt_core::types::{Interval, Time, Tuple};
@@ -396,7 +413,7 @@ mod tests {
 
     /// The executor as it stood before single partials skipped the bucket
     /// merge, on one thread with fresh tables: every partial of a bucket
-    /// through `merge_bucket`, in block order, then the gather. The
+    /// merged in a table of its own, in block order, then the gather. The
     /// reference the executor's output and bucket statistics must equal by
     /// bits.
     fn merge_every_partial(
@@ -419,8 +436,19 @@ mod tests {
             }
         }
         let reduced = items.iter().map(|b| {
-            let mut merged = KeyMap::default();
-            let stats = merge_bucket(b.iter().copied(), b.len(), job.reduce(), &mut merged);
+            let mut merged: KeyMap<f64> = KeyMap::default();
+            for &(key, value, _) in b {
+                (merged.entry(key))
+                    .and_modify(|a| *a = job.reduce().merge(*a, value))
+                    .or_insert(value);
+            }
+            let tuples = b.iter().map(|&(_, _, n)| n).sum();
+            let (keys, fragments) = (merged.len(), b.len());
+            let stats = BucketStats {
+                tuples,
+                keys,
+                fragments,
+            };
             (merged, stats)
         });
         gather_buckets(reduced).expect("a key in one bucket")

@@ -331,12 +331,15 @@ fn zipf_dist_stays_within_its_allocation_budget() {
 /// and the emission grew their tables from empty. No slack: timing decides
 /// only which batch makes the 18, and nothing else varies run to run.
 const UNIFORM_BUDGET: (u64, u64) = (18, 16 << 20);
-/// Measured: 4 and 2.5 MiB in the first measured batch, and 1 and 2.1 MiB
-/// — the gathered output — in most of the rest, 2 in two of them: a Reduce
-/// bucket's single-partial list (16 bytes a partial, ≈ 3.7k a bucket)
-/// outgrows 4,096 entries for the first time now and then, where one list
-/// of all its partials (≈ 4.0k) outgrew it in the warm-up (3 and 2.4 MiB,
-/// and 1 in all but one of the rest, while a bucket kept one). The tumbling
+/// Measured: 3 and 2.4 MiB in the first measured batch, and 1 and 2.1 MiB
+/// — the gathered output — in the rest but one, which makes 2. A Reduce
+/// bucket's lists make room for their last batch's length plus `4·√n + 16`,
+/// rounded up to a power of two, so its single-partial list (16 bytes a
+/// partial, ≈ 3.7k a bucket) crosses 4,096 entries in the warm-up: 4 and
+/// 2.5 MiB in the first measured batch, and 2 in two of the rest, while
+/// the lists grew by doubling alone, and crossed it now and then after the
+/// warm-up (3 and 2.4 MiB, and 1 in all but one of the rest, while a bucket
+/// kept one list of all its partials, ≈ 4.0k). The tumbling
 /// window keeps the first batch's output as its answer and hands it over at
 /// the emission, so no emission is rebuilt; a block's run table is its
 /// fragment table. Means: 1.6 allocations (1 and 2.2 MiB while a bucket
@@ -353,19 +356,25 @@ const UNIFORM_BUDGET: (u64, u64) = (18, 16 << 20);
 /// keeps its Algorithm 3 assignment, 4 bytes a cluster: kept at 8 bytes,
 /// its first doubling past a block's ≈ 4.3k clusters crossed 64 KiB in the
 /// first measured batch (4 here, 7 threaded, 6 through PK-2).
-const ZIPF_BUDGET: (u64, u64) = (4, 4 << 20);
-/// Measured: 7 and 2.9 MiB on every thread, in the second measured batch,
+const ZIPF_BUDGET: (u64, u64) = (3, 4 << 20);
+/// Measured: 6 and 2.7 MiB on every thread, in the second measured batch,
 /// and as `zipf_inproc` in the rest: helpers reuse the tables of the tasks
-/// they run, whichever those are. 6 and 2.7 MiB while a Reduce bucket kept
-/// one list of all its partials (`zipf_inproc`'s single-partial lists),
+/// they run, whichever those are. 7 and 2.9 MiB while a Reduce bucket's
+/// lists grew by doubling alone (`zipf_inproc`'s single-partial lists), 6
+/// and 2.7 MiB while a Reduce bucket kept one list of all its partials,
 /// 6 and 4.4 MiB while the window rebuilt
 /// its emission, 7 and 4.6 MiB while the batching phase ran 4 shards on 2
 /// threads (a mean of 2 and 3.3 MiB; 3 and 3.4 MiB while a
 /// block's run table grew beside an equal fragment table).
-const ZIPF_THREADED_BUDGET: (u64, u64) = (7, 4 << 20);
+const ZIPF_THREADED_BUDGET: (u64, u64) = (6, 4 << 20);
 /// Measured: 5 and 2.8 MiB, with the blocks built in the last plan handed
 /// back, and the per-arrival blocks, the pair buffer and the radix sort's
 /// buffers kept (6 and 4.9 MiB while the window rebuilt its emission).
+/// PK-2 splits most keys, so its Reduce buckets sort thousands of split
+/// partials: 10 and 3.2 MiB while a bucket's merge list, sort buffer and
+/// merged list grew from an exact first size, where they now make room for
+/// their last batch's length, rounded up to a power of two, as the merge
+/// table they replace did.
 /// Means: 4 and 2.6 MiB, against 4 and 3.7 MiB (3.8 while a count's blocks
 /// carried values; as with the count tables, per-arrival slots and run sort buffer
 /// the loop kept before it sorted by radix; 36 and 12.9 MiB with a fresh
